@@ -14,6 +14,13 @@ for seed in 1 2 3; do
   AEQUUS_TEST_SEED="$seed" cargo test -q --workspace
 done
 
+# The repo benchmark's own tests (its crate is outside the workspace): the
+# span replay in benchmark/src/replay.rs mirrors the engine call for call,
+# and must reproduce the engine's sim_digest on the tiny shapes of all four
+# workloads — so a product change that breaks or drifts the mirror fails
+# here instead of in the acceptance run.
+cargo test --offline --release --manifest-path benchmark/Cargo.toml
+
 # Docs must build warning-free for the first-party crates (vendored shims
 # are exempt — they mirror external APIs we don't own).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \

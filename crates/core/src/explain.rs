@@ -138,7 +138,7 @@ impl Explanation {
         let vector = tree.vector_for_user(user)?;
         let (projection, factor) = match kind {
             ProjectionKind::Percental => {
-                let (target, usage) = Percental::total_shares(tree, &path)?;
+                let (target, usage) = Percental::total_shares(tree, tree.user_node(user)?);
                 (
                     ProjectionExplanation::Percental {
                         target_product: target,

@@ -480,16 +480,26 @@ impl FairshareTree {
         FairshareVector::from_elements(elements, self.config.resolution).padded(self.depth)
     }
 
-    /// Grid users accounted under the subtree rooted at `id` (dirty-subtree
-    /// re-projection support).
-    pub fn users_under(&self, id: NodeId, out: &mut BTreeSet<GridUser>) {
+    /// Parent of an arena node; `None` for the root.
+    pub fn parent_of(&self, id: NodeId) -> Option<NodeId> {
+        self.arena[id.index()].parent
+    }
+
+    /// Append the user leaves of the subtree rooted at `id` (dirty-subtree
+    /// re-projection support) — `O(subtree)`, no allocation per leaf.
+    pub fn leaves_under(&self, id: NodeId, out: &mut Vec<NodeId>) {
         let node = &self.arena[id.index()];
-        if let Some(u) = &node.user {
-            out.insert(u.clone());
+        if node.user.is_some() {
+            out.push(id);
         }
         for &c in &node.children {
-            self.users_under(c, out);
+            self.leaves_under(c, out);
         }
+    }
+
+    /// Every user with its leaf id, in user order.
+    pub fn user_leaves(&self) -> impl Iterator<Item = (&GridUser, NodeId)> {
+        self.user_leaf.iter().map(|(u, &id)| (u, id))
     }
 
     /// Extract the fairshare vector for the entity at `path` (Figure 3):
@@ -514,11 +524,6 @@ impl FairshareTree {
         self.user_leaf
             .get(user)
             .map(|&id| self.arena[id.index()].state.distance)
-    }
-
-    /// All users known to the tree with their paths.
-    pub fn users(&self) -> impl Iterator<Item = (&GridUser, &EntityPath)> {
-        self.user_paths.iter()
     }
 
     /// The path of one user's leaf (indexed lookup, unlike the `O(n)` policy
@@ -863,8 +868,10 @@ mod tests {
             );
             assert_eq!(t.priority_of_id(id), t.user_priority(&user).unwrap());
         }
-        let mut users = BTreeSet::new();
-        t.users_under(NodeId(0), &mut users);
-        assert_eq!(users.len(), 16);
+        let mut leaves = Vec::new();
+        t.leaves_under(NodeId(0), &mut leaves);
+        assert_eq!(leaves.len(), 16);
+        assert!(leaves.iter().all(|&l| t.parent_of(l).is_some()));
+        assert_eq!(t.user_leaves().count(), 16);
     }
 }

@@ -46,5 +46,5 @@ pub use ids::{EntityPath, GridUser, JobId, SiteId, SystemUser};
 pub use policy::{flat_policy, PolicyError, PolicyNode, PolicyNodeKind, PolicyTree};
 pub use policy_file::{parse_policy, to_policy_file, PolicyFileError};
 pub use projection::{Projection, ProjectionKind};
-pub use usage::{UsageHistogram, UsageRecord, UsageSummary, UserCells};
+pub use usage::{UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells, UserIndex};
 pub use vector::{FairshareVector, Resolution};

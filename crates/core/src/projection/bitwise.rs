@@ -6,6 +6,7 @@
 //! and precision are finite — the ✗ entries of Table I.
 
 use super::Projection;
+use crate::arena::NodeId;
 use crate::fairshare::FairshareTree;
 use crate::ids::GridUser;
 use std::collections::BTreeMap;
@@ -79,9 +80,8 @@ impl Projection for BitwiseVector {
             .collect()
     }
 
-    fn project_user(&self, tree: &FairshareTree, user: &GridUser) -> Option<f64> {
-        let vec = tree.vector_for_user(user)?;
-        Some(self.merge_vector(&vec, self.levels_for(tree)))
+    fn project_leaf(&self, tree: &FairshareTree, leaf: NodeId) -> Option<f64> {
+        Some(self.merge_vector(&tree.vector_of_id(leaf), self.levels_for(tree)))
     }
 }
 

@@ -23,6 +23,7 @@ pub use bitwise::BitwiseVector;
 pub use dictionary::{rank_value, DictionaryOrdering};
 pub use percental::Percental;
 
+use crate::arena::NodeId;
 use crate::fairshare::FairshareTree;
 use crate::ids::GridUser;
 use serde::{Deserialize, Serialize};
@@ -37,13 +38,14 @@ pub trait Projection: Send + Sync + std::fmt::Debug {
     /// Project every user in the tree to a `[0, 1]` factor.
     fn project(&self, tree: &FairshareTree) -> BTreeMap<GridUser, f64>;
 
-    /// Project a single user, for *path-local* algorithms whose per-user
-    /// value depends only on the nodes along that user's path (Bitwise,
-    /// Percental). Must be bit-identical to the corresponding entry of
+    /// Project the single user at arena leaf `leaf`, for *path-local*
+    /// algorithms whose per-user value depends only on the nodes along that
+    /// user's root→leaf path (Bitwise, Percental) — `O(depth)`, no name
+    /// lookups. Must be bit-identical to the corresponding entry of
     /// [`project`](Self::project). Returns `None` for global algorithms
     /// (Dictionary ordering ranks users against each other, so any change
-    /// requires a full re-projection) and for users absent from the tree.
-    fn project_user(&self, _tree: &FairshareTree, _user: &GridUser) -> Option<f64> {
+    /// requires a full re-projection).
+    fn project_leaf(&self, _tree: &FairshareTree, _leaf: NodeId) -> Option<f64> {
         None
     }
 }

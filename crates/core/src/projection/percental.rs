@@ -11,8 +11,9 @@
 //! during testing").
 
 use super::Projection;
+use crate::arena::NodeId;
 use crate::fairshare::FairshareTree;
-use crate::ids::{EntityPath, GridUser};
+use crate::ids::GridUser;
 use std::collections::BTreeMap;
 
 /// Product-of-shares difference projection.
@@ -20,19 +21,25 @@ use std::collections::BTreeMap;
 pub struct Percental;
 
 impl Percental {
-    /// Total (absolute) target and usage shares of the entity at `path`:
-    /// products of the per-level normalized shares.
-    pub fn total_shares(tree: &FairshareTree, path: &EntityPath) -> Option<(f64, f64)> {
-        let mut target = 1.0;
-        let mut usage = 1.0;
-        let mut prefix = EntityPath::root();
-        for comp in path.components() {
-            prefix = prefix.child(comp);
-            let node = tree.node(&prefix)?;
-            target *= node.policy_share;
-            usage *= node.usage_share;
+    /// Total (absolute) target and usage shares of the entity at arena node
+    /// `id`: products of the per-level normalized shares, multiplied root
+    /// first (the recursion unwinds root→leaf, so the products keep the
+    /// bits of a top-down walk). `O(depth)`.
+    pub fn total_shares(tree: &FairshareTree, id: NodeId) -> (f64, f64) {
+        match tree.parent_of(id) {
+            None => (1.0, 1.0),
+            Some(parent) => {
+                let (target, usage) = Self::total_shares(tree, parent);
+                let node = tree.share_of(id);
+                (target * node.policy_share, usage * node.usage_share)
+            }
         }
-        Some((target, usage))
+    }
+
+    /// `target − usage ∈ [−1, 1]`, rescaled to `[0, 1]`.
+    fn factor(tree: &FairshareTree, leaf: NodeId) -> f64 {
+        let (target, usage) = Self::total_shares(tree, leaf);
+        ((target - usage) + 1.0) / 2.0
     }
 }
 
@@ -42,18 +49,13 @@ impl Projection for Percental {
     }
 
     fn project(&self, tree: &FairshareTree) -> BTreeMap<GridUser, f64> {
-        tree.users()
-            .filter_map(|(user, path)| {
-                let (target, usage) = Self::total_shares(tree, path)?;
-                // target − usage ∈ [−1, 1]; rescale to [0, 1].
-                Some((user.clone(), ((target - usage) + 1.0) / 2.0))
-            })
+        tree.user_leaves()
+            .map(|(user, leaf)| (user.clone(), Self::factor(tree, leaf)))
             .collect()
     }
 
-    fn project_user(&self, tree: &FairshareTree, user: &GridUser) -> Option<f64> {
-        let (target, usage) = Self::total_shares(tree, tree.path_of_user(user)?)?;
-        Some(((target - usage) + 1.0) / 2.0)
+    fn project_leaf(&self, tree: &FairshareTree, leaf: NodeId) -> Option<f64> {
+        Some(Self::factor(tree, leaf))
     }
 }
 
@@ -69,7 +71,8 @@ mod tests {
             ("proj", 0.20, &[("u", 0.25, 10.0), ("v", 0.75, 10.0)]),
             ("rest", 0.80, &[("w", 1.0, 80.0)]),
         ]);
-        let (target, _) = Percental::total_shares(&tree, &EntityPath::parse("/proj/u")).unwrap();
+        let leaf = tree.user_node(&GridUser::new("u")).unwrap();
+        let (target, _) = Percental::total_shares(&tree, leaf);
         assert!((target - 0.05).abs() < 1e-12);
     }
 

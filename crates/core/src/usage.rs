@@ -6,6 +6,7 @@
 use crate::decay::DecayPolicy;
 use crate::ids::{GridUser, JobId, SiteId};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// Per-user charge per slot index — the cell grid summaries and mirrors
@@ -46,9 +47,38 @@ impl UsageRecord {
 pub struct UsageHistogram {
     slot_s: f64,
     /// charge per (user, slot index).
-    slots: BTreeMap<GridUser, BTreeMap<u64, f64>>,
-    /// Total charge ever recorded, for conservation checks.
+    slots: BTreeMap<GridUser, UserSlots>,
+    /// Total charge currently held, for conservation checks.
     total: f64,
+}
+
+/// One user's cells plus the cached slot-order sum of their charges, so a
+/// raw-usage readout is `O(1)` for every user untouched since the last one.
+#[derive(Debug, Clone, Default)]
+struct UserSlots {
+    cells: BTreeMap<u64, f64>,
+    /// `None` once any cell changed; the next [`UserSlots::raw`] re-sums in
+    /// slot order (never patched incrementally — the sum must keep the bits
+    /// a from-scratch readout would produce).
+    raw: Cell<Option<f64>>,
+}
+
+impl UserSlots {
+    /// Mutable access to the cells; invalidates the cached total.
+    fn cells_mut(&mut self) -> &mut BTreeMap<u64, f64> {
+        self.raw.set(None);
+        &mut self.cells
+    }
+
+    /// Slot-order sum of the cells. `O(1)` when cached, `O(slots)` after a
+    /// change.
+    fn raw(&self) -> f64 {
+        self.raw.get().unwrap_or_else(|| {
+            let sum = self.cells.values().sum();
+            self.raw.set(Some(sum));
+            sum
+        })
+    }
 }
 
 impl UsageHistogram {
@@ -77,7 +107,7 @@ impl UsageHistogram {
             return;
         }
         self.total += charge;
-        let user_slots = self.slots.entry(rec.user.clone()).or_default();
+        let user_slots = self.slots.entry(rec.user.clone()).or_default().cells_mut();
         let first = (rec.start_s / self.slot_s).floor().max(0.0) as u64;
         let last = (rec.end_s / self.slot_s).floor().max(0.0) as u64;
         if first == last {
@@ -108,6 +138,7 @@ impl UsageHistogram {
             .slots
             .entry(user.clone())
             .or_default()
+            .cells_mut()
             .entry(slot)
             .or_insert(0.0) += charge;
         self.total += charge;
@@ -116,7 +147,7 @@ impl UsageHistogram {
     /// Merge a compact per-user summary from another site.
     pub fn merge_summary(&mut self, summary: &UsageSummary) {
         for (user, slots) in &summary.per_user {
-            let user_slots = self.slots.entry(user.clone()).or_default();
+            let user_slots = self.slots.entry(user.clone()).or_default().cells_mut();
             for (&slot, &charge) in slots {
                 *user_slots.entry(slot).or_insert(0.0) += charge;
                 self.total += charge;
@@ -130,6 +161,7 @@ impl UsageHistogram {
             return 0.0;
         };
         slots
+            .cells
             .iter()
             .map(|(&slot, &charge)| {
                 let slot_center = (slot as f64 + 0.5) * self.slot_s;
@@ -148,6 +180,7 @@ impl UsageHistogram {
             return 0.0;
         };
         slots
+            .cells
             .iter()
             .map(|(&slot, &charge)| {
                 let slot_center = (slot as f64 + 0.5) * self.slot_s;
@@ -156,16 +189,14 @@ impl UsageHistogram {
             .sum()
     }
 
-    /// Raw (undecayed) total usage of `user`.
+    /// Raw (undecayed) total usage of `user`: the slot-order sum of its
+    /// cells, cached per user until one of them changes.
     pub fn raw_usage(&self, user: &GridUser) -> f64 {
-        self.slots
-            .get(user)
-            .map(|s| s.values().sum())
-            .unwrap_or(0.0)
+        self.slots.get(user).map_or(0.0, UserSlots::raw)
     }
 
-    /// Total charge recorded across all users (conservation invariant:
-    /// equals the sum of `raw_usage` over all users).
+    /// Total charge held across all users (conservation invariant: equals
+    /// the sum of `raw_usage` over all users, compaction included).
     pub fn total_recorded(&self) -> f64 {
         self.total
     }
@@ -195,8 +226,11 @@ impl UsageHistogram {
                 .slots
                 .iter()
                 .filter_map(|(u, slots)| {
-                    let filtered: BTreeMap<u64, f64> =
-                        slots.range(since_slot..).map(|(&k, &v)| (k, v)).collect();
+                    let filtered: BTreeMap<u64, f64> = slots
+                        .cells
+                        .range(since_slot..)
+                        .map(|(&k, &v)| (k, v))
+                        .collect();
                     (!filtered.is_empty()).then(|| (u.clone(), filtered))
                 })
                 .collect(),
@@ -205,13 +239,82 @@ impl UsageHistogram {
     }
 
     /// Drop slots older than `horizon_s` before `now_s` (storage compaction;
-    /// safe once the decay weight of those slots is negligible).
+    /// safe once the decay weight of those slots is negligible). The dropped
+    /// charge leaves [`total_recorded`](Self::total_recorded) too, so the
+    /// conservation invariant survives compaction.
     pub fn compact(&mut self, now_s: f64, horizon_s: f64) {
         let cutoff_slot = ((now_s - horizon_s) / self.slot_s).floor().max(0.0) as u64;
         for slots in self.slots.values_mut() {
-            *slots = slots.split_off(&cutoff_slot);
+            let kept = slots.cells.split_off(&cutoff_slot);
+            let dropped = std::mem::replace(&mut slots.cells, kept);
+            if !dropped.is_empty() {
+                self.total -= dropped.values().sum::<f64>();
+                slots.raw.set(None);
+            }
         }
-        self.slots.retain(|_, s| !s.is_empty());
+        self.slots.retain(|_, s| !s.cells.is_empty());
+    }
+}
+
+/// A grid-wide dense user index: a fixed user population ranked in name
+/// order, so rank order equals `BTreeMap<GridUser, _>` iteration order.
+/// Built once per run and shared read-only by everything that lays per-user
+/// values out as a flat row ([`UsageRow`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct UserIndex {
+    users: Vec<GridUser>,
+}
+
+impl UserIndex {
+    /// Index the given users (duplicates collapse).
+    pub fn new(users: impl IntoIterator<Item = GridUser>) -> Self {
+        let mut users: Vec<GridUser> = users.into_iter().collect();
+        users.sort();
+        users.dedup();
+        Self { users }
+    }
+
+    /// Rank of `user` in name order — `O(log users)`; `None` for users
+    /// outside the index.
+    pub fn rank(&self, user: &GridUser) -> Option<usize> {
+        self.users.binary_search(user).ok()
+    }
+
+    /// The indexed users, by rank.
+    pub fn users(&self) -> &[GridUser] {
+        &self.users
+    }
+}
+
+/// One site's raw per-user usage view as a dense row over a [`UserIndex`],
+/// plus a (normally empty) sorted overflow for users outside the index. A
+/// user the site holds no usage for reads `0.0` — exactly how the
+/// cross-site divergence treats a user missing from a view.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct UsageRow {
+    /// Value per index rank.
+    pub dense: Vec<f64>,
+    /// Non-zero values of out-of-index users.
+    pub overflow: BTreeMap<GridUser, f64>,
+}
+
+impl UsageRow {
+    /// Reset to the all-zero row over `index`.
+    pub fn clear(&mut self, index: &UserIndex) {
+        self.dense.clear();
+        self.dense.resize(index.users().len(), 0.0);
+        self.overflow.clear();
+    }
+
+    /// Set one user's value — `O(log users)`.
+    pub fn set(&mut self, index: &UserIndex, user: &GridUser, value: f64) {
+        if let Some(rank) = index.rank(user) {
+            self.dense[rank] = value;
+        } else if value == 0.0 {
+            self.overflow.remove(user);
+        } else {
+            self.overflow.insert(user.clone(), value);
+        }
     }
 }
 
@@ -372,6 +475,61 @@ mod tests {
         h.record(&rec("a", 1, 1050.0, 1060.0));
         h.compact(1100.0, 500.0);
         assert!((h.raw_usage(&GridUser::new("a")) - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn compact_conserves_total_and_cached_raw_usage() {
+        // Regression: compaction used to leave `total_recorded` counting the
+        // dropped slots, breaking "total == Σ raw_usage".
+        let (a, b) = (GridUser::new("a"), GridUser::new("b"));
+        let mut h = UsageHistogram::new(100.0);
+        h.record(&rec("a", 1, 50.0, 60.0));
+        h.record(&rec("a", 2, 1050.0, 1060.0));
+        h.record(&rec("b", 1, 10.0, 250.0)); // entirely before the cutoff
+        let conserved = |h: &UsageHistogram| {
+            let sum = h.raw_usage(&a) + h.raw_usage(&b);
+            assert!((h.total_recorded() - sum).abs() < 1e-9, "{sum}");
+        };
+        conserved(&h); // also fills the per-user total cache
+        h.compact(1100.0, 500.0);
+        assert_eq!(h.raw_usage(&a), 20.0, "cache follows the dropped slot");
+        assert_eq!(h.raw_usage(&b), 0.0);
+        assert_eq!(h.users().count(), 1, "emptied users leave the histogram");
+        conserved(&h);
+        // The cache stays coherent through every other mutation too.
+        h.add_charge(&a, 11, 5.0);
+        assert_eq!(h.raw_usage(&a), 25.0);
+        h.record(&rec("b", 1, 1000.0, 1030.0));
+        assert_eq!(h.raw_usage(&b), 30.0);
+        let other = {
+            let mut o = UsageHistogram::new(100.0);
+            o.record(&rec("a", 1, 1100.0, 1107.0));
+            o.summary(SiteId(1), 0)
+        };
+        h.merge_summary(&other);
+        assert_eq!(h.raw_usage(&a), 32.0);
+        conserved(&h);
+    }
+
+    #[test]
+    fn usage_row_dense_and_overflow() {
+        let index = UserIndex::new(["b", "a", "b"].map(GridUser::new));
+        assert_eq!(index.users(), ["a", "b"].map(GridUser::new));
+        assert_eq!(index.rank(&GridUser::new("b")), Some(1));
+        assert_eq!(index.rank(&GridUser::new("ghost")), None);
+        let mut row = UsageRow::default();
+        row.clear(&index);
+        row.set(&index, &GridUser::new("b"), 3.0);
+        row.set(&index, &GridUser::new("zed"), 7.0);
+        row.set(&index, &GridUser::new("ghost"), 5.0);
+        assert_eq!(row.dense, vec![0.0, 3.0]);
+        assert_eq!(row.overflow.len(), 2);
+        row.set(&index, &GridUser::new("ghost"), 0.0);
+        assert_eq!(row.overflow.len(), 1, "zeroed overflow entries leave");
+        assert_eq!(row.overflow[&GridUser::new("zed")], 7.0);
+        row.clear(&index);
+        assert_eq!(row.dense, vec![0.0, 0.0]);
+        assert!(row.overflow.is_empty());
     }
 
     #[test]

@@ -12,22 +12,25 @@
 //! [`FairshareTree::recompute_dirty`], which re-derives only the affected
 //! subtrees. A full from-scratch rebuild happens only on the first refresh,
 //! after a projection switch, or when the dirty set says "all" (structural
-//! policy change, non-separable decay). After the tree update, only users
-//! under changed nodes are re-projected — except under projections without
-//! a per-user entry point (Dictionary re-ranks globally).
+//! policy change, non-separable decay). After the tree update, only the
+//! leaves under changed nodes are re-projected, by arena id, straight into
+//! their factor slots — except under projections without a per-leaf entry
+//! point (Dictionary re-ranks globally).
 //!
-//! The FCS also interns users into dense [`UserId`]s so the RMS-side hot
-//! path can query priorities by index instead of cloning `GridUser` keys.
-//! Ids are assigned on first sight, never reused, and survive full rebuilds.
+//! The FCS interns users into dense [`UserId`]s and keeps the projected
+//! factors in one `UserId`-indexed table — the only stored copy — so the
+//! RMS-side hot path queries priorities by index instead of cloning
+//! `GridUser` keys. Ids are assigned on first sight, never reused, and
+//! survive full rebuilds.
 
 use crate::pds::Pds;
 use crate::ums::Ums;
-use aequus_core::arena::{RecomputeStats, UserId};
+use aequus_core::arena::{NodeId, RecomputeStats, UserId};
 use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::projection::{Projection, ProjectionKind};
 use aequus_core::GridUser;
 use aequus_telemetry::{Counter, Histogram, Telemetry};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Pre-registered FCS metric handles (no-ops until wired).
 #[derive(Debug, Clone, Default)]
@@ -66,13 +69,16 @@ pub struct Fcs {
     projection: Box<dyn Projection>,
     refresh_interval_s: f64,
     tree: Option<FairshareTree>,
-    factors: BTreeMap<GridUser, f64>,
     /// Stable user interner: `GridUser` → dense id, assigned on first sight.
     user_ids: BTreeMap<GridUser, UserId>,
     users_by_id: Vec<GridUser>,
     /// Factor table indexed by [`UserId`]; `NaN` marks "no precomputed
     /// factor" (the id is interned but the user is absent from the tree).
     factor_slots: Vec<f64>,
+    /// Factor slot of each user leaf of the current tree, indexed by arena
+    /// [`NodeId`] (`None` for interior nodes). Resolved once per (re)built
+    /// tree, so incremental refreshes never look a user up by name.
+    leaf_slots: Vec<Option<UserId>>,
     last_refresh_s: Option<f64>,
     last_policy_version: u64,
     /// Next refresh must rebuild from scratch (projection switch). Tracked
@@ -114,10 +120,10 @@ impl Fcs {
             projection: projection.build(),
             refresh_interval_s,
             tree: None,
-            factors: BTreeMap::new(),
             user_ids: BTreeMap::new(),
             users_by_id: Vec::new(),
             factor_slots: Vec::new(),
+            leaf_slots: Vec::new(),
             last_refresh_s: None,
             last_policy_version: 0,
             force_full: false,
@@ -154,8 +160,8 @@ impl Fcs {
     /// scratch.
     pub fn reset(&mut self) {
         self.tree = None;
-        self.factors.clear();
-        self.factor_slots.iter_mut().for_each(|v| *v = f64::NAN);
+        self.factor_slots.fill(f64::NAN);
+        self.leaf_slots.clear();
         self.last_refresh_s = None;
         self.force_full = true;
     }
@@ -184,6 +190,13 @@ impl Fcs {
 
     /// Recompute the fairshare tree and projected factors if stale, draining
     /// the PDS and UMS dirty sets. Returns whether a refresh happened.
+    ///
+    /// Cost of an incremental refresh: `O(d·depth·log users)` to re-aggregate
+    /// the `d` dirty users' paths, `O(siblings)` flat float work per touched
+    /// sibling group (one dirty user moves every sibling's usage share), and
+    /// `O(depth)` per leaf under a changed node to re-project it by id — no
+    /// per-user name lookup, clone or map insert. A full rebuild is
+    /// `O(users·log users)`; Dictionary re-ranks all users on any change.
     pub fn refresh(&mut self, pds: &mut Pds, ums: &mut Ums, now_s: f64) -> bool {
         if !self.is_stale(pds, now_s) {
             return false;
@@ -211,7 +224,8 @@ impl Fcs {
                 }
             });
             let tree = FairshareTree::compute(pds.policy(), ums.usage(), &self.config, now_s);
-            self.factors = self.projection.project(&tree);
+            self.index_leaves(&tree);
+            self.project_all(&tree);
             self.last_recompute = RecomputeStats {
                 full: true,
                 nodes_recomputed: tree.node_count() as u64,
@@ -232,34 +246,31 @@ impl Fcs {
             let stats = tree.recompute_dirty(pds.policy(), ums.usage(), &dirty, now_s);
             if stats.full {
                 // The tree detected a structural mismatch and rebuilt.
-                self.factors = self.projection.project(&tree);
+                self.index_leaves(&tree);
+                self.project_all(&tree);
                 self.full_refreshes += 1;
                 self.metrics.full_refreshes.inc();
                 self.metrics.telemetry.event(now_s, "fcs.full_rebuild", || {
                     "structural mismatch during incremental recompute".to_string()
                 });
             } else {
-                // Re-project only users under nodes whose state changed.
-                let mut affected: BTreeSet<GridUser> = BTreeSet::new();
+                // Re-project only the leaves under nodes whose state
+                // changed. A leaf under two changed nodes is projected
+                // twice — idempotent, and cheaper than deduplicating.
+                let mut affected: Vec<NodeId> = Vec::new();
                 for id in &stats.changed_elements {
-                    tree.users_under(*id, &mut affected);
+                    tree.leaves_under(*id, &mut affected);
                 }
-                let mut global_projection = false;
-                for user in &affected {
-                    match self.projection.project_user(&tree, user) {
-                        Some(f) => {
-                            self.factors.insert(user.clone(), f);
-                        }
-                        None => {
-                            // No per-user entry point (Dictionary): any
-                            // change can shift every rank — re-rank all.
-                            global_projection = true;
-                            break;
-                        }
+                for &leaf in &affected {
+                    let Some(factor) = self.projection.project_leaf(&tree, leaf) else {
+                        // No per-leaf entry point (Dictionary): any change
+                        // can shift every rank — re-rank all.
+                        self.project_all(&tree);
+                        break;
+                    };
+                    if let Some(id) = self.leaf_slots[leaf.index()] {
+                        self.factor_slots[id.index()] = factor;
                     }
-                }
-                if global_projection && !affected.is_empty() {
-                    self.factors = self.projection.project(&tree);
                 }
                 self.incremental_refreshes += 1;
             }
@@ -274,7 +285,6 @@ impl Fcs {
         }
 
         self.nodes_recomputed_total += self.last_recompute.nodes_recomputed;
-        self.sync_factor_slots();
         self.last_refresh_s = Some(now_s);
         self.last_policy_version = pds.version();
         self.refreshes += 1;
@@ -282,21 +292,22 @@ impl Fcs {
         true
     }
 
-    /// Rebuild the id-indexed factor table from the factor map, interning
-    /// users seen for the first time. Flat `O(users)` — no tree work.
-    fn sync_factor_slots(&mut self) {
-        for slot in self.factor_slots.iter_mut() {
-            *slot = f64::NAN;
+    /// Resolve every user leaf of a (re)built tree to its factor slot,
+    /// interning users seen for the first time (in user order).
+    /// `O(users·log users)`, once per tree.
+    fn index_leaves(&mut self, tree: &FairshareTree) {
+        self.leaf_slots.clear();
+        self.leaf_slots.resize(tree.node_count(), None);
+        for (user, leaf) in tree.user_leaves() {
+            self.leaf_slots[leaf.index()] = Some(self.intern_user(user));
         }
-        let mut new_users: Vec<GridUser> = Vec::new();
-        for (user, &factor) in &self.factors {
-            match self.user_ids.get(user) {
-                Some(id) => self.factor_slots[id.index()] = factor,
-                None => new_users.push(user.clone()),
-            }
-        }
-        for user in new_users {
-            let factor = self.factors[&user];
+    }
+
+    /// Re-project every user of the tree into the factor table; users the
+    /// tree no longer holds lose their factor. `O(users·log users)`.
+    fn project_all(&mut self, tree: &FairshareTree) {
+        self.factor_slots.fill(f64::NAN);
+        for (user, factor) in self.projection.project(tree) {
             let id = self.intern_user(&user);
             self.factor_slots[id.index()] = factor;
         }
@@ -331,22 +342,38 @@ impl Fcs {
     pub fn query(&self, user: &GridUser) -> Option<f64> {
         let _span = self.metrics.h_query.start_timer();
         self.metrics.queries.inc();
-        self.factors.get(user).copied()
+        self.factor_of(user)
+    }
+
+    /// [`query`](Self::query) without the telemetry — for the site's own
+    /// bookkeeping, which must not count as served queries.
+    pub fn factor_of(&self, user: &GridUser) -> Option<f64> {
+        self.user_ids.get(user).and_then(|id| self.slot(*id))
     }
 
     /// Query by interned id: an index load instead of a map walk — the
     /// RMS-side hot path (counter-only instrumentation; see `FcsMetrics`).
     pub fn query_id(&self, id: UserId) -> Option<f64> {
         self.metrics.id_queries.inc();
-        match self.factor_slots.get(id.index()) {
-            Some(f) if !f.is_nan() => Some(*f),
-            _ => None,
-        }
+        self.slot(id)
     }
 
-    /// The precomputed factors for all users.
-    pub fn factors(&self) -> &BTreeMap<GridUser, f64> {
-        &self.factors
+    fn slot(&self, id: UserId) -> Option<f64> {
+        self.factor_slots
+            .get(id.index())
+            .copied()
+            .filter(|f| !f.is_nan())
+    }
+
+    /// The precomputed factors of all users, materialised from the factor
+    /// table — `O(users·log users)`; for reports and tests, not hot paths.
+    pub fn factors(&self) -> BTreeMap<GridUser, f64> {
+        self.users_by_id
+            .iter()
+            .zip(&self.factor_slots)
+            .filter(|(_, f)| !f.is_nan())
+            .map(|(user, f)| (user.clone(), *f))
+            .collect()
     }
 
     /// The last computed fairshare tree (for metrics and vector extraction).
@@ -572,11 +599,12 @@ mod tests {
 
             let mut fresh = Fcs::new(FairshareConfig::default(), kind, 0.0);
             fresh.refresh(&mut pds, &mut ums, 1.0);
-            assert_eq!(fcs.factors().len(), fresh.factors().len());
-            for (user, f) in fcs.factors() {
+            let (inc, full) = (fcs.factors(), fresh.factors());
+            assert_eq!(inc.len(), full.len());
+            for (user, f) in &inc {
                 assert_eq!(
                     f.to_bits(),
-                    fresh.factors()[user].to_bits(),
+                    full[user].to_bits(),
                     "{kind:?} factor mismatch for {user:?}"
                 );
             }

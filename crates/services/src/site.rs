@@ -190,7 +190,7 @@ impl AequusSite {
     /// FCS factor, so every captured explanation replays to the value the
     /// RMS actually saw.
     fn trace_query(&mut self, user: GridUser, value: f64, now_s: f64) {
-        let Some(fresh) = self.fcs.factors().get(&user).copied() else {
+        let Some(fresh) = self.fcs.factor_of(&user) else {
             return;
         };
         if fresh.to_bits() != value.to_bits() {

@@ -35,7 +35,9 @@ use crate::participation::ParticipationMode;
 use crate::reliability::{JitterRng, LinkObservation, RetryPolicy, StalePolicy, UssMessage};
 use aequus_core::arena::DirtySet;
 use aequus_core::ids::SiteId;
-use aequus_core::usage::{UsageHistogram, UsageRecord, UsageSummary, UserCells};
+use aequus_core::usage::{
+    UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells, UserIndex,
+};
 use aequus_core::GridUser;
 use aequus_store::{CheckpointState, PeerCursor};
 use aequus_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceCtx};
@@ -254,6 +256,12 @@ pub struct Uss {
     /// Users whose usage changed since the UMS last drained this service —
     /// the head of the incremental dirty-set flow USS → UMS → FCS.
     dirty: DirtySet,
+    /// Users whose [`grid_view`](Uss::grid_view) value changed since the
+    /// last [`Uss::sync_view_row`] — fed from the same mutation points as
+    /// `dirty`, drained on the sampler's cadence instead of the UMS's.
+    /// "All" after anything that rewrites the view wholesale (crash,
+    /// checkpoint install, stale-policy flip).
+    view_dirty: DirtySet,
     /// Telemetry handles (no-ops until wired).
     metrics: UssMetrics,
     /// Trace context of the latest traced local ingest, consumed by the next
@@ -275,14 +283,15 @@ pub struct Uss {
 /// origin's mirror: cells whose value exceeds the mirrored value by more
 /// than [`CELL_EPS`] raise the mirror and add the delta to the remote
 /// histogram. Duplicates, reordering, overlapping resyncs, snapshots, and
-/// multi-path relay all collapse to no-ops here. Returns the number of
-/// cells that changed. (Free function over disjoint fields so callers can
-/// hold other `Uss` borrows.)
+/// multi-path relay all collapse to no-ops here. Users with a changed cell
+/// are marked in both `dirty` sets (the UMS flow and the view row). Returns
+/// the number of cells that changed. (Free function over disjoint fields so
+/// callers can hold other `Uss` borrows.)
 fn merge_origin_cells(
     mirror: &mut UserCells,
     cells: &UserCells,
     remote: &mut UsageHistogram,
-    dirty: &mut DirtySet,
+    mut dirty: [&mut DirtySet; 2],
 ) -> usize {
     let mut merged = 0usize;
     for (user, slots) in cells {
@@ -299,7 +308,9 @@ fn merge_origin_cells(
             }
         }
         if user_changed {
-            dirty.mark_user(user.clone());
+            for set in &mut dirty {
+                set.mark_user(user.clone());
+            }
         }
     }
     merged
@@ -308,6 +319,9 @@ fn merge_origin_cells(
 impl Uss {
     /// Create a USS with the given histogram slot duration.
     pub fn new(site: SiteId, mode: ParticipationMode, slot_s: f64) -> Self {
+        // A row attached at any point first syncs from scratch.
+        let mut view_dirty = DirtySet::new();
+        view_dirty.mark_all();
         Self {
             site,
             mode,
@@ -336,6 +350,7 @@ impl Uss {
             snapshots_sent: 0,
             duplicates: 0,
             dirty: DirtySet::new(),
+            view_dirty,
             metrics: UssMetrics::default(),
             pending_publish_ctx: None,
             publish_trace: BTreeMap::new(),
@@ -446,6 +461,7 @@ impl Uss {
         debug_assert_eq!(rec.site, self.site, "record routed to wrong site");
         if rec.charge() > 0.0 {
             self.dirty.mark_user(rec.user.clone());
+            self.view_dirty.mark_user(rec.user.clone());
         }
         self.local.record(rec);
         self.records_ingested += 1;
@@ -734,7 +750,12 @@ impl Uss {
                 continue; // a relay echoing our own data back
             }
             let mirror = self.seen_by_origin.entry(*origin).or_default();
-            merged_cells += merge_origin_cells(mirror, cells, &mut self.remote, &mut self.dirty);
+            merged_cells += merge_origin_cells(
+                mirror,
+                cells,
+                &mut self.remote,
+                [&mut self.dirty, &mut self.view_dirty],
+            );
         }
         if merged_cells == 0 && !(s.per_user.is_empty() && s.relayed.is_empty()) {
             self.duplicates += 1;
@@ -926,6 +947,7 @@ impl Uss {
         };
         if suppress != self.remote_suppressed {
             self.remote_suppressed = suppress;
+            self.view_dirty.mark_all();
             let users: Vec<GridUser> = self.remote.users().cloned().collect();
             for user in users {
                 self.dirty.mark_user(user);
@@ -968,6 +990,7 @@ impl Uss {
         }
         self.catchup_pending.clear();
         self.dirty = DirtySet::new();
+        self.view_dirty.mark_all();
         self.remote_suppressed = false;
         self.pending_publish_ctx = None;
         self.publish_trace.clear();
@@ -1082,6 +1105,7 @@ impl Uss {
                 }
             }
         }
+        self.view_dirty.mark_all();
         match &ckpt.dirty_users {
             None => self.dirty.mark_all(),
             Some(users) => {
@@ -1099,6 +1123,7 @@ impl Uss {
     pub fn replay_ingest(&mut self, rec: &UsageRecord) {
         if rec.charge() > 0.0 {
             self.dirty.mark_user(rec.user.clone());
+            self.view_dirty.mark_user(rec.user.clone());
         }
         self.local.record(rec);
         self.records_ingested += 1;
@@ -1119,7 +1144,12 @@ impl Uss {
                 continue;
             }
             let mirror = self.seen_by_origin.entry(*origin).or_default();
-            merge_origin_cells(mirror, cells, &mut self.remote, &mut self.dirty);
+            merge_origin_cells(
+                mirror,
+                cells,
+                &mut self.remote,
+                [&mut self.dirty, &mut self.view_dirty],
+            );
         }
         if is_snapshot {
             if s.seq + 1 > rx.next_expected {
@@ -1156,7 +1186,7 @@ impl Uss {
         decay: aequus_core::DecayPolicy,
     ) -> std::collections::BTreeMap<GridUser, f64> {
         let mut usage = self.local.decayed_all(now_s, decay);
-        if self.mode.reads_global() && !self.remote_suppressed {
+        if self.reads_remote() {
             for (user, value) in self.remote.decayed_all(now_s, decay) {
                 *usage.entry(user).or_insert(0.0) += value;
             }
@@ -1175,7 +1205,7 @@ impl Uss {
         decay: aequus_core::DecayPolicy,
     ) -> f64 {
         let mut value = self.local.epoch_usage(user, epoch_s, decay);
-        if self.mode.reads_global() && !self.remote_suppressed {
+        if self.reads_remote() {
             value += self.remote.epoch_usage(user, epoch_s, decay);
         }
         value
@@ -1185,7 +1215,7 @@ impl Uss {
     /// reads global data and the stale policy permits).
     pub fn known_users(&self) -> std::collections::BTreeSet<GridUser> {
         let mut users: std::collections::BTreeSet<GridUser> = self.local.users().cloned().collect();
-        if self.mode.reads_global() && !self.remote_suppressed {
+        if self.reads_remote() {
             users.extend(self.remote.users().cloned());
         }
         users
@@ -1195,18 +1225,60 @@ impl Uss {
     /// plus, when the mode reads global data and the stale policy permits,
     /// merged remote charge. The chaos suite's convergence invariant
     /// compares these views across sites.
+    ///
+    /// `O(users·log users)` map building over the histograms' cached
+    /// per-user totals (plus `O(slots)` for each user touched since its
+    /// last readout) — the end-of-run and from-scratch readout. Per-sample
+    /// consumers keep a [`UsageRow`] current with [`Uss::sync_view_row`]
+    /// instead.
     pub fn grid_view(&self) -> BTreeMap<GridUser, f64> {
         let mut view: BTreeMap<GridUser, f64> = self
             .local
             .users()
             .map(|u| (u.clone(), self.local.raw_usage(u)))
             .collect();
-        if self.mode.reads_global() && !self.remote_suppressed {
+        if self.reads_remote() {
             for user in self.remote.users() {
                 *view.entry(user.clone()).or_insert(0.0) += self.remote.raw_usage(user);
             }
         }
         view
+    }
+
+    /// One user's [`grid_view`](Self::grid_view) value, bit for bit (`0.0`
+    /// when the view has no entry) — `O(log users)`.
+    pub fn grid_view_of(&self, user: &GridUser) -> f64 {
+        let mut value = self.local.raw_usage(user);
+        if self.reads_remote() {
+            value += self.remote.raw_usage(user);
+        }
+        value
+    }
+
+    /// Whether remote usage currently counts toward this site's view.
+    fn reads_remote(&self) -> bool {
+        self.mode.reads_global() && !self.remote_suppressed
+    }
+
+    /// Bring `row` up to date with [`grid_view`](Self::grid_view): afterwards
+    /// `row` holds the view's value for every user (`0.0` for absent ones),
+    /// bit for bit. `O(changed users·log users)` — only users whose view
+    /// value changed since the previous call are rewritten; after a crash,
+    /// checkpoint install or stale-policy flip the row is rebuilt from
+    /// `grid_view()`. The change set is drained, so one service keeps one
+    /// row current.
+    pub fn sync_view_row(&mut self, index: &UserIndex, row: &mut UsageRow) {
+        let changed = self.view_dirty.take();
+        if changed.is_all() {
+            row.clear(index);
+            for (user, value) in self.grid_view() {
+                row.set(index, &user, value);
+            }
+        } else {
+            for user in changed.users() {
+                row.set(index, user, self.grid_view_of(user));
+            }
+        }
     }
 
     /// Raw local charge of one user (test/metrics access).

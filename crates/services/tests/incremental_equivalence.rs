@@ -8,6 +8,12 @@
 //! so a divergence is caught at the first refresh where it appears. The
 //! debug-build `debug_assert` inside `FairshareTree::recompute_dirty` acts
 //! as a second, tree-level oracle underneath this factor-level one.
+//!
+//! The policy is three levels deep (VO → group → user), so the id-indexed
+//! re-projection — leaves found by arena id under changed interior nodes,
+//! products multiplied root→leaf along parent pointers, factors written
+//! straight into `UserId` slots — is also compared against one global
+//! `project()` of the same tree, and the by-id lookups against the table.
 
 use aequus_core::policy::{PolicyNode, PolicyTree};
 use aequus_core::projection::ProjectionKind;
@@ -18,6 +24,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+const VOS: usize = 2;
 const GROUPS: usize = 3;
 const USERS_PER_GROUP: usize = 4;
 const N_USERS: usize = GROUPS * USERS_PER_GROUP;
@@ -26,36 +33,48 @@ fn user_name(i: usize) -> String {
     format!("u{i}")
 }
 
-/// /g0, /g1, /g2, then every /g{g}/u{i} leaf — the edit targets.
+/// Group `g` sits under VO `g % VOS`: /vo0 holds g0 and g2, /vo1 holds g1.
+fn group_path(g: usize) -> String {
+    format!("/vo{}/g{g}", g % VOS)
+}
+
+/// Every VO, every group, then every user leaf — the edit targets.
 fn edit_paths() -> Vec<EntityPath> {
-    let mut paths: Vec<EntityPath> = (0..GROUPS)
-        .map(|g| EntityPath::parse(&format!("/g{g}")))
-        .collect();
-    for i in 0..N_USERS {
-        let g = i / USERS_PER_GROUP;
-        paths.push(EntityPath::parse(&format!("/g{g}/{}", user_name(i))));
-    }
-    paths
+    let vos = (0..VOS).map(|v| format!("/vo{v}"));
+    let groups = (0..GROUPS).map(group_path);
+    let users =
+        (0..N_USERS).map(|i| format!("{}/{}", group_path(i / USERS_PER_GROUP), user_name(i)));
+    vos.chain(groups)
+        .chain(users)
+        .map(|p| EntityPath::parse(&p))
+        .collect()
 }
 
 fn nested_policy() -> PolicyTree {
-    let groups = (0..GROUPS)
-        .map(|g| {
+    let group = |g: usize| {
+        PolicyNode::group(
+            format!("g{g}"),
+            1.0 / GROUPS as f64,
+            (0..USERS_PER_GROUP)
+                .map(|j| {
+                    PolicyNode::user(
+                        user_name(g * USERS_PER_GROUP + j),
+                        1.0 / USERS_PER_GROUP as f64,
+                    )
+                })
+                .collect(),
+        )
+    };
+    let vos = (0..VOS)
+        .map(|v| {
             PolicyNode::group(
-                format!("g{g}"),
-                1.0 / GROUPS as f64,
-                (0..USERS_PER_GROUP)
-                    .map(|j| {
-                        PolicyNode::user(
-                            user_name(g * USERS_PER_GROUP + j),
-                            1.0 / USERS_PER_GROUP as f64,
-                        )
-                    })
-                    .collect(),
+                format!("vo{v}"),
+                1.0 / VOS as f64,
+                (0..GROUPS).filter(|g| g % VOS == v).map(group).collect(),
             )
         })
         .collect();
-    PolicyTree::new(PolicyNode::group("root", 1.0, groups)).unwrap()
+    PolicyTree::new(PolicyNode::group("root", 1.0, vos)).unwrap()
 }
 
 fn decay_for(sel: u8) -> DecayPolicy {
@@ -77,8 +96,34 @@ fn decay_for(sel: u8) -> DecayPolicy {
 /// kind 3 — `set_share` on edit path `selector % paths.len()`.
 type Op = (u8, u8, f64);
 
-/// Bit-compare the incremental factor table against a fresh full rebuild
-/// over the same (already drained) PDS/UMS state.
+/// Bit-compare two factor tables, same users and same bits.
+fn bit_equal(
+    what: &str,
+    inc: &BTreeMap<GridUser, f64>,
+    full: &BTreeMap<GridUser, f64>,
+) -> Result<(), String> {
+    if inc.len() != full.len() {
+        return Err(format!(
+            "{what}: {} incremental factors vs {} full",
+            inc.len(),
+            full.len()
+        ));
+    }
+    for (user, f) in inc {
+        let g = full
+            .get(user)
+            .ok_or_else(|| format!("{what}: {user:?} missing from full"))?;
+        if f.to_bits() != g.to_bits() {
+            return Err(format!("{what}: {user:?} incremental {f} != full {g}"));
+        }
+    }
+    Ok(())
+}
+
+/// Bit-compare the incrementally maintained, id-indexed factor table against
+/// (a) a fresh full rebuild over the same (already drained) PDS/UMS state,
+/// (b) one global `project()` of the incremental FCS's own tree, and
+/// (c) its own by-id lookups.
 fn assert_matches_fresh(
     kind: ProjectionKind,
     fcs: &Fcs,
@@ -88,23 +133,19 @@ fn assert_matches_fresh(
 ) -> Result<(), String> {
     let mut fresh = Fcs::new(FairshareConfig::default(), kind, 0.0);
     fresh.refresh(pds, ums, now_s);
-    let (inc, full): (&BTreeMap<GridUser, f64>, &BTreeMap<GridUser, f64>) =
-        (fcs.factors(), fresh.factors());
-    if inc.len() != full.len() {
-        return Err(format!(
-            "{kind:?} at t={now_s}: {} incremental factors vs {} full",
-            inc.len(),
-            full.len()
-        ));
-    }
-    for (user, f) in inc {
-        let g = full
-            .get(user)
-            .ok_or_else(|| format!("{kind:?} at t={now_s}: {user:?} missing from full"))?;
-        if f.to_bits() != g.to_bits() {
-            return Err(format!(
-                "{kind:?} at t={now_s}: {user:?} incremental {f} != full {g}"
-            ));
+    let inc = fcs.factors();
+    let at = format!("{kind:?} at t={now_s}");
+    bit_equal(&format!("{at} vs fresh FCS"), &inc, &fresh.factors())?;
+    let tree = fcs.tree().ok_or_else(|| format!("{at}: no tree"))?;
+    bit_equal(
+        &format!("{at} vs project()"),
+        &inc,
+        &kind.build().project(tree),
+    )?;
+    for (user, f) in &inc {
+        let by_id = fcs.id_of(user).and_then(|id| fcs.query_id(id));
+        if by_id.map(f64::to_bits) != Some(f.to_bits()) {
+            return Err(format!("{at}: {user:?} by id {by_id:?} != {f}"));
         }
     }
     Ok(())

@@ -2,11 +2,13 @@
 //! interleavings of publish, drop, reorder, duplication, and resync, no
 //! (user, slot) charge is ever double-counted, and once the network stops
 //! misbehaving every site converges to exactly the sum of the charges its
-//! peers published.
+//! peers published. A third property pins the incrementally maintained
+//! usage row to `Uss::grid_view()` bit for bit through the same chaos plus
+//! crashes, checkpoint reinstalls and stale-policy flips.
 
-use aequus_core::usage::UsageRecord;
+use aequus_core::usage::{UsageRecord, UsageRow, UserIndex};
 use aequus_core::{GridUser, JobId, SiteId};
-use aequus_services::{ParticipationMode, RetryPolicy, Uss, UssMessage};
+use aequus_services::{ParticipationMode, RetryPolicy, StalePolicy, Uss, UssMessage};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -159,6 +161,25 @@ impl Grid {
     }
 }
 
+/// `row` must hold exactly what `site.grid_view()` holds, bit for bit: the
+/// indexed users densely (absent = 0), everyone else in the sorted overflow.
+fn assert_row_is_view(site: &Uss, index: &UserIndex, row: &UsageRow) -> Result<(), String> {
+    let mut outside = site.grid_view();
+    for (user, got) in index.users().iter().zip(&row.dense) {
+        let want = outside.remove(user).unwrap_or(0.0);
+        if got.to_bits() != want.to_bits() {
+            return Err(format!("{:?} {user} row {got:?} != {want:?}", site.site()));
+        }
+    }
+    let bits = |m: &BTreeMap<GridUser, f64>| -> Vec<(GridUser, u64)> {
+        m.iter().map(|(u, v)| (u.clone(), v.to_bits())).collect()
+    };
+    if row.dense.len() != index.users().len() || bits(&row.overflow) != bits(&outside) {
+        return Err(format!("overflow {:?} != {outside:?}", row.overflow));
+    }
+    Ok(())
+}
+
 fn ops_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8, u16)>> {
     // (op, site, user, magnitude): op 0 = ingest, 1 = tick, 2 = deliver,
     // 3 = drop, 4 = reorder, 5 = duplicate.
@@ -243,6 +264,62 @@ proptest! {
                     i, user, got, want
                 );
             }
+        }
+    }
+
+    #[test]
+    fn view_row_tracks_grid_view_bit_for_bit(
+        // Ops 0..=5 as above; 6 = crash + catch-up request, 7 = store-mode
+        // crash then checkpoint reinstall, 8 = staleness check (flips the
+        // stale policy's remote suppression on after 60 s of silence from a
+        // peer and off again once both have been heard).
+        ops in proptest::collection::vec((0u8..9, 0u8..SITES as u8, 0u8..3, 0u16..1000), 10..160),
+        seed in 0u64..1000,
+    ) {
+        let mut grid = Grid::new(seed);
+        for site in &mut grid.sites {
+            site.set_stale_policy(StalePolicy::LocalOnly { max_staleness_s: 60.0 });
+        }
+        // carol is outside the index: her usage lives in the overflow.
+        let index = UserIndex::new(USERS[..2].iter().copied().map(GridUser::new));
+        let mut rows = vec![UsageRow::default(); SITES];
+        for (op, site, user, mag) in ops {
+            let at = site as usize;
+            match op {
+                0 => grid.ingest(at, user as usize, 1.0 + mag as f64 / 10.0),
+                1 => grid.tick(10.0 + (mag % 50) as f64),
+                2 => grid.deliver(mag as usize),
+                3 => grid.drop_message(mag as usize),
+                4 => grid.reorder(mag as usize),
+                5 => grid.duplicate(mag as usize),
+                6 => {
+                    grid.sites[at].crash();
+                    grid.sites[at].request_catchup();
+                }
+                7 => {
+                    let ckpt = grid.sites[at].export_checkpoint(0, grid.now_s);
+                    grid.sites[at].crash_volatile();
+                    // A sample lands between the crash and the reinstall.
+                    grid.sites[at].sync_view_row(&index, &mut rows[at]);
+                    prop_assert!(grid.sites[at].install_checkpoint(&ckpt).is_ok());
+                }
+                8 => {
+                    grid.sites[at].update_staleness(grid.now_s);
+                }
+                _ => unreachable!(),
+            }
+            // Sync one row on a third of the steps, so change sets pile up
+            // over several mutations (and kinds of mutation) between syncs.
+            if mag % 3 == 0 {
+                grid.sites[at].sync_view_row(&index, &mut rows[at]);
+                let ok = assert_row_is_view(&grid.sites[at], &index, &rows[at]);
+                prop_assert!(ok.is_ok(), "{}", ok.unwrap_err());
+            }
+        }
+        for (site, row) in grid.sites.iter_mut().zip(&mut rows) {
+            site.sync_view_row(&index, row);
+            let ok = assert_row_is_view(site, &index, row);
+            prop_assert!(ok.is_ok(), "final {}", ok.unwrap_err());
         }
     }
 }

@@ -7,9 +7,10 @@
 //! deterministically in site order — so an N-thread run logs bit-identical
 //! metrics to the single-threaded run.
 
-use aequus_core::GridUser;
+use aequus_core::{GridUser, UsageRow};
 use aequus_services::LinkObservation;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Per-user state at one sample instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,10 +92,12 @@ pub struct ShardSample {
     pub fcs_incremental_refreshes: u64,
     /// Cumulative FCS subtree-aggregate recomputations on this shard's site.
     pub fcs_nodes_recomputed: u64,
-    /// This site's raw per-user grid-usage view, when it participates in the
-    /// divergence metric (reads global data and is not crashed); `None`
-    /// otherwise.
-    pub usage_view: Option<BTreeMap<GridUser, f64>>,
+    /// This site's raw per-user grid-usage view as a dense row over the
+    /// run's shared user index, when it participates in the divergence
+    /// metric (reads global data and is not crashed); `None` otherwise.
+    /// Shared with the shard, not copied: the shard updates its row in place
+    /// once the fragment is dropped, and copies on write if it is not.
+    pub usage_view: Option<Arc<UsageRow>>,
     /// Cumulative gossip bytes this site has put on the wire.
     pub gossip_bytes: u64,
     /// This site's telemetry registry snapshot, when telemetry is on.
@@ -109,6 +112,9 @@ impl Sample {
     /// the same sums, divergence, and utilization the single-queue engine
     /// computed inline. Deterministic: the result depends only on the
     /// fragments and their order, never on which worker produced which.
+    ///
+    /// `O(sites × indexed users)` flat float work for the divergence sweep
+    /// plus `O(sites)` sums; nothing is cloned or looked up by name.
     pub fn assemble(t_s: f64, fragments: Vec<ShardSample>, total_cores: u32) -> Self {
         let mut users = BTreeMap::new();
         let mut per_site_priority = Vec::with_capacity(fragments.len());
@@ -119,7 +125,7 @@ impl Sample {
         let mut fcs_full = 0u64;
         let mut fcs_inc = 0u64;
         let mut fcs_nodes = 0u64;
-        let mut views: Vec<BTreeMap<GridUser, f64>> = Vec::new();
+        let mut views: Vec<Arc<UsageRow>> = Vec::new();
         let mut gossip_bytes = 0u64;
         let mut site_telemetry = Vec::new();
         let mut link_health = Vec::new();
@@ -164,21 +170,44 @@ impl Sample {
 }
 
 /// Largest per-user spread (max − min) across the given usage views; `0`
-/// when fewer than two views are comparable.
-fn view_divergence(views: &[BTreeMap<GridUser, f64>]) -> f64 {
+/// when fewer than two views are comparable. A user missing from a view
+/// counts as `0` there. Row by row, a running per-rank min and max — flat
+/// `O(views × indexed users)` float work over contiguous memory — then the
+/// (normally empty) overflow users by lookup.
+fn view_divergence(views: &[Arc<UsageRow>]) -> f64 {
     if views.len() < 2 {
         return 0.0;
     }
-    let mut divergence = 0.0f64;
-    let users: std::collections::BTreeSet<&GridUser> =
-        views.iter().flat_map(|v| v.keys()).collect();
-    for user in users {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
+    let ranks = views.iter().map(|v| v.dense.len()).max().unwrap_or(0);
+    let mut lo = vec![f64::INFINITY; ranks];
+    let mut hi = vec![f64::NEG_INFINITY; ranks];
+    let widen = |lo: &mut f64, hi: &mut f64, v: f64| {
+        *lo = lo.min(v);
+        *hi = hi.max(v);
+    };
+    for view in views {
+        let held = view.dense.len();
+        for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(&view.dense) {
+            widen(lo, hi, v);
+        }
+        // Rows of one run share one index; a shorter row reads 0 past its end.
+        for (lo, hi) in lo[held..].iter_mut().zip(&mut hi[held..]) {
+            widen(lo, hi, 0.0);
+        }
+    }
+    let mut divergence = lo
+        .iter()
+        .zip(&hi)
+        .fold(0.0f64, |d, (lo, hi)| d.max(hi - lo));
+    let extra: BTreeSet<&GridUser> = views.iter().flat_map(|v| v.overflow.keys()).collect();
+    for user in extra {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for view in views {
-            let v = view.get(user).copied().unwrap_or(0.0);
-            lo = lo.min(v);
-            hi = hi.max(v);
+            widen(
+                &mut lo,
+                &mut hi,
+                view.overflow.get(user).copied().unwrap_or(0.0),
+            );
         }
         divergence = divergence.max(hi - lo);
     }
@@ -439,6 +468,76 @@ impl MetricsLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aequus_core::UserIndex;
+    use proptest::prelude::*;
+
+    /// The map-based divergence the dense sweep replaced, kept as the
+    /// oracle: the union of every view's users, a missing user reads `0`.
+    fn view_divergence_oracle(views: &[BTreeMap<GridUser, f64>]) -> f64 {
+        if views.len() < 2 {
+            return 0.0;
+        }
+        let mut divergence = 0.0f64;
+        let users: BTreeSet<&GridUser> = views.iter().flat_map(|v| v.keys()).collect();
+        for user in users {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            for view in views {
+                let v = view.get(user).copied().unwrap_or(0.0);
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            divergence = divergence.max(hi - lo);
+        }
+        divergence
+    }
+
+    /// A one-user row over the index `["a"]`.
+    fn row_a(value: f64) -> Arc<UsageRow> {
+        Arc::new(UsageRow {
+            dense: vec![value],
+            overflow: BTreeMap::new(),
+        })
+    }
+
+    proptest! {
+        /// Dense sweep ≡ map oracle, bit for bit: users missing from some
+        /// sites, out-of-policy users in the overflow, crashed (`None`)
+        /// sites, and fewer than two comparable views.
+        #[test]
+        fn dense_divergence_matches_map_oracle(
+            // Per site: (up, (user 0..8, usage) entries); `up == 0` = crashed.
+            // Users 0..5 are policy leaves, 5..8 fall into the overflow.
+            sites in proptest::collection::vec(
+                (0u8..5, proptest::collection::vec((0usize..8, 0.0..1e6f64), 0..12)),
+                0..6,
+            ),
+        ) {
+            let name = |u: usize| GridUser::new(format!("u{u}"));
+            let index = UserIndex::new((0..5).map(name));
+            let maps: Vec<Option<BTreeMap<GridUser, f64>>> = sites
+                .iter()
+                .map(|(up, es)| (*up > 0).then(|| es.iter().map(|&(u, v)| (name(u), v)).collect()))
+                .collect();
+            let fragments: Vec<ShardSample> = maps
+                .iter()
+                .map(|view| ShardSample {
+                    usage_view: view.as_ref().map(|view| {
+                        let mut row = UsageRow::default();
+                        row.clear(&index);
+                        for (user, value) in view {
+                            row.set(&index, user, *value);
+                        }
+                        Arc::new(row)
+                    }),
+                    ..ShardSample::default()
+                })
+                .collect();
+            let views: Vec<BTreeMap<GridUser, f64>> = maps.into_iter().flatten().collect();
+            let dense = Sample::assemble(0.0, fragments, 1).usage_view_divergence;
+            prop_assert_eq!(dense.to_bits(), view_divergence_oracle(&views).to_bits());
+        }
+    }
 
     fn sample(t: f64, share_a: f64) -> Sample {
         let mut users = BTreeMap::new();
@@ -589,7 +688,7 @@ mod tests {
             fcs_full_refreshes: 2,
             fcs_incremental_refreshes: 5,
             fcs_nodes_recomputed: 9,
-            usage_view: Some([(GridUser::new("a"), 100.0)].into_iter().collect()),
+            usage_view: Some(row_a(100.0)),
             gossip_bytes: 70,
             telemetry: None,
             link_health: vec![],
@@ -603,7 +702,7 @@ mod tests {
             fcs_full_refreshes: 1,
             fcs_incremental_refreshes: 3,
             fcs_nodes_recomputed: 4,
-            usage_view: Some([(GridUser::new("a"), 94.0)].into_iter().collect()),
+            usage_view: Some(row_a(94.0)),
             gossip_bytes: 30,
             ..ShardSample::default()
         };
@@ -624,7 +723,7 @@ mod tests {
     #[test]
     fn assemble_divergence_zero_with_single_view() {
         let f = ShardSample {
-            usage_view: Some([(GridUser::new("a"), 50.0)].into_iter().collect()),
+            usage_view: Some(row_a(50.0)),
             ..ShardSample::default()
         };
         let s = Sample::assemble(0.0, vec![f, ShardSample::default()], 4);

@@ -17,7 +17,8 @@ use crate::faults::FaultRng;
 use crate::metrics::{ShardSample, UserSample};
 use crate::scenario::GridScenario;
 use aequus_core::policy::PolicyTree;
-use aequus_core::{EntityPath, GridUser};
+use aequus_core::projection::Percental;
+use aequus_core::{GridUser, NodeId, UsageRow, UserIndex};
 use aequus_services::UssMessage;
 use aequus_telemetry::ShardProfiler;
 use std::collections::BTreeMap;
@@ -76,32 +77,28 @@ impl ShardStats {
     }
 }
 
-/// What the per-sample fairshare readout walks, shared read-only by every
-/// shard: the tracked users (per-site priorities) and the reference site's
-/// policy leaves (absolute usage shares). Both lists respect the scenario's
-/// `metrics_user_cap`.
+/// What the per-sample readout walks, shared read-only by every shard: the
+/// tracked users (per-site priorities, plus absolute usage shares at the
+/// reference site) and the grid-wide user index the usage rows are laid out
+/// over.
 #[derive(Debug)]
 pub struct SampleSpec {
-    /// Tracked user names (policy leaves), capped.
-    pub tracked: Vec<String>,
-    /// Reference-site readout: `(path, user)` per policy leaf, capped.
-    pub user_paths: Vec<(EntityPath, GridUser)>,
+    /// Tracked users: the policy leaves in policy order, capped by the
+    /// scenario's `metrics_user_cap`.
+    pub tracked: Vec<GridUser>,
+    /// Every policy leaf, ranked in name order (never capped) — rank order
+    /// equals the iteration order of a `BTreeMap<GridUser, _>` view.
+    pub index: UserIndex,
 }
 
 impl SampleSpec {
     /// Build from a scenario's policy and cap.
     pub fn from_scenario(scenario: &GridScenario) -> Self {
-        let mut user_paths: Vec<(EntityPath, GridUser)> = scenario.policy.users();
-        if let Some(cap) = scenario.metrics_user_cap {
-            user_paths.truncate(cap);
-        }
-        let tracked = user_paths
-            .iter()
-            .map(|(_, u)| u.as_str().to_string())
-            .collect();
+        let leaves = scenario.policy.users();
+        let cap = scenario.metrics_user_cap.unwrap_or(leaves.len());
         Self {
-            tracked,
-            user_paths,
+            tracked: leaves.iter().take(cap).map(|(_, u)| u.clone()).collect(),
+            index: UserIndex::new(leaves.into_iter().map(|(_, u)| u)),
         }
     }
 }
@@ -130,6 +127,16 @@ pub struct Shard {
     /// budgets, not the site total in `stats`. A flat vector keeps the
     /// per-send accounting to two adds.
     link_wire: Vec<(u64, u64)>,
+    /// This site's raw usage view over `spec.index`, kept current by
+    /// `Uss::sync_view_row` at each sample and shared with that sample's
+    /// fragment.
+    usage_row: Arc<UsageRow>,
+    /// Arena leaf of each tracked user in the site's current fairshare
+    /// tree, resolved once per rebuilt tree: `leaves_of_build` is the FCS's
+    /// full-refresh count they were resolved at (node ids only move on a
+    /// full rebuild; `0` = never resolved).
+    tracked_leaves: Vec<Option<NodeId>>,
+    leaves_of_build: u64,
     scenario: Arc<GridScenario>,
     spec: Arc<SampleSpec>,
 }
@@ -158,6 +165,9 @@ impl Shard {
             stats: ShardStats::default(),
             prof,
             link_wire,
+            usage_row: Arc::default(),
+            tracked_leaves: Vec::new(),
+            leaves_of_build: 0,
             scenario,
             spec,
         }
@@ -300,45 +310,50 @@ impl Shard {
     /// This shard's contribution to the metrics sample at `now`: local
     /// queue/usage/FCS readouts, plus the reference-site per-user readout
     /// when this shard hosts site 0.
+    ///
+    /// `O(tracked users)` id-indexed reads plus `O(users whose usage changed
+    /// since the last sample · log users)` to bring the usage row up to date
+    /// — nothing scales with users × slots, copies the view or clones a name
+    /// per user.
     pub fn sample_fragment(&mut self, now: f64) -> ShardSample {
+        let site = &mut self.cluster.site;
         let mut users: BTreeMap<String, UserSample> = BTreeMap::new();
-        if self.index == 0 {
-            if let Some(tree) = self.cluster.site.fairshare_tree() {
-                for (path, grid_user) in &self.spec.user_paths {
-                    let name = grid_user.as_str().to_string();
-                    let factor = self.cluster.site.fcs.query(grid_user).unwrap_or(0.5);
-                    // Absolute usage share: product of per-level usage shares
-                    // — identical to the per-node share for flat hierarchies.
-                    let shares = aequus_core::projection::Percental::total_shares(tree, path);
-                    let priority = tree.user_priority(grid_user);
-                    if let (Some((_, usage_share)), Some(priority)) = (shares, priority) {
-                        users.insert(
-                            name,
-                            UserSample {
-                                priority,
-                                usage_share,
-                                factor,
-                            },
-                        );
-                    }
-                }
+        let mut site_priority: BTreeMap<String, f64> = BTreeMap::new();
+        if let Some(tree) = site.fcs.tree() {
+            let build = site.fcs.full_refreshes();
+            if self.leaves_of_build != build {
+                self.tracked_leaves = (self.spec.tracked.iter())
+                    .map(|user| tree.user_node(user))
+                    .collect();
+                self.leaves_of_build = build;
+            }
+            // Collected (bulk-built), not inserted one by one: ascending
+            // inserts leave B-tree nodes half full, and the log keeps one
+            // of these maps per site per sample.
+            let tracked = || {
+                let leaves = self.spec.tracked.iter().zip(&self.tracked_leaves);
+                leaves.filter_map(|(user, leaf)| Some((user, (*leaf)?)))
+            };
+            site_priority = tracked()
+                .map(|(user, leaf)| (user.as_str().to_string(), tree.priority_of_id(leaf)))
+                .collect();
+            if self.index == 0 {
+                users = tracked()
+                    .map(|(user, leaf)| {
+                        // Absolute usage share: product of per-level usage
+                        // shares — identical to the per-node share for flat
+                        // hierarchies.
+                        let (_, usage_share) = Percental::total_shares(tree, leaf);
+                        let sample = UserSample {
+                            priority: tree.priority_of_id(leaf),
+                            usage_share,
+                            factor: site.fcs.query(user).unwrap_or(0.5),
+                        };
+                        (user.as_str().to_string(), sample)
+                    })
+                    .collect();
             }
         }
-        let site_priority: BTreeMap<String, f64> = self
-            .cluster
-            .site
-            .fairshare_tree()
-            .map(|tree| {
-                self.spec
-                    .tracked
-                    .iter()
-                    .filter_map(|name| {
-                        tree.user_priority(&GridUser::new(name.clone()))
-                            .map(|p| (name.clone(), p))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
         let busy_cores = match &self.cluster.rms {
             Rms::Slurm(s) => s.core().nodes.busy_cores(),
             Rms::Maui(m) => m.core().nodes.busy_cores(),
@@ -347,10 +362,15 @@ impl Shard {
             && self.scenario.clusters[self.index]
                 .participation
                 .reads_global())
-        .then(|| self.cluster.site.uss.grid_view());
+        .then(|| {
+            // In place unless the previous sample's fragment is still alive.
+            let row = Arc::make_mut(&mut self.usage_row);
+            site.uss.sync_view_row(&self.spec.index, row);
+            Arc::clone(&self.usage_row)
+        });
         let link_health = if self.scenario.health.is_some() {
             let n = self.scenario.clusters.len();
-            let mut rows = self.cluster.site.uss.link_stats(now);
+            let mut rows = site.uss.link_stats(now);
             for row in &mut rows {
                 row.depth = self
                     .scenario
@@ -376,9 +396,9 @@ impl Shard {
             pending: self.cluster.rms.pending(),
             running: self.cluster.rms.running(),
             completed: self.cluster.rms.stats().completed,
-            fcs_full_refreshes: self.cluster.site.fcs.full_refreshes(),
-            fcs_incremental_refreshes: self.cluster.site.fcs.incremental_refreshes(),
-            fcs_nodes_recomputed: self.cluster.site.fcs.nodes_recomputed(),
+            fcs_full_refreshes: site.fcs.full_refreshes(),
+            fcs_incremental_refreshes: site.fcs.incremental_refreshes(),
+            fcs_nodes_recomputed: site.fcs.nodes_recomputed(),
             usage_view,
             gossip_bytes: self.stats.gossip_bytes,
             telemetry: self.cluster.telemetry.snapshot(),
@@ -521,7 +541,7 @@ mod tests {
         let mut s = GridScenario::national_testbed(&[("a", 0.4), ("b", 0.4), ("c", 0.2)], 1);
         s.metrics_user_cap = Some(2);
         let spec = SampleSpec::from_scenario(&s);
-        assert_eq!(spec.user_paths.len(), 2);
         assert_eq!(spec.tracked.len(), 2);
+        assert_eq!(spec.index.users().len(), 3, "the index is never capped");
     }
 }
