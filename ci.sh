@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo CI gate: formatting, lints, and the full test suite.
+# Repo CI gate: formatting, lints, the full test suite, the simulated-results
+# drift gate, and the bench `--check` gates.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,6 +21,21 @@ done
 # workloads — so a product change that breaks or drifts the mirror fails
 # here instead of in the acceptance run.
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
+
+# Simulated-results drift gate: one timed benchmark pass per workload at
+# seed 42, each `sim_digest` (a hash over every simulated outcome of the
+# run) compared with the value recorded in results/sim_digests.seed42 — so
+# a change that is meant to keep every simulated number where it is gets
+# checked in seconds. A PR that means to move simulated numbers edits that
+# file in the same diff and says why.
+while read -r workload want; do
+  got=$(benchmark/run.sh pass --workload "$workload" --seed 42 --mode timed |
+    sed -n 's/.*"sim_digest":"\([0-9a-f]*\)".*/\1/p')
+  if [ "$got" != "$want" ]; then
+    echo "sim_digest drift on $workload: got '$got', recorded $want" >&2
+    exit 1
+  fi
+done <results/sim_digests.seed42
 
 # Docs must build warning-free for the first-party crates (vendored shims
 # are exempt — they mirror external APIs we don't own).

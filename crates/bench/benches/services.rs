@@ -69,16 +69,15 @@ fn bench_fcs_refresh(c: &mut Criterion) {
 fn bench_libaequus(c: &mut Criterion) {
     let (mut pds, mut ums, _uss, mut fcs) = setup_fcs();
     fcs.refresh(&mut pds, &mut ums, 0.0);
+    let user = fcs.id_of(&GridUser::new("u7")).expect("policy user");
     c.bench_function("libaequus_query_cache_hit", |b| {
         let mut lib = LibAequus::new(1e12, 1e12);
-        let user = GridUser::new("u7");
-        lib.get_fairshare(&fcs, &user, 0.0);
-        b.iter(|| lib.get_fairshare(black_box(&fcs), &user, 1.0))
+        lib.get_fairshare(&fcs, user, 0.0);
+        b.iter(|| lib.get_fairshare(black_box(&fcs), user, 1.0))
     });
     c.bench_function("libaequus_query_cache_miss", |b| {
         let mut lib = LibAequus::new(0.0, 0.0); // zero TTL: always miss
-        let user = GridUser::new("u7");
-        b.iter(|| lib.get_fairshare(black_box(&fcs), &user, 1.0))
+        b.iter(|| lib.get_fairshare(black_box(&fcs), user, 1.0))
     });
 }
 

@@ -29,8 +29,8 @@ use crate::experiments::{BALANCE_DWELL_S, BALANCE_EPS};
 use crate::sweep::parallel_sweep;
 use aequus_core::projection::ProjectionKind;
 use aequus_rms::{
-    pick_next, ConservativeBackfill, DispatchConfig, DispatchOrder, DispatchPolicy, EasyBackfill,
-    MispredictPolicy, PredictorKind, QueuedJob, RunningSlice, SafBackfill,
+    pick_next, DispatchConfig, DispatchOrder, MispredictPolicy, PredictorKind, QueuedJob,
+    RunningSlice,
 };
 use aequus_sim::{GridScenario, GridSimulation, SimResult};
 use aequus_telemetry::slo::StarvationClock;
@@ -527,9 +527,11 @@ pub fn run_hotpath_bench() -> HotPathReport {
     ];
     q_worst.last_mut().expect("non-empty").cores = 1;
     let running = synthetic_running(RUNNING);
-    let easy = EasyBackfill;
-    let saf = SafBackfill;
-    let conservative = ConservativeBackfill::default();
+    let (easy, saf, conservative) = (
+        DispatchOrder::Easy,
+        DispatchOrder::Saf,
+        DispatchOrder::Conservative,
+    );
     HotPathReport {
         pick_next_ns: min_ns(200, || pick_next(&q10k, FREE)),
         pick_next_worst_ns: min_ns(50, || pick_next(&q_worst, FREE)),

@@ -118,7 +118,7 @@ fn loaded_site(telemetry: &Telemetry) -> (SchedulerCore, AequusSite) {
 }
 
 /// One site-backed sample: a tick plus a full advance (re-prioritization
-/// over the whole queue through `fairshare_by_id`, then dispatch).
+/// over the whole queue through `AequusSite::fairshare_factor`, then dispatch).
 fn site_sample_ns(telemetry: &Telemetry) -> f64 {
     let (mut sched, mut site) = loaded_site(telemetry);
     let start = Instant::now();

@@ -101,6 +101,11 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 // --- CRC32 (IEEE, reflected) -----------------------------------------------
+//
+// Reflected polynomial `0xEDB8_8320`, initial value and final xor
+// `0xFFFF_FFFF` — the same parametrization as zlib's `crc32`, so frames
+// (wire summaries here, WAL records in `aequus-store`) are checkable with
+// stock tools.
 
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -124,13 +129,45 @@ const fn crc_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc_table();
 
-/// CRC32 (IEEE 802.3) of `data` — the frame trailer checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+/// Incremental CRC32 (IEEE 802.3) over multiple byte slices (frame headers
+/// and payloads are hashed without concatenating them first).
+#[derive(Debug, Clone)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Crc32 {
+    /// Fresh hasher.
+    pub fn new() -> Self {
+        Self { state: 0xFFFF_FFFF }
     }
-    c ^ 0xFFFF_FFFF
+
+    /// Fold `data` into the running checksum.
+    pub fn update(&mut self, data: &[u8]) {
+        let mut c = self.state;
+        for &b in data {
+            c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    /// Final checksum value.
+    pub fn finish(&self) -> u32 {
+        self.state ^ 0xFFFF_FFFF
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// One-shot CRC32 of `data` — the frame trailer checksum.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut h = Crc32::new();
+    h.update(data);
+    h.finish()
 }
 
 // --- Byte sinks: one write path serves encoding and exact sizing -----------
@@ -671,6 +708,35 @@ mod tests {
         for enc in [Encoding::Dense, Encoding::Delta] {
             let bytes = encode_summary(&s, enc);
             assert_eq!(decode_summary(&bytes), Ok((enc, s.clone())));
+        }
+    }
+
+    #[test]
+    fn crc_check_vector() {
+        // The canonical CRC-32/IEEE check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc_incremental_matches_one_shot() {
+        let data = b"the quick brown fox jumps over the lazy dog";
+        let mut h = Crc32::new();
+        h.update(&data[..10]);
+        h.update(&data[10..]);
+        assert_eq!(h.finish(), crc32(data));
+    }
+
+    #[test]
+    fn crc_single_bit_flip_changes_checksum() {
+        let mut data = vec![0u8; 64];
+        let base = crc32(&data);
+        for i in 0..64 {
+            for bit in 0..8 {
+                data[i] ^= 1 << bit;
+                assert_ne!(crc32(&data), base, "flip at byte {i} bit {bit}");
+                data[i] ^= 1 << bit;
+            }
         }
     }
 }

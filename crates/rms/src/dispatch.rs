@@ -1,29 +1,33 @@
-//! Pluggable dispatch policies: the decision layer that turns a
-//! priority-sorted queue into job starts.
+//! Dispatch orders: the decision layer that turns a priority-sorted queue
+//! into job starts.
 //!
 //! This is the peer of the multifactor priority layer: [`crate::plugin`]
-//! decides *how important* each job is, a [`DispatchPolicy`] decides *which
+//! decides *how important* each job is, a [`DispatchOrder`] decides *which
 //! jobs start now* given that order, current free cores, and the believed
-//! completion times of running work. Four policies are provided:
+//! completion times of running work. Four orders, two planning routines:
 //!
-//! * [`FifoDispatch`] — strict priority order, no backfill: the first job
-//!   that does not fit blocks everything behind it.
-//! * [`EasyBackfill`] — the head job that does not fit gets a reservation
-//!   at its shadow time; lower-priority jobs may start only if they finish
-//!   before the shadow time or fit in the spare (non-reserved) cores.
-//! * [`ConservativeBackfill`] — *every* blocked job gets a reservation on
-//!   an availability timeline; a candidate may start now only if doing so
-//!   delays no earlier reservation. Bounded wait by construction.
-//! * [`SafBackfill`] — EASY's single reservation, but backfill candidates
-//!   are scanned smallest-area-first (cores × predicted runtime) instead of
-//!   in priority order, packing the shadow window tighter.
+//! * **FIFO**, **EASY** and **SAF** are one pivot scan. Jobs start in
+//!   priority order while they fit; the first job that does not fit (the
+//!   *pivot*) gets a reservation at its shadow time; the jobs behind it are
+//!   backfill candidates that may start only if they finish before the
+//!   shadow time or fit in the spare (non-reserved) cores. The three differ
+//!   only in that candidate pass: FIFO has none (the pivot blocks everything
+//!   behind it), EASY scans candidates in queue order, SAF scans them
+//!   smallest area (cores × predicted runtime) first, packing the shadow
+//!   window tighter.
+//! * **Conservative** gives *every* blocked job a reservation on an
+//!   availability timeline; a candidate may start now only if doing so
+//!   delays no earlier reservation. Bounded wait by construction. (It is
+//!   not the pivot scan with more reservations: the pivot scan judges the
+//!   shadow against the pre-cycle running set, the timeline also counts
+//!   this cycle's starts as running.)
 //!
-//! Policies are pure: they see immutable views of the queue and running
-//! set and return a [`DispatchPlan`]; [`crate::scheduler::SchedulerCore`]
-//! applies it. That keeps them trivially property-testable and
-//! microbenchmarkable (see `backfill_sweep`).
+//! Planning is pure: [`DispatchOrder::plan`] sees immutable views of the
+//! queue and running set and returns a [`DispatchPlan`];
+//! [`crate::scheduler::SchedulerCore`] applies it. That keeps it trivially
+//! property-testable and microbenchmarkable (see `backfill_sweep`).
 
-/// A queued job as the dispatch policy sees it, in priority order.
+/// A queued job as the dispatch order sees it, in priority order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuedJob {
     /// Cores requested.
@@ -33,7 +37,7 @@ pub struct QueuedJob {
     pub predicted_s: f64,
 }
 
-/// A running job as the dispatch policy sees it.
+/// A running job as the dispatch order sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningSlice {
     /// Believed completion time, seconds.
@@ -45,7 +49,7 @@ pub struct RunningSlice {
 /// One planned start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedStart {
-    /// Index into the queue slice handed to [`DispatchPolicy::plan`].
+    /// Index into the queue slice handed to [`DispatchOrder::plan`].
     pub queue_idx: usize,
     /// Whether this start jumped a blocked higher-priority job (backfill).
     pub backfill: bool,
@@ -58,24 +62,6 @@ pub struct DispatchPlan {
     pub starts: Vec<PlannedStart>,
     /// Earliest reservation (shadow) time placed this cycle, if any.
     pub shadow_s: Option<f64>,
-}
-
-/// A dispatch-order policy over a priority-sorted queue.
-pub trait DispatchPolicy: std::fmt::Debug + Send {
-    /// Short policy label for stats and tables.
-    fn name(&self) -> &'static str;
-
-    /// Decide which queued jobs start at `now_s`. `queue` is sorted by
-    /// descending priority; `running` lists current jobs with believed
-    /// ends. Implementations must not start more cores than
-    /// `free_cores` plus nothing — the plan is applied verbatim.
-    fn plan(
-        &self,
-        now_s: f64,
-        free_cores: u32,
-        queue: &[QueuedJob],
-        running: &[RunningSlice],
-    ) -> DispatchPlan;
 }
 
 /// Index of the first queued job that fits `free_cores` right now — the
@@ -102,298 +88,204 @@ fn shadow_of(cores: u32, free: u32, running: &[RunningSlice]) -> Option<(f64, u3
     None
 }
 
-/// Strict priority-order dispatch: stop at the first job that does not fit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FifoDispatch;
+/// Which jobs behind the pivot [`pivot_scan`] considers for backfill, and
+/// in what order.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Candidates {
+    /// None: the first job that does not fit ends the cycle (FIFO).
+    Absent,
+    /// Queue (priority) order (EASY).
+    QueueOrder,
+    /// Ascending area = cores × predicted runtime, ties in queue order
+    /// (SAF).
+    AscendingArea,
+}
 
-impl DispatchPolicy for FifoDispatch {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn plan(
-        &self,
-        _now_s: f64,
-        free_cores: u32,
-        queue: &[QueuedJob],
-        _running: &[RunningSlice],
-    ) -> DispatchPlan {
-        let mut plan = DispatchPlan::default();
-        let mut free = free_cores;
-        for (i, q) in queue.iter().enumerate() {
-            if q.cores > free {
-                break;
-            }
+/// The pivot scan behind FIFO, EASY and SAF. Head starts in priority order
+/// until a job does not fit; that job becomes the pivot and is reserved at
+/// its shadow time (a job wider than the whole machine is unreservable: it
+/// is skipped and the next blocked job is the pivot); then one pass over
+/// the `candidates` behind the pivot. Without candidates there is no
+/// reservation to protect, so the scan ends at the first job that does not
+/// fit, reservable or not. O(queue) plus one O(running·log running) shadow
+/// walk; the `QueueOrder` pass allocates nothing per job, `AscendingArea`
+/// sorts the tail.
+fn pivot_scan(
+    now_s: f64,
+    free_cores: u32,
+    queue: &[QueuedJob],
+    running: &[RunningSlice],
+    candidates: Candidates,
+) -> DispatchPlan {
+    let mut plan = DispatchPlan::default();
+    let mut free = free_cores;
+    let mut reserved: Option<(usize, f64, u32)> = None;
+    for (i, q) in queue.iter().enumerate() {
+        if q.cores <= free {
             free -= q.cores;
             plan.starts.push(PlannedStart {
                 queue_idx: i,
                 backfill: false,
             });
-        }
-        plan
-    }
-}
-
-/// EASY backfill: one reservation for the highest-priority blocked job.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EasyBackfill;
-
-impl DispatchPolicy for EasyBackfill {
-    fn name(&self) -> &'static str {
-        "easy"
-    }
-
-    fn plan(
-        &self,
-        now_s: f64,
-        free_cores: u32,
-        queue: &[QueuedJob],
-        running: &[RunningSlice],
-    ) -> DispatchPlan {
-        let mut plan = DispatchPlan::default();
-        let mut free = free_cores;
-        let mut shadow: Option<(f64, u32)> = None;
-        for (i, q) in queue.iter().enumerate() {
-            match shadow {
-                None => {
-                    if q.cores <= free {
-                        free -= q.cores;
-                        plan.starts.push(PlannedStart {
-                            queue_idx: i,
-                            backfill: false,
-                        });
-                    } else {
-                        // Pivot: reserve at its shadow time. A job wider
-                        // than the whole machine yields no reservation and
-                        // is skipped.
-                        shadow = shadow_of(q.cores, free, running);
-                        plan.shadow_s = shadow.map(|(t, _)| t);
-                    }
-                }
-                Some((shadow_t, spare)) => {
-                    if q.cores <= free && (now_s + q.predicted_s <= shadow_t || q.cores <= spare) {
-                        free -= q.cores;
-                        plan.starts.push(PlannedStart {
-                            queue_idx: i,
-                            backfill: true,
-                        });
-                        if q.cores > 0 && now_s + q.predicted_s > shadow_t {
-                            shadow = Some((shadow_t, spare - q.cores));
-                        }
-                    }
-                }
-            }
-        }
-        plan
-    }
-}
-
-/// SAF (smallest-area-first): EASY's pivot reservation, with backfill
-/// candidates scanned in ascending area = cores × predicted runtime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SafBackfill;
-
-impl DispatchPolicy for SafBackfill {
-    fn name(&self) -> &'static str {
-        "saf"
-    }
-
-    fn plan(
-        &self,
-        now_s: f64,
-        free_cores: u32,
-        queue: &[QueuedJob],
-        running: &[RunningSlice],
-    ) -> DispatchPlan {
-        let mut plan = DispatchPlan::default();
-        let mut free = free_cores;
-        let mut shadow: Option<(f64, u32)> = None;
-        let mut pivot = queue.len();
-        for (i, q) in queue.iter().enumerate() {
-            if q.cores <= free {
-                free -= q.cores;
-                plan.starts.push(PlannedStart {
-                    queue_idx: i,
-                    backfill: false,
-                });
-            } else if let Some(s) = shadow_of(q.cores, free, running) {
-                shadow = Some(s);
-                plan.shadow_s = Some(s.0);
-                pivot = i;
-                break;
-            }
-            // Unreservable (wider than the machine): skip, like EASY.
-        }
-        let Some((shadow_t, mut spare)) = shadow else {
+        } else if candidates == Candidates::Absent {
             return plan;
-        };
-        // Candidates behind the pivot, smallest area first; ties keep
-        // priority order.
-        let mut rest: Vec<usize> = (pivot + 1..queue.len()).collect();
-        rest.sort_by(|&a, &b| {
-            let area_a = queue[a].cores as f64 * queue[a].predicted_s;
-            let area_b = queue[b].cores as f64 * queue[b].predicted_s;
-            area_a.partial_cmp(&area_b).unwrap().then(a.cmp(&b))
-        });
-        for i in rest {
-            let q = &queue[i];
-            if q.cores <= free && (now_s + q.predicted_s <= shadow_t || q.cores <= spare) {
-                free -= q.cores;
-                plan.starts.push(PlannedStart {
-                    queue_idx: i,
-                    backfill: true,
-                });
-                if q.cores > 0 && now_s + q.predicted_s > shadow_t {
-                    spare -= q.cores;
-                }
+        } else if let Some((shadow_t, spare)) = shadow_of(q.cores, free, running) {
+            plan.shadow_s = Some(shadow_t);
+            reserved = Some((i, shadow_t, spare));
+            break;
+        }
+    }
+    let Some((pivot, shadow_t, mut spare)) = reserved else {
+        return plan;
+    };
+    let mut consider = |i: usize| {
+        let q = &queue[i];
+        if q.cores <= free && (now_s + q.predicted_s <= shadow_t || q.cores <= spare) {
+            free -= q.cores;
+            plan.starts.push(PlannedStart {
+                queue_idx: i,
+                backfill: true,
+            });
+            if q.cores > 0 && now_s + q.predicted_s > shadow_t {
+                spare -= q.cores;
             }
         }
-        plan
-    }
-}
-
-/// Conservative backfill: every blocked job (up to `max_reservations`) gets
-/// a reservation on an availability timeline; a job may start now only if
-/// the timeline says so — which by construction delays no reservation made
-/// for a higher-priority job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConservativeBackfill {
-    /// Reservation-table bound: blocked jobs beyond this stop the scan
-    /// (they simply wait), keeping the cycle O(n·R²) instead of O(n³).
-    pub max_reservations: usize,
-}
-
-impl Default for ConservativeBackfill {
-    fn default() -> Self {
-        Self {
-            max_reservations: 64,
+    };
+    let behind = pivot + 1..queue.len();
+    if candidates == Candidates::AscendingArea {
+        let area = |i: usize| queue[i].cores as f64 * queue[i].predicted_s;
+        let mut rest: Vec<usize> = behind.collect();
+        rest.sort_by(|&a, &b| area(a).partial_cmp(&area(b)).unwrap().then(a.cmp(&b)));
+        for i in rest {
+            consider(i);
+        }
+    } else {
+        for i in behind {
+            consider(i);
         }
     }
+    plan
 }
 
-impl ConservativeBackfill {
-    /// Earliest start `>= now_s` at which `cores` stay available for
-    /// `dur_s`, given the free level at `now_s` and the (unsorted) step
-    /// `events` timeline.
-    fn earliest_start(
-        now_s: f64,
-        cores: u32,
-        dur_s: f64,
-        free_now: i64,
-        events: &[(f64, i64)],
-    ) -> f64 {
-        let mut times: Vec<f64> = events.iter().map(|e| e.0).filter(|&t| t > now_s).collect();
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        times.dedup();
-        let feasible = |start: f64| -> bool {
-            let end = start + dur_s;
-            let mut free = free_now
-                + events
-                    .iter()
-                    .filter(|e| e.0 > now_s && e.0 <= start)
-                    .map(|e| e.1)
-                    .sum::<i64>();
+/// Reservation-table bound of the conservative timeline: blocked jobs
+/// beyond this stop the scan (they simply wait), keeping the cycle O(n·R²)
+/// instead of O(n³).
+const MAX_RESERVATIONS: usize = 64;
+
+/// Earliest start `>= now_s` at which `cores` stay available for `dur_s`,
+/// given the free level at `now_s` and the (unsorted) step `events`
+/// timeline.
+fn earliest_start(now_s: f64, cores: u32, dur_s: f64, free_now: i64, events: &[(f64, i64)]) -> f64 {
+    let mut times: Vec<f64> = events.iter().map(|e| e.0).filter(|&t| t > now_s).collect();
+    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times.dedup();
+    let feasible = |start: f64| -> bool {
+        let end = start + dur_s;
+        let mut free = free_now
+            + events
+                .iter()
+                .filter(|e| e.0 > now_s && e.0 <= start)
+                .map(|e| e.1)
+                .sum::<i64>();
+        if free < cores as i64 {
+            return false;
+        }
+        // Walk the steps inside the window; the level must never dip.
+        let mut steps: Vec<(f64, i64)> = events
+            .iter()
+            .filter(|e| e.0 > start && e.0 < end)
+            .copied()
+            .collect();
+        steps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let mut i = 0;
+        while i < steps.len() {
+            let t = steps[i].0;
+            while i < steps.len() && steps[i].0 == t {
+                free += steps[i].1;
+                i += 1;
+            }
             if free < cores as i64 {
                 return false;
             }
-            // Walk the steps inside the window; the level must never dip.
-            let mut steps: Vec<(f64, i64)> = events
-                .iter()
-                .filter(|e| e.0 > start && e.0 < end)
-                .copied()
-                .collect();
-            steps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            let mut i = 0;
-            while i < steps.len() {
-                let t = steps[i].0;
-                while i < steps.len() && steps[i].0 == t {
-                    free += steps[i].1;
-                    i += 1;
-                }
-                if free < cores as i64 {
-                    return false;
-                }
-            }
-            true
-        };
-        if feasible(now_s) {
-            return now_s;
         }
-        for t in times {
-            if feasible(t) {
-                return t;
-            }
-        }
-        // Unreachable for jobs that fit the machine: after the last event
-        // everything is free. Guarded by the caller's width check.
-        f64::INFINITY
+        true
+    };
+    if feasible(now_s) {
+        return now_s;
     }
+    for t in times {
+        if feasible(t) {
+            return t;
+        }
+    }
+    // Unreachable for jobs that fit the machine: after the last event
+    // everything is free. Guarded by the caller's width check.
+    f64::INFINITY
 }
 
-impl DispatchPolicy for ConservativeBackfill {
-    fn name(&self) -> &'static str {
-        "conservative"
-    }
-
-    fn plan(
-        &self,
-        now_s: f64,
-        free_cores: u32,
-        queue: &[QueuedJob],
-        running: &[RunningSlice],
-    ) -> DispatchPlan {
-        let mut plan = DispatchPlan::default();
-        let machine: u32 = free_cores + running.iter().map(|r| r.cores).sum::<u32>();
-        // Step timeline: running jobs release their cores at their believed
-        // ends; starts and reservations are appended as we commit them.
-        let mut events: Vec<(f64, i64)> =
-            running.iter().map(|r| (r.end_s, r.cores as i64)).collect();
-        let mut free_now = free_cores as i64;
-        let mut reservations = 0usize;
-        let mut blocked_seen = false;
-        for (i, q) in queue.iter().enumerate() {
-            if q.cores > machine {
-                continue; // never runnable; skip like EASY
-            }
-            let start = Self::earliest_start(now_s, q.cores, q.predicted_s, free_now, &events);
-            if start <= now_s {
-                plan.starts.push(PlannedStart {
-                    queue_idx: i,
-                    backfill: blocked_seen,
-                });
-                free_now -= q.cores as i64;
-                events.push((now_s + q.predicted_s, q.cores as i64));
-            } else {
-                blocked_seen = true;
-                if plan.shadow_s.is_none() {
-                    plan.shadow_s = Some(start);
-                }
-                if reservations >= self.max_reservations {
-                    break;
-                }
-                reservations += 1;
-                events.push((start, -(q.cores as i64)));
-                events.push((start + q.predicted_s, q.cores as i64));
-            }
+/// The availability timeline behind Conservative: every blocked job (up to
+/// [`MAX_RESERVATIONS`]) gets a reservation; a job may start now only if
+/// the timeline says so — which by construction delays no reservation made
+/// for a higher-priority job.
+fn conservative_timeline(
+    now_s: f64,
+    free_cores: u32,
+    queue: &[QueuedJob],
+    running: &[RunningSlice],
+) -> DispatchPlan {
+    let mut plan = DispatchPlan::default();
+    let machine: u32 = free_cores + running.iter().map(|r| r.cores).sum::<u32>();
+    // Step timeline: running jobs release their cores at their believed
+    // ends; starts and reservations are appended as we commit them.
+    let mut events: Vec<(f64, i64)> = running.iter().map(|r| (r.end_s, r.cores as i64)).collect();
+    let mut free_now = free_cores as i64;
+    let mut reservations = 0usize;
+    let mut blocked_seen = false;
+    for (i, q) in queue.iter().enumerate() {
+        if q.cores > machine {
+            continue; // never runnable; skip like EASY
         }
-        plan
+        let start = earliest_start(now_s, q.cores, q.predicted_s, free_now, &events);
+        if start <= now_s {
+            plan.starts.push(PlannedStart {
+                queue_idx: i,
+                backfill: blocked_seen,
+            });
+            free_now -= q.cores as i64;
+            events.push((now_s + q.predicted_s, q.cores as i64));
+        } else {
+            blocked_seen = true;
+            if plan.shadow_s.is_none() {
+                plan.shadow_s = Some(start);
+            }
+            if reservations >= MAX_RESERVATIONS {
+                break;
+            }
+            reservations += 1;
+            events.push((start, -(q.cores as i64)));
+            events.push((start + q.predicted_s, q.cores as i64));
+        }
     }
+    plan
 }
 
-/// Dispatch-order selector, the configuration-level handle for the four
-/// policies.
+/// The dispatch order: which of the four queue-to-starts rules a scheduler
+/// applies each cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DispatchOrder {
-    /// [`FifoDispatch`].
+    /// Strict priority order, no backfill: the first job that does not fit
+    /// blocks everything behind it.
     Fifo,
-    /// [`EasyBackfill`] (the repo-wide default; with exact runtime
-    /// requests this reproduces the pre-subsystem inline dispatcher
+    /// EASY backfill: one reservation for the highest-priority blocked
+    /// job, candidates in queue order (the repo-wide default; with exact
+    /// runtime requests this reproduces the pre-subsystem inline dispatcher
     /// decision-for-decision).
     #[default]
     Easy,
-    /// [`ConservativeBackfill`] with the default reservation bound.
+    /// Conservative backfill: a reservation for every blocked job.
     Conservative,
-    /// [`SafBackfill`].
+    /// SAF (smallest-area-first): EASY's pivot reservation, candidates in
+    /// ascending cores × predicted runtime.
     Saf,
 }
 
@@ -416,13 +308,23 @@ impl DispatchOrder {
         }
     }
 
-    /// Instantiate the policy.
-    pub fn build(self) -> Box<dyn DispatchPolicy> {
+    /// Decide which queued jobs start at `now_s`. `queue` is sorted by
+    /// descending priority; `running` lists current jobs with believed
+    /// ends. The plan never starts more cores than `free_cores` — it is
+    /// applied verbatim.
+    pub fn plan(
+        self,
+        now_s: f64,
+        free_cores: u32,
+        queue: &[QueuedJob],
+        running: &[RunningSlice],
+    ) -> DispatchPlan {
+        let scan = |candidates| pivot_scan(now_s, free_cores, queue, running, candidates);
         match self {
-            DispatchOrder::Fifo => Box::new(FifoDispatch),
-            DispatchOrder::Easy => Box::new(EasyBackfill),
-            DispatchOrder::Conservative => Box::new(ConservativeBackfill::default()),
-            DispatchOrder::Saf => Box::new(SafBackfill),
+            DispatchOrder::Fifo => scan(Candidates::Absent),
+            DispatchOrder::Easy => scan(Candidates::QueueOrder),
+            DispatchOrder::Saf => scan(Candidates::AscendingArea),
+            DispatchOrder::Conservative => conservative_timeline(now_s, free_cores, queue, running),
         }
     }
 }
@@ -432,7 +334,7 @@ impl DispatchOrder {
 /// scheduler exactly (EASY over verbatim requests, no kills).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DispatchConfig {
-    /// Queue-to-starts policy.
+    /// Queue-to-starts order.
     pub order: DispatchOrder,
     /// Runtime estimator feeding backfill decisions.
     pub predictor: crate::predict::PredictorKind,
@@ -457,7 +359,7 @@ mod tests {
 
     #[test]
     fn fifo_stops_at_first_blocked() {
-        let plan = FifoDispatch.plan(0.0, 4, &[q(2, 10.0), q(8, 10.0), q(1, 10.0)], &[]);
+        let plan = DispatchOrder::Fifo.plan(0.0, 4, &[q(2, 10.0), q(8, 10.0), q(1, 10.0)], &[]);
         assert_eq!(plan.starts.len(), 1);
         assert_eq!(plan.starts[0].queue_idx, 0);
         assert!(plan.shadow_s.is_none());
@@ -470,7 +372,7 @@ mod tests {
         // one does not.
         let running = [r(100.0, 3)];
         let queue = [q(4, 50.0), q(1, 200.0), q(1, 90.0)];
-        let plan = EasyBackfill.plan(0.0, 1, &queue, &running);
+        let plan = DispatchOrder::Easy.plan(0.0, 1, &queue, &running);
         assert_eq!(plan.shadow_s, Some(100.0));
         assert_eq!(plan.starts.len(), 1);
         assert_eq!(plan.starts[0].queue_idx, 2);
@@ -481,7 +383,7 @@ mod tests {
     fn easy_skips_unrunnable_job() {
         // 2-core machine: a 4-core job can never run and must not block.
         let queue = [q(4, 10.0), q(1, 10.0)];
-        let plan = EasyBackfill.plan(0.0, 2, &queue, &[]);
+        let plan = DispatchOrder::Easy.plan(0.0, 2, &queue, &[]);
         assert_eq!(plan.starts.len(), 1);
         assert_eq!(plan.starts[0].queue_idx, 1);
         assert!(!plan.starts[0].backfill, "no reservation was placed");
@@ -496,9 +398,9 @@ mod tests {
         // Candidate at idx 1 has area 80, idx 2 area 20: SAF starts idx 2
         // first; EASY would start idx 1 first.
         let queue = [q(4, 50.0), q(1, 80.0), q(1, 20.0)];
-        let saf = SafBackfill.plan(0.0, 1, &queue, &running);
+        let saf = DispatchOrder::Saf.plan(0.0, 1, &queue, &running);
         assert_eq!(saf.starts[0].queue_idx, 2);
-        let easy = EasyBackfill.plan(0.0, 1, &queue, &running);
+        let easy = DispatchOrder::Easy.plan(0.0, 1, &queue, &running);
         assert_eq!(easy.starts[0].queue_idx, 1);
     }
 
@@ -511,7 +413,7 @@ mod tests {
         // candidate running now on the free cores ends at 50 < 100: fine.
         let running = [r(100.0, 2)];
         let queue = [q(4, 60.0), q(2, 200.0), q(2, 50.0)];
-        let plan = ConservativeBackfill::default().plan(0.0, 2, &queue, &running);
+        let plan = DispatchOrder::Conservative.plan(0.0, 2, &queue, &running);
         assert_eq!(plan.shadow_s, Some(100.0));
         let started: Vec<usize> = plan.starts.iter().map(|s| s.queue_idx).collect();
         assert_eq!(started, vec![2]);
@@ -526,7 +428,7 @@ mod tests {
         // reserved *after* job0, not started.
         let running = [r(100.0, 3)];
         let queue = [q(4, 60.0), q(1, 150.0)];
-        let plan = ConservativeBackfill::default().plan(0.0, 1, &queue, &running);
+        let plan = DispatchOrder::Conservative.plan(0.0, 1, &queue, &running);
         assert!(plan.starts.is_empty());
     }
 
@@ -537,7 +439,7 @@ mod tests {
         let running = [r(50.0, 1)];
         let queue = [q(1, 10.0), q(1, 10.0)];
         for order in DispatchOrder::ALL {
-            let plan = order.build().plan(0.0, 0, &queue, &running);
+            let plan = order.plan(0.0, 0, &queue, &running);
             assert!(plan.starts.is_empty(), "{}", order.name());
         }
     }
@@ -550,11 +452,8 @@ mod tests {
     }
 
     #[test]
-    fn order_roundtrip_and_default() {
+    fn default_order_is_easy() {
         assert_eq!(DispatchOrder::default(), DispatchOrder::Easy);
-        for order in DispatchOrder::ALL {
-            assert_eq!(order.build().name(), order.name());
-        }
         assert_eq!(DispatchConfig::default().order, DispatchOrder::Easy);
     }
 }

@@ -1,40 +1,36 @@
 //! # aequus-rms
 //!
-//! Local resource-manager substrate: the systems Aequus integrates *into*
-//! (§III). Two scheduler front ends share a common dispatch core:
+//! Local resource-manager substrate: the system Aequus integrates *into*
+//! (§III). The paper integrates two — SLURM through priority and
+//! job-completion plug-ins, Maui through patched call sites — and both
+//! reduce to the same three `libaequus` calls, so one
+//! [`scheduler::SchedulerCore`] serves both; they differ only in *when*
+//! priorities are recomputed ([`scheduler::ReprioritizePolicy`]: SLURM's
+//! periodic `PriorityCalcPeriod` vs. Maui's every scheduling iteration).
 //!
-//! * [`slurm::SlurmScheduler`] — plugin-style integration with a periodic
-//!   priority-recalculation interval (SLURM's `PriorityCalcPeriod`);
-//! * [`maui::MauiScheduler`] — patched-callout integration recomputing
-//!   priorities every scheduling iteration.
-//!
-//! Both prioritize with a [`multifactor`] linear combination of `[0, 1]`
-//! factors (fairshare, age, QoS, size) and dispatch onto a virtual
-//! [`nodes::NodePool`] through a pluggable [`dispatch::DispatchPolicy`]
-//! (FIFO, EASY, Conservative, or SAF backfill) fed by the [`predict`]
-//! runtime estimators. The fairshare factor itself comes
-//! through the [`plugin::FairshareSource`] seam — either the full Aequus
-//! stack (global fairshare) or the classic [`plugin::LocalFairshare`]
-//! baseline it replaces.
+//! The scheduler prioritizes with a [`multifactor`] linear combination of
+//! `[0, 1]` factors (fairshare, age, QoS, size) and dispatches onto a
+//! virtual [`nodes::NodePool`] in a [`dispatch::DispatchOrder`] (FIFO,
+//! EASY, Conservative, or SAF backfill) fed by the [`predict`] runtime
+//! estimators. The fairshare factor itself comes through the
+//! [`plugin::FairshareSource`] seam, queried by interned user id — either
+//! the full Aequus stack (global fairshare) or the classic
+//! [`plugin::LocalFairshare`] baseline it replaces.
 
 #![warn(missing_docs)]
 
 pub mod dispatch;
 pub mod job;
-pub mod maui;
 pub mod multifactor;
 pub mod nodes;
 pub mod plugin;
 pub mod predict;
 pub mod scheduler;
-pub mod slurm;
 
 pub use dispatch::{
-    pick_next, ConservativeBackfill, DispatchConfig, DispatchOrder, DispatchPlan, DispatchPolicy,
-    EasyBackfill, FifoDispatch, PlannedStart, QueuedJob, RunningSlice, SafBackfill,
+    pick_next, DispatchConfig, DispatchOrder, DispatchPlan, PlannedStart, QueuedJob, RunningSlice,
 };
 pub use job::{Job, JobState};
-pub use maui::{MauiConfig, MauiScheduler};
 pub use multifactor::{
     explain_combined, FactorConfig, FactorTerm, PriorityBreakdown, PriorityWeights,
 };
@@ -42,4 +38,3 @@ pub use nodes::NodePool;
 pub use plugin::{FairshareSource, LocalFairshare};
 pub use predict::{MispredictPolicy, PredictionStats, PredictorKind, RuntimePredictor};
 pub use scheduler::{ReprioritizePolicy, SchedulerCore, SchedulerStats, SLOWDOWN_TAU_S};
-pub use slurm::{SlurmConfig, SlurmScheduler};

@@ -5,6 +5,8 @@
 //! in Maui it is a pair of patched call sites. Both reduce to the same three
 //! calls into `libaequus`, captured by [`FairshareSource`]:
 //! fetch a fairshare factor, report completed usage, resolve identity.
+//! Factors are fetched by interned [`UserId`] — the scheduler interns a
+//! job's grid user once at submit.
 //!
 //! `AequusSite` implements the trait for the full per-site Aequus stack;
 //! [`LocalFairshare`] is the baseline it replaces — the classic site-local
@@ -20,24 +22,17 @@ use std::collections::BTreeMap;
 
 /// What the RMS-side plugins need from a fairshare system.
 pub trait FairshareSource {
-    /// The fairshare priority factor (in `[0, 1]`) for a grid user.
-    /// Replaces "the normal fairshare priority calculation code".
-    fn fairshare_factor(&mut self, user: &GridUser, now_s: f64) -> f64;
+    /// Intern a grid user into the stable dense id every later
+    /// [`fairshare_factor`](Self::fairshare_factor) query for that user
+    /// goes by — done once per submitted job, so re-prioritization sweeps
+    /// never look a user up by name. Ids are never reused.
+    fn intern_user(&mut self, user: &GridUser) -> UserId;
 
-    /// Intern a grid user into a stable dense id so repeated priority
-    /// queries (reprioritization loops) can skip the keyed lookup. Sources
-    /// without an interner return `None` and callers fall back to
-    /// [`fairshare_factor`](Self::fairshare_factor).
-    fn intern_user(&mut self, _user: &GridUser) -> Option<UserId> {
-        None
-    }
-
-    /// The fairshare factor by interned id. Only called with ids this
-    /// source returned from [`intern_user`](Self::intern_user); the default
-    /// (for sources without an interner) is the neutral factor.
-    fn fairshare_factor_by_id(&mut self, _id: UserId, _now_s: f64) -> f64 {
-        0.5
-    }
+    /// The fairshare priority factor (in `[0, 1]`) of an interned grid
+    /// user; users the policy does not know get the neutral 0.5. Replaces
+    /// "the normal fairshare priority calculation code". Only called with
+    /// ids this source returned from [`intern_user`](Self::intern_user).
+    fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64;
 
     /// Capture the full decision provenance behind
     /// [`fairshare_factor`](Self::fairshare_factor) for a user: policy path,
@@ -57,16 +52,12 @@ pub trait FairshareSource {
 }
 
 impl FairshareSource for AequusSite {
-    fn fairshare_factor(&mut self, user: &GridUser, now_s: f64) -> f64 {
-        self.fairshare(user, now_s)
+    fn intern_user(&mut self, user: &GridUser) -> UserId {
+        AequusSite::intern_user(self, user)
     }
 
-    fn intern_user(&mut self, user: &GridUser) -> Option<UserId> {
-        Some(AequusSite::intern_user(self, user))
-    }
-
-    fn fairshare_factor_by_id(&mut self, id: UserId, now_s: f64) -> f64 {
-        self.fairshare_by_id(id, now_s)
+    fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
+        AequusSite::fairshare_factor(self, id, now_s)
     }
 
     fn explain(&self, user: &GridUser) -> Option<aequus_core::Explanation> {
@@ -91,6 +82,8 @@ pub struct LocalFairshare {
     projection: Box<dyn Projection>,
     usage: UsageHistogram,
     identity_map: BTreeMap<SystemUser, GridUser>,
+    /// Interned users; a [`UserId`] is an index into this list.
+    users: Vec<GridUser>,
 }
 
 impl std::fmt::Debug for LocalFairshare {
@@ -115,6 +108,7 @@ impl LocalFairshare {
             projection: projection.build(),
             usage: UsageHistogram::new(usage_slot_s),
             identity_map: BTreeMap::new(),
+            users: Vec::new(),
         }
     }
 
@@ -130,14 +124,21 @@ impl LocalFairshare {
 }
 
 impl FairshareSource for LocalFairshare {
-    fn fairshare_factor(&mut self, user: &GridUser, now_s: f64) -> f64 {
+    fn intern_user(&mut self, user: &GridUser) -> UserId {
+        let known = self.users.iter().position(|u| u == user);
+        let index = known.unwrap_or_else(|| {
+            self.users.push(user.clone());
+            self.users.len() - 1
+        });
+        UserId(index as u32)
+    }
+
+    fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
         let usage = self.usage.decayed_all(now_s, self.config.decay);
         let tree = FairshareTree::compute(&self.policy, &usage, &self.config, now_s);
-        self.projection
-            .project(&tree)
-            .get(user)
-            .copied()
-            .unwrap_or(0.5)
+        let factors = self.projection.project(&tree);
+        let user = self.users.get(id.index());
+        user.and_then(|u| factors.get(u)).copied().unwrap_or(0.5)
     }
 
     fn report_usage(&mut self, record: UsageRecord, _now_s: f64) {
@@ -154,6 +155,11 @@ mod tests {
     use super::*;
     use aequus_core::ids::{JobId, SiteId};
     use aequus_core::policy::flat_policy;
+
+    fn factor(lf: &mut LocalFairshare, user: &str, now_s: f64) -> f64 {
+        let id = lf.intern_user(&GridUser::new(user));
+        lf.fairshare_factor(id, now_s)
+    }
 
     fn record(user: &str, start: f64, end: f64) -> UsageRecord {
         UsageRecord {
@@ -174,9 +180,9 @@ mod tests {
             ProjectionKind::Percental,
             60.0,
         );
-        let before = lf.fairshare_factor(&GridUser::new("a"), 0.0);
+        let before = factor(&mut lf, "a", 0.0);
         lf.report_usage(record("a", 0.0, 500.0), 500.0);
-        let after = lf.fairshare_factor(&GridUser::new("a"), 500.0);
+        let after = factor(&mut lf, "a", 500.0);
         assert!(after < before, "no pipeline delay locally");
     }
 
@@ -214,8 +220,8 @@ mod tests {
             60.0,
         );
         site1.report_usage(record("a", 0.0, 900.0), 900.0);
-        let f1 = site1.fairshare_factor(&GridUser::new("a"), 900.0);
-        let f2 = site2.fairshare_factor(&GridUser::new("a"), 900.0);
+        let f1 = factor(&mut site1, "a", 900.0);
+        let f2 = factor(&mut site2, "a", 900.0);
         assert!(f1 < f2, "site2 is oblivious to a's usage on site1");
     }
 }

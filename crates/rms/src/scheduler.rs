@@ -1,11 +1,11 @@
-//! Shared scheduling machinery: priority queue management, pluggable
-//! dispatch (see [`crate::dispatch`]), completion handling, and statistics.
-//! The SLURM-like and Maui-like front ends configure this core with their
-//! respective re-prioritization semantics and integration styles; the
-//! dispatch order (FIFO / EASY / Conservative / SAF) and the runtime
-//! predictor feeding it come from a [`DispatchConfig`].
+//! The local scheduler: priority queue management, dispatch (see
+//! [`crate::dispatch`]), completion handling, and statistics. One type
+//! serves both of the paper's integrations — a SLURM-like and a Maui-like
+//! RMS differ only in their [`ReprioritizePolicy`]; the dispatch order
+//! (FIFO / EASY / Conservative / SAF) and the runtime predictor feeding it
+//! come from a [`DispatchConfig`].
 
-use crate::dispatch::{DispatchConfig, DispatchPolicy, QueuedJob, RunningSlice};
+use crate::dispatch::{DispatchConfig, DispatchOrder, QueuedJob, RunningSlice};
 use crate::job::{Job, JobState};
 use crate::multifactor::{
     combined_priority, explain_combined, FactorConfig, PriorityBreakdown, PriorityWeights,
@@ -51,12 +51,17 @@ impl SchedMetrics {
 }
 
 /// When pending-job priorities are recomputed — stage IV of the §IV-A-2
-/// delay chain.
+/// delay chain, and the only behavioural difference between the paper's
+/// two integrations (§III-A): both make the same three `libaequus` calls
+/// (see [`crate::plugin::FairshareSource`]), SLURM from its priority and
+/// job-completion plug-ins, Maui from patched call sites.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReprioritizePolicy {
-    /// SLURM-style: a periodic recalculation interval.
+    /// SLURM-style: a periodic recalculation interval, seconds
+    /// (`PriorityCalcPeriod`). Between passes cached priorities persist.
     Interval(f64),
-    /// Maui-style: every scheduling iteration.
+    /// Maui-style: every scheduling iteration, so only the `libaequus`
+    /// cache bounds freshness.
     EveryCycle,
 }
 
@@ -106,9 +111,9 @@ impl SchedulerStats {
     }
 }
 
-/// A queued job with its cached priority and (when the fairshare source
-/// supports interning) the stable id of its grid user, so re-prioritization
-/// sweeps query priorities by index instead of cloned `GridUser` keys.
+/// A queued job with its cached priority and the id its grid user was
+/// interned under at submit (`None` for accounts without a grid identity),
+/// so re-prioritization sweeps query the source by index.
 #[derive(Debug)]
 struct PendingEntry {
     job: Job,
@@ -116,7 +121,33 @@ struct PendingEntry {
     user_id: Option<UserId>,
 }
 
-/// The common scheduler core.
+/// The fairshare factor of a pending entry's user: the one place the
+/// scheduler asks the source. Unmapped users get the neutral factor.
+fn fairshare_of(entry: &PendingEntry, source: &mut dyn FairshareSource, now_s: f64) -> f64 {
+    match entry.user_id {
+        Some(id) => source.fairshare_factor(id, now_s),
+        None => 0.5,
+    }
+}
+
+/// The multifactor priority of a pending entry at `now_s`.
+fn priority_of(
+    weights: &PriorityWeights,
+    factors: &FactorConfig,
+    entry: &PendingEntry,
+    source: &mut dyn FairshareSource,
+    now_s: f64,
+) -> f64 {
+    combined_priority(
+        weights,
+        fairshare_of(entry, source, now_s),
+        factors.age_factor(&entry.job, now_s),
+        factors.qos_factor(&entry.job),
+        factors.size_factor(&entry.job),
+    )
+}
+
+/// The local resource manager's scheduler.
 #[derive(Debug)]
 pub struct SchedulerCore {
     site: SiteId,
@@ -128,10 +159,9 @@ pub struct SchedulerCore {
     pending: Vec<PendingEntry>,
     running: Vec<Job>,
     last_reprio_s: f64,
-    policy: Box<dyn DispatchPolicy>,
+    order: DispatchOrder,
     predictor: RuntimePredictor,
-    /// Statistics.
-    pub stats: SchedulerStats,
+    stats: SchedulerStats,
     /// Telemetry handles (no-ops until wired).
     metrics: SchedMetrics,
 }
@@ -174,7 +204,7 @@ impl SchedulerCore {
             pending: Vec::new(),
             running: Vec::new(),
             last_reprio_s: f64::NEG_INFINITY,
-            policy: dispatch.order.build(),
+            order: dispatch.order,
             predictor: RuntimePredictor::new(dispatch.predictor, dispatch.mispredict),
             stats: SchedulerStats::default(),
             metrics: SchedMetrics::default(),
@@ -188,11 +218,6 @@ impl SchedulerCore {
         self.predictor.set_telemetry(t);
     }
 
-    /// The active dispatch policy's label.
-    pub fn dispatch_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Runtime-prediction accuracy accounting.
     pub fn prediction_stats(&self) -> &PredictionStats {
         &self.predictor.stats
@@ -204,13 +229,23 @@ impl SchedulerCore {
     }
 
     /// Jobs waiting in the queue.
-    pub fn pending_count(&self) -> usize {
+    pub fn pending(&self) -> usize {
         self.pending.len()
     }
 
     /// Jobs currently executing.
-    pub fn running_count(&self) -> usize {
+    pub fn running(&self) -> usize {
         self.running.len()
+    }
+
+    /// Scheduler statistics.
+    pub fn stats(&self) -> &SchedulerStats {
+        &self.stats
+    }
+
+    /// Mean utilization of the node pool over `[0, now_s]`.
+    pub fn utilization(&mut self, now_s: f64) -> f64 {
+        self.nodes.utilization(now_s)
     }
 
     /// Accept a job into the queue, resolving its grid identity through the
@@ -221,33 +256,17 @@ impl SchedulerCore {
         }
         // Intern the user once at submit; every later priority query for
         // this entry is an index load on the source side.
-        let user_id = job.grid_user.as_ref().and_then(|u| source.intern_user(u));
+        let user_id = job.grid_user.as_ref().map(|u| source.intern_user(u));
         self.stats.submitted += 1;
         self.metrics.submitted.inc();
         // New jobs get a priority immediately so they can dispatch this cycle.
-        let prio = self.priority_of(&job, user_id, source, now_s);
-        self.pending.push(PendingEntry { job, prio, user_id });
-    }
-
-    fn priority_of(
-        &self,
-        job: &Job,
-        user_id: Option<UserId>,
-        source: &mut dyn FairshareSource,
-        now_s: f64,
-    ) -> f64 {
-        let fairshare = match (user_id, &job.grid_user) {
-            (Some(id), _) => source.fairshare_factor_by_id(id, now_s),
-            (None, Some(u)) => source.fairshare_factor(u, now_s),
-            (None, None) => 0.5, // unmapped users get the neutral factor
+        let mut entry = PendingEntry {
+            job,
+            prio: 0.0,
+            user_id,
         };
-        combined_priority(
-            &self.weights,
-            fairshare,
-            self.factors.age_factor(job, now_s),
-            self.factors.qos_factor(job),
-            self.factors.size_factor(job),
-        )
+        entry.prio = priority_of(&self.weights, &self.factors, &entry, source, now_s);
+        self.pending.push(entry);
     }
 
     /// Whether a re-prioritization is due at `now_s`.
@@ -259,7 +278,7 @@ impl SchedulerCore {
     }
 
     /// Advance the scheduler to `now_s`: finish due jobs (reporting their
-    /// usage), re-prioritize if due, and dispatch with EASY backfill.
+    /// usage), re-prioritize if due, and dispatch in the configured order.
     pub fn advance(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
         self.nodes.advance(now_s);
         self.complete_due(source, now_s);
@@ -267,17 +286,7 @@ impl SchedulerCore {
             let _span = self.metrics.h_reprio.start_timer();
             self.metrics.reprio_passes.inc();
             for entry in &mut self.pending {
-                entry.prio = combined_priority(
-                    &self.weights,
-                    match (entry.user_id, &entry.job.grid_user) {
-                        (Some(id), _) => source.fairshare_factor_by_id(id, now_s),
-                        (None, Some(u)) => source.fairshare_factor(u, now_s),
-                        (None, None) => 0.5,
-                    },
-                    self.factors.age_factor(&entry.job, now_s),
-                    self.factors.qos_factor(&entry.job),
-                    self.factors.size_factor(&entry.job),
-                );
+                entry.prio = priority_of(&self.weights, &self.factors, entry, source, now_s);
             }
             self.last_reprio_s = now_s;
         }
@@ -329,9 +338,9 @@ impl SchedulerCore {
     }
 
     /// Dispatch pending jobs in priority order through the configured
-    /// [`DispatchPolicy`]: the policy sees the sorted queue with predicted
-    /// runtimes and the running set with believed ends, and returns the
-    /// starts (head or backfill) to apply this cycle.
+    /// [`DispatchOrder`]: it sees the sorted queue with predicted runtimes
+    /// and the running set with believed ends, and returns the starts (head
+    /// or backfill) to apply this cycle.
     fn dispatch(&mut self, now_s: f64) {
         let _span = self.metrics.h_dispatch.start_timer();
         // Highest priority first; FIFO (submit time, id) as tie-breakers.
@@ -364,7 +373,7 @@ impl SchedulerCore {
             })
             .collect();
         let plan = self
-            .policy
+            .order
             .plan(now_s, self.nodes.free_cores(), &queue, &running);
         if plan.starts.is_empty() {
             return;
@@ -431,14 +440,9 @@ impl SchedulerCore {
         now_s: f64,
     ) -> Option<PriorityBreakdown> {
         let entry = self.pending.iter().find(|e| e.job.id == id)?;
-        let fairshare = match (entry.user_id, &entry.job.grid_user) {
-            (Some(uid), _) => source.fairshare_factor_by_id(uid, now_s),
-            (None, Some(u)) => source.fairshare_factor(u, now_s),
-            (None, None) => 0.5,
-        };
         Some(explain_combined(
             &self.weights,
-            fairshare,
+            fairshare_of(entry, source, now_s),
             self.factors.age_factor(&entry.job, now_s),
             self.factors.qos_factor(&entry.job),
             self.factors.size_factor(&entry.job),
@@ -472,15 +476,25 @@ mod tests {
         lf
     }
 
-    fn core(cores: u32) -> SchedulerCore {
+    fn core_with(nodes: NodePool, reprio: ReprioritizePolicy) -> SchedulerCore {
         SchedulerCore::new(
             SiteId(0),
-            NodePool::new(1, cores),
+            nodes,
             PriorityWeights::fairshare_only(),
             FactorConfig::default(),
-            ReprioritizePolicy::EveryCycle,
+            reprio,
         )
     }
+
+    fn core(cores: u32) -> SchedulerCore {
+        core_with(NodePool::new(1, cores), ReprioritizePolicy::EveryCycle)
+    }
+
+    /// The SLURM-like and the Maui-like cadence.
+    const BOTH_POLICIES: [ReprioritizePolicy; 2] = [
+        ReprioritizePolicy::Interval(30.0),
+        ReprioritizePolicy::EveryCycle,
+    ];
 
     fn job(id: u64, sys: &str, cores: u32, submit: f64, dur: f64) -> Job {
         Job::new(JobId(id), SystemUser::new(sys), cores, submit, dur)
@@ -492,10 +506,10 @@ mod tests {
         let mut src = source();
         sched.submit(job(1, "sysa", 1, 0.0, 100.0), &mut src, 0.0);
         sched.advance(&mut src, 0.0);
-        assert_eq!(sched.running_count(), 1);
-        assert_eq!(sched.pending_count(), 0);
+        assert_eq!(sched.running(), 1);
+        assert_eq!(sched.pending(), 0);
         sched.advance(&mut src, 100.0);
-        assert_eq!(sched.running_count(), 0);
+        assert_eq!(sched.running(), 0);
         assert_eq!(sched.stats.completed, 1);
         // Usage was reported to the fairshare source.
         assert!((src.usage().total_recorded() - 100.0).abs() < 1e-9);
@@ -520,7 +534,7 @@ mod tests {
         sched.submit(job(1, "sysa", 1, 1000.0, 50.0), &mut src, 1000.0);
         sched.submit(job(2, "sysb", 1, 1001.0, 50.0), &mut src, 1001.0);
         sched.advance(&mut src, 1002.0);
-        assert_eq!(sched.running_count(), 1);
+        assert_eq!(sched.running(), 1);
         let running = &sched.running_jobs()[0];
         assert_eq!(running.id, JobId(2), "b runs first");
     }
@@ -562,14 +576,74 @@ mod tests {
     }
 
     #[test]
-    fn interval_reprioritization_caches_priorities() {
-        let mut sched = SchedulerCore::new(
-            SiteId(0),
-            NodePool::new(1, 0), // no capacity: jobs stay pending
-            PriorityWeights::fairshare_only(),
-            FactorConfig::default(),
-            ReprioritizePolicy::Interval(60.0),
+    fn workload_runs_to_completion_under_both_policies() {
+        for reprio in BOTH_POLICIES {
+            let mut sched = core_with(NodePool::new(4, 1), reprio);
+            let mut src = source();
+            for i in 0..10 {
+                sched.submit(job(i, "sysa", 1, i as f64, 50.0), &mut src, i as f64);
+            }
+            let mut t = 0.0;
+            while sched.stats().completed < 10 && t < 10_000.0 {
+                t += 10.0;
+                sched.advance(&mut src, t);
+            }
+            assert_eq!(sched.stats().completed, 10, "{reprio:?}");
+            assert_eq!(sched.stats().submitted, 10, "{reprio:?}");
+        }
+    }
+
+    #[test]
+    fn policies_share_dispatch_semantics() {
+        // Same streaming workload, same source: the re-prioritization
+        // cadence does not change what gets submitted, started or finished.
+        let run = |reprio| {
+            let mut sched = core_with(NodePool::new(2, 1), reprio);
+            let mut src = source();
+            for step in 0..50u64 {
+                let t = step as f64 * 20.0;
+                if step < 10 {
+                    sched.submit(job(step, "sysa", 1, t, 30.0), &mut src, t);
+                }
+                sched.advance(&mut src, t);
+            }
+            let stats = sched.stats();
+            (stats.submitted, stats.started, stats.completed)
+        };
+        let [interval, every_cycle] = BOTH_POLICIES.map(run);
+        assert_eq!(interval, (10, 10, 10));
+        assert_eq!(every_cycle, interval);
+    }
+
+    #[test]
+    fn every_cycle_reprioritization_sees_new_usage_immediately() {
+        // Zero capacity keeps the job pending.
+        let mut sched = core(0);
+        let mut src = source();
+        sched.submit(job(1, "sysa", 1, 0.0, 10.0), &mut src, 0.0);
+        sched.advance(&mut src, 0.0);
+        let p0 = sched.pending_jobs().next().unwrap().1;
+        // Fresh usage for a shows up on the *next* iteration, no interval.
+        src.report_usage(
+            UsageRecord {
+                job: JobId(5),
+                user: GridUser::new("a"),
+                site: SiteId(0),
+                cores: 1,
+                start_s: 0.0,
+                end_s: 400.0,
+            },
+            1.0,
         );
+        sched.advance(&mut src, 2.0);
+        let p1 = sched.pending_jobs().next().unwrap().1;
+        assert!(p1 < p0, "no stage-IV delay: {p1} !< {p0}");
+    }
+
+    #[test]
+    fn interval_reprioritization_caches_priorities() {
+        // No capacity: jobs stay pending.
+        let mut sched = core_with(NodePool::new(1, 0), ReprioritizePolicy::Interval(60.0));
         let mut src = source();
         sched.submit(job(1, "sysa", 1, 0.0, 10.0), &mut src, 0.0);
         sched.advance(&mut src, 0.0);

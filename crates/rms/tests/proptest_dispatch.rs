@@ -1,8 +1,12 @@
-//! Property-based tests of the dispatch policy suite: the EASY invariant
+//! Property-based tests of the four dispatch orders: the EASY invariant
 //! (backfilled candidates never delay the pivot's reservation), plan
 //! feasibility across all four orders, and the Conservative no-starvation
 //! guarantee (a full-width job bounded-waits behind a saturating stream of
-//! narrow jobs that would starve it under greedy no-reservation backfill).
+//! narrow jobs that would starve it under greedy no-reservation backfill) —
+//! plus what each setting of the shared pivot scan *means*: FIFO starts the
+//! longest feasible priority-order prefix, SAF backfills in ascending area,
+//! all three share their head starts, and every order agrees when nothing
+//! is blocked.
 
 use aequus_core::fairshare::FairshareConfig;
 use aequus_core::ids::{JobId, SiteId};
@@ -10,9 +14,9 @@ use aequus_core::policy::flat_policy;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::{GridUser, SystemUser};
 use aequus_rms::{
-    ConservativeBackfill, DispatchConfig, DispatchOrder, DispatchPolicy, EasyBackfill,
-    FactorConfig, Job, LocalFairshare, MispredictPolicy, NodePool, PredictorKind, PriorityWeights,
-    QueuedJob, ReprioritizePolicy, RunningSlice, SchedulerCore,
+    DispatchConfig, DispatchOrder, DispatchPlan, FactorConfig, Job, LocalFairshare,
+    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueuedJob, ReprioritizePolicy,
+    RunningSlice, SchedulerCore,
 };
 use proptest::prelude::*;
 
@@ -33,6 +37,75 @@ fn shadow(cores: u32, free: u32, running: &[RunningSlice]) -> Option<f64> {
         }
     }
     None
+}
+
+/// The pivot-scan invariant (EASY and SAF): applying every planned start
+/// (head starts and backfilled candidates alike, each becoming a running
+/// slice that holds its cores for its predicted runtime) never pushes the
+/// pivot's earliest feasible start past the reservation the plan advertised.
+fn assert_pivot_not_delayed(
+    plan: &DispatchPlan,
+    queue: &[QueuedJob],
+    running: &[RunningSlice],
+    free: u32,
+) -> Result<(), TestCaseError> {
+    let Some(reserved) = plan.shadow_s else {
+        return Ok(());
+    };
+    let started = started(plan);
+    // The pivot: the first skipped job the scan could reserve for — judged,
+    // like the policy does, against the free cores left after the head
+    // starts plus the releases of the *pre-cycle* running set (jobs
+    // started this cycle aren't believed-running until next cycle, so a
+    // wider job can be transiently unreservable and is skipped).
+    let head_cores: u32 = plan
+        .starts
+        .iter()
+        .filter(|s| !s.backfill)
+        .map(|s| queue[s.queue_idx].cores)
+        .sum();
+    let capacity: u32 = free - head_cores + running.iter().map(|s| s.cores).sum::<u32>();
+    let pivot = queue
+        .iter()
+        .enumerate()
+        .find(|(i, j)| !started.contains(i) && j.cores <= capacity);
+    let Some((_, pivot)) = pivot else {
+        return Ok(());
+    };
+    // World after the plan executes: started jobs hold their cores for
+    // their predicted runtimes.
+    let used: u32 = started.iter().map(|&i| queue[i].cores).sum();
+    prop_assert!(used <= free, "plan oversubscribed: {used} > {free}");
+    let mut after: Vec<RunningSlice> = running.to_vec();
+    after.extend(started.iter().map(|&i| RunningSlice {
+        end_s: queue[i].predicted_s,
+        cores: queue[i].cores,
+    }));
+    let shadow_after =
+        shadow(pivot.cores, free - used, &after).expect("pivot stays runnable after the plan");
+    prop_assert!(
+        shadow_after <= reserved + 1e-9,
+        "pivot reservation delayed: {shadow_after} > {reserved}\nfree={free} queue={queue:?}\nrunning={running:?}\nplan={plan:?}"
+    );
+    Ok(())
+}
+
+/// The (queue, running) views a plan is made over, from strategy tuples.
+fn views(q: &[(u32, f64)], r: &[(f64, u32)]) -> (Vec<QueuedJob>, Vec<RunningSlice>) {
+    let queue = q
+        .iter()
+        .map(|&(cores, predicted_s)| QueuedJob { cores, predicted_s })
+        .collect();
+    let running = r
+        .iter()
+        .map(|&(rem, cores)| RunningSlice { end_s: rem, cores })
+        .collect();
+    (queue, running)
+}
+
+/// Queue indices of a plan's starts, in start order.
+fn started(plan: &DispatchPlan) -> Vec<usize> {
+    plan.starts.iter().map(|s| s.queue_idx).collect()
 }
 
 /// Random queue: (cores, predicted seconds) pairs.
@@ -66,44 +139,11 @@ proptest! {
             .iter()
             .map(|&(rem, cores)| RunningSlice { end_s: rem, cores })
             .collect();
-        let plan = EasyBackfill.plan(0.0, free, &queue, &running);
-        let Some(reserved) = plan.shadow_s else { return Ok(()) };
-        let started: Vec<usize> = plan.starts.iter().map(|s| s.queue_idx).collect();
-        // The pivot: the first skipped job EASY could reserve for — judged,
-        // like the policy does, against the free cores left after the head
-        // starts plus the releases of the *pre-cycle* running set (jobs
-        // started this cycle aren't believed-running until next cycle, so a
-        // wider job can be transiently unreservable and is skipped).
-        let head_cores: u32 = plan
-            .starts
-            .iter()
-            .filter(|s| !s.backfill)
-            .map(|s| queue[s.queue_idx].cores)
-            .sum();
-        let capacity: u32 = free - head_cores + running.iter().map(|s| s.cores).sum::<u32>();
-        let pivot = queue
-            .iter()
-            .enumerate()
-            .find(|(i, j)| !started.contains(i) && j.cores <= capacity);
-        let Some((_, pivot)) = pivot else { return Ok(()) };
-        // World after the plan executes: started jobs hold their cores for
-        // their predicted runtimes.
-        let used: u32 = started.iter().map(|&i| queue[i].cores).sum();
-        prop_assert!(used <= free, "plan oversubscribed: {used} > {free}");
-        let mut after: Vec<RunningSlice> = running.clone();
-        after.extend(started.iter().map(|&i| RunningSlice {
-            end_s: queue[i].predicted_s,
-            cores: queue[i].cores,
-        }));
-        let shadow_after = shadow(pivot.cores, free - used, &after)
-            .expect("pivot stays runnable after the plan");
-        prop_assert!(
-            shadow_after <= reserved + 1e-9,
-            "pivot reservation delayed: {shadow_after} > {reserved}\nfree={free} queue={queue:?}\nrunning={running:?}\nplan={plan:?}"
-        );
+        let plan = DispatchOrder::Easy.plan(0.0, free, &queue, &running);
+        assert_pivot_not_delayed(&plan, &queue, &running, free)?;
     }
 
-    /// Every policy's plan is feasible (started cores fit the free pool,
+    /// Every order's plan is feasible (started cores fit the free pool,
     /// no index out of range or started twice) and deterministic.
     #[test]
     fn every_plan_is_feasible_and_deterministic(
@@ -120,8 +160,7 @@ proptest! {
             .map(|&(rem, cores)| RunningSlice { end_s: rem, cores })
             .collect();
         for order in DispatchOrder::ALL {
-            let policy = order.build();
-            let plan = policy.plan(0.0, free, &queue, &running);
+            let plan = order.plan(0.0, free, &queue, &running);
             let mut seen = std::collections::BTreeSet::new();
             let mut used = 0u32;
             for s in &plan.starts {
@@ -130,7 +169,7 @@ proptest! {
                 used += queue[s.queue_idx].cores;
             }
             prop_assert!(used <= free, "{}: oversubscribed {used} > {free}", order.name());
-            let replay = policy.plan(0.0, free, &queue, &running);
+            let replay = order.plan(0.0, free, &queue, &running);
             prop_assert_eq!(
                 plan.starts.len(),
                 replay.starts.len(),
@@ -184,7 +223,7 @@ proptest! {
             next_id += 1;
         }
         sched.advance(&mut src, 0.0);
-        prop_assert_eq!(sched.running_count(), CORES as usize);
+        prop_assert_eq!(sched.running(), CORES as usize);
         let wide = JobId(0);
         sched.submit(
             Job::new(wide, SystemUser::new("sys-a"), CORES, 1.0, 50.0),
@@ -254,7 +293,7 @@ proptest! {
             submits.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
             let mut idx = 0;
             let mut t = 0.0;
-            while t < 40_000.0 && (sched.stats.completed as usize) < submits.len() {
+            while t < 40_000.0 && (sched.stats().completed as usize) < submits.len() {
                 while idx < submits.len() && submits[idx].0 <= t {
                     let (at, dur, cores) = submits[idx];
                     sched.submit(
@@ -268,7 +307,7 @@ proptest! {
                 t += 10.0;
             }
             prop_assert_eq!(
-                sched.stats.completed as usize,
+                sched.stats().completed as usize,
                 submits.len(),
                 "{}: workload did not drain",
                 order.name()
@@ -290,8 +329,8 @@ proptest! {
             .iter()
             .map(|&(rem, cores)| RunningSlice { end_s: rem, cores })
             .collect();
-        let easy = EasyBackfill.plan(0.0, free, &queue, &running);
-        let conservative = ConservativeBackfill::default().plan(0.0, free, &queue, &running);
+        let easy = DispatchOrder::Easy.plan(0.0, free, &queue, &running);
+        let conservative = DispatchOrder::Conservative.plan(0.0, free, &queue, &running);
         prop_assert_eq!(
             easy.starts.len(),
             conservative.starts.len(),
@@ -299,6 +338,101 @@ proptest! {
         );
         if let (Some(a), Some(b)) = (easy.shadow_s, conservative.shadow_s) {
             prop_assert!((a - b).abs() < 1e-9, "reservations differ: {a} vs {b}");
+        }
+    }
+
+    /// FIFO means: start the longest prefix of the priority order that fits
+    /// the free cores, and nothing else — the first job that does not fit
+    /// ends the cycle whether or not it could ever be reserved for, and no
+    /// reservation is placed.
+    #[test]
+    fn fifo_starts_exactly_the_longest_feasible_prefix(
+        q in queue_strategy(),
+        r in running_strategy(),
+        free in 0u32..64,
+    ) {
+        let (queue, running) = views(&q, &r);
+        let plan = DispatchOrder::Fifo.plan(0.0, free, &queue, &running);
+        let mut left = free;
+        let prefix = queue
+            .iter()
+            .take_while(|j| {
+                let fits = j.cores <= left;
+                if fits {
+                    left -= j.cores;
+                }
+                fits
+            })
+            .count();
+        prop_assert_eq!(started(&plan), (0..prefix).collect::<Vec<_>>());
+        prop_assert!(plan.starts.iter().all(|s| !s.backfill));
+        prop_assert_eq!(plan.shadow_s, None);
+    }
+
+    /// SAF means: behind the pivot, candidates are taken smallest area
+    /// (cores × predicted runtime) first, ties in queue order — and, like
+    /// EASY, no backfilled start delays the pivot.
+    #[test]
+    fn saf_backfills_in_ascending_area_without_delaying_the_pivot(
+        q in queue_strategy(),
+        r in running_strategy(),
+        free in 0u32..16,
+    ) {
+        let (queue, running) = views(&q, &r);
+        let plan = DispatchOrder::Saf.plan(0.0, free, &queue, &running);
+        let backfilled: Vec<(f64, usize)> = plan
+            .starts
+            .iter()
+            .filter(|s| s.backfill)
+            .map(|s| (queue[s.queue_idx].cores as f64 * queue[s.queue_idx].predicted_s, s.queue_idx))
+            .collect();
+        for pair in backfilled.windows(2) {
+            prop_assert!(
+                pair[0] < pair[1],
+                "backfill order not (area, queue index) ascending: {backfilled:?}"
+            );
+        }
+        assert_pivot_not_delayed(&plan, &queue, &running, free)?;
+    }
+
+    /// The three pivot-scan orders share everything up to the candidate
+    /// pass: FIFO's starts open EASY's and SAF's plans, and EASY and SAF
+    /// agree on every head start (those past an unreservable job included)
+    /// and on the pivot's reservation.
+    #[test]
+    fn fifo_easy_and_saf_share_their_head_starts(
+        q in queue_strategy(),
+        r in running_strategy(),
+        free in 0u32..16,
+    ) {
+        let (queue, running) = views(&q, &r);
+        let [fifo, easy, saf] = [DispatchOrder::Fifo, DispatchOrder::Easy, DispatchOrder::Saf]
+            .map(|order| order.plan(0.0, free, &queue, &running));
+        prop_assert!(easy.starts.starts_with(&fifo.starts), "{fifo:?} vs {easy:?}");
+        prop_assert!(saf.starts.starts_with(&fifo.starts), "{fifo:?} vs {saf:?}");
+        let heads = |plan: &DispatchPlan| -> Vec<usize> {
+            plan.starts.iter().filter(|s| !s.backfill).map(|s| s.queue_idx).collect()
+        };
+        prop_assert_eq!(heads(&easy), heads(&saf));
+        prop_assert_eq!(easy.shadow_s, saf.shadow_s);
+    }
+
+    /// When the whole queue fits the free cores nothing is blocked, so there
+    /// is nothing to reserve or reorder: all four orders start every job,
+    /// in queue order, as head starts.
+    #[test]
+    fn all_orders_agree_when_nothing_is_blocked(
+        q in queue_strategy(),
+        r in running_strategy(),
+        slack in 0u32..8,
+    ) {
+        let (queue, running) = views(&q, &r);
+        let free = queue.iter().map(|j| j.cores).sum::<u32>() + slack;
+        for order in DispatchOrder::ALL {
+            let plan = order.plan(0.0, free, &queue, &running);
+            prop_assert_eq!(started(&plan), (0..queue.len()).collect::<Vec<_>>(), "{}", order.name());
+            prop_assert!(plan.starts.iter().all(|s| !s.backfill), "{}", order.name());
+            prop_assert_eq!(plan.shadow_s, None, "{}", order.name());
         }
     }
 }

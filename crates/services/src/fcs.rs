@@ -18,10 +18,10 @@
 //! point (Dictionary re-ranks globally).
 //!
 //! The FCS interns users into dense [`UserId`]s and keeps the projected
-//! factors in one `UserId`-indexed table — the only stored copy — so the
-//! RMS-side hot path queries priorities by index instead of cloning
-//! `GridUser` keys. Ids are assigned on first sight, never reused, and
-//! survive full rebuilds.
+//! factors in one `UserId`-indexed table — the only stored copy — and
+//! [`Fcs::query`] is by id only: the RMS interns a job's user once at
+//! submit and every later priority query is an index load. Ids are assigned
+//! on first sight, never reused, and survive full rebuilds.
 
 use crate::pds::Pds;
 use crate::ums::Ums;
@@ -39,9 +39,6 @@ struct FcsMetrics {
     refreshes: Counter,
     full_refreshes: Counter,
     queries: Counter,
-    /// Hot-path query counter — the id-indexed lookup gets a counter, not a
-    /// clock-reading span, to stay within the telemetry overhead budget.
-    id_queries: Counter,
     h_refresh_full: Histogram,
     h_refresh_incr: Histogram,
     h_query: Histogram,
@@ -54,7 +51,6 @@ impl FcsMetrics {
             refreshes: t.counter("aequus_fcs_refreshes_total"),
             full_refreshes: t.counter("aequus_fcs_full_refreshes_total"),
             queries: t.counter("aequus_fcs_queries_total"),
-            id_queries: t.counter("aequus_fcs_id_queries_total"),
             h_refresh_full: t.histogram("aequus_fcs_refresh_full_s"),
             h_refresh_incr: t.histogram("aequus_fcs_refresh_incremental_s"),
             h_query: t.histogram("aequus_fcs_query_s"),
@@ -336,29 +332,21 @@ impl Fcs {
         self.users_by_id.get(id.index())
     }
 
-    /// Query the precomputed fairshare factor for a user — constant time,
-    /// no calculation ("pre-calculated values already exist and can be
-    /// assigned to the job based on the associated user identity").
-    pub fn query(&self, user: &GridUser) -> Option<f64> {
+    /// Query the precomputed fairshare factor of an interned user — an
+    /// index load, no calculation ("pre-calculated values already exist and
+    /// can be assigned to the job based on the associated user identity").
+    /// `None` for users absent from the tree. This is the served query:
+    /// counted and timed, reached once per `libaequus` cache miss.
+    pub fn query(&self, id: UserId) -> Option<f64> {
         let _span = self.metrics.h_query.start_timer();
         self.metrics.queries.inc();
-        self.factor_of(user)
+        self.factor_of(id)
     }
 
     /// [`query`](Self::query) without the telemetry — for the site's own
-    /// bookkeeping, which must not count as served queries.
-    pub fn factor_of(&self, user: &GridUser) -> Option<f64> {
-        self.user_ids.get(user).and_then(|id| self.slot(*id))
-    }
-
-    /// Query by interned id: an index load instead of a map walk — the
-    /// RMS-side hot path (counter-only instrumentation; see `FcsMetrics`).
-    pub fn query_id(&self, id: UserId) -> Option<f64> {
-        self.metrics.id_queries.inc();
-        self.slot(id)
-    }
-
-    fn slot(&self, id: UserId) -> Option<f64> {
+    /// bookkeeping and the metrics sampler, which must not count as served
+    /// queries.
+    pub fn factor_of(&self, id: UserId) -> Option<f64> {
         self.factor_slots
             .get(id.index())
             .copied()
@@ -444,6 +432,12 @@ mod tests {
         }
     }
 
+    /// A user's current factor by name, as a site operator would ask.
+    fn factor(fcs: &Fcs, user: &str) -> Option<f64> {
+        fcs.id_of(&GridUser::new(user))
+            .and_then(|id| fcs.factor_of(id))
+    }
+
     fn setup() -> (Pds, Ums, Uss) {
         let pds = Pds::new(flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap());
         let mut uss = Uss::new(SiteId(0), ParticipationMode::Full, 60.0);
@@ -457,13 +451,10 @@ mod tests {
     fn precomputes_factors_for_all_users() {
         let (mut pds, mut ums, _) = setup();
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 30.0);
-        assert!(
-            fcs.query(&GridUser::new("a")).is_none(),
-            "nothing before refresh"
-        );
+        assert!(factor(&fcs, "a").is_none(), "nothing before refresh");
         assert!(fcs.refresh(&mut pds, &mut ums, 0.0));
-        let fa = fcs.query(&GridUser::new("a")).unwrap();
-        let fb = fcs.query(&GridUser::new("b")).unwrap();
+        let fa = factor(&fcs, "a").unwrap();
+        let fb = factor(&fcs, "b").unwrap();
         assert!(fb > fa, "b has no usage → higher factor");
     }
 
@@ -502,10 +493,10 @@ mod tests {
         let (mut pds, mut ums, _) = setup();
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 1e9);
         fcs.refresh(&mut pds, &mut ums, 0.0);
-        let percental_b = fcs.query(&GridUser::new("b")).unwrap();
+        let percental_b = factor(&fcs, "b").unwrap();
         fcs.set_projection(ProjectionKind::Dictionary);
         fcs.refresh(&mut pds, &mut ums, 1.0);
-        let dict_b = fcs.query(&GridUser::new("b")).unwrap();
+        let dict_b = factor(&fcs, "b").unwrap();
         // Dictionary assigns rank-spaced values: 2 users → 2/3 and 1/3.
         assert!((dict_b - 2.0 / 3.0).abs() < 1e-9, "{dict_b}");
         assert_ne!(percental_b, dict_b);
@@ -530,7 +521,7 @@ mod tests {
         let (mut pds, mut ums, _) = setup();
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 30.0);
         fcs.refresh(&mut pds, &mut ums, 0.0);
-        assert!(fcs.query(&GridUser::new("ghost")).is_none());
+        assert!(factor(&fcs, "ghost").is_none());
     }
 
     #[test]
@@ -574,9 +565,7 @@ mod tests {
         assert_eq!(fcs.last_recompute().nodes_recomputed, 3);
         assert_eq!(fcs.nodes_recomputed(), full_work + 3);
         // And the factors track the new usage: u2 fell behind u3.
-        assert!(
-            fcs.query(&GridUser::new("u2")).unwrap() < fcs.query(&GridUser::new("u3")).unwrap()
-        );
+        assert!(factor(&fcs, "u2").unwrap() < factor(&fcs, "u3").unwrap());
     }
 
     #[test]
@@ -619,16 +608,16 @@ mod tests {
         let id_a = fcs.id_of(&GridUser::new("a")).unwrap();
         let id_b = fcs.id_of(&GridUser::new("b")).unwrap();
         assert_ne!(id_a, id_b);
-        assert_eq!(fcs.query_id(id_a), fcs.query(&GridUser::new("a")));
+        assert_eq!(fcs.query(id_a), factor(&fcs, "a"));
 
         // Structural policy change forces a full rebuild; ids survive.
         pds.set_policy(flat_policy(&[("b", 0.4), ("c", 0.6)]).unwrap());
         fcs.refresh(&mut pds, &mut ums, 1.0);
         assert_eq!(fcs.id_of(&GridUser::new("b")), Some(id_b));
-        assert_eq!(fcs.query_id(id_b), fcs.query(&GridUser::new("b")));
+        assert_eq!(fcs.query(id_b), factor(&fcs, "b"));
         // "a" left the policy: its id persists but no factor is published.
         assert_eq!(fcs.id_of(&GridUser::new("a")), Some(id_a));
-        assert_eq!(fcs.query_id(id_a), None);
+        assert_eq!(fcs.query(id_a), None);
         // "c" is new and got a fresh id, not a's.
         let id_c = fcs.id_of(&GridUser::new("c")).unwrap();
         assert_ne!(id_c, id_a);

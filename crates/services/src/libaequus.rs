@@ -72,10 +72,9 @@ impl LibMetrics {
 pub struct LibAequus {
     fairshare_ttl_s: f64,
     identity_ttl_s: f64,
-    fairshare_cache: BTreeMap<GridUser, (f64, f64)>, // value, fetched_at
-    /// Id-indexed fairshare cache: a vector lookup instead of a map walk on
-    /// the scheduler hot path. Slots are `(value, fetched_at)`.
-    fairshare_id_cache: Vec<Option<(f64, f64)>>,
+    /// Fairshare cache indexed by [`UserId`]: a vector lookup on the
+    /// scheduler hot path. Slots are `(value, fetched_at)`.
+    fairshare_cache: Vec<Option<(f64, f64)>>,
     identity_cache: BTreeMap<SystemUser, (Option<GridUser>, f64)>,
     /// Degraded mode (backing services crashed or unreachable): cached
     /// values are served past their TTL instead of querying out. This is the
@@ -97,8 +96,7 @@ impl LibAequus {
         Self {
             fairshare_ttl_s,
             identity_ttl_s,
-            fairshare_cache: BTreeMap::new(),
-            fairshare_id_cache: Vec::new(),
+            fairshare_cache: Vec::new(),
             identity_cache: BTreeMap::new(),
             degraded: false,
             fairshare_stats: CacheStats::default(),
@@ -126,72 +124,40 @@ impl LibAequus {
         self.degraded
     }
 
-    /// Fetch the global fairshare factor for `user`, serving from the cache
-    /// when fresh. Users unknown to the policy get the neutral factor 0.5
-    /// (the balance point) so other priority factors still apply.
-    pub fn get_fairshare(&mut self, fcs: &Fcs, user: &GridUser, now_s: f64) -> f64 {
-        if let Some(&(value, at)) = self.fairshare_cache.get(user) {
+    /// Fetch the global fairshare factor of the user interned as `id` (see
+    /// [`Fcs::intern_user`]), serving from the cache when fresh. Users
+    /// unknown to the policy get the neutral factor 0.5 (the balance point)
+    /// so other priority factors still apply.
+    pub fn get_fairshare(&mut self, fcs: &Fcs, id: UserId, now_s: f64) -> f64 {
+        if let Some(&Some((value, at))) = self.fairshare_cache.get(id.index()) {
             if self.degraded || now_s - at < self.fairshare_ttl_s {
                 self.fairshare_stats.hits += 1;
                 self.metrics.fs_hits.inc();
-                self.metrics
-                    .telemetry
-                    .trace_lib_query(user.as_str(), at, now_s);
+                self.trace_lib_query(fcs, id, at, now_s);
                 return value;
             }
         }
         self.fairshare_stats.misses += 1;
         self.metrics.fs_misses.inc();
-        let value = fcs.query(user).unwrap_or(0.5);
-        if self
-            .fairshare_cache
-            .insert(user.clone(), (value, now_s))
+        let value = fcs.query(id).unwrap_or(0.5);
+        if self.fairshare_cache.len() <= id.index() {
+            self.fairshare_cache.resize(id.index() + 1, None);
+        }
+        if self.fairshare_cache[id.index()]
+            .replace((value, now_s))
             .is_some()
         {
             // The replaced entry was TTL-stale (a fresh one would have hit).
             self.fairshare_stats.evictions += 1;
             self.metrics.fs_evictions.inc();
         }
-        self.metrics
-            .telemetry
-            .trace_lib_query(user.as_str(), now_s, now_s);
+        self.trace_lib_query(fcs, id, now_s, now_s);
         value
     }
 
-    /// Fetch the fairshare factor by interned [`UserId`] — the zero-clone
-    /// variant of [`get_fairshare`](Self::get_fairshare) for the scheduler
-    /// hot path. Same TTL-cache semantics, same neutral-factor fallback.
-    pub fn get_fairshare_by_id(&mut self, fcs: &Fcs, id: UserId, now_s: f64) -> f64 {
-        if let Some(Some((value, at))) = self.fairshare_id_cache.get(id.index()) {
-            if self.degraded || now_s - at < self.fairshare_ttl_s {
-                let (value, at) = (*value, *at);
-                self.fairshare_stats.hits += 1;
-                self.metrics.fs_hits.inc();
-                self.trace_lib_query_id(fcs, id, at, now_s);
-                return value;
-            }
-        }
-        self.fairshare_stats.misses += 1;
-        self.metrics.fs_misses.inc();
-        let value = fcs.query_id(id).unwrap_or(0.5);
-        if self.fairshare_id_cache.len() <= id.index() {
-            self.fairshare_id_cache.resize(id.index() + 1, None);
-        }
-        if self.fairshare_id_cache[id.index()]
-            .replace((value, now_s))
-            .is_some()
-        {
-            self.fairshare_stats.evictions += 1;
-            self.metrics.fs_evictions.inc();
-        }
-        self.trace_lib_query_id(fcs, id, now_s, now_s);
-        value
-    }
-
-    /// Pipeline-tracer hook for the id-indexed path: the user-name lookup
-    /// only happens while a trace is actually in flight, keeping the hot
-    /// path free of it.
-    fn trace_lib_query_id(&self, fcs: &Fcs, id: UserId, served_fetch_s: f64, now_s: f64) {
+    /// Pipeline-tracer hook: the user-name lookup only happens while a
+    /// trace is actually in flight, keeping the hot path free of it.
+    fn trace_lib_query(&self, fcs: &Fcs, id: UserId, served_fetch_s: f64, now_s: f64) {
         if self.metrics.telemetry.traces_active() > 0 {
             if let Some(user) = fcs.user_of(id) {
                 self.metrics
@@ -233,15 +199,13 @@ impl LibAequus {
     /// Drop all cached entries (e.g. on reconfiguration). Every dropped
     /// entry counts as an eviction of its cache.
     pub fn flush(&mut self) {
-        let fs_dropped =
-            (self.fairshare_cache.len() + self.fairshare_id_cache.iter().flatten().count()) as u64;
+        let fs_dropped = self.fairshare_cache_len() as u64;
         let id_dropped = self.identity_cache.len() as u64;
         self.fairshare_stats.evictions += fs_dropped;
         self.identity_stats.evictions += id_dropped;
         self.metrics.fs_evictions.add(fs_dropped);
         self.metrics.id_evictions.add(id_dropped);
         self.fairshare_cache.clear();
-        self.fairshare_id_cache.clear();
         self.identity_cache.clear();
         self.metrics.telemetry.event(-1.0, "lib.flush", || {
             format!("dropped {fs_dropped} fairshare + {id_dropped} identity entries")
@@ -250,7 +214,7 @@ impl LibAequus {
 
     /// Number of live fairshare cache entries.
     pub fn fairshare_cache_len(&self) -> usize {
-        self.fairshare_cache.len()
+        self.fairshare_cache.iter().flatten().count()
     }
 }
 
@@ -286,33 +250,21 @@ mod tests {
         fcs
     }
 
-    #[test]
-    fn id_queries_share_cache_semantics() {
-        let mut fcs = fcs_fixture();
-        let id_a = fcs.id_of(&GridUser::new("a")).unwrap();
-        let mut lib = LibAequus::new(10.0, 60.0);
-        let by_name = lib.get_fairshare(&fcs, &GridUser::new("a"), 0.0);
-        let by_id = lib.get_fairshare_by_id(&fcs, id_a, 0.0);
-        assert_eq!(by_name.to_bits(), by_id.to_bits());
-        // Second id query within TTL hits the id cache.
-        lib.get_fairshare_by_id(&fcs, id_a, 5.0);
-        assert_eq!(lib.fairshare_stats.hits, 1);
-        // Unknown-but-interned users fall back to the neutral factor.
-        let ghost = fcs.intern_user(&GridUser::new("ghost"));
-        assert_eq!(lib.get_fairshare_by_id(&fcs, ghost, 0.0), 0.5);
+    fn id(fcs: &Fcs, user: &str) -> UserId {
+        fcs.id_of(&GridUser::new(user)).expect("policy user")
     }
 
     #[test]
     fn cache_hit_within_ttl() {
         let fcs = fcs_fixture();
         let mut lib = LibAequus::new(10.0, 60.0);
-        let v1 = lib.get_fairshare(&fcs, &GridUser::new("b"), 0.0);
-        let v2 = lib.get_fairshare(&fcs, &GridUser::new("b"), 5.0);
+        let v1 = lib.get_fairshare(&fcs, id(&fcs, "b"), 0.0);
+        let v2 = lib.get_fairshare(&fcs, id(&fcs, "b"), 5.0);
         assert_eq!(v1, v2);
         assert_eq!(lib.fairshare_stats.hits, 1);
         assert_eq!(lib.fairshare_stats.misses, 1);
         // TTL expiry forces a re-fetch.
-        lib.get_fairshare(&fcs, &GridUser::new("b"), 10.0);
+        lib.get_fairshare(&fcs, id(&fcs, "b"), 10.0);
         assert_eq!(lib.fairshare_stats.misses, 2);
     }
 
@@ -323,7 +275,7 @@ mod tests {
         let fcs = fcs_fixture();
         let mut lib = LibAequus::new(15.0, 60.0);
         for i in 0..100 {
-            lib.get_fairshare(&fcs, &GridUser::new("a"), i as f64 * 0.1);
+            lib.get_fairshare(&fcs, id(&fcs, "a"), i as f64 * 0.1);
         }
         assert_eq!(lib.fairshare_stats.misses, 1);
         assert_eq!(lib.fairshare_stats.hits, 99);
@@ -347,17 +299,16 @@ mod tests {
     fn stale_replacement_and_flush_count_as_evictions() {
         let fcs = fcs_fixture();
         let mut lib = LibAequus::new(10.0, 60.0);
-        lib.get_fairshare(&fcs, &GridUser::new("a"), 0.0);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 0.0);
         assert_eq!(lib.fairshare_stats.evictions, 0);
         // TTL expired: the re-fetch replaces (evicts) the stale entry.
-        lib.get_fairshare(&fcs, &GridUser::new("a"), 20.0);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 20.0);
         assert_eq!(lib.fairshare_stats.evictions, 1);
-        // Same semantics on the id-indexed path.
-        let id_a = fcs.id_of(&GridUser::new("a")).unwrap();
-        lib.get_fairshare_by_id(&fcs, id_a, 20.0);
-        lib.get_fairshare_by_id(&fcs, id_a, 40.0);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 40.0);
         assert_eq!(lib.fairshare_stats.evictions, 2);
-        // Flush drops one map entry and one id slot.
+        // Flush evicts every live entry.
+        lib.get_fairshare(&fcs, id(&fcs, "b"), 40.0);
+        assert_eq!(lib.fairshare_cache_len(), 2);
         lib.flush();
         assert_eq!(lib.fairshare_stats.evictions, 4);
         // Identity evictions are tracked independently.
@@ -377,8 +328,8 @@ mod tests {
         let t = Telemetry::enabled();
         let mut lib = LibAequus::new(10.0, 60.0);
         lib.set_telemetry(&t);
-        lib.get_fairshare(&fcs, &GridUser::new("a"), 0.0);
-        lib.get_fairshare(&fcs, &GridUser::new("a"), 1.0);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 0.0);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 1.0);
         let mut irs = Irs::new();
         lib.resolve_identity(&mut irs, &SystemUser::new("x"), 0.0);
         let snap = t.snapshot().unwrap();
@@ -393,23 +344,25 @@ mod tests {
     fn degraded_mode_serves_expired_entries() {
         let fcs = fcs_fixture();
         let mut lib = LibAequus::new(10.0, 60.0);
-        let v = lib.get_fairshare(&fcs, &GridUser::new("a"), 0.0);
+        let v = lib.get_fairshare(&fcs, id(&fcs, "a"), 0.0);
         // Far past the TTL, a healthy library re-fetches — a degraded one
         // keeps serving the stale value without touching the FCS.
         lib.set_degraded(true);
-        assert_eq!(lib.get_fairshare(&fcs, &GridUser::new("a"), 1e6), v);
+        assert_eq!(lib.get_fairshare(&fcs, id(&fcs, "a"), 1e6), v);
         assert_eq!(lib.fairshare_stats.hits, 1, "served from stale cache");
         // Leaving degraded mode restores normal TTL behavior.
         lib.set_degraded(false);
-        lib.get_fairshare(&fcs, &GridUser::new("a"), 1e6);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 1e6);
         assert_eq!(lib.fairshare_stats.misses, 2);
     }
 
     #[test]
     fn unknown_user_gets_neutral_factor() {
-        let fcs = fcs_fixture();
+        // Interned (a job was submitted under it) but absent from the policy.
+        let mut fcs = fcs_fixture();
+        let ghost = fcs.intern_user(&GridUser::new("ghost"));
         let mut lib = LibAequus::new(10.0, 60.0);
-        assert_eq!(lib.get_fairshare(&fcs, &GridUser::new("ghost"), 0.0), 0.5);
+        assert_eq!(lib.get_fairshare(&fcs, ghost, 0.0), 0.5);
     }
 
     #[test]
@@ -431,14 +384,30 @@ mod tests {
     }
 
     #[test]
+    fn cache_len_counts_live_entries_not_table_slots() {
+        // The id-indexed table grows to the highest id queried; only filled
+        // slots are entries.
+        let mut fcs = fcs_fixture();
+        let ghost = fcs.intern_user(&GridUser::new("ghost"));
+        assert!(ghost.index() >= 2, "ids below the ghost's stay unqueried");
+        let mut lib = LibAequus::new(1e9, 1e9);
+        assert_eq!(lib.fairshare_cache_len(), 0);
+        lib.get_fairshare(&fcs, ghost, 0.0);
+        assert_eq!(lib.fairshare_cache_len(), 1);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 0.0);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 1.0);
+        assert_eq!(lib.fairshare_cache_len(), 2, "a hit adds nothing");
+    }
+
+    #[test]
     fn flush_clears_caches() {
         let fcs = fcs_fixture();
         let mut lib = LibAequus::new(1e9, 1e9);
-        lib.get_fairshare(&fcs, &GridUser::new("a"), 0.0);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 0.0);
         assert_eq!(lib.fairshare_cache_len(), 1);
         lib.flush();
         assert_eq!(lib.fairshare_cache_len(), 0);
-        lib.get_fairshare(&fcs, &GridUser::new("a"), 1.0);
+        lib.get_fairshare(&fcs, id(&fcs, "a"), 1.0);
         assert_eq!(lib.fairshare_stats.misses, 2);
     }
 }

@@ -16,7 +16,7 @@ use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::policy::PolicyTree;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::{UsageRecord, UsageSummary};
-use aequus_core::{GridUser, SiteId, SystemUser};
+use aequus_core::{GridUser, SiteId, SystemUser, UserId};
 use aequus_store::{MemStorage, SiteStore, StoreConfig, StoreStats, WalRecord};
 use aequus_telemetry::{Telemetry, TraceCtx};
 use std::collections::VecDeque;
@@ -174,14 +174,28 @@ impl AequusSite {
         &self.timings
     }
 
-    /// RMS-facing: query the fairshare factor of a grid user (libaequus
-    /// cache → FCS precomputed values).
-    pub fn fairshare(&mut self, user: &GridUser, now_s: f64) -> f64 {
-        let value = self.lib.get_fairshare(&self.fcs, user, now_s);
+    /// RMS-facing: intern a grid user into the stable dense id fairshare
+    /// queries go by (once per submitted job).
+    pub fn intern_user(&mut self, user: &GridUser) -> UserId {
+        self.fcs.intern_user(user)
+    }
+
+    /// RMS-facing: query the fairshare factor of an interned grid user
+    /// (libaequus cache → FCS precomputed values).
+    pub fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
+        let value = self.lib.get_fairshare(&self.fcs, id, now_s);
         if self.serving_trace.is_some() {
-            self.trace_query(user.clone(), value, now_s);
+            self.trace_query(id, value, now_s);
         }
         value
+    }
+
+    /// Intern-then-query convenience for one-off lookups by name; an RMS
+    /// interns once per job and calls
+    /// [`fairshare_factor`](Self::fairshare_factor).
+    pub fn fairshare(&mut self, user: &GridUser, now_s: f64) -> f64 {
+        let id = self.intern_user(user);
+        self.fairshare_factor(id, now_s)
     }
 
     /// Complete a sampled pipeline trace at the serving edge: a `lib.query`
@@ -189,13 +203,16 @@ impl AequusSite {
     /// recorded only when the served value is bit-identical to the current
     /// FCS factor, so every captured explanation replays to the value the
     /// RMS actually saw.
-    fn trace_query(&mut self, user: GridUser, value: f64, now_s: f64) {
-        let Some(fresh) = self.fcs.factor_of(&user) else {
+    fn trace_query(&mut self, id: UserId, value: f64, now_s: f64) {
+        let Some(fresh) = self.fcs.factor_of(id) else {
             return;
         };
         if fresh.to_bits() != value.to_bits() {
             return; // client cache served an older tree's value
         }
+        let Some(user) = self.fcs.user_of(id).cloned() else {
+            return;
+        };
         let ctx = self.serving_trace.take();
         let leaf = self.telemetry.child_span(ctx, "lib.query", now_s, || {
             format!("served {value:?} for {user}")
@@ -525,23 +542,6 @@ impl AequusSite {
                 .event(now_s, "site.store_error", || format!("checkpoint: {e}"));
         }
         self.last_checkpoint_s = now_s;
-    }
-
-    /// RMS-facing: intern a grid user into a stable dense id for
-    /// allocation-free priority queries on the scheduling hot path.
-    pub fn intern_user(&mut self, user: &GridUser) -> aequus_core::UserId {
-        self.fcs.intern_user(user)
-    }
-
-    /// RMS-facing: query the fairshare factor by interned id.
-    pub fn fairshare_by_id(&mut self, id: aequus_core::UserId, now_s: f64) -> f64 {
-        let value = self.lib.get_fairshare_by_id(&self.fcs, id, now_s);
-        if self.serving_trace.is_some() {
-            if let Some(user) = self.fcs.user_of(id).cloned() {
-                self.trace_query(user, value, now_s);
-            }
-        }
-        value
     }
 
     /// The current fairshare tree, if computed (metrics access).

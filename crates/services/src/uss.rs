@@ -189,6 +189,34 @@ impl PeerRx {
             resyncs: 0,
         }
     }
+
+    /// Advance the receive cursor over a data message numbered `seq`,
+    /// returning the range `(from_seq, to_seq)` still missing below it, if
+    /// any — the gap an anti-entropy resync would pull. A snapshot covers
+    /// everything up to its `seq`; `seq == 0` is the unsequenced legacy
+    /// broadcast and leaves the cursor alone.
+    fn observe(&mut self, seq: u64, is_snapshot: bool) -> Option<(u64, u64)> {
+        if is_snapshot {
+            self.next_expected = self.next_expected.max(seq + 1);
+            let next = self.next_expected;
+            self.seen_above.retain(|&q| q >= next);
+        } else if seq >= self.next_expected {
+            self.seen_above.insert(seq);
+        } else {
+            if seq == 1 && self.next_expected > 2 {
+                // The publisher restarted its numbering from scratch (crash
+                // recovery); adopt it. The cell mirror is untouched, so the
+                // republished history merges as no-ops.
+                self.next_expected = 2;
+                self.seen_above.clear();
+            }
+            return None;
+        }
+        while self.seen_above.remove(&self.next_expected) {
+            self.next_expected += 1;
+        }
+        (self.next_expected <= seq).then(|| (self.next_expected, seq - 1))
+    }
 }
 
 /// Per-site usage statistics service.
@@ -459,12 +487,7 @@ impl Uss {
     pub fn ingest(&mut self, rec: &UsageRecord) {
         let _span = self.metrics.h_ingest.start_timer();
         debug_assert_eq!(rec.site, self.site, "record routed to wrong site");
-        if rec.charge() > 0.0 {
-            self.dirty.mark_user(rec.user.clone());
-            self.view_dirty.mark_user(rec.user.clone());
-        }
-        self.local.record(rec);
-        self.records_ingested += 1;
+        self.replay_ingest(rec);
         self.metrics.ingested.inc();
     }
 
@@ -737,26 +760,7 @@ impl Uss {
         if !self.mode.reads_global() {
             return responses;
         }
-        let rx = self.rx.entry(s.site).or_insert_with(PeerRx::new);
-        rx.last_heard_s = rx.last_heard_s.max(now_s);
-        // Idempotent merge: apply the positive delta of each absolute cell
-        // against its *origin's* mirror — the publisher's own section under
-        // the publisher's site, each relayed section under its recorded
-        // origin. Duplicates, reordering, overlapping resyncs, snapshots,
-        // and multi-path relay all collapse to no-ops here.
-        let mut merged_cells = 0usize;
-        for (origin, cells) in std::iter::once((&s.site, &s.per_user)).chain(s.relayed.iter()) {
-            if *origin == self.site {
-                continue; // a relay echoing our own data back
-            }
-            let mirror = self.seen_by_origin.entry(*origin).or_default();
-            merged_cells += merge_origin_cells(
-                mirror,
-                cells,
-                &mut self.remote,
-                [&mut self.dirty, &mut self.view_dirty],
-            );
-        }
+        let merged_cells = self.merge_sections(s);
         if merged_cells == 0 && !(s.per_user.is_empty() && s.relayed.is_empty()) {
             self.duplicates += 1;
             self.metrics.duplicates.inc();
@@ -778,48 +782,26 @@ impl Uss {
             }
         }
         // Sequence bookkeeping: gap detection and anti-entropy pulls.
-        if is_snapshot {
-            // A snapshot covers everything up to its seq.
-            if s.seq + 1 > rx.next_expected {
-                rx.next_expected = s.seq + 1;
-            }
-            rx.seen_above.retain(|&q| q >= rx.next_expected);
-            while rx.seen_above.remove(&rx.next_expected) {
-                rx.next_expected += 1;
-            }
-        } else if s.seq > 0 {
-            if s.seq >= rx.next_expected {
-                rx.seen_above.insert(s.seq);
-                while rx.seen_above.remove(&rx.next_expected) {
-                    rx.next_expected += 1;
-                }
-                if rx.next_expected <= s.seq {
-                    // Sequence gap: pull the missing range. Requesting a seq
-                    // twice is harmless (merges are idempotent), so repeated
-                    // gap hits double as resync retries.
-                    let (from_seq, to_seq) = (rx.next_expected, s.seq - 1);
-                    rx.gaps += 1;
-                    rx.resyncs += 1;
-                    self.seq_gaps += 1;
-                    self.metrics.gaps.inc();
-                    self.resyncs += 1;
-                    self.metrics.resyncs.inc();
-                    responses.push((
-                        s.site,
-                        UssMessage::Resync {
-                            from: self.site,
-                            from_seq,
-                            to_seq,
-                        },
-                    ));
-                }
-            } else if s.seq == 1 && rx.next_expected > 2 {
-                // The publisher restarted its numbering from scratch (crash
-                // recovery); adopt it. The cell mirror is untouched, so the
-                // republished history merges as no-ops.
-                rx.next_expected = 2;
-                rx.seen_above.clear();
-            }
+        let rx = self.rx.entry(s.site).or_insert_with(PeerRx::new);
+        rx.last_heard_s = rx.last_heard_s.max(now_s);
+        if let Some((from_seq, to_seq)) = rx.observe(s.seq, is_snapshot) {
+            // Sequence gap: pull the missing range. Requesting a seq twice
+            // is harmless (merges are idempotent), so repeated gap hits
+            // double as resync retries.
+            rx.gaps += 1;
+            rx.resyncs += 1;
+            self.seq_gaps += 1;
+            self.metrics.gaps.inc();
+            self.resyncs += 1;
+            self.metrics.resyncs.inc();
+            responses.push((
+                s.site,
+                UssMessage::Resync {
+                    from: self.site,
+                    from_seq,
+                    to_seq,
+                },
+            ));
         }
         self.summaries_received += 1;
         self.metrics.received.inc();
@@ -834,6 +816,29 @@ impl Uss {
             )
         });
         responses
+    }
+
+    /// Idempotent merge of a summary's sections: apply the positive delta
+    /// of each absolute cell against its *origin's* mirror — the publisher's
+    /// own section under the publisher's site, each relayed section under
+    /// its recorded origin. Duplicates, reordering, overlapping resyncs,
+    /// snapshots, and multi-path relay all collapse to no-ops here. Returns
+    /// the number of cells that changed.
+    fn merge_sections(&mut self, s: &UsageSummary) -> usize {
+        let mut merged_cells = 0usize;
+        for (origin, cells) in std::iter::once((&s.site, &s.per_user)).chain(s.relayed.iter()) {
+            if *origin == self.site {
+                continue; // a relay echoing our own data back
+            }
+            let mirror = self.seen_by_origin.entry(*origin).or_default();
+            merged_cells += merge_origin_cells(
+                mirror,
+                cells,
+                &mut self.remote,
+                [&mut self.dirty, &mut self.view_dirty],
+            );
+        }
+        merged_cells
     }
 
     fn on_ack(&mut self, from: SiteId, seq: u64) {
@@ -1138,38 +1143,9 @@ impl Uss {
         if s.site == self.site || !self.mode.reads_global() {
             return;
         }
+        self.merge_sections(s);
         let rx = self.rx.entry(s.site).or_insert_with(PeerRx::new);
-        for (origin, cells) in std::iter::once((&s.site, &s.per_user)).chain(s.relayed.iter()) {
-            if *origin == self.site {
-                continue;
-            }
-            let mirror = self.seen_by_origin.entry(*origin).or_default();
-            merge_origin_cells(
-                mirror,
-                cells,
-                &mut self.remote,
-                [&mut self.dirty, &mut self.view_dirty],
-            );
-        }
-        if is_snapshot {
-            if s.seq + 1 > rx.next_expected {
-                rx.next_expected = s.seq + 1;
-            }
-            rx.seen_above.retain(|&q| q >= rx.next_expected);
-            while rx.seen_above.remove(&rx.next_expected) {
-                rx.next_expected += 1;
-            }
-        } else if s.seq > 0 {
-            if s.seq >= rx.next_expected {
-                rx.seen_above.insert(s.seq);
-                while rx.seen_above.remove(&rx.next_expected) {
-                    rx.next_expected += 1;
-                }
-            } else if s.seq == 1 && rx.next_expected > 2 {
-                rx.next_expected = 2;
-                rx.seen_above.clear();
-            }
-        }
+        rx.observe(s.seq, is_snapshot);
     }
 
     /// Re-apply a journaled publish-sequence advance: the cursor only moves

@@ -143,7 +143,7 @@ fn assert_matches_fresh(
         &kind.build().project(tree),
     )?;
     for (user, f) in &inc {
-        let by_id = fcs.id_of(user).and_then(|id| fcs.query_id(id));
+        let by_id = fcs.id_of(user).and_then(|id| fcs.query(id));
         if by_id.map(f64::to_bits) != Some(f.to_bits()) {
             return Err(format!("{at}: {user:?} by id {by_id:?} != {f}"));
         }

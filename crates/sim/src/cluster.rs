@@ -1,80 +1,21 @@
-//! One simulated cluster: a local RMS (SLURM- or Maui-like) wired to its own
-//! Aequus installation, exactly the per-site stack of Figure 2.
+//! One simulated cluster: a local RMS (with a SLURM- or Maui-like
+//! re-prioritization cadence) wired to its own Aequus installation, exactly
+//! the per-site stack of Figure 2.
 
 use crate::scenario::{ClusterSpec, GridScenario, RmsKind};
 use aequus_core::usage::UsageSummary;
 use aequus_core::{JobId, SiteId, SystemUser};
-use aequus_rms::{
-    FactorConfig, FairshareSource, Job, MauiConfig, MauiScheduler, NodePool, SchedulerStats,
-    SlurmConfig, SlurmScheduler,
-};
+use aequus_rms::{FactorConfig, Job, NodePool, ReprioritizePolicy, SchedulerCore};
 use aequus_services::{AequusSite, UssMessage};
 use aequus_telemetry::tracer::TracerConfig;
 use aequus_telemetry::{SpanConfig, Telemetry};
 use aequus_workload::TraceJob;
 
-/// The RMS front end of a cluster.
-#[derive(Debug)]
-pub enum Rms {
-    /// SLURM-like scheduler.
-    Slurm(SlurmScheduler),
-    /// Maui-like scheduler.
-    Maui(MauiScheduler),
-}
-
-impl Rms {
-    fn submit(&mut self, job: Job, source: &mut dyn FairshareSource, now_s: f64) {
-        match self {
-            Rms::Slurm(s) => s.submit(job, source, now_s),
-            Rms::Maui(m) => m.submit(job, source, now_s),
-        }
-    }
-
-    fn advance(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
-        match self {
-            Rms::Slurm(s) => s.advance(source, now_s),
-            Rms::Maui(m) => m.advance(source, now_s),
-        }
-    }
-
-    /// Scheduler statistics.
-    pub fn stats(&self) -> &SchedulerStats {
-        match self {
-            Rms::Slurm(s) => s.stats(),
-            Rms::Maui(m) => m.stats(),
-        }
-    }
-
-    /// Pending queue length.
-    pub fn pending(&self) -> usize {
-        match self {
-            Rms::Slurm(s) => s.core().pending_count(),
-            Rms::Maui(m) => m.core().pending_count(),
-        }
-    }
-
-    /// Running job count.
-    pub fn running(&self) -> usize {
-        match self {
-            Rms::Slurm(s) => s.core().running_count(),
-            Rms::Maui(m) => m.core().running_count(),
-        }
-    }
-
-    /// Mean utilization over `[0, now_s]`.
-    pub fn utilization(&mut self, now_s: f64) -> f64 {
-        match self {
-            Rms::Slurm(s) => s.core_mut().nodes.utilization(now_s),
-            Rms::Maui(m) => m.core_mut().nodes.utilization(now_s),
-        }
-    }
-}
-
 /// A cluster of the simulated grid: RMS + Aequus site.
 #[derive(Debug)]
 pub struct SimCluster {
     /// The local resource manager.
-    pub rms: Rms,
+    pub rms: SchedulerCore,
     /// The local Aequus installation.
     pub site: AequusSite,
     /// Per-site telemetry domain: every service of this cluster's stack
@@ -135,31 +76,19 @@ impl SimCluster {
             // its id in, so sites stay decorrelated within a run.
             site.enable_store(cfg, scenario.seed);
         }
-        let mut rms = match spec.rms {
-            RmsKind::Slurm => Rms::Slurm(SlurmScheduler::new(
-                site_id,
-                nodes,
-                SlurmConfig {
-                    weights: scenario.weights,
-                    factors: FactorConfig::default(),
-                    priority_calc_period_s: scenario.tick_interval_s.max(5.0),
-                    dispatch: scenario.dispatch,
-                },
-            )),
-            RmsKind::Maui => Rms::Maui(MauiScheduler::new(
-                site_id,
-                nodes,
-                MauiConfig {
-                    weights: scenario.weights,
-                    factors: FactorConfig::default(),
-                    dispatch: scenario.dispatch,
-                },
-            )),
+        let reprio = match spec.rms {
+            RmsKind::Slurm => ReprioritizePolicy::Interval(scenario.tick_interval_s.max(5.0)),
+            RmsKind::Maui => ReprioritizePolicy::EveryCycle,
         };
-        match &mut rms {
-            Rms::Slurm(s) => s.core_mut().set_telemetry(&telemetry),
-            Rms::Maui(m) => m.core_mut().set_telemetry(&telemetry),
-        }
+        let mut rms = SchedulerCore::with_dispatch(
+            site_id,
+            nodes,
+            scenario.weights,
+            FactorConfig::default(),
+            reprio,
+            scenario.dispatch,
+        );
+        rms.set_telemetry(&telemetry);
         Self {
             rms,
             site,

@@ -13,12 +13,16 @@ use aequus_services::{
 use crate::dispatch::RoutingPolicy;
 use crate::faults::FaultPlan;
 
-/// Which RMS front end a cluster runs.
+/// Which of the paper's two RMS integrations a cluster's scheduler behaves
+/// like. Every cluster runs the same [`aequus_rms::SchedulerCore`]; the kind
+/// selects its [`aequus_rms::ReprioritizePolicy`] and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RmsKind {
-    /// SLURM-like (plugin integration, periodic re-prioritization).
+    /// SLURM-like (plugin integration): priorities are recomputed on a
+    /// period — `Interval` of the scenario's tick, at least 5 s.
     Slurm,
-    /// Maui-like (patched call-outs, per-iteration re-prioritization).
+    /// Maui-like (patched call-outs): priorities are recomputed every
+    /// scheduling iteration — `EveryCycle`.
     Maui,
 }
 
@@ -31,7 +35,7 @@ pub struct ClusterSpec {
     pub cores_per_node: u32,
     /// Participation in the global usage exchange.
     pub participation: ParticipationMode,
-    /// RMS front end.
+    /// RMS integration style (re-prioritization cadence).
     pub rms: RmsKind,
     /// Site-local policy override — "local administrations retain control
     /// over their clusters" (§II-A): a site may enforce its own tree (e.g.

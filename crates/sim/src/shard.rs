@@ -11,7 +11,7 @@
 //! execution depends only on `(scenario, seed, delivered events)` — never on
 //! which worker thread runs it or how many workers exist.
 
-use crate::cluster::{Rms, SimCluster};
+use crate::cluster::SimCluster;
 use crate::event::{Event, EventQueue};
 use crate::faults::FaultRng;
 use crate::metrics::{ShardSample, UserSample};
@@ -347,17 +347,18 @@ impl Shard {
                         let sample = UserSample {
                             priority: tree.priority_of_id(leaf),
                             usage_share,
-                            factor: site.fcs.query(user).unwrap_or(0.5),
+                            // The uncounted read: sampling is not a
+                            // served query.
+                            factor: (site.fcs.id_of(user))
+                                .and_then(|id| site.fcs.factor_of(id))
+                                .unwrap_or(0.5),
                         };
                         (user.as_str().to_string(), sample)
                     })
                     .collect();
             }
         }
-        let busy_cores = match &self.cluster.rms {
-            Rms::Slurm(s) => s.core().nodes.busy_cores(),
-            Rms::Maui(m) => m.core().nodes.busy_cores(),
-        };
+        let busy_cores = self.cluster.rms.nodes.busy_cores();
         let usage_view = (!self.crashed
             && self.scenario.clusters[self.index]
                 .participation

@@ -24,7 +24,6 @@
 
 pub mod checkpoint;
 pub mod codec;
-pub mod crc;
 pub mod records;
 pub mod storage;
 pub mod store;

@@ -36,10 +36,10 @@
 //! always reconstruct what the checkpoint has not yet absorbed.
 
 use crate::codec::{Reader, Writer};
-use crate::crc::Crc32;
 use crate::records::WalRecord;
 use crate::storage::Storage;
 use crate::StoreError;
+use aequus_core::codec::Crc32;
 use aequus_core::ids::SiteId;
 use std::collections::BTreeMap;
 

@@ -1,10 +1,12 @@
 //! Integrating a *custom* scheduler with Aequus through the same seam SLURM
-//! and Maui use (§III-A): the `FairshareSource` trait — fetch a global
-//! fairshare factor, report usage on completion, resolve identities.
+//! and Maui use (§III-A): the `FairshareSource` trait — resolve identities,
+//! fetch a global fairshare factor, report usage on completion.
 //!
 //! This example builds a toy FIFO-with-fairshare-boost scheduler in ~40
 //! lines against a live `AequusSite`, demonstrating the libaequus call
-//! pattern without any of the stock RMS front ends.
+//! pattern without the stock `SchedulerCore`: at submit, resolve the
+//! account to its grid identity and intern it once; every priority pass
+//! then queries the factor by that id.
 //!
 //! ```sh
 //! cargo run --release --example custom_integration
@@ -15,13 +17,14 @@ use aequus::core::ids::{JobId, SiteId};
 use aequus::core::policy::flat_policy;
 use aequus::core::projection::ProjectionKind;
 use aequus::core::usage::UsageRecord;
-use aequus::core::{GridUser, SystemUser};
+use aequus::core::{GridUser, SystemUser, UserId};
 use aequus::rms::FairshareSource;
 use aequus::services::{AequusSite, ParticipationMode, ServiceTimings};
 
 struct ToyJob {
     id: u64,
-    user: SystemUser,
+    grid: GridUser,
+    user_id: UserId,
     duration_s: f64,
 }
 
@@ -49,12 +52,20 @@ fn main() {
     site.irs
         .store_mapping(SystemUser::new("sys-bob"), GridUser::new("bob"));
 
-    // Alice hammers the machine; Bob submits occasionally.
+    // Alice hammers the machine; Bob submits occasionally. Submission is
+    // where identity is settled: resolve the account, intern the grid user.
     let mut queue: Vec<ToyJob> = (0..20)
-        .map(|i| ToyJob {
-            id: i,
-            user: SystemUser::new(if i % 5 == 0 { "sys-bob" } else { "sys-alice" }),
-            duration_s: 100.0,
+        .map(|i| {
+            let account = SystemUser::new(if i % 5 == 0 { "sys-bob" } else { "sys-alice" });
+            let grid = site
+                .resolve_identity(&account, 0.0)
+                .expect("identity mapped");
+            ToyJob {
+                id: i,
+                user_id: site.intern_user(&grid),
+                grid,
+                duration_s: 100.0,
+            }
         })
         .collect();
 
@@ -65,30 +76,26 @@ fn main() {
     );
     while !queue.is_empty() {
         site.tick(now);
-        // The custom scheduler's priority pass: one libaequus call per user.
+        // The custom scheduler's priority pass: one libaequus call per job.
         let mut best: Option<(usize, f64)> = None;
         for (idx, job) in queue.iter().enumerate() {
-            let grid = site
-                .resolve_identity(&job.user, now)
-                .expect("identity mapped");
-            let factor = site.fairshare_factor(&grid, now);
+            let factor = site.fairshare_factor(job.user_id, now);
             if best.is_none_or(|(_, f)| factor > f) {
                 best = Some((idx, factor));
             }
         }
         let (idx, factor) = best.expect("queue non-empty");
         let job = queue.remove(idx);
-        let grid = site.resolve_identity(&job.user, now).unwrap();
         println!(
             "{:>8.0} {:>6} {:>8} {:>10.4} {:>10}",
-            now, job.id, grid, factor, "run"
+            now, job.id, job.grid, factor, "run"
         );
         // "Execute" and report usage back through the completion seam.
         let end = now + job.duration_s;
         site.report_usage(
             UsageRecord {
                 job: JobId(job.id),
-                user: grid,
+                user: job.grid,
                 site: SiteId(0),
                 cores: 1,
                 start_s: now,

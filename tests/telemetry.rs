@@ -76,6 +76,19 @@ fn instrumented_run_covers_every_stage_and_exporters_round_trip() {
     assert!(snap.counters["aequus_uss_records_ingested_total"] > 0);
     assert!(snap.counters["aequus_tracer_completed_total"] > 0);
 
+    // The FCS query series measures served queries and nothing else: each
+    // `libaequus` cache miss asks the FCS exactly once, and the metrics
+    // sampler's per-sample factor readout is not a query.
+    for (site, snap) in result.site_telemetry.iter().enumerate() {
+        let misses = snap.counters["aequus_lib_fairshare_misses_total"];
+        assert!(misses > 0, "site {site} served no queries");
+        assert_eq!(
+            snap.counters["aequus_fcs_queries_total"], misses,
+            "site {site}: FCS queries vs libaequus misses"
+        );
+        assert_eq!(snap.histograms["aequus_fcs_query_s"].count, misses);
+    }
+
     // The measured end-to-end delay respects the configured worst case
     // (quantiles overestimate by at most one sub-bucket, 6.25%).
     let e2e = &snap.histograms["aequus_tracer_end_to_end_s"];
