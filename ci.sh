@@ -22,20 +22,24 @@ done
 # here instead of in the acceptance run.
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
 
-# Simulated-results drift gate: one timed benchmark pass per workload at
-# seed 42, each `sim_digest` (a hash over every simulated outcome of the
-# run) compared with the value recorded in results/sim_digests.seed42 — so
-# a change that is meant to keep every simulated number where it is gets
-# checked in seconds. A PR that means to move simulated numbers edits that
-# file in the same diff and says why.
-while read -r workload want; do
-  got=$(benchmark/run.sh pass --workload "$workload" --seed 42 --mode timed |
-    sed -n 's/.*"sim_digest":"\([0-9a-f]*\)".*/\1/p')
-  if [ "$got" != "$want" ]; then
-    echo "sim_digest drift on $workload: got '$got', recorded $want" >&2
-    exit 1
-  fi
-done <results/sim_digests.seed42
+# Simulated-results drift gate: one timed benchmark pass per workload and
+# recorded seed, each `sim_digest` (a hash over every simulated outcome of
+# the run) compared with the value recorded in results/sim_digests.seedN
+# (the seed is the file name's suffix) — so a change that is meant to keep
+# every simulated number where it is gets checked in seconds. A PR that
+# means to move simulated numbers edits those files in the same diff and
+# says why.
+for recorded in results/sim_digests.seed*; do
+  seed="${recorded##*.seed}"
+  while read -r workload want; do
+    got=$(benchmark/run.sh pass --workload "$workload" --seed "$seed" --mode timed |
+      sed -n 's/.*"sim_digest":"\([0-9a-f]*\)".*/\1/p')
+    if [ "$got" != "$want" ]; then
+      echo "sim_digest drift on $workload at seed $seed: got '$got', recorded $want" >&2
+      exit 1
+    fi
+  done <"$recorded"
+done
 
 # Docs must build warning-free for the first-party crates (vendored shims
 # are exempt — they mirror external APIs we don't own).
@@ -75,7 +79,9 @@ cargo run -q --release -p aequus-bench --bin aequus-health -- --check
 # bit-identical on the single-core baseline, the learned predictors must
 # beat request echo on mean |rel err| with the prediction-accuracy
 # telemetry counter live, and the scheduler hot path must hold its budget
-# (sub-us pick_next at 10k-deep queues, plan-scan growth well under O(n^2)).
+# (sub-us next_within at 10k-deep queues, plan-scan growth well under
+# O(n^2), and a saturated scheduling cycle that costs at most 3x more with
+# 10,000 jobs queued than with 1,000).
 cargo run -q --release -p aequus-bench --bin backfill_sweep -- --check
 
 # Benchmark snapshot + regression gate: writes BENCH_PR10.json (and its

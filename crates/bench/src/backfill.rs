@@ -23,14 +23,19 @@
 //! --check` gates in CI: FIFO ≡ EASY on the paper's single-core baseline
 //! (no window to exploit ⇒ identical runs), learned runtime predictors
 //! beating padded walltime requests, and the scheduler hot-path budget
-//! (`pick_next` sub-µs, plan scan ~O(n log n) at 10k-deep queues).
+//! (`next_within` sub-µs, plan scan ~O(n log n) at 10k-deep queues, a
+//! saturated scheduling cycle that does not grow with the queue).
 
 use crate::experiments::{BALANCE_DWELL_S, BALANCE_EPS};
 use crate::sweep::parallel_sweep;
+use aequus_core::ids::{JobId, SiteId};
 use aequus_core::projection::ProjectionKind;
+use aequus_core::usage::UsageRecord;
+use aequus_core::{GridUser, SystemUser, UserId};
 use aequus_rms::{
-    pick_next, DispatchConfig, DispatchOrder, MispredictPolicy, PredictorKind, QueuedJob,
-    RunningSlice,
+    DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, MispredictPolicy, NodePool,
+    PredictorKind, PriorityWeights, QueueWalk, QueuedJob, ReprioritizePolicy, RunningSlice,
+    SchedulerCore, SliceWalk,
 };
 use aequus_sim::{GridScenario, GridSimulation, SimResult};
 use aequus_telemetry::slo::StarvationClock;
@@ -452,11 +457,12 @@ pub fn run_prediction_comparison(cfg: &BackfillConfig) -> PredictionReport {
 /// Scheduler hot-path budget measurements at a 10k-deep queue.
 #[derive(Debug, Clone, Copy)]
 pub struct HotPathReport {
-    /// `pick_next` on the 10k-deep mixed queue, nanoseconds (early-exit:
-    /// a fitting narrow job sits near the head, as in real mixed queues).
-    pub pick_next_ns: f64,
-    /// `pick_next` worst case — no job fits until the tail — nanoseconds.
-    pub pick_next_worst_ns: f64,
+    /// `SliceWalk::next_within` on the 10k-deep mixed queue, nanoseconds
+    /// (early-exit: a fitting narrow job sits near the head, as in real
+    /// mixed queues).
+    pub next_within_ns: f64,
+    /// `next_within` worst case — no job fits until the tail — nanoseconds.
+    pub next_within_worst_ns: f64,
     /// EASY full plan scan at 1k jobs, microseconds.
     pub easy_1k_us: f64,
     /// EASY full plan scan at 10k jobs, microseconds.
@@ -465,6 +471,11 @@ pub struct HotPathReport {
     pub saf_10k_us: f64,
     /// Conservative at 10k under its reservation bound, microseconds.
     pub conservative_10k_us: f64,
+    /// One `SchedulerCore::advance` (sweep + EASY dispatch) on a full
+    /// machine with 1,000 jobs of 8 users queued, microseconds.
+    pub cycle_1k_us: f64,
+    /// The same saturated cycle with 10,000 jobs queued, microseconds.
+    pub cycle_10k_us: f64,
 }
 
 impl HotPathReport {
@@ -473,6 +484,13 @@ impl HotPathReport {
     /// rejects an accidental O(n²) rewrite (100×).
     pub fn scan_growth(&self) -> f64 {
         self.easy_10k_us / self.easy_1k_us.max(1e-3)
+    }
+
+    /// The 10k/1k growth of a saturated scheduling cycle. Nothing can
+    /// start, so the cycle should cost the lanes, not the queue: ~1×. A
+    /// cycle that visits every queued job grows ~10×.
+    pub fn cycle_growth(&self) -> f64 {
+        self.cycle_10k_us / self.cycle_1k_us.max(1e-3)
     }
 }
 
@@ -511,13 +529,75 @@ fn min_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// The cheapest possible fairshare seam — every user at the balance point
+/// — so [`saturated_cycle_us`] times the scheduler and nothing behind it.
+struct NeutralSource(Vec<GridUser>);
+
+impl FairshareSource for NeutralSource {
+    fn intern_user(&mut self, user: &GridUser) -> UserId {
+        let known = self.0.iter().position(|u| u == user);
+        let index = known.unwrap_or_else(|| {
+            self.0.push(user.clone());
+            self.0.len() - 1
+        });
+        UserId(index as u32)
+    }
+
+    fn fairshare_factor(&mut self, _id: UserId, _now_s: f64) -> f64 {
+        0.5
+    }
+
+    fn report_usage(&mut self, _record: UsageRecord, _now_s: f64) {}
+
+    fn resolve_identity(&mut self, system: &SystemUser, _now_s: f64) -> Option<GridUser> {
+        Some(GridUser::new(system.as_str()))
+    }
+}
+
+/// Minimum over `reps` of one whole scheduling cycle — `advance` with a
+/// re-prioritization sweep and an EASY dispatch — on a machine kept full by
+/// jobs that never end, with `pending` mixed-width jobs of 8 users queued
+/// behind them, in microseconds.
+fn saturated_cycle_us(pending: usize, reps: usize) -> f64 {
+    const CORES: u32 = 8;
+    let mut sched = SchedulerCore::new(
+        SiteId(0),
+        NodePool::new(1, CORES),
+        PriorityWeights::fairshare_only(),
+        FactorConfig::default(),
+        ReprioritizePolicy::EveryCycle,
+    );
+    let mut src = NeutralSource(Vec::new());
+    let job = |i: usize, cores: u32| {
+        let user = SystemUser::new(format!("u{}", i % 8));
+        Job::new(JobId(i as u64), user, cores, 0.0, 1e12)
+    };
+    for i in 0..CORES as usize {
+        sched.submit(job(i, 1), &mut src, 0.0);
+    }
+    sched.advance(&mut src, 0.0);
+    assert_eq!(sched.running(), CORES as usize, "machine is full");
+    for i in 0..pending {
+        let cores = [1, 2, 4, 1][i % 4];
+        sched.submit(job(CORES as usize + i, cores), &mut src, 0.0);
+    }
+    sched.advance(&mut src, 1.0); // first sight of the queue: not the steady cycle
+    let mut now_s = 1.0;
+    let ns = min_ns(reps, || {
+        now_s += 1.0;
+        sched.advance(&mut src, now_s)
+    });
+    assert_eq!(sched.pending(), pending, "nothing could start");
+    ns / 1_000.0
+}
+
 /// Measure the scheduler hot path (see [`HotPathReport`]).
 pub fn run_hotpath_bench() -> HotPathReport {
     const FREE: u32 = 8;
     const RUNNING: usize = 64;
     let q10k = synthetic_queue(10_000, FREE);
     let q1k = synthetic_queue(1_000, FREE);
-    // Worst case for pick_next: every job too wide except the last.
+    // Worst case for next_within: every job too wide except the last.
     let mut q_worst = vec![
         QueuedJob {
             cores: FREE * 2,
@@ -527,18 +607,25 @@ pub fn run_hotpath_bench() -> HotPathReport {
     ];
     q_worst.last_mut().expect("non-empty").cores = 1;
     let running = synthetic_running(RUNNING);
+    let plan_us = |reps, order: DispatchOrder, queue: &[QueuedJob]| {
+        min_ns(reps, || {
+            order.plan(0.0, FREE, &mut SliceWalk::new(queue), &running)
+        }) / 1_000.0
+    };
     let (easy, saf, conservative) = (
         DispatchOrder::Easy,
         DispatchOrder::Saf,
         DispatchOrder::Conservative,
     );
     HotPathReport {
-        pick_next_ns: min_ns(200, || pick_next(&q10k, FREE)),
-        pick_next_worst_ns: min_ns(50, || pick_next(&q_worst, FREE)),
-        easy_1k_us: min_ns(50, || easy.plan(0.0, FREE, &q1k, &running)) / 1_000.0,
-        easy_10k_us: min_ns(25, || easy.plan(0.0, FREE, &q10k, &running)) / 1_000.0,
-        saf_10k_us: min_ns(25, || saf.plan(0.0, FREE, &q10k, &running)) / 1_000.0,
-        conservative_10k_us: min_ns(10, || conservative.plan(0.0, FREE, &q10k, &running)) / 1_000.0,
+        next_within_ns: min_ns(200, || SliceWalk::new(&q10k).next_within(FREE)),
+        next_within_worst_ns: min_ns(50, || SliceWalk::new(&q_worst).next_within(FREE)),
+        easy_1k_us: plan_us(50, easy, &q1k),
+        easy_10k_us: plan_us(25, easy, &q10k),
+        saf_10k_us: plan_us(25, saf, &q10k),
+        conservative_10k_us: plan_us(10, conservative, &q10k),
+        cycle_1k_us: saturated_cycle_us(1_000, 200),
+        cycle_10k_us: saturated_cycle_us(10_000, 200),
     }
 }
 
@@ -590,8 +677,12 @@ mod tests {
     fn hotpath_shapes_are_valid() {
         let q = synthetic_queue(100, 8);
         assert_eq!(q[0].cores, 16, "head blocks at 8 free");
-        assert!(pick_next(&q, 8).is_some(), "a narrow job fits");
+        assert!(
+            SliceWalk::new(&q).next_within(8).is_some(),
+            "a narrow job fits"
+        );
         let r = synthetic_running(8);
         assert!(r.iter().all(|s| s.end_s > 0.0 && s.cores >= 1));
+        assert!(saturated_cycle_us(50, 2) > 0.0, "saturated shape holds");
     }
 }

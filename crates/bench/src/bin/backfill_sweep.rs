@@ -19,10 +19,13 @@
 //! - the learned running-average predictor fails to beat 3×-padded
 //!   walltime requests, the misprediction kill path never fires, or the
 //!   prediction-accuracy telemetry records nothing;
-//! - the scheduler hot path blows its budget: `pick_next` ≥ 1 µs on a
-//!   10k-deep mixed queue, the EASY 10k scan above 5 ms, or 10k/1k scan
-//!   growth beyond 40× (O(n log n) predicts ~13×; 40× still rejects an
-//!   accidental O(n²) rewrite).
+//! - the scheduler hot path blows its budget: `SliceWalk::next_within` ≥
+//!   1 µs on a 10k-deep mixed queue, the EASY 10k scan above 5 ms, 10k/1k
+//!   scan growth beyond 40× (O(n log n) predicts ~13×; 40× still rejects an
+//!   accidental O(n²) rewrite), or a saturated scheduling cycle — a full
+//!   machine, nothing can start — that grows more than 3× from 1,000 to
+//!   10,000 queued jobs (it should not grow at all; a cycle that visits
+//!   every queued job grows ~10×).
 
 use aequus_bench::{
     jobs_arg, run_hotpath_bench, run_matrix, run_prediction_comparison, run_singlecore_equivalence,
@@ -30,12 +33,14 @@ use aequus_bench::{
 };
 use aequus_rms::DispatchOrder;
 
-/// Hot-path budget: early-exit `pick_next` on a 10k-deep queue, ns.
-const PICK_NEXT_BUDGET_NS: f64 = 1_000.0;
+/// Hot-path budget: early-exit `next_within` on a 10k-deep queue, ns.
+const NEXT_WITHIN_BUDGET_NS: f64 = 1_000.0;
 /// Hot-path budget: full EASY backfill scan at 10k jobs, µs.
 const SCAN_10K_BUDGET_US: f64 = 5_000.0;
 /// Hot-path budget: EASY 10k/1k scan growth ceiling.
 const SCAN_GROWTH_CEILING: f64 = 40.0;
+/// Hot-path budget: saturated-cycle growth ceiling, 1k → 10k queued jobs.
+const CYCLE_GROWTH_CEILING: f64 = 3.0;
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
@@ -170,19 +175,31 @@ fn main() {
     println!("\n## Scheduler hot path (10k-deep queue)");
     let hot = run_hotpath_bench();
     println!(
-        "pick_next {:.0} ns (worst {:.0} ns) | easy scan 1k {:.1} us, 10k {:.1} us ({:.1}x) | saf 10k {:.1} us | conservative 10k {:.1} us",
-        hot.pick_next_ns,
-        hot.pick_next_worst_ns,
+        "next_within {:.0} ns (worst {:.0} ns) | easy scan 1k {:.1} us, 10k {:.1} us ({:.1}x) | saf 10k {:.1} us | conservative 10k {:.1} us",
+        hot.next_within_ns,
+        hot.next_within_worst_ns,
         hot.easy_1k_us,
         hot.easy_10k_us,
         hot.scan_growth(),
         hot.saf_10k_us,
         hot.conservative_10k_us
     );
-    if hot.pick_next_ns >= PICK_NEXT_BUDGET_NS {
+    println!(
+        "saturated cycle: 1k queued {:.2} us, 10k queued {:.2} us ({:.1}x)",
+        hot.cycle_1k_us,
+        hot.cycle_10k_us,
+        hot.cycle_growth()
+    );
+    if hot.next_within_ns >= NEXT_WITHIN_BUDGET_NS {
         failures.push(format!(
-            "pick_next {:.0} ns over the {PICK_NEXT_BUDGET_NS:.0} ns budget",
-            hot.pick_next_ns
+            "next_within {:.0} ns over the {NEXT_WITHIN_BUDGET_NS:.0} ns budget",
+            hot.next_within_ns
+        ));
+    }
+    if hot.cycle_growth() > CYCLE_GROWTH_CEILING {
+        failures.push(format!(
+            "saturated cycle grew {:.1}x from 1k to 10k queued jobs (> {CYCLE_GROWTH_CEILING}x: it visits the queue)",
+            hot.cycle_growth()
         ));
     }
     if hot.easy_10k_us >= SCAN_10K_BUDGET_US {

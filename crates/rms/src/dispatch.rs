@@ -1,4 +1,4 @@
-//! Dispatch orders: the decision layer that turns a priority-sorted queue
+//! Dispatch orders: the decision layer that turns a priority-ordered queue
 //! into job starts.
 //!
 //! This is the peer of the multifactor priority layer: [`crate::plugin`]
@@ -22,10 +22,12 @@
 //!   shadow against the pre-cycle running set, the timeline also counts
 //!   this cycle's starts as running.)
 //!
-//! Planning is pure: [`DispatchOrder::plan`] sees immutable views of the
-//! queue and running set and returns a [`DispatchPlan`];
-//! [`crate::scheduler::SchedulerCore`] applies it. That keeps it trivially
-//! property-testable and microbenchmarkable (see `backfill_sweep`).
+//! Neither routine sees the queue as a slice: [`DispatchOrder::plan`] pulls
+//! it through a [`QueueWalk`], naming the widest job it could still use, so
+//! a cycle costs the jobs the plan looks at, not the jobs queued. It returns
+//! a [`DispatchPlan`] that [`crate::scheduler::SchedulerCore`] applies;
+//! over a [`SliceWalk`] it is trivially property-testable and
+//! microbenchmarkable (see `backfill_sweep`).
 
 /// A queued job as the dispatch order sees it, in priority order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,8 +51,8 @@ pub struct RunningSlice {
 /// One planned start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedStart {
-    /// Index into the queue slice handed to [`DispatchOrder::plan`].
-    pub queue_idx: usize,
+    /// The handle the [`QueueWalk`] yielded the job under.
+    pub handle: usize,
     /// Whether this start jumped a blocked higher-priority job (backfill).
     pub backfill: bool,
 }
@@ -64,12 +66,34 @@ pub struct DispatchPlan {
     pub shadow_s: Option<f64>,
 }
 
-/// Index of the first queued job that fits `free_cores` right now — the
-/// shared hot-path "pick next startable job" decision. O(position of the
-/// first fit); sub-microsecond even at 10k-deep queues (gated in
-/// `backfill_sweep --check`).
-pub fn pick_next(queue: &[QueuedJob], free_cores: u32) -> Option<usize> {
-    queue.iter().position(|q| q.cores <= free_cores)
+/// The pending queue as a dispatch order consumes it: lazily, in priority
+/// order, and only as wide as it can still use.
+pub trait QueueWalk {
+    /// The next unvisited job in priority order that is no wider than
+    /// `max_cores`, under a handle to name it by in the plan. Handles ascend
+    /// with priority order. Wider jobs met on the way are passed over for
+    /// good: no later call returns them, whatever it asks for — so callers
+    /// only ever lower `max_cores` (free cores shrink within a cycle).
+    fn next_within(&mut self, max_cores: u32) -> Option<(usize, QueuedJob)>;
+}
+
+/// A [`QueueWalk`] over a priority-sorted slice; handles are indices.
+/// `next_within` is O(jobs passed over); sub-microsecond on a mixed
+/// 10k-deep queue (gated in `backfill_sweep --check`).
+pub struct SliceWalk<'a>(std::iter::Enumerate<std::slice::Iter<'a, QueuedJob>>);
+
+impl<'a> SliceWalk<'a> {
+    /// Walk `queue`, which is sorted by descending priority.
+    pub fn new(queue: &'a [QueuedJob]) -> Self {
+        Self(queue.iter().enumerate())
+    }
+}
+
+impl QueueWalk for SliceWalk<'_> {
+    fn next_within(&mut self, max_cores: u32) -> Option<(usize, QueuedJob)> {
+        let fit = self.0.find(|(_, q)| q.cores <= max_cores)?;
+        Some((fit.0, *fit.1))
+    }
 }
 
 /// Earliest time `cores` become available given current `free` cores and
@@ -107,64 +131,70 @@ enum Candidates {
 /// is skipped and the next blocked job is the pivot); then one pass over
 /// the `candidates` behind the pivot. Without candidates there is no
 /// reservation to protect, so the scan ends at the first job that does not
-/// fit, reservable or not. O(queue) plus one O(running·log running) shadow
-/// walk; the `QueueOrder` pass allocates nothing per job, `AscendingArea`
-/// sorts the tail.
+/// fit, reservable or not.
+///
+/// Complexity: the head phase walks up to the pivot; the candidate pass
+/// asks only for jobs no wider than the cores still free (they only shrink,
+/// so a job passed over could never have started): O(head starts +
+/// candidates that fit the free cores) walk steps plus one
+/// O(running·log running) shadow walk — O(1) steps on a full machine. The
+/// `QueueOrder` pass allocates nothing per job; `AscendingArea` collects
+/// and sorts the candidates that fit at the pivot.
 fn pivot_scan(
     now_s: f64,
     free_cores: u32,
-    queue: &[QueuedJob],
+    queue: &mut dyn QueueWalk,
     running: &[RunningSlice],
     candidates: Candidates,
 ) -> DispatchPlan {
     let mut plan = DispatchPlan::default();
     let mut free = free_cores;
-    let mut reserved: Option<(usize, f64, u32)> = None;
-    for (i, q) in queue.iter().enumerate() {
+    let mut reserved: Option<(f64, u32)> = None;
+    while let Some((handle, q)) = queue.next_within(u32::MAX) {
         if q.cores <= free {
             free -= q.cores;
             plan.starts.push(PlannedStart {
-                queue_idx: i,
+                handle,
                 backfill: false,
             });
         } else if candidates == Candidates::Absent {
             return plan;
-        } else if let Some((shadow_t, spare)) = shadow_of(q.cores, free, running) {
-            plan.shadow_s = Some(shadow_t);
-            reserved = Some((i, shadow_t, spare));
+        } else if let Some(reservation) = shadow_of(q.cores, free, running) {
+            plan.shadow_s = Some(reservation.0);
+            reserved = Some(reservation);
             break;
         }
     }
-    let Some((pivot, shadow_t, mut spare)) = reserved else {
+    let Some((shadow_t, mut spare)) = reserved else {
         return plan;
     };
-    let mut consider = |i: usize| {
-        let q = &queue[i];
+    let mut by_area = Vec::new();
+    if candidates == Candidates::AscendingArea {
+        by_area.extend(std::iter::from_fn(|| queue.next_within(free)));
+        // Stable: equal areas stay in handle (priority) order.
+        let area = |c: &(usize, QueuedJob)| c.1.cores as f64 * c.1.predicted_s;
+        by_area.sort_by(|a, b| area(a).partial_cmp(&area(b)).unwrap());
+    }
+    let mut by_area = by_area.into_iter();
+    loop {
+        let candidate = match candidates {
+            Candidates::AscendingArea => by_area.next(),
+            _ => queue.next_within(free),
+        };
+        let Some((handle, q)) = candidate else {
+            return plan;
+        };
         if q.cores <= free && (now_s + q.predicted_s <= shadow_t || q.cores <= spare) {
             free -= q.cores;
             plan.starts.push(PlannedStart {
-                queue_idx: i,
+                handle,
                 backfill: true,
             });
             if q.cores > 0 && now_s + q.predicted_s > shadow_t {
                 spare -= q.cores;
             }
         }
-    };
-    let behind = pivot + 1..queue.len();
-    if candidates == Candidates::AscendingArea {
-        let area = |i: usize| queue[i].cores as f64 * queue[i].predicted_s;
-        let mut rest: Vec<usize> = behind.collect();
-        rest.sort_by(|&a, &b| area(a).partial_cmp(&area(b)).unwrap().then(a.cmp(&b)));
-        for i in rest {
-            consider(i);
-        }
-    } else {
-        for i in behind {
-            consider(i);
-        }
     }
-    plan
 }
 
 /// Reservation-table bound of the conservative timeline: blocked jobs
@@ -226,11 +256,12 @@ fn earliest_start(now_s: f64, cores: u32, dur_s: f64, free_now: i64, events: &[(
 /// The availability timeline behind Conservative: every blocked job (up to
 /// [`MAX_RESERVATIONS`]) gets a reservation; a job may start now only if
 /// the timeline says so — which by construction delays no reservation made
-/// for a higher-priority job.
+/// for a higher-priority job. Jobs wider than the machine are never
+/// runnable and are passed over, as the pivot scan skips them.
 fn conservative_timeline(
     now_s: f64,
     free_cores: u32,
-    queue: &[QueuedJob],
+    queue: &mut dyn QueueWalk,
     running: &[RunningSlice],
 ) -> DispatchPlan {
     let mut plan = DispatchPlan::default();
@@ -241,14 +272,11 @@ fn conservative_timeline(
     let mut free_now = free_cores as i64;
     let mut reservations = 0usize;
     let mut blocked_seen = false;
-    for (i, q) in queue.iter().enumerate() {
-        if q.cores > machine {
-            continue; // never runnable; skip like EASY
-        }
+    while let Some((handle, q)) = queue.next_within(machine) {
         let start = earliest_start(now_s, q.cores, q.predicted_s, free_now, &events);
         if start <= now_s {
             plan.starts.push(PlannedStart {
-                queue_idx: i,
+                handle,
                 backfill: blocked_seen,
             });
             free_now -= q.cores as i64;
@@ -308,24 +336,26 @@ impl DispatchOrder {
         }
     }
 
-    /// Decide which queued jobs start at `now_s`. `queue` is sorted by
-    /// descending priority; `running` lists current jobs with believed
-    /// ends. The plan never starts more cores than `free_cores` — it is
-    /// applied verbatim.
+    /// Decide which queued jobs start at `now_s`. `queue` yields pending
+    /// jobs by descending priority; `running` lists current jobs with
+    /// believed ends. The plan never starts more cores than `free_cores`;
+    /// its starts are in decision order — not always priority order (SAF).
     pub fn plan(
         self,
         now_s: f64,
         free_cores: u32,
-        queue: &[QueuedJob],
+        queue: &mut dyn QueueWalk,
         running: &[RunningSlice],
     ) -> DispatchPlan {
-        let scan = |candidates| pivot_scan(now_s, free_cores, queue, running, candidates);
-        match self {
-            DispatchOrder::Fifo => scan(Candidates::Absent),
-            DispatchOrder::Easy => scan(Candidates::QueueOrder),
-            DispatchOrder::Saf => scan(Candidates::AscendingArea),
-            DispatchOrder::Conservative => conservative_timeline(now_s, free_cores, queue, running),
-        }
+        let candidates = match self {
+            DispatchOrder::Fifo => Candidates::Absent,
+            DispatchOrder::Easy => Candidates::QueueOrder,
+            DispatchOrder::Saf => Candidates::AscendingArea,
+            DispatchOrder::Conservative => {
+                return conservative_timeline(now_s, free_cores, queue, running)
+            }
+        };
+        pivot_scan(now_s, free_cores, queue, running, candidates)
     }
 }
 
@@ -357,11 +387,26 @@ mod tests {
         RunningSlice { end_s: end, cores }
     }
 
+    /// Plan over a priority-sorted slice at t = 0.
+    fn plan(
+        order: DispatchOrder,
+        free: u32,
+        queue: &[QueuedJob],
+        running: &[RunningSlice],
+    ) -> DispatchPlan {
+        order.plan(0.0, free, &mut SliceWalk::new(queue), running)
+    }
+
     #[test]
     fn fifo_stops_at_first_blocked() {
-        let plan = DispatchOrder::Fifo.plan(0.0, 4, &[q(2, 10.0), q(8, 10.0), q(1, 10.0)], &[]);
+        let plan = plan(
+            DispatchOrder::Fifo,
+            4,
+            &[q(2, 10.0), q(8, 10.0), q(1, 10.0)],
+            &[],
+        );
         assert_eq!(plan.starts.len(), 1);
-        assert_eq!(plan.starts[0].queue_idx, 0);
+        assert_eq!(plan.starts[0].handle, 0);
         assert!(plan.shadow_s.is_none());
     }
 
@@ -372,10 +417,10 @@ mod tests {
         // one does not.
         let running = [r(100.0, 3)];
         let queue = [q(4, 50.0), q(1, 200.0), q(1, 90.0)];
-        let plan = DispatchOrder::Easy.plan(0.0, 1, &queue, &running);
+        let plan = plan(DispatchOrder::Easy, 1, &queue, &running);
         assert_eq!(plan.shadow_s, Some(100.0));
         assert_eq!(plan.starts.len(), 1);
-        assert_eq!(plan.starts[0].queue_idx, 2);
+        assert_eq!(plan.starts[0].handle, 2);
         assert!(plan.starts[0].backfill);
     }
 
@@ -383,9 +428,9 @@ mod tests {
     fn easy_skips_unrunnable_job() {
         // 2-core machine: a 4-core job can never run and must not block.
         let queue = [q(4, 10.0), q(1, 10.0)];
-        let plan = DispatchOrder::Easy.plan(0.0, 2, &queue, &[]);
+        let plan = plan(DispatchOrder::Easy, 2, &queue, &[]);
         assert_eq!(plan.starts.len(), 1);
-        assert_eq!(plan.starts[0].queue_idx, 1);
+        assert_eq!(plan.starts[0].handle, 1);
         assert!(!plan.starts[0].backfill, "no reservation was placed");
     }
 
@@ -398,10 +443,10 @@ mod tests {
         // Candidate at idx 1 has area 80, idx 2 area 20: SAF starts idx 2
         // first; EASY would start idx 1 first.
         let queue = [q(4, 50.0), q(1, 80.0), q(1, 20.0)];
-        let saf = DispatchOrder::Saf.plan(0.0, 1, &queue, &running);
-        assert_eq!(saf.starts[0].queue_idx, 2);
-        let easy = DispatchOrder::Easy.plan(0.0, 1, &queue, &running);
-        assert_eq!(easy.starts[0].queue_idx, 1);
+        let saf = plan(DispatchOrder::Saf, 1, &queue, &running);
+        assert_eq!(saf.starts[0].handle, 2);
+        let easy = plan(DispatchOrder::Easy, 1, &queue, &running);
+        assert_eq!(easy.starts[0].handle, 1);
     }
 
     #[test]
@@ -413,9 +458,9 @@ mod tests {
         // candidate running now on the free cores ends at 50 < 100: fine.
         let running = [r(100.0, 2)];
         let queue = [q(4, 60.0), q(2, 200.0), q(2, 50.0)];
-        let plan = DispatchOrder::Conservative.plan(0.0, 2, &queue, &running);
+        let plan = plan(DispatchOrder::Conservative, 2, &queue, &running);
         assert_eq!(plan.shadow_s, Some(100.0));
-        let started: Vec<usize> = plan.starts.iter().map(|s| s.queue_idx).collect();
+        let started: Vec<usize> = plan.starts.iter().map(|s| s.handle).collect();
         assert_eq!(started, vec![2]);
         assert!(plan.starts[0].backfill);
     }
@@ -428,7 +473,7 @@ mod tests {
         // reserved *after* job0, not started.
         let running = [r(100.0, 3)];
         let queue = [q(4, 60.0), q(1, 150.0)];
-        let plan = DispatchOrder::Conservative.plan(0.0, 1, &queue, &running);
+        let plan = plan(DispatchOrder::Conservative, 1, &queue, &running);
         assert!(plan.starts.is_empty());
     }
 
@@ -439,16 +484,27 @@ mod tests {
         let running = [r(50.0, 1)];
         let queue = [q(1, 10.0), q(1, 10.0)];
         for order in DispatchOrder::ALL {
-            let plan = order.plan(0.0, 0, &queue, &running);
+            let plan = plan(order, 0, &queue, &running);
             assert!(plan.starts.is_empty(), "{}", order.name());
         }
     }
 
     #[test]
-    fn pick_next_first_fit() {
+    fn next_within_first_fit() {
         let queue = [q(8, 10.0), q(4, 10.0), q(2, 10.0)];
-        assert_eq!(pick_next(&queue, 3), Some(2));
-        assert_eq!(pick_next(&queue, 1), None);
+        assert_eq!(SliceWalk::new(&queue).next_within(3), Some((2, queue[2])));
+        assert_eq!(SliceWalk::new(&queue).next_within(1), None);
+    }
+
+    #[test]
+    fn next_within_passes_wider_jobs_over_for_good() {
+        let queue = [q(8, 10.0), q(1, 10.0), q(4, 10.0), q(0, 10.0)];
+        let mut walk = SliceWalk::new(&queue);
+        assert_eq!(walk.next_within(2), Some((1, queue[1])));
+        // The 8-wide job was passed over; asking for more later skips it.
+        assert_eq!(walk.next_within(u32::MAX), Some((2, queue[2])));
+        assert_eq!(walk.next_within(0), Some((3, queue[3])));
+        assert_eq!(walk.next_within(u32::MAX), None);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! [`plugin::FairshareSource`] seam, queried by interned user id — either
 //! the full Aequus stack (global fairshare) or the classic
 //! [`plugin::LocalFairshare`] baseline it replaces.
+//!
+//! A cycle costs what can start, not what is queued: jobs wait in
+//! per-(user, width) FIFO lanes, a sweep asks the source once per user, and
+//! a dispatch order pulls the lane heads through a [`dispatch::QueueWalk`].
 
 #![warn(missing_docs)]
 
@@ -28,7 +32,8 @@ pub mod predict;
 pub mod scheduler;
 
 pub use dispatch::{
-    pick_next, DispatchConfig, DispatchOrder, DispatchPlan, PlannedStart, QueuedJob, RunningSlice,
+    DispatchConfig, DispatchOrder, DispatchPlan, PlannedStart, QueueWalk, QueuedJob, RunningSlice,
+    SliceWalk,
 };
 pub use job::{Job, JobState};
 pub use multifactor::{

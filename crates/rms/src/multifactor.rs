@@ -8,7 +8,10 @@ use aequus_core::GridUser;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Weights of the priority factors in the linear combination.
+/// Weights of the priority factors in the linear combination. Every weight
+/// must be finite and non-negative ([`crate::SchedulerCore`] refuses others
+/// at construction): the pending queue keeps each user's jobs in submit
+/// order and relies on the priority never falling as a job's age grows.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PriorityWeights {
     /// Weight of the (global) fairshare factor.

@@ -121,29 +121,28 @@ struct ClassHistory {
     last_k: VecDeque<f64>,
 }
 
-/// Prediction class: one history per (user, power-of-two width bucket), so
-/// a user's wide jobs don't pollute the estimate for their serial ones.
-type ClassKey = (String, u32);
-
 /// The runtime predictor: estimator state, in-flight predictions, and
 /// misprediction accounting.
 #[derive(Debug)]
 pub struct RuntimePredictor {
     kind: PredictorKind,
     mispredict: MispredictPolicy,
-    classes: BTreeMap<ClassKey, ClassHistory>,
+    /// One history per prediction class — power-of-two width bucket, then
+    /// user name — so a user's wide jobs don't pollute the estimate for
+    /// their serial ones. Nested so that lookups borrow the name.
+    classes: BTreeMap<u32, BTreeMap<String, ClassHistory>>,
     inflight: BTreeMap<JobId, f64>,
     /// Accuracy accounting.
     pub stats: PredictionStats,
     metrics: PredictMetrics,
 }
 
-fn class_key(job: &Job) -> ClassKey {
-    let user = job
-        .grid_user
-        .as_ref()
-        .map(|u| u.as_str().to_string())
-        .unwrap_or_else(|| job.system_user.as_str().to_string());
+/// A job's prediction class: (grid, else system) user name, width bucket.
+fn class_of(job: &Job) -> (&str, u32) {
+    let user = match &job.grid_user {
+        Some(user) => user.as_str(),
+        None => job.system_user.as_str(),
+    };
     (user, job.cores.max(1).next_power_of_two())
 }
 
@@ -180,16 +179,16 @@ impl RuntimePredictor {
     /// because the job cannot be *scheduled* for longer than its contract.
     pub fn predict(&self, job: &Job) -> f64 {
         let request = job.request_s.max(MIN_PREDICTION_S);
+        let history = || {
+            let (user, width) = class_of(job);
+            self.classes.get(&width)?.get(user)
+        };
         let raw = match self.kind {
             PredictorKind::Request => request,
-            PredictorKind::RunningAverage { .. } => self
-                .classes
-                .get(&class_key(job))
+            PredictorKind::RunningAverage { .. } => history()
                 .filter(|h| h.count > 0)
                 .map_or(request, |h| h.mean),
-            PredictorKind::LastKMax { .. } => self
-                .classes
-                .get(&class_key(job))
+            PredictorKind::LastKMax { .. } => history()
                 .filter(|h| !h.last_k.is_empty())
                 .map_or(request, |h| h.last_k.iter().copied().fold(0.0, f64::max)),
         };
@@ -229,7 +228,12 @@ impl RuntimePredictor {
                 self.stats.overestimates += 1;
             }
         }
-        let history = self.classes.entry(class_key(job)).or_default();
+        let (user, width) = class_of(job);
+        let users = self.classes.entry(width).or_default();
+        if !users.contains_key(user) {
+            users.insert(user.to_string(), ClassHistory::default());
+        }
+        let history = users.get_mut(user).expect("inserted above");
         history.count += 1;
         match self.kind {
             PredictorKind::Request => {}

@@ -4,8 +4,15 @@
 //! RMS differ only in their [`ReprioritizePolicy`]; the dispatch order
 //! (FIFO / EASY / Conservative / SAF) and the runtime predictor feeding it
 //! come from a [`DispatchConfig`].
+//!
+//! The pending queue is never priced, sorted or copied job by job. Jobs
+//! wait in FIFO *lanes*, one per (user, width): there fairshare, QoS and
+//! size are constant and age falls with submit time, so — weights being
+//! non-negative, IEEE rounding monotone — `(submit_s, id)` order *is*
+//! priority order. A sweep asks the source once per user with pending work;
+//! a dispatch merges the lane heads lazily, pricing only what the plan sees.
 
-use crate::dispatch::{DispatchConfig, DispatchOrder, QueuedJob, RunningSlice};
+use crate::dispatch::{DispatchConfig, DispatchOrder, QueueWalk, QueuedJob, RunningSlice};
 use crate::job::{Job, JobState};
 use crate::multifactor::{
     combined_priority, explain_combined, FactorConfig, PriorityBreakdown, PriorityWeights,
@@ -17,7 +24,9 @@ use aequus_core::ids::{JobId, SiteId};
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, UserId};
 use aequus_telemetry::{Counter, Histogram, Telemetry};
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Bounded-slowdown threshold τ, seconds: jobs shorter than this do not
 /// inflate the slowdown metric (the standard guard against near-zero
@@ -111,40 +120,41 @@ impl SchedulerStats {
     }
 }
 
-/// A queued job with its cached priority and the id its grid user was
-/// interned under at submit (`None` for accounts without a grid identity),
-/// so re-prioritization sweeps query the source by index.
+/// A lane's key: its jobs' interned grid user (`None` for accounts without
+/// a grid identity) and their width.
+type LaneKey = (Option<UserId>, u32);
+
+/// One user's pending jobs of one width in `(submit_s, id)` = priority
+/// order, with the factor the last sweep fetched. Empty lanes are dropped.
+#[derive(Debug, Default)]
+struct Lane {
+    fairshare: f64,
+    jobs: VecDeque<Job>,
+}
+
+/// A job submitted since the last sweep, at its submit-time priority.
 #[derive(Debug)]
-struct PendingEntry {
+struct FreshEntry {
     job: Job,
     prio: f64,
     user_id: Option<UserId>,
 }
 
-/// The fairshare factor of a pending entry's user: the one place the
-/// scheduler asks the source. Unmapped users get the neutral factor.
-fn fairshare_of(entry: &PendingEntry, source: &mut dyn FairshareSource, now_s: f64) -> f64 {
-    match entry.user_id {
+/// Where a pending job sits; taking jobs out in descending slot order never
+/// moves a job still to be taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Slot {
+    Lane(LaneKey, usize),
+    Fresh(usize),
+}
+
+/// The fairshare factor of a user: the one place the scheduler asks the
+/// source. Unmapped users get the neutral factor.
+fn fairshare_of(user_id: Option<UserId>, source: &mut dyn FairshareSource, now_s: f64) -> f64 {
+    match user_id {
         Some(id) => source.fairshare_factor(id, now_s),
         None => 0.5,
     }
-}
-
-/// The multifactor priority of a pending entry at `now_s`.
-fn priority_of(
-    weights: &PriorityWeights,
-    factors: &FactorConfig,
-    entry: &PendingEntry,
-    source: &mut dyn FairshareSource,
-    now_s: f64,
-) -> f64 {
-    combined_priority(
-        weights,
-        fairshare_of(entry, source, now_s),
-        factors.age_factor(&entry.job, now_s),
-        factors.qos_factor(&entry.job),
-        factors.size_factor(&entry.job),
-    )
 }
 
 /// The local resource manager's scheduler.
@@ -156,7 +166,8 @@ pub struct SchedulerCore {
     weights: PriorityWeights,
     factors: FactorConfig,
     reprio: ReprioritizePolicy,
-    pending: Vec<PendingEntry>,
+    lanes: BTreeMap<LaneKey, Lane>,
+    fresh: Vec<FreshEntry>,
     running: Vec<Job>,
     last_reprio_s: f64,
     order: DispatchOrder,
@@ -186,7 +197,9 @@ impl SchedulerCore {
         )
     }
 
-    /// Create a scheduler with an explicit dispatch configuration.
+    /// Create a scheduler with an explicit dispatch configuration. Panics
+    /// on a weight that is not finite and non-negative (see
+    /// [`PriorityWeights`]).
     pub fn with_dispatch(
         site: SiteId,
         nodes: NodePool,
@@ -195,13 +208,23 @@ impl SchedulerCore {
         reprio: ReprioritizePolicy,
         dispatch: DispatchConfig,
     ) -> Self {
+        let w = weights;
+        let named = ["fairshare", "age", "qos", "size"].into_iter();
+        for (field, v) in named.zip([w.fairshare, w.age, w.qos, w.size]) {
+            let valid = v.is_finite() && v >= 0.0;
+            assert!(
+                valid,
+                "PriorityWeights::{field} must be finite and >= 0, got {v}"
+            );
+        }
         Self {
             site,
             nodes,
             weights,
             factors,
             reprio,
-            pending: Vec::new(),
+            lanes: BTreeMap::new(),
+            fresh: Vec::new(),
             running: Vec::new(),
             last_reprio_s: f64::NEG_INFINITY,
             order: dispatch.order,
@@ -228,9 +251,9 @@ impl SchedulerCore {
         self.site
     }
 
-    /// Jobs waiting in the queue.
+    /// Jobs waiting in the queue: every submitted job, until it starts.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        (self.stats.submitted - self.stats.started) as usize
     }
 
     /// Jobs currently executing.
@@ -248,25 +271,33 @@ impl SchedulerCore {
         self.nodes.utilization(now_s)
     }
 
+    /// The multifactor priority of a pending job as evaluated at `eval_s`,
+    /// when its user's fairshare factor was `fairshare`.
+    fn priority(&self, fairshare: f64, job: &Job, eval_s: f64) -> f64 {
+        combined_priority(
+            &self.weights,
+            fairshare,
+            self.factors.age_factor(job, eval_s),
+            self.factors.qos_factor(job),
+            self.factors.size_factor(job),
+        )
+    }
+
     /// Accept a job into the queue, resolving its grid identity through the
-    /// fairshare source (the identity step of §III-B).
+    /// fairshare source (the identity step of §III-B). O(1) plus the
+    /// source's calls.
     pub fn submit(&mut self, mut job: Job, source: &mut dyn FairshareSource, now_s: f64) {
         if job.grid_user.is_none() {
             job.grid_user = source.resolve_identity(&job.system_user, now_s);
         }
         // Intern the user once at submit; every later priority query for
-        // this entry is an index load on the source side.
+        // this job's lane is an index load on the source side.
         let user_id = job.grid_user.as_ref().map(|u| source.intern_user(u));
         self.stats.submitted += 1;
         self.metrics.submitted.inc();
         // New jobs get a priority immediately so they can dispatch this cycle.
-        let mut entry = PendingEntry {
-            job,
-            prio: 0.0,
-            user_id,
-        };
-        entry.prio = priority_of(&self.weights, &self.factors, &entry, source, now_s);
-        self.pending.push(entry);
+        let prio = self.priority(fairshare_of(user_id, source, now_s), &job, now_s);
+        self.fresh.push(FreshEntry { job, prio, user_id });
     }
 
     /// Whether a re-prioritization is due at `now_s`.
@@ -279,18 +310,44 @@ impl SchedulerCore {
 
     /// Advance the scheduler to `now_s`: finish due jobs (reporting their
     /// usage), re-prioritize if due, and dispatch in the configured order.
+    ///
+    /// Complexity: O(running + lanes·log lanes + jobs the plan looks at) —
+    /// completion scan, sweep and lane-head heap, walk steps — not O(queue):
+    /// a full machine costs the same with 10 jobs queued or 10,000 (gated
+    /// in `backfill_sweep --check`).
     pub fn advance(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
         self.nodes.advance(now_s);
         self.complete_due(source, now_s);
         if self.reprio_due(now_s) {
             let _span = self.metrics.h_reprio.start_timer();
             self.metrics.reprio_passes.inc();
-            for entry in &mut self.pending {
-                entry.prio = priority_of(&self.weights, &self.factors, entry, source, now_s);
-            }
-            self.last_reprio_s = now_s;
+            self.sweep(source, now_s);
         }
         self.dispatch(now_s);
+    }
+
+    /// Re-prioritize: fold the jobs submitted since the last sweep into
+    /// their lanes, then fetch one fairshare factor per user with pending
+    /// work. O(fresh·log lanes + lanes); no job is re-priced — the walk
+    /// evaluates a priority from its lane's factor when it reaches the job.
+    fn sweep(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
+        for FreshEntry { job, user_id, .. } in self.fresh.drain(..) {
+            let lane = self.lanes.entry((user_id, job.cores)).or_default();
+            // In-order submits append; a late one is sorted in from the back.
+            let before = |j: &Job| (j.submit_s, j.id) <= (job.submit_s, job.id);
+            let at = lane.jobs.iter().rposition(before).map_or(0, |i| i + 1);
+            lane.jobs.insert(at, job);
+        }
+        // A user's lanes are neighbours in key order: one query serves all.
+        let mut last: Option<(Option<UserId>, f64)> = None;
+        for (&(user_id, _), lane) in &mut self.lanes {
+            lane.fairshare = match last {
+                Some((prev, fairshare)) if prev == user_id => fairshare,
+                _ => fairshare_of(user_id, source, now_s),
+            };
+            last = Some((user_id, lane.fairshare));
+        }
+        self.last_reprio_s = now_s;
     }
 
     fn complete_due(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
@@ -338,81 +395,70 @@ impl SchedulerCore {
     }
 
     /// Dispatch pending jobs in priority order through the configured
-    /// [`DispatchOrder`]: it sees the sorted queue with predicted runtimes
-    /// and the running set with believed ends, and returns the starts (head
-    /// or backfill) to apply this cycle.
+    /// [`DispatchOrder`]: it walks the queue lazily (see [`LaneWalk`]) with
+    /// predicted runtimes, sees the running set with believed ends, and
+    /// returns the starts (head or backfill) to apply this cycle.
     fn dispatch(&mut self, now_s: f64) {
         let _span = self.metrics.h_dispatch.start_timer();
-        // Highest priority first; FIFO (submit time, id) as tie-breakers.
-        self.pending.sort_by(|a, b| {
-            b.prio
-                .partial_cmp(&a.prio)
-                .unwrap()
-                .then(a.job.submit_s.partial_cmp(&b.job.submit_s).unwrap())
-                .then(a.job.id.cmp(&b.job.id))
-        });
-
-        let queue: Vec<QueuedJob> = self
-            .pending
-            .iter()
-            .map(|e| QueuedJob {
-                cores: e.job.cores,
-                predicted_s: self.predictor.predict(&e.job),
+        let believed = |j: &Job| {
+            let end_s = self.predictor.believed_end(j, now_s)?;
+            Some(RunningSlice {
+                end_s,
+                cores: j.cores,
             })
-            .collect();
-        let running: Vec<RunningSlice> = self
-            .running
+        };
+        let running: Vec<RunningSlice> = self.running.iter().filter_map(believed).collect();
+        let (mut walk, free) = (LaneWalk::new(self), self.nodes.free_cores());
+        let plan = self.order.plan(now_s, free, &mut walk, &running);
+        let yielded = walk.yielded;
+        // Take the started jobs out back to front, so no slot moves before
+        // it is used; then start them in priority (handle) order, not plan
+        // order: `running`'s order decides the order same-tick completions
+        // are reported to the fairshare source.
+        let mut starts = plan.starts;
+        starts.sort_unstable_by_key(|s| Reverse(yielded[s.handle]));
+        let mut started: Vec<(usize, bool, Job)> = starts
             .iter()
-            .filter_map(|j| {
-                self.predictor
-                    .believed_end(j, now_s)
-                    .map(|end_s| RunningSlice {
-                        end_s,
-                        cores: j.cores,
-                    })
-            })
+            .map(|s| (s.handle, s.backfill, self.take(yielded[s.handle])))
             .collect();
-        let plan = self
-            .order
-            .plan(now_s, self.nodes.free_cores(), &queue, &running);
-        if plan.starts.is_empty() {
-            return;
-        }
-        let started: BTreeMap<usize, bool> = plan
-            .starts
-            .iter()
-            .map(|s| (s.queue_idx, s.backfill))
-            .collect();
-        let mut idx = 0usize;
-        self.pending.retain_mut(|entry| {
-            let i = idx;
-            idx += 1;
-            if let Some(&backfill) = started.get(&i) {
-                assert!(
-                    self.nodes.allocate(entry.job.cores),
-                    "dispatch plan oversubscribed the pool"
-                );
-                entry.job.state = JobState::Running { start_s: now_s };
-                // Record the prediction this start was made under; enforce
-                // the walltime limit if the overrun policy kills.
-                let (run_for_s, killed) = self.predictor.on_start(&entry.job);
-                if killed {
-                    self.stats.killed += 1;
-                    entry.job.duration_s = run_for_s;
-                }
-                self.stats.started += 1;
-                self.metrics.started.inc();
-                self.stats.total_wait_s += entry.job.wait_time(now_s);
-                if backfill {
-                    self.stats.backfilled += 1;
-                    self.metrics.backfilled.inc();
-                }
-                self.running.push(entry.job.clone());
-                false
-            } else {
-                true
+        started.sort_unstable_by_key(|s| s.0);
+        for (_, backfill, mut job) in started {
+            assert!(
+                self.nodes.allocate(job.cores),
+                "dispatch plan oversubscribed the pool"
+            );
+            job.state = JobState::Running { start_s: now_s };
+            // Record the prediction this start was made under; enforce
+            // the walltime limit if the overrun policy kills.
+            let (run_for_s, killed) = self.predictor.on_start(&job);
+            if killed {
+                self.stats.killed += 1;
+                job.duration_s = run_for_s;
             }
-        });
+            self.stats.started += 1;
+            self.metrics.started.inc();
+            self.stats.total_wait_s += job.wait_time(now_s);
+            if backfill {
+                self.stats.backfilled += 1;
+                self.metrics.backfilled.inc();
+            }
+            self.running.push(job);
+        }
+    }
+
+    /// Remove and return the pending job at `slot`.
+    fn take(&mut self, slot: Slot) -> Job {
+        match slot {
+            Slot::Fresh(i) => self.fresh.remove(i).job,
+            Slot::Lane(key, pos) => {
+                let lane = self.lanes.get_mut(&key).expect("slot names a lane");
+                let job = lane.jobs.remove(pos).expect("slot names a job");
+                if lane.jobs.is_empty() {
+                    self.lanes.remove(&key);
+                }
+                job
+            }
+        }
     }
 
     /// The earliest future time anything happens by itself: the next job
@@ -424,9 +470,14 @@ impl SchedulerCore {
             .min_by(|a, b| a.partial_cmp(b).unwrap())
     }
 
-    /// Pending jobs and their cached priorities (inspection/metrics).
+    /// Pending jobs and their priorities — as of the last sweep, or for
+    /// fresh jobs their submit — in no particular order (inspection).
     pub fn pending_jobs(&self) -> impl Iterator<Item = (&Job, f64)> {
-        self.pending.iter().map(|e| (&e.job, e.prio))
+        let swept = self.lanes.values().flat_map(move |lane| {
+            let prio = move |job| self.priority(lane.fairshare, job, self.last_reprio_s);
+            lane.jobs.iter().map(move |job| (job, prio(job)))
+        });
+        swept.chain(self.fresh.iter().map(|e| (&e.job, e.prio)))
     }
 
     /// Capture the multifactor decomposition of a pending job's priority as
@@ -439,19 +490,121 @@ impl SchedulerCore {
         source: &mut dyn FairshareSource,
         now_s: f64,
     ) -> Option<PriorityBreakdown> {
-        let entry = self.pending.iter().find(|e| e.job.id == id)?;
+        let (job, _) = self.pending_jobs().find(|(job, _)| job.id == id)?;
+        // Interning again returns the id the job was submitted under.
+        let user_id = job.grid_user.as_ref().map(|u| source.intern_user(u));
         Some(explain_combined(
             &self.weights,
-            fairshare_of(entry, source, now_s),
-            self.factors.age_factor(&entry.job, now_s),
-            self.factors.qos_factor(&entry.job),
-            self.factors.size_factor(&entry.job),
+            fairshare_of(user_id, source, now_s),
+            self.factors.age_factor(job, now_s),
+            self.factors.qos_factor(job),
+            self.factors.size_factor(job),
         ))
     }
 
     /// Running jobs (inspection/metrics).
     pub fn running_jobs(&self) -> &[Job] {
         &self.running
+    }
+}
+
+/// The head of one source in the dispatch merge — a lane's next unvisited
+/// job (with its lane) or a fresh job — ranked as the queue is: priority
+/// descending, then submit time and id ascending.
+struct Head<'a> {
+    prio: f64,
+    job: &'a Job,
+    slot: Slot,
+    lane: Option<&'a Lane>,
+}
+
+impl Ord for Head<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let ascending = |a: f64, b: f64| a.partial_cmp(&b).expect("priorities are not NaN");
+        ascending(self.prio, other.prio)
+            .then(ascending(other.job.submit_s, self.job.submit_s))
+            .then(other.job.id.cmp(&self.job.id))
+    }
+}
+
+impl PartialOrd for Head<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Head<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Head<'_> {}
+
+/// The scheduler's [`QueueWalk`]: a heap merge over the lane heads and the
+/// fresh jobs. A job's handle is its rank among the jobs yielded so far (so
+/// handles ascend with priority); `yielded` maps handles back to slots.
+///
+/// Complexity: O(lanes + fresh) to build; a yielded job costs one
+/// O(log lanes) heap step, one priority evaluation (its lane's next job)
+/// and one `predict`; a lane wider than asked goes in one heap step.
+struct LaneWalk<'a> {
+    sched: &'a SchedulerCore,
+    heads: BinaryHeap<Head<'a>>,
+    yielded: Vec<Slot>,
+}
+
+impl<'a> LaneWalk<'a> {
+    fn new(sched: &'a SchedulerCore) -> Self {
+        let lane_heads = sched
+            .lanes
+            .iter()
+            .map(|(&key, lane)| Self::head(sched, key, lane, 0));
+        let fresh = sched.fresh.iter().enumerate().map(|(i, e)| Head {
+            prio: e.prio,
+            job: &e.job,
+            slot: Slot::Fresh(i),
+            lane: None,
+        });
+        Self {
+            sched,
+            heads: lane_heads.chain(fresh).collect(),
+            yielded: Vec::new(),
+        }
+    }
+
+    /// The merge entry of the job at `pos` of a lane.
+    fn head(sched: &SchedulerCore, key: LaneKey, lane: &'a Lane, pos: usize) -> Head<'a> {
+        let job = &lane.jobs[pos];
+        Head {
+            prio: sched.priority(lane.fairshare, job, sched.last_reprio_s),
+            job,
+            slot: Slot::Lane(key, pos),
+            lane: Some(lane),
+        }
+    }
+}
+
+impl QueueWalk for LaneWalk<'_> {
+    fn next_within(&mut self, max_cores: u32) -> Option<(usize, QueuedJob)> {
+        while let Some(mut top) = self.heads.peek_mut() {
+            let (job, slot, lane) = (top.job, top.slot, top.lane);
+            let fits = job.cores <= max_cores;
+            // The lane's next job takes its place — unless the lane is too
+            // wide (every job of it is): then the whole lane goes.
+            match (slot, lane) {
+                (Slot::Lane(key, pos), Some(lane)) if fits && pos + 1 < lane.jobs.len() => {
+                    *top = Self::head(self.sched, key, lane, pos + 1)
+                }
+                _ => drop(PeekMut::pop(top)),
+            }
+            if fits {
+                self.yielded.push(slot);
+                let (cores, predicted_s) = (job.cores, self.sched.predictor.predict(job));
+                return Some((self.yielded.len() - 1, QueuedJob { cores, predicted_s }));
+            }
+        }
+        None
     }
 }
 
@@ -678,6 +831,30 @@ mod tests {
         let (j, p) = sched.pending_jobs().next().unwrap();
         assert!(j.grid_user.is_none());
         assert_eq!(p, 0.5);
+    }
+
+    fn core_weighted(weights: PriorityWeights) -> SchedulerCore {
+        let nodes = NodePool::new(1, 1);
+        let reprio = ReprioritizePolicy::EveryCycle;
+        SchedulerCore::new(SiteId(0), nodes, weights, FactorConfig::default(), reprio)
+    }
+
+    #[test]
+    #[should_panic(expected = "PriorityWeights::qos must be finite and >= 0")]
+    fn nan_weight_is_refused_at_construction() {
+        core_weighted(PriorityWeights {
+            qos: f64::NAN,
+            ..PriorityWeights::mixed()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "PriorityWeights::age must be finite and >= 0")]
+    fn negative_weight_is_refused_at_construction() {
+        core_weighted(PriorityWeights {
+            age: -0.1,
+            ..PriorityWeights::mixed()
+        });
     }
 
     #[test]

@@ -15,8 +15,8 @@ use aequus_core::projection::ProjectionKind;
 use aequus_core::{GridUser, SystemUser};
 use aequus_rms::{
     DispatchConfig, DispatchOrder, DispatchPlan, FactorConfig, Job, LocalFairshare,
-    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueuedJob, ReprioritizePolicy,
-    RunningSlice, SchedulerCore,
+    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
+    ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
 };
 use proptest::prelude::*;
 
@@ -62,7 +62,7 @@ fn assert_pivot_not_delayed(
         .starts
         .iter()
         .filter(|s| !s.backfill)
-        .map(|s| queue[s.queue_idx].cores)
+        .map(|s| queue[s.handle].cores)
         .sum();
     let capacity: u32 = free - head_cores + running.iter().map(|s| s.cores).sum::<u32>();
     let pivot = queue
@@ -103,9 +103,19 @@ fn views(q: &[(u32, f64)], r: &[(f64, u32)]) -> (Vec<QueuedJob>, Vec<RunningSlic
     (queue, running)
 }
 
+/// Plan `order` at t = 0 over a priority-sorted slice (handles = indices).
+fn plan_over(
+    order: DispatchOrder,
+    free: u32,
+    queue: &[QueuedJob],
+    running: &[RunningSlice],
+) -> DispatchPlan {
+    order.plan(0.0, free, &mut SliceWalk::new(queue), running)
+}
+
 /// Queue indices of a plan's starts, in start order.
 fn started(plan: &DispatchPlan) -> Vec<usize> {
-    plan.starts.iter().map(|s| s.queue_idx).collect()
+    plan.starts.iter().map(|s| s.handle).collect()
 }
 
 /// Random queue: (cores, predicted seconds) pairs.
@@ -120,6 +130,39 @@ fn running_strategy() -> impl Strategy<Value = Vec<(f64, u32)>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The walk contract every planning routine leans on, for `SliceWalk`:
+    /// each call yields the next job in priority order that is no wider
+    /// than asked — ascending handles, so each job at most once — and the
+    /// wider jobs it passes on the way never come back, whatever later
+    /// calls ask for.
+    #[test]
+    fn slice_walk_keeps_the_walk_contract(
+        q in proptest::collection::vec((0u32..24, 1.0..800.0f64), 0..40),
+        asks in proptest::collection::vec((0u32..36).prop_map(|a| if a < 32 { a } else { u32::MAX }), 1..60),
+    ) {
+        let (queue, _) = views(&q, &[]);
+        let mut walk = SliceWalk::new(&queue);
+        let mut unvisited = 0; // everything before this was yielded or passed over
+        for max_cores in asks {
+            match walk.next_within(max_cores) {
+                Some((handle, job)) => {
+                    prop_assert!(handle >= unvisited, "handle {handle} came back");
+                    prop_assert_eq!(job, queue[handle]);
+                    prop_assert!(job.cores <= max_cores, "wider than asked");
+                    prop_assert!(
+                        queue[unvisited..handle].iter().all(|j| j.cores > max_cores),
+                        "skipped a job that fits"
+                    );
+                    unvisited = handle + 1;
+                }
+                None => {
+                    prop_assert!(queue[unvisited..].iter().all(|j| j.cores > max_cores));
+                    unvisited = queue.len();
+                }
+            }
+        }
+    }
 
     /// EASY invariant: applying every planned start (head starts and
     /// backfilled candidates alike, each becoming a running slice that
@@ -139,7 +182,7 @@ proptest! {
             .iter()
             .map(|&(rem, cores)| RunningSlice { end_s: rem, cores })
             .collect();
-        let plan = DispatchOrder::Easy.plan(0.0, free, &queue, &running);
+        let plan = plan_over(DispatchOrder::Easy, free, &queue, &running);
         assert_pivot_not_delayed(&plan, &queue, &running, free)?;
     }
 
@@ -160,16 +203,16 @@ proptest! {
             .map(|&(rem, cores)| RunningSlice { end_s: rem, cores })
             .collect();
         for order in DispatchOrder::ALL {
-            let plan = order.plan(0.0, free, &queue, &running);
+            let plan = plan_over(order, free, &queue, &running);
             let mut seen = std::collections::BTreeSet::new();
             let mut used = 0u32;
             for s in &plan.starts {
-                prop_assert!(s.queue_idx < queue.len(), "{}: index range", order.name());
-                prop_assert!(seen.insert(s.queue_idx), "{}: started twice", order.name());
-                used += queue[s.queue_idx].cores;
+                prop_assert!(s.handle < queue.len(), "{}: index range", order.name());
+                prop_assert!(seen.insert(s.handle), "{}: started twice", order.name());
+                used += queue[s.handle].cores;
             }
             prop_assert!(used <= free, "{}: oversubscribed {used} > {free}", order.name());
-            let replay = order.plan(0.0, free, &queue, &running);
+            let replay = plan_over(order, free, &queue, &running);
             prop_assert_eq!(
                 plan.starts.len(),
                 replay.starts.len(),
@@ -329,8 +372,8 @@ proptest! {
             .iter()
             .map(|&(rem, cores)| RunningSlice { end_s: rem, cores })
             .collect();
-        let easy = DispatchOrder::Easy.plan(0.0, free, &queue, &running);
-        let conservative = DispatchOrder::Conservative.plan(0.0, free, &queue, &running);
+        let easy = plan_over(DispatchOrder::Easy, free, &queue, &running);
+        let conservative = plan_over(DispatchOrder::Conservative, free, &queue, &running);
         prop_assert_eq!(
             easy.starts.len(),
             conservative.starts.len(),
@@ -352,7 +395,7 @@ proptest! {
         free in 0u32..64,
     ) {
         let (queue, running) = views(&q, &r);
-        let plan = DispatchOrder::Fifo.plan(0.0, free, &queue, &running);
+        let plan = plan_over(DispatchOrder::Fifo, free, &queue, &running);
         let mut left = free;
         let prefix = queue
             .iter()
@@ -379,12 +422,12 @@ proptest! {
         free in 0u32..16,
     ) {
         let (queue, running) = views(&q, &r);
-        let plan = DispatchOrder::Saf.plan(0.0, free, &queue, &running);
+        let plan = plan_over(DispatchOrder::Saf, free, &queue, &running);
         let backfilled: Vec<(f64, usize)> = plan
             .starts
             .iter()
             .filter(|s| s.backfill)
-            .map(|s| (queue[s.queue_idx].cores as f64 * queue[s.queue_idx].predicted_s, s.queue_idx))
+            .map(|s| (queue[s.handle].cores as f64 * queue[s.handle].predicted_s, s.handle))
             .collect();
         for pair in backfilled.windows(2) {
             prop_assert!(
@@ -407,11 +450,11 @@ proptest! {
     ) {
         let (queue, running) = views(&q, &r);
         let [fifo, easy, saf] = [DispatchOrder::Fifo, DispatchOrder::Easy, DispatchOrder::Saf]
-            .map(|order| order.plan(0.0, free, &queue, &running));
+            .map(|order| plan_over(order, free, &queue, &running));
         prop_assert!(easy.starts.starts_with(&fifo.starts), "{fifo:?} vs {easy:?}");
         prop_assert!(saf.starts.starts_with(&fifo.starts), "{fifo:?} vs {saf:?}");
         let heads = |plan: &DispatchPlan| -> Vec<usize> {
-            plan.starts.iter().filter(|s| !s.backfill).map(|s| s.queue_idx).collect()
+            plan.starts.iter().filter(|s| !s.backfill).map(|s| s.handle).collect()
         };
         prop_assert_eq!(heads(&easy), heads(&saf));
         prop_assert_eq!(easy.shadow_s, saf.shadow_s);
@@ -429,7 +472,7 @@ proptest! {
         let (queue, running) = views(&q, &r);
         let free = queue.iter().map(|j| j.cores).sum::<u32>() + slack;
         for order in DispatchOrder::ALL {
-            let plan = order.plan(0.0, free, &queue, &running);
+            let plan = plan_over(order, free, &queue, &running);
             prop_assert_eq!(started(&plan), (0..queue.len()).collect::<Vec<_>>(), "{}", order.name());
             prop_assert!(plan.starts.iter().all(|s| !s.backfill), "{}", order.name());
             prop_assert_eq!(plan.shadow_s, None, "{}", order.name());

@@ -1,0 +1,367 @@
+//! The exactness net under the lane queue: [`SchedulerCore`] against a
+//! test-local *flat-queue* reference that does what a scheduler obviously
+//! may — price every pending entry at every sweep, sort the whole queue by
+//! `(priority desc, submit_s, id)`, plan over the sorted slice, apply the
+//! starts in queue order — under random submit/advance scripts.
+//!
+//! The two must agree on everything observable, bit for bit: the jobs each
+//! cycle starts and the order it starts them in (read off `running_jobs()`,
+//! whose order both sides permute identically on completions), the cycle's
+//! backfill count, the order completions are reported to the fairshare
+//! source, the pending set with every priority, and the statistics. The
+//! scheduler may only *ask* less: per sweep the same set of users as the
+//! reference, each at most once.
+//!
+//! Runs every dispatch order × re-prioritization cadence (every cycle, every
+//! step, every third step — so jobs that no sweep has seen meet a dispatch)
+//! × three weightings, against a scripted source whose factors move over
+//! time and tie between users, with unmapped accounts, out-of-order and
+//! equal submit times, ids out of submit order, zero-core jobs and jobs
+//! wider than the machine.
+
+use aequus_core::ids::{JobId, SiteId};
+use aequus_core::usage::UsageRecord;
+use aequus_core::{GridUser, SystemUser, UserId};
+use aequus_rms::multifactor::combined_priority;
+use aequus_rms::{
+    DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, JobState, MispredictPolicy,
+    NodePool, PredictorKind, PriorityWeights, QueuedJob, ReprioritizePolicy, RunningSlice,
+    RuntimePredictor, SchedulerCore, SliceWalk,
+};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// Seconds between scheduling cycles.
+const STEP_S: f64 = 10.0;
+/// Cores of the one-node machine.
+const MACHINE: u32 = 6;
+/// Grid users with an identity mapping; other accounts stay unmapped.
+const MAPPED: [&str; 4] = ["a", "b", "c", "d"];
+/// Fairshare levels the script picks from — few, so users tie.
+const LEVELS: [f64; 5] = [0.0, 0.25, 0.5, 0.5, 1.0];
+
+/// A fairshare source that replays a script: the factor of user `u` during
+/// epoch `e` (one epoch per [`STEP_S`]) is `LEVELS[table[e][u]]`, a pure
+/// function of `(id, now)` — so however often it is asked at one instant it
+/// answers the same. It logs every query and every usage report.
+#[derive(Debug, Default)]
+struct Scripted {
+    table: Vec<Vec<u8>>,
+    users: Vec<GridUser>,
+    queries: Vec<(UserId, u64)>,
+    reports: Vec<JobId>,
+}
+
+impl FairshareSource for Scripted {
+    fn intern_user(&mut self, user: &GridUser) -> UserId {
+        let known = self.users.iter().position(|u| u == user);
+        let index = known.unwrap_or_else(|| {
+            self.users.push(user.clone());
+            self.users.len() - 1
+        });
+        UserId(index as u32)
+    }
+
+    fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
+        self.queries.push((id, now_s.to_bits()));
+        let epoch = &self.table[(now_s / STEP_S) as usize % self.table.len()];
+        LEVELS[epoch[id.index() % epoch.len()] as usize % LEVELS.len()]
+    }
+
+    fn report_usage(&mut self, record: UsageRecord, _now_s: f64) {
+        self.reports.push(record.job);
+    }
+
+    fn resolve_identity(&mut self, system: &SystemUser, _now_s: f64) -> Option<GridUser> {
+        let name = system.as_str().strip_prefix("sys-")?;
+        MAPPED.contains(&name).then(|| GridUser::new(name))
+    }
+}
+
+/// One pending entry of the reference queue, priced eagerly.
+#[derive(Debug)]
+struct Entry {
+    job: Job,
+    prio: f64,
+    user_id: Option<UserId>,
+}
+
+/// The flat-queue reference scheduler.
+struct FlatQueue {
+    nodes: NodePool,
+    weights: PriorityWeights,
+    factors: FactorConfig,
+    reprio: ReprioritizePolicy,
+    order: DispatchOrder,
+    predictor: RuntimePredictor,
+    pending: Vec<Entry>,
+    running: Vec<Job>,
+    last_reprio_s: f64,
+    backfilled: u64,
+    total_wait_s: f64,
+    completed: u64,
+}
+
+impl FlatQueue {
+    fn priority(&self, e: &Entry, source: &mut Scripted, now_s: f64) -> f64 {
+        let fairshare = match e.user_id {
+            Some(id) => source.fairshare_factor(id, now_s),
+            None => 0.5,
+        };
+        combined_priority(
+            &self.weights,
+            fairshare,
+            self.factors.age_factor(&e.job, now_s),
+            self.factors.qos_factor(&e.job),
+            self.factors.size_factor(&e.job),
+        )
+    }
+
+    fn submit(&mut self, mut job: Job, source: &mut Scripted, now_s: f64) {
+        job.grid_user = source.resolve_identity(&job.system_user, now_s);
+        let user_id = job.grid_user.as_ref().map(|u| source.intern_user(u));
+        let mut entry = Entry {
+            job,
+            prio: 0.0,
+            user_id,
+        };
+        entry.prio = self.priority(&entry, source, now_s);
+        self.pending.push(entry);
+    }
+
+    fn advance(&mut self, source: &mut Scripted, now_s: f64) {
+        self.nodes.advance(now_s);
+        let mut i = 0;
+        while i < self.running.len() {
+            let end = self.running[i].expected_end().expect("running");
+            if end <= now_s {
+                let job = self.running.swap_remove(i);
+                let JobState::Running { start_s } = job.state else {
+                    unreachable!("job in running list")
+                };
+                self.nodes.release(job.cores);
+                self.completed += 1;
+                self.predictor.on_complete(&job, end - start_s);
+                if let Some(user) = &job.grid_user {
+                    let record = UsageRecord {
+                        job: job.id,
+                        user: user.clone(),
+                        site: SiteId(0),
+                        cores: job.cores,
+                        start_s,
+                        end_s: end,
+                    };
+                    source.report_usage(record, now_s);
+                }
+            } else {
+                i += 1;
+            }
+        }
+        let due = match self.reprio {
+            ReprioritizePolicy::EveryCycle => true,
+            ReprioritizePolicy::Interval(dt) => now_s - self.last_reprio_s >= dt,
+        };
+        if due {
+            for i in 0..self.pending.len() {
+                let prio = self.priority(&self.pending[i], source, now_s);
+                self.pending[i].prio = prio;
+            }
+            self.last_reprio_s = now_s;
+        }
+        self.pending.sort_by(|a, b| {
+            b.prio
+                .partial_cmp(&a.prio)
+                .unwrap()
+                .then(a.job.submit_s.partial_cmp(&b.job.submit_s).unwrap())
+                .then(a.job.id.cmp(&b.job.id))
+        });
+        let queue: Vec<QueuedJob> = self
+            .pending
+            .iter()
+            .map(|e| QueuedJob {
+                cores: e.job.cores,
+                predicted_s: self.predictor.predict(&e.job),
+            })
+            .collect();
+        let running: Vec<RunningSlice> = self
+            .running
+            .iter()
+            .filter_map(|j| {
+                let end_s = self.predictor.believed_end(j, now_s)?;
+                Some(RunningSlice {
+                    end_s,
+                    cores: j.cores,
+                })
+            })
+            .collect();
+        let free = self.nodes.free_cores();
+        let plan = self
+            .order
+            .plan(now_s, free, &mut SliceWalk::new(&queue), &running);
+        // Apply the starts in queue order, whatever order the plan made them in.
+        let mut starts = plan.starts;
+        starts.sort_by_key(|s| s.handle);
+        for (taken, s) in starts.iter().enumerate() {
+            let mut job = self.pending.remove(s.handle - taken).job;
+            assert!(self.nodes.allocate(job.cores), "reference oversubscribed");
+            job.state = JobState::Running { start_s: now_s };
+            self.predictor.on_start(&job);
+            self.total_wait_s += job.wait_time(now_s);
+            self.backfilled += s.backfill as u64;
+            self.running.push(job);
+        }
+    }
+}
+
+/// One scripted submission: (account index into `MAPPED` + two unmapped
+/// accounts, cores, submit-time offset index, duration, padded request?).
+type Submit = (u8, u32, u8, f64, u8);
+
+/// Submit-time offsets relative to the cycle: late, on time (often, so equal
+/// submit times meet), and ahead of the clock.
+const SUBMIT_OFFSETS_S: [f64; 6] = [-30.0, -10.0, 0.0, 0.0, 0.0, 5.0];
+
+fn job_of(serial: u64, &(account, cores, offset, duration_s, padded): &Submit, now_s: f64) -> Job {
+    let account = match MAPPED.get(account as usize) {
+        Some(name) => format!("sys-{name}"),
+        None => format!("ghost-{account}"),
+    };
+    // Unique, but not in submit order: equal submit times break ties on it.
+    let id = JobId(serial * 7919 % 10_007);
+    let submit_s = now_s + SUBMIT_OFFSETS_S[offset as usize % SUBMIT_OFFSETS_S.len()];
+    Job::new(id, SystemUser::new(account), cores, submit_s, duration_s)
+        .with_request(duration_s * if padded == 0 { 3.0 } else { 1.0 })
+}
+
+/// The pending set as `(id, priority bits)`.
+fn pending_set<'a>(jobs: impl Iterator<Item = (&'a Job, f64)>) -> BTreeSet<(JobId, u64)> {
+    jobs.map(|(j, p)| (j.id, p.to_bits())).collect()
+}
+
+/// Running jobs as `(id, start bits)`, in list order.
+fn running_list(jobs: &[Job]) -> Vec<(JobId, u64)> {
+    jobs.iter()
+        .map(|j| match j.state {
+            JobState::Running { start_s } => (j.id, start_s.to_bits()),
+            _ => unreachable!("job in running list"),
+        })
+        .collect()
+}
+
+fn size_heavy() -> PriorityWeights {
+    PriorityWeights {
+        fairshare: 0.2,
+        age: 0.1,
+        qos: 0.0,
+        size: 0.7,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn lane_queue_matches_the_flat_queue_reference(
+        script in proptest::collection::vec(
+            proptest::collection::vec((0u8..6, 0u32..9, 0u8..6, 5.0..200.0f64, 0u8..3), 0..4),
+            30..70,
+        ),
+        table in proptest::collection::vec(proptest::collection::vec(0u8..5, 4), 3..9),
+        learned in 0u8..2,
+    ) {
+        let factors = FactorConfig {
+            max_age_s: 120.0,
+            max_cores: 8,
+            qos_levels: [(GridUser::new("a"), 0.9), (GridUser::new("b"), 0.1)].into(),
+        };
+        let predictor = if learned == 0 {
+            PredictorKind::Request
+        } else {
+            PredictorKind::LastKMax { k: 3 }
+        };
+        let policies = [
+            ReprioritizePolicy::EveryCycle,
+            ReprioritizePolicy::Interval(STEP_S),
+            ReprioritizePolicy::Interval(3.0 * STEP_S),
+        ];
+        let weightings = [PriorityWeights::fairshare_only(), PriorityWeights::mixed(), size_heavy()];
+        for order in DispatchOrder::ALL {
+            for reprio in policies {
+                for weights in weightings {
+                    let dispatch = DispatchConfig { order, predictor, mispredict: MispredictPolicy::Extend };
+                    let mut sched = SchedulerCore::with_dispatch(
+                        SiteId(0),
+                        NodePool::new(1, MACHINE),
+                        weights,
+                        factors.clone(),
+                        reprio,
+                        dispatch,
+                    );
+                    let mut flat = FlatQueue {
+                        nodes: NodePool::new(1, MACHINE),
+                        weights,
+                        factors: factors.clone(),
+                        reprio,
+                        order,
+                        predictor: RuntimePredictor::new(predictor, MispredictPolicy::Extend),
+                        pending: Vec::new(),
+                        running: Vec::new(),
+                        last_reprio_s: f64::NEG_INFINITY,
+                        backfilled: 0,
+                        total_wait_s: 0.0,
+                        completed: 0,
+                    };
+                    let mut src = Scripted { table: table.clone(), ..Scripted::default() };
+                    let mut flat_src = Scripted { table: table.clone(), ..Scripted::default() };
+                    let mut serial = 0u64;
+                    // Twenty empty cycles at the end drain what can run.
+                    let cycles = script.iter().map(Vec::as_slice).chain(std::iter::repeat_n(&[][..], 20));
+                    for (cycle, submits) in cycles.enumerate() {
+                        let now_s = cycle as f64 * STEP_S;
+                        let at = format!("{} {reprio:?} {weights:?} cycle {cycle}", order.name());
+                        for submit in submits {
+                            serial += 1;
+                            sched.submit(job_of(serial, submit, now_s), &mut src, now_s);
+                            flat.submit(job_of(serial, submit, now_s), &mut flat_src, now_s);
+                        }
+                        // Submit asks once per job on both sides.
+                        prop_assert_eq!(&src.queries, &flat_src.queries, "submit queries, {}", at);
+                        src.queries.clear();
+                        flat_src.queries.clear();
+
+                        sched.advance(&mut src, now_s);
+                        flat.advance(&mut flat_src, now_s);
+
+                        prop_assert_eq!(
+                            running_list(sched.running_jobs()),
+                            running_list(&flat.running),
+                            "starts and their order, {}", at
+                        );
+                        prop_assert_eq!(sched.stats().backfilled, flat.backfilled, "backfills, {}", at);
+                        prop_assert_eq!(&src.reports, &flat_src.reports, "completion order, {}", at);
+                        prop_assert_eq!(
+                            pending_set(sched.pending_jobs()),
+                            pending_set(flat.pending.iter().map(|e| (&e.job, e.prio))),
+                            "pending set and priorities, {}", at
+                        );
+                        prop_assert_eq!(sched.pending(), flat.pending.len(), "{}", at);
+                        prop_assert_eq!(sched.stats().completed, flat.completed, "{}", at);
+                        prop_assert_eq!(
+                            sched.stats().total_wait_s.to_bits(),
+                            flat.total_wait_s.to_bits(),
+                            "wait sum, {}", at
+                        );
+                        // The sweep: the same users as the reference asks
+                        // about, all at this instant, none twice.
+                        let asked: BTreeSet<_> = src.queries.iter().copied().collect();
+                        prop_assert_eq!(asked.len(), src.queries.len(), "a user asked twice, {}", at);
+                        let wanted: BTreeSet<_> = flat_src.queries.iter().copied().collect();
+                        prop_assert_eq!(asked, wanted, "swept users, {}", at);
+                        src.queries.clear();
+                        flat_src.queries.clear();
+                    }
+                }
+            }
+        }
+    }
+}
