@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, lints, the full test suite, the simulated-results
-# drift gate, and the bench `--check` gates.
+# drift gate, and the bench gates (`aequus-bench check`).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -48,63 +48,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p aequus-rms -p aequus-sim -p aequus-workload -p aequus-stats \
   -p aequus-store -p aequus-bench
 
-# Telemetry overhead smoke check: the instrumented dispatch hot path must
-# stay within 5% of its baseline in all three modes — metrics-only vs
-# disabled, and tracing+provenance enabled-but-unsampled / full-capture vs
-# metrics-only.
-cargo run -q --release -p aequus-bench --bin telemetry_overhead -- --check
+# The bench gates, one process: telemetry and profiler overhead, the
+# gossip, health, backfill, recovery and scale sweeps, and the benchmark
+# snapshot (written as the named BENCH_ file, with its PROFILE_ sidecar,
+# and compared with the previous one) plus its regression differ. What
+# each gate holds is written next to its entry in `CHECK_PLAN`
+# (crates/bench/src/exp/mod.rs); the run ends with one table of every
+# gate and exits non-zero if any failed.
+cargo run -q --release -p aequus-bench -- check BENCH_PR15.json
 
-# Continuous-profiler overhead gate: a profiled whole-simulation must stay
-# within 5% of the telemetry-only baseline in Counters mode (zero clock
-# reads) and 10% in Full mode (wall timers + bounded span ring).
-cargo run -q --release -p aequus-bench --bin profiler_overhead -- --check
-
-# Scale-out gossip gate (smoke-sized): every overlay topology and wire
-# encoding must end with views within 1e-9 of the full-mesh baseline's,
-# every point must converge inside the horizon, and the Delta codec must
-# cut full-mesh bytes-on-wire by the shape's gated factor (the 3x headline
-# gate runs at the full 100k-user x 32-site shape via `gossip_sweep`).
-cargo run -q --release -p aequus-bench --bin gossip_sweep -- --check
-
-# Fairness-health gate: the fault-free chaos grid must fire zero alerts,
-# the 30%-drop + outage run must fire a staleness alert and resolve it
-# after recovery, the health report and alert stream must be
-# byte-identical across worker counts, and the SLO engine + health map
-# must cost <= 5% sim wall time on a production-density run.
-cargo run -q --release -p aequus-bench --bin aequus-health -- --check
-
-# Backfill dispatch gate (smoke-sized): every dispatch order x projection
-# cell must drain the bursty mixed-width trace with finite fairness error,
-# EASY/SAF utilization must not fall below FIFO's, FIFO and EASY must be
-# bit-identical on the single-core baseline, the learned predictors must
-# beat request echo on mean |rel err| with the prediction-accuracy
-# telemetry counter live, and the scheduler hot path must hold its budget
-# (sub-us next_within at 10k-deep queues, plan-scan growth well under
-# O(n^2), and a saturated scheduling cycle that costs at most 3x more with
-# 10,000 jobs queued than with 1,000).
-cargo run -q --release -p aequus-bench --bin backfill_sweep -- --check
-
-# Benchmark snapshot + regression gate: writes BENCH_PR10.json (and its
-# PROFILE_PR10.json attribution sidecar) and compares against the most
-# recent previous BENCH_*.json within tolerance (passes with a note when
-# none exists yet). Thread-scaling keys skip on hosts with < 8 cores.
-cargo run -q --release -p aequus-bench --bin bench_snapshot -- 1500 --check
-
-# Regression differ: the attribution selftest injects a stall at the epoch
-# barrier and must see it blamed on barrier.wait, then the real diff
-# re-compares the two newest snapshots and names the profiled stage whose
-# wall share grew most whenever a wall-clock key regresses.
-cargo run -q --release -p aequus-bench --bin bench_diff -- --selftest
-cargo run -q --release -p aequus-bench --bin bench_diff
-
-# Crash-recovery gate: WAL replay must reconverge the crashed site's views
-# strictly earlier than surcharged snapshot-only catch-up on every seed.
-cargo run -q --release -p aequus-bench --bin recovery_sweep
-
-# Sharded-engine gate (smoke-sized): every worker count must replay the
-# serial run seed-for-seed, and the continuous profiler's folded stacks
-# must be byte-identical across worker counts; on hosts with >= 8 cores
-# the 4x wall-clock speedup target is enforced too (reported but skipped
-# on smaller hosts — determinism is hardware-independent, speedup is not).
-# Artifacts: SCALE_TRACE.json (Chrome trace) + SCALE_PROFILE.folded.
-cargo run -q --release -p aequus-bench --bin scale_sweep -- --check
+# The experiment binaries became `aequus-bench <experiment>`: no tracked doc
+# or script may still name one of them as a `--bin`.
+if git grep -n -e '--bin' -- '*.md' '*.sh' ':!ISSUE.md' ':!CHANGES.md' ':!ci.sh'; then
+  echo "a tracked .md/.sh file still names a deleted bench binary" >&2
+  exit 1
+fi

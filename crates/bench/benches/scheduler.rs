@@ -2,48 +2,10 @@
 //! EASY backfill over large pending queues (the state the 95%-load tests
 //! put the schedulers in).
 
+use aequus_bench::backfill::loaded_scheduler;
 use aequus_bench::harness::{BatchSize, BenchmarkId, Criterion};
-use aequus_core::fairshare::FairshareConfig;
-use aequus_core::ids::{JobId, SiteId};
-use aequus_core::policy::flat_policy;
-use aequus_core::projection::ProjectionKind;
-use aequus_core::{GridUser, SystemUser};
-use aequus_rms::{
-    FactorConfig, Job, LocalFairshare, NodePool, PriorityWeights, ReprioritizePolicy, SchedulerCore,
-};
+use aequus_telemetry::Telemetry;
 use std::hint::black_box;
-
-fn source() -> LocalFairshare {
-    let mut lf = LocalFairshare::new(
-        flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap(),
-        FairshareConfig::default(),
-        ProjectionKind::Percental,
-        60.0,
-    );
-    lf.map_identity(SystemUser::new("sa"), GridUser::new("a"));
-    lf.map_identity(SystemUser::new("sb"), GridUser::new("b"));
-    lf
-}
-
-fn loaded_scheduler(queue: usize) -> (SchedulerCore, LocalFairshare) {
-    let mut sched = SchedulerCore::new(
-        SiteId(0),
-        NodePool::new(40, 1),
-        PriorityWeights::fairshare_only(),
-        FactorConfig::default(),
-        ReprioritizePolicy::Interval(30.0),
-    );
-    let mut src = source();
-    for i in 0..queue as u64 {
-        let sys = if i % 2 == 0 { "sa" } else { "sb" };
-        sched.submit(
-            Job::new(JobId(i), SystemUser::new(sys), 1, 0.0, 500.0),
-            &mut src,
-            0.0,
-        );
-    }
-    (sched, src)
-}
 
 fn bench_advance(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler_advance");
@@ -54,7 +16,7 @@ fn bench_advance(c: &mut Criterion) {
             &queue,
             |b, &queue| {
                 b.iter_batched(
-                    || loaded_scheduler(queue),
+                    || loaded_scheduler(&Telemetry::disabled(), queue),
                     |(mut sched, mut src)| {
                         sched.advance(black_box(&mut src), 1.0);
                         sched

@@ -26,19 +26,23 @@
 //! (`next_within` sub-µs, plan scan ~O(n log n) at 10k-deep queues, a
 //! saturated scheduling cycle that does not grow with the queue).
 
+use crate::cli::Shape;
 use crate::experiments::{BALANCE_DWELL_S, BALANCE_EPS};
-use crate::sweep::parallel_sweep;
+use crate::sweep::{parallel_sweep, ScenarioBuilder};
+use aequus_core::fairshare::FairshareConfig;
 use aequus_core::ids::{JobId, SiteId};
+use aequus_core::policy::flat_policy;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, SystemUser, UserId};
 use aequus_rms::{
-    DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, MispredictPolicy, NodePool,
-    PredictorKind, PriorityWeights, QueueWalk, QueuedJob, ReprioritizePolicy, RunningSlice,
-    SchedulerCore, SliceWalk,
+    DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, LocalFairshare,
+    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
+    ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
 };
 use aequus_sim::{GridScenario, GridSimulation, SimResult};
 use aequus_telemetry::slo::StarvationClock;
+use aequus_telemetry::Telemetry;
 use aequus_workload::users::baseline_policy_shares;
 use aequus_workload::{Trace, TraceJob};
 use std::time::Instant;
@@ -47,58 +51,19 @@ use std::time::Instant;
 /// fraction of the policy target (the PR-9 health map's half-share line).
 pub const STARVATION_FRAC: f64 = 0.5;
 
-/// Shape of the bursty mixed-width workload and the fleet it runs on.
-#[derive(Debug, Clone, Copy)]
-pub struct BackfillConfig {
-    /// Jobs in the trace.
-    pub jobs: usize,
-    /// Clusters in the fleet.
-    pub sites: usize,
-    /// Nodes per cluster.
-    pub nodes_per_site: u32,
-    /// Cores per node (cores pool per cluster, so the widest job spans
-    /// half a cluster).
-    pub cores_per_node: u32,
-    /// Post-submission drain horizon, seconds.
-    pub drain_s: f64,
-    /// Trace/scenario seed.
-    pub seed: u64,
-}
+/// Cores per node of the backfill fleet. Cores pool per cluster, so the
+/// widest job of the bursty trace spans half a cluster.
+pub const CORES_PER_NODE: u32 = 8;
 
-impl BackfillConfig {
-    /// The full sweep: 3 clusters × 32 cores, 6,000 jobs.
-    pub fn full() -> Self {
-        Self {
-            jobs: 6_000,
-            sites: 3,
-            nodes_per_site: 4,
-            cores_per_node: 8,
-            drain_s: 7_200.0,
-            seed: 42,
-        }
-    }
+/// Post-submission drain horizon of every backfill run, seconds.
+const DRAIN_S: f64 = 7_200.0;
 
-    /// CI smoke shape: 2 clusters × 16 cores, 1,200 jobs.
-    pub fn smoke() -> Self {
-        Self {
-            jobs: 1_200,
-            sites: 2,
-            nodes_per_site: 2,
-            cores_per_node: 8,
-            drain_s: 7_200.0,
-            seed: 42,
-        }
-    }
+/// Trace and scenario seed of every backfill run.
+const SEED: u64 = 42;
 
-    /// Total cores across the fleet.
-    pub fn total_cores(&self) -> u32 {
-        (self.sites as u32) * self.nodes_per_site * self.cores_per_node
-    }
-
-    /// Cores of one cluster — the widest job is half of this.
-    pub fn site_cores(&self) -> u32 {
-        self.nodes_per_site * self.cores_per_node
-    }
+/// Cores of one cluster of `shape`'s fleet.
+pub fn site_cores(shape: &Shape) -> u32 {
+    shape.nodes_per_site * CORES_PER_NODE
 }
 
 /// xorshift64* — deterministic trace jitter without pulling an RNG stack
@@ -135,8 +100,8 @@ const TARGET_LOAD: f64 = 0.85;
 /// ±20% duration jitter. Burst spacing is derived from the width/duration
 /// pattern so the offered load lands at `TARGET_LOAD` of fleet capacity
 /// for any config shape.
-pub fn bursty_mixed_trace(cfg: &BackfillConfig) -> Trace {
-    let wide = cfg.site_cores() / 2;
+pub fn bursty_mixed_trace(shape: &Shape) -> Trace {
+    let wide = site_cores(shape) / 2;
     // Mostly narrow jobs with regular wide head-blockers; widths stay
     // powers of two so the predictor's width classes stay distinct.
     let widths: [u32; 8] = [wide, 1, 2, wide / 2, 1, 4, 2, 1];
@@ -147,13 +112,13 @@ pub fn bursty_mixed_trace(cfg: &BackfillConfig) -> Trace {
         .map(|(w, d)| *w as f64 * d)
         .sum::<f64>()
         / widths.len() as f64;
-    let per_job_s = mean_work / (TARGET_LOAD * cfg.total_cores() as f64);
+    let per_job_s = mean_work / (TARGET_LOAD * (shape.sites as u32 * site_cores(shape)) as f64);
     let burst_gap_s = per_job_s * BURST_LEN as f64;
     let users = aequus_workload::users::baseline_policy_shares();
-    let mut rng = Rng(cfg.seed | 1);
-    let mut jobs = Vec::with_capacity(cfg.jobs);
+    let mut rng = Rng(SEED | 1);
+    let mut jobs = Vec::with_capacity(shape.jobs);
     let mut burst_start = 0.0;
-    while jobs.len() < cfg.jobs {
+    while jobs.len() < shape.jobs {
         // Weighted burst owner: bursty per-user trains, long-run mix near
         // the policy shares so the fairshare engine has something to
         // converge toward.
@@ -166,7 +131,7 @@ pub fn bursty_mixed_trace(cfg: &BackfillConfig) -> Trace {
             }
             pick -= share;
         }
-        for i in 0..BURST_LEN.min(cfg.jobs - jobs.len()) {
+        for i in 0..BURST_LEN.min(shape.jobs - jobs.len()) {
             // One stray job per burst from a second user keeps every
             // user's usage series alive between their own bursts.
             let user = if i == BURST_LEN / 2 {
@@ -188,20 +153,13 @@ pub fn bursty_mixed_trace(cfg: &BackfillConfig) -> Trace {
 }
 
 /// The fleet scenario for one matrix cell.
-fn matrix_scenario(
-    cfg: &BackfillConfig,
-    order: DispatchOrder,
-    proj: ProjectionKind,
-) -> GridScenario {
-    let mut sc = GridScenario::national_testbed(&baseline_policy_shares(), cfg.seed);
-    let template = sc.clusters.last().cloned().expect("non-empty fleet");
-    sc.clusters.truncate(cfg.sites);
-    while sc.clusters.len() < cfg.sites {
-        sc.clusters.push(template.clone());
-    }
+fn matrix_scenario(shape: &Shape, order: DispatchOrder, proj: ProjectionKind) -> GridScenario {
+    let mut sc = ScenarioBuilder::testbed(&baseline_policy_shares(), SEED)
+        .sites(shape.sites)
+        .nodes_per_site(shape.nodes_per_site)
+        .build();
     for c in &mut sc.clusters {
-        c.nodes = cfg.nodes_per_site;
-        c.cores_per_node = cfg.cores_per_node;
+        c.cores_per_node = CORES_PER_NODE;
     }
     sc.projection = proj;
     sc.with_dispatch(DispatchConfig {
@@ -266,14 +224,14 @@ fn mean_slowdown(result: &SimResult) -> f64 {
 
 /// Run one matrix cell.
 fn run_cell(
-    cfg: &BackfillConfig,
+    shape: &Shape,
     trace: &Trace,
     order: DispatchOrder,
     proj: ProjectionKind,
 ) -> MatrixCell {
-    let sc = matrix_scenario(cfg, order, proj);
+    let sc = matrix_scenario(shape, order, proj);
     let targets = sc.tracked_users();
-    let result = GridSimulation::new(sc).run(trace, cfg.drain_s);
+    let result = GridSimulation::new(sc).run(trace, DRAIN_S);
     MatrixCell {
         order,
         projection: proj,
@@ -292,13 +250,15 @@ fn run_cell(
 /// Run the full dispatch × projection matrix on the bursty mixed-width
 /// trace: [`DispatchOrder::ALL`] × [`ProjectionKind::ALL`], one thread per
 /// cell, rows in `(order, projection)` order.
-pub fn run_matrix(cfg: &BackfillConfig) -> Vec<MatrixCell> {
-    let trace = bursty_mixed_trace(cfg);
+pub fn run_matrix(shape: &Shape) -> Vec<MatrixCell> {
+    let trace = bursty_mixed_trace(shape);
     let params: Vec<(DispatchOrder, ProjectionKind)> = DispatchOrder::ALL
         .into_iter()
         .flat_map(|o| ProjectionKind::ALL.into_iter().map(move |p| (o, p)))
         .collect();
-    parallel_sweep(&params, |&(order, proj)| run_cell(cfg, &trace, order, proj))
+    parallel_sweep(&params, |&(order, proj)| {
+        run_cell(shape, &trace, order, proj)
+    })
 }
 
 /// FIFO vs EASY on the paper's single-core baseline trace — with 1-core
@@ -383,20 +343,20 @@ pub struct PredictionReport {
 }
 
 /// Run the predictor comparison (see [`PredictionReport`]).
-pub fn run_prediction_comparison(cfg: &BackfillConfig) -> PredictionReport {
-    let trace = bursty_mixed_trace(cfg);
+pub fn run_prediction_comparison(shape: &Shape) -> PredictionReport {
+    let trace = bursty_mixed_trace(shape);
     let run = |predictor: PredictorKind,
                mispredict: MispredictPolicy,
                request_factor: f64,
                telemetry: bool| {
-        let mut sc = matrix_scenario(cfg, DispatchOrder::Easy, ProjectionKind::Percental)
+        let mut sc = matrix_scenario(shape, DispatchOrder::Easy, ProjectionKind::Percental)
             .with_request_factor(request_factor);
         sc.dispatch.predictor = predictor;
         sc.dispatch.mispredict = mispredict;
         if telemetry {
             sc = sc.with_telemetry();
         }
-        GridSimulation::new(sc).run(&trace, cfg.drain_s)
+        GridSimulation::new(sc).run(&trace, DRAIN_S)
     };
     let runs = parallel_sweep(
         &[
@@ -492,6 +452,45 @@ impl HotPathReport {
     pub fn cycle_growth(&self) -> f64 {
         self.cycle_10k_us / self.cycle_1k_us.max(1e-3)
     }
+}
+
+/// A 40-core scheduler with `queue` single-core jobs submitted at `now_s`,
+/// alternating between the system users `sa` and `sb` as `src` maps them —
+/// the state the 95%-load tests put the schedulers in.
+pub fn loaded_queue(
+    telemetry: &Telemetry,
+    src: &mut dyn FairshareSource,
+    queue: usize,
+    first_job: u64,
+    now_s: f64,
+) -> SchedulerCore {
+    let mut sched = SchedulerCore::new(
+        SiteId(0),
+        NodePool::new(40, 1),
+        PriorityWeights::fairshare_only(),
+        FactorConfig::default(),
+        ReprioritizePolicy::Interval(30.0),
+    );
+    sched.set_telemetry(telemetry);
+    for i in 0..queue as u64 {
+        let sys = if i % 2 == 0 { "sa" } else { "sb" };
+        let job = Job::new(JobId(first_job + i), SystemUser::new(sys), 1, now_s, 500.0);
+        sched.submit(job, src, now_s);
+    }
+    sched
+}
+
+/// [`loaded_queue`] over a two-user local fairshare source.
+pub fn loaded_scheduler(telemetry: &Telemetry, queue: usize) -> (SchedulerCore, LocalFairshare) {
+    let mut src = LocalFairshare::new(
+        flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap(),
+        FairshareConfig::default(),
+        ProjectionKind::Percental,
+        60.0,
+    );
+    src.map_identity(SystemUser::new("sa"), GridUser::new("a"));
+    src.map_identity(SystemUser::new("sb"), GridUser::new("b"));
+    (loaded_queue(telemetry, &mut src, queue, 0, 0.0), src)
 }
 
 /// A blocked-head queue: the pivot wants more cores than are free, the
@@ -635,12 +634,12 @@ mod tests {
 
     #[test]
     fn bursty_trace_is_deterministic_and_mixed_width() {
-        let cfg = BackfillConfig::smoke();
-        let a = bursty_mixed_trace(&cfg);
-        let b = bursty_mixed_trace(&cfg);
-        assert_eq!(a.len(), cfg.jobs);
+        let shape = Shape::BACKFILL_SMOKE;
+        let a = bursty_mixed_trace(&shape);
+        let b = bursty_mixed_trace(&shape);
+        assert_eq!(a.len(), shape.jobs);
         assert_eq!(a.jobs(), b.jobs(), "same seed, same trace");
-        let wide = cfg.site_cores() / 2;
+        let wide = site_cores(&shape) / 2;
         assert!(
             a.jobs().iter().any(|j| j.cores == wide),
             "has head-blockers"
@@ -658,17 +657,19 @@ mod tests {
 
     #[test]
     fn matrix_cell_runs_end_to_end() {
-        let cfg = BackfillConfig {
+        let shape = Shape {
             jobs: 120,
-            sites: 2,
-            nodes_per_site: 2,
-            cores_per_node: 4,
-            drain_s: 7_200.0,
-            seed: 7,
+            nodes_per_site: 1,
+            ..Shape::BACKFILL_SMOKE
         };
-        let trace = bursty_mixed_trace(&cfg);
-        let cell = run_cell(&cfg, &trace, DispatchOrder::Easy, ProjectionKind::Percental);
-        assert_eq!(cell.completed as usize, cfg.jobs, "drain completes all");
+        let trace = bursty_mixed_trace(&shape);
+        let cell = run_cell(
+            &shape,
+            &trace,
+            DispatchOrder::Easy,
+            ProjectionKind::Percental,
+        );
+        assert_eq!(cell.completed as usize, shape.jobs, "drain completes all");
         assert!(cell.utilization > 0.0 && cell.utilization <= 1.0);
         assert!(cell.mean_slowdown >= 1.0, "slowdown is ≥ 1 by definition");
     }

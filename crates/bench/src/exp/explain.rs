@@ -1,35 +1,41 @@
-//! Explain a decision: replay a fully-traced scenario and print, for one
-//! (user, site), the end-to-end causal span tree of the pipeline that
-//! produced the served priority plus the human-readable decision provenance
-//! — every captured component replays the served factor bit-for-bit.
-//!
-//! Usage: `aequus-explain [USER] [SITE] [JOBS]` (defaults: the dominant
-//! model user `U65`, site `0`, a 4,000-job compressed trace).
+//! `explain` — why was this priority served.
 
+use crate::cli::{Args, Gates};
 use aequus_core::Explanation;
 use aequus_rms::{explain_combined, PriorityWeights};
 use aequus_telemetry::{SpanRecord, SpanTree};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let user = args.first().cloned().unwrap_or_else(|| "U65".to_string());
-    let site: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(0);
-    let jobs: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(4_000);
+/// Explain a decision: replay a fully-traced scenario and print, for one
+/// (user, site), the end-to-end causal span tree of the pipeline that
+/// produced the served priority plus the human-readable decision provenance
+/// — every captured component replays the served factor bit-for-bit.
+///
+/// Defaults: the dominant model user `U65`, site `0`, a 4,000-job
+/// compressed trace.
+pub(super) fn explain(args: &Args, gates: &mut Gates) {
+    let user = args.text(0).unwrap_or("U65");
+    let site = args.num(1).unwrap_or(0);
+    let jobs = args.num(2).unwrap_or(4_000);
 
-    let result = aequus_bench::run_traced(jobs, 42);
-    let Some(recs) = result.site_provenance.get(site) else {
-        eprintln!(
+    let result = crate::run_traced(jobs, 42);
+    let found = match result.site_provenance.get(site) {
+        None => Err(format!(
             "site {site} out of range ({} sites)",
             result.site_provenance.len()
-        );
-        std::process::exit(2);
+        )),
+        Some(recs) => recs.iter().rev().find(|r| r.user == user).ok_or_else(|| {
+            let mut seen: Vec<&str> = recs.iter().map(|r| r.user.as_str()).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            format!("captured users: {seen:?}")
+        }),
     };
-    let Some(rec) = recs.iter().rev().find(|r| r.user == user) else {
-        let mut seen: Vec<&str> = recs.iter().map(|r| r.user.as_str()).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        eprintln!("no traced decision for user {user} at site {site}; captured users: {seen:?}");
-        std::process::exit(2);
+    let rec = match found {
+        Ok(rec) => rec,
+        Err(why) => {
+            let gate = format!("a traced decision exists for user {user} at site {site}");
+            return gates.check(&gate, false, &why);
+        }
     };
 
     println!(

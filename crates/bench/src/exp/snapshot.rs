@@ -1,43 +1,21 @@
-//! Machine-readable benchmark snapshot: writes `BENCH_PR10.json` with the
-//! headline numbers of this revision (fairshare refresh latency, query p99,
-//! gossip convergence under faults, the wire codec's bytes-per-user and the
-//! overlay convergence time from the gossip sweep, causal-tracing overhead,
-//! crash recovery with/without the durable store, the sharded engine's
-//! smoke-sized scaling numbers, the fairness-health subsystem's
-//! staleness/alert-lag/depth-rollup figures, and the PR-10 backfill
-//! matrix's utilization/slowdown/convergence/predictor-accuracy headline
-//! cells) plus `PROFILE_PR10.json`, the
-//! continuous-profiler run profile that `bench_diff` uses to attribute
-//! wall-clock regressions to a pipeline stage. With `--check` it compares each key against the most
-//! recent previous `BENCH_*.json` in the working directory (shared gate
-//! table: [`aequus_bench::snapshot`]) and exits non-zero on a regression
-//! beyond tolerance. A missing previous snapshot (or a key absent from it)
-//! passes with a note, so the gate bootstraps cleanly.
-//!
-//! The tracing ratios changed definition in PR 7. Previously they divided
-//! the traced run's wall clock by a *no-telemetry* baseline, so they mostly
-//! measured the metrics registry (PR 6 recorded 1.79× / 2.10× against a
-//! ≤5% tracing budget — the two numbers weren't in the same unit). Now both
-//! divide by the **telemetry-only** wall clock, isolating the tracing +
-//! provenance increment the `telemetry_overhead` gate actually budgets.
-//! See `crates/bench/README.md` for the unit definitions.
-//!
-//! Usage: `bench_snapshot [JOBS] [--check]` (default 4,000 jobs).
+//! `snapshot` and `diff`: the cross-revision benchmark record and its
+//! regression gate, over the shared machinery in [`crate::snapshot`].
 
-use aequus_bench::snapshot::{compare, host_cores, previous_snapshot, skip_scaling_keys};
-use aequus_bench::{
-    baseline_trace, jobs_arg, run_gossip_sweep, run_health_chaos, run_matrix,
-    run_prediction_comparison, run_recovery_sweep, run_scale_sweep, run_with_faults,
-    BackfillConfig, GossipConfig, ScaleConfig, ScenarioBuilder,
+use crate::cli::{Args, Gates, Shape};
+use crate::snapshot::{
+    attribute_regression, compare, host_cores, previous_snapshot, sibling_profile, sidecar_json,
+    sidecar_name,
+};
+use crate::{
+    baseline_trace, run_gossip_sweep, run_health_chaos, run_matrix, run_prediction_comparison,
+    run_recovery_sweep, run_scale_sweep, run_with_faults, uniform_trace, ScenarioBuilder,
 };
 use aequus_core::projection::ProjectionKind;
 use aequus_rms::DispatchOrder;
 use aequus_sim::{GridScenario, GridSimulation, SimResult};
+use aequus_telemetry::ProfileMode;
 use aequus_workload::users::baseline_policy_shares;
 use std::time::Instant;
-
-const OUT: &str = "BENCH_PR10.json";
-const PROFILE_OUT: &str = "PROFILE_PR10.json";
 
 /// The compact two-cluster testbed used for the timing ratios, so the
 /// telemetry-only / unsampled / fully-traced runs are strictly comparable.
@@ -86,9 +64,19 @@ fn refresh_and_query_stats(result: &SimResult) -> (f64, f64, f64) {
     (mean, refresh_p99, query_p99)
 }
 
-fn main() {
-    let check = std::env::args().any(|a| a == "--check");
-    let jobs = jobs_arg(4_000);
+/// Machine-readable benchmark snapshot: writes `SNAPSHOT` (by convention
+/// `BENCH_PR<n>.json`) with the headline numbers of this revision — every
+/// key's definition and unit, and the PR 7 redefinition of the tracing
+/// ratios, are in `crates/bench/README.md` — plus its `PROFILE_` sidecar,
+/// the continuous-profiler stage aggregates `diff` attributes wall-clock
+/// regressions with. With `--check` it compares each key against the most
+/// recent other `BENCH_*.json` in the working directory (shared gate table:
+/// [`crate::snapshot`]). A missing previous snapshot (or a key absent from
+/// it) passes with a note, so the gate bootstraps cleanly. JOBS defaults to
+/// 4,000.
+pub(super) fn snapshot(args: &Args, gates: &mut Gates) {
+    let out = args.text(0).expect("the parser requires SNAPSHOT");
+    let jobs = args.num(1).unwrap_or(4_000);
     let seed = 42;
     let cores = host_cores();
 
@@ -135,7 +123,7 @@ fn main() {
     // configuration (full mesh on the Delta codec) and the latest
     // convergence time across the hierarchical overlays — both
     // lower-is-better, both quantized to the 60 s sample cadence.
-    let gossip = run_gossip_sweep(&GossipConfig::smoke());
+    let gossip = run_gossip_sweep(&Shape::GOSSIP_SMOKE);
     let gossip_bytes_per_user = gossip
         .point(
             aequus_services::OverlayTopology::FullMesh,
@@ -143,33 +131,18 @@ fn main() {
         )
         .map_or(-1.0, |p| p.bytes_per_user);
     let overlay_convergence = gossip.worst_convergence_s().unwrap_or(-1.0);
-    if gossip.worst_divergence() > 1e-9 {
-        eprintln!(
-            "FAIL: gossip smoke sweep views diverged from the full mesh by {:.2e}",
-            gossip.worst_divergence()
-        );
-        std::process::exit(1);
-    }
     // Sharded-engine scaling, smoke-sized (the full 100k-user × 32-site
     // sweep is `scale_sweep`'s job): events/second serial and on 8 workers,
     // plus the best wall-clock speedup. Honest numbers — on a single-core
     // host the speedup sits at or below 1×, and the shared gate table
     // skips the thread-scaling keys there entirely (`host_cores` below
     // records which kind of host produced this snapshot).
-    let scale = run_scale_sweep(&ScaleConfig::smoke());
-    if let Some(why) = &scale.mismatch {
-        eprintln!("FAIL: scale smoke run not thread-count deterministic: {why}");
-        std::process::exit(1);
-    }
-    if let Some(why) = scale.folded_mismatch() {
-        eprintln!("FAIL: profiler not thread-count deterministic: {why}");
-        std::process::exit(1);
-    }
+    let scale = run_scale_sweep(&Shape::SCALE_SMOKE, &[1, 8]);
     let scale_eps_1t = scale.events_per_sec(1).unwrap_or(-1.0);
     let scale_eps_8t = scale.events_per_sec(8).unwrap_or(-1.0);
     let scale_speedup = scale.best_speedup();
     // Fairness-health figures from the chaos-calibration grid (the same
-    // runs `aequus-health --check` gates): worst per-link staleness p99 and
+    // runs `health --check` gates): worst per-link staleness p99 and
     // the staleness alert's detection lag on the full mesh, plus the
     // depth-2 convergence-lag rollup on a fanout-2 tree overlay. All three
     // are sim-time-deterministic per revision; −1.0 marks "did not fire /
@@ -202,8 +175,7 @@ fn main() {
     // mixed-width workload, plus the running-average predictor's accuracy
     // under 3×-padded requests. All sim-time-deterministic per revision;
     // convergence uses the −1.0 sentinel when the cell never balances.
-    let backfill_cfg = BackfillConfig::smoke();
-    let matrix = run_matrix(&backfill_cfg);
+    let matrix = run_matrix(&Shape::BACKFILL_SMOKE);
     let backfill_cell = |order: DispatchOrder| {
         matrix
             .iter()
@@ -215,18 +187,18 @@ fn main() {
     let backfill_easy_util = 100.0 * easy.utilization;
     let backfill_easy_slowdown = easy.mean_slowdown;
     let backfill_easy_conv = easy.converge_s.unwrap_or(-1.0);
-    let backfill_predict_err = run_prediction_comparison(&backfill_cfg).avg_err;
+    let backfill_predict_err = run_prediction_comparison(&Shape::BACKFILL_SMOKE).avg_err;
 
     // The serial smoke run's profile is this snapshot's attribution
-    // sidecar: when a later `bench_diff` sees a wall-clock key regress, it
+    // sidecar: when a later `diff` sees a wall-clock key regress, it
     // diffs the two PROFILE files' stage shares to name the culprit.
-    if let Some((_, profile)) = scale.profiles.first() {
-        std::fs::write(PROFILE_OUT, profile.to_json()).expect("write profile sidecar");
-        println!("wrote {PROFILE_OUT}");
+    if let (Some((_, profile)), Some(name)) = (scale.profiles.first(), sidecar_name(out)) {
+        std::fs::write(&name, sidecar_json(profile.clone())).expect("write profile sidecar");
+        println!("wrote {name}");
     }
 
     let json = format!(
-        "{{\n  \"pr\": 10,\n  \"jobs\": {jobs},\n  \"host_cores\": {cores},\n  \
+        "{{\n  \"jobs\": {jobs},\n  \"host_cores\": {cores},\n  \
          \"refresh_mean_s\": {refresh_mean:?},\n  \
          \"refresh_p99_s\": {refresh_p99:?},\n  \"query_p99_s\": {query_p99:?},\n  \
          \"gossip_divergent_s\": {divergent_s:?},\n  \
@@ -248,27 +220,139 @@ fn main() {
          \"backfill_easy_conv_s\": {backfill_easy_conv:?},\n  \
          \"backfill_predict_rel_err\": {backfill_predict_err:?}\n}}\n"
     );
-    std::fs::write(OUT, &json).expect("write benchmark snapshot");
-    println!("wrote {OUT}:");
+    std::fs::write(out, &json).expect("write benchmark snapshot");
+    println!("wrote {out}:");
     print!("{json}");
 
-    if !check {
+    // The smoke sweeps behind the snapshot must themselves be sound, or
+    // its numbers mean nothing.
+    let worst = gossip.worst_divergence();
+    gates.check(
+        "gossip smoke sweep views within 1e-9 of the full mesh",
+        worst <= 1e-9,
+        &format!("worst {worst:.2e}"),
+    );
+    gates.check(
+        "scale smoke run thread-count deterministic",
+        scale.mismatch.is_none(),
+        scale.mismatch.as_deref().unwrap_or(""),
+    );
+    let folded_mismatch = scale.folded_mismatch();
+    gates.check(
+        "profiler thread-count deterministic",
+        folded_mismatch.is_none(),
+        folded_mismatch.as_deref().unwrap_or(""),
+    );
+
+    if !args.check {
         return;
     }
-    let Some((prev_name, prev)) = previous_snapshot(OUT) else {
+    let Some((prev_name, prev)) = previous_snapshot(out) else {
         println!("OK: no previous BENCH_*.json to compare against; gate passes");
         return;
     };
     println!("comparing against {prev_name}");
-    let failures = compare(&prev, &json, skip_scaling_keys(&prev, &json));
-    for f in &failures {
-        eprintln!(
-            "  FAIL {}: {:?} -> {:?} exceeds tolerance x{}",
-            f.key, f.prev, f.cur, f.tol
-        );
+    if compare(&prev, &json, gates) == 0 {
+        println!("OK: within tolerance of {prev_name}");
     }
-    if !failures.is_empty() {
-        std::process::exit(1);
+}
+
+/// The two newest `BENCH_*.json` files by modification time:
+/// `(previous, current)` as `(name, contents)` pairs.
+fn newest_pair() -> Option<[(String, String); 2]> {
+    let current = previous_snapshot("")?;
+    let previous = previous_snapshot(&current.0)?;
+    Some([previous, current])
+}
+
+/// The selftest scenario: the chaos suite's compressed 3-site grid, serial,
+/// fully profiled. Serial keeps the injected stall's accounting exact (the
+/// sleep is charged to every shard's `barrier.wait` directly) and makes the
+/// run reproducible on any host.
+fn selftest_profile(stall_ns: u64) -> aequus_telemetry::RunProfile {
+    let scenario = ScenarioBuilder::testbed(&baseline_policy_shares(), 42)
+        .sites(3)
+        .nodes_per_site(4)
+        .compressed()
+        .profiling(ProfileMode::Full)
+        .build()
+        .with_debug_barrier_sleep(stall_ns);
+    let trace = uniform_trace(48, 15.0, 40.0);
+    GridSimulation::new(scenario)
+        .run(&trace, 1800.0)
+        .profile
+        .expect("profiled run carries a profile")
+}
+
+fn selftest(gates: &mut Gates) {
+    println!("# bench_diff selftest: inject a barrier stall, expect it named");
+    let clean = selftest_profile(0);
+    // 200 µs per epoch — small against the run, huge against the compute
+    // share of a smoke-sized serial simulation.
+    let stalled = selftest_profile(200_000);
+    let attributed = attribute_regression(&clean, &stalled);
+    gates.check(
+        "an injected barrier stall is attributed to barrier.wait",
+        matches!(&attributed, Some((stage, _)) if stage == "barrier.wait"),
+        &attributed.map_or("no wall time to attribute".to_string(), |(stage, delta)| {
+            format!("{stage} +{:.1} pp of wall share", delta * 100.0)
+        }),
+    );
+}
+
+/// Benchmark regression differ: compares two `BENCH_*.json` snapshots —
+/// the two newest in the working directory, or an explicit `PREV CUR` pair
+/// — with the shared direction-aware gate table ([`crate::snapshot`]) and,
+/// when a wall-clock key regressed, attributes the regression to the
+/// profiled pipeline stage whose share of total wall time grew most between
+/// the snapshots' `PROFILE_*.json` sidecars. Fewer than two snapshots
+/// passes with a note, so the gate bootstraps cleanly.
+///
+/// `--selftest` runs the attribution machinery end to end instead: the same
+/// serial scenario is profiled twice, the second run with a deliberate
+/// stall injected at the epoch barrier
+/// (`GridScenario::with_debug_barrier_sleep`), and the differ must blame
+/// `barrier.wait` — the CI proof that a real scheduling stall would be
+/// named, not just noticed.
+pub(super) fn diff(args: &Args, gates: &mut Gates) {
+    if args.selftest {
+        selftest(gates);
+        return;
     }
-    println!("OK: within tolerance of {prev_name}");
+    let [(prev_name, prev), (cur_name, cur)] =
+        if let (Some(p), Some(c)) = (args.text(0), args.text(1)) {
+            let read = |name: &str| {
+                let body = std::fs::read_to_string(name)
+                    .unwrap_or_else(|e| panic!("read snapshot {name}: {e}"));
+                (name.to_string(), body)
+            };
+            [read(p), read(c)]
+        } else {
+            match newest_pair() {
+                Some(pair) => pair,
+                None => {
+                    println!("OK: fewer than two BENCH_*.json snapshots; nothing to diff");
+                    return;
+                }
+            }
+        };
+    println!("diffing {prev_name} -> {cur_name}");
+    if compare(&prev, &cur, gates) == 0 {
+        println!("OK: {cur_name} within tolerance of {prev_name}");
+        return;
+    }
+    // Name the culprit when both snapshots carry a profile sidecar: the
+    // stage whose share of total wall time grew most is where the
+    // regression lives (an injected barrier stall shows as `barrier.wait`,
+    // a slow merge as `gossip.merge`, and so on).
+    match (sibling_profile(&prev_name), sibling_profile(&cur_name)) {
+        (Some(before), Some(after)) => match attribute_regression(&before, &after) {
+            Some((stage, delta)) => eprintln!(
+                "  likely culprit: {stage} (+{:.1} pp of wall share)",
+                delta * 100.0
+            ),
+            None => eprintln!("  no wall time in the profiles to attribute"),
+        },
+        _ => eprintln!("  (no PROFILE_*.json sidecars on both sides; cannot attribute)"),
+    }
 }

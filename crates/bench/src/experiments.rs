@@ -1,6 +1,7 @@
 //! Shared experiment runners: standard scenarios, traces, and derived
-//! measurements used by the per-figure binaries and the integration tests.
+//! measurements used by the registry's experiments and the integration tests.
 
+use crate::cli::Shape;
 use crate::sweep::{
     cycle_trace, parallel_sweep, synthetic_users, uniform_trace, ScenarioBuilder, SWEEP_USERS,
 };
@@ -169,19 +170,12 @@ pub fn run_bursty_on(jobs: usize, seed: u64, threads: usize) -> SimResult {
     GridSimulation::new(scenario).run(&trace, 1800.0)
 }
 
-/// Run the chaos-calibration grid with health monitoring on: `sites`
-/// clusters of 4 nodes under 30% gossip drops plus a 300 s outage of
-/// site 1, the fault plan that `aequus-health --check` gates on. The fast
-/// cadences (30 s publishes, 15 s ack timeouts, 60 s usage slots) make the
-/// outage span several missed delivery opportunities, so the staleness SLO
-/// fires and resolves within the run. `overlay` selects the gossip
-/// topology (default full mesh) — hierarchical overlays populate the
-/// health report's per-depth convergence-lag rollup.
-pub fn run_health_chaos(
-    seed: u64,
-    sites: usize,
-    overlay: Option<aequus_services::OverlayTopology>,
-) -> SimResult {
+/// The chaos-calibration grid (see `tests/chaos.rs`): `sites` clusters of
+/// 4 nodes on fast cadences (30 s publishes, 15 s ack timeouts, 60 s usage
+/// slots) so faults land between publishes, and small retention so outages
+/// overflow into resync/snapshot traffic. No faults, no health monitoring:
+/// the `health` experiment adds those per gate.
+pub fn health_chaos_scenario(seed: u64, sites: usize) -> GridScenario {
     let mut sc = GridScenario::national_testbed(&baseline_policy_shares(), seed);
     sc.clusters.truncate(sites.max(2));
     for c in &mut sc.clusters {
@@ -202,30 +196,44 @@ pub fn run_health_chaos(
         history_cap: 8,
         outbox_cap: 8,
     };
-    if let Some(topology) = overlay {
-        sc.overlay = topology;
-    }
-    sc.faults = aequus_sim::FaultPlan {
+    sc
+}
+
+/// When the chaos fault plan partitions site 1.
+pub const HEALTH_OUTAGE_S: (f64, f64) = (300.0, 600.0);
+
+/// The fault plan `health --check` gates on: 30% gossip drops plus a 300 s
+/// outage of site 1 while jobs are still submitting. With the chaos grid's
+/// cadences the outage spans several missed delivery opportunities, so the
+/// staleness SLO fires and resolves within the run.
+pub fn health_chaos_faults() -> aequus_sim::FaultPlan {
+    aequus_sim::FaultPlan {
         drop_probability: 0.30,
         outages: vec![aequus_sim::Outage {
             cluster: 1,
-            from_s: 300.0,
-            to_s: 600.0,
+            from_s: HEALTH_OUTAGE_S.0,
+            to_s: HEALTH_OUTAGE_S.1,
         }],
         crashes: vec![],
-    };
+    }
+}
+
+/// Run the chaos-calibration grid under [`health_chaos_faults`] with health
+/// monitoring on and the 48-job alert-calibration trace. `overlay` selects
+/// the gossip topology (default full mesh) — hierarchical overlays populate
+/// the health report's per-depth convergence-lag rollup.
+pub fn run_health_chaos(
+    seed: u64,
+    sites: usize,
+    overlay: Option<aequus_services::OverlayTopology>,
+) -> SimResult {
+    let mut sc = health_chaos_scenario(seed, sites);
+    if let Some(topology) = overlay {
+        sc.overlay = topology;
+    }
+    sc.faults = health_chaos_faults();
     let sc = sc.with_health(aequus_telemetry::SloConfig::default());
-    let trace = Trace::new(
-        (0..48)
-            .map(|i| aequus_workload::TraceJob {
-                user: ["U65", "U30", "U3", "Uoth"][i % 4].to_string(),
-                submit_s: i as f64 * 15.0,
-                duration_s: 40.0,
-                cores: 1,
-            })
-            .collect(),
-    );
-    GridSimulation::new(sc).run(&trace, 1800.0)
+    GridSimulation::new(sc).run(&uniform_trace(48, 15.0, 40.0), 1800.0)
 }
 
 /// Run a baseline with injected faults: gossip drops and one site outage.
@@ -236,6 +244,15 @@ pub fn run_with_faults(jobs: usize, drop_probability: f64, seed: u64) -> SimResu
         .build();
     let trace = baseline_trace(jobs, seed);
     GridSimulation::new(scenario).run(&trace, 1800.0)
+}
+
+/// The highest priority `user` reached over the run (−∞ if never sampled).
+pub fn peak_priority(result: &SimResult, user: &str) -> f64 {
+    let series = result.metrics.priority_series(user);
+    series
+        .iter()
+        .map(|(_, p)| *p)
+        .fold(f64::NEG_INFINITY, f64::max)
 }
 
 /// Utilization over the steady window (trimming ramp-up and drain): mean of
@@ -415,64 +432,6 @@ pub fn run_recovery_sweep(jobs: usize, seeds: &[u64]) -> Vec<RecoveryPoint> {
     })
 }
 
-/// Configuration of the engine-scaling benchmark: how big the grid is and
-/// which worker counts to time against the serial run.
-#[derive(Debug, Clone)]
-pub struct ScaleConfig {
-    /// Policy leaves (synthetic equal-share users; the trace cycles through
-    /// them, and the per-sample readout is capped so sampling stays O(1)).
-    pub users: usize,
-    /// Sites in the fleet.
-    pub sites: usize,
-    /// Hosts per site.
-    pub nodes_per_site: u32,
-    /// Jobs submitted over the one-hour horizon.
-    pub jobs: usize,
-    /// Worker counts to measure; must start with 1 (the speedup baseline).
-    pub threads: Vec<usize>,
-    /// Scenario seed.
-    pub seed: u64,
-    /// Continuous-profiler mode for every timed run. `Full` by default: the
-    /// sweep's headline number is the *speedup ratio*, which the profiler's
-    /// bounded overhead cancels out of, and in exchange every point carries
-    /// a Chrome trace and a folded profile whose cross-thread-count
-    /// byte-equality the `--check` gate asserts.
-    pub profile: ProfileMode,
-}
-
-impl ScaleConfig {
-    /// The ROADMAP's first waypoint: 100k users over 32 sites (1024 cores),
-    /// sized so the offered load saturates the grid without unbounded
-    /// queues. This is the configuration the ≥4×-on-8-cores target is
-    /// stated against.
-    pub fn full() -> Self {
-        Self {
-            users: 100_000,
-            sites: 32,
-            nodes_per_site: 32,
-            jobs: 28_000,
-            threads: vec![1, 2, 4, 8],
-            seed: 42,
-            profile: ProfileMode::Full,
-        }
-    }
-
-    /// CI-sized smoke shape: small enough to run inside the gate on any
-    /// machine, big enough that the epoch barriers and cross-shard mail
-    /// paths are genuinely exercised.
-    pub fn smoke() -> Self {
-        Self {
-            users: 2_000,
-            sites: 8,
-            nodes_per_site: 8,
-            jobs: 1_200,
-            threads: vec![1, 8],
-            seed: 42,
-            profile: ProfileMode::Full,
-        }
-    }
-}
-
 /// One timed point of the scaling sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalePoint {
@@ -596,34 +555,40 @@ fn scale_mismatch(serial: &SimResult, parallel: &SimResult, threads: usize) -> O
     None
 }
 
-/// Time the same large scenario at each requested worker count and verify
-/// every multi-thread run is seed-for-seed identical to the serial one.
-/// The measured speedup is honest wall clock — on a single-core host it
-/// hovers around (or below) 1×, which is exactly what the parallelism-aware
-/// CI gate expects.
-pub fn run_scale_sweep(cfg: &ScaleConfig) -> ScaleSweep {
-    let users = synthetic_users(cfg.users);
+/// Time the same large scenario (seed 42, over a one-hour horizon) at each
+/// worker count of `threads` — which must start with 1, the speedup
+/// baseline — and verify every multi-thread run is seed-for-seed identical
+/// to the serial one. The measured speedup is honest wall clock — on a
+/// single-core host it hovers around (or below) 1×, which is exactly what
+/// the parallelism-aware CI gate expects.
+///
+/// Every run is fully profiled: the sweep's headline number is the
+/// *speedup ratio*, which the profiler's bounded overhead cancels out of,
+/// and in exchange every point carries a Chrome trace and a folded profile
+/// whose cross-thread-count byte-equality the `--check` gate asserts.
+pub fn run_scale_sweep(shape: &Shape, threads: &[usize]) -> ScaleSweep {
+    let users = synthetic_users(shape.users);
     let horizon_s = 3600.0;
     let trace = cycle_trace(
         &users,
-        cfg.jobs,
-        |i| i as f64 * horizon_s / cfg.jobs.max(1) as f64,
+        shape.jobs,
+        |i| i as f64 * horizon_s / shape.jobs.max(1) as f64,
         |_| 120.0,
     );
     let scenario = |threads: usize| {
-        ScenarioBuilder::equal_share_users(cfg.users, cfg.seed)
-            .sites(cfg.sites)
-            .nodes_per_site(cfg.nodes_per_site)
+        ScenarioBuilder::equal_share_users(shape.users, 42)
+            .sites(shape.sites)
+            .nodes_per_site(shape.nodes_per_site)
             .metrics_user_cap(8)
             .threads(threads)
-            .profiling(cfg.profile)
+            .profiling(ProfileMode::Full)
             .build()
     };
     let mut points = Vec::new();
     let mut profiles = Vec::new();
     let mut mismatch = None;
     let mut serial: Option<SimResult> = None;
-    for &threads in &cfg.threads {
+    for &threads in threads {
         let start = Instant::now();
         let mut result = GridSimulation::new(scenario(threads)).run(&trace, 1800.0);
         let wall_s = start.elapsed().as_secs_f64().max(1e-9);
@@ -655,27 +620,6 @@ pub fn run_scale_sweep(cfg: &ScaleConfig) -> ScaleSweep {
     }
 }
 
-/// Parse the first CLI argument as a job count, defaulting to `default`
-/// (lets every experiment binary run in quick mode: `cargo run --bin fig13
-/// -- 8000`).
-pub fn jobs_arg(default: usize) -> usize {
-    std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parse the second CLI argument as a shard-worker thread count (the
-/// engine's results are thread-count independent, so this only changes
-/// wall clock).
-pub fn threads_arg(default: usize) -> usize {
-    std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,12 +641,7 @@ mod tests {
     fn bursty_u3_priority_bound() {
         // §IV-A-5: U3 max priority = 0.5·(1 + 0.12) = 0.56.
         let result = run_bursty(8000, 3);
-        let max_u3 = result
-            .metrics
-            .priority_series("U3")
-            .iter()
-            .map(|(_, p)| *p)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let max_u3 = peak_priority(&result, "U3");
         assert!(max_u3 <= 0.56 + 1e-9, "{max_u3}");
         assert!(
             max_u3 > 0.40,

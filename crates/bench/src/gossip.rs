@@ -11,72 +11,17 @@
 //! count (and per-hop aggregation dedups the payloads) at the price of
 //! multi-hop propagation latency.
 
+use crate::cli::Shape;
 use crate::sweep::{cycle_trace, parallel_sweep, synthetic_users, ScenarioBuilder};
 use aequus_core::codec::Encoding;
 use aequus_services::OverlayTopology;
 use aequus_sim::{GridSimulation, SimResult};
-
-/// Shape of the gossip trade-off sweep.
-#[derive(Debug, Clone)]
-pub struct GossipConfig {
-    /// Policy leaves (synthetic equal-share users; the trace cycles through
-    /// them, so `min(users, jobs)` of them are active).
-    pub users: usize,
-    /// Sites in the fleet.
-    pub sites: usize,
-    /// Hosts per site.
-    pub nodes_per_site: u32,
-    /// Jobs submitted over the first [`SUBMIT_WINDOW_S`] seconds — sized
-    /// well under capacity so the workload quiesces and the drain tail
-    /// measures pure gossip convergence.
-    pub jobs: usize,
-    /// Scenario seed.
-    pub seed: u64,
-    /// Shard-worker threads (results are thread-count independent).
-    pub threads: usize,
-}
 
 /// Jobs submit inside this window; the rest of [`HORIZON_S`] is drain.
 pub const SUBMIT_WINDOW_S: f64 = 600.0;
 
 /// Simulated horizon of every sweep point.
 pub const HORIZON_S: f64 = 1800.0;
-
-impl GossipConfig {
-    /// The headline shape: 100k users over 32 sites (1024 cores), the
-    /// ROADMAP's first waypoint past the paper's 7-machine test bed. Job
-    /// count keeps offered load near 70% of capacity so the grid quiesces
-    /// with ≥600 s of gossip-only drain.
-    pub fn full() -> Self {
-        Self {
-            users: 100_000,
-            sites: 32,
-            nodes_per_site: 32,
-            jobs: 3_200,
-            seed: 42,
-            threads: 1,
-        }
-    }
-
-    /// CI-sized smoke shape: small enough for the gate on any machine, big
-    /// enough that Tree and Hub have real interior structure (8 sites:
-    /// fanout-4 tree with two interior nodes, 4 meshed hubs).
-    pub fn smoke() -> Self {
-        Self {
-            users: 2_000,
-            sites: 8,
-            nodes_per_site: 8,
-            jobs: 200,
-            seed: 42,
-            threads: 1,
-        }
-    }
-
-    /// Distinct users the cycling trace actually activates.
-    pub fn active_users(&self) -> usize {
-        self.users.min(self.jobs).max(1)
-    }
-}
 
 /// The overlay topologies every sweep measures, full mesh first (it is the
 /// baseline the others are compared against).
@@ -166,28 +111,32 @@ fn view_gap(a: &SimResult, b: &SimResult) -> f64 {
     worst
 }
 
-/// Run the full overlay × encoding grid on `cfg`'s shape. Every run shares
-/// the trace and seed; only the overlay and the wire encoding vary. The
-/// publish cadence is tightened to 60 s (refreshes stay at the production
-/// 180 s) so multi-hop propagation completes well inside the drain tail.
-pub fn run_gossip_sweep(cfg: &GossipConfig) -> GossipSweep {
-    let users = synthetic_users(cfg.users);
+/// Run the full overlay × encoding grid on `shape`. Jobs submit over the
+/// first [`SUBMIT_WINDOW_S`] seconds — sized well under capacity so the
+/// workload quiesces and the drain tail measures pure gossip convergence.
+/// Every run shares the trace and seed (42); only the overlay and the wire
+/// encoding vary. The publish cadence is tightened to 60 s (refreshes stay
+/// at the production 180 s) so multi-hop propagation completes well inside
+/// the drain tail.
+pub fn run_gossip_sweep(shape: &Shape) -> GossipSweep {
+    let users = synthetic_users(shape.users);
     let trace = cycle_trace(
         &users,
-        cfg.jobs,
-        |i| i as f64 * SUBMIT_WINDOW_S / cfg.jobs.max(1) as f64,
+        shape.jobs,
+        |i| i as f64 * SUBMIT_WINDOW_S / shape.jobs.max(1) as f64,
         |_| 120.0,
     );
+    // The cycling trace activates `min(users, jobs)` distinct users.
+    let active_users = shape.users.min(shape.jobs).max(1);
     let combos: Vec<(OverlayTopology, Encoding)> = OVERLAYS
         .iter()
         .flat_map(|&o| [(o, Encoding::Dense), (o, Encoding::Delta)])
         .collect();
     let results = parallel_sweep(&combos, |&(overlay, encoding)| {
-        let mut sc = ScenarioBuilder::equal_share_users(cfg.users, cfg.seed)
-            .sites(cfg.sites)
-            .nodes_per_site(cfg.nodes_per_site)
+        let mut sc = ScenarioBuilder::equal_share_users(shape.users, 42)
+            .sites(shape.sites)
+            .nodes_per_site(shape.nodes_per_site)
             .metrics_user_cap(8)
-            .threads(cfg.threads)
             .build()
             .with_overlay(overlay)
             .with_encoding(encoding);
@@ -204,7 +153,7 @@ pub fn run_gossip_sweep(cfg: &GossipConfig) -> GossipSweep {
                 overlay,
                 encoding,
                 gossip_bytes,
-                bytes_per_user: gossip_bytes as f64 / cfg.active_users() as f64,
+                bytes_per_user: gossip_bytes as f64 / active_users as f64,
                 convergence_s: result.metrics.view_convergence_time(1e-6),
                 divergence_vs_mesh: view_gap(result, baseline),
                 completed: result.total_completed(),
@@ -223,15 +172,13 @@ mod tests {
     /// bytes than the mesh.
     #[test]
     fn tiny_sweep_holds_the_invariants() {
-        let cfg = GossipConfig {
+        let shape = Shape {
             users: 64,
             sites: 8,
             nodes_per_site: 2,
             jobs: 64,
-            seed: 7,
-            threads: 1,
         };
-        let sweep = run_gossip_sweep(&cfg);
+        let sweep = run_gossip_sweep(&shape);
         assert_eq!(sweep.points.len(), 6);
         let completed = sweep.points[0].completed;
         assert!(completed > 0);

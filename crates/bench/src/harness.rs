@@ -219,16 +219,6 @@ impl BenchmarkGroup<'_> {
     }
 }
 
-/// Entry point used by the `benches/` targets: run each registered bench
-/// function with a fresh default `Criterion` and print a header.
-pub fn run_benches(title: &str, benches: &mut [&mut dyn FnMut(&mut Criterion)]) {
-    println!("== {title} ==");
-    let mut c = Criterion::default();
-    for f in benches {
-        f(&mut c);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,27 +1,23 @@
 //! # aequus-bench
 //!
 //! The experiment harness reproducing every table and figure of the paper's
-//! evaluation (§IV). Each artifact has a binary in `src/bin/` that prints
-//! the same rows/series the paper reports:
+//! evaluation (§IV). One executable, `aequus-bench`, runs any entry of the
+//! registry ([`exp::EXPERIMENTS`]) and prints the same rows/series the paper
+//! reports:
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `table1` | Table I — projection property matrix |
-//! | `table2` | Table II — job-arrival fits (median, BIC-best family, KS) |
-//! | `table3` | Table III — job-duration fits |
-//! | `fig4` | Fig. 4 — daily job-arrival histogram (total vs U65) |
-//! | `fig5` | Fig. 5 — U65 arrival PDF with the four phases (Eq. 1) |
-//! | `fig6` | Fig. 6 — arrival CDFs, fitted vs empirical |
-//! | `fig7` | Fig. 7 — job-size CDFs per user |
-//! | `fig10_baseline` | baseline convergence run (referenced by §IV-A-2) |
-//! | `fig11_update_delay` | impact of update delay (10x time-scaled trace) |
-//! | `fig12_nonoptimal` | non-optimal policy test (70/20/8/2) |
-//! | `partial_participation` | §IV-A-4 partial cluster participation |
-//! | `fig13_bursty` | Fig. 13 — bursty usage test |
-//! | `throughput` | §IV-A throughput/utilization measurements |
-//! | `production` | §IV production-deployment statistics (HPC2N shape) |
-//! | `ablation_*` | design-choice ablations (k weight, decay, projection, dispatch, cache TTL) |
-//! | `backfill_sweep` | ROADMAP item 2 — dispatch-policy × projection matrix on the bursty mixed-width workload |
+//! ```text
+//! aequus-bench <experiment> [--check|--selftest] [positionals]
+//! aequus-bench list              # every experiment, its usage and artifact
+//! aequus-bench check SNAPSHOT    # every CI gate in order, one gate table
+//! ```
+//!
+//! The registry row of each experiment names the paper artifact it
+//! reproduces — Tables I–III, Figs. 4–7 and 10–13, the §IV-A delay,
+//! participation, bursty and throughput tests, the §IV production shape —
+//! followed by the design-choice ablations, the sweeps past the paper's test
+//! bed (reliability, crash recovery, engine scaling, gossip overlays,
+//! backfill dispatch) and the CI gates; DESIGN.md §3 has the same listing
+//! with each artifact's shape target.
 //!
 //! Micro-benchmarks of the underlying kernels live in `benches/`, driven by
 //! the in-repo [`harness`] (an offline criterion-shaped shim).
@@ -29,6 +25,8 @@
 #![warn(missing_docs)]
 
 pub mod backfill;
+pub mod cli;
+pub mod exp;
 pub mod experiments;
 pub mod gossip;
 pub mod harness;
@@ -38,11 +36,10 @@ pub mod sweep;
 
 pub use backfill::{
     bursty_mixed_trace, run_hotpath_bench, run_matrix, run_prediction_comparison,
-    run_singlecore_equivalence, BackfillConfig, EquivalenceReport, HotPathReport, MatrixCell,
-    PredictionReport,
+    run_singlecore_equivalence, EquivalenceReport, HotPathReport, MatrixCell, PredictionReport,
 };
 pub use experiments::*;
-pub use gossip::{run_gossip_sweep, GossipConfig, GossipPoint, GossipSweep};
+pub use gossip::{run_gossip_sweep, GossipPoint, GossipSweep};
 pub use sweep::{
     cycle_trace, parallel_sweep, synthetic_users, uniform_trace, ScenarioBuilder, SWEEP_USERS,
 };

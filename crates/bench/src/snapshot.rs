@@ -1,13 +1,16 @@
 //! Shared machinery for the benchmark snapshots (`BENCH_*.json`) and their
-//! regression gates: the gate table with direction-aware tolerances, the
-//! flat-JSON key extractor, previous-snapshot discovery, the comparison
-//! itself, and profile-based regression attribution.
+//! regression gates: the gate table with direction-aware tolerances,
+//! previous-snapshot discovery, the comparison itself, the `PROFILE_*.json`
+//! sidecar format, and profile-based regression attribution.
 //!
-//! Both `bench_snapshot` (writes this PR's snapshot and self-gates) and
-//! `bench_diff` (compares any two snapshots and attributes regressions to
-//! the profiler stage whose wall share moved most) build on this module, so
-//! the two binaries can never disagree about what counts as a regression.
+//! Both the `snapshot` experiment (writes a revision's snapshot and
+//! self-gates) and `diff` (compares any two snapshots and attributes
+//! regressions to the profiler stage whose wall share moved most) build on
+//! this module, so the two can never disagree about what counts as a
+//! regression.
 
+use crate::cli::Gates;
+use aequus_telemetry::export::JsonValue;
 use aequus_telemetry::RunProfile;
 
 /// Which way a metric regresses.
@@ -45,7 +48,7 @@ const fn gate(key: &'static str, dir: Dir, tol: f64, slack: f64) -> Gate {
 
 /// The snapshot regression gates. Tolerances are deliberately wide for
 /// wall-clock-derived keys (shared CI hosts are noisy); the tight hard
-/// gates live in the dedicated binaries (`telemetry_overhead`,
+/// gates live in the dedicated experiments (`telemetry_overhead`,
 /// `profiler_overhead`, `scale_sweep --check`) which measure with an
 /// interleaved-minima harness instead of one-shot walls.
 ///
@@ -109,18 +112,6 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Pull the numeric value of `"key": <number>` out of a flat JSON document
-/// without a parser; every snapshot key is globally unique by construction.
-pub fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Newest `BENCH_*.json` in the working directory other than `exclude`,
 /// by modification time: `(file name, contents)`.
 pub fn previous_snapshot(exclude: &str) -> Option<(String, String)> {
@@ -142,25 +133,22 @@ pub fn previous_snapshot(exclude: &str) -> Option<(String, String)> {
     Some((name, body))
 }
 
-/// One regressed key of a snapshot comparison.
-#[derive(Debug, Clone)]
-pub struct Regression {
-    /// The gated key.
-    pub key: &'static str,
-    /// Previous value.
-    pub prev: f64,
-    /// Current value.
-    pub cur: f64,
-    /// The gate's relative tolerance, for the failure message.
-    pub tol: f64,
-}
-
-/// Compare two snapshot documents key by key against [`GATES`], printing one
-/// line per key, and return the regressions (empty = gate passes). When
-/// `skip_scaling` is set (a host with fewer than [`SCALING_MIN_CORES`] cores
-/// on either side), the [`SCALING_KEYS`] are reported but not gated.
-pub fn compare(prev: &str, cur: &str, skip_scaling: bool) -> Vec<Regression> {
-    let mut failures = Vec::new();
+/// Compare two snapshot documents key by key against [`GATES`], recording
+/// one gate per measured key, and return how many regressed. The
+/// [`SCALING_KEYS`] are reported but not gated when either snapshot records
+/// (or, absent a record, the running host has) fewer than
+/// [`SCALING_MIN_CORES`] cores — snapshots before the `host_cores` key
+/// existed fall back to the current host's count, the best available proxy,
+/// since CI re-runs on the same class of machine.
+pub fn compare(prev: &str, cur: &str, gates: &mut Gates) -> usize {
+    let (Some(prev), Some(cur)) = (JsonValue::parse(prev), JsonValue::parse(cur)) else {
+        gates.check("both snapshots parse as JSON", false, "");
+        return 1;
+    };
+    let read = |doc: &JsonValue, key: &str| doc.get(key).and_then(JsonValue::as_f64);
+    let cores = |doc: &JsonValue| read(doc, "host_cores").map_or_else(host_cores, |c| c as usize);
+    let skip_scaling = cores(&prev) < SCALING_MIN_CORES || cores(&cur) < SCALING_MIN_CORES;
+    let mut regressions = 0;
     for g in GATES {
         if skip_scaling && SCALING_KEYS.contains(&g.key) {
             println!(
@@ -169,7 +157,7 @@ pub fn compare(prev: &str, cur: &str, skip_scaling: bool) -> Vec<Regression> {
             );
             continue;
         }
-        let (Some(prev_v), Some(cur_v)) = (extract(prev, g.key), extract(cur, g.key)) else {
+        let (Some(prev_v), Some(cur_v)) = (read(&prev, g.key), read(&cur, g.key)) else {
             println!("  {}: missing in one snapshot, skipped", g.key);
             continue;
         };
@@ -180,36 +168,18 @@ pub fn compare(prev: &str, cur: &str, skip_scaling: bool) -> Vec<Regression> {
             );
             continue;
         }
-        let regressed = match g.dir {
-            Dir::LowerIsBetter => cur_v > prev_v * g.tol && cur_v > prev_v + g.slack,
-            Dir::HigherIsBetter => cur_v < prev_v / g.tol && cur_v < prev_v - g.slack,
+        let (regressed, bound) = match g.dir {
+            Dir::LowerIsBetter => (cur_v > prev_v * g.tol && cur_v > prev_v + g.slack, "<= x"),
+            Dir::HigherIsBetter => (cur_v < prev_v / g.tol && cur_v < prev_v - g.slack, ">= /"),
         };
-        if regressed {
-            failures.push(Regression {
-                key: g.key,
-                prev: prev_v,
-                cur: cur_v,
-                tol: g.tol,
-            });
-        } else {
-            println!("  ok {}: {prev_v:?} -> {cur_v:?}", g.key);
-        }
+        regressions += usize::from(regressed);
+        gates.check(
+            &format!("{} {bound}{} of previous, slack {}", g.key, g.tol, g.slack),
+            !regressed,
+            &format!("{prev_v:?} -> {cur_v:?}"),
+        );
     }
-    failures
-}
-
-/// Whether the comparison should skip the thread-scaling keys: true when
-/// either snapshot records (or, absent a record, the running host has) fewer
-/// than [`SCALING_MIN_CORES`] cores. Snapshots before the `host_cores` key
-/// existed fall back to the current host's count — the best available proxy,
-/// since CI re-runs on the same class of machine.
-pub fn skip_scaling_keys(prev: &str, cur: &str) -> bool {
-    let cores = |doc: &str| {
-        extract(doc, "host_cores")
-            .map(|c| c as usize)
-            .unwrap_or_else(host_cores)
-    };
-    cores(prev) < SCALING_MIN_CORES || cores(cur) < SCALING_MIN_CORES
+    regressions
 }
 
 /// Attribute a wall-clock regression to the profiled stage whose share of
@@ -235,14 +205,33 @@ pub fn attribute_regression(prev: &RunProfile, cur: &RunProfile) -> Option<(Stri
     best
 }
 
-/// Load the `PROFILE_*.json` sibling of a `BENCH_*.json` snapshot, if one
-/// was written next to it (`BENCH_PR7.json` → `PROFILE_PR7.json`).
-pub fn sibling_profile(bench_name: &str) -> Option<RunProfile> {
-    let profile_name = bench_name.replace("BENCH_", "PROFILE_");
-    if profile_name == bench_name {
-        return None;
+/// Spans a `PROFILE_*.json` sidecar keeps, split evenly across shards.
+pub const SIDECAR_SPANS: usize = 64;
+
+/// The attribution sidecar of a snapshot: `profile` with the span rings cut
+/// to the run's last [`SIDECAR_SPANS`] spans. Attribution reads only the
+/// stage aggregates; the tail of each ring is kept as a sample of what the
+/// epochs looked like, the rest is counted as dropped.
+pub fn sidecar_json(mut profile: RunProfile) -> String {
+    let per_shard = (SIDECAR_SPANS / profile.shards.len().max(1)).max(1);
+    for shard in &mut profile.shards {
+        let excess = shard.spans.len().saturating_sub(per_shard);
+        shard.spans.drain(..excess);
+        shard.spans_dropped += excess as u64;
     }
-    let body = std::fs::read_to_string(profile_name).ok()?;
+    profile.to_json()
+}
+
+/// The `PROFILE_*.json` sibling of a `BENCH_*.json` snapshot name
+/// (`BENCH_PR7.json` → `PROFILE_PR7.json`); `None` for any other name.
+pub fn sidecar_name(bench_name: &str) -> Option<String> {
+    let profile_name = bench_name.replace("BENCH_", "PROFILE_");
+    (profile_name != bench_name).then_some(profile_name)
+}
+
+/// Load the sidecar of a snapshot, if one was written next to it.
+pub fn sibling_profile(bench_name: &str) -> Option<RunProfile> {
+    let body = std::fs::read_to_string(sidecar_name(bench_name)?).ok()?;
     RunProfile::from_json(&body)
 }
 
@@ -252,40 +241,91 @@ mod tests {
     use aequus_telemetry::StageStats;
 
     #[test]
-    fn extract_reads_flat_keys() {
-        let doc = "{\n \"a\": 1.5,\n \"b\": -2,\n \"c\": 3e-4\n}";
-        assert_eq!(extract(doc, "a"), Some(1.5));
-        assert_eq!(extract(doc, "b"), Some(-2.0));
-        assert_eq!(extract(doc, "c"), Some(3e-4));
-        assert_eq!(extract(doc, "missing"), None);
-    }
-
-    #[test]
     fn compare_is_direction_aware() {
         let prev = "{\"refresh_mean_s\": 0.010, \"events_per_sec_1t\": 1000000.0}";
         // refresh doubled past tol+slack, throughput halved past tol+slack.
         let cur = "{\"refresh_mean_s\": 0.050, \"events_per_sec_1t\": 400000.0}";
-        let failures = compare(prev, cur, false);
-        let keys: Vec<_> = failures.iter().map(|f| f.key).collect();
-        assert_eq!(keys, vec!["refresh_mean_s", "events_per_sec_1t"]);
+        let mut gates = Gates::default();
+        assert_eq!(compare(prev, cur, &mut gates), 2);
+        let table = gates.table();
+        let failed: Vec<&str> = table.lines().filter(|l| l.ends_with("FAIL")).collect();
+        assert_eq!(failed.len(), 2, "{table}");
+        assert!(failed[0].contains("refresh_mean_s <= x1.5 of previous, slack 0.005"));
+        assert!(failed[1].contains("events_per_sec_1t >= /2 of previous, slack 50000"));
         // Improvements in both directions pass.
         let better = "{\"refresh_mean_s\": 0.001, \"events_per_sec_1t\": 2000000.0}";
-        assert!(compare(prev, better, false).is_empty());
+        let mut gates = Gates::default();
+        assert_eq!(compare(prev, better, &mut gates), 0);
+        assert_eq!(gates.exit_code(), 0);
     }
 
     #[test]
     fn scaling_keys_skip_on_small_hosts() {
         let prev =
             "{\"scale_speedup_x\": 4.0, \"events_per_sec_8t\": 1000000.0, \"host_cores\": 16}";
-        let cur = "{\"scale_speedup_x\": 0.9, \"events_per_sec_8t\": 100000.0, \"host_cores\": 1}";
-        assert!(skip_scaling_keys(prev, cur), "1-core side must skip");
-        assert!(compare(prev, cur, true).is_empty());
-        assert!(
-            !compare(prev, cur, false).is_empty(),
-            "same numbers gate when not skipped"
+        let small =
+            "{\"scale_speedup_x\": 0.9, \"events_per_sec_8t\": 100000.0, \"host_cores\": 1}";
+        assert_eq!(
+            compare(prev, small, &mut Gates::default()),
+            0,
+            "1-core side skips"
         );
-        let both_big = "{\"host_cores\": 8}";
-        assert!(!skip_scaling_keys(prev, both_big));
+        let big = small.replace("\"host_cores\": 1", "\"host_cores\": 8");
+        assert_eq!(
+            compare(prev, &big, &mut Gates::default()),
+            2,
+            "same numbers gate when both hosts are big"
+        );
+    }
+
+    #[test]
+    fn unparseable_snapshots_fail_instead_of_skipping_every_key() {
+        let mut gates = Gates::default();
+        assert_eq!(compare("{\"refresh_mean_s\": 0.01", "{}", &mut gates), 1);
+        assert_eq!(gates.exit_code(), 1);
+    }
+
+    #[test]
+    fn sidecar_keeps_stage_totals_and_the_ring_tail() {
+        let span = |epoch: u64| aequus_telemetry::profile::ProfSpan {
+            name: "epoch".into(),
+            epoch,
+            limit_s: epoch as f64,
+            start_ns: epoch * 10,
+            dur_ns: 5,
+            events: 1,
+        };
+        let mut shard = aequus_telemetry::ShardProfile::default();
+        shard.stages.insert(
+            "epoch".into(),
+            StageStats {
+                calls: 100,
+                wall_ns: 500,
+                bytes: 0,
+            },
+        );
+        shard.spans = (0..100).map(span).collect();
+        let full = RunProfile {
+            shards: vec![shard],
+            ..RunProfile::default()
+        };
+        let cut = RunProfile::from_json(&sidecar_json(full.clone())).expect("round-trips");
+        assert_eq!(
+            cut.wall_shares(),
+            full.wall_shares(),
+            "attribution input kept"
+        );
+        assert_eq!(cut.shards[0].spans.len(), SIDECAR_SPANS);
+        assert_eq!(
+            cut.shards[0].spans[0].epoch, 36,
+            "the newest spans are kept"
+        );
+        assert_eq!(cut.shards[0].spans_dropped, 36);
+        assert_eq!(
+            sidecar_name("BENCH_PR7.json").as_deref(),
+            Some("PROFILE_PR7.json")
+        );
+        assert_eq!(sidecar_name("other.json"), None);
     }
 
     #[test]

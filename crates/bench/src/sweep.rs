@@ -5,7 +5,7 @@
 //! single run's internal parallelism is the sharded engine's job
 //! (`GridScenario::with_threads`), and any combination of the two is
 //! deterministic. [`ScenarioBuilder`] and the trace helpers dedup the
-//! scenario-construction boilerplate the bench binaries used to repeat:
+//! scenario-construction boilerplate the experiments share:
 //! the compressed 3-site chaos grid, the tight retry policy, the cycling
 //! four-user traces.
 
@@ -58,7 +58,7 @@ pub fn uniform_trace(jobs: usize, interval_s: f64, duration_s: f64) -> Trace {
 
 /// Fluent construction of the recurring bench scenarios on top of
 /// [`GridScenario::national_testbed`]. Every method is a value the bench
-/// binaries used to set by hand; `build` hands back the plain scenario.
+/// experiments would otherwise set by hand; `build` hands back the plain scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     sc: GridScenario,

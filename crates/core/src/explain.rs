@@ -16,6 +16,7 @@ use crate::fairshare::{FairshareConfig, FairshareTree};
 use crate::ids::{EntityPath, GridUser};
 use crate::projection::{rank_value, BitwiseVector, DictionaryOrdering, Percental, ProjectionKind};
 use crate::vector::{FairshareVector, Resolution};
+use aequus_telemetry::json::{escape, JsonValue};
 
 /// One hierarchy level of a user's policy path, with the captured sibling-
 /// group shares and the distance decomposition at that level.
@@ -241,7 +242,7 @@ impl Explanation {
         let mut s = String::with_capacity(512);
         s.push_str(&format!(
             "{{\"user\":\"{}\",\"computed_at_s\":{:?},\"k_weight\":{:?},\"resolution_max\":{:?}",
-            esc(&self.user),
+            escape(&self.user),
             self.computed_at_s,
             self.k_weight,
             self.resolution_max
@@ -257,7 +258,7 @@ impl Explanation {
             s.push_str(&format!(
                 "{{\"path\":\"{}\",\"policy_share\":{:?},\"usage_share\":{:?},\"rel\":{:?},\
                  \"abs\":{:?},\"distance\":{:?},\"element\":{:?}}}",
-                esc(&l.path),
+                escape(&l.path),
                 l.policy_share,
                 l.usage_share,
                 l.rel,
@@ -304,82 +305,80 @@ impl Explanation {
 
     /// Parse an explanation previously rendered by [`to_json`](Self::to_json).
     pub fn from_json(s: &str) -> Option<Self> {
-        let v = Json::parse(s)?;
-        let o = v.obj()?;
+        let o = JsonValue::parse(s)?;
         let decay = {
-            let d = o.get("decay")?.obj()?;
-            match d.get("kind")?.str_()? {
+            let d = o.get("decay")?;
+            match d.get("kind")?.as_str()? {
                 "none" => DecayPolicy::None,
                 "exponential" => DecayPolicy::Exponential {
-                    half_life_s: d.get("half_life_s")?.num()?,
+                    half_life_s: d.get("half_life_s")?.as_f64()?,
                 },
                 "window" => DecayPolicy::Window {
-                    window_s: d.get("window_s")?.num()?,
+                    window_s: d.get("window_s")?.as_f64()?,
                 },
                 "linear" => DecayPolicy::Linear {
-                    span_s: d.get("span_s")?.num()?,
+                    span_s: d.get("span_s")?.as_f64()?,
                 },
                 _ => return None,
             }
         };
         let levels = o
             .get("levels")?
-            .arr()?
+            .as_array()?
             .iter()
             .map(|l| {
-                let l = l.obj()?;
                 Some(LevelExplanation {
-                    path: l.get("path")?.str_()?.to_string(),
-                    policy_share: l.get("policy_share")?.num()?,
-                    usage_share: l.get("usage_share")?.num()?,
-                    rel: l.get("rel")?.num()?,
-                    abs: l.get("abs")?.num()?,
-                    distance: l.get("distance")?.num()?,
-                    element: l.get("element")?.num()?,
+                    path: l.get("path")?.as_str()?.to_string(),
+                    policy_share: l.get("policy_share")?.as_f64()?,
+                    usage_share: l.get("usage_share")?.as_f64()?,
+                    rel: l.get("rel")?.as_f64()?,
+                    abs: l.get("abs")?.as_f64()?,
+                    distance: l.get("distance")?.as_f64()?,
+                    element: l.get("element")?.as_f64()?,
                 })
             })
             .collect::<Option<Vec<_>>>()?;
         let vector = o
             .get("vector")?
-            .arr()?
+            .as_array()?
             .iter()
-            .map(|e| e.num())
+            .map(JsonValue::as_f64)
             .collect::<Option<Vec<_>>>()?;
         let projection = {
-            let p = o.get("projection")?.obj()?;
-            match p.get("algorithm")?.str_()? {
+            let p = o.get("projection")?;
+            match p.get("algorithm")?.as_str()? {
                 "percental" => ProjectionExplanation::Percental {
-                    target_product: p.get("target_product")?.num()?,
-                    usage_product: p.get("usage_product")?.num()?,
+                    target_product: p.get("target_product")?.as_f64()?,
+                    usage_product: p.get("usage_product")?.as_f64()?,
                 },
                 "bitwise" => ProjectionExplanation::Bitwise {
-                    bits_per_level: p.get("bits_per_level")?.num()? as u32,
-                    levels: p.get("levels")?.num()? as usize,
+                    bits_per_level: p.get("bits_per_level")?.as_f64()? as u32,
+                    levels: p.get("levels")?.as_f64()? as usize,
                 },
                 "dictionary" => ProjectionExplanation::Dictionary {
-                    rank_start: p.get("rank_start")?.num()? as usize,
-                    tie_count: p.get("tie_count")?.num()? as usize,
-                    population: p.get("population")?.num()? as usize,
+                    rank_start: p.get("rank_start")?.as_f64()? as usize,
+                    tie_count: p.get("tie_count")?.as_f64()? as usize,
+                    population: p.get("population")?.as_f64()? as usize,
                 },
                 _ => return None,
             }
         };
         Some(Explanation {
-            user: o.get("user")?.str_()?.to_string(),
-            computed_at_s: o.get("computed_at_s")?.num()?,
-            k_weight: o.get("k_weight")?.num()?,
-            resolution_max: o.get("resolution_max")?.num()?,
+            user: o.get("user")?.as_str()?.to_string(),
+            computed_at_s: o.get("computed_at_s")?.as_f64()?,
+            k_weight: o.get("k_weight")?.as_f64()?,
+            resolution_max: o.get("resolution_max")?.as_f64()?,
             decay,
-            tree_depth: o.get("tree_depth")?.num()? as usize,
+            tree_depth: o.get("tree_depth")?.as_f64()? as usize,
             levels,
             vector,
             projection,
-            factor: o.get("factor")?.num()?,
+            factor: o.get("factor")?.as_f64()?,
         })
     }
 
     /// Render a human-readable multi-line account of the decision — the
-    /// output of the `aequus-explain` tool.
+    /// output of `aequus-bench explain`.
     pub fn render(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
@@ -464,198 +463,6 @@ fn decay_json(d: &DecayPolicy) -> String {
         }
         DecayPolicy::Linear { span_s } => {
             format!("{{\"kind\":\"linear\",\"span_s\":{span_s:?}}}")
-        }
-    }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Minimal JSON value for parsing explanations back (numbers, strings,
-/// arrays, objects — the subset [`Explanation::to_json`] emits).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(s: &str) -> Option<Json> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        let v = parse_value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i == b.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str_(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn obj(&self) -> Option<JsonObj<'_>> {
-        match self {
-            Json::Obj(o) => Some(JsonObj(o)),
-            _ => None,
-        }
-    }
-}
-
-/// Key lookup over a parsed object's entries.
-#[derive(Clone, Copy)]
-struct JsonObj<'a>(&'a [(String, Json)]);
-
-impl JsonObj<'_> {
-    fn get(&self, key: &str) -> Option<&Json> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Option<Json> {
-    skip_ws(b, i);
-    match *b.get(*i)? {
-        b'"' => parse_string(b, i).map(Json::Str),
-        b'[' => {
-            *i += 1;
-            let mut items = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Some(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, i)?);
-                skip_ws(b, i);
-                match *b.get(*i)? {
-                    b',' => *i += 1,
-                    b']' => {
-                        *i += 1;
-                        return Some(Json::Arr(items));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'{' => {
-            *i += 1;
-            let mut entries = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Some(Json::Obj(entries));
-            }
-            loop {
-                skip_ws(b, i);
-                let key = parse_string(b, i)?;
-                skip_ws(b, i);
-                if *b.get(*i)? != b':' {
-                    return None;
-                }
-                *i += 1;
-                entries.push((key, parse_value(b, i)?));
-                skip_ws(b, i);
-                match *b.get(*i)? {
-                    b',' => *i += 1,
-                    b'}' => {
-                        *i += 1;
-                        return Some(Json::Obj(entries));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        _ => {
-            let start = *i;
-            while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                *i += 1;
-            }
-            if *i == start {
-                return None;
-            }
-            std::str::from_utf8(&b[start..*i])
-                .ok()?
-                .parse::<f64>()
-                .ok()
-                .map(Json::Num)
-        }
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Option<String> {
-    if *b.get(*i)? != b'"' {
-        return None;
-    }
-    *i += 1;
-    let mut out = Vec::new();
-    loop {
-        match *b.get(*i)? {
-            b'"' => {
-                *i += 1;
-                return String::from_utf8(out).ok();
-            }
-            b'\\' => {
-                *i += 1;
-                match *b.get(*i)? {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'u' => {
-                        let hex = b.get(*i + 1..*i + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.extend_from_slice(char::from_u32(code)?.to_string().as_bytes());
-                        *i += 4;
-                    }
-                    _ => return None,
-                }
-                *i += 1;
-            }
-            c => {
-                out.push(c);
-                *i += 1;
-            }
         }
     }
 }

@@ -785,7 +785,7 @@ impl HealthReport {
         out
     }
 
-    /// Human-readable table (the `aequus-health` bin's output).
+    /// Human-readable table (the output of `aequus-bench health`).
     pub fn render(&self) -> String {
         let mut out = String::from(
             "link      depth  stale_p50  stale_p99  stale_max  outbox  \

@@ -133,12 +133,13 @@ impl AequusSite {
     }
 
     /// Journal one record, reporting (never panicking on) store errors —
-    /// a failing disk degrades durability, not service.
-    fn journal(&mut self, rec: &WalRecord, now_s: f64) {
+    /// a failing disk degrades durability, not service. The record is built
+    /// only when a store is attached: a store-less site pays no clone.
+    fn journal(&mut self, rec: impl FnOnce() -> WalRecord, now_s: f64) {
         let Some(store) = &mut self.store else {
             return;
         };
-        if let Err(e) = store.append(rec) {
+        if let Err(e) = store.append(&rec()) {
             self.telemetry
                 .event(now_s, "site.store_error", || format!("journal: {e}"));
         }
@@ -271,26 +272,19 @@ impl AequusSite {
     /// enabled) so replay restores the remote view without re-gossip; the
     /// positive-delta merge makes re-applying them on recovery idempotent.
     pub fn deliver_message(&mut self, msg: &UssMessage, now_s: f64) -> Vec<(SiteId, UssMessage)> {
-        match msg {
-            UssMessage::Summary { summary, .. } => {
-                self.journal(
-                    &WalRecord::PeerData {
-                        summary: summary.clone(),
-                        snapshot: false,
-                    },
-                    now_s,
-                );
-            }
-            UssMessage::Snapshot { summary, .. } => {
-                self.journal(
-                    &WalRecord::PeerData {
-                        summary: summary.clone(),
-                        snapshot: true,
-                    },
-                    now_s,
-                );
-            }
-            _ => {}
+        let data = match msg {
+            UssMessage::Summary { summary, .. } => Some((summary, false)),
+            UssMessage::Snapshot { summary, .. } => Some((summary, true)),
+            _ => None,
+        };
+        if let Some((summary, snapshot)) = data {
+            self.journal(
+                || WalRecord::PeerData {
+                    summary: summary.clone(),
+                    snapshot,
+                },
+                now_s,
+            );
         }
         self.uss.receive_message(msg, now_s)
     }
@@ -429,15 +423,13 @@ impl AequusSite {
     /// Journal a legacy broadcast-mode summary (cumulative cells, no
     /// reliable-exchange framing around it).
     fn journal_broadcast(&mut self, summary: &UsageSummary, now_s: f64) {
-        if self.store.is_some() {
-            self.journal(
-                &WalRecord::PeerData {
-                    summary: summary.clone(),
-                    snapshot: false,
-                },
-                now_s,
-            );
-        }
+        self.journal(
+            || WalRecord::PeerData {
+                summary: summary.clone(),
+                snapshot: false,
+            },
+            now_s,
+        );
     }
 
     /// Drain summaries produced since the last call (the simulator delivers
@@ -460,7 +452,7 @@ impl AequusSite {
                 break;
             };
             self.uss.ingest(&rec);
-            self.journal(&WalRecord::Usage(rec.clone()), now_s);
+            self.journal(|| WalRecord::Usage(rec.clone()), now_s);
             let end_slot = (rec.end_s / self.uss.slot_duration()).floor().max(0.0) as u64;
             self.telemetry.trace_ingest(rec.job.0, end_slot, now_s);
             let job = rec.job.0;
@@ -473,7 +465,7 @@ impl AequusSite {
         // Stage II-a: USS publication.
         if now_s - self.last_publish_s >= self.timings.uss_publish_interval_s {
             if let Some(summary) = self.uss.publish(now_s) {
-                self.journal(&WalRecord::Publish { seq: summary.seq }, now_s);
+                self.journal(|| WalRecord::Publish { seq: summary.seq }, now_s);
                 if self.telemetry.traces_active() > 0 {
                     let users: Vec<&str> = summary.per_user.keys().map(GridUser::as_str).collect();
                     let current_slot = (now_s / self.uss.slot_duration()).floor().max(0.0) as u64;

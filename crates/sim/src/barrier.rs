@@ -163,7 +163,7 @@ struct WorkerOut {
 /// so they produce bit-identical shard states.
 ///
 /// `barrier_sleep_ns` injects an artificial stall at every barrier (debug /
-/// `bench_diff --selftest` only): the serial path sleeps and charges the
+/// `aequus-bench diff --selftest` only): the serial path sleeps and charges the
 /// stall to every shard's `barrier.wait` stage; the parallel path sleeps on
 /// the coordinator, where the workers' own wait measurement picks it up.
 #[allow(clippy::too_many_arguments)] // single internal caller (engine::run)

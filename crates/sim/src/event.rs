@@ -1,19 +1,7 @@
-//! The discrete-event core: deterministic time-ordered event queues.
-//!
-//! Since the sharded-engine refactor the queue layer has two shapes:
-//!
-//! * [`EventQueue`] — one shard's local queue. Events pop in `(time,
-//!   insertion seq)` order, so a shard's execution is exactly reproducible.
-//! * [`ShardedQueues`] + [`Mailbox`] — the *order contract* the sharded
-//!   engine is built on: per-shard queues sharing one global insertion
-//!   sequence, plus a mailbox staging cross-shard sends until a barrier.
-//!   A merged pop over the sharded queues yields exactly the order a single
-//!   global queue would, including cross-shard ties — the property test in
-//!   `tests/proptest_event_order.rs` pins this down.
-//!
-//! The parallel engine never performs the merged pop (shards burn through a
-//! whole epoch of local events without coordination); the merge exists to
-//! state — and test — what "equivalent to the single-queue engine" means.
+//! The discrete-event core: one shard's deterministic time-ordered event
+//! queue. Events pop in `(time, insertion seq)` order, so a shard's
+//! execution is exactly reproducible; cross-shard order is restored at the
+//! epoch barriers (`barrier::drive` stably sorts deliveries by source site).
 
 use aequus_services::UssMessage;
 use aequus_workload::TraceJob;
@@ -103,12 +91,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.push_at(time_s, seq, event);
-    }
-
-    /// Insert with an externally assigned sequence number (used by
-    /// [`ShardedQueues`] to share one global insertion order across shards).
-    fn push_at(&mut self, time_s: f64, seq: u64, event: E) {
         self.heap.push(Scheduled { time_s, seq, event });
         self.high_water = self.high_water.max(self.heap.len());
     }
@@ -121,11 +103,6 @@ impl<E> EventQueue<E> {
     /// Time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|s| s.time_s)
-    }
-
-    /// `(time, seq)` key of the earliest event without removing it.
-    pub fn peek_key(&self) -> Option<(f64, u64)> {
-        self.heap.peek().map(|s| (s.time_s, s.seq))
     }
 
     /// Number of queued events.
@@ -141,137 +118,6 @@ impl<E> EventQueue<E> {
     /// Peak queue depth observed over the queue's lifetime (saturating
     /// high-water mark, updated on every push). Deterministic: depends only
     /// on the event schedule, never on thread timing.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-}
-
-/// Cross-shard sends staged between barriers: `(destination shard, delivery
-/// time, event)` triples held back until the coordinator drains them at the
-/// next barrier, in staging order.
-#[derive(Debug)]
-pub struct Mailbox<E = Event> {
-    staged: Vec<(usize, f64, E)>,
-    high_water: usize,
-}
-
-impl<E> Default for Mailbox<E> {
-    fn default() -> Self {
-        Self {
-            staged: Vec::new(),
-            high_water: 0,
-        }
-    }
-}
-
-impl<E> Mailbox<E> {
-    /// Create an empty mailbox.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stage an event for delivery to `shard` at `time_s`.
-    pub fn stage(&mut self, shard: usize, time_s: f64, event: E) {
-        self.staged.push((shard, time_s, event));
-        self.high_water = self.high_water.max(self.staged.len());
-    }
-
-    /// Number of staged events.
-    pub fn len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Whether nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.staged.is_empty()
-    }
-
-    /// Peak number of events staged at once (survives drains — the gauge
-    /// queue-depth blowups are diagnosed from).
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Drain every staged event into the sharded queues, preserving staging
-    /// order (which therefore defines the tie-break order among same-time
-    /// cross-shard deliveries).
-    pub fn drain_into(&mut self, queues: &mut ShardedQueues<E>) {
-        for (shard, time_s, event) in self.staged.drain(..) {
-            queues.push(shard, time_s, event);
-        }
-    }
-}
-
-/// Per-shard event queues sharing one *global* insertion sequence: the
-/// single-queue order, physically split by shard. [`Self::pop_global`]
-/// merges them back into exactly the `(time, seq)` order a single
-/// [`EventQueue`] would produce — the equivalence the sharded engine's
-/// barrier discipline relies on.
-#[derive(Debug)]
-pub struct ShardedQueues<E = Event> {
-    shards: Vec<EventQueue<E>>,
-    seq: u64,
-    live: usize,
-    high_water: usize,
-}
-
-impl<E> ShardedQueues<E> {
-    /// `n` empty per-shard queues.
-    pub fn new(n: usize) -> Self {
-        Self {
-            shards: (0..n).map(|_| EventQueue::default()).collect(),
-            seq: 0,
-            live: 0,
-            high_water: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedule `event` on `shard` at `time_s`, drawing the next global
-    /// sequence number.
-    pub fn push(&mut self, shard: usize, time_s: f64, event: E) {
-        debug_assert!(
-            time_s.is_finite(),
-            "event time must be finite, got {time_s} (check scenario latencies/horizons)"
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.shards[shard].push_at(time_s, seq, event);
-        self.live += 1;
-        self.high_water = self.high_water.max(self.live);
-    }
-
-    /// Pop the globally earliest event across all shards: minimum `(time,
-    /// seq)`, i.e. exactly the order one global queue would pop in — time
-    /// first, then insertion order, including cross-shard ties.
-    pub fn pop_global(&mut self) -> Option<(usize, f64, E)> {
-        let best = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| q.peek_key().map(|(t, s)| (i, t, s)))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)))?;
-        let (t, e) = self.shards[best.0].pop().expect("peeked shard non-empty");
-        self.live -= 1;
-        Some((best.0, t, e))
-    }
-
-    /// Total queued events across shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(EventQueue::len).sum()
-    }
-
-    /// Whether every shard queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(EventQueue::is_empty)
-    }
-
-    /// Peak total events queued across all shards at once (tracked with a
-    /// live counter on push/pop, not an O(shards) sum).
     pub fn high_water(&self) -> usize {
         self.high_water
     }
@@ -314,7 +160,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(7.0, Event::ClusterTick);
         assert_eq!(q.peek_time(), Some(7.0));
-        assert_eq!(q.peek_key(), Some((7.0, 0)));
         assert_eq!(q.len(), 1);
     }
 
@@ -324,17 +169,6 @@ mod tests {
     fn rejects_nan_time() {
         let mut q = EventQueue::new();
         q.push(f64::NAN, Event::ClusterTick);
-    }
-
-    #[test]
-    fn sharded_pop_merges_cross_shard_ties_by_global_seq() {
-        let mut q: ShardedQueues<u32> = ShardedQueues::new(3);
-        q.push(2, 5.0, 0); // seq 0
-        q.push(0, 5.0, 1); // seq 1 — same time, later insertion
-        q.push(1, 1.0, 2); // seq 2 — earliest time
-        let order: Vec<(usize, u32)> =
-            std::iter::from_fn(|| q.pop_global().map(|(s, _, e)| (s, e))).collect();
-        assert_eq!(order, vec![(1, 2), (2, 0), (0, 1)]);
     }
 
     #[test]
@@ -348,34 +182,5 @@ mod tests {
         q.pop();
         q.push(4.0, Event::ClusterTick);
         assert_eq!(q.high_water(), 3, "hwm survives full drains");
-
-        let mut sq: ShardedQueues<u32> = ShardedQueues::new(2);
-        sq.push(0, 1.0, 1);
-        sq.push(1, 1.0, 2);
-        sq.pop_global();
-        sq.push(0, 2.0, 3);
-        assert_eq!(sq.high_water(), 2, "global hwm is cross-shard total");
-
-        let mut mbox: Mailbox<u32> = Mailbox::new();
-        mbox.stage(0, 1.0, 1);
-        mbox.stage(1, 1.0, 2);
-        mbox.stage(0, 1.0, 3);
-        mbox.drain_into(&mut sq);
-        mbox.stage(0, 2.0, 4);
-        assert_eq!(mbox.high_water(), 3, "mailbox hwm survives drain_into");
-    }
-
-    #[test]
-    fn mailbox_drains_in_staging_order() {
-        let mut q: ShardedQueues<u32> = ShardedQueues::new(2);
-        let mut mbox: Mailbox<u32> = Mailbox::new();
-        mbox.stage(1, 3.0, 10);
-        mbox.stage(0, 3.0, 11);
-        assert_eq!(mbox.len(), 2);
-        mbox.drain_into(&mut q);
-        assert!(mbox.is_empty());
-        assert_eq!(q.pop_global().unwrap().2, 10);
-        assert_eq!(q.pop_global().unwrap().2, 11);
-        assert!(q.is_empty());
     }
 }

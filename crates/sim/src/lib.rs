@@ -7,8 +7,7 @@
 //! RMS wired to its own Aequus installation, with USS↔USS usage exchange as
 //! the only cross-site channel.
 //!
-//! * [`event`] — deterministic time-ordered event queues (per-shard, plus
-//!   the cross-shard mailbox/order contract).
+//! * [`event`] — the deterministic time-ordered per-shard event queue.
 //! * [`dispatch`] — stochastic / round-robin grid-level routing.
 //! * [`cluster`] — one cluster: RMS + per-site Aequus stack.
 //! * [`scenario`] — fleet/policy/delay configuration, including the paper's
@@ -34,7 +33,7 @@ pub mod shard;
 
 pub use dispatch::RoutingPolicy;
 pub use engine::{GridSimulation, SimResult};
-pub use event::{Event, EventQueue, Mailbox, ShardedQueues};
+pub use event::{Event, EventQueue};
 pub use faults::{FaultPlan, Outage};
 pub use metrics::{MetricsLog, Sample, ShardSample, UserSample};
 pub use scenario::{ClusterSpec, GridScenario, RmsKind, ShardPlacement};

@@ -171,7 +171,7 @@ pub struct GridScenario {
     /// stages are read from the per-site registries).
     pub profile: aequus_telemetry::ProfileMode,
     /// Debug-only: sleep this many wall nanoseconds at every epoch barrier.
-    /// Exists so `bench_diff --selftest` can inject a known slowdown and
+    /// Exists so `aequus-bench diff --selftest` can inject a known slowdown and
     /// assert the differ attributes it to `barrier.wait`. Never set in real
     /// scenarios.
     pub debug_barrier_sleep_ns: u64,

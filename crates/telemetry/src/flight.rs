@@ -173,7 +173,7 @@ impl FlightRecorder {
 }
 
 fn esc(s: &str) -> String {
-    crate::export::json_escape(s)
+    crate::json::escape(s)
 }
 
 fn num(v: f64) -> String {

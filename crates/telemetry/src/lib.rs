@@ -38,6 +38,7 @@ mod events;
 pub mod export;
 pub mod flight;
 mod hist;
+pub mod json;
 pub mod profile;
 pub mod provenance;
 mod registry;

@@ -24,17 +24,17 @@
 //!   a folded-stacks text profile ([`RunProfile::to_folded`], deterministic
 //!   by construction), and a JSON document that round-trips
 //!   ([`RunProfile::to_json`] / [`RunProfile::from_json`]) for the
-//!   `bench_diff` regression attributor.
+//!   `aequus-bench diff` regression attributor.
 //!
 //! **Why barrier wait is attributed to the *waiting* shard:** a stalled
 //! worker tells you which shards paid for the imbalance, not which shard
 //! caused it. The shard that causes a stall is busy — its time shows up as
 //! `epoch` compute; the shards that suffer show `barrier.wait`. Attributing
 //! the wait to the waiter makes the two sides of an imbalance sum to the
-//! same wall clock, so share-of-total comparisons (the `bench_diff`
+//! same wall clock, so share-of-total comparisons (the `aequus-bench diff`
 //! attribution) stay meaningful.
 
-use crate::export::{json_escape, JsonValue};
+use crate::json::{escape as json_escape, JsonValue};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 

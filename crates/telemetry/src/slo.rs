@@ -144,7 +144,7 @@ impl AlertEvent {
             "{{\"t_s\":{},\"rule\":\"{}\",\"transition\":\"{}\",\"value\":{},\
              \"burn_short\":{},\"burn_long\":{}}}",
             num(self.t_s),
-            crate::export::json_escape(&self.rule),
+            crate::json::escape(&self.rule),
             self.transition,
             num(self.value),
             num(self.burn_short),

@@ -10,6 +10,6 @@ for exp in table1 table2 table3 fig4 fig5 fig6 fig7 \
            ablation_dispatch ablation_cache_ttl \
            hierarchy_isolation local_autonomy; do
     echo "== $exp"
-    cargo run --release -q -p aequus-bench --bin "$exp" > "results/$exp.txt" 2>"results/$exp.log"
+    cargo run --release -q -p aequus-bench -- "$exp" > "results/$exp.txt" 2>"results/$exp.log"
 done
 echo "all experiments done"

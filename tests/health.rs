@@ -135,7 +135,7 @@ fn fault_free_run_fires_no_alerts() {
 #[test]
 fn outage_fires_and_resolves_staleness_alert() {
     // The aggressive chaos plan: 30% drops plus the outage, no crash — the
-    // calibration run behind `aequus-health --check`.
+    // calibration run behind `aequus-bench health --check`.
     let faults = FaultPlan {
         drop_probability: 0.30,
         outages: vec![Outage {
