@@ -48,14 +48,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p aequus-rms -p aequus-sim -p aequus-workload -p aequus-stats \
   -p aequus-store -p aequus-bench
 
-# The bench gates, one process: telemetry and profiler overhead, the
-# gossip, health, backfill, recovery and scale sweeps, and the benchmark
-# snapshot (written as the named BENCH_ file, with its PROFILE_ sidecar,
-# and compared with the previous one) plus its regression differ. What
-# each gate holds is written next to its entry in `CHECK_PLAN`
-# (crates/bench/src/exp/mod.rs); the run ends with one table of every
-# gate and exits non-zero if any failed.
-cargo run -q --release -p aequus-bench -- check BENCH_PR15.json
+# The bench gates, one command: telemetry and profiler overhead, the
+# gossip, health, backfill, recovery and scale sweeps, and the simulated
+# headline numbers against results/sim_keys.json. What each gate holds is
+# written next to its entry in `CHECK_PLAN` (crates/bench/src/exp/mod.rs);
+# the run ends with one table of every gate and exits non-zero if any
+# failed.
+cargo run -q --release -p aequus-bench -- check
 
 # The experiment binaries became `aequus-bench <experiment>`: no tracked doc
 # or script may still name one of them as a `--bin`.
@@ -63,3 +62,6 @@ if git grep -n -e '--bin' -- '*.md' '*.sh' ':!ISSUE.md' ':!CHANGES.md' ':!ci.sh'
   echo "a tracked .md/.sh file still names a deleted bench binary" >&2
   exit 1
 fi
+# Wall clock is the repo benchmark's to judge (benchmark/): no per-PR
+# snapshot or profile file may be tracked again.
+[ -z "$(git ls-files 'BENCH_*' 'PROFILE_*')" ] || { echo "a BENCH_/PROFILE_ snapshot is tracked again" >&2; exit 1; }

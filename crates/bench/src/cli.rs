@@ -2,9 +2,9 @@
 //! and one dispatcher over a registry of [`Experiment`]s.
 //!
 //! ```text
-//! aequus-bench <experiment> [--check|--selftest] [positionals]
-//! aequus-bench list              # the registry, one row per experiment
-//! aequus-bench check SNAPSHOT    # every CI gate, in order, one gate table
+//! aequus-bench <experiment> [--check] [positionals]
+//! aequus-bench list     # the registry, one row per experiment
+//! aequus-bench check    # every CI gate, in order, one gate table
 //! ```
 //!
 //! Arguments that would be ignored are errors: an unknown experiment, an
@@ -17,7 +17,7 @@
 pub enum Param {
     /// An unsigned integer (job counts, shapes, thread counts).
     Num(&'static str),
-    /// Free text (a user name, a snapshot file).
+    /// Free text (a user name).
     Text(&'static str),
 }
 
@@ -36,12 +36,12 @@ pub struct Experiment {
     pub name: &'static str,
     /// The paper artifact (or repo gate) the experiment reproduces.
     pub artifact: &'static str,
-    /// The flags it takes: a subset of `--check`, `--selftest`.
+    /// The flags it takes: `--check` or none.
     pub flags: &'static [&'static str],
     /// Its positionals, in order.
     pub params: &'static [Param],
     /// How many positionals may be given: `[0, 1]` is an optional job
-    /// count, `[0, 4]` none or a whole shape, `[1, 2]` a required name.
+    /// count, `[0, 4]` none or a whole shape.
     pub arity: &'static [usize],
     /// The experiment itself.
     pub run: fn(&Args, &mut Gates),
@@ -78,8 +78,6 @@ impl Experiment {
 pub struct Args {
     /// `--check` was given.
     pub check: bool,
-    /// `--selftest` was given.
-    pub selftest: bool,
     positionals: Vec<String>,
 }
 
@@ -89,13 +87,10 @@ impl Args {
         let mut args = Args::default();
         for word in argv {
             if word.starts_with("--") {
-                if !exp.flags.contains(&word.as_str()) {
+                if word != "--check" || !exp.flags.contains(&"--check") {
                     return Err(format!("{}: unknown flag {word}", exp.name));
                 }
-                match word.as_str() {
-                    "--check" => args.check = true,
-                    _ => args.selftest = true,
-                }
+                args.check = true;
                 continue;
             }
             match exp.params.get(args.positionals.len()) {
@@ -315,8 +310,7 @@ impl Gates {
     }
 }
 
-/// One step of `aequus-bench check`: an experiment and its arguments. The
-/// literal word `SNAPSHOT` stands for the file name `check` was given.
+/// One step of `aequus-bench check`: an experiment and its arguments.
 pub type Step = (&'static str, &'static [&'static str]);
 
 fn find<'a>(registry: &'a [Experiment], name: &str) -> Result<&'a Experiment, String> {
@@ -390,9 +384,9 @@ pub fn list(registry: &[Experiment]) -> String {
 /// What a usage error prints after its message.
 pub fn usage(registry: &[Experiment]) -> String {
     format!(
-        "usage: aequus-bench <experiment> [--check|--selftest] [positionals]\n       \
+        "usage: aequus-bench <experiment> [--check] [positionals]\n       \
          aequus-bench list\n       \
-         aequus-bench check SNAPSHOT   (every CI gate; writes BENCH snapshot SNAPSHOT)\n\n\
+         aequus-bench check   (every CI gate)\n\n\
          experiments:\n{}",
         list(registry)
     )
@@ -413,18 +407,12 @@ pub fn dispatch(
     match command.as_str() {
         "list" if rest.is_empty() => print!("{}", list(registry)),
         "list" => return Err("list takes no arguments".to_string()),
-        "check" => {
-            let [snapshot] = rest else {
-                return Err("check takes exactly one argument, the snapshot file".to_string());
-            };
+        "check" if rest.is_empty() => {
             // Validate the whole plan before the first (minutes-long) step.
             let steps: Vec<(&str, Vec<String>)> = plan
                 .iter()
                 .map(|(name, words)| {
-                    let argv: Vec<String> = words
-                        .iter()
-                        .map(|w| w.replace("SNAPSHOT", snapshot))
-                        .collect();
+                    let argv: Vec<String> = words.iter().map(|w| w.to_string()).collect();
                     Args::parse(find(registry, name)?, &argv)?;
                     Ok((*name, argv))
                 })
@@ -439,6 +427,7 @@ pub fn dispatch(
             }
             print!("\n{}", gates.table());
         }
+        "check" => return Err("check takes no arguments".to_string()),
         name => {
             in_process(registry, name, rest, &mut gates)?;
             if !gates.rows.is_empty() {
@@ -494,8 +483,8 @@ mod tests {
     const NAMED: Experiment = Experiment {
         name: "named",
         artifact: "test",
-        flags: &["--check", "--selftest"],
-        params: &[Param::Text("SNAPSHOT"), Param::Num("JOBS")],
+        flags: &[],
+        params: &[Param::Text("USER"), Param::Num("JOBS")],
         arity: &[1, 2],
         run: noop,
     };
@@ -516,15 +505,15 @@ mod tests {
     #[test]
     fn flags_and_positionals_parse_in_any_order() {
         let a = Args::parse(&JOBS, &words("--check 1200 4")).unwrap();
-        assert!(a.check && !a.selftest);
+        assert!(a.check);
         assert_eq!((a.num(0), a.num(1), a.num(2)), (Some(1200), Some(4), None));
         let b = Args::parse(&JOBS, &words("1200 --check")).unwrap();
         assert_eq!((b.check, b.num(0)), (true, Some(1200)));
         assert_eq!(Args::parse(&JOBS, &[]).unwrap(), Args::default());
-        let n = Args::parse(&NAMED, &words("BENCH_X.json 1500 --selftest")).unwrap();
+        let n = Args::parse(&NAMED, &words("U65 1500")).unwrap();
         assert_eq!(
-            (n.text(0), n.num(1), n.selftest),
-            (Some("BENCH_X.json"), Some(1500), true)
+            (n.text(0), n.num(1), n.check),
+            (Some("U65"), Some(1500), false)
         );
     }
 
@@ -545,10 +534,10 @@ mod tests {
         );
         // And their neighbours: a flag the experiment does not take, too
         // many positionals, a partial shape, a missing required name.
-        assert!(Args::parse(&JOBS, &words("--selftest")).is_err());
+        assert!(Args::parse(&NAMED, &words("U65 --check")).is_err());
         assert!(Args::parse(&JOBS, &words("1 2 3")).is_err());
         assert!(Args::parse(&SHAPED, &words("2000 8")).is_err());
-        assert!(Args::parse(&NAMED, &words("--check")).is_err());
+        assert!(Args::parse(&NAMED, &[]).is_err());
         assert!(Args::parse(&JOBS, &words("-5")).is_err(), "negative count");
     }
 
@@ -560,13 +549,13 @@ mod tests {
             "jobs --chek",
             "jobs 12oo",
             "list extra",
-            "check",
+            "check BENCH.json",
         ] {
             assert_eq!(run(REGISTRY, &[], false, &words(line)), 2, "{line:?}");
         }
         // A bad step anywhere in the plan is caught before any step runs.
         let plan: &[Step] = &[("always_fails", &["--check"]), ("jobs", &["--chek"])];
-        assert!(dispatch(REGISTRY, plan, false, &words("check S.json")).is_err());
+        assert!(dispatch(REGISTRY, plan, false, &words("check")).is_err());
         assert_eq!(run(REGISTRY, &[], false, &words("jobs 1200 --check")), 0);
         assert_eq!(run(REGISTRY, &[], false, &words("list")), 0);
     }
@@ -598,10 +587,7 @@ mod tests {
     fn usage_is_derived_from_the_parser_tables() {
         assert_eq!(JOBS.usage(), "jobs [--check] [JOBS] [THREADS]");
         assert_eq!(SHAPED.usage(), "shaped [--check] [USERS SITES NODES JOBS]");
-        assert_eq!(
-            NAMED.usage(),
-            "named [--check] [--selftest] SNAPSHOT [JOBS]"
-        );
+        assert_eq!(NAMED.usage(), "named USER [JOBS]");
         assert_eq!(FAILING.usage(), "always_fails [--check]");
     }
 
@@ -609,10 +595,10 @@ mod tests {
     fn a_failing_gate_fails_check_and_is_named_in_the_table() {
         let plan: &[Step] = &[
             ("shaped", &["--check"]),
-            ("named", &["SNAPSHOT", "1500"]),
+            ("named", &["U65", "1500"]),
             ("always_fails", &["--check"]),
         ];
-        let gates = dispatch(REGISTRY, plan, false, &words("check S.json")).unwrap();
+        let gates = dispatch(REGISTRY, plan, false, &words("check")).unwrap();
         assert_eq!(gates.exit_code(), 1);
         let table = gates.table();
         assert!(
@@ -627,9 +613,9 @@ mod tests {
         assert!(table
             .lines()
             .any(|l| l.starts_with("shaped") && l.ends_with("ok")));
-        assert_eq!(run(REGISTRY, plan, false, &words("check S.json")), 1);
+        assert_eq!(run(REGISTRY, plan, false, &words("check")), 1);
         // Without the failing step the same plan is green.
-        assert_eq!(run(REGISTRY, &plan[..2], false, &words("check S.json")), 0);
+        assert_eq!(run(REGISTRY, &plan[..2], false, &words("check")), 0);
     }
 
     #[test]

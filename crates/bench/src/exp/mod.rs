@@ -6,7 +6,7 @@ mod characterization;
 mod explain;
 mod health;
 mod overhead;
-mod snapshot;
+mod sim_keys;
 mod sweeps;
 mod testbed;
 
@@ -110,23 +110,11 @@ pub const EXPERIMENTS: &[Experiment] = &[
         arity: &[0, 1, 2, 3],
         ..sized("explain", "tool — causal span tree and replayable provenance of one served priority", explain::explain)
     },
-    Experiment {
-        flags: CHECK,
-        params: &[Param::Text("SNAPSHOT"), Param::Num("JOBS")],
-        arity: &[1, 2],
-        ..sized("snapshot", "gate — write a BENCH_*.json snapshot (+ PROFILE_ sidecar), compare with the previous one", snapshot::snapshot)
-    },
-    Experiment {
-        flags: &["--selftest"],
-        params: &[Param::Text("PREV.json"), Param::Text("CUR.json")],
-        arity: &[0, 2],
-        ..sized("diff", "gate — compare two snapshots, attribute a regression to a profiled stage", snapshot::diff)
-    },
+    gate("sim_keys", "gate — the thirteen simulated headline numbers, byte for byte against results/sim_keys.json", sim_keys::sim_keys),
 ];
 
-/// What `aequus-bench check SNAPSHOT` runs, in order: the gates `ci.sh`
-/// enforces after the test suites. `SNAPSHOT` is the file name `check` was
-/// given.
+/// What `aequus-bench check` runs, in order: the gates `ci.sh` enforces
+/// after the test suites.
 pub const CHECK_PLAN: &[Step] = &[
     // The instrumented dispatch hot path must stay within 5% of its
     // baseline in all three modes — metrics-only vs disabled, and
@@ -159,17 +147,11 @@ pub const CHECK_PLAN: &[Step] = &[
     // under O(n^2), and a saturated scheduling cycle that costs at most 3x
     // more with 10,000 jobs queued than with 1,000).
     ("backfill_sweep", CHECK),
-    // Writes SNAPSHOT (and its PROFILE_ attribution sidecar) and compares
-    // against the most recent previous BENCH_*.json within tolerance
-    // (passes with a note when none exists yet). Thread-scaling keys skip
-    // on hosts with < 8 cores.
-    ("snapshot", &["SNAPSHOT", "1500", "--check"]),
-    // The attribution selftest injects a stall at the epoch barrier and
-    // must see it blamed on barrier.wait, then the real diff re-compares
-    // the two newest snapshots and names the profiled stage whose wall
-    // share grew most whenever a wall-clock key regresses.
-    ("diff", &["--selftest"]),
-    ("diff", &[]),
+    // The thirteen simulated headline numbers (convergence times, gossip
+    // bytes per user, staleness and alert lag, the backfill smoke cells)
+    // must equal results/sim_keys.json byte for byte; a PR that means to
+    // move one edits that file in the same diff and says why.
+    ("sim_keys", CHECK),
     // WAL replay must reconverge the crashed site's views strictly earlier
     // than surcharged snapshot-only catch-up on every seed.
     ("recovery_sweep", &[]),
@@ -194,7 +176,7 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), names.len(), "duplicate experiment name");
-        assert_eq!(names.len(), 33);
+        assert_eq!(names.len(), 32);
         let listing = list(EXPERIMENTS);
         let listed: Vec<&str> = listing
             .lines()
@@ -203,13 +185,7 @@ mod tests {
         assert_eq!(listed, names);
         for e in EXPERIMENTS {
             assert!(e.arity.iter().all(|&n| n <= e.params.len()), "{}", e.name);
-            assert!(
-                e.flags
-                    .iter()
-                    .all(|f| ["--check", "--selftest"].contains(f)),
-                "{}",
-                e.name
-            );
+            assert!(e.flags.iter().all(|f| *f == "--check"), "{}", e.name);
         }
     }
 
@@ -227,9 +203,7 @@ mod tests {
                 "gossip_sweep --check",
                 "health --check",
                 "backfill_sweep --check",
-                "snapshot SNAPSHOT 1500 --check",
-                "diff --selftest",
-                "diff",
+                "sim_keys --check",
                 "recovery_sweep",
                 "scale_sweep --check",
             ]
@@ -248,7 +222,8 @@ mod tests {
             let argv: Vec<String> = argv.iter().map(|w| w.to_string()).collect();
             assert!(Args::parse(exp, &argv).is_ok(), "{name} {argv:?}");
         }
-        assert!(dispatch(EXPERIMENTS, CHECK_PLAN, false, &["check".to_string()]).is_err());
+        let extra = ["check".to_string(), "BENCH.json".to_string()];
+        assert!(dispatch(EXPERIMENTS, CHECK_PLAN, false, &extra).is_err());
         assert!(dispatch(EXPERIMENTS, CHECK_PLAN, false, &["tabel1".to_string()]).is_err());
     }
 }

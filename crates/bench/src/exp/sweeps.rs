@@ -133,7 +133,7 @@ const SPEEDUP_CORES: usize = 8;
 pub(super) fn scale_sweep(args: &Args, gates: &mut Gates) {
     let shape = Shape::select(args, Shape::SCALE_SMOKE, Shape::SCALE_FULL);
     let threads: &[usize] = if args.check { &[1, 8] } else { &[1, 2, 4, 8] };
-    let cores = crate::snapshot::host_cores();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "# Scale sweep: {} users x {} sites x {} hosts, {} jobs, {} host cores{}",
         shape.users,

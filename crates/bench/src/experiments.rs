@@ -471,14 +471,6 @@ impl ScaleSweep {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Events/second at a given worker count, if measured.
-    pub fn events_per_sec(&self, threads: usize) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.threads == threads)
-            .map(|p| p.events_per_sec)
-    }
-
     /// Cross-worker-count determinism of the folded profile: `None` when
     /// every point's folded stacks are byte-identical to the first point's
     /// (the profiler's schedule-derived view must not depend on how the

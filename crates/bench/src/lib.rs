@@ -6,9 +6,9 @@
 //! reports:
 //!
 //! ```text
-//! aequus-bench <experiment> [--check|--selftest] [positionals]
-//! aequus-bench list              # every experiment, its usage and artifact
-//! aequus-bench check SNAPSHOT    # every CI gate in order, one gate table
+//! aequus-bench <experiment> [--check] [positionals]
+//! aequus-bench list     # every experiment, its usage and artifact
+//! aequus-bench check    # every CI gate in order, one gate table
 //! ```
 //!
 //! The registry row of each experiment names the paper artifact it
@@ -31,7 +31,6 @@ pub mod experiments;
 pub mod gossip;
 pub mod harness;
 pub mod report;
-pub mod snapshot;
 pub mod sweep;
 
 pub use backfill::{

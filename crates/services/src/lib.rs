@@ -25,8 +25,11 @@
 #![warn(missing_docs)]
 
 pub mod fcs;
+pub mod health;
 pub mod irs;
 pub mod libaequus;
+pub mod message;
+pub mod overlay;
 pub mod participation;
 pub mod pds;
 pub mod reliability;
@@ -36,14 +39,14 @@ pub mod ums;
 pub mod uss;
 
 pub use fcs::Fcs;
+pub use health::{DepthReport, HealthMap, HealthReport, LinkObservation, LinkReport};
 pub use irs::Irs;
 pub use libaequus::LibAequus;
+pub use message::UssMessage;
+pub use overlay::OverlayTopology;
 pub use participation::ParticipationMode;
 pub use pds::Pds;
-pub use reliability::{
-    DepthReport, HealthMap, HealthReport, JitterRng, LinkObservation, LinkReport, OverlayTopology,
-    RetryPolicy, StalePolicy, UssMessage,
-};
+pub use reliability::{JitterRng, RetryPolicy, StalePolicy};
 pub use site::AequusSite;
 pub use timings::ServiceTimings;
 pub use ums::Ums;

@@ -6,9 +6,10 @@
 use crate::fcs::Fcs;
 use crate::irs::Irs;
 use crate::libaequus::LibAequus;
+use crate::message::UssMessage;
 use crate::participation::ParticipationMode;
 use crate::pds::Pds;
-use crate::reliability::{RetryPolicy, StalePolicy, UssMessage};
+use crate::reliability::{RetryPolicy, StalePolicy};
 use crate::timings::ServiceTimings;
 use crate::ums::Ums;
 use crate::uss::Uss;

@@ -31,8 +31,10 @@
 //!   it as the `aequus_uss_peer_staleness_s` gauge, and enforces the
 //!   configured [`StalePolicy`] (serve-stale vs. local-only weighting).
 
+use crate::health::LinkObservation;
+use crate::message::UssMessage;
 use crate::participation::ParticipationMode;
-use crate::reliability::{JitterRng, LinkObservation, RetryPolicy, StalePolicy, UssMessage};
+use crate::reliability::{JitterRng, RetryPolicy, StalePolicy};
 use aequus_core::arena::DirtySet;
 use aequus_core::ids::SiteId;
 use aequus_core::usage::{
@@ -64,6 +66,16 @@ pub enum RecoveryError {
         /// Slot duration recorded in the checkpoint.
         found: f64,
     },
+    /// A checkpointed cell is not a charge (non-finite or negative):
+    /// installing it would poison every view built on the histogram.
+    BadCell {
+        /// The cell's user.
+        user: GridUser,
+        /// The cell's slot index.
+        slot: u64,
+        /// The value found there.
+        value: f64,
+    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -78,6 +90,11 @@ impl fmt::Display for RecoveryError {
                 f,
                 "checkpoint slot duration {found}s != configured {expected}s"
             ),
+            RecoveryError::BadCell { user, slot, value } => write!(
+                f,
+                "checkpoint cell ({}, slot {slot}) holds {value}, not a charge",
+                user.as_str()
+            ),
         }
     }
 }
@@ -87,6 +104,24 @@ impl std::error::Error for RecoveryError {}
 /// Minimum per-cell charge difference considered a real change; smaller
 /// residues are floating-point noise and are neither published nor merged.
 const CELL_EPS: f64 = 1e-12;
+
+/// Whether two slot durations bin identically (never, for a NaN).
+fn same_slots(a_s: f64, b_s: f64) -> bool {
+    (a_s - b_s).abs() <= 1e-9
+}
+
+/// The first cell of `cells` that is not a charge — non-finite or negative
+/// — as `(user, slot, value)`. Cells arrive from outside the site (wire,
+/// WAL, checkpoint), and one `+inf` merged into a histogram makes every
+/// view and total built on it `inf` for good.
+fn first_bad_cell(cells: &UserCells) -> Option<(&GridUser, u64, f64)> {
+    cells.iter().find_map(|(user, slots)| {
+        slots
+            .iter()
+            .find(|(_, v)| !(v.is_finite() && **v >= 0.0))
+            .map(|(&slot, &value)| (user, slot, value))
+    })
+}
 
 /// Pre-registered USS metric handles (all no-ops until
 /// [`Uss::set_telemetry`] wires an enabled registry).
@@ -101,6 +136,7 @@ struct UssMetrics {
     resyncs: Counter,
     snapshots: Counter,
     duplicates: Counter,
+    rejected: Counter,
     staleness: Gauge,
     h_ingest: Histogram,
     h_publish: Histogram,
@@ -119,6 +155,7 @@ impl UssMetrics {
             resyncs: t.counter("aequus_uss_resyncs_total"),
             snapshots: t.counter("aequus_uss_snapshots_total"),
             duplicates: t.counter("aequus_uss_duplicates_total"),
+            rejected: t.counter("aequus_uss_rejected_total"),
             staleness: t.gauge("aequus_uss_peer_staleness_s"),
             h_ingest: t.histogram("aequus_uss_ingest_s"),
             h_publish: t.histogram("aequus_uss_publish_s"),
@@ -281,6 +318,7 @@ pub struct Uss {
     resyncs: u64,
     snapshots_sent: u64,
     duplicates: u64,
+    rejected: u64,
     /// Users whose usage changed since the UMS last drained this service —
     /// the head of the incremental dirty-set flow USS → UMS → FCS.
     dirty: DirtySet,
@@ -377,6 +415,7 @@ impl Uss {
             resyncs: 0,
             snapshots_sent: 0,
             duplicates: 0,
+            rejected: 0,
             dirty: DirtySet::new(),
             view_dirty,
             metrics: UssMetrics::default(),
@@ -745,6 +784,16 @@ impl Uss {
         if s.site == self.site {
             return Vec::new(); // never double-count our own data
         }
+        if let Err(why) = self.check_summary(s) {
+            // Refused whole, before any cell merges: no cursor movement and
+            // no ack either, so a well-formed retransmission still counts.
+            self.rejected += 1;
+            self.metrics.rejected.inc();
+            self.metrics.telemetry.event(now_s, "uss.rejected", || {
+                format!("summary seq {} from site {}: {why}", s.seq, s.site.0)
+            });
+            return Vec::new();
+        }
         let mut responses = Vec::new();
         if !is_snapshot && s.seq > 0 {
             // Acknowledge regardless of participation mode, so publishers
@@ -816,6 +865,30 @@ impl Uss {
             )
         });
         responses
+    }
+
+    /// Whether a summary from outside the site may be merged: it must be
+    /// binned with this site's slot duration (else its slot indices name
+    /// different time windows) and every cell, own and relayed, must be a
+    /// finite non-negative charge. The one check of the wire path
+    /// ([`Uss::receive_message`]) and the WAL-replay path
+    /// ([`Uss::replay_peer_data`]).
+    fn check_summary(&self, s: &UsageSummary) -> Result<(), String> {
+        let slot_s = self.local.slot_duration();
+        if !same_slots(s.slot_s, slot_s) {
+            return Err(format!(
+                "slot duration {}s != configured {slot_s}s",
+                s.slot_s
+            ));
+        }
+        let mut sections = std::iter::once(&s.per_user).chain(s.relayed.values());
+        match sections.find_map(first_bad_cell) {
+            Some((user, slot, value)) => Err(format!(
+                "cell ({}, slot {slot}) holds {value}, not a charge",
+                user.as_str()
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Idempotent merge of a summary's sections: apply the positive delta
@@ -1080,10 +1153,18 @@ impl Uss {
             });
         }
         let slot_s = self.local.slot_duration();
-        if (ckpt.slot_s - slot_s).abs() > 1e-9 {
+        if !same_slots(ckpt.slot_s, slot_s) {
             return Err(RecoveryError::SlotMismatch {
                 expected: slot_s,
                 found: ckpt.slot_s,
+            });
+        }
+        let mut sections = std::iter::once(&ckpt.local_cells).chain(ckpt.origin_cells.values());
+        if let Some((user, slot, value)) = sections.find_map(first_bad_cell) {
+            return Err(RecoveryError::BadCell {
+                user: user.clone(),
+                slot,
+                value,
             });
         }
         self.local = UsageHistogram::new(slot_s);
@@ -1138,9 +1219,10 @@ impl Uss {
     /// same positive-delta merge and cursor bookkeeping as the live path,
     /// but silent — no acks (the peer collected them before the crash), no
     /// resync pulls (post-recovery catch-up covers any still-open gap), and
-    /// no telemetry.
+    /// no telemetry. A summary the live path refused (it is journaled before
+    /// it is judged) is refused again, uncounted like everything else here.
     pub fn replay_peer_data(&mut self, s: &UsageSummary, is_snapshot: bool) {
-        if s.site == self.site || !self.mode.reads_global() {
+        if s.site == self.site || !self.mode.reads_global() || self.check_summary(s).is_err() {
             return;
         }
         self.merge_sections(s);
@@ -1327,6 +1409,12 @@ impl Uss {
         self.duplicates
     }
 
+    /// Incoming data messages refused whole: binned with another slot
+    /// duration, or carrying a cell that is not a finite non-negative charge.
+    pub fn rejected(&self) -> u64 {
+        self.rejected
+    }
+
     /// Unacked summaries queued for `peer` (test inspection).
     pub fn outbox_depth(&self, peer: SiteId) -> usize {
         self.tx.get(&peer).map_or(0, |t| t.outbox.len())
@@ -1378,6 +1466,7 @@ impl Uss {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aequus_core::codec::Encoding;
     use aequus_core::ids::JobId;
     use aequus_core::DecayPolicy;
 
@@ -1987,5 +2076,138 @@ mod tests {
         assert_eq!(replayed.relayed.len(), 1);
         c.receive_at(&replayed, 600.0);
         assert!((c.remote_usage_of(&GridUser::new("u")) - 80.0).abs() < 1e-9);
+    }
+
+    /// A two-cell summary from site 0, sequenced, binned like the receivers
+    /// below (100 s slots): the well-formed baseline the hostile cases bend.
+    fn summary_from_site0(seq: u64) -> UsageSummary {
+        let mut a = Uss::new(SiteId(0), ParticipationMode::Full, 100.0);
+        a.ingest(&rec(0, "u", 0.0, 80.0));
+        a.ingest(&rec(0, "v", 110.0, 150.0));
+        let mut s = a.publish(500.0).expect("two closed slots");
+        s.seq = seq;
+        s
+    }
+
+    fn assert_refused_whole(b: &Uss, responses: &[(SiteId, UssMessage)]) {
+        assert!(responses.is_empty(), "no ack, no resync: {responses:?}");
+        assert_eq!(b.rejected(), 1);
+        assert_eq!(b.remote_total(), 0.0, "no cell merged");
+        assert!(b.grid_view().values().all(|v| v.is_finite()));
+        assert!(b.export_checkpoint(0, 0.0).peers.is_empty(), "no cursor");
+        assert_eq!((b.summaries_received(), b.duplicates()), (0, 0));
+    }
+
+    #[test]
+    fn a_summary_with_a_non_charge_cell_is_refused_whole_on_the_wire() {
+        for (hostile, relayed) in [
+            (f64::INFINITY, false),
+            (f64::NAN, false),
+            (-1.0, false),
+            (f64::INFINITY, true),
+        ] {
+            let mut s = summary_from_site0(1);
+            // The bad cell sorts after a good one, so a cell-by-cell merge
+            // would already have taken "u" when it met "v".
+            let bad: UserCells = [(GridUser::new("v"), [(1, hostile)].into())].into();
+            if relayed {
+                s.relayed.insert(SiteId(7), bad);
+            } else {
+                s.per_user.extend(bad);
+            }
+            // The codecs are faithful transports: it decodes as sent.
+            for enc in [Encoding::Dense, Encoding::Delta] {
+                let msg = UssMessage::Summary {
+                    summary: s.clone(),
+                    ctx: None,
+                };
+                let (decoded, _) = UssMessage::decode(&msg.encode(enc)).expect("CRC-valid");
+                let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+                let responses = b.receive_message(&decoded, 600.0);
+                assert_refused_whole(&b, &responses);
+                // A well-formed retransmission of the same seq still lands.
+                let good = UssMessage::Summary {
+                    summary: summary_from_site0(1),
+                    ctx: None,
+                };
+                assert_eq!(b.receive_message(&good, 700.0).len(), 1, "acked");
+                assert!((b.remote_total() - 120.0).abs() < 1e-9);
+                assert_eq!(b.rejected(), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_summary_binned_with_another_slot_duration_is_refused() {
+        for slot_s in [60.0, f64::NAN, 100.0 + 1e-6] {
+            let mut s = summary_from_site0(1);
+            s.slot_s = slot_s;
+            let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+            let responses = b.receive_message(
+                &UssMessage::Snapshot {
+                    summary: s,
+                    ctx: None,
+                },
+                600.0,
+            );
+            assert_refused_whole(&b, &responses);
+        }
+        // Inside the tolerance `install_checkpoint` uses, it merges.
+        let mut s = summary_from_site0(1);
+        s.slot_s = 100.0 + 1e-12;
+        let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+        b.receive_at(&s, 600.0);
+        assert_eq!(b.rejected(), 0);
+        assert!((b.remote_total() - 120.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn wal_replay_refuses_what_the_wire_refuses() {
+        let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+        let mut inf = summary_from_site0(1);
+        inf.per_user
+            .insert(GridUser::new("v"), [(1, f64::INFINITY)].into());
+        b.replay_peer_data(&inf, false);
+        let mut misbinned = summary_from_site0(2);
+        misbinned.slot_s = 60.0;
+        b.replay_peer_data(&misbinned, true);
+        assert_eq!(b.remote_total(), 0.0);
+        assert!(b.export_checkpoint(0, 0.0).peers.is_empty(), "no cursor");
+        b.replay_peer_data(&summary_from_site0(1), false);
+        assert!((b.remote_total() - 120.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_non_charge_cell_is_not_installed() {
+        let mut a = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+        a.ingest(&rec(1, "u", 0.0, 80.0));
+        a.receive_at(&summary_from_site0(1), 500.0);
+        let good = a.export_checkpoint(3, 500.0);
+        let mut local = good.clone();
+        local
+            .local_cells
+            .insert(GridUser::new("w"), [(0, f64::INFINITY)].into());
+        let mut origin = good.clone();
+        origin
+            .origin_cells
+            .get_mut(&SiteId(0))
+            .unwrap()
+            .insert(GridUser::new("w"), [(2, f64::NAN)].into());
+        for (bad, slot) in [(local, 0), (origin, 2)] {
+            let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+            b.ingest(&rec(1, "kept", 0.0, 10.0));
+            let err = b.install_checkpoint(&bad).unwrap_err();
+            assert!(
+                matches!(&err, RecoveryError::BadCell { user, slot: s, .. }
+                    if user.as_str() == "w" && *s == slot),
+                "{err}"
+            );
+            // Refused before anything was replaced.
+            assert!((b.local_total() - 10.0).abs() < 1e-9);
+            assert_eq!(b.remote_total(), 0.0);
+        }
+        let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+        b.install_checkpoint(&good).unwrap();
+        assert!((b.remote_total() - 120.0).abs() < 1e-9);
     }
 }

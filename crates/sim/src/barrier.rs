@@ -23,7 +23,7 @@ use crate::shard::{Outgoing, Shard};
 use aequus_services::UssMessage;
 use aequus_telemetry::Histogram;
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One epoch: advance every shard to `limit_s`, then (optionally) assemble
 /// a metrics sample at the barrier.
@@ -135,10 +135,8 @@ pub type BarrierFragments = Vec<(ShardSample, bool)>;
 enum Cmd {
     Epoch {
         /// Epoch index in the schedule (profiler span tagging).
-        epoch: u64,
-        limit_s: f64,
-        inclusive: bool,
-        sample: bool,
+        index: u64,
+        epoch: Epoch,
         /// Barrier deliveries for this worker's shards, already in global
         /// (source site, staging) order.
         deliveries: Vec<(usize, f64, UssMessage)>,
@@ -146,9 +144,51 @@ enum Cmd {
     Finish,
 }
 
+/// Sample fragments tagged with their site, so the coordinator can put the
+/// workers' fragments back in site order.
+type SiteFragments = Vec<(usize, ShardSample, bool)>;
+
 struct WorkerOut {
     outgoing: Vec<Outgoing>,
-    fragments: Vec<(usize, ShardSample, bool)>,
+    fragments: SiteFragments,
+}
+
+/// One epoch over the shards one thread owns, in site order: advance each
+/// shard to the epoch limit (its cross-shard sends staged on `outgoing`),
+/// then take every shard's sample fragment if the barrier samples. The
+/// serial loop and the workers both run exactly this.
+fn run_epoch(
+    shards: &mut [Shard],
+    index: u64,
+    epoch: Epoch,
+    end_s: f64,
+    outgoing: &mut Vec<Outgoing>,
+) -> SiteFragments {
+    for shard in shards.iter_mut() {
+        let before = shard.stats.events;
+        shard.prof.begin_epoch(index, epoch.limit_s, before);
+        shard.advance(epoch.limit_s, epoch.inclusive, end_s, outgoing);
+        let after = shard.stats.events;
+        shard.prof.end_epoch(after);
+    }
+    if !epoch.sample {
+        return Vec::new();
+    }
+    shards
+        .iter_mut()
+        .map(|s| {
+            (
+                s.index,
+                s.sample_fragment(epoch.limit_s),
+                s.remote_suppressed(),
+            )
+        })
+        .collect()
+}
+
+/// Site-ordered fragments as `at_barrier` takes them.
+fn untagged(fragments: SiteFragments) -> BarrierFragments {
+    fragments.into_iter().map(|(_, s, b)| (s, b)).collect()
 }
 
 /// Drive `shards` through `schedule`, calling `at_barrier(now, fragments)`
@@ -161,12 +201,6 @@ struct WorkerOut {
 /// persistent `std::thread::scope` workers fed per-epoch commands over
 /// channels. Both paths perform the same pushes in the same per-shard order,
 /// so they produce bit-identical shard states.
-///
-/// `barrier_sleep_ns` injects an artificial stall at every barrier (debug /
-/// `aequus-bench diff --selftest` only): the serial path sleeps and charges the
-/// stall to every shard's `barrier.wait` stage; the parallel path sleeps on
-/// the coordinator, where the workers' own wait measurement picks it up.
-#[allow(clippy::too_many_arguments)] // single internal caller (engine::run)
 pub fn drive(
     mut shards: Vec<Shard>,
     num_threads: usize,
@@ -174,7 +208,6 @@ pub fn drive(
     mut schedule: EpochSchedule,
     end_s: f64,
     epoch_hist: &Histogram,
-    barrier_sleep_ns: u64,
     mut at_barrier: impl FnMut(f64, BarrierFragments),
 ) -> (Vec<Shard>, u64) {
     let n_workers = num_threads.min(shards.len()).max(1);
@@ -184,19 +217,9 @@ pub fn drive(
         let mut epoch_idx: u64 = 0;
         while let Some(epoch) = schedule.next() {
             let timer = epoch_hist.start_timer();
-            for shard in &mut shards {
-                let before = shard.stats.events;
-                shard.prof.begin_epoch(epoch_idx, epoch.limit_s, before);
-                shard.advance(epoch.limit_s, epoch.inclusive, end_s, &mut outgoing);
-                let after = shard.stats.events;
-                shard.prof.end_epoch(after);
-            }
+            let fragments = run_epoch(&mut shards, epoch_idx, epoch, end_s, &mut outgoing);
             if epoch.sample {
-                let frags: BarrierFragments = shards
-                    .iter_mut()
-                    .map(|s| (s.sample_fragment(epoch.limit_s), s.remote_suppressed()))
-                    .collect();
-                at_barrier(epoch.limit_s, frags);
+                at_barrier(epoch.limit_s, untagged(fragments));
             }
             mailbox_hwm = mailbox_hwm.max(outgoing.len() as u64);
             // Shards were advanced in site order, so `outgoing` is already
@@ -205,14 +228,6 @@ pub fn drive(
                 shards[o.dest]
                     .queue
                     .push(o.arrival_s, Event::UssDeliver(o.msg));
-            }
-            if barrier_sleep_ns > 0 {
-                std::thread::sleep(Duration::from_nanos(barrier_sleep_ns));
-                for shard in &mut shards {
-                    shard
-                        .prof
-                        .record_wait_ns(barrier_sleep_ns, epoch_idx, epoch.limit_s);
-                }
             }
             timer.observe();
             epoch_idx += 1;
@@ -253,10 +268,8 @@ pub fn drive(
             }
             for (tx, batch) in cmd_txs.iter().zip(deliveries) {
                 tx.send(Cmd::Epoch {
-                    epoch: epoch_idx,
-                    limit_s: epoch.limit_s,
-                    inclusive: epoch.inclusive,
-                    sample: epoch.sample,
+                    index: epoch_idx,
+                    epoch,
                     deliveries: batch,
                 })
                 .expect("worker alive");
@@ -264,11 +277,6 @@ pub fn drive(
             let mut outs: Vec<WorkerOut> = (0..n_workers)
                 .map(|_| res_rx.recv().expect("worker epoch result").1)
                 .collect();
-            if barrier_sleep_ns > 0 {
-                // Stall the coordinator while every worker sits at the
-                // barrier; the workers' own wait measurement attributes it.
-                std::thread::sleep(Duration::from_nanos(barrier_sleep_ns));
-            }
             // Each source site lives on exactly one worker and its sends
             // arrive in one contiguous in-order run, so a stable sort by
             // source reconstructs the exact serial delivery order no matter
@@ -279,15 +287,12 @@ pub fn drive(
             pending = all_out;
             mailbox_hwm = mailbox_hwm.max(pending.len() as u64);
             if epoch.sample {
-                let mut frags: Vec<(usize, ShardSample, bool)> = outs
+                let mut frags: SiteFragments = outs
                     .iter_mut()
                     .flat_map(|o| o.fragments.drain(..))
                     .collect();
                 frags.sort_by_key(|f| f.0);
-                at_barrier(
-                    epoch.limit_s,
-                    frags.into_iter().map(|(_, s, b)| (s, b)).collect(),
-                );
+                at_barrier(epoch.limit_s, untagged(frags));
             }
             timer.observe();
             epoch_idx += 1;
@@ -321,16 +326,14 @@ fn worker_loop(
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Epoch {
+                index,
                 epoch,
-                limit_s,
-                inclusive,
-                sample,
                 deliveries,
             } => {
                 if let Some(done) = last_done.take() {
                     let wait_ns = done.elapsed().as_nanos() as u64;
                     for shard in &mut shards {
-                        shard.prof.record_wait_ns(wait_ns, epoch, limit_s);
+                        shard.prof.record_wait_ns(wait_ns, index, epoch.limit_s);
                     }
                 }
                 // Barrier deliveries first, in the coordinator's global
@@ -344,21 +347,7 @@ fn worker_loop(
                     shard.queue.push(arrival_s, Event::UssDeliver(msg));
                 }
                 let mut outgoing = Vec::new();
-                for shard in &mut shards {
-                    let before = shard.stats.events;
-                    shard.prof.begin_epoch(epoch, limit_s, before);
-                    shard.advance(limit_s, inclusive, end_s, &mut outgoing);
-                    let after = shard.stats.events;
-                    shard.prof.end_epoch(after);
-                }
-                let fragments = if sample {
-                    shards
-                        .iter_mut()
-                        .map(|s| (s.index, s.sample_fragment(limit_s), s.remote_suppressed()))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                let fragments = run_epoch(&mut shards, index, epoch, end_s, &mut outgoing);
                 if res_tx
                     .send((
                         worker,

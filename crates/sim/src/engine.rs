@@ -445,7 +445,6 @@ impl GridSimulation {
             schedule,
             end_s,
             &h_epoch,
-            self.scenario.debug_barrier_sleep_ns,
             at_barrier,
         );
 

@@ -170,11 +170,6 @@ pub struct GridScenario {
     /// per-epoch span ring. Implies telemetry when not `Off` (the service
     /// stages are read from the per-site registries).
     pub profile: aequus_telemetry::ProfileMode,
-    /// Debug-only: sleep this many wall nanoseconds at every epoch barrier.
-    /// Exists so `aequus-bench diff --selftest` can inject a known slowdown and
-    /// assert the differ attributes it to `barrier.wait`. Never set in real
-    /// scenarios.
-    pub debug_barrier_sleep_ns: u64,
     /// Gossip overlay topology: which sites exchange summaries directly.
     /// Interior nodes of non-mesh overlays relay merged cells onward
     /// (per-hop aggregation), so every site still converges to the full
@@ -240,7 +235,6 @@ impl GridScenario {
             placement: ShardPlacement::RoundRobin,
             metrics_user_cap: None,
             profile: aequus_telemetry::ProfileMode::Off,
-            debug_barrier_sleep_ns: 0,
             overlay: OverlayTopology::FullMesh,
             encoding: Encoding::default(),
             health: None,
@@ -392,13 +386,6 @@ impl GridScenario {
         if mode != aequus_telemetry::ProfileMode::Off {
             self.telemetry = true;
         }
-        self
-    }
-
-    /// Inject an artificial sleep at every epoch barrier (debug/selftest
-    /// only — see [`GridScenario::debug_barrier_sleep_ns`]).
-    pub fn with_debug_barrier_sleep(mut self, ns: u64) -> Self {
-        self.debug_barrier_sleep_ns = ns;
         self
     }
 

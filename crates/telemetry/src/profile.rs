@@ -2,7 +2,7 @@
 //! dual clocks, bounded span rings, and machine-readable exports.
 //!
 //! The sharded engine needed an instrument panel, not printlns: when 8
-//! workers run *slower* than 1 (as BENCH_PR6 measured on a small host), the
+//! workers run *slower* than 1 (as measured on a small host), the
 //! question "barrier stalls, shard imbalance, mailbox churn, or allocation
 //! pressure?" must be answerable from a run artifact. This module provides:
 //!
@@ -22,19 +22,16 @@
 //!   trace-event JSON ([`RunProfile::to_chrome_trace`], loadable in
 //!   `about://tracing` / Perfetto, one track per shard, epochs as frames),
 //!   a folded-stacks text profile ([`RunProfile::to_folded`], deterministic
-//!   by construction), and a JSON document that round-trips
-//!   ([`RunProfile::to_json`] / [`RunProfile::from_json`]) for the
-//!   `aequus-bench diff` regression attributor.
+//!   by construction), and a JSON document ([`RunProfile::to_json`]).
 //!
 //! **Why barrier wait is attributed to the *waiting* shard:** a stalled
 //! worker tells you which shards paid for the imbalance, not which shard
 //! caused it. The shard that causes a stall is busy — its time shows up as
 //! `epoch` compute; the shards that suffer show `barrier.wait`. Attributing
 //! the wait to the waiter makes the two sides of an imbalance sum to the
-//! same wall clock, so share-of-total comparisons (the `aequus-bench diff`
-//! attribution) stay meaningful.
+//! same wall clock, so share-of-total comparisons stay meaningful.
 
-use crate::json::{escape as json_escape, JsonValue};
+use crate::json::escape as json_escape;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
@@ -401,7 +398,7 @@ impl RunProfile {
     }
 
     /// Total wall nanoseconds per stage, shard stages and service stages
-    /// pooled (shard stages summed across shards). The attribution input.
+    /// pooled (shard stages summed across shards).
     pub fn wall_totals(&self) -> BTreeMap<String, u64> {
         let mut totals: BTreeMap<String, u64> = BTreeMap::new();
         for sp in &self.shards {
@@ -419,21 +416,7 @@ impl RunProfile {
         totals
     }
 
-    /// Each stage's share of the profile's total wall time, in `[0, 1]`.
-    /// Empty when nothing recorded wall time.
-    pub fn wall_shares(&self) -> BTreeMap<String, f64> {
-        let totals = self.wall_totals();
-        let sum: u64 = totals.values().sum();
-        if sum == 0 {
-            return BTreeMap::new();
-        }
-        totals
-            .into_iter()
-            .map(|(k, v)| (k, v as f64 / sum as f64))
-            .collect()
-    }
-
-    /// Serialize to JSON (round-trips through [`Self::from_json`]).
+    /// Serialize to JSON.
     pub fn to_json(&self) -> String {
         fn stages_json(stages: &BTreeMap<String, StageStats>) -> String {
             let body: Vec<String> = stages
@@ -494,62 +477,12 @@ impl RunProfile {
             self.mailbox_hwm
         )
     }
-
-    /// Parse JSON produced by [`Self::to_json`]. Returns `None` on
-    /// malformed input.
-    pub fn from_json(text: &str) -> Option<RunProfile> {
-        let v = JsonValue::parse(text)?;
-        fn stages(v: &JsonValue) -> Option<BTreeMap<String, StageStats>> {
-            let mut out = BTreeMap::new();
-            for (k, s) in v.as_object()? {
-                out.insert(
-                    k.clone(),
-                    StageStats {
-                        calls: s.get("calls")?.as_u64()?,
-                        wall_ns: s.get("wall_ns")?.as_u64()?,
-                        bytes: s.get("bytes")?.as_u64()?,
-                    },
-                );
-            }
-            Some(out)
-        }
-        let mut profile = RunProfile {
-            services: stages(v.get("services")?)?,
-            mailbox_hwm: v.get("mailbox_hwm")?.as_u64()?,
-            ..RunProfile::default()
-        };
-        for sp in v.get("shards")?.as_array()? {
-            let mut link_bytes = BTreeMap::new();
-            for (k, b) in sp.get("link_bytes")?.as_object()? {
-                link_bytes.insert(k.parse().ok()?, b.as_u64()?);
-            }
-            let mut spans = Vec::new();
-            for s in sp.get("spans")?.as_array()? {
-                spans.push(ProfSpan {
-                    name: s.get("name")?.as_str()?.to_string(),
-                    epoch: s.get("epoch")?.as_u64()?,
-                    limit_s: s.get("limit_s")?.as_f64()?,
-                    start_ns: s.get("start_ns")?.as_u64()?,
-                    dur_ns: s.get("dur_ns")?.as_u64()?,
-                    events: s.get("events")?.as_u64()?,
-                });
-            }
-            profile.shards.push(ShardProfile {
-                shard: sp.get("shard")?.as_u64()? as usize,
-                stages: stages(sp.get("stages")?)?,
-                spans,
-                spans_dropped: sp.get("spans_dropped")?.as_u64()?,
-                link_bytes,
-                queue_hwm: sp.get("queue_hwm")?.as_u64()?,
-            });
-        }
-        Some(profile)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
 
     fn full_profiler() -> ShardProfiler {
         ShardProfiler::new(3, ProfileMode::Full, Instant::now())
@@ -683,20 +616,16 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
+    fn json_is_valid_and_carries_every_section() {
         let profile = sample_run_profile();
-        let back = RunProfile::from_json(&profile.to_json()).expect("parse own output");
-        assert_eq!(back, profile);
-        assert!(RunProfile::from_json("{\"shards\":").is_none());
-    }
-
-    #[test]
-    fn wall_shares_sum_to_one() {
-        let profile = sample_run_profile();
-        let shares = profile.wall_shares();
-        let sum: f64 = shares.values().sum();
-        assert!((sum - 1.0).abs() < 1e-12, "{shares:?}");
-        assert!(shares.contains_key("barrier.wait"));
-        assert!(shares.contains_key("uss.ingest"));
+        let v = JsonValue::parse(&profile.to_json()).expect("valid JSON");
+        let shard = &v.get("shards").unwrap().as_array().unwrap()[0];
+        assert_eq!(shard.get("shard").unwrap().as_u64(), Some(3));
+        assert_eq!(shard.get("spans").unwrap().as_array().unwrap().len(), 2);
+        let wire = shard.get("stages").unwrap().get("gossip.wire").unwrap();
+        assert_eq!(wire.get("bytes").unwrap().as_u64(), Some(128));
+        assert_eq!(v.get("mailbox_hwm").unwrap().as_u64(), Some(6));
+        let totals = profile.wall_totals();
+        assert!(totals.contains_key("barrier.wait") && totals.contains_key("uss.ingest"));
     }
 }

@@ -14,6 +14,8 @@ use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, SimResult};
 use aequus::workload::{Trace, TraceJob};
 use std::collections::BTreeMap;
 
+mod oracle;
+
 /// Base seed of the 3-seed matrix; `AEQUUS_TEST_SEED` shifts the whole
 /// matrix so CI can sweep seed families without editing the suite.
 fn base_seed() -> u64 {
@@ -91,13 +93,11 @@ fn outage(cluster: usize, from_s: f64, to_s: f64) -> Outage {
 }
 
 /// The invariant: the faulted run completes every job and ends with every
-/// site holding exactly the fault-free run's per-user grid-usage view.
-fn assert_converged_to(faulted: &SimResult, baseline: &SimResult, label: &str) {
-    assert_eq!(
-        faulted.total_completed(),
-        48,
-        "{label}: faults must not lose jobs"
-    );
+/// site holding exactly the fault-free run's per-user grid-usage view —
+/// which is also what `trace` alone says was consumed, so a bug the faulted
+/// and the fault-free run share cannot hide in the comparison.
+fn assert_converged_to(faulted: &SimResult, baseline: &SimResult, trace: &Trace, label: &str) {
+    oracle::assert_views_match_trace(faulted, trace, label);
     assert_eq!(
         faulted.site_usage_views.len(),
         baseline.site_usage_views.len()
@@ -135,6 +135,7 @@ fn run_matrix(outages_for: impl Fn(u64) -> Vec<Outage>, label: &str) {
             assert_converged_to(
                 &faulted,
                 &baseline,
+                &chaos_trace(),
                 &format!("{label} drop={drop_probability} seed={seed}"),
             );
         }
@@ -187,7 +188,12 @@ fn crash_recovery_converges_via_snapshot_catchup() {
             crashes: vec![outage(2, 400.0, 700.0)],
         };
         let faulted = run(sc);
-        assert_converged_to(&faulted, &baseline, &format!("crash seed={seed}"));
+        assert_converged_to(
+            &faulted,
+            &baseline,
+            &chaos_trace(),
+            &format!("crash seed={seed}"),
+        );
     }
 }
 
@@ -228,8 +234,18 @@ fn durable_store_recovers_faster_than_snapshot_only() {
         let with_store = make(true);
         let without_store = make(false);
 
-        assert_converged_to(&with_store, &baseline, &format!("store-on seed={seed}"));
-        assert_converged_to(&without_store, &baseline, &format!("store-off seed={seed}"));
+        assert_converged_to(
+            &with_store,
+            &baseline,
+            &chaos_trace(),
+            &format!("store-on seed={seed}"),
+        );
+        assert_converged_to(
+            &without_store,
+            &baseline,
+            &chaos_trace(),
+            &format!("store-off seed={seed}"),
+        );
 
         let t_on = with_store
             .metrics
@@ -395,6 +411,7 @@ fn overlay_topologies_match_full_mesh_views_fault_free() {
             assert_converged_to(
                 &got,
                 &baseline,
+                &chaos_trace(),
                 &format!("fault-free {overlay:?} {encoding:?}"),
             );
         }
@@ -423,6 +440,7 @@ fn hub_partition_leaves_reconverge_across_projections() {
             assert_converged_to(
                 &faulted,
                 &baseline,
+                &chaos_trace(),
                 &format!("hub-partition seed={seed} projection={projection:?}"),
             );
         }
@@ -451,6 +469,7 @@ fn tree_interior_crash_leaves_reconverge_across_projections() {
             assert_converged_to(
                 &faulted,
                 &baseline,
+                &chaos_trace(),
                 &format!("tree-crash seed={seed} projection={projection:?}"),
             );
         }

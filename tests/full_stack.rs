@@ -6,6 +6,8 @@ use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, RoutingPolicy
 use aequus::workload::users::baseline_policy_shares;
 use aequus::workload::{test_trace, TestTraceConfig, Trace, TraceJob};
 
+mod oracle;
+
 fn small_scenario(seed: u64) -> GridScenario {
     GridScenario::national_testbed(&baseline_policy_shares(), seed)
 }
@@ -122,6 +124,19 @@ fn gossip_drops_degrade_gracefully() {
     let faulty = GridSimulation::new(faulty_sc).run(&trace, 2400.0);
     // Work still completes despite losing half the exchange traffic.
     assert!(faulty.total_completed() as f64 > 0.97 * clean.total_completed() as f64);
+}
+
+#[test]
+fn every_site_ends_believing_what_the_trace_charged() {
+    // Half the exchange traffic lost on the paper's six-cluster test bed,
+    // then a day's drain — the trace's longest jobs run for hours — so that
+    // every job finishes and the gossip settles: each site's view must
+    // equal the trace's own per-user sums.
+    let trace = small_trace(2000, 8);
+    let mut sc = small_scenario(8);
+    sc.faults.drop_probability = 0.5;
+    let result = GridSimulation::new(sc).run(&trace, 86_400.0);
+    oracle::assert_views_match_trace(&result, &trace, "drop=0.5");
 }
 
 #[test]

@@ -1,0 +1,336 @@
+//! Never-panic byte loops over every decoder and parser that takes bytes
+//! from outside a site: wire frames, WAL frames and records, checkpoint
+//! slots, policy files, SWF traces, and the JSON / Prometheus readers.
+//!
+//! Each target starts from valid encodings and is fed seeded mutants —
+//! truncations, bit flips, byte splats, pure noise — a few thousand each.
+//! A mutant may decode (a flipped mantissa bit is still a float) or be
+//! rejected; what it may never do is panic. The checkpoint payload is also
+//! mutated *behind a valid CRC* — version skew, not bit rot — which is the
+//! one path the frame checksum cannot shield.
+
+use aequus::core::codec::{decode_summary, encode_summary, Encoding};
+use aequus::core::{
+    parse_policy, Explanation, FairshareConfig, FairshareTree, GridUser, JobId, PolicyNode,
+    PolicyTree, ProjectionKind, SiteId, UsageRecord, UsageSummary, UserCells,
+};
+use aequus::services::UssMessage;
+use aequus::store::codec::{Reader, Writer};
+use aequus::store::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT, KIND_RECORD};
+use aequus::store::{CheckpointState, PeerCursor, WalRecord};
+use aequus::telemetry::export::{from_json, from_prometheus, JsonValue};
+use aequus::telemetry::{Telemetry, TraceCtx};
+use aequus::workload::swf::{parse_swf, to_swf};
+use aequus::workload::{Trace, TraceJob};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+/// Mutants per valid input and mutation kind.
+const ROUNDS: usize = 1_000;
+
+fn seed() -> u64 {
+    let shift: u64 = std::env::var("AEQUUS_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    0xAE9_0005 + shift
+}
+
+fn cells(pairs: &[(&str, u64, f64)]) -> UserCells {
+    let mut out = UserCells::new();
+    for &(user, slot, charge) in pairs {
+        out.entry(GridUser::new(user))
+            .or_default()
+            .insert(slot, charge);
+    }
+    out
+}
+
+fn summary() -> UsageSummary {
+    UsageSummary {
+        site: SiteId(2),
+        seq: 9,
+        slot_s: 3600.0,
+        per_user: cells(&[("U65", 3, 120.5), ("U65", 4, 0.25), ("U30", 3, 7200.0)]),
+        relayed: [(SiteId(4), cells(&[("C=SE/O=HPC2N/CN=u7", 1, 64.0)]))].into(),
+    }
+}
+
+fn checkpoint() -> CheckpointState {
+    CheckpointState {
+        lsn: 41,
+        taken_s: 5400.0,
+        site: SiteId(1),
+        slot_s: 3600.0,
+        local_cells: cells(&[("U65", 0, 900.0), ("U3", 1, 12.0)]),
+        records_ingested: 17,
+        next_seq: 6,
+        peers: [
+            (SiteId(0), PeerCursor { next_expected: 4 }),
+            (SiteId(2), PeerCursor { next_expected: 9 }),
+        ]
+        .into(),
+        origin_cells: [(SiteId(0), cells(&[("U30", 0, 33.0)]))].into(),
+        ums_epoch_s: Some(3600.0),
+        ums_cached: [(GridUser::new("U65"), 0.5)].into(),
+        dirty_users: Some([GridUser::new("U3")].into()),
+    }
+}
+
+fn wal_payloads() -> Vec<Vec<u8>> {
+    [
+        WalRecord::Usage(UsageRecord {
+            job: JobId(7),
+            user: GridUser::new("U65"),
+            site: SiteId(1),
+            cores: 4,
+            start_s: 10.0,
+            end_s: 250.0,
+        }),
+        WalRecord::PeerData {
+            summary: summary(),
+            snapshot: true,
+        },
+        WalRecord::Publish { seq: 12 },
+    ]
+    .iter()
+    .map(|rec| {
+        let mut w = Writer::new();
+        rec.encode(&mut w);
+        w.into_bytes()
+    })
+    .collect()
+}
+
+fn messages() -> Vec<Vec<u8>> {
+    let ctx = Some(TraceCtx {
+        trace_id: 77,
+        span: 3,
+    });
+    let mut out = Vec::new();
+    for enc in [Encoding::Dense, Encoding::Delta] {
+        for msg in [
+            UssMessage::Summary {
+                summary: summary(),
+                ctx,
+            },
+            UssMessage::Snapshot {
+                summary: summary(),
+                ctx: None,
+            },
+            UssMessage::Ack {
+                from: SiteId(1),
+                seq: 9,
+            },
+            UssMessage::Resync {
+                from: SiteId(1),
+                from_seq: 3,
+                to_seq: 8,
+            },
+            UssMessage::SnapshotRequest { from: SiteId(1) },
+        ] {
+            out.push(msg.encode(enc));
+        }
+    }
+    out
+}
+
+fn telemetry_snapshot() -> aequus::telemetry::Snapshot {
+    let t = Telemetry::enabled();
+    t.counter("aequus_uss_rejected_total").add(3);
+    t.gauge("aequus_uss_peer_staleness_s").set(42.5);
+    let h = t.histogram("aequus_fcs_query_s");
+    for v in [1e-7, 3e-7, 2e-6] {
+        h.record(v);
+    }
+    t.event(12.0, "uss.rejected", || "a \"quoted\" detail\n".to_string());
+    t.snapshot().expect("telemetry is on")
+}
+
+fn explanations() -> Vec<Vec<u8>> {
+    let policy = PolicyTree::new(PolicyNode::group(
+        "root",
+        1.0,
+        vec![
+            PolicyNode::group(
+                "physics",
+                2.0,
+                vec![PolicyNode::user("alice", 3.0), PolicyNode::user("bob", 1.0)],
+            ),
+            PolicyNode::user("carol", 1.0),
+        ],
+    ))
+    .expect("valid policy");
+    let usage: BTreeMap<GridUser, f64> = [("alice", 600.0), ("bob", 100.0), ("carol", 300.0)]
+        .into_iter()
+        .map(|(u, v)| (GridUser::new(u), v))
+        .collect();
+    let tree = FairshareTree::compute(&policy, &usage, &FairshareConfig::default(), 42.0);
+    ProjectionKind::ALL
+        .into_iter()
+        .map(|kind| {
+            Explanation::capture(&tree, &GridUser::new("bob"), kind)
+                .expect("bob is in the tree")
+                .to_json()
+                .into_bytes()
+        })
+        .collect()
+}
+
+const POLICY: &str = "# comments and blank lines are ignored\n\
+    /local            60\n\
+    /grid             40   mount=national-pds\n\
+    /grid/atlas       70   user=C=SE/O=CERN/CN=atlas-prod\n\
+    /grid/cms         30\n";
+
+fn swf() -> Vec<u8> {
+    let trace = Trace::new(
+        (0..6)
+            .map(|i| TraceJob {
+                user: ["U65", "U30", "U3"][i % 3].to_string(),
+                submit_s: i as f64 * 15.0,
+                duration_s: 40.0 + i as f64,
+                cores: 1 + i as u32,
+            })
+            .collect(),
+    );
+    to_swf(&trace).into_bytes()
+}
+
+/// One mutant of `valid`: kind 0 truncates, 1 flips up to four bits, 2
+/// splats one byte value over a short run, 3 is pure noise of similar size.
+fn mutant(valid: &[u8], kind: usize, rng: &mut StdRng) -> Vec<u8> {
+    let mut out = valid.to_vec();
+    match kind {
+        0 => out.truncate(rng.gen_range(0..valid.len())),
+        1 => {
+            for _ in 0..rng.gen_range(1..=4usize) {
+                let at = rng.gen_range(0..out.len());
+                out[at] ^= 1u8 << rng.gen_range(0..8u32);
+            }
+        }
+        2 => {
+            let at = rng.gen_range(0..out.len());
+            let run = rng.gen_range(1..=8usize).min(out.len() - at);
+            // The values length fields and tags are most sensitive to.
+            let fill =
+                [0x00, 0xFF, 0x7F, 0x80, rng.gen_range(0..=u8::MAX)][rng.gen_range(0..5usize)];
+            out[at..at + run].fill(fill);
+        }
+        _ => {
+            out = (0..rng.gen_range(0..=2 * valid.len()))
+                .map(|_| rng.gen_range(0..=u8::MAX))
+                .collect();
+        }
+    }
+    out
+}
+
+/// A decoder under test: whether it accepted the bytes.
+type Target = fn(&[u8]) -> bool;
+
+/// Feed `target` every valid input (which it must accept) and `ROUNDS`
+/// mutants of each kind per input; a panic fails the test naming the
+/// target and the input. Returns how many mutants were rejected.
+fn hammer(name: &str, valid: &[Vec<u8>], target: Target) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed() ^ name.len() as u64);
+    let mut rejected = 0;
+    for input in valid {
+        assert!(target(input), "{name}: the valid input must be accepted");
+        for kind in 0..4 {
+            for _ in 0..ROUNDS {
+                let bytes = mutant(input, kind, &mut rng);
+                match std::panic::catch_unwind(|| target(&bytes)) {
+                    Ok(accepted) => rejected += usize::from(!accepted),
+                    Err(_) => panic!(
+                        "{name} panicked on mutation kind {kind} (seed {}): {bytes:02x?}",
+                        seed()
+                    ),
+                }
+            }
+        }
+    }
+    rejected
+}
+
+fn text(bytes: &[u8]) -> std::borrow::Cow<'_, str> {
+    String::from_utf8_lossy(bytes)
+}
+
+#[test]
+fn no_decoder_or_parser_panics_on_mutated_input() {
+    let summaries: Vec<Vec<u8>> = [Encoding::Dense, Encoding::Delta]
+        .into_iter()
+        .map(|enc| encode_summary(&summary(), enc))
+        .collect();
+    let frames: Vec<Vec<u8>> = wal_payloads()
+        .iter()
+        .map(|p| encode_frame(KIND_RECORD, p))
+        .collect();
+    let slot = checkpoint().encode();
+    let snapshot = telemetry_snapshot();
+
+    let targets: [(&str, Vec<Vec<u8>>, Target); 11] = [
+        ("core::decode_summary", summaries, |b| {
+            decode_summary(b).is_ok()
+        }),
+        ("UssMessage::decode", messages(), |b| {
+            UssMessage::decode(b).is_ok()
+        }),
+        ("wal::decode_frame", frames, |b| {
+            matches!(decode_frame(b, 0), FrameOutcome::Frame { .. })
+        }),
+        ("WalRecord::decode", wal_payloads(), |b| {
+            WalRecord::decode(&mut Reader::new(b)).is_ok()
+        }),
+        ("CheckpointState::decode_slot", vec![slot], |b| {
+            CheckpointState::decode_slot(b).is_some()
+        }),
+        ("parse_policy", vec![POLICY.as_bytes().to_vec()], |b| {
+            parse_policy(&text(b)).is_ok()
+        }),
+        ("parse_swf", vec![swf()], |b| parse_swf(&text(b)).is_ok()),
+        (
+            "JsonValue::parse",
+            vec![snapshot.to_json().into_bytes()],
+            |b| JsonValue::parse(&text(b)).is_some(),
+        ),
+        (
+            "export::from_json",
+            vec![snapshot.to_json().into_bytes()],
+            |b| from_json(&text(b)).is_some(),
+        ),
+        (
+            "export::from_prometheus",
+            vec![snapshot.to_prometheus().into_bytes()],
+            |b| from_prometheus(&text(b)).is_some(),
+        ),
+        ("Explanation::from_json", explanations(), |b| {
+            Explanation::from_json(&text(b)).is_some()
+        }),
+    ];
+    for (name, valid, target) in targets {
+        let rejected = hammer(name, &valid, target);
+        assert!(rejected > 0, "{name}: no mutant reached an error path");
+    }
+}
+
+/// The checkpoint loader behind a *valid* frame CRC: the payload is mutated
+/// first and framed afterwards, as a slot written by a skewed or buggy
+/// version would be — the checksum passes and the payload decoder is on
+/// its own.
+#[test]
+fn a_mutated_checkpoint_payload_under_a_valid_crc_never_panics() {
+    let slot = checkpoint().encode();
+    let FrameOutcome::Frame { payload, .. } = decode_frame(&slot, 0) else {
+        panic!("a fresh checkpoint slot is one valid frame");
+    };
+    let rejected = hammer("checkpoint payload, re-framed", &[payload.to_vec()], |b| {
+        CheckpointState::decode_slot(&encode_frame(KIND_CHECKPOINT, b)).is_some()
+    });
+    assert!(
+        rejected > 0,
+        "no mutant reached the payload decoder's errors"
+    );
+}

@@ -169,14 +169,24 @@ fn chrome_trace_is_loadable_and_tracks_are_stable() {
 }
 
 #[test]
-fn run_profile_round_trips_through_json() {
+fn run_profile_json_carries_wire_bytes_and_epoch_accounting() {
     let result = profiled_run(4, ProfileMode::Full);
     let profile = profile_of(&result);
-    let back = RunProfile::from_json(&profile.to_json()).expect("parse own JSON");
-    assert_eq!(&back, profile);
-    // Spot-check the content survived: per-link wire bytes and the barrier
-    // accounting both crossed the serialization boundary.
-    assert!(back.shards.iter().any(|s| !s.link_bytes.is_empty()));
+    let doc = JsonValue::parse(&profile.to_json()).expect("valid JSON");
+    let shards = doc.get("shards").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(shards.len(), profile.shards.len());
+    // Per-link wire bytes and the epoch accounting both crossed the
+    // serialization boundary.
+    let has = |shard: &JsonValue, section: &str| {
+        shard
+            .get(section)
+            .and_then(JsonValue::as_object)
+            .is_some_and(|o| !o.is_empty())
+    };
+    assert!(shards.iter().any(|s| has(s, "link_bytes")));
+    assert!(shards
+        .iter()
+        .all(|s| s.get("stages").and_then(|st| st.get("epoch")).is_some()));
     assert!(profile.wall_totals().contains_key("epoch"));
 }
 
