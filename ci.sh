@@ -29,14 +29,31 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 # every simulated number where it is gets checked in seconds. A PR that
 # means to move simulated numbers edits those files in the same diff and
 # says why.
+#
+# On `paper_x3`, where instruments once cost 8.5x memory, a second pass
+# with telemetry on must reproduce the same digest within twice the timed
+# pass's peak RSS (ROADMAP item 4(b)'s memory target).
+pass() { benchmark/run.sh pass --workload "$1" --seed "$2" --mode "$3"; }
+digest_of() { sed -n 's/.*"sim_digest":"\([0-9a-f]*\)".*/\1/p' <<<"$1"; }
+rss_of() { sed -n 's/.*"peak_rss_mb":\([0-9.]*\).*/\1/p' <<<"$1"; }
 for recorded in results/sim_digests.seed*; do
   seed="${recorded##*.seed}"
   while read -r workload want; do
-    got=$(benchmark/run.sh pass --workload "$workload" --seed "$seed" --mode timed |
-      sed -n 's/.*"sim_digest":"\([0-9a-f]*\)".*/\1/p')
-    if [ "$got" != "$want" ]; then
-      echo "sim_digest drift on $workload at seed $seed: got '$got', recorded $want" >&2
+    timed=$(pass "$workload" "$seed" timed)
+    if [ "$(digest_of "$timed")" != "$want" ]; then
+      echo "sim_digest drift on $workload at seed $seed: got '$(digest_of "$timed")', recorded $want" >&2
       exit 1
+    fi
+    if [ "$workload" = paper_x3 ]; then
+      telemetry=$(pass "$workload" "$seed" telemetry)
+      if [ "$(digest_of "$telemetry")" != "$want" ]; then
+        echo "sim_digest drift on $workload at seed $seed with telemetry on: got '$(digest_of "$telemetry")', recorded $want" >&2
+        exit 1
+      fi
+      if ! awk -v on="$(rss_of "$telemetry")" -v off="$(rss_of "$timed")" 'BEGIN { exit !(on > 0 && on <= 2 * off) }'; then
+        echo "telemetry-on peak RSS on $workload at seed $seed is $(rss_of "$telemetry") MB, over 2x the timed pass's $(rss_of "$timed") MB" >&2
+        exit 1
+      fi
     fi
   done <"$recorded"
 done
@@ -62,6 +79,15 @@ if git grep -n -e '--bin' -- '*.md' '*.sh' ':!ISSUE.md' ':!CHANGES.md' ':!ci.sh'
   echo "a tracked .md/.sh file still names a deleted bench binary" >&2
   exit 1
 fi
+# Decoders of bytes from outside a site return errors: the byte formats'
+# non-test code (up to the first `#[cfg(test)]`) holds no `expect`/`unwrap`.
+for f in crates/core/src/codec.rs crates/services/src/message.rs \
+  crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()'; then
+    echo "$f: an expect/unwrap in a decoder of outside bytes" >&2
+    exit 1
+  fi
+done
 # Wall clock is the repo benchmark's to judge (benchmark/): no per-PR
 # snapshot or profile file may be tracked again.
 [ -z "$(git ls-files 'BENCH_*' 'PROFILE_*')" ] || { echo "a BENCH_/PROFILE_ snapshot is tracked again" >&2; exit 1; }

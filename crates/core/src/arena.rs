@@ -9,7 +9,6 @@
 //! allocates and only touches the subtrees named by the [`DirtySet`].
 
 use crate::ids::{EntityPath, GridUser};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Dense index of a node in the fairshare arena.
@@ -17,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Ids are assigned in depth-first policy order, are stable across
 /// incremental recomputes, and are only reassigned by a full rebuild
 /// (policy structure change).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -33,7 +32,7 @@ impl NodeId {
 /// on first sight and never reuses them, so RMS-side callers can hold a
 /// `UserId` across refreshes and query priorities without cloning or
 /// re-hashing `GridUser` keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 impl UserId {

@@ -1,17 +1,28 @@
-//! Exact binary wire codec for [`UsageSummary`] gossip payloads.
+//! The byte codec: one checked [`Reader`], one writer ([`Sink`]), one
+//! cell-section layout, and the gossip wire frame built from them.
 //!
-//! Two encodings sit behind one frame format (ROADMAP item 4): [`Encoding::Dense`]
-//! stores every (slot, charge) cell at full fixed width — the honest
-//! materialization of the byte model PR 7's profiler charged — while
-//! [`Encoding::Delta`] exploits the structure the reliable exchange already
-//! guarantees (sorted users, sorted slots, numerically tame charge values)
-//! with a columnar varint layout: front-coded user names, delta-coded slot
-//! indices, and byte-swapped-varint `f64` charges. Both are *exact*: decode
-//! reproduces the summary bit for bit, and `wire_bytes`/`wire_size`
-//! accounting throughout the simulator is defined as the encoded length, so
-//! modeled bytes and profiled bytes can no longer diverge.
+//! Every format that carries usage cells out of a site is written with
+//! these primitives: the wire frame below, the USS↔USS messages around it
+//! (`aequus-services`, `UssMessage::{encode, decode}`), and the durable WAL
+//! records and checkpoints of `aequus-store`, which keep their cells as the
+//! same sections. Bytes from outside can be wrong in any way, so every read
+//! is bounds-checked, every declared count is held against the bytes
+//! actually left before anything is allocated, and a failed read is a
+//! [`CodecError`], never a panic.
 //!
-//! Frame layout (all multi-byte integers little-endian or LEB128 varint):
+//! A cell section ([`encode_cells`] / [`decode_cells`]) comes in two
+//! encodings. [`Encoding::Dense`] stores every (slot, charge) cell at full
+//! fixed width, while [`Encoding::Delta`] exploits the structure the
+//! reliable exchange already guarantees (sorted users, sorted slots,
+//! numerically tame charge values) with a columnar varint layout:
+//! front-coded user names, delta-coded slot indices, and
+//! byte-swapped-varint `f64` charges. Both are *exact*: decode reproduces
+//! the cells bit for bit, and `wire_bytes`/`wire_size` accounting
+//! throughout the simulator is defined as the encoded length, so modeled
+//! bytes and profiled bytes cannot diverge.
+//!
+//! Wire frame layout (all multi-byte integers little-endian or LEB128
+//! varint):
 //!
 //! ```text
 //! magic (0xA9) | version (1) | encoding tag
@@ -30,7 +41,6 @@
 
 use crate::ids::{GridUser, SiteId};
 use crate::usage::{UsageSummary, UserCells};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -40,7 +50,7 @@ const VERSION: u8 = 1;
 /// Wire encoding selector for summary payloads. A transport property — the
 /// same [`UsageSummary`] can travel under either encoding; the scenario
 /// picks one and every byte counter downstream uses it consistently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Encoding {
     /// Fixed-width cells: 16 bytes per (slot, charge) pair plus names.
     Dense,
@@ -170,11 +180,50 @@ pub fn crc32(data: &[u8]) -> u32 {
     h.finish()
 }
 
-// --- Byte sinks: one write path serves encoding and exact sizing -----------
+// --- The writer: one write path serves encoding and exact sizing ------------
 
-trait Sink {
+/// Where encoded bytes go: a `Vec<u8>` materializes them, the counting sink
+/// behind [`encoded_size`] only measures them — the same write path either
+/// way, so size and encoding cannot drift apart.
+pub trait Sink {
+    /// Append one byte.
     fn byte(&mut self, b: u8);
+    /// Append a run of bytes as they are.
     fn bytes(&mut self, bs: &[u8]);
+
+    /// A `u32`, little-endian.
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A `u64`, little-endian.
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// An `f64` as its raw IEEE-754 bits, little-endian (bit-exact for every
+    /// pattern, NaN included).
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// A LEB128 varint.
+    fn varint(&mut self, mut v: u64) {
+        loop {
+            let b = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                return self.byte(b);
+            }
+            self.byte(b | 0x80);
+        }
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string.
+    fn str(&mut self, s: &str) {
+        self.u32(s.len() as u32);
+        self.bytes(s.as_bytes());
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -186,8 +235,6 @@ impl Sink for Vec<u8> {
     }
 }
 
-/// Counting sink: `encoded_size` runs the identical write path without
-/// materializing a buffer, so size and encoding cannot drift apart.
 struct Count(usize);
 
 impl Sink for Count {
@@ -199,54 +246,90 @@ impl Sink for Count {
     }
 }
 
-fn varint<S: Sink>(mut v: u64, out: &mut S) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.byte(b);
-            return;
-        }
-        out.byte(b | 0x80);
-    }
-}
+// --- The reader --------------------------------------------------------------
 
-// --- Reader ----------------------------------------------------------------
-
-struct Reader<'a> {
+/// Bounds-checked cursor over bytes that may be wrong in any way: every
+/// method either consumes exactly what it returns or fails with a
+/// [`CodecError`]; none panics.
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf }
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn byte(&mut self) -> Result<u8, CodecError> {
-        let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if self.buf.len() < n {
             return Err(CodecError::Truncated);
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let (out, rest) = self.buf.split_at(n);
+        self.buf = rest;
         Ok(out)
     }
 
-    fn varint(&mut self) -> Result<u64, CodecError> {
+    /// Everything not yet consumed (a nested format that checks itself).
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.buf)
+    }
+
+    /// `Ok` only when every byte was consumed — canonical encodings carry
+    /// no trailing bytes.
+    pub fn finish(&self) -> Result<(), CodecError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::Malformed("trailing bytes"))
+        }
+    }
+
+    /// The next `N` bytes as an array — what `from_le_bytes` wants, with
+    /// the length proven by the type instead of by an `expect`.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// One byte that must be `0` or `1`.
+    pub fn flag(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::Malformed("flag byte is neither 0 nor 1")),
+        }
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// An `f64` from its raw little-endian bits.
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// A LEB128 varint; encodings longer than a `u64` needs are refused.
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
-            let b = self.byte()?;
+            let b = self.u8()?;
             if shift == 63 && b > 1 {
                 return Err(CodecError::Malformed("varint overflows u64"));
             }
@@ -261,19 +344,25 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A declared element count, sanity-bounded by the bytes actually left
-    /// (`min_bytes` per element) so forged counts cannot drive allocation.
-    fn seq_len(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
-        let n = self.varint()? as usize;
-        if n.saturating_mul(min_bytes) > self.remaining() {
-            return Err(CodecError::Malformed("count exceeds frame"));
+    /// `declared` elements of at least `min_bytes` each must fit in what is
+    /// left — so a forged count cannot drive allocation or a decode loop.
+    fn bounded(&self, declared: u64, min_bytes: usize) -> Result<usize, CodecError> {
+        match usize::try_from(declared) {
+            Ok(n) if n.saturating_mul(min_bytes.max(1)) <= self.buf.len() => Ok(n),
+            _ => Err(CodecError::Malformed("count exceeds input")),
         }
-        Ok(n)
     }
 
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        let bytes: [u8; 8] = self.take(8)?.try_into().expect("take(8) is 8 bytes");
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
+    /// A varint element count, held against `min_bytes` per element.
+    pub fn seq_len(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
+        let declared = self.varint()?;
+        self.bounded(declared, min_bytes)
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str(&mut self) -> Result<&'a str, CodecError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::Malformed("text is not UTF-8"))
     }
 }
 
@@ -294,21 +383,19 @@ fn integral_value(charge: f64) -> Option<u64> {
     ((x as f64).to_bits() == charge.to_bits()).then_some(x)
 }
 
-fn write_section<S: Sink>(origin: SiteId, cells: &UserCells, enc: Encoding, out: &mut S) {
-    varint(u64::from(origin.0), out);
-    varint(cells.len() as u64, out);
+/// Encode per-user cells (user → slot → charge) as one section payload
+/// under `enc`: a varint user count, then the encoding's layout.
+pub fn encode_cells<S: Sink>(cells: &UserCells, enc: Encoding, out: &mut S) {
+    out.varint(cells.len() as u64);
     match enc {
         Encoding::Dense => {
-            // Fixed-width u32 length/count fields and 16-byte cells: this is
-            // the byte model PR 7's profiler charged, made real.
+            // Fixed-width u32 length/count fields and 16-byte cells.
             for (user, slots) in cells {
-                let name = user.as_str().as_bytes();
-                out.bytes(&(name.len() as u32).to_le_bytes());
-                out.bytes(name);
-                out.bytes(&(slots.len() as u32).to_le_bytes());
+                out.str(user.as_str());
+                out.u32(slots.len() as u32);
                 for (&slot, &charge) in slots {
-                    out.bytes(&slot.to_le_bytes());
-                    out.bytes(&charge.to_bits().to_le_bytes());
+                    out.u64(slot);
+                    out.f64(charge);
                 }
             }
         }
@@ -320,14 +407,14 @@ fn write_section<S: Sink>(origin: SiteId, cells: &UserCells, enc: Encoding, out:
             for user in cells.keys() {
                 let name = user.as_str().as_bytes();
                 let shared = common_prefix(prev, name);
-                varint(shared as u64, out);
-                varint((name.len() - shared) as u64, out);
+                out.varint(shared as u64);
+                out.varint((name.len() - shared) as u64);
                 out.bytes(&name[shared..]);
                 prev = name;
             }
             // Cell-count column.
             for slots in cells.values() {
-                varint(slots.len() as u64, out);
+                out.varint(slots.len() as u64);
             }
             // Slot column: first index absolute, the rest as gaps (sorted
             // and distinct, so every gap is ≥ 1 and typically tiny).
@@ -335,8 +422,8 @@ fn write_section<S: Sink>(origin: SiteId, cells: &UserCells, enc: Encoding, out:
                 let mut prev_slot = None;
                 for &slot in slots.keys() {
                     match prev_slot {
-                        None => varint(slot, out),
-                        Some(p) => varint(slot - p, out),
+                        None => out.varint(slot),
+                        Some(p) => out.varint(slot - p),
                     }
                     prev_slot = Some(slot);
                 }
@@ -365,8 +452,8 @@ fn write_section<S: Sink>(origin: SiteId, cells: &UserCells, enc: Encoding, out:
             for slots in cells.values() {
                 for &charge in slots.values() {
                     match integral_value(charge) {
-                        Some(x) => varint(x, out),
-                        None => varint(charge.to_bits().swap_bytes(), out),
+                        Some(x) => out.varint(x),
+                        None => out.varint(charge.to_bits().swap_bytes()),
                     }
                 }
             }
@@ -374,45 +461,33 @@ fn write_section<S: Sink>(origin: SiteId, cells: &UserCells, enc: Encoding, out:
     }
 }
 
-fn read_section(r: &mut Reader<'_>, enc: Encoding) -> Result<(SiteId, UserCells), CodecError> {
-    let origin = SiteId(
-        u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("origin exceeds u32"))?,
-    );
+/// Decode one section payload written by [`encode_cells`] under `enc`.
+/// Canonical form is enforced — strictly increasing names and slots — so
+/// cells that decode at all re-encode to the identical bytes.
+pub fn decode_cells(r: &mut Reader<'_>, enc: Encoding) -> Result<UserCells, CodecError> {
     let mut cells = UserCells::new();
     match enc {
         Encoding::Dense => {
             let nusers = r.seq_len(8)?;
-            let mut prev_name = String::new();
+            let mut prev_name = "";
             for _ in 0..nusers {
-                let name_len =
-                    u32::from_le_bytes(r.take(4)?.try_into().expect("take(4) is 4 bytes")) as usize;
-                if name_len > r.remaining() {
-                    return Err(CodecError::Malformed("name exceeds frame"));
-                }
-                let name = std::str::from_utf8(r.take(name_len)?)
-                    .map_err(|_| CodecError::Malformed("name is not UTF-8"))?
-                    .to_string();
+                let name = r.str()?;
                 if !prev_name.is_empty() && name <= prev_name {
                     return Err(CodecError::Malformed("names out of order"));
                 }
-                let nslots =
-                    u32::from_le_bytes(r.take(4)?.try_into().expect("take(4) is 4 bytes")) as usize;
-                if nslots.saturating_mul(16) > r.remaining() {
-                    return Err(CodecError::Malformed("count exceeds frame"));
-                }
+                let nslots = r.u32()?;
+                let nslots = r.bounded(nslots.into(), 16)?;
                 let mut slots = BTreeMap::new();
                 let mut prev_slot = None;
                 for _ in 0..nslots {
-                    let slot =
-                        u64::from_le_bytes(r.take(8)?.try_into().expect("take(8) is 8 bytes"));
+                    let slot = r.u64()?;
                     if prev_slot.is_some_and(|p| slot <= p) {
                         return Err(CodecError::Malformed("slots out of order"));
                     }
                     prev_slot = Some(slot);
-                    let charge = r.f64()?;
-                    slots.insert(slot, charge);
+                    slots.insert(slot, r.f64()?);
                 }
-                cells.insert(GridUser::new(&name), slots);
+                cells.insert(GridUser::new(name), slots);
                 prev_name = name;
             }
         }
@@ -489,23 +564,63 @@ fn read_section(r: &mut Reader<'_>, enc: Encoding) -> Result<(SiteId, UserCells)
             }
         }
     }
-    Ok((origin, cells))
+    Ok(cells)
 }
 
-// --- Frame encode / size / decode ------------------------------------------
+// --- Summary body, and the wire frame around it ------------------------------
+
+fn site_id(r: &mut Reader<'_>) -> Result<SiteId, CodecError> {
+    u32::try_from(r.varint()?)
+        .map(SiteId)
+        .map_err(|_| CodecError::Malformed("site exceeds u32"))
+}
+
+/// Write a summary's fields and cell sections under `enc`, unframed: the
+/// body of the wire frame, and how `aequus-store` journals peer data
+/// inside its own CRC framing.
+pub fn write_summary<S: Sink>(s: &UsageSummary, enc: Encoding, out: &mut S) {
+    out.varint(u64::from(s.site.0));
+    out.varint(s.seq);
+    out.f64(s.slot_s);
+    out.varint(1 + s.relayed.len() as u64);
+    for (origin, cells) in std::iter::once((&s.site, &s.per_user)).chain(&s.relayed) {
+        out.varint(u64::from(origin.0));
+        encode_cells(cells, enc, out);
+    }
+}
+
+/// Read what [`write_summary`] wrote under `enc`.
+pub fn read_summary(r: &mut Reader<'_>, enc: Encoding) -> Result<UsageSummary, CodecError> {
+    let site = site_id(r)?;
+    let seq = r.varint()?;
+    let slot_s = r.f64()?;
+    let nsections = r.seq_len(2)?;
+    if nsections == 0 || site_id(r)? != site {
+        return Err(CodecError::Malformed(
+            "first section is not the sender's own",
+        ));
+    }
+    let per_user = decode_cells(r, enc)?;
+    let mut relayed = BTreeMap::new();
+    for _ in 1..nsections {
+        if relayed.insert(site_id(r)?, decode_cells(r, enc)?).is_some() {
+            return Err(CodecError::Malformed("duplicate relayed origin"));
+        }
+    }
+    Ok(UsageSummary {
+        site,
+        seq,
+        slot_s,
+        per_user,
+        relayed,
+    })
+}
 
 fn write_frame<S: Sink>(s: &UsageSummary, enc: Encoding, out: &mut S) {
     out.byte(MAGIC);
     out.byte(VERSION);
     out.byte(enc.tag());
-    varint(u64::from(s.site.0), out);
-    varint(s.seq, out);
-    out.bytes(&s.slot_s.to_bits().to_le_bytes());
-    varint(1 + s.relayed.len() as u64, out);
-    write_section(s.site, &s.per_user, enc, out);
-    for (&origin, cells) in &s.relayed {
-        write_section(origin, cells, enc, out);
-    }
+    write_summary(s, enc, out);
 }
 
 /// Encode a summary under `enc`, CRC trailer included.
@@ -513,7 +628,7 @@ pub fn encode_summary(s: &UsageSummary, enc: Encoding) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_size(s, enc));
     write_frame(s, enc, &mut out);
     let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.u32(crc);
     out
 }
 
@@ -529,59 +644,24 @@ pub fn encoded_size(s: &UsageSummary, enc: Encoding) -> usize {
 /// Decode a frame back into `(encoding, summary)`. The CRC is checked
 /// before anything is parsed; every error leaves no partial result.
 pub fn decode_summary(buf: &[u8]) -> Result<(Encoding, UsageSummary), CodecError> {
-    // Smallest possible frame: 3 header bytes, 1-byte site/seq varints,
-    // 8-byte slot width, section count, own-section origin + user count,
-    // 4-byte CRC.
-    if buf.len() < 20 {
-        return Err(CodecError::Truncated);
-    }
-    let (body, trailer) = buf.split_at(buf.len() - 4);
-    let expect = u32::from_le_bytes(trailer.try_into().expect("trailer is 4 bytes"));
-    if crc32(body) != expect {
+    let mut r = Reader::new(buf);
+    let body = r.take(buf.len().checked_sub(4).ok_or(CodecError::Truncated)?)?;
+    if crc32(body) != r.u32()? {
         return Err(CodecError::Corrupt);
     }
     let mut r = Reader::new(body);
-    let magic = r.byte()?;
+    let magic = r.u8()?;
     if magic != MAGIC {
         return Err(CodecError::BadMagic(magic));
     }
-    let version = r.byte()?;
+    let version = r.u8()?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let enc = Encoding::from_tag(r.byte()?)?;
-    let site =
-        SiteId(u32::try_from(r.varint()?).map_err(|_| CodecError::Malformed("site exceeds u32"))?);
-    let seq = r.varint()?;
-    let slot_s = r.f64()?;
-    let nsections = r.seq_len(2)?;
-    if nsections == 0 {
-        return Err(CodecError::Malformed("frame without own section"));
-    }
-    let (own_origin, per_user) = read_section(&mut r, enc)?;
-    if own_origin != site {
-        return Err(CodecError::Malformed("own section origin mismatch"));
-    }
-    let mut relayed = BTreeMap::new();
-    for _ in 1..nsections {
-        let (origin, cells) = read_section(&mut r, enc)?;
-        if relayed.insert(origin, cells).is_some() {
-            return Err(CodecError::Malformed("duplicate relayed origin"));
-        }
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::Malformed("trailing bytes"));
-    }
-    Ok((
-        enc,
-        UsageSummary {
-            site,
-            seq,
-            slot_s,
-            per_user,
-            relayed,
-        },
-    ))
+    let enc = Encoding::from_tag(r.u8()?)?;
+    let summary = read_summary(&mut r, enc)?;
+    r.finish()?;
+    Ok((enc, summary))
 }
 
 #[cfg(test)]
@@ -709,6 +789,60 @@ mod tests {
             let bytes = encode_summary(&s, enc);
             assert_eq!(decode_summary(&bytes), Ok((enc, s.clone())));
         }
+    }
+
+    #[test]
+    fn reader_and_sink_round_trip_primitives() {
+        let mut bytes = Vec::new();
+        bytes.byte(7);
+        bytes.u32(0xDEAD_BEEF);
+        bytes.u64(u64::MAX - 1);
+        bytes.f64(-0.0);
+        bytes.f64(f64::NAN);
+        bytes.varint(u64::MAX);
+        bytes.str("grid-user/α");
+        bytes.byte(1);
+        let mut count = Count(0);
+        count.varint(u64::MAX);
+        count.str("grid-user/α");
+        assert_eq!(count.0, 10 + 4 + 12);
+
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64(), Ok(u64::MAX - 1));
+        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert!(r.f64().unwrap().is_nan());
+        assert_eq!(r.varint(), Ok(u64::MAX));
+        assert_eq!(r.str(), Ok("grid-user/α"));
+        assert!(r.finish().is_err(), "one byte is still unread");
+        assert_eq!(r.flag(), Ok(true));
+        assert_eq!(r.finish(), Ok(()));
+        assert_eq!(r.u8(), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn reader_refuses_short_input_and_forged_lengths() {
+        let mut bytes = Vec::new();
+        bytes.u64(42);
+        for cut in 0..bytes.len() {
+            assert!(Reader::new(&bytes[..cut]).u64().is_err(), "cut at {cut}");
+            assert!(Reader::new(&bytes[..cut]).array::<8>().is_err());
+        }
+        // A declared length far beyond the input allocates nothing.
+        let mut forged = Vec::new();
+        forged.u32(u32::MAX);
+        forged.bytes(b"abc");
+        assert!(Reader::new(&forged).str().is_err());
+        let mut forged = Vec::new();
+        forged.varint(1_000_000);
+        assert!(Reader::new(&forged).seq_len(8).is_err());
+        assert!(Reader::new(&[2]).flag().is_err());
+        assert!(Reader::new(&[1, 0xFF]).str().is_err());
+        let mut not_utf8 = Vec::new();
+        not_utf8.u32(2);
+        not_utf8.bytes(&[0xC3, 0x28]);
+        assert!(Reader::new(&not_utf8).str().is_err());
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //! why it is future work in the paper and an optional mode here.
 
 use crate::vector::{FairshareVector, Resolution};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Weights of the vector-space priority blend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VectorWeights {
     /// Weight of the fairshare vector.
     pub fairshare: f64,

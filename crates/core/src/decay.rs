@@ -2,10 +2,8 @@
 //! with, e.g., different usage decay functions to control how the impact of
 //! previous usage is decreased over time").
 
-use serde::{Deserialize, Serialize};
-
 /// How the weight of historical usage decreases with age.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecayPolicy {
     /// No decay: all history counts fully.
     None,

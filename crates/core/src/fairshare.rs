@@ -29,11 +29,10 @@ use crate::decay::DecayPolicy;
 use crate::ids::{EntityPath, GridUser};
 use crate::policy::{PolicyNode, PolicyNodeKind, PolicyTree};
 use crate::vector::{FairshareVector, Resolution};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of the fairshare calculation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FairshareConfig {
     /// Weight of the relative distance component; the absolute component
     /// gets `1 − k`. The paper's tests use `k = 0.5`.
@@ -81,7 +80,7 @@ impl FairshareConfig {
 }
 
 /// Fairshare state computed for one tree node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeShare {
     /// Normalized policy share within the sibling group.
     pub policy_share: f64,

@@ -4,12 +4,11 @@
 //! per-site system account — is attached to every job (§III-B). These types
 //! keep the two identity spaces from being confused at compile time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A grid-wide user identity (e.g. a certificate DN). This is the identity
 /// Aequus uses "throughout the entire fairshare prioritization process".
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GridUser(pub String);
 
 impl GridUser {
@@ -36,7 +35,7 @@ impl From<&str> for GridUser {
 }
 
 /// A per-site system account a grid user is mapped to (e.g. `grid0042`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SystemUser(pub String);
 
 impl SystemUser {
@@ -63,7 +62,7 @@ impl From<&str> for SystemUser {
 }
 
 /// A resource site (cluster installation) participating in the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub u32);
 
 impl fmt::Display for SiteId {
@@ -73,7 +72,7 @@ impl fmt::Display for SiteId {
 }
 
 /// A job identifier, unique within the originating submission stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -85,7 +84,7 @@ impl fmt::Display for JobId {
 /// A path through the policy/fairshare hierarchy from the root to an entity,
 /// e.g. `/atlas/simulation/alice` (Figure 3 of the paper writes these as
 /// `/LQ`, `/HP/u1`, ...).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct EntityPath(pub Vec<String>);
 
 impl EntityPath {

@@ -8,7 +8,6 @@
 //! shares.
 
 use crate::ids::{EntityPath, GridUser};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Errors raised by policy construction and mounting.
@@ -38,7 +37,7 @@ impl std::fmt::Display for PolicyError {
 impl std::error::Error for PolicyError {}
 
 /// What a policy node represents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicyNodeKind {
     /// An interior grouping (VO, project, research group).
     Group,
@@ -53,7 +52,7 @@ pub enum PolicyNodeKind {
 }
 
 /// One node of a policy tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyNode {
     /// Node name; unique among siblings.
     pub name: String,
@@ -111,7 +110,7 @@ impl PolicyNode {
 }
 
 /// A complete share policy: a named tree with validation and mounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyTree {
     root: PolicyNode,
     /// Monotonically increasing version, bumped on every mutation; lets

@@ -26,7 +26,6 @@ pub use percental::Percental;
 use crate::arena::NodeId;
 use crate::fairshare::FairshareTree;
 use crate::ids::GridUser;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A projection algorithm mapping every user's fairshare state to a scalar
@@ -52,7 +51,7 @@ pub trait Projection: Send + Sync + std::fmt::Debug {
 
 /// Which projection algorithm to use; "the approach to use is configurable
 /// and can be changed during run-time".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProjectionKind {
     /// Rank-based dictionary (lexicographic) ordering.
     Dictionary,

@@ -5,7 +5,6 @@
 
 use crate::decay::DecayPolicy;
 use crate::ids::{GridUser, JobId, SiteId};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
@@ -14,7 +13,7 @@ use std::collections::BTreeMap;
 pub type UserCells = BTreeMap<GridUser, BTreeMap<u64, f64>>;
 
 /// The resource consumption of one completed job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageRecord {
     /// Job identity.
     pub job: JobId,
@@ -43,7 +42,7 @@ impl UsageRecord {
 /// Job charges are spread proportionally over the slots the job's execution
 /// overlaps, so long jobs decay gradually rather than as a lump at
 /// completion.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UsageHistogram {
     slot_s: f64,
     /// charge per (user, slot index).
@@ -144,17 +143,6 @@ impl UsageHistogram {
         self.total += charge;
     }
 
-    /// Merge a compact per-user summary from another site.
-    pub fn merge_summary(&mut self, summary: &UsageSummary) {
-        for (user, slots) in &summary.per_user {
-            let user_slots = self.slots.entry(user.clone()).or_default().cells_mut();
-            for (&slot, &charge) in slots {
-                *user_slots.entry(slot).or_insert(0.0) += charge;
-                self.total += charge;
-            }
-        }
-    }
-
     /// Decay-weighted total usage of `user` as seen at time `now_s`.
     pub fn decayed_usage(&self, user: &GridUser, now_s: f64, decay: DecayPolicy) -> f64 {
         let Some(slots) = self.slots.get(user) else {
@@ -237,23 +225,6 @@ impl UsageHistogram {
             relayed: BTreeMap::new(),
         }
     }
-
-    /// Drop slots older than `horizon_s` before `now_s` (storage compaction;
-    /// safe once the decay weight of those slots is negligible). The dropped
-    /// charge leaves [`total_recorded`](Self::total_recorded) too, so the
-    /// conservation invariant survives compaction.
-    pub fn compact(&mut self, now_s: f64, horizon_s: f64) {
-        let cutoff_slot = ((now_s - horizon_s) / self.slot_s).floor().max(0.0) as u64;
-        for slots in self.slots.values_mut() {
-            let kept = slots.cells.split_off(&cutoff_slot);
-            let dropped = std::mem::replace(&mut slots.cells, kept);
-            if !dropped.is_empty() {
-                self.total -= dropped.values().sum::<f64>();
-                slots.raw.set(None);
-            }
-        }
-        self.slots.retain(|_, s| !s.cells.is_empty());
-    }
 }
 
 /// A grid-wide dense user index: a fixed user population ranked in name
@@ -325,7 +296,7 @@ impl UsageRow {
 /// monotone non-decreasing at the publisher, so receivers merge by taking
 /// the positive difference against a per-peer mirror, which makes retries,
 /// duplicates, reordering, and snapshot catch-up all idempotent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageSummary {
     /// Originating site.
     pub site: SiteId,
@@ -446,19 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_roundtrip_merge() {
-        let mut h1 = UsageHistogram::new(60.0);
-        h1.record(&rec("a", 1, 0.0, 120.0));
-        let s = h1.summary(SiteId(1), 0);
-        assert!((s.total() - 120.0).abs() < 1e-9);
-
-        let mut h2 = UsageHistogram::new(60.0);
-        h2.record(&rec("a", 1, 0.0, 60.0));
-        h2.merge_summary(&s);
-        assert!((h2.raw_usage(&GridUser::new("a")) - 180.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn incremental_summary_filters_old_slots() {
         let mut h = UsageHistogram::new(100.0);
         h.record(&rec("a", 1, 50.0, 60.0)); // slot 0
@@ -469,45 +427,19 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_old_slots() {
-        let mut h = UsageHistogram::new(100.0);
-        h.record(&rec("a", 1, 50.0, 60.0));
-        h.record(&rec("a", 1, 1050.0, 1060.0));
-        h.compact(1100.0, 500.0);
-        assert!((h.raw_usage(&GridUser::new("a")) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compact_conserves_total_and_cached_raw_usage() {
-        // Regression: compaction used to leave `total_recorded` counting the
-        // dropped slots, breaking "total == Σ raw_usage".
+    fn cached_raw_usage_follows_every_mutation() {
         let (a, b) = (GridUser::new("a"), GridUser::new("b"));
         let mut h = UsageHistogram::new(100.0);
-        h.record(&rec("a", 1, 50.0, 60.0));
         h.record(&rec("a", 2, 1050.0, 1060.0));
-        h.record(&rec("b", 1, 10.0, 250.0)); // entirely before the cutoff
         let conserved = |h: &UsageHistogram| {
             let sum = h.raw_usage(&a) + h.raw_usage(&b);
             assert!((h.total_recorded() - sum).abs() < 1e-9, "{sum}");
         };
         conserved(&h); // also fills the per-user total cache
-        h.compact(1100.0, 500.0);
-        assert_eq!(h.raw_usage(&a), 20.0, "cache follows the dropped slot");
-        assert_eq!(h.raw_usage(&b), 0.0);
-        assert_eq!(h.users().count(), 1, "emptied users leave the histogram");
-        conserved(&h);
-        // The cache stays coherent through every other mutation too.
         h.add_charge(&a, 11, 5.0);
         assert_eq!(h.raw_usage(&a), 25.0);
         h.record(&rec("b", 1, 1000.0, 1030.0));
         assert_eq!(h.raw_usage(&b), 30.0);
-        let other = {
-            let mut o = UsageHistogram::new(100.0);
-            o.record(&rec("a", 1, 1100.0, 1107.0));
-            o.summary(SiteId(1), 0)
-        };
-        h.merge_summary(&other);
-        assert_eq!(h.raw_usage(&a), 32.0);
         conserved(&h);
     }
 

@@ -9,11 +9,10 @@
 //! it (bitwise). Paths shorter than the tree depth are padded with the
 //! *balance point*, the center of the value range.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// The element value range: distances are mapped onto `0.0..=max_value`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resolution {
     /// Largest element value (e.g. 9999.0).
     pub max_value: f64,
@@ -50,7 +49,7 @@ impl Default for Resolution {
 
 /// A fairshare vector: one element per hierarchy level, most significant
 /// (closest to the root) first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairshareVector {
     elements: Vec<f64>,
     resolution: Resolution,

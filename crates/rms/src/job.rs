@@ -1,10 +1,9 @@
 //! Jobs as seen by the local resource manager.
 
 use aequus_core::{GridUser, JobId, SystemUser};
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle state of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobState {
     /// Waiting in the queue.
     Pending,
@@ -26,7 +25,7 @@ pub enum JobState {
 ///
 /// The trace is "comprised exclusively of bag-of-task jobs using a single
 /// processor per job" (§IV-3), but multi-core jobs are supported.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Job identity.
     pub id: JobId,

@@ -5,14 +5,13 @@
 
 use crate::job::Job;
 use aequus_core::GridUser;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Weights of the priority factors in the linear combination. Every weight
 /// must be finite and non-negative ([`crate::SchedulerCore`] refuses others
 /// at construction): the pending queue keeps each user's jobs in submit
 /// order and relies on the priority never falling as a job's age grows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriorityWeights {
     /// Weight of the (global) fairshare factor.
     pub fairshare: f64,
@@ -55,7 +54,7 @@ impl Default for PriorityWeights {
 }
 
 /// Parameters turning raw job attributes into `[0, 1]` factors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactorConfig {
     /// Wait time at which the age factor saturates at 1.
     pub max_age_s: f64,
@@ -109,7 +108,7 @@ pub fn combined_priority(
 
 /// One factor's contribution to a combined priority: the `[0, 1]` value it
 /// had at evaluation time and the weight it entered the combination with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorTerm {
     /// The factor value in `[0, 1]`.
     pub value: f64,
@@ -121,7 +120,7 @@ pub struct FactorTerm {
 /// of a decision's provenance. [`replay`](Self::replay) recombines the
 /// captured terms with the same expression `combined_priority` evaluates, so
 /// a faithful capture reproduces [`combined`](Self::combined) bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriorityBreakdown {
     /// The (possibly grid-global) fairshare factor and its weight.
     pub fairshare: FactorTerm,

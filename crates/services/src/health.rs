@@ -1,8 +1,6 @@
 //! The gossip health map: per-link observations merged into a run-level
 //! [`HealthReport`].
 
-use serde::{Deserialize, Serialize};
-
 /// One per-sample health row for a directed overlay link, as observed by
 /// *one* endpoint's shard. The sender's shard reports the tx-side fields
 /// (undelivered-data age, outbox depth, cumulative send counters) and marks
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// [`HealthMap`] merges both sides under the `(from, to)` key. Every field
 /// is sim-time-derived, so the merged aggregate is bit-identical at any
 /// worker count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkObservation {
     /// Publishing site of the link.
     pub from: u32,
@@ -196,7 +194,7 @@ impl HealthMap {
 }
 
 /// Per-link aggregate of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkReport {
     /// Publishing site.
     pub from: u32,
@@ -231,7 +229,7 @@ pub struct LinkReport {
 /// Per-overlay-depth rollup: how much convergence lag each hop class
 /// contributes — the measurement ROADMAP item 4's adaptive publish cadence
 /// needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepthReport {
     /// Overlay depth class (1 = core links).
     pub depth: usize,
@@ -250,7 +248,7 @@ pub struct DepthReport {
 
 /// The finalized gossip health report of a run: per-link aggregates plus
 /// the per-depth convergence-lag attribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
     /// Per-link rows, ordered by `(from, to)`.
     pub links: Vec<LinkReport>,

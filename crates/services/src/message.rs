@@ -1,14 +1,14 @@
 //! The wire messages of the reliable USS↔USS exchange and their binary
-//! codec (protocol and policies: [`crate::reliability`]).
+//! encoding over `aequus_core::codec`'s `Sink` and `Reader` (protocol and
+//! policies: [`crate::reliability`]).
 
-use aequus_core::codec::{decode_summary, encode_summary, CodecError, Encoding};
+use aequus_core::codec::{decode_summary, encode_summary, CodecError, Encoding, Reader, Sink};
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UsageSummary;
 use aequus_telemetry::TraceCtx;
-use serde::{Deserialize, Serialize};
 
 /// A message of the reliable USS↔USS exchange protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum UssMessage {
     /// A sequenced incremental summary (absolute per-cell values).
     Summary {
@@ -108,39 +108,36 @@ impl UssMessage {
         let mut out = Vec::new();
         match self {
             UssMessage::Summary { summary, ctx } | UssMessage::Snapshot { summary, ctx } => {
-                out.push(if matches!(self, UssMessage::Summary { .. }) {
+                out.byte(if matches!(self, UssMessage::Summary { .. }) {
                     TAG_SUMMARY
                 } else {
                     TAG_SNAPSHOT
                 });
-                match ctx {
-                    Some(c) => {
-                        out.push(1);
-                        out.extend_from_slice(&c.trace_id.to_le_bytes());
-                        out.extend_from_slice(&c.span.to_le_bytes());
-                    }
-                    None => out.push(0),
+                out.byte(u8::from(ctx.is_some()));
+                if let Some(c) = ctx {
+                    out.u64(c.trace_id);
+                    out.u64(c.span);
                 }
-                out.extend_from_slice(&encode_summary(summary, enc));
+                out.bytes(&encode_summary(summary, enc));
             }
             UssMessage::Ack { from, seq } => {
-                out.push(TAG_ACK);
-                out.extend_from_slice(&from.0.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
+                out.byte(TAG_ACK);
+                out.u32(from.0);
+                out.u64(*seq);
             }
             UssMessage::Resync {
                 from,
                 from_seq,
                 to_seq,
             } => {
-                out.push(TAG_RESYNC);
-                out.extend_from_slice(&from.0.to_le_bytes());
-                out.extend_from_slice(&from_seq.to_le_bytes());
-                out.extend_from_slice(&to_seq.to_le_bytes());
+                out.byte(TAG_RESYNC);
+                out.u32(from.0);
+                out.u64(*from_seq);
+                out.u64(*to_seq);
             }
             UssMessage::SnapshotRequest { from } => {
-                out.push(TAG_SNAPSHOT_REQUEST);
-                out.extend_from_slice(&from.0.to_le_bytes());
+                out.byte(TAG_SNAPSHOT_REQUEST);
+                out.u32(from.0);
             }
         }
         out
@@ -150,69 +147,42 @@ impl UssMessage {
     /// message and the summary encoding it travelled under (control messages
     /// report the caller-irrelevant default).
     pub fn decode(buf: &[u8]) -> Result<(Self, Encoding), CodecError> {
-        let (&tag, rest) = buf.split_first().ok_or(CodecError::Truncated)?;
-        let fixed = |n: usize| -> Result<&[u8], CodecError> {
-            (rest.len() == n).then_some(rest).ok_or(if rest.len() < n {
-                CodecError::Truncated
-            } else {
-                CodecError::Malformed("trailing bytes")
-            })
-        };
-        match tag {
+        let mut r = Reader::new(buf);
+        let tag = r.u8()?;
+        let msg = match tag {
             TAG_SUMMARY | TAG_SNAPSHOT => {
-                let (&flag, rest) = rest.split_first().ok_or(CodecError::Truncated)?;
-                let (ctx, payload) = match flag {
-                    0 => (None, rest),
-                    1 => {
-                        if rest.len() < 16 {
-                            return Err(CodecError::Truncated);
-                        }
-                        let trace_id = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-                        let span = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-                        (Some(TraceCtx { trace_id, span }), &rest[16..])
-                    }
-                    _ => return Err(CodecError::Malformed("bad trace-context flag")),
+                let ctx = if r.flag()? {
+                    Some(TraceCtx {
+                        trace_id: r.u64()?,
+                        span: r.u64()?,
+                    })
+                } else {
+                    None
                 };
-                let (enc, summary) = decode_summary(payload)?;
+                let (enc, summary) = decode_summary(r.rest())?;
                 let msg = if tag == TAG_SUMMARY {
                     UssMessage::Summary { summary, ctx }
                 } else {
                     UssMessage::Snapshot { summary, ctx }
                 };
-                Ok((msg, enc))
+                return Ok((msg, enc));
             }
-            TAG_ACK => {
-                let b = fixed(12)?;
-                Ok((
-                    UssMessage::Ack {
-                        from: SiteId(u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))),
-                        seq: u64::from_le_bytes(b[4..12].try_into().expect("8 bytes")),
-                    },
-                    Encoding::default(),
-                ))
-            }
-            TAG_RESYNC => {
-                let b = fixed(20)?;
-                Ok((
-                    UssMessage::Resync {
-                        from: SiteId(u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))),
-                        from_seq: u64::from_le_bytes(b[4..12].try_into().expect("8 bytes")),
-                        to_seq: u64::from_le_bytes(b[12..20].try_into().expect("8 bytes")),
-                    },
-                    Encoding::default(),
-                ))
-            }
-            TAG_SNAPSHOT_REQUEST => {
-                let b = fixed(4)?;
-                Ok((
-                    UssMessage::SnapshotRequest {
-                        from: SiteId(u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))),
-                    },
-                    Encoding::default(),
-                ))
-            }
-            _ => Err(CodecError::Malformed("unknown message tag")),
-        }
+            TAG_ACK => UssMessage::Ack {
+                from: SiteId(r.u32()?),
+                seq: r.u64()?,
+            },
+            TAG_RESYNC => UssMessage::Resync {
+                from: SiteId(r.u32()?),
+                from_seq: r.u64()?,
+                to_seq: r.u64()?,
+            },
+            TAG_SNAPSHOT_REQUEST => UssMessage::SnapshotRequest {
+                from: SiteId(r.u32()?),
+            },
+            _ => return Err(CodecError::Malformed("unknown message tag")),
+        };
+        r.finish()?;
+        Ok((msg, Encoding::default()))
     }
 }
 
@@ -361,5 +331,76 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The five message kinds over a summary that exercises the section
+    /// codec's corners: shared name prefixes, integral and fractional
+    /// charges, `-0.0`, a charge above 2^53, a user without cells, a
+    /// relayed origin without users, and both trace-context flags.
+    fn golden_messages() -> Vec<UssMessage> {
+        let cells = |entries: &[(&str, &[(u64, f64)])]| -> aequus_core::UserCells {
+            entries
+                .iter()
+                .map(|(name, slots)| {
+                    (
+                        aequus_core::GridUser::new(*name),
+                        slots.iter().copied().collect(),
+                    )
+                })
+                .collect()
+        };
+        let summary = UsageSummary {
+            site: SiteId(2),
+            seq: 11,
+            slot_s: 300.0,
+            per_user: cells(&[
+                ("empty", &[]),
+                ("u000120", &[(4, 1200.0), (5, 64.5), (9, 0.125)]),
+                ("u000121", &[(4, 300.0)]),
+                ("vo-atlas", &[(1, -0.0), (70_000, 9.1e15)]),
+            ]),
+            relayed: [
+                (SiteId(4), cells(&[("u000120", &[(4, 60.0)])])),
+                (SiteId(9), cells(&[])),
+            ]
+            .into(),
+        };
+        vec![
+            UssMessage::Summary {
+                summary: summary.clone(),
+                ctx: Some(TraceCtx {
+                    trace_id: 0x0102_0304_0506_0708,
+                    span: 9,
+                }),
+            },
+            UssMessage::Snapshot { summary, ctx: None },
+            UssMessage::Ack {
+                from: SiteId(1),
+                seq: 3,
+            },
+            UssMessage::Resync {
+                from: SiteId(1),
+                from_seq: 2,
+                to_seq: 0x1_0000_0000,
+            },
+            UssMessage::SnapshotRequest { from: SiteId(7) },
+        ]
+    }
+
+    /// The wire format is pinned byte for byte: `tests/golden/uss_messages.hex`
+    /// was generated before the codec moved onto the shared reader and
+    /// writer, and a deliberate wire change regenerates it in the same diff.
+    #[test]
+    fn wire_bytes_match_the_golden_file() {
+        let mut actual = String::new();
+        for msg in golden_messages() {
+            for enc in [Encoding::Dense, Encoding::Delta] {
+                let bytes = msg.encode(enc);
+                assert_eq!(UssMessage::decode(&bytes).unwrap().0, msg);
+                let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+                actual.push_str(&format!("{} {enc:?} {hex}\n", msg.kind()));
+            }
+        }
+        assert_eq!(actual, include_str!("../tests/golden/uss_messages.hex"));
     }
 }

@@ -1,8 +1,6 @@
 //! The gossip overlay: which site pairs exchange summaries directly, and
 //! which nodes forward.
 
-use serde::{Deserialize, Serialize};
-
 /// The gossip overlay: which site pairs exchange summaries directly.
 ///
 /// Full mesh is O(sites²) links; the hierarchical overlays cut that to
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// their *origin* site and receivers merge against a per-origin mirror, any
 /// path multiplicity (meshed hubs) or hop count converges to the same view
 /// as the full mesh.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum OverlayTopology {
     /// Every site pair exchanges directly (the pre-overlay behavior).
     #[default]

@@ -3,10 +3,8 @@
 //! may not fully take part "due to misconfiguration, local policies, or
 //! legislation".
 
-use serde::{Deserialize, Serialize};
-
 /// How a site takes part in the global usage-data exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParticipationMode {
     /// Normal operation: contributes local usage and consumes global usage.
     Full,

@@ -29,10 +29,9 @@
 //! [`UssMessage::Snapshot`]: crate::message::UssMessage::Snapshot
 
 use crate::timings::ServiceTimings;
-use serde::{Deserialize, Serialize};
 
 /// Retry/backoff and retention configuration of the reliable exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// How long a publisher waits for an ack after a send before the first
     /// retry — also the base of the exponential backoff.
@@ -92,7 +91,7 @@ impl RetryPolicy {
 
 /// What a site serves while peer data goes stale (peers silent, partitioned,
 /// or crashed).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub enum StalePolicy {
     /// Keep weighting with the last merged remote usage, however old — the
     /// default, matching the paper's "RMS keeps scheduling on stale data"
@@ -114,7 +113,7 @@ pub enum StalePolicy {
 /// Kept separate from the simulation's fault RNG so that service-level retry
 /// timing is reproducible from the service's own seed alone, independent of
 /// how many fault coins the engine has flipped.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JitterRng {
     state: u64,
 }

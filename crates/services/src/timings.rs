@@ -8,10 +8,8 @@
 //! the update-delay experiment (Figure 11) works by scaling the workload
 //! while holding these constant.
 
-use serde::{Deserialize, Serialize};
-
 /// All update/processing delays in the Aequus pipeline, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceTimings {
     /// (I) Delay from job completion in the RMS until the usage record
     /// reaches the local USS.

@@ -7,12 +7,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How the submission host routes jobs to clusters (grid-level routing —
 /// distinct from the per-cluster queue dispatch order in
 /// [`aequus_rms::dispatch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
     /// Pick a cluster uniformly at random (capacity-weighted).
     Stochastic,

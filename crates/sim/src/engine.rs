@@ -758,9 +758,6 @@ mod tests {
         let engine = result.engine_telemetry.expect("engine telemetry on");
         assert!(engine.histograms["aequus_sim_event_s"].count > 0);
         assert!(engine.counters["aequus_sim_cluster_ticks_total"] > 0);
-        // Per-sample snapshots ride along in the metrics log.
-        let last = result.metrics.samples().last().unwrap();
-        assert_eq!(last.site_telemetry.len(), 2);
     }
 
     #[test]
@@ -882,11 +879,6 @@ mod tests {
         let result = GridSimulation::new(small_scenario()).run(&trace, 1000.0);
         assert!(result.site_telemetry.is_empty());
         assert!(result.engine_telemetry.is_none());
-        assert!(result
-            .metrics
-            .samples()
-            .iter()
-            .all(|s| s.site_telemetry.is_empty()));
     }
 
     #[test]

@@ -58,9 +58,6 @@ pub struct Sample {
     /// the codec-accurate encoded size of every exchange message sent so
     /// far (under the scenario's wire encoding).
     pub gossip_bytes: u64,
-    /// Per-site telemetry registry snapshots, in cluster order. Empty when
-    /// the scenario runs without telemetry.
-    pub site_telemetry: Vec<aequus_telemetry::Snapshot>,
     /// Per-link gossip health observations across all sites, in site order
     /// (tx rows then rx rows per site). Empty unless the scenario runs
     /// health monitoring.
@@ -100,8 +97,6 @@ pub struct ShardSample {
     pub usage_view: Option<Arc<UsageRow>>,
     /// Cumulative gossip bytes this site has put on the wire.
     pub gossip_bytes: u64,
-    /// This site's telemetry registry snapshot, when telemetry is on.
-    pub telemetry: Option<aequus_telemetry::Snapshot>,
     /// This site's per-link gossip health observations (empty unless the
     /// scenario runs health monitoring).
     pub link_health: Vec<LinkObservation>,
@@ -127,7 +122,6 @@ impl Sample {
         let mut fcs_nodes = 0u64;
         let mut views: Vec<Arc<UsageRow>> = Vec::new();
         let mut gossip_bytes = 0u64;
-        let mut site_telemetry = Vec::new();
         let mut link_health = Vec::new();
         for frag in fragments {
             if !frag.users.is_empty() {
@@ -145,9 +139,6 @@ impl Sample {
                 views.push(view);
             }
             gossip_bytes += frag.gossip_bytes;
-            if let Some(snap) = frag.telemetry {
-                site_telemetry.push(snap);
-            }
             link_health.extend(frag.link_health);
         }
         Self {
@@ -163,7 +154,6 @@ impl Sample {
             fcs_nodes_recomputed: fcs_nodes,
             usage_view_divergence: view_divergence(&views),
             gossip_bytes,
-            site_telemetry,
             link_health,
         }
     }
@@ -562,7 +552,6 @@ mod tests {
             fcs_nodes_recomputed: 0,
             usage_view_divergence: 0.0,
             gossip_bytes: 0,
-            site_telemetry: vec![],
             link_health: vec![],
         }
     }
@@ -659,7 +648,6 @@ mod tests {
             fcs_nodes_recomputed: 0,
             usage_view_divergence: 0.0,
             gossip_bytes: 0,
-            site_telemetry: vec![],
             link_health: vec![],
         });
         assert!(log.balance_windows(0.1).is_empty());
@@ -690,7 +678,6 @@ mod tests {
             fcs_nodes_recomputed: 9,
             usage_view: Some(row_a(100.0)),
             gossip_bytes: 70,
-            telemetry: None,
             link_health: vec![],
         };
         let f1 = ShardSample {

@@ -402,7 +402,6 @@ impl Shard {
             fcs_nodes_recomputed: site.fcs.nodes_recomputed(),
             usage_view,
             gossip_bytes: self.stats.gossip_bytes,
-            telemetry: self.cluster.telemetry.snapshot(),
             link_health,
         }
     }

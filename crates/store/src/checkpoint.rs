@@ -10,19 +10,21 @@
 //! one checkpoint interval, never the ability to recover at all. Loading
 //! decodes both slots and picks the valid one with the highest LSN.
 
-use crate::codec::{CodecError, Reader, Writer};
-use crate::records::{decode_cells, encode_cells};
+use crate::records::CELL_ENCODING;
 use crate::storage::Storage;
 use crate::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT};
 use crate::StoreError;
+use aequus_core::codec::{decode_cells, encode_cells, CodecError, Reader, Sink};
 use aequus_core::ids::{GridUser, SiteId};
+use aequus_core::usage::UserCells;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Checkpoint format version (bumped on incompatible layout changes;
 /// decoders reject unknown versions rather than misreading them).
 /// Version 2 moved the merge mirrors from per-peer cursors to the
-/// origin-scoped `origin_cells` map (hierarchical-overlay support).
-const VERSION: u8 = 2;
+/// origin-scoped `origin_cells` map (hierarchical-overlay support);
+/// version 3 stores every cell map as a wire-codec section.
+const VERSION: u8 = 3;
 
 /// The two alternating slot names.
 pub const SLOTS: [&str; 2] = ["ckpt-a", "ckpt-b"];
@@ -51,8 +53,8 @@ pub struct CheckpointState {
     /// Histogram slot duration (sanity-checked on install).
     pub slot_s: f64,
     /// Local histogram cells (user → slot → accumulated charge), stored
-    /// with full `f64` bits so local replay is bitwise exact.
-    pub local_cells: BTreeMap<GridUser, BTreeMap<u64, f64>>,
+    /// bit for bit so local replay is bitwise exact.
+    pub local_cells: UserCells,
     /// Job records ingested so far (counter continuity across restarts).
     pub records_ingested: u64,
     /// Next publish sequence number.
@@ -63,7 +65,7 @@ pub struct CheckpointState {
     /// site — the receive-side mirror the positive-delta merge is computed
     /// against. Origin-scoped so relayed deliveries (hierarchical overlays)
     /// restore identically to direct ones.
-    pub origin_cells: BTreeMap<SiteId, BTreeMap<GridUser, BTreeMap<u64, f64>>>,
+    pub origin_cells: BTreeMap<SiteId, UserCells>,
     /// UMS decay epoch, if a refresh has happened.
     pub ums_epoch_s: Option<f64>,
     /// UMS cached decayed usage per user (valid at `ums_epoch_s`).
@@ -105,48 +107,48 @@ impl CheckpointState {
 
     /// Encode to the framed on-disk representation.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u8(VERSION);
+        let mut w = Vec::new();
+        w.byte(VERSION);
         w.u64(self.lsn);
         w.f64(self.taken_s);
         w.u32(self.site.0);
         w.f64(self.slot_s);
-        encode_cells(&mut w, &self.local_cells);
+        encode_cells(&self.local_cells, CELL_ENCODING, &mut w);
         w.u64(self.records_ingested);
         w.u64(self.next_seq);
-        w.u32(self.peers.len() as u32);
+        w.varint(self.peers.len() as u64);
         for (site, cursor) in &self.peers {
             w.u32(site.0);
             w.u64(cursor.next_expected);
         }
-        w.u32(self.origin_cells.len() as u32);
+        w.varint(self.origin_cells.len() as u64);
         for (origin, cells) in &self.origin_cells {
             w.u32(origin.0);
-            encode_cells(&mut w, cells);
+            encode_cells(cells, CELL_ENCODING, &mut w);
         }
         match self.ums_epoch_s {
             Some(e) => {
-                w.u8(1);
+                w.byte(1);
                 w.f64(e);
             }
-            None => w.u8(0),
+            None => w.byte(0),
         }
-        w.u32(self.ums_cached.len() as u32);
+        w.varint(self.ums_cached.len() as u64);
         for (user, usage) in &self.ums_cached {
             w.str(user.as_str());
             w.f64(*usage);
         }
         match &self.dirty_users {
-            None => w.u8(0),
+            None => w.byte(0),
             Some(users) => {
-                w.u8(1);
-                w.u32(users.len() as u32);
+                w.byte(1);
+                w.varint(users.len() as u64);
                 for u in users {
                     w.str(u.as_str());
                 }
             }
         }
-        encode_frame(KIND_CHECKPOINT, &w.into_bytes())
+        encode_frame(KIND_CHECKPOINT, &w)
     }
 
     /// Decode the payload of a checkpoint frame.
@@ -154,51 +156,42 @@ impl CheckpointState {
         let mut r = Reader::new(payload);
         let version = r.u8()?;
         if version != VERSION {
-            return Err(CodecError::BadTag(version));
+            return Err(CodecError::BadVersion(version));
         }
         let lsn = r.u64()?;
         let taken_s = r.f64()?;
         let site = SiteId(r.u32()?);
         let slot_s = r.f64()?;
-        let local_cells = decode_cells(&mut r)?;
+        let local_cells = decode_cells(&mut r, CELL_ENCODING)?;
         let records_ingested = r.u64()?;
         let next_seq = r.u64()?;
-        let npeers = r.seq_len(12)?;
         let mut peers = BTreeMap::new();
-        for _ in 0..npeers {
+        for _ in 0..r.seq_len(12)? {
             let peer = SiteId(r.u32()?);
             let next_expected = r.u64()?;
             peers.insert(peer, PeerCursor { next_expected });
         }
-        let norigins = r.seq_len(8)?;
         let mut origin_cells = BTreeMap::new();
-        for _ in 0..norigins {
+        for _ in 0..r.seq_len(5)? {
             let origin = SiteId(r.u32()?);
-            let cells = decode_cells(&mut r)?;
-            origin_cells.insert(origin, cells);
+            origin_cells.insert(origin, decode_cells(&mut r, CELL_ENCODING)?);
         }
-        let ums_epoch_s = match r.u8()? {
-            0 => None,
-            _ => Some(r.f64()?),
-        };
-        let ncached = r.seq_len(12)?;
+        let ums_epoch_s = if r.flag()? { Some(r.f64()?) } else { None };
         let mut ums_cached = BTreeMap::new();
-        for _ in 0..ncached {
-            let user = GridUser::new(&r.str()?);
-            let usage = r.f64()?;
-            ums_cached.insert(user, usage);
+        for _ in 0..r.seq_len(12)? {
+            let user = GridUser::new(r.str()?);
+            ums_cached.insert(user, r.f64()?);
         }
-        let dirty_users = match r.u8()? {
-            0 => None,
-            _ => {
-                let n = r.seq_len(4)?;
-                let mut users = BTreeSet::new();
-                for _ in 0..n {
-                    users.insert(GridUser::new(&r.str()?));
-                }
-                Some(users)
+        let dirty_users = if r.flag()? {
+            let mut users = BTreeSet::new();
+            for _ in 0..r.seq_len(4)? {
+                users.insert(GridUser::new(r.str()?));
             }
+            Some(users)
+        } else {
+            None
         };
+        r.finish()?;
         Ok(Self {
             lsn,
             taken_s,

@@ -16,14 +16,17 @@
 //! replacement.
 //!
 //! Layering: [`SiteStore`] (facade) → [`wal`] / [`checkpoint`] (formats) →
-//! [`Storage`] (backend). Logical content is defined by [`WalRecord`] and
-//! [`CheckpointState`]; the services layer decides *what* to journal and
-//! how to re-apply it (see `aequus-services`).
+//! [`Storage`] (backend). The formats own their framing — the WAL's
+//! skip-by-length header, the checkpoint's version byte — and nothing
+//! below it: every byte is written and read with `aequus_core::codec`'s
+//! `Sink` and `Reader`, and usage cells are stored as that codec's cell
+//! sections, the same layout gossip carries. Logical content is defined by
+//! [`WalRecord`] and [`CheckpointState`]; the services layer decides *what*
+//! to journal and how to re-apply it (see `aequus-services`).
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod codec;
 pub mod records;
 pub mod storage;
 pub mod store;

@@ -1,12 +1,18 @@
-//! The WAL's logical record types and their binary codecs: everything a
-//! site must re-apply after a crash that is *not* captured by the latest
-//! checkpoint — locally ingested job records, peer exchange data already
-//! merged into the views, and the publisher's own sequence advances.
+//! The WAL's logical record types and their encodings (over the shared
+//! primitives of `aequus_core::codec`): everything a site must re-apply
+//! after a crash that is *not* captured by the latest checkpoint — locally
+//! ingested job records, peer exchange data already merged into the views,
+//! and the publisher's own sequence advances.
 
-use crate::codec::{CodecError, Reader, Writer};
+use aequus_core::codec::{read_summary, write_summary, CodecError, Encoding, Reader, Sink};
 use aequus_core::ids::{GridUser, JobId, SiteId};
 use aequus_core::usage::{UsageRecord, UsageSummary};
-use std::collections::BTreeMap;
+
+/// How every durable usage cell is laid out — WAL peer data and checkpoint
+/// mirrors alike: the wire codec's sections under its lossless columnar
+/// encoding. A constant of the format, not a setting: changing it is a new
+/// record kind and checkpoint version.
+pub(crate) const CELL_ENCODING: Encoding = Encoding::Delta;
 
 /// One durable WAL entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,7 +23,9 @@ pub enum WalRecord {
     /// cumulative summary as received, and whether it arrived as a
     /// cumulative `Snapshot` (vs an incremental `Data` summary).
     PeerData {
-        /// The summary exactly as merged.
+        /// The summary exactly as merged, relayed per-origin sections
+        /// included (overlay interior nodes journal exactly what they
+        /// merged).
         summary: UsageSummary,
         /// `true` when it was a cumulative snapshot.
         snapshot: bool,
@@ -35,138 +43,58 @@ const TAG_USAGE: u8 = 1;
 const TAG_PEER_DATA: u8 = 2;
 const TAG_PUBLISH: u8 = 3;
 
-/// Encode a [`UsageRecord`].
-fn encode_usage(w: &mut Writer, rec: &UsageRecord) {
-    w.u64(rec.job.0);
-    w.str(rec.user.as_str());
-    w.u32(rec.site.0);
-    w.u32(rec.cores);
-    w.f64(rec.start_s);
-    w.f64(rec.end_s);
-}
-
-/// Decode a [`UsageRecord`].
-fn decode_usage(r: &mut Reader<'_>) -> Result<UsageRecord, CodecError> {
-    Ok(UsageRecord {
-        job: JobId(r.u64()?),
-        user: GridUser::new(&r.str()?),
-        site: SiteId(r.u32()?),
-        cores: r.u32()?,
-        start_s: r.f64()?,
-        end_s: r.f64()?,
-    })
-}
-
-/// Encode per-user usage cells (user → slot → charge).
-pub fn encode_cells(w: &mut Writer, cells: &BTreeMap<GridUser, BTreeMap<u64, f64>>) {
-    w.u32(cells.len() as u32);
-    for (user, slots) in cells {
-        w.str(user.as_str());
-        w.u32(slots.len() as u32);
-        for (&slot, &charge) in slots {
-            w.u64(slot);
-            w.f64(charge);
-        }
-    }
-}
-
-/// Decode per-user usage cells.
-pub fn decode_cells(
-    r: &mut Reader<'_>,
-) -> Result<BTreeMap<GridUser, BTreeMap<u64, f64>>, CodecError> {
-    // Lower bounds: a user entry is ≥ 8 bytes (name len + slot count), a
-    // cell is exactly 16.
-    let users = r.seq_len(8)?;
-    let mut cells = BTreeMap::new();
-    for _ in 0..users {
-        let user = GridUser::new(&r.str()?);
-        let slots = r.seq_len(16)?;
-        let mut per_slot = BTreeMap::new();
-        for _ in 0..slots {
-            let slot = r.u64()?;
-            let charge = r.f64()?;
-            per_slot.insert(slot, charge);
-        }
-        cells.insert(user, per_slot);
-    }
-    Ok(cells)
-}
-
-/// Encode a [`UsageSummary`], including any relayed per-origin sections
-/// (overlay interior nodes journal exactly what they merged).
-pub fn encode_summary(w: &mut Writer, s: &UsageSummary) {
-    w.u32(s.site.0);
-    w.u64(s.seq);
-    w.f64(s.slot_s);
-    encode_cells(w, &s.per_user);
-    w.u32(s.relayed.len() as u32);
-    for (origin, cells) in &s.relayed {
-        w.u32(origin.0);
-        encode_cells(w, cells);
-    }
-}
-
-/// Decode a [`UsageSummary`].
-pub fn decode_summary(r: &mut Reader<'_>) -> Result<UsageSummary, CodecError> {
-    let site = SiteId(r.u32()?);
-    let seq = r.u64()?;
-    let slot_s = r.f64()?;
-    let per_user = decode_cells(r)?;
-    let norigins = r.seq_len(8)?;
-    let mut relayed = BTreeMap::new();
-    for _ in 0..norigins {
-        let origin = SiteId(r.u32()?);
-        relayed.insert(origin, decode_cells(r)?);
-    }
-    Ok(UsageSummary {
-        site,
-        seq,
-        slot_s,
-        per_user,
-        relayed,
-    })
-}
-
 impl WalRecord {
-    /// Encode into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    /// Append the record's encoding to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Usage(rec) => {
-                w.u8(TAG_USAGE);
-                encode_usage(w, rec);
+                out.byte(TAG_USAGE);
+                out.u64(rec.job.0);
+                out.str(rec.user.as_str());
+                out.u32(rec.site.0);
+                out.u32(rec.cores);
+                out.f64(rec.start_s);
+                out.f64(rec.end_s);
             }
             WalRecord::PeerData { summary, snapshot } => {
-                w.u8(TAG_PEER_DATA);
-                w.u8(u8::from(*snapshot));
-                encode_summary(w, summary);
+                out.byte(TAG_PEER_DATA);
+                out.byte(u8::from(*snapshot));
+                write_summary(summary, CELL_ENCODING, out);
             }
             WalRecord::Publish { seq } => {
-                w.u8(TAG_PUBLISH);
-                w.u64(*seq);
+                out.byte(TAG_PUBLISH);
+                out.u64(*seq);
             }
         }
     }
 
-    /// Decode from `r`.
+    /// Decode one record, which must be all of what `r` holds.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            TAG_USAGE => Ok(WalRecord::Usage(decode_usage(r)?)),
-            TAG_PEER_DATA => {
-                let snapshot = r.u8()? != 0;
-                Ok(WalRecord::PeerData {
-                    summary: decode_summary(r)?,
-                    snapshot,
-                })
-            }
-            TAG_PUBLISH => Ok(WalRecord::Publish { seq: r.u64()? }),
-            t => Err(CodecError::BadTag(t)),
-        }
+        let rec = match r.u8()? {
+            TAG_USAGE => WalRecord::Usage(UsageRecord {
+                job: JobId(r.u64()?),
+                user: GridUser::new(r.str()?),
+                site: SiteId(r.u32()?),
+                cores: r.u32()?,
+                start_s: r.f64()?,
+                end_s: r.f64()?,
+            }),
+            TAG_PEER_DATA => WalRecord::PeerData {
+                snapshot: r.flag()?,
+                summary: read_summary(r, CELL_ENCODING)?,
+            },
+            TAG_PUBLISH => WalRecord::Publish { seq: r.u64()? },
+            _ => return Err(CodecError::Malformed("unknown record tag")),
+        };
+        r.finish()?;
+        Ok(rec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn sample_summary(seq: u64) -> UsageSummary {
         let mut per_user = BTreeMap::new();
@@ -191,13 +119,9 @@ mod tests {
     }
 
     fn round_trip(rec: &WalRecord) -> WalRecord {
-        let mut w = Writer::new();
-        rec.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let out = WalRecord::decode(&mut r).unwrap();
-        assert!(r.is_done(), "decoder must consume the full encoding");
-        out
+        let mut bytes = Vec::new();
+        rec.encode(&mut bytes);
+        WalRecord::decode(&mut Reader::new(&bytes)).unwrap()
     }
 
     #[test]
@@ -231,23 +155,23 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tag_is_an_error() {
+    fn unknown_tag_and_trailing_bytes_are_errors() {
         let mut r = Reader::new(&[0xFF, 0, 0, 0]);
-        assert!(matches!(
-            WalRecord::decode(&mut r),
-            Err(CodecError::BadTag(0xFF))
-        ));
+        assert!(WalRecord::decode(&mut r).is_err());
+        let mut bytes = Vec::new();
+        WalRecord::Publish { seq: 4 }.encode(&mut bytes);
+        bytes.push(0);
+        assert!(WalRecord::decode(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]
     fn truncated_record_is_an_error() {
-        let mut w = Writer::new();
+        let mut bytes = Vec::new();
         WalRecord::PeerData {
             summary: sample_summary(3),
             snapshot: true,
         }
-        .encode(&mut w);
-        let bytes = w.into_bytes();
+        .encode(&mut bytes);
         for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
             assert!(WalRecord::decode(&mut r).is_err(), "cut at {cut}");

@@ -3,7 +3,8 @@
 //! ## Frame format
 //!
 //! Every frame is `[magic 0xA9][kind u8][len u32 LE][crc u32 LE][payload]`
-//! (10-byte header). `len` is the payload length; `crc` is CRC-32 over
+//! (10-byte header), written and read with the shared primitives of
+//! `aequus_core::codec`. `len` is the payload length; `crc` is CRC-32 over
 //! `kind`, `len`, and the payload, so any single-bit damage to either the
 //! header fields or the body is detected. Record-frame payloads begin with
 //! the record's 8-byte LSN so positions survive segment compaction.
@@ -35,18 +36,19 @@
 //! the checkpoint's cursors is retained, so the anti-entropy path can
 //! always reconstruct what the checkpoint has not yet absorbed.
 
-use crate::codec::{Reader, Writer};
 use crate::records::WalRecord;
 use crate::storage::Storage;
 use crate::StoreError;
-use aequus_core::codec::Crc32;
+use aequus_core::codec::{CodecError, Crc32, Reader, Sink};
 use aequus_core::ids::SiteId;
 use std::collections::BTreeMap;
 
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xA9;
-/// Frame kind: one [`WalRecord`].
-pub const KIND_RECORD: u8 = 1;
+/// Frame kind: one [`WalRecord`]. (Kind 1 was the record layout before
+/// usage cells moved to the wire codec's sections; a log that still holds
+/// such frames has them refused and counted, not misread.)
+pub const KIND_RECORD: u8 = 3;
 /// Frame kind: a checkpoint snapshot (used by checkpoint slots, which are
 /// single-frame objects protected by the same CRC framing).
 pub const KIND_CHECKPOINT: u8 = 2;
@@ -57,19 +59,23 @@ pub const HEADER_LEN: usize = 10;
 /// declared lengths early instead of attempting huge skips.
 const MAX_PAYLOAD: u32 = 16 << 20;
 
-/// Encode one frame.
-pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() as u32;
+fn frame_crc(kind: u8, len: u32, payload: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(&[kind]);
     crc.update(&len.to_le_bytes());
     crc.update(payload);
+    crc.finish()
+}
+
+/// Encode one frame.
+pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let len = payload.len() as u32;
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.push(MAGIC);
-    out.push(kind);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(payload);
+    out.byte(MAGIC);
+    out.byte(kind);
+    out.u32(len);
+    out.u32(frame_crc(kind, len, payload));
+    out.bytes(payload);
     out
 }
 
@@ -101,37 +107,34 @@ pub enum FrameOutcome<'a> {
 
 /// Decode the frame starting at `at`. The buffer end is the segment end.
 pub fn decode_frame(buf: &[u8], at: usize) -> FrameOutcome<'_> {
-    let remaining = buf.len() - at;
-    if remaining < HEADER_LEN {
+    let mut r = Reader::new(buf.get(at..).unwrap_or_default());
+    let (Ok(magic), Ok(kind), Ok(len), Ok(stored_crc)) = (r.u8(), r.u8(), r.u32(), r.u32()) else {
         return FrameOutcome::TornTail;
-    }
-    let h = &buf[at..at + HEADER_LEN];
-    if h[0] != MAGIC {
+    };
+    if magic != MAGIC || len > MAX_PAYLOAD {
         return FrameOutcome::CorruptStream;
     }
-    let kind = h[1];
-    let len = u32::from_le_bytes([h[2], h[3], h[4], h[5]]);
-    if len > MAX_PAYLOAD {
-        return FrameOutcome::CorruptStream;
-    }
-    let stored_crc = u32::from_le_bytes([h[6], h[7], h[8], h[9]]);
-    let body_end = at + HEADER_LEN + len as usize;
-    if body_end > buf.len() {
+    let Ok(payload) = r.take(len as usize) else {
         return FrameOutcome::TornTail;
-    }
-    let payload = &buf[at + HEADER_LEN..body_end];
-    let mut crc = Crc32::new();
-    crc.update(&[kind]);
-    crc.update(&len.to_le_bytes());
-    crc.update(payload);
-    if crc.finish() != stored_crc {
-        return FrameOutcome::CorruptFrame { next: body_end };
+    };
+    let next = at + HEADER_LEN + payload.len();
+    if frame_crc(kind, len, payload) != stored_crc {
+        return FrameOutcome::CorruptFrame { next };
     }
     FrameOutcome::Frame {
         kind,
         payload,
-        next: body_end,
+        next,
     }
+}
+
+/// A record frame's payload: the record's 8-byte LSN, then the record.
+fn decode_record(kind: u8, payload: &[u8]) -> Result<(u64, WalRecord), CodecError> {
+    if kind != KIND_RECORD {
+        return Err(CodecError::BadVersion(kind));
+    }
+    let mut r = Reader::new(payload);
+    Ok((r.u64()?, WalRecord::decode(&mut r)?))
 }
 
 /// Per-segment bookkeeping: LSN span plus the highest gossip sequence
@@ -267,22 +270,17 @@ impl Wal {
                         payload,
                         next,
                     } => {
-                        if kind == KIND_RECORD {
-                            let mut r = Reader::new(payload);
-                            match r
-                                .u64()
-                                .and_then(|lsn| WalRecord::decode(&mut r).map(|rec| (lsn, rec)))
-                            {
-                                Ok((lsn, rec)) => {
-                                    report.frames_replayed += 1;
-                                    meta.note(lsn, &rec);
-                                    next_lsn = next_lsn.max(lsn + 1);
-                                    records.push((lsn, rec));
-                                }
-                                // CRC fine but payload undecodable (e.g.
-                                // written by a newer format): count, skip.
-                                Err(_) => report.corrupt_frames += 1,
+                        match decode_record(kind, payload) {
+                            Ok((lsn, rec)) => {
+                                report.frames_replayed += 1;
+                                meta.note(lsn, &rec);
+                                next_lsn = next_lsn.max(lsn.saturating_add(1));
+                                records.push((lsn, rec));
                             }
+                            // CRC fine but not a record this version can
+                            // read (another format's kind or layout):
+                            // count, skip.
+                            Err(_) => report.corrupt_frames += 1,
                         }
                         at = next;
                         keep_until = next;
@@ -315,7 +313,7 @@ impl Wal {
         }
 
         records.sort_by_key(|(lsn, _)| *lsn);
-        report.lsn_gaps = records.windows(2).filter(|w| w[1].0 > w[0].0 + 1).count() as u64;
+        report.lsn_gaps = records.windows(2).filter(|w| w[1].0 - w[0].0 > 1).count() as u64;
         report.short_sealed_segments = segments
             .iter()
             .rev()
@@ -361,10 +359,10 @@ impl Wal {
         }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let mut w = Writer::new();
-        w.u64(lsn);
-        rec.encode(&mut w);
-        let frame = encode_frame(KIND_RECORD, &w.into_bytes());
+        let mut payload = Vec::new();
+        payload.u64(lsn);
+        rec.encode(&mut payload);
+        let frame = encode_frame(KIND_RECORD, &payload);
         let seg = self.active();
         let name = seg.name.clone();
         seg.note(lsn, rec);
@@ -458,6 +456,14 @@ mod tests {
         })
     }
 
+    /// Every `usage(_)` record frames to the same length.
+    fn usage_frame_len() -> usize {
+        let mut payload = Vec::new();
+        payload.u64(1);
+        usage(0).encode(&mut payload);
+        encode_frame(KIND_RECORD, &payload).len()
+    }
+
     fn fresh(storage: &mut MemStorage, segment_bytes: u64) -> Wal {
         Wal::replay(storage, segment_bytes).unwrap().0
     }
@@ -526,13 +532,7 @@ mod tests {
         // Flip one payload bit of the middle frame.
         let name = wal.segments()[0].name.clone();
         let buf = storage.object_mut(&name).unwrap();
-        let frame_len = encode_frame(KIND_RECORD, &{
-            let mut w = Writer::new();
-            w.u64(1);
-            usage(0).encode(&mut w);
-            w.into_bytes()
-        })
-        .len();
+        let frame_len = usage_frame_len();
         buf[2 * frame_len + HEADER_LEN + 4] ^= 0x10;
 
         let (_, records, report) = Wal::replay(&mut storage, 1 << 16).unwrap();
@@ -550,12 +550,7 @@ mod tests {
             wal.append(&mut storage, &usage(j)).unwrap();
         }
         let name = wal.segments()[0].name.clone();
-        let frame_len = {
-            let mut w = Writer::new();
-            w.u64(1);
-            usage(0).encode(&mut w);
-            encode_frame(KIND_RECORD, &w.into_bytes()).len()
-        };
+        let frame_len = usage_frame_len();
         let buf = storage.object_mut(&name).unwrap();
         buf[3 * frame_len] = 0x00; // kill frame 3's magic byte
 

@@ -2,17 +2,20 @@
 //! and single-bit flips anywhere in the log, replay recovers exactly the
 //! frames written before the damage, skips or truncates the damaged region,
 //! and never fabricates a record — every `(lsn, record)` pair returned is
-//! bitwise one that was appended.
+//! bitwise one that was appended. Also here: the durable layout round-trips
+//! every `f64` bit pattern, and bytes in the layout before it (record frame
+//! kind 1, checkpoint version 2) are refused rather than misread.
 
 use aequus_store::records::WalRecord;
 use aequus_store::storage::{MemStorage, Storage};
-use aequus_store::wal::{decode_frame, FrameOutcome, Wal};
-use aequus_store::{SiteStore, StoreConfig};
+use aequus_store::wal::{decode_frame, FrameOutcome, Wal, KIND_CHECKPOINT};
+use aequus_store::{CheckpointState, PeerCursor, SiteStore, StoreConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+use aequus_core::codec::Reader;
 use aequus_core::ids::{GridUser, JobId, SiteId};
-use aequus_core::usage::{UsageRecord, UsageSummary};
+use aequus_core::usage::{UsageRecord, UsageSummary, UserCells};
 
 /// Deterministic record zoo: kind and a handful of scalars fully determine
 /// the record, so expected/actual comparisons are plain equality.
@@ -96,8 +99,152 @@ fn build_wal(
     (storage, appended, ends)
 }
 
+/// A charge from the corners of `f64`: whole core-seconds, `-0.0`,
+/// subnormals, values at and above 2^53, arbitrary bit patterns (NaNs with
+/// payloads and infinities among them), fractions and negatives.
+fn charge(kind: u8, a: u64) -> f64 {
+    match kind % 7 {
+        0 => (a % 1_000_000) as f64,
+        1 => -0.0,
+        2 => f64::from_bits(a % 4096 + 1),
+        3 => 9_007_199_254_740_992.0 + (a % 1000) as f64 * 2.0,
+        4 => f64::from_bits(a.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        5 => (a % 1_000_000) as f64 / 1024.0 + 0.25,
+        _ => -(a as f64),
+    }
+}
+
+type CellScalars = Vec<(u64, (u64, u8, u64))>;
+type OriginScalars = Vec<(u32, CellScalars)>;
+
+/// Users named from a small pool so prefixes are shared; a user whose
+/// scalars draw no cell (slot ≥ 60 000) keeps an empty slot map.
+fn cells_from(scalars: &CellScalars) -> UserCells {
+    let mut cells = UserCells::new();
+    for &(user, (slot, kind, a)) in scalars {
+        let slots = cells
+            .entry(GridUser::new(format!("u{:04}", user % 12)))
+            .or_default();
+        if slot < 60_000 {
+            slots.insert(slot, charge(kind, a));
+        }
+    }
+    cells
+}
+
+fn origins_from(scalars: &OriginScalars) -> BTreeMap<SiteId, UserCells> {
+    scalars
+        .iter()
+        .map(|(origin, cells)| (SiteId(*origin), cells_from(cells)))
+        .collect()
+}
+
+fn cell_scalars() -> impl Strategy<Value = CellScalars> {
+    proptest::collection::vec((0u64..64, (0u64..70_000, 0u8..7, 0u64..u64::MAX)), 0..12)
+}
+
+fn origin_scalars() -> impl Strategy<Value = OriginScalars> {
+    proptest::collection::vec((1u32..40, cell_scalars()), 0..4)
+}
+
+/// Cells with every charge as its bit pattern, so NaNs compare too.
+type CellBits<'a> = Vec<(&'a str, Vec<(u64, u64)>)>;
+
+fn bits(cells: &UserCells) -> CellBits<'_> {
+    cells
+        .iter()
+        .map(|(user, slots)| {
+            let slots = slots.iter().map(|(&s, &c)| (s, c.to_bits())).collect();
+            (user.as_str(), slots)
+        })
+        .collect()
+}
+
+fn origin_bits(origins: &BTreeMap<SiteId, UserCells>) -> Vec<(SiteId, CellBits<'_>)> {
+    origins.iter().map(|(o, cells)| (*o, bits(cells))).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A journaled summary decodes to the same bits it was encoded from —
+    /// empty users, empty relayed origins and every `f64` pattern included.
+    #[test]
+    fn peer_data_record_round_trips_bit_for_bit(
+        own in cell_scalars(),
+        relayed in origin_scalars(),
+        seq in 0u64..u64::MAX,
+        flags in 0u8..4,
+    ) {
+        let summary = UsageSummary {
+            site: SiteId(0),
+            seq,
+            slot_s: charge(flags, seq),
+            per_user: cells_from(&own),
+            relayed: origins_from(&relayed),
+        };
+        let rec = WalRecord::PeerData { summary: summary.clone(), snapshot: flags & 1 == 1 };
+        let mut bytes = Vec::new();
+        rec.encode(&mut bytes);
+        let Ok(WalRecord::PeerData { summary: back, snapshot }) =
+            WalRecord::decode(&mut Reader::new(&bytes))
+        else {
+            panic!("a fresh record decodes");
+        };
+        prop_assert_eq!(snapshot, flags & 1 == 1);
+        prop_assert_eq!((back.site, back.seq), (summary.site, summary.seq));
+        prop_assert_eq!(back.slot_s.to_bits(), summary.slot_s.to_bits());
+        prop_assert_eq!(bits(&back.per_user), bits(&summary.per_user));
+        prop_assert_eq!(origin_bits(&back.relayed), origin_bits(&summary.relayed));
+    }
+
+    /// So does a checkpoint slot, field for field.
+    #[test]
+    fn checkpoint_round_trips_bit_for_bit(
+        local in cell_scalars(),
+        origins in origin_scalars(),
+        scalars in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u8..7),
+        peers in proptest::collection::vec((0u32..40, 0u64..u64::MAX), 0..5),
+        users in proptest::collection::vec((0u64..64, 0u8..7, 0u64..u64::MAX), 0..6),
+    ) {
+        let (lsn, records_ingested, next_seq, kind) = scalars;
+        let name = |u: u64| GridUser::new(format!("u{:04}", u % 12));
+        let state = CheckpointState {
+            lsn,
+            taken_s: charge(kind, lsn),
+            site: SiteId(3),
+            slot_s: charge(kind, next_seq),
+            local_cells: cells_from(&local),
+            records_ingested,
+            next_seq,
+            peers: peers
+                .iter()
+                .map(|&(site, next_expected)| (SiteId(site), PeerCursor { next_expected }))
+                .collect(),
+            origin_cells: origins_from(&origins),
+            ums_epoch_s: (kind % 2 == 0).then(|| charge(kind, records_ingested)),
+            ums_cached: users.iter().map(|&(u, k, a)| (name(u), charge(k, a))).collect(),
+            dirty_users: (kind % 3 != 0).then(|| users.iter().map(|&(u, ..)| name(u)).collect()),
+        };
+        let slot = state.encode();
+        let back = CheckpointState::decode_slot(&slot).expect("a fresh slot decodes");
+        prop_assert_eq!(&back.encode(), &slot);
+        prop_assert_eq!(bits(&back.local_cells), bits(&state.local_cells));
+        prop_assert_eq!(origin_bits(&back.origin_cells), origin_bits(&state.origin_cells));
+        let scalar_bits = |s: &CheckpointState| {
+            let cached: Vec<(String, u64)> = s
+                .ums_cached
+                .iter()
+                .map(|(u, v)| (u.as_str().to_string(), v.to_bits()))
+                .collect();
+            (
+                (s.lsn, s.taken_s.to_bits(), s.site, s.slot_s.to_bits()),
+                (s.records_ingested, s.next_seq, s.peers.clone()),
+                (s.ums_epoch_s.map(f64::to_bits), cached, s.dirty_users.clone()),
+            )
+        };
+        prop_assert_eq!(scalar_bits(&back), scalar_bits(&state));
+    }
 
     /// Truncating any segment at any byte offset loses exactly the frames
     /// of that segment that do not fit below the cut — nothing else, and
@@ -254,4 +401,71 @@ proptest! {
             store = reopened;
         }
     }
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+/// Record frames as the layout before this one wrote them (frame kind 1,
+/// fixed-width cells): a `PeerData` at LSN 5 and a `Publish` at LSN 6 — the
+/// latter's payload is byte-identical under both layouts, which is why the
+/// frame kind, not the payload, has to tell them apart.
+const OLD_RECORD_FRAMES: &str = "\
+    a90164000000ddec873c050000000000000002010400000011000000000000000000000000004e40\
+    01000000030000005536350100000003000000000000000000000000205e4001000000090000000100\
+    0000030000005536350100000003000000000000000000000000205e40\
+    a90111000000d0da29a20600000000000000030c00000000000000";
+
+/// A `VERSION = 2` checkpoint slot (LSN 7) as the layout before this one
+/// wrote it.
+const OLD_CHECKPOINT_SLOT: &str = "\
+    a902ab0000008e27b94002070000000000000000000000004a9340010000000000000000004e40\
+    01000000030000005536350100000003000000000000000000000000205e402a000000000000001100\
+    0000000000000100000002000000090000000000000001000000020000000100000003000000553635\
+    0100000003000000000000000000000000205e40010000000000c09240010000000300000055363500\
+    0000000000c03f010100000003000000553330";
+
+#[test]
+fn record_frames_of_the_previous_layout_are_refused_not_misread() {
+    let old = unhex(OLD_RECORD_FRAMES);
+    let mut storage = MemStorage::new();
+    let (mut wal, _, _) = Wal::replay(&mut storage, 1 << 16).expect("fresh replay");
+    let current = WalRecord::Publish { seq: 99 };
+    wal.append(&mut storage, &current).expect("append");
+    let name = wal.segments()[0].name.clone();
+    storage.append(&name, &old).expect("append old frames");
+
+    // Both old frames pass their CRC: nothing but the format stops them.
+    let at = storage.read(&name).expect("segment").len() - old.len();
+    let segment = storage.read(&name).expect("segment");
+    let FrameOutcome::Frame { kind: 1, next, .. } = decode_frame(&segment, at) else {
+        panic!("the old PeerData frame is CRC-valid");
+    };
+    assert!(matches!(
+        decode_frame(&segment, next),
+        FrameOutcome::Frame { kind: 1, .. }
+    ));
+
+    let (_, recovered, report) = Wal::replay(&mut storage, 1 << 16).expect("replay");
+    assert_eq!(recovered, vec![(1, current)], "only the current record");
+    assert_eq!(report.frames_replayed, 1);
+    assert_eq!(report.corrupt_frames, 2, "refused and counted: {report:?}");
+    assert_eq!(report.truncated_bytes, 0, "framing was never lost");
+}
+
+#[test]
+fn a_version_2_checkpoint_slot_is_refused_not_misread() {
+    let old = unhex(OLD_CHECKPOINT_SLOT);
+    assert!(
+        matches!(
+            decode_frame(&old, 0),
+            FrameOutcome::Frame { kind: KIND_CHECKPOINT, payload, .. } if payload[0] == 2
+        ),
+        "the old slot is one CRC-valid checkpoint frame at version 2"
+    );
+    assert_eq!(CheckpointState::decode_slot(&old), None);
 }

@@ -20,12 +20,11 @@
 //! cost on the hot path is one branch per report (the ctx stays `None`, so
 //! no downstream stage does any work).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The causal context attached to an in-flight traced record: which trace it
 /// belongs to and which span is the causal parent of the next hop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceCtx {
     /// The trace this record belongs to (the root span's id).
     pub trace_id: u64,
@@ -35,7 +34,7 @@ pub struct TraceCtx {
 }
 
 /// One recorded causal span.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// The trace this span belongs to.
     pub trace_id: u64,

@@ -1,9 +1,7 @@
 //! Job traces: the input format of the simulated test bed.
 
-use serde::{Deserialize, Serialize};
-
 /// One job of a workload trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceJob {
     /// Submitting user (grid identity name; the paper's U65/U30/U3/Uoth).
     pub user: String,
@@ -17,7 +15,7 @@ pub struct TraceJob {
 }
 
 /// A complete workload trace, kept sorted by submission time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     jobs: Vec<TraceJob>,
 }

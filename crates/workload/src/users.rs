@@ -2,8 +2,6 @@
 //! (§IV-1): "the vast majority of jobs are submitted by three different user
 //! identities", with everyone else grouped as U_oth.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds in the modeled calendar year.
 pub const YEAR_S: f64 = 365.0 * 24.0 * 3600.0;
 
@@ -11,7 +9,7 @@ pub const YEAR_S: f64 = 365.0 * 24.0 * 3600.0;
 pub const DAY_S: f64 = 24.0 * 3600.0;
 
 /// The four user classes of the workload characterization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum UserClass {
     /// Most active user: 65.25% of wall-clock usage, 81.03% of jobs.
     /// "A large scale research project" with ~3-month experimental cycles.

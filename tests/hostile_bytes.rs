@@ -2,6 +2,9 @@
 //! from outside a site: wire frames, WAL frames and records, checkpoint
 //! slots, policy files, SWF traces, and the JSON / Prometheus readers.
 //!
+//! The byte formats all read through `aequus::core::codec::Reader`, so the
+//! loops below patrol one reader, reached through every format built on it.
+//!
 //! Each target starts from valid encodings and is fed seeded mutants —
 //! truncations, bit flips, byte splats, pure noise — a few thousand each.
 //! A mutant may decode (a flipped mantissa bit is still a float) or be
@@ -9,13 +12,14 @@
 //! mutated *behind a valid CRC* — version skew, not bit rot — which is the
 //! one path the frame checksum cannot shield.
 
-use aequus::core::codec::{decode_summary, encode_summary, Encoding};
+use aequus::core::codec::{
+    decode_cells, decode_summary, encode_cells, encode_summary, Encoding, Reader,
+};
 use aequus::core::{
     parse_policy, Explanation, FairshareConfig, FairshareTree, GridUser, JobId, PolicyNode,
     PolicyTree, ProjectionKind, SiteId, UsageRecord, UsageSummary, UserCells,
 };
 use aequus::services::UssMessage;
-use aequus::store::codec::{Reader, Writer};
 use aequus::store::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT, KIND_RECORD};
 use aequus::store::{CheckpointState, PeerCursor, WalRecord};
 use aequus::telemetry::export::{from_json, from_prometheus, JsonValue};
@@ -96,9 +100,9 @@ fn wal_payloads() -> Vec<Vec<u8>> {
     ]
     .iter()
     .map(|rec| {
-        let mut w = Writer::new();
-        rec.encode(&mut w);
-        w.into_bytes()
+        let mut bytes = Vec::new();
+        rec.encode(&mut bytes);
+        bytes
     })
     .collect()
 }
@@ -270,10 +274,23 @@ fn no_decoder_or_parser_panics_on_mutated_input() {
         .collect();
     let slot = checkpoint().encode();
     let snapshot = telemetry_snapshot();
+    // Bare cell sections, as the store embeds them: no CRC in front of the
+    // section decoder at all.
+    let section = |enc| {
+        let mut bytes = Vec::new();
+        encode_cells(&summary().per_user, enc, &mut bytes);
+        vec![bytes]
+    };
 
-    let targets: [(&str, Vec<Vec<u8>>, Target); 11] = [
+    let targets: [(&str, Vec<Vec<u8>>, Target); 13] = [
         ("core::decode_summary", summaries, |b| {
             decode_summary(b).is_ok()
+        }),
+        ("core::decode_cells, dense", section(Encoding::Dense), |b| {
+            decode_cells(&mut Reader::new(b), Encoding::Dense).is_ok()
+        }),
+        ("core::decode_cells, delta", section(Encoding::Delta), |b| {
+            decode_cells(&mut Reader::new(b), Encoding::Delta).is_ok()
         }),
         ("UssMessage::decode", messages(), |b| {
             UssMessage::decode(b).is_ok()
