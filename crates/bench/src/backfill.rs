@@ -518,7 +518,7 @@ fn synthetic_running(n: usize) -> Vec<RunningSlice> {
 
 /// Minimum of `reps` timings of `f`, in nanoseconds — the interleaved-
 /// minima trick the other overhead gates use, immune to one-off stalls.
-fn min_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+pub(crate) fn min_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();

@@ -129,7 +129,9 @@ pub const CHECK_PLAN: &[Step] = &[
     // views within 1e-9 of the full-mesh baseline's, every point must
     // converge inside the horizon, and the Delta codec must cut full-mesh
     // bytes-on-wire by the shape's gated factor (the 3x headline gate runs
-    // at the full 100k-user x 32-site shape via `gossip_sweep`).
+    // at the full 100k-user x 32-site shape via `gossip_sweep`). And two
+    // growth ratios, 1k -> 10k users: a `Uss::publish` carrying one fresh
+    // user costs at most 3x more, `tracked_users` at most 20x.
     ("gossip_sweep", CHECK),
     // The fault-free chaos grid must fire zero alerts, the 30%-drop + outage
     // run must fire a staleness alert and resolve it after recovery, the

@@ -200,6 +200,15 @@ const FACTOR_SMOKE: f64 = 2.0;
 /// Cross-topology view-equivalence gate.
 const VIEW_EPS: f64 = 1e-9;
 
+/// Growth ceiling of one `Uss::publish` carrying a single fresh user, from
+/// 1,000 to 10,000 known users (times ten origins' worth of cells). It
+/// should not grow beyond the deeper maps' lookups; a publish that diffs
+/// everything the site holds grows ~10×.
+const PUBLISH_GROWTH_CEILING: f64 = 3.0;
+/// Growth ceiling of `GridScenario::tracked_users` from 1,000 to 10,000
+/// flat users: linear is 10×, a per-leaf sibling re-sum is 100×.
+const TRACKED_GROWTH_CEILING: f64 = 20.0;
+
 /// Gossip trade-off sweep: bytes-on-wire vs convergence time for every
 /// overlay topology (`FullMesh`, `Tree`, `Hub`) × wire encoding (`Dense`,
 /// `Delta`), on one shared workload and seed. The table prints each point's
@@ -258,6 +267,25 @@ pub(super) fn gossip_sweep(args: &Args, gates: &mut Gates) {
         &format!("Delta cuts full-mesh bytes {factor:.2}x vs Dense"),
         factor >= factor_gate,
         &format!("gate {factor_gate}x"),
+    );
+    // Growth, not a stopwatch: what one fresh user costs to publish, and
+    // what the tracked-user list costs to build, at 1k vs 10k users.
+    let publish = [1_000, 10_000].map(|users| crate::gossip::publish_one_fresh_us(users, 200));
+    let tracked = [1_000, 10_000].map(|users| crate::gossip::tracked_users_us(users, 200));
+    let growth = |[small, large]: [f64; 2]| large / small.max(1e-3);
+    println!(
+        "publish of one fresh user: 1k known {:.2} us, 10k known {:.2} us ({:.1}x) | tracked_users: 1k {:.1} us, 10k {:.1} us ({:.1}x)",
+        publish[0], publish[1], growth(publish), tracked[0], tracked[1], growth(tracked)
+    );
+    gates.check(
+        &format!("publish of one fresh user grows <= {PUBLISH_GROWTH_CEILING}x from 1k to 10k known users"),
+        growth(publish) <= PUBLISH_GROWTH_CEILING,
+        &format!("{:.1}x", growth(publish)),
+    );
+    gates.check(
+        &format!("tracked_users grows <= {TRACKED_GROWTH_CEILING}x from 1k to 10k flat users"),
+        growth(tracked) <= TRACKED_GROWTH_CEILING,
+        &format!("{:.1}x", growth(tracked)),
     );
     // The curve itself: cheapest hierarchy vs the mesh, both on Delta.
     let mesh = sweep.point(OVERLAYS[0], Encoding::Delta);

@@ -11,11 +11,15 @@
 //! count (and per-hop aggregation dedups the payloads) at the price of
 //! multi-hop propagation latency.
 
+use crate::backfill::min_ns;
 use crate::cli::Shape;
 use crate::sweep::{cycle_trace, parallel_sweep, synthetic_users, ScenarioBuilder};
 use aequus_core::codec::Encoding;
-use aequus_services::OverlayTopology;
+use aequus_core::usage::{UsageRecord, UsageSummary};
+use aequus_core::{GridUser, JobId, SiteId};
+use aequus_services::{OverlayTopology, ParticipationMode, Uss};
 use aequus_sim::{GridSimulation, SimResult};
+use std::time::Instant;
 
 /// Jobs submit inside this window; the rest of [`HORIZON_S`] is drain.
 pub const SUBMIT_WINDOW_S: f64 = 600.0;
@@ -163,9 +167,82 @@ pub fn run_gossip_sweep(shape: &Shape) -> GossipSweep {
     GossipSweep { points }
 }
 
+/// Minimum over `reps` of one `Uss::publish` with exactly one freshly
+/// ingested user to send, in microseconds, on a forwarding site that knows
+/// `users` local users and mirrors 9 origins of as many — every one of
+/// them already published or relayed. The cost of a publish should be set
+/// by the one user, not by the hundred thousand cells behind them.
+pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
+    const SLOT_S: f64 = 100.0;
+    let names: Vec<GridUser> = synthetic_users(users)
+        .into_iter()
+        .map(GridUser::new)
+        .collect();
+    let record = |user: &GridUser, start_s: f64| UsageRecord {
+        job: JobId(0),
+        user: user.clone(),
+        site: SiteId(0),
+        cores: 1,
+        start_s,
+        end_s: start_s + 7.0,
+    };
+    let mut uss = Uss::new(SiteId(0), ParticipationMode::Full, SLOT_S);
+    uss.set_forwarding(true);
+    for user in &names {
+        uss.ingest(&record(user, 10.0));
+    }
+    for origin in 1..=9 {
+        uss.receive_at(
+            &UsageSummary {
+                site: SiteId(origin),
+                seq: 1,
+                slot_s: SLOT_S,
+                per_user: names
+                    .iter()
+                    .map(|u| (u.clone(), [(0, 5.0)].into()))
+                    .collect(),
+                relayed: Default::default(),
+            },
+            500.0,
+        );
+    }
+    let everything = uss.publish(500.0).expect("first publication");
+    assert_eq!(
+        (everything.per_user.len(), everything.relayed.len()),
+        (users, 9)
+    );
+    let mut best = f64::INFINITY;
+    for rep in 0..reps {
+        uss.ingest(&record(&names[(rep * 7919) % users], 110.0)); // a closed slot
+        let t = Instant::now();
+        let summary = std::hint::black_box(uss.publish(500.0));
+        best = best.min(t.elapsed().as_nanos() as f64);
+        assert_eq!(
+            summary.map(|s| s.cells()),
+            Some(1),
+            "exactly the fresh cell"
+        );
+    }
+    best / 1_000.0
+}
+
+/// Minimum over `reps` of one `GridScenario::tracked_users` on a flat
+/// policy of `users` equal-share leaves, in microseconds.
+pub fn tracked_users_us(users: usize, reps: usize) -> f64 {
+    let sc = ScenarioBuilder::equal_share_users(users, 42).build();
+    assert_eq!(sc.tracked_users().len(), users);
+    min_ns(reps, || sc.tracked_users()) / 1_000.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn growth_probes_hold_their_shapes() {
+        assert!(publish_one_fresh_us(40, 3) > 0.0);
+        assert!(tracked_users_us(40, 2) > 0.0);
+    }
 
     /// A miniature sweep: the views agree across every topology/encoding,
     /// Delta is strictly smaller than Dense, and hierarchies use fewer

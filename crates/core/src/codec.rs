@@ -384,13 +384,22 @@ fn integral_value(charge: f64) -> Option<u64> {
 }
 
 /// Encode per-user cells (user → slot → charge) as one section payload
-/// under `enc`: a varint user count, then the encoding's layout.
-pub fn encode_cells<S: Sink>(cells: &UserCells, enc: Encoding, out: &mut S) {
+/// under `enc`: a varint user count, then the encoding's layout. Takes any
+/// re-iterable of borrowed `(user, slots)` pairs in name order — a
+/// [`UserCells`] by reference, or a view into a histogram's own cells — so
+/// nothing is cloned to be encoded.
+pub fn encode_cells<'a, C, S: Sink>(cells: C, enc: Encoding, out: &mut S)
+where
+    C: IntoIterator<Item = (&'a GridUser, &'a BTreeMap<u64, f64>)>,
+    C::IntoIter: ExactSizeIterator + Clone,
+{
+    let cells = cells.into_iter();
     out.varint(cells.len() as u64);
+    let slots_of = || cells.clone().map(|(_, slots)| slots);
     match enc {
         Encoding::Dense => {
             // Fixed-width u32 length/count fields and 16-byte cells.
-            for (user, slots) in cells {
+            for (user, slots) in cells.clone() {
                 out.str(user.as_str());
                 out.u32(slots.len() as u32);
                 for (&slot, &charge) in slots {
@@ -404,7 +413,7 @@ pub fn encode_cells<S: Sink>(cells: &UserCells, enc: Encoding, out: &mut S) {
             // identities like "u000123" share long prefixes, so most
             // entries shrink to a couple of bytes.
             let mut prev: &[u8] = &[];
-            for user in cells.keys() {
+            for (user, _) in cells.clone() {
                 let name = user.as_str().as_bytes();
                 let shared = common_prefix(prev, name);
                 out.varint(shared as u64);
@@ -413,12 +422,12 @@ pub fn encode_cells<S: Sink>(cells: &UserCells, enc: Encoding, out: &mut S) {
                 prev = name;
             }
             // Cell-count column.
-            for slots in cells.values() {
+            for slots in slots_of() {
                 out.varint(slots.len() as u64);
             }
             // Slot column: first index absolute, the rest as gaps (sorted
             // and distinct, so every gap is ≥ 1 and typically tiny).
-            for slots in cells.values() {
+            for slots in slots_of() {
                 let mut prev_slot = None;
                 for &slot in slots.keys() {
                     match prev_slot {
@@ -437,7 +446,7 @@ pub fn encode_cells<S: Sink>(cells: &UserCells, enc: Encoding, out: &mut S) {
             // leading zeros the varint drops).
             let mut bitmap = Vec::new();
             let mut bit = 0usize;
-            for slots in cells.values() {
+            for slots in slots_of() {
                 for &charge in slots.values() {
                     if bit.is_multiple_of(8) {
                         bitmap.push(0u8);
@@ -449,7 +458,7 @@ pub fn encode_cells<S: Sink>(cells: &UserCells, enc: Encoding, out: &mut S) {
                 }
             }
             out.bytes(&bitmap);
-            for slots in cells.values() {
+            for slots in slots_of() {
                 for &charge in slots.values() {
                     match integral_value(charge) {
                         Some(x) => out.varint(x),

@@ -214,12 +214,43 @@ impl PolicyTree {
         out
     }
 
-    /// Locate the path of the leaf accounting for the given grid user.
+    /// Every user leaf with its absolute share, in [`users`](Self::users)
+    /// order: one `O(nodes)` walk yielding what
+    /// [`absolute_share`](Self::absolute_share) would per leaf, bit for bit
+    /// (the same `share * (child.share / total)` at every level; a sibling
+    /// group without a positive total zeroes its subtree).
+    pub fn user_shares(&self) -> Vec<(GridUser, f64)> {
+        fn walk(node: &PolicyNode, share: f64, out: &mut Vec<(GridUser, f64)>) {
+            if let PolicyNodeKind::User(u) = &node.kind {
+                out.push((u.clone(), share));
+            }
+            let total: f64 = node.children.iter().map(|c| c.share).sum();
+            for c in &node.children {
+                let below = share * (c.share / total);
+                walk(c, if total <= 0.0 { 0.0 } else { below }, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.root, 1.0, &mut out);
+        out
+    }
+
+    /// Locate the path of the leaf accounting for the given grid user: a
+    /// pre-order walk that stops at the first hit and builds only its path.
     pub fn path_of_user(&self, user: &GridUser) -> Option<EntityPath> {
-        self.users()
-            .into_iter()
-            .find(|(_, u)| u == user)
-            .map(|(p, _)| p)
+        fn find(node: &PolicyNode, user: &GridUser) -> Option<Vec<String>> {
+            if matches!(&node.kind, PolicyNodeKind::User(u) if u == user) {
+                return Some(Vec::new());
+            }
+            node.children.iter().find_map(|c| {
+                let mut reversed = find(c, user)?;
+                reversed.push(c.name.clone());
+                Some(reversed)
+            })
+        }
+        let mut path = find(&self.root, user)?;
+        path.reverse();
+        Some(EntityPath(path))
     }
 
     /// Maximum leaf depth of the tree.

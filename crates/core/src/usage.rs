@@ -100,10 +100,12 @@ impl UsageHistogram {
     }
 
     /// Record a completed job, spreading its charge across overlapped slots.
-    pub fn record(&mut self, rec: &UsageRecord) {
+    /// Returns the lowest slot the record may have changed (`None` when it
+    /// charges nothing) — where a publisher's diff resumes.
+    pub fn record(&mut self, rec: &UsageRecord) -> Option<u64> {
         let charge = rec.charge();
         if charge <= 0.0 {
-            return;
+            return None;
         }
         self.total += charge;
         let user_slots = self.slots.entry(rec.user.clone()).or_default().cells_mut();
@@ -111,7 +113,7 @@ impl UsageHistogram {
         let last = (rec.end_s / self.slot_s).floor().max(0.0) as u64;
         if first == last {
             *user_slots.entry(first).or_insert(0.0) += charge;
-            return;
+            return Some(first);
         }
         let rate = rec.cores as f64; // core-seconds per second
         for slot in first..=last {
@@ -122,25 +124,37 @@ impl UsageHistogram {
                 *user_slots.entry(slot).or_insert(0.0) += rate * overlap;
             }
         }
+        Some(first)
     }
 
-    /// Add `charge` core-seconds to one (user, slot) cell. This is the
-    /// receiver-side primitive of the reliable exchange: the USS computes the
-    /// positive delta of an incoming cell against its per-peer mirror and
-    /// applies exactly that, so duplicated or reordered deliveries never
+    /// Add core-seconds to cells of one user, `(slot, charge)` in the order
+    /// given, under one lookup of the user. This is the receiver-side
+    /// primitive of the reliable exchange: the USS computes the positive
+    /// delta of an incoming cell against its per-peer mirror and applies
+    /// exactly that, so duplicated or reordered deliveries never
     /// double-count. Non-positive charges are ignored.
-    pub fn add_charge(&mut self, user: &GridUser, slot: u64, charge: f64) {
-        if charge <= 0.0 {
+    pub fn add_charges(&mut self, user: &GridUser, cells: impl IntoIterator<Item = (u64, f64)>) {
+        let mut cells = cells.into_iter().filter(|(_, c)| *c > 0.0).peekable();
+        if cells.peek().is_none() {
             return;
         }
-        *self
-            .slots
-            .entry(user.clone())
-            .or_default()
-            .cells_mut()
-            .entry(slot)
-            .or_insert(0.0) += charge;
-        self.total += charge;
+        let user_slots = self.slots.entry(user.clone()).or_default().cells_mut();
+        for (slot, charge) in cells {
+            *user_slots.entry(slot).or_insert(0.0) += charge;
+            self.total += charge;
+        }
+    }
+
+    /// One user's cells, read in place.
+    pub fn cells_of(&self, user: &GridUser) -> Option<&BTreeMap<u64, f64>> {
+        self.slots.get(user).map(|s| &s.cells)
+    }
+
+    /// Every user's cells in name order, read in place (users holding no
+    /// cell are skipped) — what a checkpoint encodes without cloning.
+    pub fn cells(&self) -> impl Iterator<Item = (&GridUser, &BTreeMap<u64, f64>)> {
+        let held = self.slots.iter().filter(|(_, s)| !s.cells.is_empty());
+        held.map(|(user, s)| (user, &s.cells))
     }
 
     /// Decay-weighted total usage of `user` as seen at time `now_s`.
@@ -200,30 +214,6 @@ impl UsageHistogram {
             .keys()
             .map(|u| (u.clone(), self.decayed_usage(u, now_s, decay)))
             .collect()
-    }
-
-    /// Produce the compact cross-site exchange summary: per-user charge per
-    /// slot, no job-level detail. `since_slot` allows incremental exchange
-    /// (only slots ≥ the given index are included).
-    pub fn summary(&self, site: SiteId, since_slot: u64) -> UsageSummary {
-        UsageSummary {
-            site,
-            seq: 0,
-            slot_s: self.slot_s,
-            per_user: self
-                .slots
-                .iter()
-                .filter_map(|(u, slots)| {
-                    let filtered: BTreeMap<u64, f64> = slots
-                        .cells
-                        .range(since_slot..)
-                        .map(|(&k, &v)| (k, v))
-                        .collect();
-                    (!filtered.is_empty()).then(|| (u.clone(), filtered))
-                })
-                .collect(),
-            relayed: BTreeMap::new(),
-        }
     }
 }
 
@@ -302,7 +292,7 @@ pub struct UsageSummary {
     pub site: SiteId,
     /// Per-publisher monotonically increasing sequence number, 1-based.
     /// `0` marks an unsequenced summary (ad-hoc construction outside the
-    /// reliable exchange, e.g. [`UsageHistogram::summary`]); receivers merge
+    /// reliable exchange, e.g. in tests); receivers merge
     /// it but skip gap tracking.
     pub seq: u64,
     /// Slot duration the totals are binned with.
@@ -417,16 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_summary_filters_old_slots() {
-        let mut h = UsageHistogram::new(100.0);
-        h.record(&rec("a", 1, 50.0, 60.0)); // slot 0
-        h.record(&rec("a", 1, 250.0, 260.0)); // slot 2
-        let s = h.summary(SiteId(0), 2);
-        assert_eq!(s.cells(), 1);
-        assert!((s.total() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn cached_raw_usage_follows_every_mutation() {
         let (a, b) = (GridUser::new("a"), GridUser::new("b"));
         let mut h = UsageHistogram::new(100.0);
@@ -436,7 +416,7 @@ mod tests {
             assert!((h.total_recorded() - sum).abs() < 1e-9, "{sum}");
         };
         conserved(&h); // also fills the per-user total cache
-        h.add_charge(&a, 11, 5.0);
+        h.add_charges(&a, [(11, 5.0)]);
         assert_eq!(h.raw_usage(&a), 25.0);
         h.record(&rec("b", 1, 1000.0, 1030.0));
         assert_eq!(h.raw_usage(&b), 30.0);
@@ -479,12 +459,12 @@ mod tests {
     }
 
     #[test]
-    fn add_charge_updates_cell_and_total() {
+    fn add_charges_updates_cells_and_total() {
         let mut h = UsageHistogram::new(60.0);
-        h.add_charge(&GridUser::new("a"), 3, 25.0);
-        h.add_charge(&GridUser::new("a"), 3, 5.0);
-        h.add_charge(&GridUser::new("a"), 4, -1.0); // ignored
-        h.add_charge(&GridUser::new("a"), 4, 0.0); // ignored
+        h.add_charges(&GridUser::new("a"), [(3, 25.0), (3, 5.0)]);
+        h.add_charges(&GridUser::new("a"), [(4, -1.0), (4, 0.0)]); // ignored
+        h.add_charges(&GridUser::new("b"), [(4, 0.0)]); // ignored: no entry either
+        assert_eq!(h.users().count(), 1);
         assert!((h.raw_usage(&GridUser::new("a")) - 30.0).abs() < 1e-12);
         assert!((h.total_recorded() - 30.0).abs() < 1e-12);
     }

@@ -519,18 +519,18 @@ impl AequusSite {
     }
 
     /// Cut a checkpoint immediately (normally driven by the store's
-    /// `checkpoint_interval_s` from [`AequusSite::tick`]).
+    /// `checkpoint_interval_s` from [`AequusSite::tick`]). Costs the encode,
+    /// CRC and write of what the site holds — `O(cells)` — and nothing
+    /// before them: the store encodes a borrowed view of the USS and UMS
+    /// maps, no owned copy is built and dropped.
     pub fn checkpoint_now(&mut self, now_s: f64) {
         let Some(store) = &mut self.store else {
             return;
         };
-        let mut ckpt = self
-            .uss
-            .export_checkpoint(store.next_lsn().saturating_sub(1), now_s);
         let (epoch, cached) = self.ums.export_state();
-        ckpt.ums_epoch_s = epoch;
-        ckpt.ums_cached = cached;
-        if let Err(e) = store.checkpoint(&ckpt) {
+        let lsn = store.next_lsn().saturating_sub(1);
+        let view = self.uss.checkpoint_view(lsn, now_s, epoch, cached);
+        if let Err(e) = store.checkpoint(&view) {
             self.telemetry
                 .event(now_s, "site.store_error", || format!("checkpoint: {e}"));
         }

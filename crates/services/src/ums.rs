@@ -203,11 +203,11 @@ impl Ums {
         self.last_refresh_s = None;
     }
 
-    /// Export the cache for a durable-store checkpoint: the reference epoch
-    /// and the per-user weights. Refresh counters are *not* exported — they
-    /// are monotone telemetry series, not recoverable state.
-    pub fn export_state(&self) -> (Option<f64>, BTreeMap<GridUser, f64>) {
-        (self.epoch_s, self.cached.clone())
+    /// The cache as a durable-store checkpoint records it, in place: the
+    /// reference epoch and the per-user weights. Refresh counters are *not*
+    /// exported — they are monotone telemetry series, not recoverable state.
+    pub fn export_state(&self) -> (Option<f64>, &BTreeMap<GridUser, f64>) {
+        (self.epoch_s, &self.cached)
     }
 
     /// Install a checkpointed cache during store recovery. The whole cache

@@ -41,10 +41,12 @@ use aequus_core::usage::{
     UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells, UserIndex,
 };
 use aequus_core::GridUser;
-use aequus_store::{CheckpointState, PeerCursor};
+use aequus_store::{CheckpointState, CheckpointView, PeerCursor};
 use aequus_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceCtx};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::ops::Bound;
 
 /// Why recovered store state could not be installed into a service. A
 /// corrupt or mismatched checkpoint must degrade the site to snapshot
@@ -271,7 +273,12 @@ pub struct Uss {
     /// so charge landing in old slots (a long job completing spreads usage
     /// back over its whole runtime) is still exchanged, and retransmissions
     /// are idempotent at receivers.
-    published: BTreeMap<GridUser, BTreeMap<u64, f64>>,
+    published: UserCells,
+    /// Local users that may hold a cell above `published` — all
+    /// [`Uss::publish`] walks. Fed by ingest (contributing sites only) and,
+    /// with every local user, wherever the mirror is dropped or the
+    /// histogram rebuilt; a user leaves once they hold nothing still open.
+    unpublished: PendingUsers,
     /// Sequence number the next published summary gets (1-based).
     next_seq: u64,
     /// Retained published summaries for anti-entropy resync (bounded by
@@ -298,6 +305,11 @@ pub struct Uss {
     /// checkpointed — a recovered interior node re-relays its whole mirror
     /// once, which is idempotent at receivers.
     relay_published: BTreeMap<SiteId, UserCells>,
+    /// Per origin, the mirrored users that may hold a cell above
+    /// `relay_published` — all [`Uss::collect_relay_sections`] walks. Fed
+    /// by the merge (forwarding nodes only) and, with every mirrored user,
+    /// when forwarding is switched on or a checkpoint installed.
+    unrelayed: BTreeMap<SiteId, PendingUsers>,
     /// Whether this node is an interior node of the overlay (Tree interior /
     /// Hub member) and must relay merged remote cells onward.
     forwarding: bool,
@@ -345,38 +357,116 @@ pub struct Uss {
     pending_pipeline_trace: Option<TraceCtx>,
 }
 
+/// Users awaiting publication or relay: user → the lowest slot at which a
+/// cell of theirs may sit above the mirror it is diffed against.
+pub type PendingUsers = BTreeMap<GridUser, u64>;
+
+/// Note that `user`'s cells from `slot` on may have risen.
+fn note_pending(pending: &mut PendingUsers, user: &GridUser, slot: u64) {
+    let from = pending.entry(user.clone()).or_insert(slot);
+    *from = (*from).min(slot);
+}
+
+/// Every one of `users` pending from slot 0: the refill after a mirror was
+/// dropped or the cells under it replaced.
+fn all_pending<'a>(users: impl Iterator<Item = &'a GridUser>) -> PendingUsers {
+    users.map(|user| (user.clone(), 0)).collect()
+}
+
+/// Raise `mirror[user]` to each of `cells` that sits more than [`CELL_EPS`]
+/// above it, handing every such cell to `risen(slot, value, delta)` — the
+/// one comparison publish, relay and merge share. One descent of `mirror`
+/// (`entry` with a cloned name: on these maps a second descent costs some
+/// ten clones), then `O(cells · log)`.
+fn raise_mirror<'a>(
+    mirror: &mut UserCells,
+    user: &GridUser,
+    cells: impl Iterator<Item = (&'a u64, &'a f64)>,
+    mut risen: impl FnMut(u64, f64, f64),
+) {
+    let seen = mirror.entry(user.clone()).or_default();
+    for (&slot, &value) in cells {
+        let delta = value - seen.get(&slot).copied().unwrap_or(0.0);
+        if delta > CELL_EPS {
+            seen.insert(slot, value);
+            risen(slot, value, delta);
+        }
+    }
+}
+
+/// Diff the `pending` users' cells, read in place through `cells_of`,
+/// against the `sent` mirror: the cells that rose are recorded there and
+/// returned. Cells at or past `open_slot` are held back, and a user stays
+/// pending — from the first of those — while they hold one; everyone else
+/// leaves. `O(pending users · their slots from the pending one on · log)`,
+/// whatever else the site holds.
+fn drain_pending<'a>(
+    pending: &mut PendingUsers,
+    cells_of: impl Fn(&GridUser) -> Option<&'a BTreeMap<u64, f64>>,
+    sent: &mut UserCells,
+    open_slot: Option<u64>,
+) -> UserCells {
+    let mut section = UserCells::new();
+    pending.retain(|user, from| {
+        let Some(slots) = cells_of(user) else {
+            return false;
+        };
+        let open = open_slot.map(|slot| slot.max(*from));
+        let closed = (
+            Bound::Included(*from),
+            open.map_or(Bound::Unbounded, Bound::Excluded),
+        );
+        let mut cells = BTreeMap::new();
+        raise_mirror(sent, user, slots.range(closed), |slot, value, _| {
+            cells.insert(slot, value);
+        });
+        if !cells.is_empty() {
+            section.insert(user.clone(), cells);
+        }
+        let held = open.and_then(|open| slots.range(open..).next());
+        if let Some((&slot, _)) = held {
+            *from = slot;
+        }
+        held.is_some()
+    });
+    section
+}
+
 /// Positive-delta merge of one origin's absolute cells against that
 /// origin's mirror: cells whose value exceeds the mirrored value by more
 /// than [`CELL_EPS`] raise the mirror and add the delta to the remote
 /// histogram. Duplicates, reordering, overlapping resyncs, snapshots, and
 /// multi-path relay all collapse to no-ops here. Users with a changed cell
-/// are marked in both `dirty` sets (the UMS flow and the view row). Returns
-/// the number of cells that changed. (Free function over disjoint fields so
-/// callers can hold other `Uss` borrows.)
+/// are marked in both `dirty` sets (the UMS flow and the view row) and, on
+/// a forwarding node, noted in `unrelayed`. Returns the number of cells
+/// that changed. `O(delivered cells · log)`: per delivered user one
+/// descent of the mirror and, if a cell rose, one of the remote histogram
+/// (all the user's deltas under it) and of each dirty set. (Free function
+/// over disjoint fields so callers can hold other `Uss` borrows.)
 fn merge_origin_cells(
     mirror: &mut UserCells,
     cells: &UserCells,
     remote: &mut UsageHistogram,
     mut dirty: [&mut DirtySet; 2],
+    mut unrelayed: Option<&mut PendingUsers>,
 ) -> usize {
     let mut merged = 0usize;
+    let mut risen: Vec<(u64, f64)> = Vec::new();
     for (user, slots) in cells {
-        let seen = mirror.entry(user.clone()).or_default();
-        let mut user_changed = false;
-        for (&slot, &value) in slots {
-            let prev = seen.get(&slot).copied().unwrap_or(0.0);
-            let delta = value - prev;
-            if delta > CELL_EPS {
-                seen.insert(slot, value);
-                remote.add_charge(user, slot, delta);
-                user_changed = true;
-                merged += 1;
-            }
+        risen.clear();
+        raise_mirror(mirror, user, slots.iter(), |slot, _, delta| {
+            risen.push((slot, delta));
+        });
+        let Some(&(lowest, _)) = risen.first() else {
+            continue;
+        };
+        merged += risen.len();
+        remote.add_charges(user, risen.iter().copied());
+        for set in &mut dirty {
+            set.mark_user(user.clone());
         }
-        if user_changed {
-            for set in &mut dirty {
-                set.mark_user(user.clone());
-            }
+        if let Some(pending) = &mut unrelayed {
+            note_pending(pending, user, lowest);
         }
     }
     merged
@@ -394,6 +484,7 @@ impl Uss {
             local: UsageHistogram::new(slot_s),
             remote: UsageHistogram::new(slot_s),
             published: Default::default(),
+            unpublished: PendingUsers::new(),
             next_seq: 1,
             history: VecDeque::new(),
             peers: Vec::new(),
@@ -402,6 +493,7 @@ impl Uss {
             rx: BTreeMap::new(),
             seen_by_origin: BTreeMap::new(),
             relay_published: BTreeMap::new(),
+            unrelayed: BTreeMap::new(),
             forwarding: false,
             catchup_pending: BTreeSet::new(),
             retry: RetryPolicy::default(),
@@ -505,9 +597,36 @@ impl Uss {
 
     /// Mark this node as an overlay interior node: cells merged from other
     /// origins are re-published onward as relayed summary sections (per-hop
-    /// aggregation for the Tree and Hub overlays).
+    /// aggregation for the Tree and Hub overlays). Switching it on makes
+    /// everything already mirrored pending for relay.
     pub fn set_forwarding(&mut self, on: bool) {
-        self.forwarding = on;
+        if on != self.forwarding {
+            self.forwarding = on;
+            self.refill_unrelayed();
+        }
+    }
+
+    /// Every mirrored user is pending for relay again (none, on a node that
+    /// does not forward): forwarding was switched, or the mirrors replaced.
+    fn refill_unrelayed(&mut self) {
+        self.unrelayed.clear();
+        if self.forwarding {
+            for (origin, users) in &self.seen_by_origin {
+                let pending = all_pending(users.keys());
+                self.unrelayed.insert(*origin, pending);
+            }
+        }
+    }
+
+    /// Every local user is pending for publication again (none, on a site
+    /// that does not contribute), and the relay side likewise: the sent
+    /// mirrors were dropped or the cells under them rebuilt.
+    fn refill_pending(&mut self) {
+        self.unpublished.clear();
+        if self.mode.contributes() {
+            self.unpublished = all_pending(self.local.users());
+        }
+        self.refill_unrelayed();
     }
 
     /// Whether this node relays merged remote data onward.
@@ -530,35 +649,21 @@ impl Uss {
         self.metrics.ingested.inc();
     }
 
-    /// Diff the origin-scoped merge mirror against what this node has
-    /// already relayed, producing (and recording) the relayed sections of
-    /// the next publication. Empty unless the node forwards. Cells carry the
-    /// origin's absolute cumulative values, so receivers merge them against
-    /// the same per-origin mirror a direct delivery would hit — the
-    /// open-slot holdback already happened at the origin and is not
-    /// re-applied against this node's (possibly skewed) clock.
+    /// Diff the users pending relay against what this node has already
+    /// relayed, producing (and recording) the relayed sections of the next
+    /// publication; afterwards nobody is pending. Empty unless the node
+    /// forwards. Cells carry the origin's absolute cumulative values, so
+    /// receivers merge them against the same per-origin mirror a direct
+    /// delivery would hit — the open-slot holdback already happened at the
+    /// origin and is not re-applied against this node's (possibly skewed)
+    /// clock. Costs what the merge marked since the last call
+    /// ([`drain_pending`]), not what is mirrored.
     fn collect_relay_sections(&mut self) -> BTreeMap<SiteId, UserCells> {
         let mut relayed: BTreeMap<SiteId, UserCells> = BTreeMap::new();
-        if !self.forwarding {
-            return relayed;
-        }
-        for (origin, users) in &self.seen_by_origin {
-            let sent_users = self.relay_published.entry(*origin).or_default();
-            let mut section: UserCells = BTreeMap::new();
-            for (user, slots) in users {
-                let sent = sent_users.entry(user.clone()).or_default();
-                let mut cells = BTreeMap::new();
-                for (&slot, &value) in slots {
-                    let already = sent.get(&slot).copied().unwrap_or(0.0);
-                    if value - already > CELL_EPS {
-                        cells.insert(slot, value);
-                        sent.insert(slot, value);
-                    }
-                }
-                if !cells.is_empty() {
-                    section.insert(user.clone(), cells);
-                }
-            }
+        for (origin, pending) in &mut self.unrelayed {
+            let users = self.seen_by_origin.get(origin);
+            let sent = self.relay_published.entry(*origin).or_default();
+            let section = drain_pending(pending, |user| users?.get(user), sent, None);
             if !section.is_empty() {
                 relayed.insert(*origin, section);
             }
@@ -576,33 +681,19 @@ impl Uss {
     /// when they have no local change of their own. Returns `None` when
     /// this site neither contributes usage data nor forwards, or nothing
     /// changed.
+    ///
+    /// Costs the users ingested, or merged from other origins, since they
+    /// were last published (`drain_pending`) — not the users the site
+    /// knows.
     pub fn publish(&mut self, now_s: f64) -> Option<UsageSummary> {
         let _span = self.metrics.h_publish.start_timer();
         if !self.publishes() {
             return None;
         }
         let current_slot = (now_s / self.local.slot_duration()).floor().max(0.0) as u64;
-        let mut per_user: BTreeMap<GridUser, BTreeMap<u64, f64>> = Default::default();
-        if self.mode.contributes() {
-            let full = self.local.summary(self.site, 0);
-            for (user, slots) in &full.per_user {
-                let sent = self.published.entry(user.clone()).or_default();
-                let mut cells = BTreeMap::new();
-                for (&slot, &value) in slots {
-                    if slot >= current_slot {
-                        continue; // open slot: held back until closed
-                    }
-                    let already = sent.get(&slot).copied().unwrap_or(0.0);
-                    if value - already > CELL_EPS {
-                        cells.insert(slot, value);
-                        sent.insert(slot, value);
-                    }
-                }
-                if !cells.is_empty() {
-                    per_user.insert(user.clone(), cells);
-                }
-            }
-        }
+        let (local, sent) = (&self.local, &mut self.published);
+        let own = |user: &GridUser| local.cells_of(user);
+        let per_user = drain_pending(&mut self.unpublished, own, sent, Some(current_slot));
         let relayed = self.collect_relay_sections();
         if per_user.is_empty() && relayed.is_empty() {
             return None;
@@ -904,11 +995,13 @@ impl Uss {
                 continue; // a relay echoing our own data back
             }
             let mirror = self.seen_by_origin.entry(*origin).or_default();
+            let forwards = self.forwarding;
             merged_cells += merge_origin_cells(
                 mirror,
                 cells,
                 &mut self.remote,
                 [&mut self.dirty, &mut self.view_dirty],
+                forwards.then(|| self.unrelayed.entry(*origin).or_default()),
             );
         }
         merged_cells
@@ -1026,9 +1119,8 @@ impl Uss {
         if suppress != self.remote_suppressed {
             self.remote_suppressed = suppress;
             self.view_dirty.mark_all();
-            let users: Vec<GridUser> = self.remote.users().cloned().collect();
-            for user in users {
-                self.dirty.mark_user(user);
+            for user in self.remote.users() {
+                self.dirty.mark_user(user.clone());
             }
             self.metrics.telemetry.event(now_s, "uss.stale_policy", || {
                 if suppress {
@@ -1052,7 +1144,8 @@ impl Uss {
     /// stale in-flight ack from the old numbering cancel a new unacked
     /// summary, silently losing the republished history), the participation
     /// config, and the peer registration survive. The cleared published
-    /// mirror makes the next publication re-emit all closed slots as
+    /// mirror (every local user is pending again) makes the next
+    /// publication re-emit all closed slots as
     /// absolute values — idempotent at receivers thanks to their cell
     /// mirrors, and any seq gap peers see across the crash resolves through
     /// resync → snapshot fallback (the retained history is volatile).
@@ -1063,6 +1156,7 @@ impl Uss {
         self.rx.clear();
         self.seen_by_origin.clear();
         self.relay_published.clear();
+        self.refill_pending();
         for tx in self.tx.values_mut() {
             *tx = PeerTx::new();
         }
@@ -1096,46 +1190,48 @@ impl Uss {
     pub fn crash_volatile(&mut self) {
         self.crash();
         self.local = UsageHistogram::new(self.local.slot_duration());
+        self.unpublished.clear();
         self.records_ingested = 0;
     }
 
-    /// Export everything the durable store checkpoints for this service:
-    /// the local histogram cells (full `f64` bits — local recovery is
-    /// bitwise exact), ingest/publish counters, the per-peer sequence
-    /// cursors, and the origin-scoped absolute-cell merge mirrors. The
-    /// relay-published mirror is deliberately excluded — a recovered
-    /// forwarding node re-relays its whole mirror once, idempotently. `lsn`
-    /// is the WAL position the snapshot covers; the UMS fields are left
-    /// empty for the site to fill in ([`crate::ums::Ums::export_state`]).
-    pub fn export_checkpoint(&self, lsn: u64, taken_s: f64) -> CheckpointState {
-        CheckpointState {
+    /// Everything the durable store checkpoints for this service: the local
+    /// histogram cells (full `f64` bits — local recovery is bitwise exact),
+    /// ingest/publish counters, the per-peer sequence cursors, and the
+    /// origin-scoped absolute-cell merge mirrors. The relay-published
+    /// mirror is deliberately excluded — a recovered forwarding node
+    /// re-relays its whole mirror once, idempotently. `lsn` is the WAL
+    /// position the snapshot covers; `ums_epoch_s`/`ums_cached` are the UMS
+    /// half ([`crate::ums::Ums::export_state`]).
+    ///
+    /// `O(users)` pointers, and only the dirty users' names cloned: the
+    /// cells, mirrors and cache are encoded where they lie.
+    pub fn checkpoint_view<'a>(
+        &'a self,
+        lsn: u64,
+        taken_s: f64,
+        ums_epoch_s: Option<f64>,
+        ums_cached: &'a BTreeMap<GridUser, f64>,
+    ) -> CheckpointView<'a> {
+        let cursor = |rx: &PeerRx| PeerCursor {
+            next_expected: rx.next_expected,
+        };
+        let head = CheckpointState {
             lsn,
             taken_s,
             site: self.site,
             slot_s: self.local.slot_duration(),
-            local_cells: self.local.summary(self.site, 0).per_user,
             records_ingested: self.records_ingested,
             next_seq: self.next_seq,
-            peers: self
-                .rx
-                .iter()
-                .map(|(site, rx)| {
-                    (
-                        *site,
-                        PeerCursor {
-                            next_expected: rx.next_expected,
-                        },
-                    )
-                })
-                .collect(),
-            origin_cells: self.seen_by_origin.clone(),
-            ums_epoch_s: None,
-            ums_cached: BTreeMap::new(),
-            dirty_users: if self.dirty.is_all() {
-                None
-            } else {
-                Some(self.dirty.users().cloned().collect())
-            },
+            peers: self.rx.iter().map(|(s, rx)| (*s, cursor(rx))).collect(),
+            ums_epoch_s,
+            dirty_users: (!self.dirty.is_all()).then(|| self.dirty.users().cloned().collect()),
+            ..CheckpointState::default()
+        };
+        CheckpointView {
+            head: Cow::Owned(head),
+            local_cells: self.local.cells().collect(),
+            origin_cells: &self.seen_by_origin,
+            ums_cached,
         }
     }
 
@@ -1169,9 +1265,8 @@ impl Uss {
         }
         self.local = UsageHistogram::new(slot_s);
         for (user, slots) in &ckpt.local_cells {
-            for (&slot, &charge) in slots {
-                self.local.add_charge(user, slot, charge);
-            }
+            self.local
+                .add_charges(user, slots.iter().map(|(&s, &c)| (s, c)));
         }
         self.records_ingested = ckpt.records_ingested;
         self.next_seq = self.next_seq.max(ckpt.next_seq);
@@ -1184,11 +1279,11 @@ impl Uss {
         }
         self.seen_by_origin = ckpt.origin_cells.clone();
         self.relay_published.clear();
+        self.refill_pending();
         for users in ckpt.origin_cells.values() {
             for (user, slots) in users {
-                for (&slot, &charge) in slots {
-                    self.remote.add_charge(user, slot, charge);
-                }
+                self.remote
+                    .add_charges(user, slots.iter().map(|(&s, &c)| (s, c)));
             }
         }
         self.view_dirty.mark_all();
@@ -1207,11 +1302,13 @@ impl Uss {
     /// [`Uss::ingest`] minus telemetry — the original ingest already
     /// counted, and replay must not inflate the monotone series.
     pub fn replay_ingest(&mut self, rec: &UsageRecord) {
-        if rec.charge() > 0.0 {
+        if let Some(first_slot) = self.local.record(rec) {
             self.dirty.mark_user(rec.user.clone());
             self.view_dirty.mark_user(rec.user.clone());
+            if self.mode.contributes() {
+                note_pending(&mut self.unpublished, &rec.user, first_slot);
+            }
         }
-        self.local.record(rec);
         self.records_ingested += 1;
     }
 
@@ -1420,6 +1517,18 @@ impl Uss {
         self.tx.get(&peer).map_or(0, |t| t.outbox.len())
     }
 
+    /// The cells already published, and per origin already relayed (test
+    /// inspection).
+    pub fn sent_mirrors(&self) -> (&UserCells, &BTreeMap<SiteId, UserCells>) {
+        (&self.published, &self.relay_published)
+    }
+
+    /// The users pending publication, and per origin pending relay (test
+    /// inspection).
+    pub fn pending(&self) -> (&PendingUsers, &BTreeMap<SiteId, PendingUsers>) {
+        (&self.unpublished, &self.unrelayed)
+    }
+
     /// Per-link health rows at `now_s`: one tx-side row per delivery peer
     /// and one rx-side row per expected publisher. The tx staleness signal
     /// is the **undelivered-data age** — `now` minus the publication time
@@ -1469,6 +1578,14 @@ mod tests {
     use aequus_core::codec::Encoding;
     use aequus_core::ids::JobId;
     use aequus_core::DecayPolicy;
+
+    /// What a checkpoint of `uss` restores: its borrowed view, through the
+    /// slot bytes and back.
+    fn checkpointed(uss: &Uss, lsn: u64, taken_s: f64) -> CheckpointState {
+        let no_ums = BTreeMap::new();
+        let view = uss.checkpoint_view(lsn, taken_s, None, &no_ums);
+        CheckpointState::decode_slot(&view.encode()).expect("a fresh slot decodes")
+    }
 
     fn rec(site: u32, user: &str, start: f64, end: f64) -> UsageRecord {
         UsageRecord {
@@ -2057,13 +2174,74 @@ mod tests {
         assert!((c.remote_usage_of(&GridUser::new("u")) - 120.0).abs() < 1e-9);
     }
 
+    /// The checkpoint the store writes is encoded from borrowed maps; its
+    /// slot bytes must be those of the owned export it replaced — every
+    /// histogram, mirror and cache cloned into a `CheckpointState`.
+    #[test]
+    fn borrowed_checkpoint_view_fills_the_slot_like_the_owned_export() {
+        let (mut a, mut h, mut c) = relay_chain();
+        a.ingest(&rec(0, "u", 0.0, 80.0));
+        a.ingest(&rec(0, "v", 120.0, 310.5));
+        c.ingest(&rec(2, "u", 30.0, 95.25));
+        h.ingest(&rec(1, "w", 10.0, 260.0)); // three slots
+        h.ingest(&rec(1, "u", 480.0, 490.0)); // still open at 500
+        a.publish(500.0);
+        c.publish(500.0);
+        pump_chain(&mut a, &mut h, &mut c, 500.0);
+        let ums_cached: BTreeMap<GridUser, f64> = [("u", 0.125), ("w", 7.5)]
+            .map(|(u, v)| (GridUser::new(u), v))
+            .into();
+        for uss in [&a, &h, &c] {
+            let owned = CheckpointState {
+                lsn: 41,
+                taken_s: 500.0,
+                site: uss.site,
+                slot_s: uss.local.slot_duration(),
+                local_cells: uss
+                    .local
+                    .cells()
+                    .map(|(u, s)| (u.clone(), s.clone()))
+                    .collect(),
+                records_ingested: uss.records_ingested,
+                next_seq: uss.next_seq,
+                peers: (uss.rx.iter())
+                    .map(|(site, rx)| {
+                        (
+                            *site,
+                            PeerCursor {
+                                next_expected: rx.next_expected,
+                            },
+                        )
+                    })
+                    .collect(),
+                origin_cells: uss.seen_by_origin.clone(),
+                ums_epoch_s: Some(450.0),
+                ums_cached: ums_cached.clone(),
+                dirty_users: Some(uss.dirty.users().cloned().collect()),
+            };
+            assert!(!owned.local_cells.is_empty() && !owned.peers.is_empty());
+            let view = uss.checkpoint_view(41, 500.0, Some(450.0), &ums_cached);
+            assert_eq!(view.encode(), owned.encode());
+            assert_eq!(CheckpointState::decode_slot(&view.encode()), Some(owned));
+        }
+        assert_eq!(h.seen_by_origin.len(), 2, "the relay mirrors both leaves");
+        // An all-dirty service writes the "everyone" marker.
+        let mut restored = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+        let all_dirty = CheckpointState {
+            dirty_users: None,
+            ..checkpointed(&h, 1, 500.0)
+        };
+        restored.install_checkpoint(&all_dirty).unwrap();
+        assert_eq!(checkpointed(&restored, 1, 500.0).dirty_users, None);
+    }
+
     #[test]
     fn checkpoint_round_trips_origin_scoped_mirror() {
         let (mut a, mut h, mut c) = relay_chain();
         a.ingest(&rec(0, "u", 0.0, 80.0));
         a.publish(500.0);
         pump_chain(&mut a, &mut h, &mut c, 500.0);
-        let ckpt = h.export_checkpoint(7, 500.0);
+        let ckpt = checkpointed(&h, 7, 500.0);
         assert!(ckpt.origin_cells.contains_key(&SiteId(0)));
         let mut restored = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
         restored.set_peers(&[SiteId(0), SiteId(2)], &[SiteId(0), SiteId(2)]);
@@ -2094,7 +2272,7 @@ mod tests {
         assert_eq!(b.rejected(), 1);
         assert_eq!(b.remote_total(), 0.0, "no cell merged");
         assert!(b.grid_view().values().all(|v| v.is_finite()));
-        assert!(b.export_checkpoint(0, 0.0).peers.is_empty(), "no cursor");
+        assert!(checkpointed(b, 0, 0.0).peers.is_empty(), "no cursor");
         assert_eq!((b.summaries_received(), b.duplicates()), (0, 0));
     }
 
@@ -2172,7 +2350,7 @@ mod tests {
         misbinned.slot_s = 60.0;
         b.replay_peer_data(&misbinned, true);
         assert_eq!(b.remote_total(), 0.0);
-        assert!(b.export_checkpoint(0, 0.0).peers.is_empty(), "no cursor");
+        assert!(checkpointed(&b, 0, 0.0).peers.is_empty(), "no cursor");
         b.replay_peer_data(&summary_from_site0(1), false);
         assert!((b.remote_total() - 120.0).abs() < 1e-9);
     }
@@ -2182,7 +2360,7 @@ mod tests {
         let mut a = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
         a.ingest(&rec(1, "u", 0.0, 80.0));
         a.receive_at(&summary_from_site0(1), 500.0);
-        let good = a.export_checkpoint(3, 500.0);
+        let good = checkpointed(&a, 3, 500.0);
         let mut local = good.clone();
         local
             .local_cells

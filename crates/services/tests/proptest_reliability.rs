@@ -9,6 +9,7 @@
 use aequus_core::usage::{UsageRecord, UsageRow, UserIndex};
 use aequus_core::{GridUser, JobId, SiteId};
 use aequus_services::{ParticipationMode, RetryPolicy, StalePolicy, Uss, UssMessage};
+use aequus_store::CheckpointState;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -297,7 +298,9 @@ proptest! {
                     grid.sites[at].request_catchup();
                 }
                 7 => {
-                    let ckpt = grid.sites[at].export_checkpoint(0, grid.now_s);
+                    let no_ums = BTreeMap::new();
+                    let view = grid.sites[at].checkpoint_view(0, grid.now_s, None, &no_ums);
+                    let ckpt = CheckpointState::decode_slot(&view.encode()).expect("fresh slot");
                     grid.sites[at].crash_volatile();
                     // A sample lands between the crash and the reinstall.
                     grid.sites[at].sync_view_row(&index, &mut rows[at]);

@@ -7,8 +7,10 @@
 //! deliver any in-flight message (any, not the oldest: that is every
 //! reordering); drop one; duplicate one; and one crash + recovery of any
 //! site. Once per overlay. After every step no mirrored or remote cell has
-//! decreased and no site believes more than `Σ duration_s × cores` of what
-//! was ingested (the `tests/oracle` sum); from every state reached, a
+//! decreased, no site believes more than `Σ duration_s × cores` of what
+//! was ingested (the `tests/oracle` sum), and every closed cell more than
+//! `CELL_EPS` above the mirror it is published against belongs to a user
+//! the site holds pending; from every state reached, a
 //! fault-free continuation — every site charges one closing record, then
 //! only publish, poll and deliver — runs to quiescence (nothing in flight,
 //! every outbox drained), where every site's view must equal that sum.
@@ -33,6 +35,8 @@ const SLOT_S: f64 = 100.0;
 const TICK_S: f64 = 25.0;
 /// Steps explored from the initial state.
 const DEPTH: u8 = 6;
+/// `uss::CELL_EPS`: what a cell must exceed its mirror by to be published.
+const CELL_EPS: f64 = 1e-12;
 
 /// Records the search ingests, in this order.
 const EXPLORED: usize = 3;
@@ -265,7 +269,11 @@ impl World {
 
     fn observe(&self, site: usize) -> Observed {
         let uss = &self.sites[site];
-        let mirrors = uss.export_checkpoint(0, self.now_s).origin_cells;
+        let no_ums = BTreeMap::new();
+        let mirrors = uss
+            .checkpoint_view(0, self.now_s, None, &no_ums)
+            .origin_cells;
+        let mirrors = mirrors.clone();
         let remote = uss
             .known_users()
             .into_iter()
@@ -302,10 +310,50 @@ impl World {
     }
 }
 
+/// The write side's invariant: `publish` visits pending users only, so a
+/// closed cell more than `CELL_EPS` above the mirror it is diffed against
+/// must belong to a pending user, at or past that user's pending slot —
+/// own cells against the published mirror (closed: before the slot holding
+/// `now_s`) and, on a forwarding node, every mirrored origin's cells against
+/// what was relayed for that origin (all closed at their origin).
+fn check_pending(uss: &Uss, now_s: f64, trail: &[Step]) {
+    let no_ums = BTreeMap::new();
+    let held = uss.checkpoint_view(0, now_s, None, &no_ums);
+    let ((published, relayed), (unpublished, unrelayed)) = (uss.sent_mirrors(), uss.pending());
+    let current_slot = (now_s / SLOT_S).floor() as u64;
+    let check = |what: &str,
+                 user: &GridUser,
+                 cells: &BTreeMap<u64, f64>,
+                 sent: Option<&UserCells>,
+                 pending: Option<&BTreeMap<GridUser, u64>>,
+                 closed_before: u64| {
+        let from = pending.and_then(|p| p.get(user)).copied();
+        for (&slot, &value) in cells.range(..closed_before.min(from.unwrap_or(u64::MAX))) {
+            let sent = sent.and_then(|s| s.get(user)).and_then(|s| s.get(&slot));
+            assert!(
+                value - sent.copied().unwrap_or(0.0) <= CELL_EPS,
+                "site {:?}: {what} cell ({user:?}, {slot}) = {value} sits above its mirror \
+                 ({sent:?}) but the user is pending from {from:?}, after {trail:?}",
+                uss.site()
+            );
+        }
+    };
+    for (user, cells) in &held.local_cells {
+        let (sent, pending) = (Some(published), Some(unpublished));
+        check("own", user, cells, sent, pending, current_slot);
+    }
+    for (origin, users) in held.origin_cells.iter().filter(|_| uss.forwarding()) {
+        for (user, cells) in users {
+            let (sent, pending) = (relayed.get(origin), unrelayed.get(origin));
+            check("mirrored", user, cells, sent, pending, u64::MAX);
+        }
+    }
+}
+
 /// After a step that touched `site`: no mirrored cell and no user's merged
 /// remote usage went down there — unless the step was its crash, which
 /// wipes volatile state by design — and its view of no user exceeds what
-/// was ingested.
+/// was ingested — and its pending sets cover every cell it has yet to send.
 fn check_step(
     (old_mirrors, old_remote): &Observed,
     after: &World,
@@ -339,6 +387,7 @@ fn check_step(
             );
         }
     }
+    check_pending(&after.sites[site], after.now_s, trail);
     let ceiling = oracle(&script[..after.ingested]);
     let uss = &after.sites[site];
     for user in uss.known_users() {

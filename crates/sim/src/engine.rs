@@ -241,7 +241,8 @@ impl GridSimulation {
     /// last submission so queued work completes.
     pub fn run(mut self, trace: &Trace, drain_s: f64) -> SimResult {
         let end_s = trace.last_submit() + drain_s;
-        let mut metrics = MetricsLog::new(self.scenario.tracked_users().into_iter().collect());
+        let tracked = self.scenario.tracked_users();
+        let mut metrics = MetricsLog::new(tracked.iter().cloned().collect());
 
         // Pre-route every arrival to its shard, consuming the dispatcher in
         // submission-time order (ties by trace index) — the exact order the
@@ -283,7 +284,6 @@ impl GridSimulation {
         };
         let schedule = EpochSchedule::new(end_s, lookahead, self.scenario.sample_interval_s);
         let total_cores = self.scenario.total_cores();
-        let tracked = self.scenario.tracked_users();
         let mut recorder = self.recorder.take();
         let mut flight_records: Vec<String> = Vec::new();
         let site0_telemetry = self.site0_telemetry.clone();

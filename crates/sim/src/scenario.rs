@@ -391,15 +391,11 @@ impl GridScenario {
 
     /// The users the metrics track: every policy leaf with its *absolute*
     /// target share (product of normalized shares along the path).
+    /// `O(policy nodes)`: one tree walk, not one root-to-leaf descent (with
+    /// a sibling re-sum at every level) per user.
     pub fn tracked_users(&self) -> Vec<(String, f64)> {
-        self.policy
-            .users()
-            .into_iter()
-            .map(|(path, user)| {
-                let share = self.policy.absolute_share(&path).unwrap_or(0.0);
-                (user.as_str().to_string(), share)
-            })
-            .collect()
+        let shares = self.policy.user_shares().into_iter();
+        shares.map(|(user, share)| (user.0, share)).collect()
     }
 }
 
@@ -418,6 +414,67 @@ mod tests {
         assert_eq!(s.routing, RoutingPolicy::Stochastic);
         assert_eq!(s.dispatch, DispatchConfig::default());
         assert_eq!(s.request_factor, 1.0);
+    }
+
+    /// `tracked_users` computes every leaf's share in one walk; per leaf it
+    /// must be, bit for bit, what `absolute_share` yields descending alone.
+    #[test]
+    fn tracked_users_match_per_leaf_absolute_share_bit_for_bit() {
+        use aequus_core::policy::PolicyNode;
+        let flat: Vec<(String, f64)> = (0..50)
+            .map(|i| (format!("u{i:03}"), 1.0 + i as f64 / 7.0))
+            .collect();
+        let flat: Vec<(&str, f64)> = flat.iter().map(|(n, s)| (n.as_str(), *s)).collect();
+        // The benchmark's `vo_burst` shape: 4 VOs x 4 projects x 4 users.
+        let level = |prefix: &str, share: f64, below: &dyn Fn(&str, usize) -> PolicyNode| {
+            let children = (0..4).map(|i| below(&format!("{prefix}{i}"), i)).collect();
+            PolicyNode::group(prefix, share, children)
+        };
+        let user = |name: &str, u: usize| PolicyNode::user(name, (u + 1) as f64);
+        let project = |name: &str, p: usize| level(&format!("{name}u"), (p + 1) as f64, &user);
+        let vo =
+            |name: &str, v: usize| level(&format!("{name}p"), [0.4, 0.3, 0.2, 0.1][v], &project);
+        let three_level = level("vo", 1.0, &vo);
+        // A group whose children all have share 0 (its subtree reads 0.0),
+        // a zero-share group beside a live one, and a zero-share user.
+        let zeroes = PolicyNode::group(
+            "root",
+            1.0,
+            vec![
+                PolicyNode::group(
+                    "dead",
+                    0.5,
+                    vec![PolicyNode::user("d0", 0.0), PolicyNode::user("d1", 0.0)],
+                ),
+                PolicyNode::group("mute", 0.0, vec![PolicyNode::user("m0", 2.0)]),
+                PolicyNode::group(
+                    "live",
+                    0.5,
+                    vec![PolicyNode::user("l0", 3.0), PolicyNode::user("l1", 0.0)],
+                ),
+            ],
+        );
+        let policies = [
+            flat_policy(&flat).unwrap(),
+            PolicyTree::new(three_level).unwrap(),
+            PolicyTree::new(zeroes).unwrap(),
+        ];
+        for policy in policies {
+            let s = GridScenario::national_testbed(&[("u", 1.0)], 1).with_policy(policy);
+            let leaves = s.policy.users();
+            let tracked = s.tracked_users();
+            assert_eq!(tracked.len(), leaves.len());
+            assert!(tracked.len() >= 5);
+            for ((name, share), (path, user)) in tracked.iter().zip(&leaves) {
+                assert_eq!(name, user.as_str());
+                let alone = s.policy.absolute_share(path).unwrap();
+                assert_eq!(
+                    share.to_bits(),
+                    alone.to_bits(),
+                    "{path}: {share} vs {alone}"
+                );
+            }
+        }
     }
 
     #[test]

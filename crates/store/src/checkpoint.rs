@@ -17,6 +17,7 @@ use crate::StoreError;
 use aequus_core::codec::{decode_cells, encode_cells, CodecError, Reader, Sink};
 use aequus_core::ids::{GridUser, SiteId};
 use aequus_core::usage::UserCells;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Checkpoint format version (bumped on incompatible layout changes;
@@ -39,8 +40,8 @@ pub struct PeerCursor {
     pub next_expected: u64,
 }
 
-/// Everything a checkpoint captures. Produced by the services layer
-/// (`Uss::export_checkpoint`), installed back on recovery.
+/// Everything a checkpoint captures, owned: what decoding a slot yields and
+/// recovery installs. Written through a [`CheckpointView`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointState {
     /// WAL position the snapshot covers: every record with LSN ≤ this is
@@ -95,38 +96,46 @@ impl Default for CheckpointState {
     }
 }
 
-impl CheckpointState {
-    /// Highest peer summary sequence absorbed, per peer — the gossip
-    /// cursors WAL compaction is keyed to.
-    pub fn peer_seq_cursors(&self) -> BTreeMap<SiteId, u64> {
-        self.peers
-            .iter()
-            .map(|(site, c)| (*site, c.next_expected.saturating_sub(1)))
-            .collect()
-    }
+/// A checkpoint whose bulk — the two cell maps and the UMS cache — is read
+/// where the services hold it, so cutting one clones no histogram, mirror
+/// or cache. The encoder's only input; `head`'s own three bulk fields are
+/// left empty and never read.
+#[derive(Debug)]
+pub struct CheckpointView<'a> {
+    /// Every field but the bulk.
+    pub head: Cow<'a, CheckpointState>,
+    /// Stands in for `head.local_cells`; in user-name order.
+    pub local_cells: Vec<(&'a GridUser, &'a BTreeMap<u64, f64>)>,
+    /// Stands in for `head.origin_cells`.
+    pub origin_cells: &'a BTreeMap<SiteId, UserCells>,
+    /// Stands in for `head.ums_cached`.
+    pub ums_cached: &'a BTreeMap<GridUser, f64>,
+}
 
+impl CheckpointView<'_> {
     /// Encode to the framed on-disk representation.
     pub fn encode(&self) -> Vec<u8> {
+        let head = &*self.head;
         let mut w = Vec::new();
         w.byte(VERSION);
-        w.u64(self.lsn);
-        w.f64(self.taken_s);
-        w.u32(self.site.0);
-        w.f64(self.slot_s);
-        encode_cells(&self.local_cells, CELL_ENCODING, &mut w);
-        w.u64(self.records_ingested);
-        w.u64(self.next_seq);
-        w.varint(self.peers.len() as u64);
-        for (site, cursor) in &self.peers {
+        w.u64(head.lsn);
+        w.f64(head.taken_s);
+        w.u32(head.site.0);
+        w.f64(head.slot_s);
+        encode_cells(self.local_cells.iter().copied(), CELL_ENCODING, &mut w);
+        w.u64(head.records_ingested);
+        w.u64(head.next_seq);
+        w.varint(head.peers.len() as u64);
+        for (site, cursor) in &head.peers {
             w.u32(site.0);
             w.u64(cursor.next_expected);
         }
         w.varint(self.origin_cells.len() as u64);
-        for (origin, cells) in &self.origin_cells {
+        for (origin, cells) in self.origin_cells {
             w.u32(origin.0);
             encode_cells(cells, CELL_ENCODING, &mut w);
         }
-        match self.ums_epoch_s {
+        match head.ums_epoch_s {
             Some(e) => {
                 w.byte(1);
                 w.f64(e);
@@ -134,11 +143,11 @@ impl CheckpointState {
             None => w.byte(0),
         }
         w.varint(self.ums_cached.len() as u64);
-        for (user, usage) in &self.ums_cached {
+        for (user, usage) in self.ums_cached {
             w.str(user.as_str());
             w.f64(*usage);
         }
-        match &self.dirty_users {
+        match &head.dirty_users {
             None => w.byte(0),
             Some(users) => {
                 w.byte(1);
@@ -149,6 +158,32 @@ impl CheckpointState {
             }
         }
         encode_frame(KIND_CHECKPOINT, &w)
+    }
+}
+
+impl CheckpointState {
+    /// Highest peer summary sequence absorbed, per peer — the gossip
+    /// cursors WAL compaction is keyed to.
+    pub fn peer_seq_cursors(&self) -> BTreeMap<SiteId, u64> {
+        self.peers
+            .iter()
+            .map(|(site, c)| (*site, c.next_expected.saturating_sub(1)))
+            .collect()
+    }
+
+    /// This state as the encoder takes it, bulk and all read in place.
+    pub fn view(&self) -> CheckpointView<'_> {
+        CheckpointView {
+            head: Cow::Borrowed(self),
+            local_cells: self.local_cells.iter().collect(),
+            origin_cells: &self.origin_cells,
+            ums_cached: &self.ums_cached,
+        }
+    }
+
+    /// Encode to the framed on-disk representation.
+    pub fn encode(&self) -> Vec<u8> {
+        self.view().encode()
     }
 
     /// Decode the payload of a checkpoint frame.
@@ -246,7 +281,7 @@ pub fn load_best(storage: &dyn Storage) -> Option<(CheckpointState, usize, u64)>
 /// the latest good snapshot), returning the new slot index and byte size.
 pub fn write_next(
     storage: &mut dyn Storage,
-    state: &CheckpointState,
+    state: &CheckpointView<'_>,
     current_slot: Option<usize>,
 ) -> Result<(usize, u64), StoreError> {
     let target = match current_slot {
@@ -332,9 +367,9 @@ mod tests {
     #[test]
     fn slots_alternate_and_best_lsn_wins() {
         let mut storage = MemStorage::new();
-        let (slot0, _) = write_next(&mut storage, &sample(5), None).unwrap();
+        let (slot0, _) = write_next(&mut storage, &sample(5).view(), None).unwrap();
         assert_eq!(slot0, 0);
-        let (slot1, _) = write_next(&mut storage, &sample(9), Some(slot0)).unwrap();
+        let (slot1, _) = write_next(&mut storage, &sample(9).view(), Some(slot0)).unwrap();
         assert_eq!(slot1, 1);
 
         let (best, slot, _) = load_best(&storage).unwrap();

@@ -32,7 +32,7 @@ pub mod storage;
 pub mod store;
 pub mod wal;
 
-pub use checkpoint::{CheckpointState, PeerCursor};
+pub use checkpoint::{CheckpointState, CheckpointView, PeerCursor};
 pub use records::WalRecord;
 pub use storage::{FileStorage, MemStorage, Storage, StorageError};
 pub use store::{Recovered, SiteStore, StoreConfig, StoreStats};

@@ -3,7 +3,7 @@
 //! [`StoreStats`], and mirrors them into the telemetry registry so the
 //! Prometheus/JSON exporters pick them up with every other metric.
 
-use crate::checkpoint::{load_best, write_next, CheckpointState};
+use crate::checkpoint::{load_best, write_next, CheckpointState, CheckpointView};
 use crate::records::WalRecord;
 use crate::storage::Storage;
 use crate::wal::{encode_frame, ReplayReport, Wal, HEADER_LEN, KIND_RECORD};
@@ -226,7 +226,7 @@ impl SiteStore {
 
     /// Write `state` to the alternate checkpoint slot, then compact WAL
     /// segments the checkpoint covers (by LSN and by gossip sequence).
-    pub fn checkpoint(&mut self, state: &CheckpointState) -> Result<(), StoreError> {
+    pub fn checkpoint(&mut self, state: &CheckpointView<'_>) -> Result<(), StoreError> {
         let (slot, bytes) = write_next(self.storage.as_mut(), state, self.current_slot)?;
         self.current_slot = Some(slot);
         self.stats.checkpoints += 1;
@@ -236,9 +236,9 @@ impl SiteStore {
 
         let removed = self.wal.compact(
             self.storage.as_mut(),
-            state.lsn,
-            state.next_seq.saturating_sub(1),
-            &state.peer_seq_cursors(),
+            state.head.lsn,
+            state.head.next_seq.saturating_sub(1),
+            &state.head.peer_seq_cursors(),
         )?;
         self.stats.compacted_segments += removed;
         self.stats.wal_bytes = self.wal.bytes();
@@ -343,7 +343,7 @@ mod tests {
             next_seq: 1,
             ..CheckpointState::default()
         };
-        store.checkpoint(&ckpt).unwrap();
+        store.checkpoint(&ckpt.view()).unwrap();
         let stats = store.stats();
         assert!(stats.compacted_segments > 0, "{stats:?}");
         assert_eq!(stats.checkpoints, 1);

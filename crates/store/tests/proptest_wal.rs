@@ -9,8 +9,9 @@
 use aequus_store::records::WalRecord;
 use aequus_store::storage::{MemStorage, Storage};
 use aequus_store::wal::{decode_frame, FrameOutcome, Wal, KIND_CHECKPOINT};
-use aequus_store::{CheckpointState, PeerCursor, SiteStore, StoreConfig};
+use aequus_store::{CheckpointState, CheckpointView, PeerCursor, SiteStore, StoreConfig};
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use aequus_core::codec::Reader;
@@ -244,6 +245,20 @@ proptest! {
             )
         };
         prop_assert_eq!(scalar_bits(&back), scalar_bits(&state));
+        // The form the services write — the bulk read in place, beside a
+        // head that holds none of it — fills the slot with the same bytes.
+        let view = CheckpointView {
+            head: Cow::Owned(CheckpointState {
+                local_cells: BTreeMap::new(),
+                origin_cells: BTreeMap::new(),
+                ums_cached: BTreeMap::new(),
+                ..state.clone()
+            }),
+            local_cells: state.local_cells.iter().collect(),
+            origin_cells: &state.origin_cells,
+            ums_cached: &state.ums_cached,
+        };
+        prop_assert_eq!(&view.encode(), &slot);
     }
 
     /// Truncating any segment at any byte offset loses exactly the frames
