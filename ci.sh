@@ -88,6 +88,22 @@ for f in crates/core/src/codec.rs crates/services/src/message.rs \
     exit 1
   fi
 done
+# One exchange path, one detector: the broadcast entry points, the flight
+# recorder's own detectors, the shard-placement option and the `cargo bench`
+# harness are deleted, and no tracked source, manifest, doc or script names
+# them again. `take_outbox` is the one shim left of the broadcast path: code
+# names it only where it is defined and where the benchmark calls it.
+if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_share' \
+  -e 'observe_divergence' -e 'ShardPlacement' -e 'benches/' \
+  -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh'; then
+  echo "a deleted path is named again" >&2
+  exit 1
+fi
+if git grep -n 'take_outbox' -- '*.rs' '*.toml' '*.sh' \
+  ':!crates/sim/src/cluster.rs' ':!benchmark/src/replay.rs' ':!ci.sh'; then
+  echo "take_outbox has a caller besides the benchmark's replay" >&2
+  exit 1
+fi
 # Wall clock is the repo benchmark's to judge (benchmark/): no per-PR
 # snapshot or profile file may be tracked again.
 [ -z "$(git ls-files 'BENCH_*' 'PROFILE_*')" ] || { echo "a BENCH_/PROFILE_ snapshot is tracked again" >&2; exit 1; }

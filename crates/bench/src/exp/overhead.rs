@@ -14,7 +14,6 @@ use aequus_core::{GridUser, SystemUser};
 use aequus_rms::SchedulerCore;
 use aequus_services::{AequusSite, ParticipationMode, ServiceTimings};
 use aequus_sim::{GridScenario, GridSimulation};
-use aequus_telemetry::tracer::TracerConfig;
 use aequus_telemetry::{ProfileMode, SpanConfig, Telemetry};
 use aequus_workload::users::baseline_policy_shares;
 use std::hint::black_box;
@@ -142,16 +141,12 @@ pub(super) fn telemetry_overhead(args: &Args, gates: &mut Gates) {
     // baseline so the ratio isolates the span + provenance increment (the
     // metrics increment itself is gated above).
     println!("# tracing overhead: site-backed advance (span + provenance paths)");
-    let unsampled = Telemetry::with_full_config(
-        TracerConfig::default(),
-        256,
-        SpanConfig {
-            sample_every: 0, // wired but never sampled
-            capture_provenance: true,
-            ..SpanConfig::default()
-        },
-    );
-    let full = Telemetry::with_full_config(TracerConfig::default(), 256, SpanConfig::full(0));
+    let unsampled = Telemetry::with_spans(SpanConfig {
+        sample_every: 0, // wired but never sampled
+        capture_provenance: true,
+        ..SpanConfig::default()
+    });
+    let full = Telemetry::with_spans(SpanConfig::full(0));
     let ratios = min_ratios(
         site_sample_ns,
         &[&Telemetry::enabled(), &unsampled, &full],

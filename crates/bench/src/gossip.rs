@@ -17,7 +17,7 @@ use crate::sweep::{cycle_trace, parallel_sweep, synthetic_users, ScenarioBuilder
 use aequus_core::codec::Encoding;
 use aequus_core::usage::{UsageRecord, UsageSummary};
 use aequus_core::{GridUser, JobId, SiteId};
-use aequus_services::{OverlayTopology, ParticipationMode, Uss};
+use aequus_services::{OverlayTopology, ParticipationMode, Uss, UssMessage};
 use aequus_sim::{GridSimulation, SimResult};
 use std::time::Instant;
 
@@ -192,19 +192,17 @@ pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
         uss.ingest(&record(user, 10.0));
     }
     for origin in 1..=9 {
-        uss.receive_at(
-            &UsageSummary {
-                site: SiteId(origin),
-                seq: 1,
-                slot_s: SLOT_S,
-                per_user: names
-                    .iter()
-                    .map(|u| (u.clone(), [(0, 5.0)].into()))
-                    .collect(),
-                relayed: Default::default(),
-            },
-            500.0,
-        );
+        let summary = UsageSummary {
+            site: SiteId(origin),
+            seq: 1,
+            slot_s: SLOT_S,
+            per_user: names
+                .iter()
+                .map(|u| (u.clone(), [(0, 5.0)].into()))
+                .collect(),
+            relayed: Default::default(),
+        };
+        uss.receive_message(&UssMessage::Summary { summary, ctx: None }, 500.0);
     }
     let everything = uss.publish(500.0).expect("first publication");
     assert_eq!(

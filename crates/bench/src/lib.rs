@@ -18,9 +18,6 @@
 //! bed (reliability, crash recovery, engine scaling, gossip overlays,
 //! backfill dispatch) and the CI gates; DESIGN.md §3 has the same listing
 //! with each artifact's shape target.
-//!
-//! Micro-benchmarks of the underlying kernels live in `benches/`, driven by
-//! the in-repo [`harness`] (an offline criterion-shaped shim).
 
 #![warn(missing_docs)]
 
@@ -29,7 +26,6 @@ pub mod cli;
 pub mod exp;
 pub mod experiments;
 pub mod gossip;
-pub mod harness;
 pub mod report;
 pub mod sweep;
 

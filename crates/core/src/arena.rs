@@ -145,11 +145,6 @@ impl DirtySet {
         self.paths.iter()
     }
 
-    /// Number of marked users.
-    pub fn user_count(&self) -> usize {
-        self.users.len()
-    }
-
     /// Absorb another dirty set.
     pub fn merge(&mut self, other: &DirtySet) {
         if other.all {
@@ -222,11 +217,11 @@ mod tests {
         b.mark_user(GridUser::new("y"));
         b.mark_path(EntityPath::parse("/y"));
         a.merge(&b);
-        assert_eq!(a.user_count(), 2);
+        assert_eq!(a.users().count(), 2);
         assert_eq!(a.paths().count(), 1);
         let taken = a.take();
         assert!(a.is_empty());
-        assert_eq!(taken.user_count(), 2);
+        assert_eq!(taken.users().count(), 2);
 
         let mut c = DirtySet::new();
         c.mark_all();

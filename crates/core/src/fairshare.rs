@@ -444,11 +444,6 @@ impl FairshareTree {
             .map(|id| &self.arena[id.index()].state)
     }
 
-    /// Resolve a path to its arena id (including the root).
-    pub fn node_id(&self, path: &EntityPath) -> Option<NodeId> {
-        self.interner.get(path)
-    }
-
     /// Resolve a grid user to its leaf arena id.
     pub fn user_node(&self, user: &GridUser) -> Option<NodeId> {
         self.user_leaf.get(user).copied()
@@ -499,18 +494,6 @@ impl FairshareTree {
     /// Every user with its leaf id, in user order.
     pub fn user_leaves(&self) -> impl Iterator<Item = (&GridUser, NodeId)> {
         self.user_leaf.iter().map(|(u, &id)| (u, id))
-    }
-
-    /// Extract the fairshare vector for the entity at `path` (Figure 3):
-    /// one element per level from the root's child down to the entity,
-    /// padded with the balance point to the full tree depth.
-    pub fn vector_at(&self, path: &EntityPath) -> Option<FairshareVector> {
-        if path.is_root() {
-            return Some(
-                FairshareVector::from_elements(vec![], self.config.resolution).padded(self.depth),
-            );
-        }
-        self.interner.get(path).map(|id| self.vector_of_id(id))
     }
 
     /// The fairshare vector of a grid user (by leaf identity).
@@ -858,12 +841,11 @@ mod tests {
         let cfg = FairshareConfig::default();
         let u = usage(&[("g0u0", 10.0), ("g1u2", 40.0)]);
         let t = FairshareTree::compute(&policy, &u, &cfg, 0.0);
-        for (user, path) in policy.users().iter().map(|(p, u)| (u.clone(), p.clone())) {
+        for (_, user) in policy.users() {
             let id = t.user_node(&user).unwrap();
-            assert_eq!(t.node_id(&path), Some(id));
             assert_eq!(
                 t.vector_of_id(id).elements(),
-                t.vector_at(&path).unwrap().elements()
+                t.vector_for_user(&user).unwrap().elements()
             );
             assert_eq!(t.priority_of_id(id), t.user_priority(&user).unwrap());
         }

@@ -125,11 +125,6 @@ impl EntityPath {
         self.0.last().map(String::as_str)
     }
 
-    /// Whether `self` is a (non-strict) prefix of `other`.
-    pub fn is_prefix_of(&self, other: &EntityPath) -> bool {
-        other.0.len() >= self.0.len() && other.0[..self.0.len()] == self.0[..]
-    }
-
     /// Path components.
     pub fn components(&self) -> &[String] {
         &self.0
@@ -163,19 +158,6 @@ mod tests {
         assert_eq!(r.depth(), 0);
         assert_eq!(r.to_string(), "/");
         assert_eq!(r.leaf(), None);
-    }
-
-    #[test]
-    fn prefix_relation() {
-        let root = EntityPath::root();
-        let hp = EntityPath::parse("/HP");
-        let u1 = EntityPath::parse("/HP/u1");
-        let lq = EntityPath::parse("/LQ");
-        assert!(root.is_prefix_of(&u1));
-        assert!(hp.is_prefix_of(&u1));
-        assert!(hp.is_prefix_of(&hp));
-        assert!(!u1.is_prefix_of(&hp));
-        assert!(!lq.is_prefix_of(&u1));
     }
 
     #[test]

@@ -16,16 +16,11 @@
 //!    and usage shares (absolute + relative, weight `k`), extracted as
 //!    per-user fairshare [`vector`]s and projected to `[0, 1]` scalars by
 //!    three interchangeable [`projection`] algorithms (Table I).
-//!
-//! The paper's flagged future-work direction — lifting other priority
-//! factors (age, QoS, size) into the vector representation instead of
-//! projecting fairshare down — is implemented in [`combined`].
 
 #![warn(missing_docs)]
 
 pub mod arena;
 pub mod codec;
-pub mod combined;
 pub mod decay;
 pub mod explain;
 pub mod fairshare;
@@ -38,7 +33,6 @@ pub mod vector;
 
 pub use arena::{DirtySet, NodeId, PathInterner, RecomputeStats, UserId};
 pub use codec::{decode_summary, encode_summary, CodecError, Encoding};
-pub use combined::{CombinedVector, VectorWeights};
 pub use decay::DecayPolicy;
 pub use explain::{Explanation, LevelExplanation, ProjectionExplanation};
 pub use fairshare::{FairshareConfig, FairshareTree, NodeShare};

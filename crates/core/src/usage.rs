@@ -291,9 +291,9 @@ pub struct UsageSummary {
     /// Originating site.
     pub site: SiteId,
     /// Per-publisher monotonically increasing sequence number, 1-based.
-    /// `0` marks an unsequenced summary (ad-hoc construction outside the
-    /// reliable exchange, e.g. in tests); receivers merge
-    /// it but skip gap tracking.
+    /// No publisher assigns `0`; a summary carrying it sits below every
+    /// receive cursor, so receivers merge and acknowledge it like any
+    /// other late duplicate.
     pub seq: u64,
     /// Slot duration the totals are binned with.
     pub slot_s: f64,

@@ -29,11 +29,6 @@ impl Resolution {
         (d.clamp(-1.0, 1.0) + 1.0) / 2.0 * self.max_value
     }
 
-    /// Recover the signed distance from an element value.
-    pub fn unscale(&self, v: f64) -> f64 {
-        (v / self.max_value) * 2.0 - 1.0
-    }
-
     /// The balance-point element: the center of the value range, used to pad
     /// short paths (like `/LQ` in Figure 3).
     pub fn balance(&self) -> f64 {
@@ -63,14 +58,6 @@ impl FairshareVector {
             .all(|&e| (0.0..=resolution.max_value).contains(&e)));
         Self {
             elements,
-            resolution,
-        }
-    }
-
-    /// Build from per-level signed distances in `[−1, 1]`.
-    pub fn from_distances(distances: &[f64], resolution: Resolution) -> Self {
-        Self {
-            elements: distances.iter().map(|&d| resolution.scale(d)).collect(),
             resolution,
         }
     }
@@ -124,14 +111,6 @@ impl FairshareVector {
         }
         Ordering::Equal
     }
-
-    /// The per-level distances recovered from the elements.
-    pub fn distances(&self) -> Vec<f64> {
-        self.elements
-            .iter()
-            .map(|&e| self.resolution.unscale(e))
-            .collect()
-    }
 }
 
 impl PartialOrd for FairshareVector {
@@ -155,20 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn unscale_roundtrip_exact() {
-        let r = Resolution::PAPER;
-        for &d in &[-1.0, -0.5, 0.0, 0.25, 1.0, 1e-9] {
-            let back = r.unscale(r.scale(d));
-            assert!((back - d).abs() < 1e-12, "d={d} back={back}");
-        }
-    }
-
-    #[test]
     fn precision_unlimited_by_resolution() {
         // Two distances closer than any integer quantum stay distinguishable.
         let r = Resolution::PAPER;
-        let a = FairshareVector::from_distances(&[1e-12], r);
-        let b = FairshareVector::from_distances(&[2e-12], r);
+        let a = FairshareVector::from_elements(vec![r.scale(1e-12)], r);
+        let b = FairshareVector::from_elements(vec![r.scale(2e-12)], r);
         assert_eq!(b.compare(&a), Ordering::Greater);
     }
 
@@ -212,14 +182,5 @@ mod tests {
         deeper.push(5000.0);
         let deeper = FairshareVector::from_elements(deeper, r);
         assert_eq!(deeper.compare(&deep), Ordering::Greater);
-    }
-
-    #[test]
-    fn distances_recovered() {
-        let r = Resolution::PAPER;
-        let v = FairshareVector::from_distances(&[0.5, -0.5], r);
-        let d = v.distances();
-        assert!((d[0] - 0.5).abs() < 1e-12);
-        assert!((d[1] + 0.5).abs() < 1e-12);
     }
 }

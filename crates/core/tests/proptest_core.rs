@@ -320,36 +320,4 @@ proptest! {
             prop_assert_eq!(back.path_of_user(&user), Some(path));
         }
     }
-
-    #[test]
-    fn combined_vector_blend_laws(
-        elems in proptest::collection::vec(0.0..9999.0f64, 1..6),
-        age in 0.0..1.0f64,
-        qos in 0.0..1.0f64,
-        size in 0.0..1.0f64,
-        w_fs in 0.01..1.0f64,
-        w_age in 0.0..1.0f64,
-    ) {
-        use aequus_core::combined::{CombinedVector, VectorWeights};
-        use aequus_core::vector::{FairshareVector, Resolution};
-        let w = VectorWeights { fairshare: w_fs, age: w_age, qos: 0.1, size: 0.1 };
-        let v = FairshareVector::from_elements(elems.clone(), Resolution::PAPER);
-        let c = CombinedVector::blend(&v, age, qos, size, &w);
-        // Elements stay in range.
-        for e in c.elements() {
-            prop_assert!((0.0..=9999.0 + 1e-9).contains(e), "{e}");
-        }
-        // Monotone in each fairshare element: raising one element never
-        // lowers the combined vector.
-        let mut raised = elems.clone();
-        raised[0] = (raised[0] + 1.0).min(9999.0);
-        let v2 = FairshareVector::from_elements(raised, Resolution::PAPER);
-        let c2 = CombinedVector::blend(&v2, age, qos, size, &w);
-        prop_assert!(c2.compare(&c) != std::cmp::Ordering::Less);
-        // Monotone in age.
-        let older = CombinedVector::blend(&v, (age + 0.1).min(1.0), qos, size, &w);
-        prop_assert!(older.compare(&c) != std::cmp::Ordering::Less);
-        // Scalar view in range.
-        prop_assert!((0.0..=1.0).contains(&c.scalar_view()));
-    }
 }

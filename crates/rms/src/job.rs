@@ -94,11 +94,6 @@ impl Job {
             _ => None,
         }
     }
-
-    /// Whether the job has finished.
-    pub fn is_completed(&self) -> bool {
-        matches!(self.state, JobState::Completed { .. })
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +112,6 @@ mod tests {
             end_s: 170.0,
         };
         assert_eq!(j.wait_time(999.0), 20.0);
-        assert!(j.is_completed());
         assert_eq!(j.expected_end(), None);
     }
 

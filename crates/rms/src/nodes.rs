@@ -80,15 +80,6 @@ impl NodePool {
         }
         self.busy_integral / (self.total_cores as f64 * now_s)
     }
-
-    /// Instantaneous utilization in `[0, 1]`.
-    pub fn instant_utilization(&self) -> f64 {
-        if self.total_cores == 0 {
-            0.0
-        } else {
-            self.busy_cores as f64 / self.total_cores as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -117,13 +108,6 @@ mod tests {
         p.release(5); // idle from t=100
         let u = p.utilization(200.0);
         assert!((u - 0.25).abs() < 1e-12, "{u}"); // 500 core-s / 2000
-    }
-
-    #[test]
-    fn instant_utilization() {
-        let mut p = NodePool::new(1, 8);
-        p.allocate(2);
-        assert!((p.instant_utilization() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -82,17 +82,6 @@ pub struct PredictionStats {
     pub abs_rel_err_sum: f64,
 }
 
-impl PredictionStats {
-    /// Mean absolute relative prediction error (0.0 when nothing scored).
-    pub fn mean_abs_rel_err(&self) -> f64 {
-        if self.scored == 0 {
-            0.0
-        } else {
-            self.abs_rel_err_sum / self.scored as f64
-        }
-    }
-}
-
 /// Pre-registered prediction metric handles (no-ops until wired).
 #[derive(Debug, Clone, Default)]
 struct PredictMetrics {
@@ -357,7 +346,7 @@ mod tests {
         assert_eq!(p.stats.scored, 1);
         assert_eq!(p.stats.overestimates, 1);
         assert_eq!(p.stats.underestimates, 0);
-        assert!((p.stats.mean_abs_rel_err() - 2.0).abs() < 1e-9);
+        assert!((p.stats.abs_rel_err_sum - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -14,13 +14,11 @@
 
 use crate::dispatch::{DispatchConfig, DispatchOrder, QueueWalk, QueuedJob, RunningSlice};
 use crate::job::{Job, JobState};
-use crate::multifactor::{
-    combined_priority, explain_combined, FactorConfig, PriorityBreakdown, PriorityWeights,
-};
+use crate::multifactor::{combined_priority, FactorConfig, PriorityWeights};
 use crate::nodes::NodePool;
 use crate::plugin::FairshareSource;
 use crate::predict::{PredictionStats, RuntimePredictor};
-use aequus_core::ids::{JobId, SiteId};
+use aequus_core::ids::SiteId;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, UserId};
 use aequus_telemetry::{Counter, Histogram, Telemetry};
@@ -241,11 +239,6 @@ impl SchedulerCore {
         self.predictor.set_telemetry(t);
     }
 
-    /// Runtime-prediction accuracy accounting.
-    pub fn prediction_stats(&self) -> &PredictionStats {
-        &self.predictor.stats
-    }
-
     /// The site this scheduler manages.
     pub fn site(&self) -> SiteId {
         self.site
@@ -461,15 +454,6 @@ impl SchedulerCore {
         }
     }
 
-    /// The earliest future time anything happens by itself: the next job
-    /// completion (re-prioritization ticks are driven by the caller).
-    pub fn next_completion(&self) -> Option<f64> {
-        self.running
-            .iter()
-            .filter_map(Job::expected_end)
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
-    }
-
     /// Pending jobs and their priorities — as of the last sweep, or for
     /// fresh jobs their submit — in no particular order (inspection).
     pub fn pending_jobs(&self) -> impl Iterator<Item = (&Job, f64)> {
@@ -478,28 +462,6 @@ impl SchedulerCore {
             lane.jobs.iter().map(move |job| (job, prio(job)))
         });
         swept.chain(self.fresh.iter().map(|e| (&e.job, e.prio)))
-    }
-
-    /// Capture the multifactor decomposition of a pending job's priority as
-    /// the next re-prioritization pass would compute it: the same factor
-    /// evaluation as [`advance`](Self::advance), with every term recorded so
-    /// the combined priority replays bit-for-bit.
-    pub fn explain_priority(
-        &self,
-        id: JobId,
-        source: &mut dyn FairshareSource,
-        now_s: f64,
-    ) -> Option<PriorityBreakdown> {
-        let (job, _) = self.pending_jobs().find(|(job, _)| job.id == id)?;
-        // Interning again returns the id the job was submitted under.
-        let user_id = job.grid_user.as_ref().map(|u| source.intern_user(u));
-        Some(explain_combined(
-            &self.weights,
-            fairshare_of(user_id, source, now_s),
-            self.factors.age_factor(job, now_s),
-            self.factors.qos_factor(job),
-            self.factors.size_factor(job),
-        ))
     }
 
     /// Running jobs (inspection/metrics).
@@ -615,7 +577,7 @@ mod tests {
     use aequus_core::fairshare::FairshareConfig;
     use aequus_core::policy::flat_policy;
     use aequus_core::projection::ProjectionKind;
-    use aequus_core::SystemUser;
+    use aequus_core::{JobId, SystemUser};
 
     fn source() -> LocalFairshare {
         let mut lf = LocalFairshare::new(

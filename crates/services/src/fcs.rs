@@ -138,16 +138,6 @@ impl Fcs {
         self.metrics = FcsMetrics::wire(t);
     }
 
-    /// Switch the projection algorithm at run time ("the approach to use is
-    /// configurable and can be changed during run-time", §III-C). Takes
-    /// effect on the next refresh, which rebuilds from scratch; the refresh
-    /// timestamp is left untouched so cadence statistics stay truthful.
-    pub fn set_projection(&mut self, kind: ProjectionKind) {
-        self.projection_kind = kind;
-        self.projection = kind.build();
-        self.force_full = true;
-    }
-
     /// Site crash: drop the volatile fairshare state — the precomputed tree
     /// and every projected factor. The user interner survives (ids are
     /// handed out to the RMS and must stay stable across restarts; on a real
@@ -378,11 +368,6 @@ impl Fcs {
         aequus_core::Explanation::capture(self.tree.as_ref()?, user, self.projection_kind)
     }
 
-    /// When the factors were last refreshed.
-    pub fn last_refresh(&self) -> Option<f64> {
-        self.last_refresh_s
-    }
-
     /// Number of precomputations performed (full + incremental).
     pub fn refreshes(&self) -> u64 {
         self.refreshes
@@ -486,34 +471,6 @@ mod tests {
         // A share edit is served incrementally, not by a rebuild.
         assert_eq!(fcs.full_refreshes(), 1);
         assert_eq!(fcs.incremental_refreshes(), 1);
-    }
-
-    #[test]
-    fn runtime_projection_switch() {
-        let (mut pds, mut ums, _) = setup();
-        let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 1e9);
-        fcs.refresh(&mut pds, &mut ums, 0.0);
-        let percental_b = factor(&fcs, "b").unwrap();
-        fcs.set_projection(ProjectionKind::Dictionary);
-        fcs.refresh(&mut pds, &mut ums, 1.0);
-        let dict_b = factor(&fcs, "b").unwrap();
-        // Dictionary assigns rank-spaced values: 2 users → 2/3 and 1/3.
-        assert!((dict_b - 2.0 / 3.0).abs() < 1e-9, "{dict_b}");
-        assert_ne!(percental_b, dict_b);
-    }
-
-    #[test]
-    fn projection_switch_keeps_cadence_stats_truthful() {
-        let (mut pds, mut ums, _) = setup();
-        let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 1e9);
-        fcs.refresh(&mut pds, &mut ums, 5.0);
-        fcs.set_projection(ProjectionKind::Bitwise);
-        // The switch pends a rebuild without pretending no refresh ever ran.
-        assert_eq!(fcs.last_refresh(), Some(5.0));
-        assert!(fcs.is_stale(&pds, 6.0));
-        fcs.refresh(&mut pds, &mut ums, 6.0);
-        assert_eq!(fcs.last_refresh(), Some(6.0));
-        assert_eq!(fcs.full_refreshes(), 2, "switch rebuilds from scratch");
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl Irs {
         None
     }
 
-    /// Stored mappings count.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
-    }
-
     /// Total resolution queries served.
     pub fn lookups(&self) -> u64 {
         self.lookups

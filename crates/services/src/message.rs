@@ -64,14 +64,6 @@ impl UssMessage {
         )
     }
 
-    /// The trace context carried by a data message, if any.
-    pub fn trace_ctx(&self) -> Option<TraceCtx> {
-        match self {
-            UssMessage::Summary { ctx, .. } | UssMessage::Snapshot { ctx, .. } => *ctx,
-            _ => None,
-        }
-    }
-
     /// Short kind tag for telemetry events and logs.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -210,7 +202,6 @@ mod tests {
             ctx: None,
         };
         assert!(summary.is_data());
-        assert_eq!(summary.trace_ctx(), None);
         let traced = UssMessage::Snapshot {
             summary: s,
             ctx: Some(TraceCtx {
@@ -219,7 +210,6 @@ mod tests {
             }),
         };
         assert!(traced.is_data());
-        assert_eq!(traced.trace_ctx().unwrap().trace_id, 7);
         for (msg, kind) in [
             (
                 UssMessage::Ack {

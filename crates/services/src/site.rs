@@ -13,10 +13,10 @@ use crate::reliability::{RetryPolicy, StalePolicy};
 use crate::timings::ServiceTimings;
 use crate::ums::Ums;
 use crate::uss::Uss;
-use aequus_core::fairshare::{FairshareConfig, FairshareTree};
+use aequus_core::fairshare::FairshareConfig;
 use aequus_core::policy::PolicyTree;
 use aequus_core::projection::ProjectionKind;
-use aequus_core::usage::{UsageRecord, UsageSummary};
+use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, SiteId, SystemUser, UserId};
 use aequus_store::{MemStorage, SiteStore, StoreConfig, StoreStats, WalRecord};
 use aequus_telemetry::{Telemetry, TraceCtx};
@@ -43,8 +43,6 @@ pub struct AequusSite {
     /// each carrying the causal trace context of its `rms.report` root span
     /// when the span layer sampled it.
     pending_reports: VecDeque<(f64, UsageRecord, Option<TraceCtx>)>,
-    /// Summaries produced but not yet delivered to peers.
-    outbox: Vec<UsageSummary>,
     last_publish_s: f64,
     /// Trace context of the latest traced UMS refresh, consumed by the next
     /// FCS refresh (the two run on independent cadences).
@@ -88,7 +86,6 @@ impl AequusSite {
             irs: Irs::new(),
             lib: LibAequus::new(timings.lib_cache_ttl_s, timings.lib_identity_ttl_s),
             pending_reports: VecDeque::new(),
-            outbox: Vec::new(),
             last_publish_s: f64::NEG_INFINITY,
             refresh_trace: None,
             serving_trace: None,
@@ -118,11 +115,6 @@ impl AequusSite {
         self.store_stats_base = StoreStats::default();
         self.store_salt = seed ^ (u64::from(self.id.0) << 32);
         self.last_checkpoint_s = f64::NEG_INFINITY;
-    }
-
-    /// Whether a durable store is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
     }
 
     /// Cumulative store health counters across all incarnations (crashes
@@ -317,7 +309,6 @@ impl AequusSite {
         self.ums.reset();
         self.fcs.reset();
         self.lib.set_degraded(true);
-        self.outbox.clear();
         self.refresh_trace = None;
         self.serving_trace = None;
         self.telemetry.event(now_s, "site.crash", || {
@@ -408,37 +399,6 @@ impl AequusSite {
         self.store = Some(store);
     }
 
-    /// Deliver a usage summary from a peer site.
-    pub fn receive_summary(&mut self, summary: &UsageSummary) {
-        self.journal_broadcast(summary, 0.0);
-        self.uss.receive(summary);
-    }
-
-    /// Deliver a usage summary from a peer site with the delivery time (so
-    /// the gossip-merge telemetry event carries a real timestamp).
-    pub fn receive_summary_at(&mut self, summary: &UsageSummary, now_s: f64) {
-        self.journal_broadcast(summary, now_s);
-        self.uss.receive_at(summary, now_s);
-    }
-
-    /// Journal a legacy broadcast-mode summary (cumulative cells, no
-    /// reliable-exchange framing around it).
-    fn journal_broadcast(&mut self, summary: &UsageSummary, now_s: f64) {
-        self.journal(
-            || WalRecord::PeerData {
-                summary: summary.clone(),
-                snapshot: false,
-            },
-            now_s,
-        );
-    }
-
-    /// Drain summaries produced since the last call (the simulator delivers
-    /// these to peers with network latency).
-    pub fn take_outbox(&mut self) -> Vec<UsageSummary> {
-        std::mem::take(&mut self.outbox)
-    }
-
     /// Advance the site to `now_s`: deliver due usage reports, publish
     /// summaries on the publication interval, and refresh the UMS/FCS caches
     /// on their intervals. Idempotent within a timestep.
@@ -471,12 +431,6 @@ impl AequusSite {
                     let users: Vec<&str> = summary.per_user.keys().map(GridUser::as_str).collect();
                     let current_slot = (now_s / self.uss.slot_duration()).floor().max(0.0) as u64;
                     self.telemetry.trace_publish(&users, current_slot, now_s);
-                }
-                if self.uss.peer_count() == 0 {
-                    // Legacy broadcast mode: no registered peers, the caller
-                    // distributes summaries itself. With peers registered the
-                    // reliable exchange owns delivery via `poll_messages`.
-                    self.outbox.push(summary);
                 }
             }
             self.last_publish_s = now_s;
@@ -535,11 +489,6 @@ impl AequusSite {
                 .event(now_s, "site.store_error", || format!("checkpoint: {e}"));
         }
         self.last_checkpoint_s = now_s;
-    }
-
-    /// The current fairshare tree, if computed (metrics access).
-    pub fn fairshare_tree(&self) -> Option<&FairshareTree> {
-        self.fcs.tree()
     }
 
     /// Usage reports still in the delay pipeline.
@@ -611,18 +560,42 @@ mod tests {
         assert!(after < before, "{after} !< {before}");
     }
 
-    #[test]
-    fn cross_site_exchange_converges_views() {
+    /// Route `msgs` (and every response they provoke) between the two sites
+    /// until the exchange is quiet.
+    fn pump(s0: &mut AequusSite, s1: &mut AequusSite, mut msgs: Vec<(SiteId, UssMessage)>, t: f64) {
+        while !msgs.is_empty() {
+            let mut next = Vec::new();
+            for (dest, msg) in msgs {
+                let target = if dest == SiteId(0) {
+                    &mut *s0
+                } else {
+                    &mut *s1
+                };
+                next.extend(target.deliver_message(&msg, t));
+            }
+            msgs = next;
+        }
+    }
+
+    fn exchanging_pair() -> (AequusSite, AequusSite) {
         let mut s0 = site(0, ParticipationMode::Full);
         let mut s1 = site(1, ParticipationMode::Full);
+        let peers = [SiteId(0), SiteId(1)];
+        let retry = RetryPolicy::default();
+        s0.configure_exchange(&peers, &peers, retry, StalePolicy::ServeStale, 1);
+        s1.configure_exchange(&peers, &peers, retry, StalePolicy::ServeStale, 2);
+        (s0, s1)
+    }
+
+    #[test]
+    fn cross_site_exchange_converges_views() {
+        let (mut s0, mut s1) = exchanging_pair();
         s0.report_completion(record(0, "a", 0.0, 300.0), 300.0);
         s0.tick(310.0);
         s0.tick(400.0); // slot closed, publish
-        let out = s0.take_outbox();
+        let out = s0.poll_messages(400.0);
         assert!(!out.is_empty());
-        for summary in &out {
-            s1.receive_summary(summary);
-        }
+        pump(&mut s0, &mut s1, out, 400.0);
         s1.tick(420.0);
         // Site 1 never ran the job but sees the usage.
         let fa = s1.fairshare(&GridUser::new("a"), 430.0);
@@ -646,25 +619,13 @@ mod tests {
 
     #[test]
     fn crash_wipes_volatile_state_and_recovery_catches_up() {
-        let mut s0 = site(0, ParticipationMode::Full);
-        let mut s1 = site(1, ParticipationMode::Full);
-        let peers = [SiteId(0), SiteId(1)];
-        let retry = RetryPolicy::default();
-        s0.configure_exchange(&peers, &peers, retry, StalePolicy::ServeStale, 1);
-        s1.configure_exchange(&peers, &peers, retry, StalePolicy::ServeStale, 2);
+        let (mut s0, mut s1) = exchanging_pair();
         // s0 runs a job; the exchange carries it to s1.
         s0.report_completion(record(0, "a", 0.0, 300.0), 300.0);
         s0.tick(310.0);
         s0.tick(400.0);
-        let mut msgs = s0.poll_messages(400.0);
-        while !msgs.is_empty() {
-            let mut next = Vec::new();
-            for (dest, msg) in msgs {
-                let target = if dest == SiteId(0) { &mut s0 } else { &mut s1 };
-                next.extend(target.deliver_message(&msg, 400.0));
-            }
-            msgs = next;
-        }
+        let msgs = s0.poll_messages(400.0);
+        pump(&mut s0, &mut s1, msgs, 400.0);
         assert!((s1.uss.remote_usage_of(&GridUser::new("a")) - 300.0).abs() < 1e-9);
         // s1 crashes: remote view and caches are gone, local data survives.
         s1.report_completion(record(1, "b", 0.0, 100.0), 300.0);
@@ -672,18 +633,11 @@ mod tests {
         s1.crash(500.0);
         assert_eq!(s1.uss.remote_usage_of(&GridUser::new("a")), 0.0);
         assert!((s1.uss.local_usage_of(&GridUser::new("b")) - 100.0).abs() < 1e-9);
-        assert!(s1.fairshare_tree().is_none(), "FCS tree wiped");
+        assert!(s1.fcs.tree().is_none(), "FCS tree wiped");
         // Recovery pulls a snapshot from s0.
         s1.recover(600.0);
-        let mut msgs = s1.poll_messages(600.0);
-        while !msgs.is_empty() {
-            let mut next = Vec::new();
-            for (dest, msg) in msgs {
-                let target = if dest == SiteId(0) { &mut s0 } else { &mut s1 };
-                next.extend(target.deliver_message(&msg, 600.0));
-            }
-            msgs = next;
-        }
+        let msgs = s1.poll_messages(600.0);
+        pump(&mut s0, &mut s1, msgs, 600.0);
         assert!(
             (s1.uss.remote_usage_of(&GridUser::new("a")) - 300.0).abs() < 1e-9,
             "snapshot catch-up restored the remote view"
@@ -750,25 +704,13 @@ mod tests {
 
     #[test]
     fn store_replays_peer_data_without_re_gossip() {
-        let mut s0 = site(0, ParticipationMode::Full);
-        let mut s1 = site(1, ParticipationMode::Full);
+        let (mut s0, mut s1) = exchanging_pair();
         s1.enable_store(StoreConfig::default(), 9);
-        let peers = [SiteId(0), SiteId(1)];
-        let retry = RetryPolicy::default();
-        s0.configure_exchange(&peers, &peers, retry, StalePolicy::ServeStale, 1);
-        s1.configure_exchange(&peers, &peers, retry, StalePolicy::ServeStale, 2);
         s0.report_completion(record(0, "a", 0.0, 300.0), 300.0);
         s0.tick(310.0);
         s0.tick(400.0);
-        let mut msgs = s0.poll_messages(400.0);
-        while !msgs.is_empty() {
-            let mut next = Vec::new();
-            for (dest, msg) in msgs {
-                let target = if dest == SiteId(0) { &mut s0 } else { &mut s1 };
-                next.extend(target.deliver_message(&msg, 400.0));
-            }
-            msgs = next;
-        }
+        let msgs = s0.poll_messages(400.0);
+        pump(&mut s0, &mut s1, msgs, 400.0);
         let remote_before = s1.uss.remote_usage_of(&GridUser::new("a"));
         assert!((remote_before - 300.0).abs() < 1e-9);
 
@@ -816,9 +758,17 @@ mod tests {
     #[test]
     fn disjunct_site_produces_nothing() {
         let mut s = site(0, ParticipationMode::Disjunct);
+        let peers = [SiteId(0), SiteId(1)];
+        s.configure_exchange(
+            &peers,
+            &peers,
+            RetryPolicy::default(),
+            StalePolicy::ServeStale,
+            1,
+        );
         s.report_completion(record(0, "a", 0.0, 300.0), 300.0);
         s.tick(310.0);
         s.tick(500.0);
-        assert!(s.take_outbox().is_empty());
+        assert!(s.poll_messages(500.0).is_empty());
     }
 }

@@ -227,18 +227,6 @@ impl Ums {
         self.last_refresh_s = None;
     }
 
-    /// Force an immediate refresh regardless of staleness.
-    pub fn force_refresh(&mut self, uss: &mut Uss, now_s: f64) {
-        self.last_refresh_s = None;
-        self.refresh(uss, now_s);
-    }
-
-    /// Force an immediate multi-source refresh.
-    pub fn force_refresh_many(&mut self, usses: &mut [&mut Uss], now_s: f64) {
-        self.last_refresh_s = None;
-        self.refresh_many(usses, now_s);
-    }
-
     /// The pre-computed per-user usage weights. For separable decays these
     /// are relative to a fixed reference epoch — uniformly scaled across
     /// users, which is all the (normalizing) fairshare algorithm observes;
@@ -256,11 +244,6 @@ impl Ums {
     /// The pending dirty set (inspection).
     pub fn dirty(&self) -> &DirtySet {
         &self.dirty
-    }
-
-    /// When the cache was last rebuilt.
-    pub fn last_refresh(&self) -> Option<f64> {
-        self.last_refresh_s
     }
 
     /// Number of refreshes performed (incremental or full).
@@ -367,15 +350,6 @@ mod tests {
         let mut ums = Ums::new(30.0, DecayPolicy::None);
         assert!(ums.refresh_many(&mut [&mut uss1, &mut uss2], 0.0));
         assert!((ums.usage()[&GridUser::new("a")] - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn force_refresh_bypasses_cache() {
-        let mut uss = uss_with_usage();
-        let mut ums = Ums::new(1e9, DecayPolicy::None);
-        ums.refresh(&mut uss, 0.0);
-        ums.force_refresh(&mut uss, 1.0);
-        assert_eq!(ums.refreshes(), 2);
     }
 
     #[test]

@@ -232,11 +232,11 @@ impl PeerRx {
     /// Advance the receive cursor over a data message numbered `seq`,
     /// returning the range `(from_seq, to_seq)` still missing below it, if
     /// any — the gap an anti-entropy resync would pull. A snapshot covers
-    /// everything up to its `seq`; `seq == 0` is the unsequenced legacy
-    /// broadcast and leaves the cursor alone.
+    /// everything up to its `seq`. Sequence numbers come off the wire, so
+    /// the cursor saturates instead of overflowing at `u64::MAX`.
     fn observe(&mut self, seq: u64, is_snapshot: bool) -> Option<(u64, u64)> {
         if is_snapshot {
-            self.next_expected = self.next_expected.max(seq + 1);
+            self.next_expected = self.next_expected.max(seq.saturating_add(1));
             let next = self.next_expected;
             self.seen_above.retain(|&q| q >= next);
         } else if seq >= self.next_expected {
@@ -252,7 +252,7 @@ impl PeerRx {
             return None;
         }
         while self.seen_above.remove(&self.next_expected) {
-            self.next_expected += 1;
+            self.next_expected = self.next_expected.saturating_add(1);
         }
         (self.next_expected <= seq).then(|| (self.next_expected, seq - 1))
     }
@@ -555,9 +555,10 @@ impl Uss {
 
     /// Register exchange peers: `tx_peers` receive this site's summaries,
     /// `rx_peers` are expected to publish to this site (staleness tracking
-    /// and crash catch-up). The own site id is filtered from both. Without
-    /// registered peers the USS runs in legacy broadcast mode: `publish`
-    /// hands the summary to the caller and no retry state is kept.
+    /// and crash catch-up). The own site id is filtered from both. A site
+    /// with no peers (a single-cluster grid) still publishes — the summary
+    /// is sequenced, journaled and retained — and simply has nobody to
+    /// queue it for.
     pub fn set_peers(&mut self, tx_peers: &[SiteId], rx_peers: &[SiteId]) {
         self.peers = tx_peers
             .iter()
@@ -574,20 +575,10 @@ impl Uss {
         }
     }
 
-    /// Number of registered delivery peers.
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Configure retry/backoff/retention and reseed the jitter source.
     pub fn configure_reliability(&mut self, retry: RetryPolicy, jitter_seed: u64) {
         self.retry = retry;
         self.jitter = JitterRng::new(jitter_seed ^ ((self.site.0 as u64) << 32));
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// Configure the stale-data policy.
@@ -699,7 +690,7 @@ impl Uss {
             return None;
         }
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = seq.saturating_add(1);
         let summary = UsageSummary {
             site: self.site,
             seq,
@@ -851,19 +842,6 @@ impl Uss {
         }
     }
 
-    /// Merge a summary received from a peer site. Ignored when this site does
-    /// not read global data (contribute-only / local-only participation).
-    /// Legacy broadcast entry point: protocol responses are discarded.
-    pub fn receive(&mut self, summary: &UsageSummary) {
-        self.receive_at(summary, -1.0);
-    }
-
-    /// [`Uss::receive`] with a domain timestamp for the gossip-merge event
-    /// (the sim engine knows the delivery time; plain `receive` does not).
-    pub fn receive_at(&mut self, summary: &UsageSummary, now_s: f64) {
-        let _ = self.apply_data(summary, None, false, now_s);
-    }
-
     fn apply_data(
         &mut self,
         s: &UsageSummary,
@@ -886,7 +864,7 @@ impl Uss {
             return Vec::new();
         }
         let mut responses = Vec::new();
-        if !is_snapshot && s.seq > 0 {
+        if !is_snapshot {
             // Acknowledge regardless of participation mode, so publishers
             // don't retry forever at sites that discard global data.
             responses.push((
@@ -1024,19 +1002,22 @@ impl Uss {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let mut missing = to_seq - from_seq + 1 > self.retry.history_cap.max(1) as u64;
+        // The range is a peer's claim: measured without overflow (`0..=MAX`
+        // is 2^64 long) and walked only while the history still answers.
+        let mut missing = to_seq - from_seq >= self.retry.history_cap.max(1) as u64;
         if !missing {
             for seq in from_seq..=to_seq {
-                match self.history.iter().find(|s| s.seq == seq) {
-                    Some(s) => out.push((
-                        from,
-                        UssMessage::Summary {
-                            summary: s.clone(),
-                            ctx: self.publish_trace.get(&seq).copied(),
-                        },
-                    )),
-                    None => missing = true,
-                }
+                let Some(s) = self.history.iter().find(|s| s.seq == seq) else {
+                    missing = true;
+                    break;
+                };
+                out.push((
+                    from,
+                    UssMessage::Summary {
+                        summary: s.clone(),
+                        ctx: self.publish_trace.get(&seq).copied(),
+                    },
+                ));
             }
         }
         if missing {
@@ -1330,7 +1311,7 @@ impl Uss {
     /// Re-apply a journaled publish-sequence advance: the cursor only moves
     /// forward, so replay after a partially-journaled run never rewinds it.
     pub fn replay_publish_seq(&mut self, seq: u64) {
-        self.next_seq = self.next_seq.max(seq + 1);
+        self.next_seq = self.next_seq.max(seq.saturating_add(1));
     }
 
     /// Per-user decayed usage as the UMS consumes it: local plus (when the
@@ -1454,11 +1435,6 @@ impl Uss {
     /// Users dirty since the last drain (inspection).
     pub fn dirty(&self) -> &DirtySet {
         &self.dirty
-    }
-
-    /// Total local usage recorded (conservation checks / metrics).
-    pub fn local_total(&self) -> f64 {
-        self.local.total_recorded()
     }
 
     /// Total remote usage merged in.
@@ -1587,6 +1563,12 @@ mod tests {
         CheckpointState::decode_slot(&view.encode()).expect("a fresh slot decodes")
     }
 
+    /// Deliver `s` as a wire `Summary`, responses discarded.
+    fn give(uss: &mut Uss, s: &UsageSummary, now_s: f64) {
+        let summary = s.clone();
+        uss.receive_message(&UssMessage::Summary { summary, ctx: None }, now_s);
+    }
+
     fn rec(site: u32, user: &str, start: f64, end: f64) -> UsageRecord {
         UsageRecord {
             job: JobId(0),
@@ -1631,11 +1613,11 @@ mod tests {
         let mut a = Uss::new(SiteId(0), ParticipationMode::Full, 100.0);
         let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
         a.ingest(&rec(0, "u", 0.0, 50.0));
-        b.receive(&a.publish(200.0).unwrap());
+        give(&mut b, &a.publish(200.0).unwrap(), 0.0);
         a.ingest(&rec(0, "u", 50.0, 90.0)); // lands in the published slot 0
         let s = a.publish(200.0).unwrap();
         assert!((s.total() - 90.0).abs() < 1e-9, "absolute cell value");
-        b.receive(&s);
+        give(&mut b, &s, 0.0);
         assert!((b.remote_usage_of(&GridUser::new("u")) - 90.0).abs() < 1e-9);
     }
 
@@ -1648,7 +1630,7 @@ mod tests {
         let mut peer = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
         peer.ingest(&rec(1, "b", 0.0, 40.0));
         let s = peer.publish(500.0).unwrap();
-        uss.receive(&s);
+        give(&mut uss, &s, 0.0);
         assert_eq!(uss.summaries_received(), 1);
         let usage = uss.decayed_usage(500.0, DecayPolicy::None);
         assert!((usage[&GridUser::new("b")] - 40.0).abs() < 1e-9);
@@ -1662,7 +1644,7 @@ mod tests {
         let mut peer = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
         peer.ingest(&rec(1, "b", 0.0, 40.0));
         let s = peer.publish(500.0).unwrap();
-        uss.receive(&s);
+        give(&mut uss, &s, 0.0);
         let usage = uss.decayed_usage(500.0, DecayPolicy::None);
         assert!(
             !usage.contains_key(&GridUser::new("b")),
@@ -1705,7 +1687,7 @@ mod tests {
         let mut uss = Uss::new(SiteId(0), ParticipationMode::Full, 100.0);
         uss.ingest(&rec(0, "a", 0.0, 80.0));
         let s = uss.publish(500.0).unwrap();
-        uss.receive(&s); // echoed back (e.g. broadcast bus)
+        give(&mut uss, &s, 0.0); // echoed back by a relay
         let usage = uss.decayed_usage(500.0, DecayPolicy::None);
         assert!((usage[&GridUser::new("a")] - 80.0).abs() < 1e-9);
     }
@@ -1716,9 +1698,9 @@ mod tests {
         let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
         a.ingest(&rec(0, "u", 0.0, 80.0));
         let s = a.publish(500.0).unwrap();
-        b.receive(&s);
-        b.receive(&s);
-        b.receive(&s);
+        give(&mut b, &s, 0.0);
+        give(&mut b, &s, 0.0);
+        give(&mut b, &s, 0.0);
         assert!((b.remote_usage_of(&GridUser::new("u")) - 80.0).abs() < 1e-9);
         assert_eq!(b.duplicates(), 2);
     }
@@ -1729,7 +1711,7 @@ mod tests {
         uss.ingest(&rec(0, "a", 0.0, 10.0));
         let mut peer = Uss::new(SiteId(1), ParticipationMode::Full, 10.0);
         peer.ingest(&rec(1, "a", 0.0, 10.0));
-        uss.receive(&peer.publish(100.0).unwrap());
+        give(&mut uss, &peer.publish(100.0).unwrap(), 0.0);
         let fresh = uss.decayed_usage(10.0, DecayPolicy::Exponential { half_life_s: 20.0 });
         let stale = uss.decayed_usage(1000.0, DecayPolicy::Exponential { half_life_s: 20.0 });
         assert!(fresh[&GridUser::new("a")] > stale[&GridUser::new("a")]);
@@ -1743,17 +1725,19 @@ mod tests {
         let peers = [SiteId(0), SiteId(1)];
         a.set_peers(&peers, &peers);
         b.set_peers(&peers, &peers);
-        let retry = RetryPolicy {
-            ack_timeout_s: 10.0,
-            max_backoff_s: 40.0,
-            jitter_frac: 0.0,
-            history_cap: 8,
-            outbox_cap: 8,
-        };
-        a.configure_reliability(retry, 1);
-        b.configure_reliability(retry, 2);
+        a.configure_reliability(PAIR_RETRY, 1);
+        b.configure_reliability(PAIR_RETRY, 2);
         (a, b)
     }
+
+    /// The retry policy [`reliable_pair`] runs under.
+    const PAIR_RETRY: RetryPolicy = RetryPolicy {
+        ack_timeout_s: 10.0,
+        max_backoff_s: 40.0,
+        jitter_frac: 0.0,
+        history_cap: 8,
+        outbox_cap: 8,
+    };
 
     /// Deliver `msgs` to whichever of the two ends each is addressed to,
     /// feeding responses back until the exchange is quiet.
@@ -1883,7 +1867,7 @@ mod tests {
         let retry = RetryPolicy {
             history_cap: 1,
             jitter_frac: 0.0,
-            ..*a.retry_policy()
+            ..PAIR_RETRY
         };
         a.configure_reliability(retry, 1);
         // Three publishes; history retains only the last.
@@ -2018,7 +2002,7 @@ mod tests {
             outbox_cap: 2,
             history_cap: 2,
             jitter_frac: 0.0,
-            ..*a.retry_policy()
+            ..PAIR_RETRY
         };
         a.configure_reliability(retry, 1);
         for i in 0..5 {
@@ -2134,7 +2118,7 @@ mod tests {
         assert_eq!(relay.relayed.len(), 1, "one relayed origin");
         // Deliver the relayed summary to c three times: merged once.
         for _ in 0..3 {
-            c.receive_at(&relay, 510.0);
+            give(&mut c, &relay, 510.0);
         }
         assert!((c.remote_usage_of(&GridUser::new("u")) - 80.0).abs() < 1e-9);
         assert_eq!(c.duplicates(), 2);
@@ -2252,7 +2236,7 @@ mod tests {
         // re-relays the whole mirror — idempotent downstream.
         let replayed = restored.publish(600.0).unwrap();
         assert_eq!(replayed.relayed.len(), 1);
-        c.receive_at(&replayed, 600.0);
+        give(&mut c, &replayed, 600.0);
         assert!((c.remote_usage_of(&GridUser::new("u")) - 80.0).abs() < 1e-9);
     }
 
@@ -2334,7 +2318,7 @@ mod tests {
         let mut s = summary_from_site0(1);
         s.slot_s = 100.0 + 1e-12;
         let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
-        b.receive_at(&s, 600.0);
+        give(&mut b, &s, 600.0);
         assert_eq!(b.rejected(), 0);
         assert!((b.remote_total() - 120.0).abs() < 1e-9);
     }
@@ -2359,7 +2343,7 @@ mod tests {
     fn a_checkpoint_with_a_non_charge_cell_is_not_installed() {
         let mut a = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
         a.ingest(&rec(1, "u", 0.0, 80.0));
-        a.receive_at(&summary_from_site0(1), 500.0);
+        give(&mut a, &summary_from_site0(1), 500.0);
         let good = checkpointed(&a, 3, 500.0);
         let mut local = good.clone();
         local
@@ -2381,7 +2365,7 @@ mod tests {
                 "{err}"
             );
             // Refused before anything was replaced.
-            assert!((b.local_total() - 10.0).abs() < 1e-9);
+            assert!((b.local_usage_of(&GridUser::new("kept")) - 10.0).abs() < 1e-9);
             assert_eq!(b.remote_total(), 0.0);
         }
         let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);

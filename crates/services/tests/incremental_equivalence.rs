@@ -19,7 +19,7 @@ use aequus_core::policy::{PolicyNode, PolicyTree};
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::{UsageRecord, UsageSummary};
 use aequus_core::{DecayPolicy, EntityPath, FairshareConfig, GridUser, JobId, SiteId};
-use aequus_services::{Fcs, ParticipationMode, Pds, Ums, Uss};
+use aequus_services::{Fcs, ParticipationMode, Pds, Ums, Uss, UssMessage};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -180,13 +180,14 @@ fn run_interleaving(kind: ProjectionKind, decay_sel: u8, ops: &[Op]) -> Result<(
                 let slot = (now_s / 60.0) as u64;
                 let mut per_user = BTreeMap::new();
                 per_user.insert(user, BTreeMap::from([(slot, x * 300.0)]));
-                uss.receive(&UsageSummary {
+                let summary = UsageSummary {
                     site: SiteId(1),
-                    seq: 0, // unsequenced ad-hoc summary (absolute cells)
+                    seq: 0, // below every cursor: only the absolute cells matter
                     slot_s: 60.0,
                     per_user,
                     relayed: BTreeMap::new(),
-                });
+                };
+                uss.receive_message(&UssMessage::Summary { summary, ctx: None }, now_s);
             }
             2 => {
                 now_s += x * 4000.0;

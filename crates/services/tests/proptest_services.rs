@@ -8,7 +8,7 @@ use aequus_core::policy::flat_policy;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{DecayPolicy, GridUser};
-use aequus_services::{AequusSite, ParticipationMode, ServiceTimings, Uss};
+use aequus_services::{AequusSite, ParticipationMode, ServiceTimings, Uss, UssMessage};
 use proptest::prelude::*;
 
 fn job_stream() -> impl Strategy<Value = Vec<(u8, f64, f64)>> {
@@ -46,7 +46,7 @@ proptest! {
         let mut received = 0.0;
         while let Some(summary) = a.publish(1e7) {
             received += summary.total();
-            b.receive(&summary);
+            b.receive_message(&UssMessage::Summary { summary, ctx: None }, 1e7);
         }
         prop_assert!((received - total).abs() < 1e-6 * total.max(1.0));
         prop_assert!((b.remote_total() - total).abs() < 1e-6 * total.max(1.0));
@@ -106,8 +106,8 @@ proptest! {
         // Remote data visible iff the mode reads global.
         let mut peer = Uss::new(SiteId(1), ParticipationMode::Full, 60.0);
         peer.ingest(&record(999, 1, 0, 0.0, 100.0));
-        let s = peer.publish(1e7).unwrap();
-        uss.receive(&s);
+        let summary = peer.publish(1e7).unwrap();
+        uss.receive_message(&UssMessage::Summary { summary, ctx: None }, 1e7);
         let sees_remote = uss.remote_total() > 0.0;
         prop_assert_eq!(sees_remote, mode.reads_global(), "{:?}", mode);
     }

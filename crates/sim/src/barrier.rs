@@ -18,7 +18,6 @@
 
 use crate::event::Event;
 use crate::metrics::ShardSample;
-use crate::scenario::ShardPlacement;
 use crate::shard::{Outgoing, Shard};
 use aequus_services::UssMessage;
 use aequus_telemetry::Histogram;
@@ -128,10 +127,6 @@ impl EpochSchedule {
     }
 }
 
-/// Per-site fragments gathered at a sampling barrier: `(shard sample,
-/// remote-data-suppressed flag)`, in site order.
-pub type BarrierFragments = Vec<(ShardSample, bool)>;
-
 enum Cmd {
     Epoch {
         /// Epoch index in the schedule (profiler span tagging).
@@ -146,7 +141,7 @@ enum Cmd {
 
 /// Sample fragments tagged with their site, so the coordinator can put the
 /// workers' fragments back in site order.
-type SiteFragments = Vec<(usize, ShardSample, bool)>;
+type SiteFragments = Vec<(usize, ShardSample)>;
 
 struct WorkerOut {
     outgoing: Vec<Outgoing>,
@@ -176,26 +171,21 @@ fn run_epoch(
     }
     shards
         .iter_mut()
-        .map(|s| {
-            (
-                s.index,
-                s.sample_fragment(epoch.limit_s),
-                s.remote_suppressed(),
-            )
-        })
+        .map(|s| (s.index, s.sample_fragment(epoch.limit_s)))
         .collect()
 }
 
 /// Site-ordered fragments as `at_barrier` takes them.
-fn untagged(fragments: SiteFragments) -> BarrierFragments {
-    fragments.into_iter().map(|(_, s, b)| (s, b)).collect()
+fn untagged(fragments: SiteFragments) -> Vec<ShardSample> {
+    fragments.into_iter().map(|(_, s)| s).collect()
 }
 
 /// Drive `shards` through `schedule`, calling `at_barrier(now, fragments)`
-/// at every sampling barrier. Returns the shards in site order plus the
-/// peak number of cross-shard deliveries pending at any single barrier —
-/// the engine's mailbox high-water mark (deterministic: both paths stage
-/// the same sends per epoch).
+/// — one fragment per site, in site order — at every sampling barrier.
+/// Returns the shards in site order plus the peak number of cross-shard
+/// deliveries pending at any single barrier — the engine's mailbox
+/// high-water mark (deterministic: both paths stage the same sends per
+/// epoch).
 ///
 /// `num_threads <= 1` runs the identical epoch loop inline; more threads run
 /// persistent `std::thread::scope` workers fed per-epoch commands over
@@ -204,11 +194,10 @@ fn untagged(fragments: SiteFragments) -> BarrierFragments {
 pub fn drive(
     mut shards: Vec<Shard>,
     num_threads: usize,
-    placement: ShardPlacement,
     mut schedule: EpochSchedule,
     end_s: f64,
     epoch_hist: &Histogram,
-    mut at_barrier: impl FnMut(f64, BarrierFragments),
+    mut at_barrier: impl FnMut(f64, Vec<ShardSample>),
 ) -> (Vec<Shard>, u64) {
     let n_workers = num_threads.min(shards.len()).max(1);
     let mut mailbox_hwm: u64 = 0;
@@ -236,9 +225,9 @@ pub fn drive(
     }
 
     let n_sites = shards.len();
-    let worker_of: Vec<usize> = (0..n_sites)
-        .map(|site| placement.worker_for(site, n_sites, n_workers))
-        .collect();
+    // Round-robin: neighbouring (similarly loaded) sites land on different
+    // workers. Which thread runs a shard never changes what it computes.
+    let worker_of: Vec<usize> = (0..n_sites).map(|site| site % n_workers).collect();
     // Partition shards per worker, preserving site order within each.
     let mut per_worker: Vec<Vec<Shard>> = (0..n_workers).map(|_| Vec::new()).collect();
     for shard in shards.drain(..) {

@@ -7,7 +7,6 @@ use aequus_core::usage::UsageSummary;
 use aequus_core::{JobId, SiteId, SystemUser};
 use aequus_rms::{FactorConfig, Job, NodePool, ReprioritizePolicy, SchedulerCore};
 use aequus_services::{AequusSite, UssMessage};
-use aequus_telemetry::tracer::TracerConfig;
 use aequus_telemetry::{SpanConfig, Telemetry};
 use aequus_workload::TraceJob;
 
@@ -57,16 +56,11 @@ impl SimCluster {
         let telemetry = if !scenario.telemetry {
             Telemetry::disabled()
         } else if scenario.span_sample_every > 0 || scenario.capture_provenance {
-            Telemetry::with_full_config(
-                TracerConfig::default(),
-                256,
-                SpanConfig {
-                    sample_every: scenario.span_sample_every,
-                    site: index as u32,
-                    capture_provenance: scenario.capture_provenance,
-                    ..SpanConfig::default()
-                },
-            )
+            Telemetry::with_spans(SpanConfig {
+                sample_every: scenario.span_sample_every,
+                site: index as u32,
+                capture_provenance: scenario.capture_provenance,
+            })
         } else {
             Telemetry::enabled()
         };
@@ -129,15 +123,12 @@ impl SimCluster {
         self.rms.advance(&mut self.site, now_s);
     }
 
-    /// Drain summaries the site produced for its peers.
+    /// Always empty. The broadcast outbox this drained is gone — every
+    /// summary travels through [`SimCluster::poll_messages`] — and the name
+    /// survives only because `benchmark/src/replay.rs` (which a product PR
+    /// may not edit) still calls it once per tick.
     pub fn take_outbox(&mut self) -> Vec<UsageSummary> {
-        self.site.take_outbox()
-    }
-
-    /// Deliver a peer summary at `now_s` (the gossip-merge telemetry event
-    /// carries the delivery time).
-    pub fn deliver(&mut self, summary: &UsageSummary, now_s: f64) {
-        self.site.receive_summary_at(summary, now_s);
+        Vec::new()
     }
 
     /// Drain every reliable-exchange message the site owes its peers.
@@ -200,7 +191,7 @@ mod tests {
         for t in [40.0, 80.0, 140.0, 200.0] {
             c.step(t);
         }
-        assert!(!c.take_outbox().is_empty(), "usage summary published");
+        assert!(c.site.uss.next_seq() > 1, "usage summary published");
     }
 
     #[test]

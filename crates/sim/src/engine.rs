@@ -8,11 +8,11 @@
 //! module only wires them together. The worker count never changes results:
 //! see DESIGN.md §4h for the determinism argument.
 
-use crate::barrier::{drive, BarrierFragments, EpochSchedule};
+use crate::barrier::{drive, EpochSchedule};
 use crate::cluster::SimCluster;
 use crate::dispatch::Dispatcher;
 use crate::event::Event;
-use crate::metrics::{MetricsLog, Sample};
+use crate::metrics::{MetricsLog, Sample, ShardSample};
 use crate::scenario::GridScenario;
 use crate::shard::{SampleSpec, Shard, ShardStats};
 use aequus_core::{GridUser, SiteId};
@@ -82,8 +82,9 @@ pub struct SimResult {
     /// Each site's captured decision provenance, in cluster order. Empty
     /// per site unless the scenario enabled provenance capture.
     pub site_provenance: Vec<Vec<ProvenanceRecord>>,
-    /// JSONL flight records dumped by the anomaly detector, in detection
-    /// order. Empty without a configured flight recorder.
+    /// JSONL flight records, one per SLO alert transition that survived the
+    /// recorder's dedup window, in emission order. Empty without a
+    /// configured flight recorder.
     pub flight_records: Vec<String>,
     /// Each site's durable-store health counters (cumulative across crash
     /// incarnations), in cluster order. `None` per site unless the scenario
@@ -157,7 +158,7 @@ pub struct GridSimulation {
     /// flight recorder can dump site-0 spans/events from the coordinator
     /// while the shard itself may live on a worker thread.
     site0_telemetry: Telemetry,
-    /// The anomaly detector, when the scenario configured one.
+    /// The SLO alert stream's sink, when the scenario configured one.
     recorder: Option<FlightRecorder>,
 }
 
@@ -363,10 +364,12 @@ impl GridSimulation {
         let slo_div_eps = slo
             .as_ref()
             .map_or(0.0, |e| e.config().divergence_threshold);
-        // Rule index of each link's staleness value, so the barrier hook
-        // fills the value vector with one pass over the observation rows
-        // instead of a per-link search.
-        let staleness_base = 2 * tracked.len() + 2;
+        // Rule layout: `n` fairness rules, `n` starvation rules, divergence,
+        // convergence lag, then one staleness rule per link — whose index is
+        // kept here, so the barrier hook fills the value vector with one
+        // pass over the observation rows instead of a per-link search.
+        let n = tracked.len();
+        let staleness_base = 2 * n + 2;
         let link_rule_idx: BTreeMap<(u32, u32), usize> = health_links
             .iter()
             .enumerate()
@@ -376,39 +379,20 @@ impl GridSimulation {
         let mut starvation = StarvationClock::default();
         let mut diverged_since: Option<f64> = None;
 
-        let at_barrier = |now: f64, frags: BarrierFragments| {
+        let at_barrier = |now: f64, fragments: Vec<ShardSample>| {
             c_samples.inc();
-            let suppressed = frags.iter().any(|(_, s)| *s);
-            let fragments = frags.into_iter().map(|(f, _)| f).collect();
             let sample = Sample::assemble(now, fragments, total_cores);
-            // Feed the flight recorder this barrier's observations; any
-            // newly fired anomaly dumps the reference site's retained
-            // telemetry as JSONL.
-            if let Some(rec) = recorder.as_mut() {
-                let mut anomalies = Vec::new();
-                for (name, target) in &tracked {
-                    let achieved = sample.users.get(name).map(|u| u.usage_share).unwrap_or(0.0);
-                    anomalies.extend(rec.observe_user_share(name, achieved, *target, now));
-                }
-                anomalies.extend(rec.observe_degradation(suppressed, now));
-                anomalies.extend(rec.observe_divergence(sample.usage_view_divergence, now));
-                for a in anomalies {
-                    flight_records.push(dump_jsonl(&a, &site0_telemetry));
-                }
-            }
             if let Some(engine) = slo.as_mut() {
                 health_map.observe_all(&sample.link_health);
-                // One value per rule, in the order the rules were built.
-                let mut values = Vec::with_capacity(engine.rules().len());
-                for (name, target) in &tracked {
-                    let achieved = sample.users.get(name).map(|u| u.usage_share).unwrap_or(0.0);
-                    values.push((achieved - target).abs());
+                // One value per rule, in the order the rules were built;
+                // staleness rules default to 0.0 (no outstanding data).
+                let mut values = vec![0.0; engine.rules().len()];
+                for (k, (name, target)) in tracked.iter().enumerate() {
+                    let achieved = sample.users.get(name).map_or(0.0, |u| u.usage_share);
+                    values[k] = (achieved - target).abs();
+                    values[n + k] = starvation.age(name, achieved, *target, slo_starv_frac, now);
                 }
-                for (name, target) in &tracked {
-                    let achieved = sample.users.get(name).map(|u| u.usage_share).unwrap_or(0.0);
-                    values.push(starvation.age(name, achieved, *target, slo_starv_frac, now));
-                }
-                values.push(sample.usage_view_divergence);
+                values[2 * n] = sample.usage_view_divergence;
                 // Convergence lag: how long the views have continuously
                 // disagreed beyond the divergence threshold.
                 if sample.usage_view_divergence > slo_div_eps {
@@ -416,10 +400,8 @@ impl GridSimulation {
                 } else {
                     diverged_since = None;
                 }
-                values.push(diverged_since.map_or(0.0, |s| now - s));
-                // Staleness rules default to 0.0 (no outstanding data),
-                // then one pass over the tx rows fills the observed links.
-                values.resize(engine.rules().len(), 0.0);
+                values[2 * n + 1] = diverged_since.map_or(0.0, |s| now - s);
+                // One pass over the tx rows fills the observed links.
                 for o in &sample.link_health {
                     if o.heard_age_s < 0.0 {
                         if let Some(&k) = link_rule_idx.get(&(o.from, o.to)) {
@@ -427,11 +409,15 @@ impl GridSimulation {
                         }
                     }
                 }
+                // The recorder is the alert stream's sink: a transition it
+                // has not seen inside its dedup window dumps the reference
+                // site's retained telemetry as JSONL.
                 for ev in engine.observe(now, &values) {
-                    if let Some(rec) = recorder.as_mut() {
-                        if let Some(a) = rec.observe_alert(&ev.rule, ev.transition, ev.value, now) {
-                            flight_records.push(dump_jsonl(&a, &site0_telemetry));
-                        }
+                    let seen = recorder
+                        .as_mut()
+                        .and_then(|rec| rec.observe_alert(&ev.rule, ev.transition, ev.value, now));
+                    if let Some(a) = seen {
+                        flight_records.push(dump_jsonl(&a, &site0_telemetry));
                     }
                 }
             }
@@ -441,7 +427,6 @@ impl GridSimulation {
         let (mut shards, mailbox_hwm) = drive(
             std::mem::take(&mut self.shards),
             self.scenario.num_threads,
-            self.scenario.placement,
             schedule,
             end_s,
             &h_epoch,
@@ -812,35 +797,43 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_dumps_on_divergence() {
+    fn flight_recorder_dumps_on_a_divergence_alert() {
         use aequus_telemetry::flight::AnomalyConfig;
+        use aequus_telemetry::SloConfig;
         // One contributing site is partitioned long enough for views to
-        // diverge past a tiny threshold → the recorder must fire and the
-        // dump must carry events and spans.
-        let mut sc = small_scenario()
-            .with_full_tracing()
-            .with_flight_recorder(AnomalyConfig {
-                divergence_threshold: 1e-6,
-                ..AnomalyConfig::default()
+        // diverge past a tiny threshold → the `divergence` SLO rule alerts,
+        // the recorder dumps, and the dump's first line names the rule.
+        let partitioned = |sc: GridScenario| {
+            let mut sc = sc.with_full_tracing();
+            sc.faults.outages.push(crate::faults::Outage {
+                cluster: 1,
+                from_s: 0.0,
+                to_s: 4000.0,
             });
-        sc.faults.outages.push(crate::faults::Outage {
-            cluster: 1,
-            from_s: 0.0,
-            to_s: 4000.0,
-        });
+            sc
+        };
+        let sc = partitioned(small_scenario())
+            .with_health(SloConfig {
+                divergence_threshold: 1e-6,
+                ..SloConfig::default()
+            })
+            .with_flight_recorder(AnomalyConfig::default());
         let trace = uniform_trace(40, 10.0, 30.0);
         let result = GridSimulation::new(sc).run(&trace, 3000.0);
-        assert!(
-            !result.flight_records.is_empty(),
-            "divergence above threshold must dump a flight record"
-        );
-        let dump = &result.flight_records[0];
-        assert!(dump
-            .lines()
-            .next()
-            .unwrap()
-            .contains("\"type\":\"anomaly\""));
+        let head = |dump: &String| dump.lines().next().unwrap().to_string();
+        let dump = (result.flight_records.iter())
+            .find(|d| head(d).contains("rule divergence "))
+            .expect("a divergence alert must dump a flight record");
+        assert!(head(dump).contains("\"type\":\"anomaly\""));
         assert!(dump.contains("\"type\":\"span\""), "spans ride along");
+        // The alert stream and the record name the same rule id.
+        assert!(result.alerts.iter().any(|a| a.rule == "divergence"));
+
+        // The recorder alone implies health monitoring.
+        let sc = partitioned(small_scenario()).with_flight_recorder(AnomalyConfig::default());
+        assert!(sc.health.is_some());
+        let result = GridSimulation::new(sc).run(&trace, 3000.0);
+        assert!(!result.alerts.is_empty() && !result.flight_records.is_empty());
     }
 
     #[test]

@@ -363,14 +363,6 @@ impl MetricsLog {
         windows
     }
 
-    /// Convergence time under the renormalized deviation.
-    pub fn active_convergence_time(&self, eps: f64, dwell_s: f64) -> Option<f64> {
-        self.active_balance_windows(eps)
-            .into_iter()
-            .find(|(from, to)| to - from >= dwell_s)
-            .map(|(from, _)| from)
-    }
-
     /// Maximum policy deviation in the final sample.
     pub fn final_deviation(&self) -> f64 {
         if self.samples.is_empty() {
@@ -422,14 +414,6 @@ impl MetricsLog {
         self.samples
             .iter()
             .map(|s| (s.t_s, s.usage_view_divergence))
-            .collect()
-    }
-
-    /// Time series of cumulative gossip bytes-on-wire.
-    pub fn gossip_bytes_series(&self) -> Vec<(f64, u64)> {
-        self.samples
-            .iter()
-            .map(|s| (s.t_s, s.gossip_bytes))
             .collect()
     }
 
@@ -652,7 +636,6 @@ mod tests {
         });
         assert!(log.balance_windows(0.1).is_empty());
         assert_eq!(log.active_balance_windows(0.1), vec![(0.0, 0.0)]);
-        assert_eq!(log.active_convergence_time(0.1, 0.0), Some(0.0));
     }
 
     #[test]

@@ -52,35 +52,6 @@ impl ClusterSpec {
     }
 }
 
-/// How sites map onto shard-worker threads in the parallel engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPlacement {
-    /// Site `i` goes to worker `i % num_threads` — spreads neighboring
-    /// (similarly loaded) sites across workers. The default.
-    #[default]
-    RoundRobin,
-    /// Contiguous blocks of sites per worker — better cache locality when
-    /// site state is large and sites are homogeneous.
-    Blocked,
-}
-
-impl ShardPlacement {
-    /// Worker index for `site` among `n_sites` split over `n_workers`.
-    /// Placement affects only which thread executes a shard — never the
-    /// result: shards carry their own seed streams and queues, so any
-    /// placement of any worker count replays identically.
-    pub fn worker_for(&self, site: usize, n_sites: usize, n_workers: usize) -> usize {
-        let n_workers = n_workers.max(1);
-        match self {
-            Self::RoundRobin => site % n_workers,
-            Self::Blocked => {
-                let per = n_sites.div_ceil(n_workers).max(1);
-                (site / per).min(n_workers - 1)
-            }
-        }
-    }
-}
-
 /// A complete grid scenario.
 #[derive(Debug, Clone)]
 pub struct GridScenario {
@@ -137,9 +108,10 @@ pub struct GridScenario {
     /// Capture decision provenance (a replayable `Explanation` per traced
     /// served query). Requires `telemetry`.
     pub capture_provenance: bool,
-    /// Run a flight recorder over the metrics samples: anomalies (starvation,
-    /// stale-policy degradation, view divergence) dump the reference site's
-    /// events + spans + explanations as JSONL into the result.
+    /// Run a flight recorder as the sink of the SLO alert stream: each
+    /// alert transition that survives its dedup window dumps the reference
+    /// site's events + spans + explanations as JSONL into the result. Fed
+    /// by `health`, which [`GridScenario::with_flight_recorder`] switches on.
     pub flight: Option<aequus_telemetry::flight::AnomalyConfig>,
     /// Attach a durable per-site store (CRC-framed WAL + checkpoints).
     /// Crashed sites then recover by replaying their own store first and
@@ -155,9 +127,6 @@ pub struct GridScenario {
     /// the epoch loop inline without spawning; any value yields results
     /// seed-for-seed identical to `1` — threads only change wall-clock time.
     pub num_threads: usize,
-    /// How sites map onto workers when `num_threads > 1`. Placement never
-    /// affects results, only locality.
-    pub placement: ShardPlacement,
     /// Cap on how many policy users the per-sample fairshare readout walks
     /// (`None` = all). Nation-scale runs with 100k+ users would otherwise
     /// spend the whole run inside metrics sampling; the first `cap` users in
@@ -232,7 +201,6 @@ impl GridScenario {
             store: None,
             snapshot_transfer_s: 0.0,
             num_threads: 1,
-            placement: ShardPlacement::RoundRobin,
             metrics_user_cap: None,
             profile: aequus_telemetry::ProfileMode::Off,
             overlay: OverlayTopology::FullMesh,
@@ -279,14 +247,6 @@ impl GridScenario {
         self
     }
 
-    /// Enable causal tracing: every `sample_every`-th usage report roots a
-    /// span tree followed across sites. Implies telemetry.
-    pub fn with_tracing(mut self, sample_every: u64) -> Self {
-        self.telemetry = true;
-        self.span_sample_every = sample_every;
-        self
-    }
-
     /// Full causal capture: every report traced and every traced served
     /// query's decision provenance recorded. Implies telemetry.
     pub fn with_full_tracing(mut self) -> Self {
@@ -296,21 +256,18 @@ impl GridScenario {
         self
     }
 
-    /// Attach a flight recorder with the given anomaly thresholds.
+    /// Attach a flight recorder to the SLO alert stream. Implies health
+    /// monitoring (under [`aequus_telemetry::SloConfig::default`] unless
+    /// [`GridScenario::with_health`] chose otherwise).
     pub fn with_flight_recorder(mut self, cfg: aequus_telemetry::flight::AnomalyConfig) -> Self {
         self.flight = Some(cfg);
+        self.health.get_or_insert_with(Default::default);
         self
     }
 
     /// Attach a durable store (default configuration) to every site.
     pub fn with_durable_store(mut self) -> Self {
         self.store = Some(StoreConfig::default());
-        self
-    }
-
-    /// Attach a durable store with explicit tuning.
-    pub fn with_store_config(mut self, cfg: StoreConfig) -> Self {
-        self.store = Some(cfg);
         self
     }
 
@@ -323,12 +280,6 @@ impl GridScenario {
     /// Run the epoch loop on `n` shard-worker threads (1 = inline/serial).
     pub fn with_threads(mut self, n: usize) -> Self {
         self.num_threads = n.max(1);
-        self
-    }
-
-    /// Choose the site→worker placement strategy.
-    pub fn with_placement(mut self, placement: ShardPlacement) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -354,12 +305,6 @@ impl GridScenario {
     /// Cap the per-sample fairshare readout to the first `cap` policy users.
     pub fn with_metrics_user_cap(mut self, cap: usize) -> Self {
         self.metrics_user_cap = Some(cap);
-        self
-    }
-
-    /// Choose the submission-host routing policy.
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.routing = routing;
         self
     }
 
@@ -481,36 +426,5 @@ mod tests {
     fn production_cluster_is_hpc2n_sized() {
         let s = GridScenario::production_cluster(&[("a", 1.0)], 1);
         assert_eq!(s.total_cores(), 544);
-    }
-
-    #[test]
-    fn placement_covers_all_workers_and_sites() {
-        for placement in [ShardPlacement::RoundRobin, ShardPlacement::Blocked] {
-            for n_workers in [1, 2, 3, 8] {
-                let assigned: Vec<usize> = (0..10)
-                    .map(|site| placement.worker_for(site, 10, n_workers))
-                    .collect();
-                assert!(assigned.iter().all(|&w| w < n_workers), "{assigned:?}");
-                // Round-robin keeps every worker busy whenever workers ≤
-                // sites; blocked may idle trailing workers (ceil division)
-                // but must still use more than one when several exist.
-                if placement == ShardPlacement::RoundRobin {
-                    for w in 0..n_workers.min(10) {
-                        assert!(assigned.contains(&w), "{n_workers}: {assigned:?}");
-                    }
-                } else if n_workers > 1 {
-                    assert!(assigned.iter().any(|&w| w > 0), "{assigned:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_placement_is_contiguous() {
-        let p = ShardPlacement::Blocked;
-        let assigned: Vec<usize> = (0..10).map(|s| p.worker_for(s, 10, 4)).collect();
-        let mut sorted = assigned.clone();
-        sorted.sort_unstable();
-        assert_eq!(assigned, sorted, "blocks are monotone: {assigned:?}");
     }
 }

@@ -239,11 +239,6 @@ impl Shard {
             return;
         }
         self.cluster.step(now);
-        // With peers registered the legacy broadcast outbox stays empty and
-        // the reliable exchange drains through poll_messages. A peerless
-        // site (single-cluster scenario) still fills it — and has nowhere
-        // to send, so discard.
-        let _ = self.cluster.take_outbox();
         let msgs = self.cluster.poll_messages(now);
         if self.scenario.faults.is_partitioned(self.index, now) {
             // Transport cut at the source. The retry state has already

@@ -2,9 +2,11 @@
 //! and single-bit flips anywhere in the log, replay recovers exactly the
 //! frames written before the damage, skips or truncates the damaged region,
 //! and never fabricates a record — every `(lsn, record)` pair returned is
-//! bitwise one that was appended. Also here: the durable layout round-trips
-//! every `f64` bit pattern, and bytes in the layout before it (record frame
-//! kind 1, checkpoint version 2) are refused rather than misread.
+//! bitwise one that was appended. The sampled cuts are backed by an
+//! exhaustive one: a small store cut at *every* byte offset of its tail
+//! segment. Also here: the durable layout round-trips every `f64` bit
+//! pattern, and bytes in the layout before it (record frame kind 1,
+//! checkpoint version 2) are refused rather than misread.
 
 use aequus_store::records::WalRecord;
 use aequus_store::storage::{MemStorage, Storage};
@@ -415,6 +417,101 @@ proptest! {
             prop_assert!(recovered.checkpoint.is_none());
             store = reopened;
         }
+    }
+}
+
+/// Every crash point, not a sample of them: a store holding all three
+/// record kinds over several segments and one checkpoint is cut at each
+/// byte offset of its tail segment — every frame boundary and every
+/// mid-frame offset — and reopened. It must come back with the checkpoint
+/// and exactly the records whose frames fit below the cut, report a torn
+/// tail if and only if the cut fell inside a frame, and take a further
+/// append that the next open returns.
+#[test]
+fn every_cut_of_the_tail_segment_recovers_the_longest_whole_frame_prefix() {
+    let cfg = StoreConfig {
+        segment_bytes: 256,
+        checkpoint_interval_s: f64::INFINITY,
+    };
+    let (mut store, _) = SiteStore::open(Box::new(MemStorage::new()), cfg).expect("fresh open");
+    let mut appended: Vec<(u64, WalRecord)> = Vec::new();
+    let mut append = |store: &mut SiteStore, i: u64| {
+        let rec = record(i as u8, 31 * i + 7, 17 * i + 3);
+        appended.push((store.append(&rec).expect("append"), rec));
+    };
+    (0..6).for_each(|i| append(&mut store, i));
+    let ckpt = CheckpointState {
+        lsn: store.next_lsn() - 1,
+        site: SiteId(1),
+        slot_s: 60.0,
+        ..CheckpointState::default()
+    };
+    store.checkpoint(&ckpt.view()).expect("checkpoint");
+    (6..20).for_each(|i| append(&mut store, i));
+    let pristine = store.into_storage();
+
+    let segments: Vec<String> = (pristine.list().into_iter())
+        .filter(|n| n.starts_with("wal-"))
+        .collect();
+    assert!(segments.len() >= 2, "{segments:?}");
+    let tail = segments.last().expect("a tail segment");
+    let tail_bytes = pristine.read(tail).expect("tail readable");
+    // Offsets at which a whole number of the tail's frames end.
+    let mut boundaries = vec![0usize];
+    while *boundaries.last().expect("non-empty") < tail_bytes.len() {
+        match decode_frame(&tail_bytes, *boundaries.last().expect("non-empty")) {
+            FrameOutcome::Frame { next, .. } => boundaries.push(next),
+            _ => panic!("pristine WAL must decode cleanly"),
+        }
+    }
+    let tail_frames = boundaries.len() - 1;
+    assert!(tail_frames >= 2, "the tail holds {tail_frames} frame(s)");
+    let past_checkpoint: Vec<&(u64, WalRecord)> =
+        appended.iter().filter(|(lsn, _)| *lsn > ckpt.lsn).collect();
+    let kinds = |pick: fn(&WalRecord) -> bool| past_checkpoint.iter().any(|(_, r)| pick(r));
+    assert!(kinds(|r| matches!(r, WalRecord::Usage(_))));
+    assert!(kinds(|r| matches!(r, WalRecord::PeerData { .. })));
+    assert!(kinds(|r| matches!(r, WalRecord::Publish { .. })));
+
+    let extra = WalRecord::Publish { seq: 4242 };
+    for cut in 0..=tail_bytes.len() {
+        let mut disk = MemStorage::new();
+        for name in pristine.list() {
+            let bytes = pristine.read(&name).expect("object readable");
+            disk.replace(&name, &bytes).expect("copy");
+        }
+        disk.truncate(tail, cut as u64).expect("cut");
+        let (mut store, recovered) = SiteStore::open(Box::new(disk), cfg).expect("reopen");
+
+        let whole = boundaries
+            .iter()
+            .filter(|&&end| end > 0 && end <= cut)
+            .count();
+        let expected: Vec<(u64, WalRecord)> = past_checkpoint
+            [..past_checkpoint.len() - (tail_frames - whole)]
+            .iter()
+            .map(|pair| (*pair).clone())
+            .collect();
+        assert_eq!(recovered.records, expected, "cut at {cut}");
+        assert_eq!(recovered.checkpoint.as_ref().map(|c| c.lsn), Some(ckpt.lsn));
+        let mid_frame = !boundaries.contains(&cut);
+        assert_eq!(
+            recovered.report.torn_tails,
+            u64::from(mid_frame),
+            "cut at {cut}: {:?}",
+            recovered.report
+        );
+
+        store.append(&extra).expect("append after recovery");
+        let (_, again) = SiteStore::open(store.into_storage(), cfg).expect("second reopen");
+        assert_eq!(again.records.len(), expected.len() + 1, "cut at {cut}");
+        assert_eq!(
+            again.records[..expected.len()],
+            expected[..],
+            "cut at {cut}"
+        );
+        assert_eq!(again.records.last().map(|(_, r)| r), Some(&extra));
+        assert_eq!(again.report.torn_tails, 0, "cut at {cut}");
     }
 }
 

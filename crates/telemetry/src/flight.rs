@@ -1,32 +1,24 @@
-//! The flight recorder: anomaly detection plus a JSONL dump of the recent
-//! past.
+//! The flight recorder: the SLO engine's alert sink, plus a JSONL dump of
+//! the recent past.
 //!
-//! Three anomalies matter operationally for a fairshare deployment (they are
-//! the failure modes the EU DataGrid operations report attributes most
-//! downtime to): **starvation** — a user stays below a fraction of their
-//! target share for longer than a configurable window; **degradation** — the
-//! stale-data policy suppressed remote usage (a site is flying on local data
-//! only); **divergence** — the cross-site usage views drift apart beyond a
-//! threshold. When any of these fires, the recorder snapshots what the
-//! telemetry domain retains — recent events, the span store, captured
-//! explanations — into a self-contained JSONL flight record, one JSON object
-//! per line, suitable for appending to a file and for offline analysis.
+//! Detection is the [`crate::slo::SloEngine`]'s alone — fairness error,
+//! starvation age, view divergence, convergence lag and per-link staleness
+//! are its rules, thresholded once, in one place. The recorder takes the
+//! engine's alert transitions, drops repeats inside a dedup window, and for
+//! each one that remains snapshots what the telemetry domain retains —
+//! recent events (a stale-policy degradation shows here, as the
+//! `uss.stale_policy` event), the span store, captured explanations — into a
+//! self-contained JSONL flight record, one JSON object per line, suitable
+//! for appending to a file and for offline analysis.
 
 use crate::provenance::ProvenanceRecord;
 use crate::span::SpanRecord;
 use crate::{Telemetry, TelemetryEvent};
 use std::collections::BTreeMap;
 
-/// Detection thresholds.
+/// The recorder's one setting.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AnomalyConfig {
-    /// A user below `starvation_frac · target_share` of the observed share
-    /// for longer than this window counts as starved.
-    pub starvation_window_s: f64,
-    /// Fraction of the target share under which a user counts as starved.
-    pub starvation_frac: f64,
-    /// Usage-view divergence above this triggers a dump.
-    pub divergence_threshold: f64,
     /// An identical SLO alert transition (same rule, same transition kind)
     /// within this window is deduplicated — a sustained breach flapping
     /// through pending/firing produces one flight record per window, not
@@ -37,43 +29,34 @@ pub struct AnomalyConfig {
 impl Default for AnomalyConfig {
     fn default() -> Self {
         Self {
-            starvation_window_s: 3600.0,
-            starvation_frac: 0.25,
-            divergence_threshold: 0.25,
             alert_dedup_window_s: 600.0,
         }
     }
 }
 
-/// A detected anomaly.
+/// What a flight record is about: one alert transition that got through
+/// the dedup window.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Anomaly {
-    /// Domain time the anomaly was confirmed at.
+    /// Domain time of the transition.
     pub t_s: f64,
-    /// `"starvation"`, `"degradation"`, or `"divergence"`.
+    /// `"slo_alert"`.
     pub kind: &'static str,
-    /// Human-readable description.
+    /// The rule id, the transition and the observed value.
     pub detail: String,
 }
 
-/// Stateful anomaly detector. Feed it observations each sampling tick; it
-/// returns the anomalies that *newly* fired (edge-triggered, so a persistent
-/// condition produces one anomaly, not one per tick).
+/// The alert sink: feed it every transition the SLO engine emits; it
+/// returns the ones to dump.
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     cfg: AnomalyConfig,
-    /// user → time the share first dropped below the starvation line.
-    below_since: BTreeMap<String, f64>,
-    /// Users already reported as starved (until they recover).
-    starved: BTreeMap<String, bool>,
-    degraded: bool,
-    diverged: bool,
     /// (rule, transition) → last time a flight record was emitted for it.
     alert_last: BTreeMap<(String, String), f64>,
 }
 
 impl FlightRecorder {
-    /// Create a recorder with the given thresholds.
+    /// Create a recorder with the given dedup window.
     pub fn new(cfg: AnomalyConfig) -> Self {
         Self {
             cfg,
@@ -81,75 +64,11 @@ impl FlightRecorder {
         }
     }
 
-    /// The configured thresholds.
-    pub fn config(&self) -> &AnomalyConfig {
-        &self.cfg
-    }
-
-    /// Observe one user's achieved share vs. their policy target at `now_s`.
-    /// Returns a starvation anomaly when the user has been below the line
-    /// for longer than the window (once per episode).
-    pub fn observe_user_share(
-        &mut self,
-        user: &str,
-        achieved_share: f64,
-        target_share: f64,
-        now_s: f64,
-    ) -> Option<Anomaly> {
-        let line = self.cfg.starvation_frac * target_share;
-        if target_share <= 0.0 || achieved_share >= line {
-            self.below_since.remove(user);
-            self.starved.remove(user);
-            return None;
-        }
-        let since = *self.below_since.entry(user.to_string()).or_insert(now_s);
-        if now_s - since < self.cfg.starvation_window_s || self.starved.contains_key(user) {
-            return None;
-        }
-        self.starved.insert(user.to_string(), true);
-        Some(Anomaly {
-            t_s: now_s,
-            kind: "starvation",
-            detail: format!(
-                "user {user} at share {achieved_share:.4} < {line:.4} \
-                 ({:.0}% of target {target_share:.4}) since t={since:.0}s",
-                100.0 * self.cfg.starvation_frac
-            ),
-        })
-    }
-
-    /// Observe whether the stale-data policy currently suppresses remote
-    /// usage. Fires on the false→true edge.
-    pub fn observe_degradation(&mut self, suppressed: bool, now_s: f64) -> Option<Anomaly> {
-        let fired = suppressed && !self.degraded;
-        self.degraded = suppressed;
-        fired.then(|| Anomaly {
-            t_s: now_s,
-            kind: "degradation",
-            detail: "stale policy degraded to local-only weighting".to_string(),
-        })
-    }
-
-    /// Observe the current cross-site usage-view divergence. Fires on the
-    /// rising edge through the threshold.
-    pub fn observe_divergence(&mut self, divergence: f64, now_s: f64) -> Option<Anomaly> {
-        let above = divergence > self.cfg.divergence_threshold;
-        let fired = above && !self.diverged;
-        self.diverged = above;
-        fired.then(|| Anomaly {
-            t_s: now_s,
-            kind: "divergence",
-            detail: format!(
-                "usage-view divergence {divergence:.4} > {:.4}",
-                self.cfg.divergence_threshold
-            ),
-        })
-    }
-
     /// Observe one SLO alert lifecycle transition (from the
     /// [`crate::slo::SloEngine`]). Returns an anomaly to dump unless an
     /// identical (rule, transition) record was emitted inside the dedup
-    /// window.
+    /// window. The detail leads with the rule id, so a firing alert and the
+    /// record it landed in are joined by that id.
     pub fn observe_alert(
         &mut self,
         rule: &str,
@@ -253,9 +172,6 @@ mod tests {
 
     fn cfg() -> AnomalyConfig {
         AnomalyConfig {
-            starvation_window_s: 100.0,
-            starvation_frac: 0.5,
-            divergence_threshold: 0.2,
             alert_dedup_window_s: 300.0,
         }
     }
@@ -287,64 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn starvation_needs_the_full_window() {
-        let mut fr = FlightRecorder::new(cfg());
-        // Target 0.4, line at 0.2; user sits at 0.1.
-        assert!(fr.observe_user_share("u", 0.1, 0.4, 0.0).is_none());
-        assert!(fr.observe_user_share("u", 0.1, 0.4, 50.0).is_none());
-        let a = fr
-            .observe_user_share("u", 0.1, 0.4, 150.0)
-            .expect("window elapsed");
-        assert_eq!(a.kind, "starvation");
-        assert!(a.detail.contains("user u"));
-        // Edge-triggered: the persisting condition stays silent…
-        assert!(fr.observe_user_share("u", 0.1, 0.4, 200.0).is_none());
-        // …until recovery resets the episode.
-        assert!(fr.observe_user_share("u", 0.3, 0.4, 250.0).is_none());
-        assert!(fr.observe_user_share("u", 0.1, 0.4, 260.0).is_none());
-        assert!(fr.observe_user_share("u", 0.1, 0.4, 400.0).is_some());
-    }
-
-    #[test]
-    fn recovery_inside_the_window_resets() {
-        let mut fr = FlightRecorder::new(cfg());
-        fr.observe_user_share("u", 0.1, 0.4, 0.0);
-        fr.observe_user_share("u", 0.3, 0.4, 60.0); // recovered
-        assert!(
-            fr.observe_user_share("u", 0.1, 0.4, 110.0).is_none(),
-            "clock restarted at the second drop"
-        );
-    }
-
-    #[test]
-    fn zero_target_never_starves() {
-        let mut fr = FlightRecorder::new(cfg());
-        assert!(fr.observe_user_share("u", 0.0, 0.0, 0.0).is_none());
-        assert!(fr.observe_user_share("u", 0.0, 0.0, 1e9).is_none());
-    }
-
-    #[test]
-    fn degradation_and_divergence_are_edge_triggered() {
-        let mut fr = FlightRecorder::new(cfg());
-        assert!(fr.observe_degradation(false, 0.0).is_none());
-        assert!(fr.observe_degradation(true, 1.0).is_some());
-        assert!(fr.observe_degradation(true, 2.0).is_none());
-        assert!(fr.observe_degradation(false, 3.0).is_none());
-        assert!(fr.observe_degradation(true, 4.0).is_some());
-
-        assert!(fr.observe_divergence(0.1, 0.0).is_none());
-        assert!(fr.observe_divergence(0.3, 1.0).is_some());
-        assert!(fr.observe_divergence(0.35, 2.0).is_none());
-        assert!(fr.observe_divergence(0.05, 3.0).is_none());
-    }
-
-    #[test]
     fn dump_contains_all_sections() {
-        let t = Telemetry::with_full_config(
-            crate::tracer::TracerConfig::default(),
-            16,
-            crate::span::SpanConfig::full(0),
-        );
+        let t = Telemetry::with_spans(crate::span::SpanConfig::full(0));
         t.event(1.0, "uss.gossip_merge", || "cells=3".to_string());
         let ctx = t
             .start_trace("rms.report", 0.5, || "job 7".to_string())

@@ -265,14 +265,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The array elements.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
@@ -359,7 +351,7 @@ mod tests {
             v.get("a").unwrap().as_array().unwrap()[2].as_str(),
             Some("x")
         );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&JsonValue::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&JsonValue::Null));
         assert_eq!(v.get("e").unwrap().as_f64(), Some(-3.0));
         assert_eq!(v.get("e").unwrap().as_u64(), None, "negative is not u64");

@@ -9,15 +9,16 @@
 //!   exportable as Prometheus text or JSON ([`export`]);
 //! * a bounded **event ring** ([`EventRing`]) holding the last N notable
 //!   events (cache evictions, forced full rebuilds, gossip merges);
-//! * the **pipeline-delay tracer** ([`tracer::PipelineTracer`]) measuring
-//!   the empirical §IV-A-2 usage-to-fairshare delay per stage;
+//! * the **pipeline-delay tracer** (the `trace_*` methods, reporting into
+//!   the `aequus_tracer_*` histograms) measuring the empirical §IV-A-2
+//!   usage-to-fairshare delay per stage;
 //! * **causal spans** ([`span`]) propagating a [`TraceCtx`] through the
 //!   whole report→gossip→refresh→query pipeline, across sites, into a
 //!   per-site bounded [`span::SpanStore`];
 //! * **decision provenance** ([`provenance`]): type-erased, replayable
 //!   explanations of served priorities;
-//! * the **flight recorder** ([`flight`]): anomaly detection plus a JSONL
-//!   dump of recent events, spans, and explanations;
+//! * the **flight recorder** ([`flight`]): the SLO engine's alert sink — a
+//!   JSONL dump of recent events, spans, and explanations per alert;
 //! * **continuous profiling** ([`profile`]): per-shard stage accounting
 //!   with deterministic counters and wall-clock dual clocks, exported as a
 //!   Chrome trace and a folded-stacks profile;
@@ -44,7 +45,7 @@ pub mod provenance;
 mod registry;
 pub mod slo;
 pub mod span;
-pub mod tracer;
+mod tracer;
 
 pub use events::{EventRing, TelemetryEvent};
 pub use hist::{Histogram, HistogramSnapshot, SpanTimer};
@@ -57,7 +58,7 @@ use provenance::{ProvenanceRecord, ProvenanceStore};
 use span::SpanStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tracer::{PipelineTracer, TracerConfig};
+use tracer::PipelineTracer;
 
 #[derive(Debug)]
 struct Inner {
@@ -78,6 +79,9 @@ struct Inner {
     c_provenance: Counter,
 }
 
+/// Events the ring of an enabled handle retains.
+const EVENT_CAPACITY: usize = 256;
+
 /// The cheap, cloneable telemetry handle. See the crate docs.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
@@ -90,47 +94,35 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// An enabled handle with default tracer sampling and event capacity.
-    pub fn enabled() -> Self {
-        Self::with_config(TracerConfig::default(), 256)
-    }
-
-    /// An enabled handle with explicit tracer configuration and event-ring
-    /// capacity; the span layer stays enabled-but-unsampled
+    /// An enabled handle; the span layer stays enabled-but-unsampled
     /// ([`SpanConfig::default`]).
-    pub fn with_config(cfg: TracerConfig, event_capacity: usize) -> Self {
-        Self::with_full_config(cfg, event_capacity, SpanConfig::default())
+    pub fn enabled() -> Self {
+        Self::with_spans(SpanConfig::default())
     }
 
-    /// An enabled handle with explicit tracer, event-ring, *and* span-layer
-    /// configuration — the constructor for full causal capture
-    /// ([`SpanConfig::full`]).
-    pub fn with_full_config(cfg: TracerConfig, event_capacity: usize, spans: SpanConfig) -> Self {
+    /// An enabled handle with an explicit span-layer configuration — the
+    /// constructor for causal capture ([`SpanConfig::full`]).
+    pub fn with_spans(spans: SpanConfig) -> Self {
         let registry = Registry::new();
-        let tracer = PipelineTracer::new(cfg, &registry);
+        let tracer = PipelineTracer::new(&registry);
         let c_traces = registry.counter("aequus_spans_traces_total");
         let c_spans = registry.counter("aequus_spans_recorded_total");
         let c_provenance = registry.counter("aequus_provenance_captured_total");
         Self {
             inner: Some(Arc::new(Inner {
                 registry,
-                events: EventRing::new(event_capacity),
+                events: EventRing::new(EVENT_CAPACITY),
                 tracer: Mutex::new(tracer),
                 tracer_active: AtomicU64::new(0),
-                spans: Mutex::new(SpanStore::new(spans.site, spans.store_cap)),
+                spans: Mutex::new(SpanStore::new(spans.site, span::STORE_CAP)),
                 span_cfg: spans,
                 span_seen: AtomicU64::new(0),
-                provenance: Mutex::new(ProvenanceStore::new(spans.store_cap)),
+                provenance: Mutex::new(ProvenanceStore::new(span::STORE_CAP)),
                 c_traces,
                 c_spans,
                 c_provenance,
             })),
         }
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Get or create the counter `name` (a disabled handle on a disabled
@@ -268,14 +260,6 @@ impl Telemetry {
 
     // --- Causal spans (span layer) ---
 
-    /// Whether the span layer ever samples (false when disabled or
-    /// enabled-but-unsampled).
-    pub fn span_sampling_enabled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.span_cfg.sample_every > 0)
-    }
-
     /// Maybe start a causal trace: if the span layer samples this root, a
     /// root span is recorded and its context returned for propagation.
     /// `detail` is only rendered for sampled roots. Unsampled or disabled
@@ -411,17 +395,6 @@ impl Telemetry {
                 .to_vec()
         })
     }
-
-    /// The latest captured decision for `user`, if retained.
-    pub fn latest_provenance_for(&self, user: &str) -> Option<ProvenanceRecord> {
-        self.inner.as_ref().and_then(|i| {
-            i.provenance
-                .lock()
-                .expect("provenance store poisoned")
-                .latest_for(user)
-                .cloned()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -431,7 +404,6 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
-        assert!(!t.is_enabled());
         t.counter("c").inc();
         t.gauge("g").set(1.0);
         t.histogram("h").record(1.0);
@@ -467,14 +439,8 @@ mod tests {
 
     #[test]
     fn trace_chain_through_the_facade() {
-        let t = Telemetry::with_config(
-            TracerConfig {
-                sample_every: 1,
-                max_active: 8,
-            },
-            16,
-        );
-        t.trace_report(7, "alice", 100.0);
+        let t = Telemetry::enabled();
+        t.trace_report(7, "alice", 100.0); // the first report is always sampled
         assert_eq!(t.traces_active(), 1);
         t.trace_ingest(7, 1, 110.0);
         t.trace_ums_refresh(160.0);
@@ -496,13 +462,11 @@ mod tests {
             .is_none());
         assert!(off.child_span(None, "x", 0.0, || unreachable!()).is_none());
         assert!(off.spans().is_empty());
-        assert!(!off.span_sampling_enabled());
         assert!(!off.provenance_enabled());
         off.record_provenance(0.0, "u", 0, 0.5, || unreachable!());
 
         // Enabled but unsampled (the default): same observable behavior.
         let unsampled = Telemetry::enabled();
-        assert!(!unsampled.span_sampling_enabled());
         assert!(unsampled
             .start_trace("rms.report", 0.0, || unreachable!("unsampled"))
             .is_none());
@@ -515,7 +479,7 @@ mod tests {
 
     #[test]
     fn span_chain_propagates_trace_and_parents() {
-        let t = Telemetry::with_full_config(TracerConfig::default(), 16, SpanConfig::full(2));
+        let t = Telemetry::with_spans(SpanConfig::full(2));
         let root = t.start_trace("rms.report", 1.0, || "job 9".into()).unwrap();
         assert_eq!(root.trace_id, root.span);
         let ingest = t
@@ -543,14 +507,10 @@ mod tests {
 
     #[test]
     fn span_sampling_takes_every_nth_root() {
-        let t = Telemetry::with_full_config(
-            TracerConfig::default(),
-            16,
-            SpanConfig {
-                sample_every: 4,
-                ..SpanConfig::full(0)
-            },
-        );
+        let t = Telemetry::with_spans(SpanConfig {
+            sample_every: 4,
+            ..SpanConfig::full(0)
+        });
         let sampled = (0..16)
             .filter(|_| t.start_trace("r", 0.0, String::new).is_some())
             .count();
@@ -559,13 +519,13 @@ mod tests {
 
     #[test]
     fn provenance_capture_round_trip() {
-        let t = Telemetry::with_full_config(TracerConfig::default(), 16, SpanConfig::full(0));
+        let t = Telemetry::with_spans(SpanConfig::full(0));
         assert!(t.provenance_enabled());
         t.record_provenance(5.0, "alice", 42, 0.625, || "{\"x\":2}".to_string());
         t.record_provenance(6.0, "bob", 0, 0.5, || "{}".to_string());
         let recs = t.provenance_records();
         assert_eq!(recs.len(), 2);
-        let a = t.latest_provenance_for("alice").unwrap();
+        let a = &recs[0];
         assert_eq!(a.factor, 0.625);
         assert_eq!(a.trace_id, 42);
         assert_eq!(a.json, "{\"x\":2}");
@@ -577,12 +537,13 @@ mod tests {
 
     #[test]
     fn snapshot_carries_the_event_ring() {
-        let t = Telemetry::with_config(TracerConfig::default(), 2);
-        t.event(1.0, "a.b", || "one".into());
-        t.event(2.0, "c.d", || "two".into());
-        t.event(3.0, "e.f", || "three".into());
+        let t = Telemetry::enabled();
+        t.event(0.0, "a.b", || "one".into());
+        for i in 1..=EVENT_CAPACITY {
+            t.event(i as f64, "c.d", || format!("event {i}"));
+        }
         let snap = t.snapshot().unwrap();
-        assert_eq!(snap.events.len(), 2, "ring capacity respected");
+        assert_eq!(snap.events.len(), EVENT_CAPACITY, "ring capacity respected");
         assert_eq!(snap.events[0].kind, "c.d");
         assert_eq!(snap.events_dropped, 1);
         let back = export::from_json(&snap.to_json()).unwrap();

@@ -89,8 +89,8 @@ pub struct ProfSpan {
     pub events: u64,
 }
 
-/// Default capacity of the per-shard span ring.
-pub const DEFAULT_SPAN_CAP: usize = 4096;
+/// Capacity of the per-shard span ring.
+const SPAN_CAP: usize = 4096;
 
 /// Stages whose values are wall-clock-only and therefore excluded from the
 /// deterministic folded-stacks export (their *existence* depends on worker
@@ -107,7 +107,6 @@ pub struct ShardProfiler {
     origin: Instant,
     stages: BTreeMap<&'static str, StageStats>,
     spans: VecDeque<ProfSpan>,
-    span_cap: usize,
     spans_dropped: u64,
     /// Bytes staged toward each destination shard (gossip wire accounting
     /// per link; deterministic).
@@ -132,52 +131,15 @@ impl ShardProfiler {
             origin,
             stages: BTreeMap::new(),
             spans: VecDeque::new(),
-            span_cap: DEFAULT_SPAN_CAP,
             spans_dropped: 0,
             link_bytes: BTreeMap::new(),
             open: None,
         }
     }
 
-    /// The recording mode.
-    pub fn mode(&self) -> ProfileMode {
-        self.mode
-    }
-
-    /// Whether anything is recorded at all.
-    pub fn is_on(&self) -> bool {
-        self.mode != ProfileMode::Off
-    }
-
     /// Whether wall-clock capture (timers + span ring) is on.
     pub fn is_full(&self) -> bool {
         self.mode == ProfileMode::Full
-    }
-
-    /// Count one call of `stage`.
-    pub fn add_call(&mut self, stage: &'static str) {
-        self.add(stage, 1, 0);
-    }
-
-    /// Count `calls` calls and `bytes` bytes against `stage`.
-    pub fn add(&mut self, stage: &'static str, calls: u64, bytes: u64) {
-        if self.mode == ProfileMode::Off {
-            return;
-        }
-        let e = self.stages.entry(stage).or_default();
-        e.calls += calls;
-        e.bytes += bytes;
-    }
-
-    /// Add wall time to `stage` without a span (used for injected barrier
-    /// sleeps on the serial path, where there is no natural wait to time).
-    pub fn add_wall_ns(&mut self, stage: &'static str, ns: u64) {
-        if self.mode == ProfileMode::Off {
-            return;
-        }
-        let e = self.stages.entry(stage).or_default();
-        e.calls += 1;
-        e.wall_ns = e.wall_ns.saturating_add(ns);
     }
 
     /// Account `bytes` staged toward destination shard `dest` (the gossip
@@ -186,7 +148,9 @@ impl ShardProfiler {
         if self.mode == ProfileMode::Off {
             return;
         }
-        self.add("gossip.wire", 1, bytes);
+        let wire = self.stages.entry("gossip.wire").or_default();
+        wire.calls += 1;
+        wire.bytes += bytes;
         *self.link_bytes.entry(dest).or_insert(0) += bytes;
     }
 
@@ -245,16 +209,11 @@ impl ShardProfiler {
     }
 
     fn push_span(&mut self, span: ProfSpan) {
-        if self.spans.len() >= self.span_cap {
+        if self.spans.len() >= SPAN_CAP {
             self.spans.pop_front();
             self.spans_dropped += 1;
         }
         self.spans.push_back(span);
-    }
-
-    /// Override the span-ring capacity (tests exercise the bound).
-    pub fn set_span_cap(&mut self, cap: usize) {
-        self.span_cap = cap.max(1);
     }
 
     /// Snapshot into the owned, serializable per-shard profile. The caller
@@ -397,25 +356,6 @@ impl RunProfile {
         out
     }
 
-    /// Total wall nanoseconds per stage, shard stages and service stages
-    /// pooled (shard stages summed across shards).
-    pub fn wall_totals(&self) -> BTreeMap<String, u64> {
-        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-        for sp in &self.shards {
-            for (stage, st) in &sp.stages {
-                if st.wall_ns > 0 {
-                    *totals.entry(stage.clone()).or_insert(0) += st.wall_ns;
-                }
-            }
-        }
-        for (stage, st) in &self.services {
-            if st.wall_ns > 0 {
-                *totals.entry(stage.clone()).or_insert(0) += st.wall_ns;
-            }
-        }
-        totals
-    }
-
     /// Serialize to JSON.
     pub fn to_json(&self) -> String {
         fn stages_json(stages: &BTreeMap<String, StageStats>) -> String {
@@ -491,7 +431,6 @@ mod tests {
     #[test]
     fn off_mode_records_nothing() {
         let mut p = ShardProfiler::disabled();
-        p.add_call("x");
         p.add_wire(1, 100);
         p.begin_epoch(0, 0.0, 0);
         p.end_epoch(5);
@@ -535,13 +474,12 @@ mod tests {
     #[test]
     fn span_ring_drops_oldest_and_counts_drops() {
         let mut p = full_profiler();
-        p.set_span_cap(3);
-        for e in 0..5 {
+        for e in 0..SPAN_CAP as u64 + 2 {
             p.begin_epoch(e, e as f64, 0);
             p.end_epoch(0);
         }
         let prof = p.to_profile();
-        assert_eq!(prof.spans.len(), 3);
+        assert_eq!(prof.spans.len(), SPAN_CAP);
         assert_eq!(prof.spans_dropped, 2);
         assert_eq!(prof.spans[0].epoch, 2, "oldest evicted first");
     }
@@ -625,7 +563,5 @@ mod tests {
         let wire = shard.get("stages").unwrap().get("gossip.wire").unwrap();
         assert_eq!(wire.get("bytes").unwrap().as_u64(), Some(128));
         assert_eq!(v.get("mailbox_hwm").unwrap().as_u64(), Some(6));
-        let totals = profile.wall_totals();
-        assert!(totals.contains_key("barrier.wait") && totals.contains_key("uss.ingest"));
     }
 }

@@ -57,11 +57,6 @@ impl ProvenanceStore {
         &self.records
     }
 
-    /// The latest captured decision for `user`, if retained.
-    pub fn latest_for(&self, user: &str) -> Option<&ProvenanceRecord> {
-        self.records.iter().rev().find(|r| r.user == user)
-    }
-
     /// Records evicted because the store was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -91,15 +86,5 @@ mod tests {
         assert_eq!(s.records().len(), 2);
         assert_eq!(s.dropped(), 1);
         assert_eq!(s.records()[0].user, "b");
-    }
-
-    #[test]
-    fn latest_for_finds_newest() {
-        let mut s = ProvenanceStore::new(8);
-        s.push(rec("a", 0.0));
-        s.push(rec("b", 1.0));
-        s.push(rec("a", 2.0));
-        assert_eq!(s.latest_for("a").unwrap().t_s, 2.0);
-        assert!(s.latest_for("zz").is_none());
     }
 }

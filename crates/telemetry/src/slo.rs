@@ -476,6 +476,44 @@ mod tests {
         assert_eq!(c.age("u", 0.01, 0.4, 0.25, 600.0), 0.0, "episode restarts");
         assert_eq!(c.age("u", 0.01, 0.4, 0.25, 700.0), 100.0);
         assert_eq!(c.age("z", 0.0, 0.0, 0.25, 900.0), 0.0, "zero target");
+        assert_eq!(c.age("z", 0.0, 0.0, 0.25, 1e9), 0.0, "…never starves");
+    }
+
+    /// The clock's age against a `starvation:` rule: a user under the line
+    /// is a good sample until the age passes the threshold (the window),
+    /// a recovery inside the window restarts it, and only a full window
+    /// below the line turns samples bad and the rule pending.
+    #[test]
+    fn starvation_rule_goes_bad_only_past_its_age_threshold() {
+        let mut clock = StarvationClock::default();
+        let mut e = SloEngine::new(
+            cfg(),
+            vec![SloRule {
+                id: "starvation:u".to_string(),
+                threshold: 100.0,
+            }],
+        );
+        // Target 0.4, line at 0.5 · 0.4 = 0.2.
+        let mut step = |achieved: f64, t: f64| {
+            let age = clock.age("u", achieved, 0.4, 0.5, t);
+            (age, e.observe(t, &[age]))
+        };
+        assert!(step(0.1, 0.0).1.is_empty());
+        assert!(step(0.1, 60.0).1.is_empty());
+        assert!(step(0.3, 90.0).1.is_empty(), "recovered inside the window");
+        assert_eq!(
+            step(0.1, 120.0).0,
+            0.0,
+            "clock restarted at the second drop"
+        );
+        assert!(step(0.1, 180.0).1.is_empty());
+        let (age, events) = step(0.1, 240.0);
+        assert_eq!(age, 120.0);
+        assert_eq!(events.len(), 1, "a full window below the line");
+        assert_eq!(
+            (events[0].rule.as_str(), events[0].transition),
+            ("starvation:u", "pending")
+        );
     }
 
     #[test]

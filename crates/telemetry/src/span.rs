@@ -1,6 +1,6 @@
 //! Causal spans: the trace-context propagation layer.
 //!
-//! Where the [`tracer`](crate::tracer) measures *aggregate* per-stage delay
+//! Where the pipeline-delay tracer measures *aggregate* per-stage delay
 //! distributions, spans answer the per-record question "what happened to
 //! *this* usage report": a sampled report starts a **trace**, and every
 //! pipeline stage it passes through — USS ingest, summary publication, each
@@ -52,31 +52,21 @@ pub struct SpanRecord {
     pub detail: String,
 }
 
+/// Capacity of a site's bounded span store and of its provenance store;
+/// the oldest entry is evicted (and counted) beyond this.
+pub(crate) const STORE_CAP: usize = 4096;
+
 /// Span-layer configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SpanConfig {
     /// Sample every Nth trace root (`start_trace` call); `0` disables
     /// sampling entirely (wired but inert), `1` traces every report.
     pub sample_every: u64,
-    /// Bounded span-store capacity; the oldest span is evicted (and
-    /// counted) beyond this.
-    pub store_cap: usize,
     /// The owning site, embedded in allocated span ids so independently
     /// allocated ids never collide across sites.
     pub site: u32,
     /// Whether decision provenance ([`crate::provenance`]) is captured.
     pub capture_provenance: bool,
-}
-
-impl Default for SpanConfig {
-    fn default() -> Self {
-        Self {
-            sample_every: 0,
-            store_cap: 4096,
-            site: 0,
-            capture_provenance: false,
-        }
-    }
 }
 
 impl SpanConfig {
@@ -87,7 +77,6 @@ impl SpanConfig {
             sample_every: 1,
             site,
             capture_provenance: true,
-            ..Self::default()
         }
     }
 }

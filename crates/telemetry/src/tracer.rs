@@ -34,24 +34,11 @@ use crate::registry::{Counter, Registry};
 use crate::Histogram;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Tracer configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct TracerConfig {
-    /// Sample every Nth reported record (1 = every record).
-    pub sample_every: u64,
-    /// Upper bound on concurrently tracked records; the oldest is evicted
-    /// beyond this (counted in `aequus_tracer_evicted_total`).
-    pub max_active: usize,
-}
-
-impl Default for TracerConfig {
-    fn default() -> Self {
-        Self {
-            sample_every: 8,
-            max_active: 4096,
-        }
-    }
-}
+/// Every Nth reported record is sampled (the first always is).
+const SAMPLE_EVERY: u64 = 8;
+/// Upper bound on concurrently tracked records; the oldest is evicted
+/// beyond this (counted in `aequus_tracer_evicted_total`).
+const MAX_ACTIVE: usize = 4096;
 
 #[derive(Debug)]
 struct TraceRecord {
@@ -78,7 +65,6 @@ impl TraceRecord {
 /// methods there.
 #[derive(Debug)]
 pub struct PipelineTracer {
-    cfg: TracerConfig,
     seen: u64,
     active: BTreeMap<u64, TraceRecord>,
     order: VecDeque<u64>,
@@ -95,12 +81,8 @@ pub struct PipelineTracer {
 
 impl PipelineTracer {
     /// Create a tracer registering its metrics in `registry`.
-    pub fn new(cfg: TracerConfig, registry: &Registry) -> Self {
+    pub fn new(registry: &Registry) -> Self {
         Self {
-            cfg: TracerConfig {
-                sample_every: cfg.sample_every.max(1),
-                max_active: cfg.max_active.max(1),
-            },
             seen: 0,
             active: BTreeMap::new(),
             order: VecDeque::new(),
@@ -125,11 +107,11 @@ impl PipelineTracer {
     /// Returns whether the record was sampled into the tracer.
     pub fn on_report(&mut self, job: u64, user: &str, now_s: f64) -> bool {
         self.seen += 1;
-        if !(self.seen - 1).is_multiple_of(self.cfg.sample_every) {
+        if !(self.seen - 1).is_multiple_of(SAMPLE_EVERY) {
             return false;
         }
         self.c_sampled.inc();
-        if self.active.len() >= self.cfg.max_active {
+        if self.active.len() >= MAX_ACTIVE {
             self.evict_oldest();
         }
         self.active.insert(
@@ -256,14 +238,7 @@ mod tests {
 
     fn setup() -> (PipelineTracer, Registry) {
         let r = Registry::new();
-        let t = PipelineTracer::new(
-            TracerConfig {
-                sample_every: 1,
-                max_active: 16,
-            },
-            &r,
-        );
-        (t, r)
+        (PipelineTracer::new(&r), r)
     }
 
     #[test]
@@ -308,14 +283,10 @@ mod tests {
     #[test]
     fn sampling_takes_every_nth() {
         let r = Registry::new();
-        let mut t = PipelineTracer::new(
-            TracerConfig {
-                sample_every: 4,
-                max_active: 64,
-            },
-            &r,
-        );
-        let sampled = (0..16).filter(|&i| t.on_report(i, "u", 0.0)).count();
+        let mut t = PipelineTracer::new(&r);
+        let sampled = (0..4 * SAMPLE_EVERY)
+            .filter(|&i| t.on_report(i, "u", 0.0))
+            .count();
         assert_eq!(sampled, 4);
         assert_eq!(t.active_count(), 4);
     }
@@ -323,17 +294,11 @@ mod tests {
     #[test]
     fn eviction_bounds_active_set() {
         let r = Registry::new();
-        let mut t = PipelineTracer::new(
-            TracerConfig {
-                sample_every: 1,
-                max_active: 8,
-            },
-            &r,
-        );
-        for i in 0..20 {
+        let mut t = PipelineTracer::new(&r);
+        for i in 0..(MAX_ACTIVE as u64 + 12) * SAMPLE_EVERY {
             t.on_report(i, "u", i as f64);
         }
-        assert_eq!(t.active_count(), 8);
+        assert_eq!(t.active_count(), MAX_ACTIVE);
         assert_eq!(r.snapshot().counters["aequus_tracer_evicted_total"], 12);
     }
 

@@ -86,18 +86,6 @@ impl Trace {
         out
     }
 
-    /// Inter-arrival times of the jobs of one user (or of all jobs when
-    /// `user` is `None`), in seconds.
-    pub fn inter_arrivals(&self, user: Option<&str>) -> Vec<f64> {
-        let submits: Vec<f64> = self
-            .jobs
-            .iter()
-            .filter(|j| user.is_none_or(|u| j.user == u))
-            .map(|j| j.submit_s)
-            .collect();
-        submits.windows(2).map(|w| w[1] - w[0]).collect()
-    }
-
     /// Durations of one user's jobs (or all jobs).
     pub fn durations(&self, user: Option<&str>) -> Vec<f64> {
         self.jobs
@@ -131,20 +119,6 @@ impl Trace {
                     submit_s: j.submit_s * factor,
                     duration_s: j.duration_s * factor,
                     cores: j.cores,
-                })
-                .collect(),
-        }
-    }
-
-    /// Scale only durations by `factor` (load targeting).
-    pub fn duration_scaled(&self, factor: f64) -> Trace {
-        Trace {
-            jobs: self
-                .jobs
-                .iter()
-                .map(|j| TraceJob {
-                    duration_s: j.duration_s * factor,
-                    ..j.clone()
                 })
                 .collect(),
         }
@@ -190,17 +164,6 @@ mod tests {
         assert!((usage_shares.iter().map(|(_, s)| s).sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(job_shares[0].0, "a"); // 2/3 of jobs
         assert_eq!(usage_shares[0].0, "a"); // 200 of 400 core-s ties... a=200, b=200
-    }
-
-    #[test]
-    fn inter_arrivals_per_user() {
-        let t = Trace::new(vec![
-            tj("a", 0.0, 1.0),
-            tj("b", 3.0, 1.0),
-            tj("a", 10.0, 1.0),
-        ]);
-        assert_eq!(t.inter_arrivals(Some("a")), vec![10.0]);
-        assert_eq!(t.inter_arrivals(None), vec![3.0, 7.0]);
     }
 
     #[test]

@@ -11,15 +11,22 @@
 //! rejected; what it may never do is panic. The checkpoint payload is also
 //! mutated *behind a valid CRC* — version skew, not bit rot — which is the
 //! one path the frame checksum cannot shield.
+//!
+//! Decoding is half of it: every wire mutant that still decodes to a
+//! [`UssMessage`] is then *delivered* to a serving three-site fixture, so
+//! the handlers behind the decoder are held to the same rule.
 
 use aequus::core::codec::{
     decode_cells, decode_summary, encode_cells, encode_summary, Encoding, Reader,
 };
+use aequus::core::flat_policy;
 use aequus::core::{
     parse_policy, Explanation, FairshareConfig, FairshareTree, GridUser, JobId, PolicyNode,
     PolicyTree, ProjectionKind, SiteId, UsageRecord, UsageSummary, UserCells,
 };
-use aequus::services::UssMessage;
+use aequus::services::{
+    AequusSite, ParticipationMode, RetryPolicy, ServiceTimings, StalePolicy, UssMessage,
+};
 use aequus::store::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT, KIND_RECORD};
 use aequus::store::{CheckpointState, PeerCursor, WalRecord};
 use aequus::telemetry::export::{from_json, from_prometheus, JsonValue};
@@ -29,6 +36,7 @@ use aequus::workload::{Trace, TraceJob};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Mutants per valid input and mutation kind.
 const ROUNDS: usize = 1_000;
@@ -350,4 +358,212 @@ fn a_mutated_checkpoint_payload_under_a_valid_crc_never_panics() {
         rejected > 0,
         "no mutant reached the payload decoder's errors"
     );
+}
+
+/// Summaries a fixture site keeps for resync answers: small, so the eight
+/// rounds below compact the history several times over.
+const HISTORY_CAP: usize = 3;
+
+/// The fixture's users: site `i` runs the jobs of `USERS[i]`.
+const USERS: [&str; 3] = ["U65", "U30", "U3"];
+
+/// Three serving sites on a star (site 1 the forwarding hub), binned like
+/// [`summary`] so a mutated summary's cells really merge. Eight rounds of
+/// local usage, publication and exchange leave every site with published,
+/// merged, relayed and compacted history.
+fn serving_sites() -> Vec<AequusSite> {
+    let timings = ServiceTimings {
+        report_delay_s: 1.0,
+        uss_publish_interval_s: 60.0,
+        ums_refresh_interval_s: 60.0,
+        fcs_refresh_interval_s: 60.0,
+        lib_cache_ttl_s: 5.0,
+        lib_identity_ttl_s: 60.0,
+        exchange_latency_s: 1.0,
+    };
+    let retry = RetryPolicy {
+        history_cap: HISTORY_CAP,
+        ..RetryPolicy::default()
+    };
+    let policy = flat_policy(&[("U65", 0.65), ("U30", 0.30), ("U3", 0.05)]).expect("valid policy");
+    let mut sites: Vec<AequusSite> = (0..3u32)
+        .map(|i| {
+            let mut site = AequusSite::new(
+                SiteId(i),
+                policy.clone(),
+                FairshareConfig::default(),
+                ProjectionKind::Percental,
+                timings,
+                ParticipationMode::Full,
+                3600.0,
+            );
+            let peers: &[SiteId] = if i == 1 {
+                &[SiteId(0), SiteId(2)]
+            } else {
+                &[SiteId(1)]
+            };
+            site.configure_exchange(peers, peers, retry, StalePolicy::ServeStale, 7);
+            site.uss.set_forwarding(i == 1);
+            site
+        })
+        .collect();
+    for round in 0..8u32 {
+        let opened = f64::from(round) * 3600.0;
+        for (i, site) in sites.iter_mut().enumerate() {
+            let record = UsageRecord {
+                job: JobId(u64::from(round) * 3 + i as u64),
+                user: GridUser::new(USERS[i]),
+                site: SiteId(i as u32),
+                cores: 1 + i as u32,
+                start_s: opened + 10.0,
+                end_s: opened + 400.0,
+            };
+            site.report_completion(record, opened + 400.0);
+        }
+        // Past the slot's close: the round's usage is published.
+        let now = opened + 3605.0;
+        let mut flying: Vec<(SiteId, UssMessage)> = Vec::new();
+        for site in &mut sites {
+            site.tick(now);
+            flying.extend(site.poll_messages(now));
+        }
+        while let Some((dest, msg)) = flying.pop() {
+            flying.extend(sites[dest.0 as usize].deliver_message(&msg, now));
+        }
+    }
+    assert!(sites
+        .iter()
+        .all(|s| s.uss.next_seq() > HISTORY_CAP as u64 + 1));
+    assert!(sites.iter().all(|s| s.uss.remote_total() > 0.0));
+    sites
+}
+
+/// Every site's raw grid view, bit for bit.
+fn views(sites: &[AequusSite]) -> Vec<Vec<(GridUser, u64)>> {
+    let bits = |s: &AequusSite| s.uss.grid_view().into_iter().map(|(u, v)| (u, v.to_bits()));
+    sites.iter().map(|s| bits(s).collect()).collect()
+}
+
+/// Deliver `msg` to every fixture site, as a peer that can say anything
+/// well-formed would: no panic, a bounded answer, and afterwards every cell
+/// the site would checkpoint (its own and each origin's mirror) is still a
+/// charge and every view entry a non-negative number. A control message
+/// (`Ack`, `Resync`, `SnapshotRequest`) additionally moves no view at all.
+fn deliver_everywhere(sites: &mut [AequusSite], msg: &UssMessage, now: f64, what: &str) {
+    let before = (!msg.is_data()).then(|| views(sites));
+    for site in sites.iter_mut() {
+        let id = site.id().0;
+        let Ok(responses) = catch_unwind(AssertUnwindSafe(|| site.deliver_message(msg, now)))
+        else {
+            panic!(
+                "site {id} panicked handling {what} (seed {}): {msg:?}",
+                seed()
+            );
+        };
+        assert!(
+            responses.len() <= HISTORY_CAP + 1,
+            "site {id} answered {what} with {} messages: {msg:?}",
+            responses.len()
+        );
+        let no_ums = BTreeMap::new();
+        let held = site.uss.checkpoint_view(0, now, None, &no_ums);
+        let own = held.local_cells.iter().map(|(_, slots)| *slots);
+        let mirrored = held.origin_cells.values().flat_map(|users| users.values());
+        for slots in own.chain(mirrored) {
+            assert!(
+                slots.values().all(|c| c.is_finite() && *c >= 0.0),
+                "site {id} holds a non-charge after {what}: {msg:?}"
+            );
+        }
+        assert!(
+            site.uss.grid_view().values().all(|v| *v >= 0.0),
+            "site {id} serves a negative or NaN view after {what}: {msg:?}"
+        );
+    }
+    if let Some(before) = before {
+        assert!(before == views(sites), "{what} moved a view: {msg:?}");
+    }
+}
+
+/// Handlers, not only decoders, survive outside bytes: every mutant of a
+/// valid wire message that still decodes is delivered to all three serving
+/// sites, followed by the explicit extremes a mutation is unlikely to hit —
+/// the full-range `Resync` that used to overflow (debug) or walk 2^64
+/// sequence numbers (release), an inverted range, and data messages
+/// numbered `u64::MAX` and `0`.
+#[test]
+fn no_handler_panics_or_overcounts_on_a_message_that_still_decodes() {
+    let mut sites = serving_sites();
+    let mut rng = StdRng::seed_from_u64(seed() ^ 0x5173);
+    let now = 9.0 * 3600.0;
+    let mut delivered = 0usize;
+    for input in messages() {
+        for kind in 0..4 {
+            for _ in 0..ROUNDS {
+                if let Ok((msg, _)) = UssMessage::decode(&mutant(&input, kind, &mut rng)) {
+                    deliver_everywhere(&mut sites, &msg, now, "a decoded mutant");
+                    delivered += 1;
+                }
+            }
+        }
+    }
+    assert!(delivered > ROUNDS, "only {delivered} mutants decoded");
+
+    let from = SiteId(2);
+    let numbered = |seq: u64| UsageSummary { seq, ..summary() };
+    let extremes = [
+        UssMessage::Resync {
+            from,
+            from_seq: 0,
+            to_seq: u64::MAX,
+        },
+        UssMessage::Resync {
+            from,
+            from_seq: 1,
+            to_seq: u64::MAX,
+        },
+        UssMessage::Resync {
+            from,
+            from_seq: 9,
+            to_seq: 2,
+        },
+        UssMessage::Snapshot {
+            summary: numbered(u64::MAX),
+            ctx: None,
+        },
+        UssMessage::Summary {
+            summary: numbered(u64::MAX),
+            ctx: None,
+        },
+        UssMessage::Summary {
+            summary: numbered(0),
+            ctx: None,
+        },
+    ];
+    for msg in &extremes {
+        deliver_everywhere(&mut sites, msg, now, "an extreme case");
+    }
+    // A journaled publish cursor at the end of the number line replays and
+    // the site publishes on (the cursor saturates).
+    sites[0].uss.replay_publish_seq(u64::MAX);
+    // The fixture still serves: another round of usage is published and
+    // every factor is a probability.
+    for (i, site) in sites.iter_mut().enumerate() {
+        let user = GridUser::new(USERS[i]);
+        site.report_completion(
+            UsageRecord {
+                job: JobId(1_000 + i as u64),
+                user: user.clone(),
+                site: SiteId(i as u32),
+                cores: 1,
+                start_s: now + 10.0,
+                end_s: now + 50.0,
+            },
+            now + 50.0,
+        );
+        site.tick(now + 3700.0);
+        assert!(!site.poll_messages(now + 3700.0).is_empty());
+        let factor = site.fairshare(&user, now + 3700.0);
+        assert!((0.0..=1.0).contains(&factor), "site {i}: {factor}");
+    }
 }

@@ -7,7 +7,7 @@
 
 use aequus::core::projection::ProjectionKind;
 use aequus::services::{RetryPolicy, ServiceTimings};
-use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, ShardPlacement, SimResult};
+use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, SimResult};
 use aequus::workload::{Trace, TraceJob};
 
 fn base_seed() -> u64 {
@@ -187,17 +187,6 @@ fn worker_counts_replay_serial_run_across_chaos_matrix() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn placement_strategy_does_not_change_results() {
-    let serial = run(scenario(base_seed(), ProjectionKind::Percental));
-    for placement in [ShardPlacement::RoundRobin, ShardPlacement::Blocked] {
-        let parallel = run(scenario(base_seed(), ProjectionKind::Percental)
-            .with_threads(2)
-            .with_placement(placement));
-        assert_equivalent(&serial, &parallel, &format!("{placement:?}"));
     }
 }
 
