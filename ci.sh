@@ -80,11 +80,13 @@ if git grep -n -e '--bin' -- '*.md' '*.sh' ':!ISSUE.md' ':!CHANGES.md' ':!ci.sh'
   exit 1
 fi
 # Decoders of bytes from outside a site return errors: the byte formats'
-# non-test code (up to the first `#[cfg(test)]`) holds no `expect`/`unwrap`.
+# non-test code (up to the first `#[cfg(test)]`) holds no `expect`/`unwrap`
+# — nor does the UMS refresh, which a serving site runs every tick.
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
-  crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs; do
+  crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
+  crates/services/src/ums.rs; do
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()'; then
-    echo "$f: an expect/unwrap in a decoder of outside bytes" >&2
+    echo "$f: an expect/unwrap on a path a serving site runs over outside input" >&2
     exit 1
   fi
 done
@@ -104,6 +106,27 @@ if git grep -n 'take_outbox' -- '*.rs' '*.toml' '*.sh' \
   echo "take_outbox has a caller besides the benchmark's replay" >&2
   exit 1
 fi
+# One user table from the wire to the factor: the name-keyed structures the
+# `UserTable` and the policy layout replaced are named nowhere, and between
+# the edges nothing is keyed by name — the non-test code of the tree, the
+# table, the UMS, the FCS, the RMS plugin and the sampler holds a
+# `BTreeMap<GridUser, _>` only in the signatures of the by-name entry and
+# the report accessors DESIGN.md's id contract lists
+# (`FairshareTree::{compute, by_user}`, `Fcs::factors`).
+if git grep -n -e 'UserIndex' -e 'PendingUsers' -e 'users_by_id' -e 'user_paths' \
+  -- '*.rs' DESIGN.md; then
+  echo "a name-keyed structure the user table replaced is named again" >&2
+  exit 1
+fi
+for f in crates/core/src/fairshare.rs crates/core/src/arena.rs crates/services/src/ums.rs \
+  crates/services/src/fcs.rs crates/rms/src/plugin.rs crates/sim/src/shard.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -v -e '^ *//' \
+    -e 'usage_by_user: &BTreeMap<GridUser, f64>,' -e 'pub fn by_user(' -e 'pub fn factors(' |
+    grep -n -e 'BTreeMap<GridUser' -e 'BTreeSet<GridUser'; then
+    echo "$f: a name-keyed map between the edges" >&2
+    exit 1
+  fi
+done
 # Wall clock is the repo benchmark's to judge (benchmark/): no per-PR
 # snapshot or profile file may be tracked again.
 [ -z "$(git ls-files 'BENCH_*' 'PROFILE_*')" ] || { echo "a BENCH_/PROFILE_ snapshot is tracked again" >&2; exit 1; }

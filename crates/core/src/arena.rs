@@ -1,21 +1,24 @@
-//! Arena plumbing for the incremental fairshare engine: dense node ids, a
-//! path interner, and the dirty-set protocol that carries "what changed"
-//! from the usage/policy services down to
+//! Arena plumbing for the incremental fairshare engine: dense node and user
+//! ids, the [`UserTable`] that assigns the user ids, and the dirty-set
+//! protocol that carries "what changed" from the usage/policy services down
+//! to
 //! [`FairshareTree::recompute_dirty`](crate::fairshare::FairshareTree::recompute_dirty).
 //!
-//! The seed implementation kept every traversal keyed by cloned
-//! [`EntityPath`]s in `BTreeMap`s; the arena replaces that with `u32`
-//! indices into a flat node vector, so the recompute hot path never
-//! allocates and only touches the subtrees named by the [`DirtySet`].
+//! Names are strings and every name-keyed map pays for comparing them on
+//! each descent; everything between the wire and the served factor is
+//! therefore keyed by [`UserId`], and a name is looked up once, where it
+//! enters a site (DESIGN.md, "The id contract").
 
 use crate::ids::{EntityPath, GridUser};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Dense index of a node in the fairshare arena.
 ///
-/// Ids are assigned in depth-first policy order, are stable across
-/// incremental recomputes, and are only reassigned by a full rebuild
-/// (policy structure change).
+/// Ids are assigned in depth-first policy order by the
+/// [`PolicyLayout`](crate::policy::PolicyLayout), are stable across
+/// incremental recomputes and share edits, and are only reassigned when the
+/// policy *structure* changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
@@ -26,61 +29,149 @@ impl NodeId {
     }
 }
 
-/// Stable dense index of a grid user in a factor table.
+/// Stable dense index of a grid user in one holder's [`UserTable`] — the
+/// key of every per-user row and cell between the wire and the factor.
 ///
-/// Unlike [`NodeId`], user ids survive full rebuilds: the FCS assigns them
-/// on first sight and never reuses them, so RMS-side callers can hold a
-/// `UserId` across refreshes and query priorities without cloning or
-/// re-hashing `GridUser` keys.
+/// Ids are never reused and survive crashes, FCS resets and policy
+/// replacements, so RMS-side callers can hold a `UserId` for the life of a
+/// job and query priorities without cloning or comparing `GridUser` keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 impl UserId {
-    /// The factor-table slot this id names.
+    /// The row slot this id names.
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// What a per-user `row` holds for this id: nothing past its end, or
+    /// where it marks "no entry" with `NaN`.
+    pub fn read(self, row: &[f64]) -> Option<f64> {
+        row.get(self.index())
+            .copied()
+            .filter(|value| !value.is_nan())
+    }
 }
 
-/// Bidirectional `EntityPath` ↔ [`NodeId`] mapping for one arena.
+/// Who a [`UserId`] is: an immutable, name-sorted **base** of identities
+/// (a policy's leaves — [`PolicyLayout::users`](crate::policy::PolicyLayout::users))
+/// shared by `Arc` between every holder built from clones of one policy,
+/// plus this holder's own append-only **overflow** for identities outside
+/// it.
 ///
-/// Forward lookups serve the path-based public API; the reverse direction
-/// is stored on the arena nodes themselves (parent links), so the interner
-/// only keeps the forward map.
+/// * A base user's id is its rank in name order, so over the base `UserId`
+///   order *is* `BTreeMap<GridUser, _>` iteration order — the order every
+///   codec, checkpoint and float sum depends on — and two holders of one
+///   base agree on those ids without talking.
+/// * An overflow user's id is `base.len() + k` for the `k`-th identity this
+///   holder met outside the base; it means nothing to another holder.
+///   [`iter`](Self::iter) still yields the whole table in name order, for
+///   the edges where names leave.
+///
+/// Nothing is ever removed: an id handed out stays valid and keeps its
+/// name for as long as the table lives.
 #[derive(Debug, Clone, Default)]
-pub struct PathInterner {
-    map: BTreeMap<EntityPath, NodeId>,
+pub struct UserTable {
+    base: Arc<[GridUser]>,
+    /// Identities outside the base, by id: slot `i` is `UserId(base.len() + i)`.
+    overflow: Vec<GridUser>,
+    /// Slots of `overflow`, in name order.
+    by_name: Vec<u32>,
 }
 
-impl PathInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        Self::default()
+impl UserTable {
+    /// A table over `base`, which must be sorted and free of duplicates
+    /// ([`PolicyLayout::users`](crate::policy::PolicyLayout::users) is).
+    pub fn new(base: Arc<[GridUser]>) -> Self {
+        debug_assert!(base.windows(2).all(|w| w[0] < w[1]), "base is ranked");
+        Self {
+            base,
+            ..Self::default()
+        }
     }
 
-    /// Register `path` as `id`. Re-interning an existing path overwrites.
-    pub fn insert(&mut self, path: EntityPath, id: NodeId) {
-        self.map.insert(path, id);
+    /// The shared base.
+    pub fn base(&self) -> &Arc<[GridUser]> {
+        &self.base
     }
 
-    /// Resolve a path to its node id.
-    pub fn get(&self, path: &EntityPath) -> Option<NodeId> {
-        self.map.get(path).copied()
-    }
-
-    /// Number of interned paths.
+    /// Number of ids handed out: every row indexed by this table's ids is
+    /// at most this long.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.base.len() + self.overflow.len()
     }
 
-    /// Whether no paths are interned.
+    /// Whether the table names nobody.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
-    /// Iterate interned `(path, id)` pairs in path order.
-    pub fn iter(&self) -> impl Iterator<Item = (&EntityPath, NodeId)> {
-        self.map.iter().map(|(p, id)| (p, *id))
+    /// The id of `user`, or where it would sit among the overflow names —
+    /// `O(log users)` name comparisons, the only ones the id-keyed path pays.
+    fn find(&self, user: &GridUser) -> Result<UserId, usize> {
+        if let Ok(rank) = self.base.binary_search(user) {
+            return Ok(UserId(rank as u32));
+        }
+        let by_name = |&slot: &u32| self.overflow[slot as usize].cmp(user);
+        let at = self.by_name.binary_search_by(by_name)?;
+        Ok(UserId(self.base.len() as u32 + self.by_name[at]))
+    }
+
+    /// The id of `user`, if it has one.
+    pub fn id_of(&self, user: &GridUser) -> Option<UserId> {
+        self.find(user).ok()
+    }
+
+    /// The id of `user`, appending it to the overflow when it is new.
+    pub fn intern(&mut self, user: &GridUser) -> UserId {
+        self.find(user).unwrap_or_else(|at| {
+            self.by_name.insert(at, self.overflow.len() as u32);
+            self.overflow.push(user.clone());
+            UserId(self.len() as u32 - 1)
+        })
+    }
+
+    /// The identity behind an id this table handed out.
+    ///
+    /// # Panics
+    /// On an id from another table that is past this one's end.
+    pub fn name(&self, id: UserId) -> &GridUser {
+        match id.index().checked_sub(self.base.len()) {
+            None => &self.base[id.index()],
+            Some(slot) => &self.overflow[slot],
+        }
+    }
+
+    /// Every identity with its id, in name order (`BTreeMap<GridUser, _>`
+    /// key order), overflow merged in.
+    pub fn iter(&self) -> impl Iterator<Item = (UserId, &GridUser)> {
+        let mut base = (0u32..).map(UserId).zip(self.base.iter()).peekable();
+        let (slots, past) = (self.by_name.iter(), self.base.len() as u32);
+        let over = slots.map(move |&slot| (UserId(past + slot), &self.overflow[slot as usize]));
+        let mut over = over.peekable();
+        std::iter::from_fn(move || match (base.peek(), over.peek()) {
+            (Some((_, b)), Some((_, o))) if o < b => over.next(),
+            (Some(_), _) => base.next(),
+            (None, _) => over.next(),
+        })
+    }
+
+    /// A row over this table's ids from name-keyed `values` (absent users
+    /// read `NaN`), interning the names — how a checkpointed name-keyed
+    /// cache comes back in.
+    pub fn row_from<'a>(
+        &mut self,
+        values: impl IntoIterator<Item = (&'a GridUser, &'a f64)>,
+    ) -> Vec<f64> {
+        let mut row = Vec::new();
+        for (user, &value) in values {
+            let id = self.intern(user);
+            if row.len() <= id.index() {
+                row.resize(self.len(), f64::NAN);
+            }
+            row[id.index()] = value;
+        }
+        row
     }
 }
 
@@ -91,9 +182,11 @@ impl PathInterner {
 /// Produced by `Ums`/`Uss` (usage ingestion and summary merges) and `Pds`
 /// (policy edits); consumed by `Fcs::refresh`, which forwards it to
 /// [`FairshareTree::recompute_dirty`](crate::fairshare::FairshareTree::recompute_dirty).
+/// Users are named by the [`UserId`]s of the site's [`UserTable`]: a mark
+/// is one integer insert, and the set iterates in id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirtySet {
-    users: BTreeSet<GridUser>,
+    users: BTreeSet<UserId>,
     paths: BTreeSet<EntityPath>,
     all: bool,
 }
@@ -105,7 +198,7 @@ impl DirtySet {
     }
 
     /// Mark one user's usage as changed.
-    pub fn mark_user(&mut self, user: GridUser) {
+    pub fn mark_user(&mut self, user: UserId) {
         if !self.all {
             self.users.insert(user);
         }
@@ -135,9 +228,9 @@ impl DirtySet {
         self.all
     }
 
-    /// Users with changed usage.
-    pub fn users(&self) -> impl Iterator<Item = &GridUser> {
-        self.users.iter()
+    /// Users with changed usage, in id order.
+    pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
+        self.users.iter().copied()
     }
 
     /// Paths with changed policy shares.
@@ -154,7 +247,7 @@ impl DirtySet {
         if self.all {
             return;
         }
-        self.users.extend(other.users.iter().cloned());
+        self.users.extend(other.users.iter().copied());
         self.paths.extend(other.paths.iter().cloned());
     }
 
@@ -192,11 +285,12 @@ impl RecomputeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn dirty_set_collapses_into_all() {
         let mut d = DirtySet::new();
-        d.mark_user(GridUser::new("a"));
+        d.mark_user(UserId(0));
         d.mark_path(EntityPath::parse("/g/a"));
         assert!(!d.is_empty());
         assert!(!d.is_all());
@@ -205,19 +299,19 @@ mod tests {
         assert_eq!(d.users().count(), 0);
         assert_eq!(d.paths().count(), 0);
         // Further marks are absorbed.
-        d.mark_user(GridUser::new("b"));
+        d.mark_user(UserId(1));
         assert_eq!(d.users().count(), 0);
     }
 
     #[test]
     fn merge_and_take() {
         let mut a = DirtySet::new();
-        a.mark_user(GridUser::new("x"));
+        a.mark_user(UserId(7));
         let mut b = DirtySet::new();
-        b.mark_user(GridUser::new("y"));
+        b.mark_user(UserId(3));
         b.mark_path(EntityPath::parse("/y"));
         a.merge(&b);
-        assert_eq!(a.users().count(), 2);
+        assert_eq!(a.users().collect::<Vec<_>>(), [UserId(3), UserId(7)]);
         assert_eq!(a.paths().count(), 1);
         let taken = a.take();
         assert!(a.is_empty());
@@ -226,20 +320,63 @@ mod tests {
         let mut c = DirtySet::new();
         c.mark_all();
         let mut d = DirtySet::new();
-        d.mark_user(GridUser::new("z"));
+        d.mark_user(UserId(9));
         d.merge(&c);
         assert!(d.is_all());
     }
 
+    fn names(names: &[&str]) -> Arc<[GridUser]> {
+        names.iter().copied().map(GridUser::new).collect()
+    }
+
     #[test]
-    fn interner_roundtrip() {
-        let mut i = PathInterner::new();
-        let p = EntityPath::parse("/g/u");
-        i.insert(EntityPath::root(), NodeId(0));
-        i.insert(p.clone(), NodeId(3));
-        assert_eq!(i.get(&p), Some(NodeId(3)));
-        assert_eq!(i.get(&EntityPath::parse("/missing")), None);
-        assert_eq!(i.len(), 2);
+    fn base_ids_are_name_ranks_and_overflow_ids_append() {
+        let mut t = UserTable::new(names(&["b", "d", "f"]));
+        assert_eq!(t.id_of(&GridUser::new("d")), Some(UserId(1)));
+        assert_eq!(t.id_of(&GridUser::new("c")), None);
+        // First sight appends, whatever the name's rank; a second sight
+        // (and a base user) interns nothing.
+        assert_eq!(t.intern(&GridUser::new("z")), UserId(3));
+        assert_eq!(t.intern(&GridUser::new("a")), UserId(4));
+        assert_eq!(t.intern(&GridUser::new("z")), UserId(3));
+        assert_eq!(t.intern(&GridUser::new("f")), UserId(2));
+        assert_eq!(t.len(), 5);
+        assert_eq!(t.name(UserId(4)), &GridUser::new("a"));
+        assert_eq!(t.name(UserId(0)), &GridUser::new("b"));
         assert_eq!(NodeId(3).index(), 3);
+    }
+
+    #[test]
+    fn name_order_iteration_with_overflow_is_btreemap_key_order() {
+        let mut t = UserTable::new(names(&["b", "d", "f"]));
+        let mut oracle: BTreeMap<GridUser, UserId> =
+            t.iter().map(|(id, user)| (user.clone(), id)).collect();
+        for name in ["e", "a", "zz", "c", "e"] {
+            let user = GridUser::new(name);
+            oracle.insert(user.clone(), t.intern(&user));
+        }
+        let walked: Vec<(GridUser, UserId)> =
+            t.iter().map(|(id, user)| (user.clone(), id)).collect();
+        assert_eq!(walked, oracle.into_iter().collect::<Vec<_>>());
+        // An empty base is all overflow.
+        let mut bare = UserTable::default();
+        assert!(bare.is_empty());
+        for name in ["m", "k", "x"] {
+            bare.intern(&GridUser::new(name));
+        }
+        let order: Vec<&str> = bare.iter().map(|(_, u)| u.as_str()).collect();
+        assert_eq!(order, ["k", "m", "x"]);
+    }
+
+    #[test]
+    fn a_row_from_names_reads_nan_where_no_value_came() {
+        let mut t = UserTable::new(names(&["a", "b"]));
+        let values: BTreeMap<GridUser, f64> = [("b", 2.0), ("q", 9.0)]
+            .map(|(n, v)| (GridUser::new(n), v))
+            .into();
+        let row = t.row_from(&values);
+        assert!(row[0].is_nan());
+        assert_eq!(&row[1..], [2.0, 9.0]);
+        assert_eq!(t.id_of(&GridUser::new("q")), Some(UserId(2)));
     }
 }

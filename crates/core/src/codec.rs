@@ -10,7 +10,7 @@
 //! actually left before anything is allocated, and a failed read is a
 //! [`CodecError`], never a panic.
 //!
-//! A cell section ([`encode_cells`] / [`decode_cells`]) comes in two
+//! A cell section ([`NamedCells::encode`] / [`decode_cells`]) comes in two
 //! encodings. [`Encoding::Dense`] stores every (slot, charge) cell at full
 //! fixed width, while [`Encoding::Delta`] exploits the structure the
 //! reliable exchange already guarantees (sorted users, sorted slots,
@@ -39,10 +39,12 @@
 //! and slot indices, no trailing bytes — so a frame that decodes at all
 //! re-encodes to the identical bytes.
 
+use crate::arena::UserTable;
 use crate::ids::{GridUser, SiteId};
-use crate::usage::{UsageSummary, UserCells};
+use crate::usage::{CellStore, UsageSummary, UserCells};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 const MAGIC: u8 = 0xA9;
 const VERSION: u8 = 1;
@@ -383,83 +385,125 @@ fn integral_value(charge: f64) -> Option<u64> {
     ((x as f64).to_bits() == charge.to_bits()).then_some(x)
 }
 
-/// Encode per-user cells (user → slot → charge) as one section payload
-/// under `enc`: a varint user count, then the encoding's layout. Takes any
-/// re-iterable of borrowed `(user, slots)` pairs in name order — a
-/// [`UserCells`] by reference, or a view into a histogram's own cells — so
-/// nothing is cloned to be encoded.
-pub fn encode_cells<'a, C, S: Sink>(cells: C, enc: Encoding, out: &mut S)
-where
-    C: IntoIterator<Item = (&'a GridUser, &'a BTreeMap<u64, f64>)>,
-    C::IntoIter: ExactSizeIterator + Clone,
-{
-    let cells = cells.into_iter();
-    out.varint(cells.len() as u64);
-    let slots_of = || cells.clone().map(|(_, slots)| slots);
-    match enc {
-        Encoding::Dense => {
-            // Fixed-width u32 length/count fields and 16-byte cells.
-            for (user, slots) in cells.clone() {
-                out.str(user.as_str());
-                out.u32(slots.len() as u32);
-                for (&slot, &charge) in slots {
-                    out.u64(slot);
-                    out.f64(charge);
-                }
+/// Per-user cells under their names, in name order, as the encoder takes
+/// them: `(user, cells[range])` runs over one flat cell vector — a copy of
+/// an edge type's [`UserCells`], or of a site's id-keyed [`CellStore`] with
+/// the names written back and no per-user map built on the way.
+#[derive(Debug, Default)]
+pub struct NamedCells<'a> {
+    runs: Vec<(&'a GridUser, Range<usize>)>,
+    cells: Vec<(u64, f64)>,
+}
+
+impl<'a> NamedCells<'a> {
+    /// The cells of `store` under the names `users` gave its ids: one pass
+    /// over the store (id order is name order over the table's base), and a
+    /// sort of the users only when the table holds identities outside it.
+    pub fn from_store(store: &CellStore, users: &'a UserTable) -> Self {
+        let mut named = Self::default();
+        let mut last = None;
+        for (user, slot, charge) in store.iter() {
+            if last.replace(user) != Some(user) {
+                named.open(users.name(user));
             }
+            named.push(slot, charge);
         }
-        Encoding::Delta => {
-            // Names column, front-coded against the previous name: grid
-            // identities like "u000123" share long prefixes, so most
-            // entries shrink to a couple of bytes.
-            let mut prev: &[u8] = &[];
-            for (user, _) in cells.clone() {
-                let name = user.as_str().as_bytes();
-                let shared = common_prefix(prev, name);
-                out.varint(shared as u64);
-                out.varint((name.len() - shared) as u64);
-                out.bytes(&name[shared..]);
-                prev = name;
-            }
-            // Cell-count column.
-            for slots in slots_of() {
-                out.varint(slots.len() as u64);
-            }
-            // Slot column: first index absolute, the rest as gaps (sorted
-            // and distinct, so every gap is ≥ 1 and typically tiny).
-            for slots in slots_of() {
-                let mut prev_slot = None;
-                for &slot in slots.keys() {
-                    match prev_slot {
-                        None => out.varint(slot),
-                        Some(p) => out.varint(slot - p),
+        if users.len() > users.base().len() {
+            named.runs.sort_by(|a, b| a.0.cmp(b.0));
+        }
+        named
+    }
+
+    /// A flat copy of name-keyed cells (users holding none included).
+    pub fn from_cells(cells: &'a UserCells) -> Self {
+        let mut named = Self::default();
+        for (user, slots) in cells {
+            named.open(user);
+            slots
+                .iter()
+                .for_each(|(&slot, &charge)| named.push(slot, charge));
+        }
+        named
+    }
+
+    fn open(&mut self, user: &'a GridUser) {
+        self.runs.push((user, self.cells.len()..self.cells.len()));
+    }
+
+    fn push(&mut self, slot: u64, charge: f64) {
+        self.cells.push((slot, charge));
+        if let Some((_, run)) = self.runs.last_mut() {
+            run.end = self.cells.len();
+        }
+    }
+
+    /// `(user, cells in slot order)`, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a GridUser, &[(u64, f64)])> + Clone {
+        let runs = self.runs.iter();
+        runs.map(|(user, run)| (*user, &self.cells[run.clone()]))
+    }
+
+    /// Encode as one section payload under `enc`: a varint user count, then
+    /// the encoding's layout.
+    pub fn encode<S: Sink>(&self, enc: Encoding, out: &mut S) {
+        out.varint(self.runs.len() as u64);
+        let cells = || self.iter().flat_map(|(_, cells)| cells);
+        match enc {
+            Encoding::Dense => {
+                // Fixed-width u32 length/count fields and 16-byte cells.
+                for (user, cells) in self.iter() {
+                    out.str(user.as_str());
+                    out.u32(cells.len() as u32);
+                    for &(slot, charge) in cells {
+                        out.u64(slot);
+                        out.f64(charge);
                     }
-                    prev_slot = Some(slot);
                 }
             }
-            // Value column, led by a per-cell bitmap: set bits mark charges
-            // that are exactly a small non-negative integer — the common
-            // case for accumulated core-seconds — stored as a plain varint
-            // of that integer. Clear bits fall back to the `f64` bits
-            // byte-swapped then varint-coded (lossless for every bit
-            // pattern; the trailing-zero mantissas of dyadic charges become
-            // leading zeros the varint drops).
-            let mut bitmap = Vec::new();
-            let mut bit = 0usize;
-            for slots in slots_of() {
-                for &charge in slots.values() {
+            Encoding::Delta => {
+                // Names column, front-coded against the previous name: grid
+                // identities like "u000123" share long prefixes, so most
+                // entries shrink to a couple of bytes.
+                let mut prev: &[u8] = &[];
+                for (user, _) in self.iter() {
+                    let name = user.as_str().as_bytes();
+                    let shared = common_prefix(prev, name);
+                    out.varint(shared as u64);
+                    out.varint((name.len() - shared) as u64);
+                    out.bytes(&name[shared..]);
+                    prev = name;
+                }
+                // Cell-count column.
+                for (_, cells) in self.iter() {
+                    out.varint(cells.len() as u64);
+                }
+                // Slot column: first index absolute, the rest as gaps (sorted
+                // and distinct, so every gap is ≥ 1 and typically tiny).
+                for (_, cells) in self.iter() {
+                    let mut prev_slot = 0;
+                    for &(slot, _) in cells {
+                        out.varint(slot - prev_slot);
+                        prev_slot = slot;
+                    }
+                }
+                // Value column, led by a per-cell bitmap: set bits mark
+                // charges that are exactly a small non-negative integer — the
+                // common case for accumulated core-seconds — stored as a
+                // plain varint of that integer. Clear bits fall back to the
+                // `f64` bits byte-swapped then varint-coded (lossless for
+                // every bit pattern; the trailing-zero mantissas of dyadic
+                // charges become leading zeros the varint drops).
+                let mut bitmap = Vec::new();
+                for (bit, &(_, charge)) in cells().enumerate() {
                     if bit.is_multiple_of(8) {
                         bitmap.push(0u8);
                     }
                     if integral_value(charge).is_some() {
                         bitmap[bit / 8] |= 1 << (bit % 8);
                     }
-                    bit += 1;
                 }
-            }
-            out.bytes(&bitmap);
-            for slots in slots_of() {
-                for &charge in slots.values() {
+                out.bytes(&bitmap);
+                for &(_, charge) in cells() {
                     match integral_value(charge) {
                         Some(x) => out.varint(x),
                         None => out.varint(charge.to_bits().swap_bytes()),
@@ -470,7 +514,7 @@ where
     }
 }
 
-/// Decode one section payload written by [`encode_cells`] under `enc`.
+/// Decode one section payload written by [`NamedCells::encode`] under `enc`.
 /// Canonical form is enforced — strictly increasing names and slots — so
 /// cells that decode at all re-encode to the identical bytes.
 pub fn decode_cells(r: &mut Reader<'_>, enc: Encoding) -> Result<UserCells, CodecError> {
@@ -594,7 +638,7 @@ pub fn write_summary<S: Sink>(s: &UsageSummary, enc: Encoding, out: &mut S) {
     out.varint(1 + s.relayed.len() as u64);
     for (origin, cells) in std::iter::once((&s.site, &s.per_user)).chain(&s.relayed) {
         out.varint(u64::from(origin.0));
-        encode_cells(cells, enc, out);
+        NamedCells::from_cells(cells).encode(enc, out);
     }
 }
 

@@ -113,13 +113,22 @@ impl Explanation {
     /// The captured `factor` is computed through the same code paths the
     /// serving side uses, so it equals the served value bit-for-bit.
     pub fn capture(tree: &FairshareTree, user: &GridUser, kind: ProjectionKind) -> Option<Self> {
-        let path = tree.path_of_user(user)?.clone();
+        let layout = tree.layout();
+        let id = layout.user_id(user)?;
+        let leaf = tree.leaf_of(id)?;
         let config = *tree.config();
-        let mut levels = Vec::with_capacity(path.depth());
+        // The nodes along the path, leaf first; the root has no level.
+        let mut chain = Vec::with_capacity(tree.depth());
+        let mut cur = leaf;
+        while let Some(above) = layout[cur].parent {
+            chain.push(cur);
+            cur = above;
+        }
+        let mut levels = Vec::with_capacity(chain.len());
         let mut prefix = EntityPath::root();
-        for comp in path.components() {
-            prefix = prefix.child(comp);
-            let state = tree.node(&prefix)?;
+        for node in chain.into_iter().rev() {
+            prefix = prefix.child(&layout[node].name);
+            let state = tree.share_of(node);
             let (p, u) = (state.policy_share, state.usage_share);
             let rel = if p == u {
                 0.0
@@ -136,10 +145,10 @@ impl Explanation {
                 element: state.element,
             });
         }
-        let vector = tree.vector_for_user(user)?;
+        let vector = tree.vector_of_id(leaf);
         let (projection, factor) = match kind {
             ProjectionKind::Percental => {
-                let (target, usage) = Percental::total_shares(tree, tree.user_node(user)?);
+                let (target, usage) = Percental::total_shares(tree, leaf);
                 (
                     ProjectionExplanation::Percental {
                         target_product: target,
@@ -160,7 +169,7 @@ impl Explanation {
                 )
             }
             ProjectionKind::Dictionary => {
-                let (start, ties, n) = DictionaryOrdering.rank_of(tree, user)?;
+                let (start, ties, n) = DictionaryOrdering.rank_of(tree, id)?;
                 (
                     ProjectionExplanation::Dictionary {
                         rank_start: start,
@@ -503,11 +512,7 @@ mod tests {
     fn capture_replays_bit_for_bit_for_all_projections() {
         let tree = nested_tree();
         for kind in ProjectionKind::ALL {
-            let served = kind
-                .build()
-                .project(&tree)
-                .remove(&GridUser::new("alice"))
-                .unwrap();
+            let served = tree.by_user(&kind.build().project(&tree))[&GridUser::new("alice")];
             let ex = Explanation::capture(&tree, &GridUser::new("alice"), kind).unwrap();
             assert_eq!(ex.factor.to_bits(), served.to_bits(), "{kind:?} capture");
             assert_eq!(ex.replay().to_bits(), served.to_bits(), "{kind:?} replay");

@@ -14,22 +14,30 @@
 //!
 //! ## Incremental engine
 //!
-//! The tree is stored as an arena of [`NodeId`]-indexed nodes (plus a
-//! [`PathInterner`] for the path-based API) rather than path-keyed maps, so
+//! A tree is the policy's shared [`PolicyLayout`] — topology, names, which
+//! leaf accounts for whom; built once per policy structure — plus one flat
+//! [`NodeId`]-indexed row of per-node state, so a full rebuild is a float
+//! pass over a `&[f64]` usage row and
 //! [`FairshareTree::recompute_dirty`] can re-derive state for *only the
 //! subtrees named by a [`DirtySet`]*: a usage change for one user re-
-//! aggregates exactly that user's root→leaf path and refreshes the sibling
-//! groups along it. After any mutation sequence, the incremental state is
-//! bit-identical to a from-scratch [`FairshareTree::compute`] on the same
-//! inputs — enforced by a debug-build assertion inside `recompute_dirty`
-//! and by property tests.
+//! aggregates exactly the root→leaf paths of that user's leaves and
+//! refreshes the sibling groups along them. After any mutation sequence,
+//! the incremental state is bit-identical to a from-scratch
+//! [`FairshareTree::compute_row`] on the same inputs — enforced by a
+//! debug-build assertion inside `recompute_dirty` and by property tests.
+//!
+//! A tree speaks the [`UserId`]s of its layout: ranks in
+//! [`PolicyLayout::users`]. A holder whose
+//! [`UserTable`](crate::arena::UserTable) is built over that base passes
+//! its rows and dirty sets through as they are.
 
-use crate::arena::{DirtySet, NodeId, PathInterner, RecomputeStats};
+use crate::arena::{DirtySet, NodeId, RecomputeStats, UserId};
 use crate::decay::DecayPolicy;
 use crate::ids::{EntityPath, GridUser};
-use crate::policy::{PolicyNode, PolicyNodeKind, PolicyTree};
+use crate::policy::{PolicyLayout, PolicyNode, PolicyTree};
 use crate::vector::{FairshareVector, Resolution};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Configuration of the fairshare calculation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,19 +119,9 @@ impl NodeShare {
     }
 }
 
-/// One arena slot of the computed fairshare tree.
+/// One slot of the per-node state row.
 #[derive(Debug, Clone)]
-struct ArenaNode {
-    /// Node name (unique among siblings; mirrors the policy node).
-    name: String,
-    /// Parent slot; `None` for the root.
-    parent: Option<NodeId>,
-    /// Child slots in policy order.
-    children: Vec<NodeId>,
-    /// Hierarchy level (root = 0).
-    level: u32,
-    /// Grid identity for user leaves.
-    user: Option<GridUser>,
+struct NodeState {
     /// Raw (un-normalized) policy share.
     share: f64,
     /// Usage attributed directly to this node (non-zero only for users).
@@ -134,117 +132,110 @@ struct ArenaNode {
     state: NodeShare,
 }
 
-/// A computed fairshare tree: arena-indexed per-node shares plus extracted
-/// user vectors, supporting both full computation and dirty-subtree
-/// incremental recomputation.
+/// A computed fairshare tree: the policy's shared layout plus per-node
+/// shares, supporting both full computation and dirty-subtree incremental
+/// recomputation.
 #[derive(Debug, Clone)]
 pub struct FairshareTree {
-    arena: Vec<ArenaNode>,
-    interner: PathInterner,
-    user_leaf: BTreeMap<GridUser, NodeId>,
-    user_paths: BTreeMap<GridUser, EntityPath>,
-    depth: usize,
+    layout: Arc<PolicyLayout>,
+    /// State of each layout node, by [`NodeId`].
+    nodes: Vec<NodeState>,
     config: FairshareConfig,
     /// Time the tree was computed, seconds (for staleness checks).
     pub computed_at_s: f64,
 }
 
 impl FairshareTree {
-    /// Compute the fairshare tree from a policy and per-user (already
-    /// decayed) usage totals.
+    /// Compute the fairshare tree from a policy and name-keyed per-user
+    /// (already decayed) usage totals: the names are ranked against the
+    /// layout's user base, then [`compute_row`](Self::compute_row).
     pub fn compute(
         policy: &PolicyTree,
         usage_by_user: &BTreeMap<GridUser, f64>,
         config: &FairshareConfig,
         now_s: f64,
     ) -> Self {
+        let layout = policy.layout();
+        let mut row = vec![0.0; layout.users().len()];
+        for (user, value) in usage_by_user {
+            if let Some(id) = layout.user_id(user) {
+                row[id.index()] = *value;
+            }
+        }
+        Self::compute_row(policy, &row, config, now_s)
+    }
+
+    /// Compute the fairshare tree from a policy and a usage row indexed by
+    /// the [`UserId`]s of the policy's layout (a user it has no entry for
+    /// — [`UserId::read`] — has no usage). `O(nodes)` float work and one
+    /// allocation: no name, path or map is touched (the layout is shared,
+    /// and built on the first call per policy structure).
+    pub fn compute_row(
+        policy: &PolicyTree,
+        usage: &[f64],
+        config: &FairshareConfig,
+        now_s: f64,
+    ) -> Self {
+        fn shares(node: &PolicyNode, out: &mut Vec<NodeState>) {
+            out.push(NodeState {
+                share: node.share,
+                own_usage: 0.0,
+                subtree_usage: 0.0,
+                state: NodeShare::neutral(),
+            });
+            for child in &node.children {
+                shares(child, out);
+            }
+        }
+        let layout = Arc::clone(policy.layout());
+        let mut nodes = Vec::with_capacity(layout.node_count());
+        shares(policy.root(), &mut nodes);
         let mut tree = Self {
-            arena: Vec::with_capacity(policy.node_count()),
-            interner: PathInterner::new(),
-            user_leaf: BTreeMap::new(),
-            user_paths: BTreeMap::new(),
-            depth: policy.depth(),
+            layout,
+            nodes,
             config: *config,
             computed_at_s: now_s,
         };
-        tree.add_policy_node(policy.root(), None, &EntityPath::root(), 0);
-        tree.aggregate_usage(NodeId(0), usage_by_user);
-        tree.derive_group(NodeId(0), true);
+        // Bottom-up: ids are depth-first, so children sit after their parent.
+        for id in (0..tree.nodes.len() as u32).rev().map(NodeId) {
+            let own = tree.layout[id].user;
+            tree.nodes[id.index()].own_usage = own.and_then(|user| user.read(usage)).unwrap_or(0.0);
+            tree.resum(id);
+        }
+        for id in (0..tree.nodes.len() as u32).map(NodeId) {
+            tree.derive_group(id, |_| {});
+        }
         tree
     }
 
-    /// Recursively append `node` (and its subtree) to the arena.
-    fn add_policy_node(
-        &mut self,
-        node: &PolicyNode,
-        parent: Option<NodeId>,
-        path: &EntityPath,
-        level: u32,
-    ) -> NodeId {
-        let id = NodeId(self.arena.len() as u32);
-        let user = match &node.kind {
-            PolicyNodeKind::User(u) => Some(u.clone()),
-            _ => None,
-        };
-        self.arena.push(ArenaNode {
-            name: node.name.clone(),
-            parent,
-            children: Vec::with_capacity(node.children.len()),
-            level,
-            user: user.clone(),
-            share: node.share,
-            own_usage: 0.0,
-            subtree_usage: 0.0,
-            state: NodeShare::neutral(),
-        });
-        self.interner.insert(path.clone(), id);
-        if let Some(u) = user {
-            self.user_leaf.insert(u.clone(), id);
-            self.user_paths.insert(u, path.clone());
-        }
-        for child in &node.children {
-            let child_path = path.child(&child.name);
-            let cid = self.add_policy_node(child, Some(id), &child_path, level + 1);
-            self.arena[id.index()].children.push(cid);
-        }
-        id
-    }
-
-    /// Bottom-up usage aggregation: `subtree = own + Σ children` with the
-    /// exact summation order of the from-scratch algorithm.
-    fn aggregate_usage(&mut self, id: NodeId, usage_by_user: &BTreeMap<GridUser, f64>) -> f64 {
-        let own = self.arena[id.index()]
-            .user
-            .as_ref()
-            .and_then(|u| usage_by_user.get(u))
-            .copied()
-            .unwrap_or(0.0);
-        let children = self.arena[id.index()].children.clone();
-        let children_sum: f64 = children
-            .into_iter()
-            .map(|c| self.aggregate_usage(c, usage_by_user))
-            .sum();
-        let total = own + children_sum;
-        let node = &mut self.arena[id.index()];
-        node.own_usage = own;
-        node.subtree_usage = total;
-        total
+    /// `subtree = own + Σ children`, children summed in policy order — the
+    /// one summation order of full and incremental passes.
+    fn resum(&mut self, id: NodeId) {
+        let children = self.layout[id].children.iter();
+        let children_sum: f64 = children.map(|c| self.nodes[c.index()].subtree_usage).sum();
+        let node = &mut self.nodes[id.index()];
+        node.subtree_usage = node.own_usage + children_sum;
     }
 
     /// Refresh the derived state of `id`'s children (one sibling group),
-    /// optionally recursing over the whole subtree. Returns the children
-    /// whose derived state changed in any component (shares, distance, or
-    /// element) — the roots of the subtrees whose users need re-projection.
-    fn derive_group(&mut self, id: NodeId, recurse: bool) -> Vec<NodeId> {
-        let children = self.arena[id.index()].children.clone();
-        let policy_total: f64 = children.iter().map(|&c| self.arena[c.index()].share).sum();
+    /// handing `changed` every child whose derived state changed in any
+    /// component (shares, distance, or element) — the roots of the subtrees
+    /// whose users need re-projection.
+    fn derive_group(&mut self, id: NodeId, mut changed: impl FnMut(NodeId)) {
+        let Self {
+            layout,
+            nodes,
+            config,
+            ..
+        } = self;
+        let children = &layout[id].children;
+        let policy_total: f64 = children.iter().map(|c| nodes[c.index()].share).sum();
         let usage_total: f64 = children
             .iter()
-            .map(|&c| self.arena[c.index()].subtree_usage)
+            .map(|c| nodes[c.index()].subtree_usage)
             .sum();
-        let mut changed = Vec::new();
-        for &cid in &children {
-            let child = &self.arena[cid.index()];
+        for &cid in children {
+            let child = &mut nodes[cid.index()];
             let p = if policy_total > 0.0 {
                 child.share / policy_total
             } else {
@@ -255,281 +246,223 @@ impl FairshareTree {
             } else {
                 0.0
             };
-            let d = self.config.distance(p, u);
+            let d = config.distance(p, u);
             let state = NodeShare {
                 policy_share: p,
                 usage_share: u,
                 distance: d,
-                element: self.config.resolution.scale(d),
+                element: config.resolution.scale(d),
             };
-            let node = &mut self.arena[cid.index()];
-            if !node.state.bits_eq(&state) {
-                changed.push(cid);
+            if !child.state.bits_eq(&state) {
+                changed(cid);
             }
-            node.state = state;
-            if recurse {
-                self.derive_group(cid, true);
-            }
+            child.state = state;
         }
-        changed
     }
 
     /// Incrementally re-derive fairshare state for the subtrees whose usage
     /// or policy changed, per `dirty`.
     ///
-    /// `usage_by_user` is the complete usage snapshot the tree should
-    /// reflect (only entries for dirty users are read); `policy` is
-    /// consulted for edited shares and as the fallback for a full rebuild
-    /// when the dirty set demands one (`mark_all`, or a structural mismatch
-    /// between the dirty set and the arena).
+    /// `usage` is the complete usage row the tree should reflect (only the
+    /// dirty users' entries are read; a dirty user re-aggregates *every*
+    /// leaf accounting for it); `policy` is consulted for edited shares.
+    /// `None` when the change cannot be served incrementally — `dirty` says
+    /// "all", `policy` has another structure than the tree was computed for,
+    /// or an edited path names no node: the tree may then be half-updated
+    /// and the caller recomputes it with [`compute_row`](Self::compute_row).
     ///
-    /// **Equivalence invariant:** afterwards, the tree state is bit-identical
-    /// to `FairshareTree::compute(policy, usage_by_user, config, now_s)` —
-    /// asserted here in debug builds.
+    /// **Equivalence invariant:** after `Some(_)`, the tree state is
+    /// bit-identical to `FairshareTree::compute_row(policy, usage, config,
+    /// now_s)` — asserted here in debug builds.
     pub fn recompute_dirty(
         &mut self,
         policy: &PolicyTree,
-        usage_by_user: &BTreeMap<GridUser, f64>,
+        usage: &[f64],
         dirty: &DirtySet,
         now_s: f64,
-    ) -> RecomputeStats {
-        let stats = self.recompute_dirty_inner(policy, usage_by_user, dirty, now_s);
+    ) -> Option<RecomputeStats> {
+        let stats = self.recompute_dirty_inner(policy, usage, dirty, now_s)?;
         #[cfg(debug_assertions)]
         {
-            let fresh = Self::compute(policy, usage_by_user, &self.config, now_s);
+            let fresh = Self::compute_row(policy, usage, &self.config, now_s);
             debug_assert!(
                 self.state_equals(&fresh),
                 "incremental fairshare state diverged from full recompute"
             );
         }
-        stats
+        Some(stats)
     }
 
     fn recompute_dirty_inner(
         &mut self,
         policy: &PolicyTree,
-        usage_by_user: &BTreeMap<GridUser, f64>,
+        usage: &[f64],
         dirty: &DirtySet,
         now_s: f64,
-    ) -> RecomputeStats {
+    ) -> Option<RecomputeStats> {
+        if dirty.is_all() || !Arc::ptr_eq(&self.layout, policy.layout()) {
+            return None;
+        }
+        self.computed_at_s = now_s;
         if dirty.is_empty() {
-            self.computed_at_s = now_s;
-            return RecomputeStats::default();
+            return Some(RecomputeStats::default());
         }
-        if dirty.is_all() {
-            return self.rebuild_full(policy, usage_by_user, now_s);
-        }
+        let layout = Arc::clone(&self.layout);
 
         // Nodes whose subtree aggregate must be re-summed (dirty leaves plus
         // their ancestors) and sibling groups needing a derived refresh.
+        // Usage of users outside the policy is ignored, as by a full pass.
         let mut agg: BTreeSet<NodeId> = BTreeSet::new();
         let mut groups: BTreeSet<NodeId> = BTreeSet::new();
         for user in dirty.users() {
-            match self.user_leaf.get(user).copied() {
-                Some(leaf) => {
-                    let value = usage_by_user.get(user).copied().unwrap_or(0.0);
-                    self.arena[leaf.index()].own_usage = value;
-                    let mut cur = leaf;
-                    agg.insert(cur);
-                    while let Some(parent) = self.arena[cur.index()].parent {
-                        agg.insert(parent);
-                        groups.insert(parent);
-                        cur = parent;
-                    }
-                }
-                None => {
-                    // Usage from users outside the policy is ignored by the
-                    // full algorithm too; but a user the *policy* knows and
-                    // the arena doesn't means the structure changed under us.
-                    if policy.path_of_user(user).is_some() {
-                        return self.rebuild_full(policy, usage_by_user, now_s);
-                    }
+            for &leaf in layout.leaves_of(user) {
+                self.nodes[leaf.index()].own_usage = user.read(usage).unwrap_or(0.0);
+                let mut cur = leaf;
+                agg.insert(cur);
+                while let Some(parent) = layout[cur].parent {
+                    agg.insert(parent);
+                    groups.insert(parent);
+                    cur = parent;
                 }
             }
         }
         for path in dirty.paths() {
-            let resolved = self
-                .interner
-                .get(path)
-                .and_then(|id| policy.node_at(path).map(|n| (id, n.share)));
-            match resolved {
-                Some((id, share)) => {
-                    self.arena[id.index()].share = share;
-                    match self.arena[id.index()].parent {
-                        Some(parent) => {
-                            groups.insert(parent);
-                        }
-                        None => {
-                            // Root share participates in no sibling group.
-                        }
-                    }
-                }
-                None => return self.rebuild_full(policy, usage_by_user, now_s),
-            }
+            let id = layout.node_at(path)?;
+            self.nodes[id.index()].share = policy.node_at(path)?.share;
+            // The root's share participates in no sibling group.
+            groups.extend(layout[id].parent);
         }
 
         // Re-aggregate bottom-up (deepest first) so each parent re-sums
         // already-updated children, in the same order as a full pass.
-        let mut by_depth: Vec<NodeId> = agg.iter().copied().collect();
-        by_depth.sort_by_key(|id| std::cmp::Reverse(self.arena[id.index()].level));
-        for id in &by_depth {
-            let node = &self.arena[id.index()];
-            let own = node.own_usage;
-            let children = node.children.clone();
-            let children_sum: f64 = children
-                .into_iter()
-                .map(|c| self.arena[c.index()].subtree_usage)
-                .sum();
-            self.arena[id.index()].subtree_usage = own + children_sum;
+        let mut by_depth: Vec<NodeId> = agg.into_iter().collect();
+        by_depth.sort_by_key(|id| std::cmp::Reverse(layout[*id].level));
+        for &id in &by_depth {
+            self.resum(id);
         }
 
         // Refresh derived shares of every affected sibling group.
         let mut shares_refreshed = 0u64;
         let mut changed_elements = Vec::new();
-        for g in &groups {
-            shares_refreshed += self.arena[g.index()].children.len() as u64;
-            changed_elements.extend(self.derive_group(*g, false));
+        for &g in &groups {
+            shares_refreshed += layout[g].children.len() as u64;
+            self.derive_group(g, |child| changed_elements.push(child));
         }
-        self.computed_at_s = now_s;
-        RecomputeStats {
+        Some(RecomputeStats {
             full: false,
             nodes_recomputed: by_depth.len() as u64,
             shares_refreshed,
             changed_elements,
-        }
-    }
-
-    fn rebuild_full(
-        &mut self,
-        policy: &PolicyTree,
-        usage_by_user: &BTreeMap<GridUser, f64>,
-        now_s: f64,
-    ) -> RecomputeStats {
-        *self = Self::compute(policy, usage_by_user, &self.config, now_s);
-        RecomputeStats {
-            full: true,
-            nodes_recomputed: self.arena.len() as u64,
-            shares_refreshed: self.arena.len() as u64,
-            changed_elements: (0..self.arena.len() as u32).map(NodeId).collect(),
-        }
+        })
     }
 
     /// Bit-exact state comparison against another tree (same policy shape,
     /// aggregates, and derived shares). The equivalence oracle for the
     /// incremental engine.
     pub fn state_equals(&self, other: &FairshareTree) -> bool {
-        self.arena.len() == other.arena.len()
-            && self.depth == other.depth
-            && self.user_paths == other.user_paths
-            && self.arena.iter().zip(&other.arena).all(|(a, b)| {
-                a.name == b.name
-                    && a.parent == b.parent
-                    && a.children == b.children
-                    && a.user == b.user
-                    && a.share.to_bits() == b.share.to_bits()
+        (Arc::ptr_eq(&self.layout, &other.layout) || self.layout == other.layout)
+            && self.nodes.iter().zip(&other.nodes).all(|(a, b)| {
+                a.share.to_bits() == b.share.to_bits()
                     && a.own_usage.to_bits() == b.own_usage.to_bits()
                     && a.subtree_usage.to_bits() == b.subtree_usage.to_bits()
                     && a.state.bits_eq(&b.state)
             })
     }
 
+    /// The policy layout this tree's state row is laid out over.
+    pub fn layout(&self) -> &Arc<PolicyLayout> {
+        &self.layout
+    }
+
     /// Per-node share state at `path` (the root has no sibling group and
-    /// reports `None`, as in the original path-keyed representation).
+    /// reports `None`).
     pub fn node(&self, path: &EntityPath) -> Option<&NodeShare> {
         if path.is_root() {
             return None;
         }
-        self.interner
-            .get(path)
-            .map(|id| &self.arena[id.index()].state)
+        let id = self.layout.node_at(path)?;
+        Some(&self.nodes[id.index()].state)
     }
 
-    /// Resolve a grid user to its leaf arena id.
+    /// The leaf a user's vector and factor are read from: the last one
+    /// accounting for it, in policy order.
+    pub fn leaf_of(&self, user: UserId) -> Option<NodeId> {
+        self.layout.leaves_of(user).last().copied()
+    }
+
+    /// Resolve a grid user to its serving leaf ([`leaf_of`](Self::leaf_of))
+    /// by name.
     pub fn user_node(&self, user: &GridUser) -> Option<NodeId> {
-        self.user_leaf.get(user).copied()
+        self.leaf_of(self.layout.user_id(user)?)
     }
 
     /// Derived share state of an arena node.
     pub fn share_of(&self, id: NodeId) -> &NodeShare {
-        &self.arena[id.index()].state
+        &self.nodes[id.index()].state
     }
 
     /// Leaf distance ("priority") of an arena node.
     pub fn priority_of_id(&self, id: NodeId) -> f64 {
-        self.arena[id.index()].state.distance
+        self.nodes[id.index()].state.distance
     }
 
     /// Fairshare vector of the entity at an arena id, padded to tree depth.
     pub fn vector_of_id(&self, id: NodeId) -> FairshareVector {
-        let mut elements = Vec::with_capacity(self.depth);
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            let node = &self.arena[c.index()];
-            if node.parent.is_some() {
-                elements.push(node.state.element);
-            }
-            cur = node.parent;
+        let mut elements = Vec::with_capacity(self.depth());
+        let mut cur = id;
+        while let Some(parent) = self.layout[cur].parent {
+            elements.push(self.nodes[cur.index()].state.element);
+            cur = parent;
         }
         elements.reverse();
-        FairshareVector::from_elements(elements, self.config.resolution).padded(self.depth)
-    }
-
-    /// Parent of an arena node; `None` for the root.
-    pub fn parent_of(&self, id: NodeId) -> Option<NodeId> {
-        self.arena[id.index()].parent
+        FairshareVector::from_elements(elements, self.config.resolution).padded(self.depth())
     }
 
     /// Append the user leaves of the subtree rooted at `id` (dirty-subtree
-    /// re-projection support) — `O(subtree)`, no allocation per leaf.
+    /// re-projection support) — one pass over the subtree's id range.
     pub fn leaves_under(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        let node = &self.arena[id.index()];
-        if node.user.is_some() {
-            out.push(id);
-        }
-        for &c in &node.children {
-            self.leaves_under(c, out);
-        }
+        let subtree = (id.0..self.layout[id].end).map(NodeId);
+        out.extend(subtree.filter(|&node| self.layout[node].user.is_some()));
     }
 
-    /// Every user with its leaf id, in user order.
-    pub fn user_leaves(&self) -> impl Iterator<Item = (&GridUser, NodeId)> {
-        self.user_leaf.iter().map(|(u, &id)| (u, id))
+    /// Every user with its serving leaf, in id order.
+    pub fn user_leaves(&self) -> impl Iterator<Item = (UserId, NodeId)> + '_ {
+        let users = (0..self.layout.users().len() as u32).map(UserId);
+        users.filter_map(|user| Some((user, self.leaf_of(user)?)))
     }
 
     /// The fairshare vector of a grid user (by leaf identity).
     pub fn vector_for_user(&self, user: &GridUser) -> Option<FairshareVector> {
-        self.user_leaf.get(user).map(|&id| self.vector_of_id(id))
+        self.user_node(user).map(|id| self.vector_of_id(id))
     }
 
     /// The leaf distance ("priority") of a grid user.
     pub fn user_priority(&self, user: &GridUser) -> Option<f64> {
-        self.user_leaf
-            .get(user)
-            .map(|&id| self.arena[id.index()].state.distance)
+        self.user_node(user).map(|id| self.priority_of_id(id))
     }
 
-    /// The path of one user's leaf (indexed lookup, unlike the `O(n)` policy
-    /// scan in [`PolicyTree::path_of_user`]).
-    pub fn path_of_user(&self, user: &GridUser) -> Option<&EntityPath> {
-        self.user_paths.get(user)
-    }
-
-    /// Fairshare vectors for every user, in stable (user-sorted) order.
-    pub fn all_vectors(&self) -> Vec<(GridUser, FairshareVector)> {
-        self.user_leaf
-            .iter()
-            .map(|(u, &id)| (u.clone(), self.vector_of_id(id)))
+    /// Fairshare vectors for every user, in id (= name) order.
+    pub fn all_vectors(&self) -> Vec<(UserId, FairshareVector)> {
+        self.user_leaves()
+            .map(|(user, leaf)| (user, self.vector_of_id(leaf)))
             .collect()
+    }
+
+    /// A per-user row of this tree (a projection's output) as a report:
+    /// every user of the policy by name.
+    pub fn by_user(&self, row: &[f64]) -> BTreeMap<GridUser, f64> {
+        let users = self.layout.users().iter().cloned();
+        users.zip(row.iter().copied()).collect()
     }
 
     /// Maximum hierarchy depth.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.layout.depth()
     }
 
     /// Total number of arena nodes (policy nodes incl. root).
     pub fn node_count(&self) -> usize {
-        self.arena.len()
+        self.nodes.len()
     }
 
     /// The configuration this tree was computed with (provenance capture
@@ -729,33 +662,108 @@ mod tests {
         .unwrap()
     }
 
+    fn id(policy: &PolicyTree, user: &str) -> UserId {
+        policy.layout().user_id(&GridUser::new(user)).unwrap()
+    }
+
+    /// A usage row over `policy`'s user base.
+    fn row(policy: &PolicyTree, pairs: &[(&str, f64)]) -> Vec<f64> {
+        let mut row = vec![0.0; policy.layout().users().len()];
+        for (user, value) in pairs {
+            row[id(policy, user).index()] = *value;
+        }
+        row
+    }
+
+    fn dirty_users(policy: &PolicyTree, users: &[&str]) -> DirtySet {
+        let mut dirty = DirtySet::new();
+        for user in users {
+            dirty.mark_user(id(policy, user));
+        }
+        dirty
+    }
+
     #[test]
     fn single_user_update_recomputes_only_the_path() {
         let policy = deep_policy();
         let cfg = FairshareConfig::default();
-        let mut u = usage(&[("g0u0", 10.0), ("g1u2", 40.0), ("g3u3", 25.0)]);
-        let mut t = FairshareTree::compute(&policy, &u, &cfg, 0.0);
-        u.insert(GridUser::new("g1u2"), 90.0);
-        let mut dirty = DirtySet::new();
-        dirty.mark_user(GridUser::new("g1u2"));
-        let stats = t.recompute_dirty(&policy, &u, &dirty, 1.0);
+        let mut u = row(&policy, &[("g0u0", 10.0), ("g1u2", 40.0), ("g3u3", 25.0)]);
+        let mut t = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
+        u[id(&policy, "g1u2").index()] = 90.0;
+        let dirty = dirty_users(&policy, &["g1u2"]);
+        let stats = t.recompute_dirty(&policy, &u, &dirty, 1.0).unwrap();
         assert!(!stats.full);
         // Exactly the root→leaf path: leaf, its group, the root.
         assert_eq!(stats.nodes_recomputed, 3);
         // Sibling groups refreshed: root's 4 groups + g1's 4 users.
         assert_eq!(stats.shares_refreshed, 8);
         // Equivalence (also enforced by the debug assertion inside).
-        let fresh = FairshareTree::compute(&policy, &u, &cfg, 1.0);
+        let fresh = FairshareTree::compute_row(&policy, &u, &cfg, 1.0);
         assert!(t.state_equals(&fresh));
+    }
+
+    /// One identity under two projects — ordinary in a VO tree. A full pass
+    /// charges its usage to every leaf carrying it; the incremental pass
+    /// must re-aggregate them all, not the last one only.
+    #[test]
+    fn an_identity_under_two_leaves_stays_equal_to_the_full_tree() {
+        let alice = || GridUser::new("CN=alice");
+        let project = |name: &str, member: &str| {
+            PolicyNode::group(
+                name,
+                1.0,
+                vec![
+                    PolicyNode::user_with_identity("alice", 1.0, alice()),
+                    PolicyNode::user(member, 1.0),
+                ],
+            )
+        };
+        let policy = PolicyTree::new(PolicyNode::group(
+            "root",
+            1.0,
+            vec![project("p0", "bob"), project("p1", "carol")],
+        ))
+        .unwrap();
+        let cfg = FairshareConfig::default();
+        let mut u = row(&policy, &[("bob", 30.0), ("carol", 5.0)]);
+        let mut t = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
+        u[id(&policy, "CN=alice").index()] = 40.0;
+        let dirty = dirty_users(&policy, &["CN=alice"]);
+        let stats = t.recompute_dirty_inner(&policy, &u, &dirty, 1.0).unwrap();
+        // Both leaves, both projects, the root.
+        assert_eq!(stats.nodes_recomputed, 5);
+        assert!(t.state_equals(&FairshareTree::compute_row(&policy, &u, &cfg, 1.0)));
+        // The served leaf is the last in policy order, by id and by name.
+        let served = t.user_node(&alice()).unwrap();
+        assert_eq!(t.layout().path_of(served), EntityPath::parse("/p1/alice"));
+        assert_eq!(t.layout().leaves_of(id(&policy, "CN=alice")).len(), 2);
+        let by_name: BTreeMap<GridUser, f64> = [(alice(), 40.0)].into();
+        let named = FairshareTree::compute(&policy, &by_name, &cfg, 1.0);
+        assert_eq!(
+            named
+                .node(&EntityPath::parse("/p0/alice"))
+                .unwrap()
+                .usage_share,
+            1.0
+        );
+        assert_eq!(
+            named
+                .node(&EntityPath::parse("/p1/alice"))
+                .unwrap()
+                .usage_share,
+            1.0
+        );
     }
 
     #[test]
     fn empty_dirty_set_is_a_noop() {
         let policy = deep_policy();
         let cfg = FairshareConfig::default();
-        let u = usage(&[("g0u0", 10.0)]);
-        let mut t = FairshareTree::compute(&policy, &u, &cfg, 0.0);
-        let stats = t.recompute_dirty(&policy, &u, &DirtySet::new(), 5.0);
+        let u = row(&policy, &[("g0u0", 10.0)]);
+        let mut t = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
+        let stats = t
+            .recompute_dirty(&policy, &u, &DirtySet::new(), 5.0)
+            .unwrap();
         assert_eq!(stats.nodes_recomputed, 0);
         assert_eq!(stats.shares_refreshed, 0);
         assert_eq!(t.computed_at_s, 5.0);
@@ -765,63 +773,53 @@ mod tests {
     fn share_edit_refreshes_one_sibling_group() {
         let mut policy = deep_policy();
         let cfg = FairshareConfig::default();
-        let u = usage(&[("g0u0", 10.0), ("g2u1", 30.0)]);
-        let mut t = FairshareTree::compute(&policy, &u, &cfg, 0.0);
+        let u = row(&policy, &[("g0u0", 10.0), ("g2u1", 30.0)]);
+        let mut t = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
         let path = EntityPath::parse("/g2/g2u1");
         policy.set_share(&path, 9.0).unwrap();
         let mut dirty = DirtySet::new();
         dirty.mark_path(path);
-        let stats = t.recompute_dirty(&policy, &u, &dirty, 1.0);
+        let stats = t.recompute_dirty(&policy, &u, &dirty, 1.0).unwrap();
         assert!(!stats.full);
         assert_eq!(stats.nodes_recomputed, 0);
         assert_eq!(stats.shares_refreshed, 4); // g2's sibling group only
-        assert!(t.state_equals(&FairshareTree::compute(&policy, &u, &cfg, 1.0)));
+        assert!(t.state_equals(&FairshareTree::compute_row(&policy, &u, &cfg, 1.0)));
     }
 
     #[test]
-    fn mark_all_falls_back_to_full_rebuild() {
+    fn mark_all_and_another_structure_are_left_to_a_full_rebuild() {
         let policy = deep_policy();
         let cfg = FairshareConfig::default();
-        let u = usage(&[("g0u0", 10.0)]);
-        let mut t = FairshareTree::compute(&policy, &u, &cfg, 0.0);
-        let mut dirty = DirtySet::new();
-        dirty.mark_all();
-        let stats = t.recompute_dirty(&policy, &u, &dirty, 2.0);
-        assert!(stats.full);
-        assert_eq!(stats.nodes_recomputed, t.node_count() as u64);
-    }
-
-    #[test]
-    fn structural_mismatch_triggers_full_rebuild() {
-        // A user the policy knows but the arena doesn't: rebuild.
-        let policy_v1 = flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap();
-        let policy_v2 = flat_policy(&[("a", 0.5), ("b", 0.3), ("c", 0.2)]).unwrap();
-        let cfg = FairshareConfig::default();
-        let mut u = usage(&[("a", 5.0)]);
-        let mut t = FairshareTree::compute(&policy_v1, &u, &cfg, 0.0);
-        u.insert(GridUser::new("c"), 7.0);
-        let mut dirty = DirtySet::new();
-        dirty.mark_user(GridUser::new("c"));
-        let stats = t.recompute_dirty(&policy_v2, &u, &dirty, 1.0);
-        assert!(stats.full);
-        assert!(t.user_priority(&GridUser::new("c")).is_some());
+        let u = row(&policy, &[("g0u0", 10.0)]);
+        let mut t = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
+        let mut all = DirtySet::new();
+        all.mark_all();
+        assert!(t.recompute_dirty(&policy, &u, &all, 2.0).is_none());
+        // A policy of another structure — even an equal one built apart —
+        // has another layout: the tree's ids mean nothing in it.
+        let rebuilt = deep_policy();
+        assert!(t
+            .recompute_dirty(&rebuilt, &u, &DirtySet::new(), 2.0)
+            .is_none());
+        // A share edit keeps the layout, and so do clones.
+        let mut edited = policy.clone();
+        edited.set_share(&EntityPath::parse("/g1"), 5.0).unwrap();
+        assert!(Arc::ptr_eq(edited.layout(), policy.layout()));
     }
 
     #[test]
     fn changed_elements_name_exactly_the_moved_nodes() {
         let policy = deep_policy();
         let cfg = FairshareConfig::default();
-        let mut u = usage(&[("g0u0", 10.0), ("g1u2", 40.0)]);
-        let mut t = FairshareTree::compute(&policy, &u, &cfg, 0.0);
-        u.insert(GridUser::new("g1u2"), 41.0);
-        let mut dirty = DirtySet::new();
-        dirty.mark_user(GridUser::new("g1u2"));
-        let stats = t.recompute_dirty(&policy, &u, &dirty, 1.0);
-        // Every changed node's derived state really differs from a tree
+        let mut u = row(&policy, &[("g0u0", 10.0), ("g1u2", 40.0)]);
+        let old = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
+        let mut t = old.clone();
+        u[id(&policy, "g1u2").index()] = 41.0;
+        let dirty = dirty_users(&policy, &["g1u2"]);
+        let stats = t.recompute_dirty(&policy, &u, &dirty, 1.0).unwrap();
+        // Every changed node's derived state really differs from the tree
         // computed on the old usage. Ids are stable across recompute (same
-        // policy), so compare by id.
-        u.insert(GridUser::new("g1u2"), 40.0);
-        let old = FairshareTree::compute(&policy, &u, &cfg, 0.0);
+        // layout), so compare by id.
         assert!(!stats.changed_elements.is_empty());
         for id in &stats.changed_elements {
             assert!(!t.share_of(*id).bits_eq(old.share_of(*id)));
@@ -848,11 +846,12 @@ mod tests {
                 t.vector_for_user(&user).unwrap().elements()
             );
             assert_eq!(t.priority_of_id(id), t.user_priority(&user).unwrap());
+            assert_eq!(Some(t.layout().path_of(id)), policy.path_of_user(&user));
         }
         let mut leaves = Vec::new();
         t.leaves_under(NodeId(0), &mut leaves);
         assert_eq!(leaves.len(), 16);
-        assert!(leaves.iter().all(|&l| t.parent_of(l).is_some()));
+        assert!(leaves.iter().all(|&l| t.layout()[l].parent.is_some()));
         assert_eq!(t.user_leaves().count(), 16);
     }
 }

@@ -31,14 +31,16 @@ pub mod projection;
 pub mod usage;
 pub mod vector;
 
-pub use arena::{DirtySet, NodeId, PathInterner, RecomputeStats, UserId};
+pub use arena::{DirtySet, NodeId, RecomputeStats, UserId, UserTable};
 pub use codec::{decode_summary, encode_summary, CodecError, Encoding};
 pub use decay::DecayPolicy;
 pub use explain::{Explanation, LevelExplanation, ProjectionExplanation};
 pub use fairshare::{FairshareConfig, FairshareTree, NodeShare};
 pub use ids::{EntityPath, GridUser, JobId, SiteId, SystemUser};
-pub use policy::{flat_policy, PolicyError, PolicyNode, PolicyNodeKind, PolicyTree};
+pub use policy::{
+    flat_policy, LayoutNode, PolicyError, PolicyLayout, PolicyNode, PolicyNodeKind, PolicyTree,
+};
 pub use policy_file::{parse_policy, to_policy_file, PolicyFileError};
 pub use projection::{Projection, ProjectionKind};
-pub use usage::{UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells, UserIndex};
+pub use usage::{CellStore, UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells};
 pub use vector::{FairshareVector, Resolution};

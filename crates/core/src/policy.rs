@@ -7,8 +7,10 @@
 //! that 30% subdivides — without the site admin managing grid-internal
 //! shares.
 
+use crate::arena::{NodeId, UserId};
 use crate::ids::{EntityPath, GridUser};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// Errors raised by policy construction and mounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,12 +112,33 @@ impl PolicyNode {
 }
 
 /// A complete share policy: a named tree with validation and mounting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct PolicyTree {
     root: PolicyNode,
     /// Monotonically increasing version, bumped on every mutation; lets
     /// downstream services (UMS/FCS) detect policy changes cheaply.
     version: u64,
+    /// The [`PolicyLayout`] of this tree's *structure*, built on first use
+    /// and shared by every clone (the sites of a grid pay for one between
+    /// them). Share edits keep it; [`mount`](Self::mount) starts afresh.
+    layout: Arc<OnceLock<Arc<PolicyLayout>>>,
+}
+
+/// As derived, without the layout: whether one has been built yet is not
+/// part of a policy's printed form (or of its equality).
+impl std::fmt::Debug for PolicyTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PolicyTree")
+            .field("root", &self.root)
+            .field("version", &self.version)
+            .finish()
+    }
+}
+
+impl PartialEq for PolicyTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.root == other.root && self.version == other.version
+    }
 }
 
 impl PolicyTree {
@@ -123,7 +146,18 @@ impl PolicyTree {
     /// uniqueness throughout.
     pub fn new(root: PolicyNode) -> Result<Self, PolicyError> {
         validate(&root)?;
-        Ok(Self { root, version: 1 })
+        Ok(Self {
+            root,
+            version: 1,
+            layout: Arc::default(),
+        })
+    }
+
+    /// The layout of this tree's structure — built once (one walk plus the
+    /// name sort that ranks the user base) for this tree and all its clones.
+    pub fn layout(&self) -> &Arc<PolicyLayout> {
+        let build = || Arc::new(PolicyLayout::build(&self.root));
+        self.layout.get_or_init(build)
     }
 
     /// The root node.
@@ -155,6 +189,7 @@ impl PolicyTree {
             return Err(PolicyError::NoSuchMountPoint(at.to_string()));
         }
         node.children = subtree.root.children.clone();
+        self.layout = Arc::default();
         validate(&self.root)?;
         self.version += 1;
         Ok(())
@@ -207,11 +242,17 @@ impl PolicyTree {
         Some(share)
     }
 
-    /// Paths of all user leaves with their grid identities.
+    /// Paths of all user leaves with their grid identities, in policy order.
     pub fn users(&self) -> Vec<(EntityPath, GridUser)> {
-        let mut out = Vec::new();
-        collect_users(&self.root, &EntityPath::root(), &mut out);
-        out
+        let layout = self.layout();
+        let leaf = |id| {
+            let user = &layout.users[layout[id].user?.index()];
+            Some((layout.path_of(id), user.clone()))
+        };
+        (0..layout.nodes.len() as u32)
+            .map(NodeId)
+            .filter_map(leaf)
+            .collect()
     }
 
     /// Every user leaf with its absolute share, in [`users`](Self::users)
@@ -235,38 +276,164 @@ impl PolicyTree {
         out
     }
 
-    /// Locate the path of the leaf accounting for the given grid user: a
-    /// pre-order walk that stops at the first hit and builds only its path.
+    /// The path of the first leaf (in policy order) accounting for `user`.
     pub fn path_of_user(&self, user: &GridUser) -> Option<EntityPath> {
-        fn find(node: &PolicyNode, user: &GridUser) -> Option<Vec<String>> {
-            if matches!(&node.kind, PolicyNodeKind::User(u) if u == user) {
-                return Some(Vec::new());
+        let layout = self.layout();
+        let first = layout.leaves_of(layout.user_id(user)?).first()?;
+        Some(layout.path_of(*first))
+    }
+}
+
+/// One node of a [`PolicyLayout`] (`layout[id]`); slots are in depth-first
+/// policy order.
+#[derive(Debug, PartialEq)]
+pub struct LayoutNode {
+    /// Node name (unique among siblings).
+    pub name: String,
+    /// Parent slot; `None` for the root.
+    pub parent: Option<NodeId>,
+    /// Child slots, in policy order.
+    pub children: Vec<NodeId>,
+    /// Hierarchy level (root = 0).
+    pub level: u32,
+    /// One past the last slot of this node's subtree: ids are depth-first,
+    /// so a subtree is the contiguous range `id..end`, itself first.
+    pub end: u32,
+    /// The identity a user leaf accounts for; `None` for interior nodes.
+    pub user: Option<UserId>,
+}
+
+/// What only a policy's *structure* determines — arena topology, node
+/// names, which leaf accounts for which identity — built once per structure
+/// ([`PolicyTree::layout`]) and shared by every fairshare tree computed from
+/// a clone of that policy. Shares are not in it: a share edit keeps the
+/// layout, a mount or a replaced policy starts a new one.
+///
+/// Its [`users`](Self::users) — the leaves' identities ranked in name order
+/// — are the base of the [`UserTable`](crate::arena::UserTable)s of the
+/// sites built from the policy, and its own [`UserId`]s are ranks in that
+/// base. One identity may sit under several leaves (a user in two projects
+/// of a VO): leaf → user is many-to-one.
+#[derive(Debug, PartialEq)]
+pub struct PolicyLayout {
+    nodes: Vec<LayoutNode>,
+    users: Arc<[GridUser]>,
+    /// `leaves[starts[u]..starts[u + 1]]`: the leaves of user `u`, in
+    /// policy order.
+    starts: Vec<u32>,
+    leaves: Vec<NodeId>,
+    depth: usize,
+}
+
+impl PolicyLayout {
+    fn build(root: &PolicyNode) -> Self {
+        fn add<'a>(
+            node: &'a PolicyNode,
+            parent: Option<NodeId>,
+            nodes: &mut Vec<LayoutNode>,
+            leaf_users: &mut Vec<(&'a GridUser, NodeId)>,
+        ) {
+            let id = NodeId(nodes.len() as u32);
+            if let Some(parent) = parent {
+                nodes[parent.index()].children.push(id);
             }
-            node.children.iter().find_map(|c| {
-                let mut reversed = find(c, user)?;
-                reversed.push(c.name.clone());
-                Some(reversed)
-            })
+            nodes.push(LayoutNode {
+                name: node.name.clone(),
+                parent,
+                children: Vec::with_capacity(node.children.len()),
+                level: parent.map_or(0, |p| nodes[p.index()].level + 1),
+                end: 0,
+                user: None,
+            });
+            if let PolicyNodeKind::User(user) = &node.kind {
+                leaf_users.push((user, id));
+            }
+            for child in &node.children {
+                add(child, Some(id), nodes, leaf_users);
+            }
+            nodes[id.index()].end = nodes.len() as u32;
         }
-        let mut path = find(&self.root, user)?;
-        path.reverse();
-        Some(EntityPath(path))
+        let (mut nodes, mut leaf_users) = (Vec::new(), Vec::new());
+        add(root, None, &mut nodes, &mut leaf_users);
+        // Stable: an identity's leaves stay in policy order.
+        leaf_users.sort_by(|a, b| a.0.cmp(b.0));
+        let mut users: Vec<GridUser> = Vec::new();
+        let (mut starts, mut leaves) = (Vec::new(), Vec::new());
+        for (user, leaf) in leaf_users {
+            if users.last() != Some(user) {
+                users.push(user.clone());
+                starts.push(leaves.len() as u32);
+            }
+            nodes[leaf.index()].user = Some(UserId(users.len() as u32 - 1));
+            leaves.push(leaf);
+        }
+        starts.push(leaves.len() as u32);
+        Self {
+            depth: nodes.iter().map(|n| n.level).max().unwrap_or(0) as usize,
+            nodes,
+            users: users.into(),
+            starts,
+            leaves,
+        }
     }
 
-    /// Maximum leaf depth of the tree.
-    pub fn depth(&self) -> usize {
-        fn depth_of(n: &PolicyNode) -> usize {
-            1 + n.children.iter().map(depth_of).max().unwrap_or(0)
-        }
-        depth_of(&self.root) - 1
+    /// The identities the policy's leaves account for, ranked in name order.
+    pub fn users(&self) -> &Arc<[GridUser]> {
+        &self.users
     }
 
-    /// Total number of nodes.
+    /// Rank of `user` in [`users`](Self::users) — `O(log users)`.
+    pub fn user_id(&self, user: &GridUser) -> Option<UserId> {
+        let rank = self.users.binary_search(user).ok()?;
+        Some(UserId(rank as u32))
+    }
+
+    /// The leaves accounting for `user`, in policy order; none for an id
+    /// past the base (an identity outside the policy).
+    pub fn leaves_of(&self, user: UserId) -> &[NodeId] {
+        match self.starts.get(user.index()..user.index() + 2) {
+            Some(&[from, to]) => &self.leaves[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+
+    /// Total number of nodes (root included).
     pub fn node_count(&self) -> usize {
-        fn count(n: &PolicyNode) -> usize {
-            1 + n.children.iter().map(count).sum::<usize>()
+        self.nodes.len()
+    }
+
+    /// Maximum leaf depth.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Resolve a path to its node — one scan of a sibling group per
+    /// component.
+    pub fn node_at(&self, path: &EntityPath) -> Option<NodeId> {
+        let mut id = NodeId(0);
+        for comp in path.components() {
+            id = *self[id].children.iter().find(|c| &self[**c].name == comp)?;
         }
-        count(&self.root)
+        Some(id)
+    }
+
+    /// The path of a node, root first.
+    pub fn path_of(&self, id: NodeId) -> EntityPath {
+        let mut names = Vec::with_capacity(self[id].level as usize);
+        let mut cur = id;
+        while let Some(parent) = self[cur].parent {
+            names.push(self[cur].name.clone());
+            cur = parent;
+        }
+        names.reverse();
+        EntityPath(names)
+    }
+}
+
+impl std::ops::Index<NodeId> for PolicyLayout {
+    type Output = LayoutNode;
+    fn index(&self, id: NodeId) -> &LayoutNode {
+        &self.nodes[id.index()]
     }
 }
 
@@ -290,15 +457,6 @@ fn validate(node: &PolicyNode) -> Result<(), PolicyError> {
         validate(c)?;
     }
     Ok(())
-}
-
-fn collect_users(node: &PolicyNode, path: &EntityPath, out: &mut Vec<(EntityPath, GridUser)>) {
-    if let PolicyNodeKind::User(u) = &node.kind {
-        out.push((path.clone(), u.clone()));
-    }
-    for c in &node.children {
-        collect_users(c, &path.child(&c.name), out);
-    }
 }
 
 /// Convenience: a flat single-level policy over plain users with the given
@@ -444,8 +602,8 @@ mod tests {
     #[test]
     fn depth_and_count() {
         let t = figure3_tree();
-        assert_eq!(t.depth(), 2);
-        assert_eq!(t.node_count(), 5);
+        assert_eq!(t.layout().depth(), 2);
+        assert_eq!(t.layout().node_count(), 5);
     }
 
     #[test]

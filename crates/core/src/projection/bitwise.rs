@@ -8,8 +8,6 @@
 use super::Projection;
 use crate::arena::NodeId;
 use crate::fairshare::FairshareTree;
-use crate::ids::GridUser;
-use std::collections::BTreeMap;
 
 /// Bit-merging projection with `bits_per_level` bits of entropy per level.
 #[derive(Debug, Clone, Copy)]
@@ -72,11 +70,11 @@ impl Projection for BitwiseVector {
         "bitwise"
     }
 
-    fn project(&self, tree: &FairshareTree) -> BTreeMap<GridUser, f64> {
+    fn project(&self, tree: &FairshareTree) -> Vec<f64> {
         let levels = self.levels_for(tree);
-        tree.all_vectors()
-            .into_iter()
-            .map(|(user, vec)| (user, self.merge_vector(&vec, levels)))
+        let vectors = tree.all_vectors().into_iter();
+        vectors
+            .map(|(_, vec)| self.merge_vector(&vec, levels))
             .collect()
     }
 
@@ -88,6 +86,7 @@ impl Projection for BitwiseVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::GridUser;
     use crate::projection::test_util::{flat_tree, nested_tree};
 
     #[test]
@@ -96,7 +95,7 @@ mod tests {
             ("g1", 0.5, &[("a", 1.0, 900.0)]),
             ("g2", 0.5, &[("b", 1.0, 100.0)]),
         ]);
-        let v = BitwiseVector::default().project(&tree);
+        let v = tree.by_user(&BitwiseVector::default().project(&tree));
         // g2/b is under-served at the root level → strictly higher value.
         assert!(v[&GridUser::new("b")] > v[&GridUser::new("a")]);
     }
@@ -104,7 +103,7 @@ mod tests {
     #[test]
     fn values_in_unit_range() {
         let tree = flat_tree(&[("a", 0.6, 0.0), ("b", 0.4, 1000.0)]);
-        for v in BitwiseVector::default().project(&tree).values() {
+        for v in BitwiseVector::default().project(&tree).iter() {
             assert!((0.0..=1.0).contains(v));
         }
     }
@@ -125,7 +124,7 @@ mod tests {
         // (and sit away from a bucket boundary) collapse to the same
         // projected value — the ∞-precision ✗.
         let tree = flat_tree(&[("a", 0.3, 100.000), ("b", 0.3, 100.001), ("c", 0.4, 800.0)]);
-        let v = BitwiseVector::new(4).project(&tree);
+        let v = tree.by_user(&BitwiseVector::new(4).project(&tree));
         assert_eq!(v[&GridUser::new("a")], v[&GridUser::new("b")]);
     }
 
@@ -140,7 +139,7 @@ mod tests {
             ("d", 0.25, 250.0),
         ]);
         let proj = BitwiseVector::new(16);
-        let v = proj.project(&tree);
+        let v = tree.by_user(&proj.project(&tree));
         let elem = |name: &str| {
             tree.vector_for_user(&GridUser::new(name))
                 .unwrap()

@@ -5,9 +5,8 @@
 //! discards proportionality: only the *order* survives.
 
 use super::Projection;
+use crate::arena::UserId;
 use crate::fairshare::FairshareTree;
-use crate::ids::GridUser;
-use std::collections::BTreeMap;
 
 /// Rank-based projection with evenly spaced values.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,11 +28,11 @@ impl DictionaryOrdering {
     /// `(rank_start, tie_count, population)`. `rank_start` is the 0-based
     /// index of the first vector tied with the user's; the projected factor
     /// is [`rank_value`]`(rank_start, rank_start + tie_count, population)`.
-    pub fn rank_of(&self, tree: &FairshareTree, user: &GridUser) -> Option<(usize, usize, usize)> {
+    pub fn rank_of(&self, tree: &FairshareTree, user: UserId) -> Option<(usize, usize, usize)> {
         let mut entries = tree.all_vectors();
         entries.sort_by(|a, b| b.1.compare(&a.1).then_with(|| a.0.cmp(&b.0)));
         let n = entries.len();
-        let pos = entries.iter().position(|(u, _)| u == user)?;
+        let pos = entries.iter().position(|(u, _)| *u == user)?;
         let mut i = pos;
         while i > 0 && entries[i - 1].1.compare(&entries[pos].1).is_eq() {
             i -= 1;
@@ -51,18 +50,15 @@ impl Projection for DictionaryOrdering {
         "dictionary"
     }
 
-    fn project(&self, tree: &FairshareTree) -> BTreeMap<GridUser, f64> {
+    fn project(&self, tree: &FairshareTree) -> Vec<f64> {
         let mut entries = tree.all_vectors();
         // Descending sort: highest vector (most under-served) first.
         entries.sort_by(|a, b| b.1.compare(&a.1).then_with(|| a.0.cmp(&b.0)));
         let n = entries.len();
-        if n == 0 {
-            return BTreeMap::new();
-        }
         // Rank r (0-based, 0 = best) gets (n − r) / (n + 1). Ties share the
         // average value of their rank span, so equal vectors map to equal
         // factors.
-        let mut out = BTreeMap::new();
+        let mut out = vec![f64::NAN; n];
         let mut i = 0usize;
         while i < n {
             let mut j = i + 1;
@@ -70,8 +66,8 @@ impl Projection for DictionaryOrdering {
                 j += 1;
             }
             let avg = rank_value(i, j, n);
-            for e in &entries[i..j] {
-                out.insert(e.0.clone(), avg);
+            for (user, _) in &entries[i..j] {
+                out[user.index()] = avg;
             }
             i = j;
         }
@@ -82,13 +78,14 @@ impl Projection for DictionaryOrdering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::GridUser;
     use crate::projection::test_util::flat_tree;
 
     #[test]
     fn paper_example_three_vectors() {
         // Distinct priorities → 0.75 / 0.50 / 0.25 by sorting order.
         let tree = flat_tree(&[("high", 0.4, 0.0), ("mid", 0.3, 300.0), ("low", 0.3, 700.0)]);
-        let v = DictionaryOrdering.project(&tree);
+        let v = tree.by_user(&DictionaryOrdering.project(&tree));
         assert!((v[&GridUser::new("high")] - 0.75).abs() < 1e-12);
         assert!((v[&GridUser::new("mid")] - 0.50).abs() < 1e-12);
         assert!((v[&GridUser::new("low")] - 0.25).abs() < 1e-12);
@@ -98,7 +95,7 @@ mod tests {
     fn ties_share_average_value() {
         // Two users with identical share and usage → identical vectors.
         let tree = flat_tree(&[("a", 0.25, 100.0), ("b", 0.25, 100.0), ("c", 0.5, 800.0)]);
-        let v = DictionaryOrdering.project(&tree);
+        let v = tree.by_user(&DictionaryOrdering.project(&tree));
         assert_eq!(v[&GridUser::new("a")], v[&GridUser::new("b")]);
         assert!(v[&GridUser::new("a")] > v[&GridUser::new("c")]);
     }
@@ -111,7 +108,7 @@ mod tests {
             ("near1", 0.2, 210.0),
             ("near2", 0.2, 190.0),
         ]);
-        let v = DictionaryOrdering.project(&tree);
+        let v = tree.by_user(&DictionaryOrdering.project(&tree));
         let gap1 = v[&GridUser::new("far")] - v[&GridUser::new("near2")];
         let gap2 = v[&GridUser::new("near2")] - v[&GridUser::new("near1")];
         assert!((gap1 - gap2).abs() < 1e-12, "rank spacing is uniform");
@@ -132,20 +129,21 @@ mod tests {
             ("d", 0.2, 50.0),
         ]);
         let proj = DictionaryOrdering;
-        let v = proj.project(&tree);
+        let v = tree.by_user(&proj.project(&tree));
         for name in ["a", "b", "c", "d"] {
             let user = GridUser::new(name);
-            let (i, ties, n) = proj.rank_of(&tree, &user).unwrap();
+            let id = tree.layout().user_id(&user).unwrap();
+            let (i, ties, n) = proj.rank_of(&tree, id).unwrap();
             let replayed = rank_value(i, i + ties, n);
             assert_eq!(replayed.to_bits(), v[&user].to_bits(), "{name}");
         }
-        assert!(proj.rank_of(&tree, &GridUser::new("ghost")).is_none());
+        assert!(proj.rank_of(&tree, UserId(9)).is_none());
     }
 
     #[test]
     fn single_user_gets_half() {
         let tree = flat_tree(&[("only", 1.0, 10.0)]);
-        let v = DictionaryOrdering.project(&tree);
+        let v = tree.by_user(&DictionaryOrdering.project(&tree));
         assert!((v[&GridUser::new("only")] - 0.5).abs() < 1e-12);
     }
 }

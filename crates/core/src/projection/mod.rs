@@ -25,8 +25,6 @@ pub use percental::Percental;
 
 use crate::arena::NodeId;
 use crate::fairshare::FairshareTree;
-use crate::ids::GridUser;
-use std::collections::BTreeMap;
 
 /// A projection algorithm mapping every user's fairshare state to a scalar
 /// priority factor in `[0, 1]`.
@@ -34,8 +32,11 @@ pub trait Projection: Send + Sync + std::fmt::Debug {
     /// Algorithm name for display/config.
     fn name(&self) -> &'static str;
 
-    /// Project every user in the tree to a `[0, 1]` factor.
-    fn project(&self, tree: &FairshareTree) -> BTreeMap<GridUser, f64>;
+    /// Project every user in the tree to a `[0, 1]` factor: one row over
+    /// the [`UserId`](crate::arena::UserId)s of the tree's layout. A user
+    /// under several leaves is projected from the last one
+    /// ([`FairshareTree::leaf_of`]).
+    fn project(&self, tree: &FairshareTree) -> Vec<f64>;
 
     /// Project the single user at arena leaf `leaf`, for *path-local*
     /// algorithms whose per-user value depends only on the nodes along that
@@ -136,6 +137,7 @@ pub(crate) mod test_util {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::GridUser;
     use test_util::flat_tree;
 
     #[test]
@@ -143,7 +145,7 @@ mod tests {
         let tree = flat_tree(&[("a", 0.5, 900.0), ("b", 0.3, 50.0), ("c", 0.2, 50.0)]);
         for kind in ProjectionKind::ALL {
             let proj = kind.build();
-            let values = proj.project(&tree);
+            let values = tree.by_user(&proj.project(&tree));
             assert_eq!(values.len(), 3, "{}", proj.name());
             for (u, v) in &values {
                 assert!((0.0..=1.0).contains(v), "{} {u}: {v}", proj.name());
@@ -156,7 +158,7 @@ mod tests {
         // b is most under-served, then c, then a.
         let tree = flat_tree(&[("a", 0.5, 900.0), ("b", 0.3, 10.0), ("c", 0.2, 90.0)]);
         for kind in ProjectionKind::ALL {
-            let values = kind.build().project(&tree);
+            let values = tree.by_user(&kind.build().project(&tree));
             let a = values[&GridUser::new("a")];
             let b = values[&GridUser::new("b")];
             let c = values[&GridUser::new("c")];

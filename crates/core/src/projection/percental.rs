@@ -13,8 +13,6 @@
 use super::Projection;
 use crate::arena::NodeId;
 use crate::fairshare::FairshareTree;
-use crate::ids::GridUser;
-use std::collections::BTreeMap;
 
 /// Product-of-shares difference projection.
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,7 +24,7 @@ impl Percental {
     /// first (the recursion unwinds root→leaf, so the products keep the
     /// bits of a top-down walk). `O(depth)`.
     pub fn total_shares(tree: &FairshareTree, id: NodeId) -> (f64, f64) {
-        match tree.parent_of(id) {
+        match tree.layout()[id].parent {
             None => (1.0, 1.0),
             Some(parent) => {
                 let (target, usage) = Self::total_shares(tree, parent);
@@ -48,10 +46,9 @@ impl Projection for Percental {
         "percental"
     }
 
-    fn project(&self, tree: &FairshareTree) -> BTreeMap<GridUser, f64> {
-        tree.user_leaves()
-            .map(|(user, leaf)| (user.clone(), Self::factor(tree, leaf)))
-            .collect()
+    fn project(&self, tree: &FairshareTree) -> Vec<f64> {
+        let leaves = tree.user_leaves();
+        leaves.map(|(_, leaf)| Self::factor(tree, leaf)).collect()
     }
 
     fn project_leaf(&self, tree: &FairshareTree, leaf: NodeId) -> Option<f64> {
@@ -62,6 +59,7 @@ impl Projection for Percental {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::GridUser;
     use crate::projection::test_util::{flat_tree, nested_tree};
 
     #[test]
@@ -79,14 +77,14 @@ mod tests {
     #[test]
     fn balance_maps_to_half() {
         let tree = flat_tree(&[("a", 0.5, 500.0), ("b", 0.5, 500.0)]);
-        let v = Percental.project(&tree);
+        let v = tree.by_user(&Percental.project(&tree));
         assert!((v[&GridUser::new("a")] - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn under_served_above_half() {
         let tree = flat_tree(&[("a", 0.5, 900.0), ("b", 0.5, 100.0)]);
-        let v = Percental.project(&tree);
+        let v = tree.by_user(&Percental.project(&tree));
         assert!(v[&GridUser::new("b")] > 0.5);
         assert!(v[&GridUser::new("a")] < 0.5);
         // Proportional: symmetric displacements around 0.5.
@@ -114,8 +112,8 @@ mod tests {
         ];
         let (_, t1) = nested_tree(base);
         let (_, t2) = nested_tree(heavy);
-        let v1 = Percental.project(&t1);
-        let v2 = Percental.project(&t2);
+        let v1 = t1.by_user(&Percental.project(&t1));
+        let v2 = t2.by_user(&Percental.project(&t2));
         let order1 = v1[&GridUser::new("u1")] > v1[&GridUser::new("u2")];
         let order2 = v2[&GridUser::new("u1")] > v2[&GridUser::new("u2")];
         assert_ne!(order1, order2, "order must flip: {v1:?} vs {v2:?}");
@@ -124,7 +122,7 @@ mod tests {
     #[test]
     fn values_in_unit_range() {
         let tree = flat_tree(&[("a", 1.0, 0.0), ("b", 0.0, 1000.0)]);
-        for v in Percental.project(&tree).values() {
+        for v in Percental.project(&tree).iter() {
             assert!((0.0..=1.0).contains(v));
         }
     }

@@ -119,7 +119,7 @@ fn isolation_tree(g1_usage: f64) -> FairshareTree {
 /// down?
 fn probe_depth(proj: &dyn Projection, depth: usize) -> bool {
     let tree = deep_tree(depth, (900.0, 100.0));
-    let v = proj.project(&tree);
+    let v = tree.by_user(&proj.project(&tree));
     v[&GridUser::new("db")] > v[&GridUser::new("da")]
 }
 
@@ -133,14 +133,15 @@ fn probe_precision(proj: &dyn Projection) -> bool {
         ("pb", 0.3, 100.000_03),
         ("pc", 0.4, 800.0),
     ]);
-    let v = proj.project(&tree);
+    let v = tree.by_user(&proj.project(&tree));
     v[&GridUser::new("pa")] > v[&GridUser::new("pb")]
 }
 
 /// Probe: does sibling-subtree usage flip order inside a group?
 fn probe_isolation(proj: &dyn Projection) -> bool {
     let order = |g1_usage: f64| {
-        let v = proj.project(&isolation_tree(g1_usage));
+        let tree = isolation_tree(g1_usage);
+        let v = tree.by_user(&proj.project(&tree));
         v[&GridUser::new("u1")] > v[&GridUser::new("u2")]
     };
     order(100.0) == order(100_000.0)
@@ -160,7 +161,7 @@ fn probe_proportional(proj: &dyn Projection) -> bool {
         ("qb", 1.0 / 3.0, 4500.0),
         ("qc", 1.0 / 3.0, 5000.0),
     ]);
-    let v = proj.project(&tree);
+    let v = tree.by_user(&proj.project(&tree));
     let val = |n: &str| v[&GridUser::new(n)];
     let big = val("qa") - val("qb");
     let small = val("qb") - val("qc");
@@ -170,9 +171,7 @@ fn probe_proportional(proj: &dyn Projection) -> bool {
 /// Probe: output is a scalar in `[0, 1]` for every user.
 fn probe_combinable(proj: &dyn Projection) -> bool {
     let tree = flat(&[("ca", 0.9, 0.0), ("cb", 0.1, 1000.0)]);
-    proj.project(&tree)
-        .values()
-        .all(|v| (0.0..=1.0).contains(v))
+    proj.project(&tree).iter().all(|v| (0.0..=1.0).contains(v))
 }
 
 /// Measure all Table I properties of one projection algorithm.

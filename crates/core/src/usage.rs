@@ -3,13 +3,14 @@
 //! compact form "relaying the combined usage of each user on each site while
 //! omitting the details of individual jobs".
 
-use crate::decay::DecayPolicy;
+use crate::arena::UserId;
 use crate::ids::{GridUser, JobId, SiteId};
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
-/// Per-user charge per slot index — the cell grid summaries and mirrors
-/// are built from.
+/// Per-user charge per slot index, keyed by name — the cell grid of the
+/// edge types (summaries, checkpoints, WAL records); inside a site the same
+/// cells live in a [`CellStore`].
 pub type UserCells = BTreeMap<GridUser, BTreeMap<u64, f64>>;
 
 /// The resource consumption of one completed job.
@@ -36,8 +37,73 @@ impl UsageRecord {
     }
 }
 
+/// Charge per `(user, slot)` in one integer-keyed ordered map — the cell
+/// store under both histograms of a USS and every mirror it diffs them
+/// against. A user's cells are one contiguous key range (a descent costs
+/// integer compares, whatever the names are), the whole store iterates in
+/// `(UserId, slot)` order — over a [`UserTable`](crate::arena::UserTable)'s
+/// base that is name order, the order the codecs write — and no user owns
+/// a heap map of its own.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CellStore {
+    cells: BTreeMap<(UserId, u64), f64>,
+}
+
+impl CellStore {
+    /// Whether no cell is held.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Drop every cell.
+    pub fn clear(&mut self) {
+        self.cells.clear();
+    }
+
+    /// One user's cells from slot `from` on, in slot order.
+    pub fn of(&self, user: UserId, from: u64) -> impl Iterator<Item = (u64, f64)> + Clone + '_ {
+        let cells = self.cells.range((user, from)..=(user, u64::MAX));
+        cells.map(|(&(_, slot), &charge)| (slot, charge))
+    }
+
+    /// Every cell, in `(user, slot)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (UserId, u64, f64)> + Clone + '_ {
+        let cells = self.cells.iter();
+        cells.map(|(&(user, slot), &charge)| (user, slot, charge))
+    }
+
+    /// The users holding a cell, ascending — one pass over the store.
+    pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
+        let mut last = None;
+        let users = self.cells.keys().map(|&(user, _)| user);
+        users.filter(move |&user| last.replace(user) != Some(user))
+    }
+
+    /// Add `charge` to one cell.
+    pub fn add(&mut self, user: UserId, slot: u64, charge: f64) {
+        *self.cells.entry((user, slot)).or_insert(0.0) += charge;
+    }
+
+    /// Raise one cell to `value` when that is more than `eps` above what it
+    /// holds (nothing, for an absent cell), returning the rise — one
+    /// descent either way, and a cell that does not rise is not created.
+    pub fn raise(&mut self, user: UserId, slot: u64, value: f64, eps: f64) -> Option<f64> {
+        match self.cells.entry((user, slot)) {
+            Entry::Occupied(mut held) => {
+                let delta = value - *held.get();
+                (delta > eps).then(|| {
+                    held.insert(value);
+                    delta
+                })
+            }
+            Entry::Vacant(free) => (value > eps).then(|| *free.insert(value)),
+        }
+    }
+}
+
 /// Per-user usage histogram over fixed time slots ("per-user histograms for
-/// configurable time intervals", §II-A).
+/// configurable time intervals", §II-A), keyed by the [`UserId`]s of the
+/// holder's [`UserTable`](crate::arena::UserTable).
 ///
 /// Job charges are spread proportionally over the slots the job's execution
 /// overlaps, so long jobs decay gradually rather than as a lump at
@@ -45,39 +111,13 @@ impl UsageRecord {
 #[derive(Debug, Clone)]
 pub struct UsageHistogram {
     slot_s: f64,
-    /// charge per (user, slot index).
-    slots: BTreeMap<GridUser, UserSlots>,
+    cells: CellStore,
+    /// Each user's raw total as last read, by id; `NaN` once a cell of
+    /// theirs changed. Re-summed in slot order, never patched: a readout
+    /// keeps the bits a from-scratch sum produces.
+    raw: Vec<Cell<f64>>,
     /// Total charge currently held, for conservation checks.
     total: f64,
-}
-
-/// One user's cells plus the cached slot-order sum of their charges, so a
-/// raw-usage readout is `O(1)` for every user untouched since the last one.
-#[derive(Debug, Clone, Default)]
-struct UserSlots {
-    cells: BTreeMap<u64, f64>,
-    /// `None` once any cell changed; the next [`UserSlots::raw`] re-sums in
-    /// slot order (never patched incrementally — the sum must keep the bits
-    /// a from-scratch readout would produce).
-    raw: Cell<Option<f64>>,
-}
-
-impl UserSlots {
-    /// Mutable access to the cells; invalidates the cached total.
-    fn cells_mut(&mut self) -> &mut BTreeMap<u64, f64> {
-        self.raw.set(None);
-        &mut self.cells
-    }
-
-    /// Slot-order sum of the cells. `O(1)` when cached, `O(slots)` after a
-    /// change.
-    fn raw(&self) -> f64 {
-        self.raw.get().unwrap_or_else(|| {
-            let sum = self.cells.values().sum();
-            self.raw.set(Some(sum));
-            sum
-        })
-    }
 }
 
 impl UsageHistogram {
@@ -89,7 +129,8 @@ impl UsageHistogram {
         assert!(slot_s > 0.0, "slot duration must be positive");
         Self {
             slot_s,
-            slots: BTreeMap::new(),
+            cells: CellStore::default(),
+            raw: Vec::new(),
             total: 0.0,
         }
     }
@@ -99,20 +140,21 @@ impl UsageHistogram {
         self.slot_s
     }
 
-    /// Record a completed job, spreading its charge across overlapped slots.
-    /// Returns the lowest slot the record may have changed (`None` when it
-    /// charges nothing) — where a publisher's diff resumes.
-    pub fn record(&mut self, rec: &UsageRecord) -> Option<u64> {
+    /// Record a completed job of `user` (the id of `rec.user`), spreading
+    /// its charge across overlapped slots. Returns the lowest slot the
+    /// record may have changed (`None` when it charges nothing) — where a
+    /// publisher's diff resumes.
+    pub fn record(&mut self, user: UserId, rec: &UsageRecord) -> Option<u64> {
         let charge = rec.charge();
         if charge <= 0.0 {
             return None;
         }
         self.total += charge;
-        let user_slots = self.slots.entry(rec.user.clone()).or_default().cells_mut();
+        self.touch(user);
         let first = (rec.start_s / self.slot_s).floor().max(0.0) as u64;
         let last = (rec.end_s / self.slot_s).floor().max(0.0) as u64;
         if first == last {
-            *user_slots.entry(first).or_insert(0.0) += charge;
+            self.cells.add(user, first, charge);
             return Some(first);
         }
         let rate = rec.cores as f64; // core-seconds per second
@@ -121,80 +163,63 @@ impl UsageHistogram {
             let slot_end = slot_start + self.slot_s;
             let overlap = rec.end_s.min(slot_end) - rec.start_s.max(slot_start);
             if overlap > 0.0 {
-                *user_slots.entry(slot).or_insert(0.0) += rate * overlap;
+                self.cells.add(user, slot, rate * overlap);
             }
         }
         Some(first)
     }
 
     /// Add core-seconds to cells of one user, `(slot, charge)` in the order
-    /// given, under one lookup of the user. This is the receiver-side
-    /// primitive of the reliable exchange: the USS computes the positive
-    /// delta of an incoming cell against its per-peer mirror and applies
-    /// exactly that, so duplicated or reordered deliveries never
-    /// double-count. Non-positive charges are ignored.
-    pub fn add_charges(&mut self, user: &GridUser, cells: impl IntoIterator<Item = (u64, f64)>) {
-        let mut cells = cells.into_iter().filter(|(_, c)| *c > 0.0).peekable();
-        if cells.peek().is_none() {
-            return;
-        }
-        let user_slots = self.slots.entry(user.clone()).or_default().cells_mut();
-        for (slot, charge) in cells {
-            *user_slots.entry(slot).or_insert(0.0) += charge;
+    /// given. This is the receiver-side primitive of the reliable exchange:
+    /// the USS computes the positive delta of an incoming cell against its
+    /// per-origin mirror and applies exactly that, so duplicated or
+    /// reordered deliveries never double-count. Non-positive charges are
+    /// ignored.
+    pub fn add_charges(&mut self, user: UserId, cells: impl IntoIterator<Item = (u64, f64)>) {
+        self.touch(user);
+        for (slot, charge) in cells.into_iter().filter(|(_, c)| *c > 0.0) {
+            self.cells.add(user, slot, charge);
             self.total += charge;
         }
     }
 
-    /// One user's cells, read in place.
-    pub fn cells_of(&self, user: &GridUser) -> Option<&BTreeMap<u64, f64>> {
-        self.slots.get(user).map(|s| &s.cells)
+    /// The cells, read in place.
+    pub fn cells(&self) -> &CellStore {
+        &self.cells
     }
 
-    /// Every user's cells in name order, read in place (users holding no
-    /// cell are skipped) — what a checkpoint encodes without cloning.
-    pub fn cells(&self) -> impl Iterator<Item = (&GridUser, &BTreeMap<u64, f64>)> {
-        let held = self.slots.iter().filter(|(_, s)| !s.cells.is_empty());
-        held.map(|(user, s)| (user, &s.cells))
+    /// `Σ charge · weigh(slot centre)` over `user`'s cells, in slot order:
+    /// the decayed ([`DecayPolicy::weight`](crate::DecayPolicy::weight) of
+    /// the centre's age), epoch-relative
+    /// ([`epoch_weight`](crate::DecayPolicy::epoch_weight); what the incremental
+    /// UMS caches, so that advancing time never dirties unchanged users)
+    /// and raw readouts. One descent plus the user's slots, summed from
+    /// `+0.0` — the bits `Iterator::sum` yields for non-negative terms, and
+    /// `+0.0`, not a float `sum`'s `-0.0`, for a user holding none.
+    pub fn usage(&self, user: UserId, weigh: impl Fn(f64) -> f64) -> f64 {
+        let terms = (self.cells.of(user, 0))
+            .map(|(slot, charge)| charge * weigh((slot as f64 + 0.5) * self.slot_s));
+        terms.fold(0.0, |sum, term| sum + term)
     }
 
-    /// Decay-weighted total usage of `user` as seen at time `now_s`.
-    pub fn decayed_usage(&self, user: &GridUser, now_s: f64, decay: DecayPolicy) -> f64 {
-        let Some(slots) = self.slots.get(user) else {
-            return 0.0;
+    /// A cell of `user` is about to change: their cached total is stale.
+    fn touch(&mut self, user: UserId) {
+        if self.raw.len() <= user.index() {
+            self.raw.resize(user.index() + 1, Cell::new(f64::NAN));
+        }
+        self.raw[user.index()].set(f64::NAN);
+    }
+
+    /// Raw (undecayed) total usage of `user`: `O(1)` until one of their
+    /// cells changes, then one re-sum.
+    pub fn raw_usage(&self, user: UserId) -> f64 {
+        let Some(cached) = self.raw.get(user.index()) else {
+            return 0.0; // never held a cell
         };
-        slots
-            .cells
-            .iter()
-            .map(|(&slot, &charge)| {
-                let slot_center = (slot as f64 + 0.5) * self.slot_s;
-                charge * decay.weight(now_s - slot_center)
-            })
-            .sum()
-    }
-
-    /// Usage of `user` weighted relative to a fixed reference epoch
-    /// (separable decays only; see [`DecayPolicy::epoch_weight`]). Equal to
-    /// the decayed usage at `epoch_s` up to the unclamped handling of slots
-    /// newer than the epoch. The incremental UMS caches these weights so
-    /// advancing time never dirties unchanged users.
-    pub fn epoch_usage(&self, user: &GridUser, epoch_s: f64, decay: DecayPolicy) -> f64 {
-        let Some(slots) = self.slots.get(user) else {
-            return 0.0;
-        };
-        slots
-            .cells
-            .iter()
-            .map(|(&slot, &charge)| {
-                let slot_center = (slot as f64 + 0.5) * self.slot_s;
-                charge * decay.epoch_weight(epoch_s - slot_center)
-            })
-            .sum()
-    }
-
-    /// Raw (undecayed) total usage of `user`: the slot-order sum of its
-    /// cells, cached per user until one of them changes.
-    pub fn raw_usage(&self, user: &GridUser) -> f64 {
-        self.slots.get(user).map_or(0.0, UserSlots::raw)
+        if cached.get().is_nan() {
+            cached.set(self.usage(user, |_| 1.0));
+        }
+        cached.get()
     }
 
     /// Total charge held across all users (conservation invariant: equals
@@ -202,74 +227,33 @@ impl UsageHistogram {
     pub fn total_recorded(&self) -> f64 {
         self.total
     }
-
-    /// All users with recorded usage.
-    pub fn users(&self) -> impl Iterator<Item = &GridUser> {
-        self.slots.keys()
-    }
-
-    /// Decay-weighted usage for every user at once.
-    pub fn decayed_all(&self, now_s: f64, decay: DecayPolicy) -> BTreeMap<GridUser, f64> {
-        self.slots
-            .keys()
-            .map(|u| (u.clone(), self.decayed_usage(u, now_s, decay)))
-            .collect()
-    }
 }
 
-/// A grid-wide dense user index: a fixed user population ranked in name
-/// order, so rank order equals `BTreeMap<GridUser, _>` iteration order.
-/// Built once per run and shared read-only by everything that lays per-user
-/// values out as a flat row ([`UsageRow`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UserIndex {
-    users: Vec<GridUser>,
-}
-
-impl UserIndex {
-    /// Index the given users (duplicates collapse).
-    pub fn new(users: impl IntoIterator<Item = GridUser>) -> Self {
-        let mut users: Vec<GridUser> = users.into_iter().collect();
-        users.sort();
-        users.dedup();
-        Self { users }
-    }
-
-    /// Rank of `user` in name order — `O(log users)`; `None` for users
-    /// outside the index.
-    pub fn rank(&self, user: &GridUser) -> Option<usize> {
-        self.users.binary_search(user).ok()
-    }
-
-    /// The indexed users, by rank.
-    pub fn users(&self) -> &[GridUser] {
-        &self.users
-    }
-}
-
-/// One site's raw per-user usage view as a dense row over a [`UserIndex`],
-/// plus a (normally empty) sorted overflow for users outside the index. A
-/// user the site holds no usage for reads `0.0` — exactly how the
-/// cross-site divergence treats a user missing from a view.
+/// One site's raw per-user usage view as a dense row over a shared,
+/// name-ranked user base (a [`UserTable`](crate::arena::UserTable)'s), plus
+/// a (normally empty) sorted overflow for users outside it — what sites with
+/// different tables can still be compared by. A user the site holds no
+/// usage for reads `0.0` — exactly how the cross-site divergence treats a
+/// user missing from a view.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UsageRow {
-    /// Value per index rank.
+    /// Value per base rank.
     pub dense: Vec<f64>,
-    /// Non-zero values of out-of-index users.
+    /// Non-zero values of users outside the base.
     pub overflow: BTreeMap<GridUser, f64>,
 }
 
 impl UsageRow {
-    /// Reset to the all-zero row over `index`.
-    pub fn clear(&mut self, index: &UserIndex) {
+    /// Reset to the all-zero row over `base`.
+    pub fn clear(&mut self, base: &[GridUser]) {
         self.dense.clear();
-        self.dense.resize(index.users().len(), 0.0);
+        self.dense.resize(base.len(), 0.0);
         self.overflow.clear();
     }
 
-    /// Set one user's value — `O(log users)`.
-    pub fn set(&mut self, index: &UserIndex, user: &GridUser, value: f64) {
-        if let Some(rank) = index.rank(user) {
+    /// Set one user's value by name — `O(log users)`.
+    pub fn set(&mut self, base: &[GridUser], user: &GridUser, value: f64) {
+        if let Ok(rank) = base.binary_search(user) {
             self.dense[rank] = value;
         } else if value == 0.0 {
             self.overflow.remove(user);
@@ -343,11 +327,15 @@ impl UsageSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decay::DecayPolicy;
 
-    fn rec(user: &str, cores: u32, start: f64, end: f64) -> UsageRecord {
+    const A: UserId = UserId(0);
+    const B: UserId = UserId(1);
+
+    fn rec(cores: u32, start: f64, end: f64) -> UsageRecord {
         UsageRecord {
             job: JobId(0),
-            user: GridUser::new(user),
+            user: GridUser::new("whoever"),
             site: SiteId(0),
             cores,
             start_s: start,
@@ -357,31 +345,32 @@ mod tests {
 
     #[test]
     fn charge_is_core_seconds() {
-        assert_eq!(rec("a", 4, 10.0, 20.0).charge(), 40.0);
-        assert_eq!(rec("a", 4, 20.0, 10.0).charge(), 0.0);
+        assert_eq!(rec(4, 10.0, 20.0).charge(), 40.0);
+        assert_eq!(rec(4, 20.0, 10.0).charge(), 0.0);
     }
 
     #[test]
     fn record_single_slot() {
         let mut h = UsageHistogram::new(100.0);
-        h.record(&rec("a", 1, 10.0, 30.0));
-        assert_eq!(h.raw_usage(&GridUser::new("a")), 20.0);
-        assert_eq!(h.raw_usage(&GridUser::new("b")), 0.0);
+        h.record(A, &rec(1, 10.0, 30.0));
+        assert_eq!(h.raw_usage(A), 20.0);
+        assert_eq!(h.raw_usage(B), 0.0);
+        assert!(
+            h.raw_usage(B).is_sign_positive(),
+            "an absent user reads +0.0"
+        );
     }
 
     #[test]
     fn record_spreads_across_slots() {
         let mut h = UsageHistogram::new(100.0);
         // Job spans slots 0, 1, 2: 50s in slot 0, 100s in slot 1, 50s in slot 2.
-        h.record(&rec("a", 2, 50.0, 250.0));
-        let total = h.raw_usage(&GridUser::new("a"));
+        assert_eq!(h.record(A, &rec(2, 50.0, 250.0)), Some(0));
+        let total = h.raw_usage(A);
         assert!((total - 400.0).abs() < 1e-9);
         // Decay with a window covering only recent slots sees partial usage.
-        let w = h.decayed_usage(
-            &GridUser::new("a"),
-            250.0,
-            DecayPolicy::Window { window_s: 120.0 },
-        );
+        let window = DecayPolicy::Window { window_s: 120.0 };
+        let w = h.usage(A, |centre| window.weight(250.0 - centre));
         // Slot centers: 50 (age 200, out), 150 (age 100, in), 250 (age 0, in).
         assert!((w - (200.0 + 100.0)).abs() < 1e-9, "{w}");
     }
@@ -389,57 +378,80 @@ mod tests {
     #[test]
     fn conservation_total_equals_sum() {
         let mut h = UsageHistogram::new(60.0);
-        h.record(&rec("a", 1, 0.0, 90.0));
-        h.record(&rec("b", 3, 30.0, 150.0));
-        h.record(&rec("a", 2, 200.0, 260.0));
-        let sum: f64 = ["a", "b"]
-            .iter()
-            .map(|u| h.raw_usage(&GridUser::new(*u)))
-            .sum();
+        h.record(A, &rec(1, 0.0, 90.0));
+        h.record(B, &rec(3, 30.0, 150.0));
+        h.record(A, &rec(2, 200.0, 260.0));
+        let sum = h.raw_usage(A) + h.raw_usage(B);
         assert!((h.total_recorded() - sum).abs() < 1e-9);
     }
 
     #[test]
     fn zero_duration_job_ignored() {
         let mut h = UsageHistogram::new(60.0);
-        h.record(&rec("a", 8, 100.0, 100.0));
+        assert_eq!(h.record(A, &rec(8, 100.0, 100.0)), None);
         assert_eq!(h.total_recorded(), 0.0);
+        assert!(h.cells().is_empty());
+    }
+
+    #[test]
+    fn a_users_cells_are_one_ordered_range_of_the_store() {
+        let mut h = UsageHistogram::new(100.0);
+        h.record(B, &rec(1, 1050.0, 1060.0));
+        h.record(A, &rec(2, 250.0, 420.0));
+        h.add_charges(B, [(3, 5.0)]);
+        let slots = |user, from| h.cells().of(user, from).map(|(s, _)| s).collect::<Vec<_>>();
+        assert_eq!(slots(A, 0), [2, 3, 4]);
+        assert_eq!(slots(A, 3), [3, 4]);
+        assert_eq!(slots(B, 0), [3, 10]);
+        assert!(slots(UserId(2), 0).is_empty());
+        assert_eq!(h.cells().users().collect::<Vec<_>>(), [A, B]);
+        let order: Vec<(UserId, u64)> = h.cells().iter().map(|(u, s, _)| (u, s)).collect();
+        assert_eq!(order, [(A, 2), (A, 3), (A, 4), (B, 3), (B, 10)]);
     }
 
     #[test]
     fn cached_raw_usage_follows_every_mutation() {
-        let (a, b) = (GridUser::new("a"), GridUser::new("b"));
         let mut h = UsageHistogram::new(100.0);
-        h.record(&rec("a", 2, 1050.0, 1060.0));
+        h.record(A, &rec(2, 1050.0, 1060.0));
         let conserved = |h: &UsageHistogram| {
-            let sum = h.raw_usage(&a) + h.raw_usage(&b);
+            let sum = h.raw_usage(A) + h.raw_usage(B);
             assert!((h.total_recorded() - sum).abs() < 1e-9, "{sum}");
         };
         conserved(&h); // also fills the per-user total cache
-        h.add_charges(&a, [(11, 5.0)]);
-        assert_eq!(h.raw_usage(&a), 25.0);
-        h.record(&rec("b", 1, 1000.0, 1030.0));
-        assert_eq!(h.raw_usage(&b), 30.0);
+        h.add_charges(A, [(11, 5.0)]);
+        assert_eq!(h.raw_usage(A), 25.0);
+        h.record(B, &rec(1, 1000.0, 1030.0));
+        assert_eq!(h.raw_usage(B), 30.0);
         conserved(&h);
+        assert_eq!(h.raw_usage(UserId(9)), 0.0, "never held a cell");
+    }
+
+    #[test]
+    fn raise_moves_a_cell_only_past_the_threshold() {
+        let mut sent = CellStore::default();
+        assert_eq!(sent.raise(A, 7, 5e-13, 1e-12), None);
+        assert!(sent.is_empty(), "a cell that does not rise is not created");
+        assert_eq!(sent.raise(A, 7, 4.0, 1e-12), Some(4.0));
+        assert_eq!(sent.raise(A, 7, 4.0, 1e-12), None);
+        assert_eq!(sent.raise(A, 7, 3.0, 1e-12), None, "never lowered");
+        assert_eq!(sent.raise(A, 7, 6.5, 1e-12), Some(2.5));
+        assert_eq!(sent.of(A, 0).collect::<Vec<_>>(), [(7, 6.5)]);
     }
 
     #[test]
     fn usage_row_dense_and_overflow() {
-        let index = UserIndex::new(["b", "a", "b"].map(GridUser::new));
-        assert_eq!(index.users(), ["a", "b"].map(GridUser::new));
-        assert_eq!(index.rank(&GridUser::new("b")), Some(1));
-        assert_eq!(index.rank(&GridUser::new("ghost")), None);
+        let base = ["a", "b"].map(GridUser::new);
         let mut row = UsageRow::default();
-        row.clear(&index);
-        row.set(&index, &GridUser::new("b"), 3.0);
-        row.set(&index, &GridUser::new("zed"), 7.0);
-        row.set(&index, &GridUser::new("ghost"), 5.0);
+        row.clear(&base);
+        row.set(&base, &GridUser::new("b"), 3.0);
+        row.set(&base, &GridUser::new("zed"), 7.0);
+        row.set(&base, &GridUser::new("ghost"), 5.0);
         assert_eq!(row.dense, vec![0.0, 3.0]);
         assert_eq!(row.overflow.len(), 2);
-        row.set(&index, &GridUser::new("ghost"), 0.0);
+        row.set(&base, &GridUser::new("ghost"), 0.0);
         assert_eq!(row.overflow.len(), 1, "zeroed overflow entries leave");
         assert_eq!(row.overflow[&GridUser::new("zed")], 7.0);
-        row.clear(&index);
+        row.clear(&base);
         assert_eq!(row.dense, vec![0.0, 0.0]);
         assert!(row.overflow.is_empty());
     }
@@ -447,8 +459,8 @@ mod tests {
     #[test]
     fn decay_none_sees_all_history() {
         let mut h = UsageHistogram::new(10.0);
-        h.record(&rec("a", 1, 0.0, 10.0));
-        let v = h.decayed_usage(&GridUser::new("a"), 1e9, DecayPolicy::None);
+        h.record(A, &rec(1, 0.0, 10.0));
+        let v = h.usage(A, |centre| DecayPolicy::None.weight(1e9 - centre));
         assert!((v - 10.0).abs() < 1e-9);
     }
 
@@ -461,11 +473,11 @@ mod tests {
     #[test]
     fn add_charges_updates_cells_and_total() {
         let mut h = UsageHistogram::new(60.0);
-        h.add_charges(&GridUser::new("a"), [(3, 25.0), (3, 5.0)]);
-        h.add_charges(&GridUser::new("a"), [(4, -1.0), (4, 0.0)]); // ignored
-        h.add_charges(&GridUser::new("b"), [(4, 0.0)]); // ignored: no entry either
-        assert_eq!(h.users().count(), 1);
-        assert!((h.raw_usage(&GridUser::new("a")) - 30.0).abs() < 1e-12);
+        h.add_charges(A, [(3, 25.0), (3, 5.0)]);
+        h.add_charges(A, [(4, -1.0), (4, 0.0)]); // ignored
+        h.add_charges(B, [(4, 0.0)]); // ignored: no cell either
+        assert_eq!(h.cells().users().count(), 1);
+        assert!((h.raw_usage(A) - 30.0).abs() < 1e-12);
         assert!((h.total_recorded() - 30.0).abs() < 1e-12);
     }
 }

@@ -2,6 +2,7 @@
 //! normalization, usage conservation, distance bounds, vector ordering, and
 //! projection consistency across randomized trees and usage patterns.
 
+use aequus_core::arena::UserId;
 use aequus_core::decay::DecayPolicy;
 use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::ids::{EntityPath, GridUser, JobId, SiteId};
@@ -131,10 +132,10 @@ proptest! {
             for (ua, va) in &vectors {
                 for (ub, vb) in &vectors {
                     if va.compare(vb) == std::cmp::Ordering::Greater {
-                        let (fa, fb) = (values[ua], values[ub]);
+                        let (fa, fb) = (values[ua.index()], values[ub.index()]);
                         prop_assert!(
                             fa >= fb - 1e-9,
-                            "{kind:?}: {ua} > {ub} by vector but {fa} < {fb}"
+                            "{kind:?}: {ua:?} > {ub:?} by vector but {fa} < {fb}"
                         );
                     }
                 }
@@ -150,7 +151,7 @@ proptest! {
         let shares: Vec<(String, f64)> =
             (0..n).map(|i| (format!("u{i}"), 1.0)).collect();
         let (_, tree) = build_tree(&shares, &usage, 0.5);
-        let values = ProjectionKind::Percental.build().project(&tree);
+        let values = tree.by_user(&ProjectionKind::Percental.build().project(&tree));
         for i in 0..n {
             for j in 0..n {
                 if usage[i] < usage[j] - 1e-9 {
@@ -181,19 +182,18 @@ proptest! {
                 end_s: start + len,
             };
             expected += rec.charge();
-            h.record(&rec);
+            h.record(UserId((i % 3) as u32), &rec);
         }
         prop_assert!((h.total_recorded() - expected).abs() < 1e-6 * expected.max(1.0));
         // Per-user raw sums equal the total.
         let by_user: f64 = (0..3)
-            .map(|i| h.raw_usage(&GridUser::new(format!("u{i}"))))
+            .map(|i| h.raw_usage(UserId(i)))
             .sum();
         prop_assert!((by_user - expected).abs() < 1e-6 * expected.max(1.0));
         // Decayed usage never exceeds raw usage.
         for i in 0..3 {
-            let user = GridUser::new(format!("u{i}"));
-            let raw = h.raw_usage(&user);
-            let dec = h.decayed_usage(&user, 2e4, DecayPolicy::default());
+            let raw = h.raw_usage(UserId(i));
+            let dec = h.usage(UserId(i), |centre| DecayPolicy::default().weight(2e4 - centre));
             prop_assert!(dec <= raw + 1e-9, "decayed {dec} > raw {raw}");
         }
     }

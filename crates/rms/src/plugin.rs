@@ -16,7 +16,7 @@ use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::policy::PolicyTree;
 use aequus_core::projection::{Projection, ProjectionKind};
 use aequus_core::usage::{UsageHistogram, UsageRecord};
-use aequus_core::{GridUser, SystemUser, UserId};
+use aequus_core::{GridUser, SystemUser, UserId, UserTable};
 use aequus_services::AequusSite;
 use std::collections::BTreeMap;
 
@@ -82,14 +82,15 @@ pub struct LocalFairshare {
     projection: Box<dyn Projection>,
     usage: UsageHistogram,
     identity_map: BTreeMap<SystemUser, GridUser>,
-    /// Interned users; a [`UserId`] is an index into this list.
-    users: Vec<GridUser>,
+    /// Who the ids of `usage` and of the RMS's queries are: a table over
+    /// the policy's own user base, so they are the fairshare tree's ids too.
+    users: UserTable,
 }
 
 impl std::fmt::Debug for LocalFairshare {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalFairshare")
-            .field("users", &self.policy.users().len())
+            .field("users", &self.users.len())
             .finish()
     }
 }
@@ -103,12 +104,12 @@ impl LocalFairshare {
         usage_slot_s: f64,
     ) -> Self {
         Self {
+            users: UserTable::new(policy.layout().users().clone()),
             policy,
             config,
             projection: projection.build(),
             usage: UsageHistogram::new(usage_slot_s),
             identity_map: BTreeMap::new(),
-            users: Vec::new(),
         }
     }
 
@@ -125,24 +126,24 @@ impl LocalFairshare {
 
 impl FairshareSource for LocalFairshare {
     fn intern_user(&mut self, user: &GridUser) -> UserId {
-        let known = self.users.iter().position(|u| u == user);
-        let index = known.unwrap_or_else(|| {
-            self.users.push(user.clone());
-            self.users.len() - 1
-        });
-        UserId(index as u32)
+        self.users.intern(user)
     }
 
     fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
-        let usage = self.usage.decayed_all(now_s, self.config.decay);
-        let tree = FairshareTree::compute(&self.policy, &usage, &self.config, now_s);
+        // One row over the policy's users; what users outside it consumed
+        // competes for no share.
+        let aged = |centre| self.config.decay.weight(now_s - centre);
+        let decayed = |user| self.usage.usage(user, aged);
+        let policy_users = 0..self.users.base().len() as u32;
+        let usage: Vec<f64> = policy_users.map(|user| decayed(UserId(user))).collect();
+        let tree = FairshareTree::compute_row(&self.policy, &usage, &self.config, now_s);
         let factors = self.projection.project(&tree);
-        let user = self.users.get(id.index());
-        user.and_then(|u| factors.get(u)).copied().unwrap_or(0.5)
+        factors.get(id.index()).copied().unwrap_or(0.5)
     }
 
     fn report_usage(&mut self, record: UsageRecord, _now_s: f64) {
-        self.usage.record(&record);
+        let user = self.users.intern(&record.user);
+        self.usage.record(user, &record);
     }
 
     fn resolve_identity(&mut self, system: &SystemUser, _now_s: f64) -> Option<GridUser> {

@@ -6,31 +6,35 @@
 //! ## Incremental refresh
 //!
 //! The FCS is the consumer end of the dirty-set flow USS → UMS → FCS: each
-//! refresh drains the [`DirtySet`](aequus_core::arena::DirtySet)s
-//! accumulated by the PDS (policy edits)
+//! refresh drains the [`DirtySet`]s accumulated by the PDS (policy edits)
 //! and UMS (usage changes) and hands them to
 //! [`FairshareTree::recompute_dirty`], which re-derives only the affected
 //! subtrees. A full from-scratch rebuild happens only on the first refresh,
-//! after a projection switch, or when the dirty set says "all" (structural
-//! policy change, non-separable decay). After the tree update, only the
+//! after a crash, or when the dirty set says "all" (structural policy
+//! change, non-separable decay). After the tree update, only the
 //! leaves under changed nodes are re-projected, by arena id, straight into
 //! their factor slots — except under projections without a per-leaf entry
 //! point (Dictionary re-ranks globally).
 //!
-//! The FCS interns users into dense [`UserId`]s and keeps the projected
-//! factors in one `UserId`-indexed table — the only stored copy — and
-//! [`Fcs::query`] is by id only: the RMS interns a job's user once at
-//! submit and every later priority query is an index load. Ids are assigned
-//! on first sight, never reused, and survive full rebuilds.
+//! The projected factors live in one row indexed by the [`UserId`]s of the
+//! site's [`UserTable`] — the only stored copy — and [`Fcs::query`] is by id
+//! only: the RMS interns a job's user once at submit and every later
+//! priority query is an index load. The tree itself speaks the ids of the
+//! policy's layout; when the table is built over that layout's user base
+//! (every site built from the policy it enforces) the two are the same
+//! numbers and nothing is translated.
 
 use crate::pds::Pds;
 use crate::ums::Ums;
-use aequus_core::arena::{NodeId, RecomputeStats, UserId};
+use aequus_core::arena::{DirtySet, NodeId, RecomputeStats, UserId, UserTable};
 use aequus_core::fairshare::{FairshareConfig, FairshareTree};
+use aequus_core::policy::PolicyLayout;
 use aequus_core::projection::{Projection, ProjectionKind};
 use aequus_core::GridUser;
 use aequus_telemetry::{Counter, Histogram, Telemetry};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Pre-registered FCS metric handles (no-ops until wired).
 #[derive(Debug, Clone, Default)]
@@ -65,20 +69,17 @@ pub struct Fcs {
     projection: Box<dyn Projection>,
     refresh_interval_s: f64,
     tree: Option<FairshareTree>,
-    /// Stable user interner: `GridUser` → dense id, assigned on first sight.
-    user_ids: BTreeMap<GridUser, UserId>,
-    users_by_id: Vec<GridUser>,
-    /// Factor table indexed by [`UserId`]; `NaN` marks "no precomputed
-    /// factor" (the id is interned but the user is absent from the tree).
+    /// The site's id of each user of the tree's layout, by layout id —
+    /// resolved once per rebuilt tree, and `None` when the site's table is
+    /// built over the layout's own user base: layout id *is* site id.
+    site_ids: Option<Vec<UserId>>,
+    /// Factor row indexed by site [`UserId`]; `NaN` marks "no precomputed
+    /// factor" (the user is absent from the tree).
     factor_slots: Vec<f64>,
-    /// Factor slot of each user leaf of the current tree, indexed by arena
-    /// [`NodeId`] (`None` for interior nodes). Resolved once per (re)built
-    /// tree, so incremental refreshes never look a user up by name.
-    leaf_slots: Vec<Option<UserId>>,
     last_refresh_s: Option<f64>,
     last_policy_version: u64,
-    /// Next refresh must rebuild from scratch (projection switch). Tracked
-    /// separately from `last_refresh_s` so cadence statistics stay truthful.
+    /// Next refresh must rebuild from scratch (crash). Tracked separately
+    /// from `last_refresh_s` so cadence statistics stay truthful.
     force_full: bool,
     refreshes: u64,
     full_refreshes: u64,
@@ -116,10 +117,8 @@ impl Fcs {
             projection: projection.build(),
             refresh_interval_s,
             tree: None,
-            user_ids: BTreeMap::new(),
-            users_by_id: Vec::new(),
+            site_ids: None,
             factor_slots: Vec::new(),
-            leaf_slots: Vec::new(),
             last_refresh_s: None,
             last_policy_version: 0,
             force_full: false,
@@ -139,15 +138,13 @@ impl Fcs {
     }
 
     /// Site crash: drop the volatile fairshare state — the precomputed tree
-    /// and every projected factor. The user interner survives (ids are
-    /// handed out to the RMS and must stay stable across restarts; on a real
-    /// deployment it would be persisted alongside the accounting database),
+    /// and every projected factor. The ids the factors are served under are
+    /// the site table's and outlive this (they are handed out to the RMS),
     /// as do the monotone refresh counters. The next refresh rebuilds from
     /// scratch.
     pub fn reset(&mut self) {
         self.tree = None;
         self.factor_slots.fill(f64::NAN);
-        self.leaf_slots.clear();
         self.last_refresh_s = None;
         self.force_full = true;
     }
@@ -163,7 +160,7 @@ impl Fcs {
     }
 
     /// Whether the precomputed values are stale at `now_s` (interval
-    /// elapsed, the policy version moved, or a projection switch pends).
+    /// elapsed, the policy version moved, or a crash pends a rebuild).
     pub fn is_stale(&self, pds: &Pds, now_s: f64) -> bool {
         if self.force_full || pds.version() != self.last_policy_version {
             return true;
@@ -175,71 +172,58 @@ impl Fcs {
     }
 
     /// Recompute the fairshare tree and projected factors if stale, draining
-    /// the PDS and UMS dirty sets. Returns whether a refresh happened.
+    /// the PDS and UMS dirty sets; `users` is the site's table, whose ids
+    /// the UMS row, the dirty sets and the served factors are keyed by.
+    /// Returns whether a refresh happened.
     ///
-    /// Cost of an incremental refresh: `O(d·depth·log users)` to re-aggregate
-    /// the `d` dirty users' paths, `O(siblings)` flat float work per touched
+    /// Cost of an incremental refresh: `O(d·depth)` to re-aggregate the `d`
+    /// dirty users' paths, `O(siblings)` flat float work per touched
     /// sibling group (one dirty user moves every sibling's usage share), and
-    /// `O(depth)` per leaf under a changed node to re-project it by id — no
-    /// per-user name lookup, clone or map insert. A full rebuild is
-    /// `O(users·log users)`; Dictionary re-ranks all users on any change.
-    pub fn refresh(&mut self, pds: &mut Pds, ums: &mut Ums, now_s: f64) -> bool {
+    /// `O(depth)` per leaf under a changed node to re-project it by id. A
+    /// full rebuild is `O(nodes)` float work over the UMS row plus one
+    /// projection of every user (Dictionary: a sort; it also re-ranks all
+    /// users on any change). Neither looks a user up by name, clones one or
+    /// touches a map — except at a site whose table is not built over the
+    /// policy's user base (a replaced policy, a service driven alone), which
+    /// pays `O(users·log users)` name lookups per rebuild to translate.
+    pub fn refresh(
+        &mut self,
+        pds: &mut Pds,
+        ums: &mut Ums,
+        users: &mut UserTable,
+        now_s: f64,
+    ) -> bool {
         if !self.is_stale(pds, now_s) {
             return false;
         }
         let mut dirty = pds.take_dirty();
         dirty.merge(&ums.take_dirty());
+        let policy = pds.policy();
         // A version bump the dirty set cannot explain (no edited path, no
         // mark-all) means the policy changed behind our back: rebuild.
         let unexplained_version = pds.version() != self.last_policy_version
             && !dirty.is_all()
             && dirty.paths().next().is_none();
-        let need_full =
-            self.tree.is_none() || self.force_full || dirty.is_all() || unexplained_version;
+        let restructured =
+            (self.tree.as_ref()).is_some_and(|tree| !Arc::ptr_eq(tree.layout(), policy.layout()));
+        let need_full = self.tree.is_none()
+            || self.force_full
+            || dirty.is_all()
+            || unexplained_version
+            || restructured;
 
-        if need_full {
-            let _span = self.metrics.h_refresh_full.start_timer();
-            self.metrics.full_refreshes.inc();
-            self.metrics.telemetry.event(now_s, "fcs.full_rebuild", || {
-                if unexplained_version {
-                    "unexplained policy version bump".to_string()
-                } else if dirty.is_all() {
-                    "dirty set marked all".to_string()
-                } else {
-                    "first refresh or projection switch".to_string()
-                }
-            });
-            let tree = FairshareTree::compute(pds.policy(), ums.usage(), &self.config, now_s);
-            self.index_leaves(&tree);
-            self.project_all(&tree);
-            self.last_recompute = RecomputeStats {
-                full: true,
-                nodes_recomputed: tree.node_count() as u64,
-                shares_refreshed: tree.node_count() as u64,
-                changed_elements: Vec::new(),
-            };
-            self.tree = Some(tree);
-            self.full_refreshes += 1;
-            self.force_full = false;
-        } else if dirty.is_empty() {
+        let mut incremental = None;
+        if !need_full && dirty.is_empty() {
             // Interval elapsed but nothing changed upstream: the refresh
             // happened (cadence-wise) and did zero recompute work.
-            self.incremental_refreshes += 1;
-            self.last_recompute = RecomputeStats::default();
             self.metrics.h_refresh_incr.record(0.0);
-        } else if let Some(mut tree) = self.tree.take() {
+            incremental = Some(RecomputeStats::default());
+        } else if let Some(mut tree) = self.tree.take().filter(|_| !need_full) {
             let _span = self.metrics.h_refresh_incr.start_timer();
-            let stats = tree.recompute_dirty(pds.policy(), ums.usage(), &dirty, now_s);
-            if stats.full {
-                // The tree detected a structural mismatch and rebuilt.
-                self.index_leaves(&tree);
-                self.project_all(&tree);
-                self.full_refreshes += 1;
-                self.metrics.full_refreshes.inc();
-                self.metrics.telemetry.event(now_s, "fcs.full_rebuild", || {
-                    "structural mismatch during incremental recompute".to_string()
-                });
-            } else {
+            let usage = self.by_layout_id(ums.usage());
+            let dirty = self.marked_by_layout_id(tree.layout(), users, &dirty);
+            incremental = tree.recompute_dirty(policy, &usage, &dirty, now_s);
+            if let Some(stats) = &incremental {
                 // Re-project only the leaves under nodes whose state
                 // changed. A leaf under two changed nodes is projected
                 // twice — idempotent, and cheaper than deduplicating.
@@ -254,20 +238,53 @@ impl Fcs {
                         self.project_all(&tree);
                         break;
                     };
-                    if let Some(id) = self.leaf_slots[leaf.index()] {
-                        self.factor_slots[id.index()] = factor;
+                    // A user under several leaves is served from the last.
+                    let user = tree.layout()[leaf].user;
+                    if let Some(user) = user.filter(|&u| tree.leaf_of(u) == Some(leaf)) {
+                        let slot = self.site_id(user).index();
+                        self.factor_slots[slot] = factor;
                     }
                 }
-                self.incremental_refreshes += 1;
+                self.tree = Some(tree);
             }
-            self.tree = Some(tree);
-            self.last_recompute = stats;
-        } else {
-            // `need_full` concluded a tree exists, but it does not (a state
-            // a recovering site could conceivably reach). A serving site
-            // must not panic: do no work now and schedule a full rebuild.
-            self.force_full = true;
-            self.last_recompute = RecomputeStats::default();
+        }
+        match incremental {
+            Some(stats) => {
+                self.incremental_refreshes += 1;
+                self.last_recompute = stats;
+            }
+            None => {
+                let _span = self.metrics.h_refresh_full.start_timer();
+                self.metrics.full_refreshes.inc();
+                self.metrics.telemetry.event(now_s, "fcs.full_rebuild", || {
+                    if unexplained_version {
+                        "unexplained policy version bump".to_string()
+                    } else if dirty.is_all() {
+                        "dirty set marked all".to_string()
+                    } else if restructured {
+                        "policy structure replaced".to_string()
+                    } else {
+                        "first refresh or restart".to_string()
+                    }
+                });
+                let layout = policy.layout();
+                // Ids are the layout's own unless the table has another base.
+                self.site_ids = (!Arc::ptr_eq(layout.users(), users.base()))
+                    .then(|| layout.users().iter().map(|u| users.intern(u)).collect());
+                self.factor_slots.resize(users.len(), f64::NAN);
+                let usage = self.by_layout_id(ums.usage());
+                let tree = FairshareTree::compute_row(policy, &usage, &self.config, now_s);
+                self.project_all(&tree);
+                self.last_recompute = RecomputeStats {
+                    full: true,
+                    nodes_recomputed: tree.node_count() as u64,
+                    shares_refreshed: tree.node_count() as u64,
+                    changed_elements: Vec::new(),
+                };
+                self.tree = Some(tree);
+                self.full_refreshes += 1;
+                self.force_full = false;
+            }
         }
 
         self.nodes_recomputed_total += self.last_recompute.nodes_recomputed;
@@ -278,48 +295,69 @@ impl Fcs {
         true
     }
 
-    /// Resolve every user leaf of a (re)built tree to its factor slot,
-    /// interning users seen for the first time (in user order).
-    /// `O(users·log users)`, once per tree.
-    fn index_leaves(&mut self, tree: &FairshareTree) {
-        self.leaf_slots.clear();
-        self.leaf_slots.resize(tree.node_count(), None);
-        for (user, leaf) in tree.user_leaves() {
-            self.leaf_slots[leaf.index()] = Some(self.intern_user(user));
+    /// The site's id of a user of the tree's layout.
+    fn site_id(&self, user: UserId) -> UserId {
+        (self.site_ids.as_ref()).map_or(user, |ids| ids[user.index()])
+    }
+
+    /// The UMS row as the tree reads it: borrowed as it is when layout ids
+    /// are site ids, else gathered under the layout's ids.
+    fn by_layout_id<'a>(&self, usage: &'a [f64]) -> Cow<'a, [f64]> {
+        let held = |id: &UserId| usage.get(id.index()).copied().unwrap_or(f64::NAN);
+        match &self.site_ids {
+            None => Cow::Borrowed(usage),
+            Some(ids) => ids.iter().map(held).collect(),
         }
     }
 
-    /// Re-project every user of the tree into the factor table; users the
-    /// tree no longer holds lose their factor. `O(users·log users)`.
+    /// A dirty set as the tree reads it: borrowed as it is when layout ids
+    /// are site ids, else its users re-marked under the layout's ids, by
+    /// name.
+    fn marked_by_layout_id<'a>(
+        &self,
+        layout: &PolicyLayout,
+        users: &UserTable,
+        dirty: &'a DirtySet,
+    ) -> Cow<'a, DirtySet> {
+        if self.site_ids.is_none() {
+            return Cow::Borrowed(dirty);
+        }
+        let mut marked = DirtySet::new();
+        dirty
+            .paths()
+            .for_each(|path| marked.mark_path(path.clone()));
+        let ranked = dirty
+            .users()
+            .filter_map(|id| layout.user_id(users.name(id)));
+        ranked.for_each(|user| marked.mark_user(user));
+        Cow::Owned(marked)
+    }
+
+    /// Re-project every user of the tree into the factor row; users the
+    /// tree no longer holds lose their factor. `O(users)` past the
+    /// projection itself.
     fn project_all(&mut self, tree: &FairshareTree) {
         self.factor_slots.fill(f64::NAN);
-        for (user, factor) in self.projection.project(tree) {
-            let id = self.intern_user(&user);
-            self.factor_slots[id.index()] = factor;
+        for (user, factor) in self.projection.project(tree).into_iter().enumerate() {
+            let slot = self.site_id(UserId(user as u32)).index();
+            self.factor_slots[slot] = factor;
         }
     }
 
-    /// Intern a user, returning its stable dense id. Ids survive full
-    /// rebuilds and are never reused.
-    pub fn intern_user(&mut self, user: &GridUser) -> UserId {
-        if let Some(id) = self.user_ids.get(user) {
-            return *id;
-        }
-        let id = UserId(self.users_by_id.len() as u32);
-        self.user_ids.insert(user.clone(), id);
-        self.users_by_id.push(user.clone());
-        self.factor_slots.push(f64::NAN);
-        id
-    }
-
-    /// Resolve an already-interned user's id without interning.
+    /// The site's id of a user of the current tree's policy, by name
+    /// (inspection; the RMS interns through the site's table).
     pub fn id_of(&self, user: &GridUser) -> Option<UserId> {
-        self.user_ids.get(user).copied()
+        let user = self.tree.as_ref()?.layout().user_id(user)?;
+        Some(self.site_id(user))
     }
 
-    /// The user an id was assigned to.
+    /// The policy user a site id names, while a tree holds it (trace notes).
     pub fn user_of(&self, id: UserId) -> Option<&GridUser> {
-        self.users_by_id.get(id.index())
+        let rank = match &self.site_ids {
+            None => id.index(),
+            Some(ids) => ids.iter().position(|held| *held == id)?,
+        };
+        self.tree.as_ref()?.layout().users().get(rank)
     }
 
     /// Query the precomputed fairshare factor of an interned user — an
@@ -337,21 +375,28 @@ impl Fcs {
     /// bookkeeping and the metrics sampler, which must not count as served
     /// queries.
     pub fn factor_of(&self, id: UserId) -> Option<f64> {
-        self.factor_slots
-            .get(id.index())
-            .copied()
-            .filter(|f| !f.is_nan())
+        id.read(&self.factor_slots)
     }
 
-    /// The precomputed factors of all users, materialised from the factor
-    /// table — `O(users·log users)`; for reports and tests, not hot paths.
+    /// How many users hold a precomputed factor — one pass over the row.
+    pub fn factor_count(&self) -> usize {
+        self.factor_slots.iter().filter(|f| !f.is_nan()).count()
+    }
+
+    /// The precomputed factors of all users as a report, names written back
+    /// from the policy layout — `O(users·log users)`; not for hot paths.
     pub fn factors(&self) -> BTreeMap<GridUser, f64> {
-        self.users_by_id
+        let users = self
+            .tree
             .iter()
-            .zip(&self.factor_slots)
-            .filter(|(_, f)| !f.is_nan())
-            .map(|(user, f)| (user.clone(), *f))
-            .collect()
+            .flat_map(|tree| tree.layout().users().iter());
+        let factor = |(user, name): (usize, &GridUser)| {
+            Some((
+                name.clone(),
+                self.factor_of(self.site_id(UserId(user as u32)))?,
+            ))
+        };
+        users.enumerate().filter_map(factor).collect()
     }
 
     /// The last computed fairshare tree (for metrics and vector extraction).
@@ -434,10 +479,10 @@ mod tests {
 
     #[test]
     fn precomputes_factors_for_all_users() {
-        let (mut pds, mut ums, _) = setup();
+        let (mut pds, mut ums, mut uss) = setup();
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 30.0);
         assert!(factor(&fcs, "a").is_none(), "nothing before refresh");
-        assert!(fcs.refresh(&mut pds, &mut ums, 0.0));
+        assert!(fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0));
         let fa = factor(&fcs, "a").unwrap();
         let fb = factor(&fcs, "b").unwrap();
         assert!(fb > fa, "b has no usage → higher factor");
@@ -445,11 +490,11 @@ mod tests {
 
     #[test]
     fn query_is_cached_between_refreshes() {
-        let (mut pds, mut ums, _) = setup();
+        let (mut pds, mut ums, mut uss) = setup();
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 30.0);
-        fcs.refresh(&mut pds, &mut ums, 0.0);
-        assert!(!fcs.refresh(&mut pds, &mut ums, 10.0));
-        assert!(fcs.refresh(&mut pds, &mut ums, 31.0));
+        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
+        assert!(!fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 10.0));
+        assert!(fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 31.0));
         assert_eq!(fcs.refreshes(), 2);
         // Nothing was dirty at t=31: the refresh did zero tree work.
         assert_eq!(fcs.full_refreshes(), 1);
@@ -459,13 +504,13 @@ mod tests {
 
     #[test]
     fn policy_change_invalidates_cache() {
-        let (mut pds, mut ums, _) = setup();
+        let (mut pds, mut ums, mut uss) = setup();
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 1e9);
-        fcs.refresh(&mut pds, &mut ums, 0.0);
+        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
         pds.set_share(&aequus_core::EntityPath::parse("/a"), 0.9)
             .unwrap();
         assert!(
-            fcs.refresh(&mut pds, &mut ums, 1.0),
+            fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 1.0),
             "version bump forces recompute"
         );
         // A share edit is served incrementally, not by a rebuild.
@@ -475,9 +520,9 @@ mod tests {
 
     #[test]
     fn unknown_user_unprioritized() {
-        let (mut pds, mut ums, _) = setup();
+        let (mut pds, mut ums, mut uss) = setup();
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 30.0);
-        fcs.refresh(&mut pds, &mut ums, 0.0);
+        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
         assert!(factor(&fcs, "ghost").is_none());
     }
 
@@ -509,14 +554,14 @@ mod tests {
         let mut ums = Ums::new(0.0, DecayPolicy::None);
         ums.refresh(&mut uss, 0.0);
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 0.0);
-        fcs.refresh(&mut pds, &mut ums, 0.0);
+        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
         assert_eq!(fcs.full_refreshes(), 1);
         let full_work = fcs.nodes_recomputed();
 
         // New usage for u2 only.
         uss.ingest(&record("u2", 100.0, 200.0));
         ums.refresh(&mut uss, 10.0);
-        assert!(fcs.refresh(&mut pds, &mut ums, 10.0));
+        assert!(fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 10.0));
         assert_eq!(fcs.incremental_refreshes(), 1);
         // Exactly the path u2 → g1 → root.
         assert_eq!(fcs.last_recompute().nodes_recomputed, 3);
@@ -536,15 +581,15 @@ mod tests {
         ] {
             let (mut pds, mut ums, mut uss) = setup();
             let mut fcs = Fcs::new(FairshareConfig::default(), kind, 0.0);
-            fcs.refresh(&mut pds, &mut ums, 0.0);
+            fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
             uss.ingest(&record("b", 0.0, 400.0));
             ums.refresh(&mut uss, 1.0);
             pds.set_share(&aequus_core::EntityPath::parse("/a"), 0.7)
                 .unwrap();
-            fcs.refresh(&mut pds, &mut ums, 1.0);
+            fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 1.0);
 
             let mut fresh = Fcs::new(FairshareConfig::default(), kind, 0.0);
-            fresh.refresh(&mut pds, &mut ums, 1.0);
+            fresh.refresh(&mut pds, &mut ums, uss.users_mut(), 1.0);
             let (inc, full) = (fcs.factors(), fresh.factors());
             assert_eq!(inc.len(), full.len());
             for (user, f) in &inc {
@@ -559,25 +604,82 @@ mod tests {
 
     #[test]
     fn user_ids_stable_across_rebuilds() {
-        let (mut pds, mut ums, _) = setup();
+        let (mut pds, mut ums, mut uss) = setup();
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 0.0);
-        fcs.refresh(&mut pds, &mut ums, 0.0);
+        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
         let id_a = fcs.id_of(&GridUser::new("a")).unwrap();
         let id_b = fcs.id_of(&GridUser::new("b")).unwrap();
         assert_ne!(id_a, id_b);
         assert_eq!(fcs.query(id_a), factor(&fcs, "a"));
+        // The ids are the site table's: the ones the RMS interns to.
+        assert_eq!(uss.users().id_of(&GridUser::new("a")), Some(id_a));
 
         // Structural policy change forces a full rebuild; ids survive.
         pds.set_policy(flat_policy(&[("b", 0.4), ("c", 0.6)]).unwrap());
-        fcs.refresh(&mut pds, &mut ums, 1.0);
+        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 1.0);
         assert_eq!(fcs.id_of(&GridUser::new("b")), Some(id_b));
         assert_eq!(fcs.query(id_b), factor(&fcs, "b"));
         // "a" left the policy: its id persists but no factor is published.
-        assert_eq!(fcs.id_of(&GridUser::new("a")), Some(id_a));
+        assert_eq!(uss.users().id_of(&GridUser::new("a")), Some(id_a));
+        assert_eq!(fcs.id_of(&GridUser::new("a")), None);
         assert_eq!(fcs.query(id_a), None);
         // "c" is new and got a fresh id, not a's.
         let id_c = fcs.id_of(&GridUser::new("c")).unwrap();
         assert_ne!(id_c, id_a);
         assert_eq!(fcs.user_of(id_c), Some(&GridUser::new("c")));
+        assert_eq!(uss.users().name(id_c), &GridUser::new("c"));
+
+        // A crash drops every factor and no id.
+        fcs.reset();
+        assert_eq!(fcs.query(id_b), None);
+        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 2.0);
+        assert_eq!(fcs.id_of(&GridUser::new("b")), Some(id_b));
+        assert!(fcs.query(id_c).is_some());
+    }
+
+    /// A site whose table is built over the base of the policy it enforces
+    /// translates nothing — layout id is site id — and serves the factors a
+    /// site that met every name on its own serves.
+    #[test]
+    fn shared_base_and_private_table_serve_the_same_factors() {
+        let policy = PolicyTree::new(PolicyNode::group(
+            "root",
+            1.0,
+            vec![
+                PolicyNode::group(
+                    "g0",
+                    0.6,
+                    vec![PolicyNode::user("zoe", 0.5), PolicyNode::user("bo", 0.5)],
+                ),
+                PolicyNode::user("ann", 0.4),
+            ],
+        ))
+        .unwrap();
+        let shared = UserTable::new(policy.layout().users().clone());
+        let mut factors = Vec::new();
+        for table in [shared, UserTable::default()] {
+            let mut pds = Pds::new(policy.clone());
+            let mut uss = Uss::with_users(SiteId(0), ParticipationMode::Full, 60.0, table);
+            let mut ums = Ums::new(0.0, DecayPolicy::None);
+            let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 0.0);
+            // First sight in no name order, and one name outside the policy.
+            for (user, end) in [("zoe", 80.0), ("ghost", 40.0), ("ann", 10.0)] {
+                uss.ingest(&record(user, 0.0, end));
+            }
+            ums.refresh(&mut uss, 0.0);
+            fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
+            uss.ingest(&record("bo", 0.0, 500.0));
+            ums.refresh(&mut uss, 1.0);
+            fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 1.0);
+            assert_eq!(fcs.incremental_refreshes(), 1);
+            assert_eq!(fcs.factor_count(), 3);
+            let ghost = uss.users().id_of(&GridUser::new("ghost")).unwrap();
+            assert_eq!(fcs.query(ghost), None);
+            factors.push(fcs.factors());
+        }
+        let bits =
+            |f: &BTreeMap<GridUser, f64>| -> Vec<u64> { f.values().map(|v| v.to_bits()).collect() };
+        assert_eq!(factors[0].len(), 3);
+        assert_eq!(bits(&factors[0]), bits(&factors[1]));
     }
 }

@@ -124,8 +124,8 @@ impl LibAequus {
         self.degraded
     }
 
-    /// Fetch the global fairshare factor of the user interned as `id` (see
-    /// [`Fcs::intern_user`]), serving from the cache when fresh. Users
+    /// Fetch the global fairshare factor of the user interned as `id` (in
+    /// the site's user table), serving from the cache when fresh. Users
     /// unknown to the policy get the neutral factor 0.5 (the balance point)
     /// so other priority factors still apply.
     pub fn get_fairshare(&mut self, fcs: &Fcs, id: UserId, now_s: f64) -> f64 {
@@ -246,9 +246,13 @@ mod tests {
         let mut ums = Ums::new(0.0, DecayPolicy::None);
         ums.refresh(&mut uss, 0.0);
         let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 30.0);
-        fcs.refresh(&mut pds, &mut ums, 0.0);
+        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
         fcs
     }
+
+    /// The id a site's table would hand a user outside the fixture's policy
+    /// ("a" and "b" hold 0 and 1).
+    const GHOST: UserId = UserId(2);
 
     fn id(fcs: &Fcs, user: &str) -> UserId {
         fcs.id_of(&GridUser::new(user)).expect("policy user")
@@ -359,10 +363,9 @@ mod tests {
     #[test]
     fn unknown_user_gets_neutral_factor() {
         // Interned (a job was submitted under it) but absent from the policy.
-        let mut fcs = fcs_fixture();
-        let ghost = fcs.intern_user(&GridUser::new("ghost"));
+        let fcs = fcs_fixture();
         let mut lib = LibAequus::new(10.0, 60.0);
-        assert_eq!(lib.get_fairshare(&fcs, ghost, 0.0), 0.5);
+        assert_eq!(lib.get_fairshare(&fcs, GHOST, 0.0), 0.5);
     }
 
     #[test]
@@ -387,12 +390,10 @@ mod tests {
     fn cache_len_counts_live_entries_not_table_slots() {
         // The id-indexed table grows to the highest id queried; only filled
         // slots are entries.
-        let mut fcs = fcs_fixture();
-        let ghost = fcs.intern_user(&GridUser::new("ghost"));
-        assert!(ghost.index() >= 2, "ids below the ghost's stay unqueried");
+        let fcs = fcs_fixture();
         let mut lib = LibAequus::new(1e9, 1e9);
         assert_eq!(lib.fairshare_cache_len(), 0);
-        lib.get_fairshare(&fcs, ghost, 0.0);
+        lib.get_fairshare(&fcs, GHOST, 0.0);
         assert_eq!(lib.fairshare_cache_len(), 1);
         lib.get_fairshare(&fcs, id(&fcs, "a"), 0.0);
         lib.get_fairshare(&fcs, id(&fcs, "a"), 1.0);

@@ -110,11 +110,6 @@ impl Pds {
     pub fn take_dirty(&mut self) -> DirtySet {
         self.dirty.take()
     }
-
-    /// Pending policy changes (inspection).
-    pub fn dirty(&self) -> &DirtySet {
-        &self.dirty
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use aequus_core::fairshare::FairshareConfig;
 use aequus_core::policy::PolicyTree;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::UsageRecord;
-use aequus_core::{GridUser, SiteId, SystemUser, UserId};
+use aequus_core::{GridUser, SiteId, SystemUser, UserId, UserTable};
 use aequus_store::{MemStorage, SiteStore, StoreConfig, StoreStats, WalRecord};
 use aequus_telemetry::{Telemetry, TraceCtx};
 use std::collections::VecDeque;
@@ -66,7 +66,9 @@ pub struct AequusSite {
 }
 
 impl AequusSite {
-    /// Build a site installation.
+    /// Build a site installation. The site's one user table is built over
+    /// the user base of `policy`'s layout — shared, like the layout, with
+    /// every other site built from a clone of that policy.
     pub fn new(
         id: SiteId,
         policy: PolicyTree,
@@ -79,8 +81,13 @@ impl AequusSite {
         let decay = config.decay;
         Self {
             id,
+            uss: Uss::with_users(
+                id,
+                mode,
+                usage_slot_s,
+                UserTable::new(policy.layout().users().clone()),
+            ),
             pds: Pds::new(policy),
-            uss: Uss::new(id, mode, usage_slot_s),
             ums: Ums::new(timings.ums_refresh_interval_s, decay),
             fcs: Fcs::new(config, projection, timings.fcs_refresh_interval_s),
             irs: Irs::new(),
@@ -169,9 +176,10 @@ impl AequusSite {
     }
 
     /// RMS-facing: intern a grid user into the stable dense id fairshare
-    /// queries go by (once per submitted job).
+    /// queries go by (once per submitted job) — its id in the site's one
+    /// user table, which every service keys its rows by.
     pub fn intern_user(&mut self, user: &GridUser) -> UserId {
-        self.fcs.intern_user(user)
+        self.uss.users_mut().intern(user)
     }
 
     /// RMS-facing: query the fairshare factor of an interned grid user
@@ -364,8 +372,8 @@ impl AequusSite {
                     // down the rebase path; install the epoch cache only
                     // when the checkpointed dirt is per-user.
                     if ckpt.dirty_users.is_some() {
-                        self.ums
-                            .install_state(ckpt.ums_epoch_s, ckpt.ums_cached.clone());
+                        let cached = self.uss.users_mut().row_from(&ckpt.ums_cached);
+                        self.ums.install_state(ckpt.ums_epoch_s, cached);
                     }
                 }
                 Err(e) => {
@@ -452,14 +460,15 @@ impl AequusSite {
                 })
                 .or(self.refresh_trace);
         }
-        if self.fcs.refresh(&mut self.pds, &mut self.ums, now_s) {
+        let users = self.uss.users_mut();
+        if self.fcs.refresh(&mut self.pds, &mut self.ums, users, now_s) {
             self.telemetry.trace_fcs_refresh(now_s);
             if let Some(rt) = self.refresh_trace.take() {
-                let users = self.fcs.factors().len();
+                let fcs = &self.fcs;
                 self.serving_trace =
                     self.telemetry
                         .child_span(Some(rt), "fcs.refresh", now_s, || {
-                            format!("tree recomputed, {users} users projected")
+                            format!("tree recomputed, {} users projected", fcs.factor_count())
                         });
             }
         }

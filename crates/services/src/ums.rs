@@ -20,10 +20,9 @@
 //! marks the whole set dirty — correct, but never incremental.
 
 use crate::uss::Uss;
-use aequus_core::arena::DirtySet;
-use aequus_core::{DecayPolicy, GridUser};
+use aequus_core::arena::{DirtySet, UserId};
+use aequus_core::DecayPolicy;
 use aequus_telemetry::{Counter, Histogram, Telemetry};
-use std::collections::BTreeMap;
 
 /// Pre-registered UMS metric handles (no-ops until wired).
 #[derive(Debug, Clone, Default)]
@@ -57,10 +56,9 @@ const REBASE_HALF_LIVES: f64 = 64.0;
 pub struct Ums {
     refresh_interval_s: f64,
     decay: DecayPolicy,
-    /// Per-user usage weights. For separable decays these are relative to
-    /// [`epoch_s`](Self::epoch_s) (uniformly scaled, not absolute, values);
-    /// otherwise they are the decayed usage as of the last refresh.
-    cached: BTreeMap<GridUser, f64>,
+    /// Per-user usage weights, one row over the ids of the (first) USS's
+    /// user table; see [`usage`](Self::usage).
+    cached: Vec<f64>,
     /// Reference epoch of the cached weights (separable decays only).
     epoch_s: Option<f64>,
     /// Users whose cached value changed since the last [`take_dirty`](Self::take_dirty).
@@ -72,6 +70,12 @@ pub struct Ums {
     metrics: UmsMetrics,
 }
 
+/// The id `user` of `from`'s table has in `home`'s, interned there by name:
+/// a site fronting several USSs keeps its rows under the first one's ids.
+fn rehome(home: &mut Uss, from: &Uss, user: UserId) -> UserId {
+    home.users_mut().intern(from.users().name(user))
+}
+
 impl Ums {
     /// Create a UMS that refreshes its usage tree every `refresh_interval_s`
     /// and ages usage with `decay`.
@@ -79,7 +83,7 @@ impl Ums {
         Self {
             refresh_interval_s,
             decay,
-            cached: BTreeMap::new(),
+            cached: Vec::new(),
             epoch_s: None,
             dirty: DirtySet::new(),
             last_refresh_s: None,
@@ -113,82 +117,83 @@ impl Ums {
     /// Refresh from several USS instances at once — "the UMS of each site
     /// gathers usage histograms from **one or more USSs**" (§II-A), e.g.
     /// a site fronting multiple clusters, each with its own statistics
-    /// service. Per-user usage is summed across sources.
+    /// service. Per-user usage is summed across sources, under the ids of
+    /// the first one's user table (the others' users are found in it by
+    /// name).
     pub fn refresh_many(&mut self, usses: &mut [&mut Uss], now_s: f64) -> bool {
+        let Some((home, more)) = usses.split_first_mut() else {
+            return false;
+        };
         if !self.is_stale(now_s) {
             return false;
         }
         let _span = self.metrics.h_refresh.start_timer();
-        if self.decay.separable() {
-            self.refresh_separable(usses, now_s);
-        } else {
-            // Non-separable: relative slot weights move with time, so the
-            // whole cache is re-decayed and everything is dirty.
-            let mut combined: BTreeMap<GridUser, f64> = BTreeMap::new();
-            for uss in usses.iter() {
-                for (user, value) in uss.decayed_usage(now_s, self.decay) {
-                    *combined.entry(user).or_insert(0.0) += value;
-                }
+        let decay = self.decay;
+        // The epoch an incremental refresh keeps: none before the first
+        // rebuild, once the reference has aged out, or when relative slot
+        // weights move with time (non-separable decay).
+        let epoch = match (self.epoch_s, decay) {
+            _ if !decay.separable() => None,
+            (Some(epoch), DecayPolicy::Exponential { half_life_s })
+                if now_s - epoch >= REBASE_HALF_LIVES * half_life_s =>
+            {
+                None
             }
-            self.cached = combined;
+            (epoch, _) => epoch,
+        };
+        // Incremental: only the users the USSs marked dirty get re-summed.
+        let mut touched = home.take_dirty();
+        debug_assert!(epoch.is_none() || !touched.is_all(), "USS dirt is per-user");
+        for uss in more.iter_mut() {
+            for user in uss.take_dirty().users() {
+                touched.mark_user(rehome(home, uss, user));
+            }
+        }
+        let mut touched: Vec<UserId> = touched.users().collect();
+        if epoch.is_none() {
+            // Full rebuild — at a fresh epoch when the decay has one: every
+            // weight changes at once, everything is dirty, and every user
+            // any of the USSs knows (nobody else) gets an entry.
+            touched = home.known_users();
+            for uss in more.iter() {
+                let known = uss.known_users().into_iter();
+                touched.extend(known.map(|user| rehome(home, uss, user)));
+            }
+            self.cached.clear();
+            self.epoch_s = decay.separable().then_some(now_s);
             self.dirty.mark_all();
             self.full_rebuilds += 1;
             self.metrics.full_rebuilds.inc();
             self.metrics.telemetry.event(now_s, "ums.full_rebuild", || {
-                "non-separable decay: whole cache re-decayed".to_string()
+                if decay.separable() {
+                    format!("epoch rebased to {now_s}")
+                } else {
+                    "non-separable decay: whole cache re-decayed".to_string()
+                }
             });
+        }
+        // A non-separable decay's epoch weight is its plain weight.
+        let reference = epoch.unwrap_or(now_s);
+        let read =
+            |uss: &Uss, user| uss.usage_of(user, |centre| decay.epoch_weight(reference - centre));
+        for user in touched {
+            // Summed across the USSs; `0.0` where one never met the name.
+            let name = home.users().name(user);
+            let abroad = more.iter().map(|uss| {
+                let id = uss.users().id_of(name);
+                id.map_or(0.0, |id| read(uss, id))
+            });
+            let value: f64 = std::iter::once(read(home, user)).chain(abroad).sum();
+            if self.cached.len() <= user.index() {
+                self.cached.resize(user.index() + 1, f64::NAN);
+            }
+            self.cached[user.index()] = value;
+            self.dirty.mark_user(user);
         }
         self.last_refresh_s = Some(now_s);
         self.refreshes += 1;
         self.metrics.refreshes.inc();
         true
-    }
-
-    fn refresh_separable(&mut self, usses: &mut [&mut Uss], now_s: f64) {
-        let needs_rebase = match (self.epoch_s, self.decay) {
-            (None, _) => true,
-            (Some(epoch), DecayPolicy::Exponential { half_life_s }) => {
-                now_s - epoch >= REBASE_HALF_LIVES * half_life_s
-            }
-            _ => false,
-        };
-        if needs_rebase {
-            // Full rebuild at a fresh epoch: every weight changes at once.
-            self.epoch_s = Some(now_s);
-            let epoch = now_s;
-            let mut combined: BTreeMap<GridUser, f64> = BTreeMap::new();
-            for uss in usses.iter_mut() {
-                uss.take_dirty(); // absorbed by the rebuild
-                for user in uss.known_users() {
-                    let value = uss.epoch_usage_of(&user, epoch, self.decay);
-                    *combined.entry(user).or_insert(0.0) += value;
-                }
-            }
-            self.cached = combined;
-            self.dirty.mark_all();
-            self.full_rebuilds += 1;
-            self.metrics.full_rebuilds.inc();
-            self.metrics.telemetry.event(now_s, "ums.full_rebuild", || {
-                format!("epoch rebased to {epoch}")
-            });
-            return;
-        }
-        let epoch = self.epoch_s.expect("epoch set by rebase");
-        // Incremental: only users the USSs marked dirty get re-summed.
-        let mut touched: std::collections::BTreeSet<GridUser> = std::collections::BTreeSet::new();
-        for uss in usses.iter_mut() {
-            let drained = uss.take_dirty();
-            debug_assert!(!drained.is_all(), "USS dirty sets are per-user");
-            touched.extend(drained.users().cloned());
-        }
-        for user in touched {
-            let value: f64 = usses
-                .iter()
-                .map(|uss| uss.epoch_usage_of(&user, epoch, self.decay))
-                .sum();
-            self.cached.insert(user.clone(), value);
-            self.dirty.mark_user(user);
-        }
     }
 
     /// Site crash: drop the volatile usage cache. The next refresh is a full
@@ -206,7 +211,7 @@ impl Ums {
     /// The cache as a durable-store checkpoint records it, in place: the
     /// reference epoch and the per-user weights. Refresh counters are *not*
     /// exported — they are monotone telemetry series, not recoverable state.
-    pub fn export_state(&self) -> (Option<f64>, &BTreeMap<GridUser, f64>) {
+    pub fn export_state(&self) -> (Option<f64>, &[f64]) {
         (self.epoch_s, &self.cached)
     }
 
@@ -220,18 +225,23 @@ impl Ums {
     /// routes the next refresh down the incremental path, which requires
     /// per-user dirt. With an all-dirty USS, skip the install and let the
     /// first refresh rebase from scratch instead.
-    pub fn install_state(&mut self, epoch_s: Option<f64>, cached: BTreeMap<GridUser, f64>) {
+    pub fn install_state(&mut self, epoch_s: Option<f64>, cached: Vec<f64>) {
         self.epoch_s = epoch_s;
         self.cached = cached;
         self.dirty.mark_all();
         self.last_refresh_s = None;
     }
 
-    /// The pre-computed per-user usage weights. For separable decays these
+    /// The pre-computed per-user usage weights: one row over the
+    /// [`UserId`]s of the USS's user table. For separable decays the values
     /// are relative to a fixed reference epoch — uniformly scaled across
     /// users, which is all the (normalizing) fairshare algorithm observes;
     /// otherwise they are absolute decayed totals as of the last refresh.
-    pub fn usage(&self) -> &BTreeMap<GridUser, f64> {
+    ///
+    /// A user the USS had never heard of when its weight was last computed
+    /// has no entry: the row ends before its id, or holds `NaN` there
+    /// (which is what a checkpoint leaves out). Both read as no usage.
+    pub fn usage(&self) -> &[f64] {
         &self.cached
     }
 
@@ -239,11 +249,6 @@ impl Ums {
     /// mark-all after rebuilds), for the FCS's incremental recompute.
     pub fn take_dirty(&mut self) -> DirtySet {
         self.dirty.take()
-    }
-
-    /// The pending dirty set (inspection).
-    pub fn dirty(&self) -> &DirtySet {
-        &self.dirty
     }
 
     /// Number of refreshes performed (incremental or full).
@@ -270,6 +275,13 @@ mod tests {
     use crate::participation::ParticipationMode;
     use aequus_core::ids::{JobId, SiteId};
     use aequus_core::usage::UsageRecord;
+    use aequus_core::GridUser;
+
+    /// The cached weight of a user, by name.
+    fn weight(ums: &Ums, uss: &Uss, user: &str) -> f64 {
+        let id = uss.users().id_of(&GridUser::new(user)).expect("a met user");
+        ums.usage()[id.index()]
+    }
 
     fn uss_with_usage() -> Uss {
         let mut uss = Uss::new(SiteId(0), ParticipationMode::Full, 60.0);
@@ -302,7 +314,7 @@ mod tests {
         let mut ums = Ums::new(30.0, DecayPolicy::None);
         assert!(ums.usage().is_empty());
         ums.refresh(&mut uss, 0.0);
-        assert!((ums.usage()[&GridUser::new("a")] - 60.0).abs() < 1e-9);
+        assert!((weight(&ums, &uss, "a") - 60.0).abs() < 1e-9);
     }
 
     #[test]
@@ -321,35 +333,41 @@ mod tests {
             end_s: 20.0,
         });
         ums.refresh(&mut uss, 50.0); // no-op: cache still valid
-        assert!((ums.usage()[&GridUser::new("a")] - 60.0).abs() < 1e-9);
+        assert!((weight(&ums, &uss, "a") - 60.0).abs() < 1e-9);
         ums.refresh(&mut uss, 100.0);
-        assert!((ums.usage()[&GridUser::new("a")] - 70.0).abs() < 1e-9);
+        assert!((weight(&ums, &uss, "a") - 70.0).abs() < 1e-9);
     }
 
     #[test]
     fn multi_uss_aggregation() {
-        // A site with two cluster-level USSs: the UMS sums per-user usage.
+        // A site with two cluster-level USSs: the UMS sums per-user usage
+        // under the first one's ids — the second met the names in another
+        // order, so its ids for them differ.
+        let rec = |user: &str, cores, end_s| UsageRecord {
+            job: JobId(1),
+            user: GridUser::new(user),
+            site: SiteId(0),
+            cores,
+            start_s: 0.0,
+            end_s,
+        };
         let mut uss1 = Uss::new(SiteId(0), ParticipationMode::Full, 60.0);
         let mut uss2 = Uss::new(SiteId(0), ParticipationMode::Full, 60.0);
-        uss1.ingest(&UsageRecord {
-            job: JobId(1),
-            user: GridUser::new("a"),
-            site: SiteId(0),
-            cores: 1,
-            start_s: 0.0,
-            end_s: 40.0,
-        });
-        uss2.ingest(&UsageRecord {
-            job: JobId(2),
-            user: GridUser::new("a"),
-            site: SiteId(0),
-            cores: 2,
-            start_s: 0.0,
-            end_s: 10.0,
-        });
-        let mut ums = Ums::new(30.0, DecayPolicy::None);
+        uss1.ingest(&rec("a", 1, 40.0));
+        uss2.ingest(&rec("b", 1, 5.0));
+        uss2.ingest(&rec("a", 2, 10.0));
+        let mut ums = Ums::new(0.0, DecayPolicy::None);
         assert!(ums.refresh_many(&mut [&mut uss1, &mut uss2], 0.0));
-        assert!((ums.usage()[&GridUser::new("a")] - 60.0).abs() < 1e-9);
+        assert!((weight(&ums, &uss1, "a") - 60.0).abs() < 1e-9);
+        assert!((weight(&ums, &uss1, "b") - 5.0).abs() < 1e-9);
+        // And incrementally: the second USS's dirty mark finds its user in
+        // the first one's table.
+        ums.take_dirty();
+        uss2.ingest(&rec("b", 1, 7.0));
+        assert!(ums.refresh_many(&mut [&mut uss1, &mut uss2], 1.0));
+        assert!((weight(&ums, &uss1, "b") - 12.0).abs() < 1e-9);
+        let b = uss1.users().id_of(&GridUser::new("b")).unwrap();
+        assert_eq!(ums.take_dirty().users().collect::<Vec<_>>(), [b]);
     }
 
     #[test]
@@ -375,19 +393,14 @@ mod tests {
             start_s: 10.0,
             end_s: 30.0,
         });
-        let a_before = ums.usage()[&GridUser::new("a")];
+        let a_before = weight(&ums, &uss, "a");
         ums.refresh(&mut uss, 10.0);
         let dirty = ums.take_dirty();
         assert!(!dirty.is_all());
-        assert_eq!(
-            dirty.users().cloned().collect::<Vec<_>>(),
-            vec![GridUser::new("b")]
-        );
+        let b = uss.users().id_of(&GridUser::new("b")).unwrap();
+        assert_eq!(dirty.users().collect::<Vec<_>>(), [b]);
         // a's cached weight is untouched — time passing does not dirty it.
-        assert_eq!(
-            a_before.to_bits(),
-            ums.usage()[&GridUser::new("a")].to_bits()
-        );
+        assert_eq!(a_before.to_bits(), weight(&ums, &uss, "a").to_bits());
         assert_eq!(ums.full_rebuilds(), 1);
     }
 
@@ -409,7 +422,7 @@ mod tests {
         }
         let mut ums = Ums::new(0.0, decay);
         ums.refresh(&mut uss, 300.0);
-        let cached_ratio = ums.usage()[&GridUser::new("a")] / ums.usage()[&GridUser::new("b")];
+        let cached_ratio = weight(&ums, &uss, "a") / weight(&ums, &uss, "b");
         let true_ratio = uss.decayed_usage(300.0, decay)[&GridUser::new("a")]
             / uss.decayed_usage(300.0, decay)[&GridUser::new("b")];
         assert!((cached_ratio - true_ratio).abs() < 1e-12);

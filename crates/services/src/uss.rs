@@ -35,18 +35,19 @@ use crate::health::LinkObservation;
 use crate::message::UssMessage;
 use crate::participation::ParticipationMode;
 use crate::reliability::{JitterRng, RetryPolicy, StalePolicy};
-use aequus_core::arena::DirtySet;
+use aequus_core::arena::{DirtySet, UserId, UserTable};
+use aequus_core::codec::NamedCells;
 use aequus_core::ids::SiteId;
 use aequus_core::usage::{
-    UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells, UserIndex,
+    CellStore, UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells,
 };
-use aequus_core::GridUser;
+use aequus_core::{DecayPolicy, GridUser};
 use aequus_store::{CheckpointState, CheckpointView, PeerCursor};
 use aequus_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceCtx};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::ops::Bound;
+use std::sync::Arc;
 
 /// Why recovered store state could not be installed into a service. A
 /// corrupt or mismatched checkpoint must degrade the site to snapshot
@@ -263,6 +264,11 @@ impl PeerRx {
 pub struct Uss {
     site: SiteId,
     mode: ParticipationMode,
+    /// Who the [`UserId`]s below are. Names are looked up in it where they
+    /// enter — [`Uss::ingest`], an accepted summary, an installed
+    /// checkpoint, the RMS's intern — and read back where bytes or reports
+    /// leave; it survives every crash (ids are held by the RMS).
+    users: UserTable,
     /// Usage executed on this site. Durable: survives [`Uss::crash`] — the
     /// paper's USS fronts the site's accounting database.
     local: UsageHistogram,
@@ -273,12 +279,12 @@ pub struct Uss {
     /// so charge landing in old slots (a long job completing spreads usage
     /// back over its whole runtime) is still exchanged, and retransmissions
     /// are idempotent at receivers.
-    published: UserCells,
+    published: CellStore,
     /// Local users that may hold a cell above `published` — all
     /// [`Uss::publish`] walks. Fed by ingest (contributing sites only) and,
     /// with every local user, wherever the mirror is dropped or the
     /// histogram rebuilt; a user leaves once they hold nothing still open.
-    unpublished: PendingUsers,
+    unpublished: Pending,
     /// Sequence number the next published summary gets (1-based).
     next_seq: u64,
     /// Retained published summaries for anti-entropy resync (bounded by
@@ -298,18 +304,18 @@ pub struct Uss {
     /// links, and because origin values are monotone absolute cumulative
     /// charge, merging every path against one per-origin mirror collapses
     /// arbitrary path multiplicity to the same join.
-    seen_by_origin: BTreeMap<SiteId, UserCells>,
+    seen_by_origin: BTreeMap<SiteId, CellStore>,
     /// Forwarding-node state: per origin, the cells this node has already
     /// relayed in its own publications. Diffed against `seen_by_origin` at
     /// publish time to build the relayed sections. Deliberately *not*
     /// checkpointed — a recovered interior node re-relays its whole mirror
     /// once, which is idempotent at receivers.
-    relay_published: BTreeMap<SiteId, UserCells>,
+    relay_published: BTreeMap<SiteId, CellStore>,
     /// Per origin, the mirrored users that may hold a cell above
     /// `relay_published` — all [`Uss::collect_relay_sections`] walks. Fed
     /// by the merge (forwarding nodes only) and, with every mirrored user,
     /// when forwarding is switched on or a checkpoint installed.
-    unrelayed: BTreeMap<SiteId, PendingUsers>,
+    unrelayed: BTreeMap<SiteId, Pending>,
     /// Whether this node is an interior node of the overlay (Tree interior /
     /// Hub member) and must relay merged remote cells onward.
     forwarding: bool,
@@ -359,75 +365,61 @@ pub struct Uss {
 
 /// Users awaiting publication or relay: user → the lowest slot at which a
 /// cell of theirs may sit above the mirror it is diffed against.
-pub type PendingUsers = BTreeMap<GridUser, u64>;
+type Pending = BTreeMap<UserId, u64>;
+
+/// A pending set as [`Uss::pending`] reports it: by name.
+pub type PendingNames = BTreeMap<GridUser, u64>;
 
 /// Note that `user`'s cells from `slot` on may have risen.
-fn note_pending(pending: &mut PendingUsers, user: &GridUser, slot: u64) {
-    let from = pending.entry(user.clone()).or_insert(slot);
+fn note_pending(pending: &mut Pending, user: UserId, slot: u64) {
+    let from = pending.entry(user).or_insert(slot);
     *from = (*from).min(slot);
 }
 
-/// Every one of `users` pending from slot 0: the refill after a mirror was
+/// Every user of `cells` pending from slot 0: the refill after a mirror was
 /// dropped or the cells under it replaced.
-fn all_pending<'a>(users: impl Iterator<Item = &'a GridUser>) -> PendingUsers {
-    users.map(|user| (user.clone(), 0)).collect()
+fn all_pending(cells: &CellStore) -> Pending {
+    cells.users().map(|user| (user, 0)).collect()
 }
 
-/// Raise `mirror[user]` to each of `cells` that sits more than [`CELL_EPS`]
-/// above it, handing every such cell to `risen(slot, value, delta)` — the
-/// one comparison publish, relay and merge share. One descent of `mirror`
-/// (`entry` with a cloned name: on these maps a second descent costs some
-/// ten clones), then `O(cells · log)`.
-fn raise_mirror<'a>(
-    mirror: &mut UserCells,
-    user: &GridUser,
-    cells: impl Iterator<Item = (&'a u64, &'a f64)>,
-    mut risen: impl FnMut(u64, f64, f64),
-) {
-    let seen = mirror.entry(user.clone()).or_default();
-    for (&slot, &value) in cells {
-        let delta = value - seen.get(&slot).copied().unwrap_or(0.0);
-        if delta > CELL_EPS {
-            seen.insert(slot, value);
-            risen(slot, value, delta);
-        }
-    }
+/// `cells` under the names `users` gave their ids — what leaves a site in a
+/// snapshot or a test readout.
+fn named_cells(users: &UserTable, cells: &CellStore) -> UserCells {
+    let of = |user| (users.name(user).clone(), cells.of(user, 0).collect());
+    cells.users().map(of).collect()
 }
 
-/// Diff the `pending` users' cells, read in place through `cells_of`,
-/// against the `sent` mirror: the cells that rose are recorded there and
-/// returned. Cells at or past `open_slot` are held back, and a user stays
-/// pending — from the first of those — while they hold one; everyone else
-/// leaves. `O(pending users · their slots from the pending one on · log)`,
-/// whatever else the site holds.
-fn drain_pending<'a>(
-    pending: &mut PendingUsers,
-    cells_of: impl Fn(&GridUser) -> Option<&'a BTreeMap<u64, f64>>,
-    sent: &mut UserCells,
+/// Diff the `pending` users' cells of `held` against the `sent` mirror: the
+/// cells that rose (by more than [`CELL_EPS`]) are recorded there and
+/// returned under their names. Cells at or past `open_slot` are held back,
+/// and a user stays pending — from the first of those — while they hold
+/// one; everyone else leaves. Costs the pending users' slots from the
+/// pending one on, whatever else the site holds.
+fn drain_pending(
+    pending: &mut Pending,
+    held: &CellStore,
+    sent: &mut CellStore,
+    users: &UserTable,
     open_slot: Option<u64>,
 ) -> UserCells {
     let mut section = UserCells::new();
-    pending.retain(|user, from| {
-        let Some(slots) = cells_of(user) else {
-            return false;
-        };
-        let open = open_slot.map(|slot| slot.max(*from));
-        let closed = (
-            Bound::Included(*from),
-            open.map_or(Bound::Unbounded, Bound::Excluded),
-        );
+    pending.retain(|&user, from| {
         let mut cells = BTreeMap::new();
-        raise_mirror(sent, user, slots.range(closed), |slot, value, _| {
-            cells.insert(slot, value);
+        let mut open = held.of(user, *from);
+        let first_open = open.find(|&(slot, value)| {
+            let closed = open_slot.is_none_or(|open| slot < open);
+            if closed && sent.raise(user, slot, value, CELL_EPS).is_some() {
+                cells.insert(slot, value);
+            }
+            !closed
         });
         if !cells.is_empty() {
-            section.insert(user.clone(), cells);
+            section.insert(users.name(user).clone(), cells);
         }
-        let held = open.and_then(|open| slots.range(open..).next());
-        if let Some((&slot, _)) = held {
+        if let Some((slot, _)) = first_open {
             *from = slot;
         }
-        held.is_some()
+        first_open.is_some()
     });
     section
 }
@@ -439,31 +431,40 @@ fn drain_pending<'a>(
 /// multi-path relay all collapse to no-ops here. Users with a changed cell
 /// are marked in both `dirty` sets (the UMS flow and the view row) and, on
 /// a forwarding node, noted in `unrelayed`. Returns the number of cells
-/// that changed. `O(delivered cells · log)`: per delivered user one
-/// descent of the mirror and, if a cell rose, one of the remote histogram
-/// (all the user's deltas under it) and of each dirty set. (Free function
-/// over disjoint fields so callers can hold other `Uss` borrows.)
+/// that changed.
+///
+/// This is where a delivered name becomes an id — the summary was already
+/// accepted whole ([`Uss::check_summary`]), so every name it carries is
+/// interned, risen cell or not. That one lookup (`O(log users)`
+/// comparisons) is all that touches a string: per cell it is one
+/// integer-keyed descent of the mirror and, if it rose, one of the remote
+/// histogram; per user with a risen cell one integer insert into each
+/// dirty set. (Free function over disjoint fields so callers can hold
+/// other `Uss` borrows.)
 fn merge_origin_cells(
-    mirror: &mut UserCells,
+    mirror: &mut CellStore,
+    users: &mut UserTable,
     cells: &UserCells,
     remote: &mut UsageHistogram,
     mut dirty: [&mut DirtySet; 2],
-    mut unrelayed: Option<&mut PendingUsers>,
+    mut unrelayed: Option<&mut Pending>,
 ) -> usize {
     let mut merged = 0usize;
-    let mut risen: Vec<(u64, f64)> = Vec::new();
-    for (user, slots) in cells {
-        risen.clear();
-        raise_mirror(mirror, user, slots.iter(), |slot, _, delta| {
-            risen.push((slot, delta));
-        });
-        let Some(&(lowest, _)) = risen.first() else {
+    for (name, slots) in cells {
+        let user = users.intern(name);
+        let mut lowest = None;
+        for (&slot, &value) in slots {
+            if let Some(delta) = mirror.raise(user, slot, value, CELL_EPS) {
+                remote.add_charges(user, [(slot, delta)]);
+                lowest.get_or_insert(slot);
+                merged += 1;
+            }
+        }
+        let Some(lowest) = lowest else {
             continue;
         };
-        merged += risen.len();
-        remote.add_charges(user, risen.iter().copied());
         for set in &mut dirty {
-            set.mark_user(user.clone());
+            set.mark_user(user);
         }
         if let Some(pending) = &mut unrelayed {
             note_pending(pending, user, lowest);
@@ -473,18 +474,33 @@ fn merge_origin_cells(
 }
 
 impl Uss {
-    /// Create a USS with the given histogram slot duration.
+    /// Create a USS with the given histogram slot duration and a user table
+    /// of its own over no base: every identity it meets is interned on
+    /// first sight.
     pub fn new(site: SiteId, mode: ParticipationMode, slot_s: f64) -> Self {
+        Self::with_users(site, mode, slot_s, UserTable::default())
+    }
+
+    /// Create a USS over the site's user table — built over the user base
+    /// of the policy the site enforces, whose users then carry the ids
+    /// every other site of the grid and the fairshare tree use.
+    pub fn with_users(
+        site: SiteId,
+        mode: ParticipationMode,
+        slot_s: f64,
+        users: UserTable,
+    ) -> Self {
         // A row attached at any point first syncs from scratch.
         let mut view_dirty = DirtySet::new();
         view_dirty.mark_all();
         Self {
             site,
             mode,
+            users,
             local: UsageHistogram::new(slot_s),
             remote: UsageHistogram::new(slot_s),
             published: Default::default(),
-            unpublished: PendingUsers::new(),
+            unpublished: Pending::new(),
             next_seq: 1,
             history: VecDeque::new(),
             peers: Vec::new(),
@@ -536,6 +552,18 @@ impl Uss {
     /// [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
         self.metrics = UssMetrics::wire(t);
+    }
+
+    /// The site's user table: who each [`UserId`] this service hands out
+    /// or takes is.
+    pub fn users(&self) -> &UserTable {
+        &self.users
+    }
+
+    /// The table, to intern into: the RMS seam and the FCS resolve names
+    /// here, so the site has one id per identity.
+    pub fn users_mut(&mut self) -> &mut UserTable {
+        &mut self.users
     }
 
     /// Duration of one usage-histogram slot in seconds.
@@ -602,9 +630,8 @@ impl Uss {
     fn refill_unrelayed(&mut self) {
         self.unrelayed.clear();
         if self.forwarding {
-            for (origin, users) in &self.seen_by_origin {
-                let pending = all_pending(users.keys());
-                self.unrelayed.insert(*origin, pending);
+            for (origin, cells) in &self.seen_by_origin {
+                self.unrelayed.insert(*origin, all_pending(cells));
             }
         }
     }
@@ -615,7 +642,7 @@ impl Uss {
     fn refill_pending(&mut self) {
         self.unpublished.clear();
         if self.mode.contributes() {
-            self.unpublished = all_pending(self.local.users());
+            self.unpublished = all_pending(self.local.cells());
         }
         self.refill_unrelayed();
     }
@@ -652,9 +679,12 @@ impl Uss {
     fn collect_relay_sections(&mut self) -> BTreeMap<SiteId, UserCells> {
         let mut relayed: BTreeMap<SiteId, UserCells> = BTreeMap::new();
         for (origin, pending) in &mut self.unrelayed {
-            let users = self.seen_by_origin.get(origin);
+            let Some(held) = self.seen_by_origin.get(origin) else {
+                pending.clear();
+                continue;
+            };
             let sent = self.relay_published.entry(*origin).or_default();
-            let section = drain_pending(pending, |user| users?.get(user), sent, None);
+            let section = drain_pending(pending, held, sent, &self.users, None);
             if !section.is_empty() {
                 relayed.insert(*origin, section);
             }
@@ -682,9 +712,9 @@ impl Uss {
             return None;
         }
         let current_slot = (now_s / self.local.slot_duration()).floor().max(0.0) as u64;
-        let (local, sent) = (&self.local, &mut self.published);
-        let own = |user: &GridUser| local.cells_of(user);
-        let per_user = drain_pending(&mut self.unpublished, own, sent, Some(current_slot));
+        let (held, sent) = (self.local.cells(), &mut self.published);
+        let closed = Some(current_slot);
+        let per_user = drain_pending(&mut self.unpublished, held, sent, &self.users, closed);
         let relayed = self.collect_relay_sections();
         if per_user.is_empty() && relayed.is_empty() {
             return None;
@@ -976,6 +1006,7 @@ impl Uss {
             let forwards = self.forwarding;
             merged_cells += merge_origin_cells(
                 mirror,
+                &mut self.users,
                 cells,
                 &mut self.remote,
                 [&mut self.dirty, &mut self.view_dirty],
@@ -1049,17 +1080,12 @@ impl Uss {
             site: self.site,
             seq: self.next_seq - 1,
             slot_s: self.local.slot_duration(),
-            per_user: self
-                .published
-                .iter()
-                .filter(|(_, slots)| !slots.is_empty())
-                .map(|(u, slots)| (u.clone(), slots.clone()))
-                .collect(),
+            per_user: named_cells(&self.users, &self.published),
             relayed: if self.forwarding {
                 self.seen_by_origin
                     .iter()
-                    .filter(|(_, users)| !users.is_empty())
-                    .map(|(origin, users)| (*origin, users.clone()))
+                    .filter(|(_, cells)| !cells.is_empty())
+                    .map(|(origin, cells)| (*origin, named_cells(&self.users, cells)))
                     .collect()
             } else {
                 BTreeMap::new()
@@ -1100,8 +1126,8 @@ impl Uss {
         if suppress != self.remote_suppressed {
             self.remote_suppressed = suppress;
             self.view_dirty.mark_all();
-            for user in self.remote.users() {
-                self.dirty.mark_user(user.clone());
+            for user in self.remote.cells().users() {
+                self.dirty.mark_user(user);
             }
             self.metrics.telemetry.event(now_s, "uss.stale_policy", || {
                 if suppress {
@@ -1184,15 +1210,17 @@ impl Uss {
     /// position the snapshot covers; `ums_epoch_s`/`ums_cached` are the UMS
     /// half ([`crate::ums::Ums::export_state`]).
     ///
-    /// `O(users)` pointers, and only the dirty users' names cloned: the
-    /// cells, mirrors and cache are encoded where they lie.
-    pub fn checkpoint_view<'a>(
-        &'a self,
+    /// This is an edge where names leave: the id-keyed cells, mirrors and
+    /// cache (`ums_cached`: the UMS row over this service's ids, `NaN` = no
+    /// entry) are copied flat, once, in name order — `O(cells)`, no
+    /// per-user map — and only the dirty users' names are cloned.
+    pub fn checkpoint_view(
+        &self,
         lsn: u64,
         taken_s: f64,
         ums_epoch_s: Option<f64>,
-        ums_cached: &'a BTreeMap<GridUser, f64>,
-    ) -> CheckpointView<'a> {
+        ums_cached: &[f64],
+    ) -> CheckpointView<'_> {
         let cursor = |rx: &PeerRx| PeerCursor {
             next_expected: rx.next_expected,
         };
@@ -1205,14 +1233,21 @@ impl Uss {
             next_seq: self.next_seq,
             peers: self.rx.iter().map(|(s, rx)| (*s, cursor(rx))).collect(),
             ums_epoch_s,
-            dirty_users: (!self.dirty.is_all()).then(|| self.dirty.users().cloned().collect()),
+            dirty_users: (!self.dirty.is_all()).then(|| {
+                let users = self.dirty.users();
+                users.map(|user| self.users.name(user).clone()).collect()
+            }),
             ..CheckpointState::default()
         };
+        let named = |cells| NamedCells::from_store(cells, &self.users);
+        let cached = |(user, name): (UserId, _)| Some((name, user.read(ums_cached)?));
         CheckpointView {
             head: Cow::Owned(head),
-            local_cells: self.local.cells().collect(),
-            origin_cells: &self.seen_by_origin,
-            ums_cached,
+            local_cells: named(self.local.cells()),
+            origin_cells: (self.seen_by_origin.iter())
+                .map(|(origin, cells)| (*origin, named(cells)))
+                .collect(),
+            ums_cached: self.users.iter().filter_map(cached).collect(),
         }
     }
 
@@ -1244,8 +1279,10 @@ impl Uss {
                 value,
             });
         }
+        // Accepted whole: from here on its names are this site's.
         self.local = UsageHistogram::new(slot_s);
-        for (user, slots) in &ckpt.local_cells {
+        for (name, slots) in &ckpt.local_cells {
+            let user = self.users.intern(name);
             self.local
                 .add_charges(user, slots.iter().map(|(&s, &c)| (s, c)));
         }
@@ -1258,21 +1295,26 @@ impl Uss {
             rx.next_expected = cursor.next_expected;
             self.rx.insert(*site, rx);
         }
-        self.seen_by_origin = ckpt.origin_cells.clone();
-        self.relay_published.clear();
-        self.refill_pending();
-        for users in ckpt.origin_cells.values() {
-            for (user, slots) in users {
+        self.seen_by_origin.clear();
+        for (origin, cells) in &ckpt.origin_cells {
+            let mirror = self.seen_by_origin.entry(*origin).or_default();
+            for (name, slots) in cells {
+                let user = self.users.intern(name);
+                for (&slot, &charge) in slots {
+                    mirror.add(user, slot, charge);
+                }
                 self.remote
                     .add_charges(user, slots.iter().map(|(&s, &c)| (s, c)));
             }
         }
+        self.relay_published.clear();
+        self.refill_pending();
         self.view_dirty.mark_all();
         match &ckpt.dirty_users {
             None => self.dirty.mark_all(),
-            Some(users) => {
-                for user in users {
-                    self.dirty.mark_user(user.clone());
+            Some(names) => {
+                for name in names {
+                    self.dirty.mark_user(self.users.intern(name));
                 }
             }
         }
@@ -1283,11 +1325,12 @@ impl Uss {
     /// [`Uss::ingest`] minus telemetry — the original ingest already
     /// counted, and replay must not inflate the monotone series.
     pub fn replay_ingest(&mut self, rec: &UsageRecord) {
-        if let Some(first_slot) = self.local.record(rec) {
-            self.dirty.mark_user(rec.user.clone());
-            self.view_dirty.mark_user(rec.user.clone());
+        let user = self.users.intern(&rec.user);
+        if let Some(first_slot) = self.local.record(user, rec) {
+            self.dirty.mark_user(user);
+            self.view_dirty.mark_user(user);
             if self.mode.contributes() {
-                note_pending(&mut self.unpublished, &rec.user, first_slot);
+                note_pending(&mut self.unpublished, user, first_slot);
             }
         }
         self.records_ingested += 1;
@@ -1314,81 +1357,60 @@ impl Uss {
         self.next_seq = self.next_seq.max(seq.saturating_add(1));
     }
 
-    /// Per-user decayed usage as the UMS consumes it: local plus (when the
-    /// mode reads global data and the stale policy permits) remote.
-    pub fn decayed_usage(
-        &self,
-        now_s: f64,
-        decay: aequus_core::DecayPolicy,
-    ) -> std::collections::BTreeMap<GridUser, f64> {
-        let mut usage = self.local.decayed_all(now_s, decay);
+    /// One user's usage, each cell weighed by `weigh(slot centre)`
+    /// ([`UsageHistogram::usage`]): local plus, when the mode reads global
+    /// data and the stale policy permits, remote. (A histogram reads `+0.0`
+    /// for a user it does not hold: nothing to the other's bits.)
+    pub fn usage_of(&self, user: UserId, weigh: impl Fn(f64) -> f64 + Copy) -> f64 {
+        let mut value = self.local.usage(user, weigh);
         if self.reads_remote() {
-            for (user, value) in self.remote.decayed_all(now_s, decay) {
-                *usage.entry(user).or_insert(0.0) += value;
-            }
-        }
-        usage
-    }
-
-    /// Usage of one user weighted relative to a fixed reference epoch
-    /// (separable decays; see [`aequus_core::DecayPolicy::epoch_weight`]):
-    /// local plus, when the mode reads global data and the stale policy
-    /// permits, remote.
-    pub fn epoch_usage_of(
-        &self,
-        user: &GridUser,
-        epoch_s: f64,
-        decay: aequus_core::DecayPolicy,
-    ) -> f64 {
-        let mut value = self.local.epoch_usage(user, epoch_s, decay);
-        if self.reads_remote() {
-            value += self.remote.epoch_usage(user, epoch_s, decay);
+            value += self.remote.usage(user, weigh);
         }
         value
     }
 
+    /// One user's [`grid_view`](Self::grid_view) value, bit for bit (`0.0`
+    /// when the view has no entry) — the histograms' cached raw totals.
+    pub fn grid_view_of(&self, user: UserId) -> f64 {
+        let remote = self.reads_remote().then(|| self.remote.raw_usage(user));
+        self.local.raw_usage(user) + remote.unwrap_or(0.0)
+    }
+
     /// All users with any recorded usage (local, plus remote when the mode
-    /// reads global data and the stale policy permits).
-    pub fn known_users(&self) -> std::collections::BTreeSet<GridUser> {
-        let mut users: std::collections::BTreeSet<GridUser> = self.local.users().cloned().collect();
+    /// reads global data and the stale policy permits), ascending — one
+    /// pass over the cells.
+    pub fn known_users(&self) -> Vec<UserId> {
+        let mut users: Vec<UserId> = self.local.cells().users().collect();
         if self.reads_remote() {
-            users.extend(self.remote.users().cloned());
+            users.extend(self.remote.cells().users());
+            users.sort_unstable();
+            users.dedup();
         }
         users
     }
 
-    /// This site's raw (undecayed) per-user view of grid usage: local charge
-    /// plus, when the mode reads global data and the stale policy permits,
-    /// merged remote charge. The chaos suite's convergence invariant
-    /// compares these views across sites.
-    ///
-    /// `O(users·log users)` map building over the histograms' cached
-    /// per-user totals (plus `O(slots)` for each user touched since its
-    /// last readout) — the end-of-run and from-scratch readout. Per-sample
-    /// consumers keep a [`UsageRow`] current with [`Uss::sync_view_row`]
-    /// instead.
-    pub fn grid_view(&self) -> BTreeMap<GridUser, f64> {
-        let mut view: BTreeMap<GridUser, f64> = self
-            .local
-            .users()
-            .map(|u| (u.clone(), self.local.raw_usage(u)))
-            .collect();
-        if self.reads_remote() {
-            for user in self.remote.users() {
-                *view.entry(user.clone()).or_insert(0.0) += self.remote.raw_usage(user);
-            }
-        }
-        view
+    /// `read` of every known user, under their names: the report form.
+    fn by_name(&self, read: impl Fn(UserId) -> f64) -> BTreeMap<GridUser, f64> {
+        let named = |user| (self.users.name(user).clone(), read(user));
+        self.known_users().into_iter().map(named).collect()
     }
 
-    /// One user's [`grid_view`](Self::grid_view) value, bit for bit (`0.0`
-    /// when the view has no entry) — `O(log users)`.
-    pub fn grid_view_of(&self, user: &GridUser) -> f64 {
-        let mut value = self.local.raw_usage(user);
-        if self.reads_remote() {
-            value += self.remote.raw_usage(user);
-        }
-        value
+    /// Per-user decayed usage, by name: local plus (when the mode reads
+    /// global data and the stale policy permits) remote.
+    pub fn decayed_usage(&self, now_s: f64, decay: DecayPolicy) -> BTreeMap<GridUser, f64> {
+        self.by_name(|user| self.usage_of(user, |centre| decay.weight(now_s - centre)))
+    }
+
+    /// This site's raw (undecayed) per-user view of grid usage, by name:
+    /// local charge plus, when the mode reads global data and the stale
+    /// policy permits, merged remote charge. The chaos suite's convergence
+    /// invariant compares these views across sites.
+    ///
+    /// `O(cells)` plus a name clone and a map insert per user — the
+    /// end-of-run and from-scratch readout. Per-sample consumers keep a
+    /// [`UsageRow`] current with [`Uss::sync_view_row`] instead.
+    pub fn grid_view(&self) -> BTreeMap<GridUser, f64> {
+        self.by_name(|user| self.grid_view_of(user))
     }
 
     /// Whether remote usage currently counts toward this site's view.
@@ -1396,45 +1418,46 @@ impl Uss {
         self.mode.reads_global() && !self.remote_suppressed
     }
 
-    /// Bring `row` up to date with [`grid_view`](Self::grid_view): afterwards
-    /// `row` holds the view's value for every user (`0.0` for absent ones),
-    /// bit for bit. `O(changed users·log users)` — only users whose view
-    /// value changed since the previous call are rewritten; after a crash,
-    /// checkpoint install or stale-policy flip the row is rebuilt from
-    /// `grid_view()`. The change set is drained, so one service keeps one
-    /// row current.
-    pub fn sync_view_row(&mut self, index: &UserIndex, row: &mut UsageRow) {
+    /// Bring `row` — laid out over `base`, the sampler's user base — up to
+    /// date with [`grid_view`](Self::grid_view), bit for bit (`0.0` for
+    /// absent users). Only users whose view value changed since the
+    /// previous call are rewritten — by id when `base` is this table's own
+    /// (rank *is* id), else by name; after a crash, checkpoint install or
+    /// stale-policy flip the row is rebuilt over every known user. The
+    /// change set is drained, so one service keeps one row current.
+    pub fn sync_view_row(&mut self, base: &Arc<[GridUser]>, row: &mut UsageRow) {
         let changed = self.view_dirty.take();
-        if changed.is_all() {
-            row.clear(index);
-            for (user, value) in self.grid_view() {
-                row.set(index, &user, value);
-            }
+        let users = if changed.is_all() {
+            row.clear(base);
+            self.known_users()
         } else {
-            for user in changed.users() {
-                row.set(index, user, self.grid_view_of(user));
+            changed.users().collect()
+        };
+        let shared = Arc::ptr_eq(base, self.users.base());
+        for user in users {
+            let value = self.grid_view_of(user);
+            match row.dense.get_mut(user.index()).filter(|_| shared) {
+                Some(held) => *held = value,
+                None => row.set(base, self.users.name(user), value),
             }
         }
     }
 
     /// Raw local charge of one user (test/metrics access).
     pub fn local_usage_of(&self, user: &GridUser) -> f64 {
-        self.local.raw_usage(user)
+        let user = self.users.id_of(user);
+        user.map_or(0.0, |user| self.local.raw_usage(user))
     }
 
     /// Raw merged remote charge of one user (test/metrics access).
     pub fn remote_usage_of(&self, user: &GridUser) -> f64 {
-        self.remote.raw_usage(user)
+        let user = self.users.id_of(user);
+        user.map_or(0.0, |user| self.remote.raw_usage(user))
     }
 
     /// Drain the set of users whose usage changed since the last drain.
     pub fn take_dirty(&mut self) -> DirtySet {
         self.dirty.take()
-    }
-
-    /// Users dirty since the last drain (inspection).
-    pub fn dirty(&self) -> &DirtySet {
-        &self.dirty
     }
 
     /// Total remote usage merged in.
@@ -1493,16 +1516,25 @@ impl Uss {
         self.tx.get(&peer).map_or(0, |t| t.outbox.len())
     }
 
-    /// The cells already published, and per origin already relayed (test
-    /// inspection).
-    pub fn sent_mirrors(&self) -> (&UserCells, &BTreeMap<SiteId, UserCells>) {
-        (&self.published, &self.relay_published)
+    /// The cells already published, and per origin already relayed, under
+    /// their names (test inspection).
+    pub fn sent_mirrors(&self) -> (UserCells, BTreeMap<SiteId, UserCells>) {
+        let named = |cells| named_cells(&self.users, cells);
+        let relayed = self.relay_published.iter();
+        let relayed = relayed.map(|(origin, cells)| (*origin, named(cells)));
+        (named(&self.published), relayed.collect())
     }
 
-    /// The users pending publication, and per origin pending relay (test
-    /// inspection).
-    pub fn pending(&self) -> (&PendingUsers, &BTreeMap<SiteId, PendingUsers>) {
-        (&self.unpublished, &self.unrelayed)
+    /// The users pending publication, and per origin pending relay, under
+    /// their names with the slot each is pending from (test inspection).
+    pub fn pending(&self) -> (PendingNames, BTreeMap<SiteId, PendingNames>) {
+        let named = |pending: &Pending| -> PendingNames {
+            let named = |(user, from): (&UserId, &u64)| (self.users.name(*user).clone(), *from);
+            pending.iter().map(named).collect()
+        };
+        let unrelayed = self.unrelayed.iter();
+        let unrelayed = unrelayed.map(|(origin, pending)| (*origin, named(pending)));
+        (named(&self.unpublished), unrelayed.collect())
     }
 
     /// Per-link health rows at `now_s`: one tx-side row per delivery peer
@@ -1555,11 +1587,10 @@ mod tests {
     use aequus_core::ids::JobId;
     use aequus_core::DecayPolicy;
 
-    /// What a checkpoint of `uss` restores: its borrowed view, through the
-    /// slot bytes and back.
+    /// What a checkpoint of `uss` restores: its view, through the slot
+    /// bytes and back.
     fn checkpointed(uss: &Uss, lsn: u64, taken_s: f64) -> CheckpointState {
-        let no_ums = BTreeMap::new();
-        let view = uss.checkpoint_view(lsn, taken_s, None, &no_ums);
+        let view = uss.checkpoint_view(lsn, taken_s, None, &[]);
         CheckpointState::decode_slot(&view.encode()).expect("a fresh slot decodes")
     }
 
@@ -2158,9 +2189,11 @@ mod tests {
         assert!((c.remote_usage_of(&GridUser::new("u")) - 120.0).abs() < 1e-9);
     }
 
-    /// The checkpoint the store writes is encoded from borrowed maps; its
-    /// slot bytes must be those of the owned export it replaced — every
-    /// histogram, mirror and cache cloned into a `CheckpointState`.
+    /// The checkpoint the store writes is encoded from flat copies of the
+    /// id-keyed stores with the names written back; its slot bytes must be
+    /// those of the owned name-keyed export — every histogram, mirror and
+    /// cache as a map in a `CheckpointState` — overflow users (every user,
+    /// here: the services' tables have no base) sorted in by name.
     #[test]
     fn borrowed_checkpoint_view_fills_the_slot_like_the_owned_export() {
         let (mut a, mut h, mut c) = relay_chain();
@@ -2175,17 +2208,15 @@ mod tests {
         let ums_cached: BTreeMap<GridUser, f64> = [("u", 0.125), ("w", 7.5)]
             .map(|(u, v)| (GridUser::new(u), v))
             .into();
-        for uss in [&a, &h, &c] {
+        for uss in [&mut a, &mut h, &mut c] {
+            let ums_row = uss.users.row_from(&ums_cached);
+            let uss = &*uss;
             let owned = CheckpointState {
                 lsn: 41,
                 taken_s: 500.0,
                 site: uss.site,
                 slot_s: uss.local.slot_duration(),
-                local_cells: uss
-                    .local
-                    .cells()
-                    .map(|(u, s)| (u.clone(), s.clone()))
-                    .collect(),
+                local_cells: named_cells(&uss.users, uss.local.cells()),
                 records_ingested: uss.records_ingested,
                 next_seq: uss.next_seq,
                 peers: (uss.rx.iter())
@@ -2198,13 +2229,19 @@ mod tests {
                         )
                     })
                     .collect(),
-                origin_cells: uss.seen_by_origin.clone(),
+                origin_cells: (uss.seen_by_origin.iter())
+                    .map(|(origin, cells)| (*origin, named_cells(&uss.users, cells)))
+                    .collect(),
                 ums_epoch_s: Some(450.0),
                 ums_cached: ums_cached.clone(),
-                dirty_users: Some(uss.dirty.users().cloned().collect()),
+                dirty_users: Some(
+                    (uss.dirty.users())
+                        .map(|user| uss.users.name(user).clone())
+                        .collect(),
+                ),
             };
             assert!(!owned.local_cells.is_empty() && !owned.peers.is_empty());
-            let view = uss.checkpoint_view(41, 500.0, Some(450.0), &ums_cached);
+            let view = uss.checkpoint_view(41, 500.0, Some(450.0), &ums_row);
             assert_eq!(view.encode(), owned.encode());
             assert_eq!(CheckpointState::decode_slot(&view.encode()), Some(owned));
         }

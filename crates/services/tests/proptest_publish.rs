@@ -6,7 +6,9 @@
 //! against a shadow of what was already sent. Both read the same cells (the
 //! oracle through the service's checkpoint view), so every summary the
 //! service returns — own and relayed sections, `seq`, `None` when nothing
-//! changed — must equal the oracle's, through random interleavings of
+//! changed — must equal the oracle's, and after every publish the service's
+//! own sent mirrors (`Uss::sent_mirrors`, names written back over its
+//! id-keyed stores) the oracle's shadows, through random interleavings of
 //! ingest (charge landing in open, old and several slots at once, residues
 //! below the publication threshold, records that charge nothing), publishes
 //! with and without the clock crossing a slot boundary, delivery,
@@ -44,6 +46,13 @@ fn risen<'a>(
     cells
 }
 
+/// Everything `uss` holds, under names: its checkpoint through the slot
+/// bytes and back.
+fn held_by(uss: &Uss, now_s: f64) -> CheckpointState {
+    let view = uss.checkpoint_view(0, now_s, None, &[]);
+    CheckpointState::decode_slot(&view.encode()).expect("a fresh slot decodes")
+}
+
 /// The oracle's state for one site: shadows of the two sent mirrors and the
 /// publish cursor.
 #[derive(Clone)]
@@ -75,16 +84,15 @@ impl WholeMirror {
         if !(contributes || uss.forwarding()) {
             return None;
         }
-        let no_ums = BTreeMap::new();
-        let held = uss.checkpoint_view(0, now_s, None, &no_ums);
+        let held = held_by(uss, now_s);
         let current_slot = (now_s / SLOT_S).floor().max(0.0) as u64;
         let mut per_user = UserCells::new();
         for (user, slots) in held.local_cells.iter().filter(|_| contributes) {
-            let sent = self.published.entry((*user).clone()).or_default();
+            let sent = self.published.entry(user.clone()).or_default();
             let closed = slots.iter().filter(|(slot, _)| **slot < current_slot);
             let cells = risen(closed, sent);
             if !cells.is_empty() {
-                per_user.insert((*user).clone(), cells);
+                per_user.insert(user.clone(), cells);
             }
         }
         let mut relayed = BTreeMap::new();
@@ -206,6 +214,24 @@ impl World {
         let want = self.oracles[site].publish(&self.sites[site], now);
         let got = self.sites[site].publish(now);
         prop_assert_eq!(&got, &want, "site {} at t={}", site, now);
+        // The service's mirrors are the oracle's shadows (which keep an
+        // empty entry for every user and origin they ever looked at).
+        let (published, relayed) = self.sites[site].sent_mirrors();
+        let mut shadow = self.oracles[site].clone();
+        shadow.published.retain(|_, cells| !cells.is_empty());
+        for users in shadow.relayed.values_mut() {
+            users.retain(|_, cells| !cells.is_empty());
+        }
+        shadow
+            .relayed
+            .retain(|origin, _| relayed.contains_key(origin));
+        prop_assert_eq!(
+            &published,
+            &shadow.published,
+            "site {} published mirror",
+            site
+        );
+        prop_assert_eq!(&relayed, &shadow.relayed, "site {} relay mirror", site);
         if let Some(summary) = got {
             self.disks[site].1.push(Journaled::Publish(summary.seq));
         }
@@ -251,10 +277,7 @@ impl World {
     }
 
     fn cut_checkpoint(&mut self, site: usize) {
-        let no_ums = BTreeMap::new();
-        let view = self.sites[site].checkpoint_view(0, self.now_s, None, &no_ums);
-        let state = CheckpointState::decode_slot(&view.encode()).expect("a fresh slot decodes");
-        self.disks[site] = (Some(state), Vec::new());
+        self.disks[site] = (Some(held_by(&self.sites[site], self.now_s)), Vec::new());
     }
 
     /// Store-mode crash and recovery: everything volatile goes, the local

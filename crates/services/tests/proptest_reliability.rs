@@ -6,12 +6,13 @@
 //! usage row to `Uss::grid_view()` bit for bit through the same chaos plus
 //! crashes, checkpoint reinstalls and stale-policy flips.
 
-use aequus_core::usage::{UsageRecord, UsageRow, UserIndex};
-use aequus_core::{GridUser, JobId, SiteId};
+use aequus_core::usage::{UsageRecord, UsageRow};
+use aequus_core::{GridUser, JobId, SiteId, UserTable};
 use aequus_services::{ParticipationMode, RetryPolicy, StalePolicy, Uss, UssMessage};
 use aequus_store::CheckpointState;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const SITES: usize = 3;
 const USERS: [&str; 3] = ["alice", "bob", "carol"];
@@ -21,6 +22,10 @@ const SLOT_S: f64 = 100.0;
 type Wire = Vec<(SiteId, UssMessage)>;
 
 struct Grid {
+    /// alice and bob, ranked: the sampler's user base — and site 0's own
+    /// (its rows are synced by id); the other sites' tables are built over
+    /// nothing (synced by name).
+    base: Arc<[GridUser]>,
     sites: Vec<Uss>,
     wire: Wire,
     now_s: f64,
@@ -36,15 +41,22 @@ impl Grid {
             history_cap: 4, // tiny retention: resyncs often fall back to snapshots
             outbox_cap: 4,
         };
+        let base: Arc<[GridUser]> = USERS[..2].iter().copied().map(GridUser::new).collect();
         let sites = (0..SITES as u32)
             .map(|i| {
-                let mut u = Uss::new(SiteId(i), ParticipationMode::Full, SLOT_S);
+                let users = if i == 0 {
+                    UserTable::new(Arc::clone(&base))
+                } else {
+                    UserTable::default()
+                };
+                let mut u = Uss::with_users(SiteId(i), ParticipationMode::Full, SLOT_S, users);
                 u.set_peers(&peers, &peers);
                 u.configure_reliability(retry, seed.wrapping_add(i as u64));
                 u
             })
             .collect();
         Self {
+            base,
             sites,
             wire: Vec::new(),
             // Start past the largest single charge so records never reach
@@ -164,9 +176,9 @@ impl Grid {
 
 /// `row` must hold exactly what `site.grid_view()` holds, bit for bit: the
 /// indexed users densely (absent = 0), everyone else in the sorted overflow.
-fn assert_row_is_view(site: &Uss, index: &UserIndex, row: &UsageRow) -> Result<(), String> {
+fn assert_row_is_view(site: &Uss, index: &[GridUser], row: &UsageRow) -> Result<(), String> {
     let mut outside = site.grid_view();
-    for (user, got) in index.users().iter().zip(&row.dense) {
+    for (user, got) in index.iter().zip(&row.dense) {
         let want = outside.remove(user).unwrap_or(0.0);
         if got.to_bits() != want.to_bits() {
             return Err(format!("{:?} {user} row {got:?} != {want:?}", site.site()));
@@ -175,7 +187,7 @@ fn assert_row_is_view(site: &Uss, index: &UserIndex, row: &UsageRow) -> Result<(
     let bits = |m: &BTreeMap<GridUser, f64>| -> Vec<(GridUser, u64)> {
         m.iter().map(|(u, v)| (u.clone(), v.to_bits())).collect()
     };
-    if row.dense.len() != index.users().len() || bits(&row.overflow) != bits(&outside) {
+    if row.dense.len() != index.len() || bits(&row.overflow) != bits(&outside) {
         return Err(format!("overflow {:?} != {outside:?}", row.overflow));
     }
     Ok(())
@@ -282,7 +294,7 @@ proptest! {
             site.set_stale_policy(StalePolicy::LocalOnly { max_staleness_s: 60.0 });
         }
         // carol is outside the index: her usage lives in the overflow.
-        let index = UserIndex::new(USERS[..2].iter().copied().map(GridUser::new));
+        let index = Arc::clone(&grid.base);
         let mut rows = vec![UsageRow::default(); SITES];
         for (op, site, user, mag) in ops {
             let at = site as usize;
@@ -298,8 +310,7 @@ proptest! {
                     grid.sites[at].request_catchup();
                 }
                 7 => {
-                    let no_ums = BTreeMap::new();
-                    let view = grid.sites[at].checkpoint_view(0, grid.now_s, None, &no_ums);
+                    let view = grid.sites[at].checkpoint_view(0, grid.now_s, None, &[]);
                     let ckpt = CheckpointState::decode_slot(&view.encode()).expect("fresh slot");
                     grid.sites[at].crash_volatile();
                     // A sample lands between the crash and the reinstall.

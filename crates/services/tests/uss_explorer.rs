@@ -19,8 +19,9 @@
 //! once (fingerprinted by their `Debug` text, cached per site and per
 //! message), which is what lets the search reach useful depth in seconds.
 
+use aequus_core::codec::NamedCells;
 use aequus_core::usage::{UsageRecord, UserCells};
-use aequus_core::{GridUser, JobId, SiteId};
+use aequus_core::{GridUser, JobId, SiteId, UserTable};
 use aequus_services::{OverlayTopology, ParticipationMode, RetryPolicy, Uss, UssMessage};
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
@@ -151,7 +152,14 @@ impl World {
                     .into_iter()
                     .map(|j| SiteId(j as u32))
                     .collect();
-                let mut uss = Uss::new(SiteId(i as u32), ParticipationMode::Full, SLOT_S);
+                // The explored records name alice and bob, whose ids are
+                // their ranks whatever the interleaving — states reached by
+                // commuting steps print alike; carol, of the continuation,
+                // is met outside the base.
+                let base = ["alice", "bob"].map(GridUser::new);
+                let users = UserTable::new(base.into());
+                let mode = ParticipationMode::Full;
+                let mut uss = Uss::with_users(SiteId(i as u32), mode, SLOT_S, users);
                 uss.set_peers(&peers, &peers);
                 uss.configure_reliability(retry, 7);
                 uss.set_forwarding(overlay.forwards(i, SITES));
@@ -269,17 +277,24 @@ impl World {
 
     fn observe(&self, site: usize) -> Observed {
         let uss = &self.sites[site];
-        let no_ums = BTreeMap::new();
-        let mirrors = uss
-            .checkpoint_view(0, self.now_s, None, &no_ums)
-            .origin_cells;
-        let mirrors = mirrors.clone();
+        let held = uss.checkpoint_view(0, self.now_s, None, &[]);
+        let named = |cells: &NamedCells<'_>| {
+            let users = cells.iter();
+            users
+                .map(|(user, cells)| (user.clone(), cells.iter().copied().collect()))
+                .collect()
+        };
+        let mirrors = held.origin_cells.iter();
+        let mirrors = mirrors
+            .map(|(origin, cells)| (*origin, named(cells)))
+            .collect();
         let remote = uss
             .known_users()
             .into_iter()
             .map(|u| {
-                let usage = uss.remote_usage_of(&u);
-                (u, usage)
+                let user = uss.users().name(u).clone();
+                let usage = uss.remote_usage_of(&user);
+                (user, usage)
             })
             .collect();
         (mirrors, remote)
@@ -317,18 +332,18 @@ impl World {
 /// `now_s`) and, on a forwarding node, every mirrored origin's cells against
 /// what was relayed for that origin (all closed at their origin).
 fn check_pending(uss: &Uss, now_s: f64, trail: &[Step]) {
-    let no_ums = BTreeMap::new();
-    let held = uss.checkpoint_view(0, now_s, None, &no_ums);
+    let held = uss.checkpoint_view(0, now_s, None, &[]);
     let ((published, relayed), (unpublished, unrelayed)) = (uss.sent_mirrors(), uss.pending());
     let current_slot = (now_s / SLOT_S).floor() as u64;
     let check = |what: &str,
                  user: &GridUser,
-                 cells: &BTreeMap<u64, f64>,
+                 cells: &[(u64, f64)],
                  sent: Option<&UserCells>,
                  pending: Option<&BTreeMap<GridUser, u64>>,
                  closed_before: u64| {
         let from = pending.and_then(|p| p.get(user)).copied();
-        for (&slot, &value) in cells.range(..closed_before.min(from.unwrap_or(u64::MAX))) {
+        let unsent_before = closed_before.min(from.unwrap_or(u64::MAX));
+        for &(slot, value) in cells.iter().filter(|(slot, _)| *slot < unsent_before) {
             let sent = sent.and_then(|s| s.get(user)).and_then(|s| s.get(&slot));
             assert!(
                 value - sent.copied().unwrap_or(0.0) <= CELL_EPS,
@@ -338,12 +353,12 @@ fn check_pending(uss: &Uss, now_s: f64, trail: &[Step]) {
             );
         }
     };
-    for (user, cells) in &held.local_cells {
-        let (sent, pending) = (Some(published), Some(unpublished));
+    for (user, cells) in held.local_cells.iter() {
+        let (sent, pending) = (Some(&published), Some(&unpublished));
         check("own", user, cells, sent, pending, current_slot);
     }
     for (origin, users) in held.origin_cells.iter().filter(|_| uss.forwarding()) {
-        for (user, cells) in users {
+        for (user, cells) in users.iter() {
             let (sent, pending) = (relayed.get(origin), unrelayed.get(origin));
             check("mirrored", user, cells, sent, pending, u64::MAX);
         }
@@ -391,8 +406,9 @@ fn check_step(
     let ceiling = oracle(&script[..after.ingested]);
     let uss = &after.sites[site];
     for user in uss.known_users() {
-        let got = uss.grid_view_of(&user);
-        let most = ceiling.get(&user).copied().unwrap_or(0.0);
+        let got = uss.grid_view_of(user);
+        let user = uss.users().name(user);
+        let most = ceiling.get(user).copied().unwrap_or(0.0);
         assert!(
             got <= most + 1e-9,
             "site {site} believes {got} for {user:?}, only {most} was ever charged, \
@@ -421,13 +437,14 @@ fn check_quiescent_view(mut w: World, script: &[UsageRecord], trail: &[Step]) {
         if !w.in_flight_or_unacked() {
             let want = oracle(script);
             for (site, uss) in w.sites.iter().enumerate() {
+                let view = uss.grid_view();
                 assert_eq!(
-                    uss.grid_view().keys().collect::<Vec<_>>(),
+                    view.keys().collect::<Vec<_>>(),
                     want.keys().collect::<Vec<_>>(),
                     "site {site} after {trail:?}"
                 );
                 for (user, want) in &want {
-                    let got = uss.grid_view_of(user);
+                    let got = view[user];
                     assert!(
                         (got - want).abs() <= 1e-9 * want.max(1.0),
                         "quiescent site {site} believes {got} for {user:?}, the records \

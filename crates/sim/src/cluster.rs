@@ -45,11 +45,14 @@ impl SimCluster {
             scenario.usage_slot_s,
         );
         // The test bed's unified name-resolution endpoint: system user
-        // "sys-<grid user>" maps back to the grid identity. Register both
-        // the grid-wide and any site-local identities.
-        for (_, user) in policy.users().into_iter().chain(scenario.policy.users()) {
-            site.irs
-                .store_mapping(SystemUser::new(format!("sys-{}", user.as_str())), user);
+        // "sys-<grid user>" maps back to the grid identity. Register the
+        // site's identities and — where the site overrides the policy —
+        // the grid-wide ones it does not name.
+        let grid = spec.policy_override.as_ref().map(|_| &scenario.policy);
+        let users = [Some(&policy), grid].into_iter().flatten();
+        for user in users.flat_map(|p| p.layout().users().iter()) {
+            let system = SystemUser::new(format!("sys-{}", user.as_str()));
+            site.irs.store_mapping(system, user.clone());
         }
         let nodes = NodePool::new(spec.nodes, spec.cores_per_node);
         let site_id = SiteId(index as u32);

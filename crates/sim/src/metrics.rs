@@ -442,7 +442,6 @@ impl MetricsLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aequus_core::UserIndex;
     use proptest::prelude::*;
 
     /// The map-based divergence the dense sweep replaced, kept as the
@@ -488,7 +487,7 @@ mod tests {
             ),
         ) {
             let name = |u: usize| GridUser::new(format!("u{u}"));
-            let index = UserIndex::new((0..5).map(name));
+            let index: Vec<GridUser> = (0..5).map(name).collect();
             let maps: Vec<Option<BTreeMap<GridUser, f64>>> = sites
                 .iter()
                 .map(|(up, es)| (*up > 0).then(|| es.iter().map(|&(u, v)| (name(u), v)).collect()))

@@ -18,7 +18,7 @@ use crate::metrics::{ShardSample, UserSample};
 use crate::scenario::GridScenario;
 use aequus_core::policy::PolicyTree;
 use aequus_core::projection::Percental;
-use aequus_core::{GridUser, NodeId, UsageRow, UserIndex};
+use aequus_core::{GridUser, NodeId, UsageRow, UserId};
 use aequus_services::UssMessage;
 use aequus_telemetry::ShardProfiler;
 use std::collections::BTreeMap;
@@ -79,16 +79,18 @@ impl ShardStats {
 
 /// What the per-sample readout walks, shared read-only by every shard: the
 /// tracked users (per-site priorities, plus absolute usage shares at the
-/// reference site) and the grid-wide user index the usage rows are laid out
+/// reference site) and the grid-wide user base the usage rows are laid out
 /// over.
 #[derive(Debug)]
 pub struct SampleSpec {
     /// Tracked users: the policy leaves in policy order, capped by the
     /// scenario's `metrics_user_cap`.
     pub tracked: Vec<GridUser>,
-    /// Every policy leaf, ranked in name order (never capped) — rank order
-    /// equals the iteration order of a `BTreeMap<GridUser, _>` view.
-    pub index: UserIndex,
+    /// The user base of the grid policy's layout — every leaf identity,
+    /// ranked in name order (never capped), the same `Arc` the tables of
+    /// the sites enforcing that policy are built over: their ids are ranks
+    /// in it.
+    pub users: Arc<[GridUser]>,
 }
 
 impl SampleSpec {
@@ -97,8 +99,8 @@ impl SampleSpec {
         let leaves = scenario.policy.users();
         let cap = scenario.metrics_user_cap.unwrap_or(leaves.len());
         Self {
-            tracked: leaves.iter().take(cap).map(|(_, u)| u.clone()).collect(),
-            index: UserIndex::new(leaves.into_iter().map(|(_, u)| u)),
+            tracked: leaves.into_iter().take(cap).map(|(_, u)| u).collect(),
+            users: Arc::clone(scenario.policy.layout().users()),
         }
     }
 }
@@ -127,15 +129,15 @@ pub struct Shard {
     /// budgets, not the site total in `stats`. A flat vector keeps the
     /// per-send accounting to two adds.
     link_wire: Vec<(u64, u64)>,
-    /// This site's raw usage view over `spec.index`, kept current by
+    /// This site's raw usage view over `spec.users`, kept current by
     /// `Uss::sync_view_row` at each sample and shared with that sample's
     /// fragment.
     usage_row: Arc<UsageRow>,
-    /// Arena leaf of each tracked user in the site's current fairshare
-    /// tree, resolved once per rebuilt tree: `leaves_of_build` is the FCS's
-    /// full-refresh count they were resolved at (node ids only move on a
-    /// full rebuild; `0` = never resolved).
-    tracked_leaves: Vec<Option<NodeId>>,
+    /// Arena leaf and site id of each tracked user in the site's current
+    /// fairshare tree, resolved once per rebuilt tree: `leaves_of_build` is
+    /// the FCS's full-refresh count they were resolved at (node ids only
+    /// move on a full rebuild; `0` = never resolved).
+    tracked_leaves: Vec<Option<(NodeId, UserId)>>,
     leaves_of_build: u64,
     scenario: Arc<GridScenario>,
     spec: Arc<SampleSpec>,
@@ -318,7 +320,7 @@ impl Shard {
             let build = site.fcs.full_refreshes();
             if self.leaves_of_build != build {
                 self.tracked_leaves = (self.spec.tracked.iter())
-                    .map(|user| tree.user_node(user))
+                    .map(|user| Some((tree.user_node(user)?, site.fcs.id_of(user)?)))
                     .collect();
                 self.leaves_of_build = build;
             }
@@ -330,11 +332,11 @@ impl Shard {
                 leaves.filter_map(|(user, leaf)| Some((user, (*leaf)?)))
             };
             site_priority = tracked()
-                .map(|(user, leaf)| (user.as_str().to_string(), tree.priority_of_id(leaf)))
+                .map(|(user, (leaf, _))| (user.as_str().to_string(), tree.priority_of_id(leaf)))
                 .collect();
             if self.index == 0 {
                 users = tracked()
-                    .map(|(user, leaf)| {
+                    .map(|(user, (leaf, id))| {
                         // Absolute usage share: product of per-level usage
                         // shares — identical to the per-node share for flat
                         // hierarchies.
@@ -344,9 +346,7 @@ impl Shard {
                             usage_share,
                             // The uncounted read: sampling is not a
                             // served query.
-                            factor: (site.fcs.id_of(user))
-                                .and_then(|id| site.fcs.factor_of(id))
-                                .unwrap_or(0.5),
+                            factor: site.fcs.factor_of(id).unwrap_or(0.5),
                         };
                         (user.as_str().to_string(), sample)
                     })
@@ -361,7 +361,7 @@ impl Shard {
         .then(|| {
             // In place unless the previous sample's fragment is still alive.
             let row = Arc::make_mut(&mut self.usage_row);
-            site.uss.sync_view_row(&self.spec.index, row);
+            site.uss.sync_view_row(&self.spec.users, row);
             Arc::clone(&self.usage_row)
         });
         let link_health = if self.scenario.health.is_some() {
@@ -537,6 +537,6 @@ mod tests {
         s.metrics_user_cap = Some(2);
         let spec = SampleSpec::from_scenario(&s);
         assert_eq!(spec.tracked.len(), 2);
-        assert_eq!(spec.index.users().len(), 3, "the index is never capped");
+        assert_eq!(spec.users.len(), 3, "the user base is never capped");
     }
 }

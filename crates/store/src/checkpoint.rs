@@ -14,7 +14,7 @@ use crate::records::CELL_ENCODING;
 use crate::storage::Storage;
 use crate::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT};
 use crate::StoreError;
-use aequus_core::codec::{decode_cells, encode_cells, CodecError, Reader, Sink};
+use aequus_core::codec::{decode_cells, CodecError, NamedCells, Reader, Sink};
 use aequus_core::ids::{GridUser, SiteId};
 use aequus_core::usage::UserCells;
 use std::borrow::Cow;
@@ -96,20 +96,20 @@ impl Default for CheckpointState {
     }
 }
 
-/// A checkpoint whose bulk — the two cell maps and the UMS cache — is read
-/// where the services hold it, so cutting one clones no histogram, mirror
-/// or cache. The encoder's only input; `head`'s own three bulk fields are
-/// left empty and never read.
+/// A checkpoint whose bulk — the two cell maps and the UMS cache — is
+/// written from flat name-ordered copies of what the services hold keyed by
+/// id, so cutting one builds no per-user map. The encoder's only input;
+/// `head`'s own three bulk fields are left empty and never read.
 #[derive(Debug)]
 pub struct CheckpointView<'a> {
     /// Every field but the bulk.
     pub head: Cow<'a, CheckpointState>,
-    /// Stands in for `head.local_cells`; in user-name order.
-    pub local_cells: Vec<(&'a GridUser, &'a BTreeMap<u64, f64>)>,
-    /// Stands in for `head.origin_cells`.
-    pub origin_cells: &'a BTreeMap<SiteId, UserCells>,
-    /// Stands in for `head.ums_cached`.
-    pub ums_cached: &'a BTreeMap<GridUser, f64>,
+    /// Stands in for `head.local_cells`.
+    pub local_cells: NamedCells<'a>,
+    /// Stands in for `head.origin_cells`; in origin order.
+    pub origin_cells: Vec<(SiteId, NamedCells<'a>)>,
+    /// Stands in for `head.ums_cached`; in user-name order.
+    pub ums_cached: Vec<(&'a GridUser, f64)>,
 }
 
 impl CheckpointView<'_> {
@@ -122,7 +122,7 @@ impl CheckpointView<'_> {
         w.f64(head.taken_s);
         w.u32(head.site.0);
         w.f64(head.slot_s);
-        encode_cells(self.local_cells.iter().copied(), CELL_ENCODING, &mut w);
+        self.local_cells.encode(CELL_ENCODING, &mut w);
         w.u64(head.records_ingested);
         w.u64(head.next_seq);
         w.varint(head.peers.len() as u64);
@@ -131,9 +131,9 @@ impl CheckpointView<'_> {
             w.u64(cursor.next_expected);
         }
         w.varint(self.origin_cells.len() as u64);
-        for (origin, cells) in self.origin_cells {
+        for (origin, cells) in &self.origin_cells {
             w.u32(origin.0);
-            encode_cells(cells, CELL_ENCODING, &mut w);
+            cells.encode(CELL_ENCODING, &mut w);
         }
         match head.ums_epoch_s {
             Some(e) => {
@@ -143,7 +143,7 @@ impl CheckpointView<'_> {
             None => w.byte(0),
         }
         w.varint(self.ums_cached.len() as u64);
-        for (user, usage) in self.ums_cached {
+        for (user, usage) in &self.ums_cached {
             w.str(user.as_str());
             w.f64(*usage);
         }
@@ -171,13 +171,15 @@ impl CheckpointState {
             .collect()
     }
 
-    /// This state as the encoder takes it, bulk and all read in place.
+    /// This state as the encoder takes it.
     pub fn view(&self) -> CheckpointView<'_> {
         CheckpointView {
             head: Cow::Borrowed(self),
-            local_cells: self.local_cells.iter().collect(),
-            origin_cells: &self.origin_cells,
-            ums_cached: &self.ums_cached,
+            local_cells: NamedCells::from_cells(&self.local_cells),
+            origin_cells: (self.origin_cells.iter())
+                .map(|(origin, cells)| (*origin, NamedCells::from_cells(cells)))
+                .collect(),
+            ums_cached: self.ums_cached.iter().map(|(u, v)| (u, *v)).collect(),
         }
     }
 

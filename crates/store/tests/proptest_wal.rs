@@ -247,8 +247,9 @@ proptest! {
             )
         };
         prop_assert_eq!(scalar_bits(&back), scalar_bits(&state));
-        // The form the services write — the bulk read in place, beside a
-        // head that holds none of it — fills the slot with the same bytes.
+        // The form the services write — the bulk in flat name-ordered copies,
+        // beside a head that holds none of it — fills the slot with the
+        // same bytes.
         let view = CheckpointView {
             head: Cow::Owned(CheckpointState {
                 local_cells: BTreeMap::new(),
@@ -256,9 +257,7 @@ proptest! {
                 ums_cached: BTreeMap::new(),
                 ..state.clone()
             }),
-            local_cells: state.local_cells.iter().collect(),
-            origin_cells: &state.origin_cells,
-            ums_cached: &state.ums_cached,
+            ..state.view()
         };
         prop_assert_eq!(&view.encode(), &slot);
     }

@@ -17,7 +17,7 @@
 //! the handlers behind the decoder are held to the same rule.
 
 use aequus::core::codec::{
-    decode_cells, decode_summary, encode_cells, encode_summary, Encoding, Reader,
+    decode_cells, decode_summary, encode_summary, Encoding, NamedCells, Reader,
 };
 use aequus::core::flat_policy;
 use aequus::core::{
@@ -27,6 +27,7 @@ use aequus::core::{
 use aequus::services::{
     AequusSite, ParticipationMode, RetryPolicy, ServiceTimings, StalePolicy, UssMessage,
 };
+use aequus::sim::{GridScenario, GridSimulation};
 use aequus::store::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT, KIND_RECORD};
 use aequus::store::{CheckpointState, PeerCursor, WalRecord};
 use aequus::telemetry::export::{from_json, from_prometheus, JsonValue};
@@ -37,6 +38,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+mod oracle;
 
 /// Mutants per valid input and mutation kind.
 const ROUNDS: usize = 1_000;
@@ -286,7 +289,7 @@ fn no_decoder_or_parser_panics_on_mutated_input() {
     // section decoder at all.
     let section = |enc| {
         let mut bytes = Vec::new();
-        encode_cells(&summary().per_user, enc, &mut bytes);
+        NamedCells::from_cells(&summary().per_user).encode(enc, &mut bytes);
         vec![bytes]
     };
 
@@ -465,13 +468,14 @@ fn deliver_everywhere(sites: &mut [AequusSite], msg: &UssMessage, now: f64, what
             "site {id} answered {what} with {} messages: {msg:?}",
             responses.len()
         );
-        let no_ums = BTreeMap::new();
-        let held = site.uss.checkpoint_view(0, now, None, &no_ums);
-        let own = held.local_cells.iter().map(|(_, slots)| *slots);
-        let mirrored = held.origin_cells.values().flat_map(|users| users.values());
-        for slots in own.chain(mirrored) {
+        let held = site.uss.checkpoint_view(0, now, None, &[]);
+        let mirrored = held.origin_cells.iter().map(|(_, cells)| cells);
+        for (_, cells) in std::iter::once(&held.local_cells)
+            .chain(mirrored)
+            .flat_map(NamedCells::iter)
+        {
             assert!(
-                slots.values().all(|c| c.is_finite() && *c >= 0.0),
+                cells.iter().all(|(_, c)| c.is_finite() && *c >= 0.0),
                 "site {id} holds a non-charge after {what}: {msg:?}"
             );
         }
@@ -566,4 +570,141 @@ fn no_handler_panics_or_overcounts_on_a_message_that_still_decodes() {
         let factor = site.fairshare(&user, now + 3700.0);
         assert!((0.0..=1.0).contains(&factor), "site {i}: {factor}");
     }
+}
+
+/// Names arrive from outside and ids are the site's: a summary or a
+/// checkpoint that is refused interns nothing — the site's user table is as
+/// long after as before — and one that is accepted grows it by exactly the
+/// identities it names that the site had never met, whose usage every view
+/// then carries.
+#[test]
+fn outside_names_grow_a_site_only_through_bytes_it_accepts() {
+    let mut sites = serving_sites();
+    let now = 9.0 * 3600.0;
+    let tables = |sites: &[AequusSite]| -> Vec<usize> {
+        sites.iter().map(|s| s.uss.users().len()).collect()
+    };
+    let before = tables(&sites);
+    assert_eq!(before, [3, 3, 3], "the policy's users and nobody else");
+    let views_before = views(&sites);
+    let from_outside = |per_user: UserCells, slot_s: f64| UsageSummary {
+        site: SiteId(7),
+        seq: 1,
+        slot_s,
+        per_user,
+        relayed: [(SiteId(8), cells(&[("ghost-relayed", 2, 9.0)]))].into(),
+    };
+
+    // Refused whole: the bad cell sorts after two unseen names that a
+    // name-by-name merge would already have interned.
+    let refused = [
+        from_outside(
+            cells(&[
+                ("ghost-a", 1, 5.0),
+                ("ghost-b", 1, 2.5),
+                ("ghost-c", 1, f64::INFINITY),
+            ]),
+            3600.0,
+        ),
+        from_outside(cells(&[("ghost-a", 1, 5.0)]), 60.0),
+    ];
+    for summary in refused {
+        for snapshot in [false, true] {
+            let summary = summary.clone();
+            let msg = match snapshot {
+                false => UssMessage::Summary { summary, ctx: None },
+                true => UssMessage::Snapshot { summary, ctx: None },
+            };
+            for site in &mut sites {
+                assert!(
+                    site.deliver_message(&msg, now).is_empty(),
+                    "no ack for {msg:?}"
+                );
+            }
+        }
+        assert_eq!(tables(&sites), before, "a refused summary interned a name");
+    }
+    assert!(sites.iter().all(|s| s.uss.rejected() == 4));
+    // A checkpoint refused for any of its three reasons, each naming
+    // identities the site never met.
+    for site in &mut sites {
+        let view = site.uss.checkpoint_view(0, now, None, &[]);
+        let own = CheckpointState::decode_slot(&view.encode()).expect("a fresh slot decodes");
+        let mut stranger = cells(&[("ghost-d", 0, 1.0)]);
+        let mut bad_cell = own.clone();
+        bad_cell.local_cells.append(&mut stranger.clone());
+        (bad_cell.origin_cells.entry(SiteId(9)).or_default())
+            .append(&mut cells(&[("ghost-e", 0, 1.0), ("ghost-f", 3, f64::NAN)]));
+        let mut elsewhere = own.clone();
+        elsewhere.site = SiteId(5);
+        elsewhere.local_cells.append(&mut stranger.clone());
+        let mut misbinned = own;
+        misbinned.slot_s = 60.0;
+        misbinned.local_cells.append(&mut stranger);
+        for refused in [bad_cell, elsewhere, misbinned] {
+            assert!(site.uss.install_checkpoint(&refused).is_err());
+        }
+    }
+    assert_eq!(
+        tables(&sites),
+        before,
+        "a refused checkpoint interned a name"
+    );
+    assert!(
+        views_before == views(&sites),
+        "a refused input moved a view"
+    );
+
+    // Accepted: two unseen identities of its own, one relayed, one known.
+    let accepted = from_outside(
+        cells(&[("ghost-a", 1, 5.0), ("ghost-b", 1, 2.5), ("U65", 1, 1.0)]),
+        3600.0,
+    );
+    let unseen = [("ghost-a", 5.0), ("ghost-b", 2.5), ("ghost-relayed", 9.0)];
+    for _twice in 0..2 {
+        let summary = accepted.clone();
+        deliver_everywhere(
+            &mut sites,
+            &UssMessage::Summary { summary, ctx: None },
+            now,
+            "a summary",
+        );
+        assert_eq!(tables(&sites), [6, 6, 6], "exactly the three unseen names");
+    }
+    for (site, view_before) in sites.iter().zip(&views_before) {
+        let view = site.uss.grid_view();
+        assert_eq!(view.len(), view_before.len() + unseen.len());
+        for (name, charged) in unseen {
+            let user = GridUser::new(name);
+            let id = site.uss.users().id_of(&user).expect("interned");
+            assert!(id.index() >= 3, "{name} sits in the overflow");
+            assert_eq!(site.uss.users().name(id), &user);
+            assert_eq!(view[&user], charged, "site {:?} for {name}", site.id());
+        }
+        // In name order, overflow merged in: the order every codec writes.
+        let names: Vec<&GridUser> = site.uss.users().iter().map(|(_, user)| user).collect();
+        assert!(names.windows(2).all(|pair| pair[0] < pair[1]), "{names:?}");
+    }
+}
+
+/// A site whose own policy lacks an identity the grid's names meets it only
+/// from outside — its own RMS's records and its peers' summaries — and
+/// keeps it in its table's overflow; the grid still converges on what the
+/// trace charged, that user included, at every site.
+#[test]
+fn a_user_outside_one_sites_policy_is_still_conserved_grid_wide() {
+    let mut scenario = GridScenario::national_testbed(&[("a", 0.5), ("b", 0.3), ("c", 0.2)], 5);
+    scenario.clusters.truncate(3);
+    scenario.clusters[1].policy_override =
+        Some(flat_policy(&[("a", 0.6), ("b", 0.4)]).expect("valid policy"));
+    let jobs = (0..240).map(|i| TraceJob {
+        user: ["a", "b", "c"][i % 3].to_string(),
+        submit_s: i as f64 * 20.0,
+        duration_s: 60.0 + 15.0 * (i % 4) as f64,
+        cores: 1,
+    });
+    let trace = Trace::new(jobs.collect());
+    let result = GridSimulation::new(scenario).run(&trace, 7200.0);
+    oracle::assert_views_match_trace(&result, &trace, "site 1 without user c");
+    assert!(result.site_usage_views[1][&GridUser::new("c")] > 0.0);
 }
