@@ -65,12 +65,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p aequus-rms -p aequus-sim -p aequus-workload -p aequus-stats \
   -p aequus-store -p aequus-bench
 
-# The bench gates, one command: telemetry and profiler overhead, the
-# gossip, health, backfill, recovery and scale sweeps, and the simulated
-# headline numbers against results/sim_keys.json. What each gate holds is
-# written next to its entry in `CHECK_PLAN` (crates/bench/src/exp/mod.rs);
-# the run ends with one table of every gate and exits non-zero if any
-# failed.
+# The bench gates, one command: telemetry and profiler cost, the gossip,
+# health, backfill, recovery and scale sweeps, the simulated headline
+# numbers against results/sim_keys.json and the instruments' operation
+# counts against results/instrument_ops.json (both read from this source
+# tree). What each gate holds is written next to its entry in `CHECK_PLAN`
+# (crates/bench/src/exp/mod.rs); the run ends with one table of every gate
+# and exits non-zero if any failed.
 cargo run -q --release -p aequus-bench -- check
 
 # The experiment binaries became `aequus-bench <experiment>`: no tracked doc
@@ -90,13 +91,19 @@ for f in crates/core/src/codec.rs crates/services/src/message.rs \
     exit 1
   fi
 done
-# One exchange path, one detector: the broadcast entry points, the flight
-# recorder's own detectors, the shard-placement option and the `cargo bench`
-# harness are deleted, and no tracked source, manifest, doc or script names
-# them again. `take_outbox` is the one shim left of the broadcast path: code
-# names it only where it is defined and where the benchmark calls it.
+# One exchange path, one detector, one switch per observability surface:
+# the broadcast entry points, the flight recorder's own detectors, the
+# shard-placement option, the `cargo bench` harness, the profiler's
+# counters-only tier, the span sampling rate and provenance flag, the bench
+# crate's scenario builder over the scenario's own and the engine's private
+# stage table are deleted, and no tracked source, manifest, doc or script
+# names them again. `take_outbox` is the one shim left of the broadcast
+# path: code names it only where it is defined and where the benchmark
+# calls it.
 if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_share' \
   -e 'observe_divergence' -e 'ShardPlacement' -e 'benches/' \
+  -e 'ProfileMode::Counters' -e 'span_sample_every' -e 'capture_provenance' \
+  -e 'ScenarioBuilder' -e 'SERVICE_STAGES' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh'; then
   echo "a deleted path is named again" >&2
   exit 1

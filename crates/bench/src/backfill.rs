@@ -28,7 +28,7 @@
 
 use crate::cli::Shape;
 use crate::experiments::{BALANCE_DWELL_S, BALANCE_EPS};
-use crate::sweep::{parallel_sweep, ScenarioBuilder};
+use crate::sweep::parallel_sweep;
 use aequus_core::fairshare::FairshareConfig;
 use aequus_core::ids::{JobId, SiteId};
 use aequus_core::policy::flat_policy;
@@ -154,10 +154,9 @@ pub fn bursty_mixed_trace(shape: &Shape) -> Trace {
 
 /// The fleet scenario for one matrix cell.
 fn matrix_scenario(shape: &Shape, order: DispatchOrder, proj: ProjectionKind) -> GridScenario {
-    let mut sc = ScenarioBuilder::testbed(&baseline_policy_shares(), SEED)
+    let mut sc = GridScenario::national_testbed(&baseline_policy_shares(), SEED)
         .sites(shape.sites)
-        .nodes_per_site(shape.nodes_per_site)
-        .build();
+        .nodes_per_site(shape.nodes_per_site);
     for c in &mut sc.clusters {
         c.cores_per_node = CORES_PER_NODE;
     }

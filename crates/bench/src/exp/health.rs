@@ -1,19 +1,19 @@
 //! `health` — render and gate a run's fairness-health report.
 
+use super::overhead::{ops_gate, unit_cost_gate};
 use crate::cli::{Args, Gates};
-use crate::{
-    health_chaos_faults, health_chaos_scenario, uniform_trace, HEALTH_OUTAGE_S, SWEEP_USERS,
-};
-use aequus_sim::{FaultPlan, GridSimulation, SimResult};
+use crate::{health_chaos_faults, health_chaos_scenario, run_chaos_grid, HEALTH_OUTAGE_S};
+use aequus_services::{HealthMap, LinkObservation};
+use aequus_sim::{FaultPlan, SimResult};
 use aequus_telemetry::slo::alerts_to_jsonl;
-use aequus_telemetry::SloConfig;
-use aequus_workload::{Trace, TraceJob};
+use aequus_telemetry::{SloConfig, SloEngine, SloRule};
 use std::hint::black_box;
-use std::time::Instant;
 
-/// The SLO engine + health map may cost at most 5% sim wall time.
-const OVERHEAD_BUDGET: f64 = 1.05;
-const OVERHEAD_ROUNDS: usize = 12;
+/// One rule's share of an `SloEngine::observe`: the window push, the trim
+/// and, for a rule with bad entries, the burn scan.
+const SLO_OBSERVATION_BUDGET_NS: f64 = 60.0;
+/// One link row folded into the health map: a map probe and eight maxes.
+const LINK_ROW_BUDGET_NS: f64 = 50.0;
 
 fn base_seed() -> u64 {
     std::env::var("AEQUUS_TEST_SEED")
@@ -29,7 +29,7 @@ fn health_run(faults: FaultPlan, threads: usize) -> SimResult {
         .with_health(SloConfig::default())
         .with_threads(threads);
     sc.faults = faults;
-    GridSimulation::new(sc).run(&uniform_trace(48, 15.0, 40.0), 1800.0)
+    run_chaos_grid(sc)
 }
 
 fn render(result: &SimResult) {
@@ -43,42 +43,29 @@ fn render(result: &SimResult) {
     }
 }
 
-/// A production-density trace for the overhead gate: the health subsystem's
-/// cost is per sample barrier, so the honest overhead question is "what does
-/// it cost on a run where the simulator is actually working?" — a 2000-job
-/// backlog on the chaos grid, not the 48-job alert-calibration trace whose
-/// whole run is ~1 ms of wall time.
-fn dense_trace() -> Trace {
-    Trace::new(
-        (0..2000)
-            .map(|i| TraceJob {
-                user: SWEEP_USERS[i % 4].to_string(),
-                submit_s: i as f64 * 1.5,
-                duration_s: 120.0,
-                cores: 2,
-            })
-            .collect(),
-    )
-}
-
-/// Sim wall seconds of one dense chaos run with the given health
-/// configuration.
-fn timed_run(health: bool) -> f64 {
-    let mut sc = health_chaos_scenario(base_seed(), 3);
-    sc.faults = health_chaos_faults();
-    if health {
-        sc = sc.with_health(SloConfig::default());
-    }
-    let trace = dense_trace();
-    let start = Instant::now();
-    black_box(GridSimulation::new(sc).run(&trace, 1800.0));
-    start.elapsed().as_secs_f64()
+/// The health path's operations in one run: rule observations the SLO
+/// engine evaluated (one per rule per sample barrier — a fairness and a
+/// starvation rule per user, divergence, convergence lag, a staleness rule
+/// per tx link row) and link rows the health map folded.
+fn health_ops(result: &SimResult) -> Vec<(&'static str, u64)> {
+    let samples = result.metrics.samples();
+    let users = samples.first().map_or(0, |s| s.users.len());
+    let tx_rows = |rows: &[LinkObservation]| rows.iter().filter(|o| o.heard_age_s < 0.0).count();
+    let links = samples.first().map_or(0, |s| tx_rows(&s.link_health));
+    let link_rows: usize = samples.iter().map(|s| s.link_health.len()).sum();
+    vec![
+        (
+            "health.slo_observations",
+            (samples.len() * (2 * users + 2 + links)) as u64,
+        ),
+        ("health.link_rows", link_rows as u64),
+    ]
 }
 
 /// Runs the chaos grid (3 sites, 30% drop + a 300 s outage) with health
 /// monitoring on and prints the gossip health map plus the SLO alert
 /// stream; `--check` then verifies the subsystem's contract end to end
-/// (the four gates below). Seeded by `AEQUUS_TEST_SEED` (default 42), like
+/// (the gates below). Seeded by `AEQUUS_TEST_SEED` (default 42), like
 /// the test suites.
 pub(super) fn health(args: &Args, gates: &mut Gates) {
     let (outage_from_s, outage_to_s) = HEALTH_OUTAGE_S;
@@ -143,10 +130,12 @@ pub(super) fn health(args: &Args, gates: &mut Gates) {
     let report_json = chaos.health_report.as_ref().expect("report").to_json();
     let alerts_jsonl = alerts_to_jsonl(&chaos.alerts);
     let mut identical = true;
+    let mut ops = vec![health_ops(&chaos)];
     for threads in [2, 4] {
         let par = health_run(health_chaos_faults(), threads);
         identical &= par.health_report.as_ref().expect("report").to_json() == report_json
             && alerts_to_jsonl(&par.alerts) == alerts_jsonl;
+        ops.push(health_ops(&par));
     }
     gates.check(
         "health report + alert stream byte-identical at 1/2/4 workers",
@@ -154,32 +143,42 @@ pub(super) fn health(args: &Args, gates: &mut Gates) {
         "",
     );
 
-    // Gate 4: the health subsystem costs ≤ 5% sim wall time on a
-    // production-density run. Interleaved min-of-N — comparing the two
-    // arms' floors discards scheduler and allocator noise, which on a
-    // ~20 ms run is far larger than the subsystem's real cost.
-    timed_run(false);
-    timed_run(true);
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    let mut pair_ratios = Vec::with_capacity(OVERHEAD_ROUNDS);
-    for _ in 0..OVERHEAD_ROUNDS {
-        let o = timed_run(false);
-        let h = timed_run(true);
-        off = off.min(o);
-        on = on.min(h);
-        pair_ratios.push(h / o);
-    }
-    pair_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite wall times"));
-    let median = pair_ratios[OVERHEAD_ROUNDS / 2];
-    let ratio = on / off;
-    gates.check(
-        &format!("SLO engine + health map overhead within {OVERHEAD_BUDGET:.2}x"),
-        ratio <= OVERHEAD_BUDGET,
-        &format!(
-            "ratio {ratio:.4}, off {:.1}ms on {:.1}ms, median pair ratio {median:.4}",
-            off * 1e3,
-            on * 1e3
-        ),
+    // Gate 4: what the subsystem costs, as counted work × unit cost — the
+    // operations of the chaos run above, exact, and a tight loop over each
+    // operation: sixteen rules (every fourth one breaching, so burn scans
+    // run) observed once a sim minute, and a mesh's twelve link rows.
+    ops_gate(gates, "health", &ops);
+    let rule = |k: usize| SloRule {
+        id: format!("rule:{k}"),
+        threshold: 1.0,
+    };
+    let mut engine = SloEngine::new(SloConfig::default(), (0..16).map(rule).collect());
+    let values: Vec<f64> = (0..16)
+        .map(|k| f64::from(u8::from(k % 4 == 0)) * 2.0)
+        .collect();
+    let mut t_s = 0.0;
+    unit_cost_gate(
+        gates,
+        "SLO rule observation",
+        SLO_OBSERVATION_BUDGET_NS,
+        |n| {
+            for _ in 0..n / values.len() {
+                t_s += 60.0;
+                black_box(engine.observe(t_s, black_box(&values)));
+            }
+        },
     );
+    let rows: Vec<LinkObservation> = (0..12)
+        .map(|k| match k % 2 {
+            0 => LinkObservation::tx(k / 4, k % 3, 1),
+            _ => LinkObservation::rx(k / 4, k % 3, 1),
+        })
+        .collect();
+    let mut map = HealthMap::default();
+    unit_cost_gate(gates, "health-map link row", LINK_ROW_BUDGET_NS, |n| {
+        for i in 0..n {
+            map.observe(black_box(&rows[i % rows.len()]));
+        }
+    });
+    black_box(map.finalize());
 }

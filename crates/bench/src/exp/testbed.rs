@@ -11,6 +11,7 @@ use crate::{
     BALANCE_DWELL_S, BALANCE_EPS, PAPER_JOBS, SWEEP_USERS,
 };
 use aequus_sim::{GridScenario, GridSimulation, MetricsLog};
+use aequus_telemetry::stage::delay_histogram;
 use aequus_telemetry::HistogramSnapshot;
 use aequus_workload::users::baseline_policy_shares;
 use aequus_workload::{test_trace, TestTraceConfig};
@@ -119,27 +120,30 @@ pub(super) fn fig11_tracer(args: &Args, _gates: &mut Gates) {
 
     println!("# Figure 11 companion: measured pipeline delay vs configured caps");
     println!(
-        "{:>8} {:>8} {:>10} {:>10} {:>10} {:>12} {:>8}",
+        "{:>11} {:>8} {:>10} {:>10} {:>10} {:>12} {:>8}",
         "stage", "traces", "p50(s)", "p99(s)", "max(s)", "cap(s)", "p99/cap"
     );
     for (stage, cap_s) in timings.stage_caps() {
-        let (count, worst) = stage_stats(&format!("aequus_tracer_{stage}_delay_s"));
+        let (count, worst) = stage_stats(delay_histogram(stage));
         match worst {
             Some(h) => println!(
-                "{stage:>8} {count:>8} {:>10.1} {:>10.1} {:>10.1} {cap_s:>12.1} {:>7.0}%",
+                "{stage:>11} {count:>8} {:>10.1} {:>10.1} {:>10.1} {cap_s:>12.1} {:>7.0}%",
                 h.p50,
                 h.p99,
                 h.max,
                 100.0 * h.p99 / cap_s.max(f64::MIN_POSITIVE)
             ),
-            None => println!("{stage:>8} {count:>8} {:>43} {cap_s:>12.1}", "(no samples)"),
+            None => println!(
+                "{stage:>11} {count:>8} {:>43} {cap_s:>12.1}",
+                "(no samples)"
+            ),
         }
     }
     let bound = timings.worst_case_pipeline_s();
     let (count, e2e) = stage_stats("aequus_tracer_end_to_end_s");
     match e2e {
         Some(h) => println!(
-            "{:>8} {count:>8} {:>10.1} {:>10.1} {:>10.1} {bound:>12.1} {:>7.0}%",
+            "{:>11} {count:>8} {:>10.1} {:>10.1} {:>10.1} {bound:>12.1} {:>7.0}%",
             "e2e",
             h.p50,
             h.p99,
@@ -147,13 +151,13 @@ pub(super) fn fig11_tracer(args: &Args, _gates: &mut Gates) {
             100.0 * h.p99 / bound.max(f64::MIN_POSITIVE)
         ),
         None => println!(
-            "{:>8} {count:>8} {:>43} {bound:>12.1}",
+            "{:>11} {count:>8} {:>43} {bound:>12.1}",
             "e2e", "(no samples)"
         ),
     }
     println!(
         "\nNotes: stage delays are measured at cluster-tick granularity, so the\n\
-         report stage can read a few seconds over its cap. The lib stage measures\n\
+         uss.ingest stage can read a few seconds over its cap. lib.query measures\n\
          *observed* visibility — it includes the wait for the traced user's next\n\
          uncached fairshare fetch, so at low per-user load it exceeds the pure TTL\n\
          cap; the end-to-end p99 is the figure to hold against the {bound:.0} s\n\

@@ -2,12 +2,10 @@
 //! measurements used by the registry's experiments and the integration tests.
 
 use crate::cli::Shape;
-use crate::sweep::{
-    cycle_trace, parallel_sweep, synthetic_users, uniform_trace, ScenarioBuilder, SWEEP_USERS,
-};
+use crate::sweep::{cycle_trace, parallel_sweep, uniform_trace, SWEEP_USERS};
 use aequus_services::ParticipationMode;
-use aequus_sim::{GridScenario, GridSimulation, SimResult};
-use aequus_telemetry::{ProfileMode, RunProfile};
+use aequus_sim::{synthetic_users, GridScenario, GridSimulation, SimResult};
+use aequus_telemetry::RunProfile;
 use aequus_workload::users::{baseline_policy_shares, nonoptimal_policy_shares};
 use aequus_workload::{test_trace, TestTraceConfig, Trace};
 use std::time::Instant;
@@ -42,19 +40,8 @@ pub fn run_baseline(jobs: usize, seed: u64) -> SimResult {
 /// [`run_baseline`] on `threads` shard workers — same results (the engine
 /// is thread-count deterministic), different wall clock.
 pub fn run_baseline_on(jobs: usize, seed: u64, threads: usize) -> SimResult {
-    let scenario = ScenarioBuilder::testbed(&baseline_policy_shares(), seed)
-        .threads(threads)
-        .build();
-    let trace = baseline_trace(jobs, seed);
-    GridSimulation::new(scenario).run(&trace, 1800.0)
-}
-
-/// Run the baseline with telemetry wired into every site: per-site metric
-/// registries, stage spans, structured events, and the pipeline-delay
-/// tracer. The result carries per-site snapshots (`SimResult::site_telemetry`)
-/// and the engine's own registry.
-pub fn run_baseline_telemetry(jobs: usize, seed: u64) -> SimResult {
-    let scenario = GridScenario::national_testbed(&baseline_policy_shares(), seed).with_telemetry();
+    let scenario =
+        GridScenario::national_testbed(&baseline_policy_shares(), seed).with_threads(threads);
     let trace = baseline_trace(jobs, seed);
     GridSimulation::new(scenario).run(&trace, 1800.0)
 }
@@ -65,7 +52,7 @@ pub fn run_baseline_telemetry(jobs: usize, seed: u64) -> SimResult {
 /// the explain tool's replay fast while still exercising cross-site hops.
 pub fn run_traced(jobs: usize, seed: u64) -> SimResult {
     let mut scenario =
-        GridScenario::national_testbed(&baseline_policy_shares(), seed).with_full_tracing();
+        GridScenario::national_testbed(&baseline_policy_shares(), seed).with_tracing();
     scenario.clusters.truncate(2);
     let trace = baseline_trace(jobs, seed);
     GridSimulation::new(scenario).run(&trace, 1800.0)
@@ -160,9 +147,7 @@ pub fn run_bursty_on(jobs: usize, seed: u64, threads: usize) -> SimResult {
         .iter()
         .map(|(u, s)| (u.name(), *s))
         .collect();
-    let scenario = ScenarioBuilder::testbed(&policy, seed)
-        .threads(threads)
-        .build();
+    let scenario = GridScenario::national_testbed(&policy, seed).with_threads(threads);
     let trace = test_trace(&TestTraceConfig {
         total_jobs: jobs,
         ..TestTraceConfig::bursty(seed)
@@ -176,27 +161,11 @@ pub fn run_bursty_on(jobs: usize, seed: u64, threads: usize) -> SimResult {
 /// overflow into resync/snapshot traffic. No faults, no health monitoring:
 /// the `health` experiment adds those per gate.
 pub fn health_chaos_scenario(seed: u64, sites: usize) -> GridScenario {
-    let mut sc = GridScenario::national_testbed(&baseline_policy_shares(), seed);
-    sc.clusters.truncate(sites.max(2));
-    for c in &mut sc.clusters {
-        c.nodes = 4;
-    }
-    sc.timings.report_delay_s = 5.0;
-    sc.timings.uss_publish_interval_s = 30.0;
-    sc.timings.ums_refresh_interval_s = 30.0;
-    sc.timings.fcs_refresh_interval_s = 30.0;
-    sc.timings.lib_cache_ttl_s = 10.0;
-    sc.timings.exchange_latency_s = 5.0;
-    sc.usage_slot_s = 60.0;
-    sc.tick_interval_s = 5.0;
-    sc.retry = aequus_services::RetryPolicy {
-        ack_timeout_s: 15.0,
-        max_backoff_s: 60.0,
-        jitter_frac: 0.2,
-        history_cap: 8,
-        outbox_cap: 8,
-    };
-    sc
+    GridScenario::national_testbed(&baseline_policy_shares(), seed)
+        .sites(sites.max(2))
+        .nodes_per_site(4)
+        .compressed()
+        .tight_retry(8, 8)
 }
 
 /// When the chaos fault plan partitions site 1.
@@ -232,16 +201,19 @@ pub fn run_health_chaos(
         sc.overlay = topology;
     }
     sc.faults = health_chaos_faults();
-    let sc = sc.with_health(aequus_telemetry::SloConfig::default());
+    run_chaos_grid(sc.with_health(aequus_telemetry::SloConfig::default()))
+}
+
+/// Run a [`health_chaos_scenario`] on the 48-job alert-calibration trace.
+pub fn run_chaos_grid(sc: GridScenario) -> SimResult {
     GridSimulation::new(sc).run(&uniform_trace(48, 15.0, 40.0), 1800.0)
 }
 
 /// Run a baseline with injected faults: gossip drops and one site outage.
 pub fn run_with_faults(jobs: usize, drop_probability: f64, seed: u64) -> SimResult {
-    let scenario = ScenarioBuilder::testbed(&baseline_policy_shares(), seed)
+    let scenario = GridScenario::national_testbed(&baseline_policy_shares(), seed)
         .drops(drop_probability)
-        .outage(3, 3600.0, 7200.0)
-        .build();
+        .outage(3, 3600.0, 7200.0);
     let trace = baseline_trace(jobs, seed);
     GridSimulation::new(scenario).run(&trace, 1800.0)
 }
@@ -317,10 +289,9 @@ pub fn run_fault_sweep(jobs: usize, drop_rates: &[f64], seed: u64) -> Vec<FaultS
     );
     // Each drop rate is an independent simulation — sweep them in parallel.
     parallel_sweep(drop_rates, |&drop_probability| {
-        let scenario = ScenarioBuilder::testbed(&baseline_policy_shares(), seed)
-            .telemetry()
-            .drops(drop_probability)
-            .build();
+        let scenario = GridScenario::national_testbed(&baseline_policy_shares(), seed)
+            .with_telemetry()
+            .drops(drop_probability);
         let result = GridSimulation::new(scenario).run(&trace, 3600.0);
         let total = |name: &str| -> u64 {
             result
@@ -382,16 +353,19 @@ pub struct RecoveryPoint {
 /// paths — deep enough that peers can retry every crash-window summary,
 /// too shallow to reach back to sequence 1 for a from-scratch resync.
 fn recovery_scenario(seed: u64, durable: bool) -> GridScenario {
-    ScenarioBuilder::testbed(&baseline_policy_shares(), seed)
-        .telemetry()
-        .snapshot_transfer(240.0)
+    let sc = GridScenario::national_testbed(&baseline_policy_shares(), seed)
+        .with_telemetry()
+        .with_snapshot_transfer(240.0)
         .sites(3)
         .nodes_per_site(4)
         .compressed()
         .tight_retry(12, 16)
-        .crash(2, 400.0, 700.0)
-        .durable(durable)
-        .build()
+        .crash(2, 400.0, 700.0);
+    if durable {
+        sc.with_durable_store()
+    } else {
+        sc
+    }
 }
 
 /// Quantify WAL-replay recovery against snapshot-only catch-up: for each
@@ -568,13 +542,12 @@ pub fn run_scale_sweep(shape: &Shape, threads: &[usize]) -> ScaleSweep {
         |_| 120.0,
     );
     let scenario = |threads: usize| {
-        ScenarioBuilder::equal_share_users(shape.users, 42)
+        GridScenario::equal_share_users(shape.users, 42)
             .sites(shape.sites)
             .nodes_per_site(shape.nodes_per_site)
-            .metrics_user_cap(8)
-            .threads(threads)
-            .profiling(ProfileMode::Full)
-            .build()
+            .with_metrics_user_cap(8)
+            .with_threads(threads)
+            .with_profiling()
     };
     let mut points = Vec::new();
     let mut profiles = Vec::new();

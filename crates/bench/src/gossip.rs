@@ -13,12 +13,12 @@
 
 use crate::backfill::min_ns;
 use crate::cli::Shape;
-use crate::sweep::{cycle_trace, parallel_sweep, synthetic_users, ScenarioBuilder};
+use crate::sweep::{cycle_trace, parallel_sweep};
 use aequus_core::codec::Encoding;
 use aequus_core::usage::{UsageRecord, UsageSummary};
 use aequus_core::{GridUser, JobId, SiteId};
 use aequus_services::{OverlayTopology, ParticipationMode, Uss, UssMessage};
-use aequus_sim::{GridSimulation, SimResult};
+use aequus_sim::{synthetic_users, GridScenario, GridSimulation, SimResult};
 use std::time::Instant;
 
 /// Jobs submit inside this window; the rest of [`HORIZON_S`] is drain.
@@ -137,11 +137,10 @@ pub fn run_gossip_sweep(shape: &Shape) -> GossipSweep {
         .flat_map(|&o| [(o, Encoding::Dense), (o, Encoding::Delta)])
         .collect();
     let results = parallel_sweep(&combos, |&(overlay, encoding)| {
-        let mut sc = ScenarioBuilder::equal_share_users(shape.users, 42)
+        let mut sc = GridScenario::equal_share_users(shape.users, 42)
             .sites(shape.sites)
             .nodes_per_site(shape.nodes_per_site)
-            .metrics_user_cap(8)
-            .build()
+            .with_metrics_user_cap(8)
             .with_overlay(overlay)
             .with_encoding(encoding);
         sc.timings.uss_publish_interval_s = 60.0;
@@ -227,7 +226,7 @@ pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
 /// Minimum over `reps` of one `GridScenario::tracked_users` on a flat
 /// policy of `users` equal-share leaves, in microseconds.
 pub fn tracked_users_us(users: usize, reps: usize) -> f64 {
-    let sc = ScenarioBuilder::equal_share_users(users, 42).build();
+    let sc = GridScenario::equal_share_users(users, 42);
     assert_eq!(sc.tracked_users().len(), users);
     min_ns(reps, || sc.tracked_users()) / 1_000.0
 }

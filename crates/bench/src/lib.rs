@@ -35,6 +35,4 @@ pub use backfill::{
 };
 pub use experiments::*;
 pub use gossip::{run_gossip_sweep, GossipPoint, GossipSweep};
-pub use sweep::{
-    cycle_trace, parallel_sweep, synthetic_users, uniform_trace, ScenarioBuilder, SWEEP_USERS,
-};
+pub use sweep::{cycle_trace, parallel_sweep, uniform_trace, SWEEP_USERS};

@@ -131,6 +131,8 @@ pub fn render_summary(name: &str, result: &SimResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aequus_sim::{GridScenario, GridSimulation};
+    use aequus_workload::users::baseline_policy_shares;
 
     #[test]
     fn series_render_shape() {
@@ -158,7 +160,8 @@ mod tests {
 
     #[test]
     fn telemetry_table_renders_when_wired() {
-        let r = crate::run_baseline_telemetry(600, 1);
+        let sc = GridScenario::national_testbed(&baseline_policy_shares(), 1).with_telemetry();
+        let r = GridSimulation::new(sc).run(&crate::baseline_trace(600, 1), 1800.0);
         let s = render_telemetry(&r);
         assert!(s.contains("# telemetry (6 sites)"));
         assert!(s.contains("aequus_uss_records_ingested_total"));

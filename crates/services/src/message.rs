@@ -15,7 +15,7 @@ pub enum UssMessage {
         /// The summary payload.
         summary: UsageSummary,
         /// Causal trace context of the pipeline stage that produced this
-        /// publication, when the publishing site sampled it. Retries and
+        /// publication, when the publishing site traces. Retries and
         /// resyncs of the same sequence number resend the *original*
         /// context, so a hop delayed by loss stays in its causal tree.
         ctx: Option<TraceCtx>,

@@ -41,7 +41,7 @@ pub struct AequusSite {
     pub lib: LibAequus,
     /// Usage reports in flight from the RMS to the USS (reporting delay),
     /// each carrying the causal trace context of its `rms.report` root span
-    /// when the span layer sampled it.
+    /// when tracing is on.
     pending_reports: VecDeque<(f64, UsageRecord, Option<TraceCtx>)>,
     last_publish_s: f64,
     /// Trace context of the latest traced UMS refresh, consumed by the next
@@ -200,11 +200,10 @@ impl AequusSite {
         self.fairshare_factor(id, now_s)
     }
 
-    /// Complete a sampled pipeline trace at the serving edge: a `lib.query`
-    /// leaf span plus (when capture is on) the full decision provenance —
-    /// recorded only when the served value is bit-identical to the current
-    /// FCS factor, so every captured explanation replays to the value the
-    /// RMS actually saw.
+    /// Complete a pipeline trace at the serving edge: a `lib.query` leaf
+    /// span plus the full decision provenance — recorded only when the
+    /// served value is bit-identical to the current FCS factor, so every
+    /// captured explanation replays to the value the RMS actually saw.
     fn trace_query(&mut self, id: UserId, value: f64, now_s: f64) {
         let Some(fresh) = self.fcs.factor_of(id) else {
             return;
@@ -219,12 +218,10 @@ impl AequusSite {
         let leaf = self.telemetry.child_span(ctx, "lib.query", now_s, || {
             format!("served {value:?} for {user}")
         });
-        if self.telemetry.provenance_enabled() {
-            if let Some(ex) = self.fcs.explain(&user) {
-                let trace_id = leaf.or(ctx).map_or(0, |c| c.trace_id);
-                self.telemetry
-                    .record_provenance(now_s, user.as_str(), trace_id, ex.factor, || ex.to_json());
-            }
+        if let Some(ex) = self.fcs.explain(&user) {
+            let trace_id = leaf.or(ctx).map_or(0, |c| c.trace_id);
+            self.telemetry
+                .record_provenance(now_s, user.as_str(), trace_id, ex.factor, || ex.to_json());
         }
     }
 

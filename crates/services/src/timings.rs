@@ -63,18 +63,19 @@ impl ServiceTimings {
 
     /// The worst-case delay contribution of each pipeline stage, in chain
     /// order, as `(stage name, seconds)` — what the fig11 companion plots
-    /// the measured per-stage delays against. Stage names match the
-    /// `aequus_tracer_<stage>_delay_s` histogram naming.
+    /// the measured per-stage delays against. The names are
+    /// `aequus_telemetry::stage`'s, which also holds the histogram each
+    /// stage's measured delay lands in.
     pub fn stage_caps(&self) -> [(&'static str, f64); 5] {
         [
-            ("report", self.report_delay_s),
+            ("uss.ingest", self.report_delay_s),
             (
-                "publish",
+                "uss.publish",
                 self.uss_publish_interval_s + self.exchange_latency_s,
             ),
-            ("ums", self.ums_refresh_interval_s),
-            ("fcs", self.fcs_refresh_interval_s),
-            ("lib", self.lib_cache_ttl_s),
+            ("ums.refresh", self.ums_refresh_interval_s),
+            ("fcs.refresh", self.fcs_refresh_interval_s),
+            ("lib.query", self.lib_cache_ttl_s),
         ]
     }
 
@@ -131,6 +132,10 @@ mod tests {
         ] {
             let sum: f64 = timings.stage_caps().iter().map(|(_, s)| s).sum();
             assert!((sum - timings.worst_case_pipeline_s()).abs() < 1e-12);
+            for (stage, _) in timings.stage_caps() {
+                let known = aequus_telemetry::stage::find(stage);
+                assert!(known.is_some_and(|s| s.delay.is_some()), "{stage}");
+            }
         }
     }
 

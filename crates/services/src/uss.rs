@@ -923,7 +923,7 @@ impl Uss {
                 let merge_ctx =
                     self.metrics
                         .telemetry
-                        .child_span(Some(parent), "gossip.merge", now_s, || {
+                        .child_span(Some(parent), "uss.merge", now_s, || {
                             format!("merged seq {seq} from site {peer} ({merged_cells} cells)")
                         });
                 self.pending_pipeline_trace = merge_ctx.or(self.pending_pipeline_trace);
@@ -1179,8 +1179,11 @@ impl Uss {
 
     /// Crash recovery: schedule a [`UssMessage::SnapshotRequest`] to every
     /// expected publisher on the next poll, pulling back the remote state
-    /// lost in the crash. Self-healing even if a request is dropped — the
-    /// next regular summary from that peer trips gap detection instead.
+    /// lost in the crash. Each request is sent once and never retried: a
+    /// dropped one is made up for only if that peer publishes again (its
+    /// next summary trips gap detection); against a peer with nothing more
+    /// to publish the recovered site stays short of that peer's data
+    /// (ROADMAP item 3(a) — the liveness gap the USS explorer found).
     pub fn request_catchup(&mut self) {
         self.catchup_pending = self.rx_peers.iter().copied().collect();
     }

@@ -309,8 +309,8 @@ fn worker_loop(
     // next command's arrival is exactly how long this worker's shards sat
     // idle at the barrier. Charged to every local shard — the *waiting*
     // shards pay, the busy shard on some other worker shows up as compute.
-    // Only taken in Full mode (Counters promises zero clock reads).
-    let measure_wait = shards.iter().any(|s| s.prof.is_full());
+    // Only taken while profiling: an unprofiled run reads no clock here.
+    let measure_wait = shards.iter().any(|s| s.prof.is_on());
     let mut last_done: Option<Instant> = None;
     while let Ok(cmd) = rx.recv() {
         match cmd {

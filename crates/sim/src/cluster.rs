@@ -7,7 +7,7 @@ use aequus_core::usage::UsageSummary;
 use aequus_core::{JobId, SiteId, SystemUser};
 use aequus_rms::{FactorConfig, Job, NodePool, ReprioritizePolicy, SchedulerCore};
 use aequus_services::{AequusSite, UssMessage};
-use aequus_telemetry::{SpanConfig, Telemetry};
+use aequus_telemetry::Telemetry;
 use aequus_workload::TraceJob;
 
 /// A cluster of the simulated grid: RMS + Aequus site.
@@ -56,16 +56,10 @@ impl SimCluster {
         }
         let nodes = NodePool::new(spec.nodes, spec.cores_per_node);
         let site_id = SiteId(index as u32);
-        let telemetry = if !scenario.telemetry {
-            Telemetry::disabled()
-        } else if scenario.span_sample_every > 0 || scenario.capture_provenance {
-            Telemetry::with_spans(SpanConfig {
-                sample_every: scenario.span_sample_every,
-                site: index as u32,
-                capture_provenance: scenario.capture_provenance,
-            })
-        } else {
-            Telemetry::enabled()
+        let telemetry = match (scenario.telemetry, scenario.tracing) {
+            (false, _) => Telemetry::disabled(),
+            (true, false) => Telemetry::enabled(),
+            (true, true) => Telemetry::traced(index as u32),
         };
         site.set_telemetry(&telemetry);
         if let Some(cfg) = scenario.store {

@@ -22,33 +22,14 @@ use aequus_telemetry::export::series_name;
 use aequus_telemetry::flight::{dump_jsonl, FlightRecorder};
 use aequus_telemetry::provenance::ProvenanceRecord;
 use aequus_telemetry::slo::StarvationClock;
+use aequus_telemetry::stage::STAGES;
 use aequus_telemetry::{
-    AlertEvent, ProfileMode, RunProfile, ShardProfiler, SloEngine, SloRule, Snapshot, SpanRecord,
-    Telemetry,
+    AlertEvent, RunProfile, ShardProfiler, SloEngine, SloRule, Snapshot, SpanRecord, Telemetry,
 };
 use aequus_workload::Trace;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Per-site service histograms folded into [`RunProfile::services`]: the
-/// registry metric name and the profile stage it reports as. Histogram
-/// *counts* are deterministic (how often each stage ran is a function of
-/// the schedule); histogram *sums* are wall seconds and feed the wall half.
-const SERVICE_STAGES: &[(&str, &str)] = &[
-    ("aequus_uss_ingest_s", "uss.ingest"),
-    ("aequus_uss_publish_s", "uss.publish"),
-    ("aequus_uss_receive_s", "gossip.merge"),
-    ("aequus_ums_refresh_s", "ums.refresh"),
-    ("aequus_fcs_refresh_full_s", "fcs.refresh_full"),
-    (
-        "aequus_fcs_refresh_incremental_s",
-        "fcs.refresh_incremental",
-    ),
-    ("aequus_rms_dispatch_s", "rms.dispatch"),
-    ("aequus_store_wal_append_s", "wal.append"),
-    ("aequus_store_wal_replay_s", "wal.replay"),
-];
 
 /// The outcome of a simulation run.
 #[derive(Debug)]
@@ -80,7 +61,7 @@ pub struct SimResult {
     /// Empty per site unless the scenario enabled tracing.
     pub site_spans: Vec<Vec<SpanRecord>>,
     /// Each site's captured decision provenance, in cluster order. Empty
-    /// per site unless the scenario enabled provenance capture.
+    /// per site unless the scenario enabled tracing.
     pub site_provenance: Vec<Vec<ProvenanceRecord>>,
     /// JSONL flight records, one per SLO alert transition that survived the
     /// recorder's dedup window, in emission order. Empty without a
@@ -473,7 +454,7 @@ impl GridSimulation {
             .set(mailbox_hwm as f64);
         let events_processed = totals.events + metrics.samples().len() as u64;
 
-        let profile = (self.scenario.profile != ProfileMode::Off).then(|| {
+        let profile = self.scenario.profile.then(|| {
             let mut rp = RunProfile {
                 shards: shards
                     .iter()
@@ -481,8 +462,7 @@ impl GridSimulation {
                         let mut p = s.prof.to_profile();
                         p.queue_hwm = s.queue.high_water() as u64;
                         // Deterministic event-count stages from the shard's
-                        // plain counters — always present, even in Counters
-                        // mode, so the folded profile has a full skeleton.
+                        // plain counters.
                         for (name, calls) in [
                             ("events.arrivals", s.stats.arrivals),
                             ("events.ticks", s.stats.ticks),
@@ -502,9 +482,13 @@ impl GridSimulation {
                 let Some(snap) = shard.cluster.telemetry.snapshot() else {
                     continue;
                 };
-                for (metric, stage) in SERVICE_STAGES {
-                    if let Some(h) = snap.histograms.get(*metric) {
-                        let e = rp.services.entry((*stage).to_string()).or_default();
+                // The stages with a wall histogram: its *count* is
+                // deterministic (how often the stage ran is a function of
+                // the schedule), its *sum* is wall seconds.
+                for stage in STAGES {
+                    let hist = stage.wall.and_then(|metric| snap.histograms.get(metric));
+                    if let Some(h) = hist {
+                        let e = rp.services.entry(stage.name.to_string()).or_default();
                         e.calls += h.count;
                         e.wall_ns = e
                             .wall_ns
@@ -734,9 +718,8 @@ mod tests {
                 e2e.p99
             );
             // Each stage histogram exists alongside the end-to-end one.
-            for stage in ["report", "publish", "ums", "fcs", "lib"] {
-                let name = format!("aequus_tracer_{stage}_delay_s");
-                assert!(snap.histograms.contains_key(&name), "missing {name}");
+            for name in STAGES.iter().filter_map(|s| s.delay) {
+                assert!(snap.histograms.contains_key(name), "missing {name}");
             }
         }
         // The engine registry saw the epoch loop.
@@ -749,7 +732,7 @@ mod tests {
     fn full_tracing_builds_cross_site_causal_trees() {
         use aequus_core::Explanation;
         use aequus_telemetry::SpanTree;
-        let sc = small_scenario().with_full_tracing();
+        let sc = small_scenario().with_tracing();
         let trace = uniform_trace(60, 10.0, 30.0);
         let result = GridSimulation::new(sc).run(&trace, 2000.0);
         // Every site holds a span store; merged, they form causal trees
@@ -804,7 +787,7 @@ mod tests {
         // diverge past a tiny threshold → the `divergence` SLO rule alerts,
         // the recorder dumps, and the dump's first line names the rule.
         let partitioned = |sc: GridScenario| {
-            let mut sc = sc.with_full_tracing();
+            let mut sc = sc.with_tracing();
             sc.faults.outages.push(crate::faults::Outage {
                 cluster: 1,
                 from_s: 0.0,
@@ -887,7 +870,7 @@ mod tests {
     #[test]
     fn profiled_run_assembles_run_profile() {
         let trace = uniform_trace(40, 10.0, 30.0);
-        let sc = small_scenario().with_profiling(ProfileMode::Counters);
+        let sc = small_scenario().with_profiling();
         assert!(sc.telemetry, "profiling implies telemetry");
         let result = GridSimulation::new(sc).run(&trace, 2000.0);
         let profile = result.profile.expect("profile assembled");
@@ -897,10 +880,10 @@ mod tests {
             assert!(sp.stages["gossip.wire"].bytes > 0, "wire bytes accounted");
             assert!(!sp.link_bytes.is_empty(), "per-link budget present");
             assert!(sp.queue_hwm > 0);
-            assert!(sp.spans.is_empty(), "no span ring in Counters mode");
+            assert!(sp.stages["epoch"].calls > 0 && !sp.spans.is_empty());
         }
         assert!(profile.services["uss.ingest"].calls > 0);
-        assert!(profile.services["gossip.merge"].calls > 0);
+        assert!(profile.services["uss.merge"].calls > 0);
         assert!(profile.mailbox_hwm > 0);
         // The hwm gauges ride the engine registry into both exporters.
         let engine = result.engine_telemetry.expect("telemetry on");

@@ -36,5 +36,5 @@ pub use engine::{GridSimulation, SimResult};
 pub use event::{Event, EventQueue};
 pub use faults::{FaultPlan, Outage};
 pub use metrics::{MetricsLog, Sample, ShardSample, UserSample};
-pub use scenario::{ClusterSpec, GridScenario, RmsKind};
+pub use scenario::{synthetic_users, ClusterSpec, GridScenario, RmsKind};
 pub use shard::{Shard, ShardStats};

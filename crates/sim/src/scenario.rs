@@ -11,7 +11,13 @@ use aequus_services::{
 };
 
 use crate::dispatch::RoutingPolicy;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, Outage};
+
+/// `n` synthetic equal-standing user names (`u000000`…), for scale runs
+/// where the paper's four-user policy would be unrealistically small.
+pub fn synthetic_users(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("u{i:06}")).collect()
+}
 
 /// Which of the paper's two RMS integrations a cluster's scheduler behaves
 /// like. Every cluster runs the same [`aequus_rms::SchedulerCore`]; the kind
@@ -101,13 +107,11 @@ pub struct GridScenario {
     /// events, and the end-to-end pipeline-delay tracer. Off by default —
     /// disabled telemetry compiles to no-op handles on every hot path.
     pub telemetry: bool,
-    /// Causal-tracing sample rate layered on telemetry: every Nth usage
-    /// report roots a cross-site span tree (`0` leaves the span layer wired
-    /// but unsampled). Requires `telemetry`.
-    pub span_sample_every: u64,
-    /// Capture decision provenance (a replayable `Explanation` per traced
-    /// served query). Requires `telemetry`.
-    pub capture_provenance: bool,
+    /// Causal tracing, layered on telemetry: every usage report roots a
+    /// cross-site span tree and every served query that closes one captures
+    /// its decision provenance (a replayable `Explanation`). Requires
+    /// `telemetry`.
+    pub tracing: bool,
     /// Run a flight recorder as the sink of the SLO alert stream: each
     /// alert transition that survives its dedup window dumps the reference
     /// site's events + spans + explanations as JSONL into the result. Fed
@@ -132,13 +136,11 @@ pub struct GridScenario {
     /// spend the whole run inside metrics sampling; the first `cap` users in
     /// policy order still give the figures their tracked series.
     pub metrics_user_cap: Option<usize>,
-    /// Continuous-profiling mode: per-shard stage accounting, barrier-wait
+    /// Continuous profiling: per-shard stage accounting, barrier-wait
     /// attribution, gossip bytes-on-wire, and the Chrome-trace / folded
-    /// export in [`crate::SimResult::profile`]. `Counters` keeps only the
-    /// deterministic half (no clock reads); `Full` adds wall timing and the
-    /// per-epoch span ring. Implies telemetry when not `Off` (the service
-    /// stages are read from the per-site registries).
-    pub profile: aequus_telemetry::ProfileMode,
+    /// export in [`crate::SimResult::profile`]. Requires `telemetry` (the
+    /// service stages are read from the per-site registries).
+    pub profile: bool,
     /// Gossip overlay topology: which sites exchange summaries directly.
     /// Interior nodes of non-mesh overlays relay merged cells onward
     /// (per-hop aggregation), so every site still converges to the full
@@ -195,14 +197,13 @@ impl GridScenario {
             retry: RetryPolicy::from_timings(&timings),
             stale_policy: StalePolicy::ServeStale,
             telemetry: false,
-            span_sample_every: 0,
-            capture_provenance: false,
+            tracing: false,
             flight: None,
             store: None,
             snapshot_transfer_s: 0.0,
             num_threads: 1,
             metrics_user_cap: None,
-            profile: aequus_telemetry::ProfileMode::Off,
+            profile: false,
             overlay: OverlayTopology::FullMesh,
             encoding: Encoding::default(),
             health: None,
@@ -223,6 +224,15 @@ impl GridScenario {
         s
     }
 
+    /// A test bed whose policy is `users` synthetic equal-share leaves (see
+    /// [`synthetic_users`]) — the nation-scale shape.
+    pub fn equal_share_users(users: usize, seed: u64) -> Self {
+        let names = synthetic_users(users);
+        let share = 1.0 / users.max(1) as f64;
+        let shares: Vec<(&str, f64)> = names.iter().map(|n| (n.as_str(), share)).collect();
+        Self::national_testbed(&shares, seed)
+    }
+
     /// Total cores across all clusters.
     pub fn total_cores(&self) -> u32 {
         self.clusters.iter().map(ClusterSpec::cores).sum()
@@ -240,6 +250,81 @@ impl GridScenario {
         self
     }
 
+    /// Resize the fleet to exactly `n` sites: truncate, or extend by cloning
+    /// the last cluster spec (homogeneous growth).
+    pub fn sites(mut self, n: usize) -> Self {
+        let template = self.clusters.last().cloned().expect("non-empty fleet");
+        self.clusters.resize(n, template);
+        self
+    }
+
+    /// Set every cluster's host count.
+    pub fn nodes_per_site(mut self, nodes: u32) -> Self {
+        for c in &mut self.clusters {
+            c.nodes = nodes;
+        }
+        self
+    }
+
+    /// The chaos/recovery suites' compressed timing profile: fast service
+    /// delays (5 s exchange latency), 30 s publish/refresh cadence, 60 s
+    /// usage slots, 5 s ticks — the whole delay chain squeezed so faults and
+    /// recovery play out inside a sub-hour run.
+    pub fn compressed(mut self) -> Self {
+        self.timings = ServiceTimings {
+            report_delay_s: 5.0,
+            uss_publish_interval_s: 30.0,
+            ums_refresh_interval_s: 30.0,
+            fcs_refresh_interval_s: 30.0,
+            lib_cache_ttl_s: 10.0,
+            lib_identity_ttl_s: 60.0,
+            exchange_latency_s: 5.0,
+        };
+        self.usage_slot_s = 60.0;
+        self.tick_interval_s = 5.0;
+        self
+    }
+
+    /// The tight reliability-layer configuration the fault suites use
+    /// (15 s ack timeout, 60 s backoff ceiling, 20% jitter) with explicit
+    /// retention caps.
+    pub fn tight_retry(mut self, history_cap: usize, outbox_cap: usize) -> Self {
+        self.retry = RetryPolicy {
+            ack_timeout_s: 15.0,
+            max_backoff_s: 60.0,
+            jitter_frac: 0.2,
+            history_cap,
+            outbox_cap,
+        };
+        self
+    }
+
+    /// Per-delivery exchange drop probability.
+    pub fn drops(mut self, probability: f64) -> Self {
+        self.faults.drop_probability = probability;
+        self
+    }
+
+    /// Add a network partition of `cluster` over `[from_s, to_s)`.
+    pub fn outage(mut self, cluster: usize, from_s: f64, to_s: f64) -> Self {
+        self.faults.outages.push(Outage {
+            cluster,
+            from_s,
+            to_s,
+        });
+        self
+    }
+
+    /// Add a crash-recovery cycle of `cluster` over `[from_s, to_s)`.
+    pub fn crash(mut self, cluster: usize, from_s: f64, to_s: f64) -> Self {
+        self.faults.crashes.push(Outage {
+            cluster,
+            from_s,
+            to_s,
+        });
+        self
+    }
+
     /// Enable per-site telemetry (metric registries, spans, events, and the
     /// pipeline-delay tracer).
     pub fn with_telemetry(mut self) -> Self {
@@ -247,12 +332,11 @@ impl GridScenario {
         self
     }
 
-    /// Full causal capture: every report traced and every traced served
-    /// query's decision provenance recorded. Implies telemetry.
-    pub fn with_full_tracing(mut self) -> Self {
+    /// Causal tracing: every report traced and every traced served query's
+    /// decision provenance recorded. Implies telemetry.
+    pub fn with_tracing(mut self) -> Self {
         self.telemetry = true;
-        self.span_sample_every = 1;
-        self.capture_provenance = true;
+        self.tracing = true;
         self
     }
 
@@ -322,15 +406,12 @@ impl GridScenario {
         self
     }
 
-    /// Enable continuous profiling. Any mode other than `Off` implies
-    /// telemetry — the profiler folds the per-site service histograms
-    /// (USS ingest/publish, gossip merge, UMS/FCS refresh, WAL
-    /// append/replay) into the run profile.
-    pub fn with_profiling(mut self, mode: aequus_telemetry::ProfileMode) -> Self {
-        self.profile = mode;
-        if mode != aequus_telemetry::ProfileMode::Off {
-            self.telemetry = true;
-        }
+    /// Enable continuous profiling. Implies telemetry — the profiler folds
+    /// the per-site service histograms (`aequus_telemetry::stage`'s wall
+    /// column) into the run profile.
+    pub fn with_profiling(mut self) -> Self {
+        self.telemetry = true;
+        self.profile = true;
         self
     }
 
@@ -420,6 +501,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fleet_grows_and_shrinks() {
+        let sc = GridScenario::national_testbed(&[("U65", 1.0)], 1);
+        let big = sc.clone().sites(32).nodes_per_site(8);
+        assert_eq!(big.clusters.len(), 32);
+        assert_eq!(big.total_cores(), 32 * 8);
+        assert_eq!(sc.sites(3).clusters.len(), 3);
+    }
+
+    #[test]
+    fn builder_replicates_recovery_shape() {
+        let sc = GridScenario::national_testbed(&[("U65", 1.0)], 7)
+            .sites(3)
+            .nodes_per_site(4)
+            .compressed()
+            .tight_retry(12, 16)
+            .crash(2, 400.0, 700.0)
+            .with_telemetry()
+            .with_snapshot_transfer(240.0)
+            .with_durable_store();
+        assert_eq!(sc.timings.exchange_latency_s, 5.0);
+        assert_eq!(sc.tick_interval_s, 5.0);
+        assert_eq!(sc.retry.history_cap, 12);
+        assert_eq!(sc.faults.crashes.len(), 1);
+        assert!(sc.telemetry && sc.store.is_some());
+        assert_eq!(sc.snapshot_transfer_s, 240.0);
+    }
+
+    #[test]
+    fn synthetic_users_are_unique_and_ordered() {
+        let users = synthetic_users(1000);
+        assert_eq!(users.len(), 1000);
+        assert!(users.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

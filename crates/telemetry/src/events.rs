@@ -1,11 +1,5 @@
-//! A bounded ring buffer of recent notable events — cache evictions, forced
-//! full rebuilds, gossip merges. Keeps the last N events; older ones are
-//! dropped (counted), so the buffer's footprint is fixed no matter how long
-//! a deployment runs.
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+//! Notable events — cache evictions, forced full rebuilds, gossip merges.
+//! A telemetry domain retains the most recent ones in a [`crate::Ring`].
 
 /// One structured event.
 #[derive(Clone, Debug, PartialEq)]
@@ -18,99 +12,4 @@ pub struct TelemetryEvent {
     pub kind: String,
     /// Free-form human-readable detail.
     pub detail: String,
-}
-
-/// The bounded event ring.
-#[derive(Debug)]
-pub struct EventRing {
-    cap: usize,
-    buf: Mutex<VecDeque<TelemetryEvent>>,
-    dropped: AtomicU64,
-}
-
-impl EventRing {
-    /// Create a ring holding at most `cap` events (minimum 1).
-    pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        Self {
-            cap,
-            buf: Mutex::new(VecDeque::with_capacity(cap)),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Append an event, evicting the oldest when full.
-    pub fn push(&self, ev: TelemetryEvent) {
-        let mut buf = self.buf.lock().expect("event ring poisoned");
-        if buf.len() == self.cap {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(ev);
-    }
-
-    /// The retained events, oldest first.
-    pub fn recent(&self) -> Vec<TelemetryEvent> {
-        self.buf
-            .lock()
-            .expect("event ring poisoned")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Events evicted so far because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(i: usize) -> TelemetryEvent {
-        TelemetryEvent {
-            t_s: i as f64,
-            kind: "test.event".to_string(),
-            detail: format!("event {i}"),
-        }
-    }
-
-    #[test]
-    fn wraparound_keeps_last_n() {
-        let ring = EventRing::new(4);
-        for i in 0..10 {
-            ring.push(ev(i));
-        }
-        let kept = ring.recent();
-        assert_eq!(kept.len(), 4);
-        assert_eq!(kept[0].t_s, 6.0, "oldest retained is event 6");
-        assert_eq!(kept[3].t_s, 9.0);
-        assert_eq!(ring.dropped(), 6);
-    }
-
-    #[test]
-    fn under_capacity_drops_nothing() {
-        let ring = EventRing::new(8);
-        ring.push(ev(0));
-        ring.push(ev(1));
-        assert_eq!(ring.recent().len(), 2);
-        assert_eq!(ring.dropped(), 0);
-        assert_eq!(ring.capacity(), 8);
-    }
-
-    #[test]
-    fn zero_capacity_clamps_to_one() {
-        let ring = EventRing::new(0);
-        ring.push(ev(0));
-        ring.push(ev(1));
-        assert_eq!(ring.recent().len(), 1);
-        assert_eq!(ring.recent()[0].t_s, 1.0);
-    }
 }

@@ -218,7 +218,9 @@ pub fn from_prometheus(text: &str) -> Option<Snapshot> {
     Some(snap)
 }
 
-fn json_f64(v: f64) -> String {
+/// A JSON number, or — JSON has none for them — the quoted name of a
+/// non-finite value.
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         fmt_f64(v)
     } else {

@@ -11,6 +11,8 @@
 //! self-contained JSONL flight record, one JSON object per line, suitable
 //! for appending to a file and for offline analysis.
 
+use crate::export::json_f64 as num;
+use crate::json::escape as esc;
 use crate::provenance::ProvenanceRecord;
 use crate::span::SpanRecord;
 use crate::{Telemetry, TelemetryEvent};
@@ -88,22 +90,6 @@ impl FlightRecorder {
             kind: "slo_alert",
             detail: format!("rule {rule} {transition} (value {value:.4})"),
         })
-    }
-}
-
-fn esc(s: &str) -> String {
-    crate::json::escape(s)
-}
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else if v.is_nan() {
-        "\"nan\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
     }
 }
 
@@ -204,7 +190,7 @@ mod tests {
 
     #[test]
     fn dump_contains_all_sections() {
-        let t = Telemetry::with_spans(crate::span::SpanConfig::full(0));
+        let t = Telemetry::traced(0);
         t.event(1.0, "uss.gossip_merge", || "cells=3".to_string());
         let ctx = t
             .start_trace("rms.report", 0.5, || "job 7".to_string())

@@ -2,36 +2,35 @@
 //!
 //! One [`Telemetry`] handle is threaded through every service of a site
 //! (USS, UMS, FCS, IRS, PDS, libaequus, the RMS scheduler) and through the
-//! sim engine. It bundles three facilities:
+//! sim engine. Its surfaces, each behind one switch:
 //!
-//! * a lock-free **metric registry** ([`Registry`]) of named counters,
-//!   gauges, and log-bucketed histograms, snapshot-able at any time and
-//!   exportable as Prometheus text or JSON ([`export`]);
-//! * a bounded **event ring** ([`EventRing`]) holding the last N notable
-//!   events (cache evictions, forced full rebuilds, gossip merges);
-//! * the **pipeline-delay tracer** (the `trace_*` methods, reporting into
-//!   the `aequus_tracer_*` histograms) measuring the empirical §IV-A-2
-//!   usage-to-fairshare delay per stage;
-//! * **causal spans** ([`span`]) propagating a [`TraceCtx`] through the
-//!   whole report→gossip→refresh→query pipeline, across sites, into a
-//!   per-site bounded [`span::SpanStore`];
-//! * **decision provenance** ([`provenance`]): type-erased, replayable
-//!   explanations of served priorities;
-//! * the **flight recorder** ([`flight`]): the SLO engine's alert sink — a
-//!   JSONL dump of recent events, spans, and explanations per alert;
-//! * **continuous profiling** ([`profile`]): per-shard stage accounting
-//!   with deterministic counters and wall-clock dual clocks, exported as a
+//! * **metrics** — on with the handle ([`Telemetry::enabled`]): a lock-free
+//!   [`Registry`] of named counters, gauges and log-bucketed histograms,
+//!   snapshot-able at any time and exportable as Prometheus text or JSON
+//!   ([`export`]); the last 256 notable events (cache evictions, forced
+//!   full rebuilds, gossip merges); and the **pipeline-delay tracer** (the
+//!   `trace_*` methods, reporting into the `aequus_tracer_*` histograms)
+//!   measuring the empirical §IV-A-2 usage-to-fairshare delay per stage;
+//! * **tracing** — [`Telemetry::traced`]: every usage report roots a causal
+//!   trace whose [`TraceCtx`] rides the whole
+//!   report→gossip→refresh→query pipeline across sites ([`span`]), and the
+//!   serve that closes a trace captures its decision [`provenance`] — a
+//!   type-erased, replayable explanation of the served priority;
+//! * **profiling** ([`profile`]): per-shard stage accounting with
+//!   deterministic counters and wall-clock dual clocks, exported as a
 //!   Chrome trace and a folded-stacks profile;
-//! * the **SLO engine** ([`slo`]): streaming fairness-health rules
-//!   evaluated on sim-time windows with multi-window burn-rate alerting
-//!   and a deterministic pending → firing → resolved lifecycle.
+//! * **health** ([`slo`]): streaming fairness-health rules evaluated on
+//!   sim-time windows with multi-window burn-rate alerting and a
+//!   deterministic pending → firing → resolved lifecycle;
+//! * the **flight recorder** ([`flight`]): the SLO engine's alert sink — a
+//!   JSONL dump of recent events, spans, and explanations per alert.
+//!
+//! Everything a surface retains sits in one bounded store, [`Ring`], and
+//! every stage is named once, in [`stage::STAGES`].
 //!
 //! A disabled handle ([`Telemetry::disabled`]) reduces every operation to
 //! an `Option` check — no allocation, no clock reads, no locks — so
-//! instrumentation can stay unconditionally in place on hot paths. The
-//! span layer adds a second tier: *enabled but unsampled*
-//! ([`SpanConfig::sample_every`] = 0), where trace starts are a branch and
-//! every downstream stage short-circuits on a `None` context.
+//! instrumentation can stay unconditionally in place on hot paths.
 
 #![warn(missing_docs)]
 
@@ -43,40 +42,83 @@ pub mod json;
 pub mod profile;
 pub mod provenance;
 mod registry;
+mod ring;
 pub mod slo;
 pub mod span;
+pub mod stage;
 mod tracer;
 
-pub use events::{EventRing, TelemetryEvent};
+pub use events::TelemetryEvent;
 pub use hist::{Histogram, HistogramSnapshot, SpanTimer};
-pub use profile::{ProfileMode, RunProfile, ShardProfile, ShardProfiler, StageStats};
+pub use profile::{RunProfile, ShardProfile, ShardProfiler, StageStats};
 pub use registry::{Counter, Gauge, Registry, Snapshot};
-pub use slo::{AlertEvent, AlertState, SloConfig, SloEngine, SloRule};
-pub use span::{SpanConfig, SpanRecord, SpanTree, TraceCtx};
+pub use ring::Ring;
+pub use slo::{AlertEvent, SloConfig, SloEngine, SloRule};
+pub use span::{SpanRecord, SpanTree, TraceCtx};
 
-use provenance::{ProvenanceRecord, ProvenanceStore};
-use span::SpanStore;
+use provenance::ProvenanceRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tracer::PipelineTracer;
+
+/// What a telemetry domain retains of its recent past, behind one lock.
+#[derive(Debug)]
+struct Records {
+    events: Ring<TelemetryEvent>,
+    spans: Ring<SpanRecord>,
+    provenance: Ring<ProvenanceRecord>,
+    /// Spans recorded so far — the sequence half of the next span id.
+    span_seq: u64,
+}
 
 #[derive(Debug)]
 struct Inner {
     registry: Registry,
-    events: EventRing,
+    records: Mutex<Records>,
     tracer: Mutex<PipelineTracer>,
     /// Number of in-flight traces; lets the per-query `trace_*` fast paths
     /// skip the tracer mutex entirely while nothing is being traced.
     tracer_active: AtomicU64,
-    span_cfg: SpanConfig,
-    spans: Mutex<SpanStore>,
-    /// Trace-root candidates seen (drives `sample_every` sampling).
-    span_seen: AtomicU64,
-    provenance: Mutex<ProvenanceStore>,
+    /// The site whose usage reports root causal traces here and whose
+    /// served decisions are captured; `None` while tracing is off.
+    traced_site: Option<u32>,
     /// Pre-registered span-layer stat handles (ride into snapshots).
     c_traces: Counter,
     c_spans: Counter,
     c_provenance: Counter,
+}
+
+impl Inner {
+    fn records(&self) -> MutexGuard<'_, Records> {
+        self.records.lock().expect("telemetry records poisoned")
+    }
+
+    /// Record one span of `site` under `parent` (a trace root when `None`)
+    /// and return the context the next hop continues from.
+    fn record_span(
+        &self,
+        site: u32,
+        parent: Option<TraceCtx>,
+        name: &'static str,
+        t_s: f64,
+        detail: String,
+    ) -> TraceCtx {
+        let mut records = self.records();
+        records.span_seq += 1;
+        let id = span::span_id(site, records.span_seq);
+        let trace_id = parent.map_or(id, |p| p.trace_id);
+        records.spans.push(SpanRecord {
+            trace_id,
+            span_id: id,
+            parent_span: parent.map_or(0, |p| p.span),
+            name: name.to_string(),
+            site,
+            t_s,
+            detail,
+        });
+        self.c_spans.inc();
+        TraceCtx { trace_id, span: id }
+    }
 }
 
 /// Events the ring of an enabled handle retains.
@@ -94,15 +136,20 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// An enabled handle; the span layer stays enabled-but-unsampled
-    /// ([`SpanConfig::default`]).
+    /// An enabled handle with tracing off: metrics, events and the
+    /// pipeline-delay tracer.
     pub fn enabled() -> Self {
-        Self::with_spans(SpanConfig::default())
+        Self::new(None)
     }
 
-    /// An enabled handle with an explicit span-layer configuration — the
-    /// constructor for causal capture ([`SpanConfig::full`]).
-    pub fn with_spans(spans: SpanConfig) -> Self {
+    /// An enabled handle with tracing on for `site`: every usage report
+    /// roots a causal trace and every serve that closes one captures its
+    /// decision provenance. The site is embedded in allocated span ids.
+    pub fn traced(site: u32) -> Self {
+        Self::new(Some(site))
+    }
+
+    fn new(traced_site: Option<u32>) -> Self {
         let registry = Registry::new();
         let tracer = PipelineTracer::new(&registry);
         let c_traces = registry.counter("aequus_spans_traces_total");
@@ -111,13 +158,15 @@ impl Telemetry {
         Self {
             inner: Some(Arc::new(Inner {
                 registry,
-                events: EventRing::new(EVENT_CAPACITY),
+                records: Mutex::new(Records {
+                    events: Ring::new(EVENT_CAPACITY),
+                    spans: Ring::new(span::STORE_CAP),
+                    provenance: Ring::new(span::STORE_CAP),
+                    span_seq: 0,
+                }),
                 tracer: Mutex::new(tracer),
                 tracer_active: AtomicU64::new(0),
-                spans: Mutex::new(SpanStore::new(spans.site, span::STORE_CAP)),
-                span_cfg: spans,
-                span_seen: AtomicU64::new(0),
-                provenance: Mutex::new(ProvenanceStore::new(span::STORE_CAP)),
+                traced_site,
                 c_traces,
                 c_spans,
                 c_provenance,
@@ -152,11 +201,12 @@ impl Telemetry {
     /// domain time, or `-1.0` where the call site has no clock.
     pub fn event(&self, t_s: f64, kind: &'static str, detail: impl FnOnce() -> String) {
         if let Some(i) = &self.inner {
-            i.events.push(TelemetryEvent {
+            let event = TelemetryEvent {
                 t_s,
                 kind: kind.to_string(),
                 detail: detail(),
-            });
+            };
+            i.records().events.push(event);
         }
     }
 
@@ -164,12 +214,7 @@ impl Telemetry {
     pub fn recent_events(&self) -> Vec<TelemetryEvent> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| i.events.recent())
-    }
-
-    /// Events evicted from the ring so far.
-    pub fn events_dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.events.dropped())
+            .map_or_else(Vec::new, |i| i.records().events.to_vec())
     }
 
     /// Snapshot every registered metric plus the retained event ring;
@@ -177,8 +222,9 @@ impl Telemetry {
     pub fn snapshot(&self) -> Option<Snapshot> {
         self.inner.as_ref().map(|i| {
             let mut snap = i.registry.snapshot();
-            snap.events = i.events.recent();
-            snap.events_dropped = i.events.dropped();
+            let records = i.records();
+            snap.events = records.events.to_vec();
+            snap.events_dropped = records.events.dropped();
             snap
         })
     }
@@ -192,15 +238,6 @@ impl Telemetry {
         }
     }
 
-    /// Whether any trace is currently in flight (always `false` when
-    /// disabled). The per-query tracer hooks use this to skip the mutex.
-    fn tracer_is_idle(&self) -> bool {
-        match &self.inner {
-            None => true,
-            Some(i) => i.tracer_active.load(Ordering::Relaxed) == 0,
-        }
-    }
-
     /// Tracer stage 0: the RMS reported job `job` of `user` at `now_s`.
     pub fn trace_report(&self, job: u64, user: &str, now_s: f64) {
         self.with_tracer(|t| {
@@ -211,16 +248,17 @@ impl Telemetry {
     /// Tracer stage I: job `job`'s record was ingested by the USS; its
     /// charge ends in histogram slot `end_slot`.
     pub fn trace_ingest(&self, job: u64, end_slot: u64, now_s: f64) {
-        if self.tracer_is_idle() {
+        if self.traces_active() == 0 {
             return;
         }
         self.with_tracer(|t| t.on_ingest(job, end_slot, now_s));
     }
 
-    /// Tracer stage II-a: the USS published a summary for `users` while in
+    /// Tracer stage II-a: the USS published a summary for `users` — in
+    /// ascending order, as a summary's user map yields them — while in
     /// slot `current_slot`.
     pub fn trace_publish(&self, users: &[&str], current_slot: u64, now_s: f64) {
-        if self.tracer_is_idle() {
+        if self.traces_active() == 0 {
             return;
         }
         self.with_tracer(|t| t.on_publish(users, current_slot, now_s));
@@ -228,7 +266,7 @@ impl Telemetry {
 
     /// Tracer stage II-b: a UMS refresh actually ran at `now_s`.
     pub fn trace_ums_refresh(&self, now_s: f64) {
-        if self.tracer_is_idle() {
+        if self.traces_active() == 0 {
             return;
         }
         self.with_tracer(|t| t.on_ums_refresh(now_s));
@@ -236,7 +274,7 @@ impl Telemetry {
 
     /// Tracer stage II-c: an FCS refresh actually ran at `now_s`.
     pub fn trace_fcs_refresh(&self, now_s: f64) {
-        if self.tracer_is_idle() {
+        if self.traces_active() == 0 {
             return;
         }
         self.with_tracer(|t| t.on_fcs_refresh(now_s));
@@ -245,62 +283,46 @@ impl Telemetry {
     /// Tracer stage III: a libaequus query for `user` was answered with a
     /// value fetched from the FCS at `served_fetch_s`.
     pub fn trace_lib_query(&self, user: &str, served_fetch_s: f64, now_s: f64) {
-        if self.tracer_is_idle() {
+        if self.traces_active() == 0 {
             return;
         }
         self.with_tracer(|t| t.on_lib_query(user, served_fetch_s, now_s));
     }
 
-    /// Number of traces currently in flight.
+    /// Number of traces currently in flight (`0` when disabled). The
+    /// per-query tracer hooks read it to skip the tracer mutex.
     pub fn traces_active(&self) -> u64 {
         self.inner
             .as_ref()
             .map_or(0, |i| i.tracer_active.load(Ordering::Relaxed))
     }
 
-    // --- Causal spans (span layer) ---
+    // --- Causal spans and decision provenance (tracing) ---
 
-    /// Maybe start a causal trace: if the span layer samples this root, a
-    /// root span is recorded and its context returned for propagation.
-    /// `detail` is only rendered for sampled roots. Unsampled or disabled
-    /// handles return `None` after at most one counter bump.
+    /// The handle's internals and its site, when tracing is on.
+    fn tracing(&self) -> Option<(&Inner, u32)> {
+        let i = self.inner.as_deref()?;
+        Some((i, i.traced_site?))
+    }
+
+    /// Start a causal trace: with tracing on, a root span is recorded and
+    /// its context returned for propagation. `detail` is only rendered
+    /// then; any other handle returns `None` after one branch.
     pub fn start_trace(
         &self,
         name: &'static str,
         t_s: f64,
         detail: impl FnOnce() -> String,
     ) -> Option<TraceCtx> {
-        let i = self.inner.as_ref()?;
-        if i.span_cfg.sample_every == 0 {
-            return None;
-        }
-        let seen = i.span_seen.fetch_add(1, Ordering::Relaxed);
-        if seen % i.span_cfg.sample_every != 0 {
-            return None;
-        }
-        let mut store = i.spans.lock().expect("span store poisoned");
-        let id = store.alloc_id();
-        store.push(SpanRecord {
-            trace_id: id,
-            span_id: id,
-            parent_span: 0,
-            name: name.to_string(),
-            site: i.span_cfg.site,
-            t_s,
-            detail: detail(),
-        });
+        let (i, site) = self.tracing()?;
         i.c_traces.inc();
-        i.c_spans.inc();
-        Some(TraceCtx {
-            trace_id: id,
-            span: id,
-        })
+        Some(i.record_span(site, None, name, t_s, detail()))
     }
 
     /// Record a span causally linked under `parent` (which may have been
     /// recorded on another site — that is how gossip hops stitch cross-site
     /// trees together). Returns the child context for further propagation;
-    /// a `None` parent (unsampled) or a disabled handle is a cheap no-op.
+    /// a `None` parent or a handle with tracing off is a cheap no-op.
     pub fn child_span(
         &self,
         parent: Option<TraceCtx>,
@@ -308,57 +330,19 @@ impl Telemetry {
         t_s: f64,
         detail: impl FnOnce() -> String,
     ) -> Option<TraceCtx> {
-        let (i, p) = match (&self.inner, parent) {
-            (Some(i), Some(p)) => (i, p),
-            _ => return None,
-        };
-        let mut store = i.spans.lock().expect("span store poisoned");
-        let id = store.alloc_id();
-        store.push(SpanRecord {
-            trace_id: p.trace_id,
-            span_id: id,
-            parent_span: p.span,
-            name: name.to_string(),
-            site: i.span_cfg.site,
-            t_s,
-            detail: detail(),
-        });
-        i.c_spans.inc();
-        Some(TraceCtx {
-            trace_id: p.trace_id,
-            span: id,
-        })
+        let ((i, site), parent) = (self.tracing()?, parent?);
+        Some(i.record_span(site, Some(parent), name, t_s, detail()))
     }
 
-    /// The retained spans of this site's store, oldest first.
+    /// The retained spans of this site's ring, oldest first.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.spans
-                .lock()
-                .expect("span store poisoned")
-                .spans()
-                .to_vec()
-        })
-    }
-
-    /// Spans evicted from the bounded store so far.
-    pub fn spans_dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| {
-            i.spans.lock().expect("span store poisoned").dropped()
-        })
-    }
-
-    // --- Decision provenance ---
-
-    /// Whether explanation capture is on.
-    pub fn provenance_enabled(&self) -> bool {
         self.inner
             .as_ref()
-            .is_some_and(|i| i.span_cfg.capture_provenance)
+            .map_or_else(Vec::new, |i| i.records().spans.to_vec())
     }
 
     /// Capture a served decision. `json` (the pre-rendered `Explanation`
-    /// body) is only invoked when capture is on.
+    /// body) is only invoked when tracing is on.
     pub fn record_provenance(
         &self,
         t_s: f64,
@@ -367,33 +351,24 @@ impl Telemetry {
         factor: f64,
         json: impl FnOnce() -> String,
     ) {
-        if let Some(i) = &self.inner {
-            if !i.span_cfg.capture_provenance {
-                return;
-            }
-            i.provenance
-                .lock()
-                .expect("provenance store poisoned")
-                .push(ProvenanceRecord {
-                    t_s,
-                    user: user.to_string(),
-                    trace_id,
-                    factor,
-                    json: json(),
-                });
+        if let Some((i, _)) = self.tracing() {
+            let record = ProvenanceRecord {
+                t_s,
+                user: user.to_string(),
+                trace_id,
+                factor,
+                json: json(),
+            };
+            i.records().provenance.push(record);
             i.c_provenance.inc();
         }
     }
 
     /// The retained decision records, oldest first.
     pub fn provenance_records(&self) -> Vec<ProvenanceRecord> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.provenance
-                .lock()
-                .expect("provenance store poisoned")
-                .records()
-                .to_vec()
-        })
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.records().provenance.to_vec())
     }
 }
 
@@ -455,31 +430,26 @@ mod tests {
     }
 
     #[test]
-    fn span_layer_disabled_and_unsampled_are_inert() {
-        let off = Telemetry::disabled();
-        assert!(off
-            .start_trace("rms.report", 0.0, || unreachable!("no detail when off"))
-            .is_none());
-        assert!(off.child_span(None, "x", 0.0, || unreachable!()).is_none());
-        assert!(off.spans().is_empty());
-        assert!(!off.provenance_enabled());
-        off.record_provenance(0.0, "u", 0, 0.5, || unreachable!());
-
-        // Enabled but unsampled (the default): same observable behavior.
-        let unsampled = Telemetry::enabled();
-        assert!(unsampled
-            .start_trace("rms.report", 0.0, || unreachable!("unsampled"))
-            .is_none());
-        assert!(unsampled.spans().is_empty());
-        assert_eq!(
-            unsampled.snapshot().unwrap().counters["aequus_spans_traces_total"],
-            0
-        );
+    fn tracing_off_records_no_span_and_no_decision() {
+        let ctx = Some(TraceCtx {
+            trace_id: 1,
+            span: 1,
+        });
+        for off in [Telemetry::disabled(), Telemetry::enabled()] {
+            assert!(off
+                .start_trace("rms.report", 0.0, || unreachable!("no detail when off"))
+                .is_none());
+            assert!(off.child_span(ctx, "x", 0.0, || unreachable!()).is_none());
+            off.record_provenance(0.0, "u", 0, 0.5, || unreachable!());
+            assert!(off.spans().is_empty() && off.provenance_records().is_empty());
+        }
+        let metrics_only = Telemetry::enabled().snapshot().unwrap();
+        assert_eq!(metrics_only.counters["aequus_spans_traces_total"], 0);
     }
 
     #[test]
     fn span_chain_propagates_trace_and_parents() {
-        let t = Telemetry::with_spans(SpanConfig::full(2));
+        let t = Telemetry::traced(2);
         let root = t.start_trace("rms.report", 1.0, || "job 9".into()).unwrap();
         assert_eq!(root.trace_id, root.span);
         let ingest = t
@@ -506,21 +476,8 @@ mod tests {
     }
 
     #[test]
-    fn span_sampling_takes_every_nth_root() {
-        let t = Telemetry::with_spans(SpanConfig {
-            sample_every: 4,
-            ..SpanConfig::full(0)
-        });
-        let sampled = (0..16)
-            .filter(|_| t.start_trace("r", 0.0, String::new).is_some())
-            .count();
-        assert_eq!(sampled, 4);
-    }
-
-    #[test]
     fn provenance_capture_round_trip() {
-        let t = Telemetry::with_spans(SpanConfig::full(0));
-        assert!(t.provenance_enabled());
+        let t = Telemetry::traced(0);
         t.record_provenance(5.0, "alice", 42, 0.625, || "{\"x\":2}".to_string());
         t.record_provenance(6.0, "bob", 0, 0.5, || "{}".to_string());
         let recs = t.provenance_records();

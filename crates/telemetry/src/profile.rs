@@ -15,14 +15,14 @@
 //!   *and* wall-clock nanoseconds (how long the host actually spent). The
 //!   deterministic half is bit-identical across worker counts; the wall
 //!   half is what you profile.
-//! * A **bounded span ring** ([`ProfSpan`]) of per-epoch compute and
-//!   barrier-wait windows, drop-oldest with a drop counter — a 100k-user
-//!   run cannot OOM the profiler.
+//! * A **bounded span ring** (a [`Ring`] of [`ProfSpan`]) of per-epoch
+//!   compute and barrier-wait windows — a 100k-user run cannot OOM the
+//!   profiler.
 //! * [`RunProfile`] — the merged end-of-run artifact, exported as a Chrome
 //!   trace-event JSON ([`RunProfile::to_chrome_trace`], loadable in
-//!   `about://tracing` / Perfetto, one track per shard, epochs as frames),
-//!   a folded-stacks text profile ([`RunProfile::to_folded`], deterministic
-//!   by construction), and a JSON document ([`RunProfile::to_json`]).
+//!   `about://tracing` / Perfetto, one track per shard, epochs as frames)
+//!   and a folded-stacks text profile ([`RunProfile::to_folded`],
+//!   deterministic by construction).
 //!
 //! **Why barrier wait is attributed to the *waiting* shard:** a stalled
 //! worker tells you which shards paid for the imbalance, not which shard
@@ -32,42 +32,20 @@
 //! same wall clock, so share-of-total comparisons stay meaningful.
 
 use crate::json::escape as json_escape;
-use std::collections::{BTreeMap, VecDeque};
+use crate::Ring;
+use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// How much the profiler records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProfileMode {
-    /// Nothing. Every profiler call is a branch on a plain bool.
-    #[default]
-    Off,
-    /// Deterministic counters only (calls, bytes): no clock reads, no span
-    /// ring — the "enabled but unsampled" tier, budgeted at ≤5% overhead.
-    Counters,
-    /// Counters plus wall-clock stage timing and the per-epoch span ring —
-    /// full capture, budgeted at ≤10% overhead.
-    Full,
-}
 
 /// Accumulated statistics for one named stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Times the stage ran (deterministic).
     pub calls: u64,
-    /// Wall-clock nanoseconds spent in the stage (host-dependent; zero in
-    /// [`ProfileMode::Counters`] and for purely counted stages).
+    /// Wall-clock nanoseconds spent in the stage (host-dependent; zero for
+    /// purely counted stages).
     pub wall_ns: u64,
     /// Bytes the stage moved (deterministic; gossip wire accounting).
     pub bytes: u64,
-}
-
-impl StageStats {
-    /// Accumulate another reading.
-    pub fn merge(&mut self, other: &StageStats) {
-        self.calls += other.calls;
-        self.wall_ns = self.wall_ns.saturating_add(other.wall_ns);
-        self.bytes += other.bytes;
-    }
 }
 
 /// One recorded span: an epoch's compute window or a barrier wait, on the
@@ -75,7 +53,7 @@ impl StageStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfSpan {
     /// Stage name (`"epoch"` or `"barrier.wait"`).
-    pub name: String,
+    pub name: &'static str,
     /// Epoch index in the barrier schedule.
     pub epoch: u64,
     /// The epoch's simulated-time limit, seconds (the sim clock of the
@@ -102,12 +80,11 @@ pub const WALL_STAGES: &[&str] = &["epoch", "barrier.wait"];
 /// counters, so profiling adds no synchronization to the hot loop.
 #[derive(Debug)]
 pub struct ShardProfiler {
-    mode: ProfileMode,
+    on: bool,
     shard: usize,
     origin: Instant,
     stages: BTreeMap<&'static str, StageStats>,
-    spans: VecDeque<ProfSpan>,
-    spans_dropped: u64,
+    spans: Ring<ProfSpan>,
     /// Bytes staged toward each destination shard (gossip wire accounting
     /// per link; deterministic).
     link_bytes: BTreeMap<usize, u64>,
@@ -119,33 +96,33 @@ impl ShardProfiler {
     /// A profiler that records nothing (the default for tests and
     /// profiling-off scenarios).
     pub fn disabled() -> Self {
-        Self::new(0, ProfileMode::Off, Instant::now())
+        Self::new(0, false, Instant::now())
     }
 
-    /// A profiler for `shard` in `mode`. `origin` is the run-start instant
-    /// shared by every shard, so all spans land on one timeline.
-    pub fn new(shard: usize, mode: ProfileMode, origin: Instant) -> Self {
+    /// A profiler for `shard`, recording when `on` — every call is a branch
+    /// on that bool otherwise. `origin` is the run-start instant shared by
+    /// every shard, so all spans land on one timeline.
+    pub fn new(shard: usize, on: bool, origin: Instant) -> Self {
         Self {
-            mode,
+            on,
             shard,
             origin,
             stages: BTreeMap::new(),
-            spans: VecDeque::new(),
-            spans_dropped: 0,
+            spans: Ring::new(SPAN_CAP),
             link_bytes: BTreeMap::new(),
             open: None,
         }
     }
 
-    /// Whether wall-clock capture (timers + span ring) is on.
-    pub fn is_full(&self) -> bool {
-        self.mode == ProfileMode::Full
+    /// Whether the profiler records anything.
+    pub fn is_on(&self) -> bool {
+        self.on
     }
 
     /// Account `bytes` staged toward destination shard `dest` (the gossip
     /// bytes-on-wire budget, per link and in aggregate).
     pub fn add_wire(&mut self, dest: usize, bytes: u64) {
-        if self.mode == ProfileMode::Off {
+        if !self.on {
             return;
         }
         let wire = self.stages.entry("gossip.wire").or_default();
@@ -154,11 +131,9 @@ impl ShardProfiler {
         *self.link_bytes.entry(dest).or_insert(0) += bytes;
     }
 
-    /// Open this shard's compute window for `epoch` (no-op below
-    /// [`ProfileMode::Full`] — epoch *counts* are derivable from the
-    /// schedule, only the wall timing needs a clock).
+    /// Open this shard's compute window for `epoch`.
     pub fn begin_epoch(&mut self, epoch: u64, limit_s: f64, events_before: u64) {
-        if self.mode != ProfileMode::Full {
+        if !self.on {
             return;
         }
         self.open = Some((epoch, limit_s, Instant::now(), events_before));
@@ -175,8 +150,8 @@ impl ShardProfiler {
         let e = self.stages.entry("epoch").or_default();
         e.calls += 1;
         e.wall_ns = e.wall_ns.saturating_add(dur_ns);
-        self.push_span(ProfSpan {
-            name: "epoch".to_string(),
+        self.spans.push(ProfSpan {
+            name: "epoch",
             epoch,
             limit_s,
             start_ns,
@@ -189,31 +164,21 @@ impl ShardProfiler {
     /// shard (see the module docs for why the waiter pays), tagged with the
     /// epoch the shard was waiting to start.
     pub fn record_wait_ns(&mut self, dur_ns: u64, epoch: u64, limit_s: f64) {
-        if self.mode == ProfileMode::Off {
+        if !self.on {
             return;
         }
         let e = self.stages.entry("barrier.wait").or_default();
         e.calls += 1;
         e.wall_ns = e.wall_ns.saturating_add(dur_ns);
-        if self.mode == ProfileMode::Full {
-            let now_ns = self.origin.elapsed().as_nanos() as u64;
-            self.push_span(ProfSpan {
-                name: "barrier.wait".to_string(),
-                epoch,
-                limit_s,
-                start_ns: now_ns.saturating_sub(dur_ns),
-                dur_ns,
-                events: 0,
-            });
-        }
-    }
-
-    fn push_span(&mut self, span: ProfSpan) {
-        if self.spans.len() >= SPAN_CAP {
-            self.spans.pop_front();
-            self.spans_dropped += 1;
-        }
-        self.spans.push_back(span);
+        let now_ns = self.origin.elapsed().as_nanos() as u64;
+        self.spans.push(ProfSpan {
+            name: "barrier.wait",
+            epoch,
+            limit_s,
+            start_ns: now_ns.saturating_sub(dur_ns),
+            dur_ns,
+            events: 0,
+        });
     }
 
     /// Snapshot into the owned, serializable per-shard profile. The caller
@@ -227,8 +192,8 @@ impl ShardProfiler {
                 .iter()
                 .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
-            spans: self.spans.iter().cloned().collect(),
-            spans_dropped: self.spans_dropped,
+            spans: self.spans.to_vec(),
+            spans_dropped: self.spans.dropped(),
             link_bytes: self.link_bytes.clone(),
             queue_hwm: 0,
         }
@@ -305,7 +270,7 @@ impl RunProfile {
                         "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                          \"pid\":1,\"tid\":{},\"args\":{{\"epoch\":{},\
                          \"limit_s\":{:?},\"events\":{}}}}}",
-                        json_escape(&s.name),
+                        json_escape(s.name),
                         s.start_ns / 1_000,
                         s.dur_ns / 1_000,
                         sp.shard,
@@ -355,68 +320,6 @@ impl RunProfile {
         out.push_str(&format!("aequus;engine;mailbox.hwm {}\n", self.mailbox_hwm));
         out
     }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        fn stages_json(stages: &BTreeMap<String, StageStats>) -> String {
-            let body: Vec<String> = stages
-                .iter()
-                .map(|(k, v)| {
-                    format!(
-                        "\"{}\":{{\"calls\":{},\"wall_ns\":{},\"bytes\":{}}}",
-                        json_escape(k),
-                        v.calls,
-                        v.wall_ns,
-                        v.bytes
-                    )
-                })
-                .collect();
-            format!("{{{}}}", body.join(","))
-        }
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|sp| {
-                let links: Vec<String> = sp
-                    .link_bytes
-                    .iter()
-                    .map(|(d, b)| format!("\"{d}\":{b}"))
-                    .collect();
-                let spans: Vec<String> = sp
-                    .spans
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"name\":\"{}\",\"epoch\":{},\"limit_s\":{:?},\
-                             \"start_ns\":{},\"dur_ns\":{},\"events\":{}}}",
-                            json_escape(&s.name),
-                            s.epoch,
-                            s.limit_s,
-                            s.start_ns,
-                            s.dur_ns,
-                            s.events
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"shard\":{},\"queue_hwm\":{},\"spans_dropped\":{},\
-                     \"stages\":{},\"link_bytes\":{{{}}},\"spans\":[{}]}}",
-                    sp.shard,
-                    sp.queue_hwm,
-                    sp.spans_dropped,
-                    stages_json(&sp.stages),
-                    links.join(","),
-                    spans.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"shards\":[{}],\"services\":{},\"mailbox_hwm\":{}}}",
-            shards.join(","),
-            stages_json(&self.services),
-            self.mailbox_hwm
-        )
-    }
 }
 
 #[cfg(test)]
@@ -425,7 +328,7 @@ mod tests {
     use crate::json::JsonValue;
 
     fn full_profiler() -> ShardProfiler {
-        ShardProfiler::new(3, ProfileMode::Full, Instant::now())
+        ShardProfiler::new(3, true, Instant::now())
     }
 
     #[test]
@@ -441,22 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_mode_skips_spans_but_counts() {
-        let mut p = ShardProfiler::new(0, ProfileMode::Counters, Instant::now());
-        p.add_wire(2, 64);
-        p.add_wire(2, 36);
-        p.begin_epoch(0, 5.0, 0);
-        p.end_epoch(3);
-        let prof = p.to_profile();
-        assert!(prof.spans.is_empty(), "no span ring below Full");
-        assert_eq!(prof.stages["gossip.wire"].calls, 2);
-        assert_eq!(prof.stages["gossip.wire"].bytes, 100);
-        assert_eq!(prof.link_bytes[&2], 100);
-        assert!(!prof.stages.contains_key("epoch"));
-    }
-
-    #[test]
-    fn full_mode_records_epoch_spans_with_event_deltas() {
+    fn records_epoch_spans_with_event_deltas() {
         let mut p = full_profiler();
         p.begin_epoch(0, 0.0, 0);
         p.end_epoch(4);
@@ -551,17 +439,5 @@ mod tests {
         assert!(folded.contains("aequus;engine;mailbox.hwm 6\n"));
         assert!(!folded.contains("barrier.wait"), "wall stages excluded");
         assert!(!folded.contains(";epoch "), "wall stages excluded");
-    }
-
-    #[test]
-    fn json_is_valid_and_carries_every_section() {
-        let profile = sample_run_profile();
-        let v = JsonValue::parse(&profile.to_json()).expect("valid JSON");
-        let shard = &v.get("shards").unwrap().as_array().unwrap()[0];
-        assert_eq!(shard.get("shard").unwrap().as_u64(), Some(3));
-        assert_eq!(shard.get("spans").unwrap().as_array().unwrap().len(), 2);
-        let wire = shard.get("stages").unwrap().get("gossip.wire").unwrap();
-        assert_eq!(wire.get("bytes").unwrap().as_u64(), Some(128));
-        assert_eq!(v.get("mailbox_hwm").unwrap().as_u64(), Some(6));
     }
 }

@@ -106,7 +106,7 @@ pub struct SloRule {
 
 /// Lifecycle state of one rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AlertState {
+enum AlertState {
     /// Inside budget.
     Ok,
     /// Short window burning hot; long window still inside budget.
@@ -214,24 +214,6 @@ impl SloEngine {
     /// The configuration in force.
     pub fn config(&self) -> &SloConfig {
         &self.cfg
-    }
-
-    /// Current lifecycle state of rule `idx`.
-    pub fn state(&self, idx: usize) -> AlertState {
-        self.states[idx].state
-    }
-
-    /// Number of rules currently firing.
-    pub fn firing(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| s.state == AlertState::Firing)
-            .count()
-    }
-
-    /// Every transition emitted so far, in order.
-    pub fn events(&self) -> &[AlertEvent] {
-        &self.log
     }
 
     /// Consume the engine, yielding the full transition log.
@@ -404,8 +386,8 @@ mod tests {
             seq,
             vec![(480.0, "pending"), (540.0, "firing"), (900.0, "resolved")]
         );
-        assert_eq!(e.state(0), AlertState::Ok);
-        assert_eq!(e.events().len(), 3);
+        assert_eq!(e.states[0].state, AlertState::Ok);
+        assert_eq!(e.into_events(), events);
         // Burn rates at the firing edge: 2/5 of the short window and 1/10
         // of the long window were bad, against a 5% budget.
         let firing = &events[1];
@@ -426,7 +408,7 @@ mod tests {
         }
         let seq: Vec<&str> = events.iter().map(|a| a.transition).collect();
         assert_eq!(seq, vec!["pending", "cleared"]);
-        assert_eq!(e.firing(), 0);
+        assert_eq!(e.states[0].state, AlertState::Ok);
     }
 
     /// Observations before warmup are recorded as good even when the value
@@ -449,7 +431,7 @@ mod tests {
         }
         // Past warmup with a good value: still quiet.
         assert!(e.observe(300.0, &[0.1]).is_empty());
-        assert!(e.events().is_empty());
+        assert!(e.into_events().is_empty());
     }
 
     /// The denominator is the full window even when the run is younger:

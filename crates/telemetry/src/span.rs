@@ -15,10 +15,10 @@
 //! ids allocated independently on different sites never collide and a
 //! [`SpanTree`] can be assembled from the union of all per-site stores.
 //!
-//! Sampling is controlled by [`SpanConfig::sample_every`]; `0` means the
-//! layer is wired but never samples — the *enabled-but-unsampled* mode whose
-//! cost on the hot path is one branch per report (the ctx stays `None`, so
-//! no downstream stage does any work).
+//! Tracing is one switch per telemetry domain
+//! ([`Telemetry::traced`](crate::Telemetry::traced)): on, every usage report
+//! roots a trace; off, a report's context is `None` and no downstream stage
+//! does any work.
 
 use std::collections::BTreeMap;
 
@@ -42,7 +42,7 @@ pub struct SpanRecord {
     pub span_id: u64,
     /// The causal parent's span id; `0` for a trace root.
     pub parent_span: u64,
-    /// Stage name, e.g. `"uss.ingest"` or `"gossip.merge"`.
+    /// Stage name, e.g. `"uss.ingest"` or `"uss.merge"` ([`crate::stage`]).
     pub name: String,
     /// The site that recorded the span.
     pub site: u32,
@@ -52,93 +52,17 @@ pub struct SpanRecord {
     pub detail: String,
 }
 
-/// Capacity of a site's bounded span store and of its provenance store;
-/// the oldest entry is evicted (and counted) beyond this.
+/// Capacity of a site's span ring and of its decision-record ring.
 pub(crate) const STORE_CAP: usize = 4096;
 
-/// Span-layer configuration.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SpanConfig {
-    /// Sample every Nth trace root (`start_trace` call); `0` disables
-    /// sampling entirely (wired but inert), `1` traces every report.
-    pub sample_every: u64,
-    /// The owning site, embedded in allocated span ids so independently
-    /// allocated ids never collide across sites.
-    pub site: u32,
-    /// Whether decision provenance ([`crate::provenance`]) is captured.
-    pub capture_provenance: bool,
-}
+/// Bits of a span id reserved for the per-site sequence; the site tag sits
+/// above, so ids allocated independently on different sites never collide.
+const SITE_SHIFT: u32 = 40;
 
-impl SpanConfig {
-    /// Full-capture configuration for site `site`: every report traced,
-    /// provenance captured.
-    pub fn full(site: u32) -> Self {
-        Self {
-            sample_every: 1,
-            site,
-            capture_provenance: true,
-        }
-    }
-}
-
-/// The per-site bounded span store. Lives behind the
-/// [`Telemetry`](crate::Telemetry) facade; sites on different "machines"
-/// each own one and a [`SpanTree`] merges them.
-#[derive(Debug)]
-pub struct SpanStore {
-    cap: usize,
-    spans: Vec<SpanRecord>,
-    dropped: u64,
-    /// Next local span sequence number (combined with the site tag).
-    next_seq: u64,
-    site: u32,
-}
-
-impl SpanStore {
-    /// Bits reserved for the per-site sequence; the site tag sits above.
-    const SITE_SHIFT: u32 = 40;
-
-    /// Create a store for `site` holding at most `cap` spans.
-    pub fn new(site: u32, cap: usize) -> Self {
-        Self {
-            cap: cap.max(1),
-            spans: Vec::new(),
-            dropped: 0,
-            next_seq: 0,
-            site,
-        }
-    }
-
-    /// Allocate the next span id: deterministic per site (a plain sequence)
-    /// and globally unique (the site tag occupies the high bits).
-    pub fn alloc_id(&mut self) -> u64 {
-        self.next_seq += 1;
-        ((self.site as u64 + 1) << Self::SITE_SHIFT) | self.next_seq
-    }
-
-    /// Append a span, evicting the oldest when full.
-    pub fn push(&mut self, span: SpanRecord) {
-        if self.spans.len() == self.cap {
-            self.spans.remove(0);
-            self.dropped += 1;
-        }
-        self.spans.push(span);
-    }
-
-    /// The retained spans, oldest first.
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.spans
-    }
-
-    /// Spans evicted because the store was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The owning site.
-    pub fn site(&self) -> u32 {
-        self.site
-    }
+/// The `seq`-th span id of `site`: deterministic per site (a plain
+/// sequence) and globally unique (the site tag occupies the high bits).
+pub(crate) fn span_id(site: u32, seq: u64) -> u64 {
+    ((site as u64 + 1) << SITE_SHIFT) | seq
 }
 
 /// One node of a reconstructed causal tree.
@@ -263,28 +187,13 @@ mod tests {
 
     #[test]
     fn ids_are_unique_across_sites_and_deterministic() {
-        let mut a = SpanStore::new(0, 8);
-        let mut b = SpanStore::new(1, 8);
-        let ia: Vec<u64> = (0..4).map(|_| a.alloc_id()).collect();
-        let ib: Vec<u64> = (0..4).map(|_| b.alloc_id()).collect();
+        let ia: Vec<u64> = (1..=4).map(|seq| span_id(0, seq)).collect();
+        let ib: Vec<u64> = (1..=4).map(|seq| span_id(1, seq)).collect();
         assert!(
             ia.iter().all(|i| !ib.contains(i)),
             "no cross-site collision"
         );
-        let mut a2 = SpanStore::new(0, 8);
-        let ia2: Vec<u64> = (0..4).map(|_| a2.alloc_id()).collect();
-        assert_eq!(ia, ia2, "same site, same sequence");
-    }
-
-    #[test]
-    fn store_bounds_and_counts_evictions() {
-        let mut s = SpanStore::new(0, 2);
-        for i in 0..5 {
-            s.push(span(1, i + 10, 0, 0, i as f64, "x"));
-        }
-        assert_eq!(s.spans().len(), 2);
-        assert_eq!(s.dropped(), 3);
-        assert_eq!(s.spans()[0].span_id, 13, "oldest evicted first");
+        assert_eq!(ia[0] + 1, ia[1], "same site, plain sequence");
     }
 
     #[test]
@@ -296,7 +205,7 @@ mod tests {
             span(1, 101, 100, 0, 1.0, "uss.publish"),
         ];
         let site1 = vec![
-            span(1, 200, 101, 1, 2.0, "gossip.merge"),
+            span(1, 200, 101, 1, 2.0, "uss.merge"),
             span(1, 201, 200, 1, 3.0, "fcs.refresh"),
         ];
         let trees = SpanTree::assemble(&[&site0, &site1]);
@@ -307,7 +216,7 @@ mod tests {
         assert_eq!(t.depth(), 4);
         assert_eq!(t.children[0].children[0].record.site, 1);
         let text = t.render();
-        assert!(text.contains("gossip.merge @ site 1"));
+        assert!(text.contains("uss.merge @ site 1"));
     }
 
     #[test]
@@ -324,14 +233,5 @@ mod tests {
         let t = SpanTree::for_trace(&[&s], 2);
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].record.name, "b");
-    }
-
-    #[test]
-    fn full_config_samples_everything() {
-        let c = SpanConfig::full(3);
-        assert_eq!(c.sample_every, 1);
-        assert_eq!(c.site, 3);
-        assert!(c.capture_provenance);
-        assert_eq!(SpanConfig::default().sample_every, 0, "default stays inert");
     }
 }

@@ -13,17 +13,17 @@
 //!
 //! Stage semantics (all in simulated seconds):
 //!
-//! * **report** — `report_delay_s`: RMS report → USS ingestion.
-//! * **publish** — ingestion → the record's usage appearing in a published
+//! * **report** (`uss.ingest` in [`crate::stage`]) — `report_delay_s`: RMS report → USS ingestion.
+//! * **publish** (`uss.publish`) — ingestion → the record's usage appearing in a published
 //!   cross-site summary (waits for the record's histogram slot to close).
 //!   This stage is off the local-visibility path and is reported
 //!   separately.
-//! * **ums** — ingestion → the first UMS refresh that re-reads the user
+//! * **ums** (`ums.refresh`) — ingestion → the first UMS refresh that re-reads the user
 //!   (every ingested record marks its user dirty in the USS, so the next
 //!   actual refresh always covers it).
-//! * **fcs** — UMS visibility → the first FCS refresh thereafter (the FCS
+//! * **fcs** (`fcs.refresh`) — UMS visibility → the first FCS refresh thereafter (the FCS
 //!   recomputes from the whole UMS cache).
-//! * **lib** — FCS visibility → the first libaequus query *served with a
+//! * **lib** (`lib.query`) — FCS visibility → the first libaequus query *served with a
 //!   value fetched after* that FCS refresh (a cache hit on a stale entry
 //!   does not count; this is the §III-A cache-TTL delay plus the query
 //!   cadence).
@@ -31,11 +31,12 @@
 //!   of `worst_case_pipeline_s()` (which likewise excludes stage IV).
 
 use crate::registry::{Counter, Registry};
+use crate::stage::delay_histogram;
 use crate::Histogram;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Every Nth reported record is sampled (the first always is).
-const SAMPLE_EVERY: u64 = 8;
+const TRACK_EVERY: u64 = 8;
 /// Upper bound on concurrently tracked records; the oldest is evicted
 /// beyond this (counted in `aequus_tracer_evicted_total`).
 const MAX_ACTIVE: usize = 4096;
@@ -82,15 +83,16 @@ pub struct PipelineTracer {
 impl PipelineTracer {
     /// Create a tracer registering its metrics in `registry`.
     pub fn new(registry: &Registry) -> Self {
+        let delay = |stage| registry.histogram(delay_histogram(stage));
         Self {
             seen: 0,
             active: BTreeMap::new(),
             order: VecDeque::new(),
-            h_report: registry.histogram("aequus_tracer_report_delay_s"),
-            h_publish: registry.histogram("aequus_tracer_publish_delay_s"),
-            h_ums: registry.histogram("aequus_tracer_ums_delay_s"),
-            h_fcs: registry.histogram("aequus_tracer_fcs_delay_s"),
-            h_lib: registry.histogram("aequus_tracer_lib_delay_s"),
+            h_report: delay("uss.ingest"),
+            h_publish: delay("uss.publish"),
+            h_ums: delay("ums.refresh"),
+            h_fcs: delay("fcs.refresh"),
+            h_lib: delay("lib.query"),
             h_e2e: registry.histogram("aequus_tracer_end_to_end_s"),
             c_sampled: registry.counter("aequus_tracer_sampled_total"),
             c_completed: registry.counter("aequus_tracer_completed_total"),
@@ -107,7 +109,7 @@ impl PipelineTracer {
     /// Returns whether the record was sampled into the tracer.
     pub fn on_report(&mut self, job: u64, user: &str, now_s: f64) -> bool {
         self.seen += 1;
-        if !(self.seen - 1).is_multiple_of(SAMPLE_EVERY) {
+        if !(self.seen - 1).is_multiple_of(TRACK_EVERY) {
             return false;
         }
         self.c_sampled.inc();
@@ -154,7 +156,9 @@ impl PipelineTracer {
     }
 
     /// Stage II-a: a summary covering slots `< current_slot` was published
-    /// for `published_users`.
+    /// for `published_users`, which arrive in ascending order (a summary's
+    /// user map yields them so) and are binary-searched per in-flight
+    /// record — a publish costs `O(active · log users)`, not their product.
     pub fn on_publish(&mut self, published_users: &[&str], current_slot: u64, now_s: f64) {
         let mut done: Vec<u64> = Vec::new();
         for (&job, rec) in self.active.iter_mut() {
@@ -164,7 +168,8 @@ impl PipelineTracer {
             let (Some(ingested), Some(end_slot)) = (rec.ingested_s, rec.end_slot) else {
                 continue;
             };
-            if end_slot < current_slot && published_users.contains(&rec.user.as_str()) {
+            let published = || published_users.binary_search(&rec.user.as_str()).is_ok();
+            if end_slot < current_slot && published() {
                 rec.published_s = Some(now_s);
                 self.h_publish.record(now_s - ingested);
                 if rec.finished() {
@@ -284,7 +289,7 @@ mod tests {
     fn sampling_takes_every_nth() {
         let r = Registry::new();
         let mut t = PipelineTracer::new(&r);
-        let sampled = (0..4 * SAMPLE_EVERY)
+        let sampled = (0..4 * TRACK_EVERY)
             .filter(|&i| t.on_report(i, "u", 0.0))
             .count();
         assert_eq!(sampled, 4);
@@ -295,7 +300,7 @@ mod tests {
     fn eviction_bounds_active_set() {
         let r = Registry::new();
         let mut t = PipelineTracer::new(&r);
-        for i in 0..(MAX_ACTIVE as u64 + 12) * SAMPLE_EVERY {
+        for i in 0..(MAX_ACTIVE as u64 + 12) * TRACK_EVERY {
             t.on_report(i, "u", i as f64);
         }
         assert_eq!(t.active_count(), MAX_ACTIVE);
@@ -312,5 +317,41 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.histograms["aequus_tracer_ums_delay_s"].count, 1);
         assert_eq!(s.histograms["aequus_tracer_ums_delay_s"].max, 10.0);
+    }
+
+    /// The publish stage looks each in-flight record's user up in the
+    /// sorted published set; on a wide summary (1,200 users, 150 records in
+    /// flight) it must mark exactly the records a linear scan marks.
+    #[test]
+    fn publish_over_a_wide_summary_matches_the_linear_scan() {
+        let users: Vec<String> = (0..1200).map(|i| format!("u{i:05}")).collect();
+        // Two of every three users are in the summary, in map order.
+        let published: Vec<&str> = (users.iter().enumerate())
+            .filter(|(i, _)| i % 3 != 0)
+            .map(|(_, u)| u.as_str())
+            .collect();
+        assert!(published.windows(2).all(|w| w[0] < w[1]));
+        let (mut t, r) = setup();
+        let want = Registry::new().histogram("linear_scan");
+        let mut jobs = 0;
+        for (i, user) in users.iter().enumerate().step_by(7) {
+            let job = i as u64 * TRACK_EVERY;
+            // Only every TRACK_EVERY-th report is tracked: feed the gaps.
+            while t.seen % TRACK_EVERY != 0 {
+                t.on_report(u64::MAX - t.seen, "filler", 0.0);
+            }
+            assert!(t.on_report(job, user, i as f64));
+            let end_slot = (i % 5) as u64;
+            t.on_ingest(job, end_slot, i as f64 + 10.0);
+            if end_slot < 3 && published.contains(&user.as_str()) {
+                want.record(5000.0 - (i as f64 + 10.0));
+            }
+            jobs += 1;
+        }
+        assert!(jobs >= 100 && t.active_count() == jobs);
+        t.on_publish(&published, 3, 5000.0);
+        let got = r.snapshot().histograms["aequus_tracer_publish_delay_s"];
+        assert!(got.count >= 40, "{got:?}");
+        assert_eq!(got, want.snapshot());
     }
 }

@@ -9,7 +9,7 @@
 use aequus::core::codec::Encoding;
 use aequus::core::projection::ProjectionKind;
 use aequus::core::GridUser;
-use aequus::services::{OverlayTopology, RetryPolicy, ServiceTimings};
+use aequus::services::OverlayTopology;
 use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, SimResult};
 use aequus::workload::{Trace, TraceJob};
 use std::collections::BTreeMap;
@@ -30,7 +30,7 @@ fn base_seed() -> u64 {
 /// outbox caps of 8 so long outages overflow into gap-detection, resync
 /// pulls, and snapshot fallback rather than simple retries.
 fn chaos_scenario(seed: u64) -> GridScenario {
-    let mut sc = GridScenario::national_testbed(
+    GridScenario::national_testbed(
         &[
             ("U65", 0.6525),
             ("U30", 0.3049),
@@ -38,30 +38,11 @@ fn chaos_scenario(seed: u64) -> GridScenario {
             ("Uoth", 0.0140),
         ],
         seed,
-    );
-    sc.clusters.truncate(3);
-    for c in &mut sc.clusters {
-        c.nodes = 4;
-    }
-    sc.timings = ServiceTimings {
-        report_delay_s: 5.0,
-        uss_publish_interval_s: 30.0,
-        ums_refresh_interval_s: 30.0,
-        fcs_refresh_interval_s: 30.0,
-        lib_cache_ttl_s: 10.0,
-        lib_identity_ttl_s: 60.0,
-        exchange_latency_s: 5.0,
-    };
-    sc.usage_slot_s = 60.0;
-    sc.tick_interval_s = 5.0;
-    sc.retry = RetryPolicy {
-        ack_timeout_s: 15.0,
-        max_backoff_s: 60.0,
-        jitter_frac: 0.2,
-        history_cap: 8,
-        outbox_cap: 8,
-    };
-    sc
+    )
+    .sites(3)
+    .nodes_per_site(4)
+    .compressed()
+    .tight_retry(8, 8)
 }
 
 /// 48 fixed jobs over four users — all faults land inside [60, 900] while
@@ -359,30 +340,13 @@ fn overlay_scenario(seed: u64, projection: ProjectionKind) -> GridScenario {
             ("Uoth", 0.0140),
         ],
         seed,
-    );
-    for c in &mut sc.clusters {
-        c.nodes = 2;
-    }
+    )
+    .nodes_per_site(2)
+    .compressed()
+    .tight_retry(8, 8)
+    .with_encoding(Encoding::Delta);
     sc.projection = projection;
-    sc.timings = ServiceTimings {
-        report_delay_s: 5.0,
-        uss_publish_interval_s: 30.0,
-        ums_refresh_interval_s: 30.0,
-        fcs_refresh_interval_s: 30.0,
-        lib_cache_ttl_s: 10.0,
-        lib_identity_ttl_s: 60.0,
-        exchange_latency_s: 5.0,
-    };
-    sc.usage_slot_s = 60.0;
-    sc.tick_interval_s = 5.0;
-    sc.retry = RetryPolicy {
-        ack_timeout_s: 15.0,
-        max_backoff_s: 60.0,
-        jitter_frac: 0.2,
-        history_cap: 8,
-        outbox_cap: 8,
-    };
-    sc.with_encoding(Encoding::Delta)
+    sc
 }
 
 const PROJECTIONS: [ProjectionKind; 3] = [

@@ -7,7 +7,6 @@
 //! checked end to end: a fault-free run stays silent, and an outage drives
 //! a staleness rule through pending → firing → resolved.
 
-use aequus::services::RetryPolicy;
 use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, SimResult};
 use aequus::telemetry::slo::alerts_to_jsonl;
 use aequus::telemetry::SloConfig;
@@ -23,7 +22,7 @@ fn base_seed() -> u64 {
 /// The chaos suite's 3-site grid: fast cadences so faults land between
 /// publishes, small retention so outages overflow into resync traffic.
 fn scenario(seed: u64) -> GridScenario {
-    let mut sc = GridScenario::national_testbed(
+    GridScenario::national_testbed(
         &[
             ("U65", 0.6525),
             ("U30", 0.3049),
@@ -31,27 +30,11 @@ fn scenario(seed: u64) -> GridScenario {
             ("Uoth", 0.0140),
         ],
         seed,
-    );
-    sc.clusters.truncate(3);
-    for c in &mut sc.clusters {
-        c.nodes = 4;
-    }
-    sc.timings.report_delay_s = 5.0;
-    sc.timings.uss_publish_interval_s = 30.0;
-    sc.timings.ums_refresh_interval_s = 30.0;
-    sc.timings.fcs_refresh_interval_s = 30.0;
-    sc.timings.lib_cache_ttl_s = 10.0;
-    sc.timings.exchange_latency_s = 5.0;
-    sc.usage_slot_s = 60.0;
-    sc.tick_interval_s = 5.0;
-    sc.retry = RetryPolicy {
-        ack_timeout_s: 15.0,
-        max_backoff_s: 60.0,
-        jitter_frac: 0.2,
-        history_cap: 8,
-        outbox_cap: 8,
-    };
-    sc
+    )
+    .sites(3)
+    .nodes_per_site(4)
+    .compressed()
+    .tight_retry(8, 8)
 }
 
 /// The full chaos matrix: 10% drops plus an outage and a crash that

@@ -6,7 +6,6 @@
 //! must match bit-for-bit, since both paths execute identical operations).
 
 use aequus::core::projection::ProjectionKind;
-use aequus::services::{RetryPolicy, ServiceTimings};
 use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, SimResult};
 use aequus::workload::{Trace, TraceJob};
 
@@ -29,30 +28,12 @@ fn scenario(seed: u64, projection: ProjectionKind) -> GridScenario {
             ("Uoth", 0.0140),
         ],
         seed,
-    );
-    sc.clusters.truncate(3);
-    for c in &mut sc.clusters {
-        c.nodes = 4;
-    }
+    )
+    .sites(3)
+    .nodes_per_site(4)
+    .compressed()
+    .tight_retry(8, 8);
     sc.projection = projection;
-    sc.timings = ServiceTimings {
-        report_delay_s: 5.0,
-        uss_publish_interval_s: 30.0,
-        ums_refresh_interval_s: 30.0,
-        fcs_refresh_interval_s: 30.0,
-        lib_cache_ttl_s: 10.0,
-        lib_identity_ttl_s: 60.0,
-        exchange_latency_s: 5.0,
-    };
-    sc.usage_slot_s = 60.0;
-    sc.tick_interval_s = 5.0;
-    sc.retry = RetryPolicy {
-        ack_timeout_s: 15.0,
-        max_backoff_s: 60.0,
-        jitter_frac: 0.2,
-        history_cap: 8,
-        outbox_cap: 8,
-    };
     // The full chaos plan: random drops, an outage, and a crash-recovery
     // cycle, all mid-workload.
     sc.faults = FaultPlan {

@@ -9,7 +9,8 @@
 use aequus::core::codec::Encoding;
 use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, SimResult};
 use aequus::telemetry::export::JsonValue;
-use aequus::telemetry::{ProfileMode, RunProfile};
+use aequus::telemetry::stage;
+use aequus::telemetry::RunProfile;
 use aequus::workload::{Trace, TraceJob};
 
 fn base_seed() -> u64 {
@@ -20,7 +21,7 @@ fn base_seed() -> u64 {
 }
 
 /// The chaos suite's 3-site grid with the full fault plan, profiled.
-fn scenario(seed: u64, mode: ProfileMode) -> GridScenario {
+fn scenario(seed: u64) -> GridScenario {
     let mut sc = GridScenario::national_testbed(
         &[
             ("U65", 0.6525),
@@ -50,7 +51,7 @@ fn scenario(seed: u64, mode: ProfileMode) -> GridScenario {
             to_s: 700.0,
         }],
     };
-    sc.with_profiling(mode)
+    sc.with_profiling()
 }
 
 fn trace() -> Trace {
@@ -66,8 +67,8 @@ fn trace() -> Trace {
     )
 }
 
-fn profiled_run(threads: usize, mode: ProfileMode) -> SimResult {
-    GridSimulation::new(scenario(base_seed(), mode).with_threads(threads)).run(&trace(), 1800.0)
+fn profiled_run(threads: usize) -> SimResult {
+    GridSimulation::new(scenario(base_seed()).with_threads(threads)).run(&trace(), 1800.0)
 }
 
 fn profile_of(result: &SimResult) -> &RunProfile {
@@ -76,7 +77,7 @@ fn profile_of(result: &SimResult) -> &RunProfile {
 
 #[test]
 fn folded_profile_is_byte_identical_across_worker_counts() {
-    let serial = profiled_run(1, ProfileMode::Full);
+    let serial = profiled_run(1);
     let reference = profile_of(&serial).to_folded();
     // The reference itself carries the expected hot-path rows.
     for needle in [
@@ -94,17 +95,13 @@ fn folded_profile_is_byte_identical_across_worker_counts() {
     // And never wall-clock rows — those live in the Chrome trace.
     assert!(!reference.contains("barrier.wait"));
     for threads in [2, 4, 8] {
-        let parallel = profiled_run(threads, ProfileMode::Full);
+        let parallel = profiled_run(threads);
         assert_eq!(
             profile_of(&parallel).to_folded(),
             reference,
             "folded profile at {threads} workers diverged from serial"
         );
     }
-    // Counters mode (no wall clocks at all) folds identically too: the
-    // folded view only uses values both modes collect.
-    let counters = profiled_run(1, ProfileMode::Counters);
-    assert_eq!(profile_of(&counters).to_folded(), reference);
 }
 
 /// Track identity and per-track timestamps of a Chrome trace: a map of
@@ -153,7 +150,7 @@ fn validate_chrome_trace(text: &str) -> std::collections::BTreeMap<u64, String> 
 
 #[test]
 fn chrome_trace_is_loadable_and_tracks_are_stable() {
-    let serial = profiled_run(1, ProfileMode::Full);
+    let serial = profiled_run(1);
     let serial_tracks = validate_chrome_trace(&profile_of(&serial).to_chrome_trace());
     // One track per shard, named after the site it simulates.
     assert_eq!(serial_tracks.len(), 3);
@@ -162,36 +159,100 @@ fn chrome_trace_is_loadable_and_tracks_are_stable() {
     // Wall times differ run to run, but track identity (pid/tid/names)
     // must not depend on the worker count.
     for threads in [2, 8] {
-        let parallel = profiled_run(threads, ProfileMode::Full);
+        let parallel = profiled_run(threads);
         let tracks = validate_chrome_trace(&profile_of(&parallel).to_chrome_trace());
         assert_eq!(tracks, serial_tracks, "tracks at {threads} workers");
     }
 }
 
 #[test]
-fn run_profile_json_carries_wire_bytes_and_epoch_accounting() {
-    let result = profiled_run(4, ProfileMode::Full);
+fn run_profile_carries_wire_bytes_and_epoch_accounting() {
+    let result = profiled_run(4);
     let profile = profile_of(&result);
-    let doc = JsonValue::parse(&profile.to_json()).expect("valid JSON");
-    let shards = doc.get("shards").and_then(JsonValue::as_array).unwrap();
-    assert_eq!(shards.len(), profile.shards.len());
-    // Per-link wire bytes and the epoch accounting both crossed the
-    // serialization boundary.
-    let has = |shard: &JsonValue, section: &str| {
-        shard
-            .get(section)
-            .and_then(JsonValue::as_object)
-            .is_some_and(|o| !o.is_empty())
-    };
-    assert!(shards.iter().any(|s| has(s, "link_bytes")));
-    assert!(shards
-        .iter()
-        .all(|s| s.get("stages").and_then(|st| st.get("epoch")).is_some()));
+    assert_eq!(profile.shards.len(), 3);
+    // Per-link wire bytes and the epoch accounting both reached the
+    // merged artifact: every epoch a shard ran left a span, none dropped.
+    assert!(profile.shards.iter().any(|s| !s.link_bytes.is_empty()));
+    for shard in &profile.shards {
+        let epochs = shard.stages["epoch"].calls;
+        let spans = shard.spans.iter().filter(|s| s.name == "epoch").count();
+        assert!(epochs > 0 && shard.spans_dropped == 0);
+        assert_eq!(spans as u64, epochs);
+    }
+}
+
+/// One stage vocabulary: every service stage the folded profile emits and
+/// every span the causal layer records — over a run that crashes a site
+/// with a durable store, so replay and every gossip path show up — is a
+/// row of `stage::STAGES`, spelled as `BENCHMARK.json` spells it. The
+/// folded profile's other rows are counters, pinned here by name.
+#[test]
+fn every_emitted_stage_label_is_in_the_stage_table() {
+    let sc = scenario(base_seed()).with_tracing().with_durable_store();
+    let result = GridSimulation::new(sc).run(&trace(), 1800.0);
+    let folded = profile_of(&result).to_folded();
+    let mut services = std::collections::BTreeSet::new();
+    for line in folded.lines() {
+        let label = line.split(' ').next().expect("a stack");
+        let mut frames = label.split(';').skip(1);
+        let (scope, row) = (frames.next().unwrap(), frames.next().unwrap());
+        if scope == "services" {
+            let known = stage::find(row).is_some_and(|s| s.wall.is_some());
+            assert!(
+                known,
+                "folded service stage {row} is not in the stage table"
+            );
+            services.insert(row);
+        } else {
+            let counters = [
+                "events.arrivals",
+                "events.gossip",
+                "events.ticks",
+                "gossip.dropped",
+                "gossip.partitioned",
+                "gossip.wire",
+                "queue.hwm",
+                "mailbox.hwm",
+            ];
+            assert!(counters.contains(&row), "unknown folded counter row {row}");
+        }
+    }
+    let benchmark_spelled = [
+        "fcs.refresh_full",
+        "fcs.refresh_incr",
+        "rms.dispatch",
+        "store.append",
+        "store.replay",
+        "ums.refresh",
+        "uss.ingest",
+        "uss.merge",
+        "uss.publish",
+    ];
+    assert_eq!(services.into_iter().collect::<Vec<_>>(), benchmark_spelled);
+    let mut spans = std::collections::BTreeSet::new();
+    for span in result.site_spans.iter().flatten() {
+        assert!(
+            stage::find(&span.name).is_some(),
+            "span {} is not in the stage table",
+            span.name
+        );
+        spans.insert(span.name.as_str());
+    }
+    let pipeline = [
+        "fcs.refresh",
+        "lib.query",
+        "rms.report",
+        "ums.refresh",
+        "uss.ingest",
+        "uss.merge",
+        "uss.publish",
+    ];
+    assert_eq!(spans.into_iter().collect::<Vec<_>>(), pipeline);
 }
 
 #[test]
 fn queue_gauges_surface_in_both_exporters() {
-    let result = profiled_run(2, ProfileMode::Counters);
+    let result = profiled_run(2);
     let engine = result.engine_telemetry.as_ref().expect("telemetry on");
     assert!(engine.gauges["aequus_sim_event_queue_hwm"] > 0.0);
     assert!(engine.gauges["aequus_sim_mailbox_hwm"] > 0.0);
@@ -225,7 +286,7 @@ fn queue_gauges_surface_in_both_exporters() {
 fn profiler_gossip_bytes_match_codec_bytes() {
     let mut totals = std::collections::BTreeMap::new();
     for encoding in [Encoding::Dense, Encoding::Delta] {
-        let sc = scenario(base_seed(), ProfileMode::Counters).with_encoding(encoding);
+        let sc = scenario(base_seed()).with_encoding(encoding);
         let result = GridSimulation::new(sc).run(&trace(), 1800.0);
         let profiled: u64 = profile_of(&result)
             .shards
@@ -254,10 +315,11 @@ fn profiler_gossip_bytes_match_codec_bytes() {
 
 #[test]
 fn unprofiled_runs_pay_nothing_visible() {
-    // ProfileMode::Off is the default: no profile, no spans, and the
-    // scenario flag is genuinely off unless asked for.
-    let sc = GridScenario::national_testbed(&[("U65", 1.0)], base_seed());
-    assert_eq!(sc.profile, ProfileMode::Off);
-    let result = GridSimulation::new(scenario(base_seed(), ProfileMode::Off)).run(&trace(), 1800.0);
+    // Profiling off is the default: no profile, and the scenario flag is
+    // genuinely off unless asked for.
+    let mut sc = scenario(base_seed());
+    assert!(!GridScenario::national_testbed(&[("U65", 1.0)], base_seed()).profile);
+    sc.profile = false;
+    let result = GridSimulation::new(sc).run(&trace(), 1800.0);
     assert!(result.profile.is_none());
 }

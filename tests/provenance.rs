@@ -7,7 +7,6 @@
 
 use aequus::core::projection::ProjectionKind;
 use aequus::core::Explanation;
-use aequus::services::{RetryPolicy, ServiceTimings};
 use aequus::sim::{GridScenario, GridSimulation, Outage, SimResult};
 use aequus::telemetry::{SpanRecord, SpanTree};
 use aequus::workload::{Trace, TraceJob};
@@ -33,30 +32,12 @@ fn traced_scenario(seed: u64, projection: ProjectionKind) -> GridScenario {
         ],
         seed,
     )
-    .with_full_tracing();
+    .with_tracing()
+    .sites(3)
+    .nodes_per_site(4)
+    .compressed()
+    .tight_retry(8, 8);
     sc.projection = projection;
-    sc.clusters.truncate(3);
-    for c in &mut sc.clusters {
-        c.nodes = 4;
-    }
-    sc.timings = ServiceTimings {
-        report_delay_s: 5.0,
-        uss_publish_interval_s: 30.0,
-        ums_refresh_interval_s: 30.0,
-        fcs_refresh_interval_s: 30.0,
-        lib_cache_ttl_s: 10.0,
-        lib_identity_ttl_s: 60.0,
-        exchange_latency_s: 5.0,
-    };
-    sc.usage_slot_s = 60.0;
-    sc.tick_interval_s = 5.0;
-    sc.retry = RetryPolicy {
-        ack_timeout_s: 15.0,
-        max_backoff_s: 60.0,
-        jitter_frac: 0.2,
-        history_cap: 8,
-        outbox_cap: 8,
-    };
     sc
 }
 
@@ -194,8 +175,7 @@ fn traces_survive_the_chaos_fault_matrix() {
 fn disabled_tracing_leaves_no_residue() {
     let mut sc = traced_scenario(base_seed(), ProjectionKind::Percental);
     sc.telemetry = false;
-    sc.span_sample_every = 0;
-    sc.capture_provenance = false;
+    sc.tracing = false;
     let result = run(sc);
     assert!(result.site_spans.iter().all(Vec::is_empty));
     assert!(result.site_provenance.iter().all(Vec::is_empty));
