@@ -82,10 +82,12 @@ if git grep -n -e '--bin' -- '*.md' '*.sh' ':!ISSUE.md' ':!CHANGES.md' ':!ci.sh'
 fi
 # Decoders of bytes from outside a site return errors: the byte formats'
 # non-test code (up to the first `#[cfg(test)]`) holds no `expect`/`unwrap`
-# — nor does the UMS refresh, which a serving site runs every tick.
+# — nor do the UMS refresh, which a serving site runs every tick, and the
+# USS and the site around it, which every delivery runs through.
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
-  crates/services/src/ums.rs; do
+  crates/services/src/ums.rs crates/services/src/uss.rs crates/services/src/uss/*.rs \
+  crates/services/src/site.rs; do
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()'; then
     echo "$f: an expect/unwrap on a path a serving site runs over outside input" >&2
     exit 1
@@ -96,14 +98,16 @@ done
 # shard-placement option, the `cargo bench` harness, the profiler's
 # counters-only tier, the span sampling rate and provenance flag, the bench
 # crate's scenario builder over the scenario's own and the engine's private
-# stage table are deleted, and no tracked source, manifest, doc or script
-# names them again. `take_outbox` is the one shim left of the broadcast
-# path: code names it only where it is defined and where the benchmark
-# calls it.
+# stage table are deleted — as are the USS's per-sequence trace-context map
+# (a publication's context sits in its history entry) and the `-1` that told
+# a tx link row from an rx one (rows are typed) — and no tracked source,
+# manifest, doc or script names them again. `take_outbox` is the one shim
+# left of the broadcast path: code names it only where it is defined and
+# where the benchmark calls it.
 if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_share' \
   -e 'observe_divergence' -e 'ShardPlacement' -e 'benches/' \
   -e 'ProfileMode::Counters' -e 'span_sample_every' -e 'capture_provenance' \
-  -e 'ScenarioBuilder' -e 'SERVICE_STAGES' \
+  -e 'ScenarioBuilder' -e 'SERVICE_STAGES' -e 'publish_trace' -e 'heard_age_s < 0\.0' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh'; then
   echo "a deleted path is named again" >&2
   exit 1

@@ -3,7 +3,8 @@
 use super::overhead::{ops_gate, unit_cost_gate};
 use crate::cli::{Args, Gates};
 use crate::{health_chaos_faults, health_chaos_scenario, run_chaos_grid, HEALTH_OUTAGE_S};
-use aequus_services::{HealthMap, LinkObservation};
+use aequus_core::SiteId;
+use aequus_services::{HealthMap, LinkObservation, LinkSide, ParticipationMode, Uss};
 use aequus_sim::{FaultPlan, SimResult};
 use aequus_telemetry::slo::alerts_to_jsonl;
 use aequus_telemetry::{SloConfig, SloEngine, SloRule};
@@ -50,7 +51,8 @@ fn render(result: &SimResult) {
 fn health_ops(result: &SimResult) -> Vec<(&'static str, u64)> {
     let samples = result.metrics.samples();
     let users = samples.first().map_or(0, |s| s.users.len());
-    let tx_rows = |rows: &[LinkObservation]| rows.iter().filter(|o| o.heard_age_s < 0.0).count();
+    let is_tx = |o: &&LinkObservation| matches!(o.side, LinkSide::Tx { .. });
+    let tx_rows = |rows: &[LinkObservation]| rows.iter().filter(is_tx).count();
     let links = samples.first().map_or(0, |s| tx_rows(&s.link_health));
     let link_rows: usize = samples.iter().map(|s| s.link_health.len()).sum();
     vec![
@@ -168,12 +170,11 @@ pub(super) fn health(args: &Args, gates: &mut Gates) {
             }
         },
     );
-    let rows: Vec<LinkObservation> = (0..12)
-        .map(|k| match k % 2 {
-            0 => LinkObservation::tx(k / 4, k % 3, 1),
-            _ => LinkObservation::rx(k / 4, k % 3, 1),
-        })
-        .collect();
+    // Six tx and six rx rows, as a site with six peers reports them.
+    let peers: Vec<SiteId> = (1..=6).map(SiteId).collect();
+    let mut uss = Uss::new(SiteId(0), ParticipationMode::Full, 60.0);
+    uss.set_peers(&peers, &peers);
+    let rows = uss.link_stats(0.0);
     let mut map = HealthMap::default();
     unit_cost_gate(gates, "health-map link row", LINK_ROW_BUDGET_NS, |n| {
         for i in 0..n {

@@ -70,7 +70,7 @@ impl UserId {
 ///
 /// Nothing is ever removed: an id handed out stays valid and keeps its
 /// name for as long as the table lives.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct UserTable {
     base: Arc<[GridUser]>,
     /// Identities outside the base, by id: slot `i` is `UserId(base.len() + i)`.
@@ -184,7 +184,7 @@ impl UserTable {
 /// [`FairshareTree::recompute_dirty`](crate::fairshare::FairshareTree::recompute_dirty).
 /// Users are named by the [`UserId`]s of the site's [`UserTable`]: a mark
 /// is one integer insert, and the set iterates in id order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct DirtySet {
     users: BTreeSet<UserId>,
     paths: BTreeSet<EntityPath>,

@@ -7,6 +7,7 @@ use crate::arena::UserId;
 use crate::ids::{GridUser, JobId, SiteId};
 use std::cell::Cell;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::hash::{Hash, Hasher};
 
 /// Per-user charge per slot index, keyed by name — the cell grid of the
 /// edge types (summaries, checkpoints, WAL records); inside a site the same
@@ -98,6 +99,14 @@ impl CellStore {
             }
             Entry::Vacant(free) => (value > eps).then(|| *free.insert(value)),
         }
+    }
+}
+
+/// Charges by their bits: what the USS explorer fingerprints states with.
+impl Hash for CellStore {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.cells.len().hash(h);
+        (self.cells.iter()).for_each(|(cell, charge)| (cell, charge.to_bits()).hash(h));
     }
 }
 
@@ -229,6 +238,20 @@ impl UsageHistogram {
     }
 }
 
+/// By slots, total and cells: the cached readouts are derived (a stale one
+/// reads `NaN`).
+impl PartialEq for UsageHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        (self.slot_s, self.total, &self.cells) == (other.slot_s, other.total, &other.cells)
+    }
+}
+
+impl Hash for UsageHistogram {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (self.slot_s.to_bits(), self.total.to_bits(), &self.cells).hash(h);
+    }
+}
+
 /// One site's raw per-user usage view as a dense row over a shared,
 /// name-ranked user base (a [`UserTable`](crate::arena::UserTable)'s), plus
 /// a (normally empty) sorted overflow for users outside it — what sites with
@@ -321,6 +344,13 @@ impl UsageSummary {
     /// the profiler and the bench gates measure what the codec produces.
     pub fn wire_bytes(&self, enc: crate::codec::Encoding) -> u64 {
         crate::codec::encoded_size(self, enc) as u64
+    }
+}
+
+/// By the dense wire encoding: charges by their bits, like [`CellStore`]'s.
+impl Hash for UsageSummary {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        crate::codec::encode_summary(self, crate::codec::Encoding::Dense).hash(h);
     }
 }
 

@@ -2,13 +2,10 @@
 //! [`HealthReport`].
 
 /// One per-sample health row for a directed overlay link, as observed by
-/// *one* endpoint's shard. The sender's shard reports the tx-side fields
-/// (undelivered-data age, outbox depth, cumulative send counters) and marks
-/// `heard_age_s = -1`; the receiver's shard reports the rx-side fields
-/// (heard age, gap/resync counters) and marks `staleness_s = -1`. The
-/// [`HealthMap`] merges both sides under the `(from, to)` key. Every field
-/// is sim-time-derived, so the merged aggregate is bit-identical at any
-/// worker count.
+/// *one* endpoint's shard: the sender's reports [`LinkSide::Tx`], the
+/// receiver's [`LinkSide::Rx`], and the [`HealthMap`] merges both under the
+/// `(from, to)` key. Every field is sim-time-derived, so the merged
+/// aggregate is bit-identical at any worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkObservation {
     /// Publishing site of the link.
@@ -17,58 +14,40 @@ pub struct LinkObservation {
     pub to: u32,
     /// Overlay depth class ([`crate::OverlayTopology::link_depth`]).
     pub depth: usize,
-    /// Sender-side undelivered-data age: `now − publish time` of the oldest
-    /// unacked summary in the outbox, `0` when the outbox is empty (nothing
-    /// the receiver is missing), `-1` on rx-side rows.
-    pub staleness_s: f64,
-    /// Sender-side outbox depth (unacked summaries queued).
-    pub outbox: usize,
-    /// Cumulative bytes sent on the link (tx side; 0 on rx rows).
-    pub bytes: u64,
-    /// Cumulative messages sent on the link (tx side; 0 on rx rows).
-    pub msgs: u64,
-    /// Cumulative retry sends on the link (tx side).
-    pub retries: u64,
-    /// Cumulative snapshot catch-ups sent on the link (tx side).
-    pub snapshots: u64,
-    /// Receiver-side: seconds since the receiver last heard the publisher
-    /// (`-1` on tx-side rows).
-    pub heard_age_s: f64,
-    /// Cumulative sequence gaps the receiver detected on the link (rx side).
-    pub gaps: u64,
-    /// Cumulative anti-entropy resyncs the receiver issued (rx side).
-    pub resyncs: u64,
+    /// Which endpoint observed the link, and what it saw.
+    pub side: LinkSide,
 }
 
-impl LinkObservation {
-    /// An empty tx-side row for `from -> to` at `depth` (rx fields marked
-    /// absent).
-    pub fn tx(from: u32, to: u32, depth: usize) -> Self {
-        Self {
-            from,
-            to,
-            depth,
-            staleness_s: 0.0,
-            outbox: 0,
-            bytes: 0,
-            msgs: 0,
-            retries: 0,
-            snapshots: 0,
-            heard_age_s: -1.0,
-            gaps: 0,
-            resyncs: 0,
-        }
-    }
-
-    /// An empty rx-side row for `from -> to` at `depth` (tx fields marked
-    /// absent).
-    pub fn rx(from: u32, to: u32, depth: usize) -> Self {
-        Self {
-            staleness_s: -1.0,
-            heard_age_s: 0.0,
-            ..Self::tx(from, to, depth)
-        }
-    }
+/// What one endpoint of a link can observe. Counters are cumulative since
+/// the observing service was built — crashes included.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LinkSide {
+    /// The publishing end.
+    Tx {
+        /// Undelivered-data age: `now − publish time` of the oldest unacked
+        /// summary in the outbox, `0` when the outbox is empty (nothing the
+        /// receiver is missing).
+        staleness_s: f64,
+        /// Outbox depth (unacked summaries queued).
+        outbox: usize,
+        /// Bytes sent on the link.
+        bytes: u64,
+        /// Messages sent on the link.
+        msgs: u64,
+        /// Retry sends on the link.
+        retries: u64,
+        /// Snapshot catch-ups sent on the link.
+        snapshots: u64,
+    },
+    /// The receiving end.
+    Rx {
+        /// Seconds since the receiver last heard the publisher.
+        heard_age_s: f64,
+        /// Sequence gaps the receiver detected on the link.
+        gaps: u64,
+        /// Anti-entropy resyncs the receiver issued.
+        resyncs: u64,
+    },
 }
 
 /// Exact nearest-rank percentile of an ascending-sorted slice (0 when
@@ -83,25 +62,16 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 #[derive(Debug, Default)]
 struct LinkAccum {
-    depth: usize,
     /// Every tx-side staleness sample, for exact quantiles at finalize.
     staleness: Vec<f64>,
-    staleness_max_s: f64,
-    outbox_max: usize,
-    bytes: u64,
-    msgs: u64,
-    retries: u64,
-    snapshots: u64,
-    heard_age_max_s: f64,
-    gaps: u64,
-    resyncs: u64,
+    /// The link's row so far — all of it but those quantiles.
+    report: LinkReport,
 }
 
 /// Streaming per-link aggregator: feed it every [`LinkObservation`] from
 /// every sample barrier; [`HealthMap::finalize`] renders the per-link and
-/// per-depth report. Cumulative counters are merged by `max` — the two
-/// sides report disjoint counters, and a crashed site's counter reset
-/// leaves the pre-crash high-water mark in place.
+/// per-depth report. The two sides report disjoint fields; cumulative
+/// counters never go backwards, so their `max` is their latest value.
 #[derive(Debug, Default)]
 pub struct HealthMap {
     links: std::collections::BTreeMap<(u32, u32), LinkAccum>,
@@ -111,21 +81,35 @@ impl HealthMap {
     /// Fold one observation row into the map.
     pub fn observe(&mut self, obs: &LinkObservation) {
         let acc = self.links.entry((obs.from, obs.to)).or_default();
-        acc.depth = obs.depth;
-        if obs.staleness_s >= 0.0 {
-            acc.staleness.push(obs.staleness_s);
-            acc.staleness_max_s = acc.staleness_max_s.max(obs.staleness_s);
+        let r = &mut acc.report;
+        (r.from, r.to, r.depth) = (obs.from, obs.to, obs.depth);
+        match obs.side {
+            LinkSide::Tx {
+                staleness_s,
+                outbox,
+                bytes,
+                msgs,
+                retries,
+                snapshots,
+            } => {
+                acc.staleness.push(staleness_s);
+                r.staleness_max_s = r.staleness_max_s.max(staleness_s);
+                r.outbox_max = r.outbox_max.max(outbox);
+                r.bytes = r.bytes.max(bytes);
+                r.msgs = r.msgs.max(msgs);
+                r.retries = r.retries.max(retries);
+                r.snapshots = r.snapshots.max(snapshots);
+            }
+            LinkSide::Rx {
+                heard_age_s,
+                gaps,
+                resyncs,
+            } => {
+                r.heard_age_max_s = r.heard_age_max_s.max(heard_age_s);
+                r.gaps = r.gaps.max(gaps);
+                r.resyncs = r.resyncs.max(resyncs);
+            }
         }
-        if obs.heard_age_s >= 0.0 {
-            acc.heard_age_max_s = acc.heard_age_max_s.max(obs.heard_age_s);
-        }
-        acc.outbox_max = acc.outbox_max.max(obs.outbox);
-        acc.bytes = acc.bytes.max(obs.bytes);
-        acc.msgs = acc.msgs.max(obs.msgs);
-        acc.retries = acc.retries.max(obs.retries);
-        acc.snapshots = acc.snapshots.max(obs.snapshots);
-        acc.gaps = acc.gaps.max(obs.gaps);
-        acc.resyncs = acc.resyncs.max(obs.resyncs);
     }
 
     /// Fold a batch of rows (one sample barrier's worth).
@@ -141,30 +125,20 @@ impl HealthMap {
         let mut by_depth: std::collections::BTreeMap<usize, (usize, Vec<f64>, u64, u64)> =
             std::collections::BTreeMap::new();
         let mut all: Vec<f64> = Vec::new();
-        for (&(from, to), acc) in &self.links {
+        for acc in self.links.values() {
             let mut sorted = acc.staleness.clone();
             sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite staleness"));
-            links.push(LinkReport {
-                from,
-                to,
-                depth: acc.depth,
+            let link = LinkReport {
                 staleness_p50_s: percentile(&sorted, 0.50),
                 staleness_p99_s: percentile(&sorted, 0.99),
-                staleness_max_s: acc.staleness_max_s,
-                outbox_max: acc.outbox_max,
-                bytes: acc.bytes,
-                msgs: acc.msgs,
-                retries: acc.retries,
-                snapshots: acc.snapshots,
-                heard_age_max_s: acc.heard_age_max_s,
-                gaps: acc.gaps,
-                resyncs: acc.resyncs,
-            });
-            let slot = by_depth.entry(acc.depth).or_default();
+                ..acc.report.clone()
+            };
+            let slot = by_depth.entry(link.depth).or_default();
             slot.0 += 1;
             slot.1.extend_from_slice(&sorted);
-            slot.2 += acc.bytes;
-            slot.3 += acc.retries;
+            slot.2 += link.bytes;
+            slot.3 += link.retries;
+            links.push(link);
             all.extend_from_slice(&sorted);
         }
         let mut depths = Vec::with_capacity(by_depth.len());
@@ -194,7 +168,7 @@ impl HealthMap {
 }
 
 /// Per-link aggregate of a run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkReport {
     /// Publishing site.
     pub from: u32,
@@ -372,6 +346,31 @@ impl HealthReport {
 mod tests {
     use super::*;
 
+    /// A tx-side row for `from -> to` at depth 1.
+    fn tx(
+        from: u32,
+        to: u32,
+        staleness_s: f64,
+        outbox: usize,
+        sent: (u64, u64, u64),
+    ) -> LinkObservation {
+        let (bytes, msgs, retries) = sent;
+        let side = LinkSide::Tx {
+            staleness_s,
+            outbox,
+            bytes,
+            msgs,
+            retries,
+            snapshots: 0,
+        };
+        LinkObservation {
+            from,
+            to,
+            depth: 1,
+            side,
+        }
+    }
+
     #[test]
     fn percentile_is_nearest_rank() {
         assert_eq!(percentile(&[], 0.99), 0.0);
@@ -392,27 +391,22 @@ mod tests {
             (45.0, 2, 250, 5, 1),
             (0.0, 0, 300, 7, 1),
         ] {
-            map.observe(&LinkObservation {
-                staleness_s: stale,
-                outbox,
-                bytes,
-                msgs,
-                retries,
-                ..LinkObservation::tx(0, 1, 1)
-            });
+            map.observe(&tx(0, 1, stale, outbox, (bytes, msgs, retries)));
         }
         // Receiver side of the same link.
-        map.observe(&LinkObservation {
+        let side = LinkSide::Rx {
             heard_age_s: 80.0,
             gaps: 1,
             resyncs: 1,
-            ..LinkObservation::rx(0, 1, 1)
+        };
+        map.observe(&LinkObservation {
+            side,
+            ..tx(0, 1, 0.0, 0, (0, 0, 0))
         });
         // A second, deeper link.
         map.observe(&LinkObservation {
-            staleness_s: 120.0,
-            bytes: 50,
-            ..LinkObservation::tx(1, 3, 2)
+            depth: 2,
+            ..tx(1, 3, 120.0, 0, (50, 0, 0))
         });
         let report = map.finalize();
         assert_eq!(report.links.len(), 2);
@@ -442,20 +436,12 @@ mod tests {
     }
 
     #[test]
-    fn health_map_counters_survive_a_reset() {
-        // A crash resets the sender's cumulative counters; the map keeps
-        // the high-water mark rather than going backwards.
+    fn health_map_counters_never_go_backwards() {
+        // Cumulative counters merge by `max`: a row that reads lower than
+        // one already folded leaves the high-water mark in place.
         let mut map = HealthMap::default();
-        map.observe(&LinkObservation {
-            bytes: 500,
-            msgs: 9,
-            ..LinkObservation::tx(2, 0, 1)
-        });
-        map.observe(&LinkObservation {
-            bytes: 40,
-            msgs: 1,
-            ..LinkObservation::tx(2, 0, 1)
-        });
+        map.observe(&tx(2, 0, 0.0, 0, (500, 9, 0)));
+        map.observe(&tx(2, 0, 0.0, 0, (40, 1, 0)));
         let l = map.finalize();
         assert_eq!((l.links[0].bytes, l.links[0].msgs), (500, 9));
     }

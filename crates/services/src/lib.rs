@@ -39,7 +39,7 @@ pub mod ums;
 pub mod uss;
 
 pub use fcs::Fcs;
-pub use health::{DepthReport, HealthMap, HealthReport, LinkObservation, LinkReport};
+pub use health::{DepthReport, HealthMap, HealthReport, LinkObservation, LinkReport, LinkSide};
 pub use irs::Irs;
 pub use libaequus::LibAequus;
 pub use message::UssMessage;

@@ -8,7 +8,7 @@ use aequus_core::usage::UsageSummary;
 use aequus_telemetry::TraceCtx;
 
 /// A message of the reliable USS↔USS exchange protocol.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum UssMessage {
     /// A sequenced incremental summary (absolute per-cell values).
     Summary {

@@ -4,7 +4,7 @@
 //! legislation".
 
 /// How a site takes part in the global usage-data exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParticipationMode {
     /// Normal operation: contributes local usage and consumes global usage.
     Full,

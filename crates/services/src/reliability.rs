@@ -29,6 +29,7 @@
 //! [`UssMessage::Snapshot`]: crate::message::UssMessage::Snapshot
 
 use crate::timings::ServiceTimings;
+use std::hash::{Hash, Hasher};
 
 /// Retry/backoff and retention configuration of the reliable exchange.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,6 +90,14 @@ impl RetryPolicy {
     }
 }
 
+/// Floats by their bits (the USS explorer fingerprints a site's state).
+impl Hash for RetryPolicy {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let times = [self.ack_timeout_s, self.max_backoff_s, self.jitter_frac];
+        (times.map(f64::to_bits), self.history_cap, self.outbox_cap).hash(h);
+    }
+}
+
 /// What a site serves while peer data goes stale (peers silent, partitioned,
 /// or crashed).
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
@@ -108,12 +117,22 @@ pub enum StalePolicy {
     },
 }
 
+impl Hash for StalePolicy {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match self {
+            StalePolicy::ServeStale => None,
+            StalePolicy::LocalOnly { max_staleness_s } => Some(max_staleness_s.to_bits()),
+        }
+        .hash(h);
+    }
+}
+
 /// A small self-contained deterministic RNG (splitmix64) for retry jitter.
 ///
 /// Kept separate from the simulation's fault RNG so that service-level retry
 /// timing is reproducible from the service's own seed alone, independent of
 /// how many fault coins the engine has flipped.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JitterRng {
     state: u64,
 }

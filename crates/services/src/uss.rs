@@ -22,16 +22,19 @@
 //!   sections), acknowledges it, detects sequence gaps, and issues
 //!   anti-entropy [`UssMessage::Resync`] pulls — answered from the retained
 //!   history, or with a cumulative snapshot when history was compacted.
-//! * [`Uss::crash`]/[`Uss::request_catchup`] model site failure: volatile
-//!   exchange state (remote histogram, mirrors, outboxes, sequence counter)
-//!   is wiped, while the local histogram survives (it is backed by the
-//!   site's accounting database); recovery pulls peer snapshots and
-//!   republishes local history, both of which are idempotent at receivers.
+//! * [`Uss::crash`]/[`Uss::request_catchup`] model site failure: the
+//!   [`Volatile`] exchange state is replaced whole, while the durable
+//!   ledger (local histogram, publish cursor, user table) survives;
+//!   recovery pulls peer snapshots and republishes local history, both of
+//!   which are idempotent at receivers. What survives what is the [`Uss`]
+//!   struct's grouping, not a list in any function here.
 //! * [`Uss::update_staleness`] tracks how old each peer's data is, exports
 //!   it as the `aequus_uss_peer_staleness_s` gauge, and enforces the
 //!   configured [`StalePolicy`] (serve-stale vs. local-only weighting).
 
-use crate::health::LinkObservation;
+mod counts;
+
+use crate::health::{LinkObservation, LinkSide};
 use crate::message::UssMessage;
 use crate::participation::ParticipationMode;
 use crate::reliability::{JitterRng, RetryPolicy, StalePolicy};
@@ -43,15 +46,17 @@ use aequus_core::usage::{
 };
 use aequus_core::{DecayPolicy, GridUser};
 use aequus_store::{CheckpointState, CheckpointView, PeerCursor};
-use aequus_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceCtx};
+use aequus_telemetry::{Gauge, Histogram, Telemetry, TraceCtx};
+use counts::{Count, Counts};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Why recovered store state could not be installed into a service. A
-/// corrupt or mismatched checkpoint must degrade the site to snapshot
-/// catch-up — never panic it.
+/// Why cells from outside the site — a recovered checkpoint, a delivered
+/// summary — were refused whole. A corrupt or mismatched checkpoint must
+/// degrade the site to snapshot catch-up — never panic it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryError {
     /// The checkpoint was cut by a different site.
@@ -61,16 +66,16 @@ pub enum RecoveryError {
         /// Site recorded in the checkpoint.
         found: SiteId,
     },
-    /// The checkpoint's histogram slot duration differs from the configured
-    /// one — its cell indices would land in the wrong slots.
+    /// The cells are binned with a slot duration other than the configured
+    /// one — their indices would land in the wrong slots.
     SlotMismatch {
         /// Configured slot duration.
         expected: f64,
-        /// Slot duration recorded in the checkpoint.
+        /// Slot duration the cells came with.
         found: f64,
     },
-    /// A checkpointed cell is not a charge (non-finite or negative):
-    /// installing it would poison every view built on the histogram.
+    /// A cell is not a charge (non-finite or negative): merging it would
+    /// poison every view built on the histogram.
     BadCell {
         /// The cell's user.
         user: GridUser,
@@ -89,13 +94,12 @@ impl fmt::Display for RecoveryError {
                 "checkpoint belongs to site {} (this is site {})",
                 found.0, expected.0
             ),
-            RecoveryError::SlotMismatch { expected, found } => write!(
-                f,
-                "checkpoint slot duration {found}s != configured {expected}s"
-            ),
+            RecoveryError::SlotMismatch { expected, found } => {
+                write!(f, "slot duration {found}s != configured {expected}s")
+            }
             RecoveryError::BadCell { user, slot, value } => write!(
                 f,
-                "checkpoint cell ({}, slot {slot}) holds {value}, not a charge",
+                "cell ({}, slot {slot}) holds {value}, not a charge",
                 user.as_str()
             ),
         }
@@ -108,67 +112,231 @@ impl std::error::Error for RecoveryError {}
 /// residues are floating-point noise and are neither published nor merged.
 const CELL_EPS: f64 = 1e-12;
 
-/// Whether two slot durations bin identically (never, for a NaN).
-fn same_slots(a_s: f64, b_s: f64) -> bool {
-    (a_s - b_s).abs() <= 1e-9
-}
-
-/// The first cell of `cells` that is not a charge — non-finite or negative
-/// — as `(user, slot, value)`. Cells arrive from outside the site (wire,
-/// WAL, checkpoint), and one `+inf` merged into a histogram makes every
-/// view and total built on it `inf` for good.
-fn first_bad_cell(cells: &UserCells) -> Option<(&GridUser, u64, f64)> {
-    cells.iter().find_map(|(user, slots)| {
-        slots
-            .iter()
-            .find(|(_, v)| !(v.is_finite() && **v >= 0.0))
-            .map(|(&slot, &value)| (user, slot, value))
-    })
-}
-
-/// Pre-registered USS metric handles (all no-ops until
+/// USS metric handles besides the counts' series (all no-ops until
 /// [`Uss::set_telemetry`] wires an enabled registry).
 #[derive(Debug, Clone, Default)]
 struct UssMetrics {
     telemetry: Telemetry,
-    ingested: Counter,
-    published: Counter,
-    received: Counter,
-    retries: Counter,
-    gaps: Counter,
-    resyncs: Counter,
-    snapshots: Counter,
-    duplicates: Counter,
-    rejected: Counter,
     staleness: Gauge,
     h_ingest: Histogram,
     h_publish: Histogram,
     h_receive: Histogram,
 }
 
-impl UssMetrics {
-    fn wire(t: &Telemetry) -> Self {
+/// Per-site usage statistics service: its state grouped by lifetime — which
+/// struct a field sits in *is* what a crash, a checkpoint and an install do
+/// to it, no function lists fields — plus its counts and telemetry handles.
+/// (Floats hash by their bits, for the explorer's fingerprints.)
+///
+/// | group        | `crash`  | `crash_volatile`     | checkpointed           | on install                 |
+/// |--------------|----------|----------------------|------------------------|----------------------------|
+/// | `Config`     | survives | survives             | no                     | kept                       |
+/// | `Ledger`     | survives | histogram, count go  | all but the user names | rebuilt (cursor: the max)  |
+/// | [`Volatile`] | replaced | replaced             | cursors, mirrors, dirt | built fresh, those filled  |
+/// | counts       | survive  | survive              | no                     | kept                       |
+#[derive(Debug, Clone)]
+pub struct Uss {
+    cfg: Config,
+    ledger: Ledger,
+    vol: Volatile,
+    counts: Counts,
+    metrics: UssMetrics,
+}
+
+/// What the deployment set. No crash, checkpoint or install touches it.
+#[derive(Debug, Clone, Hash)]
+struct Config {
+    site: SiteId,
+    mode: ParticipationMode,
+    /// Peers we deliver summaries to (sites that read global data).
+    peers: Vec<SiteId>,
+    /// Peers we expect summaries from (sites that contribute data) — the
+    /// staleness and catch-up set.
+    rx_peers: Vec<SiteId>,
+    /// Whether this node is an interior node of the overlay (Tree interior /
+    /// Hub member) and must relay merged remote cells onward.
+    forwarding: bool,
+    retry: RetryPolicy,
+    stale_policy: StalePolicy,
+    /// The backoff jitter stream `retry` is scaled by — the one part that
+    /// moves: each flush draws from it, and a crash does not rewind it.
+    jitter: JitterRng,
+}
+
+/// What the site's accounting database holds — the paper's USS fronts it.
+#[derive(Debug, Clone, Hash)]
+struct Ledger {
+    /// Who the `UserId`s everywhere else are. Names are looked up in it
+    /// where they enter — `Uss::ingest`, an accepted summary, an installed
+    /// checkpoint, the RMS's intern — and read back where bytes or reports
+    /// leave; it survives every crash (ids are held by the RMS).
+    users: UserTable,
+    /// Usage executed on this site. Without a store the sim models it as
+    /// surviving in an external accounting database; with one attached it
+    /// is honestly volatile — rebuilt from checkpoint + WAL replay.
+    local: UsageHistogram,
+    /// Sequence number the next published summary gets (1-based). Survives
+    /// even a store-mode crash: it is modeled as fsynced with every
+    /// publication — reusing sequence numbers would let a stale in-flight
+    /// ack from the old numbering cancel a new unacked summary, silently
+    /// losing the republished history.
+    next_seq: u64,
+    /// Records in `local`, WAL-replayed ones included.
+    records_ingested: u64,
+}
+
+/// Everything a crash loses: the exchange's working state. Built whole by
+/// `Volatile::new` — at construction, at a crash, under a checkpoint install
+/// — and compared whole by the explorer (crashed ≡ freshly built), so a
+/// field added here cannot be forgotten by any of them.
+#[derive(Debug, Clone, PartialEq, Hash)]
+pub struct Volatile {
+    /// Usage merged in from other sites' summaries.
+    remote: UsageHistogram,
+    /// Absolute charge already published per (user, slot) — publications
+    /// carry the absolute values of cells that changed against this mirror,
+    /// so charge landing in old slots (a long job completing spreads usage
+    /// back over its whole runtime) is still exchanged, and retransmissions
+    /// are idempotent at receivers.
+    published: CellStore,
+    /// Local users that may hold a cell above `published` — all
+    /// [`Uss::publish`] walks. Fed by ingest (contributing sites only); a
+    /// user leaves once they hold nothing still open. Built as every local
+    /// user: the mirror starts empty.
+    unpublished: Pending,
+    /// Retained published summaries for anti-entropy resync, oldest first
+    /// and contiguously numbered (bounded by [`RetryPolicy::history_cap`]),
+    /// each with the trace context of its publication: retries and resync
+    /// answers resend the *original* context, keeping delayed hops causally
+    /// linked.
+    history: History,
+    tx: BTreeMap<SiteId, PeerTx>,
+    rx: BTreeMap<SiteId, PeerRx>,
+    /// Absolute cumulative charge already merged per (user, slot), keyed by
+    /// the **originating** site — the mirror the positive-delta merge
+    /// compares against. Origin-scoped (not link-scoped): with hierarchical
+    /// overlays the same origin's cells can arrive relayed over several
+    /// links, and because origin values are monotone absolute cumulative
+    /// charge, merging every path against one per-origin mirror collapses
+    /// arbitrary path multiplicity to the same join.
+    seen_by_origin: BTreeMap<SiteId, CellStore>,
+    /// Forwarding-node state: per origin, the cells this node has already
+    /// relayed in its own publications. Diffed against `seen_by_origin` at
+    /// publish time to build the relayed sections. Deliberately *not*
+    /// checkpointed — a recovered interior node re-relays its whole mirror
+    /// once, which is idempotent at receivers.
+    relay_published: BTreeMap<SiteId, CellStore>,
+    /// Per origin, the mirrored users that may hold a cell above
+    /// `relay_published` — all `collect_relay_sections` walks. Fed by the
+    /// merge (forwarding nodes only) and, with every mirrored user, when
+    /// forwarding is switched on or a checkpoint installed.
+    unrelayed: BTreeMap<SiteId, Pending>,
+    /// Peers owed a [`UssMessage::SnapshotRequest`](crate::UssMessage) on
+    /// the next poll (crash-recovery catch-up).
+    catchup_pending: BTreeSet<SiteId>,
+    /// Whether the stale-data policy currently suppresses remote usage.
+    remote_suppressed: bool,
+    /// Users whose usage changed since the UMS last drained this service —
+    /// the head of the incremental dirty-set flow USS → UMS → FCS.
+    dirty: DirtySet,
+    /// Users whose [`grid_view`](Uss::grid_view) value changed since the
+    /// last `sync_view_row` — fed from the same mutation points as `dirty`,
+    /// drained on the sampler's cadence instead of the UMS's. "All" after
+    /// anything that rewrites the view wholesale (built fresh, stale-policy
+    /// flip): a row attached at any point first syncs from scratch.
+    view_dirty: DirtySet,
+    /// Trace context of the latest traced local ingest, consumed by the next
+    /// publication so the outgoing summary joins the report's causal tree.
+    pending_publish_ctx: Option<TraceCtx>,
+    /// Context of the latest traced publication — stamped onto cumulative
+    /// snapshots so snapshot catch-ups stay in a causal tree.
+    latest_publish_ctx: Option<TraceCtx>,
+    /// Trace context of the latest traced data change (local ingest or
+    /// gossip merge), for the UMS→FCS→query pipeline to pick up.
+    pending_pipeline_trace: Option<TraceCtx>,
+}
+
+impl Volatile {
+    /// What a process started over `cfg` and `ledger` holds: nothing heard
+    /// or sent, every local user (of a contributing site) pending.
+    fn new(cfg: &Config, ledger: &Ledger) -> Self {
+        let mut view_dirty = DirtySet::new();
+        view_dirty.mark_all();
+        let pending = (cfg.mode.contributes()).then(|| all_pending(ledger.local.cells()));
         Self {
-            telemetry: t.clone(),
-            ingested: t.counter("aequus_uss_records_ingested_total"),
-            published: t.counter("aequus_uss_summaries_published_total"),
-            received: t.counter("aequus_uss_summaries_received_total"),
-            retries: t.counter("aequus_uss_retries_total"),
-            gaps: t.counter("aequus_uss_seq_gaps_total"),
-            resyncs: t.counter("aequus_uss_resyncs_total"),
-            snapshots: t.counter("aequus_uss_snapshots_total"),
-            duplicates: t.counter("aequus_uss_duplicates_total"),
-            rejected: t.counter("aequus_uss_rejected_total"),
-            staleness: t.gauge("aequus_uss_peer_staleness_s"),
-            h_ingest: t.histogram("aequus_uss_ingest_s"),
-            h_publish: t.histogram("aequus_uss_publish_s"),
-            h_receive: t.histogram("aequus_uss_receive_s"),
+            remote: UsageHistogram::new(ledger.local.slot_duration()),
+            published: CellStore::default(),
+            unpublished: pending.unwrap_or_default(),
+            history: VecDeque::new(),
+            tx: BTreeMap::new(),
+            rx: BTreeMap::new(),
+            seen_by_origin: BTreeMap::new(),
+            relay_published: BTreeMap::new(),
+            unrelayed: BTreeMap::new(),
+            catchup_pending: BTreeSet::new(),
+            remote_suppressed: false,
+            dirty: DirtySet::new(),
+            view_dirty,
+            pending_publish_ctx: None,
+            latest_publish_ctx: None,
+            pending_pipeline_trace: None,
         }
+    }
+
+    /// Positive-delta merge of one origin's absolute cells against that
+    /// origin's mirror: cells whose value exceeds the mirrored value by
+    /// more than [`CELL_EPS`] raise the mirror and add the delta to the
+    /// remote histogram. Duplicates, reordering, overlapping resyncs,
+    /// snapshots, and multi-path relay all collapse to no-ops here. Users
+    /// with a changed cell are marked in both dirty sets (the UMS flow and
+    /// the view row) and, on a node that `forwards`, noted in `unrelayed`.
+    /// Returns the number of cells that changed.
+    ///
+    /// This is where a delivered name becomes an id — the summary was
+    /// already accepted whole ([`Uss::check_summary`]), so every name it
+    /// carries is interned, risen cell or not. That one lookup
+    /// (`O(log users)` comparisons) is all that touches a string: per cell
+    /// it is one integer-keyed descent of the mirror and, if it rose, one
+    /// of the remote histogram; per user with a risen cell one integer
+    /// insert into each dirty set.
+    fn merge_origin(
+        &mut self,
+        users: &mut UserTable,
+        origin: SiteId,
+        cells: &UserCells,
+        forwards: bool,
+    ) -> usize {
+        let mirror = self.seen_by_origin.entry(origin).or_default();
+        let mut unrelayed = forwards.then(|| self.unrelayed.entry(origin).or_default());
+        let mut merged = 0usize;
+        for (name, slots) in cells {
+            let user = users.intern(name);
+            let mut lowest = None;
+            for (&slot, &value) in slots {
+                if let Some(delta) = mirror.raise(user, slot, value, CELL_EPS) {
+                    self.remote.add_charges(user, [(slot, delta)]);
+                    lowest.get_or_insert(slot);
+                    merged += 1;
+                }
+            }
+            let Some(lowest) = lowest else {
+                continue;
+            };
+            self.dirty.mark_user(user);
+            self.view_dirty.mark_user(user);
+            if let Some(pending) = &mut unrelayed {
+                note_pending(pending, user, lowest);
+            }
+        }
+        merged
     }
 }
 
-/// Publisher-side per-peer delivery state.
-#[derive(Debug, Clone)]
+type History = VecDeque<(UsageSummary, Option<TraceCtx>)>;
+
+/// Publisher-side per-peer delivery state. A peer without an entry is a
+/// peer with nothing unacked.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct PeerTx {
     /// Unacked published `(seq, published_at_s)` entries, oldest first. The
     /// publication timestamp turns the outbox head into the link's
@@ -177,34 +345,26 @@ struct PeerTx {
     /// silent during quiescent drains (an empty outbox means the peer is
     /// missing nothing).
     outbox: VecDeque<(u64, f64)>,
-    /// Earliest time the outbox may be (re)flushed.
-    next_attempt_s: f64,
     /// Completed sends of the current outbox without a full ack — drives the
-    /// exponential backoff; reset to zero once the outbox drains.
+    /// exponential backoff; back at zero once an ack drains the outbox.
     attempts: u32,
-    /// Cumulative retry sends to this peer (health map).
-    retries: u64,
-    /// Cumulative snapshot catch-ups sent to this peer (health map).
-    snapshots: u64,
+    /// While `attempts > 0`: the earliest time the outbox may be re-flushed.
+    next_attempt_s: f64,
 }
 
-impl PeerTx {
-    fn new() -> Self {
-        Self {
-            outbox: VecDeque::new(),
-            next_attempt_s: f64::NEG_INFINITY,
-            attempts: 0,
-            retries: 0,
-            snapshots: 0,
-        }
+impl Hash for PeerTx {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (self.attempts, self.next_attempt_s.to_bits()).hash(h);
+        let outbox = self.outbox.iter().map(|&(seq, at_s)| (seq, at_s.to_bits()));
+        outbox.collect::<Vec<_>>().hash(h);
     }
 }
 
 /// Receiver-side per-peer (per-link) gap-tracking state. Cell merge mirrors
-/// live at the service level keyed by *origin* site ([`Uss`]), not here —
-/// with hierarchical overlays the same origin's cells can arrive over
+/// are keyed by *origin* site ([`Volatile::seen_by_origin`]), not kept here
+/// — with hierarchical overlays the same origin's cells can arrive over
 /// several links, and a per-link mirror would double-count them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct PeerRx {
     /// Lowest sequence number not yet seen from this peer.
     next_expected: u64,
@@ -213,20 +373,15 @@ struct PeerRx {
     /// Last time any data message from this peer arrived (staleness anchor);
     /// `NEG_INFINITY` until the first one.
     last_heard_s: f64,
-    /// Cumulative sequence gaps detected on this link (health map).
-    gaps: u64,
-    /// Cumulative anti-entropy resyncs issued on this link (health map).
-    resyncs: u64,
 }
 
 impl PeerRx {
-    fn new() -> Self {
+    /// A cursor at `next_expected` (1 for a peer never heard from).
+    fn at(next_expected: u64) -> Self {
         Self {
-            next_expected: 1,
+            next_expected,
             seen_above: BTreeSet::new(),
             last_heard_s: f64::NEG_INFINITY,
-            gaps: 0,
-            resyncs: 0,
         }
     }
 
@@ -259,108 +414,18 @@ impl PeerRx {
     }
 }
 
-/// Per-site usage statistics service.
-#[derive(Debug, Clone)]
-pub struct Uss {
-    site: SiteId,
-    mode: ParticipationMode,
-    /// Who the [`UserId`]s below are. Names are looked up in it where they
-    /// enter — [`Uss::ingest`], an accepted summary, an installed
-    /// checkpoint, the RMS's intern — and read back where bytes or reports
-    /// leave; it survives every crash (ids are held by the RMS).
-    users: UserTable,
-    /// Usage executed on this site. Durable: survives [`Uss::crash`] — the
-    /// paper's USS fronts the site's accounting database.
-    local: UsageHistogram,
-    /// Usage merged in from other sites' summaries. Volatile.
-    remote: UsageHistogram,
-    /// Absolute charge already published per (user, slot) — publications
-    /// carry the absolute values of cells that changed against this mirror,
-    /// so charge landing in old slots (a long job completing spreads usage
-    /// back over its whole runtime) is still exchanged, and retransmissions
-    /// are idempotent at receivers.
-    published: CellStore,
-    /// Local users that may hold a cell above `published` — all
-    /// [`Uss::publish`] walks. Fed by ingest (contributing sites only) and,
-    /// with every local user, wherever the mirror is dropped or the
-    /// histogram rebuilt; a user leaves once they hold nothing still open.
-    unpublished: Pending,
-    /// Sequence number the next published summary gets (1-based).
-    next_seq: u64,
-    /// Retained published summaries for anti-entropy resync (bounded by
-    /// [`RetryPolicy::history_cap`]).
-    history: VecDeque<UsageSummary>,
-    /// Peers we deliver summaries to (sites that read global data).
-    peers: Vec<SiteId>,
-    /// Peers we expect summaries from (sites that contribute data) — the
-    /// staleness and catch-up set.
-    rx_peers: Vec<SiteId>,
-    tx: BTreeMap<SiteId, PeerTx>,
-    rx: BTreeMap<SiteId, PeerRx>,
-    /// Absolute cumulative charge already merged per (user, slot), keyed by
-    /// the **originating** site — the mirror the positive-delta merge
-    /// compares against. Origin-scoped (not link-scoped): with hierarchical
-    /// overlays the same origin's cells can arrive relayed over several
-    /// links, and because origin values are monotone absolute cumulative
-    /// charge, merging every path against one per-origin mirror collapses
-    /// arbitrary path multiplicity to the same join.
-    seen_by_origin: BTreeMap<SiteId, CellStore>,
-    /// Forwarding-node state: per origin, the cells this node has already
-    /// relayed in its own publications. Diffed against `seen_by_origin` at
-    /// publish time to build the relayed sections. Deliberately *not*
-    /// checkpointed — a recovered interior node re-relays its whole mirror
-    /// once, which is idempotent at receivers.
-    relay_published: BTreeMap<SiteId, CellStore>,
-    /// Per origin, the mirrored users that may hold a cell above
-    /// `relay_published` — all [`Uss::collect_relay_sections`] walks. Fed
-    /// by the merge (forwarding nodes only) and, with every mirrored user,
-    /// when forwarding is switched on or a checkpoint installed.
-    unrelayed: BTreeMap<SiteId, Pending>,
-    /// Whether this node is an interior node of the overlay (Tree interior /
-    /// Hub member) and must relay merged remote cells onward.
-    forwarding: bool,
-    /// Peers owed a [`UssMessage::SnapshotRequest`] on the next poll
-    /// (crash-recovery catch-up).
-    catchup_pending: BTreeSet<SiteId>,
-    retry: RetryPolicy,
-    stale_policy: StalePolicy,
-    jitter: JitterRng,
-    /// Whether the stale-data policy currently suppresses remote usage.
-    remote_suppressed: bool,
-    /// Count of records ingested (observability).
-    records_ingested: u64,
-    /// Count of summaries received from peers.
-    summaries_received: u64,
-    retries: u64,
-    seq_gaps: u64,
-    resyncs: u64,
-    snapshots_sent: u64,
-    duplicates: u64,
-    rejected: u64,
-    /// Users whose usage changed since the UMS last drained this service —
-    /// the head of the incremental dirty-set flow USS → UMS → FCS.
-    dirty: DirtySet,
-    /// Users whose [`grid_view`](Uss::grid_view) value changed since the
-    /// last [`Uss::sync_view_row`] — fed from the same mutation points as
-    /// `dirty`, drained on the sampler's cadence instead of the UMS's.
-    /// "All" after anything that rewrites the view wholesale (crash,
-    /// checkpoint install, stale-policy flip).
-    view_dirty: DirtySet,
-    /// Telemetry handles (no-ops until wired).
-    metrics: UssMetrics,
-    /// Trace context of the latest traced local ingest, consumed by the next
-    /// publication so the outgoing summary joins the report's causal tree.
-    pending_publish_ctx: Option<TraceCtx>,
-    /// Per-sequence trace contexts of traced publications. Retries and
-    /// resync answers of a sequence resend its *original* context, keeping
-    /// delayed hops causally linked. Trimmed alongside the resync history.
-    publish_trace: BTreeMap<u64, TraceCtx>,
-    /// Context of the latest traced publication — stamped onto cumulative
-    /// snapshots so snapshot catch-ups stay in a causal tree.
-    latest_publish_ctx: Option<TraceCtx>,
-    /// Trace context of the latest traced data change (local ingest or
-    /// gossip merge), for the UMS→FCS→query pipeline to pick up.
-    pending_pipeline_trace: Option<TraceCtx>,
+impl Hash for PeerRx {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let heard = self.last_heard_s.to_bits();
+        (self.next_expected, &self.seen_above, heard).hash(h);
+    }
+}
+
+/// What the explorer tells services apart by: not counts, not handles.
+impl Hash for Uss {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (&self.cfg, &self.ledger, &self.vol).hash(h);
+    }
 }
 
 /// Users awaiting publication or relay: user → the lowest slot at which a
@@ -369,6 +434,14 @@ type Pending = BTreeMap<UserId, u64>;
 
 /// A pending set as [`Uss::pending`] reports it: by name.
 pub type PendingNames = BTreeMap<GridUser, u64>;
+
+/// The message resending retained summary `seq` — one index by sequence
+/// offset — or `None` once it was compacted away.
+fn retained(history: &History, seq: u64) -> Option<UssMessage> {
+    let offset = seq.checked_sub(history.front()?.0.seq)?;
+    let (summary, ctx) = history.get(usize::try_from(offset).ok()?)?.clone();
+    (summary.seq == seq).then_some(UssMessage::Summary { summary, ctx })
+}
 
 /// Note that `user`'s cells from `slot` on may have risen.
 fn note_pending(pending: &mut Pending, user: UserId, slot: u64) {
@@ -424,55 +497,6 @@ fn drain_pending(
     section
 }
 
-/// Positive-delta merge of one origin's absolute cells against that
-/// origin's mirror: cells whose value exceeds the mirrored value by more
-/// than [`CELL_EPS`] raise the mirror and add the delta to the remote
-/// histogram. Duplicates, reordering, overlapping resyncs, snapshots, and
-/// multi-path relay all collapse to no-ops here. Users with a changed cell
-/// are marked in both `dirty` sets (the UMS flow and the view row) and, on
-/// a forwarding node, noted in `unrelayed`. Returns the number of cells
-/// that changed.
-///
-/// This is where a delivered name becomes an id — the summary was already
-/// accepted whole ([`Uss::check_summary`]), so every name it carries is
-/// interned, risen cell or not. That one lookup (`O(log users)`
-/// comparisons) is all that touches a string: per cell it is one
-/// integer-keyed descent of the mirror and, if it rose, one of the remote
-/// histogram; per user with a risen cell one integer insert into each
-/// dirty set. (Free function over disjoint fields so callers can hold
-/// other `Uss` borrows.)
-fn merge_origin_cells(
-    mirror: &mut CellStore,
-    users: &mut UserTable,
-    cells: &UserCells,
-    remote: &mut UsageHistogram,
-    mut dirty: [&mut DirtySet; 2],
-    mut unrelayed: Option<&mut Pending>,
-) -> usize {
-    let mut merged = 0usize;
-    for (name, slots) in cells {
-        let user = users.intern(name);
-        let mut lowest = None;
-        for (&slot, &value) in slots {
-            if let Some(delta) = mirror.raise(user, slot, value, CELL_EPS) {
-                remote.add_charges(user, [(slot, delta)]);
-                lowest.get_or_insert(slot);
-                merged += 1;
-            }
-        }
-        let Some(lowest) = lowest else {
-            continue;
-        };
-        for set in &mut dirty {
-            set.mark_user(user);
-        }
-        if let Some(pending) = &mut unrelayed {
-            note_pending(pending, user, lowest);
-        }
-    }
-    merged
-}
-
 impl Uss {
     /// Create a USS with the given histogram slot duration and a user table
     /// of its own over no base: every identity it meets is interned on
@@ -490,95 +514,94 @@ impl Uss {
         slot_s: f64,
         users: UserTable,
     ) -> Self {
-        // A row attached at any point first syncs from scratch.
-        let mut view_dirty = DirtySet::new();
-        view_dirty.mark_all();
-        Self {
+        let cfg = Config {
             site,
             mode,
-            users,
-            local: UsageHistogram::new(slot_s),
-            remote: UsageHistogram::new(slot_s),
-            published: Default::default(),
-            unpublished: Pending::new(),
-            next_seq: 1,
-            history: VecDeque::new(),
             peers: Vec::new(),
             rx_peers: Vec::new(),
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
-            seen_by_origin: BTreeMap::new(),
-            relay_published: BTreeMap::new(),
-            unrelayed: BTreeMap::new(),
             forwarding: false,
-            catchup_pending: BTreeSet::new(),
             retry: RetryPolicy::default(),
             stale_policy: StalePolicy::default(),
             jitter: JitterRng::new(site.0 as u64),
-            remote_suppressed: false,
+        };
+        let ledger = Ledger {
+            users,
+            local: UsageHistogram::new(slot_s),
+            next_seq: 1,
             records_ingested: 0,
-            summaries_received: 0,
-            retries: 0,
-            seq_gaps: 0,
-            resyncs: 0,
-            snapshots_sent: 0,
-            duplicates: 0,
-            rejected: 0,
-            dirty: DirtySet::new(),
-            view_dirty,
+        };
+        Self {
+            vol: Volatile::new(&cfg, &ledger),
+            cfg,
+            ledger,
+            counts: Counts::default(),
             metrics: UssMetrics::default(),
-            pending_publish_ctx: None,
-            publish_trace: BTreeMap::new(),
-            latest_publish_ctx: None,
-            pending_pipeline_trace: None,
         }
+    }
+
+    /// The state a crash loses, comparable whole.
+    pub fn volatile(&self) -> &Volatile {
+        &self.vol
+    }
+
+    /// The volatile state of a process started fresh over this service's
+    /// configuration and ledger: what the explorer holds a crash to.
+    pub fn fresh_volatile(&self) -> Volatile {
+        Volatile::new(&self.cfg, &self.ledger)
     }
 
     /// Note the trace context of a just-ingested local record: the next
     /// publication is stamped with it, and the refresh pipeline picks it up
     /// through [`Uss::take_pipeline_trace`].
     pub fn note_ingest_trace(&mut self, ctx: TraceCtx) {
-        self.pending_publish_ctx = Some(ctx);
-        self.pending_pipeline_trace = Some(ctx);
+        self.vol.pending_publish_ctx = Some(ctx);
+        self.vol.pending_pipeline_trace = Some(ctx);
     }
 
     /// Drain the trace context of the latest traced data change (local
     /// ingest or gossip merge) for the UMS/FCS refresh stages.
     pub fn take_pipeline_trace(&mut self) -> Option<TraceCtx> {
-        self.pending_pipeline_trace.take()
+        self.vol.pending_pipeline_trace.take()
     }
 
     /// Wire this service into a telemetry registry; pass
     /// [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
-        self.metrics = UssMetrics::wire(t);
+        self.counts.wire(t);
+        self.metrics = UssMetrics {
+            telemetry: t.clone(),
+            staleness: t.gauge("aequus_uss_peer_staleness_s"),
+            h_ingest: t.histogram("aequus_uss_ingest_s"),
+            h_publish: t.histogram("aequus_uss_publish_s"),
+            h_receive: t.histogram("aequus_uss_receive_s"),
+        };
     }
 
     /// The site's user table: who each [`UserId`] this service hands out
     /// or takes is.
     pub fn users(&self) -> &UserTable {
-        &self.users
+        &self.ledger.users
     }
 
     /// The table, to intern into: the RMS seam and the FCS resolve names
     /// here, so the site has one id per identity.
     pub fn users_mut(&mut self) -> &mut UserTable {
-        &mut self.users
+        &mut self.ledger.users
     }
 
     /// Duration of one usage-histogram slot in seconds.
     pub fn slot_duration(&self) -> f64 {
-        self.local.slot_duration()
+        self.ledger.local.slot_duration()
     }
 
     /// The owning site.
     pub fn site(&self) -> SiteId {
-        self.site
+        self.cfg.site
     }
 
     /// Participation mode in the global exchange.
     pub fn mode(&self) -> ParticipationMode {
-        self.mode
+        self.cfg.mode
     }
 
     /// Register exchange peers: `tx_peers` receive this site's summaries,
@@ -588,30 +611,20 @@ impl Uss {
     /// is sequenced, journaled and retained — and simply has nobody to
     /// queue it for.
     pub fn set_peers(&mut self, tx_peers: &[SiteId], rx_peers: &[SiteId]) {
-        self.peers = tx_peers
-            .iter()
-            .copied()
-            .filter(|p| *p != self.site)
-            .collect();
-        self.rx_peers = rx_peers
-            .iter()
-            .copied()
-            .filter(|p| *p != self.site)
-            .collect();
-        for p in &self.peers {
-            self.tx.entry(*p).or_insert_with(PeerTx::new);
-        }
+        let site = self.cfg.site;
+        let others = |peers: &[SiteId]| peers.iter().copied().filter(|p| *p != site).collect();
+        (self.cfg.peers, self.cfg.rx_peers) = (others(tx_peers), others(rx_peers));
     }
 
     /// Configure retry/backoff/retention and reseed the jitter source.
     pub fn configure_reliability(&mut self, retry: RetryPolicy, jitter_seed: u64) {
-        self.retry = retry;
-        self.jitter = JitterRng::new(jitter_seed ^ ((self.site.0 as u64) << 32));
+        self.cfg.retry = retry;
+        self.cfg.jitter = JitterRng::new(jitter_seed ^ ((self.cfg.site.0 as u64) << 32));
     }
 
     /// Configure the stale-data policy.
     pub fn set_stale_policy(&mut self, policy: StalePolicy) {
-        self.stale_policy = policy;
+        self.cfg.stale_policy = policy;
     }
 
     /// Mark this node as an overlay interior node: cells merged from other
@@ -619,8 +632,8 @@ impl Uss {
     /// aggregation for the Tree and Hub overlays). Switching it on makes
     /// everything already mirrored pending for relay.
     pub fn set_forwarding(&mut self, on: bool) {
-        if on != self.forwarding {
-            self.forwarding = on;
+        if on != self.cfg.forwarding {
+            self.cfg.forwarding = on;
             self.refill_unrelayed();
         }
     }
@@ -628,43 +641,31 @@ impl Uss {
     /// Every mirrored user is pending for relay again (none, on a node that
     /// does not forward): forwarding was switched, or the mirrors replaced.
     fn refill_unrelayed(&mut self) {
-        self.unrelayed.clear();
-        if self.forwarding {
-            for (origin, cells) in &self.seen_by_origin {
-                self.unrelayed.insert(*origin, all_pending(cells));
-            }
-        }
-    }
-
-    /// Every local user is pending for publication again (none, on a site
-    /// that does not contribute), and the relay side likewise: the sent
-    /// mirrors were dropped or the cells under them rebuilt.
-    fn refill_pending(&mut self) {
-        self.unpublished.clear();
-        if self.mode.contributes() {
-            self.unpublished = all_pending(self.local.cells());
-        }
-        self.refill_unrelayed();
+        let mirrors = self.vol.seen_by_origin.iter();
+        let mirrors = mirrors.filter(|_| self.cfg.forwarding);
+        self.vol.unrelayed = mirrors
+            .map(|(origin, cells)| (*origin, all_pending(cells)))
+            .collect();
     }
 
     /// Whether this node relays merged remote data onward.
     pub fn forwarding(&self) -> bool {
-        self.forwarding
+        self.cfg.forwarding
     }
 
     /// Whether this node publishes summaries at all: sites that contribute
     /// their own usage, and overlay interior nodes (which must relay even
     /// when they have nothing of their own to say).
     fn publishes(&self) -> bool {
-        self.mode.contributes() || self.forwarding
+        self.cfg.mode.contributes() || self.cfg.forwarding
     }
 
     /// Ingest a locally completed job's usage record.
     pub fn ingest(&mut self, rec: &UsageRecord) {
         let _span = self.metrics.h_ingest.start_timer();
-        debug_assert_eq!(rec.site, self.site, "record routed to wrong site");
+        debug_assert_eq!(rec.site, self.cfg.site, "record routed to wrong site");
         self.replay_ingest(rec);
-        self.metrics.ingested.inc();
+        self.counts.add(Count::Ingested, None, 1);
     }
 
     /// Diff the users pending relay against what this node has already
@@ -678,13 +679,12 @@ impl Uss {
     /// ([`drain_pending`]), not what is mirrored.
     fn collect_relay_sections(&mut self) -> BTreeMap<SiteId, UserCells> {
         let mut relayed: BTreeMap<SiteId, UserCells> = BTreeMap::new();
-        for (origin, pending) in &mut self.unrelayed {
-            let Some(held) = self.seen_by_origin.get(origin) else {
-                pending.clear();
-                continue;
+        for (origin, pending) in &mut self.vol.unrelayed {
+            let Some(held) = self.vol.seen_by_origin.get(origin) else {
+                continue; // a pending set is only ever made beside its mirror
             };
-            let sent = self.relay_published.entry(*origin).or_default();
-            let section = drain_pending(pending, held, sent, &self.users, None);
+            let sent = self.vol.relay_published.entry(*origin).or_default();
+            let section = drain_pending(pending, held, sent, &self.ledger.users, None);
             if !section.is_empty() {
                 relayed.insert(*origin, section);
             }
@@ -711,58 +711,45 @@ impl Uss {
         if !self.publishes() {
             return None;
         }
-        let current_slot = (now_s / self.local.slot_duration()).floor().max(0.0) as u64;
-        let (held, sent) = (self.local.cells(), &mut self.published);
-        let closed = Some(current_slot);
-        let per_user = drain_pending(&mut self.unpublished, held, sent, &self.users, closed);
+        let slot_s = self.ledger.local.slot_duration();
+        let current_slot = (now_s / slot_s).floor().max(0.0) as u64;
+        let (held, sent) = (self.ledger.local.cells(), &mut self.vol.published);
+        let (pending, closed) = (&mut self.vol.unpublished, Some(current_slot));
+        let per_user = drain_pending(pending, held, sent, &self.ledger.users, closed);
         let relayed = self.collect_relay_sections();
         if per_user.is_empty() && relayed.is_empty() {
             return None;
         }
-        let seq = self.next_seq;
-        self.next_seq = seq.saturating_add(1);
+        let (site, seq) = (self.cfg.site, self.ledger.next_seq);
+        self.ledger.next_seq = seq.saturating_add(1);
         let summary = UsageSummary {
-            site: self.site,
+            site,
             seq,
-            slot_s: self.local.slot_duration(),
+            slot_s,
             per_user,
             relayed,
         };
-        self.history.push_back(summary.clone());
-        while self.history.len() > self.retry.history_cap.max(1) {
-            self.history.pop_front();
+        let ctx = self.vol.pending_publish_ctx.take().and_then(|ingest_ctx| {
+            let telemetry = &self.metrics.telemetry;
+            telemetry.child_span(Some(ingest_ctx), "uss.publish", now_s, || {
+                format!("site {} published seq {seq}", site.0)
+            })
+        });
+        self.vol.latest_publish_ctx = ctx.or(self.vol.latest_publish_ctx);
+        self.vol.history.push_back((summary.clone(), ctx));
+        while self.vol.history.len() > self.cfg.retry.history_cap.max(1) {
+            self.vol.history.pop_front();
         }
-        if let Some(ingest_ctx) = self.pending_publish_ctx.take() {
-            let site_id = self.site.0;
-            if let Some(pub_ctx) =
-                self.metrics
-                    .telemetry
-                    .child_span(Some(ingest_ctx), "uss.publish", now_s, || {
-                        format!("site {site_id} published seq {seq}")
-                    })
-            {
-                self.publish_trace.insert(seq, pub_ctx);
-                self.latest_publish_ctx = Some(pub_ctx);
-            }
-        }
-        if let Some(oldest) = self.history.front().map(|s| s.seq) {
-            // Contexts for compacted sequences can no longer be resent.
-            self.publish_trace.retain(|&q, _| q >= oldest);
-        }
-        for peer in &self.peers {
-            let tx = self.tx.entry(*peer).or_insert_with(PeerTx::new);
+        for peer in &self.cfg.peers {
+            let tx = self.vol.tx.entry(*peer).or_default();
             tx.outbox.push_back((seq, now_s));
-            while tx.outbox.len() > self.retry.outbox_cap.max(1) {
+            while tx.outbox.len() > self.cfg.retry.outbox_cap.max(1) {
                 // Oldest unacked entry overflows; the receiver recovers it
                 // through gap detection → resync (→ snapshot fallback).
                 tx.outbox.pop_front();
             }
-            if tx.attempts == 0 {
-                // Nothing awaiting backoff: fresh data goes out immediately.
-                tx.next_attempt_s = f64::NEG_INFINITY;
-            }
         }
-        self.metrics.published.inc();
+        self.counts.add(Count::Published, None, 1);
         Some(summary)
     }
 
@@ -772,68 +759,40 @@ impl Uss {
     /// outbox advances that peer's exponential backoff (with deterministic
     /// jitter); an ack resets it.
     pub fn poll(&mut self, now_s: f64) -> Vec<(SiteId, UssMessage)> {
-        let mut out = Vec::new();
-        for peer in std::mem::take(&mut self.catchup_pending) {
-            out.push((peer, UssMessage::SnapshotRequest { from: self.site }));
-        }
-        let peers: Vec<SiteId> = self.peers.clone();
-        for peer in peers {
-            let Some(tx) = self.tx.get(&peer) else {
+        let from = self.cfg.site;
+        let catchup = std::mem::take(&mut self.vol.catchup_pending).into_iter();
+        let mut out: Vec<(SiteId, UssMessage)> = catchup
+            .map(|peer| (peer, UssMessage::SnapshotRequest { from }))
+            .collect();
+        for at in 0..self.cfg.peers.len() {
+            let peer = self.cfg.peers[at];
+            let Some(tx) = self.vol.tx.get_mut(&peer) else {
                 continue;
             };
-            if tx.outbox.is_empty() || now_s < tx.next_attempt_s {
+            // Nothing awaiting backoff: fresh data goes out immediately.
+            if tx.outbox.is_empty() || (tx.attempts > 0 && now_s < tx.next_attempt_s) {
                 continue;
             }
-            let seqs: Vec<u64> = tx.outbox.iter().map(|&(seq, _)| seq).collect();
-            let retrying = tx.attempts > 0;
-            let mut sent = 0u64;
-            let mut snapshots_now = 0u64;
-            let mut evicted: Vec<u64> = Vec::new();
-            for seq in seqs {
-                match self.history.iter().find(|s| s.seq == seq) {
-                    Some(s) => {
-                        out.push((
-                            peer,
-                            UssMessage::Summary {
-                                summary: s.clone(),
-                                ctx: self.publish_trace.get(&seq).copied(),
-                            },
-                        ));
-                        sent += 1;
-                    }
-                    None => evicted.push(seq),
-                }
-            }
-            if !evicted.is_empty() {
-                // History compacted past unacked entries: replace them with
-                // one cumulative snapshot (idempotent, covers everything).
-                out.push((
-                    peer,
-                    UssMessage::Snapshot {
-                        summary: self.snapshot_summary(),
-                        ctx: self.latest_publish_ctx,
-                    },
-                ));
-                self.snapshots_sent += 1;
-                self.metrics.snapshots.inc();
-                snapshots_now += 1;
-                sent += 1;
+            let (retrying, first, queued) = (tx.attempts > 0, out.len(), tx.outbox.len());
+            let history = &self.vol.history;
+            tx.outbox.retain(|&(seq, _)| {
+                let resent = retained(history, seq).map(|msg| out.push((peer, msg)));
+                resent.is_some()
+            });
+            let compacted = tx.outbox.len() < queued;
+            tx.attempts += 1;
+            let unit = self.cfg.jitter.next_unit();
+            tx.next_attempt_s = now_s + self.cfg.retry.backoff_s(tx.attempts, unit);
+            if compacted {
+                // History compacted past unacked entries: they left the
+                // outbox, and one cumulative snapshot (idempotent, covers
+                // everything) replaces them.
+                let snapshot = self.snapshot_for(peer);
+                out.push((peer, snapshot));
             }
             if retrying {
-                self.retries += sent;
-                self.metrics.retries.add(sent);
-            }
-            let unit = self.jitter.next_unit();
-            // The entry was present at the top of the loop; re-check rather
-            // than `expect` — a serving site must not panic on map state.
-            if let Some(tx) = self.tx.get_mut(&peer) {
-                tx.outbox.retain(|&(seq, _)| !evicted.contains(&seq));
-                if retrying {
-                    tx.retries += sent;
-                }
-                tx.snapshots += snapshots_now;
-                tx.attempts += 1;
-                tx.next_attempt_s = now_s + self.retry.backoff_s(tx.attempts, unit);
+                let sent = (out.len() - first) as u64;
+                self.counts.add(Count::Retries, Some(peer), sent);
             }
         }
         out
@@ -854,21 +813,10 @@ impl Uss {
                 from_seq,
                 to_seq,
             } => self.on_resync(*from, *from_seq, *to_seq),
-            UssMessage::SnapshotRequest { from } => {
-                if !self.publishes() {
-                    return Vec::new();
-                }
-                self.snapshots_sent += 1;
-                self.metrics.snapshots.inc();
-                self.tx.entry(*from).or_insert_with(PeerTx::new).snapshots += 1;
-                vec![(
-                    *from,
-                    UssMessage::Snapshot {
-                        summary: self.snapshot_summary(),
-                        ctx: self.latest_publish_ctx,
-                    },
-                )]
+            UssMessage::SnapshotRequest { from } if self.publishes() => {
+                vec![(*from, self.snapshot_for(*from))]
             }
+            UssMessage::SnapshotRequest { .. } => Vec::new(),
         }
     }
 
@@ -880,79 +828,61 @@ impl Uss {
         now_s: f64,
     ) -> Vec<(SiteId, UssMessage)> {
         let _span = self.metrics.h_receive.start_timer();
-        if s.site == self.site {
+        if s.site == self.cfg.site {
             return Vec::new(); // never double-count our own data
         }
         if let Err(why) = self.check_summary(s) {
             // Refused whole, before any cell merges: no cursor movement and
             // no ack either, so a well-formed retransmission still counts.
-            self.rejected += 1;
-            self.metrics.rejected.inc();
+            self.counts.add(Count::Rejected, None, 1);
             self.metrics.telemetry.event(now_s, "uss.rejected", || {
                 format!("summary seq {} from site {}: {why}", s.seq, s.site.0)
             });
             return Vec::new();
         }
+        let from = self.cfg.site;
         let mut responses = Vec::new();
         if !is_snapshot {
             // Acknowledge regardless of participation mode, so publishers
             // don't retry forever at sites that discard global data.
-            responses.push((
-                s.site,
-                UssMessage::Ack {
-                    from: self.site,
-                    seq: s.seq,
-                },
-            ));
+            responses.push((s.site, UssMessage::Ack { from, seq: s.seq }));
         }
-        if !self.mode.reads_global() {
+        if !self.cfg.mode.reads_global() {
             return responses;
         }
         let merged_cells = self.merge_sections(s);
         if merged_cells == 0 && !(s.per_user.is_empty() && s.relayed.is_empty()) {
-            self.duplicates += 1;
-            self.metrics.duplicates.inc();
+            self.counts.add(Count::Duplicates, None, 1);
         }
-        if merged_cells > 0 {
-            if let Some(parent) = ctx {
-                // Cross-site causal link: the merge span's parent is the
-                // publisher's `uss.publish` span (retries/resyncs/snapshots
-                // all resend the original context, so the link survives
-                // loss). Duplicate deliveries merge nothing and add no span.
-                let (peer, seq) = (s.site.0, s.seq);
-                let merge_ctx =
-                    self.metrics
-                        .telemetry
-                        .child_span(Some(parent), "uss.merge", now_s, || {
-                            format!("merged seq {seq} from site {peer} ({merged_cells} cells)")
-                        });
-                self.pending_pipeline_trace = merge_ctx.or(self.pending_pipeline_trace);
-            }
+        if let Some(parent) = ctx.filter(|_| merged_cells > 0) {
+            // Cross-site causal link: the merge span's parent is the
+            // publisher's `uss.publish` span (retries/resyncs/snapshots all
+            // resend the original context, so the link survives loss).
+            // Duplicate deliveries merge nothing and add no span.
+            let (peer, seq) = (s.site.0, s.seq);
+            let telemetry = &self.metrics.telemetry;
+            let merge_ctx = telemetry.child_span(Some(parent), "uss.merge", now_s, || {
+                format!("merged seq {seq} from site {peer} ({merged_cells} cells)")
+            });
+            self.vol.pending_pipeline_trace = merge_ctx.or(self.vol.pending_pipeline_trace);
         }
         // Sequence bookkeeping: gap detection and anti-entropy pulls.
-        let rx = self.rx.entry(s.site).or_insert_with(PeerRx::new);
+        let rx = self.vol.rx.entry(s.site).or_insert_with(|| PeerRx::at(1));
         rx.last_heard_s = rx.last_heard_s.max(now_s);
         if let Some((from_seq, to_seq)) = rx.observe(s.seq, is_snapshot) {
             // Sequence gap: pull the missing range. Requesting a seq twice
             // is harmless (merges are idempotent), so repeated gap hits
             // double as resync retries.
-            rx.gaps += 1;
-            rx.resyncs += 1;
-            self.seq_gaps += 1;
-            self.metrics.gaps.inc();
-            self.resyncs += 1;
-            self.metrics.resyncs.inc();
-            responses.push((
-                s.site,
-                UssMessage::Resync {
-                    from: self.site,
-                    from_seq,
-                    to_seq,
-                },
-            ));
+            self.counts.add(Count::Gaps, Some(s.site), 1);
+            self.counts.add(Count::Resyncs, Some(s.site), 1);
+            let pull = UssMessage::Resync {
+                from,
+                from_seq,
+                to_seq,
+            };
+            responses.push((s.site, pull));
         }
-        self.summaries_received += 1;
-        self.metrics.received.inc();
+        self.counts.add(Count::Received, None, 1);
         self.metrics.telemetry.event(now_s, "uss.gossip_merge", || {
             format!(
                 "merged {} from site {} seq {} ({} users, {} relayed origins, {merged_cells} new cells)",
@@ -966,28 +896,36 @@ impl Uss {
         responses
     }
 
-    /// Whether a summary from outside the site may be merged: it must be
-    /// binned with this site's slot duration (else its slot indices name
-    /// different time windows) and every cell, own and relayed, must be a
-    /// finite non-negative charge. The one check of the wire path
-    /// ([`Uss::receive_message`]) and the WAL-replay path
-    /// ([`Uss::replay_peer_data`]).
-    fn check_summary(&self, s: &UsageSummary) -> Result<(), String> {
-        let slot_s = self.local.slot_duration();
-        if !same_slots(s.slot_s, slot_s) {
-            return Err(format!(
-                "slot duration {}s != configured {slot_s}s",
-                s.slot_s
-            ));
+    /// Whether cells from outside the site (wire, WAL, checkpoint) may enter
+    /// its histograms: they must be binned with this site's slot duration
+    /// (else their slot indices name different time windows) and every one
+    /// must be a finite non-negative charge — one `+inf` merged into a
+    /// histogram makes every view and total built on it `inf` for good.
+    fn admit<'a>(
+        &self,
+        slot_s: f64,
+        sections: impl Iterator<Item = &'a UserCells>,
+    ) -> Result<(), RecoveryError> {
+        let expected = self.ledger.local.slot_duration();
+        let (found, bins_alike) = (slot_s, (slot_s - expected).abs() <= 1e-9);
+        if !bins_alike {
+            return Err(RecoveryError::SlotMismatch { expected, found }); // a NaN too
         }
-        let mut sections = std::iter::once(&s.per_user).chain(s.relayed.values());
-        match sections.find_map(first_bad_cell) {
-            Some((user, slot, value)) => Err(format!(
-                "cell ({}, slot {slot}) holds {value}, not a charge",
-                user.as_str()
-            )),
-            None => Ok(()),
+        for (user, slots) in sections.flatten() {
+            let bad = slots.iter().find(|(_, v)| !(v.is_finite() && **v >= 0.0));
+            if let Some((&slot, &value)) = bad {
+                let user = user.clone();
+                return Err(RecoveryError::BadCell { user, slot, value });
+            }
         }
+        Ok(())
+    }
+
+    /// [`Uss::admit`] over a summary's sections, own and relayed: the one
+    /// check of the wire path and the WAL-replay path.
+    fn check_summary(&self, s: &UsageSummary) -> Result<(), RecoveryError> {
+        let sections = std::iter::once(&s.per_user).chain(s.relayed.values());
+        self.admit(s.slot_s, sections)
     }
 
     /// Idempotent merge of a summary's sections: apply the positive delta
@@ -997,33 +935,22 @@ impl Uss {
     /// snapshots, and multi-path relay all collapse to no-ops here. Returns
     /// the number of cells that changed.
     fn merge_sections(&mut self, s: &UsageSummary) -> usize {
+        let (users, forwards) = (&mut self.ledger.users, self.cfg.forwarding);
         let mut merged_cells = 0usize;
         for (origin, cells) in std::iter::once((&s.site, &s.per_user)).chain(s.relayed.iter()) {
-            if *origin == self.site {
-                continue; // a relay echoing our own data back
+            if *origin != self.cfg.site {
+                // (else a relay echoing our own data back)
+                merged_cells += self.vol.merge_origin(users, *origin, cells, forwards);
             }
-            let mirror = self.seen_by_origin.entry(*origin).or_default();
-            let forwards = self.forwarding;
-            merged_cells += merge_origin_cells(
-                mirror,
-                &mut self.users,
-                cells,
-                &mut self.remote,
-                [&mut self.dirty, &mut self.view_dirty],
-                forwards.then(|| self.unrelayed.entry(*origin).or_default()),
-            );
         }
         merged_cells
     }
 
     fn on_ack(&mut self, from: SiteId, seq: u64) {
-        if let Some(tx) = self.tx.get_mut(&from) {
-            if let Some(pos) = tx.outbox.iter().position(|&(q, _)| q == seq) {
-                tx.outbox.remove(pos);
-            }
+        if let Some(tx) = self.vol.tx.get_mut(&from) {
+            tx.outbox.retain(|&(unacked, _)| unacked != seq);
             if tx.outbox.is_empty() {
-                tx.attempts = 0;
-                tx.next_attempt_s = f64::NEG_INFINITY;
+                self.vol.tx.remove(&from); // and with it the backoff
             }
         }
     }
@@ -1032,65 +959,48 @@ impl Uss {
         if !self.publishes() || to_seq < from_seq {
             return Vec::new();
         }
-        let mut out = Vec::new();
         // The range is a peer's claim: measured without overflow (`0..=MAX`
         // is 2^64 long) and walked only while the history still answers.
-        let mut missing = to_seq - from_seq >= self.retry.history_cap.max(1) as u64;
-        if !missing {
-            for seq in from_seq..=to_seq {
-                let Some(s) = self.history.iter().find(|s| s.seq == seq) else {
-                    missing = true;
-                    break;
-                };
-                out.push((
-                    from,
-                    UssMessage::Summary {
-                        summary: s.clone(),
-                        ctx: self.publish_trace.get(&seq).copied(),
-                    },
-                ));
-            }
-        }
-        if missing {
+        let answerable = to_seq - from_seq < self.cfg.retry.history_cap.max(1) as u64;
+        let resend = |seq| Some((from, retained(&self.vol.history, seq)?));
+        let resent = answerable.then(|| (from_seq..=to_seq).map(resend).collect::<Option<_>>());
+        match resent.flatten() {
+            Some(resent) => resent,
             // History compacted past the requested range: cumulative
             // snapshot fallback.
-            out.clear();
-            out.push((
-                from,
-                UssMessage::Snapshot {
-                    summary: self.snapshot_summary(),
-                    ctx: self.latest_publish_ctx,
-                },
-            ));
-            self.snapshots_sent += 1;
-            self.metrics.snapshots.inc();
-            self.tx.entry(from).or_insert_with(PeerTx::new).snapshots += 1;
+            None => vec![(from, self.snapshot_for(from))],
         }
-        out
     }
 
-    /// Cumulative snapshot of everything published so far, carrying the
-    /// latest sequence number (0 before any publication). Forwarding nodes
-    /// attach their full origin-scoped mirror as relayed sections, so a
-    /// snapshot from an overlay interior node also covers everything it has
-    /// heard downstream — a crash-recovered leaf behind a hub catches up
-    /// from the hub alone.
-    fn snapshot_summary(&self) -> UsageSummary {
-        UsageSummary {
-            site: self.site,
-            seq: self.next_seq - 1,
-            slot_s: self.local.slot_duration(),
-            per_user: named_cells(&self.users, &self.published),
-            relayed: if self.forwarding {
-                self.seen_by_origin
-                    .iter()
-                    .filter(|(_, cells)| !cells.is_empty())
-                    .map(|(origin, cells)| (*origin, named_cells(&self.users, cells)))
-                    .collect()
-            } else {
-                BTreeMap::new()
-            },
-        }
+    /// The cumulative snapshot `peer` is owed, counted on that link:
+    /// everything published so far, carrying the latest sequence number (0
+    /// before any publication). Forwarding nodes attach their full
+    /// origin-scoped mirror as relayed sections, so a snapshot from an
+    /// overlay interior node also covers everything it has heard downstream
+    /// — a crash-recovered leaf behind a hub catches up from the hub alone.
+    fn snapshot_for(&mut self, peer: SiteId) -> UssMessage {
+        self.counts.add(Count::Snapshots, Some(peer), 1);
+        let users = &self.ledger.users;
+        let mirrors = self.vol.seen_by_origin.iter();
+        let mirrors = mirrors.filter(|(_, cells)| self.cfg.forwarding && !cells.is_empty());
+        let summary = UsageSummary {
+            site: self.cfg.site,
+            seq: self.ledger.next_seq - 1,
+            slot_s: self.ledger.local.slot_duration(),
+            per_user: named_cells(users, &self.vol.published),
+            relayed: mirrors
+                .map(|(origin, cells)| (*origin, named_cells(users, cells)))
+                .collect(),
+        };
+        let ctx = self.vol.latest_publish_ctx;
+        UssMessage::Snapshot { summary, ctx }
+    }
+
+    /// Seconds since `peer` was last heard from — since the epoch, for one
+    /// never heard from: the stale policy's reading and the health rows'.
+    fn heard_age_s(&self, peer: SiteId, now_s: f64) -> f64 {
+        let last = self.vol.rx.get(&peer).map(|rx| rx.last_heard_s);
+        (now_s - last.filter(|at_s| at_s.is_finite()).unwrap_or(0.0)).max(0.0)
     }
 
     /// Refresh per-peer staleness (seconds since the freshest peer data,
@@ -1099,35 +1009,22 @@ impl Uss {
     /// policy. Returns the maximum staleness. Users affected by a policy
     /// transition are marked dirty so the UMS/FCS pick the change up.
     pub fn update_staleness(&mut self, now_s: f64) -> f64 {
-        if !self.mode.reads_global() || self.rx_peers.is_empty() {
+        if !self.cfg.mode.reads_global() || self.cfg.rx_peers.is_empty() {
             self.metrics.staleness.set(0.0);
             return 0.0;
         }
-        let mut max_stale = 0.0f64;
-        for peer in &self.rx_peers {
-            let last = self
-                .rx
-                .get(peer)
-                .map(|r| r.last_heard_s)
-                .unwrap_or(f64::NEG_INFINITY);
-            let stale = if last.is_finite() {
-                (now_s - last).max(0.0)
-            } else {
-                // Never heard from this peer: stale since the epoch.
-                now_s.max(0.0)
-            };
-            max_stale = max_stale.max(stale);
-        }
+        let heard = self.cfg.rx_peers.iter();
+        let max_stale = (heard.map(|p| self.heard_age_s(*p, now_s))).fold(0.0, f64::max);
         self.metrics.staleness.set(max_stale);
-        let suppress = match self.stale_policy {
+        let suppress = match self.cfg.stale_policy {
             StalePolicy::ServeStale => false,
             StalePolicy::LocalOnly { max_staleness_s } => max_stale > max_staleness_s,
         };
-        if suppress != self.remote_suppressed {
-            self.remote_suppressed = suppress;
-            self.view_dirty.mark_all();
-            for user in self.remote.cells().users() {
-                self.dirty.mark_user(user);
+        if suppress != self.vol.remote_suppressed {
+            self.vol.remote_suppressed = suppress;
+            self.vol.view_dirty.mark_all();
+            for user in self.vol.remote.cells().users() {
+                self.vol.dirty.mark_user(user);
             }
             self.metrics.telemetry.event(now_s, "uss.stale_policy", || {
                 if suppress {
@@ -1142,39 +1039,18 @@ impl Uss {
 
     /// Whether the stale-data policy currently suppresses remote usage.
     pub fn remote_suppressed(&self) -> bool {
-        self.remote_suppressed
+        self.vol.remote_suppressed
     }
 
-    /// Site crash: wipe all volatile exchange state. The local histogram
-    /// (backed by the accounting database), the publish cursor (stored
-    /// alongside it — reusing sequence numbers after a crash would let a
-    /// stale in-flight ack from the old numbering cancel a new unacked
-    /// summary, silently losing the republished history), the participation
-    /// config, and the peer registration survive. The cleared published
-    /// mirror (every local user is pending again) makes the next
-    /// publication re-emit all closed slots as
-    /// absolute values — idempotent at receivers thanks to their cell
-    /// mirrors, and any seq gap peers see across the crash resolves through
-    /// resync → snapshot fallback (the retained history is volatile).
+    /// Site crash: the volatile exchange state is replaced by a fresh
+    /// process's; configuration, ledger (backed by the accounting database)
+    /// and counts survive. The fresh state's empty published mirror (every
+    /// local user is pending again) makes the next publication re-emit all
+    /// closed slots as absolute values — idempotent at receivers thanks to
+    /// their cell mirrors, and any seq gap peers see across the crash
+    /// resolves through resync → snapshot fallback.
     pub fn crash(&mut self) {
-        self.remote = UsageHistogram::new(self.local.slot_duration());
-        self.published.clear();
-        self.history.clear();
-        self.rx.clear();
-        self.seen_by_origin.clear();
-        self.relay_published.clear();
-        self.refill_pending();
-        for tx in self.tx.values_mut() {
-            *tx = PeerTx::new();
-        }
-        self.catchup_pending.clear();
-        self.dirty = DirtySet::new();
-        self.view_dirty.mark_all();
-        self.remote_suppressed = false;
-        self.pending_publish_ctx = None;
-        self.publish_trace.clear();
-        self.latest_publish_ctx = None;
-        self.pending_pipeline_trace = None;
+        self.vol = self.fresh_volatile();
     }
 
     /// Crash recovery: schedule a [`UssMessage::SnapshotRequest`] to every
@@ -1185,23 +1061,18 @@ impl Uss {
     /// to publish the recovered site stays short of that peer's data
     /// (ROADMAP item 3(a) — the liveness gap the USS explorer found).
     pub fn request_catchup(&mut self) {
-        self.catchup_pending = self.rx_peers.iter().copied().collect();
+        self.vol.catchup_pending = self.cfg.rx_peers.iter().copied().collect();
     }
 
-    /// Site crash in durable-store mode: in addition to [`Uss::crash`], the
-    /// local histogram and ingest counter are wiped. Without a store the
-    /// sim models them as surviving in an external accounting database;
-    /// with a store attached they are honestly volatile and rebuilt from
-    /// checkpoint + WAL replay. The publish cursor still survives — it is
-    /// modeled as fsynced alongside every publication (reusing sequence
-    /// numbers would let stale in-flight acks cancel new summaries), and
-    /// journaled [`aequus_store::WalRecord::Publish`] records replay it as
-    /// belt and braces.
+    /// Site crash in durable-store mode: [`Uss::crash`], and the ledger's
+    /// store-backed part — local histogram and ingest count — goes too, to
+    /// be rebuilt from checkpoint + WAL replay. The publish cursor still
+    /// survives, and journaled [`aequus_store::WalRecord::Publish`] records
+    /// replay it as belt and braces.
     pub fn crash_volatile(&mut self) {
+        self.ledger.local = UsageHistogram::new(self.ledger.local.slot_duration());
+        self.ledger.records_ingested = 0;
         self.crash();
-        self.local = UsageHistogram::new(self.local.slot_duration());
-        self.unpublished.clear();
-        self.records_ingested = 0;
     }
 
     /// Everything the durable store checkpoints for this service: the local
@@ -1224,103 +1095,85 @@ impl Uss {
         ums_epoch_s: Option<f64>,
         ums_cached: &[f64],
     ) -> CheckpointView<'_> {
+        let (users, vol) = (&self.ledger.users, &self.vol);
         let cursor = |rx: &PeerRx| PeerCursor {
             next_expected: rx.next_expected,
         };
+        let dirty = vol.dirty.users().map(|user| users.name(user).clone());
         let head = CheckpointState {
             lsn,
             taken_s,
-            site: self.site,
-            slot_s: self.local.slot_duration(),
-            records_ingested: self.records_ingested,
-            next_seq: self.next_seq,
-            peers: self.rx.iter().map(|(s, rx)| (*s, cursor(rx))).collect(),
+            site: self.cfg.site,
+            slot_s: self.ledger.local.slot_duration(),
+            records_ingested: self.ledger.records_ingested,
+            next_seq: self.ledger.next_seq,
+            peers: vol.rx.iter().map(|(s, rx)| (*s, cursor(rx))).collect(),
             ums_epoch_s,
-            dirty_users: (!self.dirty.is_all()).then(|| {
-                let users = self.dirty.users();
-                users.map(|user| self.users.name(user).clone()).collect()
-            }),
+            dirty_users: (!vol.dirty.is_all()).then(|| dirty.collect()),
             ..CheckpointState::default()
         };
-        let named = |cells| NamedCells::from_store(cells, &self.users);
+        let named = |cells| NamedCells::from_store(cells, users);
         let cached = |(user, name): (UserId, _)| Some((name, user.read(ums_cached)?));
         CheckpointView {
             head: Cow::Owned(head),
-            local_cells: named(self.local.cells()),
-            origin_cells: (self.seen_by_origin.iter())
+            local_cells: named(self.ledger.local.cells()),
+            origin_cells: (vol.seen_by_origin.iter())
                 .map(|(origin, cells)| (*origin, named(cells)))
                 .collect(),
-            ums_cached: self.users.iter().filter_map(cached).collect(),
+            ums_cached: users.iter().filter_map(cached).collect(),
         }
     }
 
-    /// Install a recovered checkpoint: rebuild the local histogram from its
-    /// cells (bitwise exact — the cells are the accumulated values), restore
-    /// the per-peer sequence cursors and the origin-scoped merge mirrors,
-    /// rebuild the remote view from the mirrors, and re-mark the dirty
-    /// users that were pending at checkpoint time. WAL records past
-    /// `checkpoint.lsn` must then be re-applied via the `replay_*` methods.
+    /// Install a recovered checkpoint, as a process starting over it does:
+    /// rebuild the local histogram from its cells (bitwise exact — the
+    /// cells are the accumulated values), and fill a fresh volatile state
+    /// with the per-peer sequence cursors, the origin-scoped merge mirrors,
+    /// the remote view rebuilt from the mirrors, and the dirty users that
+    /// were pending at checkpoint time. WAL records past `checkpoint.lsn`
+    /// must then be re-applied via the `replay_*` methods.
     pub fn install_checkpoint(&mut self, ckpt: &CheckpointState) -> Result<(), RecoveryError> {
-        if ckpt.site != self.site {
-            return Err(RecoveryError::SiteMismatch {
-                expected: self.site,
-                found: ckpt.site,
-            });
+        let (expected, found) = (self.cfg.site, ckpt.site);
+        if found != expected {
+            return Err(RecoveryError::SiteMismatch { expected, found });
         }
-        let slot_s = self.local.slot_duration();
-        if !same_slots(ckpt.slot_s, slot_s) {
-            return Err(RecoveryError::SlotMismatch {
-                expected: slot_s,
-                found: ckpt.slot_s,
-            });
-        }
-        let mut sections = std::iter::once(&ckpt.local_cells).chain(ckpt.origin_cells.values());
-        if let Some((user, slot, value)) = sections.find_map(first_bad_cell) {
-            return Err(RecoveryError::BadCell {
-                user: user.clone(),
-                slot,
-                value,
-            });
-        }
+        let sections = std::iter::once(&ckpt.local_cells).chain(ckpt.origin_cells.values());
+        self.admit(ckpt.slot_s, sections)?;
         // Accepted whole: from here on its names are this site's.
-        self.local = UsageHistogram::new(slot_s);
+        let ledger = &mut self.ledger;
+        ledger.local = UsageHistogram::new(ledger.local.slot_duration());
         for (name, slots) in &ckpt.local_cells {
-            let user = self.users.intern(name);
-            self.local
+            let user = ledger.users.intern(name);
+            ledger
+                .local
                 .add_charges(user, slots.iter().map(|(&s, &c)| (s, c)));
         }
-        self.records_ingested = ckpt.records_ingested;
-        self.next_seq = self.next_seq.max(ckpt.next_seq);
-        self.remote = UsageHistogram::new(slot_s);
-        self.rx.clear();
+        ledger.records_ingested = ckpt.records_ingested;
+        ledger.next_seq = ledger.next_seq.max(ckpt.next_seq);
+        let mut vol = Volatile::new(&self.cfg, ledger);
         for (site, cursor) in &ckpt.peers {
-            let mut rx = PeerRx::new();
-            rx.next_expected = cursor.next_expected;
-            self.rx.insert(*site, rx);
+            vol.rx.insert(*site, PeerRx::at(cursor.next_expected));
         }
-        self.seen_by_origin.clear();
         for (origin, cells) in &ckpt.origin_cells {
-            let mirror = self.seen_by_origin.entry(*origin).or_default();
+            let mirror = vol.seen_by_origin.entry(*origin).or_default();
             for (name, slots) in cells {
-                let user = self.users.intern(name);
+                let user = ledger.users.intern(name);
                 for (&slot, &charge) in slots {
                     mirror.add(user, slot, charge);
                 }
-                self.remote
+                vol.remote
                     .add_charges(user, slots.iter().map(|(&s, &c)| (s, c)));
             }
         }
-        self.relay_published.clear();
-        self.refill_pending();
-        self.view_dirty.mark_all();
         match &ckpt.dirty_users {
-            None => self.dirty.mark_all(),
+            None => vol.dirty.mark_all(),
             Some(names) => {
                 for name in names {
-                    self.dirty.mark_user(self.users.intern(name));
+                    vol.dirty.mark_user(ledger.users.intern(name));
                 }
             }
         }
+        self.vol = vol;
+        self.refill_unrelayed();
         Ok(())
     }
 
@@ -1328,15 +1181,15 @@ impl Uss {
     /// [`Uss::ingest`] minus telemetry — the original ingest already
     /// counted, and replay must not inflate the monotone series.
     pub fn replay_ingest(&mut self, rec: &UsageRecord) {
-        let user = self.users.intern(&rec.user);
-        if let Some(first_slot) = self.local.record(user, rec) {
-            self.dirty.mark_user(user);
-            self.view_dirty.mark_user(user);
-            if self.mode.contributes() {
-                note_pending(&mut self.unpublished, user, first_slot);
+        let user = self.ledger.users.intern(&rec.user);
+        if let Some(first_slot) = self.ledger.local.record(user, rec) {
+            self.vol.dirty.mark_user(user);
+            self.vol.view_dirty.mark_user(user);
+            if self.cfg.mode.contributes() {
+                note_pending(&mut self.vol.unpublished, user, first_slot);
             }
         }
-        self.records_ingested += 1;
+        self.ledger.records_ingested += 1;
     }
 
     /// Re-apply journaled peer exchange data during store recovery: the
@@ -1346,18 +1199,19 @@ impl Uss {
     /// no telemetry. A summary the live path refused (it is journaled before
     /// it is judged) is refused again, uncounted like everything else here.
     pub fn replay_peer_data(&mut self, s: &UsageSummary, is_snapshot: bool) {
-        if s.site == self.site || !self.mode.reads_global() || self.check_summary(s).is_err() {
+        let reads = self.cfg.mode.reads_global();
+        if s.site == self.cfg.site || !reads || self.check_summary(s).is_err() {
             return;
         }
         self.merge_sections(s);
-        let rx = self.rx.entry(s.site).or_insert_with(PeerRx::new);
+        let rx = self.vol.rx.entry(s.site).or_insert_with(|| PeerRx::at(1));
         rx.observe(s.seq, is_snapshot);
     }
 
     /// Re-apply a journaled publish-sequence advance: the cursor only moves
     /// forward, so replay after a partially-journaled run never rewinds it.
     pub fn replay_publish_seq(&mut self, seq: u64) {
-        self.next_seq = self.next_seq.max(seq.saturating_add(1));
+        self.ledger.next_seq = self.ledger.next_seq.max(seq.saturating_add(1));
     }
 
     /// One user's usage, each cell weighed by `weigh(slot centre)`
@@ -1365,9 +1219,9 @@ impl Uss {
     /// data and the stale policy permits, remote. (A histogram reads `+0.0`
     /// for a user it does not hold: nothing to the other's bits.)
     pub fn usage_of(&self, user: UserId, weigh: impl Fn(f64) -> f64 + Copy) -> f64 {
-        let mut value = self.local.usage(user, weigh);
+        let mut value = self.ledger.local.usage(user, weigh);
         if self.reads_remote() {
-            value += self.remote.usage(user, weigh);
+            value += self.vol.remote.usage(user, weigh);
         }
         value
     }
@@ -1375,17 +1229,17 @@ impl Uss {
     /// One user's [`grid_view`](Self::grid_view) value, bit for bit (`0.0`
     /// when the view has no entry) — the histograms' cached raw totals.
     pub fn grid_view_of(&self, user: UserId) -> f64 {
-        let remote = self.reads_remote().then(|| self.remote.raw_usage(user));
-        self.local.raw_usage(user) + remote.unwrap_or(0.0)
+        let remote = self.reads_remote().then(|| self.vol.remote.raw_usage(user));
+        self.ledger.local.raw_usage(user) + remote.unwrap_or(0.0)
     }
 
     /// All users with any recorded usage (local, plus remote when the mode
     /// reads global data and the stale policy permits), ascending — one
     /// pass over the cells.
     pub fn known_users(&self) -> Vec<UserId> {
-        let mut users: Vec<UserId> = self.local.cells().users().collect();
+        let mut users: Vec<UserId> = self.ledger.local.cells().users().collect();
         if self.reads_remote() {
-            users.extend(self.remote.cells().users());
+            users.extend(self.vol.remote.cells().users());
             users.sort_unstable();
             users.dedup();
         }
@@ -1394,7 +1248,7 @@ impl Uss {
 
     /// `read` of every known user, under their names: the report form.
     fn by_name(&self, read: impl Fn(UserId) -> f64) -> BTreeMap<GridUser, f64> {
-        let named = |user| (self.users.name(user).clone(), read(user));
+        let named = |user| (self.ledger.users.name(user).clone(), read(user));
         self.known_users().into_iter().map(named).collect()
     }
 
@@ -1418,7 +1272,7 @@ impl Uss {
 
     /// Whether remote usage currently counts toward this site's view.
     fn reads_remote(&self) -> bool {
-        self.mode.reads_global() && !self.remote_suppressed
+        self.cfg.mode.reads_global() && !self.vol.remote_suppressed
     }
 
     /// Bring `row` — laid out over `base`, the sampler's user base — up to
@@ -1429,115 +1283,116 @@ impl Uss {
     /// stale-policy flip the row is rebuilt over every known user. The
     /// change set is drained, so one service keeps one row current.
     pub fn sync_view_row(&mut self, base: &Arc<[GridUser]>, row: &mut UsageRow) {
-        let changed = self.view_dirty.take();
+        let changed = self.vol.view_dirty.take();
         let users = if changed.is_all() {
             row.clear(base);
             self.known_users()
         } else {
             changed.users().collect()
         };
-        let shared = Arc::ptr_eq(base, self.users.base());
+        let shared = Arc::ptr_eq(base, self.ledger.users.base());
         for user in users {
             let value = self.grid_view_of(user);
             match row.dense.get_mut(user.index()).filter(|_| shared) {
                 Some(held) => *held = value,
-                None => row.set(base, self.users.name(user), value),
+                None => row.set(base, self.ledger.users.name(user), value),
             }
         }
     }
 
     /// Raw local charge of one user (test/metrics access).
     pub fn local_usage_of(&self, user: &GridUser) -> f64 {
-        let user = self.users.id_of(user);
-        user.map_or(0.0, |user| self.local.raw_usage(user))
+        let user = self.ledger.users.id_of(user);
+        user.map_or(0.0, |user| self.ledger.local.raw_usage(user))
     }
 
     /// Raw merged remote charge of one user (test/metrics access).
     pub fn remote_usage_of(&self, user: &GridUser) -> f64 {
-        let user = self.users.id_of(user);
-        user.map_or(0.0, |user| self.remote.raw_usage(user))
+        let user = self.ledger.users.id_of(user);
+        user.map_or(0.0, |user| self.vol.remote.raw_usage(user))
     }
 
     /// Drain the set of users whose usage changed since the last drain.
     pub fn take_dirty(&mut self) -> DirtySet {
-        self.dirty.take()
+        self.vol.dirty.take()
     }
 
     /// Total remote usage merged in.
     pub fn remote_total(&self) -> f64 {
-        self.remote.total_recorded()
+        self.vol.remote.total_recorded()
     }
 
-    /// Records ingested so far.
+    /// Records in the local histogram (WAL-replayed ones included).
     pub fn records_ingested(&self) -> u64 {
-        self.records_ingested
+        self.ledger.records_ingested
     }
 
     /// Sequence number the next publication will carry.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.ledger.next_seq
     }
 
     /// Summaries received so far.
     pub fn summaries_received(&self) -> u64 {
-        self.summaries_received
+        self.counts.get(Count::Received, None)
     }
 
     /// Summaries re-sent after a missing ack.
     pub fn retries(&self) -> u64 {
-        self.retries
+        self.counts.get(Count::Retries, None)
     }
 
     /// Sequence gaps detected in peers' summary streams.
     pub fn seq_gaps(&self) -> u64 {
-        self.seq_gaps
+        self.counts.get(Count::Gaps, None)
     }
 
     /// Anti-entropy resync pulls issued.
     pub fn resyncs(&self) -> u64 {
-        self.resyncs
+        self.counts.get(Count::Resyncs, None)
     }
 
     /// Cumulative snapshots sent (resync fallback + catch-up answers).
     pub fn snapshots_sent(&self) -> u64 {
-        self.snapshots_sent
+        self.counts.get(Count::Snapshots, None)
     }
 
     /// Incoming data messages that merged nothing new.
     pub fn duplicates(&self) -> u64 {
-        self.duplicates
+        self.counts.get(Count::Duplicates, None)
     }
 
     /// Incoming data messages refused whole: binned with another slot
     /// duration, or carrying a cell that is not a finite non-negative charge.
     pub fn rejected(&self) -> u64 {
-        self.rejected
+        self.counts.get(Count::Rejected, None)
     }
 
     /// Unacked summaries queued for `peer` (test inspection).
     pub fn outbox_depth(&self, peer: SiteId) -> usize {
-        self.tx.get(&peer).map_or(0, |t| t.outbox.len())
+        self.vol.tx.get(&peer).map_or(0, |t| t.outbox.len())
     }
 
     /// The cells already published, and per origin already relayed, under
     /// their names (test inspection).
     pub fn sent_mirrors(&self) -> (UserCells, BTreeMap<SiteId, UserCells>) {
-        let named = |cells| named_cells(&self.users, cells);
-        let relayed = self.relay_published.iter();
+        let named = |cells| named_cells(&self.ledger.users, cells);
+        let relayed = self.vol.relay_published.iter();
         let relayed = relayed.map(|(origin, cells)| (*origin, named(cells)));
-        (named(&self.published), relayed.collect())
+        (named(&self.vol.published), relayed.collect())
     }
 
     /// The users pending publication, and per origin pending relay, under
     /// their names with the slot each is pending from (test inspection).
     pub fn pending(&self) -> (PendingNames, BTreeMap<SiteId, PendingNames>) {
+        let users = &self.ledger.users;
         let named = |pending: &Pending| -> PendingNames {
-            let named = |(user, from): (&UserId, &u64)| (self.users.name(*user).clone(), *from);
+            let named = |(user, from): (&UserId, &u64)| (users.name(*user).clone(), *from);
             pending.iter().map(named).collect()
         };
-        let unrelayed = self.unrelayed.iter();
+        let unrelayed = self.vol.unrelayed.iter();
         let unrelayed = unrelayed.map(|(origin, pending)| (*origin, named(pending)));
-        (named(&self.unpublished), unrelayed.collect())
+        (named(&self.vol.unpublished), unrelayed.collect())
     }
 
     /// Per-link health rows at `now_s`: one tx-side row per delivery peer
@@ -1545,41 +1400,40 @@ impl Uss {
     /// is the **undelivered-data age** — `now` minus the publication time
     /// of the oldest unacked outbox entry, zero when the outbox is empty —
     /// so it grows only while a peer actually misses data and stays silent
-    /// through quiescent drains. Wire bytes/message counts and overlay
-    /// depths are filled in by the sim shard, which owns the wire
-    /// accounting.
+    /// through quiescent drains. The counters are the link's shares of the
+    /// totals, crashes included. Wire bytes/message counts and overlay
+    /// depths are filled in by the sim shard, which owns the wire accounting.
     pub fn link_stats(&self, now_s: f64) -> Vec<LinkObservation> {
-        let mut out = Vec::with_capacity(self.peers.len() + self.rx_peers.len());
-        for peer in &self.peers {
-            let mut row = LinkObservation::tx(self.site.0, peer.0, 0);
-            if let Some(tx) = self.tx.get(peer) {
-                row.staleness_s = tx
-                    .outbox
-                    .front()
-                    .map_or(0.0, |&(_, published_s)| (now_s - published_s).max(0.0));
-                row.outbox = tx.outbox.len();
-                row.retries = tx.retries;
-                row.snapshots = tx.snapshots;
-            }
-            out.push(row);
-        }
-        for peer in &self.rx_peers {
-            let mut row = LinkObservation::rx(peer.0, self.site.0, 0);
-            match self.rx.get(peer) {
-                Some(rx) => {
-                    row.heard_age_s = if rx.last_heard_s.is_finite() {
-                        (now_s - rx.last_heard_s).max(0.0)
-                    } else {
-                        now_s.max(0.0)
-                    };
-                    row.gaps = rx.gaps;
-                    row.resyncs = rx.resyncs;
-                }
-                None => row.heard_age_s = now_s.max(0.0),
-            }
-            out.push(row);
-        }
-        out
+        let site = self.cfg.site.0;
+        let on_link = |peer, what| self.counts.get(what, Some(peer));
+        let row = |from, to, side| LinkObservation {
+            from,
+            to,
+            depth: 0,
+            side,
+        };
+        let tx_rows = self.cfg.peers.iter().map(|&peer| {
+            let outbox = self.vol.tx.get(&peer).map(|tx| &tx.outbox);
+            let oldest_s = outbox.and_then(|unacked| Some(unacked.front()?.1));
+            let side = LinkSide::Tx {
+                staleness_s: oldest_s.map_or(0.0, |at_s| (now_s - at_s).max(0.0)),
+                outbox: outbox.map_or(0, VecDeque::len),
+                bytes: 0,
+                msgs: 0,
+                retries: on_link(peer, Count::Retries),
+                snapshots: on_link(peer, Count::Snapshots),
+            };
+            row(site, peer.0, side)
+        });
+        let rx_rows = self.cfg.rx_peers.iter().map(|&peer| {
+            let side = LinkSide::Rx {
+                heard_age_s: self.heard_age_s(peer, now_s),
+                gaps: on_link(peer, Count::Gaps),
+                resyncs: on_link(peer, Count::Resyncs),
+            };
+            row(peer.0, site, side)
+        });
+        tx_rows.chain(rx_rows).collect()
     }
 }
 
@@ -1817,30 +1671,83 @@ mod tests {
         let sent = a.poll(200.0);
         // The summary is in flight but unacked: staleness is the age of the
         // oldest undelivered publish, measured at the asking clock.
-        let tx = a
-            .link_stats(260.0)
-            .into_iter()
-            .find(|o| o.to == 1 && o.heard_age_s < 0.0)
-            .expect("tx row for peer 1");
-        assert!((tx.staleness_s - 60.0).abs() < 1e-9);
-        assert_eq!(tx.outbox, 1);
+        let tx_to_1 = |uss: &Uss, now_s: f64| {
+            let rows = uss.link_stats(now_s).into_iter();
+            let mut tx = rows.filter_map(|o| match o.side {
+                LinkSide::Tx {
+                    staleness_s,
+                    outbox,
+                    ..
+                } if o.to == 1 => Some((staleness_s, outbox)),
+                _ => None,
+            });
+            tx.next().expect("tx row for peer 1")
+        };
+        let (staleness_s, outbox) = tx_to_1(&a, 260.0);
+        assert!((staleness_s - 60.0).abs() < 1e-9);
+        assert_eq!(outbox, 1);
         drain(&mut a, &mut b, sent, 261.0);
         // Once acked the outbox drains and the link reads fresh again, even
         // if no new data has been published since (quiescent != stale).
-        let tx = a
-            .link_stats(1000.0)
-            .into_iter()
-            .find(|o| o.to == 1 && o.heard_age_s < 0.0)
-            .expect("tx row for peer 1");
-        assert_eq!(tx.staleness_s, 0.0);
-        assert_eq!(tx.outbox, 0);
+        assert_eq!(tx_to_1(&a, 1000.0), (0.0, 0));
         // The receiving side reports how long since it last heard from us.
-        let rx = b
-            .link_stats(300.0)
-            .into_iter()
-            .find(|o| o.from == 0 && o.staleness_s < 0.0)
-            .expect("rx row for peer 0");
-        assert!((rx.heard_age_s - 39.0).abs() < 1e-9);
+        let rows = b.link_stats(300.0).into_iter();
+        let mut rx = rows.filter_map(|o| match o.side {
+            LinkSide::Rx { heard_age_s, .. } if o.from == 0 => Some(heard_age_s),
+            _ => None,
+        });
+        assert!((rx.next().expect("rx row for peer 0") - 39.0).abs() < 1e-9);
+    }
+
+    /// `[retries, snapshots, gaps, resyncs]` summed over `uss`'s link rows.
+    fn link_sums(uss: &Uss) -> [u64; 4] {
+        let mut sums = [0; 4];
+        for row in uss.link_stats(0.0) {
+            match row.side {
+                LinkSide::Tx {
+                    retries, snapshots, ..
+                } => (sums[0], sums[1]) = (sums[0] + retries, sums[1] + snapshots),
+                LinkSide::Rx { gaps, resyncs, .. } => {
+                    (sums[2], sums[3]) = (sums[2] + gaps, sums[3] + resyncs)
+                }
+            }
+        }
+        sums
+    }
+
+    #[test]
+    fn link_counters_run_across_a_crash_and_sum_to_the_totals() {
+        let (mut a, mut b) = reliable_pair();
+        let totals = |uss: &Uss| {
+            [
+                uss.retries(),
+                uss.snapshots_sent(),
+                uss.seq_gaps(),
+                uss.resyncs(),
+            ]
+        };
+        let catchup = UssMessage::SnapshotRequest { from: SiteId(1) };
+        // One of each before the crash: a retry and a snapshot answer on
+        // a's end of the link, a gap and its resync on b's.
+        a.ingest(&rec(0, "u", 0.0, 80.0));
+        a.publish(200.0);
+        a.poll(200.0); // dropped
+        a.poll(211.0); // the retry, dropped too
+        a.ingest(&rec(0, "u", 110.0, 160.0));
+        give(&mut b, &a.publish(300.0).unwrap(), 300.0); // seq 1 never came
+        a.receive_message(&catchup, 300.0);
+        assert_eq!((link_sums(&a), link_sums(&b)), ([1, 1, 0, 0], [0, 0, 1, 1]));
+        // Both ends crash, then one more of each: the link rows go on from
+        // where they were, as the totals do.
+        a.crash();
+        b.crash();
+        let republished = a.publish(400.0).unwrap();
+        a.poll(400.0);
+        a.poll(411.0);
+        give(&mut b, &republished, 411.0);
+        a.receive_message(&catchup, 411.0);
+        assert_eq!((link_sums(&a), link_sums(&b)), ([2, 2, 0, 0], [0, 0, 2, 2]));
+        assert_eq!((link_sums(&a), link_sums(&b)), (totals(&a), totals(&b)));
     }
 
     #[test]
@@ -1911,7 +1818,7 @@ mod tests {
         }
         // b sees only seq 3 → gap [1,2]; a's history lost seqs 1-2, so the
         // pull is answered with a cumulative snapshot.
-        let s3 = a.history.back().unwrap().clone();
+        let s3 = a.vol.history.back().unwrap().0.clone();
         let responses = b.receive_message(
             &UssMessage::Summary {
                 summary: s3,
@@ -2212,17 +2119,17 @@ mod tests {
             .map(|(u, v)| (GridUser::new(u), v))
             .into();
         for uss in [&mut a, &mut h, &mut c] {
-            let ums_row = uss.users.row_from(&ums_cached);
+            let ums_row = uss.ledger.users.row_from(&ums_cached);
             let uss = &*uss;
             let owned = CheckpointState {
                 lsn: 41,
                 taken_s: 500.0,
-                site: uss.site,
-                slot_s: uss.local.slot_duration(),
-                local_cells: named_cells(&uss.users, uss.local.cells()),
-                records_ingested: uss.records_ingested,
-                next_seq: uss.next_seq,
-                peers: (uss.rx.iter())
+                site: uss.cfg.site,
+                slot_s: uss.ledger.local.slot_duration(),
+                local_cells: named_cells(&uss.ledger.users, uss.ledger.local.cells()),
+                records_ingested: uss.ledger.records_ingested,
+                next_seq: uss.ledger.next_seq,
+                peers: (uss.vol.rx.iter())
                     .map(|(site, rx)| {
                         (
                             *site,
@@ -2232,14 +2139,14 @@ mod tests {
                         )
                     })
                     .collect(),
-                origin_cells: (uss.seen_by_origin.iter())
-                    .map(|(origin, cells)| (*origin, named_cells(&uss.users, cells)))
+                origin_cells: (uss.vol.seen_by_origin.iter())
+                    .map(|(origin, cells)| (*origin, named_cells(&uss.ledger.users, cells)))
                     .collect(),
                 ums_epoch_s: Some(450.0),
                 ums_cached: ums_cached.clone(),
                 dirty_users: Some(
-                    (uss.dirty.users())
-                        .map(|user| uss.users.name(user).clone())
+                    (uss.vol.dirty.users())
+                        .map(|user| uss.ledger.users.name(user).clone())
                         .collect(),
                 ),
             };
@@ -2248,7 +2155,11 @@ mod tests {
             assert_eq!(view.encode(), owned.encode());
             assert_eq!(CheckpointState::decode_slot(&view.encode()), Some(owned));
         }
-        assert_eq!(h.seen_by_origin.len(), 2, "the relay mirrors both leaves");
+        assert_eq!(
+            h.vol.seen_by_origin.len(),
+            2,
+            "the relay mirrors both leaves"
+        );
         // An all-dirty service writes the "everyone" marker.
         let mut restored = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
         let all_dirty = CheckpointState {

@@ -4,11 +4,12 @@
 //! misbehaving every site converges to exactly the sum of the charges its
 //! peers published. A third property pins the incrementally maintained
 //! usage row to `Uss::grid_view()` bit for bit through the same chaos plus
-//! crashes, checkpoint reinstalls and stale-policy flips.
+//! crashes, checkpoint reinstalls and stale-policy flips. After every step
+//! of the first two, each site's per-link counters sum to its totals.
 
 use aequus_core::usage::{UsageRecord, UsageRow};
 use aequus_core::{GridUser, JobId, SiteId, UserTable};
-use aequus_services::{ParticipationMode, RetryPolicy, StalePolicy, Uss, UssMessage};
+use aequus_services::{LinkSide, ParticipationMode, RetryPolicy, StalePolicy, Uss, UssMessage};
 use aequus_store::CheckpointState;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -162,6 +163,27 @@ impl Grid {
         }
     }
 
+    /// One count per fact: every site's per-link retries, snapshots, gaps
+    /// and resyncs are shares of its totals — across a crash too.
+    fn assert_link_counts_sum_to_totals(&self) {
+        for site in &self.sites {
+            let mut sums = [0u64; 4];
+            for row in site.link_stats(self.now_s) {
+                match row.side {
+                    LinkSide::Tx {
+                        retries, snapshots, ..
+                    } => (sums[0], sums[1]) = (sums[0] + retries, sums[1] + snapshots),
+                    LinkSide::Rx { gaps, resyncs, .. } => {
+                        (sums[2], sums[3]) = (sums[2] + gaps, sums[3] + resyncs)
+                    }
+                }
+            }
+            let (retries, snapshots) = (site.retries(), site.snapshots_sent());
+            let totals = [retries, snapshots, site.seq_gaps(), site.resyncs()];
+            assert_eq!(sums, totals, "{:?}: link rows vs totals", site.site());
+        }
+    }
+
     /// Faults stop: run publish/poll/deliver-everything rounds until the
     /// wire drains and views stop changing.
     fn quiesce(&mut self) {
@@ -219,6 +241,7 @@ proptest! {
                 _ => unreachable!(),
             }
             grid.assert_never_overcounts();
+            grid.assert_link_counts_sum_to_totals();
         }
         grid.quiesce();
         grid.assert_never_overcounts();
@@ -263,6 +286,7 @@ proptest! {
                 5 => grid.duplicate(mag as usize),
                 _ => unreachable!(),
             }
+            grid.assert_link_counts_sum_to_totals();
         }
         grid.quiesce();
         grid.assert_never_overcounts();

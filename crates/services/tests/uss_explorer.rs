@@ -15,9 +15,15 @@
 //! only publish, poll and deliver — runs to quiescence (nothing in flight,
 //! every outbox drained), where every site's view must equal that sum.
 //!
+//! Every crash is also held to the state grouping: the crashed service's
+//! volatile state must equal that of a service started fresh over the same
+//! configuration and ledger, so a volatile field `crash` forgot fails here.
+//!
 //! States that differ only in the order of commuting steps are expanded
-//! once (fingerprinted by their `Debug` text, cached per site and per
-//! message), which is what lets the search reach useful depth in seconds.
+//! once (fingerprinted by `Hash` — a site by its configuration, ledger and
+//! volatile state, floats by their bits, what it has counted left out —
+//! cached per site and per message), which is what lets the search reach
+//! useful depth in seconds.
 
 use aequus_core::codec::NamedCells;
 use aequus_core::usage::{UsageRecord, UserCells};
@@ -26,7 +32,6 @@ use aequus_services::{OverlayTopology, ParticipationMode, RetryPolicy, Uss, UssM
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet};
-use std::fmt::{Debug, Write};
 use std::hash::{Hash, Hasher};
 
 const SITES: usize = 3;
@@ -78,19 +83,11 @@ fn oracle(records: &[UsageRecord]) -> BTreeMap<GridUser, f64> {
     sum
 }
 
-/// Hash of a value's `Debug` text, streamed — `Uss` has no `Hash` or `Eq`,
-/// and its `Debug` output shows every field.
-fn debug_hash(value: &impl Debug) -> u64 {
-    struct Sink(DefaultHasher);
-    impl Write for Sink {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.0.write(s.as_bytes());
-            Ok(())
-        }
-    }
-    let mut sink = Sink(DefaultHasher::new());
-    write!(sink, "{value:?}").expect("hashing cannot fail");
-    sink.0.finish()
+/// Hash of one value on its own.
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
 }
 
 /// A message in flight, with its fingerprint once something asked for it.
@@ -103,7 +100,7 @@ struct Flight {
 
 impl Flight {
     fn hash(&self) -> u64 {
-        *self.hash.get_or_init(|| debug_hash(&(self.to, &self.msg)))
+        *self.hash.get_or_init(|| hash_of(&(self.to, &self.msg)))
     }
 }
 
@@ -258,8 +255,14 @@ impl World {
                 self.duplicates_left -= 1;
             }
             Step::Crash(site) => {
-                self.site_mut(site).crash();
-                self.site_mut(site).request_catchup();
+                let crashed = self.site_mut(site);
+                crashed.crash();
+                assert_eq!(
+                    crashed.volatile(),
+                    &crashed.fresh_volatile(),
+                    "site {site}: a crash must leave a fresh process's volatile state"
+                );
+                crashed.request_catchup();
                 self.crashes_left -= 1;
             }
         }
@@ -308,7 +311,7 @@ impl World {
         wire.sort_unstable();
         let mut h = DefaultHasher::new();
         for (uss, hash) in self.sites.iter().zip(&self.site_hash) {
-            hash.get_or_init(|| debug_hash(uss)).hash(&mut h);
+            hash.get_or_init(|| hash_of(uss)).hash(&mut h);
         }
         wire.hash(&mut h);
         (self.now_s.to_bits(), self.ingested).hash(&mut h);

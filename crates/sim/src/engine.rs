@@ -17,7 +17,7 @@ use crate::scenario::GridScenario;
 use crate::shard::{SampleSpec, Shard, ShardStats};
 use aequus_core::{GridUser, SiteId};
 use aequus_rms::SchedulerStats;
-use aequus_services::{HealthMap, HealthReport, StoreStats};
+use aequus_services::{HealthMap, HealthReport, LinkSide, StoreStats};
 use aequus_telemetry::export::series_name;
 use aequus_telemetry::flight::{dump_jsonl, FlightRecorder};
 use aequus_telemetry::provenance::ProvenanceRecord;
@@ -384,9 +384,9 @@ impl GridSimulation {
                 values[2 * n + 1] = diverged_since.map_or(0.0, |s| now - s);
                 // One pass over the tx rows fills the observed links.
                 for o in &sample.link_health {
-                    if o.heard_age_s < 0.0 {
+                    if let LinkSide::Tx { staleness_s, .. } = o.side {
                         if let Some(&k) = link_rule_idx.get(&(o.from, o.to)) {
-                            values[k] = o.staleness_s;
+                            values[k] = staleness_s;
                         }
                     }
                 }

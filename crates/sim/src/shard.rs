@@ -19,7 +19,7 @@ use crate::scenario::GridScenario;
 use aequus_core::policy::PolicyTree;
 use aequus_core::projection::Percental;
 use aequus_core::{GridUser, NodeId, UsageRow, UserId};
-use aequus_services::UssMessage;
+use aequus_services::{LinkSide, UssMessage};
 use aequus_telemetry::ShardProfiler;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -374,10 +374,9 @@ impl Shard {
                     .link_depth(row.from as usize, row.to as usize, n);
                 // Tx rows additionally carry this site's cumulative wire
                 // budget toward the peer (the rx side never sees drops).
-                if row.heard_age_s < 0.0 {
-                    if let Some(&(bytes, msgs)) = self.link_wire.get(row.to as usize) {
-                        row.bytes = bytes;
-                        row.msgs = msgs;
+                if let LinkSide::Tx { bytes, msgs, .. } = &mut row.side {
+                    if let Some(&wire) = self.link_wire.get(row.to as usize) {
+                        (*bytes, *msgs) = wire;
                     }
                 }
             }

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 /// The causal context attached to an in-flight traced record: which trace it
 /// belongs to and which span is the causal parent of the next hop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TraceCtx {
     /// The trace this record belongs to (the root span's id).
     pub trace_id: u64,
