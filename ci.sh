@@ -100,14 +100,17 @@ done
 # crate's scenario builder over the scenario's own and the engine's private
 # stage table are deleted — as are the USS's per-sequence trace-context map
 # (a publication's context sits in its history entry) and the `-1` that told
-# a tx link row from an rx one (rows are typed) — and no tracked source,
-# manifest, doc or script names them again. `take_outbox` is the one shim
-# left of the broadcast path: code names it only where it is defined and
-# where the benchmark calls it.
+# a tx link row from an rx one (rows are typed), and the fairshare tree's
+# eager per-sibling derivation with the counters and the kernel bench that
+# measured it (shares are read on demand off the tree's sums) — and no
+# tracked source, manifest, doc or script names them again. `take_outbox`
+# is the one shim left of the broadcast path: code names it only where it is
+# defined and where the benchmark calls it.
 if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_share' \
   -e 'observe_divergence' -e 'ShardPlacement' -e 'benches/' \
   -e 'ProfileMode::Counters' -e 'span_sample_every' -e 'capture_provenance' \
   -e 'ScenarioBuilder' -e 'SERVICE_STAGES' -e 'publish_trace' -e 'heard_age_s < 0\.0' \
+  -e 'derive_group' -e 'changed_elements' -e 'shares_refreshed' -e 'fairshare_kernel' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh'; then
   echo "a deleted path is named again" >&2
   exit 1

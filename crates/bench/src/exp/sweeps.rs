@@ -287,6 +287,26 @@ pub(super) fn gossip_sweep(args: &Args, gates: &mut Gates) {
         growth(tracked) <= TRACKED_GROWTH_CEILING,
         &format!("{:.1}x", growth(tracked)),
     );
+    let fcs = [1_000, 10_000]
+        .map(|users| [1, 587].map(|dirty| crate::gossip::fcs_refresh_us(users, dirty, 200)));
+    println!(
+        "incremental FCS refresh, 1 | 587 dirty users: 1k siblings {:.2} | {:.2} us, 10k siblings {:.2} | {:.2} us",
+        fcs[0][0], fcs[0][1], fcs[1][0], fcs[1][1]
+    );
+    // Ceilings at 10k: the add pass is ~0.7 ns per sibling (deriving and
+    // projecting each was ~34); each further dirty user walks one path.
+    let per_dirty = (fcs[1][1] - fcs[1][0]) * 1_000.0 / 586.0;
+    let rows = [
+        ("sibling", fcs[1][0] / 10.0, 2.0),
+        ("further dirty user", per_dirty, 30.0),
+    ];
+    for (what, ns, ceiling) in rows {
+        gates.check(
+            &format!("an FCS refresh at 10k flat users costs <= {ceiling} ns per {what}"),
+            ns <= ceiling,
+            &format!("{ns:.2} ns"),
+        );
+    }
     // The curve itself: cheapest hierarchy vs the mesh, both on Delta.
     let mesh = sweep.point(OVERLAYS[0], Encoding::Delta);
     let best_hier = OVERLAYS[1..]

@@ -16,8 +16,10 @@ use crate::cli::Shape;
 use crate::sweep::{cycle_trace, parallel_sweep};
 use aequus_core::codec::Encoding;
 use aequus_core::usage::{UsageRecord, UsageSummary};
-use aequus_core::{GridUser, JobId, SiteId};
-use aequus_services::{OverlayTopology, ParticipationMode, Uss, UssMessage};
+use aequus_core::{
+    DecayPolicy, FairshareConfig, GridUser, JobId, ProjectionKind, SiteId, UserTable,
+};
+use aequus_services::{Fcs, OverlayTopology, ParticipationMode, Pds, Ums, Uss, UssMessage};
 use aequus_sim::{synthetic_users, GridScenario, GridSimulation, SimResult};
 use std::time::Instant;
 
@@ -166,6 +168,17 @@ pub fn run_gossip_sweep(shape: &Shape) -> GossipSweep {
     GossipSweep { points }
 }
 
+fn record(user: &GridUser, start_s: f64) -> UsageRecord {
+    UsageRecord {
+        job: JobId(0),
+        user: user.clone(),
+        site: SiteId(0),
+        cores: 1,
+        start_s,
+        end_s: start_s + 7.0,
+    }
+}
+
 /// Minimum over `reps` of one `Uss::publish` with exactly one freshly
 /// ingested user to send, in microseconds, on a forwarding site that knows
 /// `users` local users and mirrors 9 origins of as many — every one of
@@ -177,14 +190,6 @@ pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
         .into_iter()
         .map(GridUser::new)
         .collect();
-    let record = |user: &GridUser, start_s: f64| UsageRecord {
-        job: JobId(0),
-        user: user.clone(),
-        site: SiteId(0),
-        cores: 1,
-        start_s,
-        end_s: start_s + 7.0,
-    };
     let mut uss = Uss::new(SiteId(0), ParticipationMode::Full, SLOT_S);
     uss.set_forwarding(true);
     for user in &names {
@@ -231,6 +236,34 @@ pub fn tracked_users_us(users: usize, reps: usize) -> f64 {
     min_ns(reps, || sc.tracked_users()) / 1_000.0
 }
 
+/// Minimum over `reps` of one incremental `Fcs::refresh` after `dirty` users'
+/// usage moved, in microseconds, on a flat policy of `users` equal-share
+/// leaves: it should cost the dirty paths plus one add pass over the group,
+/// not a derivation and a projection per sibling.
+pub fn fcs_refresh_us(users: usize, dirty: usize, reps: usize) -> f64 {
+    let policy = GridScenario::equal_share_users(users, 42).policy;
+    let names = policy.layout().users().clone();
+    let table = UserTable::new(names.clone());
+    let mut uss = Uss::with_users(SiteId(0), ParticipationMode::Full, 60.0, table);
+    let (mut pds, mut ums) = (Pds::new(policy), Ums::new(0.0, DecayPolicy::None));
+    let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 0.0);
+    let mut best = f64::INFINITY;
+    // Lap 0 charges everyone and is the full build; 17 is coprime to the
+    // sizes probed, so a lap's users are distinct.
+    for rep in 0..=reps {
+        let moved = if rep == 0 { users } else { dirty };
+        for j in 0..moved {
+            uss.ingest(&record(&names[(rep * 7919 + j * 17) % users], 0.0));
+        }
+        ums.refresh(&mut uss, rep as f64);
+        let t = Instant::now();
+        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), rep as f64);
+        best = best.min(t.elapsed().as_nanos() as f64);
+        assert_eq!(fcs.last_recompute().nodes_recomputed, moved as u64 + 1);
+    }
+    best / 1_000.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,6 +272,7 @@ mod tests {
     fn growth_probes_hold_their_shapes() {
         assert!(publish_one_fresh_us(40, 3) > 0.0);
         assert!(tracked_users_us(40, 2) > 0.0);
+        assert!(fcs_refresh_us(40, 3, 2) > 0.0);
     }
 
     /// A miniature sweep: the views agree across every topology/encoding,

@@ -266,20 +266,6 @@ pub struct RecomputeStats {
     /// Nodes whose subtree-usage aggregate was recomputed — for a single
     /// dirty user this is exactly the user's root→leaf path.
     pub nodes_recomputed: u64,
-    /// Nodes whose derived shares (normalized policy/usage share, distance,
-    /// element) were refreshed: every member of a sibling group containing a
-    /// recomputed node.
-    pub shares_refreshed: u64,
-    /// Arena nodes whose derived state changed in any component — the roots
-    /// of the subtrees whose users need re-projection.
-    pub changed_elements: Vec<NodeId>,
-}
-
-impl RecomputeStats {
-    /// Total per-node work performed (aggregates + derived refreshes).
-    pub fn total_work(&self) -> u64 {
-        self.nodes_recomputed + self.shares_refreshed
-    }
 }
 
 #[cfg(test)]

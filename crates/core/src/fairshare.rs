@@ -16,15 +16,23 @@
 //!
 //! A tree is the policy's shared [`PolicyLayout`] — topology, names, which
 //! leaf accounts for whom; built once per policy structure — plus one flat
-//! [`NodeId`]-indexed row of per-node state, so a full rebuild is a float
-//! pass over a `&[f64]` usage row and
-//! [`FairshareTree::recompute_dirty`] can re-derive state for *only the
-//! subtrees named by a [`DirtySet`]*: a usage change for one user re-
-//! aggregates exactly the root→leaf paths of that user's leaves and
-//! refreshes the sibling groups along them. After any mutation sequence,
-//! the incremental state is bit-identical to a from-scratch
-//! [`FairshareTree::compute_row`] on the same inputs — enforced by a
-//! debug-build assertion inside `recompute_dirty` and by property tests.
+//! [`NodeId`]-indexed row holding only what needs the population: a node's
+//! raw share, its own and subtree usage, and on each parent the two totals
+//! of its sibling group (Σ children's shares, Σ children's subtree usage,
+//! each summed left to right in policy order). A node's normalized shares,
+//! distance and element ([`NodeShare`]) are a pure function of its own
+//! slot, its parent's totals and the config, so they are computed when
+//! read ([`FairshareTree::share_of`]) and never stored: nothing has to be
+//! re-derived when a sibling moves.
+//!
+//! A full rebuild is one float pass over a `&[f64]` usage row;
+//! [`FairshareTree::recompute_dirty`] re-sums *only the root→leaf paths
+//! named by a [`DirtySet`]* — one add pass per touched sibling group — and
+//! re-totals shares only in the groups a share edit touched. After any
+//! mutation sequence, the incremental state is bit-identical to a
+//! from-scratch [`FairshareTree::compute_row`] on the same inputs —
+//! enforced by a debug-build assertion inside `recompute_dirty` and by
+//! property tests — and so is every value read off it.
 //!
 //! A tree speaks the [`UserId`]s of its layout: ranks in
 //! [`PolicyLayout::users`]. A holder whose
@@ -36,7 +44,7 @@ use crate::decay::DecayPolicy;
 use crate::ids::{EntityPath, GridUser};
 use crate::policy::{PolicyLayout, PolicyNode, PolicyTree};
 use crate::vector::{FairshareVector, Resolution};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Configuration of the fairshare calculation.
@@ -87,8 +95,9 @@ impl FairshareConfig {
     }
 }
 
-/// Fairshare state computed for one tree node.
-#[derive(Debug, Clone, PartialEq)]
+/// Fairshare state of one tree node within its sibling group, computed on
+/// read by [`FairshareTree::share_of`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeShare {
     /// Normalized policy share within the sibling group.
     pub policy_share: f64,
@@ -101,24 +110,6 @@ pub struct NodeShare {
     pub element: f64,
 }
 
-impl NodeShare {
-    fn neutral() -> Self {
-        NodeShare {
-            policy_share: 1.0,
-            usage_share: 1.0,
-            distance: 0.0,
-            element: 0.0,
-        }
-    }
-
-    fn bits_eq(&self, other: &NodeShare) -> bool {
-        self.policy_share.to_bits() == other.policy_share.to_bits()
-            && self.usage_share.to_bits() == other.usage_share.to_bits()
-            && self.distance.to_bits() == other.distance.to_bits()
-            && self.element.to_bits() == other.element.to_bits()
-    }
-}
-
 /// One slot of the per-node state row.
 #[derive(Debug, Clone)]
 struct NodeState {
@@ -128,12 +119,14 @@ struct NodeState {
     own_usage: f64,
     /// Aggregated usage of this node's subtree.
     subtree_usage: f64,
-    /// Derived shares/distance/element within the parent's sibling group.
-    state: NodeShare,
+    /// Σ children's raw shares — moves only on a share edit.
+    share_total: f64,
+    /// Σ children's subtree usage: the sum [`FairshareTree::resum`] forms.
+    usage_total: f64,
 }
 
 /// A computed fairshare tree: the policy's shared layout plus per-node
-/// shares, supporting both full computation and dirty-subtree incremental
+/// sums, supporting both full computation and dirty-path incremental
 /// recomputation.
 #[derive(Debug, Clone)]
 pub struct FairshareTree {
@@ -143,6 +136,11 @@ pub struct FairshareTree {
     config: FairshareConfig,
     /// Time the tree was computed, seconds (for staleness checks).
     pub computed_at_s: f64,
+    /// Scratch of [`recompute_dirty`](Self::recompute_dirty), kept for its
+    /// capacity and clean between calls: whether an ancestor is on a dirty
+    /// path, and those ancestors by level.
+    on_path: Vec<bool>,
+    by_level: Vec<Vec<NodeId>>,
 }
 
 impl FairshareTree {
@@ -167,9 +165,9 @@ impl FairshareTree {
 
     /// Compute the fairshare tree from a policy and a usage row indexed by
     /// the [`UserId`]s of the policy's layout (a user it has no entry for
-    /// — [`UserId::read`] — has no usage). `O(nodes)` float work and one
-    /// allocation: no name, path or map is touched (the layout is shared,
-    /// and built on the first call per policy structure).
+    /// — [`UserId::read`] — has no usage). `O(nodes)` float work: no name,
+    /// path or map is touched (the layout is shared, and built on the first
+    /// call per policy structure).
     pub fn compute_row(
         policy: &PolicyTree,
         usage: &[f64],
@@ -181,7 +179,8 @@ impl FairshareTree {
                 share: node.share,
                 own_usage: 0.0,
                 subtree_usage: 0.0,
-                state: NodeShare::neutral(),
+                share_total: 0.0,
+                usage_total: 0.0,
             });
             for child in &node.children {
                 shares(child, out);
@@ -191,6 +190,8 @@ impl FairshareTree {
         let mut nodes = Vec::with_capacity(layout.node_count());
         shares(policy.root(), &mut nodes);
         let mut tree = Self {
+            on_path: vec![false; nodes.len()],
+            by_level: vec![Vec::new(); layout.depth() + 1],
             layout,
             nodes,
             config: *config,
@@ -201,67 +202,35 @@ impl FairshareTree {
             let own = tree.layout[id].user;
             tree.nodes[id.index()].own_usage = own.and_then(|user| user.read(usage)).unwrap_or(0.0);
             tree.resum(id);
-        }
-        for id in (0..tree.nodes.len() as u32).map(NodeId) {
-            tree.derive_group(id, |_| {});
+            tree.retotal(id);
         }
         tree
     }
 
-    /// `subtree = own + Σ children`, children summed in policy order — the
-    /// one summation order of full and incremental passes.
-    fn resum(&mut self, id: NodeId) {
+    /// Σ `of(child)` over `id`'s children, left to right in policy order —
+    /// the one summation of full and incremental passes.
+    fn sum_children(&self, id: NodeId, of: impl Fn(&NodeState) -> f64) -> f64 {
         let children = self.layout[id].children.iter();
-        let children_sum: f64 = children.map(|c| self.nodes[c.index()].subtree_usage).sum();
+        children.map(|c| of(&self.nodes[c.index()])).sum()
+    }
+
+    /// `subtree = own + Σ children`, the sum kept as the group's usage total.
+    fn resum(&mut self, id: NodeId) {
+        let total = self.sum_children(id, |child| child.subtree_usage);
         let node = &mut self.nodes[id.index()];
-        node.subtree_usage = node.own_usage + children_sum;
+        node.usage_total = total;
+        node.subtree_usage = node.own_usage + total;
     }
 
-    /// Refresh the derived state of `id`'s children (one sibling group),
-    /// handing `changed` every child whose derived state changed in any
-    /// component (shares, distance, or element) — the roots of the subtrees
-    /// whose users need re-projection.
-    fn derive_group(&mut self, id: NodeId, mut changed: impl FnMut(NodeId)) {
-        let Self {
-            layout,
-            nodes,
-            config,
-            ..
-        } = self;
-        let children = &layout[id].children;
-        let policy_total: f64 = children.iter().map(|c| nodes[c.index()].share).sum();
-        let usage_total: f64 = children
-            .iter()
-            .map(|c| nodes[c.index()].subtree_usage)
-            .sum();
-        for &cid in children {
-            let child = &mut nodes[cid.index()];
-            let p = if policy_total > 0.0 {
-                child.share / policy_total
-            } else {
-                0.0
-            };
-            let u = if usage_total > 0.0 {
-                child.subtree_usage / usage_total
-            } else {
-                0.0
-            };
-            let d = config.distance(p, u);
-            let state = NodeShare {
-                policy_share: p,
-                usage_share: u,
-                distance: d,
-                element: config.resolution.scale(d),
-            };
-            if !child.state.bits_eq(&state) {
-                changed(cid);
-            }
-            child.state = state;
-        }
+    /// Re-total the raw shares of `id`'s children.
+    fn retotal(&mut self, id: NodeId) {
+        self.nodes[id.index()].share_total = self.sum_children(id, |child| child.share);
     }
 
-    /// Incrementally re-derive fairshare state for the subtrees whose usage
-    /// or policy changed, per `dirty`.
+    /// Incrementally bring the tree up to date for the users whose usage
+    /// and the paths whose share changed, per `dirty`: one add pass per
+    /// sibling group on a dirty root→leaf path, one per group holding an
+    /// edited share — `O(dirty·depth + Σ touched group widths)`.
     ///
     /// `usage` is the complete usage row the tree should reflect (only the
     /// dirty users' entries are read; a dirty user re-aggregates *every*
@@ -304,69 +273,67 @@ impl FairshareTree {
             return None;
         }
         self.computed_at_s = now_s;
-        if dirty.is_empty() {
-            return Some(RecomputeStats::default());
-        }
         let layout = Arc::clone(&self.layout);
-
-        // Nodes whose subtree aggregate must be re-summed (dirty leaves plus
-        // their ancestors) and sibling groups needing a derived refresh.
-        // Usage of users outside the policy is ignored, as by a full pass.
-        let mut agg: BTreeSet<NodeId> = BTreeSet::new();
-        let mut groups: BTreeSet<NodeId> = BTreeSet::new();
-        for user in dirty.users() {
-            for &leaf in layout.leaves_of(user) {
-                self.nodes[leaf.index()].own_usage = user.read(usage).unwrap_or(0.0);
-                let mut cur = leaf;
-                agg.insert(cur);
-                while let Some(parent) = layout[cur].parent {
-                    agg.insert(parent);
-                    groups.insert(parent);
-                    cur = parent;
-                }
-            }
-        }
         for path in dirty.paths() {
             let id = layout.node_at(path)?;
             self.nodes[id.index()].share = policy.node_at(path)?.share;
             // The root's share participates in no sibling group.
-            groups.extend(layout[id].parent);
+            if let Some(group) = layout[id].parent {
+                self.retotal(group);
+            }
         }
-
-        // Re-aggregate bottom-up (deepest first) so each parent re-sums
-        // already-updated children, in the same order as a full pass.
-        let mut by_depth: Vec<NodeId> = agg.into_iter().collect();
-        by_depth.sort_by_key(|id| std::cmp::Reverse(layout[*id].level));
-        for &id in &by_depth {
-            self.resum(id);
+        // A dirty leaf is re-summed where it is met (each is met once); its
+        // ancestors are collected, each once, and re-summed deepest level
+        // first, so every parent re-sums already-updated children, as in a
+        // full pass. Usage of users outside the policy is ignored, as there.
+        let mut nodes_recomputed = 0;
+        for user in dirty.users() {
+            for &leaf in layout.leaves_of(user) {
+                self.nodes[leaf.index()].own_usage = user.read(usage).unwrap_or(0.0);
+                self.resum(leaf);
+                nodes_recomputed += 1;
+                // An ancestor already on a path has brought its own.
+                let mut next = layout[leaf].parent;
+                while let Some(id) = next.filter(|id| !self.on_path[id.index()]) {
+                    let at = &layout[id];
+                    self.on_path[id.index()] = true;
+                    self.by_level[at.level as usize].push(id);
+                    next = at.parent;
+                }
+            }
         }
-
-        // Refresh derived shares of every affected sibling group.
-        let mut shares_refreshed = 0u64;
-        let mut changed_elements = Vec::new();
-        for &g in &groups {
-            shares_refreshed += layout[g].children.len() as u64;
-            self.derive_group(g, |child| changed_elements.push(child));
+        for level in (0..self.by_level.len()).rev() {
+            let mut on_level = std::mem::take(&mut self.by_level[level]);
+            for id in on_level.drain(..) {
+                self.resum(id);
+                self.on_path[id.index()] = false;
+                nodes_recomputed += 1;
+            }
+            self.by_level[level] = on_level;
         }
         Some(RecomputeStats {
             full: false,
-            nodes_recomputed: by_depth.len() as u64,
-            shares_refreshed,
-            changed_elements,
+            nodes_recomputed,
         })
     }
 
     /// Bit-exact state comparison against another tree (same policy shape,
-    /// aggregates, and derived shares). The equivalence oracle for the
-    /// incremental engine.
+    /// shares, aggregates and group totals — all a read depends on). The
+    /// equivalence oracle for the incremental engine.
     pub fn state_equals(&self, other: &FairshareTree) -> bool {
+        let bits = |n: &NodeState| {
+            [
+                n.share,
+                n.own_usage,
+                n.subtree_usage,
+                n.share_total,
+                n.usage_total,
+            ]
+            .map(f64::to_bits)
+        };
         (Arc::ptr_eq(&self.layout, &other.layout) || self.layout == other.layout)
-            && self.nodes.iter().zip(&other.nodes).all(|(a, b)| {
-                a.share.to_bits() == b.share.to_bits()
-                    && a.own_usage.to_bits() == b.own_usage.to_bits()
-                    && a.subtree_usage.to_bits() == b.subtree_usage.to_bits()
-                    && a.state.bits_eq(&b.state)
-            })
+            && self.config == other.config
+            && (self.nodes.iter().map(bits)).eq(other.nodes.iter().map(bits))
     }
 
     /// The policy layout this tree's state row is laid out over.
@@ -376,12 +343,9 @@ impl FairshareTree {
 
     /// Per-node share state at `path` (the root has no sibling group and
     /// reports `None`).
-    pub fn node(&self, path: &EntityPath) -> Option<&NodeShare> {
-        if path.is_root() {
-            return None;
-        }
+    pub fn node(&self, path: &EntityPath) -> Option<NodeShare> {
         let id = self.layout.node_at(path)?;
-        Some(&self.nodes[id.index()].state)
+        self.layout[id].parent.map(|_| self.share_of(id))
     }
 
     /// The leaf a user's vector and factor are read from: the last one
@@ -396,14 +360,43 @@ impl FairshareTree {
         self.leaf_of(self.layout.user_id(user)?)
     }
 
-    /// Derived share state of an arena node.
-    pub fn share_of(&self, id: NodeId) -> &NodeShare {
-        &self.nodes[id.index()].state
+    /// Share state of an arena node within its sibling group: its own share
+    /// and subtree usage over its parent's two totals, then
+    /// [`FairshareConfig::distance`] and [`Resolution::scale`] — a handful
+    /// of flops, pure in the state row. The root has no sibling group and
+    /// reads neutral.
+    pub fn share_of(&self, id: NodeId) -> NodeShare {
+        let Some(parent) = self.layout[id].parent else {
+            return NodeShare {
+                policy_share: 1.0,
+                usage_share: 1.0,
+                distance: 0.0,
+                element: 0.0,
+            };
+        };
+        let (node, group) = (&self.nodes[id.index()], &self.nodes[parent.index()]);
+        let p = if group.share_total > 0.0 {
+            node.share / group.share_total
+        } else {
+            0.0
+        };
+        let u = if group.usage_total > 0.0 {
+            node.subtree_usage / group.usage_total
+        } else {
+            0.0
+        };
+        let d = self.config.distance(p, u);
+        NodeShare {
+            policy_share: p,
+            usage_share: u,
+            distance: d,
+            element: self.config.resolution.scale(d),
+        }
     }
 
     /// Leaf distance ("priority") of an arena node.
     pub fn priority_of_id(&self, id: NodeId) -> f64 {
-        self.nodes[id.index()].state.distance
+        self.share_of(id).distance
     }
 
     /// Fairshare vector of the entity at an arena id, padded to tree depth.
@@ -411,18 +404,11 @@ impl FairshareTree {
         let mut elements = Vec::with_capacity(self.depth());
         let mut cur = id;
         while let Some(parent) = self.layout[cur].parent {
-            elements.push(self.nodes[cur.index()].state.element);
+            elements.push(self.share_of(cur).element);
             cur = parent;
         }
         elements.reverse();
         FairshareVector::from_elements(elements, self.config.resolution).padded(self.depth())
-    }
-
-    /// Append the user leaves of the subtree rooted at `id` (dirty-subtree
-    /// re-projection support) — one pass over the subtree's id range.
-    pub fn leaves_under(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        let subtree = (id.0..self.layout[id].end).map(NodeId);
-        out.extend(subtree.filter(|&node| self.layout[node].user.is_some()));
     }
 
     /// Every user with its serving leaf, in id order.
@@ -683,23 +669,51 @@ mod tests {
         dirty
     }
 
+    /// What `share_of` reads for every node, as bits, by node id.
+    fn share_bits(tree: &FairshareTree) -> Vec<[u64; 4]> {
+        let ids = (0..tree.node_count() as u32).map(NodeId);
+        ids.map(|id| {
+            let s = tree.share_of(id);
+            [s.policy_share, s.usage_share, s.distance, s.element].map(f64::to_bits)
+        })
+        .collect()
+    }
+
+    /// The nodes whose `share_of` differs between two trees of one layout.
+    fn moved(old: &FairshareTree, new: &FairshareTree) -> Vec<String> {
+        let pairs = share_bits(old).into_iter().zip(share_bits(new));
+        let moved = pairs.enumerate().filter(|(_, (a, b))| a != b);
+        moved
+            .map(|(i, _)| format!("{}", new.layout().path_of(NodeId(i as u32))))
+            .collect()
+    }
+
     #[test]
     fn single_user_update_recomputes_only_the_path() {
         let policy = deep_policy();
         let cfg = FairshareConfig::default();
         let mut u = row(&policy, &[("g0u0", 10.0), ("g1u2", 40.0), ("g3u3", 25.0)]);
-        let mut t = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
+        let old = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
+        let mut t = old.clone();
         u[id(&policy, "g1u2").index()] = 90.0;
         let dirty = dirty_users(&policy, &["g1u2"]);
         let stats = t.recompute_dirty(&policy, &u, &dirty, 1.0).unwrap();
         assert!(!stats.full);
         // Exactly the root→leaf path: leaf, its group, the root.
         assert_eq!(stats.nodes_recomputed, 3);
-        // Sibling groups refreshed: root's 4 groups + g1's 4 users.
-        assert_eq!(stats.shares_refreshed, 8);
+        // Only the two sibling groups along it read differently: the root's
+        // four groups and g1's four users.
+        let touched = ["/g0", "/g1", "/g2", "/g3"].into_iter();
+        let touched: Vec<String> = touched
+            .chain(["/g1/g1u0", "/g1/g1u1", "/g1/g1u2", "/g1/g1u3"])
+            .map(String::from)
+            .collect();
+        assert!(moved(&old, &t).iter().all(|path| touched.contains(path)));
+        assert!(moved(&old, &t).contains(&"/g1".to_string()));
         // Equivalence (also enforced by the debug assertion inside).
         let fresh = FairshareTree::compute_row(&policy, &u, &cfg, 1.0);
         assert!(t.state_equals(&fresh));
+        assert_eq!(share_bits(&t), share_bits(&fresh));
     }
 
     /// One identity under two projects — ordinary in a VO tree. A full pass
@@ -765,7 +779,6 @@ mod tests {
             .recompute_dirty(&policy, &u, &DirtySet::new(), 5.0)
             .unwrap();
         assert_eq!(stats.nodes_recomputed, 0);
-        assert_eq!(stats.shares_refreshed, 0);
         assert_eq!(t.computed_at_s, 5.0);
     }
 
@@ -774,7 +787,8 @@ mod tests {
         let mut policy = deep_policy();
         let cfg = FairshareConfig::default();
         let u = row(&policy, &[("g0u0", 10.0), ("g2u1", 30.0)]);
-        let mut t = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
+        let old = FairshareTree::compute_row(&policy, &u, &cfg, 0.0);
+        let mut t = old.clone();
         let path = EntityPath::parse("/g2/g2u1");
         policy.set_share(&path, 9.0).unwrap();
         let mut dirty = DirtySet::new();
@@ -782,7 +796,9 @@ mod tests {
         let stats = t.recompute_dirty(&policy, &u, &dirty, 1.0).unwrap();
         assert!(!stats.full);
         assert_eq!(stats.nodes_recomputed, 0);
-        assert_eq!(stats.shares_refreshed, 4); // g2's sibling group only
+        // One group re-totalled — g2's — and exactly its members moved.
+        let group = ["/g2/g2u0", "/g2/g2u1", "/g2/g2u2", "/g2/g2u3"];
+        assert_eq!(moved(&old, &t), group);
         assert!(t.state_equals(&FairshareTree::compute_row(&policy, &u, &cfg, 1.0)));
     }
 
@@ -807,8 +823,11 @@ mod tests {
         assert!(Arc::ptr_eq(edited.layout(), policy.layout()));
     }
 
+    /// With nothing derived there is no list of changed nodes to hand out:
+    /// what holds is that a usage update moves reads only inside the groups
+    /// its path crosses.
     #[test]
-    fn changed_elements_name_exactly_the_moved_nodes() {
+    fn a_usage_update_leaves_every_node_outside_the_touched_groups_bit_equal() {
         let policy = deep_policy();
         let cfg = FairshareConfig::default();
         let mut u = row(&policy, &[("g0u0", 10.0), ("g1u2", 40.0)]);
@@ -816,21 +835,22 @@ mod tests {
         let mut t = old.clone();
         u[id(&policy, "g1u2").index()] = 41.0;
         let dirty = dirty_users(&policy, &["g1u2"]);
-        let stats = t.recompute_dirty(&policy, &u, &dirty, 1.0).unwrap();
-        // Every changed node's derived state really differs from the tree
-        // computed on the old usage. Ids are stable across recompute (same
-        // layout), so compare by id.
-        assert!(!stats.changed_elements.is_empty());
-        for id in &stats.changed_elements {
-            assert!(!t.share_of(*id).bits_eq(old.share_of(*id)));
-        }
-        // And every unchanged node's state is bit-identical to the old tree.
-        let changed: BTreeSet<NodeId> = stats.changed_elements.iter().copied().collect();
-        for i in 0..t.node_count() as u32 {
-            if !changed.contains(&NodeId(i)) {
-                assert!(t.share_of(NodeId(i)).bits_eq(old.share_of(NodeId(i))));
+        t.recompute_dirty(&policy, &u, &dirty, 1.0).unwrap();
+        // Ids are stable across recompute (same layout), so compare by id:
+        // a node reads differently only as a child of the root or of /g1.
+        let (before, after) = (share_bits(&old), share_bits(&t));
+        let g1 = t.layout().node_at(&EntityPath::parse("/g1"));
+        let mut moved = 0;
+        for i in 0..t.node_count() {
+            let parent = t.layout()[NodeId(i as u32)].parent;
+            if before[i] != after[i] {
+                assert!(parent == Some(NodeId(0)) || parent == g1, "node {i}");
+                moved += 1;
             }
         }
+        // At the root /g0 and /g1 trade usage share; inside /g1, g1u2 held
+        // all of the group's usage before and after, so nobody moved.
+        assert_eq!(moved, 2, "/g0 and /g1");
     }
 
     #[test]
@@ -848,10 +868,6 @@ mod tests {
             assert_eq!(t.priority_of_id(id), t.user_priority(&user).unwrap());
             assert_eq!(Some(t.layout().path_of(id)), policy.path_of_user(&user));
         }
-        let mut leaves = Vec::new();
-        t.leaves_under(NodeId(0), &mut leaves);
-        assert_eq!(leaves.len(), 16);
-        assert!(leaves.iter().all(|&l| t.layout()[l].parent.is_some()));
         assert_eq!(t.user_leaves().count(), 16);
     }
 }

@@ -296,9 +296,6 @@ pub struct LayoutNode {
     pub children: Vec<NodeId>,
     /// Hierarchy level (root = 0).
     pub level: u32,
-    /// One past the last slot of this node's subtree: ids are depth-first,
-    /// so a subtree is the contiguous range `id..end`, itself first.
-    pub end: u32,
     /// The identity a user leaf accounts for; `None` for interior nodes.
     pub user: Option<UserId>,
 }
@@ -342,7 +339,6 @@ impl PolicyLayout {
                 parent,
                 children: Vec::with_capacity(node.children.len()),
                 level: parent.map_or(0, |p| nodes[p.index()].level + 1),
-                end: 0,
                 user: None,
             });
             if let PolicyNodeKind::User(user) = &node.kind {
@@ -351,7 +347,6 @@ impl PolicyLayout {
             for child in &node.children {
                 add(child, Some(id), nodes, leaf_users);
             }
-            nodes[id.index()].end = nodes.len() as u32;
         }
         let (mut nodes, mut leaf_users) = (Vec::new(), Vec::new());
         add(root, None, &mut nodes, &mut leaf_users);

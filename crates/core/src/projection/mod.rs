@@ -40,11 +40,14 @@ pub trait Projection: Send + Sync + std::fmt::Debug {
 
     /// Project the single user at arena leaf `leaf`, for *path-local*
     /// algorithms whose per-user value depends only on the nodes along that
-    /// user's root→leaf path (Bitwise, Percental) — `O(depth)`, no name
-    /// lookups. Must be bit-identical to the corresponding entry of
-    /// [`project`](Self::project). Returns `None` for global algorithms
-    /// (Dictionary ordering ranks users against each other, so any change
-    /// requires a full re-projection).
+    /// user's root→leaf path (Bitwise, Percental) — `O(depth)` flops, no
+    /// name lookups. This is what the FCS serves a query from, so the
+    /// contract is: pure in the tree (same tree state, same bits — nothing
+    /// cached, nothing to invalidate) and bit-identical to the entry of
+    /// [`project`](Self::project) for the leaf's user. Returns `None` for
+    /// global algorithms (Dictionary ordering ranks users against each
+    /// other: its holder stores one `project` row and re-ranks it whole on
+    /// any change).
     fn project_leaf(&self, _tree: &FairshareTree, _leaf: NodeId) -> Option<f64> {
         None
     }

@@ -2,7 +2,7 @@
 //! normalization, usage conservation, distance bounds, vector ordering, and
 //! projection consistency across randomized trees and usage patterns.
 
-use aequus_core::arena::UserId;
+use aequus_core::arena::{DirtySet, NodeId, UserId};
 use aequus_core::decay::DecayPolicy;
 use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::ids::{EntityPath, GridUser, JobId, SiteId};
@@ -318,6 +318,148 @@ proptest! {
             let b = back.absolute_share(&path).unwrap();
             prop_assert!((a - b).abs() < 1e-12, "{path}: {a} vs {b}");
             prop_assert_eq!(back.path_of_user(&user), Some(path));
+        }
+    }
+}
+
+// ---- read-on-demand moves no bit: the eager derivation stays as the oracle ----
+
+/// The tree as it was derived before shares were read on demand: every
+/// sibling group eagerly — sum the shares, sum the subtree usage, divide,
+/// `distance`, `scale` — into one stored `[policy share, usage share,
+/// distance, element]` per node, in depth-first (= `NodeId`) order.
+fn eager_reference(policy: &PolicyTree, usage: &[f64], cfg: &FairshareConfig) -> Vec<[u64; 4]> {
+    fn shares_of(node: &PolicyNode, out: &mut Vec<f64>) {
+        out.push(node.share);
+        node.children.iter().for_each(|child| shares_of(child, out));
+    }
+    let layout = policy.layout();
+    let mut shares = Vec::new();
+    shares_of(policy.root(), &mut shares);
+    let mut subtree = vec![0.0; shares.len()];
+    for i in (0..shares.len()).rev() {
+        let node = &layout[NodeId(i as u32)];
+        let own = node.user.and_then(|user| user.read(usage)).unwrap_or(0.0);
+        let children: f64 = node.children.iter().map(|c| subtree[c.index()]).sum();
+        subtree[i] = own + children;
+    }
+    let mut derived = vec![[1.0, 1.0, 0.0, 0.0]; shares.len()];
+    for i in 0..shares.len() {
+        let children = &layout[NodeId(i as u32)].children;
+        let policy_total: f64 = children.iter().map(|c| shares[c.index()]).sum();
+        let usage_total: f64 = children.iter().map(|c| subtree[c.index()]).sum();
+        for c in children.iter().map(|c| c.index()) {
+            let p = if policy_total > 0.0 {
+                shares[c] / policy_total
+            } else {
+                0.0
+            };
+            let u = if usage_total > 0.0 {
+                subtree[c] / usage_total
+            } else {
+                0.0
+            };
+            let d = cfg.distance(p, u);
+            derived[c] = [p, u, d, cfg.resolution.scale(d)];
+        }
+    }
+    derived
+        .into_iter()
+        .map(|node| node.map(f64::to_bits))
+        .collect()
+}
+
+/// Flat, VO → group → user, and two projects sharing one identity under two
+/// leaves.
+fn oracle_policy(shape: u8) -> PolicyTree {
+    let user = |i: usize| PolicyNode::user(format!("u{i}"), 1.0 + i as f64);
+    let root = |children| PolicyTree::new(PolicyNode::group("root", 1.0, children)).unwrap();
+    match shape % 3 {
+        0 => root((0..9).map(user).collect()),
+        1 => root(
+            (0..2)
+                .map(|vo| {
+                    let group = |g: usize| {
+                        let first = 4 * vo + 2 * g;
+                        let members = vec![user(first), user(first + 1)];
+                        PolicyNode::group(format!("g{g}"), 1.0 + g as f64, members)
+                    };
+                    PolicyNode::group(format!("vo{vo}"), 2.0 - vo as f64, vec![group(0), group(1)])
+                })
+                .collect(),
+        ),
+        _ => {
+            let shared =
+                |name: &str| PolicyNode::user_with_identity(name, 2.0, GridUser::new("u0"));
+            root(vec![
+                PolicyNode::group("p0", 1.0, vec![shared("lead"), user(1), user(2)]),
+                PolicyNode::group("p1", 3.0, vec![user(3), shared("guest"), user(4)]),
+            ])
+        }
+    }
+}
+
+/// Every non-root path of a policy, depth first.
+fn edit_paths(policy: &PolicyTree) -> Vec<EntityPath> {
+    let layout = policy.layout();
+    let ids = (1..layout.node_count() as u32).map(NodeId);
+    ids.map(|id| layout.path_of(id)).collect()
+}
+
+fn shares_read(tree: &FairshareTree) -> Vec<[u64; 4]> {
+    let ids = (0..tree.node_count() as u32).map(NodeId);
+    ids.map(|id| {
+        let s = tree.share_of(id);
+        [s.policy_share, s.usage_share, s.distance, s.element].map(f64::to_bits)
+    })
+    .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `(op, selector, value)`: 0/1 one user's usage becomes `value` (0: back
+    /// to nothing), 2 a share edit (selector ≥ 200: to zero), 3 an
+    /// incremental pass and the comparison — `share_of` of every node
+    /// against the eager reference, the state row against a fresh
+    /// `compute_row`.
+    #[test]
+    fn share_of_matches_the_eager_reference_bit_for_bit(
+        shape in 0u8..3,
+        k in 0.0..1.0f64,
+        ops in proptest::collection::vec((0u8..4, 0u8..255, 0.01..1000.0f64), 1..48),
+    ) {
+        let mut policy = oracle_policy(shape);
+        let cfg = FairshareConfig { k_weight: k, ..Default::default() };
+        let paths = edit_paths(&policy);
+        let mut usage = vec![0.0; policy.layout().users().len()];
+        let mut tree = FairshareTree::compute_row(&policy, &usage, &cfg, 0.0);
+        let mut dirty = DirtySet::new();
+        let closing = [(3u8, 0u8, 0.0)];
+        for (step, &(op, sel, x)) in ops.iter().chain(&closing).enumerate() {
+            match op {
+                0 | 1 => {
+                    let user = sel as usize % usage.len();
+                    usage[user] = if op == 0 { 0.0 } else { x };
+                    dirty.mark_user(UserId(user as u32));
+                }
+                2 => {
+                    let path = &paths[sel as usize % paths.len()];
+                    let share = if sel >= 200 { 0.0 } else { x / 100.0 };
+                    policy.set_share(path, share).unwrap();
+                    dirty.mark_path(path.clone());
+                }
+                _ => {
+                    let now_s = step as f64;
+                    let stats = tree.recompute_dirty(&policy, &usage, &dirty.take(), now_s);
+                    prop_assert!(stats.is_some(), "step {step}: not served incrementally");
+                    let fresh = FairshareTree::compute_row(&policy, &usage, &cfg, now_s);
+                    prop_assert!(tree.state_equals(&fresh), "step {step}: state row diverged");
+                    let want = eager_reference(&policy, &usage, &cfg);
+                    prop_assert_eq!(shares_read(&tree), want.clone(), "step {}: incremental", step);
+                    prop_assert_eq!(shares_read(&fresh), want, "step {}: fresh", step);
+                }
+            }
         }
     }
 }

@@ -137,8 +137,12 @@ impl FairshareSource for LocalFairshare {
         let policy_users = 0..self.users.base().len() as u32;
         let usage: Vec<f64> = policy_users.map(|user| decayed(UserId(user))).collect();
         let tree = FairshareTree::compute_row(&self.policy, &usage, &self.config, now_s);
-        let factors = self.projection.project(&tree);
-        factors.get(id.index()).copied().unwrap_or(0.5)
+        let Some(leaf) = tree.leaf_of(id) else {
+            return 0.5;
+        };
+        // Dictionary has no per-leaf read: rank everyone, index one.
+        let read = self.projection.project_leaf(&tree, leaf);
+        read.unwrap_or_else(|| self.projection.project(&tree)[id.index()])
     }
 
     fn report_usage(&mut self, record: UsageRecord, _now_s: f64) {

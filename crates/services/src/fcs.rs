@@ -8,27 +8,28 @@
 //! The FCS is the consumer end of the dirty-set flow USS → UMS → FCS: each
 //! refresh drains the [`DirtySet`]s accumulated by the PDS (policy edits)
 //! and UMS (usage changes) and hands them to
-//! [`FairshareTree::recompute_dirty`], which re-derives only the affected
-//! subtrees. A full from-scratch rebuild happens only on the first refresh,
-//! after a crash, or when the dirty set says "all" (structural policy
-//! change, non-separable decay). After the tree update, only the
-//! leaves under changed nodes are re-projected, by arena id, straight into
-//! their factor slots — except under projections without a per-leaf entry
-//! point (Dictionary re-ranks globally).
+//! [`FairshareTree::recompute_dirty`], which re-sums only the dirty
+//! root→leaf paths. A full from-scratch rebuild happens only on the first
+//! refresh, after a crash, or when the dirty set says "all" (structural
+//! policy change, non-separable decay). What a refresh pre-calculates is
+//! the tree's sums and group totals — all of a factor that needs the
+//! population.
 //!
-//! The projected factors live in one row indexed by the [`UserId`]s of the
-//! site's [`UserTable`] — the only stored copy — and [`Fcs::query`] is by id
-//! only: the RMS interns a job's user once at submit and every later
-//! priority query is an index load. The tree itself speaks the ids of the
-//! policy's layout; when the table is built over that layout's user base
-//! (every site built from the policy it enforces) the two are the same
-//! numbers and nothing is translated.
+//! [`Fcs::query`] is by the [`UserId`]s of the site's [`UserTable`] only
+//! (the RMS interns a job's user once at submit) and, for the path-local
+//! projections (Percental, Bitwise), reads the factor off the user's own
+//! root→leaf path of that tree ([`Projection::project_leaf`]): `O(depth)`
+//! flops, no lookup by name, no stored factor, nothing to invalidate.
+//! Dictionary's ranks are global, so its one `project` row is stored and
+//! re-ranked whole by every refresh that had anything dirty. The tree
+//! speaks the ids of the policy's layout; when the table is built over that
+//! layout's user base (every site built from the policy it enforces) the
+//! two are the same numbers and nothing is translated.
 
 use crate::pds::Pds;
 use crate::ums::Ums;
-use aequus_core::arena::{DirtySet, NodeId, RecomputeStats, UserId, UserTable};
+use aequus_core::arena::{DirtySet, RecomputeStats, UserId, UserTable};
 use aequus_core::fairshare::{FairshareConfig, FairshareTree};
-use aequus_core::policy::PolicyLayout;
 use aequus_core::projection::{Projection, ProjectionKind};
 use aequus_core::GridUser;
 use aequus_telemetry::{Counter, Histogram, Telemetry};
@@ -69,13 +70,13 @@ pub struct Fcs {
     projection: Box<dyn Projection>,
     refresh_interval_s: f64,
     tree: Option<FairshareTree>,
-    /// The site's id of each user of the tree's layout, by layout id —
-    /// resolved once per rebuilt tree, and `None` when the site's table is
-    /// built over the layout's own user base: layout id *is* site id.
-    site_ids: Option<Vec<UserId>>,
-    /// Factor row indexed by site [`UserId`]; `NaN` marks "no precomputed
-    /// factor" (the user is absent from the tree).
-    factor_slots: Vec<f64>,
+    /// Site id ↔ layout id, resolved once per rebuilt tree; `None` when the
+    /// site's table is built over the layout's own user base: layout id
+    /// *is* site id.
+    translation: Option<Translation>,
+    /// The `project` row of a projection without a per-leaf read
+    /// (Dictionary), by layout [`UserId`]; empty under the others.
+    ranked: Vec<f64>,
     last_refresh_s: Option<f64>,
     last_policy_version: u64,
     /// Next refresh must rebuild from scratch (crash). Tracked separately
@@ -88,6 +89,16 @@ pub struct Fcs {
     last_recompute: RecomputeStats,
     /// Telemetry handles (no-ops until wired).
     metrics: FcsMetrics,
+}
+
+/// The two id spaces of a site whose table is not built over its policy's
+/// base (a replaced policy, a service driven alone), each row the other's
+/// inverse.
+struct Translation {
+    /// The site's id of each layout user, by layout id.
+    site_of: Vec<UserId>,
+    /// The layout id of each site user the tree holds, by site id.
+    layout_of: Vec<Option<UserId>>,
 }
 
 impl std::fmt::Debug for Fcs {
@@ -117,8 +128,8 @@ impl Fcs {
             projection: projection.build(),
             refresh_interval_s,
             tree: None,
-            site_ids: None,
-            factor_slots: Vec::new(),
+            translation: None,
+            ranked: Vec::new(),
             last_refresh_s: None,
             last_policy_version: 0,
             force_full: false,
@@ -137,14 +148,13 @@ impl Fcs {
         self.metrics = FcsMetrics::wire(t);
     }
 
-    /// Site crash: drop the volatile fairshare state — the precomputed tree
-    /// and every projected factor. The ids the factors are served under are
+    /// Site crash: drop the volatile fairshare state — the precomputed tree,
+    /// and with it every factor. The ids the factors are served under are
     /// the site table's and outlive this (they are handed out to the RMS),
     /// as do the monotone refresh counters. The next refresh rebuilds from
     /// scratch.
     pub fn reset(&mut self) {
         self.tree = None;
-        self.factor_slots.fill(f64::NAN);
         self.last_refresh_s = None;
         self.force_full = true;
     }
@@ -171,21 +181,21 @@ impl Fcs {
         }
     }
 
-    /// Recompute the fairshare tree and projected factors if stale, draining
-    /// the PDS and UMS dirty sets; `users` is the site's table, whose ids
-    /// the UMS row, the dirty sets and the served factors are keyed by.
-    /// Returns whether a refresh happened.
+    /// Bring the fairshare tree up to date if stale, draining the PDS and
+    /// UMS dirty sets; `users` is the site's table, whose ids the UMS row,
+    /// the dirty sets and the served factors are keyed by. Returns whether a
+    /// refresh happened.
     ///
-    /// Cost of an incremental refresh: `O(d·depth)` to re-aggregate the `d`
-    /// dirty users' paths, `O(siblings)` flat float work per touched
-    /// sibling group (one dirty user moves every sibling's usage share), and
-    /// `O(depth)` per leaf under a changed node to re-project it by id. A
-    /// full rebuild is `O(nodes)` float work over the UMS row plus one
-    /// projection of every user (Dictionary: a sort; it also re-ranks all
-    /// users on any change). Neither looks a user up by name, clones one or
-    /// touches a map — except at a site whose table is not built over the
-    /// policy's user base (a replaced policy, a service driven alone), which
-    /// pays `O(users·log users)` name lookups per rebuild to translate.
+    /// Cost of an incremental refresh: `O(dirty·depth + Σ touched group
+    /// widths)` adds — each dirty user's path is walked once and each
+    /// sibling group on it re-summed in one pass; nothing is derived or
+    /// projected per sibling (a read is `O(depth)` flops, paid by the
+    /// reader). A full rebuild is `O(nodes)` adds over the UMS row.
+    /// Dictionary also re-ranks all users (a sort) on either, if anything
+    /// was dirty. Neither looks a user up by name, clones one or touches a
+    /// map — except that a rebuild at a site whose table is not built over
+    /// the policy's user base pays `O(users·log users)` name lookups to
+    /// translate, once.
     pub fn refresh(
         &mut self,
         pds: &mut Pds,
@@ -196,8 +206,9 @@ impl Fcs {
         if !self.is_stale(pds, now_s) {
             return false;
         }
-        let mut dirty = pds.take_dirty();
-        dirty.merge(&ums.take_dirty());
+        // The usage side carries the many marks: policy edits merge into it.
+        let mut dirty = ums.take_dirty();
+        dirty.merge(&pds.take_dirty());
         let policy = pds.policy();
         // A version bump the dirty set cannot explain (no edited path, no
         // mark-all) means the policy changed behind our back: rebuild.
@@ -221,30 +232,10 @@ impl Fcs {
         } else if let Some(mut tree) = self.tree.take().filter(|_| !need_full) {
             let _span = self.metrics.h_refresh_incr.start_timer();
             let usage = self.by_layout_id(ums.usage());
-            let dirty = self.marked_by_layout_id(tree.layout(), users, &dirty);
+            let dirty = self.marked_by_layout_id(&dirty);
             incremental = tree.recompute_dirty(policy, &usage, &dirty, now_s);
-            if let Some(stats) = &incremental {
-                // Re-project only the leaves under nodes whose state
-                // changed. A leaf under two changed nodes is projected
-                // twice — idempotent, and cheaper than deduplicating.
-                let mut affected: Vec<NodeId> = Vec::new();
-                for id in &stats.changed_elements {
-                    tree.leaves_under(*id, &mut affected);
-                }
-                for &leaf in &affected {
-                    let Some(factor) = self.projection.project_leaf(&tree, leaf) else {
-                        // No per-leaf entry point (Dictionary): any change
-                        // can shift every rank — re-rank all.
-                        self.project_all(&tree);
-                        break;
-                    };
-                    // A user under several leaves is served from the last.
-                    let user = tree.layout()[leaf].user;
-                    if let Some(user) = user.filter(|&u| tree.leaf_of(u) == Some(leaf)) {
-                        let slot = self.site_id(user).index();
-                        self.factor_slots[slot] = factor;
-                    }
-                }
+            if incremental.is_some() {
+                self.rerank(&tree);
                 self.tree = Some(tree);
             }
         }
@@ -269,17 +260,21 @@ impl Fcs {
                 });
                 let layout = policy.layout();
                 // Ids are the layout's own unless the table has another base.
-                self.site_ids = (!Arc::ptr_eq(layout.users(), users.base()))
-                    .then(|| layout.users().iter().map(|u| users.intern(u)).collect());
-                self.factor_slots.resize(users.len(), f64::NAN);
+                self.translation = (!Arc::ptr_eq(layout.users(), users.base())).then(|| {
+                    let site_of: Vec<UserId> =
+                        layout.users().iter().map(|u| users.intern(u)).collect();
+                    let mut layout_of = vec![None; users.len()];
+                    for (user, site) in site_of.iter().enumerate() {
+                        layout_of[site.index()] = Some(UserId(user as u32));
+                    }
+                    Translation { site_of, layout_of }
+                });
                 let usage = self.by_layout_id(ums.usage());
                 let tree = FairshareTree::compute_row(policy, &usage, &self.config, now_s);
-                self.project_all(&tree);
+                self.rerank(&tree);
                 self.last_recompute = RecomputeStats {
                     full: true,
                     nodes_recomputed: tree.node_count() as u64,
-                    shares_refreshed: tree.node_count() as u64,
-                    changed_elements: Vec::new(),
                 };
                 self.tree = Some(tree);
                 self.full_refreshes += 1;
@@ -297,50 +292,50 @@ impl Fcs {
 
     /// The site's id of a user of the tree's layout.
     fn site_id(&self, user: UserId) -> UserId {
-        (self.site_ids.as_ref()).map_or(user, |ids| ids[user.index()])
+        (self.translation.as_ref()).map_or(user, |ids| ids.site_of[user.index()])
+    }
+
+    /// The tree's id of a site user, if its layout holds them.
+    fn layout_id(&self, id: UserId) -> Option<UserId> {
+        match &self.translation {
+            None => Some(id),
+            Some(ids) => *ids.layout_of.get(id.index())?,
+        }
     }
 
     /// The UMS row as the tree reads it: borrowed as it is when layout ids
     /// are site ids, else gathered under the layout's ids.
     fn by_layout_id<'a>(&self, usage: &'a [f64]) -> Cow<'a, [f64]> {
         let held = |id: &UserId| usage.get(id.index()).copied().unwrap_or(f64::NAN);
-        match &self.site_ids {
+        match &self.translation {
             None => Cow::Borrowed(usage),
-            Some(ids) => ids.iter().map(held).collect(),
+            Some(ids) => ids.site_of.iter().map(held).collect(),
         }
     }
 
     /// A dirty set as the tree reads it: borrowed as it is when layout ids
-    /// are site ids, else its users re-marked under the layout's ids, by
-    /// name.
-    fn marked_by_layout_id<'a>(
-        &self,
-        layout: &PolicyLayout,
-        users: &UserTable,
-        dirty: &'a DirtySet,
-    ) -> Cow<'a, DirtySet> {
-        if self.site_ids.is_none() {
+    /// are site ids, else its users re-marked under the layout's ids.
+    fn marked_by_layout_id<'a>(&self, dirty: &'a DirtySet) -> Cow<'a, DirtySet> {
+        if self.translation.is_none() {
             return Cow::Borrowed(dirty);
         }
         let mut marked = DirtySet::new();
         dirty
             .paths()
             .for_each(|path| marked.mark_path(path.clone()));
-        let ranked = dirty
-            .users()
-            .filter_map(|id| layout.user_id(users.name(id)));
+        let ranked = dirty.users().filter_map(|id| self.layout_id(id));
         ranked.for_each(|user| marked.mark_user(user));
         Cow::Owned(marked)
     }
 
-    /// Re-project every user of the tree into the factor row; users the
-    /// tree no longer holds lose their factor. `O(users)` past the
-    /// projection itself.
-    fn project_all(&mut self, tree: &FairshareTree) {
-        self.factor_slots.fill(f64::NAN);
-        for (user, factor) in self.projection.project(tree).into_iter().enumerate() {
-            let slot = self.site_id(UserId(user as u32)).index();
-            self.factor_slots[slot] = factor;
+    /// Store the whole `project` row of a projection that cannot read one
+    /// leaf on its own (its ranks can all shift on any change); a path-local
+    /// projection stores nothing.
+    fn rerank(&mut self, tree: &FairshareTree) {
+        let read = |(_, leaf)| self.projection.project_leaf(tree, leaf);
+        let path_local = tree.user_leaves().next().and_then(read).is_some();
+        if !path_local {
+            self.ranked = self.projection.project(tree);
         }
     }
 
@@ -353,16 +348,15 @@ impl Fcs {
 
     /// The policy user a site id names, while a tree holds it (trace notes).
     pub fn user_of(&self, id: UserId) -> Option<&GridUser> {
-        let rank = match &self.site_ids {
-            None => id.index(),
-            Some(ids) => ids.iter().position(|held| *held == id)?,
-        };
-        self.tree.as_ref()?.layout().users().get(rank)
+        let users = self.tree.as_ref()?.layout().users();
+        users.get(self.layout_id(id)?.index())
     }
 
-    /// Query the precomputed fairshare factor of an interned user — an
-    /// index load, no calculation ("pre-calculated values already exist and
-    /// can be assigned to the job based on the associated user identity").
+    /// Query the fairshare factor of an interned user: everything that
+    /// needs the population was pre-calculated by the last refresh ("pre-
+    /// calculated values already exist and can be assigned to the job based
+    /// on the associated user identity"), what is left is the user's own
+    /// path — `O(depth)` flops, or an index load of the stored rank row.
     /// `None` for users absent from the tree. This is the served query:
     /// counted and timed, reached once per `libaequus` cache miss.
     pub fn query(&self, id: UserId) -> Option<f64> {
@@ -375,28 +369,32 @@ impl Fcs {
     /// bookkeeping and the metrics sampler, which must not count as served
     /// queries.
     pub fn factor_of(&self, id: UserId) -> Option<f64> {
-        id.read(&self.factor_slots)
+        self.read(self.tree.as_ref()?, self.layout_id(id)?)
     }
 
-    /// How many users hold a precomputed factor — one pass over the row.
+    /// The factor of a user of `tree`'s layout: read off the user's own
+    /// path, or — a projection without a per-leaf read — off the stored row.
+    fn read(&self, tree: &FairshareTree, user: UserId) -> Option<f64> {
+        let on_path = self.projection.project_leaf(tree, tree.leaf_of(user)?);
+        on_path.or_else(|| user.read(&self.ranked))
+    }
+
+    /// How many users the tree serves a factor for.
     pub fn factor_count(&self) -> usize {
-        self.factor_slots.iter().filter(|f| !f.is_nan()).count()
+        (self.tree.as_ref()).map_or(0, |tree| tree.layout().users().len())
     }
 
-    /// The precomputed factors of all users as a report, names written back
-    /// from the policy layout — `O(users·log users)`; not for hot paths.
+    /// The factors of all users as a report, names written back from the
+    /// policy layout — `O(users·(depth + log users))`; not for hot paths.
     pub fn factors(&self) -> BTreeMap<GridUser, f64> {
-        let users = self
-            .tree
-            .iter()
-            .flat_map(|tree| tree.layout().users().iter());
-        let factor = |(user, name): (usize, &GridUser)| {
-            Some((
-                name.clone(),
-                self.factor_of(self.site_id(UserId(user as u32)))?,
-            ))
+        let Some(tree) = &self.tree else {
+            return BTreeMap::new();
         };
-        users.enumerate().filter_map(factor).collect()
+        let factor = |(user, name): (usize, &GridUser)| {
+            Some((name.clone(), self.read(tree, UserId(user as u32))?))
+        };
+        let users = tree.layout().users().iter().enumerate();
+        users.filter_map(factor).collect()
     }
 
     /// The last computed fairshare tree (for metrics and vector extraction).

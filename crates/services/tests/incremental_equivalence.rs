@@ -9,21 +9,19 @@
 //! debug-build `debug_assert` inside `FairshareTree::recompute_dirty` acts
 //! as a second, tree-level oracle underneath this factor-level one.
 //!
-//! The policy is three levels deep (VO → group → user), so the id-indexed
-//! re-projection — leaves found by arena id under changed interior nodes,
-//! products multiplied root→leaf along parent pointers, factors written
-//! straight into `UserId` slots — is also compared against one global
-//! `project()` of the same tree, and the by-id lookups against the table.
+//! The policy is three levels deep (VO → group → user), so the served read
+//! — a leaf found by `UserId`, products multiplied root→leaf along parent
+//! pointers over the sums the refresh left in the tree — is also compared
+//! against one global `project()` of the same tree, by id at every refresh;
+//! a read does no refresh work, and a reset FCS serves nobody.
 //! In its second shape one identity sits under two leaves of two groups (a
 //! user in two projects of a VO): a dirty mark for it must re-aggregate
 //! both, and the factor served for it is the last leaf's.
 
-use aequus_core::policy::{PolicyNode, PolicyTree};
+use aequus_core::policy::{PolicyNode, PolicyNodeKind, PolicyTree};
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::{UsageRecord, UsageSummary};
-use aequus_core::{
-    DecayPolicy, EntityPath, FairshareConfig, FairshareTree, GridUser, JobId, SiteId,
-};
+use aequus_core::{DecayPolicy, EntityPath, FairshareConfig, GridUser, JobId, SiteId, UserId};
 use aequus_services::{Fcs, ParticipationMode, Pds, Ums, Uss, UssMessage};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -224,7 +222,38 @@ fn run_interleaving(
     now_s += 1.0;
     ums.refresh(&mut uss, now_s);
     fcs.refresh(&mut pds, &mut ums, uss.users_mut(), now_s);
-    assert_matches_fresh(kind, &fcs, &mut pds, &mut ums, &mut uss, now_s)
+    assert_matches_fresh(kind, &fcs, &mut pds, &mut ums, &mut uss, now_s)?;
+
+    // A served read is a read: no refresh, no tree work, the same bits.
+    let ids: Vec<UserId> = uss.users().iter().map(|(id, _)| id).collect();
+    let work = (fcs.refreshes(), fcs.nodes_recomputed());
+    let first: Vec<Option<u64>> = ids
+        .iter()
+        .map(|id| fcs.query(*id).map(f64::to_bits))
+        .collect();
+    for i in 0..1000 {
+        let again = fcs.query(ids[i % ids.len()]).map(f64::to_bits);
+        if again != first[i % ids.len()] {
+            return Err(format!("{kind:?}: read {i} moved {:?}", ids[i % ids.len()]));
+        }
+    }
+    if work != (fcs.refreshes(), fcs.nodes_recomputed()) {
+        return Err(format!("{kind:?}: 1,000 reads did refresh work"));
+    }
+    // A crash leaves nothing to read until the next refresh.
+    fcs.reset();
+    if let Some(id) = ids.iter().find(|id| fcs.query(**id).is_some()) {
+        return Err(format!("{kind:?}: {id:?} served by a reset FCS"));
+    }
+    fcs.refresh(&mut pds, &mut ums, uss.users_mut(), now_s);
+    let back: Vec<Option<u64>> = ids
+        .iter()
+        .map(|id| fcs.query(*id).map(f64::to_bits))
+        .collect();
+    if back != first {
+        return Err(format!("{kind:?}: the rebuilt tree serves other factors"));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -396,6 +425,47 @@ impl NameKeyed {
     }
 }
 
+/// Percental factors from scratch, on names: per sibling group sum the
+/// shares and the subtree usage, multiply the two normalized shares root
+/// first, `((target − usage) + 1) / 2`; an identity under several leaves is
+/// served from the last.
+fn percental_by_name(
+    policy: &PolicyTree,
+    usage: &BTreeMap<GridUser, f64>,
+) -> BTreeMap<GridUser, f64> {
+    type Usage = BTreeMap<GridUser, f64>;
+    fn subtree(node: &PolicyNode, usage: &Usage) -> f64 {
+        let own = match &node.kind {
+            PolicyNodeKind::User(user) => usage.get(user).copied().unwrap_or(0.0),
+            _ => 0.0,
+        };
+        own + node.children.iter().map(|c| subtree(c, usage)).sum::<f64>()
+    }
+    fn walk(node: &PolicyNode, target: f64, used: f64, usage: &Usage, out: &mut Usage) {
+        if let PolicyNodeKind::User(user) = &node.kind {
+            out.insert(user.clone(), ((target - used) + 1.0) / 2.0);
+        }
+        let share_total: f64 = node.children.iter().map(|c| c.share).sum();
+        let usage_total: f64 = node.children.iter().map(|c| subtree(c, usage)).sum();
+        for child in &node.children {
+            let p = if share_total > 0.0 {
+                child.share / share_total
+            } else {
+                0.0
+            };
+            let u = if usage_total > 0.0 {
+                subtree(child, usage) / usage_total
+            } else {
+                0.0
+            };
+            walk(child, target * p, used * u, usage, out);
+        }
+    }
+    let mut factors = BTreeMap::new();
+    walk(policy.root(), 1.0, 1.0, usage, &mut factors);
+    factors
+}
+
 struct Site {
     pds: Pds,
     uss: Uss,
@@ -489,16 +559,20 @@ impl Site {
             return Err(format!("{at}: UMS weights {weights:?} != {want:?}"));
         }
         let policy = self.pds.policy();
-        let tree = FairshareTree::compute(policy, &want, &FairshareConfig::default(), now_s);
-        let want = tree.by_user(&ProjectionKind::Percental.build().project(&tree));
+        let want = percental_by_name(policy, &want);
         let factors = self.fcs.factors();
         if bits(&factors) != bits(&want) {
             return Err(format!("{at}: factors {factors:?} != {want:?}"));
         }
-        for (id, user) in &self.held {
-            let served = self.fcs.query(*id).map(f64::to_bits);
+        // Served by id — every id of the table, the ones handed out before
+        // anything happened among them — and named back by id.
+        for (id, user) in self.uss.users().iter() {
+            let served = self.fcs.query(id).map(f64::to_bits);
             if served != want.get(user).map(|f| f.to_bits()) {
                 return Err(format!("{at}: {user:?} served {served:?} by id {id:?}"));
+            }
+            if self.fcs.user_of(id) != want.get(user).map(|_| user) {
+                return Err(format!("{at}: {id:?} is not named back as {user:?}"));
             }
         }
         let served_from = self.fcs.tree().ok_or("refreshed")?.layout();
@@ -510,7 +584,8 @@ impl Site {
 }
 
 /// `(op, selector, magnitude)`: 0/1 ingest, 2/3 a peer's summary, 4 refresh
-/// and compare, 5 crash + recover, 6 share edit, 7 policy replaced.
+/// and compare, 5 crash + recover, 6 share edit, 7 policy replaced (and,
+/// for magnitudes ≥ 0.5, served by id right after).
 fn run_against_names(shape: u8, exponential: bool, ops: &[(u8, u8, f64)]) -> Result<(), String> {
     let decay = match exponential {
         true => DecayPolicy::Exponential {
@@ -600,8 +675,14 @@ fn run_against_names(shape: u8, exponential: bool, ops: &[(u8, u8, f64)]) -> Res
                 }
             }
             _ => {
-                let site = &mut sites[sel as usize % 2];
-                site.pds.set_policy(shaped_policy(sel / 2));
+                let i = sel as usize % 2;
+                sites[i].pds.set_policy(shaped_policy(sel / 2));
+                // Half the time at once: the rebuilt translation serves by
+                // id before anything else happens; else the rebuild meets
+                // whatever usage piles up first.
+                if x >= 0.5 {
+                    sites[i].refresh_and_check(&oracle, decay, now_s, &format!("site {i} {at}"))?;
+                }
             }
         }
         for (i, site) in sites.iter().enumerate() {
