@@ -103,7 +103,9 @@ done
 # a tx link row from an rx one (rows are typed), and the fairshare tree's
 # eager per-sibling derivation with the counters and the kernel bench that
 # measured it (shares are read on demand off the tree's sums) — and no
-# tracked source, manifest, doc or script names them again. `take_outbox`
+# tracked source, manifest, doc or script names them again; nor does the RMS
+# crate name the predictor's by-job-id map of `inflight` predictions (a
+# running job carries the one it started under). `take_outbox`
 # is the one shim left of the broadcast path: code names it only where it is
 # defined and where the benchmark calls it.
 if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_share' \
@@ -111,7 +113,8 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'ProfileMode::Counters' -e 'span_sample_every' -e 'capture_provenance' \
   -e 'ScenarioBuilder' -e 'SERVICE_STAGES' -e 'publish_trace' -e 'heard_age_s < 0\.0' \
   -e 'derive_group' -e 'changed_elements' -e 'shares_refreshed' -e 'fairshare_kernel' \
-  -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh'; then
+  -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
+  git grep -n 'inflight' -- crates/rms; then
   echo "a deleted path is named again" >&2
   exit 1
 fi

@@ -23,8 +23,9 @@
 //! --check` gates in CI: FIFO ≡ EASY on the paper's single-core baseline
 //! (no window to exploit ⇒ identical runs), learned runtime predictors
 //! beating padded walltime requests, and the scheduler hot-path budget
-//! (`next_within` sub-µs, plan scan ~O(n log n) at 10k-deep queues, a
-//! saturated scheduling cycle that does not grow with the queue).
+//! (`next_admitted` sub-µs, plan scan ~O(n log n) at 10k-deep queues, a
+//! saturated scheduling cycle that does not grow with the queue and barely
+//! with lanes and running jobs, a compare per job turned down in its lane).
 
 use crate::cli::Shape;
 use crate::experiments::{BALANCE_DWELL_S, BALANCE_EPS};
@@ -36,7 +37,7 @@ use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, SystemUser, UserId};
 use aequus_rms::{
-    DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, LocalFairshare,
+    Admission, DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, LocalFairshare,
     MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
     ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
 };
@@ -416,12 +417,13 @@ pub fn run_prediction_comparison(shape: &Shape) -> PredictionReport {
 /// Scheduler hot-path budget measurements at a 10k-deep queue.
 #[derive(Debug, Clone, Copy)]
 pub struct HotPathReport {
-    /// `SliceWalk::next_within` on the 10k-deep mixed queue, nanoseconds
+    /// `SliceWalk::next_admitted` on the 10k-deep mixed queue, nanoseconds
     /// (early-exit: a fitting narrow job sits near the head, as in real
     /// mixed queues).
-    pub next_within_ns: f64,
-    /// `next_within` worst case — no job fits until the tail — nanoseconds.
-    pub next_within_worst_ns: f64,
+    pub next_admitted_ns: f64,
+    /// `next_admitted` worst case — no job fits until the tail —
+    /// nanoseconds.
+    pub next_admitted_worst_ns: f64,
     /// EASY full plan scan at 1k jobs, microseconds.
     pub easy_1k_us: f64,
     /// EASY full plan scan at 10k jobs, microseconds.
@@ -435,6 +437,12 @@ pub struct HotPathReport {
     pub cycle_1k_us: f64,
     /// The same saturated cycle with 10,000 jobs queued, microseconds.
     pub cycle_10k_us: f64,
+    /// The saturated cycle at the `WIDE` shape, 10,000 queued, microseconds.
+    pub cycle_wide_us: f64,
+    /// One cycle on a nearly full machine — 1 core free behind a wide
+    /// pivot, 10,000 one-core jobs queued that would all overrun its shadow
+    /// — per queued job, nanoseconds: a job turned down in its lane.
+    pub stepped_over_ns: f64,
 }
 
 impl HotPathReport {
@@ -451,7 +459,25 @@ impl HotPathReport {
     pub fn cycle_growth(&self) -> f64 {
         self.cycle_10k_us / self.cycle_1k_us.max(1e-3)
     }
+
+    /// What one further lane or running job adds to a saturated cycle,
+    /// nanoseconds: the `WIDE` cycle less the `NARROW` one over the items
+    /// between them. A full machine returns before it looks at a lane head
+    /// or a believed end, which leaves the completion scan's compare per
+    /// running job and the sweep's write per lane.
+    pub fn saturated_item_ns(&self) -> f64 {
+        let items = |(users, widths, running): Saturated| (users * widths + running) as f64;
+        (self.cycle_wide_us - self.cycle_10k_us) * 1_000.0 / (items(WIDE) - items(NARROW))
+    }
 }
+
+/// A saturated cycle's shape: users × power-of-two widths queued (a lane
+/// each) behind this many running one-core jobs.
+type Saturated = (usize, usize, usize);
+/// The shape the queue-growth gate has always timed: 24 lanes, 8 running.
+const NARROW: Saturated = (8, 3, 8);
+/// `vo_burst`'s 128 running jobs and 64 users, at six widths: 384 lanes.
+const WIDE: Saturated = (64, 6, 128);
 
 /// A 40-core scheduler with `queue` single-core jobs submitted at `now_s`,
 /// alternating between the system users `sa` and `sb` as `src` maps them —
@@ -552,33 +578,32 @@ impl FairshareSource for NeutralSource {
     }
 }
 
-/// Minimum over `reps` of one whole scheduling cycle — `advance` with a
-/// re-prioritization sweep and an EASY dispatch — on a machine kept full by
-/// jobs that never end, with `pending` mixed-width jobs of 8 users queued
-/// behind them, in microseconds.
-fn saturated_cycle_us(pending: usize, reps: usize) -> f64 {
-    const CORES: u32 = 8;
+/// Minimum over `reps` of one whole steady scheduling cycle — `advance` with
+/// a sweep and an EASY dispatch — in which nothing can start, nanoseconds:
+/// `running` of the `cores` are held by one-core jobs that never end (and are
+/// believed not to), `queued` (ids from 1,000) wait behind them.
+fn idle_cycle_ns(
+    cores: u32,
+    running: usize,
+    queued: impl Iterator<Item = Job>,
+    reps: usize,
+) -> f64 {
     let mut sched = SchedulerCore::new(
         SiteId(0),
-        NodePool::new(1, CORES),
+        NodePool::new(1, cores),
         PriorityWeights::fairshare_only(),
         FactorConfig::default(),
         ReprioritizePolicy::EveryCycle,
     );
     let mut src = NeutralSource(Vec::new());
-    let job = |i: usize, cores: u32| {
-        let user = SystemUser::new(format!("u{}", i % 8));
-        Job::new(JobId(i as u64), user, cores, 0.0, 1e12)
-    };
-    for i in 0..CORES as usize {
-        sched.submit(job(i, 1), &mut src, 0.0);
+    for i in 0..running {
+        let holder = Job::new(JobId(i as u64), SystemUser::new("holder"), 1, 0.0, 1e12);
+        sched.submit(holder, &mut src, 0.0);
     }
     sched.advance(&mut src, 0.0);
-    assert_eq!(sched.running(), CORES as usize, "machine is full");
-    for i in 0..pending {
-        let cores = [1, 2, 4, 1][i % 4];
-        sched.submit(job(CORES as usize + i, cores), &mut src, 0.0);
-    }
+    assert_eq!(sched.running(), running, "the holders run");
+    queued.for_each(|job| sched.submit(job, &mut src, 0.0));
+    let pending = sched.pending();
     sched.advance(&mut src, 1.0); // first sight of the queue: not the steady cycle
     let mut now_s = 1.0;
     let ns = min_ns(reps, || {
@@ -586,7 +611,29 @@ fn saturated_cycle_us(pending: usize, reps: usize) -> f64 {
         sched.advance(&mut src, now_s)
     });
     assert_eq!(sched.pending(), pending, "nothing could start");
-    ns / 1_000.0
+    ns
+}
+
+/// A queued job of one of `users` users, for [`idle_cycle_ns`].
+fn queued_job(i: usize, users: usize, cores: u32, duration_s: f64) -> Job {
+    let user = SystemUser::new(format!("u{}", i % users));
+    Job::new(JobId((1_000 + i) as u64), user, cores, 0.5, duration_s)
+}
+
+/// One saturated cycle on a machine kept full by the shape's running jobs,
+/// `pending` jobs of its users × widths queued behind them, microseconds.
+fn saturated_cycle_us((users, widths, running): Saturated, pending: usize, reps: usize) -> f64 {
+    let queued = (0..pending).map(|i| queued_job(i, users, 1 << ((i / users) % widths), 1e12));
+    idle_cycle_ns(running as u32, running, queued, reps) / 1_000.0
+}
+
+/// One cycle on a nearly full machine per queued job, nanoseconds: 7 of 8
+/// cores held, an 8-wide pivot reserved where they end, and `queued`
+/// one-core jobs of 8 users whose requests all run past that shadow.
+fn stepped_over_ns(queued: usize, reps: usize) -> f64 {
+    let pivot = Job::new(JobId(999), SystemUser::new("pivot"), 8, 0.0, 10.0);
+    let narrow = (0..queued).map(|i| queued_job(i, 8, 1, 3e12));
+    idle_cycle_ns(8, 7, std::iter::once(pivot).chain(narrow), reps) / queued as f64
 }
 
 /// Measure the scheduler hot path (see [`HotPathReport`]).
@@ -595,7 +642,7 @@ pub fn run_hotpath_bench() -> HotPathReport {
     const RUNNING: usize = 64;
     let q10k = synthetic_queue(10_000, FREE);
     let q1k = synthetic_queue(1_000, FREE);
-    // Worst case for next_within: every job too wide except the last.
+    // Worst case for next_admitted: every job too wide except the last.
     let mut q_worst = vec![
         QueuedJob {
             cores: FREE * 2,
@@ -610,20 +657,23 @@ pub fn run_hotpath_bench() -> HotPathReport {
             order.plan(0.0, FREE, &mut SliceWalk::new(queue), &running)
         }) / 1_000.0
     };
+    let within = Admission::within(FREE);
     let (easy, saf, conservative) = (
         DispatchOrder::Easy,
         DispatchOrder::Saf,
         DispatchOrder::Conservative,
     );
     HotPathReport {
-        next_within_ns: min_ns(200, || SliceWalk::new(&q10k).next_within(FREE)),
-        next_within_worst_ns: min_ns(50, || SliceWalk::new(&q_worst).next_within(FREE)),
+        next_admitted_ns: min_ns(200, || SliceWalk::new(&q10k).next_admitted(&within)),
+        next_admitted_worst_ns: min_ns(50, || SliceWalk::new(&q_worst).next_admitted(&within)),
         easy_1k_us: plan_us(50, easy, &q1k),
         easy_10k_us: plan_us(25, easy, &q10k),
         saf_10k_us: plan_us(25, saf, &q10k),
         conservative_10k_us: plan_us(10, conservative, &q10k),
-        cycle_1k_us: saturated_cycle_us(1_000, 200),
-        cycle_10k_us: saturated_cycle_us(10_000, 200),
+        cycle_1k_us: saturated_cycle_us(NARROW, 1_000, 200),
+        cycle_10k_us: saturated_cycle_us(NARROW, 10_000, 200),
+        cycle_wide_us: saturated_cycle_us(WIDE, 10_000, 200),
+        stepped_over_ns: stepped_over_ns(10_000, 50),
     }
 }
 
@@ -678,11 +728,17 @@ mod tests {
         let q = synthetic_queue(100, 8);
         assert_eq!(q[0].cores, 16, "head blocks at 8 free");
         assert!(
-            SliceWalk::new(&q).next_within(8).is_some(),
+            SliceWalk::new(&q)
+                .next_admitted(&Admission::within(8))
+                .is_some(),
             "a narrow job fits"
         );
         let r = synthetic_running(8);
         assert!(r.iter().all(|s| s.end_s > 0.0 && s.cores >= 1));
-        assert!(saturated_cycle_us(50, 2) > 0.0, "saturated shape holds");
+        assert!(
+            saturated_cycle_us(NARROW, 50, 2) > 0.0,
+            "saturated shape holds"
+        );
+        assert!(stepped_over_ns(50, 2) > 0.0, "nearly full shape holds");
     }
 }

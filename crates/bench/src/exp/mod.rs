@@ -146,9 +146,11 @@ pub const CHECK_PLAN: &[Step] = &[
     // bit-identical on the single-core baseline, the learned predictors
     // must beat request echo on mean |rel err| with the prediction-accuracy
     // telemetry counter live, and the scheduler hot path must hold its
-    // budget (sub-us next_within at 10k-deep queues, plan-scan growth well
-    // under O(n^2), and a saturated scheduling cycle that costs at most 3x
-    // more with 10,000 jobs queued than with 1,000).
+    // budget (sub-us next_admitted at 10k-deep queues, plan-scan growth well
+    // under O(n^2), a saturated scheduling cycle that costs at most 3x more
+    // with 10,000 jobs queued than with 1,000 and at most 5 ns per further
+    // lane or running job, and at most 15 ns per queued job a nearly full
+    // machine turns down inside its lane).
     ("backfill_sweep", CHECK),
     // The thirteen simulated headline numbers (convergence times, gossip
     // bytes per user, staleness and alert lag, the backfill smoke cells)

@@ -23,8 +23,9 @@
 //!   this cycle's starts as running.)
 //!
 //! Neither routine sees the queue as a slice: [`DispatchOrder::plan`] pulls
-//! it through a [`QueueWalk`], naming the widest job it could still use, so
-//! a cycle costs the jobs the plan looks at, not the jobs queued. It returns
+//! it through a [`QueueWalk`], handing it the [`Admission`] rule it will
+//! apply to what comes back, so a cycle costs the jobs the plan could start,
+//! not the jobs queued. It returns
 //! a [`DispatchPlan`] that [`crate::scheduler::SchedulerCore`] applies;
 //! over a [`SliceWalk`] it is trivially property-testable and
 //! microbenchmarkable (see `backfill_sweep`).
@@ -66,19 +67,58 @@ pub struct DispatchPlan {
     pub shadow_s: Option<f64>,
 }
 
+/// What a plan will accept of the jobs a [`QueueWalk`] yields next: the one
+/// place the backfill admission rule is written. A plan only ever tightens
+/// it within a cycle — `free` and `spare` shrink, `shadow_t - now_s` is
+/// fixed — so a job it turns down stays turned down.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Admission {
+    /// Cores still free this cycle.
+    pub free: u32,
+    /// Cores spare beyond the pivot's reservation at its shadow time.
+    pub spare: u32,
+    /// The cycle's time, seconds.
+    pub now_s: f64,
+    /// The pivot's shadow time, seconds.
+    pub shadow_t: f64,
+}
+
+impl Admission {
+    /// The rule admitting every job no wider than `max_cores` (`u32::MAX`: the head phase).
+    pub fn within(max_cores: u32) -> Self {
+        Self {
+            free: max_cores,
+            spare: max_cores,
+            now_s: 0.0,
+            shadow_t: f64::INFINITY,
+        }
+    }
+
+    /// Whether a job of this width can be admitted at any runtime.
+    pub fn fits(&self, cores: u32) -> bool {
+        cores <= self.free
+    }
+
+    /// Whether `q` may start now: it fits the free cores, and either ends
+    /// by the shadow time or fits the cores spare there.
+    pub fn admits(&self, q: &QueuedJob) -> bool {
+        self.fits(q.cores) && (self.now_s + q.predicted_s <= self.shadow_t || q.cores <= self.spare)
+    }
+}
+
 /// The pending queue as a dispatch order consumes it: lazily, in priority
-/// order, and only as wide as it can still use.
+/// order, and only the jobs it could still start.
 pub trait QueueWalk {
-    /// The next unvisited job in priority order that is no wider than
-    /// `max_cores`, under a handle to name it by in the plan. Handles ascend
-    /// with priority order. Wider jobs met on the way are passed over for
-    /// good: no later call returns them, whatever it asks for — so callers
-    /// only ever lower `max_cores` (free cores shrink within a cycle).
-    fn next_within(&mut self, max_cores: u32) -> Option<(usize, QueuedJob)>;
+    /// The next unvisited job in priority order that `rule` admits, under a
+    /// handle to name it by in the plan. Handles ascend with priority order.
+    /// Jobs the rule turns down on the way are passed over for good: no
+    /// later call returns them, whatever it asks for — so callers only ever
+    /// tighten the rule.
+    fn next_admitted(&mut self, rule: &Admission) -> Option<(usize, QueuedJob)>;
 }
 
 /// A [`QueueWalk`] over a priority-sorted slice; handles are indices.
-/// `next_within` is O(jobs passed over); sub-microsecond on a mixed
+/// `next_admitted` is O(jobs passed over); sub-microsecond on a mixed
 /// 10k-deep queue (gated in `backfill_sweep --check`).
 pub struct SliceWalk<'a>(std::iter::Enumerate<std::slice::Iter<'a, QueuedJob>>);
 
@@ -90,8 +130,8 @@ impl<'a> SliceWalk<'a> {
 }
 
 impl QueueWalk for SliceWalk<'_> {
-    fn next_within(&mut self, max_cores: u32) -> Option<(usize, QueuedJob)> {
-        let fit = self.0.find(|(_, q)| q.cores <= max_cores)?;
+    fn next_admitted(&mut self, rule: &Admission) -> Option<(usize, QueuedJob)> {
+        let fit = self.0.find(|(_, q)| rule.admits(q))?;
         Some((fit.0, *fit.1))
     }
 }
@@ -101,7 +141,7 @@ impl QueueWalk for SliceWalk<'_> {
 /// reservation at that time. `None` when the job exceeds the machine.
 fn shadow_of(cores: u32, free: u32, running: &[RunningSlice]) -> Option<(f64, u32)> {
     let mut ends: Vec<(f64, u32)> = running.iter().map(|r| (r.end_s, r.cores)).collect();
-    ends.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    ends.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut f = free;
     for (end, c) in ends {
         f += c;
@@ -134,12 +174,12 @@ enum Candidates {
 /// fit, reservable or not.
 ///
 /// Complexity: the head phase walks up to the pivot; the candidate pass
-/// asks only for jobs no wider than the cores still free (they only shrink,
-/// so a job passed over could never have started): O(head starts +
-/// candidates that fit the free cores) walk steps plus one
-/// O(running·log running) shadow walk — O(1) steps on a full machine. The
-/// `QueueOrder` pass allocates nothing per job; `AscendingArea` collects
-/// and sorts the candidates that fit at the pivot.
+/// hands the walk its [`Admission`] rule and gets back only jobs it can
+/// start (the rule only tightens, so a job turned down never could):
+/// O(head starts + backfill starts) walk yields — stepping over the rest is
+/// the walk's, a compare per job — plus one O(running·log running) shadow
+/// walk. The `QueueOrder` pass allocates nothing per job; `AscendingArea`
+/// collects and sorts the candidates the rule admits at the pivot.
 fn pivot_scan(
     now_s: f64,
     free_cores: u32,
@@ -150,7 +190,7 @@ fn pivot_scan(
     let mut plan = DispatchPlan::default();
     let mut free = free_cores;
     let mut reserved: Option<(f64, u32)> = None;
-    while let Some((handle, q)) = queue.next_within(u32::MAX) {
+    while let Some((handle, q)) = queue.next_admitted(&Admission::within(u32::MAX)) {
         if q.cores <= free {
             free -= q.cores;
             plan.starts.push(PlannedStart {
@@ -165,33 +205,39 @@ fn pivot_scan(
             break;
         }
     }
-    let Some((shadow_t, mut spare)) = reserved else {
+    let Some((shadow_t, spare)) = reserved else {
         return plan;
+    };
+    let mut rule = Admission {
+        free,
+        spare,
+        now_s,
+        shadow_t,
     };
     let mut by_area = Vec::new();
     if candidates == Candidates::AscendingArea {
-        by_area.extend(std::iter::from_fn(|| queue.next_within(free)));
+        by_area.extend(std::iter::from_fn(|| queue.next_admitted(&rule)));
         // Stable: equal areas stay in handle (priority) order.
         let area = |c: &(usize, QueuedJob)| c.1.cores as f64 * c.1.predicted_s;
-        by_area.sort_by(|a, b| area(a).partial_cmp(&area(b)).unwrap());
+        by_area.sort_by(|a, b| area(a).total_cmp(&area(b)));
     }
     let mut by_area = by_area.into_iter();
     loop {
         let candidate = match candidates {
             Candidates::AscendingArea => by_area.next(),
-            _ => queue.next_within(free),
+            _ => queue.next_admitted(&rule),
         };
         let Some((handle, q)) = candidate else {
             return plan;
         };
-        if q.cores <= free && (now_s + q.predicted_s <= shadow_t || q.cores <= spare) {
-            free -= q.cores;
+        if rule.admits(&q) {
+            rule.free -= q.cores;
             plan.starts.push(PlannedStart {
                 handle,
                 backfill: true,
             });
-            if q.cores > 0 && now_s + q.predicted_s > shadow_t {
-                spare -= q.cores;
+            if now_s + q.predicted_s > shadow_t {
+                rule.spare -= q.cores;
             }
         }
     }
@@ -207,7 +253,7 @@ const MAX_RESERVATIONS: usize = 64;
 /// timeline.
 fn earliest_start(now_s: f64, cores: u32, dur_s: f64, free_now: i64, events: &[(f64, i64)]) -> f64 {
     let mut times: Vec<f64> = events.iter().map(|e| e.0).filter(|&t| t > now_s).collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times.sort_by(f64::total_cmp);
     times.dedup();
     let feasible = |start: f64| -> bool {
         let end = start + dur_s;
@@ -226,7 +272,7 @@ fn earliest_start(now_s: f64, cores: u32, dur_s: f64, free_now: i64, events: &[(
             .filter(|e| e.0 > start && e.0 < end)
             .copied()
             .collect();
-        steps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        steps.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut i = 0;
         while i < steps.len() {
             let t = steps[i].0;
@@ -272,7 +318,7 @@ fn conservative_timeline(
     let mut free_now = free_cores as i64;
     let mut reservations = 0usize;
     let mut blocked_seen = false;
-    while let Some((handle, q)) = queue.next_within(machine) {
+    while let Some((handle, q)) = queue.next_admitted(&Admission::within(machine)) {
         let start = earliest_start(now_s, q.cores, q.predicted_s, free_now, &events);
         if start <= now_s {
             plan.starts.push(PlannedStart {
@@ -490,21 +536,93 @@ mod tests {
     }
 
     #[test]
-    fn next_within_first_fit() {
+    fn next_admitted_first_fit() {
         let queue = [q(8, 10.0), q(4, 10.0), q(2, 10.0)];
-        assert_eq!(SliceWalk::new(&queue).next_within(3), Some((2, queue[2])));
-        assert_eq!(SliceWalk::new(&queue).next_within(1), None);
+        let within = |max| SliceWalk::new(&queue).next_admitted(&Admission::within(max));
+        assert_eq!(within(3), Some((2, queue[2])));
+        assert_eq!(within(1), None);
     }
 
     #[test]
-    fn next_within_passes_wider_jobs_over_for_good() {
+    fn next_admitted_passes_turned_down_jobs_over_for_good() {
         let queue = [q(8, 10.0), q(1, 10.0), q(4, 10.0), q(0, 10.0)];
         let mut walk = SliceWalk::new(&queue);
-        assert_eq!(walk.next_within(2), Some((1, queue[1])));
+        let mut within = |max| walk.next_admitted(&Admission::within(max));
+        assert_eq!(within(2), Some((1, queue[1])));
         // The 8-wide job was passed over; asking for more later skips it.
-        assert_eq!(walk.next_within(u32::MAX), Some((2, queue[2])));
-        assert_eq!(walk.next_within(0), Some((3, queue[3])));
-        assert_eq!(walk.next_within(u32::MAX), None);
+        assert_eq!(within(u32::MAX), Some((2, queue[2])));
+        assert_eq!(within(0), Some((3, queue[3])));
+        assert_eq!(within(u32::MAX), None);
+    }
+
+    #[test]
+    fn next_admitted_applies_the_whole_rule() {
+        // 2 free, 1 spare at a shadow 100 s away: the 200 s two-core job
+        // overruns into reserved cores, the 200 s one-core job fits the
+        // spare core, the 90 s two-core job ends in time.
+        let rule = Admission {
+            free: 2,
+            spare: 1,
+            now_s: 50.0,
+            shadow_t: 150.0,
+        };
+        let queue = [
+            q(4, 10.0),
+            q(2, 200.0),
+            q(1, 200.0),
+            q(2, 90.0),
+            q(2, 100.5),
+        ];
+        let mut walk = SliceWalk::new(&queue);
+        assert_eq!(walk.next_admitted(&rule), Some((2, queue[2])));
+        assert_eq!(walk.next_admitted(&rule), Some((3, queue[3])));
+        assert_eq!(walk.next_admitted(&rule), None);
+    }
+
+    #[test]
+    fn a_job_ending_exactly_at_the_shadow_backfills() {
+        // The rule adds before it compares: 0.2 + 0.5 == 0.7 in floats,
+        // while 0.7 - 0.2 < 0.5 — `predicted <= shadow - now` would turn
+        // this job down.
+        let (running, queue) = ([r(0.7, 3)], [q(4, 50.0), q(1, 0.5)]);
+        let plan = DispatchOrder::Easy.plan(0.2, 1, &mut SliceWalk::new(&queue), &running);
+        assert_eq!(plan.shadow_s, Some(0.7));
+        let backfill = PlannedStart {
+            handle: 1,
+            backfill: true,
+        };
+        assert_eq!(plan.starts, [backfill]);
+    }
+
+    #[test]
+    fn the_admission_rule_is_monotone() {
+        // Shrinking free or spare never admits a job the rule turned down:
+        // what a walk steps over under one rule it may drop for the cycle.
+        let (now_s, shadow_t) = (40.0, 140.0);
+        let jobs: Vec<QueuedJob> = (0..6)
+            .flat_map(|cores| [0.0, 99.9, 100.0, 100.1, 500.0].map(|s| q(cores, s)))
+            .collect();
+        let rule = |free, spare| Admission {
+            free,
+            spare,
+            now_s,
+            shadow_t,
+        };
+        for (free, spare) in (0..6).flat_map(|f| (0..6).map(move |s| (f, s))) {
+            for job in &jobs {
+                if rule(free, spare).admits(job) {
+                    continue;
+                }
+                for (f, s) in (0..=free).flat_map(|f| (0..=spare).map(move |s| (f, s))) {
+                    assert!(
+                        !rule(f, s).admits(job),
+                        "{job:?} at {free}/{spare} vs {f}/{s}"
+                    );
+                }
+            }
+        }
+        // The head phase's rule admits everything.
+        assert!(jobs.iter().all(|j| Admission::within(u32::MAX).admits(j)));
     }
 
     #[test]

@@ -86,14 +86,6 @@ impl Job {
             }
         }
     }
-
-    /// Completion time if running (start + duration).
-    pub fn expected_end(&self) -> Option<f64> {
-        match self.state {
-            JobState::Running { start_s } => Some(start_s + self.duration_s),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,13 +98,11 @@ mod tests {
         assert_eq!(j.wait_time(130.0), 30.0);
         j.state = JobState::Running { start_s: 120.0 };
         assert_eq!(j.wait_time(500.0), 20.0);
-        assert_eq!(j.expected_end(), Some(170.0));
         j.state = JobState::Completed {
             start_s: 120.0,
             end_s: 170.0,
         };
         assert_eq!(j.wait_time(999.0), 20.0);
-        assert_eq!(j.expected_end(), None);
     }
 
     #[test]

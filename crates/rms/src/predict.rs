@@ -13,7 +13,6 @@
 //! runtimes (as in the paper's idle-wait test bed).
 
 use crate::job::Job;
-use aequus_core::ids::JobId;
 use aequus_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -110,8 +109,7 @@ struct ClassHistory {
     last_k: VecDeque<f64>,
 }
 
-/// The runtime predictor: estimator state, in-flight predictions, and
-/// misprediction accounting.
+/// The runtime predictor: estimator state and misprediction accounting.
 #[derive(Debug)]
 pub struct RuntimePredictor {
     kind: PredictorKind,
@@ -120,7 +118,6 @@ pub struct RuntimePredictor {
     /// user name — so a user's wide jobs don't pollute the estimate for
     /// their serial ones. Nested so that lookups borrow the name.
     classes: BTreeMap<u32, BTreeMap<String, ClassHistory>>,
-    inflight: BTreeMap<JobId, f64>,
     /// Accuracy accounting.
     pub stats: PredictionStats,
     metrics: PredictMetrics,
@@ -142,7 +139,6 @@ impl RuntimePredictor {
             kind,
             mispredict,
             classes: BTreeMap::new(),
-            inflight: BTreeMap::new(),
             stats: PredictionStats::default(),
             metrics: PredictMetrics::default(),
         }
@@ -153,43 +149,44 @@ impl RuntimePredictor {
         self.metrics = PredictMetrics::wire(t);
     }
 
-    /// The configured estimator.
-    pub fn kind(&self) -> PredictorKind {
-        self.kind
-    }
-
-    /// The configured overrun policy.
-    pub fn mispredict(&self) -> MispredictPolicy {
-        self.mispredict
-    }
-
-    /// Predicted runtime for a queued job, clamped to
-    /// `[MIN_PREDICTION_S, request]` — the request stays an upper bound
-    /// because the job cannot be *scheduled* for longer than its contract.
-    pub fn predict(&self, job: &Job) -> f64 {
-        let request = job.request_s.max(MIN_PREDICTION_S);
+    /// The raw estimate of `job`'s prediction class, `None` while the class
+    /// has no history (or the estimator is the request echo): constant
+    /// across the jobs of one class, so a walk reads it once per lane.
+    pub fn history_estimate(&self, job: &Job) -> Option<f64> {
         let history = || {
             let (user, width) = class_of(job);
             self.classes.get(&width)?.get(user)
         };
-        let raw = match self.kind {
-            PredictorKind::Request => request,
-            PredictorKind::RunningAverage { .. } => history()
-                .filter(|h| h.count > 0)
-                .map_or(request, |h| h.mean),
+        match self.kind {
+            PredictorKind::Request => None,
+            PredictorKind::RunningAverage { .. } => {
+                history().filter(|h| h.count > 0).map(|h| h.mean)
+            }
             PredictorKind::LastKMax { .. } => history()
                 .filter(|h| !h.last_k.is_empty())
-                .map_or(request, |h| h.last_k.iter().copied().fold(0.0, f64::max)),
-        };
-        raw.clamp(MIN_PREDICTION_S, request)
+                .map(|h| h.last_k.iter().copied().fold(0.0, f64::max)),
+        }
     }
 
-    /// Record the prediction a job started under, and return the wall-clock
-    /// the job will actually occupy its cores for: the true duration, or the
-    /// requested limit when [`MispredictPolicy::KillAtRequest`] truncates an
-    /// overrunning job. The bool reports whether the job was killed.
+    /// Predicted runtime of a queued job given its class's
+    /// [`Self::history_estimate`] (the request where there is none), clamped
+    /// to `[MIN_PREDICTION_S, request]` — the request stays an upper bound
+    /// because the job cannot be *scheduled* for longer than its contract.
+    pub fn predict_from(estimate: Option<f64>, job: &Job) -> f64 {
+        let request = job.request_s.max(MIN_PREDICTION_S);
+        estimate.unwrap_or(request).clamp(MIN_PREDICTION_S, request)
+    }
+
+    /// Predicted runtime for a queued job.
+    pub fn predict(&self, job: &Job) -> f64 {
+        Self::predict_from(self.history_estimate(job), job)
+    }
+
+    /// The wall-clock a starting job will actually occupy its cores for: the
+    /// true duration, or the requested limit when
+    /// [`MispredictPolicy::KillAtRequest`] truncates an overrunning job. The
+    /// bool reports whether the job was killed.
     pub fn on_start(&mut self, job: &Job) -> (f64, bool) {
-        self.inflight.insert(job.id, self.predict(job));
         if self.mispredict == MispredictPolicy::KillAtRequest && job.duration_s > job.request_s {
             self.stats.kills += 1;
             self.metrics.kills.inc();
@@ -199,30 +196,29 @@ impl RuntimePredictor {
         }
     }
 
-    /// Score the start-time prediction against the observed runtime and
-    /// feed the observation back into the class history. `actual_s` is the
-    /// runtime as it happened (post-kill truncation).
-    pub fn on_complete(&mut self, job: &Job, actual_s: f64) {
-        if let Some(predicted) = self.inflight.remove(&job.id) {
-            let actual = actual_s.max(MIN_PREDICTION_S);
-            let rel_err = (predicted - actual).abs() / actual;
-            self.stats.scored += 1;
-            self.stats.abs_rel_err_sum += rel_err;
-            self.metrics.scored.inc();
-            self.metrics.h_rel_err.record(rel_err);
-            if predicted < actual {
-                self.stats.underestimates += 1;
-                self.metrics.underestimates.inc();
-            } else if predicted > actual {
-                self.stats.overestimates += 1;
-            }
+    /// Score `predicted_s`, the prediction `job` started under (its running
+    /// entry carries it), against the observed runtime and feed the
+    /// observation back into the class history. `actual_s` is the runtime as
+    /// it happened (post-kill truncation).
+    pub fn on_complete(&mut self, job: &Job, predicted_s: f64, actual_s: f64) {
+        let actual = actual_s.max(MIN_PREDICTION_S);
+        let rel_err = (predicted_s - actual).abs() / actual;
+        self.stats.scored += 1;
+        self.stats.abs_rel_err_sum += rel_err;
+        self.metrics.scored.inc();
+        self.metrics.h_rel_err.record(rel_err);
+        if predicted_s < actual {
+            self.stats.underestimates += 1;
+            self.metrics.underestimates.inc();
+        } else if predicted_s > actual {
+            self.stats.overestimates += 1;
         }
         let (user, width) = class_of(job);
         let users = self.classes.entry(width).or_default();
-        if !users.contains_key(user) {
-            users.insert(user.to_string(), ClassHistory::default());
-        }
-        let history = users.get_mut(user).expect("inserted above");
+        let history = match users.get_mut(user) {
+            Some(history) => history,
+            None => users.entry(user.to_string()).or_default(),
+        };
         history.count += 1;
         match self.kind {
             PredictorKind::Request => {}
@@ -238,27 +234,18 @@ impl RuntimePredictor {
             }
         }
     }
+}
 
-    /// Believed completion time of a running job: start + predicted
-    /// runtime, pushed ahead of `now_s` when the job has already outlived
-    /// its prediction (the scheduler then believes it ends "any second
-    /// now" and re-evaluates next cycle).
-    pub fn believed_end(&self, job: &Job, now_s: f64) -> Option<f64> {
-        let start_s = match job.state {
-            crate::job::JobState::Running { start_s } => start_s,
-            _ => return None,
-        };
-        let predicted = self
-            .inflight
-            .get(&job.id)
-            .copied()
-            .unwrap_or(job.duration_s);
-        let end = start_s + predicted;
-        Some(if end > now_s {
-            end
-        } else {
-            now_s + MIN_PREDICTION_S
-        })
+/// Believed completion time of a job started at `start_s` under the
+/// prediction `predicted_s`: their sum, pushed ahead of `now_s` when the job
+/// has already outlived its prediction (the scheduler then believes it ends
+/// "any second now" and re-evaluates next cycle).
+pub fn believed_end(start_s: f64, predicted_s: f64, now_s: f64) -> f64 {
+    let end = start_s + predicted_s;
+    if end > now_s {
+        end
+    } else {
+        now_s + MIN_PREDICTION_S
     }
 }
 
@@ -286,7 +273,7 @@ mod tests {
         // No history yet: fall back to the request.
         assert_eq!(p.predict(&job(1, 1, 50.0, 300.0)), 300.0);
         for i in 0..4 {
-            p.on_complete(&job(i, 1, 100.0, 300.0), 100.0);
+            p.on_complete(&job(i, 1, 100.0, 300.0), 300.0, 100.0);
         }
         let est = p.predict(&job(9, 1, 50.0, 300.0));
         assert!(
@@ -303,8 +290,8 @@ mod tests {
             PredictorKind::RunningAverage { cap: 10 },
             MispredictPolicy::Extend,
         );
-        p.on_complete(&job(1, 1, 10.0, 300.0), 10.0);
-        p.on_complete(&job(2, 8, 200.0, 300.0), 200.0);
+        p.on_complete(&job(1, 1, 10.0, 300.0), 300.0, 10.0);
+        p.on_complete(&job(2, 8, 200.0, 300.0), 300.0, 200.0);
         assert!((p.predict(&job(3, 1, 0.0, 300.0)) - 10.0).abs() < 1e-9);
         assert!((p.predict(&job(4, 8, 0.0, 300.0)) - 200.0).abs() < 1e-9);
     }
@@ -314,11 +301,11 @@ mod tests {
         let mut p =
             RuntimePredictor::new(PredictorKind::LastKMax { k: 3 }, MispredictPolicy::Extend);
         for (i, d) in [10.0, 90.0, 20.0, 30.0].iter().enumerate() {
-            p.on_complete(&job(i as u64, 1, *d, 300.0), *d);
+            p.on_complete(&job(i as u64, 1, *d, 300.0), 300.0, *d);
         }
         // Window is [90, 20, 30] → max 90.
         assert_eq!(p.predict(&job(9, 1, 0.0, 300.0)), 90.0);
-        p.on_complete(&job(5, 1, 5.0, 300.0), 5.0);
+        p.on_complete(&job(5, 1, 5.0, 300.0), 300.0, 5.0);
         // Window slides to [20, 30, 5] → max 30.
         assert_eq!(p.predict(&job(9, 1, 0.0, 300.0)), 30.0);
     }
@@ -341,8 +328,8 @@ mod tests {
     fn accuracy_accounting_scores_completions() {
         let mut p = RuntimePredictor::new(PredictorKind::Request, MispredictPolicy::Extend);
         let j = job(1, 1, 100.0, 300.0);
-        p.on_start(&j); // predicted 300
-        p.on_complete(&j, 100.0); // actual 100 → overestimate, rel err 2.0
+        // Predicted 300, actual 100 → overestimate, rel err 2.0.
+        p.on_complete(&j, p.predict(&j), 100.0);
         assert_eq!(p.stats.scored, 1);
         assert_eq!(p.stats.overestimates, 1);
         assert_eq!(p.stats.underestimates, 0);
@@ -351,13 +338,32 @@ mod tests {
 
     #[test]
     fn believed_end_never_in_the_past() {
-        let mut p = RuntimePredictor::new(PredictorKind::Request, MispredictPolicy::Extend);
-        let mut j = job(1, 1, 100.0, 50.0); // request shorter than truth
-        p.on_start(&j); // predicted 50
-        j.state = crate::job::JobState::Running { start_s: 0.0 };
+        let p = RuntimePredictor::new(PredictorKind::Request, MispredictPolicy::Extend);
+        let predicted_s = p.predict(&job(1, 1, 100.0, 50.0)); // request shorter than truth
+        assert_eq!(believed_end(0.0, predicted_s, 20.0), 50.0);
         // At t=80 the job outlived its 50 s prediction: believed end stays
-        // ahead of now.
-        let end = p.believed_end(&j, 80.0).unwrap();
-        assert!(end > 80.0);
+        // ahead of now, and exactly at the end it is already overdue.
+        assert_eq!(
+            believed_end(0.0, predicted_s, 80.0),
+            80.0 + MIN_PREDICTION_S
+        );
+        assert_eq!(
+            believed_end(0.0, predicted_s, 50.0),
+            50.0 + MIN_PREDICTION_S
+        );
+    }
+
+    #[test]
+    fn predict_is_its_two_halves() {
+        let mut p =
+            RuntimePredictor::new(PredictorKind::LastKMax { k: 2 }, MispredictPolicy::Extend);
+        let queued = job(9, 1, 0.0, 40.0);
+        assert_eq!(p.history_estimate(&queued), None);
+        assert_eq!(RuntimePredictor::predict_from(None, &queued), 40.0);
+        p.on_complete(&job(1, 1, 90.0, 300.0), 300.0, 90.0);
+        // The estimate is the class's, the clamp the job's.
+        assert_eq!(p.history_estimate(&queued), Some(90.0));
+        assert_eq!(p.predict(&queued), 40.0);
+        assert_eq!(p.predict(&job(10, 1, 0.0, 300.0)), 90.0);
     }
 }

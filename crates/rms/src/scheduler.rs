@@ -10,14 +10,17 @@
 //! size are constant and age falls with submit time, so — weights being
 //! non-negative, IEEE rounding monotone — `(submit_s, id)` order *is*
 //! priority order. A sweep asks the source once per user with pending work;
-//! a dispatch merges the lane heads lazily, pricing only what the plan sees.
+//! a dispatch merges the lane heads lazily, pricing only what the plan sees
+//! (nothing at all on a full machine).
 
-use crate::dispatch::{DispatchConfig, DispatchOrder, QueueWalk, QueuedJob, RunningSlice};
+use crate::dispatch::{
+    Admission, DispatchConfig, DispatchOrder, QueueWalk, QueuedJob, RunningSlice,
+};
 use crate::job::{Job, JobState};
 use crate::multifactor::{combined_priority, FactorConfig, PriorityWeights};
 use crate::nodes::NodePool;
 use crate::plugin::FairshareSource;
-use crate::predict::{PredictionStats, RuntimePredictor};
+use crate::predict::{believed_end, PredictionStats, RuntimePredictor};
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, UserId};
@@ -94,7 +97,7 @@ pub struct SchedulerStats {
     /// Per-grid-user completed wall-clock·cores usage.
     pub usage_by_user: BTreeMap<GridUser, f64>,
     /// Runtime-prediction accuracy accounting (mirrors the scheduler's
-    /// predictor state after every completion).
+    /// predictor state after every `advance` that completed a job).
     pub prediction: PredictionStats,
 }
 
@@ -128,6 +131,17 @@ type LaneKey = (Option<UserId>, u32);
 struct Lane {
     fairshare: f64,
     jobs: VecDeque<Job>,
+}
+
+/// A running job with what its start fixed: when its cores come back (true
+/// duration, or the request if it is killed there) and the prediction it
+/// started under — scored at completion; `start_s` + it is its believed end.
+#[derive(Debug)]
+struct Running {
+    job: Job,
+    start_s: f64,
+    end_s: f64,
+    predicted_s: f64,
 }
 
 /// A job submitted since the last sweep, at its submit-time priority.
@@ -166,7 +180,9 @@ pub struct SchedulerCore {
     reprio: ReprioritizePolicy,
     lanes: BTreeMap<LaneKey, Lane>,
     fresh: Vec<FreshEntry>,
-    running: Vec<Job>,
+    /// Pending jobs that ask for no cores: all a full machine can start.
+    zero_core_pending: usize,
+    running: Vec<Running>,
     last_reprio_s: f64,
     order: DispatchOrder,
     predictor: RuntimePredictor,
@@ -223,6 +239,7 @@ impl SchedulerCore {
             reprio,
             lanes: BTreeMap::new(),
             fresh: Vec::new(),
+            zero_core_pending: 0,
             running: Vec::new(),
             last_reprio_s: f64::NEG_INFINITY,
             order: dispatch.order,
@@ -288,6 +305,7 @@ impl SchedulerCore {
         let user_id = job.grid_user.as_ref().map(|u| source.intern_user(u));
         self.stats.submitted += 1;
         self.metrics.submitted.inc();
+        self.zero_core_pending += usize::from(job.cores == 0);
         // New jobs get a priority immediately so they can dispatch this cycle.
         let prio = self.priority(fairshare_of(user_id, source, now_s), &job, now_s);
         self.fresh.push(FreshEntry { job, prio, user_id });
@@ -304,10 +322,12 @@ impl SchedulerCore {
     /// Advance the scheduler to `now_s`: finish due jobs (reporting their
     /// usage), re-prioritize if due, and dispatch in the configured order.
     ///
-    /// Complexity: O(running + lanes·log lanes + jobs the plan looks at) —
-    /// completion scan, sweep and lane-head heap, walk steps — not O(queue):
-    /// a full machine costs the same with 10 jobs queued or 10,000 (gated
-    /// in `backfill_sweep --check`).
+    /// Complexity: O(running + lanes) for the completion scan and the sweep;
+    /// the dispatch is O(1) on a full machine — it returns before anything
+    /// is built — else O(running + lanes·log lanes + jobs started + a
+    /// compare per job stepped over). Not O(queue): a full machine costs the
+    /// same with 10 jobs queued or 10,000, and a compare or a write per
+    /// further running job or lane (gated in `backfill_sweep --check`).
     pub fn advance(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
         self.nodes.advance(now_s);
         self.complete_due(source, now_s);
@@ -344,64 +364,61 @@ impl SchedulerCore {
     }
 
     fn complete_due(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
+        let completed_before = self.stats.completed;
         let mut i = 0;
         while i < self.running.len() {
-            let end = self.running[i]
-                .expected_end()
-                .expect("running jobs have ends");
-            if end <= now_s {
-                let mut job = self.running.swap_remove(i);
-                let start_s = match job.state {
-                    JobState::Running { start_s } => start_s,
-                    _ => unreachable!("job in running list"),
-                };
-                job.state = JobState::Completed {
-                    start_s,
-                    end_s: end,
-                };
-                self.nodes.release(job.cores);
-                self.stats.completed += 1;
-                self.metrics.completed.inc();
-                let run_s = end - start_s;
-                self.stats.slowdown_sum += (job.wait_time(end) + run_s) / run_s.max(SLOWDOWN_TAU_S);
-                self.predictor.on_complete(&job, run_s);
-                self.stats.prediction = self.predictor.stats.clone();
-                if let Some(user) = &job.grid_user {
-                    *self.stats.usage_by_user.entry(user.clone()).or_insert(0.0) +=
-                        job.cores as f64 * job.duration_s;
-                    source.report_usage(
-                        UsageRecord {
-                            job: job.id,
-                            user: user.clone(),
-                            site: self.site,
-                            cores: job.cores,
-                            start_s,
-                            end_s: end,
-                        },
-                        now_s,
-                    );
-                }
-            } else {
+            if self.running[i].end_s > now_s {
                 i += 1;
+                continue;
             }
+            let done = self.running.swap_remove(i);
+            let (mut job, start_s, end_s) = (done.job, done.start_s, done.end_s);
+            job.state = JobState::Completed { start_s, end_s };
+            self.nodes.release(job.cores);
+            self.stats.completed += 1;
+            self.metrics.completed.inc();
+            let run_s = end_s - start_s;
+            self.stats.slowdown_sum += (job.wait_time(end_s) + run_s) / run_s.max(SLOWDOWN_TAU_S);
+            self.predictor.on_complete(&job, done.predicted_s, run_s);
+            if let Some(user) = &job.grid_user {
+                *self.stats.usage_by_user.entry(user.clone()).or_insert(0.0) +=
+                    job.cores as f64 * job.duration_s;
+                source.report_usage(
+                    UsageRecord {
+                        job: job.id,
+                        user: user.clone(),
+                        site: self.site,
+                        cores: job.cores,
+                        start_s,
+                        end_s,
+                    },
+                    now_s,
+                );
+            }
+        }
+        if self.stats.completed > completed_before {
+            self.stats.prediction = self.predictor.stats.clone();
         }
     }
 
     /// Dispatch pending jobs in priority order through the configured
     /// [`DispatchOrder`]: it walks the queue lazily (see [`LaneWalk`]) with
     /// predicted runtimes, sees the running set with believed ends, and
-    /// returns the starts (head or backfill) to apply this cycle.
+    /// returns the starts (head or backfill) to apply this cycle. Nothing is
+    /// built for an empty queue or a full machine.
     fn dispatch(&mut self, now_s: f64) {
         let _span = self.metrics.h_dispatch.start_timer();
-        let believed = |j: &Job| {
-            let end_s = self.predictor.believed_end(j, now_s)?;
-            Some(RunningSlice {
-                end_s,
-                cores: j.cores,
-            })
+        let free = self.nodes.free_cores();
+        // Without a free core only a job that asks for none can start.
+        if self.pending() == 0 || (free == 0 && self.zero_core_pending == 0) {
+            return;
+        }
+        let believed = |r: &Running| RunningSlice {
+            end_s: believed_end(r.start_s, r.predicted_s, now_s),
+            cores: r.job.cores,
         };
-        let running: Vec<RunningSlice> = self.running.iter().filter_map(believed).collect();
-        let (mut walk, free) = (LaneWalk::new(self), self.nodes.free_cores());
+        let running: Vec<RunningSlice> = self.running.iter().map(believed).collect();
+        let mut walk = LaneWalk::new(self);
         let plan = self.order.plan(now_s, free, &mut walk, &running);
         let yielded = walk.yielded;
         // Take the started jobs out back to front, so no slot moves before
@@ -421,8 +438,9 @@ impl SchedulerCore {
                 "dispatch plan oversubscribed the pool"
             );
             job.state = JobState::Running { start_s: now_s };
-            // Record the prediction this start was made under; enforce
-            // the walltime limit if the overrun policy kills.
+            // Keep the prediction this start was made under; enforce the
+            // walltime limit if the overrun policy kills.
+            let predicted_s = self.predictor.predict(&job);
             let (run_for_s, killed) = self.predictor.on_start(&job);
             if killed {
                 self.stats.killed += 1;
@@ -430,12 +448,19 @@ impl SchedulerCore {
             }
             self.stats.started += 1;
             self.metrics.started.inc();
+            self.zero_core_pending -= usize::from(job.cores == 0);
             self.stats.total_wait_s += job.wait_time(now_s);
             if backfill {
                 self.stats.backfilled += 1;
                 self.metrics.backfilled.inc();
             }
-            self.running.push(job);
+            let (start_s, end_s) = (now_s, now_s + run_for_s);
+            self.running.push(Running {
+                job,
+                start_s,
+                end_s,
+                predicted_s,
+            });
         }
     }
 
@@ -465,8 +490,8 @@ impl SchedulerCore {
     }
 
     /// Running jobs (inspection/metrics).
-    pub fn running_jobs(&self) -> &[Job] {
-        &self.running
+    pub fn running_jobs(&self) -> impl ExactSizeIterator<Item = &Job> {
+        self.running.iter().map(|r| &r.job)
     }
 }
 
@@ -478,13 +503,14 @@ struct Head<'a> {
     job: &'a Job,
     slot: Slot,
     lane: Option<&'a Lane>,
+    /// The lane's class-history estimate, once the walk has read it.
+    estimate: Option<Option<f64>>,
 }
 
 impl Ord for Head<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
-        let ascending = |a: f64, b: f64| a.partial_cmp(&b).expect("priorities are not NaN");
-        ascending(self.prio, other.prio)
-            .then(ascending(other.job.submit_s, self.job.submit_s))
+        (self.prio.total_cmp(&other.prio))
+            .then(other.job.submit_s.total_cmp(&self.job.submit_s))
             .then(other.job.id.cmp(&self.job.id))
     }
 }
@@ -507,9 +533,16 @@ impl Eq for Head<'_> {}
 /// fresh jobs. A job's handle is its rank among the jobs yielded so far (so
 /// handles ascend with priority); `yielded` maps handles back to slots.
 ///
-/// Complexity: O(lanes + fresh) to build; a yielded job costs one
-/// O(log lanes) heap step, one priority evaluation (its lane's next job)
-/// and one `predict`; a lane wider than asked goes in one heap step.
+/// A lane's jobs share their width and — under a grid identity — their
+/// prediction class, so the class history is read once per lane per cycle,
+/// and behind the job at the top of the heap the walk steps to the lane's
+/// next job the rule admits: the ones between are never priced, pushed or
+/// given a handle (the rule only tightens, so they could not have started).
+///
+/// Complexity: O(lanes + fresh) to build; a yielded job, or a lane's run of
+/// turned-down jobs, costs one O(log lanes) heap step, one priority
+/// evaluation and a compare per job stepped over; a lane wider than the
+/// free cores goes in one heap step.
 struct LaneWalk<'a> {
     sched: &'a SchedulerCore,
     heads: BinaryHeap<Head<'a>>,
@@ -527,6 +560,7 @@ impl<'a> LaneWalk<'a> {
             job: &e.job,
             slot: Slot::Fresh(i),
             lane: None,
+            estimate: None,
         });
         Self {
             sched,
@@ -535,7 +569,7 @@ impl<'a> LaneWalk<'a> {
         }
     }
 
-    /// The merge entry of the job at `pos` of a lane.
+    /// The merge entry of the job at `pos` of a lane, its estimate unread.
     fn head(sched: &SchedulerCore, key: LaneKey, lane: &'a Lane, pos: usize) -> Head<'a> {
         let job = &lane.jobs[pos];
         Head {
@@ -543,27 +577,56 @@ impl<'a> LaneWalk<'a> {
             job,
             slot: Slot::Lane(key, pos),
             lane: Some(lane),
+            estimate: None,
         }
     }
 }
 
 impl QueueWalk for LaneWalk<'_> {
-    fn next_within(&mut self, max_cores: u32) -> Option<(usize, QueuedJob)> {
+    fn next_admitted(&mut self, rule: &Admission) -> Option<(usize, QueuedJob)> {
+        let (sched, predictor) = (self.sched, &self.sched.predictor);
         while let Some(mut top) = self.heads.peek_mut() {
-            let (job, slot, lane) = (top.job, top.slot, top.lane);
-            let fits = job.cores <= max_cores;
-            // The lane's next job takes its place — unless the lane is too
-            // wide (every job of it is): then the whole lane goes.
-            match (slot, lane) {
-                (Slot::Lane(key, pos), Some(lane)) if fits && pos + 1 < lane.jobs.len() => {
-                    *top = Self::head(self.sched, key, lane, pos + 1)
+            let (job, slot) = (top.job, top.slot);
+            let q = match (slot, top.lane) {
+                (Slot::Lane(key @ (user, cores), pos), Some(lane)) if rule.fits(cores) => {
+                    // A user's lane is one prediction class, read once; the
+                    // unmapped lane mixes accounts and asks job by job.
+                    let estimate = user.map(|_| {
+                        let read = || predictor.history_estimate(job);
+                        top.estimate.unwrap_or_else(read)
+                    });
+                    let queued = |job: &Job| QueuedJob {
+                        cores,
+                        predicted_s: match estimate {
+                            Some(estimate) => RuntimePredictor::predict_from(estimate, job),
+                            None => predictor.predict(job),
+                        },
+                    };
+                    // The lane's next job the rule admits takes its place.
+                    let mut behind = lane.jobs.range(pos + 1..);
+                    match behind.position(|j| rule.admits(&queued(j))) {
+                        Some(skipped) => {
+                            let next = Self::head(sched, key, lane, pos + 1 + skipped);
+                            *top = Head { estimate, ..next }
+                        }
+                        None => drop(PeekMut::pop(top)),
+                    }
+                    queued(job)
                 }
-                _ => drop(PeekMut::pop(top)),
-            }
-            if fits {
+                // A fresh job — or a lane too wide for the rule: it goes
+                // whole, its history unread.
+                _ => {
+                    PeekMut::pop(top);
+                    if !rule.fits(job.cores) {
+                        continue;
+                    }
+                    let (cores, predicted_s) = (job.cores, predictor.predict(job));
+                    QueuedJob { cores, predicted_s }
+                }
+            };
+            if rule.admits(&q) {
                 self.yielded.push(slot);
-                let (cores, predicted_s) = (job.cores, self.sched.predictor.predict(job));
-                return Some((self.yielded.len() - 1, QueuedJob { cores, predicted_s }));
+                return Some((self.yielded.len() - 1, q));
             }
         }
         None
@@ -650,7 +713,7 @@ mod tests {
         sched.submit(job(2, "sysb", 1, 1001.0, 50.0), &mut src, 1001.0);
         sched.advance(&mut src, 1002.0);
         assert_eq!(sched.running(), 1);
-        let running = &sched.running_jobs()[0];
+        let running = sched.running_jobs().next().unwrap();
         assert_eq!(running.id, JobId(2), "b runs first");
     }
 
@@ -669,7 +732,7 @@ mod tests {
         sched.submit(job(3, "sysb", 1, 2.0, 200.0), &mut src, 2.0); // too long
         sched.submit(job(4, "sysb", 1, 3.0, 40.0), &mut src, 3.0); // fits
         sched.advance(&mut src, 5.0);
-        let running_ids: Vec<JobId> = sched.running_jobs().iter().map(|j| j.id).collect();
+        let running_ids: Vec<JobId> = sched.running_jobs().map(|j| j.id).collect();
         assert!(running_ids.contains(&JobId(4)), "short job backfilled");
         assert!(
             !running_ids.contains(&JobId(3)),
@@ -681,12 +744,12 @@ mod tests {
         // 3 outranks job 2, starts on 1 core, and job 2 (4 cores) is
         // reserved behind it.
         sched.advance(&mut src, 100.0);
-        let running_ids: Vec<JobId> = sched.running_jobs().iter().map(|j| j.id).collect();
+        let running_ids: Vec<JobId> = sched.running_jobs().map(|j| j.id).collect();
         assert!(running_ids.contains(&JobId(3)));
         assert!(!running_ids.contains(&JobId(2)));
         // Once job 3 finishes at t=300, job 2 finally gets the machine.
         sched.advance(&mut src, 300.0);
-        let running_ids: Vec<JobId> = sched.running_jobs().iter().map(|j| j.id).collect();
+        let running_ids: Vec<JobId> = sched.running_jobs().map(|j| j.id).collect();
         assert!(running_ids.contains(&JobId(2)));
     }
 

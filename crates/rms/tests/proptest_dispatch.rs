@@ -5,8 +5,9 @@
 //! narrow jobs that would starve it under greedy no-reservation backfill) —
 //! plus what each setting of the shared pivot scan *means*: FIFO starts the
 //! longest feasible priority-order prefix, SAF backfills in ascending area,
-//! all three share their head starts, and every order agrees when nothing
-//! is blocked.
+//! all three share their head starts, every order agrees when nothing is
+//! blocked, and a walk that applies the plan's admission rule changes no
+//! plan (the width-only walk of the first lane queue is the reference).
 
 use aequus_core::fairshare::FairshareConfig;
 use aequus_core::ids::{JobId, SiteId};
@@ -14,7 +15,7 @@ use aequus_core::policy::flat_policy;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::{GridUser, SystemUser};
 use aequus_rms::{
-    DispatchConfig, DispatchOrder, DispatchPlan, FactorConfig, Job, LocalFairshare,
+    Admission, DispatchConfig, DispatchOrder, DispatchPlan, FactorConfig, Job, LocalFairshare,
     MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
     ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
 };
@@ -113,6 +114,18 @@ fn plan_over(
     order.plan(0.0, free, &mut SliceWalk::new(queue), running)
 }
 
+/// The walk the rule-aware one replaced, kept as the reference: it yields
+/// every job no wider than the rule's free cores, whatever its runtime, and
+/// leaves the rest of the rule to the plan.
+struct WidthWalk<'a>(std::iter::Enumerate<std::slice::Iter<'a, QueuedJob>>);
+
+impl QueueWalk for WidthWalk<'_> {
+    fn next_admitted(&mut self, rule: &Admission) -> Option<(usize, QueuedJob)> {
+        let fit = self.0.find(|(_, q)| q.cores <= rule.free)?;
+        Some((fit.0, *fit.1))
+    }
+}
+
 /// Queue indices of a plan's starts, in start order.
 fn started(plan: &DispatchPlan) -> Vec<usize> {
     plan.starts.iter().map(|s| s.handle).collect()
@@ -132,35 +145,62 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The walk contract every planning routine leans on, for `SliceWalk`:
-    /// each call yields the next job in priority order that is no wider
-    /// than asked — ascending handles, so each job at most once — and the
-    /// wider jobs it passes on the way never come back, whatever later
-    /// calls ask for.
+    /// each call yields the next job in priority order that the rule admits
+    /// — ascending handles, so each job at most once — and the jobs it turns
+    /// down on the way never come back, whatever later calls ask for.
     #[test]
     fn slice_walk_keeps_the_walk_contract(
         q in proptest::collection::vec((0u32..24, 1.0..800.0f64), 0..40),
-        asks in proptest::collection::vec((0u32..36).prop_map(|a| if a < 32 { a } else { u32::MAX }), 1..60),
+        asks in proptest::collection::vec((0u32..36, 0u32..36, 0.0..900.0f64), 1..60),
     ) {
         let (queue, _) = views(&q, &[]);
         let mut walk = SliceWalk::new(&queue);
         let mut unvisited = 0; // everything before this was yielded or passed over
-        for max_cores in asks {
-            match walk.next_within(max_cores) {
+        for (free, spare, shadow_t) in asks {
+            let rule = if free < 32 {
+                Admission { free, spare, now_s: 100.0, shadow_t: 100.0 + shadow_t }
+            } else {
+                Admission::within(u32::MAX)
+            };
+            match walk.next_admitted(&rule) {
                 Some((handle, job)) => {
                     prop_assert!(handle >= unvisited, "handle {handle} came back");
                     prop_assert_eq!(job, queue[handle]);
-                    prop_assert!(job.cores <= max_cores, "wider than asked");
+                    prop_assert!(rule.admits(&job), "not admitted");
                     prop_assert!(
-                        queue[unvisited..handle].iter().all(|j| j.cores > max_cores),
-                        "skipped a job that fits"
+                        !queue[unvisited..handle].iter().any(|j| rule.admits(j)),
+                        "skipped a job the rule admits"
                     );
                     unvisited = handle + 1;
                 }
                 None => {
-                    prop_assert!(queue[unvisited..].iter().all(|j| j.cores > max_cores));
+                    prop_assert!(!queue[unvisited..].iter().any(|j| rule.admits(j)));
                     unvisited = queue.len();
                 }
             }
+        }
+    }
+
+    /// Turning candidates down inside the walk changes no plan: over a walk
+    /// that applies the rule and over the reference that only looks at
+    /// widths, FIFO, EASY and SAF plan the same starts in the same order
+    /// under the same reservation — zero-core jobs, jobs wider than the
+    /// machine and a clock away from zero included.
+    #[test]
+    fn a_rule_aware_walk_plans_what_the_width_walk_plans(
+        q in proptest::collection::vec((0u32..24, 1.0..800.0f64), 1..40),
+        r in running_strategy(),
+        free in 0u32..16,
+        now_s in 0.0..5_000.0f64,
+    ) {
+        let (queue, mut running) = views(&q, &r);
+        for slice in &mut running {
+            slice.end_s += now_s;
+        }
+        for order in [DispatchOrder::Fifo, DispatchOrder::Easy, DispatchOrder::Saf] {
+            let ruled = order.plan(now_s, free, &mut SliceWalk::new(&queue), &running);
+            let by_width = order.plan(now_s, free, &mut WidthWalk(queue.iter().enumerate()), &running);
+            prop_assert_eq!(ruled, by_width, "{}", order.name());
         }
     }
 
@@ -289,7 +329,7 @@ proptest! {
                 next_arrival += arrival_s;
             }
             sched.advance(&mut src, t);
-            if wide_started.is_none() && sched.running_jobs().iter().any(|j| j.id == wide) {
+            if wide_started.is_none() && sched.running_jobs().any(|j| j.id == wide) {
                 wide_started = Some(t);
                 break;
             }
