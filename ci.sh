@@ -82,14 +82,24 @@ if git grep -n -e '--bin' -- '*.md' '*.sh' ':!ISSUE.md' ':!CHANGES.md' ':!ci.sh'
 fi
 # Decoders of bytes from outside a site return errors: the byte formats'
 # non-test code (up to the first `#[cfg(test)]`) holds no `expect`/`unwrap`
-# — nor do the UMS refresh, which a serving site runs every tick, and the
-# USS and the site around it, which every delivery runs through.
+# /`unreachable!` — nor do the UMS refresh, which a serving site runs every
+# tick, and the USS and the site around it, which every delivery runs through.
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
   crates/services/src/ums.rs crates/services/src/uss.rs crates/services/src/uss/*.rs \
   crates/services/src/site.rs; do
-  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()'; then
-    echo "$f: an expect/unwrap on a path a serving site runs over outside input" >&2
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()' -e 'unreachable!('; then
+    echo "$f: an expect/unwrap/unreachable on a path a serving site runs over outside input" >&2
+    exit 1
+  fi
+done
+# One publication, one allocation: from `Uss::publish` to every peer's
+# message and the receiver's WAL record a summary is shared by pointer
+# (`Arc::clone`), never deep-copied.
+for f in crates/services/src/uss.rs crates/services/src/site.rs \
+  crates/services/src/message.rs crates/store/src/records.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'summary\.clone()'; then
+    echo "$f: a summary is copied where it should be shared" >&2
     exit 1
   fi
 done

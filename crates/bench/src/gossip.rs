@@ -21,6 +21,7 @@ use aequus_core::{
 };
 use aequus_services::{Fcs, OverlayTopology, ParticipationMode, Pds, Ums, Uss, UssMessage};
 use aequus_sim::{synthetic_users, GridScenario, GridSimulation, SimResult};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Jobs submit inside this window; the rest of [`HORIZON_S`] is drain.
@@ -196,7 +197,7 @@ pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
         uss.ingest(&record(user, 10.0));
     }
     for origin in 1..=9 {
-        let summary = UsageSummary {
+        let summary = Arc::new(UsageSummary {
             site: SiteId(origin),
             seq: 1,
             slot_s: SLOT_S,
@@ -205,7 +206,7 @@ pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
                 .map(|u| (u.clone(), [(0, 5.0)].into()))
                 .collect(),
             relayed: Default::default(),
-        };
+        });
         uss.receive_message(&UssMessage::Summary { summary, ctx: None }, 500.0);
     }
     let everything = uss.publish(500.0).expect("first publication");

@@ -1,14 +1,15 @@
 //! Property-based tests of the gossip wire codec: lossless round-trips for
 //! arbitrary summaries under both encodings, positive-delta merge
 //! idempotence under duplication / reordering / loss-with-resync, and
-//! corruption detection — a flipped bit must never decode silently.
+//! corruption detection — a flipped bit must never decode silently — and
+//! the sliced CRC32 against a table-free bitwise reference.
 //!
 //! The vendored proptest shim generates scalars and vectors of scalar
 //! tuples; structured values (names, charges, summaries) are derived
 //! deterministically from those scalars, so every failure reproduces from
 //! the reported case seed.
 
-use aequus_core::codec::{decode_summary, encode_summary, encoded_size, Encoding};
+use aequus_core::codec::{crc32, decode_summary, encode_summary, encoded_size, Crc32, Encoding};
 use aequus_core::ids::SiteId;
 use aequus_core::usage::{UsageSummary, UserCells};
 use aequus_core::GridUser;
@@ -225,4 +226,45 @@ proptest! {
             prop_assert!(decode_summary(&buf[..cut]).is_err(), "{:?} cut at {}", enc, cut);
         }
     }
+
+    #[test]
+    fn sliced_crc32_matches_the_bitwise_reference(
+        bytes in proptest::collection::vec(0u16..256, 0..2049),
+        splits in (0usize..2049, 0usize..2049),
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        // Every start offset within an 8-byte block, so the sliced loop and
+        // its tail meet the data at every alignment.
+        for offset in 0..8 {
+            let mut padded = vec![0xA5u8; offset];
+            padded.extend_from_slice(&bytes);
+            let data = &padded[offset..];
+            let whole = crc32(data);
+            prop_assert_eq!(whole, bitwise_crc32(data), "offset {}, {} bytes", offset, data.len());
+            let (a, b) = (splits.0 % (data.len() + 1), splits.1 % (data.len() + 1));
+            let (a, b) = (a.min(b), a.max(b));
+            let mut h = Crc32::new();
+            for part in [&data[..a], &data[a..b], &data[b..]] {
+                h.update(part);
+            }
+            prop_assert_eq!(h.finish(), whole, "offset {}, split at {} and {}", offset, a, b);
+        }
+    }
+}
+
+/// CRC-32/IEEE one bit at a time, no table: the definition the sliced
+/// tables must reproduce.
+fn bitwise_crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
 }

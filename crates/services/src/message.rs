@@ -6,14 +6,17 @@ use aequus_core::codec::{decode_summary, encode_summary, CodecError, Encoding, R
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UsageSummary;
 use aequus_telemetry::TraceCtx;
+use std::sync::Arc;
 
-/// A message of the reliable USS↔USS exchange protocol.
+/// A message of the reliable USS↔USS exchange protocol. A data message
+/// shares its summary: one publication is one allocation, held by the
+/// publisher's history and by every send, retry and resync answer of it.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub enum UssMessage {
     /// A sequenced incremental summary (absolute per-cell values).
     Summary {
         /// The summary payload.
-        summary: UsageSummary,
+        summary: Arc<UsageSummary>,
         /// Causal trace context of the pipeline stage that produced this
         /// publication, when the publishing site traces. Retries and
         /// resyncs of the same sequence number resend the *original*
@@ -25,7 +28,7 @@ pub enum UssMessage {
     /// also closes every outstanding gap up to that point.
     Snapshot {
         /// The cumulative payload.
-        summary: UsageSummary,
+        summary: Arc<UsageSummary>,
         /// Trace context of the latest traced publication folded into the
         /// snapshot, if any — snapshot catch-ups stay causally linked.
         ctx: Option<TraceCtx>,
@@ -152,6 +155,7 @@ impl UssMessage {
                     None
                 };
                 let (enc, summary) = decode_summary(r.rest())?;
+                let summary = Arc::new(summary);
                 let msg = if tag == TAG_SUMMARY {
                     UssMessage::Summary { summary, ctx }
                 } else {
@@ -190,13 +194,13 @@ mod tests {
 
     #[test]
     fn message_kinds_and_data_flag() {
-        let s = UsageSummary {
+        let s = Arc::new(UsageSummary {
             site: SiteId(0),
             seq: 1,
             slot_s: 60.0,
             per_user: Default::default(),
             relayed: Default::default(),
-        };
+        });
         let summary = UssMessage::Summary {
             summary: s.clone(),
             ctx: None,
@@ -244,13 +248,13 @@ mod tests {
         );
         let mut relayed = std::collections::BTreeMap::new();
         relayed.insert(SiteId(4), per_user.clone());
-        let summary = UsageSummary {
+        let summary = Arc::new(UsageSummary {
             site: SiteId(2),
             seq: 11,
             slot_s: 300.0,
             per_user,
             relayed,
-        };
+        });
         let ctx = TraceCtx {
             trace_id: 77,
             span: 9,
@@ -339,7 +343,7 @@ mod tests {
                 })
                 .collect()
         };
-        let summary = UsageSummary {
+        let summary = Arc::new(UsageSummary {
             site: SiteId(2),
             seq: 11,
             slot_s: 300.0,
@@ -354,7 +358,7 @@ mod tests {
                 (SiteId(9), cells(&[])),
             ]
             .into(),
-        };
+        });
         vec![
             UssMessage::Summary {
                 summary: summary.clone(),

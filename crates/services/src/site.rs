@@ -21,6 +21,7 @@ use aequus_core::{GridUser, SiteId, SystemUser, UserId, UserTable};
 use aequus_store::{MemStorage, SiteStore, StoreConfig, StoreStats, WalRecord};
 use aequus_telemetry::{Telemetry, TraceCtx};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One site's complete Aequus stack.
 #[derive(Debug)]
@@ -276,9 +277,10 @@ impl AequusSite {
             _ => None,
         };
         if let Some((summary, snapshot)) = data {
+            // The delivered allocation itself: journaling copies no cell.
             self.journal(
                 || WalRecord::PeerData {
-                    summary: summary.clone(),
+                    summary: Arc::clone(summary),
                     snapshot,
                 },
                 now_s,

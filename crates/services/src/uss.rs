@@ -208,7 +208,7 @@ pub struct Volatile {
     /// and contiguously numbered (bounded by [`RetryPolicy::history_cap`]),
     /// each with the trace context of its publication: retries and resync
     /// answers resend the *original* context, keeping delayed hops causally
-    /// linked.
+    /// linked — and the publication itself, shared, not a copy of it.
     history: History,
     tx: BTreeMap<SiteId, PeerTx>,
     rx: BTreeMap<SiteId, PeerRx>,
@@ -332,7 +332,7 @@ impl Volatile {
     }
 }
 
-type History = VecDeque<(UsageSummary, Option<TraceCtx>)>;
+type History = VecDeque<(Arc<UsageSummary>, Option<TraceCtx>)>;
 
 /// Publisher-side per-peer delivery state. A peer without an entry is a
 /// peer with nothing unacked.
@@ -436,11 +436,12 @@ type Pending = BTreeMap<UserId, u64>;
 pub type PendingNames = BTreeMap<GridUser, u64>;
 
 /// The message resending retained summary `seq` — one index by sequence
-/// offset — or `None` once it was compacted away.
+/// offset and a pointer copy — or `None` once it was compacted away.
 fn retained(history: &History, seq: u64) -> Option<UssMessage> {
     let offset = seq.checked_sub(history.front()?.0.seq)?;
-    let (summary, ctx) = history.get(usize::try_from(offset).ok()?)?.clone();
-    (summary.seq == seq).then_some(UssMessage::Summary { summary, ctx })
+    let (summary, ctx) = history.get(usize::try_from(offset).ok()?)?;
+    let summary = Arc::clone(summary);
+    (summary.seq == seq).then_some(UssMessage::Summary { summary, ctx: *ctx })
 }
 
 /// Note that `user`'s cells from `slot` on may have risen.
@@ -705,8 +706,9 @@ impl Uss {
     ///
     /// Costs the users ingested, or merged from other origins, since they
     /// were last published (`drain_pending`) — not the users the site
-    /// knows.
-    pub fn publish(&mut self, now_s: f64) -> Option<UsageSummary> {
+    /// knows. The summary is built once: the history, every send and retry
+    /// of it and the caller share the returned allocation.
+    pub fn publish(&mut self, now_s: f64) -> Option<Arc<UsageSummary>> {
         let _span = self.metrics.h_publish.start_timer();
         if !self.publishes() {
             return None;
@@ -722,13 +724,13 @@ impl Uss {
         }
         let (site, seq) = (self.cfg.site, self.ledger.next_seq);
         self.ledger.next_seq = seq.saturating_add(1);
-        let summary = UsageSummary {
+        let summary = Arc::new(UsageSummary {
             site,
             seq,
             slot_s,
             per_user,
             relayed,
-        };
+        });
         let ctx = self.vol.pending_publish_ctx.take().and_then(|ingest_ctx| {
             let telemetry = &self.metrics.telemetry;
             telemetry.child_span(Some(ingest_ctx), "uss.publish", now_s, || {
@@ -736,7 +738,7 @@ impl Uss {
             })
         });
         self.vol.latest_publish_ctx = ctx.or(self.vol.latest_publish_ctx);
-        self.vol.history.push_back((summary.clone(), ctx));
+        self.vol.history.push_back((Arc::clone(&summary), ctx));
         while self.vol.history.len() > self.cfg.retry.history_cap.max(1) {
             self.vol.history.pop_front();
         }
@@ -983,7 +985,7 @@ impl Uss {
         let users = &self.ledger.users;
         let mirrors = self.vol.seen_by_origin.iter();
         let mirrors = mirrors.filter(|(_, cells)| self.cfg.forwarding && !cells.is_empty());
-        let summary = UsageSummary {
+        let summary = Arc::new(UsageSummary {
             site: self.cfg.site,
             seq: self.ledger.next_seq - 1,
             slot_s: self.ledger.local.slot_duration(),
@@ -991,7 +993,7 @@ impl Uss {
             relayed: mirrors
                 .map(|(origin, cells)| (*origin, named_cells(users, cells)))
                 .collect(),
-        };
+        });
         let ctx = self.vol.latest_publish_ctx;
         UssMessage::Snapshot { summary, ctx }
     }
@@ -1453,7 +1455,7 @@ mod tests {
 
     /// Deliver `s` as a wire `Summary`, responses discarded.
     fn give(uss: &mut Uss, s: &UsageSummary, now_s: f64) {
-        let summary = s.clone();
+        let summary = Arc::new(s.clone());
         uss.receive_message(&UssMessage::Summary { summary, ctx: None }, now_s);
     }
 
@@ -1748,6 +1750,48 @@ mod tests {
         a.receive_message(&catchup, 411.0);
         assert_eq!((link_sums(&a), link_sums(&b)), ([2, 2, 0, 0], [0, 0, 2, 2]));
         assert_eq!((link_sums(&a), link_sums(&b)), (totals(&a), totals(&b)));
+    }
+
+    /// One publication, one allocation: the history entry is what every
+    /// first send, retry and resync answer carries, and once the history
+    /// lets go of it only the copies still in flight hold it.
+    #[test]
+    fn a_publication_is_shared_never_copied() {
+        let mut a = Uss::new(SiteId(0), ParticipationMode::Full, 100.0);
+        let peers = [SiteId(1), SiteId(2), SiteId(3)];
+        a.set_peers(&peers, &peers);
+        a.configure_reliability(PAIR_RETRY, 1);
+        a.ingest(&rec(0, "u", 0.0, 80.0));
+        let published = a.publish(200.0).expect("a closed slot");
+        let history = &a.vol.history;
+        assert!(Arc::ptr_eq(
+            &history.back().expect("retained").0,
+            &published
+        ));
+        let first = a.poll(200.0);
+        let retries = a.poll(211.0); // every first send dropped; backoff 10 s
+        let resync = UssMessage::Resync {
+            from: SiteId(2),
+            from_seq: 1,
+            to_seq: 1,
+        };
+        let answer = a.receive_message(&resync, 212.0);
+        assert_eq!((first.len(), retries.len(), answer.len()), (3, 3, 1));
+        for (_, msg) in first.iter().chain(&retries).chain(&answer) {
+            let UssMessage::Summary { summary, .. } = msg else {
+                panic!("a data message: {msg:?}");
+            };
+            assert!(Arc::ptr_eq(summary, &published), "a copy: {msg:?}");
+        }
+        for i in 0..PAIR_RETRY.history_cap {
+            let start = 200.0 + 100.0 * i as f64;
+            a.ingest(&rec(0, "u", start, start + 50.0));
+            a.publish(start + 200.0).expect("a later closed slot");
+        }
+        assert_eq!(a.vol.history.front().map(|(s, _)| s.seq), Some(2));
+        assert_eq!(Arc::strong_count(&published), 1 + 3 + 3 + 1);
+        drop((first, retries));
+        assert_eq!(Arc::strong_count(&published), 1 + 1);
     }
 
     #[test]
@@ -2197,7 +2241,7 @@ mod tests {
         let mut a = Uss::new(SiteId(0), ParticipationMode::Full, 100.0);
         a.ingest(&rec(0, "u", 0.0, 80.0));
         a.ingest(&rec(0, "v", 110.0, 150.0));
-        let mut s = a.publish(500.0).expect("two closed slots");
+        let mut s = Arc::unwrap_or_clone(a.publish(500.0).expect("two closed slots"));
         s.seq = seq;
         s
     }
@@ -2231,7 +2275,7 @@ mod tests {
             // The codecs are faithful transports: it decodes as sent.
             for enc in [Encoding::Dense, Encoding::Delta] {
                 let msg = UssMessage::Summary {
-                    summary: s.clone(),
+                    summary: Arc::new(s.clone()),
                     ctx: None,
                 };
                 let (decoded, _) = UssMessage::decode(&msg.encode(enc)).expect("CRC-valid");
@@ -2240,7 +2284,7 @@ mod tests {
                 assert_refused_whole(&b, &responses);
                 // A well-formed retransmission of the same seq still lands.
                 let good = UssMessage::Summary {
-                    summary: summary_from_site0(1),
+                    summary: Arc::new(summary_from_site0(1)),
                     ctx: None,
                 };
                 assert_eq!(b.receive_message(&good, 700.0).len(), 1, "acked");
@@ -2258,7 +2302,7 @@ mod tests {
             let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
             let responses = b.receive_message(
                 &UssMessage::Snapshot {
-                    summary: s,
+                    summary: Arc::new(s),
                     ctx: None,
                 },
                 600.0,

@@ -202,7 +202,13 @@ fn run_interleaving(
                     per_user,
                     relayed: BTreeMap::new(),
                 };
-                uss.receive_message(&UssMessage::Summary { summary, ctx: None }, now_s);
+                uss.receive_message(
+                    &UssMessage::Summary {
+                        summary: summary.into(),
+                        ctx: None,
+                    },
+                    now_s,
+                );
             }
             2 => {
                 now_s += x * 4000.0;
@@ -649,7 +655,10 @@ fn run_against_names(shape: u8, exponential: bool, ops: &[(u8, u8, f64)]) -> Res
                 };
                 met.insert(user);
                 oracle.merge(&summary);
-                let msg = UssMessage::Summary { summary, ctx: None };
+                let msg = UssMessage::Summary {
+                    summary: summary.into(),
+                    ctx: None,
+                };
                 for site in &mut sites {
                     site.uss.receive_message(&msg, now_s);
                 }

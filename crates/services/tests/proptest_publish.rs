@@ -23,6 +23,7 @@ use aequus_services::{ParticipationMode, RetryPolicy, Uss, UssMessage};
 use aequus_store::CheckpointState;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const SITES: usize = 3;
 const USERS: [&str; 3] = ["alice", "bob", "carol"];
@@ -128,7 +129,7 @@ impl WholeMirror {
 #[derive(Clone)]
 enum Journaled {
     Usage(UsageRecord),
-    PeerData(UsageSummary, bool),
+    PeerData(Arc<UsageSummary>, bool),
     Publish(u64),
 }
 
@@ -213,7 +214,7 @@ impl World {
         let now = self.now_s;
         let want = self.oracles[site].publish(&self.sites[site], now);
         let got = self.sites[site].publish(now);
-        prop_assert_eq!(&got, &want, "site {} at t={}", site, now);
+        prop_assert_eq!(got.as_deref(), want.as_ref(), "site {} at t={}", site, now);
         // The service's mirrors are the oracle's shadows (which keep an
         // empty entry for every user and origin they ever looked at).
         let (published, relayed) = self.sites[site].sent_mirrors();

@@ -499,8 +499,9 @@ fn explore(overlay: OverlayTopology) -> usize {
 
 #[test]
 fn full_mesh_conserves_usage_under_every_interleaving() {
-    let states = explore(OverlayTopology::FullMesh);
-    assert!(states > 1_000, "explored only {states} states");
+    // Pinned: fingerprints hash what a site holds — a summary's contents,
+    // not the address of its shared allocation — so this count is exact.
+    assert_eq!(explore(OverlayTopology::FullMesh), 9_705);
 }
 
 /// At three sites `Tree { fanout: 2 }` and `Hub { hubs: 1 }` are the same
@@ -516,6 +517,5 @@ fn tree_and_hub_conserve_usage_under_every_interleaving() {
         World::new(tree).fingerprint(),
         World::new(hub).fingerprint()
     );
-    let states = explore(tree);
-    assert!(states > 1_000, "explored only {states} states");
+    assert_eq!(explore(tree), 8_207);
 }

@@ -7,6 +7,7 @@
 use aequus_core::codec::{read_summary, write_summary, CodecError, Encoding, Reader, Sink};
 use aequus_core::ids::{GridUser, JobId, SiteId};
 use aequus_core::usage::{UsageRecord, UsageSummary};
+use std::sync::Arc;
 
 /// How every durable usage cell is laid out — WAL peer data and checkpoint
 /// mirrors alike: the wire codec's sections under its lossless columnar
@@ -25,8 +26,8 @@ pub enum WalRecord {
     PeerData {
         /// The summary exactly as merged, relayed per-origin sections
         /// included (overlay interior nodes journal exactly what they
-        /// merged).
-        summary: UsageSummary,
+        /// merged) — the delivered message's own allocation, not a copy.
+        summary: Arc<UsageSummary>,
         /// `true` when it was a cumulative snapshot.
         snapshot: bool,
     },
@@ -81,7 +82,7 @@ impl WalRecord {
             }),
             TAG_PEER_DATA => WalRecord::PeerData {
                 snapshot: r.flag()?,
-                summary: read_summary(r, CELL_ENCODING)?,
+                summary: Arc::new(read_summary(r, CELL_ENCODING)?),
             },
             TAG_PUBLISH => WalRecord::Publish { seq: r.u64()? },
             _ => return Err(CodecError::Malformed("unknown record tag")),
@@ -96,7 +97,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    fn sample_summary(seq: u64) -> UsageSummary {
+    fn sample_summary(seq: u64) -> Arc<UsageSummary> {
         let mut per_user = BTreeMap::new();
         let mut slots = BTreeMap::new();
         slots.insert(3u64, 120.5);
@@ -109,13 +110,13 @@ mod tests {
         let mut relay_cells = BTreeMap::new();
         relay_cells.insert(GridUser::new("U7"), relay_slots);
         relayed.insert(SiteId(9), relay_cells);
-        UsageSummary {
+        Arc::new(UsageSummary {
             site: SiteId(4),
             seq,
             slot_s: 60.0,
             per_user,
             relayed,
-        }
+        })
     }
 
     fn round_trip(rec: &WalRecord) -> WalRecord {

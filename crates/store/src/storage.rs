@@ -98,10 +98,12 @@ impl Storage for MemStorage {
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        self.objects
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(bytes);
+        // Looked up first: an append to an existing object allocates no key.
+        if let Some(obj) = self.objects.get_mut(name) {
+            obj.extend_from_slice(bytes);
+        } else {
+            self.objects.insert(name.to_string(), bytes.to_vec());
+        }
         Ok(())
     }
 

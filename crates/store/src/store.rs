@@ -90,6 +90,8 @@ struct StoreMetrics {
     h_append: Histogram,
     /// Wall seconds per WAL replay at open (profiler `wal.replay` stage).
     h_replay: Histogram,
+    /// Wall seconds per checkpoint: encode, slot write and compaction.
+    h_checkpoint: Histogram,
 }
 
 impl StoreMetrics {
@@ -105,6 +107,7 @@ impl StoreMetrics {
             g_wal_bytes: t.gauge("aequus_store_wal_bytes"),
             h_append: t.histogram("aequus_store_wal_append_s"),
             h_replay: t.histogram("aequus_store_wal_replay_s"),
+            h_checkpoint: t.histogram("aequus_store_checkpoint_s"),
         }
     }
 }
@@ -227,6 +230,7 @@ impl SiteStore {
     /// Write `state` to the alternate checkpoint slot, then compact WAL
     /// segments the checkpoint covers (by LSN and by gossip sequence).
     pub fn checkpoint(&mut self, state: &CheckpointView<'_>) -> Result<(), StoreError> {
+        let _span = self.metrics.h_checkpoint.start_timer();
         let (slot, bytes) = write_next(self.storage.as_mut(), state, self.current_slot)?;
         self.current_slot = Some(slot);
         self.stats.checkpoints += 1;
@@ -412,5 +416,14 @@ mod tests {
         // is recorded exactly once per open, appends per call.
         assert_eq!(snap.histograms["aequus_store_wal_replay_s"].count, 1);
         assert_eq!(snap.histograms["aequus_store_wal_append_s"].count, 1);
+        let ckpt = CheckpointState {
+            lsn: store.next_lsn() - 1,
+            site: SiteId(1),
+            slot_s: 60.0,
+            ..CheckpointState::default()
+        };
+        store.checkpoint(&ckpt.view()).unwrap();
+        let snap = t.snapshot().unwrap();
+        assert_eq!(snap.histograms["aequus_store_checkpoint_s"].count, 1);
     }
 }

@@ -215,7 +215,10 @@ pub struct ReplayReport {
 /// so WAL and checkpoints share it.
 #[derive(Debug)]
 pub struct Wal {
-    segments: Vec<SegmentMeta>,
+    /// Segments no longer appended to, oldest first.
+    sealed: Vec<SegmentMeta>,
+    /// The segment appends go to.
+    active: SegmentMeta,
     /// Numeric suffix for the next segment created.
     next_segment_no: u64,
     /// LSN the next appended record receives.
@@ -230,6 +233,14 @@ pub type ReplayOutcome = (Wal, Vec<(u64, WalRecord)>, ReplayReport);
 
 fn segment_name(no: u64) -> String {
     format!("wal-{no:08}.log")
+}
+
+/// Create segment `*next_no`'s (empty) object and advance the counter.
+fn create_segment(storage: &mut dyn Storage, next_no: &mut u64) -> Result<SegmentMeta, StoreError> {
+    let name = segment_name(*next_no);
+    *next_no += 1;
+    storage.replace(&name, &[])?;
+    Ok(SegmentMeta::new(name))
 }
 
 fn parse_segment_no(name: &str) -> Option<u64> {
@@ -314,37 +325,22 @@ impl Wal {
 
         records.sort_by_key(|(lsn, _)| *lsn);
         report.lsn_gaps = records.windows(2).filter(|w| w[1].0 - w[0].0 > 1).count() as u64;
-        report.short_sealed_segments = segments
-            .iter()
-            .rev()
-            .skip(1)
-            .filter(|seg| seg.bytes < segment_bytes)
-            .count() as u64;
-        let next_segment_no = names.last().map(|(no, _)| no + 1).unwrap_or(0);
-        let mut wal = Self {
-            segments,
+        // The last segment found stays the active one; none found, a fresh one.
+        let mut next_segment_no = names.last().map_or(0, |(no, _)| no + 1);
+        let active = match segments.pop() {
+            Some(last) => last,
+            None => create_segment(storage, &mut next_segment_no)?,
+        };
+        let short = segments.iter().filter(|seg| seg.bytes < segment_bytes);
+        report.short_sealed_segments = short.count() as u64;
+        let wal = Self {
+            sealed: segments,
+            active,
             next_segment_no,
             next_lsn,
             segment_bytes: segment_bytes.max(1),
         };
-        if wal.segments.is_empty() {
-            wal.open_segment(storage)?;
-        }
         Ok((wal, records, report))
-    }
-
-    fn open_segment(&mut self, storage: &mut dyn Storage) -> Result<(), StoreError> {
-        let name = segment_name(self.next_segment_no);
-        self.next_segment_no += 1;
-        storage.replace(&name, &[])?;
-        self.segments.push(SegmentMeta::new(name));
-        Ok(())
-    }
-
-    fn active(&mut self) -> &mut SegmentMeta {
-        self.segments
-            .last_mut()
-            .unwrap_or_else(|| unreachable!("wal always holds an active segment"))
     }
 
     /// Append `rec`, returning its LSN. Rolls to a fresh segment first when
@@ -354,8 +350,9 @@ impl Wal {
         storage: &mut dyn Storage,
         rec: &WalRecord,
     ) -> Result<u64, StoreError> {
-        if self.active().bytes >= self.segment_bytes {
-            self.open_segment(storage)?;
+        if self.active.bytes >= self.segment_bytes {
+            let fresh = create_segment(storage, &mut self.next_segment_no)?;
+            self.sealed.push(std::mem::replace(&mut self.active, fresh));
         }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
@@ -363,11 +360,9 @@ impl Wal {
         payload.u64(lsn);
         rec.encode(&mut payload);
         let frame = encode_frame(KIND_RECORD, &payload);
-        let seg = self.active();
-        let name = seg.name.clone();
-        seg.note(lsn, rec);
-        seg.bytes += frame.len() as u64;
-        storage.append(&name, &frame)?;
+        self.active.note(lsn, rec);
+        self.active.bytes += frame.len() as u64;
+        storage.append(&self.active.name, &frame)?;
         Ok(lsn)
     }
 
@@ -380,10 +375,8 @@ impl Wal {
         storage: &mut dyn Storage,
         junk: &[u8],
     ) -> Result<(), StoreError> {
-        let seg = self.active();
-        let name = seg.name.clone();
-        seg.bytes += junk.len() as u64;
-        storage.append(&name, junk)?;
+        self.active.bytes += junk.len() as u64;
+        storage.append(&self.active.name, junk)?;
         Ok(())
     }
 
@@ -399,18 +392,16 @@ impl Wal {
         publish_seq: u64,
         peer_cursors: &BTreeMap<SiteId, u64>,
     ) -> Result<u64, StoreError> {
-        let sealed = self.segments.len().saturating_sub(1);
         let mut removed = 0u64;
-        let mut keep = Vec::with_capacity(self.segments.len());
-        for (i, seg) in self.segments.drain(..).enumerate() {
-            let empty = seg.frames == 0;
-            let covered = i < sealed
-                && (empty
-                    || (seg.last_lsn <= ckpt_lsn
-                        && seg.max_publish_seq <= publish_seq
-                        && seg.max_peer_seq.iter().all(|(site, &seq)| {
-                            peer_cursors.get(site).is_some_and(|&c| seq <= c)
-                        })));
+        let mut keep = Vec::with_capacity(self.sealed.len());
+        for seg in self.sealed.drain(..) {
+            let covered = seg.frames == 0
+                || (seg.last_lsn <= ckpt_lsn
+                    && seg.max_publish_seq <= publish_seq
+                    && seg
+                        .max_peer_seq
+                        .iter()
+                        .all(|(site, &seq)| peer_cursors.get(site).is_some_and(|&c| seq <= c)));
             if covered {
                 storage.remove(&seg.name)?;
                 removed += 1;
@@ -418,18 +409,18 @@ impl Wal {
                 keep.push(seg);
             }
         }
-        self.segments = keep;
+        self.sealed = keep;
         Ok(removed)
     }
 
     /// Total live WAL bytes across segments.
     pub fn bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.bytes).sum()
+        self.sealed.iter().map(|s| s.bytes).sum::<u64>() + self.active.bytes
     }
 
     /// Current segment metadata, oldest first (last entry is active).
-    pub fn segments(&self) -> &[SegmentMeta] {
-        &self.segments
+    pub fn segments(&self) -> Vec<&SegmentMeta> {
+        self.sealed.iter().chain([&self.active]).collect()
     }
 
     /// LSN the next append will receive.
@@ -613,7 +604,8 @@ mod tests {
                         slot_s: 60.0,
                         per_user: BTreeMap::new(),
                         relayed: BTreeMap::new(),
-                    },
+                    }
+                    .into(),
                     snapshot: false,
                 },
             )

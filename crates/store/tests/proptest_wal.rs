@@ -53,7 +53,8 @@ fn record(kind: u8, a: u64, b: u64) -> WalRecord {
                     slot_s: 60.0,
                     per_user,
                     relayed,
-                },
+                }
+                .into(),
                 snapshot: b.is_multiple_of(4),
             }
         }
@@ -186,7 +187,7 @@ proptest! {
             per_user: cells_from(&own),
             relayed: origins_from(&relayed),
         };
-        let rec = WalRecord::PeerData { summary: summary.clone(), snapshot: flags & 1 == 1 };
+        let rec = WalRecord::PeerData { summary: summary.clone().into(), snapshot: flags & 1 == 1 };
         let mut bytes = Vec::new();
         rec.encode(&mut bytes);
         let Ok(WalRecord::PeerData { summary: back, snapshot }) =

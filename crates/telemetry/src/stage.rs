@@ -55,6 +55,7 @@ pub const STAGES: &[Stage] = &[
     stage("lib.query", None, Some("aequus_tracer_lib_delay_s")),
     stage("rms.dispatch", Some("aequus_rms_dispatch_s"), None),
     stage("store.append", Some("aequus_store_wal_append_s"), None),
+    stage("store.checkpoint", Some("aequus_store_checkpoint_s"), None),
     stage("store.replay", Some("aequus_store_wal_replay_s"), None),
 ];
 
@@ -91,6 +92,8 @@ mod tests {
         hists.dedup();
         assert_eq!((names.len(), hists.len()), (n, h));
         assert_eq!(delay_histogram("lib.query"), "aequus_tracer_lib_delay_s");
+        let checkpoint = find("store.checkpoint").and_then(|s| s.wall);
+        assert_eq!(checkpoint, Some("aequus_store_checkpoint_s"));
         assert!(find("gossip.merge").is_none(), "the old spelling is gone");
     }
 }

@@ -38,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 mod oracle;
 
@@ -104,7 +105,7 @@ fn wal_payloads() -> Vec<Vec<u8>> {
             end_s: 250.0,
         }),
         WalRecord::PeerData {
-            summary: summary(),
+            summary: summary().into(),
             snapshot: true,
         },
         WalRecord::Publish { seq: 12 },
@@ -127,11 +128,11 @@ fn messages() -> Vec<Vec<u8>> {
     for enc in [Encoding::Dense, Encoding::Delta] {
         for msg in [
             UssMessage::Summary {
-                summary: summary(),
+                summary: summary().into(),
                 ctx,
             },
             UssMessage::Snapshot {
-                summary: summary(),
+                summary: summary().into(),
                 ctx: None,
             },
             UssMessage::Ack {
@@ -532,15 +533,15 @@ fn no_handler_panics_or_overcounts_on_a_message_that_still_decodes() {
             to_seq: 2,
         },
         UssMessage::Snapshot {
-            summary: numbered(u64::MAX),
+            summary: numbered(u64::MAX).into(),
             ctx: None,
         },
         UssMessage::Summary {
-            summary: numbered(u64::MAX),
+            summary: numbered(u64::MAX).into(),
             ctx: None,
         },
         UssMessage::Summary {
-            summary: numbered(0),
+            summary: numbered(0).into(),
             ctx: None,
         },
     ];
@@ -610,7 +611,7 @@ fn outside_names_grow_a_site_only_through_bytes_it_accepts() {
     ];
     for summary in refused {
         for snapshot in [false, true] {
-            let summary = summary.clone();
+            let summary = Arc::new(summary.clone());
             let msg = match snapshot {
                 false => UssMessage::Summary { summary, ctx: None },
                 true => UssMessage::Snapshot { summary, ctx: None },
@@ -662,7 +663,7 @@ fn outside_names_grow_a_site_only_through_bytes_it_accepts() {
     );
     let unseen = [("ghost-a", 5.0), ("ghost-b", 2.5), ("ghost-relayed", 9.0)];
     for _twice in 0..2 {
-        let summary = accepted.clone();
+        let summary = Arc::new(accepted.clone());
         deliver_everywhere(
             &mut sites,
             &UssMessage::Summary { summary, ctx: None },

@@ -222,6 +222,7 @@ fn every_emitted_stage_label_is_in_the_stage_table() {
         "fcs.refresh_incr",
         "rms.dispatch",
         "store.append",
+        "store.checkpoint",
         "store.replay",
         "ums.refresh",
         "uss.ingest",
