@@ -83,11 +83,12 @@ fi
 # Decoders of bytes from outside a site return errors: the byte formats'
 # non-test code (up to the first `#[cfg(test)]`) holds no `expect`/`unwrap`
 # /`unreachable!` — nor do the UMS refresh, which a serving site runs every
-# tick, and the USS and the site around it, which every delivery runs through.
+# tick, the USS and the site around it, which every delivery runs through,
+# and the trace an SWF file parses into, which sorts and ranks its values.
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
   crates/services/src/ums.rs crates/services/src/uss.rs crates/services/src/uss/*.rs \
-  crates/services/src/site.rs; do
+  crates/services/src/site.rs crates/workload/src/trace.rs; do
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()' -e 'unreachable!('; then
     echo "$f: an expect/unwrap/unreachable on a path a serving site runs over outside input" >&2
     exit 1
@@ -112,7 +113,9 @@ done
 # (a publication's context sits in its history entry) and the `-1` that told
 # a tx link row from an rx one (rows are typed), and the fairshare tree's
 # eager per-sibling derivation with the counters and the kernel bench that
-# measured it (shares are read on demand off the tree's sums) — and no
+# measured it (shares are read on demand off the tree's sums), and the
+# checkpoint's UMS section with the install path that read it (a restart
+# rebuilds the UMS from the USS) — and no
 # tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under). `take_outbox`
@@ -123,6 +126,7 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'ProfileMode::Counters' -e 'span_sample_every' -e 'capture_provenance' \
   -e 'ScenarioBuilder' -e 'SERVICE_STAGES' -e 'publish_trace' -e 'heard_age_s < 0\.0' \
   -e 'derive_group' -e 'changed_elements' -e 'shares_refreshed' -e 'fairshare_kernel' \
+  -e 'ums_cached' -e 'export_state' -e 'install_state' -e 'row_from' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms; then
   echo "a deleted path is named again" >&2

@@ -155,24 +155,6 @@ impl UserTable {
             (None, _) => over.next(),
         })
     }
-
-    /// A row over this table's ids from name-keyed `values` (absent users
-    /// read `NaN`), interning the names — how a checkpointed name-keyed
-    /// cache comes back in.
-    pub fn row_from<'a>(
-        &mut self,
-        values: impl IntoIterator<Item = (&'a GridUser, &'a f64)>,
-    ) -> Vec<f64> {
-        let mut row = Vec::new();
-        for (user, &value) in values {
-            let id = self.intern(user);
-            if row.len() <= id.index() {
-                row.resize(self.len(), f64::NAN);
-            }
-            row[id.index()] = value;
-        }
-        row
-    }
 }
 
 /// Accumulates which parts of the fairshare state changed since the last
@@ -352,17 +334,5 @@ mod tests {
         }
         let order: Vec<&str> = bare.iter().map(|(_, u)| u.as_str()).collect();
         assert_eq!(order, ["k", "m", "x"]);
-    }
-
-    #[test]
-    fn a_row_from_names_reads_nan_where_no_value_came() {
-        let mut t = UserTable::new(names(&["a", "b"]));
-        let values: BTreeMap<GridUser, f64> = [("b", 2.0), ("q", 9.0)]
-            .map(|(n, v)| (GridUser::new(n), v))
-            .into();
-        let row = t.row_from(&values);
-        assert!(row[0].is_nan());
-        assert_eq!(&row[1..], [2.0, 9.0]);
-        assert_eq!(t.id_of(&GridUser::new("q")), Some(UserId(2)));
     }
 }

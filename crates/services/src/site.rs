@@ -344,8 +344,9 @@ impl AequusSite {
     }
 
     /// Re-open the durable store (modeling the recovering process reading
-    /// its disk back) and reinstall checkpoint + WAL state into the
-    /// services. Replay is telemetry-quiet — the original operations were
+    /// its disk back) and reinstall checkpoint + WAL state into the USS; the
+    /// UMS, reset by the crash, rebuilds over it on the next tick as it does
+    /// without a store. Replay is telemetry-quiet — the original operations were
     /// already counted — and emits no protocol responses: acks were
     /// delivered before the crash, and any still-open gap re-triggers on
     /// the live path after catch-up.
@@ -365,20 +366,9 @@ impl AequusSite {
         };
         store.set_telemetry(&self.telemetry);
         if let Some(ckpt) = &recovered.checkpoint {
-            match self.uss.install_checkpoint(ckpt) {
-                Ok(()) => {
-                    // An all-dirty USS set must route the next UMS refresh
-                    // down the rebase path; install the epoch cache only
-                    // when the checkpointed dirt is per-user.
-                    if ckpt.dirty_users.is_some() {
-                        let cached = self.uss.users_mut().row_from(&ckpt.ums_cached);
-                        self.ums.install_state(ckpt.ums_epoch_s, cached);
-                    }
-                }
-                Err(e) => {
-                    self.telemetry
-                        .event(now_s, "site.store_error", || format!("checkpoint: {e}"));
-                }
+            if let Err(e) = self.uss.install_checkpoint(ckpt) {
+                self.telemetry
+                    .event(now_s, "site.store_error", || format!("checkpoint: {e}"));
             }
         }
         let replayed = recovered.records.len();
@@ -471,7 +461,7 @@ impl AequusSite {
                         });
             }
         }
-        // Durable-store checkpoint cadence: snapshot the USS/UMS state and
+        // Durable-store checkpoint cadence: snapshot the USS state and
         // compact the WAL segments the snapshot covers.
         if let Some(cfg) = self.store.as_ref().map(SiteStore::config) {
             if now_s - self.last_checkpoint_s >= cfg.checkpoint_interval_s {
@@ -483,15 +473,14 @@ impl AequusSite {
     /// Cut a checkpoint immediately (normally driven by the store's
     /// `checkpoint_interval_s` from [`AequusSite::tick`]). Costs the encode,
     /// CRC and write of what the site holds — `O(cells)` — and nothing
-    /// before them: the store encodes a borrowed view of the USS and UMS
-    /// maps, no owned copy is built and dropped.
+    /// before them: the store encodes a borrowed view of the USS maps, no
+    /// owned copy is built and dropped.
     pub fn checkpoint_now(&mut self, now_s: f64) {
         let Some(store) = &mut self.store else {
             return;
         };
-        let (epoch, cached) = self.ums.export_state();
         let lsn = store.next_lsn().saturating_sub(1);
-        let view = self.uss.checkpoint_view(lsn, now_s, epoch, cached);
+        let view = self.uss.checkpoint_view(lsn, now_s);
         if let Err(e) = store.checkpoint(&view) {
             self.telemetry
                 .event(now_s, "site.store_error", || format!("checkpoint: {e}"));
@@ -708,6 +697,40 @@ mod tests {
             s.uss.local_usage_of(&GridUser::new("a")).to_bits(),
             "checkpointed local cells install bitwise exact"
         );
+    }
+
+    /// A store recovery refreshes its UMS as every other crash does — whole,
+    /// over the recovered USS — so the row it serves is the one a fresh UMS
+    /// computes there, bit for bit, though the checkpoint it came back from
+    /// was cut with a user's usage not yet refreshed into the UMS.
+    #[test]
+    fn a_store_recovery_serves_the_ums_row_a_fresh_ums_would() {
+        let mut s = site(0, ParticipationMode::Full);
+        let decay = FairshareConfig::default().decay; // exponential
+        s.enable_store(
+            StoreConfig {
+                checkpoint_interval_s: 1.0,
+                ..StoreConfig::default()
+            },
+            5,
+        );
+        s.report_completion(record(0, "a", 0.0, 300.0), 300.0);
+        s.tick(310.0); // ingest, first refresh (epoch 310), checkpoint
+        s.report_completion(record(0, "b", 250.0, 310.0), 310.0);
+        s.tick(315.0); // ingest b, a checkpoint; the UMS is not due
+        assert_eq!(s.ums.epoch(), Some(310.0));
+        assert_eq!(s.ums.usage().len(), 1, "b is pending, not refreshed");
+        assert_eq!(s.store_stats().unwrap().checkpoints, 2);
+
+        s.crash(400.0);
+        s.recover(410.0);
+        s.tick(410.0);
+        let mut fresh = Ums::new(s.timings.ums_refresh_interval_s, decay);
+        assert!(fresh.refresh(&mut s.uss, 410.0));
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(s.ums.usage().len(), 2);
+        assert_eq!(bits(s.ums.usage()), bits(fresh.usage()));
+        assert_eq!(s.ums.epoch(), fresh.epoch());
     }
 
     #[test]

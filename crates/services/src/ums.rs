@@ -196,39 +196,16 @@ impl Ums {
         true
     }
 
-    /// Site crash: drop the volatile usage cache. The next refresh is a full
-    /// rebuild at a fresh epoch, repopulated from the (durable) USS local
-    /// histogram plus whatever remote state catch-up restores. Refresh
-    /// counters survive — they are monotone sampled series, and a reset
-    /// would read as telemetry going backwards.
+    /// Site crash: drop the usage cache — it is derived, and never durable.
+    /// The next refresh is a full rebuild at a fresh epoch over whatever the
+    /// USS holds by then: the surviving (or checkpoint- and WAL-restored)
+    /// local histogram plus the remote state recovery and catch-up restore.
+    /// Refresh counters survive — they are monotone sampled series, and a
+    /// reset would read as telemetry going backwards.
     pub fn reset(&mut self) {
         self.cached.clear();
         self.epoch_s = None;
         self.dirty = DirtySet::new();
-        self.last_refresh_s = None;
-    }
-
-    /// The cache as a durable-store checkpoint records it, in place: the
-    /// reference epoch and the per-user weights. Refresh counters are *not*
-    /// exported — they are monotone telemetry series, not recoverable state.
-    pub fn export_state(&self) -> (Option<f64>, &[f64]) {
-        (self.epoch_s, &self.cached)
-    }
-
-    /// Install a checkpointed cache during store recovery. The whole cache
-    /// is marked dirty (the FCS tree was reset by the crash and rebuilds
-    /// fully anyway) and the staleness clock is cleared so the next tick
-    /// refreshes immediately.
-    ///
-    /// Callers must only install an epoch when the feeding USS dirty set is
-    /// per-user (checkpoint `dirty_users: Some(..)`): an installed epoch
-    /// routes the next refresh down the incremental path, which requires
-    /// per-user dirt. With an all-dirty USS, skip the install and let the
-    /// first refresh rebase from scratch instead.
-    pub fn install_state(&mut self, epoch_s: Option<f64>, cached: Vec<f64>) {
-        self.epoch_s = epoch_s;
-        self.cached = cached;
-        self.dirty.mark_all();
         self.last_refresh_s = None;
     }
 
@@ -239,8 +216,8 @@ impl Ums {
     /// otherwise they are absolute decayed totals as of the last refresh.
     ///
     /// A user the USS had never heard of when its weight was last computed
-    /// has no entry: the row ends before its id, or holds `NaN` there
-    /// (which is what a checkpoint leaves out). Both read as no usage.
+    /// has no entry: the row ends before its id, or holds `NaN` there (a
+    /// gap below a later user's id). Both read as no usage.
     pub fn usage(&self) -> &[f64] {
         &self.cached
     }

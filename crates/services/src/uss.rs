@@ -132,7 +132,7 @@ struct UssMetrics {
 /// |--------------|----------|----------------------|------------------------|----------------------------|
 /// | `Config`     | survives | survives             | no                     | kept                       |
 /// | `Ledger`     | survives | histogram, count go  | all but the user names | rebuilt (cursor: the max)  |
-/// | [`Volatile`] | replaced | replaced             | cursors, mirrors, dirt | built fresh, those filled  |
+/// | [`Volatile`] | replaced | replaced             | cursors, mirrors       | built fresh, those filled  |
 /// | counts       | survive  | survive              | no                     | kept                       |
 #[derive(Debug, Clone)]
 pub struct Uss {
@@ -1077,31 +1077,22 @@ impl Uss {
         self.crash();
     }
 
-    /// Everything the durable store checkpoints for this service: the local
-    /// histogram cells (full `f64` bits — local recovery is bitwise exact),
-    /// ingest/publish counters, the per-peer sequence cursors, and the
-    /// origin-scoped absolute-cell merge mirrors. The relay-published
-    /// mirror is deliberately excluded — a recovered forwarding node
-    /// re-relays its whole mirror once, idempotently. `lsn` is the WAL
-    /// position the snapshot covers; `ums_epoch_s`/`ums_cached` are the UMS
-    /// half ([`crate::ums::Ums::export_state`]).
+    /// Everything the durable store checkpoints for this service — what a
+    /// restart cannot recompute: the local histogram cells (full `f64` bits
+    /// — local recovery is bitwise exact), ingest/publish counters, the
+    /// per-peer sequence cursors, and the origin-scoped absolute-cell merge
+    /// mirrors. The relay-published mirror is deliberately excluded — a
+    /// recovered forwarding node re-relays its whole mirror once,
+    /// idempotently. `lsn` is the WAL position the snapshot covers.
     ///
-    /// This is an edge where names leave: the id-keyed cells, mirrors and
-    /// cache (`ums_cached`: the UMS row over this service's ids, `NaN` = no
-    /// entry) are copied flat, once, in name order — `O(cells)`, no
-    /// per-user map — and only the dirty users' names are cloned.
-    pub fn checkpoint_view(
-        &self,
-        lsn: u64,
-        taken_s: f64,
-        ums_epoch_s: Option<f64>,
-        ums_cached: &[f64],
-    ) -> CheckpointView<'_> {
+    /// This is an edge where names leave: the id-keyed cells and mirrors are
+    /// copied flat, once, in name order — `O(cells)`, no per-user map, no
+    /// name cloned.
+    pub fn checkpoint_view(&self, lsn: u64, taken_s: f64) -> CheckpointView<'_> {
         let (users, vol) = (&self.ledger.users, &self.vol);
         let cursor = |rx: &PeerRx| PeerCursor {
             next_expected: rx.next_expected,
         };
-        let dirty = vol.dirty.users().map(|user| users.name(user).clone());
         let head = CheckpointState {
             lsn,
             taken_s,
@@ -1110,29 +1101,26 @@ impl Uss {
             records_ingested: self.ledger.records_ingested,
             next_seq: self.ledger.next_seq,
             peers: vol.rx.iter().map(|(s, rx)| (*s, cursor(rx))).collect(),
-            ums_epoch_s,
-            dirty_users: (!vol.dirty.is_all()).then(|| dirty.collect()),
             ..CheckpointState::default()
         };
         let named = |cells| NamedCells::from_store(cells, users);
-        let cached = |(user, name): (UserId, _)| Some((name, user.read(ums_cached)?));
         CheckpointView {
             head: Cow::Owned(head),
             local_cells: named(self.ledger.local.cells()),
             origin_cells: (vol.seen_by_origin.iter())
                 .map(|(origin, cells)| (*origin, named(cells)))
                 .collect(),
-            ums_cached: users.iter().filter_map(cached).collect(),
         }
     }
 
     /// Install a recovered checkpoint, as a process starting over it does:
     /// rebuild the local histogram from its cells (bitwise exact — the
     /// cells are the accumulated values), and fill a fresh volatile state
-    /// with the per-peer sequence cursors, the origin-scoped merge mirrors,
-    /// the remote view rebuilt from the mirrors, and the dirty users that
-    /// were pending at checkpoint time. WAL records past `checkpoint.lsn`
-    /// must then be re-applied via the `replay_*` methods.
+    /// with the per-peer sequence cursors, the origin-scoped merge mirrors
+    /// and the remote view rebuilt from the mirrors. WAL records past
+    /// `checkpoint.lsn` must then be re-applied via the `replay_*` methods.
+    /// Like any crash, this leaves the UMS to rebuild whole: the dirty set
+    /// starts clean, and a reset UMS's first refresh reads every user.
     pub fn install_checkpoint(&mut self, ckpt: &CheckpointState) -> Result<(), RecoveryError> {
         let (expected, found) = (self.cfg.site, ckpt.site);
         if found != expected {
@@ -1164,14 +1152,6 @@ impl Uss {
                 }
                 vol.remote
                     .add_charges(user, slots.iter().map(|(&s, &c)| (s, c)));
-            }
-        }
-        match &ckpt.dirty_users {
-            None => vol.dirty.mark_all(),
-            Some(names) => {
-                for name in names {
-                    vol.dirty.mark_user(ledger.users.intern(name));
-                }
             }
         }
         self.vol = vol;
@@ -1449,7 +1429,7 @@ mod tests {
     /// What a checkpoint of `uss` restores: its view, through the slot
     /// bytes and back.
     fn checkpointed(uss: &Uss, lsn: u64, taken_s: f64) -> CheckpointState {
-        let view = uss.checkpoint_view(lsn, taken_s, None, &[]);
+        let view = uss.checkpoint_view(lsn, taken_s);
         CheckpointState::decode_slot(&view.encode()).expect("a fresh slot decodes")
     }
 
@@ -2145,9 +2125,9 @@ mod tests {
 
     /// The checkpoint the store writes is encoded from flat copies of the
     /// id-keyed stores with the names written back; its slot bytes must be
-    /// those of the owned name-keyed export — every histogram, mirror and
-    /// cache as a map in a `CheckpointState` — overflow users (every user,
-    /// here: the services' tables have no base) sorted in by name.
+    /// those of the owned name-keyed export — every histogram and mirror as
+    /// a map in a `CheckpointState` — overflow users (every user, here: the
+    /// services' tables have no base) sorted in by name.
     #[test]
     fn borrowed_checkpoint_view_fills_the_slot_like_the_owned_export() {
         let (mut a, mut h, mut c) = relay_chain();
@@ -2159,12 +2139,7 @@ mod tests {
         a.publish(500.0);
         c.publish(500.0);
         pump_chain(&mut a, &mut h, &mut c, 500.0);
-        let ums_cached: BTreeMap<GridUser, f64> = [("u", 0.125), ("w", 7.5)]
-            .map(|(u, v)| (GridUser::new(u), v))
-            .into();
-        for uss in [&mut a, &mut h, &mut c] {
-            let ums_row = uss.ledger.users.row_from(&ums_cached);
-            let uss = &*uss;
+        for uss in [&a, &h, &c] {
             let owned = CheckpointState {
                 lsn: 41,
                 taken_s: 500.0,
@@ -2186,16 +2161,9 @@ mod tests {
                 origin_cells: (uss.vol.seen_by_origin.iter())
                     .map(|(origin, cells)| (*origin, named_cells(&uss.ledger.users, cells)))
                     .collect(),
-                ums_epoch_s: Some(450.0),
-                ums_cached: ums_cached.clone(),
-                dirty_users: Some(
-                    (uss.vol.dirty.users())
-                        .map(|user| uss.ledger.users.name(user).clone())
-                        .collect(),
-                ),
             };
             assert!(!owned.local_cells.is_empty() && !owned.peers.is_empty());
-            let view = uss.checkpoint_view(41, 500.0, Some(450.0), &ums_row);
+            let view = uss.checkpoint_view(41, 500.0);
             assert_eq!(view.encode(), owned.encode());
             assert_eq!(CheckpointState::decode_slot(&view.encode()), Some(owned));
         }
@@ -2204,14 +2172,6 @@ mod tests {
             2,
             "the relay mirrors both leaves"
         );
-        // An all-dirty service writes the "everyone" marker.
-        let mut restored = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
-        let all_dirty = CheckpointState {
-            dirty_users: None,
-            ..checkpointed(&h, 1, 500.0)
-        };
-        restored.install_checkpoint(&all_dirty).unwrap();
-        assert_eq!(checkpointed(&restored, 1, 500.0).dirty_users, None);
     }
 
     #[test]

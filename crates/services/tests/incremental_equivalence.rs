@@ -501,20 +501,15 @@ impl Site {
         }
     }
 
-    /// Store-mode crash: everything volatile goes and comes back from a
-    /// checkpoint cut at that instant.
+    /// Store-mode crash: everything volatile goes, the USS comes back from a
+    /// checkpoint cut at that instant, and the UMS rebuilds over it.
     fn crash_and_recover(&mut self, now_s: f64) {
-        let (epoch, cached) = self.ums.export_state();
-        let view = self.uss.checkpoint_view(0, now_s, epoch, cached);
+        let view = self.uss.checkpoint_view(0, now_s);
         let ckpt = aequus_store::CheckpointState::decode_slot(&view.encode()).expect("fresh slot");
         self.uss.crash_volatile();
         self.ums.reset();
         self.fcs.reset();
         self.uss.install_checkpoint(&ckpt).expect("own checkpoint");
-        if ckpt.dirty_users.is_some() {
-            let cached = self.uss.users_mut().row_from(&ckpt.ums_cached);
-            self.ums.install_state(ckpt.ums_epoch_s, cached);
-        }
     }
 
     /// What holds after every step, refresh or not.

@@ -50,7 +50,7 @@ fn risen<'a>(
 /// Everything `uss` holds, under names: its checkpoint through the slot
 /// bytes and back.
 fn held_by(uss: &Uss, now_s: f64) -> CheckpointState {
-    let view = uss.checkpoint_view(0, now_s, None, &[]);
+    let view = uss.checkpoint_view(0, now_s);
     CheckpointState::decode_slot(&view.encode()).expect("a fresh slot decodes")
 }
 

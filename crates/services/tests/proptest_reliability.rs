@@ -334,7 +334,7 @@ proptest! {
                     grid.sites[at].request_catchup();
                 }
                 7 => {
-                    let view = grid.sites[at].checkpoint_view(0, grid.now_s, None, &[]);
+                    let view = grid.sites[at].checkpoint_view(0, grid.now_s);
                     let ckpt = CheckpointState::decode_slot(&view.encode()).expect("fresh slot");
                     grid.sites[at].crash_volatile();
                     // A sample lands between the crash and the reinstall.

@@ -280,7 +280,7 @@ impl World {
 
     fn observe(&self, site: usize) -> Observed {
         let uss = &self.sites[site];
-        let held = uss.checkpoint_view(0, self.now_s, None, &[]);
+        let held = uss.checkpoint_view(0, self.now_s);
         let named = |cells: &NamedCells<'_>| {
             let users = cells.iter();
             users
@@ -335,7 +335,7 @@ impl World {
 /// `now_s`) and, on a forwarding node, every mirrored origin's cells against
 /// what was relayed for that origin (all closed at their origin).
 fn check_pending(uss: &Uss, now_s: f64, trail: &[Step]) {
-    let held = uss.checkpoint_view(0, now_s, None, &[]);
+    let held = uss.checkpoint_view(0, now_s);
     let ((published, relayed), (unpublished, unrelayed)) = (uss.sent_mirrors(), uss.pending());
     let current_slot = (now_s / SLOT_S).floor() as u64;
     let check = |what: &str,

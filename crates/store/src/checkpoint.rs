@@ -1,8 +1,9 @@
-//! Checkpoint snapshots: a single CRC-framed object capturing everything a
-//! site needs to restart without replaying its full history — the USS local
-//! histogram and ingest counters, the publisher sequence, per-peer exchange
-//! cursors, the origin-scoped absolute-cell mirrors the positive-delta
-//! merge depends on, and the UMS decayed-usage cache.
+//! Checkpoint snapshots: a single CRC-framed object capturing what a site
+//! cannot recompute on restart without replaying its full history — the USS
+//! local histogram and ingest counters, the publisher sequence, per-peer
+//! exchange cursors and the origin-scoped absolute-cell mirrors the
+//! positive-delta merge depends on. Nothing derived from those is kept: the
+//! UMS cache is rebuilt from them by the first refresh after a restart.
 //!
 //! Checkpoints alternate between two slots (`ckpt-a` / `ckpt-b`): a write
 //! always targets the slot *not* holding the latest good snapshot, so a
@@ -15,17 +16,18 @@ use crate::storage::Storage;
 use crate::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT};
 use crate::StoreError;
 use aequus_core::codec::{decode_cells, CodecError, NamedCells, Reader, Sink};
-use aequus_core::ids::{GridUser, SiteId};
+use aequus_core::ids::SiteId;
 use aequus_core::usage::UserCells;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Checkpoint format version (bumped on incompatible layout changes;
 /// decoders reject unknown versions rather than misreading them).
 /// Version 2 moved the merge mirrors from per-peer cursors to the
 /// origin-scoped `origin_cells` map (hierarchical-overlay support);
-/// version 3 stores every cell map as a wire-codec section.
-const VERSION: u8 = 3;
+/// version 3 stores every cell map as a wire-codec section; version 4 drops
+/// the UMS cache, its epoch and the USS dirty set.
+const VERSION: u8 = 4;
 
 /// The two alternating slot names.
 pub const SLOTS: [&str; 2] = ["ckpt-a", "ckpt-b"];
@@ -67,14 +69,6 @@ pub struct CheckpointState {
     /// against. Origin-scoped so relayed deliveries (hierarchical overlays)
     /// restore identically to direct ones.
     pub origin_cells: BTreeMap<SiteId, UserCells>,
-    /// UMS decay epoch, if a refresh has happened.
-    pub ums_epoch_s: Option<f64>,
-    /// UMS cached decayed usage per user (valid at `ums_epoch_s`).
-    pub ums_cached: BTreeMap<GridUser, f64>,
-    /// Users with usage changes not yet absorbed by a UMS refresh at
-    /// checkpoint time. `None` means *all* users were pending (the
-    /// conservative whole-tree marker).
-    pub dirty_users: Option<BTreeSet<GridUser>>,
 }
 
 impl Default for CheckpointState {
@@ -89,17 +83,14 @@ impl Default for CheckpointState {
             next_seq: 1,
             peers: BTreeMap::new(),
             origin_cells: BTreeMap::new(),
-            ums_epoch_s: None,
-            ums_cached: BTreeMap::new(),
-            dirty_users: None,
         }
     }
 }
 
-/// A checkpoint whose bulk — the two cell maps and the UMS cache — is
-/// written from flat name-ordered copies of what the services hold keyed by
-/// id, so cutting one builds no per-user map. The encoder's only input;
-/// `head`'s own three bulk fields are left empty and never read.
+/// A checkpoint whose bulk — the two cell maps — is written from flat
+/// name-ordered copies of what the services hold keyed by id, so cutting one
+/// builds no per-user map. The encoder's only input; `head`'s own two bulk
+/// fields are left empty and never read.
 #[derive(Debug)]
 pub struct CheckpointView<'a> {
     /// Every field but the bulk.
@@ -108,8 +99,6 @@ pub struct CheckpointView<'a> {
     pub local_cells: NamedCells<'a>,
     /// Stands in for `head.origin_cells`; in origin order.
     pub origin_cells: Vec<(SiteId, NamedCells<'a>)>,
-    /// Stands in for `head.ums_cached`; in user-name order.
-    pub ums_cached: Vec<(&'a GridUser, f64)>,
 }
 
 impl CheckpointView<'_> {
@@ -135,28 +124,6 @@ impl CheckpointView<'_> {
             w.u32(origin.0);
             cells.encode(CELL_ENCODING, &mut w);
         }
-        match head.ums_epoch_s {
-            Some(e) => {
-                w.byte(1);
-                w.f64(e);
-            }
-            None => w.byte(0),
-        }
-        w.varint(self.ums_cached.len() as u64);
-        for (user, usage) in &self.ums_cached {
-            w.str(user.as_str());
-            w.f64(*usage);
-        }
-        match &head.dirty_users {
-            None => w.byte(0),
-            Some(users) => {
-                w.byte(1);
-                w.varint(users.len() as u64);
-                for u in users {
-                    w.str(u.as_str());
-                }
-            }
-        }
         encode_frame(KIND_CHECKPOINT, &w)
     }
 }
@@ -179,7 +146,6 @@ impl CheckpointState {
             origin_cells: (self.origin_cells.iter())
                 .map(|(origin, cells)| (*origin, NamedCells::from_cells(cells)))
                 .collect(),
-            ums_cached: self.ums_cached.iter().map(|(u, v)| (u, *v)).collect(),
         }
     }
 
@@ -213,21 +179,6 @@ impl CheckpointState {
             let origin = SiteId(r.u32()?);
             origin_cells.insert(origin, decode_cells(&mut r, CELL_ENCODING)?);
         }
-        let ums_epoch_s = if r.flag()? { Some(r.f64()?) } else { None };
-        let mut ums_cached = BTreeMap::new();
-        for _ in 0..r.seq_len(12)? {
-            let user = GridUser::new(r.str()?);
-            ums_cached.insert(user, r.f64()?);
-        }
-        let dirty_users = if r.flag()? {
-            let mut users = BTreeSet::new();
-            for _ in 0..r.seq_len(4)? {
-                users.insert(GridUser::new(r.str()?));
-            }
-            Some(users)
-        } else {
-            None
-        };
         r.finish()?;
         Ok(Self {
             lsn,
@@ -239,9 +190,6 @@ impl CheckpointState {
             next_seq,
             peers,
             origin_cells,
-            ums_epoch_s,
-            ums_cached,
-            dirty_users,
         })
     }
 
@@ -300,6 +248,7 @@ pub fn write_next(
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
+    use aequus_core::ids::GridUser;
 
     fn sample(lsn: u64) -> CheckpointState {
         let mut local_cells = BTreeMap::new();
@@ -310,8 +259,6 @@ mod tests {
         peers.insert(SiteId(2), PeerCursor { next_expected: 9 });
         let mut origin_cells = BTreeMap::new();
         origin_cells.insert(SiteId(2), local_cells.clone());
-        let mut ums_cached = BTreeMap::new();
-        ums_cached.insert(GridUser::new("U65"), 0.125);
         CheckpointState {
             lsn,
             taken_s: 1234.5,
@@ -322,9 +269,6 @@ mod tests {
             next_seq: 17,
             peers,
             origin_cells,
-            ums_epoch_s: Some(1200.0),
-            ums_cached,
-            dirty_users: Some([GridUser::new("U30")].into_iter().collect()),
         }
     }
 
@@ -335,15 +279,31 @@ mod tests {
         assert_eq!(CheckpointState::decode_slot(&bytes), Some(state));
     }
 
+    /// The slot the previous layout wrote for the same state — version
+    /// byte 3, and after the cells an empty UMS section (no epoch, no cached
+    /// rows, the all-dirty marker) — passes its CRC and is still refused: an
+    /// old slot is never read as if it were the current layout.
     #[test]
-    fn all_dirty_marker_round_trips() {
-        let mut state = sample(7);
-        state.dirty_users = None;
-        let bytes = state.encode();
-        assert_eq!(
-            CheckpointState::decode_slot(&bytes).unwrap().dirty_users,
-            None
-        );
+    fn a_version_3_slot_is_refused_not_misread() {
+        let current = sample(7).encode();
+        let FrameOutcome::Frame { payload, .. } = decode_frame(&current, 0) else {
+            panic!("a fresh slot is one frame");
+        };
+        let old: Vec<u8> = [3]
+            .iter()
+            .chain(&payload[1..])
+            .chain(&[0, 0, 0])
+            .copied()
+            .collect();
+        let slot = encode_frame(KIND_CHECKPOINT, &old);
+        assert!(matches!(
+            decode_frame(&slot, 0),
+            FrameOutcome::Frame {
+                kind: KIND_CHECKPOINT,
+                ..
+            }
+        ));
+        assert_eq!(CheckpointState::decode_slot(&slot), None);
     }
 
     #[test]

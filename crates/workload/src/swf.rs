@@ -10,7 +10,10 @@
 //! Field usage (0-based): 1 = submit time, 3 = run time, 4 = allocated
 //! processors, 11 = user id. Jobs with non-positive run time or processor
 //! count are skipped on import (they would be removed by the cleaning step
-//! anyway, §IV-1).
+//! anyway, §IV-1). A number that parses is still checked — finite, and
+//! within its integer for a processor count or user id — so an accepted
+//! trace holds only finite submit times ≥ 0, finite run times > 0 and at
+//! least one core per job.
 
 use crate::trace::{Trace, TraceJob};
 use std::fmt::Write as _;
@@ -32,6 +35,14 @@ pub enum SwfError {
         /// 0-based field index.
         field: usize,
     },
+    /// A field parsed as a number no job can hold: `nan`, an infinity, or
+    /// a processor count or user id past its integer type.
+    OutOfRange {
+        /// 1-based line number.
+        line: usize,
+        /// 0-based field index.
+        field: usize,
+    },
 }
 
 impl std::fmt::Display for SwfError {
@@ -43,6 +54,9 @@ impl std::fmt::Display for SwfError {
             SwfError::BadField { line, field } => {
                 write!(f, "line {line}: field {field} is not a number")
             }
+            SwfError::OutOfRange { line, field } => {
+                write!(f, "line {line}: field {field} is out of range")
+            }
         }
     }
 }
@@ -51,7 +65,9 @@ impl std::error::Error for SwfError {}
 
 /// Parse SWF text into a trace. Header comments (`;`) and blank lines are
 /// skipped; jobs with non-positive run time or processor count are dropped
-/// (cancelled/failed jobs, exactly what the §IV-1 cleaning removes).
+/// (cancelled/failed jobs, exactly what the §IV-1 cleaning removes), and a
+/// negative submit time reads as 0. A non-finite field, or a processor count
+/// or user id its integer cannot hold, is an [`SwfError::OutOfRange`].
 pub fn parse_swf(text: &str) -> Result<Trace, SwfError> {
     let mut jobs = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -66,16 +82,19 @@ pub fn parse_swf(text: &str) -> Result<Trace, SwfError> {
                 fields: fields.len(),
             });
         }
-        let num = |i: usize| -> Result<f64, SwfError> {
-            fields[i].parse::<f64>().map_err(|_| SwfError::BadField {
-                line: idx + 1,
-                field: i,
-            })
+        let line = idx + 1;
+        // Field `field` as a number `fits` admits (no range holds a NaN).
+        let num = |field: usize, fits: &dyn Fn(f64) -> bool| -> Result<f64, SwfError> {
+            let value = fields[field].parse::<f64>();
+            let value = value.map_err(|_| SwfError::BadField { line, field })?;
+            fits(value)
+                .then_some(value)
+                .ok_or(SwfError::OutOfRange { line, field })
         };
-        let submit = num(1)?;
-        let run_time = num(3)?;
-        let procs = num(4)?;
-        let user = num(11)? as i64;
+        let submit = num(1, &f64::is_finite)?;
+        let run_time = num(3, &f64::is_finite)?;
+        let procs = num(4, &|v| (-f64::MAX..=f64::from(u32::MAX)).contains(&v))?;
+        let user = num(11, &|v| (i64::MIN as f64..i64::MAX as f64).contains(&v))? as i64;
         if run_time <= 0.0 || procs <= 0.0 {
             continue; // cancelled/failed — the cleaning step's removals
         }
@@ -151,6 +170,60 @@ mod tests {
         let bad = "1 abc 5 3600 1 -1 -1 1 3600 -1 1 7 -1 -1 -1 -1 -1 -1\n";
         let err = parse_swf(bad).unwrap_err();
         assert_eq!(err, SwfError::BadField { line: 1, field: 1 });
+    }
+
+    /// `SAMPLE`'s first job with field `field` written as `value`.
+    fn job_with(field: usize, value: &str) -> Result<Trace, SwfError> {
+        let mut fields: Vec<&str> = SAMPLE.lines().nth(2).unwrap().split(' ').collect();
+        fields[field] = value;
+        parse_swf(&fields.join(" "))
+    }
+
+    fn out_of_range(field: usize) -> Result<Trace, SwfError> {
+        Err(SwfError::OutOfRange { line: 1, field })
+    }
+
+    #[test]
+    fn a_nan_run_time_is_refused_not_a_nan_duration() {
+        assert_eq!(job_with(3, "nan"), out_of_range(3));
+    }
+
+    #[test]
+    fn an_infinite_run_time_is_refused() {
+        assert_eq!(job_with(3, "inf"), out_of_range(3));
+        assert_eq!(job_with(3, "1e400"), out_of_range(3));
+    }
+
+    #[test]
+    fn a_nan_submit_time_is_refused_not_zero() {
+        assert_eq!(job_with(1, "nan"), out_of_range(1));
+        assert_eq!(job_with(1, "inf"), out_of_range(1));
+    }
+
+    #[test]
+    fn a_processor_count_past_u32_is_refused_not_u32_max() {
+        for procs in ["inf", "1e40", "4294967296", "nan"] {
+            assert_eq!(job_with(4, procs), out_of_range(4), "{procs}");
+        }
+        let widest = job_with(4, "4294967295").unwrap();
+        assert_eq!(widest.jobs()[0].cores, u32::MAX);
+    }
+
+    #[test]
+    fn a_nan_user_id_is_refused_not_user0() {
+        assert_eq!(job_with(11, "nan"), out_of_range(11));
+        assert_eq!(job_with(11, "1e19"), out_of_range(11));
+    }
+
+    #[test]
+    fn negative_submits_still_clamp_and_non_positive_jobs_still_skip() {
+        assert_eq!(job_with(1, "-5").unwrap().jobs()[0].submit_s, 0.0);
+        for (field, value) in [(3, "0"), (3, "-1"), (4, "0"), (4, "-1")] {
+            assert!(
+                job_with(field, value).unwrap().is_empty(),
+                "{field}={value}"
+            );
+        }
     }
 
     #[test]

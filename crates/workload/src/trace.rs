@@ -23,7 +23,7 @@ pub struct Trace {
 impl Trace {
     /// Build a trace, sorting jobs by submission time.
     pub fn new(mut jobs: Vec<TraceJob>) -> Self {
-        jobs.sort_by(|a, b| a.submit_s.partial_cmp(&b.submit_s).unwrap());
+        jobs.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
         Self { jobs }
     }
 
@@ -66,7 +66,7 @@ impl Trace {
             .into_iter()
             .map(|(u, c)| (u.to_string(), c as f64 / total))
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
     }
 
@@ -82,7 +82,7 @@ impl Trace {
             .into_iter()
             .map(|(u, v)| (u.to_string(), v / total))
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
     }
 
@@ -187,6 +187,16 @@ mod tests {
         let m = a.merged(&b);
         assert_eq!(m.len(), 3);
         assert_eq!(m.jobs()[1].user, "b");
+    }
+
+    /// A trace built by hand can hold what a parser refuses; sorting and
+    /// ranking it must not panic.
+    #[test]
+    fn a_nan_submit_or_duration_sorts_without_panicking() {
+        let t = Trace::new(vec![tj("a", f64::NAN, 1.0), tj("b", 5.0, f64::NAN)]);
+        assert_eq!(t.jobs()[0].user, "b", "a NaN sorts last");
+        assert_eq!(t.usage_share_by_user().len(), 2);
+        assert_eq!(t.job_share_by_user().len(), 2);
     }
 
     #[test]

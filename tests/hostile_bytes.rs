@@ -8,7 +8,8 @@
 //! Each target starts from valid encodings and is fed seeded mutants —
 //! truncations, bit flips, byte splats, pure noise — a few thousand each.
 //! A mutant may decode (a flipped mantissa bit is still a float) or be
-//! rejected; what it may never do is panic. The checkpoint payload is also
+//! rejected; what it may never do is panic — nor, for an SWF trace, be
+//! accepted with a value no job can hold. The checkpoint payload is also
 //! mutated *behind a valid CRC* — version skew, not bit rot — which is the
 //! one path the frame checksum cannot shield.
 //!
@@ -88,9 +89,6 @@ fn checkpoint() -> CheckpointState {
         ]
         .into(),
         origin_cells: [(SiteId(0), cells(&[("U30", 0, 33.0)]))].into(),
-        ums_epoch_s: Some(3600.0),
-        ums_cached: [(GridUser::new("U65"), 0.5)].into(),
-        dirty_users: Some([GridUser::new("U3")].into()),
     }
 }
 
@@ -200,7 +198,9 @@ const POLICY: &str = "# comments and blank lines are ignored\n\
     /grid/atlas       70   user=C=SE/O=CERN/CN=atlas-prod\n\
     /grid/cms         30\n";
 
-fn swf() -> Vec<u8> {
+/// A trace `to_swf` writes, and a line in exponent form whose every number
+/// one flipped digit carries past what its job can hold (1e388, 9e19).
+fn swf() -> Vec<Vec<u8>> {
     let trace = Trace::new(
         (0..6)
             .map(|i| TraceJob {
@@ -211,7 +211,25 @@ fn swf() -> Vec<u8> {
             })
             .collect(),
     );
-    to_swf(&trace).into_bytes()
+    let wide = "1 1e308 -1 3e307 4e9 -1 -1 1 100 -1 1 9e18 -1 -1 -1 -1 -1 -1\n";
+    vec![to_swf(&trace).into_bytes(), wide.as_bytes().to_vec()]
+}
+
+/// The SWF reader's value oracle: a trace it accepts holds only jobs that
+/// can run — a finite submit time ≥ 0, a finite run time > 0, a core.
+fn swf_accepted(bytes: &[u8]) -> bool {
+    let Ok(trace) = parse_swf(&text(bytes)) else {
+        return false;
+    };
+    for job in trace.jobs() {
+        let submit = job.submit_s.is_finite() && job.submit_s >= 0.0;
+        let runs = job.duration_s.is_finite() && job.duration_s > 0.0;
+        assert!(
+            submit && runs && job.cores >= 1,
+            "parse_swf accepted {job:?}"
+        );
+    }
+    true
 }
 
 /// One mutant of `valid`: kind 0 truncates, 1 flips up to four bits, 2
@@ -319,7 +337,7 @@ fn no_decoder_or_parser_panics_on_mutated_input() {
         ("parse_policy", vec![POLICY.as_bytes().to_vec()], |b| {
             parse_policy(&text(b)).is_ok()
         }),
-        ("parse_swf", vec![swf()], |b| parse_swf(&text(b)).is_ok()),
+        ("parse_swf", swf(), swf_accepted),
         (
             "JsonValue::parse",
             vec![snapshot.to_json().into_bytes()],
@@ -469,7 +487,7 @@ fn deliver_everywhere(sites: &mut [AequusSite], msg: &UssMessage, now: f64, what
             "site {id} answered {what} with {} messages: {msg:?}",
             responses.len()
         );
-        let held = site.uss.checkpoint_view(0, now, None, &[]);
+        let held = site.uss.checkpoint_view(0, now);
         let mirrored = held.origin_cells.iter().map(|(_, cells)| cells);
         for (_, cells) in std::iter::once(&held.local_cells)
             .chain(mirrored)
@@ -629,7 +647,7 @@ fn outside_names_grow_a_site_only_through_bytes_it_accepts() {
     // A checkpoint refused for any of its three reasons, each naming
     // identities the site never met.
     for site in &mut sites {
-        let view = site.uss.checkpoint_view(0, now, None, &[]);
+        let view = site.uss.checkpoint_view(0, now);
         let own = CheckpointState::decode_slot(&view.encode()).expect("a fresh slot decodes");
         let mut stranger = cells(&[("ghost-d", 0, 1.0)]);
         let mut bad_cell = own.clone();
