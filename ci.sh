@@ -84,13 +84,20 @@ fi
 # non-test code (up to the first `#[cfg(test)]`) holds no `expect`/`unwrap`
 # /`unreachable!` — nor do the UMS refresh, which a serving site runs every
 # tick, the USS and the site around it, which every delivery runs through,
-# and the trace an SWF file parses into, which sorts and ranks its values.
+# and the trace an SWF file parses into, which sorts and ranks its values;
+# nor the epoch loop and the shard it steps, the health map, the telemetry
+# locks (a poisoned one is taken over) and the float sorts, which order by
+# `total_cmp`.
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
   crates/services/src/ums.rs crates/services/src/uss.rs crates/services/src/uss/*.rs \
-  crates/services/src/site.rs crates/workload/src/trace.rs; do
+  crates/services/src/site.rs crates/workload/src/trace.rs \
+  crates/sim/src/barrier.rs crates/sim/src/shard.rs crates/services/src/health.rs \
+  crates/telemetry/src/registry.rs crates/telemetry/src/lib.rs crates/telemetry/src/span.rs \
+  crates/core/src/vector.rs crates/stats/src/{acf,gof,ks,optim,select,summary}.rs \
+  crates/stats/src/dist/heavy.rs; do
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()' -e 'unreachable!('; then
-    echo "$f: an expect/unwrap/unreachable on a path a serving site runs over outside input" >&2
+    echo "$f: an expect/unwrap/unreachable in a file held to none" >&2
     exit 1
   fi
 done
@@ -115,10 +122,13 @@ done
 # eager per-sibling derivation with the counters and the kernel bench that
 # measured it (shares are read on demand off the tree's sums), and the
 # checkpoint's UMS section with the install path that read it (a restart
-# rebuilds the UMS from the USS) — and no
+# rebuilds the UMS from the USS), and the barrier's worker pool with its
+# command channels and result types (sites advance in contiguous runs on
+# per-epoch scoped threads) — and no
 # tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
-# running job carries the one it started under). `take_outbox`
+# running job carries the one it started under), nor the engine a channel.
+# `take_outbox`
 # is the one shim left of the broadcast path: code names it only where it is
 # defined and where the benchmark calls it.
 if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_share' \
@@ -127,8 +137,9 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'ScenarioBuilder' -e 'SERVICE_STAGES' -e 'publish_trace' -e 'heard_age_s < 0\.0' \
   -e 'derive_group' -e 'changed_elements' -e 'shares_refreshed' -e 'fairshare_kernel' \
   -e 'ums_cached' -e 'export_state' -e 'install_state' -e 'row_from' \
+  -e 'worker_loop' -e 'WorkerOut' -e 'SiteFragments' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
-  git grep -n 'inflight' -- crates/rms; then
+  git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2
   exit 1
 fi

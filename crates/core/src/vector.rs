@@ -104,7 +104,7 @@ impl FairshareVector {
         for i in 0..depth {
             let a = self.elements.get(i).copied().unwrap_or(bal_a);
             let b = other.elements.get(i).copied().unwrap_or(bal_b);
-            match a.partial_cmp(&b).expect("vector elements are finite") {
+            match a.total_cmp(&b) {
                 Ordering::Equal => continue,
                 ord => return ord,
             }

@@ -127,7 +127,7 @@ impl HealthMap {
         let mut all: Vec<f64> = Vec::new();
         for acc in self.links.values() {
             let mut sorted = acc.staleness.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite staleness"));
+            sorted.sort_by(f64::total_cmp);
             let link = LinkReport {
                 staleness_p50_s: percentile(&sorted, 0.50),
                 staleness_p99_s: percentile(&sorted, 0.99),
@@ -144,7 +144,7 @@ impl HealthMap {
         let mut depths = Vec::with_capacity(by_depth.len());
         let mut lag = 0.0;
         for (depth, (count, mut samples, bytes, retries)) in by_depth {
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite staleness"));
+            samples.sort_by(f64::total_cmp);
             let p99 = percentile(&samples, 0.99);
             // A depth-d cell only converges once data has crossed every hop
             // below it too: attribute the *cumulative* p99 staleness.
@@ -158,7 +158,7 @@ impl HealthMap {
                 convergence_lag_s: lag,
             });
         }
-        all.sort_by(|a, b| a.partial_cmp(b).expect("finite staleness"));
+        all.sort_by(f64::total_cmp);
         HealthReport {
             links,
             depths,

@@ -10,18 +10,17 @@
 //! lookahead ≥ E`, i.e. always in a later epoch, so no shard can ever
 //! receive an event "from the past".
 //!
-//! Determinism does not depend on thread count anywhere in this file: the
-//! epoch schedule is a pure function of the scenario, barrier deliveries are
-//! sorted by source site before they enter destination queues, and sample
-//! fragments are merged in site order. Workers only decide *where* a shard
-//! executes, never *what* it observes.
+//! One loop serves every worker count: the sites are cut into `num_threads`
+//! contiguous runs, the first advancing on the calling thread and each
+//! other on a scoped thread of its own. Determinism does not depend on the
+//! run count: the schedule is a pure function of the scenario, and the
+//! coordinator reads staged sends and sample fragments in run order — site
+//! order, so nothing is sorted — and pushes every delivery at one point.
 
 use crate::event::Event;
 use crate::metrics::ShardSample;
 use crate::shard::{Outgoing, Shard};
-use aequus_services::UssMessage;
 use aequus_telemetry::Histogram;
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// One epoch: advance every shard to `limit_s`, then (optionally) assemble
@@ -127,70 +126,52 @@ impl EpochSchedule {
     }
 }
 
-enum Cmd {
-    Epoch {
-        /// Epoch index in the schedule (profiler span tagging).
-        index: u64,
-        epoch: Epoch,
-        /// Barrier deliveries for this worker's shards, already in global
-        /// (source site, staging) order.
-        deliveries: Vec<(usize, f64, UssMessage)>,
-    },
-    Finish,
+/// What a run hands the coordinator at each barrier: the sends it staged,
+/// and when it finished (only while profiling more than one run).
+#[derive(Default)]
+struct Handoff {
+    staged: Vec<Outgoing>,
+    finished: Option<Instant>,
 }
 
-/// Sample fragments tagged with their site, so the coordinator can put the
-/// workers' fragments back in site order.
-type SiteFragments = Vec<(usize, ShardSample)>;
-
-struct WorkerOut {
-    outgoing: Vec<Outgoing>,
-    fragments: SiteFragments,
-}
-
-/// One epoch over the shards one thread owns, in site order: advance each
-/// shard to the epoch limit (its cross-shard sends staged on `outgoing`),
-/// then take every shard's sample fragment if the barrier samples. The
-/// serial loop and the workers both run exactly this.
+/// One epoch over a run of sites, in site order: advance each shard to the
+/// epoch limit (its cross-shard sends staged on the handoff), then take
+/// every shard's sample fragment if the barrier samples.
 fn run_epoch(
     shards: &mut [Shard],
+    handoff: &mut Handoff,
     index: u64,
     epoch: Epoch,
     end_s: f64,
-    outgoing: &mut Vec<Outgoing>,
-) -> SiteFragments {
+    wait_clock: bool,
+) -> Vec<ShardSample> {
+    let limit_s = epoch.limit_s;
     for shard in shards.iter_mut() {
-        let before = shard.stats.events;
-        shard.prof.begin_epoch(index, epoch.limit_s, before);
-        shard.advance(epoch.limit_s, epoch.inclusive, end_s, outgoing);
-        let after = shard.stats.events;
-        shard.prof.end_epoch(after);
+        shard.prof.begin_epoch(index, limit_s, shard.stats.events);
+        shard.advance(limit_s, epoch.inclusive, end_s, &mut handoff.staged);
+        shard.prof.end_epoch(shard.stats.events);
     }
-    if !epoch.sample {
-        return Vec::new();
-    }
-    shards
-        .iter_mut()
-        .map(|s| (s.index, s.sample_fragment(epoch.limit_s)))
-        .collect()
-}
-
-/// Site-ordered fragments as `at_barrier` takes them.
-fn untagged(fragments: SiteFragments) -> Vec<ShardSample> {
-    fragments.into_iter().map(|(_, s)| s).collect()
+    let fragments = if epoch.sample {
+        shards
+            .iter_mut()
+            .map(|s| s.sample_fragment(limit_s))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    handoff.finished = wait_clock.then(Instant::now);
+    fragments
 }
 
 /// Drive `shards` through `schedule`, calling `at_barrier(now, fragments)`
 /// — one fragment per site, in site order — at every sampling barrier.
 /// Returns the shards in site order plus the peak number of cross-shard
-/// deliveries pending at any single barrier — the engine's mailbox
-/// high-water mark (deterministic: both paths stage the same sends per
-/// epoch).
+/// deliveries pending at any single barrier (the engine's mailbox
+/// high-water mark, the same at any run count).
 ///
-/// `num_threads <= 1` runs the identical epoch loop inline; more threads run
-/// persistent `std::thread::scope` workers fed per-epoch commands over
-/// channels. Both paths perform the same pushes in the same per-shard order,
-/// so they produce bit-identical shard states.
+/// Runs are `num_threads` contiguous slices of the sites (5 sites on 2
+/// threads run 3 + 2); with one run nothing is spawned. A run that panics
+/// re-raises its own payload.
 pub fn drive(
     mut shards: Vec<Shard>,
     num_threads: usize,
@@ -199,164 +180,61 @@ pub fn drive(
     epoch_hist: &Histogram,
     mut at_barrier: impl FnMut(f64, Vec<ShardSample>),
 ) -> (Vec<Shard>, u64) {
-    let n_workers = num_threads.min(shards.len()).max(1);
+    let run_len = shards.len().div_ceil(num_threads.max(1)).max(1);
+    let mut handoffs: Vec<Handoff> = shards.chunks(run_len).map(|_| Handoff::default()).collect();
+    // Barrier wait is the join time minus a run's finish time, charged to
+    // the *waiting* shards (the busy run shows up as compute).
+    let wait_clock = handoffs.len() > 1 && shards.iter().any(|s| s.prof.is_on());
     let mut mailbox_hwm: u64 = 0;
-    if n_workers <= 1 {
-        let mut outgoing: Vec<Outgoing> = Vec::new();
-        let mut epoch_idx: u64 = 0;
-        while let Some(epoch) = schedule.next() {
-            let timer = epoch_hist.start_timer();
-            let fragments = run_epoch(&mut shards, epoch_idx, epoch, end_s, &mut outgoing);
-            if epoch.sample {
-                at_barrier(epoch.limit_s, untagged(fragments));
-            }
-            mailbox_hwm = mailbox_hwm.max(outgoing.len() as u64);
-            // Shards were advanced in site order, so `outgoing` is already
-            // sorted by (source, staging order) — deliver directly.
-            for o in outgoing.drain(..) {
-                shards[o.dest]
-                    .queue
-                    .push(o.arrival_s, Event::UssDeliver(o.msg));
-            }
-            timer.observe();
-            epoch_idx += 1;
-        }
-        return (shards, mailbox_hwm);
-    }
-
-    let n_sites = shards.len();
-    // Round-robin: neighbouring (similarly loaded) sites land on different
-    // workers. Which thread runs a shard never changes what it computes.
-    let worker_of: Vec<usize> = (0..n_sites).map(|site| site % n_workers).collect();
-    // Partition shards per worker, preserving site order within each.
-    let mut per_worker: Vec<Vec<Shard>> = (0..n_workers).map(|_| Vec::new()).collect();
-    for shard in shards.drain(..) {
-        per_worker[worker_of[shard.index]].push(shard);
-    }
-
-    std::thread::scope(|scope| {
-        let (res_tx, res_rx) = mpsc::channel::<(usize, WorkerOut)>();
-        let mut cmd_txs = Vec::with_capacity(n_workers);
-        let mut handles = Vec::with_capacity(n_workers);
-        for (w, worker_shards) in per_worker.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<Cmd>();
-            cmd_txs.push(tx);
-            let res_tx = res_tx.clone();
-            handles.push(scope.spawn(move || worker_loop(w, worker_shards, rx, res_tx, end_s)));
-        }
-        drop(res_tx);
-
-        let mut pending: Vec<Outgoing> = Vec::new();
-        let mut epoch_idx: u64 = 0;
-        while let Some(epoch) = schedule.next() {
-            let timer = epoch_hist.start_timer();
-            let mut deliveries: Vec<Vec<(usize, f64, UssMessage)>> =
-                (0..n_workers).map(|_| Vec::new()).collect();
-            for o in pending.drain(..) {
-                deliveries[worker_of[o.dest]].push((o.dest, o.arrival_s, o.msg));
-            }
-            for (tx, batch) in cmd_txs.iter().zip(deliveries) {
-                tx.send(Cmd::Epoch {
-                    index: epoch_idx,
-                    epoch,
-                    deliveries: batch,
-                })
-                .expect("worker alive");
-            }
-            let mut outs: Vec<WorkerOut> = (0..n_workers)
-                .map(|_| res_rx.recv().expect("worker epoch result").1)
-                .collect();
-            // Each source site lives on exactly one worker and its sends
-            // arrive in one contiguous in-order run, so a stable sort by
-            // source reconstructs the exact serial delivery order no matter
-            // which worker reported first.
-            let mut all_out: Vec<Outgoing> =
-                outs.iter_mut().flat_map(|o| o.outgoing.drain(..)).collect();
-            all_out.sort_by_key(|o| o.source);
-            pending = all_out;
-            mailbox_hwm = mailbox_hwm.max(pending.len() as u64);
-            if epoch.sample {
-                let mut frags: SiteFragments = outs
-                    .iter_mut()
-                    .flat_map(|o| o.fragments.drain(..))
+    let mut index: u64 = 0;
+    while let Some(epoch) = schedule.next() {
+        let timer = epoch_hist.start_timer();
+        let step = |run: &mut [Shard], handoff: &mut Handoff| {
+            run_epoch(run, handoff, index, epoch, end_s, wait_clock)
+        };
+        let mut runs = shards.chunks_mut(run_len).zip(&mut handoffs);
+        let fragments = match runs.next() {
+            None => Vec::new(),
+            Some((run, handoff)) if runs.len() == 0 => step(run, handoff),
+            Some((run, handoff)) => std::thread::scope(|scope| {
+                let step = &step;
+                let others: Vec<_> = runs
+                    .map(|(run, h)| scope.spawn(move || step(run, h)))
                     .collect();
-                frags.sort_by_key(|f| f.0);
-                at_barrier(epoch.limit_s, untagged(frags));
-            }
-            timer.observe();
-            epoch_idx += 1;
-        }
-        for tx in &cmd_txs {
-            tx.send(Cmd::Finish).expect("worker alive");
-        }
-        let mut shards: Vec<Shard> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker exits cleanly"))
-            .collect();
-        shards.sort_by_key(|s| s.index);
-        (shards, mailbox_hwm)
-    })
-}
-
-fn worker_loop(
-    worker: usize,
-    mut shards: Vec<Shard>,
-    rx: mpsc::Receiver<Cmd>,
-    res_tx: mpsc::Sender<(usize, WorkerOut)>,
-    end_s: f64,
-) -> Vec<Shard> {
-    // Barrier-wait measurement: elapsed between finishing an epoch and the
-    // next command's arrival is exactly how long this worker's shards sat
-    // idle at the barrier. Charged to every local shard — the *waiting*
-    // shards pay, the busy shard on some other worker shows up as compute.
-    // Only taken while profiling: an unprofiled run reads no clock here.
-    let measure_wait = shards.iter().any(|s| s.prof.is_on());
-    let mut last_done: Option<Instant> = None;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Epoch {
-                index,
-                epoch,
-                deliveries,
-            } => {
-                if let Some(done) = last_done.take() {
-                    let wait_ns = done.elapsed().as_nanos() as u64;
-                    for shard in &mut shards {
-                        shard.prof.record_wait_ns(wait_ns, index, epoch.limit_s);
+                let mut fragments = step(run, handoff);
+                for other in others {
+                    match other.join() {
+                        Ok(mut more) => fragments.append(&mut more),
+                        Err(payload) => std::panic::resume_unwind(payload),
                     }
                 }
-                // Barrier deliveries first, in the coordinator's global
-                // order — the serial engine pushes them at the same point
-                // (after the previous epoch, before this one advances).
-                for (dest, arrival_s, msg) in deliveries {
-                    let shard = shards
-                        .iter_mut()
-                        .find(|s| s.index == dest)
-                        .expect("delivery routed to owning worker");
-                    shard.queue.push(arrival_s, Event::UssDeliver(msg));
-                }
-                let mut outgoing = Vec::new();
-                let fragments = run_epoch(&mut shards, index, epoch, end_s, &mut outgoing);
-                if res_tx
-                    .send((
-                        worker,
-                        WorkerOut {
-                            outgoing,
-                            fragments,
-                        },
-                    ))
-                    .is_err()
-                {
-                    break; // coordinator gone — unwind quietly
-                }
-                if measure_wait {
-                    last_done = Some(Instant::now());
+                fragments
+            }),
+        };
+        if wait_clock {
+            let joined = Instant::now();
+            for (run, h) in shards.chunks_mut(run_len).zip(&handoffs) {
+                let wait_ns = h.finished.map_or(0, |t| (joined - t).as_nanos() as u64);
+                for shard in run {
+                    shard.prof.record_wait_ns(wait_ns, index, epoch.limit_s);
                 }
             }
-            Cmd::Finish => break,
         }
+        if epoch.sample {
+            at_barrier(epoch.limit_s, fragments);
+        }
+        let pending: usize = handoffs.iter().map(|h| h.staged.len()).sum();
+        mailbox_hwm = mailbox_hwm.max(pending as u64);
+        // Runs are contiguous and read in order: deliveries go out by source
+        // site, then staging order, the same pushes at any run count.
+        for o in handoffs.iter_mut().flat_map(|h| h.staged.drain(..)) {
+            let queue = &mut shards[o.dest].queue;
+            queue.push(o.arrival_s, Event::UssDeliver(o.msg));
+        }
+        timer.observe();
+        index += 1;
     }
-    shards
+    (shards, mailbox_hwm)
 }
 
 #[cfg(test)]

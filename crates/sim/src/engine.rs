@@ -1,10 +1,11 @@
 //! The grid simulation coordinator: builds one shard per site, pre-routes
 //! the workload trace, drives the shards through the epoch-barrier schedule
-//! (serially or on scoped worker threads), and assembles the results — the
-//! in-silico equivalent of the paper's 7-machine test bed, scaled out.
+//! (contiguous runs of sites, all but the first on per-epoch scoped
+//! threads), and assembles the results — the in-silico equivalent of the
+//! paper's 7-machine test bed, scaled out.
 //!
 //! All simulation mechanics live in [`crate::shard`] (per-site event
-//! processing) and [`crate::barrier`] (epoch schedule + worker pool); this
+//! processing) and [`crate::barrier`] (epoch schedule + epoch loop); this
 //! module only wires them together. The worker count never changes results:
 //! see DESIGN.md §4h for the determinism argument.
 
@@ -136,8 +137,8 @@ pub struct GridSimulation {
     /// separate from the per-site registries.
     telemetry: Telemetry,
     /// Handle onto the reference site's registry (shared `Arc`), so the
-    /// flight recorder can dump site-0 spans/events from the coordinator
-    /// while the shard itself may live on a worker thread.
+    /// flight recorder can dump site-0 spans/events from the barrier hook
+    /// while `barrier::drive` owns the shards.
     site0_telemetry: Telemetry,
     /// The SLO alert stream's sink, when the scenario configured one.
     recorder: Option<FlightRecorder>,
@@ -652,24 +653,47 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_results() {
-        // The tentpole invariant at unit scale: 2 threads over 2 shards must
-        // replay the serial run bit-for-bit (the dedicated equivalence suite
-        // covers the chaos matrix; this is the smoke check).
+        // The tentpole invariant at unit scale: 5 sites in uneven runs (3 + 2
+        // on 2 threads, 2 + 2 + 1 on 3) must replay the serial run
+        // bit-for-bit, folded profile included (the dedicated equivalence
+        // suite covers the chaos matrix; this is the smoke check). Barrier
+        // wait is wall time read only with more than one run: a serial
+        // profile has none, a threaded one one per shard per epoch.
         let trace = uniform_trace(40, 7.0, 40.0);
-        let serial = GridSimulation::new(small_scenario()).run(&trace, 1500.0);
-        let parallel = GridSimulation::new(small_scenario().with_threads(2)).run(&trace, 1500.0);
-        assert_eq!(serial.total_completed(), parallel.total_completed());
-        assert_eq!(serial.events_processed, parallel.events_processed);
-        assert_eq!(serial.site_usage_views, parallel.site_usage_views);
-        for (a, b) in serial
-            .metrics
-            .samples()
-            .iter()
-            .zip(parallel.metrics.samples())
-        {
-            assert_eq!(a.users, b.users);
-            assert_eq!(a.utilization, b.utilization);
-            assert_eq!(a.per_site_priority, b.per_site_priority);
+        let run = |threads: usize| {
+            let sc = small_scenario().sites(5).with_profiling();
+            GridSimulation::new(sc.with_threads(threads)).run(&trace, 1500.0)
+        };
+        let serial = run(1);
+        let serial_profile = serial.profile.as_ref().unwrap();
+        for shard in &serial_profile.shards {
+            assert!(!shard.stages.contains_key("barrier.wait"));
+        }
+        for threads in [2, 3] {
+            let parallel = run(threads);
+            assert_eq!(serial.total_completed(), parallel.total_completed());
+            assert_eq!(serial.events_processed, parallel.events_processed);
+            assert_eq!(serial.site_usage_views, parallel.site_usage_views);
+            for (a, b) in serial
+                .metrics
+                .samples()
+                .iter()
+                .zip(parallel.metrics.samples())
+            {
+                assert_eq!(a.users, b.users);
+                assert_eq!(a.utilization, b.utilization);
+                assert_eq!(a.per_site_priority, b.per_site_priority);
+            }
+            let profile = parallel.profile.as_ref().unwrap();
+            assert_eq!(profile.to_folded(), serial_profile.to_folded());
+            for shard in &profile.shards {
+                let epochs = shard.stages["epoch"].calls;
+                assert!(epochs > 0);
+                assert_eq!(
+                    shard.stages["barrier.wait"].calls, epochs,
+                    "{threads} threads"
+                );
+            }
         }
     }
 

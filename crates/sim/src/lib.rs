@@ -16,7 +16,8 @@
 //!   share), utilization, throughput, and convergence detection.
 //! * [`faults`] — message drops, site partitions, per-shard fault streams.
 //! * [`shard`] — one independently steppable site (queue + stack + RNG).
-//! * [`barrier`] — the epoch schedule and the scoped-thread worker pool.
+//! * [`barrier`] — the epoch schedule and the one epoch loop (contiguous
+//!   runs of sites, all but the first on per-epoch scoped threads).
 //! * [`engine`] — the thin coordinator tying it together.
 
 #![warn(missing_docs)]

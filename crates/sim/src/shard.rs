@@ -27,8 +27,8 @@ use std::sync::Arc;
 /// A cross-shard message staged during an epoch, delivered at the barrier.
 #[derive(Debug)]
 pub struct Outgoing {
-    /// Source site (barrier delivery sorts by this, so destination queues
-    /// see messages in the same order the serial engine would push them).
+    /// Source site (the barrier delivers in source order: runs of sites are
+    /// contiguous and read in order, so nothing needs sorting by this).
     pub source: usize,
     /// Destination site.
     pub dest: usize,
@@ -184,7 +184,9 @@ impl Shard {
             if !due || t > end_s {
                 break;
             }
-            let (now, event) = self.queue.pop().expect("peeked event");
+            let Some((now, event)) = self.queue.pop() else {
+                break;
+            };
             self.stats.events += 1;
             match event {
                 Event::JobArrival(job) => {

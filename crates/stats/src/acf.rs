@@ -43,7 +43,7 @@ pub fn dominant_period(series: &[f64], max_lag: usize) -> Option<(usize, f64)> {
     r.iter()
         .enumerate()
         .skip(1)
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .filter(|(_, &v)| v > threshold)
         .map(|(k, &v)| (k, v))
 }

@@ -108,7 +108,7 @@ impl Burr {
             return None;
         }
         let mut sorted: Vec<f64> = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_by(f64::total_cmp);
         let med = sorted[sorted.len() / 2].max(1e-12);
         let mut best: Option<(f64, Burr)> = None;
         for &(c0, k0) in &[(1.0f64, 1.0f64), (2.0, 0.5), (0.5, 2.0), (5.0, 0.2)] {

@@ -11,7 +11,7 @@ impl Ecdf {
     /// Build an ECDF; non-finite values are dropped.
     pub fn new(data: &[f64]) -> Self {
         let mut sorted: Vec<f64> = data.iter().cloned().filter(|x| x.is_finite()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_by(f64::total_cmp);
         Self { sorted }
     }
 

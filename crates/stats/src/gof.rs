@@ -19,7 +19,7 @@ pub fn anderson_darling<F: Fn(f64) -> f64>(data: &[f64], cdf: F) -> f64 {
         return 0.0;
     }
     let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let nf = n as f64;
     let eps = 1e-12;
     let mut sum = 0.0;
@@ -48,7 +48,7 @@ pub fn qq_series<D: ContinuousDistribution>(
         return vec![];
     }
     let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     (1..=points)
         .map(|i| {

@@ -10,7 +10,7 @@ pub fn ks_statistic<F: Fn(f64) -> f64>(data: &[f64], cdf: F) -> f64 {
         return 0.0;
     }
     let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len() as f64;
     let mut d = 0.0f64;
     for (i, &x) in sorted.iter().enumerate() {
@@ -53,8 +53,8 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> f64 {
     }
     let mut xa: Vec<f64> = a.to_vec();
     let mut xb: Vec<f64> = b.to_vec();
-    xa.sort_by(|p, q| p.partial_cmp(q).unwrap());
-    xb.sort_by(|p, q| p.partial_cmp(q).unwrap());
+    xa.sort_by(f64::total_cmp);
+    xb.sort_by(f64::total_cmp);
     let (na, nb) = (xa.len() as f64, xb.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut d = 0.0f64;

@@ -60,7 +60,7 @@ where
     while evals < max_evals {
         // Order vertices by objective value.
         let mut idx: Vec<usize> = (0..=n).collect();
-        idx.sort_by(|&a, &b| fvals[a].partial_cmp(&fvals[b]).unwrap());
+        idx.sort_by(|&a, &b| fvals[a].total_cmp(&fvals[b]));
         let best = idx[0];
         let worst = idx[n];
         let second_worst = idx[n - 1];

@@ -82,7 +82,7 @@ pub fn fit_all(data: &[f64]) -> Vec<FitResult> {
             })
         })
         .collect();
-    results.sort_by(|a, b| a.bic.partial_cmp(&b.bic).unwrap());
+    results.sort_by(|a, b| a.bic.total_cmp(&b.bic));
     results
 }
 

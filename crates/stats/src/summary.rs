@@ -15,7 +15,7 @@ pub fn quantile(data: &[f64], q: f64) -> Option<f64> {
         return None;
     }
     let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let h = (sorted.len() - 1) as f64 * q;
     let lo = h.floor() as usize;
     let hi = h.ceil() as usize;

@@ -58,7 +58,7 @@ pub use span::{SpanRecord, SpanTree, TraceCtx};
 
 use provenance::ProvenanceRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tracer::PipelineTracer;
 
 /// What a telemetry domain retains of its recent past, behind one lock.
@@ -89,8 +89,12 @@ struct Inner {
 }
 
 impl Inner {
+    /// The records, taken over if a panic poisoned their lock (as is the
+    /// tracer's): a panic under either lock leaves at most one record or
+    /// trace half-written — diagnostics, never accounting — and every
+    /// reader tolerates that, so it is no reason for a second panic.
     fn records(&self) -> MutexGuard<'_, Records> {
-        self.records.lock().expect("telemetry records poisoned")
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record one span of `site` under `parent` (a trace root when `None`)
@@ -231,7 +235,7 @@ impl Telemetry {
 
     fn with_tracer(&self, f: impl FnOnce(&mut PipelineTracer)) {
         if let Some(i) = &self.inner {
-            let mut tracer = i.tracer.lock().expect("tracer poisoned");
+            let mut tracer = i.tracer.lock().unwrap_or_else(PoisonError::into_inner);
             f(&mut tracer);
             i.tracer_active
                 .store(tracer.active_count() as u64, Ordering::Relaxed);

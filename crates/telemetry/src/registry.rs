@@ -10,7 +10,7 @@ use crate::events::TelemetryEvent;
 use crate::hist::{HistCore, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Monotonic counter handle. Disabled handles no-op.
 #[derive(Clone, Debug, Default)]
@@ -64,6 +64,12 @@ pub struct Registry {
     hists: Mutex<BTreeMap<String, Arc<HistCore>>>,
 }
 
+/// Lock one of a registry's maps. A panic while a map is held leaves it
+/// whole — an entry is in or it is not — so a poisoned lock is taken over.
+fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Registry {
     /// Create an empty registry.
     pub fn new() -> Self {
@@ -72,19 +78,19 @@ impl Registry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().expect("registry poisoned");
+        let mut map = lock(&self.counters);
         Counter(Some(Arc::clone(map.entry(name.to_string()).or_default())))
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().expect("registry poisoned");
+        let mut map = lock(&self.gauges);
         Gauge(Some(Arc::clone(map.entry(name.to_string()).or_default())))
     }
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.hists.lock().expect("registry poisoned");
+        let mut map = lock(&self.hists);
         Histogram(Some(Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(HistCore::new())),
@@ -94,24 +100,15 @@ impl Registry {
     /// Capture the current value of every registered metric.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: self
-                .counters
-                .lock()
-                .expect("registry poisoned")
+            counters: lock(&self.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .expect("registry poisoned")
+            gauges: lock(&self.gauges)
                 .iter()
                 .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
                 .collect(),
-            histograms: self
-                .hists
-                .lock()
-                .expect("registry poisoned")
+            histograms: lock(&self.hists)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),

@@ -84,7 +84,7 @@ impl SpanTree {
         all.sort_by(|a, b| {
             a.trace_id
                 .cmp(&b.trace_id)
-                .then(a.t_s.partial_cmp(&b.t_s).expect("finite span times"))
+                .then(a.t_s.total_cmp(&b.t_s))
                 .then(a.span_id.cmp(&b.span_id))
         });
         let ids: BTreeMap<u64, usize> = all

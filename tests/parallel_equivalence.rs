@@ -6,6 +6,7 @@
 //! must match bit-for-bit, since both paths execute identical operations).
 
 use aequus::core::projection::ProjectionKind;
+use aequus::services::ParticipationMode;
 use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, SimResult};
 use aequus::workload::{Trace, TraceJob};
 
@@ -180,4 +181,31 @@ fn fault_free_runs_are_equivalent_too() {
     let serial = run(clean.clone());
     let parallel = run(clean.with_threads(4));
     assert_equivalent(&serial, &parallel, "fault-free");
+}
+
+/// A grid whose only exchange delivery is due at an infinite time: site 0
+/// reads global data but publishes none, and every exchange takes forever.
+/// Pushing that delivery trips the event queue's finiteness check.
+fn unreachable_delivery(threads: usize) -> SimResult {
+    let mut sc = scenario(base_seed(), ProjectionKind::Percental)
+        .sites(2)
+        .with_threads(threads);
+    sc.faults = FaultPlan::none();
+    sc.clusters[0].participation = ParticipationMode::ReadOnly;
+    sc.timings.exchange_latency_s = f64::INFINITY;
+    run(sc)
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "finiteness is a debug assertion")]
+#[should_panic(expected = "event time must be finite")]
+fn a_panicking_shard_fails_a_serial_run() {
+    unreachable_delivery(1);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "finiteness is a debug assertion")]
+#[should_panic(expected = "event time must be finite")]
+fn a_panicking_shard_fails_a_multi_worker_run() {
+    unreachable_delivery(2);
 }
