@@ -85,14 +85,16 @@ fi
 # /`unreachable!` — nor do the UMS refresh, which a serving site runs every
 # tick, the USS and the site around it, which every delivery runs through,
 # and the trace an SWF file parses into, which sorts and ranks its values;
-# nor the epoch loop and the shard it steps, the health map, the telemetry
+# nor the epoch loop, the shard it steps and the event queue the shard pops,
+# the usage histograms every refresh folds, the health map, the telemetry
 # locks (a poisoned one is taken over) and the float sorts, which order by
 # `total_cmp`.
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
   crates/services/src/ums.rs crates/services/src/uss.rs crates/services/src/uss/*.rs \
   crates/services/src/site.rs crates/workload/src/trace.rs \
-  crates/sim/src/barrier.rs crates/sim/src/shard.rs crates/services/src/health.rs \
+  crates/sim/src/barrier.rs crates/sim/src/shard.rs crates/sim/src/event.rs \
+  crates/core/src/usage.rs crates/services/src/health.rs \
   crates/telemetry/src/registry.rs crates/telemetry/src/lib.rs crates/telemetry/src/span.rs \
   crates/core/src/vector.rs crates/stats/src/{acf,gof,ks,optim,select,summary}.rs \
   crates/stats/src/dist/heavy.rs; do

@@ -161,8 +161,8 @@ impl UserTable {
 /// refresh: usage changes per user, policy share edits per path, or "all"
 /// (structural change / non-separable decay fallback).
 ///
-/// Produced by `Ums`/`Uss` (usage ingestion and summary merges) and `Pds`
-/// (policy edits); consumed by `Fcs::refresh`, which forwards it to
+/// Produced by `Ums` (the users whose weight it re-read) and `Pds` (policy
+/// edits); consumed by `Fcs::refresh`, which forwards it to
 /// [`FairshareTree::recompute_dirty`](crate::fairshare::FairshareTree::recompute_dirty).
 /// Users are named by the [`UserId`]s of the site's [`UserTable`]: a mark
 /// is one integer insert, and the set iterates in id order.

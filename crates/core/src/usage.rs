@@ -110,6 +110,18 @@ impl Hash for CellStore {
     }
 }
 
+/// The head of a [`UsageHistogram::usage`] fold (default: the empty start).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Prefix {
+    /// The first slot the prefix does not cover.
+    pub slot: u64,
+    /// The running sum over the cells below it.
+    pub sum: f64,
+}
+
+/// A [`UsageHistogram::usage`] read: sum, prefix below the mark, cells passed.
+pub type Fold = (f64, Prefix, usize);
+
 /// Per-user usage histogram over fixed time slots ("per-user histograms for
 /// configurable time intervals", §II-A), keyed by the [`UserId`]s of the
 /// holder's [`UserTable`](crate::arena::UserTable).
@@ -202,13 +214,20 @@ impl UsageHistogram {
     /// the centre's age), epoch-relative
     /// ([`epoch_weight`](crate::DecayPolicy::epoch_weight); what the incremental
     /// UMS caches, so that advancing time never dirties unchanged users)
-    /// and raw readouts. One descent plus the user's slots, summed from
-    /// `+0.0` — the bits `Iterator::sum` yields for non-negative terms, and
-    /// `+0.0`, not a float `sum`'s `-0.0`, for a user holding none.
-    pub fn usage(&self, user: UserId, weigh: impl Fn(f64) -> f64) -> f64 {
-        let terms = (self.cells.of(user, 0))
-            .map(|(slot, charge)| charge * weigh((slot as f64 + 0.5) * self.slot_s));
-        terms.fold(0.0, |sum, term| sum + term)
+    /// and raw readouts. One fold from `from` (by default `+0.0`: `sum`'s bits
+    /// for non-negative terms, but `+0.0` for no cells) that also returns its
+    /// prefix below `mark` (`≥ from.slot`); a fold resumed there ends on the
+    /// same bits. Costs one descent plus the user's slots from `from.slot` on.
+    pub fn usage(&self, user: UserId, weigh: impl Fn(f64) -> f64, from: Prefix, mark: u64) -> Fold {
+        debug_assert!(from.slot <= mark, "no prefix below the start");
+        let (mut sum, mut below, mut passed) = (from.sum, Prefix { slot: mark, ..from }, 0);
+        for (slot, charge) in self.cells.of(user, from.slot) {
+            sum += charge * weigh((slot as f64 + 0.5) * self.slot_s);
+            if slot < mark {
+                (below.sum, passed) = (sum, passed + 1);
+            }
+        }
+        (sum, below, passed)
     }
 
     /// A cell of `user` is about to change: their cached total is stale.
@@ -226,7 +245,7 @@ impl UsageHistogram {
             return 0.0; // never held a cell
         };
         if cached.get().is_nan() {
-            cached.set(self.usage(user, |_| 1.0));
+            cached.set(self.usage(user, |_| 1.0, Prefix::default(), 0).0);
         }
         cached.get()
     }
@@ -400,7 +419,8 @@ mod tests {
         assert!((total - 400.0).abs() < 1e-9);
         // Decay with a window covering only recent slots sees partial usage.
         let window = DecayPolicy::Window { window_s: 120.0 };
-        let w = h.usage(A, |centre| window.weight(250.0 - centre));
+        let weigh = |centre| window.weight(250.0 - centre);
+        let (w, _, _) = h.usage(A, weigh, Prefix::default(), 0);
         // Slot centers: 50 (age 200, out), 150 (age 100, in), 250 (age 0, in).
         assert!((w - (200.0 + 100.0)).abs() < 1e-9, "{w}");
     }
@@ -490,8 +510,34 @@ mod tests {
     fn decay_none_sees_all_history() {
         let mut h = UsageHistogram::new(10.0);
         h.record(A, &rec(1, 0.0, 10.0));
-        let v = h.usage(A, |centre| DecayPolicy::None.weight(1e9 - centre));
+        let weigh = |centre| DecayPolicy::None.weight(1e9 - centre);
+        let (v, _, _) = h.usage(A, weigh, Prefix::default(), 0);
         assert!((v - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_fold_resumed_from_its_prefix_ends_on_the_same_bits() {
+        let mut h = UsageHistogram::new(10.0);
+        for (i, start) in [3.0, 17.0, 44.0, 45.0, 90.0, 121.0].into_iter().enumerate() {
+            h.record(A, &rec(1 + i as u32, start, start + 7.3 * i as f64 + 0.1));
+        }
+        let decay = DecayPolicy::Exponential { half_life_s: 30.0 };
+        let weigh = |centre: f64| decay.epoch_weight(50.0 - centre);
+        let (whole, at_5, passed) = h.usage(A, weigh, Prefix::default(), 5);
+        let slots = h.cells().of(A, 0).filter(|&(slot, _)| slot < 5).count();
+        assert_eq!((at_5.slot, passed), (5, slots));
+        let (resumed, at_9, more) = h.usage(A, weigh, at_5, 9);
+        assert_eq!(resumed.to_bits(), whole.to_bits());
+        let (_, fresh_at_9, all) = h.usage(A, weigh, Prefix::default(), 9);
+        assert_eq!(
+            (at_9.slot, at_9.sum.to_bits()),
+            (9, fresh_at_9.sum.to_bits())
+        );
+        assert_eq!(passed + more, all);
+        let (_, past_the_end, _) = h.usage(A, weigh, Prefix::default(), u64::MAX);
+        assert_eq!(past_the_end.sum.to_bits(), whole.to_bits());
+        let (empty, _, none) = h.usage(B, weigh, Prefix::default(), 3);
+        assert!(empty == 0.0 && empty.is_sign_positive() && none == 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::ids::{EntityPath, GridUser, JobId, SiteId};
 use aequus_core::policy::{flat_policy, PolicyNode, PolicyTree};
 use aequus_core::projection::ProjectionKind;
-use aequus_core::usage::{UsageHistogram, UsageRecord};
+use aequus_core::usage::{Prefix, UsageHistogram, UsageRecord};
 use aequus_core::vector::{FairshareVector, Resolution};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -169,6 +169,7 @@ proptest! {
     fn histogram_conserves_charge(
         jobs in proptest::collection::vec((0.0..1e4f64, 0.1..1e3f64, 1u32..8), 1..40),
         slot in 1.0..500.0f64,
+        mark in 0u64..200,
     ) {
         let mut h = UsageHistogram::new(slot);
         let mut expected = 0.0;
@@ -190,11 +191,15 @@ proptest! {
             .map(|i| h.raw_usage(UserId(i)))
             .sum();
         prop_assert!((by_user - expected).abs() < 1e-6 * expected.max(1.0));
-        // Decayed usage never exceeds raw usage.
+        // Decayed usage never exceeds raw usage, and a read resumed from a
+        // prefix of the same fold ends on its bits.
+        let weigh = |centre| DecayPolicy::default().weight(2e4 - centre);
         for i in 0..3 {
             let raw = h.raw_usage(UserId(i));
-            let dec = h.usage(UserId(i), |centre| DecayPolicy::default().weight(2e4 - centre));
+            let (dec, below, _) = h.usage(UserId(i), weigh, Prefix::default(), mark);
             prop_assert!(dec <= raw + 1e-9, "decayed {dec} > raw {raw}");
+            let (resumed, _, _) = h.usage(UserId(i), weigh, below, mark.saturating_add(mark));
+            prop_assert_eq!(resumed.to_bits(), dec.to_bits());
         }
     }
 

@@ -15,7 +15,7 @@
 use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::policy::PolicyTree;
 use aequus_core::projection::{Projection, ProjectionKind};
-use aequus_core::usage::{UsageHistogram, UsageRecord};
+use aequus_core::usage::{Prefix, UsageHistogram, UsageRecord};
 use aequus_core::{GridUser, SystemUser, UserId, UserTable};
 use aequus_services::AequusSite;
 use std::collections::BTreeMap;
@@ -133,7 +133,7 @@ impl FairshareSource for LocalFairshare {
         // One row over the policy's users; what users outside it consumed
         // competes for no share.
         let aged = |centre| self.config.decay.weight(now_s - centre);
-        let decayed = |user| self.usage.usage(user, aged);
+        let decayed = |user| self.usage.usage(user, aged, Prefix::default(), 0).0;
         let policy_users = 0..self.users.base().len() as u32;
         let usage: Vec<f64> = policy_users.map(|user| decayed(UserId(user))).collect();
         let tree = FairshareTree::compute_row(&self.policy, &usage, &self.config, now_s);

@@ -15,14 +15,21 @@
 //! The accumulated [`DirtySet`] is drained by `Fcs::refresh`, which forwards
 //! it to the incremental fairshare recompute.
 //!
+//! A refresh reads a dirty user's cells from the lowest slot that changed
+//! (the USS's mark), not their whole history: a weight is one slot-order
+//! fold, so the UMS keeps its prefixes at a mark with `RESUME_MIN_CELLS`
+//! cells below, and a later read resumes there if its mark is not lower.
+//!
 //! Non-separable decays (window, linear) shift the *relative* weights of
 //! history slots as time passes, so every refresh re-decays everything and
 //! marks the whole set dirty — correct, but never incremental.
 
 use crate::uss::Uss;
 use aequus_core::arena::{DirtySet, UserId};
+use aequus_core::usage::Prefix;
 use aequus_core::DecayPolicy;
 use aequus_telemetry::{Counter, Histogram, Telemetry};
+use std::collections::BTreeMap;
 
 /// Pre-registered UMS metric handles (no-ops until wired).
 #[derive(Debug, Clone, Default)]
@@ -51,6 +58,9 @@ impl UmsMetrics {
 /// each of which dirties every user once — essentially free in practice.
 const REBASE_HALF_LIVES: f64 = 64.0;
 
+/// Fewer cells below a mark than this refold for less than an entry costs.
+const RESUME_MIN_CELLS: usize = 8;
+
 /// Per-site usage monitoring service with a periodic refresh cache.
 #[derive(Debug, Clone)]
 pub struct Ums {
@@ -59,6 +69,9 @@ pub struct Ums {
     /// Per-user usage weights, one row over the ids of the (first) USS's
     /// user table; see [`usage`](Self::usage).
     cached: Vec<f64>,
+    /// Per user, the prefixes their last read left at its mark (cleared with `cached`).
+    resume: BTreeMap<UserId, [Prefix; 2]>,
+    resumed_reads: u64,
     /// Reference epoch of the cached weights (separable decays only).
     epoch_s: Option<f64>,
     /// Users whose cached value changed since the last [`take_dirty`](Self::take_dirty).
@@ -84,6 +97,8 @@ impl Ums {
             refresh_interval_s,
             decay,
             cached: Vec::new(),
+            resume: BTreeMap::new(),
+            resumed_reads: 0,
             epoch_s: None,
             dirty: DirtySet::new(),
             last_refresh_s: None,
@@ -142,24 +157,24 @@ impl Ums {
             (epoch, _) => epoch,
         };
         // Incremental: only the users the USSs marked dirty get re-summed.
-        let mut touched = home.take_dirty();
-        debug_assert!(epoch.is_none() || !touched.is_all(), "USS dirt is per-user");
+        let mut marks = home.take_dirty();
         for uss in more.iter_mut() {
-            for user in uss.take_dirty().users() {
-                touched.mark_user(rehome(home, uss, user));
+            for (user, _) in uss.take_dirty() {
+                marks.entry(rehome(home, uss, user)).or_insert(0);
             }
         }
-        let mut touched: Vec<UserId> = touched.users().collect();
         if epoch.is_none() {
             // Full rebuild — at a fresh epoch when the decay has one: every
             // weight changes at once, everything is dirty, and every user
             // any of the USSs knows (nobody else) gets an entry.
-            touched = home.known_users();
+            let known = home.known_users().into_iter();
+            marks = known.map(|user| (user, 0)).collect();
             for uss in more.iter() {
                 let known = uss.known_users().into_iter();
-                touched.extend(known.map(|user| rehome(home, uss, user)));
+                marks.extend(known.map(|user| (rehome(home, uss, user), 0)));
             }
             self.cached.clear();
+            self.resume.clear();
             self.epoch_s = decay.separable().then_some(now_s);
             self.dirty.mark_all();
             self.full_rebuilds += 1;
@@ -174,16 +189,26 @@ impl Ums {
         }
         // A non-separable decay's epoch weight is its plain weight.
         let reference = epoch.unwrap_or(now_s);
-        let read =
-            |uss: &Uss, user| uss.usage_of(user, |centre| decay.epoch_weight(reference - centre));
-        for user in touched {
+        let weigh = |centre| decay.epoch_weight(reference - centre);
+        // Several USSs' users read from slot 0 (as a full rebuild's, marked 0).
+        let resumable = more.is_empty();
+        for (user, mark) in marks {
+            let kept = self.resume.get(&user).copied();
+            let kept = kept.filter(|[at, _]| resumable && at.slot <= mark);
+            let (value, below, passed) = home.usage_of(user, weigh, kept.unwrap_or_default(), mark);
+            // A resumed read keeps its entry: an earlier read passed the rest.
+            match resumable && (kept.is_some() || passed >= RESUME_MIN_CELLS) {
+                true => self.resume.insert(user, below),
+                false => self.resume.remove(&user),
+            };
+            self.resumed_reads += u64::from(kept.is_some());
             // Summed across the USSs; `0.0` where one never met the name.
             let name = home.users().name(user);
             let abroad = more.iter().map(|uss| {
                 let id = uss.users().id_of(name);
-                id.map_or(0.0, |id| read(uss, id))
+                id.map_or(0.0, |id| uss.usage_of(id, weigh, Default::default(), 0).0)
             });
-            let value: f64 = std::iter::once(read(home, user)).chain(abroad).sum();
+            let value: f64 = std::iter::once(value).chain(abroad).sum();
             if self.cached.len() <= user.index() {
                 self.cached.resize(user.index() + 1, f64::NAN);
             }
@@ -204,6 +229,7 @@ impl Ums {
     /// reset would read as telemetry going backwards.
     pub fn reset(&mut self) {
         self.cached.clear();
+        self.resume.clear();
         self.epoch_s = None;
         self.dirty = DirtySet::new();
         self.last_refresh_s = None;
@@ -237,6 +263,11 @@ impl Ums {
     /// epoch rebases, and every refresh under non-separable decay).
     pub fn full_rebuilds(&self) -> u64 {
         self.full_rebuilds
+    }
+
+    /// Number of user reads that resumed from kept prefixes, not slot 0.
+    pub fn resumed_reads(&self) -> u64 {
+        self.resumed_reads
     }
 
     /// The reference epoch of the cached weights, when separable decay is
@@ -418,6 +449,57 @@ mod tests {
         assert_eq!(ums.epoch(), Some(100.0));
         assert!(ums.take_dirty().is_all(), "rebase dirties everything");
         assert_eq!(ums.full_rebuilds(), 2);
+    }
+
+    #[test]
+    fn a_long_history_resumes_at_its_mark_and_a_refused_read_drops_it() {
+        let decay = DecayPolicy::Exponential { half_life_s: 600.0 };
+        let job = |start_s: f64, end_s: f64| UsageRecord {
+            job: JobId(0),
+            user: GridUser::new("a"),
+            site: SiteId(0),
+            cores: 3,
+            start_s,
+            end_s,
+        };
+        let mut uss = Uss::new(SiteId(0), ParticipationMode::Full, 60.0);
+        let mut ums = Ums::new(0.0, decay);
+        let a = uss.users_mut().intern(&GridUser::new("a"));
+        // Each step: ingest, refresh, and the weight a fresh UMS computes.
+        let step = |uss: &mut Uss, ums: &mut Ums, rec: UsageRecord, now_s: f64| {
+            uss.ingest(&rec);
+            ums.refresh(uss, now_s);
+            let mut fresh = Ums::new(0.0, decay);
+            fresh.refresh(uss, ums.epoch().expect("separable"));
+            assert_eq!(
+                ums.usage()[a.index()].to_bits(),
+                fresh.usage()[a.index()].to_bits()
+            );
+            (
+                ums.resumed_reads(),
+                ums.resume.get(&a).map(|[local, _]| local.slot),
+            )
+        };
+        assert_eq!(step(&mut uss, &mut ums, job(0.0, 700.0), 700.0), (0, None));
+        // 12 cells below slot 20: kept there.
+        assert_eq!(
+            step(&mut uss, &mut ums, job(1200.0, 1250.0), 1300.0),
+            (0, Some(20))
+        );
+        assert_eq!(
+            step(&mut uss, &mut ums, job(1500.0, 1550.0), 1600.0),
+            (1, Some(25))
+        );
+        // From slot 5, under 8 cells below it: read from slot 0, and the
+        // kept sums — stale below 25 now — go.
+        assert_eq!(
+            step(&mut uss, &mut ums, job(300.0, 1700.0), 1800.0),
+            (1, None)
+        );
+        assert_eq!(
+            step(&mut uss, &mut ums, job(1900.0, 1950.0), 2000.0),
+            (1, Some(31))
+        );
     }
 
     #[test]

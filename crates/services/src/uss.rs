@@ -42,7 +42,7 @@ use aequus_core::arena::{DirtySet, UserId, UserTable};
 use aequus_core::codec::NamedCells;
 use aequus_core::ids::SiteId;
 use aequus_core::usage::{
-    CellStore, UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells,
+    CellStore, Prefix, UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells,
 };
 use aequus_core::{DecayPolicy, GridUser};
 use aequus_store::{CheckpointState, CheckpointView, PeerCursor};
@@ -236,9 +236,9 @@ pub struct Volatile {
     catchup_pending: BTreeSet<SiteId>,
     /// Whether the stale-data policy currently suppresses remote usage.
     remote_suppressed: bool,
-    /// Users whose usage changed since the UMS last drained this service —
-    /// the head of the incremental dirty-set flow USS → UMS → FCS.
-    dirty: DirtySet,
+    /// Users whose usage changed since the UMS last drained this service,
+    /// from the lowest slot that did — the head of the flow USS → UMS → FCS.
+    dirty: Pending,
     /// Users whose [`grid_view`](Uss::grid_view) value changed since the
     /// last `sync_view_row` — fed from the same mutation points as `dirty`,
     /// drained on the sampler's cadence instead of the UMS's. "All" after
@@ -275,7 +275,7 @@ impl Volatile {
             unrelayed: BTreeMap::new(),
             catchup_pending: BTreeSet::new(),
             remote_suppressed: false,
-            dirty: DirtySet::new(),
+            dirty: Pending::new(),
             view_dirty,
             pending_publish_ctx: None,
             latest_publish_ctx: None,
@@ -322,7 +322,7 @@ impl Volatile {
             let Some(lowest) = lowest else {
                 continue;
             };
-            self.dirty.mark_user(user);
+            note_pending(&mut self.dirty, user, lowest);
             self.view_dirty.mark_user(user);
             if let Some(pending) = &mut unrelayed {
                 note_pending(pending, user, lowest);
@@ -428,9 +428,9 @@ impl Hash for Uss {
     }
 }
 
-/// Users awaiting publication or relay: user → the lowest slot at which a
-/// cell of theirs may sit above the mirror it is diffed against.
-type Pending = BTreeMap<UserId, u64>;
+/// Users awaiting publication, relay or a UMS read: user → the lowest slot
+/// at which a cell of theirs may have risen since the set was drained.
+pub type Pending = BTreeMap<UserId, u64>;
 
 /// A pending set as [`Uss::pending`] reports it: by name.
 pub type PendingNames = BTreeMap<GridUser, u64>;
@@ -1026,7 +1026,7 @@ impl Uss {
             self.vol.remote_suppressed = suppress;
             self.vol.view_dirty.mark_all();
             for user in self.vol.remote.cells().users() {
-                self.vol.dirty.mark_user(user);
+                note_pending(&mut self.vol.dirty, user, 0);
             }
             self.metrics.telemetry.event(now_s, "uss.stale_policy", || {
                 if suppress {
@@ -1165,7 +1165,7 @@ impl Uss {
     pub fn replay_ingest(&mut self, rec: &UsageRecord) {
         let user = self.ledger.users.intern(&rec.user);
         if let Some(first_slot) = self.ledger.local.record(user, rec) {
-            self.vol.dirty.mark_user(user);
+            note_pending(&mut self.vol.dirty, user, first_slot);
             self.vol.view_dirty.mark_user(user);
             if self.cfg.mode.contributes() {
                 note_pending(&mut self.vol.unpublished, user, first_slot);
@@ -1196,16 +1196,22 @@ impl Uss {
         self.ledger.next_seq = self.ledger.next_seq.max(seq.saturating_add(1));
     }
 
-    /// One user's usage, each cell weighed by `weigh(slot centre)`
-    /// ([`UsageHistogram::usage`]): local plus, when the mode reads global
-    /// data and the stale policy permits, remote. (A histogram reads `+0.0`
-    /// for a user it does not hold: nothing to the other's bits.)
-    pub fn usage_of(&self, user: UserId, weigh: impl Fn(f64) -> f64 + Copy) -> f64 {
-        let mut value = self.ledger.local.usage(user, weigh);
-        if self.reads_remote() {
-            value += self.vol.remote.usage(user, weigh);
-        }
-        value
+    /// One user's usage, each cell weighed by `weigh(slot centre)`: local
+    /// plus, when the mode reads global data and the stale policy permits,
+    /// remote — each a [`UsageHistogram::usage`] fold resumed from its prefix
+    /// and returning it at `mark` (a default one for an unread histogram).
+    pub fn usage_of(
+        &self,
+        user: UserId,
+        weigh: impl Fn(f64) -> f64 + Copy,
+        [local, remote]: [Prefix; 2],
+        mark: u64,
+    ) -> (f64, [Prefix; 2], usize) {
+        let (value, local, passed) = self.ledger.local.usage(user, weigh, local, mark);
+        // An unread remote adds `+0.0`: nothing to the local sum's bits.
+        let read = (self.reads_remote()).then(|| self.vol.remote.usage(user, weigh, remote, mark));
+        let (more, remote, more_passed) = read.unwrap_or_default();
+        (value + more, [local, remote], passed + more_passed)
     }
 
     /// One user's [`grid_view`](Self::grid_view) value, bit for bit (`0.0`
@@ -1237,7 +1243,8 @@ impl Uss {
     /// Per-user decayed usage, by name: local plus (when the mode reads
     /// global data and the stale policy permits) remote.
     pub fn decayed_usage(&self, now_s: f64, decay: DecayPolicy) -> BTreeMap<GridUser, f64> {
-        self.by_name(|user| self.usage_of(user, |centre| decay.weight(now_s - centre)))
+        let weigh = |centre| decay.weight(now_s - centre);
+        self.by_name(|user| self.usage_of(user, weigh, Default::default(), 0).0)
     }
 
     /// This site's raw (undecayed) per-user view of grid usage, by name:
@@ -1294,9 +1301,9 @@ impl Uss {
         user.map_or(0.0, |user| self.vol.remote.raw_usage(user))
     }
 
-    /// Drain the set of users whose usage changed since the last drain.
-    pub fn take_dirty(&mut self) -> DirtySet {
-        self.vol.dirty.take()
+    /// Drain the users whose usage changed, each from the lowest slot that did.
+    pub fn take_dirty(&mut self) -> Pending {
+        std::mem::take(&mut self.vol.dirty)
     }
 
     /// Total remote usage merged in.

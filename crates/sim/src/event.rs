@@ -1,12 +1,13 @@
 //! The discrete-event core: one shard's deterministic time-ordered event
 //! queue. Events pop in `(time, insertion seq)` order, so a shard's
-//! execution is exactly reproducible; cross-shard order is restored at the
-//! epoch barriers (`barrier::drive` stably sorts deliveries by source site).
+//! execution is exactly reproducible. A FIFO lane takes each push at or after
+//! its tail (every pre-routed arrival), a heap the rest (ticks, deliveries),
+//! and a pop takes the earlier head, so it costs the heap's depth.
 
 use aequus_services::UssMessage;
 use aequus_workload::TraceJob;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A shard-local simulation event. Cross-shard traffic ([`Event::UssDeliver`])
 /// enters a shard's queue only at epoch barriers, via the coordinator.
@@ -57,6 +58,8 @@ impl<E> PartialOrd for Scheduled<E> {
 /// A deterministic time-ordered event queue (one shard's local events).
 #[derive(Debug)]
 pub struct EventQueue<E = Event> {
+    /// Pushes at or after its tail, in push order: sorted, as `seq` grows.
+    lane: VecDeque<Scheduled<E>>,
     heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
     high_water: usize,
@@ -65,6 +68,7 @@ pub struct EventQueue<E = Event> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self {
+            lane: VecDeque::new(),
             heap: BinaryHeap::new(),
             seq: 0,
             high_water: 0,
@@ -91,28 +95,37 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Scheduled { time_s, seq, event });
-        self.high_water = self.high_water.max(self.heap.len());
+        let scheduled = Scheduled { time_s, seq, event };
+        match self.lane.back() {
+            Some(tail) if time_s < tail.time_s => self.heap.push(scheduled),
+            _ => self.lane.push_back(scheduled),
+        }
+        self.high_water = self.high_water.max(self.len());
     }
 
     /// Pop the earliest event, with its time.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        self.heap.pop().map(|s| (s.time_s, s.event))
+        // The earlier head is the greater (`Ord` is inverted); any beats none.
+        let next = match self.lane.front() > self.heap.peek() {
+            true => self.lane.pop_front(),
+            false => self.heap.pop(),
+        };
+        next.map(|s| (s.time_s, s.event))
     }
 
     /// Time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time_s)
+        self.lane.front().max(self.heap.peek()).map(|s| s.time_s)
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 
     /// Peak queue depth observed over the queue's lifetime (saturating
@@ -126,6 +139,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn job(t: f64) -> Event {
         Event::JobArrival(TraceJob {
@@ -182,5 +196,44 @@ mod tests {
         q.pop();
         q.push(4.0, Event::ClusterTick);
         assert_eq!(q.high_water(), 3, "hwm survives full drains");
+    }
+
+    proptest! {
+        /// The two parts pop as one queue: against a reference that keeps
+        /// every entry sorted by `(time, seq)`, each pop returns the same
+        /// entry, and `len`, `peek_time` and `high_water` agree at every
+        /// step. A step `(kind, t)` pushes `t % 4` after the latest time
+        /// pushed (kinds 0–2: monotone runs, with equal times), pushes at
+        /// `t` (kinds 3–4: usually behind the lane's tail, ties with it
+        /// too) or pops (kinds 5–7).
+        #[test]
+        fn the_lane_and_the_heap_pop_as_one_queue(
+            steps in proptest::collection::vec((0u8..8, 0u8..40), 0..200),
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference: Vec<(f64, u64)> = Vec::new();
+            let (mut latest, mut seq, mut hwm) = (0.0, 0u64, 0usize);
+            for (kind, t) in steps {
+                if kind < 5 {
+                    let at = match kind {
+                        0..=2 => latest + f64::from(t % 4),
+                        _ => f64::from(t),
+                    };
+                    latest = f64::max(latest, at);
+                    q.push(at, seq);
+                    reference.push((at, seq));
+                    reference.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                    seq += 1;
+                    hwm = hwm.max(reference.len());
+                } else {
+                    let want = (!reference.is_empty()).then(|| reference.remove(0));
+                    prop_assert_eq!(q.pop(), want);
+                }
+                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(q.is_empty(), reference.is_empty());
+                prop_assert_eq!(q.peek_time(), reference.first().map(|e| e.0));
+                prop_assert_eq!(q.high_water(), hwm);
+            }
+        }
     }
 }
