@@ -87,8 +87,9 @@ fi
 # and the trace an SWF file parses into, which sorts and ranks its values;
 # nor the epoch loop, the shard it steps and the event queue the shard pops,
 # the usage histograms every refresh folds, the health map, the telemetry
-# locks (a poisoned one is taken over) and the float sorts, which order by
-# `total_cmp`.
+# locks (a poisoned one is taken over), the float sorts, which order by
+# `total_cmp`, and the scheduler's dispatch path (a taken slot is an
+# `Option`).
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
   crates/services/src/ums.rs crates/services/src/uss.rs crates/services/src/uss/*.rs \
@@ -97,7 +98,7 @@ for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/core/src/usage.rs crates/services/src/health.rs \
   crates/telemetry/src/registry.rs crates/telemetry/src/lib.rs crates/telemetry/src/span.rs \
   crates/core/src/vector.rs crates/stats/src/{acf,gof,ks,optim,select,summary}.rs \
-  crates/stats/src/dist/heavy.rs; do
+  crates/stats/src/dist/heavy.rs crates/rms/src/{scheduler,dispatch,predict}.rs; do
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()' -e 'unreachable!('; then
     echo "$f: an expect/unwrap/unreachable in a file held to none" >&2
     exit 1

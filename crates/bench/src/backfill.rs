@@ -25,7 +25,8 @@
 //! beating padded walltime requests, and the scheduler hot-path budget
 //! (`next_admitted` sub-µs, plan scan ~O(n log n) at 10k-deep queues, a
 //! saturated scheduling cycle that does not grow with the queue and barely
-//! with lanes and running jobs, a compare per job turned down in its lane).
+//! with lanes and running jobs, a compare per job turned down in its lane,
+//! a backfill cycle that costs tens of ns per lane).
 
 use crate::cli::Shape;
 use crate::experiments::{BALANCE_DWELL_S, BALANCE_EPS};
@@ -443,6 +444,10 @@ pub struct HotPathReport {
     /// pivot, 10,000 one-core jobs queued that would all overrun its shadow
     /// — per queued job, nanoseconds: a job turned down in its lane.
     pub stepped_over_ns: f64,
+    /// One backfill cycle at the `WIDE` shape under `LastKMax { k: 5 }`,
+    /// every class with history, one core free behind a reserved wide pivot
+    /// and nothing admitted, per lane, nanoseconds.
+    pub backfill_lane_ns: f64,
 }
 
 impl HotPathReport {
@@ -588,24 +593,44 @@ fn idle_cycle_ns(
     queued: impl Iterator<Item = Job>,
     reps: usize,
 ) -> f64 {
-    let mut sched = SchedulerCore::new(
+    let sched = neutral_scheduler(cores, DispatchConfig::default());
+    steady_cycle_ns(sched, 0.0, (running, 1e12), queued, reps)
+}
+
+/// A scheduler on one node of `cores` over the [`NeutralSource`], swept
+/// every cycle.
+fn neutral_scheduler(cores: u32, dispatch: DispatchConfig) -> (SchedulerCore, NeutralSource) {
+    let sched = SchedulerCore::with_dispatch(
         SiteId(0),
         NodePool::new(1, cores),
         PriorityWeights::fairshare_only(),
         FactorConfig::default(),
         ReprioritizePolicy::EveryCycle,
+        dispatch,
     );
-    let mut src = NeutralSource(Vec::new());
+    (sched, NeutralSource(Vec::new()))
+}
+
+/// [`idle_cycle_ns`] from `now_s` on: the `holders.0` running jobs ask for
+/// `holders.1` seconds (and never end).
+fn steady_cycle_ns(
+    (mut sched, mut src): (SchedulerCore, NeutralSource),
+    mut now_s: f64,
+    holders: (usize, f64),
+    queued: impl Iterator<Item = Job>,
+    reps: usize,
+) -> f64 {
+    let (running, request_s) = holders;
     for i in 0..running {
-        let holder = Job::new(JobId(i as u64), SystemUser::new("holder"), 1, 0.0, 1e12);
-        sched.submit(holder, &mut src, 0.0);
+        let holder = Job::new(JobId(i as u64), SystemUser::new("holder"), 1, now_s, 1e12);
+        sched.submit(holder.with_request(request_s), &mut src, now_s);
     }
-    sched.advance(&mut src, 0.0);
+    sched.advance(&mut src, now_s);
     assert_eq!(sched.running(), running, "the holders run");
-    queued.for_each(|job| sched.submit(job, &mut src, 0.0));
+    queued.for_each(|job| sched.submit(job, &mut src, now_s));
     let pending = sched.pending();
-    sched.advance(&mut src, 1.0); // first sight of the queue: not the steady cycle
-    let mut now_s = 1.0;
+    now_s += 1.0;
+    sched.advance(&mut src, now_s); // first sight of the queue: not the steady cycle
     let ns = min_ns(reps, || {
         now_s += 1.0;
         sched.advance(&mut src, now_s)
@@ -634,6 +659,35 @@ fn stepped_over_ns(queued: usize, reps: usize) -> f64 {
     let pivot = Job::new(JobId(999), SystemUser::new("pivot"), 8, 0.0, 10.0);
     let narrow = (0..queued).map(|i| queued_job(i, 8, 1, 3e12));
     idle_cycle_ns(8, 7, std::iter::once(pivot).chain(narrow), reps) / queued as f64
+}
+
+/// One backfill cycle at the `WIDE` shape per lane, nanoseconds: under
+/// `LastKMax { k: 5 }` a 5 s job of every (user, width) class has run, then
+/// 127 of 128 cores are held by jobs past their 1 s requests — the 128-wide
+/// pivot is reserved for "any second now" — and each of the 384 lanes holds
+/// a job its class's 5 s estimate keeps from backfilling.
+fn backfill_lane_ns(reps: usize) -> f64 {
+    let (users, widths, running) = WIDE;
+    let (lanes, cores) = (users * widths, running as u32);
+    let dispatch = DispatchConfig {
+        predictor: PredictorKind::LastKMax { k: 5 },
+        ..DispatchConfig::default()
+    };
+    let (mut sched, mut src) = neutral_scheduler(cores, dispatch);
+    let lane_job = |i: usize, submit_s| Job {
+        submit_s,
+        ..queued_job(i, users, 1 << (i % lanes / users), 5.0)
+    };
+    (0..lanes).for_each(|i| sched.submit(lane_job(i, 0.0), &mut src, 0.0));
+    let mut now_s = 0.0;
+    while sched.stats().completed < lanes as u64 {
+        now_s += 5.0;
+        sched.advance(&mut src, now_s);
+    }
+    let pivot = Job::new(JobId(999), SystemUser::new("pivot"), cores, now_s, 10.0);
+    let queued = (lanes..2 * lanes).map(|i| lane_job(i, now_s + 0.5));
+    let queued = std::iter::once(pivot).chain(queued);
+    steady_cycle_ns((sched, src), now_s, (running - 1, 1.0), queued, reps) / lanes as f64
 }
 
 /// Measure the scheduler hot path (see [`HotPathReport`]).
@@ -674,6 +728,7 @@ pub fn run_hotpath_bench() -> HotPathReport {
         cycle_10k_us: saturated_cycle_us(NARROW, 10_000, 200),
         cycle_wide_us: saturated_cycle_us(WIDE, 10_000, 200),
         stepped_over_ns: stepped_over_ns(10_000, 50),
+        backfill_lane_ns: backfill_lane_ns(200),
     }
 }
 
@@ -740,5 +795,6 @@ mod tests {
             "saturated shape holds"
         );
         assert!(stepped_over_ns(50, 2) > 0.0, "nearly full shape holds");
+        assert!(backfill_lane_ns(2) > 0.0, "backfill shape holds");
     }
 }

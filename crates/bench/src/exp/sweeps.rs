@@ -368,6 +368,12 @@ const SATURATED_ITEM_BUDGET_NS: f64 = 5.0;
 /// and a compare; a yielded candidate (heap step, priority, handle, class
 /// lookup) cost ~100.
 const STEPPED_OVER_BUDGET_NS: f64 = 15.0;
+/// Hot-path budget: a backfill cycle at the `WIDE` shape under `LastKMax`,
+/// one core free behind a reserved pivot and nothing admitted, per lane, ns:
+/// ~48 when the pivot's rule prunes the lane heap once and a lane reads its
+/// class estimate by id; a walk that pops every lane head and looks its
+/// class up by name read ~145.
+const BACKFILL_LANE_BUDGET_NS: f64 = 80.0;
 
 /// The dispatch-policy × fairshare-projection matrix (ROADMAP item 2): runs
 /// every {FIFO, EASY, Conservative, SAF} × {Dictionary, Bitwise, Percental}
@@ -522,6 +528,10 @@ pub(super) fn backfill_sweep(args: &Args, gates: &mut Gates) {
         hot.saturated_item_ns(),
         hot.stepped_over_ns
     );
+    println!(
+        "backfill cycle, 64 users x 6 widths, last-k-max, 1 core free behind a reserved pivot: {:.1} ns per lane",
+        hot.backfill_lane_ns
+    );
 
     println!();
     gates.check(
@@ -567,6 +577,11 @@ pub(super) fn backfill_sweep(args: &Args, gates: &mut Gates) {
         &format!("a job turned down in its lane costs <= {STEPPED_OVER_BUDGET_NS:.0} ns"),
         hot.stepped_over_ns <= STEPPED_OVER_BUDGET_NS,
         &format!("{:.1} ns", hot.stepped_over_ns),
+    );
+    gates.check(
+        &format!("a backfill cycle costs <= {BACKFILL_LANE_BUDGET_NS:.0} ns per lane"),
+        hot.backfill_lane_ns <= BACKFILL_LANE_BUDGET_NS,
+        &format!("{:.1} ns", hot.backfill_lane_ns),
     );
     gates.check(
         &format!("EASY 10k scan < {SCAN_10K_BUDGET_US:.0} us"),

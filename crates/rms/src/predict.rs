@@ -101,23 +101,31 @@ impl PredictMetrics {
     }
 }
 
-/// Per-class estimator state.
+/// Per-class estimator state and its estimate, `None` until a completion.
 #[derive(Debug, Clone, Default)]
 struct ClassHistory {
     count: u64,
-    mean: f64,
     last_k: VecDeque<f64>,
+    estimate: Option<f64>,
 }
 
+/// A prediction class's dense id: an index into the predictor's histories.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClassId(usize);
+
 /// The runtime predictor: estimator state and misprediction accounting.
+/// Each prediction class is interned once into a dense `ClassId` (none
+/// under the request echo); a scheduler lane keeps it to index its estimate.
 #[derive(Debug)]
 pub struct RuntimePredictor {
     kind: PredictorKind,
     mispredict: MispredictPolicy,
-    /// One history per prediction class — power-of-two width bucket, then
-    /// user name — so a user's wide jobs don't pollute the estimate for
-    /// their serial ones. Nested so that lookups borrow the name.
-    classes: BTreeMap<u32, BTreeMap<String, ClassHistory>>,
+    /// Class ids by power-of-two width bucket, then user name — so a user's
+    /// wide jobs don't pollute the estimate for their serial ones. Read to
+    /// intern and by name; nested so that lookups borrow the name.
+    ids: BTreeMap<u32, BTreeMap<String, ClassId>>,
+    /// One history per class, by id.
+    histories: Vec<ClassHistory>,
     /// Accuracy accounting.
     pub stats: PredictionStats,
     metrics: PredictMetrics,
@@ -138,7 +146,8 @@ impl RuntimePredictor {
         Self {
             kind,
             mispredict,
-            classes: BTreeMap::new(),
+            ids: BTreeMap::new(),
+            histories: Vec::new(),
             stats: PredictionStats::default(),
             metrics: PredictMetrics::default(),
         }
@@ -149,23 +158,33 @@ impl RuntimePredictor {
         self.metrics = PredictMetrics::wire(t);
     }
 
-    /// The raw estimate of `job`'s prediction class, `None` while the class
-    /// has no history (or the estimator is the request echo): constant
-    /// across the jobs of one class, so a walk reads it once per lane.
-    pub fn history_estimate(&self, job: &Job) -> Option<f64> {
-        let history = || {
-            let (user, width) = class_of(job);
-            self.classes.get(&width)?.get(user)
+    /// The id of `job`'s prediction class, made on first sight with an empty
+    /// history — `None` under the request echo, which learns nothing.
+    pub(crate) fn intern_class(&mut self, job: &Job) -> Option<ClassId> {
+        let (user, width) = class_of(job);
+        let users = match self.kind {
+            PredictorKind::Request => return None,
+            _ => self.ids.entry(width).or_default(),
         };
-        match self.kind {
-            PredictorKind::Request => None,
-            PredictorKind::RunningAverage { .. } => {
-                history().filter(|h| h.count > 0).map(|h| h.mean)
-            }
-            PredictorKind::LastKMax { .. } => history()
-                .filter(|h| !h.last_k.is_empty())
-                .map(|h| h.last_k.iter().copied().fold(0.0, f64::max)),
+        if let Some(&id) = users.get(user) {
+            return Some(id);
         }
+        self.histories.push(ClassHistory::default());
+        let id = ClassId(self.histories.len() - 1);
+        users.insert(user.to_string(), id);
+        Some(id)
+    }
+
+    /// The raw estimate of a prediction class: constant across its jobs, so
+    /// a walk reads it once per lane visit.
+    pub(crate) fn estimate_of(&self, class: ClassId) -> Option<f64> {
+        self.histories.get(class.0)?.estimate
+    }
+
+    /// The estimate of `job`'s class, found by name.
+    pub fn history_estimate(&self, job: &Job) -> Option<f64> {
+        let (user, width) = class_of(job);
+        self.estimate_of(*self.ids.get(&width)?.get(user)?)
     }
 
     /// Predicted runtime of a queued job given its class's
@@ -213,26 +232,26 @@ impl RuntimePredictor {
         } else if predicted_s > actual {
             self.stats.overestimates += 1;
         }
-        let (user, width) = class_of(job);
-        let users = self.classes.entry(width).or_default();
-        let history = match users.get_mut(user) {
-            Some(history) => history,
-            None => users.entry(user.to_string()).or_default(),
+        let Some(class) = self.intern_class(job) else {
+            return;
         };
+        let history = &mut self.histories[class.0];
         history.count += 1;
-        match self.kind {
-            PredictorKind::Request => {}
+        history.estimate = match self.kind {
+            PredictorKind::Request => None,
             PredictorKind::RunningAverage { cap } => {
                 let n = history.count.min(cap.max(1) as u64) as f64;
-                history.mean += (actual_s - history.mean) / n;
+                let mean = history.estimate.unwrap_or(0.0);
+                Some(mean + (actual_s - mean) / n)
             }
             PredictorKind::LastKMax { k } => {
                 history.last_k.push_back(actual_s);
                 while history.last_k.len() > k.max(1) {
                     history.last_k.pop_front();
                 }
+                Some(history.last_k.iter().copied().fold(0.0, f64::max))
             }
-        }
+        };
     }
 }
 
@@ -351,6 +370,46 @@ mod tests {
             believed_end(0.0, predicted_s, 50.0),
             50.0 + MIN_PREDICTION_S
         );
+    }
+
+    proptest::proptest! {
+        /// A class read by id reads what the same class read by name does,
+        /// to the bit, under every estimator — including a class interned
+        /// before its first completion, which estimates nothing.
+        #[test]
+        fn class_ids_read_what_names_read(
+            history in proptest::collection::vec((0u8..3, 0u32..9, 0.0..500.0f64), 0..60),
+            early in 0u8..3,
+        ) {
+            let kinds = [
+                PredictorKind::Request,
+                PredictorKind::RunningAverage { cap: 4 },
+                PredictorKind::LastKMax { k: 3 },
+            ];
+            let named = |user: u8, cores| {
+                let sys = SystemUser::new(format!("u{user}"));
+                Job::new(JobId(0), sys, cores, 0.0, 1.0).with_request(300.0)
+            };
+            let probes: Vec<Job> = (0..4).flat_map(|u| (0..9).map(move |c| named(u, c))).collect();
+            for kind in kinds {
+                let mut p = RuntimePredictor::new(kind, MispredictPolicy::Extend);
+                // User 3 never completes a job: its classes stay empty.
+                let interned = p.intern_class(&named(3, early.into()));
+                let read = |p: &RuntimePredictor, id: Option<ClassId>| p.estimate_of(id?);
+                proptest::prop_assert_eq!(read(&p, interned), None);
+                for &(user, cores, run_s) in &history {
+                    p.on_complete(&named(user, cores), 300.0, run_s);
+                    for job in &probes {
+                        // Read by name first: interning must not move the name.
+                        let bits = |e: Option<f64>| e.map(f64::to_bits);
+                        let by_name = bits(p.history_estimate(job));
+                        let by_id = p.intern_class(job);
+                        proptest::prop_assert_eq!(bits(read(&p, by_id)), by_name);
+                    }
+                }
+                proptest::prop_assert_eq!(read(&p, interned), None);
+            }
+        }
     }
 
     #[test]

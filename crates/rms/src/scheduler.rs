@@ -20,7 +20,7 @@ use crate::job::{Job, JobState};
 use crate::multifactor::{combined_priority, FactorConfig, PriorityWeights};
 use crate::nodes::NodePool;
 use crate::plugin::FairshareSource;
-use crate::predict::{believed_end, PredictionStats, RuntimePredictor};
+use crate::predict::{believed_end, ClassId, PredictionStats, RuntimePredictor};
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, UserId};
@@ -126,10 +126,12 @@ impl SchedulerStats {
 type LaneKey = (Option<UserId>, u32);
 
 /// One user's pending jobs of one width in `(submit_s, id)` = priority
-/// order, with the factor the last sweep fetched. Empty lanes are dropped.
+/// order, with the factor the last sweep fetched and, under a grid
+/// identity, their one prediction class. Empty lanes are dropped.
 #[derive(Debug, Default)]
 struct Lane {
     fairshare: f64,
+    class: Option<ClassId>,
     jobs: VecDeque<Job>,
 }
 
@@ -346,6 +348,9 @@ impl SchedulerCore {
     fn sweep(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
         for FreshEntry { job, user_id, .. } in self.fresh.drain(..) {
             let lane = self.lanes.entry((user_id, job.cores)).or_default();
+            if lane.jobs.is_empty() {
+                lane.class = user_id.and_then(|_| self.predictor.intern_class(&job));
+            }
             // In-order submits append; a late one is sorted in from the back.
             let before = |j: &Job| (j.submit_s, j.id) <= (job.submit_s, job.id);
             let at = lane.jobs.iter().rposition(before).map_or(0, |i| i + 1);
@@ -429,8 +434,9 @@ impl SchedulerCore {
         starts.sort_unstable_by_key(|s| Reverse(yielded[s.handle]));
         let mut started: Vec<(usize, bool, Job)> = starts
             .iter()
-            .map(|s| (s.handle, s.backfill, self.take(yielded[s.handle])))
+            .filter_map(|s| Some((s.handle, s.backfill, self.take(yielded[s.handle])?)))
             .collect();
+        debug_assert_eq!(started.len(), starts.len(), "a slot names a pending job");
         started.sort_unstable_by_key(|s| s.0);
         for (_, backfill, mut job) in started {
             assert!(
@@ -465,17 +471,30 @@ impl SchedulerCore {
     }
 
     /// Remove and return the pending job at `slot`.
-    fn take(&mut self, slot: Slot) -> Job {
+    fn take(&mut self, slot: Slot) -> Option<Job> {
         match slot {
-            Slot::Fresh(i) => self.fresh.remove(i).job,
+            Slot::Fresh(i) => Some(self.fresh.remove(i).job),
             Slot::Lane(key, pos) => {
-                let lane = self.lanes.get_mut(&key).expect("slot names a lane");
-                let job = lane.jobs.remove(pos).expect("slot names a job");
+                let lane = self.lanes.get_mut(&key)?;
+                let job = lane.jobs.remove(pos);
                 if lane.jobs.is_empty() {
                     self.lanes.remove(&key);
                 }
                 job
             }
+        }
+    }
+
+    /// How the plan sees the jobs of `lane`: by its class estimate, read here
+    /// by id, or — a fresh job (`None`), the unmapped lane — job by job.
+    fn view(&self, lane: Option<&Lane>) -> impl Fn(&Job) -> QueuedJob + '_ {
+        let estimate = lane.and_then(|l| Some(self.predictor.estimate_of(l.class?)));
+        move |job: &Job| QueuedJob {
+            cores: job.cores,
+            predicted_s: match estimate {
+                Some(estimate) => RuntimePredictor::predict_from(estimate, job),
+                None => self.predictor.predict(job),
+            },
         }
     }
 
@@ -498,13 +517,12 @@ impl SchedulerCore {
 /// The head of one source in the dispatch merge — a lane's next unvisited
 /// job (with its lane) or a fresh job — ranked as the queue is: priority
 /// descending, then submit time and id ascending.
+#[derive(Clone, Copy)]
 struct Head<'a> {
     prio: f64,
     job: &'a Job,
     slot: Slot,
     lane: Option<&'a Lane>,
-    /// The lane's class-history estimate, once the walk has read it.
-    estimate: Option<Option<f64>>,
 }
 
 impl Ord for Head<'_> {
@@ -533,20 +551,22 @@ impl Eq for Head<'_> {}
 /// fresh jobs. A job's handle is its rank among the jobs yielded so far (so
 /// handles ascend with priority); `yielded` maps handles back to slots.
 ///
-/// A lane's jobs share their width and — under a grid identity — their
-/// prediction class, so the class history is read once per lane per cycle,
-/// and behind the job at the top of the heap the walk steps to the lane's
-/// next job the rule admits: the ones between are never priced, pushed or
-/// given a handle (the rule only tightens, so they could not have started).
+/// The first rule with a reserved pivot prunes the heap once: a lane wider
+/// than the free cores goes, every other steps to its first job the rule
+/// admits or goes. Behind a yielded job its lane steps the same way, and
+/// the top is checked again, as a backfill start may have tightened the
+/// rule since. Jobs stepped over are never priced, pushed or given a handle
+/// (the rule only tightens: they could not have started); a mapped lane's
+/// class estimate is read by id, once per visit.
 ///
-/// Complexity: O(lanes + fresh) to build; a yielded job, or a lane's run of
-/// turned-down jobs, costs one O(log lanes) heap step, one priority
-/// evaluation and a compare per job stepped over; a lane wider than the
-/// free cores goes in one heap step.
+/// Complexity: O(lanes + fresh) to build and to prune; a yielded job, or a
+/// lane that goes, costs one O(log lanes) heap step, one priority
+/// evaluation and a compare per job stepped over.
 struct LaneWalk<'a> {
     sched: &'a SchedulerCore,
     heads: BinaryHeap<Head<'a>>,
     yielded: Vec<Slot>,
+    pruned: bool,
 }
 
 impl<'a> LaneWalk<'a> {
@@ -560,16 +580,16 @@ impl<'a> LaneWalk<'a> {
             job: &e.job,
             slot: Slot::Fresh(i),
             lane: None,
-            estimate: None,
         });
         Self {
             sched,
             heads: lane_heads.chain(fresh).collect(),
             yielded: Vec::new(),
+            pruned: false,
         }
     }
 
-    /// The merge entry of the job at `pos` of a lane, its estimate unread.
+    /// The merge entry of the job at `pos` of a lane.
     fn head(sched: &SchedulerCore, key: LaneKey, lane: &'a Lane, pos: usize) -> Head<'a> {
         let job = &lane.jobs[pos];
         Head {
@@ -577,53 +597,47 @@ impl<'a> LaneWalk<'a> {
             job,
             slot: Slot::Lane(key, pos),
             lane: Some(lane),
-            estimate: None,
         }
+    }
+
+    /// `head`, or with `skip` 1 the job behind it, or else the first job
+    /// after that in its lane that `rule` admits (a fresh job is a lane of
+    /// one); a lane too wide for the rule goes at once.
+    fn admitted(
+        sched: &SchedulerCore,
+        head: Head<'a>,
+        skip: usize,
+        rule: &Admission,
+    ) -> Option<Head<'a>> {
+        let (Slot::Lane(key, pos), Some(lane)) = (head.slot, head.lane) else {
+            return (skip == 0 && rule.admits(&sched.view(None)(head.job))).then_some(head);
+        };
+        if !rule.fits(key.1) {
+            return None;
+        }
+        let (view, mut behind) = (sched.view(Some(lane)), lane.jobs.range(pos + skip..));
+        let skipped = behind.position(|job| rule.admits(&view(job)))?;
+        Some(Self::head(sched, key, lane, pos + skip + skipped))
     }
 }
 
 impl QueueWalk for LaneWalk<'_> {
     fn next_admitted(&mut self, rule: &Admission) -> Option<(usize, QueuedJob)> {
-        let (sched, predictor) = (self.sched, &self.sched.predictor);
+        let sched = self.sched;
+        if !self.pruned && rule.shadow_t < f64::INFINITY {
+            self.pruned = true;
+            let heads = std::mem::take(&mut self.heads).into_vec().into_iter();
+            self.heads = heads
+                .filter_map(|head| Self::admitted(sched, head, 0, rule))
+                .collect();
+        }
         while let Some(mut top) = self.heads.peek_mut() {
-            let (job, slot) = (top.job, top.slot);
-            let q = match (slot, top.lane) {
-                (Slot::Lane(key @ (user, cores), pos), Some(lane)) if rule.fits(cores) => {
-                    // A user's lane is one prediction class, read once; the
-                    // unmapped lane mixes accounts and asks job by job.
-                    let estimate = user.map(|_| {
-                        let read = || predictor.history_estimate(job);
-                        top.estimate.unwrap_or_else(read)
-                    });
-                    let queued = |job: &Job| QueuedJob {
-                        cores,
-                        predicted_s: match estimate {
-                            Some(estimate) => RuntimePredictor::predict_from(estimate, job),
-                            None => predictor.predict(job),
-                        },
-                    };
-                    // The lane's next job the rule admits takes its place.
-                    let mut behind = lane.jobs.range(pos + 1..);
-                    match behind.position(|j| rule.admits(&queued(j))) {
-                        Some(skipped) => {
-                            let next = Self::head(sched, key, lane, pos + 1 + skipped);
-                            *top = Head { estimate, ..next }
-                        }
-                        None => drop(PeekMut::pop(top)),
-                    }
-                    queued(job)
-                }
-                // A fresh job — or a lane too wide for the rule: it goes
-                // whole, its history unread.
-                _ => {
-                    PeekMut::pop(top);
-                    if !rule.fits(job.cores) {
-                        continue;
-                    }
-                    let (cores, predicted_s) = (job.cores, predictor.predict(job));
-                    QueuedJob { cores, predicted_s }
-                }
-            };
+            let q = sched.view(top.lane)(top.job);
+            let slot = top.slot;
+            match Self::admitted(sched, *top, 1, rule) {
+                Some(next) => *top = next,
+                None => drop(PeekMut::pop(top)),
+            }
             if rule.admits(&q) {
                 self.yielded.push(slot);
                 return Some((self.yielded.len() - 1, q));
@@ -856,6 +870,46 @@ mod tests {
         let (j, p) = sched.pending_jobs().next().unwrap();
         assert!(j.grid_user.is_none());
         assert_eq!(p, 0.5);
+    }
+
+    #[test]
+    fn the_walk_checks_its_top_again_when_the_rule_tightens() {
+        // Behind an 8-wide pivot, a's and b's one-core lanes at equal
+        // factors: ids 2, 3 and 5 run 500 s, id 4 runs 5 s. Under the
+        // pivot's rule (a spare core) the walk keeps 2 and 3 at the lane
+        // heads; once a backfill start takes the spare core, 3 — still at
+        // the top — must be turned down, and 4 behind 2 yielded.
+        let mut sched = core(0);
+        let mut src = source();
+        sched.submit(job(1, "sysa", 8, 0.0, 10.0), &mut src, 0.0);
+        for (id, sys, dur) in [(2, "sysa", 500.0), (3, "sysb", 500.0), (4, "sysa", 5.0)] {
+            sched.submit(job(id, sys, 1, 1.0, dur), &mut src, 1.0);
+        }
+        sched.submit(job(5, "sysb", 1, 1.0, 500.0), &mut src, 1.0);
+        sched.advance(&mut src, 2.0);
+        let mut walk = LaneWalk::new(&sched);
+        let loose = Admission {
+            free: 4,
+            spare: 1,
+            now_s: 2.0,
+            shadow_t: 100.0,
+        };
+        let tight = Admission { spare: 0, ..loose };
+        let rules = [Admission::within(u32::MAX), loose, tight, tight];
+        let yielded: Vec<Option<QueuedJob>> = rules
+            .iter()
+            .map(|rule| {
+                let q = walk.next_admitted(rule).map(|(_, q)| q);
+                assert!(q.is_none_or(|q| rule.admits(&q)), "{q:?} under {rule:?}");
+                q
+            })
+            .collect();
+        let id = |slot: &Slot| match *slot {
+            Slot::Lane(key, pos) => sched.lanes[&key].jobs[pos].id.0,
+            Slot::Fresh(i) => sched.fresh[i].job.id.0,
+        };
+        assert_eq!(walk.yielded.iter().map(id).collect::<Vec<_>>(), [1, 2, 4]);
+        assert!(yielded[3].is_none());
     }
 
     fn core_weighted(weights: PriorityWeights) -> SchedulerCore {

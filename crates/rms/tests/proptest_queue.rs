@@ -33,9 +33,9 @@ use aequus_core::{GridUser, SystemUser, UserId};
 use aequus_rms::multifactor::combined_priority;
 use aequus_rms::predict::MIN_PREDICTION_S;
 use aequus_rms::{
-    DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, JobState, MispredictPolicy,
-    NodePool, PredictorKind, PriorityWeights, QueuedJob, ReprioritizePolicy, RunningSlice,
-    RuntimePredictor, SchedulerCore, SliceWalk,
+    Admission, DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, JobState,
+    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
+    ReprioritizePolicy, RunningSlice, RuntimePredictor, SchedulerCore, SliceWalk,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -131,6 +131,31 @@ struct Edges {
     mixed_unmapped_lanes: u32,
     /// Jobs killed at their request.
     killed: u64,
+    /// Backfill cycles in which a lane's first job the pivot's rule admits
+    /// sat behind the lane's first unvisited job.
+    admitted_behind_a_head: u32,
+    /// Backfill cycles in which a job the pivot's rule admitted did not
+    /// start: an earlier backfill start had taken the cores it needed.
+    admitted_then_turned_down: u32,
+}
+
+/// The reference's walk: the sorted slice, noting the first rule with a
+/// reserved pivot it is handed and where in the queue that call began.
+struct Recording<'a> {
+    walk: SliceWalk<'a>,
+    next: usize,
+    pivot_rule: Option<(Admission, usize)>,
+}
+
+impl QueueWalk for Recording<'_> {
+    fn next_admitted(&mut self, rule: &Admission) -> Option<(usize, QueuedJob)> {
+        if self.pivot_rule.is_none() && rule.shadow_t < f64::INFINITY {
+            self.pivot_rule = Some((*rule, self.next));
+        }
+        let got = self.walk.next_admitted(rule);
+        self.next = got.map_or(usize::MAX, |(handle, _)| handle + 1);
+        got
+    }
 }
 
 impl FlatQueue {
@@ -233,9 +258,32 @@ impl FlatQueue {
             })
             .collect();
         let free = self.nodes.free_cores();
-        let plan = self
-            .order
-            .plan(now_s, free, &mut SliceWalk::new(&queue), &running);
+        let mut walk = Recording {
+            walk: SliceWalk::new(&queue),
+            next: 0,
+            pivot_rule: None,
+        };
+        let plan = self.order.plan(now_s, free, &mut walk, &running);
+        if let Some((rule, from)) = walk.pivot_rule {
+            // The pending lanes as they stood when the pivot was reserved:
+            // each one's first unvisited job and first job the rule admits.
+            let mut lanes: BTreeMap<(Option<UserId>, u32), (usize, Option<usize>)> =
+                BTreeMap::new();
+            for (i, (e, q)) in self.pending.iter().zip(&queue).enumerate().skip(from) {
+                let lane = lanes.entry((e.user_id, q.cores)).or_insert((i, None));
+                if lane.1.is_none() && rule.admits(q) {
+                    lane.1 = Some(i);
+                }
+            }
+            let behind = lanes
+                .values()
+                .any(|&(head, first)| first.is_some_and(|f| f > head));
+            self.edges.admitted_behind_a_head += behind as u32;
+            let started: BTreeSet<usize> = plan.starts.iter().map(|s| s.handle).collect();
+            let turned_down =
+                (from..queue.len()).any(|i| rule.admits(&queue[i]) && !started.contains(&i));
+            self.edges.admitted_then_turned_down += turned_down as u32;
+        }
         let overrun = running.iter().any(|r| r.end_s == overdue_s);
         self.edges.shadows_on_overrun += (overrun && plan.shadow_s == Some(overdue_s)) as u32;
         let unmapped = self.pending.iter().filter(|e| e.user_id.is_none());
@@ -512,14 +560,24 @@ proptest! {
 /// * t = 170: `a`'s 5-wide job is reserved at the overrun job's "any second
 ///   now", and `c`'s zero-core job starts behind it on a machine with no
 ///   core free — or under FIFO waits there, cycle after cycle.
+/// * t = 300/310: `a` holds 5 cores, its 6-wide pivot reserves the machine
+///   at t = 330; in `d`'s one-core lane the 60 s job that waited since 280
+///   would not end in time, the 10 s job behind it does.
+/// * t = 450/460: `a` holds 3 cores, its 5-wide pivot leaves one core spare
+///   at t = 490; `b`'s two 100 s one-core jobs both fit it, the first
+///   backfill start takes it and the second is turned down.
 #[test]
 fn a_script_through_the_edges() {
-    let mut script = vec![Vec::new(); 18];
+    let mut script = vec![Vec::new(); 47];
     script[0] = vec![(4, 1, 2, 10.0, 0), (5, 1, 2, 60.0, 0)];
     script[7] = vec![(0, 5, 2, 30.0, 1)];
     script[8] = vec![(0, 6, 2, 30.0, 1), (5, 1, 2, 100.0, 0), (4, 1, 5, 10.0, 0)];
     script[13] = vec![(1, 5, 2, 70.0, 3)];
     script[17] = vec![(0, 5, 2, 20.0, 1), (2, 0, 2, 20.0, 1)];
+    script[30] = vec![(0, 5, 2, 40.0, 1)];
+    script[31] = vec![(0, 6, 2, 30.0, 1), (3, 1, 0, 60.0, 1), (3, 1, 2, 10.0, 1)];
+    script[45] = vec![(0, 3, 2, 40.0, 1)];
+    script[46] = vec![(0, 5, 2, 30.0, 1), (1, 1, 2, 100.0, 1), (1, 1, 2, 100.0, 1)];
     // Ids are interned in submit order: a, b, c.
     let table = [vec![4, 0, 2, 2]];
     let run = |order, reprio, mispredict| {
@@ -544,6 +602,9 @@ fn a_script_through_the_edges() {
     assert!(easy.mixed_unmapped_lanes >= 1, "{easy:?}");
     assert!(easy.shadows_on_overrun >= 1, "{easy:?}");
     assert!(easy.zero_core_starts_on_full >= 1, "{easy:?}");
+    assert!(easy.admitted_behind_a_head >= 1, "{easy:?}");
+    assert!(easy.admitted_then_turned_down >= 1, "{easy:?}");
+    eprintln!("{easy:?}");
     let fifo = run(DispatchOrder::Fifo, every_cycle, MispredictPolicy::Extend);
     assert!(fifo.full_with_zero_core_pending.1 >= 3, "{fifo:?}");
 }
