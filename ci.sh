@@ -89,7 +89,7 @@ fi
 # the usage histograms every refresh folds, the health map, the telemetry
 # locks (a poisoned one is taken over), the float sorts, which order by
 # `total_cmp`, and the scheduler's dispatch path (a taken slot is an
-# `Option`).
+# `Option`), the ECDF's figure series and the SWF writer.
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
   crates/services/src/ums.rs crates/services/src/uss.rs crates/services/src/uss/*.rs \
@@ -98,7 +98,8 @@ for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/core/src/usage.rs crates/services/src/health.rs \
   crates/telemetry/src/registry.rs crates/telemetry/src/lib.rs crates/telemetry/src/span.rs \
   crates/core/src/vector.rs crates/stats/src/{acf,gof,ks,optim,select,summary}.rs \
-  crates/stats/src/dist/heavy.rs crates/rms/src/{scheduler,dispatch,predict}.rs; do
+  crates/stats/src/dist/heavy.rs crates/rms/src/{scheduler,dispatch,predict}.rs \
+  crates/stats/src/ecdf.rs crates/workload/src/swf.rs; do
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()' -e 'unreachable!('; then
     echo "$f: an expect/unwrap/unreachable in a file held to none" >&2
     exit 1
@@ -172,6 +173,13 @@ for f in crates/core/src/fairshare.rs crates/core/src/arena.rs crates/services/s
     exit 1
   fi
 done
+# A user's usage is one slot-sorted row (`CellStore`): the flat per-cell
+# map the rows replaced does not come back beside them — it lives on only
+# as the reference the rows are tested against.
+if git grep -n -F 'BTreeMap<(UserId, u64)' -- crates ':!crates/core/tests/proptest_core.rs'; then
+  echo "a per-cell (user, slot) map is back beside the per-user rows" >&2
+  exit 1
+fi
 # Wall clock is the repo benchmark's to judge (benchmark/): no per-PR
 # snapshot or profile file may be tracked again.
 [ -z "$(git ls-files 'BENCH_*' 'PROFILE_*')" ] || { echo "a BENCH_/PROFILE_ snapshot is tracked again" >&2; exit 1; }

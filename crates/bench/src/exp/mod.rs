@@ -131,7 +131,11 @@ pub const CHECK_PLAN: &[Step] = &[
     // bytes-on-wire by the shape's gated factor (the 3x headline gate runs
     // at the full 100k-user x 32-site shape via `gossip_sweep`). And two
     // growth ratios, 1k -> 10k users: a `Uss::publish` carrying one fresh
-    // user costs at most 3x more, `tracked_users` at most 20x.
+    // user costs at most 3x more, `tracked_users` at most 20x. And one
+    // cost per cell: a delivered 32-cell publication, one cell of it a slot
+    // new to the middle of its row, merges into a site holding 4 users x
+    // 2,000 slots (mirror + remote histogram) at most 200 ns per cell (min
+    // of 24 batches).
     ("gossip_sweep", CHECK),
     // The fault-free chaos grid must fire zero alerts, the 30%-drop + outage
     // run must fire a staleness alert and resolve it after recovery, the

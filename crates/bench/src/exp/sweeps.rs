@@ -235,6 +235,12 @@ const PUBLISH_GROWTH_CEILING: f64 = 3.0;
 /// flat users: linear is 10×, a per-leaf sibling re-sum is 100×.
 const TRACKED_GROWTH_CEILING: f64 = 20.0;
 
+/// Ceiling of one delivered cell's merge into a site holding 4 users ×
+/// 2,000 slots, one of the 32 new and inside its row
+/// ([`crate::gossip::merge_ns_per_cell`]): per-user rows read 72–143 ns
+/// on a 2-core Xeon VM, one B-tree key per cell 210–285.
+const MERGE_CEILING_NS: f64 = 200.0;
+
 /// Gossip trade-off sweep: bytes-on-wire vs convergence time for every
 /// overlay topology (`FullMesh`, `Tree`, `Hub`) × wire encoding (`Dense`,
 /// `Delta`), on one shared workload and seed. The table prints each point's
@@ -312,6 +318,13 @@ pub(super) fn gossip_sweep(args: &Args, gates: &mut Gates) {
         &format!("tracked_users grows <= {TRACKED_GROWTH_CEILING}x from 1k to 10k flat users"),
         growth(tracked) <= TRACKED_GROWTH_CEILING,
         &format!("{:.1}x", growth(tracked)),
+    );
+    let merge = crate::gossip::merge_ns_per_cell();
+    println!("merge of a 32-cell publication into 4 users x 2,000 slots: {merge:.1} ns per cell (min of 24 batches)");
+    gates.check(
+        &format!("a delivered cell merges in <= {MERGE_CEILING_NS} ns"),
+        merge <= MERGE_CEILING_NS,
+        &format!("{merge:.1} ns"),
     );
     let fcs = [1_000, 10_000]
         .map(|users| [1, 587].map(|dirty| crate::gossip::fcs_refresh_us(users, dirty, 200)));

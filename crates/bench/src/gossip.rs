@@ -229,6 +229,51 @@ pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
     best / 1_000.0
 }
 
+/// Nanoseconds per cell of merging one delivered publication of 32 cells —
+/// 8 per user, spread over the users' histories — into a site that already
+/// holds 4 users × 2,000 slots from the same origin (the even slots below
+/// 4,000), in its mirror and its remote histogram: the whole delivery
+/// (check, merge, ack), minimum of 24 batches of one publication each.
+/// Every publication raises every cell it carries, and one of them is a
+/// slot the site does not hold yet, inside its user's history — an insert
+/// into the middle of the row, not an append at its end.
+pub fn merge_ns_per_cell() -> f64 {
+    const SLOT_S: f64 = 100.0;
+    const USERS: u64 = 4;
+    const SLOTS: u64 = 2_000;
+    const BATCHES: u64 = 24;
+    let publication = |seq: u64, slots: &dyn Fn(u64) -> Vec<u64>, value: f64| {
+        let cells = |u| slots(u).into_iter().map(|slot| (slot, value)).collect();
+        let per_user = (0..USERS).map(|u| (GridUser::new(format!("u{u}")), cells(u)));
+        let summary = Arc::new(UsageSummary {
+            site: SiteId(1),
+            seq,
+            slot_s: SLOT_S,
+            per_user: per_user.collect(),
+            relayed: Default::default(),
+        });
+        UssMessage::Summary { summary, ctx: None }
+    };
+    let mut uss = Uss::new(SiteId(0), ParticipationMode::Full, SLOT_S);
+    let history = publication(1, &|_| (0..SLOTS).map(|s| 2 * s).collect(), 1.0);
+    uss.receive_message(&history, 0.0);
+    let batches: Vec<UssMessage> = (0..BATCHES)
+        .map(|b| {
+            let held = |k, u| 2 * ((k * 250 + b * 7 + u) % SLOTS);
+            let new = |k, u| u64::from(k == b % 8 && u == b % 4);
+            let spread = |u| (0..8).map(|k| held(k, u) + new(k, u)).collect();
+            publication(b + 2, &spread, 2.0 + b as f64)
+        })
+        .collect();
+    let mut batches = batches.iter();
+    let batch_ns = min_ns(BATCHES as usize, || {
+        let delivered = batches.next().map(|msg| uss.receive_message(msg, 0.0));
+        delivered.map(|acks| acks.len())
+    });
+    assert_eq!(uss.duplicates(), 0, "every publication raised its cells");
+    batch_ns / (USERS * 8) as f64
+}
+
 /// Minimum over `reps` of one `GridScenario::tracked_users` on a flat
 /// policy of `users` equal-share leaves, in microseconds.
 pub fn tracked_users_us(users: usize, reps: usize) -> f64 {
@@ -274,6 +319,7 @@ mod tests {
         assert!(publish_one_fresh_us(40, 3) > 0.0);
         assert!(tracked_users_us(40, 2) > 0.0);
         assert!(fcs_refresh_us(40, 3, 2) > 0.0);
+        assert!(merge_ns_per_cell() > 0.0);
     }
 
     /// A miniature sweep: the views agree across every topology/encoding,

@@ -419,17 +419,13 @@ pub struct NamedCells<'a> {
 }
 
 impl<'a> NamedCells<'a> {
-    /// The cells of `store` under the names `users` gave its ids: one pass
-    /// over the store (id order is name order over the table's base), and a
+    /// The cells of `store` under the names `users` gave its ids: one slice
+    /// copy per row (id order is name order over the table's base), and a
     /// sort of the users only when the table holds identities outside it.
     pub fn from_store(store: &CellStore, users: &'a UserTable) -> Self {
         let mut named = Self::default();
-        let mut last = None;
-        for (user, slot, charge) in store.iter() {
-            if last.replace(user) != Some(user) {
-                named.open(users.name(user));
-            }
-            named.push(slot, charge);
+        for (user, row) in store.iter() {
+            named.push(users.name(user), row.iter().copied());
         }
         if users.len() > users.base().len() {
             named.runs.sort_by(|a, b| a.0.cmp(b.0));
@@ -441,23 +437,16 @@ impl<'a> NamedCells<'a> {
     pub fn from_cells(cells: &'a UserCells) -> Self {
         let mut named = Self::default();
         for (user, slots) in cells {
-            named.open(user);
-            slots
-                .iter()
-                .for_each(|(&slot, &charge)| named.push(slot, charge));
+            named.push(user, slots.iter().map(|(&slot, &charge)| (slot, charge)));
         }
         named
     }
 
-    fn open(&mut self, user: &'a GridUser) {
-        self.runs.push((user, self.cells.len()..self.cells.len()));
-    }
-
-    fn push(&mut self, slot: u64, charge: f64) {
-        self.cells.push((slot, charge));
-        if let Some((_, run)) = self.runs.last_mut() {
-            run.end = self.cells.len();
-        }
+    /// Append one user's run of cells.
+    fn push(&mut self, user: &'a GridUser, cells: impl Iterator<Item = (u64, f64)>) {
+        let at = self.cells.len();
+        self.cells.extend(cells);
+        self.runs.push((user, at..self.cells.len()));
     }
 
     /// `(user, cells in slot order)`, in name order.

@@ -38,75 +38,119 @@ impl UsageRecord {
     }
 }
 
-/// Charge per `(user, slot)` in one integer-keyed ordered map — the cell
-/// store under both histograms of a USS and every mirror it diffs them
-/// against. A user's cells are one contiguous key range (a descent costs
-/// integer compares, whatever the names are), the whole store iterates in
-/// `(UserId, slot)` order — over a [`UserTable`](crate::arena::UserTable)'s
-/// base that is name order, the order the codecs write — and no user owns
-/// a heap map of its own.
+/// Charge per `(user, slot)`: one slot-sorted row per user, keyed by id —
+/// the cell store under both histograms of a USS and every mirror it diffs
+/// them against. Every entry point takes a whole user: one integer-keyed
+/// descent finds the row, and each cell after it costs a compare against
+/// the row's tail or a binary search of the row, never another descent.
+/// A slot the row does not hold is inserted: amortised `O(1)` past the
+/// tail, where new slots mostly land, but `O(row)` inside the row, which
+/// shifts every later cell along (a lagging origin's backlog merging into
+/// a long remote row). The store iterates in `(UserId, slot)` order —
+/// over a [`UserTable`](crate::arena::UserTable)'s base that is name
+/// order, the order the codecs write. No row is ever empty.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellStore {
-    cells: BTreeMap<(UserId, u64), f64>,
+    rows: BTreeMap<UserId, Vec<(u64, f64)>>,
+}
+
+/// Where `slot` sits in `row`: its index, or where it would be inserted.
+/// The tail is checked first — a histogram mostly charges its latest slots.
+fn locate(row: &[(u64, f64)], slot: u64) -> Result<usize, usize> {
+    match row.last() {
+        Some(&(last, _)) if last < slot => Err(row.len()),
+        Some(&(last, _)) if last == slot => Ok(row.len() - 1),
+        _ => row.binary_search_by_key(&slot, |&(held, _)| held),
+    }
 }
 
 impl CellStore {
     /// Whether no cell is held.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Drop every cell.
-    pub fn clear(&mut self) {
-        self.cells.clear();
+        self.rows.is_empty()
     }
 
     /// One user's cells from slot `from` on, in slot order.
-    pub fn of(&self, user: UserId, from: u64) -> impl Iterator<Item = (u64, f64)> + Clone + '_ {
-        let cells = self.cells.range((user, from)..=(user, u64::MAX));
-        cells.map(|(&(_, slot), &charge)| (slot, charge))
+    pub fn of(&self, user: UserId, from: u64) -> &[(u64, f64)] {
+        let row = self.rows.get(&user).map_or(&[][..], Vec::as_slice);
+        &row[row.partition_point(|&(slot, _)| slot < from)..]
     }
 
-    /// Every cell, in `(user, slot)` order.
-    pub fn iter(&self) -> impl Iterator<Item = (UserId, u64, f64)> + Clone + '_ {
-        let cells = self.cells.iter();
-        cells.map(|(&(user, slot), &charge)| (user, slot, charge))
+    /// Every user's row, in `(user, slot)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (UserId, &[(u64, f64)])> + Clone + '_ {
+        self.rows.iter().map(|(&user, row)| (user, row.as_slice()))
     }
 
-    /// The users holding a cell, ascending — one pass over the store.
+    /// The users holding a cell, ascending.
     pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
-        let mut last = None;
-        let users = self.cells.keys().map(|&(user, _)| user);
-        users.filter(move |&user| last.replace(user) != Some(user))
+        self.rows.keys().copied()
     }
 
-    /// Add `charge` to one cell.
-    pub fn add(&mut self, user: UserId, slot: u64, charge: f64) {
-        *self.cells.entry((user, slot)).or_insert(0.0) += charge;
-    }
-
-    /// Raise one cell to `value` when that is more than `eps` above what it
-    /// holds (nothing, for an absent cell), returning the rise — one
-    /// descent either way, and a cell that does not rise is not created.
-    pub fn raise(&mut self, user: UserId, slot: u64, value: f64, eps: f64) -> Option<f64> {
-        match self.cells.entry((user, slot)) {
-            Entry::Occupied(mut held) => {
-                let delta = value - *held.get();
-                (delta > eps).then(|| {
-                    held.insert(value);
-                    delta
-                })
+    /// Add each `(slot, charge)` to `user`'s cells, in the order given; a
+    /// new cell holds `0.0 + charge`.
+    pub fn add(&mut self, user: UserId, cells: impl IntoIterator<Item = (u64, f64)>) {
+        self.edit(user, |row| {
+            for (slot, charge) in cells {
+                match locate(row, slot) {
+                    Ok(at) => row[at].1 += charge,
+                    Err(at) => row.insert(at, (slot, 0.0 + charge)),
+                }
             }
-            Entry::Vacant(free) => (value > eps).then(|| *free.insert(value)),
+        });
+    }
+
+    /// Raise each of `user`'s cells to the `(slot, value)` given when that
+    /// is more than `eps` above what it holds (nothing, for an absent
+    /// cell), calling `rose(slot, value, rise)` for each that rose. A cell
+    /// is never lowered, and one that does not rise is not created.
+    pub fn raise(
+        &mut self,
+        user: UserId,
+        cells: impl IntoIterator<Item = (u64, f64)>,
+        eps: f64,
+        mut rose: impl FnMut(u64, f64, f64),
+    ) {
+        self.edit(user, |row| {
+            for (slot, value) in cells {
+                match locate(row, slot) {
+                    Ok(at) if value - row[at].1 > eps => {
+                        let rise = value - std::mem::replace(&mut row[at].1, value);
+                        rose(slot, value, rise);
+                    }
+                    Err(at) if value > eps => {
+                        row.insert(at, (slot, value));
+                        rose(slot, value, value);
+                    }
+                    _ => {}
+                }
+            }
+        });
+    }
+
+    /// Apply `f` to `user`'s row — one descent — keeping a new row only if
+    /// `f` left a cell in it (a row never loses one).
+    fn edit(&mut self, user: UserId, f: impl FnOnce(&mut Vec<(u64, f64)>)) {
+        match self.rows.entry(user) {
+            Entry::Occupied(row) => f(row.into_mut()),
+            Entry::Vacant(free) => {
+                let mut row = Vec::new();
+                f(&mut row);
+                if !row.is_empty() {
+                    free.insert(row);
+                }
+            }
         }
     }
 }
 
-/// Charges by their bits: what the USS explorer fingerprints states with.
+/// Charges by their bits: what the USS explorer fingerprints states with —
+/// the cell count, then each `((user, slot), bits)` in order.
 impl Hash for CellStore {
     fn hash<H: Hasher>(&self, h: &mut H) {
-        self.cells.len().hash(h);
-        (self.cells.iter()).for_each(|(cell, charge)| (cell, charge.to_bits()).hash(h));
+        self.rows.values().map(Vec::len).sum::<usize>().hash(h);
+        for (&user, row) in &self.rows {
+            (row.iter()).for_each(|&(slot, charge)| ((user, slot), charge.to_bits()).hash(h));
+        }
     }
 }
 
@@ -175,18 +219,17 @@ impl UsageHistogram {
         let first = (rec.start_s / self.slot_s).floor().max(0.0) as u64;
         let last = (rec.end_s / self.slot_s).floor().max(0.0) as u64;
         if first == last {
-            self.cells.add(user, first, charge);
+            self.cells.add(user, [(first, charge)]);
             return Some(first);
         }
         let rate = rec.cores as f64; // core-seconds per second
-        for slot in first..=last {
+        let cells = (first..=last).filter_map(|slot| {
             let slot_start = slot as f64 * self.slot_s;
             let slot_end = slot_start + self.slot_s;
             let overlap = rec.end_s.min(slot_end) - rec.start_s.max(slot_start);
-            if overlap > 0.0 {
-                self.cells.add(user, slot, rate * overlap);
-            }
-        }
+            (overlap > 0.0).then_some((slot, rate * overlap))
+        });
+        self.cells.add(user, cells);
         Some(first)
     }
 
@@ -198,10 +241,9 @@ impl UsageHistogram {
     /// ignored.
     pub fn add_charges(&mut self, user: UserId, cells: impl IntoIterator<Item = (u64, f64)>) {
         self.touch(user);
-        for (slot, charge) in cells.into_iter().filter(|(_, c)| *c > 0.0) {
-            self.cells.add(user, slot, charge);
-            self.total += charge;
-        }
+        let cells = cells.into_iter().filter(|(_, c)| *c > 0.0);
+        let cells = cells.inspect(|(_, c)| self.total += c);
+        self.cells.add(user, cells);
     }
 
     /// The cells, read in place.
@@ -217,11 +259,12 @@ impl UsageHistogram {
     /// and raw readouts. One fold from `from` (by default `+0.0`: `sum`'s bits
     /// for non-negative terms, but `+0.0` for no cells) that also returns its
     /// prefix below `mark` (`≥ from.slot`); a fold resumed there ends on the
-    /// same bits. Costs one descent plus the user's slots from `from.slot` on.
+    /// same bits. Costs one descent and one binary search of the user's row,
+    /// plus their cells from `from.slot` on.
     pub fn usage(&self, user: UserId, weigh: impl Fn(f64) -> f64, from: Prefix, mark: u64) -> Fold {
         debug_assert!(from.slot <= mark, "no prefix below the start");
         let (mut sum, mut below, mut passed) = (from.sum, Prefix { slot: mark, ..from }, 0);
-        for (slot, charge) in self.cells.of(user, from.slot) {
+        for &(slot, charge) in self.cells.of(user, from.slot) {
             sum += charge * weigh((slot as f64 + 0.5) * self.slot_s);
             if slot < mark {
                 (below.sum, passed) = (sum, passed + 1);
@@ -449,13 +492,22 @@ mod tests {
         h.record(B, &rec(1, 1050.0, 1060.0));
         h.record(A, &rec(2, 250.0, 420.0));
         h.add_charges(B, [(3, 5.0)]);
-        let slots = |user, from| h.cells().of(user, from).map(|(s, _)| s).collect::<Vec<_>>();
+        let slots = |user, from| {
+            h.cells()
+                .of(user, from)
+                .iter()
+                .map(|c| c.0)
+                .collect::<Vec<_>>()
+        };
         assert_eq!(slots(A, 0), [2, 3, 4]);
         assert_eq!(slots(A, 3), [3, 4]);
         assert_eq!(slots(B, 0), [3, 10]);
         assert!(slots(UserId(2), 0).is_empty());
         assert_eq!(h.cells().users().collect::<Vec<_>>(), [A, B]);
-        let order: Vec<(UserId, u64)> = h.cells().iter().map(|(u, s, _)| (u, s)).collect();
+        let rows = h.cells().iter();
+        let order: Vec<(UserId, u64)> = rows
+            .flat_map(|(u, row)| row.iter().map(move |c| (u, c.0)))
+            .collect();
         assert_eq!(order, [(A, 2), (A, 3), (A, 4), (B, 3), (B, 10)]);
     }
 
@@ -479,13 +531,24 @@ mod tests {
     #[test]
     fn raise_moves_a_cell_only_past_the_threshold() {
         let mut sent = CellStore::default();
-        assert_eq!(sent.raise(A, 7, 5e-13, 1e-12), None);
-        assert!(sent.is_empty(), "a cell that does not rise is not created");
-        assert_eq!(sent.raise(A, 7, 4.0, 1e-12), Some(4.0));
-        assert_eq!(sent.raise(A, 7, 4.0, 1e-12), None);
-        assert_eq!(sent.raise(A, 7, 3.0, 1e-12), None, "never lowered");
-        assert_eq!(sent.raise(A, 7, 6.5, 1e-12), Some(2.5));
-        assert_eq!(sent.of(A, 0).collect::<Vec<_>>(), [(7, 6.5)]);
+        let mut raise = |cells: &[(u64, f64)]| {
+            let mut rises = Vec::new();
+            sent.raise(A, cells.iter().copied(), 1e-12, |slot, _, rise| {
+                rises.push((slot, rise))
+            });
+            rises
+        };
+        assert_eq!(raise(&[(7, 5e-13)]), []);
+        assert_eq!(raise(&[(7, 4.0), (7, 4.0)]), [(7, 4.0)]);
+        assert_eq!(raise(&[(7, 3.0)]), [], "never lowered");
+        assert_eq!(raise(&[(7, 6.5), (2, 1.0)]), [(7, 2.5), (2, 1.0)]);
+        assert_eq!(sent.of(A, 0), [(2, 1.0), (7, 6.5)]);
+        sent.raise(B, [(3, 5e-13)], 1e-12, |_, _, _| unreachable!());
+        assert_eq!(
+            sent.users().collect::<Vec<_>>(),
+            [A],
+            "no row for a cell that did not rise"
+        );
     }
 
     #[test]
@@ -524,7 +587,12 @@ mod tests {
         let decay = DecayPolicy::Exponential { half_life_s: 30.0 };
         let weigh = |centre: f64| decay.epoch_weight(50.0 - centre);
         let (whole, at_5, passed) = h.usage(A, weigh, Prefix::default(), 5);
-        let slots = h.cells().of(A, 0).filter(|&(slot, _)| slot < 5).count();
+        let slots = h
+            .cells()
+            .of(A, 0)
+            .iter()
+            .filter(|&&(slot, _)| slot < 5)
+            .count();
         assert_eq!((at_5.slot, passed), (5, slots));
         let (resumed, at_9, more) = h.usage(A, weigh, at_5, 9);
         assert_eq!(resumed.to_bits(), whole.to_bits());

@@ -8,10 +8,11 @@ use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::ids::{EntityPath, GridUser, JobId, SiteId};
 use aequus_core::policy::{flat_policy, PolicyNode, PolicyTree};
 use aequus_core::projection::ProjectionKind;
-use aequus_core::usage::{Prefix, UsageHistogram, UsageRecord};
+use aequus_core::usage::{CellStore, Prefix, UsageHistogram, UsageRecord};
 use aequus_core::vector::{FairshareVector, Resolution};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Strategy: a flat policy over n users with random positive shares, plus
 /// random usage values.
@@ -465,6 +466,98 @@ proptest! {
                     prop_assert_eq!(shares_read(&fresh), want, "step {}: fresh", step);
                 }
             }
+        }
+    }
+}
+
+/// The flat map the rows replaced: the reference a [`CellStore`] is held to.
+type FlatCells = BTreeMap<(UserId, u64), f64>;
+
+const RAISE_EPS: f64 = 1e-12;
+
+/// A charge: often exactly `0.0`, `-0.0` or under [`RAISE_EPS`], else
+/// anywhere in `[-1, 10)`.
+fn charge() -> impl Strategy<Value = f64> {
+    (0u8..8, -1.0..10.0f64).prop_map(|(pick, value)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 5e-13,
+        _ => value,
+    })
+}
+
+/// One call of a script: `add` (even `kind`) or `raise` (odd) of one of
+/// users 0..4 (4 never holds a cell), over slots drawn from a small range so
+/// that repeats and out-of-order slots are the rule, plus a slot to read
+/// every user's cells from afterwards.
+fn cell_call() -> impl Strategy<Value = (u8, u32, Vec<(u64, f64)>, u64)> {
+    let cells = proptest::collection::vec((0u64..24, charge()), 0..7);
+    (0u8..2, 0u32..4, cells, 0u64..26)
+}
+
+/// What the explorer's fingerprint of a [`CellStore`] holding `flat` fed
+/// the hasher before the store became rows.
+fn flat_hash(flat: &FlatCells) -> u64 {
+    let mut h = DefaultHasher::new();
+    flat.len().hash(&mut h);
+    (flat.iter()).for_each(|(cell, charge)| (cell, charge.to_bits()).hash(&mut h));
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Rows against the flat per-cell map, bit for bit, after every call:
+    /// the rises reported, every cell in order, each user's cells from a
+    /// random slot, the users, emptiness and the fingerprint.
+    #[test]
+    fn a_cell_store_reads_what_the_flat_map_reads(
+        script in proptest::collection::vec(cell_call(), 1..40),
+    ) {
+        let (mut store, mut flat) = (CellStore::default(), FlatCells::new());
+        for (kind, user, cells, from) in script {
+            let user = UserId(user);
+            let (mut rises, mut want) = (Vec::new(), Vec::new());
+            if kind == 0 {
+                store.add(user, cells.iter().copied());
+                for &(slot, charge) in &cells {
+                    *flat.entry((user, slot)).or_insert(0.0) += charge;
+                }
+            } else {
+                store.raise(user, cells.iter().copied(), RAISE_EPS, |slot, value, rise| {
+                    rises.push((slot, value.to_bits(), rise.to_bits()));
+                });
+                for &(slot, value) in &cells {
+                    let held = flat.get(&(user, slot)).copied();
+                    let rise = value - held.unwrap_or(0.0);
+                    if rise > RAISE_EPS {
+                        flat.insert((user, slot), value);
+                        let rise = if held.is_some() { rise } else { value };
+                        want.push((slot, value.to_bits(), rise.to_bits()));
+                    }
+                }
+            }
+            prop_assert_eq!(rises, want);
+            let rows = store.iter();
+            let got: Vec<_> = rows
+                .flat_map(|(u, row)| row.iter().map(move |&(s, c)| (u, s, c.to_bits())))
+                .collect();
+            let want: Vec<_> = flat.iter().map(|(&(u, s), c)| (u, s, c.to_bits())).collect();
+            prop_assert_eq!(got, want);
+            for user in (0..5).map(UserId) {
+                let got: Vec<_> = store.of(user, from).iter().map(|&(s, c)| (s, c.to_bits())).collect();
+                let want: Vec<_> = (flat.range((user, from)..=(user, u64::MAX)))
+                    .map(|(&(_, s), c)| (s, c.to_bits()))
+                    .collect();
+                prop_assert_eq!(got, want);
+            }
+            let mut users: Vec<UserId> = flat.keys().map(|&(u, _)| u).collect();
+            users.dedup();
+            prop_assert_eq!(store.users().collect::<Vec<_>>(), users);
+            prop_assert_eq!(store.is_empty(), flat.is_empty());
+            let mut h = DefaultHasher::new();
+            store.hash(&mut h);
+            prop_assert_eq!(h.finish(), flat_hash(&flat));
         }
     }
 }

@@ -295,10 +295,13 @@ impl Volatile {
     /// This is where a delivered name becomes an id — the summary was
     /// already accepted whole ([`Uss::check_summary`]), so every name it
     /// carries is interned, risen cell or not. That one lookup
-    /// (`O(log users)` comparisons) is all that touches a string: per cell
-    /// it is one integer-keyed descent of the mirror and, if it rose, one
-    /// of the remote histogram; per user with a risen cell one integer
-    /// insert into each dirty set.
+    /// (`O(log users)` comparisons) is all that touches a string. Per user
+    /// the cost is one descent of the mirror, one of the remote histogram
+    /// when a cell rose (the rises go over from a buffer reused across the
+    /// section) and one integer insert into each dirty set. Per cell it is
+    /// a tail compare or a binary search of the user's row, in the mirror
+    /// and, if it rose, in the remote row; a slot new to a row that lands
+    /// inside it, not at its end, also shifts the rest of that row along.
     fn merge_origin(
         &mut self,
         users: &mut UserTable,
@@ -308,20 +311,19 @@ impl Volatile {
     ) -> usize {
         let mirror = self.seen_by_origin.entry(origin).or_default();
         let mut unrelayed = forwards.then(|| self.unrelayed.entry(origin).or_default());
-        let mut merged = 0usize;
+        let (mut merged, mut risen) = (0usize, Vec::new());
         for (name, slots) in cells {
             let user = users.intern(name);
-            let mut lowest = None;
-            for (&slot, &value) in slots {
-                if let Some(delta) = mirror.raise(user, slot, value, CELL_EPS) {
-                    self.remote.add_charges(user, [(slot, delta)]);
-                    lowest.get_or_insert(slot);
-                    merged += 1;
-                }
-            }
-            let Some(lowest) = lowest else {
+            risen.clear();
+            let slots = slots.iter().map(|(&slot, &value)| (slot, value));
+            mirror.raise(user, slots, CELL_EPS, |slot, _, rise| {
+                risen.push((slot, rise))
+            });
+            let Some(&(lowest, _)) = risen.first() else {
                 continue;
             };
+            merged += risen.len();
+            self.remote.add_charges(user, risen.iter().copied());
             note_pending(&mut self.dirty, user, lowest);
             self.view_dirty.mark_user(user);
             if let Some(pending) = &mut unrelayed {
@@ -459,8 +461,9 @@ fn all_pending(cells: &CellStore) -> Pending {
 /// `cells` under the names `users` gave their ids — what leaves a site in a
 /// snapshot or a test readout.
 fn named_cells(users: &UserTable, cells: &CellStore) -> UserCells {
-    let of = |user| (users.name(user).clone(), cells.of(user, 0).collect());
-    cells.users().map(of).collect()
+    let of =
+        |(user, row): (UserId, &[_])| (users.name(user).clone(), row.iter().copied().collect());
+    cells.iter().map(of).collect()
 }
 
 /// Diff the `pending` users' cells of `held` against the `sent` mirror: the
@@ -468,7 +471,8 @@ fn named_cells(users: &UserTable, cells: &CellStore) -> UserCells {
 /// returned under their names. Cells at or past `open_slot` are held back,
 /// and a user stays pending — from the first of those — while they hold
 /// one; everyone else leaves. Costs the pending users' slots from the
-/// pending one on, whatever else the site holds.
+/// pending one on, whatever else the site holds: per user a slice of the
+/// held row, cut at the open slot, and one `raise` of it against `sent`.
 fn drain_pending(
     pending: &mut Pending,
     held: &CellStore,
@@ -478,19 +482,18 @@ fn drain_pending(
 ) -> UserCells {
     let mut section = UserCells::new();
     pending.retain(|&user, from| {
+        let row = held.of(user, *from);
+        let closed = open_slot.map_or(row.len(), |open| row.partition_point(|c| c.0 < open));
         let mut cells = BTreeMap::new();
-        let mut open = held.of(user, *from);
-        let first_open = open.find(|&(slot, value)| {
-            let closed = open_slot.is_none_or(|open| slot < open);
-            if closed && sent.raise(user, slot, value, CELL_EPS).is_some() {
-                cells.insert(slot, value);
-            }
-            !closed
-        });
+        let rose = |slot, value, _| {
+            cells.insert(slot, value);
+        };
+        sent.raise(user, row[..closed].iter().copied(), CELL_EPS, rose);
         if !cells.is_empty() {
             section.insert(users.name(user).clone(), cells);
         }
-        if let Some((slot, _)) = first_open {
+        let first_open = row.get(closed);
+        if let Some(&(slot, _)) = first_open {
             *from = slot;
         }
         first_open.is_some()
@@ -1147,11 +1150,9 @@ impl Uss {
             let mirror = vol.seen_by_origin.entry(*origin).or_default();
             for (name, slots) in cells {
                 let user = ledger.users.intern(name);
-                for (&slot, &charge) in slots {
-                    mirror.add(user, slot, charge);
-                }
-                vol.remote
-                    .add_charges(user, slots.iter().map(|(&s, &c)| (s, c)));
+                let slots = slots.iter().map(|(&s, &c)| (s, c));
+                mirror.add(user, slots.clone());
+                vol.remote.add_charges(user, slots);
             }
         }
         self.vol = vol;

@@ -48,11 +48,12 @@ impl Ecdf {
     /// Evaluate the ECDF on a uniform grid of `points` x-values spanning the
     /// data — the series used when printing figure data.
     pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
+        let (Some(&lo), Some(&hi)) = (self.sorted.first(), self.sorted.last()) else {
+            return vec![];
+        };
+        if points == 0 {
             return vec![];
         }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().unwrap();
         let span = (hi - lo).max(f64::MIN_POSITIVE);
         (0..points)
             .map(|i| {

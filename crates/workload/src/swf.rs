@@ -16,7 +16,6 @@
 //! least one core per job.
 
 use crate::trace::{Trace, TraceJob};
-use std::fmt::Write as _;
 
 /// Errors raised by SWF parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,9 +119,8 @@ pub fn to_swf(trace: &Trace) -> String {
         let uid = *user_ids.entry(j.user.as_str()).or_insert(next_id);
         // job submit wait run procs cpu mem reqprocs reqtime reqmem status
         // user group exe queue partition preceding think
-        writeln!(
-            out,
-            "{} {} -1 {} {} -1 -1 {} {} -1 1 {} -1 -1 -1 -1 -1 -1",
+        out.push_str(&format!(
+            "{} {} -1 {} {} -1 -1 {} {} -1 1 {} -1 -1 -1 -1 -1 -1\n",
             i + 1,
             j.submit_s as i64,
             j.duration_s as i64,
@@ -130,8 +128,7 @@ pub fn to_swf(trace: &Trace) -> String {
             j.cores,
             j.duration_s as i64,
             uid,
-        )
-        .expect("write to String cannot fail");
+        ));
     }
     out
 }
