@@ -89,7 +89,8 @@ fi
 # the usage histograms every refresh folds, the health map, the telemetry
 # locks (a poisoned one is taken over), the float sorts, which order by
 # `total_cmp`, and the scheduler's dispatch path (a taken slot is an
-# `Option`), the ECDF's figure series and the SWF writer.
+# `Option`), the ECDF's figure series, the SWF writer, and the quantile
+# bisection with the mixture's certified replay of it.
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
   crates/services/src/ums.rs crates/services/src/uss.rs crates/services/src/uss/*.rs \
@@ -99,7 +100,8 @@ for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/telemetry/src/registry.rs crates/telemetry/src/lib.rs crates/telemetry/src/span.rs \
   crates/core/src/vector.rs crates/stats/src/{acf,gof,ks,optim,select,summary}.rs \
   crates/stats/src/dist/heavy.rs crates/rms/src/{scheduler,dispatch,predict}.rs \
-  crates/stats/src/ecdf.rs crates/workload/src/swf.rs; do
+  crates/stats/src/ecdf.rs crates/workload/src/swf.rs \
+  crates/stats/src/dist/mixture.rs crates/stats/src/distribution.rs; do
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n -e '\.expect(' -e '\.unwrap()' -e 'unreachable!('; then
     echo "$f: an expect/unwrap/unreachable in a file held to none" >&2
     exit 1

@@ -32,7 +32,7 @@ impl Gev {
 
     /// Standardized variable t(x) = 1 + k (x − μ)/σ; support requires t > 0.
     #[inline]
-    fn t(&self, x: f64) -> f64 {
+    pub(crate) fn t(&self, x: f64) -> f64 {
         1.0 + self.k * (x - self.mu) / self.sigma
     }
 

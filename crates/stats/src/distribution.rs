@@ -99,16 +99,21 @@ pub trait ContinuousDistribution: Send + Sync + std::fmt::Debug {
 ///
 /// Works for any monotone CDF; expands the bracket geometrically from an
 /// interior point until it contains `p`, then bisects to ~1e-12 relative
-/// precision.
+/// precision. `Mixture::icdf` replays this bisection bit for bit.
 pub fn icdf_numeric<D: ContinuousDistribution + ?Sized>(dist: &D, p: f64) -> f64 {
+    bisect_quantile(dist.support(), p, |x| dist.cdf(x))
+}
+
+/// [`icdf_numeric`] over a CDF closure, read only as `cdf(x) > p` or
+/// `cdf(x) < p`: a caller may answer `-inf`/`+inf` where it knows which.
+pub(crate) fn bisect_quantile(sup: Support, p: f64, mut cdf: impl FnMut(f64) -> f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "icdf requires p in (0,1), got {p}");
-    let sup = dist.support();
     // Establish finite bracket [lo, hi] with cdf(lo) <= p <= cdf(hi).
     let mut lo = if sup.lo.is_finite() { sup.lo } else { -1.0 };
     let mut hi = if sup.hi.is_finite() { sup.hi } else { 1.0 };
     if !sup.lo.is_finite() {
         let mut step = 1.0;
-        while dist.cdf(lo) > p {
+        while cdf(lo) > p {
             lo -= step;
             step *= 2.0;
             if step > 1e300 {
@@ -118,7 +123,7 @@ pub fn icdf_numeric<D: ContinuousDistribution + ?Sized>(dist: &D, p: f64) -> f64
     }
     if !sup.hi.is_finite() {
         let mut step = 1.0;
-        while dist.cdf(hi) < p {
+        while cdf(hi) < p {
             hi += step;
             step *= 2.0;
             if step > 1e300 {
@@ -132,7 +137,7 @@ pub fn icdf_numeric<D: ContinuousDistribution + ?Sized>(dist: &D, p: f64) -> f64
         if !mid.is_finite() || mid == lo || mid == hi {
             break;
         }
-        if dist.cdf(mid) < p {
+        if cdf(mid) < p {
             lo = mid;
         } else {
             hi = mid;

@@ -69,6 +69,49 @@ fn probes_for<D: ContinuousDistribution>(d: &D) -> Vec<f64> {
     xs
 }
 
+/// One weighted mixture component: a normal, a GEV with k < 0, k > 0 or
+/// k ≈ 0 (the Gumbel-limit branch and either side of it), or a logistic.
+fn component() -> impl Strategy<Value = (f64, AnyDist)> {
+    let draw = (
+        0.05..1.0f64,
+        0usize..7,
+        -50.0..50.0f64,
+        0.05..20.0f64,
+        0.05..0.9f64,
+        -1.0..1.0f64,
+    );
+    draw.prop_map(|(w, kind, loc, scale, k, tiny)| {
+        let gev = |k| AnyDist::from(Gev::new(k, scale, loc).unwrap());
+        let d = match kind {
+            0 => AnyDist::from(Normal::new(loc, scale).unwrap()),
+            1 => gev(-k),
+            2 => gev(k),
+            3 => gev(0.0),
+            4 => gev(tiny * 1e-12),
+            5 => gev(tiny * 1e-6),
+            _ => AnyDist::from(Logistic::new(loc, scale).unwrap()),
+        };
+        (w, d)
+    })
+}
+
+/// The mixture's CDF at the 257 knots `Mixture::icdf` tabulates: evenly
+/// spaced across its components' `icdf(1e-12)..icdf(1 − 1e-12)`.
+fn knot_cdfs(m: &Mixture) -> Vec<f64> {
+    let x0 = m
+        .components()
+        .iter()
+        .map(|(_, d)| d.icdf(1e-12))
+        .fold(f64::INFINITY, f64::min);
+    let x1 = m
+        .components()
+        .iter()
+        .map(|(_, d)| d.icdf(1.0 - 1e-12))
+        .fold(f64::NEG_INFINITY, f64::max);
+    let dx = (x1 - x0) / 256.0;
+    (0..257).map(|j| m.cdf(x0 + j as f64 * dx)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -240,6 +283,44 @@ proptest! {
         for x in aequus_stats::sample_n(&d, 64, &mut rng) {
             prop_assert!(sup.contains(x) || (x - sup.lo).abs() < 1e-9 || (x - sup.hi).abs() < 1e-9,
                 "sample {x} outside support [{}, {}]", sup.lo, sup.hi);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `Mixture::icdf` skips the CDF evaluations its certified bracket
+    /// decides, and must still return `icdf_numeric`'s bits: over random
+    /// mixtures of the family the bracket covers (GEV of either shape sign
+    /// and at k ≈ 0) and two it does not (normal, logistic), at
+    /// probabilities across (1e-15, 1 − 1e-15) and within 1e-9 of the CDF
+    /// at the quantile's knots.
+    #[test]
+    fn mixture_icdf_is_icdf_numeric_bit_for_bit(
+        parts in proptest::collection::vec(component(), 1..5),
+        spread in proptest::collection::vec(0.0..1.0f64, 24),
+        near_knots in proptest::collection::vec((0usize..257, -1e-9..1e-9f64), 16),
+    ) {
+        let m = Mixture::new(parts).unwrap();
+        let mut ps: Vec<f64> = spread
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| match i % 3 {
+                0 => 10f64.powf(-15.0 * u),
+                1 => 1.0 - 10f64.powf(-15.0 * u),
+                _ => u,
+            })
+            .collect();
+        let knots = knot_cdfs(&m);
+        ps.extend(near_knots.iter().map(|&(j, off)| knots[j] + off));
+        for p in ps {
+            let p = p.clamp(1e-15, 1.0 - 1e-15);
+            prop_assert_eq!(
+                m.icdf(p).to_bits(),
+                aequus_stats::distribution::icdf_numeric(&m, p).to_bits(),
+                "p = {:e}, mixture {:?}", p, m.components()
+            );
         }
     }
 }

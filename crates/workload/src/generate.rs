@@ -169,6 +169,39 @@ pub fn test_trace(config: &TestTraceConfig) -> Trace {
 mod tests {
     use super::*;
 
+    /// FNV-1a over every job's `(submit_s, duration_s)` bits, in trace order.
+    fn fnv(t: &Trace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for j in t.jobs() {
+            for word in [j.submit_s.to_bits(), j.duration_s.to_bits()] {
+                for b in word.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The §IV traces' bytes, recorded before `Mixture::icdf` stopped
+    /// evaluating every bisection step. A sampler change that moves one bit
+    /// fails here, before the benchmark refuses the run on its
+    /// `input_fingerprint`.
+    #[test]
+    fn the_section_iv_traces_keep_their_bits() {
+        let seeded = |seed| TestTraceConfig {
+            seed,
+            ..Default::default()
+        };
+        assert_eq!(fnv(&test_trace(&seeded(42))), 0x7f14_6c6f_216d_dbc5);
+        assert_eq!(fnv(&test_trace(&seeded(7))), 0xd7ed_ef0b_eaec_1e6f);
+        assert_eq!(
+            fnv(&test_trace(&TestTraceConfig::bursty(42))),
+            0x5286_254b_51f4_5d7e
+        );
+        assert_eq!(fnv(&synthetic_year(10_000, 1)), 0xce31_c825_6b03_c134);
+    }
+
     #[test]
     fn year_trace_has_requested_mix() {
         let t = synthetic_year(10_000, 1);

@@ -20,8 +20,6 @@
 
 use crate::users::{UserClass, DAY_S, YEAR_S};
 use aequus_stats::dist::{AnyDist, BirnbaumSaunders, Burr, Gev, Mixture, Weibull};
-#[cfg(test)]
-use aequus_stats::ContinuousDistribution;
 use aequus_stats::RangeRescaled;
 
 /// GEV shape parameters of the four U65 arrival phases (Table II).
@@ -131,6 +129,8 @@ pub fn duration_sampler(user: UserClass) -> RangeRescaled<AnyDist> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aequus_stats::distribution::icdf_numeric;
+    use aequus_stats::ContinuousDistribution;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -149,6 +149,24 @@ mod tests {
         let total: f64 = U65_PHASE_WEIGHTS.iter().sum();
         for (i, (w, _)) in c.components().iter().enumerate() {
             assert!((w - U65_PHASE_WEIGHTS[i] / total).abs() < 1e-12);
+        }
+    }
+
+    /// Every U65 arrival is `Mixture::icdf` at a probability inside the
+    /// sampler's `u_range()`; over 100k stratified probabilities it returns
+    /// `icdf_numeric`'s bits, so the §IV traces do not move.
+    #[test]
+    fn u65_arrival_quantiles_are_icdf_numeric_bit_for_bit() {
+        let s = arrival_sampler(UserClass::U65);
+        let (lo, hi) = s.u_range();
+        let n = 100_000;
+        for i in 0..n {
+            let p = lo + (i as f64 + 0.5) / n as f64 * (hi - lo);
+            assert_eq!(
+                s.dist().icdf(p).to_bits(),
+                icdf_numeric(s.dist(), p).to_bits(),
+                "p = {p:e}"
+            );
         }
     }
 
