@@ -74,6 +74,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
 # and exits non-zero if any failed.
 cargo run -q --release -p aequus-bench -- check
 
+# Lines per crate and panic sites, counted one way (count.sh): a panic site
+# in the product crates' non-test code that panic_sites.allow does not list,
+# with its reason, fails here.
+./count.sh
+
 # The experiment binaries became `aequus-bench <experiment>`: no tracked doc
 # or script may still name one of them as a `--bin`.
 if git grep -n -e '--bin' -- '*.md' '*.sh' ':!ISSUE.md' ':!CHANGES.md' ':!ci.sh'; then
@@ -130,7 +135,9 @@ done
 # checkpoint's UMS section with the install path that read it (a restart
 # rebuilds the UMS from the USS), and the barrier's worker pool with its
 # command channels and result types (sites advance in contiguous runs on
-# per-epoch scoped threads) — and no
+# per-epoch scoped threads), and the USS's separate per-peer send and
+# receive states with the fire-once catch-up set (one `Link` per peer holds
+# what is owed each way) — and no
 # tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -144,6 +151,7 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'derive_group' -e 'changed_elements' -e 'shares_refreshed' -e 'fairshare_kernel' \
   -e 'ums_cached' -e 'export_state' -e 'install_state' -e 'row_from' \
   -e 'worker_loop' -e 'WorkerOut' -e 'SiteFragments' \
+  -e 'catchup_pending' -e 'PeerTx' -e 'PeerRx' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2

@@ -7,19 +7,22 @@
 //!
 //! * every published [`UsageSummary`] carries a per-publisher monotonically
 //!   increasing sequence number;
-//! * delivery is **acknowledged** — unacked summaries stay in a bounded
-//!   per-peer outbox and are retried with exponential backoff plus
-//!   deterministic seeded jitter ([`RetryPolicy`], [`JitterRng`]);
-//! * receivers detect sequence gaps and issue anti-entropy
-//!   [`UssMessage::Resync`] pulls, re-synced from the publisher's retained
-//!   history, with a cumulative [`UssMessage::Snapshot`] fallback when the
-//!   history has been compacted;
+//! * each peer link holds one owed state per direction — toward the peer,
+//!   a bounded outbox of unacked summaries; from it, the seqs up to a
+//!   detected gap's top, or a snapshot after a crash — and retries all of
+//!   it on one exponential backoff with deterministic seeded jitter
+//!   ([`RetryPolicy`], [`JitterRng`]) until the outbox is **acknowledged**
+//!   and the cursor reached;
+//! * a gap is pulled by an anti-entropy [`UssMessage::Resync`], answered
+//!   from the publisher's retained history, or with a cumulative
+//!   [`UssMessage::Snapshot`] once the history has been compacted; crash
+//!   catch-up pulls a snapshot by [`UssMessage::SnapshotRequest`];
 //! * a configurable [`StalePolicy`] governs what a site serves while peers
 //!   are silent (serve-stale vs. local-only weighting).
 //!
 //! Correctness never depends on the sequencing: summary cells carry
 //! *absolute* cumulative per-(user, slot) charge, merged as positive deltas
-//! against a per-peer mirror, so any interleaving of retries, duplicates,
+//! against a per-origin mirror, so any interleaving of retries, duplicates,
 //! reordering, snapshots, and post-crash republication converges to the same
 //! state. Sequence numbers exist to *detect* loss quickly, not to order it.
 //!
@@ -27,6 +30,7 @@
 //! [`UssMessage`]: crate::message::UssMessage
 //! [`UssMessage::Resync`]: crate::message::UssMessage::Resync
 //! [`UssMessage::Snapshot`]: crate::message::UssMessage::Snapshot
+//! [`UssMessage::SnapshotRequest`]: crate::message::UssMessage::SnapshotRequest
 
 use crate::timings::ServiceTimings;
 use std::hash::{Hash, Hasher};
@@ -43,9 +47,11 @@ pub struct RetryPolicy {
     /// uniformly from `[1 - jitter_frac, 1 + jitter_frac]`, decorrelating
     /// retry storms across peers. Deterministic given the seed.
     pub jitter_frac: f64,
-    /// Published summaries retained for anti-entropy resync; older entries
-    /// are compacted away and resyncs reaching past them fall back to a
-    /// cumulative snapshot.
+    /// Published summaries retained for retries and anti-entropy resync.
+    /// An unacked summary compacted away leaves the outbox unsent: the
+    /// newest publication is always retained, so a later seq reaches the
+    /// peer, which pulls the gap; a resync reaching past the history is
+    /// answered with one cumulative snapshot.
     pub history_cap: usize,
     /// Maximum unacked summaries queued per peer; overflowing drops the
     /// oldest (the receiver recovers it through gap detection → resync).
@@ -79,10 +85,10 @@ impl RetryPolicy {
         }
     }
 
-    /// Backoff before attempt `attempts + 1`, given `attempts` completed
-    /// sends without a full ack: `ack_timeout · 2^(attempts-1)`, capped at
-    /// `max_backoff`, scaled by jitter (`unit` is a uniform draw in
-    /// `[0, 1)`).
+    /// Backoff before attempt `attempts + 1`, given `attempts` flushes of a
+    /// link since it last owed nothing: `ack_timeout · 2^(attempts-1)`,
+    /// capped at `max_backoff`, scaled by jitter (`unit` is a uniform draw
+    /// in `[0, 1)`).
     pub fn backoff_s(&self, attempts: u32, unit: f64) -> f64 {
         let exponent = attempts.saturating_sub(1).min(16) as i32;
         let base = (self.ack_timeout_s * f64::powi(2.0, exponent)).min(self.max_backoff_s);

@@ -328,8 +328,9 @@ impl AequusSite {
     /// torn tail, skipping corrupt frames), installing the best checkpoint,
     /// and re-applying every surviving record — so anti-entropy catch-up
     /// only has to cover the delta since the crash instead of full history.
-    /// Then (store or not) snapshot catch-up is requested from every
-    /// expected publisher and the client library's degraded mode is lifted.
+    /// Then (store or not) every expected publisher's link owes a catch-up
+    /// snapshot, requested until it arrives, and the client library's
+    /// degraded mode is lifted.
     /// Publication resumes on the next tick.
     pub fn recover(&mut self, now_s: f64) {
         if let Some(store) = self.store.take() {
@@ -348,8 +349,8 @@ impl AequusSite {
     /// UMS, reset by the crash, rebuilds over it on the next tick as it does
     /// without a store. Replay is telemetry-quiet — the original operations were
     /// already counted — and emits no protocol responses: acks were
-    /// delivered before the crash, and any still-open gap re-triggers on
-    /// the live path after catch-up.
+    /// delivered before the crash, and a gap still open is owed on its
+    /// link, pulled by the next poll.
     fn recover_from_store(&mut self, store: SiteStore, now_s: f64) {
         self.store_stats_base = StoreStats::across_restart(self.store_stats_base, store.stats());
         let cfg = store.config();

@@ -7,27 +7,31 @@
 //!
 //! ## Reliable exchange
 //!
-//! The exchange is fault-tolerant (see [`crate::reliability`]):
+//! The exchange is fault-tolerant (see [`crate::reliability`]). Each peer
+//! has one link holding what is owed each way: toward the peer, the unacked
+//! outbox; from it, nothing, the seqs up to a gap's top, or a snapshot after
+//! a crash.
 //!
-//! * [`Uss::publish`] assigns each summary a monotonically increasing
-//!   sequence number, retains it in a bounded history, and queues it in a
-//!   bounded per-peer outbox. The outbox entry survives until the peer
-//!   acknowledges delivery — a dropped summary is *re-sent*, never lost.
-//! * [`Uss::poll`] drains due sends, retrying unacked summaries with
-//!   exponential backoff plus deterministic seeded jitter.
-//! * [`Uss::receive_message`] merges incoming data idempotently (summary
-//!   cells are absolute cumulative values, merged as positive deltas against
-//!   a per-*origin* mirror — multi-path-safe under hierarchical overlays,
-//!   where interior nodes relay merged cells onward in per-origin summary
-//!   sections), acknowledges it, detects sequence gaps, and issues
-//!   anti-entropy [`UssMessage::Resync`] pulls — answered from the retained
-//!   history, or with a cumulative snapshot when history was compacted.
+//! * [`Uss::publish`] gives each summary the next sequence number, retains
+//!   it in a bounded history and queues it in every peer's bounded outbox
+//!   until that peer acks it — a dropped summary is *re-sent*, never lost.
+//! * [`Uss::poll`] flushes each link that owes something as its one
+//!   exponential backoff (seeded jitter) allows: the unacked summaries the
+//!   history still holds, and a [`UssMessage::Resync`] or
+//!   [`UssMessage::SnapshotRequest`] for what the peer owes. A summary the
+//!   history let go is not resent: the newest is kept, its seq shows the gap.
+//! * [`Uss::receive_message`] merges data idempotently (absolute cumulative
+//!   cells as positive deltas against a per-*origin* mirror, safe over the
+//!   several paths of hierarchical overlays, whose interior nodes relay
+//!   per-origin sections), acks it and advances the link's cursor. A new
+//!   gap is pulled at once, one already pulled on the backoff; a pull is
+//!   answered from the history, or by a cumulative snapshot.
 //! * [`Uss::crash`]/[`Uss::request_catchup`] model site failure: the
-//!   [`Volatile`] exchange state is replaced whole, while the durable
-//!   ledger (local histogram, publish cursor, user table) survives;
-//!   recovery pulls peer snapshots and republishes local history, both of
-//!   which are idempotent at receivers. What survives what is the [`Uss`]
-//!   struct's grouping, not a list in any function here.
+//!   [`Volatile`] exchange state is replaced whole, the durable ledger
+//!   (local histogram, publish cursor, user table) survives; recovery owes
+//!   every expected publisher's link a snapshot, pulled until it arrives,
+//!   and republishes local history — both idempotent at receivers. What
+//!   survives what is the [`Uss`] struct's grouping, not a list anywhere.
 //! * [`Uss::update_staleness`] tracks how old each peer's data is, exports
 //!   it as the `aequus_uss_peer_staleness_s` gauge, and enforces the
 //!   configured [`StalePolicy`] (serve-stale vs. local-only weighting).
@@ -205,13 +209,13 @@ pub struct Volatile {
     /// user: the mirror starts empty.
     unpublished: Pending,
     /// Retained published summaries for anti-entropy resync, oldest first
-    /// and contiguously numbered (bounded by [`RetryPolicy::history_cap`]),
+    /// so seqs ascend (bounded by [`RetryPolicy::history_cap`]),
     /// each with the trace context of its publication: retries and resync
     /// answers resend the *original* context, keeping delayed hops causally
     /// linked — and the publication itself, shared, not a copy of it.
     history: History,
-    tx: BTreeMap<SiteId, PeerTx>,
-    rx: BTreeMap<SiteId, PeerRx>,
+    /// Per peer, what is owed in each direction and the backoff retrying it.
+    links: BTreeMap<SiteId, Link>,
     /// Absolute cumulative charge already merged per (user, slot), keyed by
     /// the **originating** site — the mirror the positive-delta merge
     /// compares against. Origin-scoped (not link-scoped): with hierarchical
@@ -231,9 +235,6 @@ pub struct Volatile {
     /// merge (forwarding nodes only) and, with every mirrored user, when
     /// forwarding is switched on or a checkpoint installed.
     unrelayed: BTreeMap<SiteId, Pending>,
-    /// Peers owed a [`UssMessage::SnapshotRequest`](crate::UssMessage) on
-    /// the next poll (crash-recovery catch-up).
-    catchup_pending: BTreeSet<SiteId>,
     /// Whether the stale-data policy currently suppresses remote usage.
     remote_suppressed: bool,
     /// Users whose usage changed since the UMS last drained this service,
@@ -268,12 +269,10 @@ impl Volatile {
             published: CellStore::default(),
             unpublished: pending.unwrap_or_default(),
             history: VecDeque::new(),
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
+            links: BTreeMap::new(),
             seen_by_origin: BTreeMap::new(),
             relay_published: BTreeMap::new(),
             unrelayed: BTreeMap::new(),
-            catchup_pending: BTreeSet::new(),
             remote_suppressed: false,
             dirty: Pending::new(),
             view_dirty,
@@ -281,6 +280,11 @@ impl Volatile {
             latest_publish_ctx: None,
             pending_pipeline_trace: None,
         }
+    }
+
+    /// The link to `peer`, owing nothing when first met.
+    fn link(&mut self, peer: SiteId) -> &mut Link {
+        self.links.entry(peer).or_insert_with(|| Link::at(1))
     }
 
     /// Positive-delta merge of one origin's absolute cells against that
@@ -336,90 +340,95 @@ impl Volatile {
 
 type History = VecDeque<(Arc<UsageSummary>, Option<TraceCtx>)>;
 
-/// Publisher-side per-peer delivery state. A peer without an entry is a
-/// peer with nothing unacked.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct PeerTx {
-    /// Unacked published `(seq, published_at_s)` entries, oldest first. The
-    /// publication timestamp turns the outbox head into the link's
-    /// *undelivered-data age* — the health map's staleness signal: zero
-    /// while everything is acked, growing while a peer is unreachable, and
-    /// silent during quiescent drains (an empty outbox means the peer is
-    /// missing nothing).
+/// One peer's link: what is owed each way and the one backoff retrying it.
+/// Merge mirrors are per *origin* ([`Volatile::seen_by_origin`]), not per
+/// link: relayed cells of one origin can arrive over several links.
+#[derive(Debug, Clone, PartialEq)]
+struct Link {
+    /// Owed to the peer: unacked `(seq, published_at_s)`, oldest first. The
+    /// head's age is the health map's undelivered-data staleness — zero
+    /// while all is acked, so quiescent drains read fresh.
     outbox: VecDeque<(u64, f64)>,
-    /// Completed sends of the current outbox without a full ack — drives the
-    /// exponential backoff; back at zero once an ack drains the outbox.
+    /// Lowest sequence number not yet seen from the peer.
+    next_expected: u64,
+    /// Seqs seen above `next_expected`; while any is held, the peer owes
+    /// the seqs from `next_expected` below the highest.
+    seen_above: BTreeSet<u64>,
+    /// The peer owes a snapshot: set by crash catch-up, paid by any
+    /// [`UssMessage::Snapshot`] from it.
+    snapshot_owed: bool,
+    /// Last arrival of the peer's data (`NEG_INFINITY` before the first).
+    last_heard_s: f64,
+    /// Flushes since the peer last paid (see `restart`): the backoff's
+    /// exponent.
     attempts: u32,
-    /// While `attempts > 0`: the earliest time the outbox may be re-flushed.
+    /// When the link may flush again (`NEG_INFINITY` at 0 attempts).
     next_attempt_s: f64,
 }
 
-impl Hash for PeerTx {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        (self.attempts, self.next_attempt_s.to_bits()).hash(h);
-        let outbox = self.outbox.iter().map(|&(seq, at_s)| (seq, at_s.to_bits()));
-        outbox.collect::<Vec<_>>().hash(h);
-    }
-}
-
-/// Receiver-side per-peer (per-link) gap-tracking state. Cell merge mirrors
-/// are keyed by *origin* site ([`Volatile::seen_by_origin`]), not kept here
-/// — with hierarchical overlays the same origin's cells can arrive over
-/// several links, and a per-link mirror would double-count them.
-#[derive(Debug, Clone, PartialEq)]
-struct PeerRx {
-    /// Lowest sequence number not yet seen from this peer.
-    next_expected: u64,
-    /// Sequence numbers received above `next_expected` (out-of-order).
-    seen_above: BTreeSet<u64>,
-    /// Last time any data message from this peer arrived (staleness anchor);
-    /// `NEG_INFINITY` until the first one.
-    last_heard_s: f64,
-}
-
-impl PeerRx {
-    /// A cursor at `next_expected` (1 for a peer never heard from).
+impl Link {
+    /// A link owing nothing, its cursor at `next_expected`.
     fn at(next_expected: u64) -> Self {
         Self {
+            outbox: VecDeque::new(),
             next_expected,
             seen_above: BTreeSet::new(),
+            snapshot_owed: false,
             last_heard_s: f64::NEG_INFINITY,
+            attempts: 0,
+            next_attempt_s: f64::NEG_INFINITY,
         }
     }
 
-    /// Advance the receive cursor over a data message numbered `seq`,
-    /// returning the range `(from_seq, to_seq)` still missing below it, if
-    /// any — the gap an anti-entropy resync would pull. A snapshot covers
-    /// everything up to its `seq`. Sequence numbers come off the wire, so
-    /// the cursor saturates instead of overflowing at `u64::MAX`.
-    fn observe(&mut self, seq: u64, is_snapshot: bool) -> Option<(u64, u64)> {
+    /// The message asking the peer for what it owes, if anything.
+    fn pull(&self, from: SiteId) -> Option<UssMessage> {
+        if self.snapshot_owed {
+            return Some(UssMessage::SnapshotRequest { from });
+        }
+        let (from_seq, to_seq) = (self.next_expected, self.seen_above.last()? - 1);
+        Some(UssMessage::Resync {
+            from,
+            from_seq,
+            to_seq,
+        })
+    }
+
+    /// Whether anything is owed either way.
+    fn owes(&self) -> bool {
+        !self.outbox.is_empty() || self.snapshot_owed || !self.seen_above.is_empty()
+    }
+
+    /// The peer answered — the outbox is acked, or the pull paid: restart.
+    fn restart(&mut self) {
+        (self.attempts, self.next_attempt_s) = (0, f64::NEG_INFINITY);
+    }
+
+    /// Advance the cursor over data numbered `seq`; a snapshot covers every
+    /// seq up to its own. Seqs come off the wire, so the cursor saturates.
+    /// They never restart (the publish cursor survives every crash): one
+    /// below the cursor is a late duplicate and moves nothing.
+    fn observe(&mut self, seq: u64, is_snapshot: bool) {
         if is_snapshot {
+            self.snapshot_owed = false;
             self.next_expected = self.next_expected.max(seq.saturating_add(1));
             let next = self.next_expected;
             self.seen_above.retain(|&q| q >= next);
         } else if seq >= self.next_expected {
             self.seen_above.insert(seq);
-        } else {
-            if seq == 1 && self.next_expected > 2 {
-                // The publisher restarted its numbering from scratch (crash
-                // recovery); adopt it. The cell mirror is untouched, so the
-                // republished history merges as no-ops.
-                self.next_expected = 2;
-                self.seen_above.clear();
-            }
-            return None;
         }
         while self.seen_above.remove(&self.next_expected) {
             self.next_expected = self.next_expected.saturating_add(1);
         }
-        (self.next_expected <= seq).then(|| (self.next_expected, seq - 1))
     }
 }
 
-impl Hash for PeerRx {
+impl Hash for Link {
     fn hash<H: Hasher>(&self, h: &mut H) {
-        let heard = self.last_heard_s.to_bits();
-        (self.next_expected, &self.seen_above, heard).hash(h);
+        let outbox = self.outbox.iter().map(|&(seq, at_s)| (seq, at_s.to_bits()));
+        outbox.collect::<Vec<_>>().hash(h);
+        (self.next_expected, &self.seen_above, self.snapshot_owed).hash(h);
+        let times = [self.last_heard_s, self.next_attempt_s].map(f64::to_bits);
+        (self.attempts, times).hash(h);
     }
 }
 
@@ -437,11 +446,11 @@ pub type Pending = BTreeMap<UserId, u64>;
 /// A pending set as [`Uss::pending`] reports it: by name.
 pub type PendingNames = BTreeMap<GridUser, u64>;
 
-/// The message resending retained summary `seq` — one index by sequence
-/// offset and a pointer copy — or `None` once it was compacted away.
+/// The message resending retained summary `seq` — a binary search (seqs
+/// ascend, with a hole where a journaled cursor jumped) and a pointer copy
+/// — or `None` once it was compacted away.
 fn retained(history: &History, seq: u64) -> Option<UssMessage> {
-    let offset = seq.checked_sub(history.front()?.0.seq)?;
-    let (summary, ctx) = history.get(usize::try_from(offset).ok()?)?;
+    let (summary, ctx) = history.get(history.partition_point(|(s, _)| s.seq < seq))?;
     let summary = Arc::clone(summary);
     (summary.seq == seq).then_some(UssMessage::Summary { summary, ctx: *ctx })
 }
@@ -746,61 +755,59 @@ impl Uss {
             self.vol.history.pop_front();
         }
         for peer in &self.cfg.peers {
-            let tx = self.vol.tx.entry(*peer).or_default();
-            tx.outbox.push_back((seq, now_s));
-            while tx.outbox.len() > self.cfg.retry.outbox_cap.max(1) {
-                // Oldest unacked entry overflows; the receiver recovers it
-                // through gap detection → resync (→ snapshot fallback).
-                tx.outbox.pop_front();
+            let link = self.vol.link(*peer);
+            if link.outbox.is_empty() {
+                link.next_attempt_s = link.next_attempt_s.min(now_s); // nothing unacked: due now
+            }
+            link.outbox.push_back((seq, now_s));
+            while link.outbox.len() > self.cfg.retry.outbox_cap.max(1) {
+                // The oldest overflows; the peer's gap pull recovers it.
+                link.outbox.pop_front();
             }
         }
         self.counts.add(Count::Published, None, 1);
         Some(summary)
     }
 
-    /// Drain every message due for sending at `now_s`: pending crash
-    /// catch-up requests, first sends of freshly published summaries, and
-    /// backoff-expired retries of unacked ones. Each flush of a peer's
-    /// outbox advances that peer's exponential backoff (with deterministic
-    /// jitter); an ack resets it.
+    /// Drain every message due at `now_s`: each link that owes something and
+    /// whose backoff has run out is flushed. A link with nothing unacked
+    /// sends fresh data at once.
     pub fn poll(&mut self, now_s: f64) -> Vec<(SiteId, UssMessage)> {
-        let from = self.cfg.site;
-        let catchup = std::mem::take(&mut self.vol.catchup_pending).into_iter();
-        let mut out: Vec<(SiteId, UssMessage)> = catchup
-            .map(|peer| (peer, UssMessage::SnapshotRequest { from }))
-            .collect();
-        for at in 0..self.cfg.peers.len() {
-            let peer = self.cfg.peers[at];
-            let Some(tx) = self.vol.tx.get_mut(&peer) else {
-                continue;
-            };
-            // Nothing awaiting backoff: fresh data goes out immediately.
-            if tx.outbox.is_empty() || (tx.attempts > 0 && now_s < tx.next_attempt_s) {
-                continue;
-            }
-            let (retrying, first, queued) = (tx.attempts > 0, out.len(), tx.outbox.len());
-            let history = &self.vol.history;
-            tx.outbox.retain(|&(seq, _)| {
-                let resent = retained(history, seq).map(|msg| out.push((peer, msg)));
-                resent.is_some()
-            });
-            let compacted = tx.outbox.len() < queued;
-            tx.attempts += 1;
-            let unit = self.cfg.jitter.next_unit();
-            tx.next_attempt_s = now_s + self.cfg.retry.backoff_s(tx.attempts, unit);
-            if compacted {
-                // History compacted past unacked entries: they left the
-                // outbox, and one cumulative snapshot (idempotent, covers
-                // everything) replaces them.
-                let snapshot = self.snapshot_for(peer);
-                out.push((peer, snapshot));
-            }
-            if retrying {
-                let sent = (out.len() - first) as u64;
-                self.counts.add(Count::Retries, Some(peer), sent);
-            }
+        let due = self.vol.links.iter();
+        let due = due.filter(|(_, link)| link.owes() && now_s >= link.next_attempt_s);
+        let due: Vec<SiteId> = due.map(|(peer, _)| *peer).collect();
+        let mut out = Vec::new();
+        for peer in due {
+            self.flush(peer, now_s, &mut out);
         }
         out
+    }
+
+    /// Send what the link to `peer` owes into `out` — its unacked summaries
+    /// the history still holds (the rest leave the outbox), then its pull —
+    /// and start the link's next backoff period with one jitter draw.
+    fn flush(&mut self, peer: SiteId, now_s: f64, out: &mut Vec<(SiteId, UssMessage)>) {
+        let Some(link) = self.vol.links.get_mut(&peer) else {
+            return;
+        };
+        let (retrying, first, history) = (link.attempts > 0, out.len(), &self.vol.history);
+        link.outbox.retain(|&(seq, _)| {
+            let resent = retained(history, seq).map(|msg| out.push((peer, msg)));
+            resent.is_some()
+        });
+        if retrying {
+            let resent = (out.len() - first) as u64;
+            self.counts.add(Count::Retries, Some(peer), resent);
+        }
+        if let Some(pull) = link.pull(self.cfg.site) {
+            if matches!(pull, UssMessage::Resync { .. }) {
+                self.counts.add(Count::Resyncs, Some(peer), 1);
+            }
+            out.push((peer, pull));
+        }
+        link.attempts += 1;
+        let unit = self.cfg.jitter.next_unit();
+        link.next_attempt_s = now_s + self.cfg.retry.backoff_s(link.attempts, unit);
     }
 
     /// Handle one incoming protocol message, returning the responses to
@@ -810,7 +817,12 @@ impl Uss {
             UssMessage::Summary { summary, ctx } => self.apply_data(summary, *ctx, false, now_s),
             UssMessage::Snapshot { summary, ctx } => self.apply_data(summary, *ctx, true, now_s),
             UssMessage::Ack { from, seq } => {
-                self.on_ack(*from, *seq);
+                if let Some(link) = self.vol.links.get_mut(from) {
+                    link.outbox.retain(|&(unacked, _)| unacked != *seq);
+                    if link.outbox.is_empty() {
+                        link.restart();
+                    }
+                }
                 Vec::new()
             }
             UssMessage::Resync {
@@ -818,10 +830,8 @@ impl Uss {
                 from_seq,
                 to_seq,
             } => self.on_resync(*from, *from_seq, *to_seq),
-            UssMessage::SnapshotRequest { from } if self.publishes() => {
-                vec![(*from, self.snapshot_for(*from))]
-            }
-            UssMessage::SnapshotRequest { .. } => Vec::new(),
+            // Answered by every site (empty from one that publishes nothing).
+            UssMessage::SnapshotRequest { from } => vec![(*from, self.snapshot_for(*from))],
         }
     }
 
@@ -871,21 +881,18 @@ impl Uss {
             });
             self.vol.pending_pipeline_trace = merge_ctx.or(self.vol.pending_pipeline_trace);
         }
-        // Sequence bookkeeping: gap detection and anti-entropy pulls.
-        let rx = self.vol.rx.entry(s.site).or_insert_with(|| PeerRx::at(1));
-        rx.last_heard_s = rx.last_heard_s.max(now_s);
-        if let Some((from_seq, to_seq)) = rx.observe(s.seq, is_snapshot) {
-            // Sequence gap: pull the missing range. Requesting a seq twice
-            // is harmless (merges are idempotent), so repeated gap hits
-            // double as resync retries.
-            self.counts.add(Count::Gaps, Some(s.site), 1);
-            self.counts.add(Count::Resyncs, Some(s.site), 1);
-            let pull = UssMessage::Resync {
-                from,
-                from_seq,
-                to_seq,
-            };
-            responses.push((s.site, pull));
+        // A new gap is pulled at once (the link flushes), an old one on backoff.
+        let link = self.vol.link(s.site);
+        link.last_heard_s = link.last_heard_s.max(now_s);
+        let pulled = link.pull(from).is_some();
+        link.observe(s.seq, is_snapshot);
+        match (pulled, link.pull(from).is_some()) {
+            (true, false) => link.restart(),
+            (false, true) => {
+                self.counts.add(Count::Gaps, Some(s.site), 1);
+                self.flush(s.site, now_s, &mut responses);
+            }
+            _ => {}
         }
         self.counts.add(Count::Received, None, 1);
         self.metrics.telemetry.event(now_s, "uss.gossip_merge", || {
@@ -951,15 +958,6 @@ impl Uss {
         merged_cells
     }
 
-    fn on_ack(&mut self, from: SiteId, seq: u64) {
-        if let Some(tx) = self.vol.tx.get_mut(&from) {
-            tx.outbox.retain(|&(unacked, _)| unacked != seq);
-            if tx.outbox.is_empty() {
-                self.vol.tx.remove(&from); // and with it the backoff
-            }
-        }
-    }
-
     fn on_resync(&mut self, from: SiteId, from_seq: u64, to_seq: u64) -> Vec<(SiteId, UssMessage)> {
         if !self.publishes() || to_seq < from_seq {
             return Vec::new();
@@ -971,18 +969,15 @@ impl Uss {
         let resent = answerable.then(|| (from_seq..=to_seq).map(resend).collect::<Option<_>>());
         match resent.flatten() {
             Some(resent) => resent,
-            // History compacted past the requested range: cumulative
-            // snapshot fallback.
+            // History compacted past the range: one cumulative snapshot.
             None => vec![(from, self.snapshot_for(from))],
         }
     }
 
     /// The cumulative snapshot `peer` is owed, counted on that link:
-    /// everything published so far, carrying the latest sequence number (0
-    /// before any publication). Forwarding nodes attach their full
-    /// origin-scoped mirror as relayed sections, so a snapshot from an
-    /// overlay interior node also covers everything it has heard downstream
-    /// — a crash-recovered leaf behind a hub catches up from the hub alone.
+    /// everything published so far, under the latest seq (0 before any). A
+    /// forwarding node attaches its whole origin-scoped mirror as relayed
+    /// sections, so a recovered leaf behind a hub catches up from it alone.
     fn snapshot_for(&mut self, peer: SiteId) -> UssMessage {
         self.counts.add(Count::Snapshots, Some(peer), 1);
         let users = &self.ledger.users;
@@ -1004,7 +999,7 @@ impl Uss {
     /// Seconds since `peer` was last heard from — since the epoch, for one
     /// never heard from: the stale policy's reading and the health rows'.
     fn heard_age_s(&self, peer: SiteId, now_s: f64) -> f64 {
-        let last = self.vol.rx.get(&peer).map(|rx| rx.last_heard_s);
+        let last = self.vol.links.get(&peer).map(|link| link.last_heard_s);
         (now_s - last.filter(|at_s| at_s.is_finite()).unwrap_or(0.0)).max(0.0)
     }
 
@@ -1049,24 +1044,23 @@ impl Uss {
 
     /// Site crash: the volatile exchange state is replaced by a fresh
     /// process's; configuration, ledger (backed by the accounting database)
-    /// and counts survive. The fresh state's empty published mirror (every
-    /// local user is pending again) makes the next publication re-emit all
-    /// closed slots as absolute values — idempotent at receivers thanks to
-    /// their cell mirrors, and any seq gap peers see across the crash
-    /// resolves through resync → snapshot fallback.
+    /// and counts survive. With the published mirror empty, the next
+    /// publication re-emits every closed slot — idempotent at receivers,
+    /// which pull any gap the crash left like any other.
     pub fn crash(&mut self) {
         self.vol = self.fresh_volatile();
     }
 
-    /// Crash recovery: schedule a [`UssMessage::SnapshotRequest`] to every
-    /// expected publisher on the next poll, pulling back the remote state
-    /// lost in the crash. Each request is sent once and never retried: a
-    /// dropped one is made up for only if that peer publishes again (its
-    /// next summary trips gap detection); against a peer with nothing more
-    /// to publish the recovered site stays short of that peer's data
-    /// (ROADMAP item 3(a) — the liveness gap the USS explorer found).
+    /// Crash recovery (for a site that reads global data): every expected
+    /// publisher's link owes a snapshot of the remote state the crash lost.
+    /// `poll` sends its [`UssMessage::SnapshotRequest`] at once and on the
+    /// link's backoff until a snapshot from that peer arrives — even from a
+    /// peer with nothing more to publish.
     pub fn request_catchup(&mut self) {
-        self.vol.catchup_pending = self.cfg.rx_peers.iter().copied().collect();
+        let reads = self.cfg.mode.reads_global();
+        for peer in self.cfg.rx_peers.iter().filter(|_| reads) {
+            self.vol.link(*peer).snapshot_owed = true;
+        }
     }
 
     /// Site crash in durable-store mode: [`Uss::crash`], and the ledger's
@@ -1093,8 +1087,8 @@ impl Uss {
     /// name cloned.
     pub fn checkpoint_view(&self, lsn: u64, taken_s: f64) -> CheckpointView<'_> {
         let (users, vol) = (&self.ledger.users, &self.vol);
-        let cursor = |rx: &PeerRx| PeerCursor {
-            next_expected: rx.next_expected,
+        let cursor = |l: &Link| PeerCursor {
+            next_expected: l.next_expected,
         };
         let head = CheckpointState {
             lsn,
@@ -1103,7 +1097,7 @@ impl Uss {
             slot_s: self.ledger.local.slot_duration(),
             records_ingested: self.ledger.records_ingested,
             next_seq: self.ledger.next_seq,
-            peers: vol.rx.iter().map(|(s, rx)| (*s, cursor(rx))).collect(),
+            peers: vol.links.iter().map(|(s, l)| (*s, cursor(l))).collect(),
             ..CheckpointState::default()
         };
         let named = |cells| NamedCells::from_store(cells, users);
@@ -1144,7 +1138,7 @@ impl Uss {
         ledger.next_seq = ledger.next_seq.max(ckpt.next_seq);
         let mut vol = Volatile::new(&self.cfg, ledger);
         for (site, cursor) in &ckpt.peers {
-            vol.rx.insert(*site, PeerRx::at(cursor.next_expected));
+            vol.links.insert(*site, Link::at(cursor.next_expected));
         }
         for (origin, cells) in &ckpt.origin_cells {
             let mirror = vol.seen_by_origin.entry(*origin).or_default();
@@ -1178,8 +1172,8 @@ impl Uss {
     /// Re-apply journaled peer exchange data during store recovery: the
     /// same positive-delta merge and cursor bookkeeping as the live path,
     /// but silent — no acks (the peer collected them before the crash), no
-    /// resync pulls (post-recovery catch-up covers any still-open gap), and
-    /// no telemetry. A summary the live path refused (it is journaled before
+    /// pull (a gap left open is owed on its link, for the next `poll`), no
+    /// telemetry. A summary the live path refused (it is journaled before
     /// it is judged) is refused again, uncounted like everything else here.
     pub fn replay_peer_data(&mut self, s: &UsageSummary, is_snapshot: bool) {
         let reads = self.cfg.mode.reads_global();
@@ -1187,8 +1181,7 @@ impl Uss {
             return;
         }
         self.merge_sections(s);
-        let rx = self.vol.rx.entry(s.site).or_insert_with(|| PeerRx::at(1));
-        rx.observe(s.seq, is_snapshot);
+        self.vol.link(s.site).observe(s.seq, is_snapshot);
     }
 
     /// Re-apply a journaled publish-sequence advance: the cursor only moves
@@ -1360,7 +1353,12 @@ impl Uss {
 
     /// Unacked summaries queued for `peer` (test inspection).
     pub fn outbox_depth(&self, peer: SiteId) -> usize {
-        self.vol.tx.get(&peer).map_or(0, |t| t.outbox.len())
+        self.vol.links.get(&peer).map_or(0, |l| l.outbox.len())
+    }
+
+    /// Whether no link owes anything either way (test inspection).
+    pub fn settled(&self) -> bool {
+        self.vol.links.values().all(|link| !link.owes())
     }
 
     /// The cells already published, and per origin already relayed, under
@@ -1403,7 +1401,7 @@ impl Uss {
             side,
         };
         let tx_rows = self.cfg.peers.iter().map(|&peer| {
-            let outbox = self.vol.tx.get(&peer).map(|tx| &tx.outbox);
+            let outbox = self.vol.links.get(&peer).map(|link| &link.outbox);
             let oldest_s = outbox.and_then(|unacked| Some(unacked.front()?.1));
             let side = LinkSide::Tx {
                 staleness_s: oldest_s.map_or(0.0, |at_s| (now_s - at_s).max(0.0)),
@@ -1797,6 +1795,28 @@ mod tests {
         a.ingest(&rec(0, "u", 110.0, 150.0));
         a.publish(400.0);
         assert_eq!(a.poll(400.0).len(), 1, "backoff reset by ack");
+        assert_eq!(a.poll(410.0).len(), 1, "its first retry waits 10 s again");
+    }
+
+    /// A link with nothing unacked sends fresh data at once, even while a
+    /// pull on it waits for the backoff.
+    #[test]
+    fn fresh_data_does_not_wait_for_a_pulls_backoff() {
+        let (mut a, mut b) = reliable_pair();
+        a.ingest(&rec(0, "u", 0.0, 80.0));
+        a.publish(200.0).expect("seq 1, lost");
+        a.ingest(&rec(0, "u", 110.0, 160.0));
+        let summary = a.publish(300.0).expect("seq 2");
+        let answers = b.receive_message(&UssMessage::Summary { summary, ctx: None }, 300.0);
+        assert_eq!(answers.len(), 2, "an ack and the gap's pull: {answers:?}");
+        b.ingest(&rec(1, "v", 0.0, 60.0));
+        b.publish(305.0).expect("b's own data");
+        let sent = b.poll(305.0); // the pull rides along
+        let [(SiteId(0), UssMessage::Summary { .. }), (SiteId(0), UssMessage::Resync { .. })] =
+            &sent[..]
+        else {
+            panic!("b's summary goes out with the pull: {sent:?}");
+        };
     }
 
     #[test]
@@ -1894,6 +1914,136 @@ mod tests {
         let msgs = b.poll(300.0);
         drain(&mut a, &mut b, msgs, 300.0);
         assert!((a.remote_usage_of(&GridUser::new("v")) - 60.0).abs() < 1e-9);
+    }
+
+    /// The explorer's trail: a recovered site's one catch-up request is
+    /// dropped, and its peer never publishes again — only the request's
+    /// retry makes the site whole.
+    #[test]
+    fn a_dropped_catchup_request_is_retried_against_a_silent_peer() {
+        let (mut a, mut b) = reliable_pair();
+        a.ingest(&rec(0, "u", 0.0, 80.0));
+        a.publish(200.0).expect("a closed slot");
+        let [(SiteId(1), summary)] = &a.poll(200.0)[..] else {
+            panic!("one summary to site 1");
+        };
+        for (_, ack) in b.receive_message(summary, 200.0) {
+            a.receive_message(&ack, 200.0);
+        }
+        assert!(a.settled(), "the summary was acked");
+        b.crash();
+        b.request_catchup();
+        let asked = b.poll(210.0);
+        assert!(
+            matches!(asked[..], [(SiteId(0), UssMessage::SnapshotRequest { .. })]),
+            "{asked:?}"
+        );
+        // Dropped. From here on nothing is lost and a has nothing to say.
+        for round in 1..=10 {
+            let now_s = 210.0 + 25.0 * f64::from(round);
+            assert!(a.publish(now_s).is_none());
+            let mut msgs = a.poll(now_s);
+            msgs.extend(b.poll(now_s));
+            drain(&mut a, &mut b, msgs, now_s);
+        }
+        let want: BTreeMap<GridUser, f64> = [(GridUser::new("u"), 80.0)].into();
+        assert_eq!(b.grid_view(), want);
+        assert!(a.settled() && b.settled(), "nothing owed either way");
+    }
+
+    /// A gap's pull is owed until the cursor reaches its top: a dropped
+    /// `Resync` goes out again on the link's backoff, though the publisher
+    /// holds nothing unacked and publishes nothing more.
+    #[test]
+    fn a_dropped_gap_pull_is_retried() {
+        let (mut a, mut b) = reliable_pair();
+        a.configure_reliability(
+            RetryPolicy {
+                outbox_cap: 1,
+                ..PAIR_RETRY
+            },
+            1,
+        );
+        a.ingest(&rec(0, "u", 0.0, 80.0));
+        a.publish(200.0).expect("seq 1");
+        a.ingest(&rec(0, "u", 110.0, 160.0));
+        a.publish(300.0)
+            .expect("seq 2, and seq 1 overflows the outbox");
+        let sent = a.poll(300.0);
+        let answers = b.receive_message(&sent[0].1, 300.0);
+        let [ack, (SiteId(0), UssMessage::Resync { .. })] = &answers[..] else {
+            panic!("an ack and the gap's pull: {answers:?}");
+        };
+        a.receive_message(&ack.1, 300.0); // the pull is dropped
+        assert!(a.settled() && !b.settled());
+        for round in 1..=4 {
+            let now_s = 300.0 + 25.0 * f64::from(round);
+            let mut msgs = a.poll(now_s);
+            msgs.extend(b.poll(now_s));
+            drain(&mut a, &mut b, msgs, now_s);
+        }
+        assert!((b.remote_usage_of(&GridUser::new("u")) - 130.0).abs() < 1e-9);
+        assert!(b.settled() && b.resyncs() == 2, "one pull, one retry");
+    }
+
+    /// A peer cut off for more than `history_cap` publications costs the
+    /// publisher one snapshot, answering the gap the peer pulls once it
+    /// hears again — not one per flush into the outage, nor one per
+    /// out-of-order arrival after it.
+    #[test]
+    fn an_outage_past_the_history_costs_one_snapshot() {
+        let (mut a, mut b) = reliable_pair();
+        let retry = RetryPolicy {
+            history_cap: 4,
+            ..PAIR_RETRY
+        };
+        a.configure_reliability(retry, 1);
+        let mut now_s = 200.0;
+        for i in 0..12 {
+            let start = 100.0 * f64::from(i);
+            a.ingest(&rec(0, "u", start, start + 50.0));
+            now_s = start + 200.0;
+            a.publish(now_s).expect("a closed slot");
+            a.poll(now_s); // cut off: every flush is lost
+        }
+        let unsent = a.outbox_depth(SiteId(1));
+        assert_eq!(
+            unsent, retry.history_cap,
+            "the outbox keeps what the history holds"
+        );
+        for _ in 0..20 {
+            now_s += 25.0;
+            let mut msgs = a.poll(now_s);
+            msgs.extend(b.poll(now_s));
+            drain(&mut a, &mut b, msgs, now_s);
+        }
+        assert!((b.remote_usage_of(&GridUser::new("u")) - 600.0).abs() < 1e-9);
+        assert!(a.settled() && b.settled(), "nothing owed either way");
+        assert_eq!((a.snapshots_sent(), b.seq_gaps()), (1, 1));
+    }
+
+    /// Seqs never restart (the publish cursor survives every crash), so a
+    /// late duplicate of seq 1 is a duplicate like any other: it rewinds no
+    /// cursor, and the next seq in order opens no gap.
+    #[test]
+    fn a_late_duplicate_of_seq_1_opens_no_gap() {
+        let (mut a, mut b) = reliable_pair();
+        let published: Vec<_> = (0..5)
+            .map(|i| {
+                let start = 100.0 * f64::from(i);
+                a.ingest(&rec(0, "u", start, start + 50.0));
+                a.publish(start + 200.0).expect("a closed slot")
+            })
+            .collect();
+        let order = [0, 1, 2, 3, 0, 4].map(|at| &published[at]);
+        let mut responses = Vec::new();
+        for summary in order {
+            let summary = Arc::clone(summary);
+            responses.extend(b.receive_message(&UssMessage::Summary { summary, ctx: None }, 700.0));
+        }
+        assert_eq!(b.seq_gaps(), 0);
+        let pulled = |(_, msg): &(SiteId, UssMessage)| matches!(msg, UssMessage::Resync { .. });
+        assert!(!responses.iter().any(pulled), "{responses:?}");
     }
 
     #[test]
@@ -2156,12 +2306,12 @@ mod tests {
                 local_cells: named_cells(&uss.ledger.users, uss.ledger.local.cells()),
                 records_ingested: uss.ledger.records_ingested,
                 next_seq: uss.ledger.next_seq,
-                peers: (uss.vol.rx.iter())
-                    .map(|(site, rx)| {
+                peers: (uss.vol.links.iter())
+                    .map(|(site, link)| {
                         (
                             *site,
                             PeerCursor {
-                                next_expected: rx.next_expected,
+                                next_expected: link.next_expected,
                             },
                         )
                     })

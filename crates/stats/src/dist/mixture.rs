@@ -201,7 +201,7 @@ impl ContinuousDistribution for Mixture {
         self.components.iter().map(|(w, d)| w * d.cdf(x)).sum()
     }
     /// `icdf_numeric`'s bits at ≈ 4 CDF evaluations on U65 instead of ≈ 43
-    /// ([`Mixture::quantile`]). Mixtures E does not cover (over eight
+    /// (`Mixture::quantile`). Mixtures E does not cover (over eight
     /// components, or any that is not a GEV) evaluate every step.
     fn icdf(&self, p: f64) -> f64 {
         self.quantile(p, |x| self.cdf(x), |x| self.cdf_pdf(x))
