@@ -25,8 +25,9 @@
 //! beating padded walltime requests, and the scheduler hot-path budget
 //! (`next_admitted` sub-µs, plan scan ~O(n log n) at 10k-deep queues, a
 //! saturated scheduling cycle that does not grow with the queue and barely
-//! with lanes and running jobs, a compare per job turned down in its lane,
-//! a backfill cycle that costs tens of ns per lane).
+//! with lanes and running jobs, a queue behind the shadow that costs its
+//! lanes rather than its jobs, a backfill cycle that costs tens of ns per
+//! lane, a shadow walk that sorts nothing).
 
 use crate::cli::Shape;
 use crate::experiments::{BALANCE_DWELL_S, BALANCE_EPS};
@@ -38,9 +39,9 @@ use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, SystemUser, UserId};
 use aequus_rms::{
-    Admission, DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, LocalFairshare,
-    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
-    ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
+    Admission, DispatchConfig, DispatchOrder, EndKeys, FactorConfig, FairshareSource, Job,
+    LocalFairshare, MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk,
+    QueuedJob, ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
 };
 use aequus_sim::{GridScenario, GridSimulation, SimResult};
 use aequus_telemetry::slo::StarvationClock;
@@ -442,12 +443,18 @@ pub struct HotPathReport {
     pub cycle_wide_us: f64,
     /// One cycle on a nearly full machine — 1 core free behind a wide
     /// pivot, 10,000 one-core jobs queued that would all overrun its shadow
-    /// — per queued job, nanoseconds: a job turned down in its lane.
+    /// — per queued job, nanoseconds. Each of the 8 lanes goes on its bound
+    /// (its least request ends after the shadow), so this is the lanes'
+    /// cost spread over the jobs; a walk that steps every job read 2–11.
     pub stepped_over_ns: f64,
     /// One backfill cycle at the `WIDE` shape under `LastKMax { k: 5 }`,
     /// every class with history, one core free behind a reserved wide pivot
     /// and nothing admitted, per lane, nanoseconds.
     pub backfill_lane_ns: f64,
+    /// One EASY plan whose pivot is one core short behind the `WIDE`
+    /// shape's 128 believed ends, nothing queued behind it, nanoseconds:
+    /// the shadow walk and little else.
+    pub shadow_ns: f64,
 }
 
 impl HotPathReport {
@@ -690,6 +697,26 @@ fn backfill_lane_ns(reps: usize) -> f64 {
     steady_cycle_ns((sched, src), now_s, (running - 1, 1.0), queued, reps) / lanes as f64
 }
 
+/// One EASY plan whose only job, the pivot, is one core short behind the
+/// `WIDE` shape's running jobs, nanoseconds: the plan reserves it at the
+/// first believed end and finds nothing to backfill. One [`EndKeys`] serves
+/// every plan, as in a scheduler.
+fn shadow_ns(reps: usize) -> f64 {
+    const FREE: u32 = 7;
+    let running = synthetic_running(WIDE.2);
+    let pivot = [QueuedJob {
+        cores: FREE + 1,
+        predicted_s: 600.0,
+    }];
+    let mut ends = EndKeys::default();
+    let plan = |ends: &mut EndKeys| {
+        let walk = &mut SliceWalk::new(&pivot);
+        DispatchOrder::Easy.plan(0.0, FREE, walk, &running, ends)
+    };
+    assert!(plan(&mut ends).shadow_s.is_some(), "the pivot is reserved");
+    min_ns(reps, || plan(&mut ends))
+}
+
 /// Measure the scheduler hot path (see [`HotPathReport`]).
 pub fn run_hotpath_bench() -> HotPathReport {
     const FREE: u32 = 8;
@@ -708,7 +735,13 @@ pub fn run_hotpath_bench() -> HotPathReport {
     let running = synthetic_running(RUNNING);
     let plan_us = |reps, order: DispatchOrder, queue: &[QueuedJob]| {
         min_ns(reps, || {
-            order.plan(0.0, FREE, &mut SliceWalk::new(queue), &running)
+            order.plan(
+                0.0,
+                FREE,
+                &mut SliceWalk::new(queue),
+                &running,
+                &mut EndKeys::default(),
+            )
         }) / 1_000.0
     };
     let within = Admission::within(FREE);
@@ -729,6 +762,7 @@ pub fn run_hotpath_bench() -> HotPathReport {
         cycle_wide_us: saturated_cycle_us(WIDE, 10_000, 200),
         stepped_over_ns: stepped_over_ns(10_000, 50),
         backfill_lane_ns: backfill_lane_ns(200),
+        shadow_ns: shadow_ns(2_000),
     }
 }
 
@@ -796,5 +830,6 @@ mod tests {
         );
         assert!(stepped_over_ns(50, 2) > 0.0, "nearly full shape holds");
         assert!(backfill_lane_ns(2) > 0.0, "backfill shape holds");
+        assert!(shadow_ns(2) > 0.0, "shadow shape holds");
     }
 }

@@ -154,9 +154,10 @@ pub const CHECK_PLAN: &[Step] = &[
     // under O(n^2), a saturated scheduling cycle that costs at most 3x more
     // with 10,000 jobs queued than with 1,000 and at most 5 ns per further
     // lane or running job, at most 15 ns per queued job a nearly full
-    // machine turns down inside its lane, and at most 80 ns per lane for a
+    // machine turns down inside its lane, at most 80 ns per lane for a
     // backfill cycle at 384 lanes under last-k-max — "a backfill cycle
-    // costs <= 80 ns per lane").
+    // costs <= 80 ns per lane" — and at most 2 us for an EASY plan whose
+    // pivot is one core short behind 128 running jobs).
     ("backfill_sweep", CHECK),
     // The thirteen simulated headline numbers (convergence times, gossip
     // bytes per user, staleness and alert lag, the backfill smoke cells)

@@ -377,9 +377,11 @@ const CYCLE_GROWTH_CEILING: f64 = 3.0;
 /// 8 × 3 behind 8), ns: ~2, a write or a compare; a dispatch that heapifies
 /// the lane heads and sorts the believed ends before it looks read ~66.
 const SATURATED_ITEM_BUDGET_NS: f64 = 5.0;
-/// Hot-path budget: a queued job turned down inside its lane, ns — a clamp
-/// and a compare; a yielded candidate (heap step, priority, handle, class
-/// lookup) cost ~100.
+/// Hot-path budget: a cycle on a nearly full machine per queued job whose
+/// request overruns the shadow, ns: ~0.1, as its lanes go whole on their
+/// least request; stepping every job in its lane — a clamp and a compare —
+/// read 2–11, and yielding each as a candidate (heap step, priority,
+/// handle, class lookup) ~100.
 const STEPPED_OVER_BUDGET_NS: f64 = 15.0;
 /// Hot-path budget: a backfill cycle at the `WIDE` shape under `LastKMax`,
 /// one core free behind a reserved pivot and nothing admitted, per lane, ns:
@@ -387,6 +389,12 @@ const STEPPED_OVER_BUDGET_NS: f64 = 15.0;
 /// class estimate by id; a walk that pops every lane head and looks its
 /// class up by name read ~145.
 const BACKFILL_LANE_BUDGET_NS: f64 = 80.0;
+/// Hot-path budget: an EASY plan whose pivot is one core short behind the
+/// `WIDE` shape's 128 believed ends, nothing else queued, ns: ~290–420
+/// (~860–950 on a loud host) when the shadow walk reads the earliest end
+/// off the copied keys (a selection when that is not enough); a walk that
+/// collects and sorts the ends read ~2,080–2,940 (~2,690–3,090 loud).
+const SHADOW_BUDGET_NS: f64 = 2_000.0;
 
 /// The dispatch-policy × fairshare-projection matrix (ROADMAP item 2): runs
 /// every {FIFO, EASY, Conservative, SAF} × {Dictionary, Bitwise, Percental}
@@ -536,14 +544,15 @@ pub(super) fn backfill_sweep(args: &Args, gates: &mut Gates) {
         hot.cycle_growth()
     );
     println!(
-        "saturated cycle, 64 users x 6 widths, 128 running: {:.2} us ({:.1} ns per further lane or running job) | nearly full machine: {:.1} ns per job stepped over",
+        "saturated cycle, 64 users x 6 widths, 128 running: {:.2} us ({:.1} ns per further lane or running job) | nearly full machine: {:.1} ns per queued job",
         hot.cycle_wide_us,
         hot.saturated_item_ns(),
         hot.stepped_over_ns
     );
     println!(
-        "backfill cycle, 64 users x 6 widths, last-k-max, 1 core free behind a reserved pivot: {:.1} ns per lane",
-        hot.backfill_lane_ns
+        "backfill cycle, 64 users x 6 widths, last-k-max, 1 core free behind a reserved pivot: {:.1} ns per lane | easy plan, pivot 1 core short behind 128 running: {:.0} ns",
+        hot.backfill_lane_ns,
+        hot.shadow_ns
     );
 
     println!();
@@ -595,6 +604,11 @@ pub(super) fn backfill_sweep(args: &Args, gates: &mut Gates) {
         &format!("a backfill cycle costs <= {BACKFILL_LANE_BUDGET_NS:.0} ns per lane"),
         hot.backfill_lane_ns <= BACKFILL_LANE_BUDGET_NS,
         &format!("{:.1} ns", hot.backfill_lane_ns),
+    );
+    gates.check(
+        &format!("a pivot one core short behind 128 running jobs is planned in <= {SHADOW_BUDGET_NS:.0} ns"),
+        hot.shadow_ns <= SHADOW_BUDGET_NS,
+        &format!("{:.0} ns", hot.shadow_ns),
     );
     gates.check(
         &format!("EASY 10k scan < {SCAN_10K_BUDGET_US:.0} us"),

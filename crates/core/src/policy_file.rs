@@ -63,6 +63,7 @@ impl std::error::Error for PolicyFileError {}
 
 #[derive(Debug, Clone)]
 struct Declaration {
+    line: usize,
     path: EntityPath,
     share: f64,
     user: Option<GridUser>,
@@ -79,7 +80,9 @@ pub fn parse_policy(text: &str) -> Result<PolicyTree, PolicyFileError> {
             continue;
         }
         let mut parts = line.split_whitespace();
-        let path_str = parts.next().expect("non-empty line has a token");
+        let Some(path_str) = parts.next() else {
+            continue;
+        };
         if !path_str.starts_with('/') {
             return Err(PolicyFileError::Malformed {
                 line: line_no,
@@ -131,6 +134,7 @@ pub fn parse_policy(text: &str) -> Result<PolicyTree, PolicyFileError> {
             });
         }
         decls.push(Declaration {
+            line: line_no,
             path,
             share,
             user,
@@ -151,9 +155,15 @@ pub fn parse_policy(text: &str) -> Result<PolicyTree, PolicyFileError> {
 
 fn insert(root: &mut PolicyNode, d: &Declaration) -> Result<(), PolicyFileError> {
     let comps = d.path.components();
+    let Some((leaf_name, parents)) = comps.split_last() else {
+        return Err(PolicyFileError::Malformed {
+            line: d.line,
+            reason: "the root cannot be declared".to_string(),
+        });
+    };
     let mut node = root;
     // Walk/create intermediate groups.
-    for comp in &comps[..comps.len() - 1] {
+    for comp in parents {
         let pos = match node.children.iter().position(|c| &c.name == comp) {
             Some(p) => p,
             None => {
@@ -164,7 +174,6 @@ fn insert(root: &mut PolicyNode, d: &Declaration) -> Result<(), PolicyFileError>
         };
         node = &mut node.children[pos];
     }
-    let leaf_name = comps.last().expect("non-root path");
     if let Some(existing) = node.children.iter_mut().find(|c| &c.name == leaf_name) {
         // Declared after being implicitly created as a parent: set its share.
         existing.share = d.share;
@@ -275,6 +284,28 @@ mod tests {
         assert!(matches!(
             parse_policy("/a 1 user=x mount=y\n"),
             Err(PolicyFileError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn the_root_is_refused_at_its_line() {
+        assert!(matches!(
+            parse_policy("/a 1\n/ 1\n"),
+            Err(PolicyFileError::Malformed { line: 2, .. })
+        ));
+        // `insert` refuses it too, rather than reading a leaf name off an
+        // empty path.
+        let root_decl = Declaration {
+            line: 7,
+            path: EntityPath::parse("/"),
+            share: 1.0,
+            user: None,
+            mount: None,
+        };
+        let mut root = PolicyNode::group("root", 1.0, Vec::new());
+        assert!(matches!(
+            insert(&mut root, &root_decl),
+            Err(PolicyFileError::Malformed { line: 7, .. })
         ));
     }
 

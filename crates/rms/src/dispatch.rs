@@ -30,6 +30,8 @@
 //! over a [`SliceWalk`] it is trivially property-testable and
 //! microbenchmarkable (see `backfill_sweep`).
 
+use std::cmp::Ordering;
+
 /// A queued job as the dispatch order sees it, in priority order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuedJob {
@@ -136,20 +138,101 @@ impl QueueWalk for SliceWalk<'_> {
     }
 }
 
+/// The running set's believed ends as `(order key, cores)` pairs: the
+/// buffer a shadow walk selects in. A scheduler keeps one between cycles so
+/// the walk allocates nothing; any one serves any plan.
+#[derive(Debug, Default)]
+pub struct EndKeys(Vec<(i64, u32)>);
+
+/// `x` as an integer that orders as [`f64::total_cmp`] orders floats.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// Earliest time `cores` become available given current `free` cores and
 /// running jobs' believed ends, plus the cores spare beyond the
-/// reservation at that time. `None` when the job exceeds the machine.
-fn shadow_of(cores: u32, free: u32, running: &[RunningSlice]) -> Option<(f64, u32)> {
-    let mut ends: Vec<(f64, u32)> = running.iter().map(|r| (r.end_s, r.cores)).collect();
-    ends.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut f = free;
-    for (end, c) in ends {
-        f += c;
+/// reservation at that time: the ends are taken in order of end, ties by
+/// position in `running`, until the freed cores reach `cores`, and only
+/// the ends up to that one count toward the spare. `None` when the job
+/// exceeds the machine.
+///
+/// Nothing is sorted. The least end `K` by which enough cores are freed is
+/// found first — the earliest end, read off while the keys are copied, when
+/// its cores do (a pivot one core short, or every end tied), else by
+/// [`select_crossing`] — then one pass in running order takes the ends at
+/// `K` until the pivot fits. O(running), expected.
+fn shadow_of(
+    cores: u32,
+    free: u32,
+    running: &[RunningSlice],
+    ends: &mut EndKeys,
+) -> Option<(f64, u32)> {
+    let keys = &mut ends.0;
+    keys.clear();
+    let (mut earliest, mut at) = (i64::MAX, 0);
+    for r in running {
+        let key = total_key(r.end_s);
+        keys.push((key, r.cores));
+        match key.cmp(&earliest) {
+            Ordering::Less => (earliest, at) = (key, r.cores),
+            Ordering::Equal => at += r.cores,
+            Ordering::Greater => {}
+        }
+    }
+    let (crossing, mut f) = if free + at >= cores {
+        (earliest, free)
+    } else {
+        select_crossing(keys, free, cores)?
+    };
+    for r in running.iter().filter(|r| total_key(r.end_s) == crossing) {
+        f += r.cores;
         if f >= cores {
-            return Some((end, f - cores));
+            return Some((r.end_s, f - cores));
         }
     }
     None
+}
+
+/// The least key by which `free` and the cores of the ends up to it reach
+/// `cores`, with `free` plus the cores of the ends before it: a three-way
+/// quickselect over `keys` (reordered), expected O(keys). `None` when all
+/// of them fall short.
+fn select_crossing(keys: &mut [(i64, u32)], free: u32, cores: u32) -> Option<(i64, u32)> {
+    // The crossing lies in `part`; `f` is `free` plus every end before it.
+    let (mut part, mut f) = (keys, free);
+    loop {
+        let &(pivot, _) = part.get(part.len() / 2)?;
+        // Partition `part` into ends before, at and after the pivot's.
+        let (mut lt, mut i, mut gt, mut below, mut at) = (0, 0, part.len(), f, 0);
+        while i < gt {
+            let (key, c) = part[i];
+            match key.cmp(&pivot) {
+                Ordering::Less => {
+                    below += c;
+                    part.swap(lt, i);
+                    lt += 1;
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    gt -= 1;
+                    part.swap(i, gt);
+                }
+                Ordering::Equal => {
+                    at += c;
+                    i += 1;
+                }
+            }
+        }
+        if lt > 0 && below >= cores {
+            part = &mut part[..lt];
+        } else if below + at >= cores {
+            return Some((pivot, below));
+        } else {
+            f = below + at;
+            part = &mut part[gt..];
+        }
+    }
 }
 
 /// Which jobs behind the pivot [`pivot_scan`] considers for backfill, and
@@ -176,15 +259,17 @@ enum Candidates {
 /// Complexity: the head phase walks up to the pivot; the candidate pass
 /// hands the walk its [`Admission`] rule and gets back only jobs it can
 /// start (the rule only tightens, so a job turned down never could):
-/// O(head starts + backfill starts) walk yields — stepping over the rest is
-/// the walk's, a compare per job — plus one O(running·log running) shadow
-/// walk. The `QueueOrder` pass allocates nothing per job; `AscendingArea`
-/// collects and sorts the candidates the rule admits at the pivot.
+/// O(head starts + backfill starts) walk yields — passing over the rest is
+/// the walk's — plus one shadow walk, expected O(running) whatever the
+/// pivot's width ([`shadow_of`]). The `QueueOrder` pass allocates nothing
+/// per job; `AscendingArea` collects and sorts the candidates the rule
+/// admits at the pivot.
 fn pivot_scan(
     now_s: f64,
     free_cores: u32,
     queue: &mut dyn QueueWalk,
     running: &[RunningSlice],
+    ends: &mut EndKeys,
     candidates: Candidates,
 ) -> DispatchPlan {
     let mut plan = DispatchPlan::default();
@@ -199,7 +284,7 @@ fn pivot_scan(
             });
         } else if candidates == Candidates::Absent {
             return plan;
-        } else if let Some(reservation) = shadow_of(q.cores, free, running) {
+        } else if let Some(reservation) = shadow_of(q.cores, free, running, ends) {
             plan.shadow_s = Some(reservation.0);
             reserved = Some(reservation);
             break;
@@ -384,14 +469,17 @@ impl DispatchOrder {
 
     /// Decide which queued jobs start at `now_s`. `queue` yields pending
     /// jobs by descending priority; `running` lists current jobs with
-    /// believed ends. The plan never starts more cores than `free_cores`;
-    /// its starts are in decision order — not always priority order (SAF).
+    /// believed ends, and `ends` is the buffer a pivot scan finds its
+    /// shadow in (any [`EndKeys`]: it is cleared before use). The plan never
+    /// starts more cores than `free_cores`; its starts are in decision order
+    /// — not always priority order (SAF).
     pub fn plan(
         self,
         now_s: f64,
         free_cores: u32,
         queue: &mut dyn QueueWalk,
         running: &[RunningSlice],
+        ends: &mut EndKeys,
     ) -> DispatchPlan {
         let candidates = match self {
             DispatchOrder::Fifo => Candidates::Absent,
@@ -401,7 +489,7 @@ impl DispatchOrder {
                 return conservative_timeline(now_s, free_cores, queue, running)
             }
         };
-        pivot_scan(now_s, free_cores, queue, running, candidates)
+        pivot_scan(now_s, free_cores, queue, running, ends, candidates)
     }
 }
 
@@ -440,7 +528,13 @@ mod tests {
         queue: &[QueuedJob],
         running: &[RunningSlice],
     ) -> DispatchPlan {
-        order.plan(0.0, free, &mut SliceWalk::new(queue), running)
+        order.plan(
+            0.0,
+            free,
+            &mut SliceWalk::new(queue),
+            running,
+            &mut EndKeys::default(),
+        )
     }
 
     #[test]
@@ -585,7 +679,8 @@ mod tests {
         // while 0.7 - 0.2 < 0.5 — `predicted <= shadow - now` would turn
         // this job down.
         let (running, queue) = ([r(0.7, 3)], [q(4, 50.0), q(1, 0.5)]);
-        let plan = DispatchOrder::Easy.plan(0.2, 1, &mut SliceWalk::new(&queue), &running);
+        let mut walk = SliceWalk::new(&queue);
+        let plan = DispatchOrder::Easy.plan(0.2, 1, &mut walk, &running, &mut EndKeys::default());
         assert_eq!(plan.shadow_s, Some(0.7));
         let backfill = PlannedStart {
             handle: 1,
@@ -623,6 +718,52 @@ mod tests {
         }
         // The head phase's rule admits everything.
         assert!(jobs.iter().all(|j| Admission::within(u32::MAX).admits(j)));
+    }
+
+    /// The shadow walk as it was before the selection: collect the believed
+    /// ends, stable-sort them by end, add them up until the pivot fits.
+    fn sorted_shadow_of(cores: u32, free: u32, running: &[RunningSlice]) -> Option<(f64, u32)> {
+        let mut ends: Vec<(f64, u32)> = running.iter().map(|r| (r.end_s, r.cores)).collect();
+        ends.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut f = free;
+        for (end, c) in ends {
+            f += c;
+            if f >= cores {
+                return Some((end, f - cores));
+            }
+        }
+        None
+    }
+
+    proptest::proptest! {
+        /// The selection finds the shadow the stable sort did — ends taken
+        /// by end, ties by position — so every pivot gets the same shadow
+        /// and the same spare cores, to the bit: over ends drawn from a
+        /// dozen values (ties are the rule), overdue jobs collapsed
+        /// onto `now + MIN_PREDICTION_S`, both zeros, zero-core entries, and
+        /// every pivot width from one core short (the earliest end settles
+        /// most of those) up to wider than the machine. One buffer serves
+        /// every walk.
+        #[test]
+        fn the_selected_shadow_is_the_sorted_one(
+            running in proptest::collection::vec((0usize..12, 0u32..5), 0..40),
+            free in 0u32..6,
+        ) {
+            let now_s = 100.0;
+            let overdue_s = now_s + crate::predict::MIN_PREDICTION_S;
+            let values = [
+                overdue_s, overdue_s, 150.0, 150.0, 220.0, 0.0, -0.0, 101.5, 130.0, 170.25, 300.0, 1e9,
+            ];
+            let running: Vec<RunningSlice> = running.iter().map(|&(e, c)| r(values[e], c)).collect();
+            let machine = free + running.iter().map(|r| r.cores).sum::<u32>();
+            let mut ends = EndKeys::default();
+            for cores in free + 1..=machine + 2 {
+                let bits = |s: Option<(f64, u32)>| s.map(|(end, spare)| (end.to_bits(), spare));
+                let selected = bits(shadow_of(cores, free, &running, &mut ends));
+                let sorted = bits(sorted_shadow_of(cores, free, &running));
+                proptest::prop_assert_eq!(selected, sorted, "pivot {} over {:?}", cores, running);
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub mod predict;
 pub mod scheduler;
 
 pub use dispatch::{
-    Admission, DispatchConfig, DispatchOrder, DispatchPlan, PlannedStart, QueueWalk, QueuedJob,
-    RunningSlice, SliceWalk,
+    Admission, DispatchConfig, DispatchOrder, DispatchPlan, EndKeys, PlannedStart, QueueWalk,
+    QueuedJob, RunningSlice, SliceWalk,
 };
 pub use job::{Job, JobState};
 pub use multifactor::{

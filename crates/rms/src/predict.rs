@@ -131,6 +131,12 @@ pub struct RuntimePredictor {
     metrics: PredictMetrics,
 }
 
+/// A job's walltime request as a prediction may use it: never below
+/// [`MIN_PREDICTION_S`].
+pub(crate) fn request_floor(job: &Job) -> f64 {
+    job.request_s.max(MIN_PREDICTION_S)
+}
+
 /// A job's prediction class: (grid, else system) user name, width bucket.
 fn class_of(job: &Job) -> (&str, u32) {
     let user = match &job.grid_user {
@@ -192,7 +198,14 @@ impl RuntimePredictor {
     /// to `[MIN_PREDICTION_S, request]` — the request stays an upper bound
     /// because the job cannot be *scheduled* for longer than its contract.
     pub fn predict_from(estimate: Option<f64>, job: &Job) -> f64 {
-        let request = job.request_s.max(MIN_PREDICTION_S);
+        Self::predict_within(estimate, request_floor(job))
+    }
+
+    /// The prediction under `estimate` of a job whose request, floored at
+    /// [`MIN_PREDICTION_S`], is `request`. Never falls as `request` rises, so
+    /// the least request of jobs sharing one estimate bounds all of their
+    /// predictions from below.
+    pub fn predict_within(estimate: Option<f64>, request: f64) -> f64 {
         estimate.unwrap_or(request).clamp(MIN_PREDICTION_S, request)
     }
 

@@ -14,13 +14,15 @@
 //! (nothing at all on a full machine).
 
 use crate::dispatch::{
-    Admission, DispatchConfig, DispatchOrder, QueueWalk, QueuedJob, RunningSlice,
+    Admission, DispatchConfig, DispatchOrder, EndKeys, QueueWalk, QueuedJob, RunningSlice,
 };
 use crate::job::{Job, JobState};
 use crate::multifactor::{combined_priority, FactorConfig, PriorityWeights};
 use crate::nodes::NodePool;
 use crate::plugin::FairshareSource;
-use crate::predict::{believed_end, ClassId, PredictionStats, RuntimePredictor};
+use crate::predict::{
+    believed_end, request_floor, ClassId, PredictionStats, RuntimePredictor, MIN_PREDICTION_S,
+};
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, UserId};
@@ -132,17 +134,39 @@ type LaneKey = (Option<UserId>, u32);
 struct Lane {
     fairshare: f64,
     class: Option<ClassId>,
+    /// The least [`request_floor`] of the lane's jobs: lowered as a job is
+    /// sorted in, recomputed when a job holding it is taken.
+    least_request: f64,
     jobs: VecDeque<Job>,
 }
 
-/// A running job with what its start fixed: when its cores come back (true
-/// duration, or the request if it is killed there) and the prediction it
-/// started under — scored at completion; `start_s` + it is its believed end.
+impl Lane {
+    /// The lane at `key` as its fastest job: its width, and a prediction no
+    /// job in it falls below — a rule that turns this down turns down every
+    /// job in the lane. A mapped lane predicts every job under its one class
+    /// estimate, and a prediction never falls as the request rises, so its
+    /// least request gives it; the unmapped lane mixes accounts of different
+    /// classes and has only the floor.
+    fn fastest(&self, key: LaneKey, predictor: &RuntimePredictor) -> QueuedJob {
+        let estimate = self.class.and_then(|class| predictor.estimate_of(class));
+        let predicted_s = match key.0 {
+            Some(_) => RuntimePredictor::predict_within(estimate, self.least_request),
+            None => MIN_PREDICTION_S,
+        };
+        QueuedJob {
+            cores: key.1,
+            predicted_s,
+        }
+    }
+}
+
+/// A running job with what its start fixed: its start and the prediction
+/// it started under — scored at completion; `start_s` + it is its believed
+/// end. When its cores come back sits beside it in `SchedulerCore::ends`.
 #[derive(Debug)]
 struct Running {
     job: Job,
     start_s: f64,
-    end_s: f64,
     predicted_s: f64,
 }
 
@@ -185,6 +209,13 @@ pub struct SchedulerCore {
     /// Pending jobs that ask for no cores: all a full machine can start.
     zero_core_pending: usize,
     running: Vec<Running>,
+    /// When each running job's cores come back (true duration, or the
+    /// request if it is killed there), at its index in `running`.
+    ends: Vec<f64>,
+    /// The believed ends and the keys the last dispatch's shadow walk
+    /// selected in, kept so that a dispatch allocates neither.
+    believed: Vec<RunningSlice>,
+    end_keys: EndKeys,
     last_reprio_s: f64,
     order: DispatchOrder,
     predictor: RuntimePredictor,
@@ -243,6 +274,9 @@ impl SchedulerCore {
             fresh: Vec::new(),
             zero_core_pending: 0,
             running: Vec::new(),
+            ends: Vec::new(),
+            believed: Vec::new(),
+            end_keys: EndKeys::default(),
             last_reprio_s: f64::NEG_INFINITY,
             order: dispatch.order,
             predictor: RuntimePredictor::new(dispatch.predictor, dispatch.mispredict),
@@ -324,12 +358,14 @@ impl SchedulerCore {
     /// Advance the scheduler to `now_s`: finish due jobs (reporting their
     /// usage), re-prioritize if due, and dispatch in the configured order.
     ///
-    /// Complexity: O(running + lanes) for the completion scan and the sweep;
-    /// the dispatch is O(1) on a full machine — it returns before anything
-    /// is built — else O(running + lanes·log lanes + jobs started + a
-    /// compare per job stepped over). Not O(queue): a full machine costs the
-    /// same with 10 jobs queued or 10,000, and a compare or a write per
-    /// further running job or lane (gated in `backfill_sweep --check`).
+    /// Complexity: O(running + lanes) for the completion scan (a column of
+    /// ends) and the sweep; the dispatch is O(1) on a full machine — it
+    /// returns before anything is built — else O(running + lanes·log lanes +
+    /// jobs started), the shadow walk included, plus a compare per job
+    /// stepped over in a lane whose bound the rule admits (see
+    /// `LaneWalk`). Not O(queue): a full machine costs the same with 10
+    /// jobs queued or 10,000, and a compare or a write per further running
+    /// job or lane (gated in `backfill_sweep --check`).
     pub fn advance(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
         self.nodes.advance(now_s);
         self.complete_due(source, now_s);
@@ -348,9 +384,12 @@ impl SchedulerCore {
     fn sweep(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
         for FreshEntry { job, user_id, .. } in self.fresh.drain(..) {
             let lane = self.lanes.entry((user_id, job.cores)).or_default();
+            let request = request_floor(&job);
             if lane.jobs.is_empty() {
                 lane.class = user_id.and_then(|_| self.predictor.intern_class(&job));
+                lane.least_request = request;
             }
+            lane.least_request = lane.least_request.min(request);
             // In-order submits append; a late one is sorted in from the back.
             let before = |j: &Job| (j.submit_s, j.id) <= (job.submit_s, job.id);
             let at = lane.jobs.iter().rposition(before).map_or(0, |i| i + 1);
@@ -371,13 +410,16 @@ impl SchedulerCore {
     fn complete_due(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
         let completed_before = self.stats.completed;
         let mut i = 0;
-        while i < self.running.len() {
-            if self.running[i].end_s > now_s {
+        while i < self.ends.len() {
+            if self.ends[i] > now_s {
                 i += 1;
                 continue;
             }
+            // Both columns swap the same index out: `running`'s order, and
+            // so the order completions are reported, is unchanged.
+            let end_s = self.ends.swap_remove(i);
             let done = self.running.swap_remove(i);
-            let (mut job, start_s, end_s) = (done.job, done.start_s, done.end_s);
+            let (mut job, start_s) = (done.job, done.start_s);
             job.state = JobState::Completed { start_s, end_s };
             self.nodes.release(job.cores);
             self.stats.completed += 1;
@@ -386,8 +428,12 @@ impl SchedulerCore {
             self.stats.slowdown_sum += (job.wait_time(end_s) + run_s) / run_s.max(SLOWDOWN_TAU_S);
             self.predictor.on_complete(&job, done.predicted_s, run_s);
             if let Some(user) = &job.grid_user {
-                *self.stats.usage_by_user.entry(user.clone()).or_insert(0.0) +=
-                    job.cores as f64 * job.duration_s;
+                let used = job.cores as f64 * job.duration_s;
+                if let Some(total) = self.stats.usage_by_user.get_mut(user) {
+                    *total += used;
+                } else {
+                    self.stats.usage_by_user.insert(user.clone(), 0.0 + used);
+                }
                 source.report_usage(
                     UsageRecord {
                         job: job.id,
@@ -422,10 +468,15 @@ impl SchedulerCore {
             end_s: believed_end(r.start_s, r.predicted_s, now_s),
             cores: r.job.cores,
         };
-        let running: Vec<RunningSlice> = self.running.iter().map(believed).collect();
+        self.believed.clear();
+        self.believed.extend(self.running.iter().map(believed));
+        let mut keys = std::mem::take(&mut self.end_keys);
         let mut walk = LaneWalk::new(self);
-        let plan = self.order.plan(now_s, free, &mut walk, &running);
+        let plan = self
+            .order
+            .plan(now_s, free, &mut walk, &self.believed, &mut keys);
         let yielded = walk.yielded;
+        self.end_keys = keys;
         // Take the started jobs out back to front, so no slot moves before
         // it is used; then start them in priority (handle) order, not plan
         // order: `running`'s order decides the order same-tick completions
@@ -460,13 +511,12 @@ impl SchedulerCore {
                 self.stats.backfilled += 1;
                 self.metrics.backfilled.inc();
             }
-            let (start_s, end_s) = (now_s, now_s + run_for_s);
             self.running.push(Running {
                 job,
-                start_s,
-                end_s,
+                start_s: now_s,
                 predicted_s,
             });
+            self.ends.push(now_s + run_for_s);
         }
     }
 
@@ -476,11 +526,14 @@ impl SchedulerCore {
             Slot::Fresh(i) => Some(self.fresh.remove(i).job),
             Slot::Lane(key, pos) => {
                 let lane = self.lanes.get_mut(&key)?;
-                let job = lane.jobs.remove(pos);
+                let job = lane.jobs.remove(pos)?;
                 if lane.jobs.is_empty() {
                     self.lanes.remove(&key);
+                } else if request_floor(&job) == lane.least_request {
+                    let requests = lane.jobs.iter().map(request_floor);
+                    lane.least_request = requests.fold(f64::INFINITY, f64::min);
                 }
-                job
+                Some(job)
             }
         }
     }
@@ -551,17 +604,20 @@ impl Eq for Head<'_> {}
 /// fresh jobs. A job's handle is its rank among the jobs yielded so far (so
 /// handles ascend with priority); `yielded` maps handles back to slots.
 ///
-/// The first rule with a reserved pivot prunes the heap once: a lane wider
-/// than the free cores goes, every other steps to its first job the rule
-/// admits or goes. Behind a yielded job its lane steps the same way, and
-/// the top is checked again, as a backfill start may have tightened the
-/// rule since. Jobs stepped over are never priced, pushed or given a handle
-/// (the rule only tightens: they could not have started); a mapped lane's
-/// class estimate is read by id, once per visit.
+/// The first rule with a reserved pivot prunes the heap once: a lane goes
+/// at once when the rule would turn down its fastest job ([`Lane::fastest`]
+/// — too wide for the free cores, or too wide for the spare ones and too
+/// slow for the shadow), every other steps to its first job the rule admits
+/// or goes. Behind a yielded job its lane is judged the same way, and the
+/// top is checked again, as a backfill start may have tightened the rule
+/// since. Jobs stepped over are never priced, pushed or given a handle (the
+/// rule only tightens: they could not have started); a mapped lane's class
+/// estimate is read by id.
 ///
-/// Complexity: O(lanes + fresh) to build and to prune; a yielded job, or a
-/// lane that goes, costs one O(log lanes) heap step, one priority
-/// evaluation and a compare per job stepped over.
+/// Complexity: O(lanes + fresh) to build and to prune; a lane that goes on
+/// its bound costs O(1), a yielded job one O(log lanes) heap step and one
+/// priority evaluation, and a compare per job stepped over is paid only in
+/// a lane whose bound the rule admits (or the unmapped lane).
 struct LaneWalk<'a> {
     sched: &'a SchedulerCore,
     heads: BinaryHeap<Head<'a>>,
@@ -602,7 +658,7 @@ impl<'a> LaneWalk<'a> {
 
     /// `head`, or with `skip` 1 the job behind it, or else the first job
     /// after that in its lane that `rule` admits (a fresh job is a lane of
-    /// one); a lane too wide for the rule goes at once.
+    /// one); a lane whose fastest job the rule turns down goes at once.
     fn admitted(
         sched: &SchedulerCore,
         head: Head<'a>,
@@ -612,7 +668,7 @@ impl<'a> LaneWalk<'a> {
         let (Slot::Lane(key, pos), Some(lane)) = (head.slot, head.lane) else {
             return (skip == 0 && rule.admits(&sched.view(None)(head.job))).then_some(head);
         };
-        if !rule.fits(key.1) {
+        if !rule.admits(&lane.fastest(key, &sched.predictor)) {
             return None;
         }
         let (view, mut behind) = (sched.view(Some(lane)), lane.jobs.range(pos + skip..));
@@ -910,6 +966,47 @@ mod tests {
         };
         assert_eq!(walk.yielded.iter().map(id).collect::<Vec<_>>(), [1, 2, 4]);
         assert!(yielded[3].is_none());
+    }
+
+    #[test]
+    fn a_lane_keeps_its_least_request() {
+        // No core: every job stays in its lane. `a`'s one-core lane asks
+        // 40, 20, 20 s; two late submits are sorted in ahead of them — one
+        // asking 30, one 10 — and then the 10, one 20, the other 20 are
+        // taken: the last forces a recompute to 30.
+        let mut sched = core(0);
+        let mut src = source();
+        let least_of = |sched: &SchedulerCore| {
+            let (&key, lane) = sched.lanes.iter().next().expect("one lane");
+            let least = lane
+                .jobs
+                .iter()
+                .map(request_floor)
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(lane.least_request.to_bits(), least.to_bits(), "{lane:?}");
+            (key, lane.least_request)
+        };
+        let asking =
+            |id, submit_s, request_s| job(id, "sysa", 1, submit_s, 5.0).with_request(request_s);
+        for (id, request_s) in [(1, 40.0), (2, 20.0), (3, 20.0)] {
+            sched.submit(asking(id, 10.0 + id as f64, request_s), &mut src, 20.0);
+        }
+        sched.advance(&mut src, 20.0);
+        assert_eq!(least_of(&sched).1, 20.0);
+        sched.submit(asking(4, 5.0, 30.0), &mut src, 30.0);
+        sched.submit(asking(5, 6.0, 10.0), &mut src, 30.0);
+        sched.advance(&mut src, 30.0);
+        assert_eq!(least_of(&sched).1, 10.0);
+        for (id, least) in [(5, 20.0), (2, 20.0), (3, 30.0)] {
+            let key = least_of(&sched).0;
+            let pos = sched.lanes[&key]
+                .jobs
+                .iter()
+                .position(|j| j.id == JobId(id));
+            let taken = sched.take(Slot::Lane(key, pos.expect("pending")));
+            assert_eq!(taken.map(|j| j.id), Some(JobId(id)));
+            assert_eq!(least_of(&sched).1, least, "after taking {id}");
+        }
     }
 
     fn core_weighted(weights: PriorityWeights) -> SchedulerCore {

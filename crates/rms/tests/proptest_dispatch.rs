@@ -15,9 +15,9 @@ use aequus_core::policy::flat_policy;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::{GridUser, SystemUser};
 use aequus_rms::{
-    Admission, DispatchConfig, DispatchOrder, DispatchPlan, FactorConfig, Job, LocalFairshare,
-    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
-    ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
+    Admission, DispatchConfig, DispatchOrder, DispatchPlan, EndKeys, FactorConfig, Job,
+    LocalFairshare, MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk,
+    QueuedJob, ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
 };
 use proptest::prelude::*;
 
@@ -111,7 +111,13 @@ fn plan_over(
     queue: &[QueuedJob],
     running: &[RunningSlice],
 ) -> DispatchPlan {
-    order.plan(0.0, free, &mut SliceWalk::new(queue), running)
+    order.plan(
+        0.0,
+        free,
+        &mut SliceWalk::new(queue),
+        running,
+        &mut EndKeys::default(),
+    )
 }
 
 /// The walk the rule-aware one replaced, kept as the reference: it yields
@@ -197,9 +203,11 @@ proptest! {
         for slice in &mut running {
             slice.end_s += now_s;
         }
+        // One buffer serves every plan: each clears it before use.
+        let mut ends = EndKeys::default();
         for order in [DispatchOrder::Fifo, DispatchOrder::Easy, DispatchOrder::Saf] {
-            let ruled = order.plan(now_s, free, &mut SliceWalk::new(&queue), &running);
-            let by_width = order.plan(now_s, free, &mut WidthWalk(queue.iter().enumerate()), &running);
+            let ruled = order.plan(now_s, free, &mut SliceWalk::new(&queue), &running, &mut ends);
+            let by_width = order.plan(now_s, free, &mut WidthWalk(queue.iter().enumerate()), &running, &mut ends);
             prop_assert_eq!(ruled, by_width, "{}", order.name());
         }
     }

@@ -33,8 +33,8 @@ use aequus_core::{GridUser, SystemUser, UserId};
 use aequus_rms::multifactor::combined_priority;
 use aequus_rms::predict::MIN_PREDICTION_S;
 use aequus_rms::{
-    Admission, DispatchConfig, DispatchOrder, FactorConfig, FairshareSource, Job, JobState,
-    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
+    Admission, DispatchConfig, DispatchOrder, EndKeys, FactorConfig, FairshareSource, Job,
+    JobState, MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
     ReprioritizePolicy, RunningSlice, RuntimePredictor, SchedulerCore, SliceWalk,
 };
 use proptest::prelude::*;
@@ -137,6 +137,15 @@ struct Edges {
     /// Backfill cycles in which a job the pivot's rule admitted did not
     /// start: an earlier backfill start had taken the cores it needed.
     admitted_then_turned_down: u32,
+    /// Backfill cycles in which the pivot's rule turned a mapped lane down
+    /// whole: it fits the free cores, but even the prediction of its least
+    /// request — a bound on all of its jobs' — neither ends by the shadow
+    /// nor fits the spare cores.
+    lane_rejected_whole: u32,
+    /// Backfill cycles in which a mapped lane's bound passed the pivot's
+    /// rule, yet the rule admitted none of its unvisited jobs: the job that
+    /// set the bound had been visited before the pivot.
+    bound_passed_none_admitted: u32,
 }
 
 /// The reference's walk: the sorted slice, noting the first rule with a
@@ -263,7 +272,8 @@ impl FlatQueue {
             next: 0,
             pivot_rule: None,
         };
-        let plan = self.order.plan(now_s, free, &mut walk, &running);
+        let ends = &mut EndKeys::default();
+        let plan = self.order.plan(now_s, free, &mut walk, &running, ends);
         if let Some((rule, from)) = walk.pivot_rule {
             // The pending lanes as they stood when the pivot was reserved:
             // each one's first unvisited job and first job the rule admits.
@@ -279,6 +289,26 @@ impl FlatQueue {
                 .values()
                 .any(|&(head, first)| first.is_some_and(|f| f > head));
             self.edges.admitted_behind_a_head += behind as u32;
+            // A mapped lane's bound: its one class estimate applied to the
+            // least request among all its pending jobs, visited or not.
+            let (mut whole, mut passed) = (false, false);
+            for (&(user_id, cores), &(head, first)) in &lanes {
+                if user_id.is_none() || !rule.fits(cores) {
+                    continue;
+                }
+                let in_lane = |e: &&Entry| (e.user_id, e.job.cores) == (user_id, cores);
+                let requests = self.pending.iter().filter(in_lane);
+                let least = requests
+                    .map(|e| e.job.request_s.max(MIN_PREDICTION_S))
+                    .fold(f64::INFINITY, f64::min);
+                let estimate = self.predictor.history_estimate(&self.pending[head].job);
+                let predicted_s = RuntimePredictor::predict_within(estimate, least);
+                let bounded = rule.admits(&QueuedJob { cores, predicted_s });
+                whole |= !bounded;
+                passed |= bounded && first.is_none();
+            }
+            self.edges.lane_rejected_whole += whole as u32;
+            self.edges.bound_passed_none_admitted += passed as u32;
             let started: BTreeSet<usize> = plan.starts.iter().map(|s| s.handle).collect();
             let turned_down =
                 (from..queue.len()).any(|i| rule.admits(&queue[i]) && !started.contains(&i));
@@ -566,6 +596,12 @@ proptest! {
 /// * t = 450/460: `a` holds 3 cores, its 5-wide pivot leaves one core spare
 ///   at t = 490; `b`'s two 100 s one-core jobs both fit it, the first
 ///   backfill start takes it and the second is turned down.
+/// * t = 700/720: `c` holds 4 cores until 770; `a`'s 10 s one-core job
+///   starts on one of the two free cores, `a`'s 5-wide pivot reserves the
+///   machine at 770 with none spare. Behind it `a`'s one-core lane passes
+///   its bound (the 10 s job is still in it) but holds only a 100 s job;
+///   `b`'s one-core lane, whose 100 s history bounds it, goes whole; and
+///   `d`'s 50 s job ends exactly at the shadow and backfills.
 #[test]
 fn a_script_through_the_edges() {
     let mut script = vec![Vec::new(); 47];
@@ -578,6 +614,15 @@ fn a_script_through_the_edges() {
     script[31] = vec![(0, 6, 2, 30.0, 1), (3, 1, 0, 60.0, 1), (3, 1, 2, 10.0, 1)];
     script[45] = vec![(0, 3, 2, 40.0, 1)];
     script[46] = vec![(0, 5, 2, 30.0, 1), (1, 1, 2, 100.0, 1), (1, 1, 2, 100.0, 1)];
+    script.resize(73, Vec::new());
+    script[70] = vec![(2, 4, 2, 70.0, 1)];
+    script[72] = vec![
+        (0, 1, 0, 10.0, 1),
+        (0, 5, 1, 30.0, 1),
+        (0, 1, 2, 100.0, 1),
+        (1, 1, 2, 100.0, 1),
+        (3, 1, 2, 50.0, 1),
+    ];
     // Ids are interned in submit order: a, b, c.
     let table = [vec![4, 0, 2, 2]];
     let run = |order, reprio, mispredict| {
@@ -604,6 +649,8 @@ fn a_script_through_the_edges() {
     assert!(easy.zero_core_starts_on_full >= 1, "{easy:?}");
     assert!(easy.admitted_behind_a_head >= 1, "{easy:?}");
     assert!(easy.admitted_then_turned_down >= 1, "{easy:?}");
+    assert!(easy.lane_rejected_whole >= 1, "{easy:?}");
+    assert!(easy.bound_passed_none_admitted >= 1, "{easy:?}");
     eprintln!("{easy:?}");
     let fifo = run(DispatchOrder::Fifo, every_cycle, MispredictPolicy::Extend);
     assert!(fifo.full_with_zero_core_pending.1 >= 3, "{fifo:?}");
