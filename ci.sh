@@ -137,7 +137,9 @@ done
 # command channels and result types (sites advance in contiguous runs on
 # per-epoch scoped threads), and the USS's separate per-peer send and
 # receive states with the fire-once catch-up set (one `Link` per peer holds
-# what is owed each way) — and no
+# what is owed each way), and the counting sink that sized a message by
+# running its encode again (a size is the length of a publication's one
+# frame) — and no
 # tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -151,7 +153,7 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'derive_group' -e 'changed_elements' -e 'shares_refreshed' -e 'fairshare_kernel' \
   -e 'ums_cached' -e 'export_state' -e 'install_state' -e 'row_from' \
   -e 'worker_loop' -e 'WorkerOut' -e 'SiteFragments' \
-  -e 'catchup_pending' -e 'PeerTx' -e 'PeerRx' \
+  -e 'catchup_pending' -e 'PeerTx' -e 'PeerRx' -e 'encoded_size' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2

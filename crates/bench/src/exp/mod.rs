@@ -165,9 +165,12 @@ pub const CHECK_PLAN: &[Step] = &[
     // move one edits that file in the same diff and says why.
     ("sim_keys", CHECK),
     // WAL replay must reconverge the crashed site's views strictly earlier
-    // than surcharged snapshot-only catch-up on every seed, and the CRC32
+    // than surcharged snapshot-only catch-up on every seed, the CRC32
     // under every WAL frame and checkpoint slot must cost at most 1.5 ns
-    // per byte over a 64 KiB buffer (min of 24 batches).
+    // per byte over a 64 KiB buffer (min of 24 batches), and cutting a
+    // checkpoint — the view, the section encode and the CRC — of a site
+    // holding 3,000 users x 8 slots locally and in each of 10 origins'
+    // mirrors must cost at most 8 ns per slot byte (min of 24 batches).
     ("recovery_sweep", &[]),
     // Smoke-sized: every worker count must replay the serial run
     // seed-for-seed, and the continuous profiler's folded stacks must be

@@ -124,7 +124,11 @@ pub(super) fn fig11_tracer(args: &Args, _gates: &mut Gates) {
         "stage", "traces", "p50(s)", "p99(s)", "max(s)", "cap(s)", "p99/cap"
     );
     for (stage, cap_s) in timings.stage_caps() {
-        let (count, worst) = stage_stats(delay_histogram(stage));
+        let Some(histogram) = delay_histogram(stage) else {
+            println!("{stage:>11} {:>52} {cap_s:>12.1}", "(no delay histogram)");
+            continue;
+        };
+        let (count, worst) = stage_stats(histogram);
         match worst {
             Some(h) => println!(
                 "{stage:>11} {count:>8} {:>10.1} {:>10.1} {:>10.1} {cap_s:>12.1} {:>7.0}%",

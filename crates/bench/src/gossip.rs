@@ -14,7 +14,7 @@
 use crate::backfill::min_ns;
 use crate::cli::Shape;
 use crate::sweep::{cycle_trace, parallel_sweep};
-use aequus_core::codec::Encoding;
+use aequus_core::codec::{Encoding, Publication};
 use aequus_core::usage::{UsageRecord, UsageSummary};
 use aequus_core::{
     DecayPolicy, FairshareConfig, GridUser, JobId, ProjectionKind, SiteId, UserTable,
@@ -197,7 +197,7 @@ pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
         uss.ingest(&record(user, 10.0));
     }
     for origin in 1..=9 {
-        let summary = Arc::new(UsageSummary {
+        let summary = Arc::new(Publication::new(UsageSummary {
             site: SiteId(origin),
             seq: 1,
             slot_s: SLOT_S,
@@ -206,7 +206,7 @@ pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
                 .map(|u| (u.clone(), [(0, 5.0)].into()))
                 .collect(),
             relayed: Default::default(),
-        });
+        }));
         uss.receive_message(&UssMessage::Summary { summary, ctx: None }, 500.0);
     }
     let everything = uss.publish(500.0).expect("first publication");
@@ -245,13 +245,13 @@ pub fn merge_ns_per_cell() -> f64 {
     let publication = |seq: u64, slots: &dyn Fn(u64) -> Vec<u64>, value: f64| {
         let cells = |u| slots(u).into_iter().map(|slot| (slot, value)).collect();
         let per_user = (0..USERS).map(|u| (GridUser::new(format!("u{u}")), cells(u)));
-        let summary = Arc::new(UsageSummary {
+        let summary = Arc::new(Publication::new(UsageSummary {
             site: SiteId(1),
             seq,
             slot_s: SLOT_S,
             per_user: per_user.collect(),
             relayed: Default::default(),
-        });
+        }));
         UssMessage::Summary { summary, ctx: None }
     };
     let mut uss = Uss::new(SiteId(0), ParticipationMode::Full, SLOT_S);

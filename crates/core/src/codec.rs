@@ -17,9 +17,10 @@
 //! numerically tame charge values) with a columnar varint layout:
 //! front-coded user names, delta-coded slot indices, and
 //! byte-swapped-varint `f64` charges. Both are *exact*: decode reproduces
-//! the cells bit for bit, and `wire_bytes`/`wire_size` accounting
-//! throughout the simulator is defined as the encoded length, so modeled
-//! bytes and profiled bytes cannot diverge.
+//! the cells bit for bit, and `wire_size` accounting throughout the
+//! simulator is defined as the encoded length — of a publication's one
+//! frame ([`Publication`]) — so modeled bytes and profiled bytes cannot
+//! diverge.
 //!
 //! Wire frame layout (all multi-byte integers little-endian or LEB128
 //! varint):
@@ -44,7 +45,7 @@ use crate::ids::{GridUser, SiteId};
 use crate::usage::{CellStore, UsageSummary, UserCells};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 const MAGIC: u8 = 0xA9;
 const VERSION: u8 = 1;
@@ -205,11 +206,9 @@ pub fn crc32(data: &[u8]) -> u32 {
     h.finish()
 }
 
-// --- The writer: one write path serves encoding and exact sizing ------------
+// --- The writer ---------------------------------------------------------------
 
-/// Where encoded bytes go: a `Vec<u8>` materializes them, the counting sink
-/// behind [`encoded_size`] only measures them — the same write path either
-/// way, so size and encoding cannot drift apart.
+/// The primitives every format writes with, appended to a `Vec<u8>`.
 pub trait Sink {
     /// Append one byte.
     fn byte(&mut self, b: u8);
@@ -233,15 +232,10 @@ pub trait Sink {
     }
 
     /// A LEB128 varint.
-    fn varint(&mut self, mut v: u64) {
-        loop {
-            let b = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                return self.byte(b);
-            }
-            self.byte(b | 0x80);
-        }
+    fn varint(&mut self, v: u64) {
+        let mut b = [0; 10];
+        let len = put_varint(&mut b, 0, v);
+        self.bytes(&b[..len]);
     }
 
     /// A `u32`-length-prefixed UTF-8 string.
@@ -260,15 +254,23 @@ impl Sink for Vec<u8> {
     }
 }
 
-struct Count(usize);
+/// Bytes the LEB128 varint of `v` takes: 1 to 10.
+#[inline]
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
 
-impl Sink for Count {
-    fn byte(&mut self, _: u8) {
-        self.0 += 1;
+/// Write the varint of `v` at `buf[at..]`, returning the index past it. The
+/// caller has made room: an index past `buf` is a wrong bound, and panics.
+#[inline]
+fn put_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        buf[at] = v as u8 | 0x80;
+        v >>= 7;
+        at += 1;
     }
-    fn bytes(&mut self, bs: &[u8]) {
-        self.0 += bs.len();
-    }
+    buf[at] = v as u8;
+    at + 1
 }
 
 // --- The reader --------------------------------------------------------------
@@ -393,6 +395,7 @@ impl<'a> Reader<'a> {
 
 // --- Section payloads ------------------------------------------------------
 
+#[inline]
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
@@ -400,6 +403,7 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 /// `Some(x)` when `charge` is bit-exactly the non-negative integer `x`
 /// below 2^53 (so `x as f64` reproduces it losslessly), `None` otherwise —
 /// in particular for `-0.0`, `NaN`, negatives, and fractional values.
+#[inline]
 fn integral_value(charge: f64) -> Option<u64> {
     if !(0.0..9_007_199_254_740_992.0).contains(&charge) {
         return None;
@@ -408,121 +412,158 @@ fn integral_value(charge: f64) -> Option<u64> {
     ((x as f64).to_bits() == charge.to_bits()).then_some(x)
 }
 
-/// Per-user cells under their names, in name order, as the encoder takes
-/// them: `(user, cells[range])` runs over one flat cell vector — a copy of
-/// an edge type's [`UserCells`], or of a site's id-keyed [`CellStore`] with
-/// the names written back and no per-user map built on the way.
-#[derive(Debug, Default)]
-pub struct NamedCells<'a> {
-    runs: Vec<(&'a GridUser, Range<usize>)>,
-    cells: Vec<(u64, f64)>,
+/// One user's cells as a section encoder reads them, `(slot, charge)` in
+/// slot order: a row of an id-keyed [`CellStore`] or the slot map of a
+/// name-keyed [`UserCells`], walked where it lies.
+pub trait CellRow: Copy {
+    /// The row's cells.
+    fn cells(self) -> impl ExactSizeIterator<Item = (u64, f64)> + DoubleEndedIterator;
+}
+
+impl CellRow for &[(u64, f64)] {
+    fn cells(self) -> impl ExactSizeIterator<Item = (u64, f64)> + DoubleEndedIterator {
+        self.iter().copied()
+    }
+}
+
+impl CellRow for &BTreeMap<u64, f64> {
+    fn cells(self) -> impl ExactSizeIterator<Item = (u64, f64)> + DoubleEndedIterator {
+        self.iter().map(|(&slot, &charge)| (slot, charge))
+    }
+}
+
+/// Per-user rows under their names, in name order, as the encoder takes
+/// them: one `(name, &row)` pair per user over cells that stay where they
+/// are — a site's id-keyed [`CellStore`] with the names written back, or an
+/// edge type's [`UserCells`].
+#[derive(Debug)]
+pub struct NamedCells<'a, R = &'a [(u64, f64)]> {
+    rows: Vec<(&'a GridUser, R)>,
 }
 
 impl<'a> NamedCells<'a> {
-    /// The cells of `store` under the names `users` gave its ids: one slice
-    /// copy per row (id order is name order over the table's base), and a
-    /// sort of the users only when the table holds identities outside it.
-    pub fn from_store(store: &CellStore, users: &'a UserTable) -> Self {
-        let mut named = Self::default();
-        for (user, row) in store.iter() {
-            named.push(users.name(user), row.iter().copied());
-        }
+    /// The rows of `store` under the names `users` gave its ids (id order
+    /// is name order over the table's base), sorted by name only when the
+    /// table holds identities outside it.
+    pub fn from_store(store: &'a CellStore, users: &'a UserTable) -> Self {
+        let mut rows: Vec<_> = store
+            .iter()
+            .map(|(user, row)| (users.name(user), row))
+            .collect();
         if users.len() > users.base().len() {
-            named.runs.sort_by(|a, b| a.0.cmp(b.0));
+            rows.sort_by(|a, b| a.0.cmp(b.0));
         }
-        named
+        Self { rows }
     }
+}
 
-    /// A flat copy of name-keyed cells (users holding none included).
+impl<'a> NamedCells<'a, &'a BTreeMap<u64, f64>> {
+    /// Name-keyed cells (users holding none included).
     pub fn from_cells(cells: &'a UserCells) -> Self {
-        let mut named = Self::default();
-        for (user, slots) in cells {
-            named.push(user, slots.iter().map(|(&slot, &charge)| (slot, charge)));
+        Self {
+            rows: cells.iter().collect(),
         }
-        named
     }
+}
 
-    /// Append one user's run of cells.
-    fn push(&mut self, user: &'a GridUser, cells: impl Iterator<Item = (u64, f64)>) {
-        let at = self.cells.len();
-        self.cells.extend(cells);
-        self.runs.push((user, at..self.cells.len()));
-    }
-
-    /// `(user, cells in slot order)`, in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'a GridUser, &[(u64, f64)])> + Clone {
-        let runs = self.runs.iter();
-        runs.map(|(user, run)| (*user, &self.cells[run.clone()]))
+impl<'a, R: CellRow> NamedCells<'a, R> {
+    /// `(user, row)`, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a GridUser, R)> + Clone + '_ {
+        self.rows.iter().copied()
     }
 
     /// Encode as one section payload under `enc`: a varint user count, then
     /// the encoding's layout.
-    pub fn encode<S: Sink>(&self, enc: Encoding, out: &mut S) {
-        out.varint(self.runs.len() as u64);
-        let cells = || self.iter().flat_map(|(_, cells)| cells);
-        match enc {
-            Encoding::Dense => {
-                // Fixed-width u32 length/count fields and 16-byte cells.
-                for (user, cells) in self.iter() {
-                    out.str(user.as_str());
-                    out.u32(cells.len() as u32);
-                    for &(slot, charge) in cells {
-                        out.u64(slot);
-                        out.f64(charge);
-                    }
-                }
-            }
-            Encoding::Delta => {
-                // Names column, front-coded against the previous name: grid
-                // identities like "u000123" share long prefixes, so most
-                // entries shrink to a couple of bytes.
-                let mut prev: &[u8] = &[];
-                for (user, _) in self.iter() {
-                    let name = user.as_str().as_bytes();
-                    let shared = common_prefix(prev, name);
-                    out.varint(shared as u64);
-                    out.varint((name.len() - shared) as u64);
-                    out.bytes(&name[shared..]);
-                    prev = name;
-                }
-                // Cell-count column.
-                for (_, cells) in self.iter() {
-                    out.varint(cells.len() as u64);
-                }
-                // Slot column: first index absolute, the rest as gaps (sorted
-                // and distinct, so every gap is ≥ 1 and typically tiny).
-                for (_, cells) in self.iter() {
-                    let mut prev_slot = 0;
-                    for &(slot, _) in cells {
-                        out.varint(slot - prev_slot);
-                        prev_slot = slot;
-                    }
-                }
-                // Value column, led by a per-cell bitmap: set bits mark
-                // charges that are exactly a small non-negative integer — the
-                // common case for accumulated core-seconds — stored as a
-                // plain varint of that integer. Clear bits fall back to the
-                // `f64` bits byte-swapped then varint-coded (lossless for
-                // every bit pattern; the trailing-zero mantissas of dyadic
-                // charges become leading zeros the varint drops).
-                let mut bitmap = Vec::new();
-                for (bit, &(_, charge)) in cells().enumerate() {
-                    if bit.is_multiple_of(8) {
-                        bitmap.push(0u8);
-                    }
-                    if integral_value(charge).is_some() {
-                        bitmap[bit / 8] |= 1 << (bit % 8);
-                    }
-                }
-                out.bytes(&bitmap);
-                for &(_, charge) in cells() {
-                    match integral_value(charge) {
-                        Some(x) => out.varint(x),
-                        None => out.varint(charge.to_bits().swap_bytes()),
-                    }
-                }
+    pub fn encode(&self, enc: Encoding, out: &mut Vec<u8>) {
+        if enc == Encoding::Delta {
+            return self.encode_delta(out);
+        }
+        // Fixed-width u32 length/count fields and 16-byte cells.
+        out.varint(self.rows.len() as u64);
+        for &(user, row) in &self.rows {
+            out.str(user.as_str());
+            out.u32(row.cells().len() as u32);
+            for (slot, charge) in row.cells() {
+                out.u64(slot);
+                out.f64(charge);
             }
         }
+    }
+
+    /// The columnar layout, written by index into room made once for the
+    /// longest each column can be, then cut to what was written: a name's
+    /// two varints are at most as long as its length's, no slot gap of a
+    /// row is longer than the varint of the row's span, and a value takes
+    /// at most 10 bytes. The names and count columns take one pass each;
+    /// the slot, bitmap and value columns one more between them, the bitmap
+    /// and values staged past the slot column's room and moved down behind
+    /// it.
+    fn encode_delta(&self, out: &mut Vec<u8>) {
+        let rows = &self.rows;
+        let (mut heads, mut slot_room, mut cells) = (varint_len(rows.len() as u64), 0, 0);
+        for (user, row) in rows {
+            let (len, mut row) = (user.as_str().len(), row.cells());
+            let n = row.len();
+            let first = row.next().map_or(0, |c| c.0);
+            let last = row.next_back().map_or(first, |c| c.0);
+            heads += 2 * varint_len(len as u64) + len + varint_len(n as u64);
+            slot_room += varint_len(first) + n.saturating_sub(1) * varint_len(last - first);
+            cells += n;
+        }
+        let bitmap_len = cells.div_ceil(8);
+        let start = out.len();
+        out.resize(start + heads + slot_room + bitmap_len + 10 * cells, 0);
+        let buf = &mut out[start..];
+        let mut at = put_varint(buf, 0, rows.len() as u64);
+        // Names column, front-coded against the previous name: grid
+        // identities like "u000123" share long prefixes, so most entries
+        // shrink to a couple of bytes.
+        let mut prev: &[u8] = &[];
+        for (user, _) in rows {
+            let name = user.as_str().as_bytes();
+            let shared = common_prefix(prev, name);
+            let suffix = &name[shared..];
+            at = put_varint(buf, at, shared as u64);
+            at = put_varint(buf, at, suffix.len() as u64);
+            buf[at..at + suffix.len()].copy_from_slice(suffix);
+            at += suffix.len();
+            prev = name;
+        }
+        // Cell-count column.
+        for (_, row) in rows {
+            at = put_varint(buf, at, row.cells().len() as u64);
+        }
+        // Slot column: first index absolute, the rest as gaps (sorted and
+        // distinct, so every gap is ≥ 1 and typically tiny). Then the value
+        // column, led by a per-cell bitmap (bit i of byte i / 8 for cell i):
+        // set bits mark charges that are exactly a small non-negative
+        // integer — the common case for accumulated core-seconds — stored
+        // as a plain varint of that integer. Clear bits fall back to the
+        // `f64` bits byte-swapped then varint-coded (lossless for every bit
+        // pattern; the trailing-zero mantissas of dyadic charges become
+        // leading zeros the varint drops).
+        let (slots, staged) = buf[at..].split_at_mut(slot_room);
+        let (bitmap, values) = staged.split_at_mut(bitmap_len);
+        let (mut slots_end, mut values_end, mut bit) = (0, 0, 0);
+        for (_, row) in rows {
+            let mut prev_slot = 0;
+            for (slot, charge) in row.cells() {
+                slots_end = put_varint(slots, slots_end, slot - prev_slot);
+                prev_slot = slot;
+                let v = match integral_value(charge) {
+                    Some(x) => {
+                        bitmap[bit / 8] |= 1 << (bit % 8);
+                        x
+                    }
+                    None => charge.to_bits().swap_bytes(),
+                };
+                values_end = put_varint(values, values_end, v);
+                bit += 1;
+            }
+        }
+        let staged = at + slot_room..at + slot_room + bitmap_len + values_end;
+        buf.copy_within(staged, at + slots_end);
+        out.truncate(start + at + slots_end + bitmap_len + values_end);
     }
 }
 
@@ -643,7 +684,7 @@ fn site_id(r: &mut Reader<'_>) -> Result<SiteId, CodecError> {
 /// Write a summary's fields and cell sections under `enc`, unframed: the
 /// body of the wire frame, and how `aequus-store` journals peer data
 /// inside its own CRC framing.
-pub fn write_summary<S: Sink>(s: &UsageSummary, enc: Encoding, out: &mut S) {
+pub fn write_summary(s: &UsageSummary, enc: Encoding, out: &mut Vec<u8>) {
     out.varint(u64::from(s.site.0));
     out.varint(s.seq);
     out.f64(s.slot_s);
@@ -681,29 +722,93 @@ pub fn read_summary(r: &mut Reader<'_>, enc: Encoding) -> Result<UsageSummary, C
     })
 }
 
-fn write_frame<S: Sink>(s: &UsageSummary, enc: Encoding, out: &mut S) {
-    out.byte(MAGIC);
-    out.byte(VERSION);
-    out.byte(enc.tag());
-    write_summary(s, enc, out);
-}
-
 /// Encode a summary under `enc`, CRC trailer included.
 pub fn encode_summary(s: &UsageSummary, enc: Encoding) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_size(s, enc));
-    write_frame(s, enc, &mut out);
+    let mut out = vec![MAGIC, VERSION, enc.tag()];
+    write_summary(s, enc, &mut out);
     let crc = crc32(&out);
     out.u32(crc);
     out
 }
 
-/// Exact encoded length of `s` under `enc` — runs the same write path as
-/// [`encode_summary`] through a counting sink, so it equals
-/// `encode_summary(s, enc).len()` by construction.
-pub fn encoded_size(s: &UsageSummary, enc: Encoding) -> usize {
-    let mut count = Count(0);
-    write_frame(s, enc, &mut count);
-    count.0 + 4
+/// A summary as it travels, with its frame under each encoding: encoded
+/// when first asked for, then shared by every send, retry, resync answer and
+/// journal of the publication. The frames are not part of the value:
+/// equality and hashing read the summary alone, a clone starts without
+/// them, and mutable access drops them, so a frame is always what
+/// [`encode_summary`] writes for the summary as it stands.
+pub struct Publication {
+    summary: UsageSummary,
+    frames: [OnceLock<Vec<u8>>; 2],
+}
+
+impl Publication {
+    /// `summary`, not yet encoded.
+    pub fn new(summary: UsageSummary) -> Self {
+        Self {
+            summary,
+            frames: Default::default(),
+        }
+    }
+
+    /// [`encode_summary`] of the summary under `enc`, encoded once.
+    pub fn frame(&self, enc: Encoding) -> &[u8] {
+        let slot = &self.frames[usize::from(enc.tag())];
+        slot.get_or_init(|| encode_summary(&self.summary, enc))
+    }
+
+    /// [`write_summary`] of the summary under `enc`: the frame without its
+    /// three-byte head and CRC trailer.
+    pub fn body(&self, enc: Encoding) -> &[u8] {
+        let frame = self.frame(enc);
+        frame
+            .get(3..frame.len().saturating_sub(4))
+            .unwrap_or_default()
+    }
+}
+
+impl std::ops::Deref for Publication {
+    type Target = UsageSummary;
+    fn deref(&self) -> &UsageSummary {
+        &self.summary
+    }
+}
+
+impl std::ops::DerefMut for Publication {
+    fn deref_mut(&mut self) -> &mut UsageSummary {
+        self.frames = Default::default();
+        &mut self.summary
+    }
+}
+
+impl Clone for Publication {
+    fn clone(&self) -> Self {
+        Self::new(self.summary.clone())
+    }
+}
+
+impl PartialEq for Publication {
+    fn eq(&self, other: &Self) -> bool {
+        self.summary == other.summary
+    }
+}
+
+impl std::hash::Hash for Publication {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        self.summary.hash(h);
+    }
+}
+
+impl fmt::Debug for Publication {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.summary.fmt(f)
+    }
+}
+
+impl From<UsageSummary> for Arc<Publication> {
+    fn from(summary: UsageSummary) -> Self {
+        Arc::new(Publication::new(summary))
+    }
 }
 
 /// Decode a frame back into `(encoding, summary)`. The CRC is checked
@@ -769,11 +874,27 @@ mod tests {
     }
 
     #[test]
-    fn encoded_size_matches_encoding() {
-        let s = sample();
+    fn a_publication_frames_its_summary_as_it_stands() {
+        let mut p = Publication::new(sample());
         for enc in [Encoding::Dense, Encoding::Delta] {
-            assert_eq!(encoded_size(&s, enc), encode_summary(&s, enc).len());
+            assert_eq!(p.frame(enc), encode_summary(&sample(), enc));
+            let mut body = Vec::new();
+            write_summary(&sample(), enc, &mut body);
+            assert_eq!(p.body(enc), body);
         }
+        let (clone, delta) = (p.clone(), p.frame(Encoding::Delta).to_vec());
+        p.seq += 1;
+        assert_ne!(
+            p.frame(Encoding::Delta),
+            delta,
+            "a mutation drops the frames"
+        );
+        assert_eq!(
+            p.frame(Encoding::Delta),
+            encode_summary(&p, Encoding::Delta)
+        );
+        assert_eq!(clone.frame(Encoding::Delta), delta);
+        assert_eq!(clone, Publication::new(sample()));
     }
 
     #[test]
@@ -867,10 +988,14 @@ mod tests {
         bytes.varint(u64::MAX);
         bytes.str("grid-user/α");
         bytes.byte(1);
-        let mut count = Count(0);
-        count.varint(u64::MAX);
-        count.str("grid-user/α");
-        assert_eq!(count.0, 10 + 4 + 12);
+        for v in [0, 127, 128, 1 << 35, u64::MAX] {
+            let mut one = Vec::new();
+            one.varint(v);
+            assert_eq!(varint_len(v), one.len(), "{v}");
+            let mut at = vec![0xEE; one.len()];
+            assert_eq!(put_varint(&mut at, 0, v), one.len());
+            assert_eq!(at, one);
+        }
 
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8(), Ok(7));

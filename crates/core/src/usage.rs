@@ -400,13 +400,6 @@ impl UsageSummary {
             .sum();
         own + relayed
     }
-
-    /// Serialized size in bytes under `enc` — the *actual* encoded length
-    /// (see [`crate::codec`]), not a model, so gossip byte accounting in
-    /// the profiler and the bench gates measure what the codec produces.
-    pub fn wire_bytes(&self, enc: crate::codec::Encoding) -> u64 {
-        crate::codec::encoded_size(self, enc) as u64
-    }
 }
 
 /// By the dense wire encoding: charges by their bits, like [`CellStore`]'s.

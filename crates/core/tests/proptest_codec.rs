@@ -1,20 +1,26 @@
 //! Property-based tests of the gossip wire codec: lossless round-trips for
 //! arbitrary summaries under both encodings, positive-delta merge
 //! idempotence under duplication / reordering / loss-with-resync, and
-//! corruption detection — a flipped bit must never decode silently — and
-//! the sliced CRC32 against a table-free bitwise reference.
+//! corruption detection — a flipped bit must never decode silently — the
+//! sliced CRC32 against a table-free bitwise reference, and the column
+//! section encoder against the byte-at-a-time writer it replaced.
 //!
 //! The vendored proptest shim generates scalars and vectors of scalar
 //! tuples; structured values (names, charges, summaries) are derived
 //! deterministically from those scalars, so every failure reproduces from
 //! the reported case seed.
 
-use aequus_core::codec::{crc32, decode_summary, encode_summary, encoded_size, Crc32, Encoding};
+use aequus_core::arena::UserTable;
+use aequus_core::codec::{
+    crc32, decode_cells, decode_summary, encode_summary, Crc32, Encoding, NamedCells, Publication,
+    Reader, Sink,
+};
 use aequus_core::ids::SiteId;
-use aequus_core::usage::{UsageSummary, UserCells};
+use aequus_core::usage::{CellStore, UsageSummary, UserCells};
 use aequus_core::GridUser;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A charge value mixing the integral fast path (whole core-seconds),
 /// awkward fractions, tiny residues, and huge magnitudes.
@@ -128,7 +134,8 @@ proptest! {
     fn round_trip_is_lossless(s in summary()) {
         for enc in [Encoding::Dense, Encoding::Delta] {
             let buf = encode_summary(&s, enc);
-            prop_assert_eq!(buf.len(), encoded_size(&s, enc), "sizing must be exact");
+            let published = Publication::new(s.clone());
+            prop_assert_eq!(published.frame(enc), &buf[..], "one frame, the same bytes");
             let (got_enc, got) = decode_summary(&buf).unwrap();
             prop_assert_eq!(got_enc, enc);
             prop_assert_eq!(&got, &s, "{:?} round trip", enc);
@@ -267,4 +274,219 @@ fn bitwise_crc32(data: &[u8]) -> u32 {
         }
     }
     !c
+}
+
+// --- The column section encoder against the byte writer --------------------
+
+/// The section writer the column encoder replaced, one byte at a time
+/// through [`Sink`]: the reference its bytes are held to.
+fn reference_section(rows: &[(&GridUser, Vec<(u64, f64)>)], enc: Encoding) -> Vec<u8> {
+    fn integral_value(charge: f64) -> Option<u64> {
+        if !(0.0..9_007_199_254_740_992.0).contains(&charge) {
+            return None;
+        }
+        let x = charge as u64;
+        ((x as f64).to_bits() == charge.to_bits()).then_some(x)
+    }
+    let mut out = Vec::new();
+    out.varint(rows.len() as u64);
+    let cells = || rows.iter().flat_map(|(_, cells)| cells);
+    match enc {
+        Encoding::Dense => {
+            for (user, cells) in rows {
+                out.str(user.as_str());
+                out.u32(cells.len() as u32);
+                for &(slot, charge) in cells {
+                    out.u64(slot);
+                    out.f64(charge);
+                }
+            }
+        }
+        Encoding::Delta => {
+            let mut prev: &[u8] = &[];
+            for (user, _) in rows {
+                let name = user.as_str().as_bytes();
+                let shared = prev.iter().zip(name).take_while(|(x, y)| x == y).count();
+                out.varint(shared as u64);
+                out.varint((name.len() - shared) as u64);
+                out.bytes(&name[shared..]);
+                prev = name;
+            }
+            for (_, cells) in rows {
+                out.varint(cells.len() as u64);
+            }
+            for (_, cells) in rows {
+                let mut prev_slot = 0;
+                for &(slot, _) in cells {
+                    out.varint(slot - prev_slot);
+                    prev_slot = slot;
+                }
+            }
+            let mut bitmap = Vec::new();
+            for (bit, &(_, charge)) in cells().enumerate() {
+                if bit.is_multiple_of(8) {
+                    bitmap.push(0u8);
+                }
+                if integral_value(charge).is_some() {
+                    bitmap[bit / 8] |= 1 << (bit % 8);
+                }
+            }
+            out.bytes(&bitmap);
+            for &(_, charge) in cells() {
+                match integral_value(charge) {
+                    Some(x) => out.varint(x),
+                    None => out.varint(charge.to_bits().swap_bytes()),
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Names at the front-coder's corners: long shared prefixes, names that
+/// are the prefix of the next one, the empty name and multi-byte UTF-8.
+fn edge_name(kind: u8, n: u64) -> String {
+    match kind % 5 {
+        0 => format!("/grid/vo-atlas/production/group-{}/user{}", n % 3, n % 40),
+        1 => "a".repeat((n % 6) as usize),
+        2 => format!("u{:0width$}", n % 50, width = (n % 4) as usize + 1),
+        3 => format!("ω{}ü", n % 9),
+        _ => String::new(),
+    }
+}
+
+/// Charges at the value column's corners: `-0.0`, NaN payloads,
+/// subnormals, 2^53 and its neighbours, `f64::MAX`, infinities and
+/// negatives beside plain integral and fractional core-seconds.
+fn edge_charge(kind: u8, a: u64) -> f64 {
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+    match kind % 10 {
+        0 => -0.0,
+        1 => f64::from_bits(0x7FF0_0000_0000_0000 | (a & 0x000F_FFFF_FFFF_FFFF) | 1),
+        2 => f64::from_bits(a & 0x000F_FFFF_FFFF_FFFF),
+        3 => [TWO_53 - 1.0, TWO_53, TWO_53 + 2.0, TWO_53 - 2.0][(a % 4) as usize],
+        4 => [f64::MAX, f64::INFINITY, -1.0, f64::MIN_POSITIVE][(a % 4) as usize],
+        5 | 6 => (a % 100_000) as f64,
+        _ => (a % 1_000_000) as f64 / 64.0 + 0.1,
+    }
+}
+
+/// One row's slots from `(gap kind, magnitude)` pairs: small gaps, gaps up
+/// to `u64::MAX`, the first slot absolute; a gap that would overflow ends
+/// the row.
+fn edge_row(cells: &[(u8, u64, u8, u64)]) -> BTreeMap<u64, f64> {
+    let mut row = BTreeMap::new();
+    let mut slot: Option<u64> = None;
+    for &(gap_kind, gap, charge_kind, a) in cells {
+        let gap = match gap_kind % 3 {
+            0 => gap % 3 + 1,
+            1 => u64::MAX - gap % 4,
+            _ => gap,
+        };
+        let next = match slot {
+            None => Some(gap - 1),
+            Some(at) => at.checked_add(gap),
+        };
+        let Some(next) = next else { break };
+        row.insert(next, edge_charge(charge_kind, a));
+        slot = Some(next);
+    }
+    row
+}
+
+type EdgeScalars = Vec<((u8, u64), Vec<(u8, u64, u8, u64)>)>;
+
+fn edge_cells(scalars: &EdgeScalars) -> UserCells {
+    let mut cells = UserCells::new();
+    for ((kind, n), row) in scalars {
+        cells.insert(GridUser::new(edge_name(*kind, *n)), edge_row(row));
+    }
+    cells
+}
+
+fn edge_scalars() -> impl Strategy<Value = EdgeScalars> {
+    proptest::collection::vec(
+        (
+            (0u8..5, 0u64..1_000),
+            proptest::collection::vec((0u8..3, 0u64..u64::MAX, 0u8..10, 0u64..u64::MAX), 0..5),
+        ),
+        0..12,
+    )
+}
+
+fn owned_rows(cells: &UserCells) -> Vec<(&GridUser, Vec<(u64, f64)>)> {
+    let row = |slots: &BTreeMap<u64, f64>| slots.iter().map(|(&s, &c)| (s, c)).collect();
+    cells
+        .iter()
+        .map(|(user, slots)| (user, row(slots)))
+        .collect()
+}
+
+/// `cells` as a site holds them: a table whose base is every other name
+/// (in name order) and whose overflow holds the rest, interned in reverse —
+/// so overflow ids sit among the base names only by name, not by id.
+fn held(cells: &UserCells) -> (UserTable, CellStore) {
+    let names: Vec<&GridUser> = cells.keys().collect();
+    let base: Arc<[GridUser]> = names.iter().step_by(2).map(|&u| u.clone()).collect();
+    let mut users = UserTable::new(base);
+    let mut store = CellStore::default();
+    for (user, slots) in cells.iter().rev() {
+        let id = users.intern(user);
+        store.add(id, slots.iter().map(|(&s, &c)| (s, c)));
+    }
+    (users, store)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Name-keyed sections and id-keyed rows encode to the byte writer's
+    /// bytes under both encodings, and decode back to bytes that re-encode
+    /// the same.
+    #[test]
+    fn the_column_encoder_writes_the_byte_writers_bytes(scalars in edge_scalars()) {
+        let cells = edge_cells(&scalars);
+        let (users, store) = held(&cells);
+        // What the store holds (a new cell is `0.0 + charge`, so `-0.0`
+        // arrives as `0.0`), by name.
+        let stored: BTreeMap<&GridUser, Vec<(u64, f64)>> =
+            store.iter().map(|(id, row)| (users.name(id), row.to_vec())).collect();
+        let stored: Vec<_> = stored.into_iter().collect();
+        for enc in [Encoding::Dense, Encoding::Delta] {
+            let mut bytes = Vec::new();
+            NamedCells::from_cells(&cells).encode(enc, &mut bytes);
+            prop_assert_eq!(&bytes, &reference_section(&owned_rows(&cells), enc), "{:?}", enc);
+            let decoded = decode_cells(&mut Reader::new(&bytes), enc).unwrap();
+            let mut again = vec![0xEE];
+            NamedCells::from_cells(&decoded).encode(enc, &mut again);
+            prop_assert_eq!(&again[1..], &bytes[..], "{:?} re-encode after a prefix", enc);
+
+            let mut rows = Vec::new();
+            NamedCells::from_store(&store, &users).encode(enc, &mut rows);
+            prop_assert_eq!(&rows, &reference_section(&stored, enc), "{:?} from the rows", enc);
+        }
+    }
+}
+
+/// Every cell at its longest — a first slot of 2^63 or more and a charge
+/// whose byte-swapped bits need all ten varint bytes — and names under 128
+/// bytes: the section fills the room the encoder makes for it exactly, so
+/// a bound one byte short cannot pass unseen.
+#[test]
+fn the_longest_section_fills_its_room() {
+    let widest = f64::from_bits(0x0000_0000_0000_00FF);
+    let cells: UserCells = ["", "a", "ab", "ω"]
+        .into_iter()
+        .enumerate()
+        .map(|(i, name)| (GridUser::new(name), [(u64::MAX - i as u64, widest)].into()))
+        .collect();
+    for enc in [Encoding::Dense, Encoding::Delta] {
+        let mut bytes = Vec::new();
+        NamedCells::from_cells(&cells).encode(enc, &mut bytes);
+        assert_eq!(
+            bytes,
+            reference_section(&owned_rows(&cells), enc),
+            "{enc:?}"
+        );
+    }
 }

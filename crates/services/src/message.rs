@@ -2,21 +2,21 @@
 //! encoding over `aequus_core::codec`'s `Sink` and `Reader` (protocol and
 //! policies: [`crate::reliability`]).
 
-use aequus_core::codec::{decode_summary, encode_summary, CodecError, Encoding, Reader, Sink};
+use aequus_core::codec::{decode_summary, CodecError, Encoding, Publication, Reader, Sink};
 use aequus_core::ids::SiteId;
-use aequus_core::usage::UsageSummary;
 use aequus_telemetry::TraceCtx;
 use std::sync::Arc;
 
 /// A message of the reliable USS↔USS exchange protocol. A data message
 /// shares its summary: one publication is one allocation, held by the
-/// publisher's history and by every send, retry and resync answer of it.
+/// publisher's history and by every send, retry and resync answer of it,
+/// and encoded once for all of them.
 #[derive(Debug, Clone, PartialEq, Hash)]
 pub enum UssMessage {
     /// A sequenced incremental summary (absolute per-cell values).
     Summary {
         /// The summary payload.
-        summary: Arc<UsageSummary>,
+        summary: Arc<Publication>,
         /// Causal trace context of the pipeline stage that produced this
         /// publication, when the publishing site traces. Retries and
         /// resyncs of the same sequence number resend the *original*
@@ -28,7 +28,7 @@ pub enum UssMessage {
     /// also closes every outstanding gap up to that point.
     Snapshot {
         /// The cumulative payload.
-        summary: Arc<UsageSummary>,
+        summary: Arc<Publication>,
         /// Trace context of the latest traced publication folded into the
         /// snapshot, if any — snapshot catch-ups stay causally linked.
         ctx: Option<TraceCtx>,
@@ -81,13 +81,13 @@ impl UssMessage {
     /// Serialized size in bytes under `enc` — defined as the length of
     /// [`UssMessage::encode`]'s output (a regression test holds the two
     /// equal), so the profiler's gossip-byte counters and the bench gates
-    /// account exactly what the codec produces. Deterministic, like
-    /// everything it feeds.
+    /// account exactly what the codec produces. A data message reads its
+    /// publication's one frame. Deterministic, like everything it feeds.
     pub fn wire_size(&self, enc: Encoding) -> u64 {
         match self {
             UssMessage::Summary { summary, ctx } | UssMessage::Snapshot { summary, ctx } => {
                 let ctx_bytes = if ctx.is_some() { 16 } else { 0 };
-                2 + ctx_bytes + summary.wire_bytes(enc)
+                2 + ctx_bytes + summary.frame(enc).len() as u64
             }
             UssMessage::Ack { .. } => 1 + 4 + 8,
             UssMessage::Resync { .. } => 1 + 4 + 16,
@@ -113,7 +113,7 @@ impl UssMessage {
                     out.u64(c.trace_id);
                     out.u64(c.span);
                 }
-                out.bytes(&encode_summary(summary, enc));
+                out.bytes(summary.frame(enc));
             }
             UssMessage::Ack { from, seq } => {
                 out.byte(TAG_ACK);
@@ -155,7 +155,7 @@ impl UssMessage {
                     None
                 };
                 let (enc, summary) = decode_summary(r.rest())?;
-                let summary = Arc::new(summary);
+                let summary = Arc::new(Publication::new(summary));
                 let msg = if tag == TAG_SUMMARY {
                     UssMessage::Summary { summary, ctx }
                 } else {
@@ -191,16 +191,17 @@ const TAG_SNAPSHOT_REQUEST: u8 = 5;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aequus_core::usage::UsageSummary;
 
     #[test]
     fn message_kinds_and_data_flag() {
-        let s = Arc::new(UsageSummary {
+        let s = Arc::new(Publication::new(UsageSummary {
             site: SiteId(0),
             seq: 1,
             slot_s: 60.0,
             per_user: Default::default(),
             relayed: Default::default(),
-        });
+        }));
         let summary = UssMessage::Summary {
             summary: s.clone(),
             ctx: None,
@@ -248,13 +249,13 @@ mod tests {
         );
         let mut relayed = std::collections::BTreeMap::new();
         relayed.insert(SiteId(4), per_user.clone());
-        let summary = Arc::new(UsageSummary {
+        let summary = Arc::new(Publication::new(UsageSummary {
             site: SiteId(2),
             seq: 11,
             slot_s: 300.0,
             per_user,
             relayed,
-        });
+        }));
         let ctx = TraceCtx {
             trace_id: 77,
             span: 9,
@@ -343,7 +344,7 @@ mod tests {
                 })
                 .collect()
         };
-        let summary = Arc::new(UsageSummary {
+        let summary = Arc::new(Publication::new(UsageSummary {
             site: SiteId(2),
             seq: 11,
             slot_s: 300.0,
@@ -358,7 +359,7 @@ mod tests {
                 (SiteId(9), cells(&[])),
             ]
             .into(),
-        });
+        }));
         vec![
             UssMessage::Summary {
                 summary: summary.clone(),

@@ -277,7 +277,8 @@ impl AequusSite {
             _ => None,
         };
         if let Some((summary, snapshot)) = data {
-            // The delivered allocation itself: journaling copies no cell.
+            // The delivered allocation itself: journaling copies no cell and
+            // writes the publication's one encoding.
             self.journal(
                 || WalRecord::PeerData {
                     summary: Arc::clone(summary),
@@ -757,6 +758,112 @@ mod tests {
             remote_after.to_bits(),
             "WAL peer-data replay restored the remote view"
         );
+    }
+
+    /// The record bodies of every `PeerData` frame `s` journaled, in order.
+    fn journaled_peer_data(s: &mut AequusSite) -> Vec<Vec<u8>> {
+        use aequus_store::wal::{decode_frame, FrameOutcome};
+        let storage = s.store.take().expect("a store").into_storage();
+        let mut segments = storage.list();
+        segments.retain(|name| name.starts_with("wal-"));
+        segments.sort();
+        let mut bodies = Vec::new();
+        for name in segments {
+            let bytes = storage.read(&name).expect("a listed segment");
+            let mut at = 0;
+            while let FrameOutcome::Frame { payload, next, .. } = decode_frame(&bytes, at) {
+                // The LSN, then the record: tag, snapshot flag, body.
+                if payload[8] == 2 {
+                    bodies.push(payload[10..].to_vec());
+                }
+                at = next;
+            }
+        }
+        bodies
+    }
+
+    /// One publication is encoded once, and every copy of it carries what
+    /// a fresh encode of its summary writes: each send, retry and resync
+    /// answer is sized and encoded as `encode_summary` writes it under
+    /// either encoding, and each receiver journals `write_summary` of it —
+    /// a summary mutated after `Arc::unwrap_or_clone` of a publication that
+    /// had been encoded included.
+    #[test]
+    fn every_copy_of_a_publication_carries_its_fresh_encoding() {
+        use aequus_core::codec::{encode_summary, write_summary, Encoding, Publication};
+        use aequus_core::usage::UsageSummary;
+        let peers = [SiteId(1), SiteId(2), SiteId(3)];
+        let retry = RetryPolicy {
+            ack_timeout_s: 10.0,
+            max_backoff_s: 40.0,
+            jitter_frac: 0.0,
+            history_cap: 8,
+            outbox_cap: 8,
+        };
+        let mut s0 = site(0, ParticipationMode::Full);
+        s0.configure_exchange(&peers, &peers, retry, StalePolicy::ServeStale, 1);
+        s0.report_completion(record(0, "a", 0.0, 300.0), 300.0);
+        s0.report_completion(record(0, "b", 60.0, 250.5), 300.0);
+        s0.tick(310.0);
+        s0.tick(400.0);
+        let mut sent = s0.poll_messages(400.0);
+        sent.extend(s0.poll_messages(411.0)); // no acks: every send retried
+        let pull = UssMessage::Resync {
+            from: SiteId(2),
+            from_seq: 1,
+            to_seq: 1,
+        };
+        sent.extend(s0.deliver_message(&pull, 412.0));
+        assert_eq!(sent.len(), 3 + 3 + 1, "{sent:?}");
+        let UssMessage::Summary { summary, .. } = &sent[0].1 else {
+            panic!("a publication: {sent:?}");
+        };
+        let encoded = Arc::new(Publication::new(UsageSummary::clone(summary)));
+        encoded.frame(Encoding::Delta);
+        let mut mutated = Arc::unwrap_or_clone(encoded);
+        mutated.seq += 1;
+        mutated
+            .per_user
+            .insert(GridUser::new("c"), [(2, 7.5)].into());
+        let mutated = UssMessage::Summary {
+            summary: Arc::new(mutated),
+            ctx: None,
+        };
+        sent.push((SiteId(1), mutated));
+
+        let mut receivers: Vec<AequusSite> = (1..=3)
+            .map(|id| {
+                let mut s = site(id, ParticipationMode::Full);
+                s.enable_store(StoreConfig::default(), 7);
+                s
+            })
+            .collect();
+        let mut fresh_bodies = vec![Vec::new(); 3];
+        for (to, msg) in &sent {
+            let UssMessage::Summary { summary, ctx } = msg else {
+                panic!("a publication: {msg:?}");
+            };
+            let fresh = UsageSummary::clone(summary);
+            for enc in [Encoding::Dense, Encoding::Delta] {
+                let frame = encode_summary(&fresh, enc);
+                let head = 2 + if ctx.is_some() { 16 } else { 0 };
+                assert_eq!(msg.wire_size(enc), (head + frame.len()) as u64);
+                assert_eq!(msg.encode(enc)[head..], frame[..], "{enc:?}");
+            }
+            let mut body = Vec::new();
+            write_summary(&fresh, Encoding::Delta, &mut body);
+            let at = to.0 as usize - 1;
+            fresh_bodies[at].push(body);
+            receivers[at].deliver_message(msg, 420.0);
+        }
+        for (receiver, fresh) in receivers.iter_mut().zip(fresh_bodies) {
+            assert_eq!(
+                journaled_peer_data(receiver),
+                fresh,
+                "site {:?}",
+                receiver.id()
+            );
+        }
     }
 
     #[test]

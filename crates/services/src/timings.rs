@@ -114,6 +114,19 @@ mod tests {
     }
 
     #[test]
+    fn every_capped_and_traced_stage_has_a_delay_histogram() {
+        let capped = ServiceTimings::default()
+            .stage_caps()
+            .map(|(stage, _)| stage);
+        for stage in capped.into_iter().chain(aequus_telemetry::stage::TRACED) {
+            assert!(
+                aequus_telemetry::stage::delay_histogram(stage).is_some(),
+                "{stage}"
+            );
+        }
+    }
+
+    #[test]
     fn stage_caps_sum_to_worst_case() {
         // The per-stage decomposition and the scalar bound must agree —
         // the fig11 companion relies on this when stacking stage caps.

@@ -43,7 +43,7 @@ use crate::message::UssMessage;
 use crate::participation::ParticipationMode;
 use crate::reliability::{JitterRng, RetryPolicy, StalePolicy};
 use aequus_core::arena::{DirtySet, UserId, UserTable};
-use aequus_core::codec::NamedCells;
+use aequus_core::codec::{NamedCells, Publication};
 use aequus_core::ids::SiteId;
 use aequus_core::usage::{
     CellStore, Prefix, UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells,
@@ -338,7 +338,7 @@ impl Volatile {
     }
 }
 
-type History = VecDeque<(Arc<UsageSummary>, Option<TraceCtx>)>;
+type History = VecDeque<(Arc<Publication>, Option<TraceCtx>)>;
 
 /// One peer's link: what is owed each way and the one backoff retrying it.
 /// Merge mirrors are per *origin* ([`Volatile::seen_by_origin`]), not per
@@ -720,7 +720,7 @@ impl Uss {
     /// were last published (`drain_pending`) — not the users the site
     /// knows. The summary is built once: the history, every send and retry
     /// of it and the caller share the returned allocation.
-    pub fn publish(&mut self, now_s: f64) -> Option<Arc<UsageSummary>> {
+    pub fn publish(&mut self, now_s: f64) -> Option<Arc<Publication>> {
         let _span = self.metrics.h_publish.start_timer();
         if !self.publishes() {
             return None;
@@ -736,13 +736,14 @@ impl Uss {
         }
         let (site, seq) = (self.cfg.site, self.ledger.next_seq);
         self.ledger.next_seq = seq.saturating_add(1);
-        let summary = Arc::new(UsageSummary {
+        let summary: Arc<Publication> = UsageSummary {
             site,
             seq,
             slot_s,
             per_user,
             relayed,
-        });
+        }
+        .into();
         let ctx = self.vol.pending_publish_ctx.take().and_then(|ingest_ctx| {
             let telemetry = &self.metrics.telemetry;
             telemetry.child_span(Some(ingest_ctx), "uss.publish", now_s, || {
@@ -983,7 +984,7 @@ impl Uss {
         let users = &self.ledger.users;
         let mirrors = self.vol.seen_by_origin.iter();
         let mirrors = mirrors.filter(|(_, cells)| self.cfg.forwarding && !cells.is_empty());
-        let summary = Arc::new(UsageSummary {
+        let summary = UsageSummary {
             site: self.cfg.site,
             seq: self.ledger.next_seq - 1,
             slot_s: self.ledger.local.slot_duration(),
@@ -991,7 +992,8 @@ impl Uss {
             relayed: mirrors
                 .map(|(origin, cells)| (*origin, named_cells(users, cells)))
                 .collect(),
-        });
+        }
+        .into();
         let ctx = self.vol.latest_publish_ctx;
         UssMessage::Snapshot { summary, ctx }
     }
@@ -1082,9 +1084,9 @@ impl Uss {
     /// recovered forwarding node re-relays its whole mirror once,
     /// idempotently. `lsn` is the WAL position the snapshot covers.
     ///
-    /// This is an edge where names leave: the id-keyed cells and mirrors are
-    /// copied flat, once, in name order — `O(cells)`, no per-user map, no
-    /// name cloned.
+    /// This is an edge where names leave: the encoder walks the id-keyed
+    /// rows where they lie, each under its name — one `(name, &row)` pair
+    /// per user, no cell copied, no per-user map, no name cloned.
     pub fn checkpoint_view(&self, lsn: u64, taken_s: f64) -> CheckpointView<'_> {
         let (users, vol) = (&self.ledger.users, &self.vol);
         let cursor = |l: &Link| PeerCursor {
@@ -1441,7 +1443,7 @@ mod tests {
 
     /// Deliver `s` as a wire `Summary`, responses discarded.
     fn give(uss: &mut Uss, s: &UsageSummary, now_s: f64) {
-        let summary = Arc::new(s.clone());
+        let summary = s.clone().into();
         uss.receive_message(&UssMessage::Summary { summary, ctx: None }, now_s);
     }
 
@@ -2281,11 +2283,11 @@ mod tests {
         assert!((c.remote_usage_of(&GridUser::new("u")) - 120.0).abs() < 1e-9);
     }
 
-    /// The checkpoint the store writes is encoded from flat copies of the
-    /// id-keyed stores with the names written back; its slot bytes must be
-    /// those of the owned name-keyed export — every histogram and mirror as
-    /// a map in a `CheckpointState` — overflow users (every user, here: the
-    /// services' tables have no base) sorted in by name.
+    /// The checkpoint the store writes is encoded from the id-keyed stores'
+    /// rows under their names; its slot bytes must be those of the owned
+    /// name-keyed export — every histogram and mirror as a map in a
+    /// `CheckpointState` — overflow users (every user, here: the services'
+    /// tables have no base) sorted in by name.
     #[test]
     fn borrowed_checkpoint_view_fills_the_slot_like_the_owned_export() {
         let (mut a, mut h, mut c) = relay_chain();
@@ -2355,7 +2357,7 @@ mod tests {
 
     /// A two-cell summary from site 0, sequenced, binned like the receivers
     /// below (100 s slots): the well-formed baseline the hostile cases bend.
-    fn summary_from_site0(seq: u64) -> UsageSummary {
+    fn summary_from_site0(seq: u64) -> Publication {
         let mut a = Uss::new(SiteId(0), ParticipationMode::Full, 100.0);
         a.ingest(&rec(0, "u", 0.0, 80.0));
         a.ingest(&rec(0, "v", 110.0, 150.0));

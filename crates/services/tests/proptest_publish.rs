@@ -17,6 +17,7 @@
 //! on nodes that already hold mirrors — on a full mesh and on a 3-node
 //! chain whose middle node relays.
 
+use aequus_core::codec::Publication;
 use aequus_core::usage::{UsageRecord, UsageSummary, UserCells};
 use aequus_core::{GridUser, JobId, SiteId};
 use aequus_services::{ParticipationMode, RetryPolicy, Uss, UssMessage};
@@ -129,7 +130,7 @@ impl WholeMirror {
 #[derive(Clone)]
 enum Journaled {
     Usage(UsageRecord),
-    PeerData(Arc<UsageSummary>, bool),
+    PeerData(Arc<Publication>, bool),
     Publish(u64),
 }
 
@@ -214,7 +215,13 @@ impl World {
         let now = self.now_s;
         let want = self.oracles[site].publish(&self.sites[site], now);
         let got = self.sites[site].publish(now);
-        prop_assert_eq!(got.as_deref(), want.as_ref(), "site {} at t={}", site, now);
+        prop_assert_eq!(
+            got.as_deref().map(|p| &**p),
+            want.as_ref(),
+            "site {} at t={}",
+            site,
+            now
+        );
         // The service's mirrors are the oracle's shadows (which keep an
         // empty entry for every user and origin they ever looked at).
         let (published, relayed) = self.sites[site].sent_mirrors();

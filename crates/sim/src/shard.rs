@@ -284,7 +284,8 @@ impl Shard {
         // Bytes-on-wire: only messages that actually leave the site count
         // (drops above never hit the wire). Staging order is deterministic,
         // so these link budgets are too. The size is the codec's real
-        // encoded length under the scenario's wire encoding.
+        // encoded length under the scenario's wire encoding — for data, of
+        // the publication's one frame, encoded at its first send.
         let bytes = msg.wire_size(self.scenario.encoding);
         self.prof.add_wire(dest, bytes);
         self.stats.gossip_bytes += bytes;

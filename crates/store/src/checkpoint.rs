@@ -15,7 +15,7 @@ use crate::records::CELL_ENCODING;
 use crate::storage::Storage;
 use crate::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT};
 use crate::StoreError;
-use aequus_core::codec::{decode_cells, CodecError, NamedCells, Reader, Sink};
+use aequus_core::codec::{decode_cells, CellRow, CodecError, NamedCells, Reader, Sink};
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UserCells;
 use std::borrow::Cow;
@@ -87,21 +87,21 @@ impl Default for CheckpointState {
     }
 }
 
-/// A checkpoint whose bulk — the two cell maps — is written from flat
-/// name-ordered copies of what the services hold keyed by id, so cutting one
-/// builds no per-user map. The encoder's only input; `head`'s own two bulk
-/// fields are left empty and never read.
+/// A checkpoint whose bulk — the two cell maps — is written from the rows
+/// where the services hold them, keyed by id, under their names: cutting one
+/// copies no cell and builds no per-user map. The encoder's only input;
+/// `head`'s own two bulk fields are left empty and never read.
 #[derive(Debug)]
-pub struct CheckpointView<'a> {
+pub struct CheckpointView<'a, R = &'a [(u64, f64)]> {
     /// Every field but the bulk.
     pub head: Cow<'a, CheckpointState>,
     /// Stands in for `head.local_cells`.
-    pub local_cells: NamedCells<'a>,
+    pub local_cells: NamedCells<'a, R>,
     /// Stands in for `head.origin_cells`; in origin order.
-    pub origin_cells: Vec<(SiteId, NamedCells<'a>)>,
+    pub origin_cells: Vec<(SiteId, NamedCells<'a, R>)>,
 }
 
-impl CheckpointView<'_> {
+impl<R: CellRow> CheckpointView<'_, R> {
     /// Encode to the framed on-disk representation.
     pub fn encode(&self) -> Vec<u8> {
         let head = &*self.head;
@@ -139,7 +139,7 @@ impl CheckpointState {
     }
 
     /// This state as the encoder takes it.
-    pub fn view(&self) -> CheckpointView<'_> {
+    pub fn view(&self) -> CheckpointView<'_, &BTreeMap<u64, f64>> {
         CheckpointView {
             head: Cow::Borrowed(self),
             local_cells: NamedCells::from_cells(&self.local_cells),
@@ -229,9 +229,9 @@ pub fn load_best(storage: &dyn Storage) -> Option<(CheckpointState, usize, u64)>
 
 /// Write `state` to the slot *other* than `current_slot` (the one holding
 /// the latest good snapshot), returning the new slot index and byte size.
-pub fn write_next(
+pub fn write_next<R: CellRow>(
     storage: &mut dyn Storage,
-    state: &CheckpointView<'_>,
+    state: &CheckpointView<'_, R>,
     current_slot: Option<usize>,
 ) -> Result<(usize, u64), StoreError> {
     let target = match current_slot {

@@ -4,9 +4,9 @@
 //! ingested job records, peer exchange data already merged into the views,
 //! and the publisher's own sequence advances.
 
-use aequus_core::codec::{read_summary, write_summary, CodecError, Encoding, Reader, Sink};
+use aequus_core::codec::{read_summary, CodecError, Encoding, Publication, Reader, Sink};
 use aequus_core::ids::{GridUser, JobId, SiteId};
-use aequus_core::usage::{UsageRecord, UsageSummary};
+use aequus_core::usage::UsageRecord;
 use std::sync::Arc;
 
 /// How every durable usage cell is laid out — WAL peer data and checkpoint
@@ -26,8 +26,9 @@ pub enum WalRecord {
     PeerData {
         /// The summary exactly as merged, relayed per-origin sections
         /// included (overlay interior nodes journal exactly what they
-        /// merged) — the delivered message's own allocation, not a copy.
-        summary: Arc<UsageSummary>,
+        /// merged) — the delivered message's own allocation, not a copy,
+        /// journaled as its one encoding under the durable cell encoding.
+        summary: Arc<Publication>,
         /// `true` when it was a cumulative snapshot.
         snapshot: bool,
     },
@@ -60,7 +61,7 @@ impl WalRecord {
             WalRecord::PeerData { summary, snapshot } => {
                 out.byte(TAG_PEER_DATA);
                 out.byte(u8::from(*snapshot));
-                write_summary(summary, CELL_ENCODING, out);
+                out.bytes(summary.body(CELL_ENCODING));
             }
             WalRecord::Publish { seq } => {
                 out.byte(TAG_PUBLISH);
@@ -82,7 +83,7 @@ impl WalRecord {
             }),
             TAG_PEER_DATA => WalRecord::PeerData {
                 snapshot: r.flag()?,
-                summary: Arc::new(read_summary(r, CELL_ENCODING)?),
+                summary: read_summary(r, CELL_ENCODING)?.into(),
             },
             TAG_PUBLISH => WalRecord::Publish { seq: r.u64()? },
             _ => return Err(CodecError::Malformed("unknown record tag")),
@@ -95,9 +96,10 @@ impl WalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aequus_core::usage::UsageSummary;
     use std::collections::BTreeMap;
 
-    fn sample_summary(seq: u64) -> Arc<UsageSummary> {
+    fn sample_summary(seq: u64) -> Arc<Publication> {
         let mut per_user = BTreeMap::new();
         let mut slots = BTreeMap::new();
         slots.insert(3u64, 120.5);
@@ -110,13 +112,14 @@ mod tests {
         let mut relay_cells = BTreeMap::new();
         relay_cells.insert(GridUser::new("U7"), relay_slots);
         relayed.insert(SiteId(9), relay_cells);
-        Arc::new(UsageSummary {
+        UsageSummary {
             site: SiteId(4),
             seq,
             slot_s: 60.0,
             per_user,
             relayed,
-        })
+        }
+        .into()
     }
 
     fn round_trip(rec: &WalRecord) -> WalRecord {

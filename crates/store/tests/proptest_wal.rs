@@ -237,7 +237,7 @@ proptest! {
             )
         };
         prop_assert_eq!(scalar_bits(&back), scalar_bits(&state));
-        // The form the services write — the bulk in flat name-ordered copies,
+        // The form the services write — the bulk as rows under their names,
         // beside a head that holds none of it — fills the slot with the
         // same bytes.
         let view = CheckpointView {

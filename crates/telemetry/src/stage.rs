@@ -64,13 +64,19 @@ pub fn find(name: &str) -> Option<&'static Stage> {
     STAGES.iter().find(|s| s.name == name)
 }
 
-/// The sim-time delay histogram of stage `name`; panics on a name without
-/// one — the callers are this crate's tracer and the Figure 11 table, whose
-/// stage lists are fixed.
-pub fn delay_histogram(name: &str) -> &'static str {
-    find(name)
-        .and_then(|s| s.delay)
-        .unwrap_or_else(|| panic!("stage {name} has no delay histogram"))
+/// The stages the pipeline tracer measures a traced record's delay at, in
+/// pipeline order.
+pub const TRACED: [&str; 5] = [
+    "uss.ingest",
+    "uss.publish",
+    "ums.refresh",
+    "fcs.refresh",
+    "lib.query",
+];
+
+/// The sim-time delay histogram of stage `name`, if it has one.
+pub fn delay_histogram(name: &str) -> Option<&'static str> {
+    find(name).and_then(|s| s.delay)
 }
 
 #[cfg(test)]
@@ -91,7 +97,11 @@ mod tests {
         hists.sort_unstable();
         hists.dedup();
         assert_eq!((names.len(), hists.len()), (n, h));
-        assert_eq!(delay_histogram("lib.query"), "aequus_tracer_lib_delay_s");
+        assert_eq!(
+            delay_histogram("lib.query"),
+            Some("aequus_tracer_lib_delay_s")
+        );
+        assert_eq!(delay_histogram("uss.merge"), None);
         let checkpoint = find("store.checkpoint").and_then(|s| s.wall);
         assert_eq!(checkpoint, Some("aequus_store_checkpoint_s"));
         assert!(find("gossip.merge").is_none(), "the old spelling is gone");

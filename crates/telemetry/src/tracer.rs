@@ -31,7 +31,7 @@
 //!   of `worst_case_pipeline_s()` (which likewise excludes stage IV).
 
 use crate::registry::{Counter, Registry};
-use crate::stage::delay_histogram;
+use crate::stage::{delay_histogram, TRACED};
 use crate::Histogram;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -83,16 +83,20 @@ pub struct PipelineTracer {
 impl PipelineTracer {
     /// Create a tracer registering its metrics in `registry`.
     pub fn new(registry: &Registry) -> Self {
-        let delay = |stage| registry.histogram(delay_histogram(stage));
+        // A stage without a delay histogram would record into a detached one.
+        let delay = |stage| {
+            delay_histogram(stage).map_or_else(Histogram::default, |h| registry.histogram(h))
+        };
+        let [h_report, h_publish, h_ums, h_fcs, h_lib] = TRACED.map(delay);
         Self {
             seen: 0,
             active: BTreeMap::new(),
             order: VecDeque::new(),
-            h_report: delay("uss.ingest"),
-            h_publish: delay("uss.publish"),
-            h_ums: delay("ums.refresh"),
-            h_fcs: delay("fcs.refresh"),
-            h_lib: delay("lib.query"),
+            h_report,
+            h_publish,
+            h_ums,
+            h_fcs,
+            h_lib,
             h_e2e: registry.histogram("aequus_tracer_end_to_end_s"),
             c_sampled: registry.counter("aequus_tracer_sampled_total"),
             c_completed: registry.counter("aequus_tracer_completed_total"),

@@ -629,7 +629,7 @@ fn outside_names_grow_a_site_only_through_bytes_it_accepts() {
     ];
     for summary in refused {
         for snapshot in [false, true] {
-            let summary = Arc::new(summary.clone());
+            let summary: Arc<_> = summary.clone().into();
             let msg = match snapshot {
                 false => UssMessage::Summary { summary, ctx: None },
                 true => UssMessage::Snapshot { summary, ctx: None },
@@ -681,7 +681,7 @@ fn outside_names_grow_a_site_only_through_bytes_it_accepts() {
     );
     let unseen = [("ghost-a", 5.0), ("ghost-b", 2.5), ("ghost-relayed", 9.0)];
     for _twice in 0..2 {
-        let summary = Arc::new(accepted.clone());
+        let summary: Arc<_> = accepted.clone().into();
         deliver_everywhere(
             &mut sites,
             &UssMessage::Summary { summary, ctx: None },
