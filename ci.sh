@@ -139,7 +139,8 @@ done
 # receive states with the fire-once catch-up set (one `Link` per peer holds
 # what is owed each way), and the counting sink that sized a message by
 # running its encode again (a size is the length of a publication's one
-# frame) — and no
+# frame), and the `CellRow` trait that let a section encoder read a user's
+# cells as a slot map or a row (a user's cells have one shape, the row) — and no
 # tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -153,7 +154,7 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'derive_group' -e 'changed_elements' -e 'shares_refreshed' -e 'fairshare_kernel' \
   -e 'ums_cached' -e 'export_state' -e 'install_state' -e 'row_from' \
   -e 'worker_loop' -e 'WorkerOut' -e 'SiteFragments' \
-  -e 'catchup_pending' -e 'PeerTx' -e 'PeerRx' -e 'encoded_size' \
+  -e 'catchup_pending' -e 'PeerTx' -e 'PeerRx' -e 'encoded_size' -e 'CellRow' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2
@@ -190,6 +191,13 @@ done
 # as the reference the rows are tested against.
 if git grep -n -F 'BTreeMap<(UserId, u64)' -- crates ':!crates/core/tests/proptest_core.rs'; then
   echo "a per-cell (user, slot) map is back beside the per-user rows" >&2
+  exit 1
+fi
+# The row is also the one shape of a user's cells at the edges (`UserCells`:
+# summaries, snapshots, checkpoints, WAL records): no per-user slot map
+# comes back in the crates' source, test modules included.
+if git grep -n -F 'BTreeMap<u64, f64>' -- 'crates/*/src/**'; then
+  echo "a per-user slot map is back beside the slot-sorted rows" >&2
   exit 1
 fi
 # Wall clock is the repo benchmark's to judge (benchmark/): no per-PR

@@ -114,7 +114,7 @@ fn checkpoint_ns_per_byte() -> (f64, usize) {
                 core_s
             }
         };
-        let cells = |u: u64| -> BTreeMap<u64, f64> {
+        let cells = |u: u64| -> Vec<(u64, f64)> {
             (0..SLOTS).map(|k| (origin + 3 * k, charge(u, k))).collect()
         };
         let summary = UsageSummary {

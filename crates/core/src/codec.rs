@@ -10,8 +10,10 @@
 //! actually left before anything is allocated, and a failed read is a
 //! [`CodecError`], never a panic.
 //!
-//! A cell section ([`NamedCells::encode`] / [`decode_cells`]) comes in two
-//! encodings. [`Encoding::Dense`] stores every (slot, charge) cell at full
+//! A cell section ([`NamedCells::encode`] / [`decode_cells`]) carries each
+//! user's cells as the slot-sorted row a [`CellStore`] holds them in — the
+//! one shape of a user's cells, name-keyed at the edges as [`UserCells`] —
+//! and comes in two encodings. [`Encoding::Dense`] stores every (slot, charge) cell at full
 //! fixed width, while [`Encoding::Delta`] exploits the structure the
 //! reliable exchange already guarantees (sorted users, sorted slots,
 //! numerically tame charge values) with a columnar varint layout:
@@ -37,8 +39,9 @@
 //! rejected outright rather than half-decoded; CRC32 detects every
 //! single-bit error by construction (`proptest_codec.rs` exercises this).
 //! Decoders also enforce canonical form — strictly increasing user names
-//! and slot indices, no trailing bytes — so a frame that decodes at all
-//! re-encodes to the identical bytes.
+//! and slot indices, minimal varints, maximal shared name prefixes, no
+//! trailing bytes — so a frame that decodes at all re-encodes to the
+//! identical bytes.
 
 use crate::arena::UserTable;
 use crate::ids::{GridUser, SiteId};
@@ -351,7 +354,9 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// A LEB128 varint; encodings longer than a `u64` needs are refused.
+    /// A LEB128 varint in its minimal form: values past a `u64`, and
+    /// encodings longer than the value needs (a zero last byte after the
+    /// first), are refused.
     pub fn varint(&mut self) -> Result<u64, CodecError> {
         let mut v = 0u64;
         let mut shift = 0u32;
@@ -362,6 +367,9 @@ impl<'a> Reader<'a> {
             }
             v |= u64::from(b & 0x7F) << shift;
             if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(CodecError::Malformed("overlong varint"));
+                }
                 return Ok(v);
             }
             shift += 7;
@@ -412,33 +420,13 @@ fn integral_value(charge: f64) -> Option<u64> {
     ((x as f64).to_bits() == charge.to_bits()).then_some(x)
 }
 
-/// One user's cells as a section encoder reads them, `(slot, charge)` in
-/// slot order: a row of an id-keyed [`CellStore`] or the slot map of a
-/// name-keyed [`UserCells`], walked where it lies.
-pub trait CellRow: Copy {
-    /// The row's cells.
-    fn cells(self) -> impl ExactSizeIterator<Item = (u64, f64)> + DoubleEndedIterator;
-}
-
-impl CellRow for &[(u64, f64)] {
-    fn cells(self) -> impl ExactSizeIterator<Item = (u64, f64)> + DoubleEndedIterator {
-        self.iter().copied()
-    }
-}
-
-impl CellRow for &BTreeMap<u64, f64> {
-    fn cells(self) -> impl ExactSizeIterator<Item = (u64, f64)> + DoubleEndedIterator {
-        self.iter().map(|(&slot, &charge)| (slot, charge))
-    }
-}
-
 /// Per-user rows under their names, in name order, as the encoder takes
-/// them: one `(name, &row)` pair per user over cells that stay where they
-/// are — a site's id-keyed [`CellStore`] with the names written back, or an
-/// edge type's [`UserCells`].
+/// them: one `(name, &row)` pair per user over slot-sorted rows that stay
+/// where they are — a site's id-keyed [`CellStore`] with the names written
+/// back, or an edge type's [`UserCells`].
 #[derive(Debug)]
-pub struct NamedCells<'a, R = &'a [(u64, f64)]> {
-    rows: Vec<(&'a GridUser, R)>,
+pub struct NamedCells<'a> {
+    rows: Vec<(&'a GridUser, &'a [(u64, f64)])>,
 }
 
 impl<'a> NamedCells<'a> {
@@ -455,20 +443,17 @@ impl<'a> NamedCells<'a> {
         }
         Self { rows }
     }
-}
 
-impl<'a> NamedCells<'a, &'a BTreeMap<u64, f64>> {
     /// Name-keyed cells (users holding none included).
     pub fn from_cells(cells: &'a UserCells) -> Self {
+        let rows = cells.iter().map(|(user, row)| (user, row.as_slice()));
         Self {
-            rows: cells.iter().collect(),
+            rows: rows.collect(),
         }
     }
-}
 
-impl<'a, R: CellRow> NamedCells<'a, R> {
     /// `(user, row)`, in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'a GridUser, R)> + Clone + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (&'a GridUser, &'a [(u64, f64)])> + Clone + '_ {
         self.rows.iter().copied()
     }
 
@@ -482,8 +467,8 @@ impl<'a, R: CellRow> NamedCells<'a, R> {
         out.varint(self.rows.len() as u64);
         for &(user, row) in &self.rows {
             out.str(user.as_str());
-            out.u32(row.cells().len() as u32);
-            for (slot, charge) in row.cells() {
+            out.u32(row.len() as u32);
+            for &(slot, charge) in row {
                 out.u64(slot);
                 out.f64(charge);
             }
@@ -502,10 +487,9 @@ impl<'a, R: CellRow> NamedCells<'a, R> {
         let rows = &self.rows;
         let (mut heads, mut slot_room, mut cells) = (varint_len(rows.len() as u64), 0, 0);
         for (user, row) in rows {
-            let (len, mut row) = (user.as_str().len(), row.cells());
-            let n = row.len();
-            let first = row.next().map_or(0, |c| c.0);
-            let last = row.next_back().map_or(first, |c| c.0);
+            let (len, n) = (user.as_str().len(), row.len());
+            let first = row.first().map_or(0, |c| c.0);
+            let last = row.last().map_or(first, |c| c.0);
             heads += 2 * varint_len(len as u64) + len + varint_len(n as u64);
             slot_room += varint_len(first) + n.saturating_sub(1) * varint_len(last - first);
             cells += n;
@@ -531,7 +515,7 @@ impl<'a, R: CellRow> NamedCells<'a, R> {
         }
         // Cell-count column.
         for (_, row) in rows {
-            at = put_varint(buf, at, row.cells().len() as u64);
+            at = put_varint(buf, at, row.len() as u64);
         }
         // Slot column: first index absolute, the rest as gaps (sorted and
         // distinct, so every gap is ≥ 1 and typically tiny). Then the value
@@ -547,7 +531,7 @@ impl<'a, R: CellRow> NamedCells<'a, R> {
         let (mut slots_end, mut values_end, mut bit) = (0, 0, 0);
         for (_, row) in rows {
             let mut prev_slot = 0;
-            for (slot, charge) in row.cells() {
+            for &(slot, charge) in *row {
                 slots_end = put_varint(slots, slots_end, slot - prev_slot);
                 prev_slot = slot;
                 let v = match integral_value(charge) {
@@ -568,40 +552,39 @@ impl<'a, R: CellRow> NamedCells<'a, R> {
 }
 
 /// Decode one section payload written by [`NamedCells::encode`] under `enc`.
-/// Canonical form is enforced — strictly increasing names and slots — so
-/// cells that decode at all re-encode to the identical bytes.
+/// Canonical form is enforced — strictly increasing names and slots, minimal
+/// varints ([`Reader::varint`]), maximal shared name prefixes — so cells
+/// that decode at all re-encode to the identical bytes.
 pub fn decode_cells(r: &mut Reader<'_>, enc: Encoding) -> Result<UserCells, CodecError> {
     let mut cells = UserCells::new();
     match enc {
         Encoding::Dense => {
             let nusers = r.seq_len(8)?;
-            let mut prev_name = "";
+            let mut prev_name = None;
             for _ in 0..nusers {
                 let name = r.str()?;
-                if !prev_name.is_empty() && name <= prev_name {
+                if prev_name.is_some_and(|prev| name <= prev) {
                     return Err(CodecError::Malformed("names out of order"));
                 }
                 let nslots = r.u32()?;
                 let nslots = r.bounded(nslots.into(), 16)?;
-                let mut slots = BTreeMap::new();
-                let mut prev_slot = None;
+                let mut row = Vec::with_capacity(nslots);
                 for _ in 0..nslots {
                     let slot = r.u64()?;
-                    if prev_slot.is_some_and(|p| slot <= p) {
+                    if row.last().is_some_and(|&(prev, _)| slot <= prev) {
                         return Err(CodecError::Malformed("slots out of order"));
                     }
-                    prev_slot = Some(slot);
-                    slots.insert(slot, r.f64()?);
+                    row.push((slot, r.f64()?));
                 }
-                cells.insert(GridUser::new(name), slots);
-                prev_name = name;
+                cells.insert(GridUser::new(name), row);
+                prev_name = Some(name);
             }
         }
         Encoding::Delta => {
             let nusers = r.seq_len(2)?;
             let mut names = Vec::with_capacity(nusers);
             let mut prev = Vec::new();
-            for _ in 0..nusers {
+            for i in 0..nusers {
                 let shared = r.varint()? as usize;
                 if shared > prev.len() {
                     return Err(CodecError::Malformed("shared prefix exceeds previous name"));
@@ -609,8 +592,11 @@ pub fn decode_cells(r: &mut Reader<'_>, enc: Encoding) -> Result<UserCells, Code
                 let suffix_len = r.seq_len(1)?;
                 let mut name = prev[..shared].to_vec();
                 name.extend_from_slice(r.take(suffix_len)?);
-                if !prev.is_empty() && name <= prev {
+                if i > 0 && name <= prev {
                     return Err(CodecError::Malformed("names out of order"));
+                }
+                if common_prefix(&prev, &name) != shared {
+                    return Err(CodecError::Malformed("shared prefix is not maximal"));
                 }
                 let text = String::from_utf8(name.clone())
                     .map_err(|_| CodecError::Malformed("name is not UTF-8"))?;
@@ -646,7 +632,7 @@ pub fn decode_cells(r: &mut Reader<'_>, enc: Encoding) -> Result<UserCells, Code
             }
             let mut bit = 0usize;
             for (user, slots) in names.into_iter().zip(slot_columns) {
-                let mut per_slot = BTreeMap::new();
+                let mut row = Vec::with_capacity(slots.len());
                 for slot in slots {
                     let integral = bitmap[bit / 8] & (1 << (bit % 8)) != 0;
                     bit += 1;
@@ -664,9 +650,9 @@ pub fn decode_cells(r: &mut Reader<'_>, enc: Encoding) -> Result<UserCells, Code
                     if integral != integral_value(charge).is_some() {
                         return Err(CodecError::Malformed("non-canonical value encoding"));
                     }
-                    per_slot.insert(slot, charge);
+                    row.push((slot, charge));
                 }
-                cells.insert(user, per_slot);
+                cells.insert(user, row);
             }
         }
     }
@@ -841,7 +827,7 @@ mod tests {
     fn cells(entries: &[(&str, &[(u64, f64)])]) -> UserCells {
         entries
             .iter()
-            .map(|(name, slots)| (GridUser::new(*name), slots.iter().copied().collect()))
+            .map(|(name, slots)| (GridUser::new(*name), slots.to_vec()))
             .collect()
     }
 
@@ -1033,6 +1019,46 @@ mod tests {
         not_utf8.u32(2);
         not_utf8.bytes(&[0xC3, 0x28]);
         assert!(Reader::new(&not_utf8).str().is_err());
+
+        // Non-canonical forms are forgeries too: each re-encodes to other
+        // bytes, so none may decode.
+        fn malformed<T>(r: Result<T, CodecError>) -> bool {
+            matches!(r, Err(CodecError::Malformed(_)))
+        }
+        assert!(
+            malformed(Reader::new(&[0x85, 0x00]).varint()),
+            "5, overlong"
+        );
+        assert!(malformed(Reader::new(&[0x80, 0x80, 0x00]).varint()));
+        assert_eq!(Reader::new(&[0x00]).varint(), Ok(0));
+        let section = |bytes: &[u8], enc| malformed(decode_cells(&mut Reader::new(bytes), enc));
+        // Two users both named "": one would swallow the other.
+        let mut dense = vec![2];
+        for charge in [1.0, 2.0] {
+            dense.str("");
+            dense.u32(1);
+            dense.u64(0);
+            dense.f64(charge);
+        }
+        assert!(
+            section(&dense, Encoding::Dense),
+            "two users named \"\", dense"
+        );
+        let delta = [2, 0, 0, 0, 0, 1, 1, 0, 0, 0b11, 1, 2];
+        assert!(
+            section(&delta, Encoding::Delta),
+            "two users named \"\", delta"
+        );
+        // "ab", "ac" with nothing shared but the prefix "ab" has with "ac".
+        let short = [2, 0, 2, b'a', b'b', 0, 2, b'a', b'c', 0, 0];
+        assert!(
+            section(&short, Encoding::Delta),
+            "a shared prefix not maximal"
+        );
+        let mut canonical = Vec::new();
+        let names = cells(&[("ab", &[]), ("ac", &[])]);
+        NamedCells::from_cells(&names).encode(Encoding::Delta, &mut canonical);
+        assert_eq!(canonical, [2, 0, 2, b'a', b'b', 1, 1, b'c', 0, 0]);
     }
 
     #[test]

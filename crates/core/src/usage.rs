@@ -9,10 +9,10 @@ use std::cell::Cell;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::hash::{Hash, Hasher};
 
-/// Per-user charge per slot index, keyed by name — the cell grid of the
-/// edge types (summaries, checkpoints, WAL records); inside a site the same
-/// cells live in a [`CellStore`].
-pub type UserCells = BTreeMap<GridUser, BTreeMap<u64, f64>>;
+/// Per-user `(slot, charge)` rows, keyed by name — the cell grid of the edge
+/// types (summaries, checkpoints, WAL records). A row is a [`CellStore`]
+/// row: strictly increasing in slot. Unlike a store's, it may be empty.
+pub type UserCells = BTreeMap<GridUser, Vec<(u64, f64)>>;
 
 /// The resource consumption of one completed job.
 #[derive(Debug, Clone, PartialEq)]
@@ -368,7 +368,7 @@ pub struct UsageSummary {
     pub slot_s: f64,
     /// Per-user charge per slot index (absolute cumulative values in the
     /// reliable exchange; see the struct docs).
-    pub per_user: BTreeMap<GridUser, BTreeMap<u64, f64>>,
+    pub per_user: UserCells,
     /// Cells this publisher is *relaying* on behalf of other origins, keyed
     /// by originating site — the per-hop aggregation payload of the Tree
     /// and Hub overlays. Like `per_user`, values are absolute cumulative
@@ -381,24 +381,18 @@ pub struct UsageSummary {
 impl UsageSummary {
     /// Total charge carried by this summary, own and relayed sections.
     pub fn total(&self) -> f64 {
-        let own: f64 = self.per_user.values().flat_map(|s| s.values()).sum();
-        let relayed: f64 = self
+        let own: f64 = self.per_user.values().flatten().map(|c| c.1).sum();
+        let relayed = self
             .relayed
             .values()
-            .flat_map(|cells| cells.values().flat_map(|s| s.values()))
-            .sum();
-        own + relayed
+            .flat_map(|cells| cells.values().flatten());
+        own + relayed.map(|c| c.1).sum::<f64>()
     }
 
     /// Number of (user, slot) cells across all sections.
     pub fn cells(&self) -> usize {
-        let own: usize = self.per_user.values().map(|s| s.len()).sum();
-        let relayed: usize = self
-            .relayed
-            .values()
-            .flat_map(|cells| cells.values().map(|s| s.len()))
-            .sum();
-        own + relayed
+        let count = |cells: &UserCells| cells.values().map(Vec::len).sum::<usize>();
+        count(&self.per_user) + self.relayed.values().map(count).sum::<usize>()
     }
 }
 

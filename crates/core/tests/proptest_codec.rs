@@ -59,13 +59,28 @@ fn cells_from(scalars: CellScalars) -> BTreeMap<u64, f64> {
         .collect()
 }
 
-fn user_cells_from(scalars: UserScalars) -> UserCells {
-    let mut m = UserCells::new();
+/// Per-user cells as slot maps: the oracle's shape, whatever the codec's.
+type SlotMaps = BTreeMap<GridUser, BTreeMap<u64, f64>>;
+
+fn slot_maps_from(scalars: UserScalars) -> SlotMaps {
+    let mut m = SlotMaps::new();
     for ((nk, nn), cells) in scalars {
         let user = GridUser::new(name_from(nk, nn));
         m.entry(user).or_default().extend(cells_from(cells));
     }
     m
+}
+
+/// Slot maps as the codec's slot-sorted rows.
+fn rows(maps: SlotMaps) -> UserCells {
+    let row = |slots: BTreeMap<u64, f64>| slots.into_iter().collect();
+    maps.into_iter()
+        .map(|(user, slots)| (user, row(slots)))
+        .collect()
+}
+
+fn user_cells_from(scalars: UserScalars) -> UserCells {
+    rows(slot_maps_from(scalars))
 }
 
 /// Strategy: scalar raw material for one per-user cell map.
@@ -105,8 +120,8 @@ fn summary() -> impl Strategy<Value = UsageSummary> {
 /// The receiver's positive-delta merge against a per-origin mirror —
 /// the uss merge rule, restated here as the property under test.
 fn merge(
-    mirrors: &mut BTreeMap<SiteId, UserCells>,
-    acc: &mut BTreeMap<GridUser, BTreeMap<u64, f64>>,
+    mirrors: &mut BTreeMap<SiteId, SlotMaps>,
+    acc: &mut SlotMaps,
     origin: SiteId,
     cells: &UserCells,
 ) {
@@ -114,7 +129,7 @@ fn merge(
     let mirror = mirrors.entry(origin).or_default();
     for (user, slots) in cells {
         let seen = mirror.entry(user.clone()).or_default();
-        for (&slot, &value) in slots {
+        for &(slot, value) in slots {
             let prev = seen.get(&slot).copied().unwrap_or(0.0);
             if value - prev > CELL_EPS {
                 seen.insert(slot, value);
@@ -152,7 +167,7 @@ proptest! {
         // Build a monotone publication history: each step raises one cell's
         // absolute cumulative value, publishing only the changed cell.
         let origin = SiteId(3);
-        let mut truth: UserCells = user_cells_from(base);
+        let mut truth = slot_maps_from(base);
         let mut history: Vec<UsageSummary> = Vec::new();
         for ((nk, nn), slot, inc) in increments {
             let user = GridUser::new(name_from(nk, nn));
@@ -163,7 +178,7 @@ proptest! {
                 site: origin,
                 seq: history.len() as u64 + 1,
                 slot_s: 60.0,
-                per_user: [(user, [(slot, value)].into_iter().collect())].into_iter().collect(),
+                per_user: [(user, vec![(slot, value)])].into(),
                 relayed: BTreeMap::new(),
             });
         }
@@ -172,7 +187,7 @@ proptest! {
             site: origin,
             seq: history.len() as u64,
             slot_s: 60.0,
-            per_user: truth.clone(),
+            per_user: rows(truth.clone()),
             relayed: BTreeMap::new(),
         };
         // Deliver an arbitrary subset in arbitrary order (loss + reorder),
@@ -374,21 +389,21 @@ fn edge_charge(kind: u8, a: u64) -> f64 {
 /// One row's slots from `(gap kind, magnitude)` pairs: small gaps, gaps up
 /// to `u64::MAX`, the first slot absolute; a gap that would overflow ends
 /// the row.
-fn edge_row(cells: &[(u8, u64, u8, u64)]) -> BTreeMap<u64, f64> {
-    let mut row = BTreeMap::new();
+fn edge_row(cells: &[(u8, u64, u8, u64)]) -> Vec<(u64, f64)> {
+    let mut row = Vec::new();
     let mut slot: Option<u64> = None;
     for &(gap_kind, gap, charge_kind, a) in cells {
         let gap = match gap_kind % 3 {
             0 => gap % 3 + 1,
             1 => u64::MAX - gap % 4,
-            _ => gap,
+            _ => gap.max(1),
         };
         let next = match slot {
             None => Some(gap - 1),
             Some(at) => at.checked_add(gap),
         };
         let Some(next) = next else { break };
-        row.insert(next, edge_charge(charge_kind, a));
+        row.push((next, edge_charge(charge_kind, a)));
         slot = Some(next);
     }
     row
@@ -415,10 +430,9 @@ fn edge_scalars() -> impl Strategy<Value = EdgeScalars> {
 }
 
 fn owned_rows(cells: &UserCells) -> Vec<(&GridUser, Vec<(u64, f64)>)> {
-    let row = |slots: &BTreeMap<u64, f64>| slots.iter().map(|(&s, &c)| (s, c)).collect();
     cells
         .iter()
-        .map(|(user, slots)| (user, row(slots)))
+        .map(|(user, row)| (user, row.clone()))
         .collect()
 }
 
@@ -432,7 +446,7 @@ fn held(cells: &UserCells) -> (UserTable, CellStore) {
     let mut store = CellStore::default();
     for (user, slots) in cells.iter().rev() {
         let id = users.intern(user);
-        store.add(id, slots.iter().map(|(&s, &c)| (s, c)));
+        store.add(id, slots.iter().copied());
     }
     (users, store)
 }
@@ -478,7 +492,7 @@ fn the_longest_section_fills_its_room() {
     let cells: UserCells = ["", "a", "ab", "ω"]
         .into_iter()
         .enumerate()
-        .map(|(i, name)| (GridUser::new(name), [(u64::MAX - i as u64, widest)].into()))
+        .map(|(i, name)| (GridUser::new(name), vec![(u64::MAX - i as u64, widest)]))
         .collect();
     for enc in [Encoding::Dense, Encoding::Delta] {
         let mut bytes = Vec::new();

@@ -336,12 +336,7 @@ mod tests {
         let cells = |entries: &[(&str, &[(u64, f64)])]| -> aequus_core::UserCells {
             entries
                 .iter()
-                .map(|(name, slots)| {
-                    (
-                        aequus_core::GridUser::new(*name),
-                        slots.iter().copied().collect(),
-                    )
-                })
+                .map(|(name, slots)| (aequus_core::GridUser::new(*name), slots.to_vec()))
                 .collect()
         };
         let summary = Arc::new(Publication::new(UsageSummary {

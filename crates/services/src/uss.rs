@@ -319,8 +319,7 @@ impl Volatile {
         for (name, slots) in cells {
             let user = users.intern(name);
             risen.clear();
-            let slots = slots.iter().map(|(&slot, &value)| (slot, value));
-            mirror.raise(user, slots, CELL_EPS, |slot, _, rise| {
+            mirror.raise(user, slots.iter().copied(), CELL_EPS, |slot, _, rise| {
                 risen.push((slot, rise))
             });
             let Some(&(lowest, _)) = risen.first() else {
@@ -470,8 +469,7 @@ fn all_pending(cells: &CellStore) -> Pending {
 /// `cells` under the names `users` gave their ids — what leaves a site in a
 /// snapshot or a test readout.
 fn named_cells(users: &UserTable, cells: &CellStore) -> UserCells {
-    let of =
-        |(user, row): (UserId, &[_])| (users.name(user).clone(), row.iter().copied().collect());
+    let of = |(user, row): (UserId, &[_])| (users.name(user).clone(), row.to_vec());
     cells.iter().map(of).collect()
 }
 
@@ -493,10 +491,8 @@ fn drain_pending(
     pending.retain(|&user, from| {
         let row = held.of(user, *from);
         let closed = open_slot.map_or(row.len(), |open| row.partition_point(|c| c.0 < open));
-        let mut cells = BTreeMap::new();
-        let rose = |slot, value, _| {
-            cells.insert(slot, value);
-        };
+        let mut cells = Vec::new();
+        let rose = |slot, value, _| cells.push((slot, value));
         sent.raise(user, row[..closed].iter().copied(), CELL_EPS, rose);
         if !cells.is_empty() {
             section.insert(users.name(user).clone(), cells);
@@ -925,8 +921,8 @@ impl Uss {
             return Err(RecoveryError::SlotMismatch { expected, found }); // a NaN too
         }
         for (user, slots) in sections.flatten() {
-            let bad = slots.iter().find(|(_, v)| !(v.is_finite() && **v >= 0.0));
-            if let Some((&slot, &value)) = bad {
+            let bad = slots.iter().find(|(_, v)| !(v.is_finite() && *v >= 0.0));
+            if let Some(&(slot, value)) = bad {
                 let user = user.clone();
                 return Err(RecoveryError::BadCell { user, slot, value });
             }
@@ -1132,9 +1128,7 @@ impl Uss {
         ledger.local = UsageHistogram::new(ledger.local.slot_duration());
         for (name, slots) in &ckpt.local_cells {
             let user = ledger.users.intern(name);
-            ledger
-                .local
-                .add_charges(user, slots.iter().map(|(&s, &c)| (s, c)));
+            ledger.local.add_charges(user, slots.iter().copied());
         }
         ledger.records_ingested = ckpt.records_ingested;
         ledger.next_seq = ledger.next_seq.max(ckpt.next_seq);
@@ -1146,9 +1140,8 @@ impl Uss {
             let mirror = vol.seen_by_origin.entry(*origin).or_default();
             for (name, slots) in cells {
                 let user = ledger.users.intern(name);
-                let slots = slots.iter().map(|(&s, &c)| (s, c));
-                mirror.add(user, slots.clone());
-                vol.remote.add_charges(user, slots);
+                mirror.add(user, slots.iter().copied());
+                vol.remote.add_charges(user, slots.iter().copied());
             }
         }
         self.vol = vol;

@@ -196,7 +196,7 @@ fn run_interleaving(
                 let user = GridUser::new(user_name(sel as usize % N_USERS));
                 let slot = (now_s / 60.0) as u64;
                 let mut per_user = BTreeMap::new();
-                per_user.insert(user, BTreeMap::from([(slot, x * 300.0)]));
+                per_user.insert(user, vec![(slot, x * 300.0)]);
                 let summary = UsageSummary {
                     site: SiteId(1),
                     seq: 0, // below every cursor: only the absolute cells matter
@@ -387,7 +387,7 @@ impl NameKeyed {
     fn merge(&mut self, summary: &UsageSummary) {
         let mirror = self.mirrors.entry(summary.site).or_default();
         for (user, slots) in &summary.per_user {
-            for (&slot, &value) in slots {
+            for &(slot, value) in slots {
                 let seen = mirror
                     .entry(user.clone())
                     .or_default()

@@ -33,16 +33,21 @@ const SLOT_S: f64 = 100.0;
 /// what was sent.
 const CELL_EPS: f64 = 1e-12;
 
-/// The cells of `slots` more than [`CELL_EPS`] above `sent`, recorded there.
+/// The cells of `slots` more than [`CELL_EPS`] above the slot-sorted row
+/// `sent`, recorded there.
 fn risen<'a>(
-    slots: impl Iterator<Item = (&'a u64, &'a f64)>,
-    sent: &mut BTreeMap<u64, f64>,
-) -> BTreeMap<u64, f64> {
-    let mut cells = BTreeMap::new();
-    for (&slot, &value) in slots {
-        if value - sent.get(&slot).copied().unwrap_or(0.0) > CELL_EPS {
-            cells.insert(slot, value);
-            sent.insert(slot, value);
+    slots: impl Iterator<Item = &'a (u64, f64)>,
+    sent: &mut Vec<(u64, f64)>,
+) -> Vec<(u64, f64)> {
+    let mut cells = Vec::new();
+    for &(slot, value) in slots {
+        let at = sent.binary_search_by_key(&slot, |c| c.0);
+        if value - at.map_or(0.0, |i| sent[i].1) > CELL_EPS {
+            cells.push((slot, value));
+            match at {
+                Ok(i) => sent[i].1 = value,
+                Err(i) => sent.insert(i, (slot, value)),
+            }
         }
     }
     cells
@@ -91,7 +96,7 @@ impl WholeMirror {
         let mut per_user = UserCells::new();
         for (user, slots) in held.local_cells.iter().filter(|_| contributes) {
             let sent = self.published.entry(user.clone()).or_default();
-            let closed = slots.iter().filter(|(slot, _)| **slot < current_slot);
+            let closed = slots.iter().filter(|(slot, _)| *slot < current_slot);
             let cells = risen(closed, sent);
             if !cells.is_empty() {
                 per_user.insert(user.clone(), cells);

@@ -277,7 +277,7 @@ impl World {
         let named = |cells: &NamedCells<'_>| {
             let users = cells.iter();
             users
-                .map(|(user, cells)| (user.clone(), cells.iter().copied().collect()))
+                .map(|(user, cells)| (user.clone(), cells.to_vec()))
                 .collect()
         };
         let mirrors = held.origin_cells.iter();
@@ -319,6 +319,12 @@ impl World {
     }
 }
 
+/// The charge `row` holds at `slot`, if any.
+fn cell(row: &[(u64, f64)], slot: u64) -> Option<f64> {
+    let at = row.binary_search_by_key(&slot, |c| c.0);
+    at.ok().map(|i| row[i].1)
+}
+
 /// The write side's invariant: `publish` visits pending users only, so a
 /// closed cell more than `CELL_EPS` above the mirror it is diffed against
 /// must belong to a pending user, at or past that user's pending slot —
@@ -338,9 +344,9 @@ fn check_pending(uss: &Uss, now_s: f64, trail: &[Step]) {
         let from = pending.and_then(|p| p.get(user)).copied();
         let unsent_before = closed_before.min(from.unwrap_or(u64::MAX));
         for &(slot, value) in cells.iter().filter(|(slot, _)| *slot < unsent_before) {
-            let sent = sent.and_then(|s| s.get(user)).and_then(|s| s.get(&slot));
+            let sent = sent.and_then(|s| s.get(user)).and_then(|s| cell(s, slot));
             assert!(
-                value - sent.copied().unwrap_or(0.0) <= CELL_EPS,
+                value - sent.unwrap_or(0.0) <= CELL_EPS,
                 "site {:?}: {what} cell ({user:?}, {slot}) = {value} sits above its mirror \
                  ({sent:?}) but the user is pending from {from:?}, after {trail:?}",
                 uss.site()
@@ -375,11 +381,11 @@ fn check_step(
     if !matches!(step, Step::Crash(_)) {
         for (origin, users) in old_mirrors {
             for (user, slots) in users {
-                for (slot, old) in slots {
+                for &(slot, old) in slots {
                     let new = mirrors
                         .get(origin)
                         .and_then(|u| u.get(user))
-                        .and_then(|s| s.get(slot));
+                        .and_then(|s| cell(s, slot));
                     assert!(
                         new.is_some_and(|new| new >= old),
                         "site {site}: mirrored cell ({origin:?}, {user:?}, {slot}) fell \

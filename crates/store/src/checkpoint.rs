@@ -15,7 +15,7 @@ use crate::records::CELL_ENCODING;
 use crate::storage::Storage;
 use crate::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT};
 use crate::StoreError;
-use aequus_core::codec::{decode_cells, CellRow, CodecError, NamedCells, Reader, Sink};
+use aequus_core::codec::{decode_cells, CodecError, NamedCells, Reader, Sink};
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UserCells;
 use std::borrow::Cow;
@@ -55,8 +55,8 @@ pub struct CheckpointState {
     pub site: SiteId,
     /// Histogram slot duration (sanity-checked on install).
     pub slot_s: f64,
-    /// Local histogram cells (user → slot → accumulated charge), stored
-    /// bit for bit so local replay is bitwise exact.
+    /// Local histogram cells (user → slot-sorted `(slot, accumulated
+    /// charge)` row), stored bit for bit so local replay is bitwise exact.
     pub local_cells: UserCells,
     /// Job records ingested so far (counter continuity across restarts).
     pub records_ingested: u64,
@@ -87,21 +87,22 @@ impl Default for CheckpointState {
     }
 }
 
-/// A checkpoint whose bulk — the two cell maps — is written from the rows
-/// where the services hold them, keyed by id, under their names: cutting one
-/// copies no cell and builds no per-user map. The encoder's only input;
-/// `head`'s own two bulk fields are left empty and never read.
+/// A checkpoint whose bulk — the local cells and the origin mirrors — is
+/// written from the rows where they lie, each under its name: the id-keyed
+/// rows of a site's stores ([`NamedCells::from_store`]), or the rows of an
+/// owned state ([`CheckpointState::view`]). Cutting one copies no cell. The
+/// encoder's only input; `head`'s own two bulk fields are never read.
 #[derive(Debug)]
-pub struct CheckpointView<'a, R = &'a [(u64, f64)]> {
+pub struct CheckpointView<'a> {
     /// Every field but the bulk.
     pub head: Cow<'a, CheckpointState>,
     /// Stands in for `head.local_cells`.
-    pub local_cells: NamedCells<'a, R>,
+    pub local_cells: NamedCells<'a>,
     /// Stands in for `head.origin_cells`; in origin order.
-    pub origin_cells: Vec<(SiteId, NamedCells<'a, R>)>,
+    pub origin_cells: Vec<(SiteId, NamedCells<'a>)>,
 }
 
-impl<R: CellRow> CheckpointView<'_, R> {
+impl CheckpointView<'_> {
     /// Encode to the framed on-disk representation.
     pub fn encode(&self) -> Vec<u8> {
         let head = &*self.head;
@@ -139,7 +140,7 @@ impl CheckpointState {
     }
 
     /// This state as the encoder takes it.
-    pub fn view(&self) -> CheckpointView<'_, &BTreeMap<u64, f64>> {
+    pub fn view(&self) -> CheckpointView<'_> {
         CheckpointView {
             head: Cow::Borrowed(self),
             local_cells: NamedCells::from_cells(&self.local_cells),
@@ -229,9 +230,9 @@ pub fn load_best(storage: &dyn Storage) -> Option<(CheckpointState, usize, u64)>
 
 /// Write `state` to the slot *other* than `current_slot` (the one holding
 /// the latest good snapshot), returning the new slot index and byte size.
-pub fn write_next<R: CellRow>(
+pub fn write_next(
     storage: &mut dyn Storage,
-    state: &CheckpointView<'_, R>,
+    state: &CheckpointView<'_>,
     current_slot: Option<usize>,
 ) -> Result<(usize, u64), StoreError> {
     let target = match current_slot {
@@ -252,9 +253,7 @@ mod tests {
 
     fn sample(lsn: u64) -> CheckpointState {
         let mut local_cells = BTreeMap::new();
-        let mut slots = BTreeMap::new();
-        slots.insert(5u64, 321.0625);
-        local_cells.insert(GridUser::new("U65"), slots);
+        local_cells.insert(GridUser::new("U65"), vec![(5u64, 321.0625)]);
         let mut peers = BTreeMap::new();
         peers.insert(SiteId(2), PeerCursor { next_expected: 9 });
         let mut origin_cells = BTreeMap::new();

@@ -100,23 +100,17 @@ mod tests {
     use std::collections::BTreeMap;
 
     fn sample_summary(seq: u64) -> Arc<Publication> {
-        let mut per_user = BTreeMap::new();
-        let mut slots = BTreeMap::new();
-        slots.insert(3u64, 120.5);
-        slots.insert(7u64, 0.25);
-        per_user.insert(GridUser::new("U65"), slots);
-        per_user.insert(GridUser::new("U30"), BTreeMap::new());
-        let mut relayed = BTreeMap::new();
-        let mut relay_slots = BTreeMap::new();
-        relay_slots.insert(9u64, 64.0);
-        let mut relay_cells = BTreeMap::new();
-        relay_cells.insert(GridUser::new("U7"), relay_slots);
-        relayed.insert(SiteId(9), relay_cells);
+        let per_user = [
+            (GridUser::new("U65"), vec![(3, 120.5), (7, 0.25)]),
+            (GridUser::new("U30"), vec![]),
+        ];
+        let relay_cells = [(GridUser::new("U7"), vec![(9, 64.0)])];
+        let relayed = BTreeMap::from([(SiteId(9), relay_cells.into())]);
         UsageSummary {
             site: SiteId(4),
             seq,
             slot_s: 60.0,
-            per_user,
+            per_user: per_user.into(),
             relayed,
         }
         .into()

@@ -8,7 +8,6 @@ use crate::records::WalRecord;
 use crate::storage::Storage;
 use crate::wal::{encode_frame, ReplayReport, Wal, HEADER_LEN, KIND_RECORD};
 use crate::StoreError;
-use aequus_core::codec::CellRow;
 use aequus_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use std::time::Instant;
 
@@ -230,10 +229,7 @@ impl SiteStore {
 
     /// Write `state` to the alternate checkpoint slot, then compact WAL
     /// segments the checkpoint covers (by LSN and by gossip sequence).
-    pub fn checkpoint<R: CellRow>(
-        &mut self,
-        state: &CheckpointView<'_, R>,
-    ) -> Result<(), StoreError> {
+    pub fn checkpoint(&mut self, state: &CheckpointView<'_>) -> Result<(), StoreError> {
         let _span = self.metrics.h_checkpoint.start_timer();
         let (slot, bytes) = write_next(self.storage.as_mut(), state, self.current_slot)?;
         self.current_slot = Some(slot);

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 fn cells(rows: &[(&str, &[(u64, f64)])]) -> UserCells {
     rows.iter()
-        .map(|(name, row)| (GridUser::new(*name), row.iter().copied().collect()))
+        .map(|(name, row)| (GridUser::new(*name), row.to_vec()))
         .collect()
 }
 

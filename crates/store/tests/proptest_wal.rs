@@ -33,15 +33,15 @@ fn record(kind: u8, a: u64, b: u64) -> WalRecord {
             end_s: (a % 1000) as f64 + (b % 300) as f64 + 1.0,
         }),
         1 => {
-            let mut slots = BTreeMap::new();
-            slots.insert(a % 50, (b % 900) as f64 + 0.25);
-            slots.insert(a % 50 + 1, (a % 700) as f64 + 0.5);
+            let slots = vec![
+                (a % 50, (b % 900) as f64 + 0.25),
+                (a % 50 + 1, (a % 700) as f64 + 0.5),
+            ];
             let mut per_user = BTreeMap::new();
             per_user.insert(GridUser::new(format!("u{}", a % 5)), slots);
             let mut relayed = BTreeMap::new();
             if b.is_multiple_of(3) {
-                let mut relay_slots = BTreeMap::new();
-                relay_slots.insert(a % 30, (a % 500) as f64 + 0.125);
+                let relay_slots = vec![(a % 30, (a % 500) as f64 + 0.125)];
                 let mut relay_cells = BTreeMap::new();
                 relay_cells.insert(GridUser::new(format!("u{}", b % 5)), relay_slots);
                 relayed.insert(SiteId((a % 7) as u32), relay_cells);
@@ -122,7 +122,8 @@ type CellScalars = Vec<(u64, (u64, u8, u64))>;
 type OriginScalars = Vec<(u32, CellScalars)>;
 
 /// Users named from a small pool so prefixes are shared; a user whose
-/// scalars draw no cell (slot ≥ 60 000) keeps an empty slot map.
+/// scalars draw no cell (slot ≥ 60 000) keeps an empty row; a slot drawn
+/// twice holds the later charge.
 fn cells_from(scalars: &CellScalars) -> UserCells {
     let mut cells = UserCells::new();
     for &(user, (slot, kind, a)) in scalars {
@@ -130,7 +131,10 @@ fn cells_from(scalars: &CellScalars) -> UserCells {
             .entry(GridUser::new(format!("u{:04}", user % 12)))
             .or_default();
         if slot < 60_000 {
-            slots.insert(slot, charge(kind, a));
+            match slots.binary_search_by_key(&slot, |c| c.0) {
+                Ok(at) => slots[at].1 = charge(kind, a),
+                Err(at) => slots.insert(at, (slot, charge(kind, a))),
+            }
         }
     }
     cells
@@ -158,7 +162,7 @@ fn bits(cells: &UserCells) -> CellBits<'_> {
     cells
         .iter()
         .map(|(user, slots)| {
-            let slots = slots.iter().map(|(&s, &c)| (s, c.to_bits())).collect();
+            let slots = slots.iter().map(|&(s, c)| (s, c.to_bits())).collect();
             (user.as_str(), slots)
         })
         .collect()
