@@ -32,7 +32,8 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 #
 # On `paper_x3`, where instruments once cost 8.5x memory, a second pass
 # with telemetry on must reproduce the same digest within twice the timed
-# pass's peak RSS (ROADMAP item 4(b)'s memory target).
+# pass's peak RSS: turning the instruments on may not change what the run
+# computes, nor grow its memory by more than the run itself holds.
 pass() { benchmark/run.sh pass --workload "$1" --seed "$2" --mode "$3"; }
 digest_of() { sed -n 's/.*"sim_digest":"\([0-9a-f]*\)".*/\1/p' <<<"$1"; }
 rss_of() { sed -n 's/.*"peak_rss_mb":\([0-9.]*\).*/\1/p' <<<"$1"; }
@@ -140,7 +141,9 @@ done
 # what is owed each way), and the counting sink that sized a message by
 # running its encode again (a size is the length of a publication's one
 # frame), and the `CellRow` trait that let a section encoder read a user's
-# cells as a slot map or a row (a user's cells have one shape, the row) — and no
+# cells as a slot map or a row (a user's cells have one shape, the row), and
+# the store's durable cell-encoding constant and the frame's tag-to-encoding
+# reader (one wire format; a frame's tag is the one it writes) — and no
 # tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -155,11 +158,24 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'ums_cached' -e 'export_state' -e 'install_state' -e 'row_from' \
   -e 'worker_loop' -e 'WorkerOut' -e 'SiteFragments' \
   -e 'catchup_pending' -e 'PeerTx' -e 'PeerRx' -e 'encoded_size' -e 'CellRow' \
+  -e 'CELL_ENCODING' -e 'from_tag' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2
   exit 1
 fi
+# One wire format: every frame is written in the columnar layout, and
+# `Encoding::Dense` is only the fixed-width yardstick's size. Outside test
+# code it is named by the codec that defines that size, the message that
+# counts it and the bench gates that compare against it — so no encoder or
+# decoder branches on it again.
+for f in $(git grep -l 'Encoding::Dense' -- '*.rs' ':!tests/' ':!crates/*/tests/*' \
+  ':!crates/core/src/codec.rs' ':!crates/services/src/message.rs' ':!crates/bench/src/'); do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'Encoding::Dense'; then
+    echo "$f: names Encoding::Dense outside the codec, the message size and the bench gates" >&2
+    exit 1
+  fi
+done
 if git grep -n 'take_outbox' -- '*.rs' '*.toml' '*.sh' \
   ':!crates/sim/src/cluster.rs' ':!benchmark/src/replay.rs' ':!ci.sh'; then
   echo "take_outbox has a caller besides the benchmark's replay" >&2

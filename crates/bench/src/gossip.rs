@@ -1,6 +1,7 @@
 //! The scale-out gossip sweep: convergence time vs bytes-on-wire trade-off
 //! curves across the overlay topologies (`FullMesh`, `Tree`, `Hub`) and the
-//! two wire encodings (`Dense`, `Delta`).
+//! two byte counts (`Delta`, the codec's frames; `Dense`, their fixed-width
+//! yardstick).
 //!
 //! Every point runs the same bounded workload on the same seed, so the
 //! *views* are directly comparable: the defining invariant is that every
@@ -43,7 +44,7 @@ pub const OVERLAYS: [OverlayTopology; 3] = [
 pub struct GossipPoint {
     /// Overlay topology of this run.
     pub overlay: OverlayTopology,
-    /// Wire encoding of this run.
+    /// How this run's bytes were counted.
     pub encoding: Encoding,
     /// Total codec-encoded bytes put on the wire.
     pub gossip_bytes: u64,

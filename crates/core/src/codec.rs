@@ -13,25 +13,24 @@
 //! A cell section ([`NamedCells::encode`] / [`decode_cells`]) carries each
 //! user's cells as the slot-sorted row a [`CellStore`] holds them in — the
 //! one shape of a user's cells, name-keyed at the edges as [`UserCells`] —
-//! and comes in two encodings. [`Encoding::Dense`] stores every (slot, charge) cell at full
-//! fixed width, while [`Encoding::Delta`] exploits the structure the
-//! reliable exchange already guarantees (sorted users, sorted slots,
-//! numerically tame charge values) with a columnar varint layout:
-//! front-coded user names, delta-coded slot indices, and
-//! byte-swapped-varint `f64` charges. Both are *exact*: decode reproduces
+//! in one columnar varint layout that exploits the structure the reliable
+//! exchange already guarantees (sorted users, sorted slots, numerically
+//! tame charge values): front-coded user names, delta-coded slot indices,
+//! and byte-swapped-varint `f64` charges. It is *exact*: decode reproduces
 //! the cells bit for bit, and `wire_size` accounting throughout the
-//! simulator is defined as the encoded length — of a publication's one
-//! frame ([`Publication`]) — so modeled bytes and profiled bytes cannot
-//! diverge.
+//! simulator is the encoded length of a publication's one frame
+//! ([`Publication`]), so modeled bytes and profiled bytes cannot diverge.
+//! The fixed-width layout it is measured against survives only as a size,
+//! [`dense_frame_len`].
 //!
 //! Wire frame layout (all multi-byte integers little-endian or LEB128
 //! varint):
 //!
 //! ```text
-//! magic (0xA9) | version (1) | encoding tag
+//! magic (0xA9) | version (1) | encoding tag (1)
 //! varint site | varint seq | f64 slot_s (8 B LE)
 //! varint section count (1 own + one per relayed origin)
-//!   section: varint origin site, then the encoding-specific cell payload
+//!   section: varint origin site, then the cell payload
 //! crc32 (4 B LE, over everything before it)
 //! ```
 //!
@@ -52,35 +51,20 @@ use std::sync::{Arc, OnceLock};
 
 const MAGIC: u8 = 0xA9;
 const VERSION: u8 = 1;
+/// The one encoding tag a frame carries: the columnar layout. Tag 0 was the
+/// retired fixed-width layout; it and every other tag are refused.
+const TAG: u8 = 1;
 
-/// Wire encoding selector for summary payloads. A transport property — the
-/// same [`UsageSummary`] can travel under either encoding; the scenario
-/// picks one and every byte counter downstream uses it consistently.
+/// How gossip bytes are counted. Every frame is written in the one columnar
+/// layout; the selector only picks which length a byte counter reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Encoding {
-    /// Fixed-width cells: 16 bytes per (slot, charge) pair plus names.
+    /// The fixed-width yardstick, 16 bytes per (slot, charge) pair plus
+    /// names: [`dense_frame_len`], never written.
     Dense,
-    /// Columnar varint layout with front-coded names and delta-coded
-    /// slots — the scale-out default.
+    /// The length of the frame the codec writes.
     #[default]
     Delta,
-}
-
-impl Encoding {
-    fn tag(self) -> u8 {
-        match self {
-            Encoding::Dense => 0,
-            Encoding::Delta => 1,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        match tag {
-            0 => Ok(Encoding::Dense),
-            1 => Ok(Encoding::Delta),
-            t => Err(CodecError::BadEncoding(t)),
-        }
-    }
 }
 
 /// Why a frame failed to decode.
@@ -94,7 +78,7 @@ pub enum CodecError {
     BadMagic(u8),
     /// Unknown format version.
     BadVersion(u8),
-    /// Unknown encoding tag.
+    /// An encoding tag other than the one the codec writes.
     BadEncoding(u8),
     /// Structurally invalid content (overruns, non-canonical order,
     /// invalid UTF-8 in names, trailing bytes).
@@ -379,19 +363,14 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// `declared` elements of at least `min_bytes` each must fit in what is
-    /// left — so a forged count cannot drive allocation or a decode loop.
-    fn bounded(&self, declared: u64, min_bytes: usize) -> Result<usize, CodecError> {
-        match usize::try_from(declared) {
+    /// A varint element count: that many elements of at least `min_bytes`
+    /// each must fit in what is left — so a forged count cannot drive
+    /// allocation or a decode loop.
+    pub fn seq_len(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
+        match usize::try_from(self.varint()?) {
             Ok(n) if n.saturating_mul(min_bytes.max(1)) <= self.buf.len() => Ok(n),
             _ => Err(CodecError::Malformed("count exceeds input")),
         }
-    }
-
-    /// A varint element count, held against `min_bytes` per element.
-    pub fn seq_len(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
-        let declared = self.varint()?;
-        self.bounded(declared, min_bytes)
     }
 
     /// A `u32`-length-prefixed UTF-8 string, borrowed from the input.
@@ -457,25 +436,8 @@ impl<'a> NamedCells<'a> {
         self.rows.iter().copied()
     }
 
-    /// Encode as one section payload under `enc`: a varint user count, then
-    /// the encoding's layout.
-    pub fn encode(&self, enc: Encoding, out: &mut Vec<u8>) {
-        if enc == Encoding::Delta {
-            return self.encode_delta(out);
-        }
-        // Fixed-width u32 length/count fields and 16-byte cells.
-        out.varint(self.rows.len() as u64);
-        for &(user, row) in &self.rows {
-            out.str(user.as_str());
-            out.u32(row.len() as u32);
-            for &(slot, charge) in row {
-                out.u64(slot);
-                out.f64(charge);
-            }
-        }
-    }
-
-    /// The columnar layout, written by index into room made once for the
+    /// Encode as one section payload: a varint user count, then the
+    /// columnar layout, written by index into room made once for the
     /// longest each column can be, then cut to what was written: a name's
     /// two varints are at most as long as its length's, no slot gap of a
     /// row is longer than the varint of the row's span, and a value takes
@@ -483,7 +445,7 @@ impl<'a> NamedCells<'a> {
     /// the slot, bitmap and value columns one more between them, the bitmap
     /// and values staged past the slot column's room and moved down behind
     /// it.
-    fn encode_delta(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut Vec<u8>) {
         let rows = &self.rows;
         let (mut heads, mut slot_room, mut cells) = (varint_len(rows.len() as u64), 0, 0);
         for (user, row) in rows {
@@ -551,110 +513,82 @@ impl<'a> NamedCells<'a> {
     }
 }
 
-/// Decode one section payload written by [`NamedCells::encode`] under `enc`.
-/// Canonical form is enforced — strictly increasing names and slots, minimal
-/// varints ([`Reader::varint`]), maximal shared name prefixes — so cells
-/// that decode at all re-encode to the identical bytes.
-pub fn decode_cells(r: &mut Reader<'_>, enc: Encoding) -> Result<UserCells, CodecError> {
-    let mut cells = UserCells::new();
-    match enc {
-        Encoding::Dense => {
-            let nusers = r.seq_len(8)?;
-            let mut prev_name = None;
-            for _ in 0..nusers {
-                let name = r.str()?;
-                if prev_name.is_some_and(|prev| name <= prev) {
-                    return Err(CodecError::Malformed("names out of order"));
-                }
-                let nslots = r.u32()?;
-                let nslots = r.bounded(nslots.into(), 16)?;
-                let mut row = Vec::with_capacity(nslots);
-                for _ in 0..nslots {
-                    let slot = r.u64()?;
-                    if row.last().is_some_and(|&(prev, _)| slot <= prev) {
-                        return Err(CodecError::Malformed("slots out of order"));
-                    }
-                    row.push((slot, r.f64()?));
-                }
-                cells.insert(GridUser::new(name), row);
-                prev_name = Some(name);
-            }
+/// Decode one section payload written by [`NamedCells::encode`]. Canonical
+/// form is enforced — strictly increasing names and slots, minimal varints
+/// ([`Reader::varint`]), maximal shared name prefixes — so cells that decode
+/// at all re-encode to the identical bytes.
+pub fn decode_cells(r: &mut Reader<'_>) -> Result<UserCells, CodecError> {
+    let nusers = r.seq_len(2)?;
+    let mut names = Vec::with_capacity(nusers);
+    let mut prev = Vec::new();
+    for i in 0..nusers {
+        let shared = r.varint()? as usize;
+        if shared > prev.len() {
+            return Err(CodecError::Malformed("shared prefix exceeds previous name"));
         }
-        Encoding::Delta => {
-            let nusers = r.seq_len(2)?;
-            let mut names = Vec::with_capacity(nusers);
-            let mut prev = Vec::new();
-            for i in 0..nusers {
-                let shared = r.varint()? as usize;
-                if shared > prev.len() {
-                    return Err(CodecError::Malformed("shared prefix exceeds previous name"));
-                }
-                let suffix_len = r.seq_len(1)?;
-                let mut name = prev[..shared].to_vec();
-                name.extend_from_slice(r.take(suffix_len)?);
-                if i > 0 && name <= prev {
-                    return Err(CodecError::Malformed("names out of order"));
-                }
-                if common_prefix(&prev, &name) != shared {
-                    return Err(CodecError::Malformed("shared prefix is not maximal"));
-                }
-                let text = String::from_utf8(name.clone())
-                    .map_err(|_| CodecError::Malformed("name is not UTF-8"))?;
-                names.push(GridUser::new(text));
-                prev = name;
-            }
-            let mut counts = Vec::with_capacity(nusers);
-            for _ in 0..nusers {
-                counts.push(r.seq_len(1)?);
-            }
-            let mut slot_columns = Vec::with_capacity(nusers);
-            for &count in &counts {
-                let mut slots = Vec::with_capacity(count);
-                let mut cursor = 0u64;
-                for i in 0..count {
-                    let v = r.varint()?;
-                    if i > 0 && v == 0 {
-                        return Err(CodecError::Malformed("zero slot gap"));
-                    }
-                    cursor = cursor
-                        .checked_add(v)
-                        .ok_or(CodecError::Malformed("slot index overflows u64"))?;
-                    slots.push(cursor);
-                }
-                slot_columns.push(slots);
-            }
-            let total_cells: usize = counts.iter().sum();
-            let bitmap = r.take(total_cells.div_ceil(8))?.to_vec();
-            if !total_cells.is_multiple_of(8)
-                && bitmap.last().is_some_and(|b| b >> (total_cells % 8) != 0)
-            {
-                return Err(CodecError::Malformed("bitmap padding bits set"));
-            }
-            let mut bit = 0usize;
-            for (user, slots) in names.into_iter().zip(slot_columns) {
-                let mut row = Vec::with_capacity(slots.len());
-                for slot in slots {
-                    let integral = bitmap[bit / 8] & (1 << (bit % 8)) != 0;
-                    bit += 1;
-                    let v = r.varint()?;
-                    let charge = if integral {
-                        if v >= 9_007_199_254_740_992 {
-                            return Err(CodecError::Malformed("integral value exceeds 2^53"));
-                        }
-                        v as f64
-                    } else {
-                        f64::from_bits(v.swap_bytes())
-                    };
-                    // Enforce canonical form: the encoder always takes the
-                    // integral path when it applies.
-                    if integral != integral_value(charge).is_some() {
-                        return Err(CodecError::Malformed("non-canonical value encoding"));
-                    }
-                    row.push((slot, charge));
-                }
-                cells.insert(user, row);
-            }
+        let suffix_len = r.seq_len(1)?;
+        let mut name = prev[..shared].to_vec();
+        name.extend_from_slice(r.take(suffix_len)?);
+        if i > 0 && name <= prev {
+            return Err(CodecError::Malformed("names out of order"));
         }
+        if common_prefix(&prev, &name) != shared {
+            return Err(CodecError::Malformed("shared prefix is not maximal"));
+        }
+        let text = String::from_utf8(name.clone())
+            .map_err(|_| CodecError::Malformed("name is not UTF-8"))?;
+        names.push(GridUser::new(text));
+        prev = name;
+    }
+    let mut counts = Vec::with_capacity(nusers);
+    for _ in 0..nusers {
+        counts.push(r.seq_len(1)?);
+    }
+    let mut slot_columns = Vec::with_capacity(nusers);
+    for &count in &counts {
+        let mut slots = Vec::with_capacity(count);
+        let mut cursor = 0u64;
+        for i in 0..count {
+            let v = r.varint()?;
+            if i > 0 && v == 0 {
+                return Err(CodecError::Malformed("zero slot gap"));
+            }
+            cursor = cursor
+                .checked_add(v)
+                .ok_or(CodecError::Malformed("slot index overflows u64"))?;
+            slots.push(cursor);
+        }
+        slot_columns.push(slots);
+    }
+    let total_cells: usize = counts.iter().sum();
+    let bitmap = r.take(total_cells.div_ceil(8))?.to_vec();
+    if !total_cells.is_multiple_of(8) && bitmap.last().is_some_and(|b| b >> (total_cells % 8) != 0)
+    {
+        return Err(CodecError::Malformed("bitmap padding bits set"));
+    }
+    let (mut cells, mut bit) = (UserCells::new(), 0usize);
+    for (user, slots) in names.into_iter().zip(slot_columns) {
+        let mut row = Vec::with_capacity(slots.len());
+        for slot in slots {
+            let integral = bitmap[bit / 8] & (1 << (bit % 8)) != 0;
+            bit += 1;
+            let v = r.varint()?;
+            let charge = if integral {
+                if v >= 9_007_199_254_740_992 {
+                    return Err(CodecError::Malformed("integral value exceeds 2^53"));
+                }
+                v as f64
+            } else {
+                f64::from_bits(v.swap_bytes())
+            };
+            // Enforce canonical form: the encoder always takes the
+            // integral path when it applies.
+            if integral != integral_value(charge).is_some() {
+                return Err(CodecError::Malformed("non-canonical value encoding"));
+            }
+            row.push((slot, charge));
+        }
+        cells.insert(user, row);
     }
     Ok(cells)
 }
@@ -667,22 +601,22 @@ fn site_id(r: &mut Reader<'_>) -> Result<SiteId, CodecError> {
         .map_err(|_| CodecError::Malformed("site exceeds u32"))
 }
 
-/// Write a summary's fields and cell sections under `enc`, unframed: the
-/// body of the wire frame, and how `aequus-store` journals peer data
-/// inside its own CRC framing.
-pub fn write_summary(s: &UsageSummary, enc: Encoding, out: &mut Vec<u8>) {
+/// Write a summary's fields and cell sections, unframed: the body of the
+/// wire frame, and how `aequus-store` journals peer data inside its own CRC
+/// framing.
+pub fn write_summary(s: &UsageSummary, out: &mut Vec<u8>) {
     out.varint(u64::from(s.site.0));
     out.varint(s.seq);
     out.f64(s.slot_s);
     out.varint(1 + s.relayed.len() as u64);
     for (origin, cells) in std::iter::once((&s.site, &s.per_user)).chain(&s.relayed) {
         out.varint(u64::from(origin.0));
-        NamedCells::from_cells(cells).encode(enc, out);
+        NamedCells::from_cells(cells).encode(out);
     }
 }
 
-/// Read what [`write_summary`] wrote under `enc`.
-pub fn read_summary(r: &mut Reader<'_>, enc: Encoding) -> Result<UsageSummary, CodecError> {
+/// Read what [`write_summary`] wrote.
+pub fn read_summary(r: &mut Reader<'_>) -> Result<UsageSummary, CodecError> {
     let site = site_id(r)?;
     let seq = r.varint()?;
     let slot_s = r.f64()?;
@@ -692,10 +626,10 @@ pub fn read_summary(r: &mut Reader<'_>, enc: Encoding) -> Result<UsageSummary, C
             "first section is not the sender's own",
         ));
     }
-    let per_user = decode_cells(r, enc)?;
+    let per_user = decode_cells(r)?;
     let mut relayed = BTreeMap::new();
     for _ in 1..nsections {
-        if relayed.insert(site_id(r)?, decode_cells(r, enc)?).is_some() {
+        if relayed.insert(site_id(r)?, decode_cells(r)?).is_some() {
             return Err(CodecError::Malformed("duplicate relayed origin"));
         }
     }
@@ -708,24 +642,41 @@ pub fn read_summary(r: &mut Reader<'_>, enc: Encoding) -> Result<UsageSummary, C
     })
 }
 
-/// Encode a summary under `enc`, CRC trailer included.
-pub fn encode_summary(s: &UsageSummary, enc: Encoding) -> Vec<u8> {
-    let mut out = vec![MAGIC, VERSION, enc.tag()];
-    write_summary(s, enc, &mut out);
+/// Encode a summary, CRC trailer included.
+pub fn encode_summary(s: &UsageSummary) -> Vec<u8> {
+    let mut out = vec![MAGIC, VERSION, TAG];
+    write_summary(s, &mut out);
     let crc = crc32(&out);
     out.u32(crc);
     out
 }
 
-/// A summary as it travels, with its frame under each encoding: encoded
-/// when first asked for, then shared by every send, retry, resync answer and
-/// journal of the publication. The frames are not part of the value:
-/// equality and hashing read the summary alone, a clone starts without
-/// them, and mutable access drops them, so a frame is always what
-/// [`encode_summary`] writes for the summary as it stands.
+/// The length of the frame a fixed-width cell layout gives `s`: the
+/// yardstick the codec's bytes are compared against. Framing, then per
+/// section a varint origin and user count, then per user a `u32`-prefixed
+/// name, a `u32` cell count and 16 bytes per cell, then the CRC.
+pub fn dense_frame_len(s: &UsageSummary) -> u64 {
+    let varint = |v: u64| varint_len(v) as u64;
+    let head = 3 + varint(s.site.0.into()) + varint(s.seq) + 8;
+    let mut len = head + varint(1 + s.relayed.len() as u64) + 4;
+    for (origin, cells) in std::iter::once((&s.site, &s.per_user)).chain(&s.relayed) {
+        len += varint(origin.0.into()) + varint(cells.len() as u64);
+        for (user, row) in cells {
+            len += 8 + user.as_str().len() as u64 + 16 * row.len() as u64;
+        }
+    }
+    len
+}
+
+/// A summary as it travels, with its frame: encoded when first asked for,
+/// then shared by every send, retry, resync answer and journal of the
+/// publication. The frame is not part of the value: equality and hashing
+/// read the summary alone, a clone starts without it, and mutable access
+/// drops it, so the frame is always what [`encode_summary`] writes for the
+/// summary as it stands.
 pub struct Publication {
     summary: UsageSummary,
-    frames: [OnceLock<Vec<u8>>; 2],
+    frame: OnceLock<Vec<u8>>,
 }
 
 impl Publication {
@@ -733,20 +684,19 @@ impl Publication {
     pub fn new(summary: UsageSummary) -> Self {
         Self {
             summary,
-            frames: Default::default(),
+            frame: OnceLock::new(),
         }
     }
 
-    /// [`encode_summary`] of the summary under `enc`, encoded once.
-    pub fn frame(&self, enc: Encoding) -> &[u8] {
-        let slot = &self.frames[usize::from(enc.tag())];
-        slot.get_or_init(|| encode_summary(&self.summary, enc))
+    /// [`encode_summary`] of the summary, encoded once.
+    pub fn frame(&self) -> &[u8] {
+        self.frame.get_or_init(|| encode_summary(&self.summary))
     }
 
-    /// [`write_summary`] of the summary under `enc`: the frame without its
-    /// three-byte head and CRC trailer.
-    pub fn body(&self, enc: Encoding) -> &[u8] {
-        let frame = self.frame(enc);
+    /// [`write_summary`] of the summary: the frame without its three-byte
+    /// head and CRC trailer.
+    pub fn body(&self) -> &[u8] {
+        let frame = self.frame();
         frame
             .get(3..frame.len().saturating_sub(4))
             .unwrap_or_default()
@@ -762,7 +712,7 @@ impl std::ops::Deref for Publication {
 
 impl std::ops::DerefMut for Publication {
     fn deref_mut(&mut self) -> &mut UsageSummary {
-        self.frames = Default::default();
+        self.frame = OnceLock::new();
         &mut self.summary
     }
 }
@@ -797,9 +747,9 @@ impl From<UsageSummary> for Arc<Publication> {
     }
 }
 
-/// Decode a frame back into `(encoding, summary)`. The CRC is checked
-/// before anything is parsed; every error leaves no partial result.
-pub fn decode_summary(buf: &[u8]) -> Result<(Encoding, UsageSummary), CodecError> {
+/// Decode a frame back into its summary. The CRC is checked before anything
+/// is parsed; every error leaves no partial result.
+pub fn decode_summary(buf: &[u8]) -> Result<UsageSummary, CodecError> {
     let mut r = Reader::new(buf);
     let body = r.take(buf.len().checked_sub(4).ok_or(CodecError::Truncated)?)?;
     if crc32(body) != r.u32()? {
@@ -814,10 +764,13 @@ pub fn decode_summary(buf: &[u8]) -> Result<(Encoding, UsageSummary), CodecError
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let enc = Encoding::from_tag(r.u8()?)?;
-    let summary = read_summary(&mut r, enc)?;
+    let tag = r.u8()?;
+    if tag != TAG {
+        return Err(CodecError::BadEncoding(tag));
+    }
+    let summary = read_summary(&mut r)?;
     r.finish()?;
-    Ok((enc, summary))
+    Ok(summary)
 }
 
 #[cfg(test)]
@@ -851,35 +804,23 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_both_encodings() {
+    fn round_trip() {
         let s = sample();
-        for enc in [Encoding::Dense, Encoding::Delta] {
-            let bytes = encode_summary(&s, enc);
-            assert_eq!(decode_summary(&bytes), Ok((enc, s.clone())), "{enc:?}");
-        }
+        assert_eq!(decode_summary(&encode_summary(&s)), Ok(s));
     }
 
     #[test]
     fn a_publication_frames_its_summary_as_it_stands() {
         let mut p = Publication::new(sample());
-        for enc in [Encoding::Dense, Encoding::Delta] {
-            assert_eq!(p.frame(enc), encode_summary(&sample(), enc));
-            let mut body = Vec::new();
-            write_summary(&sample(), enc, &mut body);
-            assert_eq!(p.body(enc), body);
-        }
-        let (clone, delta) = (p.clone(), p.frame(Encoding::Delta).to_vec());
+        assert_eq!(p.frame(), encode_summary(&sample()));
+        let mut body = Vec::new();
+        write_summary(&sample(), &mut body);
+        assert_eq!(p.body(), body);
+        let (clone, frame) = (p.clone(), p.frame().to_vec());
         p.seq += 1;
-        assert_ne!(
-            p.frame(Encoding::Delta),
-            delta,
-            "a mutation drops the frames"
-        );
-        assert_eq!(
-            p.frame(Encoding::Delta),
-            encode_summary(&p, Encoding::Delta)
-        );
-        assert_eq!(clone.frame(Encoding::Delta), delta);
+        assert_ne!(p.frame(), frame, "a mutation drops the frame");
+        assert_eq!(p.frame(), encode_summary(&p));
+        assert_eq!(clone.frame(), frame);
         assert_eq!(clone, Publication::new(sample()));
     }
 
@@ -899,8 +840,8 @@ mod tests {
             per_user,
             relayed: BTreeMap::new(),
         };
-        let dense = encode_summary(&s, Encoding::Dense).len();
-        let delta = encode_summary(&s, Encoding::Delta).len();
+        let dense = dense_frame_len(&s);
+        let delta = encode_summary(&s).len();
         assert!(
             (dense as f64) / (delta as f64) >= 3.0,
             "dense {dense} / delta {delta} below 3x"
@@ -916,33 +857,27 @@ mod tests {
             per_user: UserCells::new(),
             relayed: BTreeMap::new(),
         };
-        for enc in [Encoding::Dense, Encoding::Delta] {
-            let bytes = encode_summary(&s, enc);
-            assert_eq!(decode_summary(&bytes), Ok((enc, s.clone())));
-        }
+        assert_eq!(decode_summary(&encode_summary(&s)), Ok(s));
     }
 
     #[test]
     fn every_single_bit_flip_is_rejected() {
-        let s = sample();
-        for enc in [Encoding::Dense, Encoding::Delta] {
-            let bytes = encode_summary(&s, enc);
-            for i in 0..bytes.len() {
-                for bit in 0..8 {
-                    let mut bad = bytes.clone();
-                    bad[i] ^= 1 << bit;
-                    assert!(
-                        decode_summary(&bad).is_err(),
-                        "{enc:?}: flip bit {bit} of byte {i} decoded silently"
-                    );
-                }
+        let bytes = encode_summary(&sample());
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[i] ^= 1 << bit;
+                assert!(
+                    decode_summary(&bad).is_err(),
+                    "flip bit {bit} of byte {i} decoded silently"
+                );
             }
         }
     }
 
     #[test]
     fn truncation_is_rejected() {
-        let bytes = encode_summary(&sample(), Encoding::Delta);
+        let bytes = encode_summary(&sample());
         for cut in 0..bytes.len() {
             assert!(decode_summary(&bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -957,10 +892,7 @@ mod tests {
             per_user: cells(&[("a", &[(u64::MAX - 1, f64::MAX), (u64::MAX, 1e-300)])]),
             relayed: BTreeMap::new(),
         };
-        for enc in [Encoding::Dense, Encoding::Delta] {
-            let bytes = encode_summary(&s, enc);
-            assert_eq!(decode_summary(&bytes), Ok((enc, s.clone())));
-        }
+        assert_eq!(decode_summary(&encode_summary(&s)), Ok(s));
     }
 
     #[test]
@@ -1031,33 +963,16 @@ mod tests {
         );
         assert!(malformed(Reader::new(&[0x80, 0x80, 0x00]).varint()));
         assert_eq!(Reader::new(&[0x00]).varint(), Ok(0));
-        let section = |bytes: &[u8], enc| malformed(decode_cells(&mut Reader::new(bytes), enc));
+        let section = |bytes: &[u8]| malformed(decode_cells(&mut Reader::new(bytes)));
         // Two users both named "": one would swallow the other.
-        let mut dense = vec![2];
-        for charge in [1.0, 2.0] {
-            dense.str("");
-            dense.u32(1);
-            dense.u64(0);
-            dense.f64(charge);
-        }
-        assert!(
-            section(&dense, Encoding::Dense),
-            "two users named \"\", dense"
-        );
-        let delta = [2, 0, 0, 0, 0, 1, 1, 0, 0, 0b11, 1, 2];
-        assert!(
-            section(&delta, Encoding::Delta),
-            "two users named \"\", delta"
-        );
+        let twins = [2, 0, 0, 0, 0, 1, 1, 0, 0, 0b11, 1, 2];
+        assert!(section(&twins), "two users named \"\"");
         // "ab", "ac" with nothing shared but the prefix "ab" has with "ac".
         let short = [2, 0, 2, b'a', b'b', 0, 2, b'a', b'c', 0, 0];
-        assert!(
-            section(&short, Encoding::Delta),
-            "a shared prefix not maximal"
-        );
+        assert!(section(&short), "a shared prefix not maximal");
         let mut canonical = Vec::new();
         let names = cells(&[("ab", &[]), ("ac", &[])]);
-        NamedCells::from_cells(&names).encode(Encoding::Delta, &mut canonical);
+        NamedCells::from_cells(&names).encode(&mut canonical);
         assert_eq!(canonical, [2, 0, 2, b'a', b'b', 1, 1, b'c', 0, 0]);
     }
 

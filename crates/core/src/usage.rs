@@ -396,10 +396,18 @@ impl UsageSummary {
     }
 }
 
-/// By the dense wire encoding: charges by their bits, like [`CellStore`]'s.
+/// Field by field, the site as its own section's origin, charges by their
+/// bits, like [`CellStore`]'s.
 impl Hash for UsageSummary {
     fn hash<H: Hasher>(&self, h: &mut H) {
-        crate::codec::encode_summary(self, crate::codec::Encoding::Dense).hash(h);
+        (self.seq, self.slot_s.to_bits(), self.relayed.len()).hash(h);
+        for (origin, cells) in std::iter::once((&self.site, &self.per_user)).chain(&self.relayed) {
+            (origin, cells.len()).hash(h);
+            for (user, row) in cells {
+                (user, row.len()).hash(h);
+                (row.iter()).for_each(|&(slot, charge)| (slot, charge.to_bits()).hash(h));
+            }
+        }
     }
 }
 

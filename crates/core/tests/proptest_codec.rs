@@ -1,9 +1,10 @@
 //! Property-based tests of the gossip wire codec: lossless round-trips for
-//! arbitrary summaries under both encodings, positive-delta merge
-//! idempotence under duplication / reordering / loss-with-resync, and
-//! corruption detection — a flipped bit must never decode silently — the
-//! sliced CRC32 against a table-free bitwise reference, and the column
-//! section encoder against the byte-at-a-time writer it replaced.
+//! arbitrary summaries, positive-delta merge idempotence under duplication /
+//! reordering / loss-with-resync, and corruption detection — a flipped bit
+//! must never decode silently — the sliced CRC32 against a table-free
+//! bitwise reference, the column section encoder against the byte-at-a-time
+//! writer it replaced, and the fixed-width yardstick's closed-form size
+//! against the fixed-width writer it measures.
 //!
 //! The vendored proptest shim generates scalars and vectors of scalar
 //! tuples; structured values (names, charges, summaries) are derived
@@ -12,8 +13,8 @@
 
 use aequus_core::arena::UserTable;
 use aequus_core::codec::{
-    crc32, decode_cells, decode_summary, encode_summary, Crc32, Encoding, NamedCells, Publication,
-    Reader, Sink,
+    crc32, decode_cells, decode_summary, dense_frame_len, encode_summary, Crc32, Encoding,
+    NamedCells, Publication, Reader, Sink,
 };
 use aequus_core::ids::SiteId;
 use aequus_core::usage::{CellStore, UsageSummary, UserCells};
@@ -147,14 +148,10 @@ proptest! {
 
     #[test]
     fn round_trip_is_lossless(s in summary()) {
-        for enc in [Encoding::Dense, Encoding::Delta] {
-            let buf = encode_summary(&s, enc);
-            let published = Publication::new(s.clone());
-            prop_assert_eq!(published.frame(enc), &buf[..], "one frame, the same bytes");
-            let (got_enc, got) = decode_summary(&buf).unwrap();
-            prop_assert_eq!(got_enc, enc);
-            prop_assert_eq!(&got, &s, "{:?} round trip", enc);
-        }
+        let buf = encode_summary(&s);
+        let published = Publication::new(s.clone());
+        prop_assert_eq!(published.frame(), &buf[..], "one frame, the same bytes");
+        prop_assert_eq!(&decode_summary(&buf).unwrap(), &s, "round trip");
     }
 
     #[test]
@@ -192,7 +189,7 @@ proptest! {
         };
         // Deliver an arbitrary subset in arbitrary order (loss + reorder),
         // with arbitrary re-deliveries (duplication), each hop through the
-        // Delta codec, then the snapshot closes every remaining gap.
+        // codec, then the snapshot closes every remaining gap.
         let mut mirrors = BTreeMap::new();
         let mut acc = BTreeMap::new();
         let deliveries = order
@@ -202,7 +199,7 @@ proptest! {
             .chain(std::iter::once(&snapshot))
             .chain(std::iter::once(&snapshot)); // snapshot twice: idempotent
         for s in deliveries {
-            let (_, decoded) = decode_summary(&encode_summary(s, Encoding::Delta)).unwrap();
+            let decoded = decode_summary(&encode_summary(s)).unwrap();
             merge(&mut mirrors, &mut acc, decoded.site, &decoded.per_user);
         }
         // The merged view equals the true cumulative values exactly once
@@ -225,28 +222,24 @@ proptest! {
         s in summary(),
         flips in proptest::collection::vec((0usize..65_536, 0u8..8), 1..16),
     ) {
-        for enc in [Encoding::Dense, Encoding::Delta] {
-            let buf = encode_summary(&s, enc);
-            for &(ix, bit) in &flips {
-                let pos = ix % buf.len();
-                let mut bad = buf.clone();
-                bad[pos] ^= 1 << bit;
-                // CRC32 detects every single-bit error; nothing may decode.
-                prop_assert!(
-                    decode_summary(&bad).is_err(),
-                    "{:?}: flipped bit {} of byte {} decoded silently", enc, bit, pos
-                );
-            }
+        let buf = encode_summary(&s);
+        for &(ix, bit) in &flips {
+            let pos = ix % buf.len();
+            let mut bad = buf.clone();
+            bad[pos] ^= 1 << bit;
+            // CRC32 detects every single-bit error; nothing may decode.
+            prop_assert!(
+                decode_summary(&bad).is_err(),
+                "flipped bit {} of byte {} decoded silently", bit, pos
+            );
         }
     }
 
     #[test]
     fn truncation_never_decodes(s in summary(), cut in 0usize..65_536) {
-        for enc in [Encoding::Dense, Encoding::Delta] {
-            let buf = encode_summary(&s, enc);
-            let cut = cut % buf.len();
-            prop_assert!(decode_summary(&buf[..cut]).is_err(), "{:?} cut at {}", enc, cut);
-        }
+        let buf = encode_summary(&s);
+        let cut = cut % buf.len();
+        prop_assert!(decode_summary(&buf[..cut]).is_err(), "cut at {}", cut);
     }
 
     #[test]
@@ -293,8 +286,10 @@ fn bitwise_crc32(data: &[u8]) -> u32 {
 
 // --- The column section encoder against the byte writer --------------------
 
-/// The section writer the column encoder replaced, one byte at a time
-/// through [`Sink`]: the reference its bytes are held to.
+/// The section writers, one byte at a time through [`Sink`]: under `Delta`
+/// the writer the column encoder replaced, the reference its bytes are held
+/// to; under `Dense` the retired fixed-width writer, the reference
+/// [`dense_frame_len`] is held to.
 fn reference_section(rows: &[(&GridUser, Vec<(u64, f64)>)], enc: Encoding) -> Vec<u8> {
     fn integral_value(charge: f64) -> Option<u64> {
         if !(0.0..9_007_199_254_740_992.0).contains(&charge) {
@@ -455,8 +450,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Name-keyed sections and id-keyed rows encode to the byte writer's
-    /// bytes under both encodings, and decode back to bytes that re-encode
-    /// the same.
+    /// bytes, and decode back to bytes that re-encode the same.
     #[test]
     fn the_column_encoder_writes_the_byte_writers_bytes(scalars in edge_scalars()) {
         let cells = edge_cells(&scalars);
@@ -466,41 +460,116 @@ proptest! {
         let stored: BTreeMap<&GridUser, Vec<(u64, f64)>> =
             store.iter().map(|(id, row)| (users.name(id), row.to_vec())).collect();
         let stored: Vec<_> = stored.into_iter().collect();
-        for enc in [Encoding::Dense, Encoding::Delta] {
-            let mut bytes = Vec::new();
-            NamedCells::from_cells(&cells).encode(enc, &mut bytes);
-            prop_assert_eq!(&bytes, &reference_section(&owned_rows(&cells), enc), "{:?}", enc);
-            let decoded = decode_cells(&mut Reader::new(&bytes), enc).unwrap();
-            let mut again = vec![0xEE];
-            NamedCells::from_cells(&decoded).encode(enc, &mut again);
-            prop_assert_eq!(&again[1..], &bytes[..], "{:?} re-encode after a prefix", enc);
+        let mut bytes = Vec::new();
+        NamedCells::from_cells(&cells).encode(&mut bytes);
+        prop_assert_eq!(&bytes, &reference_section(&owned_rows(&cells), Encoding::Delta));
+        let decoded = decode_cells(&mut Reader::new(&bytes)).unwrap();
+        let mut again = vec![0xEE];
+        NamedCells::from_cells(&decoded).encode(&mut again);
+        prop_assert_eq!(&again[1..], &bytes[..], "re-encode after a prefix");
 
-            let mut rows = Vec::new();
-            NamedCells::from_store(&store, &users).encode(enc, &mut rows);
-            prop_assert_eq!(&rows, &reference_section(&stored, enc), "{:?} from the rows", enc);
-        }
+        let mut rows = Vec::new();
+        NamedCells::from_store(&store, &users).encode(&mut rows);
+        prop_assert_eq!(&rows, &reference_section(&stored, Encoding::Delta), "from the rows");
     }
 }
 
 /// Every cell at its longest — a first slot of 2^63 or more and a charge
 /// whose byte-swapped bits need all ten varint bytes — and names under 128
-/// bytes: the section fills the room the encoder makes for it exactly, so
-/// a bound one byte short cannot pass unseen.
-#[test]
-fn the_longest_section_fills_its_room() {
+/// bytes.
+fn longest_section() -> UserCells {
     let widest = f64::from_bits(0x0000_0000_0000_00FF);
-    let cells: UserCells = ["", "a", "ab", "ω"]
+    ["", "a", "ab", "ω"]
         .into_iter()
         .enumerate()
         .map(|(i, name)| (GridUser::new(name), vec![(u64::MAX - i as u64, widest)]))
-        .collect();
-    for enc in [Encoding::Dense, Encoding::Delta] {
-        let mut bytes = Vec::new();
-        NamedCells::from_cells(&cells).encode(enc, &mut bytes);
-        assert_eq!(
-            bytes,
-            reference_section(&owned_rows(&cells), enc),
-            "{enc:?}"
-        );
+        .collect()
+}
+
+/// The longest section fills the room the encoder makes for it exactly, so
+/// a bound one byte short cannot pass unseen.
+#[test]
+fn the_longest_section_fills_its_room() {
+    let cells = longest_section();
+    let mut bytes = Vec::new();
+    NamedCells::from_cells(&cells).encode(&mut bytes);
+    assert_eq!(
+        bytes,
+        reference_section(&owned_rows(&cells), Encoding::Delta)
+    );
+}
+
+// --- The fixed-width yardstick ---------------------------------------------
+
+/// The fixed-width frame of `s`, laid out from the reference section writer
+/// under the retired tag 0: what [`dense_frame_len`] must measure.
+fn reference_dense_frame(s: &UsageSummary) -> Vec<u8> {
+    let mut out = vec![0xA9, 1, 0];
+    out.varint(u64::from(s.site.0));
+    out.varint(s.seq);
+    out.f64(s.slot_s);
+    out.varint(1 + s.relayed.len() as u64);
+    for (origin, cells) in std::iter::once((&s.site, &s.per_user)).chain(&s.relayed) {
+        out.varint(u64::from(origin.0));
+        out.bytes(&reference_section(&owned_rows(cells), Encoding::Dense));
     }
+    let crc = crc32(&out);
+    out.u32(crc);
+    out
+}
+
+/// A summary over the front-coder's edge cells, with its site and sequence
+/// number anywhere on their ranges.
+fn edge_summary() -> impl Strategy<Value = UsageSummary> {
+    (
+        0u32..u32::MAX,
+        0u64..u64::MAX,
+        edge_scalars(),
+        proptest::collection::vec((0u32..u32::MAX, edge_scalars()), 0..3),
+    )
+        .prop_map(|(site, seq, own, relayed)| UsageSummary {
+            site: SiteId(site),
+            seq,
+            slot_s: 60.0,
+            per_user: edge_cells(&own),
+            relayed: relayed
+                .iter()
+                .map(|(origin, scalars)| (SiteId(*origin), edge_cells(scalars)))
+                .collect(),
+        })
+}
+
+fn assert_dense_len(s: &UsageSummary) {
+    assert_eq!(dense_frame_len(s), reference_dense_frame(s).len() as u64);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The closed form is the length of the fixed-width frame.
+    #[test]
+    fn the_dense_size_is_the_fixed_width_frames_length(s in summary(), e in edge_summary()) {
+        assert_dense_len(&s);
+        assert_dense_len(&e);
+    }
+}
+
+/// The longest section's cells, a relayed section whose user count takes a
+/// two-byte varint and a section count that takes two, under a site and
+/// sequence number at their ends.
+#[test]
+fn the_dense_size_of_the_longest_section() {
+    let many: UserCells = (0..200)
+        .map(|i| (GridUser::new(format!("u{i:03}")), vec![(i, 1.0)]))
+        .collect();
+    assert_dense_len(&UsageSummary {
+        site: SiteId(u32::MAX),
+        seq: u64::MAX,
+        slot_s: 60.0,
+        per_user: longest_section(),
+        relayed: (0..130)
+            .map(|origin| (SiteId(origin), UserCells::new()))
+            .chain([(SiteId(1 << 20), many)])
+            .collect(),
+    });
 }

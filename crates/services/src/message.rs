@@ -2,7 +2,9 @@
 //! encoding over `aequus_core::codec`'s `Sink` and `Reader` (protocol and
 //! policies: [`crate::reliability`]).
 
-use aequus_core::codec::{decode_summary, CodecError, Encoding, Publication, Reader, Sink};
+use aequus_core::codec::{
+    decode_summary, dense_frame_len, CodecError, Encoding, Publication, Reader, Sink,
+};
 use aequus_core::ids::SiteId;
 use aequus_telemetry::TraceCtx;
 use std::sync::Arc;
@@ -78,16 +80,21 @@ impl UssMessage {
         }
     }
 
-    /// Serialized size in bytes under `enc` — defined as the length of
-    /// [`UssMessage::encode`]'s output (a regression test holds the two
-    /// equal), so the profiler's gossip-byte counters and the bench gates
-    /// account exactly what the codec produces. A data message reads its
-    /// publication's one frame. Deterministic, like everything it feeds.
+    /// Serialized size in bytes as `enc` counts it: under `Delta` the length
+    /// of [`UssMessage::encode`]'s output (a regression test holds the two
+    /// equal), read off a data message's one frame, so the profiler's
+    /// gossip-byte counters and the bench gates account exactly what the
+    /// codec produces; under `Dense` with [`dense_frame_len`] in place of
+    /// that frame. Deterministic, like everything it feeds.
     pub fn wire_size(&self, enc: Encoding) -> u64 {
         match self {
             UssMessage::Summary { summary, ctx } | UssMessage::Snapshot { summary, ctx } => {
                 let ctx_bytes = if ctx.is_some() { 16 } else { 0 };
-                2 + ctx_bytes + summary.frame(enc).len() as u64
+                let frame = match enc {
+                    Encoding::Delta => summary.frame().len() as u64,
+                    Encoding::Dense => dense_frame_len(summary),
+                };
+                2 + ctx_bytes + frame
             }
             UssMessage::Ack { .. } => 1 + 4 + 8,
             UssMessage::Resync { .. } => 1 + 4 + 16,
@@ -97,9 +104,8 @@ impl UssMessage {
 
     /// Encode to the wire representation: one tag byte, then fixed-width
     /// control fields, or (for data messages) a trace-context presence byte,
-    /// the optional 16-byte context, and the CRC-framed summary payload in
-    /// the chosen [`Encoding`].
-    pub fn encode(&self, enc: Encoding) -> Vec<u8> {
+    /// the optional 16-byte context, and the CRC-framed summary payload.
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             UssMessage::Summary { summary, ctx } | UssMessage::Snapshot { summary, ctx } => {
@@ -113,7 +119,7 @@ impl UssMessage {
                     out.u64(c.trace_id);
                     out.u64(c.span);
                 }
-                out.bytes(summary.frame(enc));
+                out.bytes(summary.frame());
             }
             UssMessage::Ack { from, seq } => {
                 out.byte(TAG_ACK);
@@ -138,10 +144,8 @@ impl UssMessage {
         out
     }
 
-    /// Decode a wire frame produced by [`UssMessage::encode`], returning the
-    /// message and the summary encoding it travelled under (control messages
-    /// report the caller-irrelevant default).
-    pub fn decode(buf: &[u8]) -> Result<(Self, Encoding), CodecError> {
+    /// Decode a wire frame produced by [`UssMessage::encode`].
+    pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(buf);
         let tag = r.u8()?;
         let msg = match tag {
@@ -154,14 +158,12 @@ impl UssMessage {
                 } else {
                     None
                 };
-                let (enc, summary) = decode_summary(r.rest())?;
-                let summary = Arc::new(Publication::new(summary));
-                let msg = if tag == TAG_SUMMARY {
+                let summary = Arc::new(Publication::new(decode_summary(r.rest())?));
+                return Ok(if tag == TAG_SUMMARY {
                     UssMessage::Summary { summary, ctx }
                 } else {
                     UssMessage::Snapshot { summary, ctx }
-                };
-                return Ok((msg, enc));
+                });
             }
             TAG_ACK => UssMessage::Ack {
                 from: SiteId(r.u32()?),
@@ -178,7 +180,7 @@ impl UssMessage {
             _ => return Err(CodecError::Malformed("unknown message tag")),
         };
         r.finish()?;
-        Ok((msg, Encoding::default()))
+        Ok(msg)
     }
 }
 
@@ -286,38 +288,34 @@ mod tests {
         ]
     }
 
+    /// Delta counts the bytes `encode` writes; Dense counts the same
+    /// message around the fixed-width yardstick in place of its frame.
     #[test]
     fn wire_size_equals_encoded_length() {
         for msg in sample_messages() {
-            for enc in [Encoding::Dense, Encoding::Delta] {
-                assert_eq!(
-                    msg.wire_size(enc),
-                    msg.encode(enc).len() as u64,
-                    "{} under {enc:?}",
-                    msg.kind()
-                );
-            }
+            let len = msg.encode().len() as u64;
+            assert_eq!(msg.wire_size(Encoding::Delta), len, "{}", msg.kind());
+            let dense = match &msg {
+                UssMessage::Summary { summary, .. } | UssMessage::Snapshot { summary, .. } => {
+                    len - summary.frame().len() as u64 + dense_frame_len(summary)
+                }
+                _ => len,
+            };
+            assert_eq!(msg.wire_size(Encoding::Dense), dense, "{}", msg.kind());
         }
     }
 
     #[test]
     fn message_encode_round_trips() {
         for msg in sample_messages() {
-            for enc in [Encoding::Dense, Encoding::Delta] {
-                let bytes = msg.encode(enc);
-                let (decoded, dec_enc) = UssMessage::decode(&bytes).unwrap();
-                assert_eq!(decoded, msg);
-                if msg.is_data() {
-                    assert_eq!(dec_enc, enc);
-                }
-            }
+            assert_eq!(UssMessage::decode(&msg.encode()), Ok(msg));
         }
     }
 
     #[test]
     fn truncated_messages_never_decode() {
         for msg in sample_messages() {
-            let bytes = msg.encode(Encoding::Delta);
+            let bytes = msg.encode();
             for cut in 0..bytes.len() {
                 assert!(
                     UssMessage::decode(&bytes[..cut]).is_err(),
@@ -384,12 +382,10 @@ mod tests {
     fn wire_bytes_match_the_golden_file() {
         let mut actual = String::new();
         for msg in golden_messages() {
-            for enc in [Encoding::Dense, Encoding::Delta] {
-                let bytes = msg.encode(enc);
-                assert_eq!(UssMessage::decode(&bytes).unwrap().0, msg);
-                let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-                actual.push_str(&format!("{} {enc:?} {hex}\n", msg.kind()));
-            }
+            let bytes = msg.encode();
+            assert_eq!(UssMessage::decode(&bytes).unwrap(), msg);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            actual.push_str(&format!("{} Delta {hex}\n", msg.kind()));
         }
         assert_eq!(actual, include_str!("../tests/golden/uss_messages.hex"));
     }

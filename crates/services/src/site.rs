@@ -784,10 +784,10 @@ mod tests {
 
     /// One publication is encoded once, and every copy of it carries what
     /// a fresh encode of its summary writes: each send, retry and resync
-    /// answer is sized and encoded as `encode_summary` writes it under
-    /// either encoding, and each receiver journals `write_summary` of it —
-    /// a summary mutated after `Arc::unwrap_or_clone` of a publication that
-    /// had been encoded included.
+    /// answer is sized and encoded as `encode_summary` writes it, and each
+    /// receiver journals `write_summary` of it — a summary mutated after
+    /// `Arc::unwrap_or_clone` of a publication that had been encoded
+    /// included.
     #[test]
     fn every_copy_of_a_publication_carries_its_fresh_encoding() {
         use aequus_core::codec::{encode_summary, write_summary, Encoding, Publication};
@@ -819,7 +819,7 @@ mod tests {
             panic!("a publication: {sent:?}");
         };
         let encoded = Arc::new(Publication::new(UsageSummary::clone(summary)));
-        encoded.frame(Encoding::Delta);
+        encoded.frame();
         let mut mutated = Arc::unwrap_or_clone(encoded);
         mutated.seq += 1;
         mutated
@@ -844,14 +844,12 @@ mod tests {
                 panic!("a publication: {msg:?}");
             };
             let fresh = UsageSummary::clone(summary);
-            for enc in [Encoding::Dense, Encoding::Delta] {
-                let frame = encode_summary(&fresh, enc);
-                let head = 2 + if ctx.is_some() { 16 } else { 0 };
-                assert_eq!(msg.wire_size(enc), (head + frame.len()) as u64);
-                assert_eq!(msg.encode(enc)[head..], frame[..], "{enc:?}");
-            }
+            let frame = encode_summary(&fresh);
+            let head = 2 + if ctx.is_some() { 16 } else { 0 };
+            assert_eq!(msg.wire_size(Encoding::Delta), (head + frame.len()) as u64);
+            assert_eq!(msg.encode()[head..], frame[..]);
             let mut body = Vec::new();
-            write_summary(&fresh, Encoding::Delta, &mut body);
+            write_summary(&fresh, &mut body);
             let at = to.0 as usize - 1;
             fresh_bodies[at].push(body);
             receivers[at].deliver_message(msg, 420.0);

@@ -1423,7 +1423,6 @@ impl Uss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aequus_core::codec::Encoding;
     use aequus_core::ids::JobId;
     use aequus_core::DecayPolicy;
 
@@ -2385,25 +2384,23 @@ mod tests {
             } else {
                 s.per_user.extend(bad);
             }
-            // The codecs are faithful transports: it decodes as sent.
-            for enc in [Encoding::Dense, Encoding::Delta] {
-                let msg = UssMessage::Summary {
-                    summary: Arc::new(s.clone()),
-                    ctx: None,
-                };
-                let (decoded, _) = UssMessage::decode(&msg.encode(enc)).expect("CRC-valid");
-                let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
-                let responses = b.receive_message(&decoded, 600.0);
-                assert_refused_whole(&b, &responses);
-                // A well-formed retransmission of the same seq still lands.
-                let good = UssMessage::Summary {
-                    summary: Arc::new(summary_from_site0(1)),
-                    ctx: None,
-                };
-                assert_eq!(b.receive_message(&good, 700.0).len(), 1, "acked");
-                assert!((b.remote_total() - 120.0).abs() < 1e-9);
-                assert_eq!(b.rejected(), 1);
-            }
+            // The codec is a faithful transport: it decodes as sent.
+            let msg = UssMessage::Summary {
+                summary: Arc::new(s.clone()),
+                ctx: None,
+            };
+            let decoded = UssMessage::decode(&msg.encode()).expect("CRC-valid");
+            let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+            let responses = b.receive_message(&decoded, 600.0);
+            assert_refused_whole(&b, &responses);
+            // A well-formed retransmission of the same seq still lands.
+            let good = UssMessage::Summary {
+                summary: Arc::new(summary_from_site0(1)),
+                ctx: None,
+            };
+            assert_eq!(b.receive_message(&good, 700.0).len(), 1, "acked");
+            assert!((b.remote_total() - 120.0).abs() < 1e-9);
+            assert_eq!(b.rejected(), 1);
         }
     }
 

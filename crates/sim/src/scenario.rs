@@ -146,9 +146,9 @@ pub struct GridScenario {
     /// (per-hop aggregation), so every site still converges to the full
     /// grid view.
     pub overlay: OverlayTopology,
-    /// Wire encoding used to account gossip bytes-on-wire (`wire_size` of
-    /// every delivered message — the sim never ships real buffers, but the
-    /// byte accounting is the codec's real encoded size).
+    /// How gossip bytes-on-wire are counted (`wire_size` of every delivered
+    /// message), not which bytes are written: `Delta` is the codec's encoded
+    /// size, `Dense` the fixed-width yardstick.
     pub encoding: Encoding,
     /// Fairness-health monitoring: streaming SLO rules with multi-window
     /// burn-rate alerting plus the per-link gossip health map. `None` (the
@@ -373,7 +373,7 @@ impl GridScenario {
         self
     }
 
-    /// Choose the wire encoding for gossip byte accounting.
+    /// Choose how gossip bytes are counted.
     pub fn with_encoding(mut self, encoding: Encoding) -> Self {
         self.encoding = encoding;
         self

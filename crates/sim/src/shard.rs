@@ -52,8 +52,8 @@ pub struct ShardStats {
     pub ticks: u64,
     /// Data (summary) messages delivered to this site.
     pub gossip_deliveries: u64,
-    /// Total encoded bytes this site put on the wire (codec-accurate:
-    /// `UssMessage::wire_size` under the scenario's encoding).
+    /// Total bytes this site put on the wire, as the scenario's encoding
+    /// counts them (`UssMessage::wire_size`).
     pub gossip_bytes: u64,
     /// Deliveries refused because the site was partitioned or crashed.
     pub partitioned: u64,
@@ -283,9 +283,9 @@ impl Shard {
         let arrival = (now + self.scenario.timings.exchange_latency_s + transfer).max(limit_s);
         // Bytes-on-wire: only messages that actually leave the site count
         // (drops above never hit the wire). Staging order is deterministic,
-        // so these link budgets are too. The size is the codec's real
-        // encoded length under the scenario's wire encoding — for data, of
-        // the publication's one frame, encoded at its first send.
+        // so these link budgets are too. The size is as the scenario's
+        // encoding counts it — under Delta the codec's real encoded length,
+        // for data of the publication's one frame, encoded at its first send.
         let bytes = msg.wire_size(self.scenario.encoding);
         self.prof.add_wire(dest, bytes);
         self.stats.gossip_bytes += bytes;

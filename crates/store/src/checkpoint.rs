@@ -11,7 +11,6 @@
 //! one checkpoint interval, never the ability to recover at all. Loading
 //! decodes both slots and picks the valid one with the highest LSN.
 
-use crate::records::CELL_ENCODING;
 use crate::storage::Storage;
 use crate::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT};
 use crate::StoreError;
@@ -112,7 +111,7 @@ impl CheckpointView<'_> {
         w.f64(head.taken_s);
         w.u32(head.site.0);
         w.f64(head.slot_s);
-        self.local_cells.encode(CELL_ENCODING, &mut w);
+        self.local_cells.encode(&mut w);
         w.u64(head.records_ingested);
         w.u64(head.next_seq);
         w.varint(head.peers.len() as u64);
@@ -123,7 +122,7 @@ impl CheckpointView<'_> {
         w.varint(self.origin_cells.len() as u64);
         for (origin, cells) in &self.origin_cells {
             w.u32(origin.0);
-            cells.encode(CELL_ENCODING, &mut w);
+            cells.encode(&mut w);
         }
         encode_frame(KIND_CHECKPOINT, &w)
     }
@@ -166,7 +165,7 @@ impl CheckpointState {
         let taken_s = r.f64()?;
         let site = SiteId(r.u32()?);
         let slot_s = r.f64()?;
-        let local_cells = decode_cells(&mut r, CELL_ENCODING)?;
+        let local_cells = decode_cells(&mut r)?;
         let records_ingested = r.u64()?;
         let next_seq = r.u64()?;
         let mut peers = BTreeMap::new();
@@ -178,7 +177,7 @@ impl CheckpointState {
         let mut origin_cells = BTreeMap::new();
         for _ in 0..r.seq_len(5)? {
             let origin = SiteId(r.u32()?);
-            origin_cells.insert(origin, decode_cells(&mut r, CELL_ENCODING)?);
+            origin_cells.insert(origin, decode_cells(&mut r)?);
         }
         r.finish()?;
         Ok(Self {

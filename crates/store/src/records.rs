@@ -4,16 +4,10 @@
 //! ingested job records, peer exchange data already merged into the views,
 //! and the publisher's own sequence advances.
 
-use aequus_core::codec::{read_summary, CodecError, Encoding, Publication, Reader, Sink};
+use aequus_core::codec::{read_summary, CodecError, Publication, Reader, Sink};
 use aequus_core::ids::{GridUser, JobId, SiteId};
 use aequus_core::usage::UsageRecord;
 use std::sync::Arc;
-
-/// How every durable usage cell is laid out — WAL peer data and checkpoint
-/// mirrors alike: the wire codec's sections under its lossless columnar
-/// encoding. A constant of the format, not a setting: changing it is a new
-/// record kind and checkpoint version.
-pub(crate) const CELL_ENCODING: Encoding = Encoding::Delta;
 
 /// One durable WAL entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +21,7 @@ pub enum WalRecord {
         /// The summary exactly as merged, relayed per-origin sections
         /// included (overlay interior nodes journal exactly what they
         /// merged) — the delivered message's own allocation, not a copy,
-        /// journaled as its one encoding under the durable cell encoding.
+        /// journaled as the body of its one frame.
         summary: Arc<Publication>,
         /// `true` when it was a cumulative snapshot.
         snapshot: bool,
@@ -61,7 +55,7 @@ impl WalRecord {
             WalRecord::PeerData { summary, snapshot } => {
                 out.byte(TAG_PEER_DATA);
                 out.byte(u8::from(*snapshot));
-                out.bytes(summary.body(CELL_ENCODING));
+                out.bytes(summary.body());
             }
             WalRecord::Publish { seq } => {
                 out.byte(TAG_PUBLISH);
@@ -83,7 +77,7 @@ impl WalRecord {
             }),
             TAG_PEER_DATA => WalRecord::PeerData {
                 snapshot: r.flag()?,
-                summary: read_summary(r, CELL_ENCODING)?.into(),
+                summary: read_summary(r)?.into(),
             },
             TAG_PUBLISH => WalRecord::Publish { seq: r.u64()? },
             _ => return Err(CodecError::Malformed("unknown record tag")),

@@ -6,7 +6,6 @@
 //! summaries are retried, gaps are pulled back, crashes recover from peer
 //! snapshots, and nothing is ever double-counted.
 
-use aequus::core::codec::Encoding;
 use aequus::core::projection::ProjectionKind;
 use aequus::core::GridUser;
 use aequus::services::OverlayTopology;
@@ -343,8 +342,7 @@ fn overlay_scenario(seed: u64, projection: ProjectionKind) -> GridScenario {
     )
     .nodes_per_site(2)
     .compressed()
-    .tight_retry(8, 8)
-    .with_encoding(Encoding::Delta);
+    .tight_retry(8, 8);
     sc.projection = projection;
     sc
 }
@@ -355,10 +353,10 @@ const PROJECTIONS: [ProjectionKind; 3] = [
     ProjectionKind::Percental,
 ];
 
-/// Fault-free equivalence across the whole overlay × encoding grid: every
-/// topology, under either codec, must end with exactly the full-mesh views.
-/// This is the invariant the fault cases below lean on — the baseline they
-/// reconverge to is the same no matter how summaries were routed.
+/// Fault-free equivalence across the overlays: every topology must end
+/// with exactly the full-mesh views. This is the invariant the fault cases
+/// below lean on — the baseline they reconverge to is the same no matter
+/// how summaries were routed.
 #[test]
 fn overlay_topologies_match_full_mesh_views_fault_free() {
     let seed = base_seed();
@@ -367,18 +365,13 @@ fn overlay_topologies_match_full_mesh_views_fault_free() {
         OverlayTopology::Tree { fanout: 2 },
         OverlayTopology::Hub { hubs: 2 },
     ] {
-        for encoding in [Encoding::Dense, Encoding::Delta] {
-            let sc = overlay_scenario(seed, ProjectionKind::Percental)
-                .with_overlay(overlay)
-                .with_encoding(encoding);
-            let got = run(sc);
-            assert_converged_to(
-                &got,
-                &baseline,
-                &chaos_trace(),
-                &format!("fault-free {overlay:?} {encoding:?}"),
-            );
-        }
+        let got = run(overlay_scenario(seed, ProjectionKind::Percental).with_overlay(overlay));
+        assert_converged_to(
+            &got,
+            &baseline,
+            &chaos_trace(),
+            &format!("fault-free {overlay:?}"),
+        );
     }
 }
 

@@ -18,7 +18,7 @@
 //! the handlers behind the decoder are held to the same rule.
 
 use aequus::core::codec::{
-    decode_cells, decode_summary, encode_summary, Encoding, NamedCells, Reader,
+    crc32, decode_cells, decode_summary, encode_summary, CodecError, NamedCells, Reader,
 };
 use aequus::core::flat_policy;
 use aequus::core::{
@@ -123,32 +123,29 @@ fn messages() -> Vec<Vec<u8>> {
         trace_id: 77,
         span: 3,
     });
-    let mut out = Vec::new();
-    for enc in [Encoding::Dense, Encoding::Delta] {
-        for msg in [
-            UssMessage::Summary {
-                summary: summary().into(),
-                ctx,
-            },
-            UssMessage::Snapshot {
-                summary: summary().into(),
-                ctx: None,
-            },
-            UssMessage::Ack {
-                from: SiteId(1),
-                seq: 9,
-            },
-            UssMessage::Resync {
-                from: SiteId(1),
-                from_seq: 3,
-                to_seq: 8,
-            },
-            UssMessage::SnapshotRequest { from: SiteId(1) },
-        ] {
-            out.push(msg.encode(enc));
-        }
-    }
-    out
+    [
+        UssMessage::Summary {
+            summary: summary().into(),
+            ctx,
+        },
+        UssMessage::Snapshot {
+            summary: summary().into(),
+            ctx: None,
+        },
+        UssMessage::Ack {
+            from: SiteId(1),
+            seq: 9,
+        },
+        UssMessage::Resync {
+            from: SiteId(1),
+            from_seq: 3,
+            to_seq: 8,
+        },
+        UssMessage::SnapshotRequest { from: SiteId(1) },
+    ]
+    .iter()
+    .map(UssMessage::encode)
+    .collect()
 }
 
 fn telemetry_snapshot() -> aequus::telemetry::Snapshot {
@@ -236,15 +233,15 @@ fn swf_accepted(bytes: &[u8]) -> bool {
 /// The section decoder's oracle: cells it accepts re-encode to exactly the
 /// bytes it consumed — decode is canonical, so no two byte strings stand
 /// for one section.
-fn canonical_section(bytes: &[u8], enc: Encoding) -> bool {
+fn canonical_section(bytes: &[u8]) -> bool {
     let mut r = Reader::new(bytes);
-    let Ok(cells) = decode_cells(&mut r, enc) else {
+    let Ok(cells) = decode_cells(&mut r) else {
         return false;
     };
     let consumed = &bytes[..bytes.len() - r.rest().len()];
     let mut again = Vec::new();
-    NamedCells::from_cells(&cells).encode(enc, &mut again);
-    assert_eq!(again, consumed, "{enc:?}: accepted a non-canonical section");
+    NamedCells::from_cells(&cells).encode(&mut again);
+    assert_eq!(again, consumed, "accepted a non-canonical section");
     true
 }
 
@@ -310,10 +307,7 @@ fn text(bytes: &[u8]) -> std::borrow::Cow<'_, str> {
 
 #[test]
 fn no_decoder_or_parser_panics_on_mutated_input() {
-    let summaries: Vec<Vec<u8>> = [Encoding::Dense, Encoding::Delta]
-        .into_iter()
-        .map(|enc| encode_summary(&summary(), enc))
-        .collect();
+    let summaries = vec![encode_summary(&summary())];
     let frames: Vec<Vec<u8>> = wal_payloads()
         .iter()
         .map(|p| encode_frame(KIND_RECORD, p))
@@ -322,22 +316,18 @@ fn no_decoder_or_parser_panics_on_mutated_input() {
     let snapshot = telemetry_snapshot();
     // Bare cell sections, as the store embeds them: no CRC in front of the
     // section decoder at all.
-    let section = |enc| {
-        let mut bytes = Vec::new();
-        NamedCells::from_cells(&summary().per_user).encode(enc, &mut bytes);
-        vec![bytes]
-    };
+    let mut section = Vec::new();
+    NamedCells::from_cells(&summary().per_user).encode(&mut section);
 
-    let targets: [(&str, Vec<Vec<u8>>, Target); 13] = [
+    let targets: [(&str, Vec<Vec<u8>>, Target); 12] = [
         ("core::decode_summary", summaries, |b| {
             decode_summary(b).is_ok()
         }),
-        ("core::decode_cells, dense", section(Encoding::Dense), |b| {
-            canonical_section(b, Encoding::Dense)
-        }),
-        ("core::decode_cells, delta", section(Encoding::Delta), |b| {
-            canonical_section(b, Encoding::Delta)
-        }),
+        (
+            "core::decode_cells, delta",
+            vec![section],
+            canonical_section,
+        ),
         ("UssMessage::decode", messages(), |b| {
             UssMessage::decode(b).is_ok()
         }),
@@ -396,6 +386,39 @@ fn a_mutated_checkpoint_payload_under_a_valid_crc_never_panics() {
         rejected > 0,
         "no mutant reached the payload decoder's errors"
     );
+}
+
+/// The fixed-width frame the retired Dense writer produced for [`summary`]:
+/// encoding tag 0 behind a valid CRC.
+const DENSE_FRAME: &str = concat!(
+    "a901000209000000000020ac4002020203000000553330010000000300000000000000",
+    "000000000020bc40030000005536350200000003000000000000000000000000205e40",
+    "0400000000000000000000000000d03f040112000000433d53452f4f3d485043324e2f",
+    "434e3d753701000000010000000000000000000000000050403743ddb9",
+);
+
+/// A frame under the retired Dense tag, or under a tag no writer ever
+/// used, is refused by its tag before a byte of its body is read — by the
+/// frame decoder and by the message decoder around it.
+#[test]
+fn a_retired_or_unknown_encoding_tag_is_refused() {
+    let hex = |s: &str| -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
+            .collect()
+    };
+    let mut unknown = encode_summary(&summary());
+    unknown.truncate(unknown.len() - 4);
+    unknown[2] = 2;
+    let crc = crc32(&unknown);
+    unknown.extend_from_slice(&crc.to_le_bytes());
+    for (frame, tag) in [(hex(DENSE_FRAME), 0), (unknown, 2)] {
+        let refused = Some(CodecError::BadEncoding(tag));
+        assert_eq!(decode_summary(&frame).err(), refused, "tag {tag}");
+        let message = [&[1, 0][..], &frame].concat();
+        assert_eq!(UssMessage::decode(&message).err(), refused, "tag {tag}");
+    }
 }
 
 /// Summaries a fixture site keeps for resync answers: small, so the eight
@@ -539,7 +562,7 @@ fn no_handler_panics_or_overcounts_on_a_message_that_still_decodes() {
     for input in messages() {
         for kind in 0..4 {
             for _ in 0..ROUNDS {
-                if let Ok((msg, _)) = UssMessage::decode(&mutant(&input, kind, &mut rng)) {
+                if let Ok(msg) = UssMessage::decode(&mutant(&input, kind, &mut rng)) {
                     deliver_everywhere(&mut sites, &msg, now, "a decoded mutant");
                     delivered += 1;
                 }

@@ -279,10 +279,10 @@ fn queue_gauges_surface_in_both_exporters() {
 /// Modeled-vs-actual wire-bytes drift guard: the profiler's per-link wire
 /// counters and the metrics `gossip_bytes` series are fed by the same
 /// `UssMessage::wire_size`, which in turn must equal the codec's encoded
-/// length (asserted at the unit level in `reliability.rs`). If either path
+/// length (asserted at the unit level in `message.rs`). If either path
 /// ever re-grows its own byte model, the two exporters disagree and this
-/// test fails. Run under both encodings; Delta must also actually be the
-/// smaller wire format on this workload.
+/// test fails. Run under both ways of counting; Delta must also actually be
+/// smaller than the fixed-width yardstick on this workload.
 #[test]
 fn profiler_gossip_bytes_match_codec_bytes() {
     let mut totals = std::collections::BTreeMap::new();
