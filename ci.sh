@@ -143,7 +143,9 @@ done
 # frame), and the `CellRow` trait that let a section encoder read a user's
 # cells as a slot map or a row (a user's cells have one shape, the row), and
 # the store's durable cell-encoding constant and the frame's tag-to-encoding
-# reader (one wire format; a frame's tag is the one it writes) — and no
+# reader (one wire format; a frame's tag is the one it writes), and the FCS's
+# `Translation` between layout and site ids with its two re-mappers (one id
+# space per site: a replaced policy's layout is keyed by the site's table) — and no
 # tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -158,7 +160,8 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'ums_cached' -e 'export_state' -e 'install_state' -e 'row_from' \
   -e 'worker_loop' -e 'WorkerOut' -e 'SiteFragments' \
   -e 'catchup_pending' -e 'PeerTx' -e 'PeerRx' -e 'encoded_size' -e 'CellRow' \
-  -e 'CELL_ENCODING' -e 'from_tag' \
+  -e 'CELL_ENCODING' -e 'from_tag' -e 'Translation' -e 'by_layout_id' \
+  -e 'marked_by_layout_id' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2

@@ -70,7 +70,7 @@ impl UserId {
 ///
 /// Nothing is ever removed: an id handed out stays valid and keeps its
 /// name for as long as the table lives.
-#[derive(Debug, Clone, Default, Hash)]
+#[derive(Debug, Clone, Default, Hash, PartialEq, Eq)]
 pub struct UserTable {
     base: Arc<[GridUser]>,
     /// Identities outside the base, by id: slot `i` is `UserId(base.len() + i)`.
@@ -93,6 +93,12 @@ impl UserTable {
     /// The shared base.
     pub fn base(&self) -> &Arc<[GridUser]> {
         &self.base
+    }
+
+    /// Whether every id `earlier` handed out names the same identity here:
+    /// one base, and `earlier`'s overflow a prefix of this one's.
+    pub fn extends(&self, earlier: &UserTable) -> bool {
+        Arc::ptr_eq(&self.base, &earlier.base) && self.overflow.starts_with(&earlier.overflow)
     }
 
     /// Number of ids handed out: every row indexed by this table's ids is

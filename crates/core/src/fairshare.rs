@@ -34,10 +34,11 @@
 //! enforced by a debug-build assertion inside `recompute_dirty` and by
 //! property tests — and so is every value read off it.
 //!
-//! A tree speaks the [`UserId`]s of its layout: ranks in
-//! [`PolicyLayout::users`]. A holder whose
-//! [`UserTable`](crate::arena::UserTable) is built over that base passes
-//! its rows and dirty sets through as they are.
+//! A tree speaks the [`UserId`]s of its layout, and a site's layout speaks
+//! the site's: built over the same base, or
+//! [keyed by](crate::policy::PolicyTree::key_by) the site's
+//! [`UserTable`](crate::arena::UserTable). Rows and dirty sets pass through
+//! as they are.
 
 use crate::arena::{DirtySet, NodeId, RecomputeStats, UserId};
 use crate::decay::DecayPolicy;
@@ -154,7 +155,7 @@ impl FairshareTree {
         now_s: f64,
     ) -> Self {
         let layout = policy.layout();
-        let mut row = vec![0.0; layout.users().len()];
+        let mut row = vec![0.0; layout.table().len()];
         for (user, value) in usage_by_user {
             if let Some(id) = layout.user_id(user) {
                 row[id.index()] = *value;
@@ -413,7 +414,7 @@ impl FairshareTree {
 
     /// Every user with its serving leaf, in id order.
     pub fn user_leaves(&self) -> impl Iterator<Item = (UserId, NodeId)> + '_ {
-        let users = (0..self.layout.users().len() as u32).map(UserId);
+        let users = self.layout.user_ids();
         users.filter_map(|user| Some((user, self.leaf_of(user)?)))
     }
 
@@ -435,10 +436,10 @@ impl FairshareTree {
     }
 
     /// A per-user row of this tree (a projection's output) as a report:
-    /// every user of the policy by name.
+    /// every user of the policy the row holds an entry for, by name.
     pub fn by_user(&self, row: &[f64]) -> BTreeMap<GridUser, f64> {
-        let users = self.layout.users().iter().cloned();
-        users.zip(row.iter().copied()).collect()
+        let entry = |user: UserId| Some((self.layout.name(user)?.clone(), user.read(row)?));
+        self.layout.user_ids().filter_map(entry).collect()
     }
 
     /// Maximum hierarchy depth.

@@ -7,7 +7,7 @@
 //! that 30% subdivides — without the site admin managing grid-internal
 //! shares.
 
-use crate::arena::{NodeId, UserId};
+use crate::arena::{NodeId, UserId, UserTable};
 use crate::ids::{EntityPath, GridUser};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -154,10 +154,19 @@ impl PolicyTree {
     }
 
     /// The layout of this tree's structure — built once (one walk plus the
-    /// name sort that ranks the user base) for this tree and all its clones.
+    /// name sort that ranks the user base) for this tree and all its clones
+    /// — or the one [`key_by`](Self::key_by) gave it.
     pub fn layout(&self) -> &Arc<PolicyLayout> {
         let build = || Arc::new(PolicyLayout::build(&self.root));
         self.layout.get_or_init(build)
+    }
+
+    /// Give this tree (and its later clones, not its earlier ones) its
+    /// layout keyed by a site's `users` ([`PolicyLayout::keyed_by`]), which
+    /// share edits keep.
+    pub fn key_by(&mut self, users: &mut UserTable) {
+        let keyed = Arc::new(self.layout().keyed_by(users));
+        self.layout = Arc::new(OnceLock::from(keyed));
     }
 
     /// The root node.
@@ -246,7 +255,7 @@ impl PolicyTree {
     pub fn users(&self) -> Vec<(EntityPath, GridUser)> {
         let layout = self.layout();
         let leaf = |id| {
-            let user = &layout.users[layout[id].user?.index()];
+            let user = layout.users.name(layout[id].user?);
             Some((layout.path_of(id), user.clone()))
         };
         (0..layout.nodes.len() as u32)
@@ -286,7 +295,7 @@ impl PolicyTree {
 
 /// One node of a [`PolicyLayout`] (`layout[id]`); slots are in depth-first
 /// policy order.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayoutNode {
     /// Node name (unique among siblings).
     pub name: String,
@@ -306,17 +315,18 @@ pub struct LayoutNode {
 /// a clone of that policy. Shares are not in it: a share edit keeps the
 /// layout, a mount or a replaced policy starts a new one.
 ///
-/// Its [`users`](Self::users) — the leaves' identities ranked in name order
-/// — are the base of the [`UserTable`](crate::arena::UserTable)s of the
-/// sites built from the policy, and its own [`UserId`]s are ranks in that
-/// base. One identity may sit under several leaves (a user in two projects
-/// of a VO): leaf → user is many-to-one.
+/// Its users are named by the ids of a [`UserTable`]: a built layout's own,
+/// over the leaves' identities ranked in name order — the base of the sites
+/// built from the policy, so there a layout id *is* a site id — or, once
+/// [`keyed_by`](Self::keyed_by) a site's table, that table's. One identity
+/// may sit under several leaves (a user in two projects of a VO).
 #[derive(Debug, PartialEq)]
 pub struct PolicyLayout {
     nodes: Vec<LayoutNode>,
-    users: Arc<[GridUser]>,
+    /// Who an id is: the table the leaves' users are named in.
+    users: UserTable,
     /// `leaves[starts[u]..starts[u + 1]]`: the leaves of user `u`, in
-    /// policy order.
+    /// policy order (none for an id no leaf accounts for).
     starts: Vec<u32>,
     leaves: Vec<NodeId>,
     depth: usize,
@@ -352,39 +362,80 @@ impl PolicyLayout {
         add(root, None, &mut nodes, &mut leaf_users);
         // Stable: an identity's leaves stay in policy order.
         leaf_users.sort_by(|a, b| a.0.cmp(b.0));
-        let mut users: Vec<GridUser> = Vec::new();
-        let (mut starts, mut leaves) = (Vec::new(), Vec::new());
-        for (user, leaf) in leaf_users {
-            if users.last() != Some(user) {
-                users.push(user.clone());
-                starts.push(leaves.len() as u32);
-            }
-            nodes[leaf.index()].user = Some(UserId(users.len() as u32 - 1));
+        let mut ranked: Vec<GridUser> = leaf_users.iter().map(|(u, _)| (*u).clone()).collect();
+        ranked.dedup();
+        Self::keyed(nodes, leaf_users, &mut UserTable::new(ranked.into()))
+    }
+
+    /// This layout with its users named by `table`'s ids, interning there
+    /// those it lacks, in this layout's id order — `O(users·log users)`.
+    /// Valid at a holder whose table [`extends`](UserTable::extends) it.
+    pub fn keyed_by(&self, table: &mut UserTable) -> Self {
+        let named = |&leaf: &NodeId| Some((self.users.name(self[leaf].user?), leaf));
+        let leaf_users = self.leaves.iter().filter_map(named).collect();
+        Self::keyed(self.nodes.clone(), leaf_users, table)
+    }
+
+    /// `nodes` with each leaf of `leaf_users` accounting for its identity's
+    /// id in `table`.
+    fn keyed(
+        mut nodes: Vec<LayoutNode>,
+        leaf_users: Vec<(&GridUser, NodeId)>,
+        table: &mut UserTable,
+    ) -> Self {
+        let ids = leaf_users
+            .into_iter()
+            .map(|(user, leaf)| (table.intern(user), leaf));
+        let mut by_id: Vec<_> = ids.collect();
+        // Stable: an identity's leaves stay in policy order.
+        by_id.sort_by_key(|&(id, _)| id);
+        let (mut starts, mut leaves) = (Vec::new(), Vec::with_capacity(by_id.len()));
+        for (user, leaf) in by_id {
+            // An id no leaf accounts for gets an empty run.
+            starts.resize(user.index() + 1, leaves.len() as u32);
+            nodes[leaf.index()].user = Some(user);
             leaves.push(leaf);
         }
         starts.push(leaves.len() as u32);
         Self {
             depth: nodes.iter().map(|n| n.level).max().unwrap_or(0) as usize,
             nodes,
-            users: users.into(),
+            users: table.clone(),
             starts,
             leaves,
         }
     }
 
-    /// The identities the policy's leaves account for, ranked in name order.
+    /// The base of [`table`](Self::table); a built layout's is the policy's
+    /// identities, ranked in name order.
     pub fn users(&self) -> &Arc<[GridUser]> {
+        self.users.base()
+    }
+
+    /// The table the layout's ids come from: a row over them is its
+    /// [`len`](UserTable::len) long.
+    pub fn table(&self) -> &UserTable {
         &self.users
     }
 
-    /// Rank of `user` in [`users`](Self::users) — `O(log users)`.
+    /// The id of `user`, if a leaf accounts for it — `O(log users)`.
     pub fn user_id(&self, user: &GridUser) -> Option<UserId> {
-        let rank = self.users.binary_search(user).ok()?;
-        Some(UserId(rank as u32))
+        (self.users.id_of(user)).filter(|&id| !self.leaves_of(id).is_empty())
+    }
+
+    /// The identity `user` names, if a leaf accounts for it.
+    pub fn name(&self, user: UserId) -> Option<&GridUser> {
+        (!self.leaves_of(user).is_empty()).then(|| self.users.name(user))
+    }
+
+    /// Every id a leaf accounts for, in id order.
+    pub fn user_ids(&self) -> impl Iterator<Item = UserId> + '_ {
+        let ids = (0..self.users.len() as u32).map(UserId);
+        ids.filter(|&id| !self.leaves_of(id).is_empty())
     }
 
     /// The leaves accounting for `user`, in policy order; none for an id
-    /// past the base (an identity outside the policy).
+    /// no leaf accounts for (an identity outside the policy).
     pub fn leaves_of(&self, user: UserId) -> &[NodeId] {
         match self.starts.get(user.index()..user.index() + 2) {
             Some(&[from, to]) => &self.leaves[from as usize..to as usize],

@@ -70,14 +70,6 @@ impl Projection for BitwiseVector {
         "bitwise"
     }
 
-    fn project(&self, tree: &FairshareTree) -> Vec<f64> {
-        let levels = self.levels_for(tree);
-        let vectors = tree.all_vectors().into_iter();
-        vectors
-            .map(|(_, vec)| self.merge_vector(&vec, levels))
-            .collect()
-    }
-
     fn project_leaf(&self, tree: &FairshareTree, leaf: NodeId) -> Option<f64> {
         Some(self.merge_vector(&tree.vector_of_id(leaf), self.levels_for(tree)))
     }

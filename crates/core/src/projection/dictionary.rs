@@ -58,7 +58,7 @@ impl Projection for DictionaryOrdering {
         // Rank r (0-based, 0 = best) gets (n − r) / (n + 1). Ties share the
         // average value of their rank span, so equal vectors map to equal
         // factors.
-        let mut out = vec![f64::NAN; n];
+        let mut out = vec![f64::NAN; tree.layout().table().len()];
         let mut i = 0usize;
         while i < n {
             let mut j = i + 1;

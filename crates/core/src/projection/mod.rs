@@ -33,10 +33,17 @@ pub trait Projection: Send + Sync + std::fmt::Debug {
     fn name(&self) -> &'static str;
 
     /// Project every user in the tree to a `[0, 1]` factor: one row over
-    /// the [`UserId`](crate::arena::UserId)s of the tree's layout. A user
-    /// under several leaves is projected from the last one
-    /// ([`FairshareTree::leaf_of`]).
-    fn project(&self, tree: &FairshareTree) -> Vec<f64>;
+    /// the [`UserId`](crate::arena::UserId)s of the tree's layout, `NaN` at
+    /// an id no leaf accounts for. A user under several leaves is projected
+    /// from the last one ([`FairshareTree::leaf_of`]). A path-local
+    /// projection's row is its [`project_leaf`](Self::project_leaf) reads.
+    fn project(&self, tree: &FairshareTree) -> Vec<f64> {
+        let mut row = vec![f64::NAN; tree.layout().table().len()];
+        for (user, leaf) in tree.user_leaves() {
+            row[user.index()] = self.project_leaf(tree, leaf).unwrap_or(f64::NAN);
+        }
+        row
+    }
 
     /// Project the single user at arena leaf `leaf`, for *path-local*
     /// algorithms whose per-user value depends only on the nodes along that

@@ -46,11 +46,6 @@ impl Projection for Percental {
         "percental"
     }
 
-    fn project(&self, tree: &FairshareTree) -> Vec<f64> {
-        let leaves = tree.user_leaves();
-        leaves.map(|(_, leaf)| Self::factor(tree, leaf)).collect()
-    }
-
     fn project_leaf(&self, tree: &FairshareTree, leaf: NodeId) -> Option<f64> {
         Some(Self::factor(tree, leaf))
     }

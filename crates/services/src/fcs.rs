@@ -6,9 +6,9 @@
 //! ## Incremental refresh
 //!
 //! The FCS is the consumer end of the dirty-set flow USS → UMS → FCS: each
-//! refresh drains the [`DirtySet`]s accumulated by the PDS (policy edits)
-//! and UMS (usage changes) and hands them to
-//! [`FairshareTree::recompute_dirty`], which re-sums only the dirty
+//! refresh drains the [`DirtySet`](aequus_core::arena::DirtySet)s
+//! accumulated by the PDS (policy edits) and UMS (usage changes) and hands
+//! them to [`FairshareTree::recompute_dirty`], which re-sums only the dirty
 //! root→leaf paths. A full from-scratch rebuild happens only on the first
 //! refresh, after a crash, or when the dirty set says "all" (structural
 //! policy change, non-separable decay). What a refresh pre-calculates is
@@ -21,19 +21,21 @@
 //! root→leaf path of that tree ([`Projection::project_leaf`]): `O(depth)`
 //! flops, no lookup by name, no stored factor, nothing to invalidate.
 //! Dictionary's ranks are global, so its one `project` row is stored and
-//! re-ranked whole by every refresh that had anything dirty. The tree
-//! speaks the ids of the policy's layout; when the table is built over that
-//! layout's user base (every site built from the policy it enforces) the
-//! two are the same numbers and nothing is translated.
+//! re-ranked whole by every refresh that had anything dirty.
+//!
+//! A site has one id space, its table's. The tree speaks the ids of the
+//! policy's layout, which are the site's: a site built from the policy it
+//! enforces shares the layout's base, and a replaced or mounted policy gets
+//! its layout keyed by the site's table ([`Pds::key_by`]) at its first
+//! rebuild. Rows, dirty sets and queries pass through as they are.
 
 use crate::pds::Pds;
 use crate::ums::Ums;
-use aequus_core::arena::{DirtySet, RecomputeStats, UserId, UserTable};
+use aequus_core::arena::{RecomputeStats, UserId, UserTable};
 use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::projection::{Projection, ProjectionKind};
 use aequus_core::GridUser;
 use aequus_telemetry::{Counter, Histogram, Telemetry};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -70,12 +72,8 @@ pub struct Fcs {
     projection: Box<dyn Projection>,
     refresh_interval_s: f64,
     tree: Option<FairshareTree>,
-    /// Site id ↔ layout id, resolved once per rebuilt tree; `None` when the
-    /// site's table is built over the layout's own user base: layout id
-    /// *is* site id.
-    translation: Option<Translation>,
     /// The `project` row of a projection without a per-leaf read
-    /// (Dictionary), by layout [`UserId`]; empty under the others.
+    /// (Dictionary), by [`UserId`]; empty under the others.
     ranked: Vec<f64>,
     last_refresh_s: Option<f64>,
     last_policy_version: u64,
@@ -89,16 +87,6 @@ pub struct Fcs {
     last_recompute: RecomputeStats,
     /// Telemetry handles (no-ops until wired).
     metrics: FcsMetrics,
-}
-
-/// The two id spaces of a site whose table is not built over its policy's
-/// base (a replaced policy, a service driven alone), each row the other's
-/// inverse.
-struct Translation {
-    /// The site's id of each layout user, by layout id.
-    site_of: Vec<UserId>,
-    /// The layout id of each site user the tree holds, by site id.
-    layout_of: Vec<Option<UserId>>,
 }
 
 impl std::fmt::Debug for Fcs {
@@ -128,7 +116,6 @@ impl Fcs {
             projection: projection.build(),
             refresh_interval_s,
             tree: None,
-            translation: None,
             ranked: Vec::new(),
             last_refresh_s: None,
             last_policy_version: 0,
@@ -183,8 +170,8 @@ impl Fcs {
 
     /// Bring the fairshare tree up to date if stale, draining the PDS and
     /// UMS dirty sets; `users` is the site's table, whose ids the UMS row,
-    /// the dirty sets and the served factors are keyed by. Returns whether a
-    /// refresh happened.
+    /// the dirty sets, the tree and the served factors are keyed by. Returns
+    /// whether a refresh happened.
     ///
     /// Cost of an incremental refresh: `O(dirty·depth + Σ touched group
     /// widths)` adds — each dirty user's path is walked once and each
@@ -193,9 +180,9 @@ impl Fcs {
     /// reader). A full rebuild is `O(nodes)` adds over the UMS row.
     /// Dictionary also re-ranks all users (a sort) on either, if anything
     /// was dirty. Neither looks a user up by name, clones one or touches a
-    /// map — except that a rebuild at a site whose table is not built over
-    /// the policy's user base pays `O(users·log users)` name lookups to
-    /// translate, once.
+    /// map — except the first rebuild over a layout whose ids are not the
+    /// table's (a replaced or mounted policy), which keys it by the table:
+    /// `O(users·log users)` name lookups, once per policy structure.
     pub fn refresh(
         &mut self,
         pds: &mut Pds,
@@ -209,14 +196,13 @@ impl Fcs {
         // The usage side carries the many marks: policy edits merge into it.
         let mut dirty = ums.take_dirty();
         dirty.merge(&pds.take_dirty());
-        let policy = pds.policy();
         // A version bump the dirty set cannot explain (no edited path, no
         // mark-all) means the policy changed behind our back: rebuild.
         let unexplained_version = pds.version() != self.last_policy_version
             && !dirty.is_all()
             && dirty.paths().next().is_none();
-        let restructured =
-            (self.tree.as_ref()).is_some_and(|tree| !Arc::ptr_eq(tree.layout(), policy.layout()));
+        let restructured = (self.tree.as_ref())
+            .is_some_and(|tree| !Arc::ptr_eq(tree.layout(), pds.policy().layout()));
         let need_full = self.tree.is_none()
             || self.force_full
             || dirty.is_all()
@@ -231,9 +217,7 @@ impl Fcs {
             incremental = Some(RecomputeStats::default());
         } else if let Some(mut tree) = self.tree.take().filter(|_| !need_full) {
             let _span = self.metrics.h_refresh_incr.start_timer();
-            let usage = self.by_layout_id(ums.usage());
-            let dirty = self.marked_by_layout_id(&dirty);
-            incremental = tree.recompute_dirty(policy, &usage, &dirty, now_s);
+            incremental = tree.recompute_dirty(pds.policy(), ums.usage(), &dirty, now_s);
             if incremental.is_some() {
                 self.rerank(&tree);
                 self.tree = Some(tree);
@@ -258,19 +242,13 @@ impl Fcs {
                         "first refresh or restart".to_string()
                     }
                 });
-                let layout = policy.layout();
-                // Ids are the layout's own unless the table has another base.
-                self.translation = (!Arc::ptr_eq(layout.users(), users.base())).then(|| {
-                    let site_of: Vec<UserId> =
-                        layout.users().iter().map(|u| users.intern(u)).collect();
-                    let mut layout_of = vec![None; users.len()];
-                    for (user, site) in site_of.iter().enumerate() {
-                        layout_of[site.index()] = Some(UserId(user as u32));
-                    }
-                    Translation { site_of, layout_of }
-                });
-                let usage = self.by_layout_id(ums.usage());
-                let tree = FairshareTree::compute_row(policy, &usage, &self.config, now_s);
+                // One id space: a layout whose ids are not the table's (a
+                // replaced or mounted policy) is keyed by it, once.
+                if !users.extends(pds.policy().layout().table()) {
+                    pds.key_by(users);
+                }
+                let tree =
+                    FairshareTree::compute_row(pds.policy(), ums.usage(), &self.config, now_s);
                 self.rerank(&tree);
                 self.last_recompute = RecomputeStats {
                     full: true,
@@ -290,44 +268,6 @@ impl Fcs {
         true
     }
 
-    /// The site's id of a user of the tree's layout.
-    fn site_id(&self, user: UserId) -> UserId {
-        (self.translation.as_ref()).map_or(user, |ids| ids.site_of[user.index()])
-    }
-
-    /// The tree's id of a site user, if its layout holds them.
-    fn layout_id(&self, id: UserId) -> Option<UserId> {
-        match &self.translation {
-            None => Some(id),
-            Some(ids) => *ids.layout_of.get(id.index())?,
-        }
-    }
-
-    /// The UMS row as the tree reads it: borrowed as it is when layout ids
-    /// are site ids, else gathered under the layout's ids.
-    fn by_layout_id<'a>(&self, usage: &'a [f64]) -> Cow<'a, [f64]> {
-        let held = |id: &UserId| usage.get(id.index()).copied().unwrap_or(f64::NAN);
-        match &self.translation {
-            None => Cow::Borrowed(usage),
-            Some(ids) => ids.site_of.iter().map(held).collect(),
-        }
-    }
-
-    /// A dirty set as the tree reads it: borrowed as it is when layout ids
-    /// are site ids, else its users re-marked under the layout's ids.
-    fn marked_by_layout_id<'a>(&self, dirty: &'a DirtySet) -> Cow<'a, DirtySet> {
-        if self.translation.is_none() {
-            return Cow::Borrowed(dirty);
-        }
-        let mut marked = DirtySet::new();
-        dirty
-            .paths()
-            .for_each(|path| marked.mark_path(path.clone()));
-        let ranked = dirty.users().filter_map(|id| self.layout_id(id));
-        ranked.for_each(|user| marked.mark_user(user));
-        Cow::Owned(marked)
-    }
-
     /// Store the whole `project` row of a projection that cannot read one
     /// leaf on its own (its ranks can all shift on any change); a path-local
     /// projection stores nothing.
@@ -342,14 +282,12 @@ impl Fcs {
     /// The site's id of a user of the current tree's policy, by name
     /// (inspection; the RMS interns through the site's table).
     pub fn id_of(&self, user: &GridUser) -> Option<UserId> {
-        let user = self.tree.as_ref()?.layout().user_id(user)?;
-        Some(self.site_id(user))
+        self.tree.as_ref()?.layout().user_id(user)
     }
 
     /// The policy user a site id names, while a tree holds it (trace notes).
     pub fn user_of(&self, id: UserId) -> Option<&GridUser> {
-        let users = self.tree.as_ref()?.layout().users();
-        users.get(self.layout_id(id)?.index())
+        self.tree.as_ref()?.layout().name(id)
     }
 
     /// Query the fairshare factor of an interned user: everything that
@@ -367,34 +305,27 @@ impl Fcs {
 
     /// [`query`](Self::query) without the telemetry — for the site's own
     /// bookkeeping and the metrics sampler, which must not count as served
-    /// queries.
+    /// queries. It reads the user's own path, or — a projection without a
+    /// per-leaf read — the stored row.
     pub fn factor_of(&self, id: UserId) -> Option<f64> {
-        self.read(self.tree.as_ref()?, self.layout_id(id)?)
-    }
-
-    /// The factor of a user of `tree`'s layout: read off the user's own
-    /// path, or — a projection without a per-leaf read — off the stored row.
-    fn read(&self, tree: &FairshareTree, user: UserId) -> Option<f64> {
-        let on_path = self.projection.project_leaf(tree, tree.leaf_of(user)?);
-        on_path.or_else(|| user.read(&self.ranked))
+        let tree = self.tree.as_ref()?;
+        let on_path = self.projection.project_leaf(tree, tree.leaf_of(id)?);
+        on_path.or_else(|| id.read(&self.ranked))
     }
 
     /// How many users the tree serves a factor for.
     pub fn factor_count(&self) -> usize {
-        (self.tree.as_ref()).map_or(0, |tree| tree.layout().users().len())
+        (self.tree.as_ref()).map_or(0, |tree| tree.user_leaves().count())
     }
 
     /// The factors of all users as a report, names written back from the
     /// policy layout — `O(users·(depth + log users))`; not for hot paths.
     pub fn factors(&self) -> BTreeMap<GridUser, f64> {
-        let Some(tree) = &self.tree else {
+        let Some(layout) = self.tree.as_ref().map(FairshareTree::layout) else {
             return BTreeMap::new();
         };
-        let factor = |(user, name): (usize, &GridUser)| {
-            Some((name.clone(), self.read(tree, UserId(user as u32))?))
-        };
-        let users = tree.layout().users().iter().enumerate();
-        users.filter_map(factor).collect()
+        let factor = |user| Some((layout.name(user)?.clone(), self.factor_of(user)?));
+        layout.user_ids().filter_map(factor).collect()
     }
 
     /// The last computed fairshare tree (for metrics and vector extraction).
@@ -602,37 +533,113 @@ mod tests {
 
     #[test]
     fn user_ids_stable_across_rebuilds() {
+        for kind in [
+            ProjectionKind::Dictionary,
+            ProjectionKind::Bitwise,
+            ProjectionKind::Percental,
+        ] {
+            let (mut pds, mut ums, mut uss) = setup();
+            let mut fcs = Fcs::new(FairshareConfig::default(), kind, 0.0);
+            fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
+            let id_a = fcs.id_of(&GridUser::new("a")).unwrap();
+            let id_b = fcs.id_of(&GridUser::new("b")).unwrap();
+            assert_ne!(id_a, id_b);
+            assert_eq!(fcs.query(id_a), factor(&fcs, "a"));
+            // The ids are the site table's: the ones the RMS interns to.
+            assert_eq!(uss.users().id_of(&GridUser::new("a")), Some(id_a));
+
+            // Structural policy change forces a full rebuild; ids survive.
+            pds.set_policy(flat_policy(&[("b", 0.4), ("c", 0.6)]).unwrap());
+            fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 1.0);
+            assert_eq!(fcs.id_of(&GridUser::new("b")), Some(id_b));
+            assert_eq!(fcs.query(id_b), factor(&fcs, "b"));
+            // "a" left the policy: its id persists but no factor is published.
+            assert_eq!(uss.users().id_of(&GridUser::new("a")), Some(id_a));
+            assert_eq!(fcs.id_of(&GridUser::new("a")), None);
+            assert_eq!(fcs.query(id_a), None);
+            // "c" is new and got a fresh id, not a's.
+            let id_c = fcs.id_of(&GridUser::new("c")).unwrap();
+            assert_ne!(id_c, id_a);
+            assert_eq!(fcs.user_of(id_c), Some(&GridUser::new("c")));
+            assert_eq!(uss.users().name(id_c), &GridUser::new("c"));
+
+            // A share edit and new usage after the replacement are served
+            // incrementally, by the site's ids, with the factors a
+            // name-keyed computation of the edited policy gives.
+            let full = fcs.full_refreshes();
+            pds.set_share(&aequus_core::EntityPath::parse("/c"), 0.1)
+                .unwrap();
+            uss.ingest(&record("b", 0.0, 30.0));
+            ums.refresh(&mut uss, 1.5);
+            assert!(fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 1.5));
+            assert_eq!(fcs.full_refreshes(), full, "{kind:?}");
+            let edited = flat_policy(&[("b", 0.4), ("c", 0.1)]).unwrap();
+            let by_name = [(GridUser::new("b"), ums.usage()[id_b.index()])].into();
+            let tree = FairshareTree::compute(&edited, &by_name, fcs.config(), 1.5);
+            let want = tree.by_user(&kind.build().project(&tree));
+            let bits = |f: Option<f64>| f.map(f64::to_bits);
+            for (id, user) in [(id_b, "b"), (id_c, "c")] {
+                let want = want.get(&GridUser::new(user)).copied();
+                assert!(want.is_some());
+                assert_eq!(bits(fcs.query(id)), bits(want), "{kind:?} {user}");
+            }
+            assert_eq!(fcs.factors().len(), 2);
+            assert_eq!(fcs.query(id_a), None);
+
+            // A crash drops every factor and no id.
+            fcs.reset();
+            assert_eq!(fcs.query(id_b), None);
+            fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 2.0);
+            assert_eq!(fcs.id_of(&GridUser::new("b")), Some(id_b));
+            assert!(fcs.query(id_c).is_some());
+        }
+    }
+
+    /// A replaced policy is served at the next refresh, however long the
+    /// refresh interval: the PDS version moves on across a replacement even
+    /// where the new tree's own version is the old one's.
+    #[test]
+    fn a_replaced_policy_is_served_at_once() {
         let (mut pds, mut ums, mut uss) = setup();
-        let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 0.0);
+        let mut fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 1e9);
         fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 0.0);
-        let id_a = fcs.id_of(&GridUser::new("a")).unwrap();
-        let id_b = fcs.id_of(&GridUser::new("b")).unwrap();
-        assert_ne!(id_a, id_b);
-        assert_eq!(fcs.query(id_a), factor(&fcs, "a"));
-        // The ids are the site table's: the ones the RMS interns to.
-        assert_eq!(uss.users().id_of(&GridUser::new("a")), Some(id_a));
+        let before = factor(&fcs, "b").unwrap();
+        pds.set_policy(flat_policy(&[("a", 0.1), ("b", 0.9)]).unwrap());
+        assert!(fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 1.0));
+        let mut fresh = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 1e9);
+        fresh.refresh(&mut pds, &mut ums, uss.users_mut(), 1.0);
+        assert_eq!(fcs.factors(), fresh.factors());
+        assert!(factor(&fcs, "b").unwrap() > before, "b's share grew");
+    }
 
-        // Structural policy change forces a full rebuild; ids survive.
-        pds.set_policy(flat_policy(&[("b", 0.4), ("c", 0.6)]).unwrap());
-        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 1.0);
-        assert_eq!(fcs.id_of(&GridUser::new("b")), Some(id_b));
-        assert_eq!(fcs.query(id_b), factor(&fcs, "b"));
-        // "a" left the policy: its id persists but no factor is published.
-        assert_eq!(uss.users().id_of(&GridUser::new("a")), Some(id_a));
-        assert_eq!(fcs.id_of(&GridUser::new("a")), None);
-        assert_eq!(fcs.query(id_a), None);
-        // "c" is new and got a fresh id, not a's.
-        let id_c = fcs.id_of(&GridUser::new("c")).unwrap();
-        assert_ne!(id_c, id_a);
-        assert_eq!(fcs.user_of(id_c), Some(&GridUser::new("c")));
-        assert_eq!(uss.users().name(id_c), &GridUser::new("c"));
-
-        // A crash drops every factor and no id.
-        fcs.reset();
-        assert_eq!(fcs.query(id_b), None);
-        fcs.refresh(&mut pds, &mut ums, uss.users_mut(), 2.0);
-        assert_eq!(fcs.id_of(&GridUser::new("b")), Some(id_b));
-        assert!(fcs.query(id_c).is_some());
+    /// A policy keyed by one site's table and handed to another site of the
+    /// same base is keyed again there: the two tables met other names first.
+    #[test]
+    fn a_policy_keyed_at_one_site_is_keyed_again_at_another() {
+        let grid = flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap();
+        let mut sites = ["x", "d"].map(|first| {
+            let table = UserTable::new(grid.layout().users().clone());
+            let mut uss = Uss::with_users(SiteId(0), ParticipationMode::Full, 60.0, table);
+            uss.ingest(&record(first, 0.0, 100.0));
+            let mut ums = Ums::new(0.0, DecayPolicy::None);
+            ums.refresh(&mut uss, 0.0);
+            let pds = Pds::new(flat_policy(&[("c", 0.2), ("d", 0.8)]).unwrap());
+            let fcs = Fcs::new(FairshareConfig::default(), ProjectionKind::Percental, 0.0);
+            (pds, ums, uss, fcs)
+        });
+        let (pds, ums, uss, fcs) = &mut sites[0];
+        fcs.refresh(pds, ums, uss.users_mut(), 0.0);
+        let keyed = pds.policy().clone();
+        let (pds, ums, uss, fcs) = &mut sites[1];
+        pds.set_policy(keyed);
+        fcs.refresh(pds, ums, uss.users_mut(), 0.0);
+        for (_, _, uss, fcs) in &sites {
+            for user in ["c", "d"].map(GridUser::new) {
+                let id = uss.users().id_of(&user);
+                assert_eq!(fcs.id_of(&user), id);
+                assert_eq!(fcs.user_of(id.unwrap()), Some(&user));
+            }
+        }
     }
 
     /// A site whose table is built over the base of the policy it enforces

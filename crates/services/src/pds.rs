@@ -2,7 +2,7 @@
 //! policies both locally and globally by mounting sub-policies from other
 //! sources (which may be other PDS services)" (§II-A).
 
-use aequus_core::arena::DirtySet;
+use aequus_core::arena::{DirtySet, UserTable};
 use aequus_core::ids::EntityPath;
 use aequus_core::policy::{PolicyError, PolicyTree};
 use aequus_telemetry::{Counter, Telemetry};
@@ -12,6 +12,10 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct Pds {
     policy: PolicyTree,
+    /// The version the replaced policies had reached: what
+    /// [`version`](Self::version) adds to the policy's own, so that a
+    /// replacement moves it on instead of restarting it at the new tree's.
+    replaced_version: u64,
     /// Sub-policies exported by this PDS, fetchable by other PDS instances.
     exports: BTreeMap<String, PolicyTree>,
     /// Which parts of the policy changed since the FCS last drained this
@@ -28,6 +32,7 @@ impl Pds {
     pub fn new(policy: PolicyTree) -> Self {
         Self {
             policy,
+            replaced_version: 0,
             exports: BTreeMap::new(),
             dirty: DirtySet::new(),
             telemetry: Telemetry::disabled(),
@@ -48,21 +53,28 @@ impl Pds {
         &self.policy
     }
 
-    /// The effective policy version (bumps on any change; FCS uses this to
-    /// detect staleness).
+    /// The effective policy version (bumps on any change, a replacement
+    /// included; FCS uses this to detect staleness).
     pub fn version(&self) -> u64 {
-        self.policy.version()
+        self.replaced_version + self.policy.version()
     }
 
     /// Replace the whole local policy (administrative action; exercised by
     /// the non-optimal policy test where targets change relative to load).
     pub fn set_policy(&mut self, policy: PolicyTree) {
+        self.replaced_version = self.version();
         self.policy = policy;
         self.dirty.mark_all();
         self.c_edits.inc();
         self.telemetry.event(-1.0, "pds.policy_replaced", || {
             "whole policy replaced".into()
         });
+    }
+
+    /// Name the policy's users by the site's ids ([`PolicyTree::key_by`]);
+    /// not an edit: version and dirty set stay.
+    pub fn key_by(&mut self, users: &mut UserTable) {
+        self.policy.key_by(users);
     }
 
     /// Change one node's share at run time.
@@ -163,6 +175,18 @@ mod tests {
         assert!(site
             .mount_from(&national, "nope", &EntityPath::parse("/g"))
             .is_err());
+    }
+
+    #[test]
+    fn a_replaced_policy_moves_the_version_on() {
+        let mut pds = Pds::new(flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap());
+        pds.set_share(&EntityPath::parse("/a"), 0.9).unwrap();
+        let mut seen = vec![pds.version()];
+        for _ in 0..2 {
+            pds.set_policy(flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap());
+            seen.push(pds.version());
+        }
+        assert_eq!(seen, [2, 3, 4]);
     }
 
     #[test]

@@ -51,6 +51,20 @@ pub struct ClusterSpec {
     pub policy_override: Option<PolicyTree>,
 }
 
+/// One cluster of the paper's national test bed: 40 single-core virtual
+/// hosts, SLURM, full participation, the grid-wide policy.
+impl Default for ClusterSpec {
+    fn default() -> Self {
+        Self {
+            nodes: 40,
+            cores_per_node: 1,
+            participation: ParticipationMode::Full,
+            rms: RmsKind::Slurm,
+            policy_override: None,
+        }
+    }
+}
+
 impl ClusterSpec {
     /// Total cores.
     pub fn cores(&self) -> u32 {
@@ -166,15 +180,7 @@ impl GridScenario {
     pub fn national_testbed(policy_shares: &[(&str, f64)], seed: u64) -> Self {
         let timings = ServiceTimings::default();
         Self {
-            clusters: (0..6)
-                .map(|_| ClusterSpec {
-                    nodes: 40,
-                    cores_per_node: 1,
-                    participation: ParticipationMode::Full,
-                    rms: RmsKind::Slurm,
-                    policy_override: None,
-                })
-                .collect(),
+            clusters: vec![ClusterSpec::default(); 6],
             policy: flat_policy(policy_shares).expect("valid flat policy"),
             fairshare: FairshareConfig {
                 // Decay tuned to the compressed 6-hour test horizon.
@@ -217,9 +223,7 @@ impl GridScenario {
         s.clusters = vec![ClusterSpec {
             nodes: 68,
             cores_per_node: 8,
-            participation: ParticipationMode::Full,
-            rms: RmsKind::Slurm,
-            policy_override: None,
+            ..ClusterSpec::default()
         }];
         s
     }
@@ -251,9 +255,10 @@ impl GridScenario {
     }
 
     /// Resize the fleet to exactly `n` sites: truncate, or extend by cloning
-    /// the last cluster spec (homogeneous growth).
+    /// the last cluster spec (homogeneous growth) — a test-bed cluster when
+    /// the fleet is empty.
     pub fn sites(mut self, n: usize) -> Self {
-        let template = self.clusters.last().cloned().expect("non-empty fleet");
+        let template = self.clusters.last().cloned().unwrap_or_default();
         self.clusters.resize(n, template);
         self
     }
@@ -509,7 +514,11 @@ mod tests {
         let big = sc.clone().sites(32).nodes_per_site(8);
         assert_eq!(big.clusters.len(), 32);
         assert_eq!(big.total_cores(), 32 * 8);
-        assert_eq!(sc.sites(3).clusters.len(), 3);
+        assert_eq!(sc.clone().sites(3).clusters.len(), 3);
+        // Emptied, the fleet grows again from a test-bed cluster.
+        let regrown = sc.sites(0).sites(2);
+        assert_eq!(regrown.clusters.len(), 2);
+        assert_eq!(regrown.total_cores(), 2 * 40);
     }
 
     #[test]
