@@ -205,11 +205,17 @@ for f in crates/core/src/fairshare.rs crates/core/src/arena.rs crates/services/s
     exit 1
   fi
 done
-# A user's usage is one slot-sorted row (`CellStore`): the flat per-cell
-# map the rows replaced does not come back beside them — it lives on only
-# as the reference the rows are tested against.
+# A user's usage is one slot-sorted row: the flat per-cell map the rows
+# replaced does not come back beside them — it lives on only as the
+# reference the rows are tested against.
 if git grep -n -F 'BTreeMap<(UserId, u64)' -- crates ':!crates/core/tests/proptest_core.rs'; then
   echo "a per-cell (user, slot) map is back beside the per-user rows" >&2
+  exit 1
+fi
+# A histogram's rows are one id-indexed column: no keyed map comes back beside it.
+histogram=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/usage.rs | sed -n '/^pub struct UsageHistogram {/,/^}/p')
+if [ -z "$histogram" ] || grep -n -e 'CellStore' -e 'BTreeMap' <<<"$histogram"; then
+  echo "crates/core/src/usage.rs: UsageHistogram is gone or keeps a keyed map beside its column" >&2
   exit 1
 fi
 # The row is also the one shape of a user's cells at the edges (`UserCells`:

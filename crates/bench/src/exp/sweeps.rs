@@ -389,6 +389,15 @@ pub(super) fn gossip_sweep(args: &Args, gates: &mut Gates) {
         "publish of one fresh user: 1k known {:.2} us, 10k known {:.2} us ({:.1}x) | tracked_users: 1k {:.1} us, 10k {:.1} us ({:.1}x)",
         publish[0], publish[1], growth(publish), tracked[0], tracked[1], growth(tracked)
     );
+    // Printed, not gated yet: what one merged user costs as the site's
+    // user count grows tenfold past the benchmark workloads'.
+    let merge = [10_000, 100_000].map(|users| crate::gossip::merge_one_user_ns(users, 200));
+    println!(
+        "merge of one user (64 per publication): 10k known {:.0} ns, 100k known {:.0} ns ({:.1}x)",
+        merge[0],
+        merge[1],
+        growth(merge)
+    );
     gates.check(
         &format!("publish of one fresh user grows <= {PUBLISH_GROWTH_CEILING}x from 1k to 10k known users"),
         growth(publish) <= PUBLISH_GROWTH_CEILING,

@@ -16,7 +16,7 @@ use crate::backfill::min_ns;
 use crate::cli::Shape;
 use crate::sweep::{cycle_trace, parallel_sweep};
 use aequus_core::codec::{Encoding, Publication};
-use aequus_core::usage::{UsageRecord, UsageSummary};
+use aequus_core::usage::{UsageRecord, UsageSummary, UserCells};
 use aequus_core::{
     DecayPolicy, FairshareConfig, GridUser, JobId, ProjectionKind, SiteId, UserTable,
 };
@@ -230,6 +230,49 @@ pub fn publish_one_fresh_us(users: usize, reps: usize) -> f64 {
     best / 1_000.0
 }
 
+/// Nanoseconds per user of merging one delivered publication of 64 users
+/// — one raised cell each, spread over the id space — into a site over a
+/// base of `users` names whose origin mirror and remote histogram already
+/// hold every one of them: the whole delivery (check, merge, ack), minimum
+/// over `reps` publications. The merge should cost the users it carries,
+/// at the same price per user whatever the site knows.
+pub fn merge_one_user_ns(users: usize, reps: usize) -> f64 {
+    const SLOT_S: f64 = 100.0;
+    const MERGED: usize = 64;
+    let names: Arc<[GridUser]> = synthetic_users(users)
+        .into_iter()
+        .map(GridUser::new)
+        .collect();
+    let table = UserTable::new(Arc::clone(&names));
+    let mut uss = Uss::with_users(SiteId(0), ParticipationMode::Full, SLOT_S, table);
+    let publication = |seq: u64, per_user: UserCells| {
+        let summary = Arc::new(Publication::new(UsageSummary {
+            site: SiteId(1),
+            seq,
+            slot_s: SLOT_S,
+            per_user,
+            relayed: Default::default(),
+        }));
+        UssMessage::Summary { summary, ctx: None }
+    };
+    let everyone = names.iter().map(|u| (u.clone(), vec![(0, 5.0)]));
+    uss.receive_message(&publication(1, everyone.collect()), 0.0);
+    let deliveries: Vec<UssMessage> = (0..reps)
+        .map(|rep| {
+            let pick = |k| &names[(k * users / MERGED + rep * 7919) % users];
+            let raised = (0..MERGED).map(|k| (pick(k).clone(), vec![(0, 6.0 + rep as f64)]));
+            publication(rep as u64 + 2, raised.collect())
+        })
+        .collect();
+    let mut deliveries = deliveries.iter();
+    let delivery_ns = min_ns(reps, || {
+        let delivered = deliveries.next().map(|msg| uss.receive_message(msg, 0.0));
+        delivered.map(|acks| acks.len())
+    });
+    assert_eq!(uss.duplicates(), 0, "every publication raised its cells");
+    delivery_ns / MERGED as f64
+}
+
 /// Nanoseconds per cell of merging one delivered publication of 32 cells —
 /// 8 per user, spread over the users' histories — into a site that already
 /// holds 4 users × 2,000 slots from the same origin (the even slots below
@@ -318,6 +361,7 @@ mod tests {
     #[test]
     fn growth_probes_hold_their_shapes() {
         assert!(publish_one_fresh_us(40, 3) > 0.0);
+        assert!(merge_one_user_ns(200, 3) > 0.0);
         assert!(tracked_users_us(40, 2) > 0.0);
         assert!(fcs_refresh_us(40, 3, 2) > 0.0);
         assert!(merge_ns_per_cell() > 0.0);

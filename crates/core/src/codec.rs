@@ -11,8 +11,8 @@
 //! [`CodecError`], never a panic.
 //!
 //! A cell section ([`NamedCells::encode`] / [`decode_cells`]) carries each
-//! user's cells as the slot-sorted row a [`CellStore`] holds them in — the
-//! one shape of a user's cells, name-keyed at the edges as [`UserCells`] —
+//! user's cells as the slot-sorted row a site holds them in — the one shape
+//! of a user's cells, name-keyed at the edges as [`UserCells`] —
 //! in one columnar varint layout that exploits the structure the reliable
 //! exchange already guarantees (sorted users, sorted slots, numerically
 //! tame charge values): front-coded user names, delta-coded slot indices,
@@ -42,9 +42,9 @@
 //! trailing bytes — so a frame that decodes at all re-encodes to the
 //! identical bytes.
 
-use crate::arena::UserTable;
+use crate::arena::{UserId, UserTable};
 use crate::ids::{GridUser, SiteId};
-use crate::usage::{CellStore, UsageSummary, UserCells};
+use crate::usage::{UsageSummary, UserCells};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -401,22 +401,22 @@ fn integral_value(charge: f64) -> Option<u64> {
 
 /// Per-user rows under their names, in name order, as the encoder takes
 /// them: one `(name, &row)` pair per user over slot-sorted rows that stay
-/// where they are — a site's id-keyed [`CellStore`] with the names written
-/// back, or an edge type's [`UserCells`].
+/// where they are — a site's id-keyed histogram or mirror with the names
+/// written back, or an edge type's [`UserCells`].
 #[derive(Debug)]
 pub struct NamedCells<'a> {
     rows: Vec<(&'a GridUser, &'a [(u64, f64)])>,
 }
 
 impl<'a> NamedCells<'a> {
-    /// The rows of `store` under the names `users` gave its ids (id order
-    /// is name order over the table's base), sorted by name only when the
-    /// table holds identities outside it.
-    pub fn from_store(store: &'a CellStore, users: &'a UserTable) -> Self {
-        let mut rows: Vec<_> = store
-            .iter()
-            .map(|(user, row)| (users.name(user), row))
-            .collect();
+    /// Id-keyed `rows`, in id order, under the names `users` gave their
+    /// ids (id order is name order over the table's base), sorted by name
+    /// only when the table holds identities outside it.
+    pub fn from_rows(
+        rows: impl Iterator<Item = (UserId, &'a [(u64, f64)])>,
+        users: &'a UserTable,
+    ) -> Self {
+        let mut rows: Vec<_> = rows.map(|(user, row)| (users.name(user), row)).collect();
         if users.len() > users.base().len() {
             rows.sort_by(|a, b| a.0.cmp(b.0));
         }

@@ -3,7 +3,7 @@
 //! compact form "relaying the combined usage of each user on each site while
 //! omitting the details of individual jobs".
 
-use crate::arena::UserId;
+use crate::arena::{UserId, UserTable};
 use crate::ids::{GridUser, JobId, SiteId};
 use std::cell::Cell;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -38,22 +38,6 @@ impl UsageRecord {
     }
 }
 
-/// Charge per `(user, slot)`: one slot-sorted row per user, keyed by id —
-/// the cell store under both histograms of a USS and every mirror it diffs
-/// them against. Every entry point takes a whole user: one integer-keyed
-/// descent finds the row, and each cell after it costs a compare against
-/// the row's tail or a binary search of the row, never another descent.
-/// A slot the row does not hold is inserted: amortised `O(1)` past the
-/// tail, where new slots mostly land, but `O(row)` inside the row, which
-/// shifts every later cell along (a lagging origin's backlog merging into
-/// a long remote row). The store iterates in `(UserId, slot)` order —
-/// over a [`UserTable`](crate::arena::UserTable)'s base that is name
-/// order, the order the codecs write. No row is ever empty.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CellStore {
-    rows: BTreeMap<UserId, Vec<(u64, f64)>>,
-}
-
 /// Where `slot` sits in `row`: its index, or where it would be inserted.
 /// The tail is checked first — a histogram mostly charges its latest slots.
 fn locate(row: &[(u64, f64)], slot: u64) -> Result<usize, usize> {
@@ -64,6 +48,72 @@ fn locate(row: &[(u64, f64)], slot: u64) -> Result<usize, usize> {
     }
 }
 
+/// `row`'s cells from slot `from` on.
+fn cells_from(row: &[(u64, f64)], from: u64) -> &[(u64, f64)] {
+    &row[row.partition_point(|&(slot, _)| slot < from)..]
+}
+
+/// Add each `(slot, charge)` into `row`, in the order given; a new cell
+/// holds `0.0 + charge`.
+fn add_into(row: &mut Vec<(u64, f64)>, cells: impl IntoIterator<Item = (u64, f64)>) {
+    for (slot, charge) in cells {
+        match locate(row, slot) {
+            Ok(at) => row[at].1 += charge,
+            Err(at) => row.insert(at, (slot, 0.0 + charge)),
+        }
+    }
+}
+
+/// Raise each of `row`'s cells to the `(slot, value)` given when that is
+/// more than `eps` above what it holds (nothing, for an absent cell),
+/// calling `rose(slot, value, rise)` for each that rose. A cell is never
+/// lowered, and one that does not rise is not created.
+fn raise_into(
+    row: &mut Vec<(u64, f64)>,
+    cells: impl IntoIterator<Item = (u64, f64)>,
+    eps: f64,
+    mut rose: impl FnMut(u64, f64, f64),
+) {
+    for (slot, value) in cells {
+        match locate(row, slot) {
+            Ok(at) if value - row[at].1 > eps => {
+                let rise = value - std::mem::replace(&mut row[at].1, value);
+                rose(slot, value, rise);
+            }
+            Err(at) if value > eps => {
+                row.insert(at, (slot, value));
+                rose(slot, value, value);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Charges by their bits, as the USS explorer fingerprints states: the
+/// cell count, then each `((user, slot), bits)` of `rows` in order.
+fn hash_rows<'a, H: Hasher>(
+    rows: impl Iterator<Item = (UserId, &'a [(u64, f64)])> + Clone,
+    h: &mut H,
+) {
+    let cells: usize = rows.clone().map(|(_, row)| row.len()).sum();
+    cells.hash(h);
+    for (user, row) in rows {
+        (row.iter()).for_each(|&(slot, charge)| ((user, slot), charge.to_bits()).hash(h));
+    }
+}
+
+/// Charge per `(user, slot)` for the few users a mirror holds — the USS's
+/// sparse mirrors of what it published, merged per origin and relayed: one
+/// slot-sorted row per user, found by one descent of an id-keyed map. A
+/// slot the row lacks is inserted: amortised `O(1)` past the tail, where
+/// new slots mostly land, `O(row)` inside it. The store iterates in
+/// `(UserId, slot)` order — over a [`UserTable`]'s
+/// base that is name order, the order the codecs write. No row is empty.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CellStore {
+    rows: BTreeMap<UserId, Vec<(u64, f64)>>,
+}
+
 impl CellStore {
     /// Whether no cell is held.
     pub fn is_empty(&self) -> bool {
@@ -72,8 +122,7 @@ impl CellStore {
 
     /// One user's cells from slot `from` on, in slot order.
     pub fn of(&self, user: UserId, from: u64) -> &[(u64, f64)] {
-        let row = self.rows.get(&user).map_or(&[][..], Vec::as_slice);
-        &row[row.partition_point(|&(slot, _)| slot < from)..]
+        cells_from(self.rows.get(&user).map_or(&[][..], Vec::as_slice), from)
     }
 
     /// Every user's row, in `(user, slot)` order.
@@ -81,50 +130,23 @@ impl CellStore {
         self.rows.iter().map(|(&user, row)| (user, row.as_slice()))
     }
 
-    /// The users holding a cell, ascending.
-    pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.rows.keys().copied()
-    }
-
     /// Add each `(slot, charge)` to `user`'s cells, in the order given; a
     /// new cell holds `0.0 + charge`.
     pub fn add(&mut self, user: UserId, cells: impl IntoIterator<Item = (u64, f64)>) {
-        self.edit(user, |row| {
-            for (slot, charge) in cells {
-                match locate(row, slot) {
-                    Ok(at) => row[at].1 += charge,
-                    Err(at) => row.insert(at, (slot, 0.0 + charge)),
-                }
-            }
-        });
+        self.edit(user, |row| add_into(row, cells));
     }
 
-    /// Raise each of `user`'s cells to the `(slot, value)` given when that
-    /// is more than `eps` above what it holds (nothing, for an absent
-    /// cell), calling `rose(slot, value, rise)` for each that rose. A cell
-    /// is never lowered, and one that does not rise is not created.
+    /// Raise `user`'s cells to the `(slot, value)`s given, calling
+    /// `rose(slot, value, rise)` for each that rose by more than `eps`; a
+    /// cell is never lowered, and one that does not rise is not created.
     pub fn raise(
         &mut self,
         user: UserId,
         cells: impl IntoIterator<Item = (u64, f64)>,
         eps: f64,
-        mut rose: impl FnMut(u64, f64, f64),
+        rose: impl FnMut(u64, f64, f64),
     ) {
-        self.edit(user, |row| {
-            for (slot, value) in cells {
-                match locate(row, slot) {
-                    Ok(at) if value - row[at].1 > eps => {
-                        let rise = value - std::mem::replace(&mut row[at].1, value);
-                        rose(slot, value, rise);
-                    }
-                    Err(at) if value > eps => {
-                        row.insert(at, (slot, value));
-                        rose(slot, value, value);
-                    }
-                    _ => {}
-                }
-            }
-        });
+        self.edit(user, |row| raise_into(row, cells, eps, rose));
     }
 
     /// Apply `f` to `user`'s row — one descent — keeping a new row only if
@@ -143,14 +165,9 @@ impl CellStore {
     }
 }
 
-/// Charges by their bits: what the USS explorer fingerprints states with —
-/// the cell count, then each `((user, slot), bits)` in order.
 impl Hash for CellStore {
     fn hash<H: Hasher>(&self, h: &mut H) {
-        self.rows.values().map(Vec::len).sum::<usize>().hash(h);
-        for (&user, row) in &self.rows {
-            (row.iter()).for_each(|&(slot, charge)| ((user, slot), charge.to_bits()).hash(h));
-        }
+        hash_rows(self.iter(), h);
     }
 }
 
@@ -168,21 +185,33 @@ pub type Fold = (f64, Prefix, usize);
 
 /// Per-user usage histogram over fixed time slots ("per-user histograms for
 /// configurable time intervals", §II-A), keyed by the [`UserId`]s of the
-/// holder's [`UserTable`](crate::arena::UserTable).
+/// holder's [`UserTable`].
 ///
 /// Job charges are spread proportionally over the slots the job's execution
 /// overlaps, so long jobs decay gradually rather than as a lump at
 /// completion.
+///
+/// The rows are one id-indexed column — a site's histograms hold most of
+/// its table's users — so recording, merging or reading a user is one
+/// index. An entry may hold nothing; neither equality nor the hash sees it.
 #[derive(Debug, Clone)]
 pub struct UsageHistogram {
     slot_s: f64,
-    cells: CellStore,
-    /// Each user's raw total as last read, by id; `NaN` once a cell of
-    /// theirs changed. Re-summed in slot order, never patched: a readout
-    /// keeps the bits a from-scratch sum produces.
-    raw: Vec<Cell<f64>>,
+    /// By id: the user's slot-sorted cells and their raw total.
+    users: Vec<UserUsage>,
     /// Total charge currently held, for conservation checks.
     total: f64,
+}
+
+/// One user's entry of a [`UsageHistogram`] column.
+#[derive(Debug, Clone, Default)]
+struct UserUsage {
+    /// `(slot, charge)`, strictly increasing in slot.
+    row: Vec<(u64, f64)>,
+    /// The row's raw total as last read (`+0.0` for no cells); `NaN` once a
+    /// cell changed. Re-summed in slot order, never patched: a readout
+    /// keeps the bits a from-scratch sum produces.
+    raw: Cell<f64>,
 }
 
 impl UsageHistogram {
@@ -194,10 +223,18 @@ impl UsageHistogram {
         assert!(slot_s > 0.0, "slot duration must be positive");
         Self {
             slot_s,
-            cells: CellStore::default(),
-            raw: Vec::new(),
+            users: Vec::new(),
             total: 0.0,
         }
+    }
+
+    /// [`new`](Self::new), with room in the column for every id `users`
+    /// holds: a site's histograms come to hold most of its table, and a
+    /// column grown id by id moves itself along at every doubling.
+    pub fn with_users(slot_s: f64, users: &UserTable) -> Self {
+        let mut histogram = Self::new(slot_s);
+        histogram.users.reserve(users.len());
+        histogram
     }
 
     /// Slot duration in seconds.
@@ -215,21 +252,22 @@ impl UsageHistogram {
             return None;
         }
         self.total += charge;
-        self.touch(user);
-        let first = (rec.start_s / self.slot_s).floor().max(0.0) as u64;
-        let last = (rec.end_s / self.slot_s).floor().max(0.0) as u64;
+        let slot_s = self.slot_s;
+        let row = row_mut(&mut self.users, user);
+        let first = (rec.start_s / slot_s).floor().max(0.0) as u64;
+        let last = (rec.end_s / slot_s).floor().max(0.0) as u64;
         if first == last {
-            self.cells.add(user, [(first, charge)]);
+            add_into(row, [(first, charge)]);
             return Some(first);
         }
         let rate = rec.cores as f64; // core-seconds per second
         let cells = (first..=last).filter_map(|slot| {
-            let slot_start = slot as f64 * self.slot_s;
-            let slot_end = slot_start + self.slot_s;
+            let slot_start = slot as f64 * slot_s;
+            let slot_end = slot_start + slot_s;
             let overlap = rec.end_s.min(slot_end) - rec.start_s.max(slot_start);
             (overlap > 0.0).then_some((slot, rate * overlap))
         });
-        self.cells.add(user, cells);
+        add_into(row, cells);
         Some(first)
     }
 
@@ -240,15 +278,22 @@ impl UsageHistogram {
     /// reordered deliveries never double-count. Non-positive charges are
     /// ignored.
     pub fn add_charges(&mut self, user: UserId, cells: impl IntoIterator<Item = (u64, f64)>) {
-        self.touch(user);
         let cells = cells.into_iter().filter(|(_, c)| *c > 0.0);
-        let cells = cells.inspect(|(_, c)| self.total += c);
-        self.cells.add(user, cells);
+        let row = row_mut(&mut self.users, user);
+        add_into(row, cells.inspect(|(_, c)| self.total += c));
     }
 
-    /// The cells, read in place.
-    pub fn cells(&self) -> &CellStore {
-        &self.cells
+    /// One user's cells from slot `from` on, in slot order.
+    pub fn of(&self, user: UserId, from: u64) -> &[(u64, f64)] {
+        let row = self.users.get(user.index()).map_or(&[][..], |u| &u.row);
+        cells_from(row, from)
+    }
+
+    /// Every user holding a cell with their row, in `(user, slot)` order.
+    pub fn rows(&self) -> impl Iterator<Item = (UserId, &[(u64, f64)])> + Clone + '_ {
+        let rows = self.users.iter().enumerate();
+        let rows = rows.filter(|(_, u)| !u.row.is_empty());
+        rows.map(|(id, u)| (UserId(id as u32), u.row.as_slice()))
     }
 
     /// `Σ charge · weigh(slot centre)` over `user`'s cells, in slot order:
@@ -259,12 +304,12 @@ impl UsageHistogram {
     /// and raw readouts. One fold from `from` (by default `+0.0`: `sum`'s bits
     /// for non-negative terms, but `+0.0` for no cells) that also returns its
     /// prefix below `mark` (`≥ from.slot`); a fold resumed there ends on the
-    /// same bits. Costs one descent and one binary search of the user's row,
+    /// same bits. Costs one index and one binary search of the user's row,
     /// plus their cells from `from.slot` on.
     pub fn usage(&self, user: UserId, weigh: impl Fn(f64) -> f64, from: Prefix, mark: u64) -> Fold {
         debug_assert!(from.slot <= mark, "no prefix below the start");
         let (mut sum, mut below, mut passed) = (from.sum, Prefix { slot: mark, ..from }, 0);
-        for &(slot, charge) in self.cells.of(user, from.slot) {
+        for &(slot, charge) in self.of(user, from.slot) {
             sum += charge * weigh((slot as f64 + 0.5) * self.slot_s);
             if slot < mark {
                 (below.sum, passed) = (sum, passed + 1);
@@ -273,24 +318,17 @@ impl UsageHistogram {
         (sum, below, passed)
     }
 
-    /// A cell of `user` is about to change: their cached total is stale.
-    fn touch(&mut self, user: UserId) {
-        if self.raw.len() <= user.index() {
-            self.raw.resize(user.index() + 1, Cell::new(f64::NAN));
-        }
-        self.raw[user.index()].set(f64::NAN);
-    }
-
     /// Raw (undecayed) total usage of `user`: `O(1)` until one of their
     /// cells changes, then one re-sum.
     pub fn raw_usage(&self, user: UserId) -> f64 {
-        let Some(cached) = self.raw.get(user.index()) else {
+        let Some(entry) = self.users.get(user.index()) else {
             return 0.0; // never held a cell
         };
-        if cached.get().is_nan() {
-            cached.set(self.usage(user, |_| 1.0, Prefix::default(), 0).0);
+        if entry.raw.get().is_nan() {
+            let sum = self.usage(user, |_| 1.0, Prefix::default(), 0).0;
+            entry.raw.set(sum);
         }
-        cached.get()
+        entry.raw.get()
     }
 
     /// Total charge held across all users (conservation invariant: equals
@@ -300,22 +338,34 @@ impl UsageHistogram {
     }
 }
 
-/// By slots, total and cells: the cached readouts are derived (a stale one
-/// reads `NaN`).
+/// `user`'s row in `column`, about to change: the column is grown to reach
+/// it, and the cached raw total goes stale.
+fn row_mut(column: &mut Vec<UserUsage>, user: UserId) -> &mut Vec<(u64, f64)> {
+    if column.len() <= user.index() {
+        column.resize_with(user.index() + 1, UserUsage::default);
+    }
+    let entry = &mut column[user.index()];
+    entry.raw.set(f64::NAN);
+    &mut entry.row
+}
+
+/// By slots, total and the cells held: the cached readouts are derived (a
+/// stale one reads `NaN`), and an entry holding nothing is no cell.
 impl PartialEq for UsageHistogram {
     fn eq(&self, other: &Self) -> bool {
-        (self.slot_s, self.total, &self.cells) == (other.slot_s, other.total, &other.cells)
+        (self.slot_s, self.total) == (other.slot_s, other.total) && self.rows().eq(other.rows())
     }
 }
 
 impl Hash for UsageHistogram {
     fn hash<H: Hasher>(&self, h: &mut H) {
-        (self.slot_s.to_bits(), self.total.to_bits(), &self.cells).hash(h);
+        (self.slot_s.to_bits(), self.total.to_bits()).hash(h);
+        hash_rows(self.rows(), h);
     }
 }
 
 /// One site's raw per-user usage view as a dense row over a shared,
-/// name-ranked user base (a [`UserTable`](crate::arena::UserTable)'s), plus
+/// name-ranked user base (a [`UserTable`]'s), plus
 /// a (normally empty) sorted overflow for users outside it — what sites with
 /// different tables can still be compared by. A user the site holds no
 /// usage for reads `0.0` — exactly how the cross-site divergence treats a
@@ -478,28 +528,22 @@ mod tests {
         let mut h = UsageHistogram::new(60.0);
         assert_eq!(h.record(A, &rec(8, 100.0, 100.0)), None);
         assert_eq!(h.total_recorded(), 0.0);
-        assert!(h.cells().is_empty());
+        assert_eq!(h.rows().count(), 0);
     }
 
     #[test]
-    fn a_users_cells_are_one_ordered_range_of_the_store() {
+    fn a_users_cells_are_one_ordered_range_of_the_column() {
         let mut h = UsageHistogram::new(100.0);
         h.record(B, &rec(1, 1050.0, 1060.0));
         h.record(A, &rec(2, 250.0, 420.0));
         h.add_charges(B, [(3, 5.0)]);
-        let slots = |user, from| {
-            h.cells()
-                .of(user, from)
-                .iter()
-                .map(|c| c.0)
-                .collect::<Vec<_>>()
-        };
+        let slots = |user, from| h.of(user, from).iter().map(|c| c.0).collect::<Vec<_>>();
         assert_eq!(slots(A, 0), [2, 3, 4]);
         assert_eq!(slots(A, 3), [3, 4]);
         assert_eq!(slots(B, 0), [3, 10]);
         assert!(slots(UserId(2), 0).is_empty());
-        assert_eq!(h.cells().users().collect::<Vec<_>>(), [A, B]);
-        let rows = h.cells().iter();
+        assert_eq!(h.rows().map(|(u, _)| u).collect::<Vec<_>>(), [A, B]);
+        let rows = h.rows();
         let order: Vec<(UserId, u64)> = rows
             .flat_map(|(u, row)| row.iter().map(move |c| (u, c.0)))
             .collect();
@@ -540,7 +584,7 @@ mod tests {
         assert_eq!(sent.of(A, 0), [(2, 1.0), (7, 6.5)]);
         sent.raise(B, [(3, 5e-13)], 1e-12, |_, _, _| unreachable!());
         assert_eq!(
-            sent.users().collect::<Vec<_>>(),
+            sent.iter().map(|(u, _)| u).collect::<Vec<_>>(),
             [A],
             "no row for a cell that did not rise"
         );
@@ -582,12 +626,7 @@ mod tests {
         let decay = DecayPolicy::Exponential { half_life_s: 30.0 };
         let weigh = |centre: f64| decay.epoch_weight(50.0 - centre);
         let (whole, at_5, passed) = h.usage(A, weigh, Prefix::default(), 5);
-        let slots = h
-            .cells()
-            .of(A, 0)
-            .iter()
-            .filter(|&&(slot, _)| slot < 5)
-            .count();
+        let slots = h.of(A, 0).iter().filter(|&&(slot, _)| slot < 5).count();
         assert_eq!((at_5.slot, passed), (5, slots));
         let (resumed, at_9, more) = h.usage(A, weigh, at_5, 9);
         assert_eq!(resumed.to_bits(), whole.to_bits());
@@ -615,7 +654,7 @@ mod tests {
         h.add_charges(A, [(3, 25.0), (3, 5.0)]);
         h.add_charges(A, [(4, -1.0), (4, 0.0)]); // ignored
         h.add_charges(B, [(4, 0.0)]); // ignored: no cell either
-        assert_eq!(h.cells().users().count(), 1);
+        assert_eq!(h.rows().count(), 1);
         assert!((h.raw_usage(A) - 30.0).abs() < 1e-12);
         assert!((h.total_recorded() - 30.0).abs() < 1e-12);
     }

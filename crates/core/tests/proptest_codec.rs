@@ -469,7 +469,7 @@ proptest! {
         prop_assert_eq!(&again[1..], &bytes[..], "re-encode after a prefix");
 
         let mut rows = Vec::new();
-        NamedCells::from_store(&store, &users).encode(&mut rows);
+        NamedCells::from_rows(store.iter(), &users).encode(&mut rows);
         prop_assert_eq!(&rows, &reference_section(&stored, Encoding::Delta), "from the rows");
     }
 }

@@ -499,9 +499,32 @@ fn cell_call() -> impl Strategy<Value = (u8, u32, Vec<(u64, f64)>, u64)> {
 /// the hasher before the store became rows.
 fn flat_hash(flat: &FlatCells) -> u64 {
     let mut h = DefaultHasher::new();
-    flat.len().hash(&mut h);
-    (flat.iter()).for_each(|(cell, charge)| (cell, charge.to_bits()).hash(&mut h));
+    flat_stream(flat, &mut h);
     h.finish()
+}
+
+/// [`flat_hash`]'s sequence: the cell count, then each cell by its bits.
+fn flat_stream(flat: &FlatCells, h: &mut DefaultHasher) {
+    flat.len().hash(h);
+    (flat.iter()).for_each(|(cell, charge)| (cell, charge.to_bits()).hash(h));
+}
+
+/// The ids a histogram script charges — sparse, so the column has long
+/// runs of entries that hold nothing — and one it only ever reads, inside
+/// the column once 4,000 is charged and past its end before.
+const CHARGED: [u32; 3] = [0, 3, 4_000];
+const READ_ONLY: UserId = UserId(9);
+
+/// One call of a histogram script: `add_charges` (even `kind`) of `cells`
+/// or `record` (odd) of a job `(cores, start, length)` — often charging
+/// nothing — for one of [`CHARGED`], plus a slot to split a read at.
+type HistogramCall = (u8, usize, Vec<(u64, f64)>, (u32, f64, f64), u64);
+
+fn histogram_call() -> impl Strategy<Value = HistogramCall> {
+    let cells = proptest::collection::vec((0u64..24, charge()), 0..7);
+    let length = (0u8..3, 0.0..900.0f64).prop_map(|(pick, len)| if pick == 0 { 0.0 } else { len });
+    let job = (0u32..4, 0.0..2_000.0f64, length);
+    (0u8..2, 0..CHARGED.len(), cells, job, 0u64..26)
 }
 
 proptest! {
@@ -553,11 +576,90 @@ proptest! {
             }
             let mut users: Vec<UserId> = flat.keys().map(|&(u, _)| u).collect();
             users.dedup();
-            prop_assert_eq!(store.users().collect::<Vec<_>>(), users);
+            prop_assert_eq!(store.iter().map(|(u, _)| u).collect::<Vec<_>>(), users);
             prop_assert_eq!(store.is_empty(), flat.is_empty());
             let mut h = DefaultHasher::new();
             store.hash(&mut h);
             prop_assert_eq!(h.finish(), flat_hash(&flat));
+        }
+    }
+    /// A histogram against the flat per-cell map, bit for bit, after every
+    /// `add_charges` or `record`: its rows in order, each user's decayed
+    /// and raw reads, emptiness, equality with a fresh histogram while
+    /// nothing is held, and the fingerprint — what the map-backed histogram
+    /// fed the hasher (slot and total bits, then [`flat_hash`]'s sequence).
+    #[test]
+    fn a_histogram_reads_what_the_flat_map_reads(
+        script in proptest::collection::vec(histogram_call(), 1..40),
+    ) {
+        const SLOT: f64 = 100.0;
+        let (mut h, mut flat, mut total) = (UsageHistogram::new(SLOT), FlatCells::new(), 0.0);
+        let weigh = |centre: f64| DecayPolicy::Exponential { half_life_s: 700.0 }.weight(2_500.0 - centre);
+        for (kind, pick, cells, (cores, start, len), mark) in script {
+            let user = UserId(CHARGED[pick]);
+            let mut charge = |slot, c: f64| *flat.entry((user, slot)).or_insert(0.0) += c;
+            if kind == 0 {
+                h.add_charges(user, cells.iter().copied());
+                for &(slot, c) in cells.iter().filter(|&&(_, c)| c > 0.0) {
+                    total += c;
+                    charge(slot, c);
+                }
+            } else {
+                let rec = UsageRecord {
+                    job: JobId(0),
+                    user: GridUser::new("whoever"),
+                    site: SiteId(0),
+                    cores,
+                    start_s: start,
+                    end_s: start + len,
+                };
+                let (first, last) = ((start / SLOT).floor() as u64, ((start + len) / SLOT).floor() as u64);
+                let want = (rec.charge() > 0.0).then_some(first);
+                prop_assert_eq!(h.record(user, &rec), want);
+                if want.is_some() {
+                    total += rec.charge();
+                    if first == last {
+                        charge(first, rec.charge());
+                    }
+                    for slot in (first..=last).filter(|_| first != last) {
+                        let (from, to) = (slot as f64 * SLOT, (slot + 1) as f64 * SLOT);
+                        let overlap = rec.end_s.min(to) - rec.start_s.max(from);
+                        if overlap > 0.0 {
+                            charge(slot, cores as f64 * overlap);
+                        }
+                    }
+                }
+            }
+            let got: Vec<_> = h.rows()
+                .flat_map(|(u, row)| row.iter().map(move |&(s, c)| (u, s, c.to_bits())))
+                .collect();
+            let want: Vec<_> = flat.iter().map(|(&(u, s), c)| (u, s, c.to_bits())).collect();
+            prop_assert_eq!(got, want);
+            let mut users: Vec<UserId> = flat.keys().map(|&(u, _)| u).collect();
+            users.dedup();
+            prop_assert_eq!(h.rows().map(|(u, _)| u).collect::<Vec<_>>(), users);
+            for user in CHARGED.map(UserId).into_iter().chain([READ_ONLY]) {
+                let (mut sum, mut raw, mut below, mut passed) = (0.0, 0.0, 0.0, 0);
+                for (&(_, slot), &c) in flat.range((user, 0)..=(user, u64::MAX)) {
+                    sum += c * weigh((slot as f64 + 0.5) * SLOT);
+                    raw += c * 1.0;
+                    if slot < mark {
+                        (below, passed) = (sum, passed + 1);
+                    }
+                }
+                let (got, prefix, got_passed) = h.usage(user, weigh, Prefix::default(), mark);
+                prop_assert_eq!((got.to_bits(), prefix.sum.to_bits()), (sum.to_bits(), below.to_bits()));
+                prop_assert_eq!((prefix.slot, got_passed), (mark, passed));
+                prop_assert_eq!(h.raw_usage(user).to_bits(), raw.to_bits());
+            }
+            prop_assert_eq!(h.total_recorded().to_bits(), total.to_bits());
+            prop_assert_eq!(h.rows().next().is_none(), flat.is_empty());
+            prop_assert_eq!(h == UsageHistogram::new(SLOT), flat.is_empty());
+            let (mut got, mut want) = (DefaultHasher::new(), DefaultHasher::new());
+            h.hash(&mut got);
+            (SLOT.to_bits(), total.to_bits()).hash(&mut want);
+            flat_stream(&flat, &mut want);
+            prop_assert_eq!(got.finish(), want.finish());
         }
     }
 }

@@ -103,12 +103,13 @@ impl LocalFairshare {
         projection: ProjectionKind,
         usage_slot_s: f64,
     ) -> Self {
+        let users = UserTable::new(policy.layout().users().clone());
         Self {
-            users: UserTable::new(policy.layout().users().clone()),
+            usage: UsageHistogram::with_users(usage_slot_s, &users),
+            users,
             policy,
             config,
             projection: projection.build(),
-            usage: UsageHistogram::new(usage_slot_s),
             identity_map: BTreeMap::new(),
         }
     }

@@ -263,9 +263,9 @@ impl Volatile {
     fn new(cfg: &Config, ledger: &Ledger) -> Self {
         let mut view_dirty = DirtySet::new();
         view_dirty.mark_all();
-        let pending = (cfg.mode.contributes()).then(|| all_pending(ledger.local.cells()));
+        let pending = (cfg.mode.contributes()).then(|| all_pending(ledger.local.rows()));
         Self {
-            remote: UsageHistogram::new(ledger.local.slot_duration()),
+            remote: UsageHistogram::with_users(ledger.local.slot_duration(), &ledger.users),
             published: CellStore::default(),
             unpublished: pending.unwrap_or_default(),
             history: VecDeque::new(),
@@ -300,12 +300,13 @@ impl Volatile {
     /// already accepted whole ([`Uss::check_summary`]), so every name it
     /// carries is interned, risen cell or not. That one lookup
     /// (`O(log users)` comparisons) is all that touches a string. Per user
-    /// the cost is one descent of the mirror, one of the remote histogram
-    /// when a cell rose (the rises go over from a buffer reused across the
-    /// section) and one integer insert into each dirty set. Per cell it is
-    /// a tail compare or a binary search of the user's row, in the mirror
-    /// and, if it rose, in the remote row; a slot new to a row that lands
-    /// inside it, not at its end, also shifts the rest of that row along.
+    /// the cost is one descent of the mirror — a map: an origin sends few
+    /// of the users the site knows — one index into the remote histogram's
+    /// column when a cell rose (the rises go over from a buffer reused
+    /// across the section) and one integer insert into each dirty set. Per
+    /// cell it is a tail compare or a binary search of the user's row, in
+    /// the mirror and, if it rose, in the remote row; a slot new to a row
+    /// that lands inside it, not at its end, also shifts the rest along.
     fn merge_origin(
         &mut self,
         users: &mut UserTable,
@@ -460,36 +461,40 @@ fn note_pending(pending: &mut Pending, user: UserId, slot: u64) {
     *from = (*from).min(slot);
 }
 
-/// Every user of `cells` pending from slot 0: the refill after a mirror was
+/// A row of a site's cells: a user and their slot-sorted `(slot, charge)`.
+type Row<'a> = (UserId, &'a [(u64, f64)]);
+
+/// Every user of `rows` pending from slot 0: the refill after a mirror was
 /// dropped or the cells under it replaced.
-fn all_pending(cells: &CellStore) -> Pending {
-    cells.users().map(|user| (user, 0)).collect()
+fn all_pending<'a>(rows: impl Iterator<Item = Row<'a>>) -> Pending {
+    rows.map(|(user, _)| (user, 0)).collect()
 }
 
-/// `cells` under the names `users` gave their ids — what leaves a site in a
+/// `rows` under the names `users` gave their ids — what leaves a site in a
 /// snapshot or a test readout.
-fn named_cells(users: &UserTable, cells: &CellStore) -> UserCells {
-    let of = |(user, row): (UserId, &[_])| (users.name(user).clone(), row.to_vec());
-    cells.iter().map(of).collect()
+fn named_cells<'a>(users: &UserTable, rows: impl Iterator<Item = Row<'a>>) -> UserCells {
+    rows.map(|(user, row)| (users.name(user).clone(), row.to_vec()))
+        .collect()
 }
 
-/// Diff the `pending` users' cells of `held` against the `sent` mirror: the
-/// cells that rose (by more than [`CELL_EPS`]) are recorded there and
-/// returned under their names. Cells at or past `open_slot` are held back,
-/// and a user stays pending — from the first of those — while they hold
-/// one; everyone else leaves. Costs the pending users' slots from the
-/// pending one on, whatever else the site holds: per user a slice of the
-/// held row, cut at the open slot, and one `raise` of it against `sent`.
-fn drain_pending(
+/// Diff the `pending` users' cells — `held(user, from)` reads them — against
+/// the `sent` mirror: the cells that rose (by more than [`CELL_EPS`]) are
+/// recorded there and returned under their names. Cells at or past
+/// `open_slot` are held back, and a user stays pending — from the first of
+/// those — while they hold one; everyone else leaves. Costs the pending
+/// users' slots from the pending one on, whatever else the site holds: per
+/// user a slice of the held row, cut at the open slot, and one `raise` of
+/// it against `sent`.
+fn drain_pending<'a>(
     pending: &mut Pending,
-    held: &CellStore,
+    held: impl Fn(UserId, u64) -> &'a [(u64, f64)],
     sent: &mut CellStore,
     users: &UserTable,
     open_slot: Option<u64>,
 ) -> UserCells {
     let mut section = UserCells::new();
     pending.retain(|&user, from| {
-        let row = held.of(user, *from);
+        let row = held(user, *from);
         let closed = open_slot.map_or(row.len(), |open| row.partition_point(|c| c.0 < open));
         let mut cells = Vec::new();
         let rose = |slot, value, _| cells.push((slot, value));
@@ -534,8 +539,8 @@ impl Uss {
             jitter: JitterRng::new(site.0 as u64),
         };
         let ledger = Ledger {
+            local: UsageHistogram::with_users(slot_s, &users),
             users,
-            local: UsageHistogram::new(slot_s),
             next_seq: 1,
             records_ingested: 0,
         };
@@ -653,7 +658,7 @@ impl Uss {
         let mirrors = self.vol.seen_by_origin.iter();
         let mirrors = mirrors.filter(|_| self.cfg.forwarding);
         self.vol.unrelayed = mirrors
-            .map(|(origin, cells)| (*origin, all_pending(cells)))
+            .map(|(origin, cells)| (*origin, all_pending(cells.iter())))
             .collect();
     }
 
@@ -693,6 +698,7 @@ impl Uss {
                 continue; // a pending set is only ever made beside its mirror
             };
             let sent = self.vol.relay_published.entry(*origin).or_default();
+            let held = |user, from| held.of(user, from);
             let section = drain_pending(pending, held, sent, &self.ledger.users, None);
             if !section.is_empty() {
                 relayed.insert(*origin, section);
@@ -723,9 +729,9 @@ impl Uss {
         }
         let slot_s = self.ledger.local.slot_duration();
         let current_slot = (now_s / slot_s).floor().max(0.0) as u64;
-        let (held, sent) = (self.ledger.local.cells(), &mut self.vol.published);
-        let (pending, closed) = (&mut self.vol.unpublished, Some(current_slot));
-        let per_user = drain_pending(pending, held, sent, &self.ledger.users, closed);
+        let held = |user, from| self.ledger.local.of(user, from);
+        let (pending, sent) = (&mut self.vol.unpublished, &mut self.vol.published);
+        let per_user = drain_pending(pending, held, sent, &self.ledger.users, Some(current_slot));
         let relayed = self.collect_relay_sections();
         if per_user.is_empty() && relayed.is_empty() {
             return None;
@@ -984,9 +990,9 @@ impl Uss {
             site: self.cfg.site,
             seq: self.ledger.next_seq - 1,
             slot_s: self.ledger.local.slot_duration(),
-            per_user: named_cells(users, &self.vol.published),
+            per_user: named_cells(users, self.vol.published.iter()),
             relayed: mirrors
-                .map(|(origin, cells)| (*origin, named_cells(users, cells)))
+                .map(|(origin, cells)| (*origin, named_cells(users, cells.iter())))
                 .collect(),
         }
         .into();
@@ -1021,7 +1027,7 @@ impl Uss {
         if suppress != self.vol.remote_suppressed {
             self.vol.remote_suppressed = suppress;
             self.vol.view_dirty.mark_all();
-            for user in self.vol.remote.cells().users() {
+            for (user, _) in self.vol.remote.rows() {
                 note_pending(&mut self.vol.dirty, user, 0);
             }
             self.metrics.telemetry.event(now_s, "uss.stale_policy", || {
@@ -1067,8 +1073,9 @@ impl Uss {
     /// survives, and journaled [`aequus_store::WalRecord::Publish`] records
     /// replay it as belt and braces.
     pub fn crash_volatile(&mut self) {
-        self.ledger.local = UsageHistogram::new(self.ledger.local.slot_duration());
-        self.ledger.records_ingested = 0;
+        let ledger = &mut self.ledger;
+        ledger.local = UsageHistogram::with_users(ledger.local.slot_duration(), &ledger.users);
+        ledger.records_ingested = 0;
         self.crash();
     }
 
@@ -1098,12 +1105,11 @@ impl Uss {
             peers: vol.links.iter().map(|(s, l)| (*s, cursor(l))).collect(),
             ..CheckpointState::default()
         };
-        let named = |cells| NamedCells::from_store(cells, users);
         CheckpointView {
             head: Cow::Owned(head),
-            local_cells: named(self.ledger.local.cells()),
+            local_cells: NamedCells::from_rows(self.ledger.local.rows(), users),
             origin_cells: (vol.seen_by_origin.iter())
-                .map(|(origin, cells)| (*origin, named(cells)))
+                .map(|(origin, cells)| (*origin, NamedCells::from_rows(cells.iter(), users)))
                 .collect(),
         }
     }
@@ -1125,7 +1131,7 @@ impl Uss {
         self.admit(ckpt.slot_s, sections)?;
         // Accepted whole: from here on its names are this site's.
         let ledger = &mut self.ledger;
-        ledger.local = UsageHistogram::new(ledger.local.slot_duration());
+        ledger.local = UsageHistogram::with_users(ledger.local.slot_duration(), &ledger.users);
         for (name, slots) in &ckpt.local_cells {
             let user = ledger.users.intern(name);
             ledger.local.add_charges(user, slots.iter().copied());
@@ -1214,9 +1220,9 @@ impl Uss {
     /// reads global data and the stale policy permits), ascending — one
     /// pass over the cells.
     pub fn known_users(&self) -> Vec<UserId> {
-        let mut users: Vec<UserId> = self.ledger.local.cells().users().collect();
+        let mut users: Vec<UserId> = self.ledger.local.rows().map(|(user, _)| user).collect();
         if self.reads_remote() {
-            users.extend(self.vol.remote.cells().users());
+            users.extend(self.vol.remote.rows().map(|(user, _)| user));
             users.sort_unstable();
             users.dedup();
         }
@@ -1359,7 +1365,7 @@ impl Uss {
     /// The cells already published, and per origin already relayed, under
     /// their names (test inspection).
     pub fn sent_mirrors(&self) -> (UserCells, BTreeMap<SiteId, UserCells>) {
-        let named = |cells| named_cells(&self.ledger.users, cells);
+        let named = |cells: &CellStore| named_cells(&self.ledger.users, cells.iter());
         let relayed = self.vol.relay_published.iter();
         let relayed = relayed.map(|(origin, cells)| (*origin, named(cells)));
         (named(&self.vol.published), relayed.collect())
@@ -2297,7 +2303,7 @@ mod tests {
                 taken_s: 500.0,
                 site: uss.cfg.site,
                 slot_s: uss.ledger.local.slot_duration(),
-                local_cells: named_cells(&uss.ledger.users, uss.ledger.local.cells()),
+                local_cells: named_cells(&uss.ledger.users, uss.ledger.local.rows()),
                 records_ingested: uss.ledger.records_ingested,
                 next_seq: uss.ledger.next_seq,
                 peers: (uss.vol.links.iter())
@@ -2311,7 +2317,7 @@ mod tests {
                     })
                     .collect(),
                 origin_cells: (uss.vol.seen_by_origin.iter())
-                    .map(|(origin, cells)| (*origin, named_cells(&uss.ledger.users, cells)))
+                    .map(|(origin, cells)| (*origin, named_cells(&uss.ledger.users, cells.iter())))
                     .collect(),
             };
             assert!(!owned.local_cells.is_empty() && !owned.peers.is_empty());

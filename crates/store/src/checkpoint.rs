@@ -88,9 +88,10 @@ impl Default for CheckpointState {
 
 /// A checkpoint whose bulk — the local cells and the origin mirrors — is
 /// written from the rows where they lie, each under its name: the id-keyed
-/// rows of a site's stores ([`NamedCells::from_store`]), or the rows of an
-/// owned state ([`CheckpointState::view`]). Cutting one copies no cell. The
-/// encoder's only input; `head`'s own two bulk fields are never read.
+/// rows of a site's histogram and mirrors ([`NamedCells::from_rows`]), or
+/// the rows of an owned state ([`CheckpointState::view`]). Cutting one
+/// copies no cell. The encoder's only input; `head`'s own two bulk fields
+/// are never read.
 #[derive(Debug)]
 pub struct CheckpointView<'a> {
     /// Every field but the bulk.
