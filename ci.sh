@@ -100,7 +100,7 @@ fi
 for f in crates/core/src/codec.rs crates/services/src/message.rs \
   crates/store/src/records.rs crates/store/src/checkpoint.rs crates/store/src/wal.rs \
   crates/services/src/ums.rs crates/services/src/uss.rs crates/services/src/uss/*.rs \
-  crates/services/src/site.rs crates/workload/src/trace.rs \
+  crates/services/src/site.rs crates/services/src/tracer.rs crates/workload/src/trace.rs \
   crates/sim/src/barrier.rs crates/sim/src/shard.rs crates/sim/src/event.rs \
   crates/core/src/usage.rs crates/services/src/health.rs \
   crates/telemetry/src/registry.rs crates/telemetry/src/lib.rs crates/telemetry/src/span.rs \
@@ -145,7 +145,10 @@ done
 # the store's durable cell-encoding constant and the frame's tag-to-encoding
 # reader (one wire format; a frame's tag is the one it writes), and the FCS's
 # `Translation` between layout and site ids with its two re-mappers (one id
-# space per site: a replaced policy's layout is keyed by the site's table) — and no
+# space per site: a replaced policy's layout is keyed by the site's table),
+# and the telemetry handle's pipeline-tracer lock, in-flight atomic and
+# `trace_*` forwarders with the lib's per-query name lookup for it (the
+# tracer is a field of the site, keyed by the site's ids) — and no
 # tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -161,7 +164,8 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'worker_loop' -e 'WorkerOut' -e 'SiteFragments' \
   -e 'catchup_pending' -e 'PeerTx' -e 'PeerRx' -e 'encoded_size' -e 'CellRow' \
   -e 'CELL_ENCODING' -e 'from_tag' -e 'Translation' -e 'by_layout_id' \
-  -e 'marked_by_layout_id' \
+  -e 'marked_by_layout_id' -e 'tracer_active' -e 'with_tracer' -e 'traces_active' \
+  -e 'trace_ums_refresh' -e 'trace_fcs_refresh' -e 'trace_lib_query' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2
@@ -187,9 +191,9 @@ fi
 # One user table from the wire to the factor: the name-keyed structures the
 # `UserTable` and the policy layout replaced are named nowhere, and between
 # the edges nothing is keyed by name — the non-test code of the tree, the
-# table, the UMS, the FCS, the RMS plugin and the sampler holds a
-# `BTreeMap<GridUser, _>` only in the signatures of the by-name entry and
-# the report accessors DESIGN.md's id contract lists
+# table, the UMS, the FCS, the pipeline tracer, the RMS plugin and the
+# sampler holds a `BTreeMap<GridUser, _>` only in the signatures of the
+# by-name entry and the report accessors DESIGN.md's id contract lists
 # (`FairshareTree::{compute, by_user}`, `Fcs::factors`).
 if git grep -n -e 'UserIndex' -e 'PendingUsers' -e 'users_by_id' -e 'user_paths' \
   -- '*.rs' DESIGN.md; then
@@ -197,7 +201,8 @@ if git grep -n -e 'UserIndex' -e 'PendingUsers' -e 'users_by_id' -e 'user_paths'
   exit 1
 fi
 for f in crates/core/src/fairshare.rs crates/core/src/arena.rs crates/services/src/ums.rs \
-  crates/services/src/fcs.rs crates/rms/src/plugin.rs crates/sim/src/shard.rs; do
+  crates/services/src/fcs.rs crates/services/src/tracer.rs crates/rms/src/plugin.rs \
+  crates/sim/src/shard.rs; do
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -v -e '^ *//' \
     -e 'usage_by_user: &BTreeMap<GridUser, f64>,' -e 'pub fn by_user(' -e 'pub fn factors(' |
     grep -n -e 'BTreeMap<GridUser' -e 'BTreeSet<GridUser'; then

@@ -35,6 +35,7 @@ pub mod pds;
 pub mod reliability;
 pub mod site;
 pub mod timings;
+mod tracer;
 pub mod ums;
 pub mod uss;
 

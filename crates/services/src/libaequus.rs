@@ -133,7 +133,6 @@ impl LibAequus {
             if self.degraded || now_s - at < self.fairshare_ttl_s {
                 self.fairshare_stats.hits += 1;
                 self.metrics.fs_hits.inc();
-                self.trace_lib_query(fcs, id, at, now_s);
                 return value;
             }
         }
@@ -151,20 +150,15 @@ impl LibAequus {
             self.fairshare_stats.evictions += 1;
             self.metrics.fs_evictions.inc();
         }
-        self.trace_lib_query(fcs, id, now_s, now_s);
         value
     }
 
-    /// Pipeline-tracer hook: the user-name lookup only happens while a
-    /// trace is actually in flight, keeping the hot path free of it.
-    fn trace_lib_query(&self, fcs: &Fcs, id: UserId, served_fetch_s: f64, now_s: f64) {
-        if self.metrics.telemetry.traces_active() > 0 {
-            if let Some(user) = fcs.user_of(id) {
-                self.metrics
-                    .telemetry
-                    .trace_lib_query(user.as_str(), served_fetch_s, now_s);
-            }
-        }
+    /// When the cached fairshare value of `id` was fetched from the FCS —
+    /// after [`get_fairshare`](Self::get_fairshare), the fetch the value it
+    /// served came from.
+    pub fn fetched_at(&self, id: UserId) -> Option<f64> {
+        let entry = self.fairshare_cache.get(id.index()).copied().flatten();
+        entry.map(|(_, at)| at)
     }
 
     /// Resolve a system account to its grid identity via the IRS, with

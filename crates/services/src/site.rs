@@ -11,6 +11,7 @@ use crate::participation::ParticipationMode;
 use crate::pds::Pds;
 use crate::reliability::{RetryPolicy, StalePolicy};
 use crate::timings::ServiceTimings;
+use crate::tracer::PipelineTracer;
 use crate::ums::Ums;
 use crate::uss::Uss;
 use aequus_core::fairshare::FairshareConfig;
@@ -54,6 +55,10 @@ pub struct AequusSite {
     serving_trace: Option<TraceCtx>,
     /// Site-wide telemetry domain (disabled by default).
     telemetry: Telemetry,
+    /// The §IV-A-2 pipeline-delay tracer, recording into `telemetry` while
+    /// it is enabled. A crash leaves it be: it times the pipeline from
+    /// outside, as the RMS-side spool does.
+    tracer: Option<PipelineTracer>,
     /// Durable per-site store (WAL + checkpoints), when enabled. The
     /// backing [`MemStorage`] plays the disk: it survives a simulated
     /// crash inside the store even though the services' state is wiped.
@@ -99,6 +104,7 @@ impl AequusSite {
             serving_trace: None,
             timings,
             telemetry: Telemetry::disabled(),
+            tracer: None,
             store: None,
             store_stats_base: StoreStats::default(),
             store_salt: 0,
@@ -147,9 +153,11 @@ impl AequusSite {
     }
 
     /// Wire the whole site — every service plus the client library — into
-    /// one telemetry domain. Pass [`Telemetry::disabled`] to detach.
+    /// one telemetry domain, with a fresh pipeline-delay tracer registered
+    /// in it when it is enabled. Pass [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
         self.telemetry = t.clone();
+        self.tracer = t.is_enabled().then(|| PipelineTracer::new(t));
         self.pds.set_telemetry(t);
         self.uss.set_telemetry(t);
         self.ums.set_telemetry(t);
@@ -187,6 +195,12 @@ impl AequusSite {
     /// (libaequus cache → FCS precomputed values).
     pub fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
         let value = self.lib.get_fairshare(&self.fcs, id, now_s);
+        // Tracer stage III, for an id a leaf of the current tree accounts for.
+        if let Some(tracer) = self.tracer.as_mut().filter(|t| !t.is_idle()) {
+            if let (Some(_), Some(fetched_s)) = (self.fcs.user_of(id), self.lib.fetched_at(id)) {
+                tracer.on_lib_query(id, fetched_s, now_s);
+            }
+        }
         if self.serving_trace.is_some() {
             self.trace_query(id, value, now_s);
         }
@@ -229,8 +243,9 @@ impl AequusSite {
     /// RMS-facing: report a completed job's usage. The record reaches the
     /// USS only after the configured reporting delay (stage I of §IV-A-2).
     pub fn report_completion(&mut self, record: UsageRecord, now_s: f64) {
-        self.telemetry
-            .trace_report(record.job.0, record.user.as_str(), now_s);
+        if let Some(tracer) = &mut self.tracer {
+            tracer.on_report(record.job.0, now_s);
+        }
         let ctx = self.telemetry.start_trace("rms.report", now_s, || {
             format!("job {} user {}", record.job.0, record.user)
         });
@@ -376,7 +391,9 @@ impl AequusSite {
         let replayed = recovered.records.len();
         for (_lsn, rec) in &recovered.records {
             match rec {
-                WalRecord::Usage(u) => self.uss.replay_ingest(u),
+                WalRecord::Usage(u) => {
+                    self.uss.replay_ingest(u);
+                }
                 WalRecord::PeerData { summary, snapshot } => {
                     self.uss.replay_peer_data(summary, *snapshot)
                 }
@@ -411,11 +428,13 @@ impl AequusSite {
             let Some((_, rec, ctx)) = self.pending_reports.pop_front() else {
                 break;
             };
-            self.uss.ingest(&rec);
+            let user = self.uss.ingest(&rec);
             self.journal(|| WalRecord::Usage(rec.clone()), now_s);
             let end_slot = (rec.end_s / self.uss.slot_duration()).floor().max(0.0) as u64;
-            self.telemetry.trace_ingest(rec.job.0, end_slot, now_s);
             let job = rec.job.0;
+            if let Some(tracer) = &mut self.tracer {
+                tracer.on_ingest(job, user, end_slot, now_s);
+            }
             if let Some(ingest_ctx) = self.telemetry.child_span(ctx, "uss.ingest", now_s, || {
                 format!("job {job} ingested into slot {end_slot}")
             }) {
@@ -426,10 +445,14 @@ impl AequusSite {
         if now_s - self.last_publish_s >= self.timings.uss_publish_interval_s {
             if let Some(summary) = self.uss.publish(now_s) {
                 self.journal(|| WalRecord::Publish { seq: summary.seq }, now_s);
-                if self.telemetry.traces_active() > 0 {
-                    let users: Vec<&str> = summary.per_user.keys().map(GridUser::as_str).collect();
+                if let Some(tracer) = self.tracer.as_mut().filter(|t| !t.is_idle()) {
+                    let users = self.uss.users();
+                    let mut ids: Vec<UserId> = (summary.per_user.keys())
+                        .filter_map(|u| users.id_of(u))
+                        .collect();
+                    ids.sort_unstable();
                     let current_slot = (now_s / self.uss.slot_duration()).floor().max(0.0) as u64;
-                    self.telemetry.trace_publish(&users, current_slot, now_s);
+                    tracer.on_publish(&ids, current_slot, now_s);
                 }
             }
             self.last_publish_s = now_s;
@@ -441,7 +464,9 @@ impl AequusSite {
         // flow USS → UMS → FCS drains here. Only *actual* refreshes mark
         // tracer visibility (a cache-valid no-op reveals nothing new).
         if self.ums.refresh(&mut self.uss, now_s) {
-            self.telemetry.trace_ums_refresh(now_s);
+            if let Some(tracer) = &mut self.tracer {
+                tracer.on_ums_refresh(now_s);
+            }
             let pipe = self.uss.take_pipeline_trace();
             let site_id = self.id.0;
             self.refresh_trace = self
@@ -453,7 +478,9 @@ impl AequusSite {
         }
         let users = self.uss.users_mut();
         if self.fcs.refresh(&mut self.pds, &mut self.ums, users, now_s) {
-            self.telemetry.trace_fcs_refresh(now_s);
+            if let Some(tracer) = &mut self.tracer {
+                tracer.on_fcs_refresh(now_s);
+            }
             if let Some(rt) = self.refresh_trace.take() {
                 let fcs = &self.fcs;
                 self.serving_trace =
@@ -890,6 +917,58 @@ mod tests {
                 .unwrap_or(0.0)
                 > 0.0
         );
+    }
+
+    /// The six `aequus_tracer_*` histograms' counts, in pipeline order
+    /// (report, publish, UMS, FCS, lib, end to end), and the completed count.
+    fn tracer_counts(t: &Telemetry) -> ([u64; 6], u64) {
+        let snap = t.snapshot().unwrap();
+        let stages = ["report_delay", "publish_delay", "ums_delay", "fcs_delay"];
+        let names = stages.into_iter().chain(["lib_delay", "end_to_end"]);
+        let counts: Vec<u64> = names
+            .map(|n| snap.histograms[&format!("aequus_tracer_{n}_s")].count)
+            .collect();
+        let completed = snap.counters["aequus_tracer_completed_total"];
+        (counts.try_into().unwrap(), completed)
+    }
+
+    /// The tracer times the pipeline from outside the services: a record
+    /// reported before a crash, spooled through it, completes its chain
+    /// once the site is back.
+    #[test]
+    fn a_trace_reported_before_a_crash_completes_after_recovery() {
+        let mut s = site(0, ParticipationMode::Full);
+        let t = Telemetry::enabled();
+        s.set_telemetry(&t);
+        let a = s.intern_user(&GridUser::new("a"));
+        s.report_completion(record(0, "a", 0.0, 100.0), 100.0);
+        s.crash(102.0);
+        s.recover(110.0);
+        for now in [110.0, 120.0] {
+            s.tick(now);
+            s.fairshare_factor(a, now);
+        }
+        assert_eq!(tracer_counts(&t), ([1; 6], 1));
+        let e2e = t.snapshot().unwrap().histograms["aequus_tracer_end_to_end_s"];
+        assert_eq!(e2e.max, 10.0, "ingested, refreshed and served at 110");
+    }
+
+    /// A user outside the policy, interned at submit, is charged, published
+    /// and refreshed like any other — but no leaf of the tree serves it a
+    /// factor, so its records never complete the lib stage, however often
+    /// it is queried.
+    #[test]
+    fn an_outside_users_trace_stops_before_the_lib_stage() {
+        let mut s = site(0, ParticipationMode::Full);
+        let t = Telemetry::enabled();
+        s.set_telemetry(&t);
+        let c = s.intern_user(&GridUser::new("c"));
+        s.report_completion(record(0, "c", 0.0, 100.0), 100.0);
+        for now in [105.0, 120.0, 130.0, 140.0] {
+            s.tick(now);
+            assert_eq!(s.fairshare_factor(c, now), 0.5, "the neutral factor");
+        }
+        assert_eq!(tracer_counts(&t), ([1, 1, 1, 1, 0, 0], 0));
     }
 
     #[test]

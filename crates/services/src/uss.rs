@@ -674,12 +674,14 @@ impl Uss {
         self.cfg.mode.contributes() || self.cfg.forwarding
     }
 
-    /// Ingest a locally completed job's usage record.
-    pub fn ingest(&mut self, rec: &UsageRecord) {
+    /// Ingest a locally completed job's usage record; returns the id its
+    /// user has in the site's user table.
+    pub fn ingest(&mut self, rec: &UsageRecord) -> UserId {
         let _span = self.metrics.h_ingest.start_timer();
         debug_assert_eq!(rec.site, self.cfg.site, "record routed to wrong site");
-        self.replay_ingest(rec);
+        let user = self.replay_ingest(rec);
         self.counts.add(Count::Ingested, None, 1);
+        user
     }
 
     /// Diff the users pending relay against what this node has already
@@ -1157,8 +1159,9 @@ impl Uss {
 
     /// Re-apply a journaled local usage record during store recovery:
     /// [`Uss::ingest`] minus telemetry — the original ingest already
-    /// counted, and replay must not inflate the monotone series.
-    pub fn replay_ingest(&mut self, rec: &UsageRecord) {
+    /// counted, and replay must not inflate the monotone series. Returns
+    /// the same id.
+    pub fn replay_ingest(&mut self, rec: &UsageRecord) -> UserId {
         let user = self.ledger.users.intern(&rec.user);
         if let Some(first_slot) = self.ledger.local.record(user, rec) {
             note_pending(&mut self.vol.dirty, user, first_slot);
@@ -1168,6 +1171,7 @@ impl Uss {
             }
         }
         self.ledger.records_ingested += 1;
+        user
     }
 
     /// Re-apply journaled peer exchange data during store recovery: the

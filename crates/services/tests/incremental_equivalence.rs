@@ -635,7 +635,9 @@ fn run_against_names(shape: u8, exponential: bool, ops: &[(u8, u8, f64)]) -> Res
                 };
                 met.insert(rec.user.clone());
                 oracle.ingest(&rec);
-                sites.iter_mut().for_each(|site| site.uss.ingest(&rec));
+                for site in &mut sites {
+                    site.uss.ingest(&rec);
+                }
             }
             2 | 3 => {
                 // Absolute cumulative cells: a cell only ever grows, and a

@@ -306,7 +306,9 @@ impl World {
         }
         for entry in journal {
             match entry {
-                Journaled::Usage(rec) => uss.replay_ingest(rec),
+                Journaled::Usage(rec) => {
+                    uss.replay_ingest(rec);
+                }
                 Journaled::PeerData(summary, snapshot) => uss.replay_peer_data(summary, *snapshot),
                 Journaled::Publish(seq) => uss.replay_publish_seq(*seq),
             }

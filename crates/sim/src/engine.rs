@@ -372,7 +372,7 @@ impl GridSimulation {
                 for (k, (name, target)) in tracked.iter().enumerate() {
                     let achieved = sample.users.get(name).map_or(0.0, |u| u.usage_share);
                     values[k] = (achieved - target).abs();
-                    values[n + k] = starvation.age(name, achieved, *target, slo_starv_frac, now);
+                    values[n + k] = starvation.age(k, achieved, *target, slo_starv_frac, now);
                 }
                 values[2 * n] = sample.usage_view_divergence;
                 // Convergence lag: how long the views have continuously

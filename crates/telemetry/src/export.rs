@@ -354,7 +354,7 @@ mod tests {
         let r = Registry::new();
         r.counter("aequus_uss_records_ingested_total").add(42);
         r.counter("aequus_fcs_queries_total").add(7);
-        r.gauge("aequus_tracer_active").set(3.0);
+        r.gauge("aequus_uss_peer_staleness_s").set(3.0);
         let h = r.histogram("aequus_fcs_refresh_full_s");
         h.record(0.5);
         h.record(1.5);

@@ -7,10 +7,9 @@
 //! * **metrics** — on with the handle ([`Telemetry::enabled`]): a lock-free
 //!   [`Registry`] of named counters, gauges and log-bucketed histograms,
 //!   snapshot-able at any time and exportable as Prometheus text or JSON
-//!   ([`export`]); the last 256 notable events (cache evictions, forced
-//!   full rebuilds, gossip merges); and the **pipeline-delay tracer** (the
-//!   `trace_*` methods, reporting into the `aequus_tracer_*` histograms)
-//!   measuring the empirical §IV-A-2 usage-to-fairshare delay per stage;
+//!   ([`export`]), and the last 256 notable events (cache evictions, forced
+//!   full rebuilds, gossip merges). A site's pipeline-delay tracer records
+//!   into its handle's `aequus_tracer_*` series;
 //! * **tracing** — [`Telemetry::traced`]: every usage report roots a causal
 //!   trace whose [`TraceCtx`] rides the whole
 //!   report→gossip→refresh→query pipeline across sites ([`span`]), and the
@@ -46,7 +45,6 @@ mod ring;
 pub mod slo;
 pub mod span;
 pub mod stage;
-mod tracer;
 
 pub use events::TelemetryEvent;
 pub use hist::{Histogram, HistogramSnapshot, SpanTimer};
@@ -57,9 +55,7 @@ pub use slo::{AlertEvent, SloConfig, SloEngine, SloRule};
 pub use span::{SpanRecord, SpanTree, TraceCtx};
 
 use provenance::ProvenanceRecord;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use tracer::PipelineTracer;
 
 /// What a telemetry domain retains of its recent past, behind one lock.
 #[derive(Debug)]
@@ -75,10 +71,6 @@ struct Records {
 struct Inner {
     registry: Registry,
     records: Mutex<Records>,
-    tracer: Mutex<PipelineTracer>,
-    /// Number of in-flight traces; lets the per-query `trace_*` fast paths
-    /// skip the tracer mutex entirely while nothing is being traced.
-    tracer_active: AtomicU64,
     /// The site whose usage reports root causal traces here and whose
     /// served decisions are captured; `None` while tracing is off.
     traced_site: Option<u32>,
@@ -89,10 +81,10 @@ struct Inner {
 }
 
 impl Inner {
-    /// The records, taken over if a panic poisoned their lock (as is the
-    /// tracer's): a panic under either lock leaves at most one record or
-    /// trace half-written — diagnostics, never accounting — and every
-    /// reader tolerates that, so it is no reason for a second panic.
+    /// The records, taken over if a panic poisoned their lock: a panic
+    /// under it leaves at most one record half-written — diagnostics, never
+    /// accounting — and every reader tolerates that, so it is no reason for
+    /// a second panic.
     fn records(&self) -> MutexGuard<'_, Records> {
         self.records.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -140,8 +132,7 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// An enabled handle with tracing off: metrics, events and the
-    /// pipeline-delay tracer.
+    /// An enabled handle with tracing off: metrics and events.
     pub fn enabled() -> Self {
         Self::new(None)
     }
@@ -155,7 +146,6 @@ impl Telemetry {
 
     fn new(traced_site: Option<u32>) -> Self {
         let registry = Registry::new();
-        let tracer = PipelineTracer::new(&registry);
         let c_traces = registry.counter("aequus_spans_traces_total");
         let c_spans = registry.counter("aequus_spans_recorded_total");
         let c_provenance = registry.counter("aequus_provenance_captured_total");
@@ -168,14 +158,17 @@ impl Telemetry {
                     provenance: Ring::new(span::STORE_CAP),
                     span_seq: 0,
                 }),
-                tracer: Mutex::new(tracer),
-                tracer_active: AtomicU64::new(0),
                 traced_site,
                 c_traces,
                 c_spans,
                 c_provenance,
             })),
         }
+    }
+
+    /// Whether the handle records anything (a disabled one records nothing).
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
     }
 
     /// Get or create the counter `name` (a disabled handle on a disabled
@@ -231,74 +224,6 @@ impl Telemetry {
             snap.events_dropped = records.events.dropped();
             snap
         })
-    }
-
-    fn with_tracer(&self, f: impl FnOnce(&mut PipelineTracer)) {
-        if let Some(i) = &self.inner {
-            let mut tracer = i.tracer.lock().unwrap_or_else(PoisonError::into_inner);
-            f(&mut tracer);
-            i.tracer_active
-                .store(tracer.active_count() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Tracer stage 0: the RMS reported job `job` of `user` at `now_s`.
-    pub fn trace_report(&self, job: u64, user: &str, now_s: f64) {
-        self.with_tracer(|t| {
-            t.on_report(job, user, now_s);
-        });
-    }
-
-    /// Tracer stage I: job `job`'s record was ingested by the USS; its
-    /// charge ends in histogram slot `end_slot`.
-    pub fn trace_ingest(&self, job: u64, end_slot: u64, now_s: f64) {
-        if self.traces_active() == 0 {
-            return;
-        }
-        self.with_tracer(|t| t.on_ingest(job, end_slot, now_s));
-    }
-
-    /// Tracer stage II-a: the USS published a summary for `users` — in
-    /// ascending order, as a summary's user map yields them — while in
-    /// slot `current_slot`.
-    pub fn trace_publish(&self, users: &[&str], current_slot: u64, now_s: f64) {
-        if self.traces_active() == 0 {
-            return;
-        }
-        self.with_tracer(|t| t.on_publish(users, current_slot, now_s));
-    }
-
-    /// Tracer stage II-b: a UMS refresh actually ran at `now_s`.
-    pub fn trace_ums_refresh(&self, now_s: f64) {
-        if self.traces_active() == 0 {
-            return;
-        }
-        self.with_tracer(|t| t.on_ums_refresh(now_s));
-    }
-
-    /// Tracer stage II-c: an FCS refresh actually ran at `now_s`.
-    pub fn trace_fcs_refresh(&self, now_s: f64) {
-        if self.traces_active() == 0 {
-            return;
-        }
-        self.with_tracer(|t| t.on_fcs_refresh(now_s));
-    }
-
-    /// Tracer stage III: a libaequus query for `user` was answered with a
-    /// value fetched from the FCS at `served_fetch_s`.
-    pub fn trace_lib_query(&self, user: &str, served_fetch_s: f64, now_s: f64) {
-        if self.traces_active() == 0 {
-            return;
-        }
-        self.with_tracer(|t| t.on_lib_query(user, served_fetch_s, now_s));
-    }
-
-    /// Number of traces currently in flight (`0` when disabled). The
-    /// per-query tracer hooks read it to skip the tracer mutex.
-    pub fn traces_active(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.tracer_active.load(Ordering::Relaxed))
     }
 
     // --- Causal spans and decision provenance (tracing) ---
@@ -387,11 +312,8 @@ mod tests {
         t.gauge("g").set(1.0);
         t.histogram("h").record(1.0);
         t.event(0.0, "x", || unreachable!("detail closure must not run"));
-        t.trace_report(1, "u", 0.0);
-        t.trace_ingest(1, 0, 1.0);
-        assert!(t.snapshot().is_none());
+        assert!(!t.is_enabled() && t.snapshot().is_none());
         assert!(t.recent_events().is_empty());
-        assert_eq!(t.traces_active(), 0);
     }
 
     #[test]
@@ -414,23 +336,6 @@ mod tests {
         t.counter("shared").inc();
         u.counter("shared").inc();
         assert_eq!(t.snapshot().unwrap().counters["shared"], 2);
-    }
-
-    #[test]
-    fn trace_chain_through_the_facade() {
-        let t = Telemetry::enabled();
-        t.trace_report(7, "alice", 100.0); // the first report is always sampled
-        assert_eq!(t.traces_active(), 1);
-        t.trace_ingest(7, 1, 110.0);
-        t.trace_ums_refresh(160.0);
-        t.trace_fcs_refresh(170.0);
-        t.trace_lib_query("alice", 175.0, 180.0);
-        t.trace_publish(&["alice"], 2, 190.0);
-        assert_eq!(t.traces_active(), 0, "finished trace retired");
-        let snap = t.snapshot().unwrap();
-        assert_eq!(snap.histograms["aequus_tracer_end_to_end_s"].count, 1);
-        assert_eq!(snap.histograms["aequus_tracer_end_to_end_s"].max, 80.0);
-        assert_eq!(snap.counters["aequus_tracer_completed_total"], 1);
     }
 
     #[test]
@@ -509,15 +414,5 @@ mod tests {
         assert_eq!(snap.events_dropped, 1);
         let back = export::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap, "events survive the JSON round-trip");
-    }
-
-    #[test]
-    fn idle_fast_path_skips_marking() {
-        let t = Telemetry::enabled();
-        // No trace in flight: stage marks are cheap no-ops.
-        t.trace_ums_refresh(10.0);
-        t.trace_lib_query("nobody", 0.0, 10.0);
-        let snap = t.snapshot().unwrap();
-        assert_eq!(snap.histograms["aequus_tracer_ums_delay_s"].count, 0);
     }
 }

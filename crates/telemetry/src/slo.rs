@@ -33,7 +33,7 @@
 //!   the observed usage, which is a property of an empty grid, not a
 //!   fairness breach.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Thresholds and burn-rate windows for the SLO engine. Fields set to `0.0`
 /// where a comment says *auto* are resolved by the caller from the
@@ -314,31 +314,28 @@ impl SloEngine {
 }
 
 /// Per-user starvation clock: turns the share-below-line condition into an
-/// *age* signal the burn-rate engine can threshold. Deterministic — pure
-/// sim-time bookkeeping.
+/// *age* signal the burn-rate engine can threshold. Users are tracked by
+/// their position in the caller's fixed list. Deterministic — pure sim-time
+/// bookkeeping.
 #[derive(Debug, Default)]
 pub struct StarvationClock {
-    below_since: BTreeMap<String, f64>,
+    below_since: Vec<Option<f64>>,
 }
 
 impl StarvationClock {
-    /// Observe `user`'s achieved share vs their target at `now_s`; returns
-    /// the accrued starvation age (0 while at or above
+    /// Observe the achieved share vs the target of tracked user `user` at
+    /// `now_s`; returns the accrued starvation age (0 while at or above
     /// `frac · target`, or when the target is zero).
-    pub fn age(&mut self, user: &str, achieved: f64, target: f64, frac: f64, now_s: f64) -> f64 {
+    pub fn age(&mut self, user: usize, achieved: f64, target: f64, frac: f64, now_s: f64) -> f64 {
+        if self.below_since.len() <= user {
+            self.below_since.resize(user + 1, None);
+        }
+        let since = &mut self.below_since[user];
         if target <= 0.0 || achieved >= frac * target {
-            self.below_since.remove(user);
+            *since = None;
             return 0.0;
         }
-        match self.below_since.get(user) {
-            Some(&since) => now_s - since,
-            None => {
-                // Allocate the key only on the healthy→starving edge, not
-                // every sample.
-                self.below_since.insert(user.to_string(), now_s);
-                0.0
-            }
-        }
+        now_s - *since.get_or_insert(now_s)
     }
 }
 
@@ -451,14 +448,14 @@ mod tests {
     #[test]
     fn starvation_clock_accrues_and_resets() {
         let mut c = StarvationClock::default();
-        assert_eq!(c.age("u", 0.5, 0.4, 0.25, 0.0), 0.0);
-        assert_eq!(c.age("u", 0.01, 0.4, 0.25, 100.0), 0.0);
-        assert_eq!(c.age("u", 0.01, 0.4, 0.25, 400.0), 300.0);
-        assert_eq!(c.age("u", 0.2, 0.4, 0.25, 500.0), 0.0, "recovered");
-        assert_eq!(c.age("u", 0.01, 0.4, 0.25, 600.0), 0.0, "episode restarts");
-        assert_eq!(c.age("u", 0.01, 0.4, 0.25, 700.0), 100.0);
-        assert_eq!(c.age("z", 0.0, 0.0, 0.25, 900.0), 0.0, "zero target");
-        assert_eq!(c.age("z", 0.0, 0.0, 0.25, 1e9), 0.0, "…never starves");
+        assert_eq!(c.age(0, 0.5, 0.4, 0.25, 0.0), 0.0);
+        assert_eq!(c.age(0, 0.01, 0.4, 0.25, 100.0), 0.0);
+        assert_eq!(c.age(0, 0.01, 0.4, 0.25, 400.0), 300.0);
+        assert_eq!(c.age(0, 0.2, 0.4, 0.25, 500.0), 0.0, "recovered");
+        assert_eq!(c.age(0, 0.01, 0.4, 0.25, 600.0), 0.0, "episode restarts");
+        assert_eq!(c.age(0, 0.01, 0.4, 0.25, 700.0), 100.0);
+        assert_eq!(c.age(1, 0.0, 0.0, 0.25, 900.0), 0.0, "zero target");
+        assert_eq!(c.age(1, 0.0, 0.0, 0.25, 1e9), 0.0, "…never starves");
     }
 
     /// The clock's age against a `starvation:` rule: a user under the line
@@ -477,7 +474,7 @@ mod tests {
         );
         // Target 0.4, line at 0.5 · 0.4 = 0.2.
         let mut step = |achieved: f64, t: f64| {
-            let age = clock.age("u", achieved, 0.4, 0.5, t);
+            let age = clock.age(0, achieved, 0.4, 0.5, t);
             (age, e.observe(t, &[age]))
         };
         assert!(step(0.1, 0.0).1.is_empty());
