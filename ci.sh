@@ -148,8 +148,10 @@ done
 # space per site: a replaced policy's layout is keyed by the site's table),
 # and the telemetry handle's pipeline-tracer lock, in-flight atomic and
 # `trace_*` forwarders with the lib's per-query name lookup for it (the
-# tracer is a field of the site, keyed by the site's ids) — and no
-# tracked source, manifest, doc or script names them again; nor does the RMS
+# tracer is a field of the site, keyed by the site's ids), and the store's
+# file backend with the `Storage` trait and the two error types only it
+# could raise (the store writes one in-memory disk, and none of its calls
+# can fail) — and no tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
 # `take_outbox`
@@ -166,6 +168,7 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'CELL_ENCODING' -e 'from_tag' -e 'Translation' -e 'by_layout_id' \
   -e 'marked_by_layout_id' -e 'tracer_active' -e 'with_tracer' -e 'traces_active' \
   -e 'trace_ums_refresh' -e 'trace_fcs_refresh' -e 'trace_lib_query' \
+  -e 'FileStorage' -e 'StorageError' -e 'StoreError' -e 'dyn Storage' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2

@@ -335,11 +335,13 @@ fn in_process(
 }
 
 /// Run experiment `name` as a fresh `aequus-bench name argv…` process and
-/// collect its gate rows. `check` isolates its steps this way because the
-/// three wall-clock overhead gates read differently after earlier
-/// experiments have churned the heap of a shared process (the `health`
-/// ratio's median moved 1.042 → 1.049 against a 1.05 budget); each step
-/// measures what its stand-alone run measures.
+/// collect its gate rows. `check` isolates its steps this way because
+/// wall-clock gates read differently after earlier experiments have churned
+/// the heap of a shared process (a ratio gate's median once moved 1.042 →
+/// 1.049 against a 1.05 budget); each step measures what its stand-alone
+/// run measures. Two ratio gates are left, `telemetry_overhead`'s
+/// `metrics-only` and `tracing-full-capture`; `profiler_overhead` and
+/// `health` gate an operation count times a unit cost.
 fn isolated(name: &str, argv: &[String], gates: &mut Gates) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate aequus-bench: {e}"))?;
     let child = std::process::Command::new(exe)

@@ -1,6 +1,8 @@
 //! The gossip health map: per-link observations merged into a run-level
 //! [`HealthReport`].
 
+use aequus_telemetry::json::json_f64;
+
 /// One per-sample health row for a directed overlay link, as observed by
 /// *one* endpoint's shard: the sender's reports [`LinkSide::Tx`], the
 /// receiver's [`LinkSide::Rx`], and the [`HealthMap`] merges both under the
@@ -232,10 +234,6 @@ pub struct HealthReport {
     pub staleness_p99_s: f64,
 }
 
-fn jnum(v: f64) -> String {
-    format!("{v:?}")
-}
-
 impl HealthReport {
     /// The per-link row for `from -> to`, if the link exists.
     pub fn link(&self, from: u32, to: u32) -> Option<&LinkReport> {
@@ -267,15 +265,15 @@ impl HealthReport {
                 l.from,
                 l.to,
                 l.depth,
-                jnum(l.staleness_p50_s),
-                jnum(l.staleness_p99_s),
-                jnum(l.staleness_max_s),
+                json_f64(l.staleness_p50_s),
+                json_f64(l.staleness_p99_s),
+                json_f64(l.staleness_max_s),
                 l.outbox_max,
                 l.bytes,
                 l.msgs,
                 l.retries,
                 l.snapshots,
-                jnum(l.heard_age_max_s),
+                json_f64(l.heard_age_max_s),
                 l.gaps,
                 l.resyncs,
             ));
@@ -290,15 +288,15 @@ impl HealthReport {
                  \"retries\":{},\"convergence_lag_s\":{}}}",
                 d.depth,
                 d.links,
-                jnum(d.staleness_p99_s),
+                json_f64(d.staleness_p99_s),
                 d.bytes,
                 d.retries,
-                jnum(d.convergence_lag_s),
+                json_f64(d.convergence_lag_s),
             ));
         }
         out.push_str(&format!(
             "],\"staleness_p99_s\":{}}}",
-            jnum(self.staleness_p99_s)
+            json_f64(self.staleness_p99_s)
         ));
         out
     }
@@ -369,6 +367,31 @@ mod tests {
             depth: 1,
             side,
         }
+    }
+
+    /// A non-finite field renders as JSON the telemetry reader accepts (the
+    /// quoted name it reads back), never as a bare `inf`.
+    #[test]
+    fn a_non_finite_field_is_still_json() {
+        use aequus_telemetry::json::JsonValue;
+        let mut map = HealthMap::default();
+        map.observe(&tx(0, 1, 30.0, 1, (10, 1, 0)));
+        let mut report = map.finalize();
+        report.staleness_p99_s = f64::INFINITY;
+        report.links[0].heard_age_max_s = f64::NEG_INFINITY;
+        let parsed = JsonValue::parse(&report.to_json()).expect("valid JSON");
+        let global = parsed.get("staleness_p99_s").and_then(JsonValue::as_f64);
+        assert_eq!(global, Some(f64::INFINITY));
+        let link = &parsed
+            .get("links")
+            .and_then(JsonValue::as_array)
+            .expect("links")[0];
+        let heard = link.get("heard_age_max_s").and_then(JsonValue::as_f64);
+        assert_eq!(heard, Some(f64::NEG_INFINITY));
+        assert_eq!(
+            link.get("staleness_max_s").and_then(JsonValue::as_f64),
+            Some(30.0)
+        );
     }
 
     #[test]

@@ -112,18 +112,14 @@ impl AequusSite {
         }
     }
 
-    /// Attach a durable store over a fresh in-memory backend. Once enabled,
+    /// Attach a durable store over a fresh in-memory disk. Once enabled,
     /// ingested usage records, published sequence numbers, and absorbed peer
     /// summaries are journaled to the WAL; checkpoints are cut on the
     /// configured cadence; and a crash/recover cycle replays the store
     /// *before* falling back to anti-entropy catch-up for the delta.
     /// `seed` decorrelates the simulated torn-write junk across sites.
     pub fn enable_store(&mut self, cfg: StoreConfig, seed: u64) {
-        // `MemStorage` operations are infallible, so open cannot fail here;
-        // keep the site serving (without durability) if that ever changes.
-        let Ok((mut store, _recovered)) = SiteStore::open(Box::new(MemStorage::new()), cfg) else {
-            return;
-        };
+        let (mut store, _recovered) = SiteStore::open(MemStorage::new(), cfg);
         store.set_telemetry(&self.telemetry);
         self.store = Some(store);
         self.store_stats_base = StoreStats::default();
@@ -132,23 +128,18 @@ impl AequusSite {
     }
 
     /// Cumulative store health counters across all incarnations (crashes
-    /// re-open the store over the surviving backend), when enabled.
+    /// re-open the store over the surviving disk), when enabled.
     pub fn store_stats(&self) -> Option<StoreStats> {
         self.store
             .as_ref()
             .map(|s| StoreStats::across_restart(self.store_stats_base, s.stats()))
     }
 
-    /// Journal one record, reporting (never panicking on) store errors —
-    /// a failing disk degrades durability, not service. The record is built
-    /// only when a store is attached: a store-less site pays no clone.
-    fn journal(&mut self, rec: impl FnOnce() -> WalRecord, now_s: f64) {
-        let Some(store) = &mut self.store else {
-            return;
-        };
-        if let Err(e) = store.append(&rec()) {
-            self.telemetry
-                .event(now_s, "site.store_error", || format!("journal: {e}"));
+    /// Journal one record. The record is built only when a store is
+    /// attached: a store-less site pays no clone.
+    fn journal(&mut self, rec: impl FnOnce() -> WalRecord) {
+        if let Some(store) = &mut self.store {
+            store.append(&rec());
         }
     }
 
@@ -294,13 +285,10 @@ impl AequusSite {
         if let Some((summary, snapshot)) = data {
             // The delivered allocation itself: journaling copies no cell and
             // writes the publication's one encoding.
-            self.journal(
-                || WalRecord::PeerData {
-                    summary: Arc::clone(summary),
-                    snapshot,
-                },
-                now_s,
-            );
+            self.journal(|| WalRecord::PeerData {
+                summary: Arc::clone(summary),
+                snapshot,
+            });
         }
         self.uss.receive_message(msg, now_s)
     }
@@ -321,10 +309,7 @@ impl AequusSite {
                 .store_salt
                 .wrapping_mul(0x5851_F42D_4C95_7F2D)
                 .wrapping_add(0x1405_7B7E_F767_814F);
-            if let Err(e) = store.simulate_torn_write(self.store_salt) {
-                self.telemetry
-                    .event(now_s, "site.store_error", || format!("torn write: {e}"));
-            }
+            store.simulate_torn_write(self.store_salt);
             self.uss.crash_volatile();
         } else {
             self.uss.crash();
@@ -340,7 +325,7 @@ impl AequusSite {
     }
 
     /// Crash recovery. With a durable store attached, the store is re-opened
-    /// over the surviving backend first — replaying the WAL (truncating the
+    /// over the surviving disk first — replaying the WAL (truncating the
     /// torn tail, skipping corrupt frames), installing the best checkpoint,
     /// and re-applying every surviving record — so anti-entropy catch-up
     /// only has to cover the delta since the crash instead of full history.
@@ -370,17 +355,7 @@ impl AequusSite {
     fn recover_from_store(&mut self, store: SiteStore, now_s: f64) {
         self.store_stats_base = StoreStats::across_restart(self.store_stats_base, store.stats());
         let cfg = store.config();
-        let storage = store.into_storage();
-        let (mut store, recovered) = match SiteStore::open(storage, cfg) {
-            Ok(opened) => opened,
-            Err(e) => {
-                // An unrecoverable backend loses durability, not service:
-                // the site continues store-less on pure anti-entropy.
-                self.telemetry
-                    .event(now_s, "site.store_error", || format!("reopen: {e}"));
-                return;
-            }
-        };
+        let (mut store, recovered) = SiteStore::open(store.into_storage(), cfg);
         store.set_telemetry(&self.telemetry);
         if let Some(ckpt) = &recovered.checkpoint {
             if let Err(e) = self.uss.install_checkpoint(ckpt) {
@@ -429,7 +404,7 @@ impl AequusSite {
                 break;
             };
             let user = self.uss.ingest(&rec);
-            self.journal(|| WalRecord::Usage(rec.clone()), now_s);
+            self.journal(|| WalRecord::Usage(rec.clone()));
             let end_slot = (rec.end_s / self.uss.slot_duration()).floor().max(0.0) as u64;
             let job = rec.job.0;
             if let Some(tracer) = &mut self.tracer {
@@ -444,7 +419,7 @@ impl AequusSite {
         // Stage II-a: USS publication.
         if now_s - self.last_publish_s >= self.timings.uss_publish_interval_s {
             if let Some(summary) = self.uss.publish(now_s) {
-                self.journal(|| WalRecord::Publish { seq: summary.seq }, now_s);
+                self.journal(|| WalRecord::Publish { seq: summary.seq });
                 if let Some(tracer) = self.tracer.as_mut().filter(|t| !t.is_idle()) {
                     let users = self.uss.users();
                     let mut ids: Vec<UserId> = (summary.per_user.keys())
@@ -509,11 +484,7 @@ impl AequusSite {
             return;
         };
         let lsn = store.next_lsn().saturating_sub(1);
-        let view = self.uss.checkpoint_view(lsn, now_s);
-        if let Err(e) = store.checkpoint(&view) {
-            self.telemetry
-                .event(now_s, "site.store_error", || format!("checkpoint: {e}"));
-        }
+        store.checkpoint(&self.uss.checkpoint_view(lsn, now_s));
         self.last_checkpoint_s = now_s;
     }
 
@@ -798,7 +769,7 @@ mod tests {
         for name in segments {
             let bytes = storage.read(&name).expect("a listed segment");
             let mut at = 0;
-            while let FrameOutcome::Frame { payload, next, .. } = decode_frame(&bytes, at) {
+            while let FrameOutcome::Frame { payload, next, .. } = decode_frame(bytes, at) {
                 // The LSN, then the record: tag, snapshot flag, body.
                 if payload[8] == 2 {
                     bodies.push(payload[10..].to_vec());

@@ -11,9 +11,8 @@
 //! one checkpoint interval, never the ability to recover at all. Loading
 //! decodes both slots and picks the valid one with the highest LSN.
 
-use crate::storage::Storage;
+use crate::storage::MemStorage;
 use crate::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT};
-use crate::StoreError;
 use aequus_core::codec::{decode_cells, CodecError, NamedCells, Reader, Sink};
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UserCells;
@@ -209,13 +208,13 @@ impl CheckpointState {
 /// Load the best available checkpoint: both slots are decoded and the
 /// valid one with the highest LSN wins. Returns the state, the slot index
 /// it came from, and its on-disk size.
-pub fn load_best(storage: &dyn Storage) -> Option<(CheckpointState, usize, u64)> {
+pub fn load_best(storage: &MemStorage) -> Option<(CheckpointState, usize, u64)> {
     let mut best: Option<(CheckpointState, usize, u64)> = None;
     for (i, slot) in SLOTS.iter().enumerate() {
-        let Ok(bytes) = storage.read(slot) else {
+        let Some(bytes) = storage.read(slot) else {
             continue;
         };
-        if let Some(state) = CheckpointState::decode_slot(&bytes) {
+        if let Some(state) = CheckpointState::decode_slot(bytes) {
             let better = best
                 .as_ref()
                 .map(|(b, _, _)| state.lsn > b.lsn)
@@ -231,24 +230,23 @@ pub fn load_best(storage: &dyn Storage) -> Option<(CheckpointState, usize, u64)>
 /// Write `state` to the slot *other* than `current_slot` (the one holding
 /// the latest good snapshot), returning the new slot index and byte size.
 pub fn write_next(
-    storage: &mut dyn Storage,
+    storage: &mut MemStorage,
     state: &CheckpointView<'_>,
     current_slot: Option<usize>,
-) -> Result<(usize, u64), StoreError> {
+) -> (usize, u64) {
     let target = match current_slot {
         Some(0) => 1,
         Some(_) => 0,
         None => 0,
     };
     let bytes = state.encode();
-    storage.replace(SLOTS[target], &bytes)?;
-    Ok((target, bytes.len() as u64))
+    storage.replace(SLOTS[target], &bytes);
+    (target, bytes.len() as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemStorage;
     use aequus_core::ids::GridUser;
 
     fn sample(lsn: u64) -> CheckpointState {
@@ -328,9 +326,9 @@ mod tests {
     #[test]
     fn slots_alternate_and_best_lsn_wins() {
         let mut storage = MemStorage::new();
-        let (slot0, _) = write_next(&mut storage, &sample(5).view(), None).unwrap();
+        let (slot0, _) = write_next(&mut storage, &sample(5).view(), None);
         assert_eq!(slot0, 0);
-        let (slot1, _) = write_next(&mut storage, &sample(9).view(), Some(slot0)).unwrap();
+        let (slot1, _) = write_next(&mut storage, &sample(9).view(), Some(slot0));
         assert_eq!(slot1, 1);
 
         let (best, slot, _) = load_best(&storage).unwrap();

@@ -1,13 +1,12 @@
-//! The per-site store facade: one [`SiteStore`] owns a [`Storage`] backend
+//! The per-site store facade: one [`SiteStore`] owns the [`MemStorage`]
 //! holding both the segmented WAL and the two checkpoint slots, tracks
 //! [`StoreStats`], and mirrors them into the telemetry registry so the
 //! Prometheus/JSON exporters pick them up with every other metric.
 
 use crate::checkpoint::{load_best, write_next, CheckpointState, CheckpointView};
 use crate::records::WalRecord;
-use crate::storage::Storage;
+use crate::storage::MemStorage;
 use crate::wal::{encode_frame, ReplayReport, Wal, HEADER_LEN, KIND_RECORD};
-use crate::StoreError;
 use aequus_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use std::time::Instant;
 
@@ -52,7 +51,7 @@ pub struct StoreStats {
 
 impl StoreStats {
     /// Combine stats across store incarnations (the store is re-opened over
-    /// the surviving backend after a crash): monotone counters sum, while
+    /// the surviving disk after a crash): monotone counters sum, while
     /// the byte gauges reflect only the current incarnation.
     pub fn across_restart(base: Self, current: Self) -> Self {
         Self {
@@ -112,7 +111,7 @@ impl StoreMetrics {
     }
 }
 
-/// What [`SiteStore::open`] recovered from the backend.
+/// What [`SiteStore::open`] recovered from the disk.
 #[derive(Debug)]
 pub struct Recovered {
     /// Best valid checkpoint, if any slot held one.
@@ -124,11 +123,11 @@ pub struct Recovered {
     pub report: ReplayReport,
 }
 
-/// The durable per-site store: WAL + alternating checkpoint slots over one
-/// storage backend.
+/// The durable per-site store: WAL + alternating checkpoint slots on one
+/// disk.
 #[derive(Debug)]
 pub struct SiteStore {
-    storage: Box<dyn Storage + Send>,
+    storage: MemStorage,
     wal: Wal,
     cfg: StoreConfig,
     /// Slot holding the latest good checkpoint.
@@ -145,14 +144,11 @@ impl SiteStore {
     /// Open (or create) a store over `storage`: replays the WAL, repairs
     /// crash damage, loads the best checkpoint, and returns the store plus
     /// everything the services layer must re-apply.
-    pub fn open(
-        mut storage: Box<dyn Storage + Send>,
-        cfg: StoreConfig,
-    ) -> Result<(Self, Recovered), StoreError> {
+    pub fn open(mut storage: MemStorage, cfg: StoreConfig) -> (Self, Recovered) {
         let replay_start = Instant::now();
-        let (wal, all_records, report) = Wal::replay(storage.as_mut(), cfg.segment_bytes)?;
+        let (wal, all_records, report) = Wal::replay(&mut storage, cfg.segment_bytes);
         let replay_wall_s = replay_start.elapsed().as_secs_f64();
-        let loaded = load_best(storage.as_ref());
+        let loaded = load_best(&storage);
         let (checkpoint, current_slot, checkpoint_bytes) = match loaded {
             Some((state, slot, bytes)) => (Some(state), Some(slot), bytes),
             None => (None, None, 0),
@@ -170,7 +166,7 @@ impl SiteStore {
         };
         stats.absorb_report(&report);
 
-        Ok((
+        (
             Self {
                 storage,
                 wal,
@@ -185,7 +181,7 @@ impl SiteStore {
                 records,
                 report,
             },
-        ))
+        )
     }
 
     /// The store's configuration.
@@ -210,15 +206,15 @@ impl SiteStore {
     }
 
     /// Journal one record; returns its LSN.
-    pub fn append(&mut self, rec: &WalRecord) -> Result<u64, StoreError> {
+    pub fn append(&mut self, rec: &WalRecord) -> u64 {
         let timer = self.metrics.h_append.start_timer();
-        let lsn = self.wal.append(self.storage.as_mut(), rec)?;
+        let lsn = self.wal.append(&mut self.storage, rec);
         timer.observe();
         self.stats.frames_appended += 1;
         self.stats.wal_bytes = self.wal.bytes();
         self.metrics.c_appended.inc();
         self.metrics.g_wal_bytes.set(self.stats.wal_bytes as f64);
-        Ok(lsn)
+        lsn
     }
 
     /// LSN the next append will receive; `state.lsn` for a checkpoint
@@ -229,9 +225,9 @@ impl SiteStore {
 
     /// Write `state` to the alternate checkpoint slot, then compact WAL
     /// segments the checkpoint covers (by LSN and by gossip sequence).
-    pub fn checkpoint(&mut self, state: &CheckpointView<'_>) -> Result<(), StoreError> {
+    pub fn checkpoint(&mut self, state: &CheckpointView<'_>) {
         let _span = self.metrics.h_checkpoint.start_timer();
-        let (slot, bytes) = write_next(self.storage.as_mut(), state, self.current_slot)?;
+        let (slot, bytes) = write_next(&mut self.storage, state, self.current_slot);
         self.current_slot = Some(slot);
         self.stats.checkpoints += 1;
         self.stats.checkpoint_bytes = bytes;
@@ -239,23 +235,22 @@ impl SiteStore {
         self.metrics.g_checkpoint_bytes.set(bytes as f64);
 
         let removed = self.wal.compact(
-            self.storage.as_mut(),
+            &mut self.storage,
             state.head.lsn,
             state.head.next_seq.saturating_sub(1),
             &state.head.peer_seq_cursors(),
-        )?;
+        );
         self.stats.compacted_segments += removed;
         self.stats.wal_bytes = self.wal.bytes();
         self.metrics.c_compacted.add(removed);
         self.metrics.g_wal_bytes.set(self.stats.wal_bytes as f64);
-        Ok(())
     }
 
     /// Simulate the write in flight at the instant of a crash: append a
     /// deterministic partial frame (header promising more payload than
     /// follows) to the active segment. The next [`SiteStore::open`] must
     /// truncate it as a torn tail, losing nothing that was fully appended.
-    pub fn simulate_torn_write(&mut self, salt: u64) -> Result<(), StoreError> {
+    pub fn simulate_torn_write(&mut self, salt: u64) {
         // splitmix64-style junk: deterministic per salt, looks like data.
         let mut x = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         let mut junk_payload = [0u8; 24];
@@ -272,10 +267,9 @@ impl SiteStore {
             &[junk_payload, junk_payload, junk_payload, junk_payload].concat(),
         );
         let torn = &full[..HEADER_LEN + junk_payload.len()];
-        self.wal.append_torn_tail(self.storage.as_mut(), torn)?;
+        self.wal.append_torn_tail(&mut self.storage, torn);
         self.stats.wal_bytes = self.wal.bytes();
         self.metrics.g_wal_bytes.set(self.stats.wal_bytes as f64);
-        Ok(())
     }
 
     /// Current health counters.
@@ -283,9 +277,9 @@ impl SiteStore {
         self.stats
     }
 
-    /// Consume the store, yielding the backend — the simulator's "disk
-    /// that survives the crash", re-opened on recovery.
-    pub fn into_storage(self) -> Box<dyn Storage + Send> {
+    /// Consume the store, yielding its disk — the simulator's "disk that
+    /// survives the crash", re-opened on recovery.
+    pub fn into_storage(self) -> MemStorage {
         self.storage
     }
 }
@@ -293,7 +287,6 @@ impl SiteStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemStorage;
     use aequus_core::ids::{GridUser, JobId, SiteId};
     use aequus_core::usage::UsageRecord;
 
@@ -308,22 +301,17 @@ mod tests {
         })
     }
 
-    fn open_mem(storage: MemStorage, cfg: StoreConfig) -> (SiteStore, Recovered) {
-        SiteStore::open(Box::new(storage), cfg).unwrap()
-    }
-
     fn reopen(store: SiteStore) -> (SiteStore, Recovered) {
         let cfg = store.config();
-        let storage = store.into_storage();
-        SiteStore::open(storage, cfg).unwrap()
+        SiteStore::open(store.into_storage(), cfg)
     }
 
     #[test]
     fn open_append_reopen_replays_everything() {
-        let (mut store, rec0) = open_mem(MemStorage::new(), StoreConfig::default());
+        let (mut store, rec0) = SiteStore::open(MemStorage::new(), StoreConfig::default());
         assert!(rec0.checkpoint.is_none() && rec0.records.is_empty());
         for j in 0..10 {
-            store.append(&usage(j)).unwrap();
+            store.append(&usage(j));
         }
         let (_, recovered) = reopen(store);
         assert_eq!(recovered.records.len(), 10);
@@ -336,9 +324,9 @@ mod tests {
             segment_bytes: 128,
             ..StoreConfig::default()
         };
-        let (mut store, _) = open_mem(MemStorage::new(), cfg);
+        let (mut store, _) = SiteStore::open(MemStorage::new(), cfg);
         for j in 0..20 {
-            store.append(&usage(j)).unwrap();
+            store.append(&usage(j));
         }
         let ckpt = CheckpointState {
             lsn: store.next_lsn() - 1,
@@ -347,15 +335,15 @@ mod tests {
             next_seq: 1,
             ..CheckpointState::default()
         };
-        store.checkpoint(&ckpt.view()).unwrap();
+        store.checkpoint(&ckpt.view());
         let stats = store.stats();
         assert!(stats.compacted_segments > 0, "{stats:?}");
         assert_eq!(stats.checkpoints, 1);
         assert!(stats.checkpoint_bytes > 0);
 
         // Two fresh records after the checkpoint; reopen yields only them.
-        store.append(&usage(100)).unwrap();
-        store.append(&usage(101)).unwrap();
+        store.append(&usage(100));
+        store.append(&usage(101));
         let (_, recovered) = reopen(store);
         assert_eq!(recovered.checkpoint.as_ref().map(|c| c.lsn), Some(20));
         let jobs: Vec<u64> = recovered
@@ -371,11 +359,11 @@ mod tests {
 
     #[test]
     fn torn_write_loses_at_most_the_partial_frame() {
-        let (mut store, _) = open_mem(MemStorage::new(), StoreConfig::default());
+        let (mut store, _) = SiteStore::open(MemStorage::new(), StoreConfig::default());
         for j in 0..7 {
-            store.append(&usage(j)).unwrap();
+            store.append(&usage(j));
         }
-        store.simulate_torn_write(0xDEAD).unwrap();
+        store.simulate_torn_write(0xDEAD);
         let (store, recovered) = reopen(store);
         assert_eq!(recovered.records.len(), 7, "all real frames survive");
         assert_eq!(recovered.report.torn_tails, 1);
@@ -384,16 +372,16 @@ mod tests {
 
     #[test]
     fn telemetry_carries_pre_wiring_totals() {
-        let (mut store, _) = open_mem(MemStorage::new(), StoreConfig::default());
+        let (mut store, _) = SiteStore::open(MemStorage::new(), StoreConfig::default());
         for j in 0..3 {
-            store.append(&usage(j)).unwrap();
+            store.append(&usage(j));
         }
-        store.simulate_torn_write(1).unwrap();
+        store.simulate_torn_write(1);
         let (mut store, _) = reopen(store);
 
         let t = Telemetry::enabled();
         store.set_telemetry(&t);
-        store.append(&usage(9)).unwrap();
+        store.append(&usage(9));
         let snap = t.snapshot().unwrap();
         assert_eq!(
             snap.counters.get("aequus_store_frames_replayed_total"),
@@ -422,7 +410,7 @@ mod tests {
             slot_s: 60.0,
             ..CheckpointState::default()
         };
-        store.checkpoint(&ckpt.view()).unwrap();
+        store.checkpoint(&ckpt.view());
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.histograms["aequus_store_checkpoint_s"].count, 1);
     }

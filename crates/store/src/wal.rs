@@ -37,8 +37,7 @@
 //! always reconstruct what the checkpoint has not yet absorbed.
 
 use crate::records::WalRecord;
-use crate::storage::Storage;
-use crate::StoreError;
+use crate::storage::MemStorage;
 use aequus_core::codec::{CodecError, Crc32, Reader, Sink};
 use aequus_core::ids::SiteId;
 use std::collections::BTreeMap;
@@ -210,9 +209,9 @@ pub struct ReplayReport {
     pub short_sealed_segments: u64,
 }
 
-/// The segmented WAL. All storage operations go through the [`Storage`]
-/// handle passed per call — the caller (the site store) owns the backend
-/// so WAL and checkpoints share it.
+/// The segmented WAL. All storage operations go through the [`MemStorage`]
+/// passed per call — the caller (the site store) owns the disk so WAL and
+/// checkpoints share it.
 #[derive(Debug)]
 pub struct Wal {
     /// Segments no longer appended to, oldest first.
@@ -236,11 +235,11 @@ fn segment_name(no: u64) -> String {
 }
 
 /// Create segment `*next_no`'s (empty) object and advance the counter.
-fn create_segment(storage: &mut dyn Storage, next_no: &mut u64) -> Result<SegmentMeta, StoreError> {
+fn create_segment(storage: &mut MemStorage, next_no: &mut u64) -> SegmentMeta {
     let name = segment_name(*next_no);
     *next_no += 1;
-    storage.replace(&name, &[])?;
-    Ok(SegmentMeta::new(name))
+    storage.replace(&name, &[]);
+    SegmentMeta::new(name)
 }
 
 fn parse_segment_no(name: &str) -> Option<u64> {
@@ -254,10 +253,7 @@ impl Wal {
     /// Scan `storage` for existing segments, repair crash damage (torn
     /// tails, lost framing), and return the recovered log, every surviving
     /// record in LSN order, and the damage report.
-    pub fn replay(
-        storage: &mut dyn Storage,
-        segment_bytes: u64,
-    ) -> Result<ReplayOutcome, StoreError> {
+    pub fn replay(storage: &mut MemStorage, segment_bytes: u64) -> ReplayOutcome {
         let mut names: Vec<(u64, String)> = storage
             .list()
             .into_iter()
@@ -270,12 +266,12 @@ impl Wal {
         let mut segments = Vec::new();
         let mut next_lsn = 1u64;
         for (_, name) in &names {
-            let buf = storage.read(name)?;
+            let buf = storage.read(name).unwrap_or_default();
             let mut meta = SegmentMeta::new(name.clone());
             let mut at = 0usize;
             let mut keep_until = 0usize;
             while at < buf.len() {
-                match decode_frame(&buf, at) {
+                match decode_frame(buf, at) {
                     FrameOutcome::Frame {
                         kind,
                         payload,
@@ -316,7 +312,7 @@ impl Wal {
             }
             if keep_until < buf.len() {
                 report.truncated_bytes += (buf.len() - keep_until) as u64;
-                storage.truncate(name, keep_until as u64)?;
+                storage.truncate(name, keep_until as u64);
             }
             meta.bytes = keep_until as u64;
             report.segments_scanned += 1;
@@ -329,7 +325,7 @@ impl Wal {
         let mut next_segment_no = names.last().map_or(0, |(no, _)| no + 1);
         let active = match segments.pop() {
             Some(last) => last,
-            None => create_segment(storage, &mut next_segment_no)?,
+            None => create_segment(storage, &mut next_segment_no),
         };
         let short = segments.iter().filter(|seg| seg.bytes < segment_bytes);
         report.short_sealed_segments = short.count() as u64;
@@ -340,18 +336,14 @@ impl Wal {
             next_lsn,
             segment_bytes: segment_bytes.max(1),
         };
-        Ok((wal, records, report))
+        (wal, records, report)
     }
 
     /// Append `rec`, returning its LSN. Rolls to a fresh segment first when
     /// the active one is full.
-    pub fn append(
-        &mut self,
-        storage: &mut dyn Storage,
-        rec: &WalRecord,
-    ) -> Result<u64, StoreError> {
+    pub fn append(&mut self, storage: &mut MemStorage, rec: &WalRecord) -> u64 {
         if self.active.bytes >= self.segment_bytes {
-            let fresh = create_segment(storage, &mut self.next_segment_no)?;
+            let fresh = create_segment(storage, &mut self.next_segment_no);
             self.sealed.push(std::mem::replace(&mut self.active, fresh));
         }
         let lsn = self.next_lsn;
@@ -362,22 +354,17 @@ impl Wal {
         let frame = encode_frame(KIND_RECORD, &payload);
         self.active.note(lsn, rec);
         self.active.bytes += frame.len() as u64;
-        storage.append(&self.active.name, &frame)?;
-        Ok(lsn)
+        storage.append(&self.active.name, &frame);
+        lsn
     }
 
     /// Append raw damage to the active segment — the simulator's "torn
     /// write in flight at the instant of the crash". The bytes claim a full
     /// frame but deliver only part of it, so the next replay truncates them
     /// as a torn tail. Nothing already appended is affected.
-    pub fn append_torn_tail(
-        &mut self,
-        storage: &mut dyn Storage,
-        junk: &[u8],
-    ) -> Result<(), StoreError> {
+    pub fn append_torn_tail(&mut self, storage: &mut MemStorage, junk: &[u8]) {
         self.active.bytes += junk.len() as u64;
-        storage.append(&self.active.name, junk)?;
-        Ok(())
+        storage.append(&self.active.name, junk);
     }
 
     /// Drop sealed segments fully covered by a checkpoint: `last_lsn ≤
@@ -387,11 +374,11 @@ impl Wal {
     /// The active segment is never compacted. Returns segments removed.
     pub fn compact(
         &mut self,
-        storage: &mut dyn Storage,
+        storage: &mut MemStorage,
         ckpt_lsn: u64,
         publish_seq: u64,
         peer_cursors: &BTreeMap<SiteId, u64>,
-    ) -> Result<u64, StoreError> {
+    ) -> u64 {
         let mut removed = 0u64;
         let mut keep = Vec::with_capacity(self.sealed.len());
         for seg in self.sealed.drain(..) {
@@ -403,14 +390,14 @@ impl Wal {
                         .iter()
                         .all(|(site, &seq)| peer_cursors.get(site).is_some_and(|&c| seq <= c)));
             if covered {
-                storage.remove(&seg.name)?;
+                storage.remove(&seg.name);
                 removed += 1;
             } else {
                 keep.push(seg);
             }
         }
         self.sealed = keep;
-        Ok(removed)
+        removed
     }
 
     /// Total live WAL bytes across segments.
@@ -432,7 +419,6 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemStorage;
     use aequus_core::ids::{GridUser, JobId};
     use aequus_core::usage::UsageRecord;
 
@@ -456,7 +442,7 @@ mod tests {
     }
 
     fn fresh(storage: &mut MemStorage, segment_bytes: u64) -> Wal {
-        Wal::replay(storage, segment_bytes).unwrap().0
+        Wal::replay(storage, segment_bytes).0
     }
 
     #[test]
@@ -464,9 +450,9 @@ mod tests {
         let mut storage = MemStorage::new();
         let mut wal = fresh(&mut storage, 1 << 16);
         for j in 0..20 {
-            wal.append(&mut storage, &usage(j)).unwrap();
+            wal.append(&mut storage, &usage(j));
         }
-        let (wal2, records, report) = Wal::replay(&mut storage, 1 << 16).unwrap();
+        let (wal2, records, report) = Wal::replay(&mut storage, 1 << 16);
         assert_eq!(records.len(), 20);
         assert_eq!(report.frames_replayed, 20);
         assert_eq!(report.torn_tails, 0);
@@ -483,10 +469,10 @@ mod tests {
         let mut storage = MemStorage::new();
         let mut wal = fresh(&mut storage, 128);
         for j in 0..50 {
-            wal.append(&mut storage, &usage(j)).unwrap();
+            wal.append(&mut storage, &usage(j));
         }
         assert!(wal.segments().len() > 2, "{}", wal.segments().len());
-        let (_, records, _) = Wal::replay(&mut storage, 128).unwrap();
+        let (_, records, _) = Wal::replay(&mut storage, 128);
         assert_eq!(records.len(), 50);
     }
 
@@ -495,20 +481,20 @@ mod tests {
         let mut storage = MemStorage::new();
         let mut wal = fresh(&mut storage, 1 << 16);
         for j in 0..5 {
-            wal.append(&mut storage, &usage(j)).unwrap();
+            wal.append(&mut storage, &usage(j));
         }
         // A header claiming 100 payload bytes, followed by only 3.
         let mut junk = encode_frame(KIND_RECORD, &[0u8; 100])[..HEADER_LEN].to_vec();
         junk.extend_from_slice(&[1, 2, 3]);
-        wal.append_torn_tail(&mut storage, &junk).unwrap();
+        wal.append_torn_tail(&mut storage, &junk);
 
-        let (_, records, report) = Wal::replay(&mut storage, 1 << 16).unwrap();
+        let (_, records, report) = Wal::replay(&mut storage, 1 << 16);
         assert_eq!(records.len(), 5, "every pre-tear frame survives");
         assert_eq!(report.torn_tails, 1);
         assert_eq!(report.truncated_bytes, junk.len() as u64);
 
         // Idempotent: a second replay sees a clean log.
-        let (_, records, report) = Wal::replay(&mut storage, 1 << 16).unwrap();
+        let (_, records, report) = Wal::replay(&mut storage, 1 << 16);
         assert_eq!(records.len(), 5);
         assert_eq!(report.torn_tails, 0);
     }
@@ -518,7 +504,7 @@ mod tests {
         let mut storage = MemStorage::new();
         let mut wal = fresh(&mut storage, 1 << 16);
         for j in 0..5 {
-            wal.append(&mut storage, &usage(j)).unwrap();
+            wal.append(&mut storage, &usage(j));
         }
         // Flip one payload bit of the middle frame.
         let name = wal.segments()[0].name.clone();
@@ -526,7 +512,7 @@ mod tests {
         let frame_len = usage_frame_len();
         buf[2 * frame_len + HEADER_LEN + 4] ^= 0x10;
 
-        let (_, records, report) = Wal::replay(&mut storage, 1 << 16).unwrap();
+        let (_, records, report) = Wal::replay(&mut storage, 1 << 16);
         assert_eq!(report.corrupt_frames, 1);
         assert_eq!(records.len(), 4, "only the damaged frame is lost");
         let lsns: Vec<u64> = records.iter().map(|(l, _)| *l).collect();
@@ -538,14 +524,14 @@ mod tests {
         let mut storage = MemStorage::new();
         let mut wal = fresh(&mut storage, 1 << 16);
         for j in 0..5 {
-            wal.append(&mut storage, &usage(j)).unwrap();
+            wal.append(&mut storage, &usage(j));
         }
         let name = wal.segments()[0].name.clone();
         let frame_len = usage_frame_len();
         let buf = storage.object_mut(&name).unwrap();
         buf[3 * frame_len] = 0x00; // kill frame 3's magic byte
 
-        let (_, records, report) = Wal::replay(&mut storage, 1 << 16).unwrap();
+        let (_, records, report) = Wal::replay(&mut storage, 1 << 16);
         assert_eq!(records.len(), 3, "frames before the framing loss survive");
         assert!(report.corrupt_frames >= 1);
         assert!(report.truncated_bytes > 0, "rest of segment truncated");
@@ -557,8 +543,7 @@ mod tests {
         let mut wal = fresh(&mut storage, 96);
         // Fill several segments with publishes of rising seq.
         for seq in 1..=12u64 {
-            wal.append(&mut storage, &WalRecord::Publish { seq })
-                .unwrap();
+            wal.append(&mut storage, &WalRecord::Publish { seq });
         }
         let sealed = wal.segments().len() - 1;
         assert!(sealed >= 2);
@@ -566,9 +551,7 @@ mod tests {
 
         // A checkpoint that absorbed everything but whose publish cursor
         // only reaches seq 4: segments with higher publish seqs survive.
-        let removed = wal
-            .compact(&mut storage, last_lsn, 4, &BTreeMap::new())
-            .unwrap();
+        let removed = wal.compact(&mut storage, last_lsn, 4, &BTreeMap::new());
         assert!(removed >= 1);
         assert!(
             wal.segments()
@@ -579,12 +562,11 @@ mod tests {
         );
 
         // Full coverage: everything sealed goes.
-        wal.compact(&mut storage, last_lsn, 12, &BTreeMap::new())
-            .unwrap();
+        wal.compact(&mut storage, last_lsn, 12, &BTreeMap::new());
         assert_eq!(wal.segments().len(), 1, "only the active segment remains");
 
         // Replay after compaction keeps LSN continuity.
-        let (wal2, records, _) = Wal::replay(&mut storage, 96).unwrap();
+        let (wal2, records, _) = Wal::replay(&mut storage, 96);
         assert!(records.iter().all(|(lsn, _)| *lsn > 0));
         assert_eq!(wal2.next_lsn(), wal.next_lsn());
     }
@@ -608,8 +590,7 @@ mod tests {
                     .into(),
                     snapshot: false,
                 },
-            )
-            .unwrap();
+            );
         }
         let last_lsn = wal.next_lsn() - 1;
         let before = wal.segments().len();
@@ -617,16 +598,14 @@ mod tests {
         // Cursor for site 9 stuck at 2: nothing holding seqs > 2 compacts.
         let mut cursors = BTreeMap::new();
         cursors.insert(SiteId(9), 2u64);
-        wal.compact(&mut storage, last_lsn, u64::MAX, &cursors)
-            .unwrap();
+        wal.compact(&mut storage, last_lsn, u64::MAX, &cursors);
         assert!(
             wal.segments().len() >= before - 1,
             "high-seq segments survive a stale peer cursor"
         );
 
         cursors.insert(SiteId(9), 6u64);
-        wal.compact(&mut storage, last_lsn, u64::MAX, &cursors)
-            .unwrap();
+        wal.compact(&mut storage, last_lsn, u64::MAX, &cursors);
         assert_eq!(wal.segments().len(), 1);
     }
 }

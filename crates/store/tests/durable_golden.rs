@@ -12,8 +12,7 @@
 use aequus_core::ids::{GridUser, JobId, SiteId};
 use aequus_core::usage::{UsageRecord, UsageSummary, UserCells};
 use aequus_store::records::WalRecord;
-use aequus_store::storage::MemStorage;
-use aequus_store::{CheckpointState, PeerCursor, SiteStore, StoreConfig};
+use aequus_store::{CheckpointState, MemStorage, PeerCursor, SiteStore, StoreConfig};
 use std::collections::BTreeMap;
 
 fn cells(rows: &[(&str, &[(u64, f64)])]) -> UserCells {
@@ -118,22 +117,22 @@ fn durable_bytes_match_the_golden_file() {
         segment_bytes: 1 << 20,
         checkpoint_interval_s: f64::INFINITY,
     };
-    let (mut store, _) = SiteStore::open(Box::new(MemStorage::new()), cfg).expect("fresh open");
+    let (mut store, _) = SiteStore::open(MemStorage::new(), cfg);
     for rec in records() {
-        store.append(&rec).expect("append");
+        store.append(&rec);
     }
-    store.checkpoint(&state().view()).expect("checkpoint");
+    store.checkpoint(&state().view());
     let storage = store.into_storage();
     let mut names = storage.list();
     names.sort();
     let mut actual = String::new();
     for name in names {
         let bytes = storage.read(&name).expect("listed object");
-        actual.push_str(&format!("{name} {}\n", hex(&bytes)));
+        actual.push_str(&format!("{name} {}\n", hex(bytes)));
     }
     assert_eq!(actual, include_str!("golden/durable.hex"));
     // The pinned slot is the literal state, and it re-encodes to itself.
     let slot = storage.read("ckpt-a").expect("first slot");
-    let back = CheckpointState::decode_slot(&slot).expect("the slot decodes");
+    let back = CheckpointState::decode_slot(slot).expect("the slot decodes");
     assert_eq!(back.encode(), slot);
 }

@@ -9,9 +9,10 @@
 //! version 2) are refused rather than misread.
 
 use aequus_store::records::WalRecord;
-use aequus_store::storage::{MemStorage, Storage};
 use aequus_store::wal::{decode_frame, FrameOutcome, Wal, KIND_CHECKPOINT};
-use aequus_store::{CheckpointState, CheckpointView, PeerCursor, SiteStore, StoreConfig};
+use aequus_store::{
+    CheckpointState, CheckpointView, MemStorage, PeerCursor, SiteStore, StoreConfig,
+};
 use proptest::prelude::*;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -71,13 +72,12 @@ fn build_wal(
     segment_bytes: u64,
 ) -> (MemStorage, Vec<(u64, WalRecord)>, Vec<(String, usize)>) {
     let mut storage = MemStorage::new();
-    let (mut wal, recovered, _) =
-        Wal::replay(&mut storage, segment_bytes).expect("fresh replay succeeds");
+    let (mut wal, recovered, _) = Wal::replay(&mut storage, segment_bytes);
     assert!(recovered.is_empty());
     let mut appended = Vec::new();
     for &(k, a, b) in specs {
         let rec = record(k, a, b);
-        let lsn = wal.append(&mut storage, &rec).expect("append succeeds");
+        let lsn = wal.append(&mut storage, &rec);
         appended.push((lsn, rec));
     }
     // Recompute each frame's end offset by walking the pristine segments —
@@ -90,7 +90,7 @@ fn build_wal(
         let buf = storage.read(name).expect("segment readable");
         let mut at = 0usize;
         while at < buf.len() {
-            match decode_frame(&buf, at) {
+            match decode_frame(buf, at) {
                 FrameOutcome::Frame { next, .. } => {
                     ends.push((name.clone(), next));
                     at = next;
@@ -275,8 +275,7 @@ proptest! {
         let cut = cut_pick % (obj.len() + 1);
         obj.truncate(cut);
 
-        let (_, recovered, report) =
-            Wal::replay(&mut storage, segment_bytes).expect("replay never errors on truncation");
+        let (_, recovered, report) = Wal::replay(&mut storage, segment_bytes);
 
         let expected: Vec<(u64, WalRecord)> = appended
             .iter()
@@ -332,8 +331,7 @@ proptest! {
         let at = byte_pick % obj.len();
         obj[at] ^= 1 << bit;
 
-        let (_, recovered, report) =
-            Wal::replay(&mut storage, segment_bytes).expect("replay never errors on corruption");
+        let (_, recovered, report) = Wal::replay(&mut storage, segment_bytes);
 
         // Which appended frame absorbed the flip?
         let damaged_idx = appended
@@ -390,20 +388,16 @@ proptest! {
             // record, so the expectation stays exact.
             checkpoint_interval_s: f64::INFINITY,
         };
-        let (mut store, _) =
-            SiteStore::open(Box::new(MemStorage::new()), cfg).expect("fresh open");
+        let (mut store, _) = SiteStore::open(MemStorage::new(), cfg);
         let mut appended: Vec<(u64, WalRecord)> = Vec::new();
         for (round, batch) in batches.iter().enumerate() {
             for &(k, a, b) in batch {
                 let rec = record(k, a, b);
-                let lsn = store.append(&rec).expect("append");
+                let lsn = store.append(&rec);
                 appended.push((lsn, rec));
             }
-            store
-                .simulate_torn_write(salt.wrapping_add(round as u64))
-                .expect("torn write");
-            let storage = store.into_storage();
-            let (reopened, recovered) = SiteStore::open(storage, cfg).expect("reopen");
+            store.simulate_torn_write(salt.wrapping_add(round as u64));
+            let (reopened, recovered) = SiteStore::open(store.into_storage(), cfg);
             prop_assert_eq!(&recovered.records, &appended);
             prop_assert_eq!(recovered.report.torn_tails, 1);
             prop_assert!(recovered.checkpoint.is_none());
@@ -425,11 +419,11 @@ fn every_cut_of_the_tail_segment_recovers_the_longest_whole_frame_prefix() {
         segment_bytes: 256,
         checkpoint_interval_s: f64::INFINITY,
     };
-    let (mut store, _) = SiteStore::open(Box::new(MemStorage::new()), cfg).expect("fresh open");
+    let (mut store, _) = SiteStore::open(MemStorage::new(), cfg);
     let mut appended: Vec<(u64, WalRecord)> = Vec::new();
     let mut append = |store: &mut SiteStore, i: u64| {
         let rec = record(i as u8, 31 * i + 7, 17 * i + 3);
-        appended.push((store.append(&rec).expect("append"), rec));
+        appended.push((store.append(&rec), rec));
     };
     (0..6).for_each(|i| append(&mut store, i));
     let ckpt = CheckpointState {
@@ -438,7 +432,7 @@ fn every_cut_of_the_tail_segment_recovers_the_longest_whole_frame_prefix() {
         slot_s: 60.0,
         ..CheckpointState::default()
     };
-    store.checkpoint(&ckpt.view()).expect("checkpoint");
+    store.checkpoint(&ckpt.view());
     (6..20).for_each(|i| append(&mut store, i));
     let pristine = store.into_storage();
 
@@ -451,7 +445,7 @@ fn every_cut_of_the_tail_segment_recovers_the_longest_whole_frame_prefix() {
     // Offsets at which a whole number of the tail's frames end.
     let mut boundaries = vec![0usize];
     while *boundaries.last().expect("non-empty") < tail_bytes.len() {
-        match decode_frame(&tail_bytes, *boundaries.last().expect("non-empty")) {
+        match decode_frame(tail_bytes, *boundaries.last().expect("non-empty")) {
             FrameOutcome::Frame { next, .. } => boundaries.push(next),
             _ => panic!("pristine WAL must decode cleanly"),
         }
@@ -470,10 +464,10 @@ fn every_cut_of_the_tail_segment_recovers_the_longest_whole_frame_prefix() {
         let mut disk = MemStorage::new();
         for name in pristine.list() {
             let bytes = pristine.read(&name).expect("object readable");
-            disk.replace(&name, &bytes).expect("copy");
+            disk.replace(&name, bytes);
         }
-        disk.truncate(tail, cut as u64).expect("cut");
-        let (mut store, recovered) = SiteStore::open(Box::new(disk), cfg).expect("reopen");
+        disk.truncate(tail, cut as u64);
+        let (mut store, recovered) = SiteStore::open(disk, cfg);
 
         let whole = boundaries
             .iter()
@@ -494,8 +488,8 @@ fn every_cut_of_the_tail_segment_recovers_the_longest_whole_frame_prefix() {
             recovered.report
         );
 
-        store.append(&extra).expect("append after recovery");
-        let (_, again) = SiteStore::open(store.into_storage(), cfg).expect("second reopen");
+        store.append(&extra);
+        let (_, again) = SiteStore::open(store.into_storage(), cfg);
         assert_eq!(again.records.len(), expected.len() + 1, "cut at {cut}");
         assert_eq!(
             again.records[..expected.len()],
@@ -537,24 +531,24 @@ const OLD_CHECKPOINT_SLOT: &str = "\
 fn record_frames_of_the_previous_layout_are_refused_not_misread() {
     let old = unhex(OLD_RECORD_FRAMES);
     let mut storage = MemStorage::new();
-    let (mut wal, _, _) = Wal::replay(&mut storage, 1 << 16).expect("fresh replay");
+    let (mut wal, _, _) = Wal::replay(&mut storage, 1 << 16);
     let current = WalRecord::Publish { seq: 99 };
-    wal.append(&mut storage, &current).expect("append");
+    wal.append(&mut storage, &current);
     let name = wal.segments()[0].name.clone();
-    storage.append(&name, &old).expect("append old frames");
+    storage.append(&name, &old);
 
     // Both old frames pass their CRC: nothing but the format stops them.
     let at = storage.read(&name).expect("segment").len() - old.len();
     let segment = storage.read(&name).expect("segment");
-    let FrameOutcome::Frame { kind: 1, next, .. } = decode_frame(&segment, at) else {
+    let FrameOutcome::Frame { kind: 1, next, .. } = decode_frame(segment, at) else {
         panic!("the old PeerData frame is CRC-valid");
     };
     assert!(matches!(
-        decode_frame(&segment, next),
+        decode_frame(segment, next),
         FrameOutcome::Frame { kind: 1, .. }
     ));
 
-    let (_, recovered, report) = Wal::replay(&mut storage, 1 << 16).expect("replay");
+    let (_, recovered, report) = Wal::replay(&mut storage, 1 << 16);
     assert_eq!(recovered, vec![(1, current)], "only the current record");
     assert_eq!(report.frames_replayed, 1);
     assert_eq!(report.corrupt_frames, 2, "refused and counted: {report:?}");

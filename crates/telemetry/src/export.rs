@@ -9,24 +9,11 @@
 
 use crate::events::TelemetryEvent;
 use crate::hist::HistogramSnapshot;
-use crate::json::{escape as json_escape, parse_f64, JsonReader};
+use crate::json::{escape as json_escape, fmt_f64, json_f64, parse_f64, JsonReader};
 use crate::registry::Snapshot;
 use std::collections::BTreeMap;
 
 pub use crate::json::JsonValue;
-
-fn fmt_f64(v: f64) -> String {
-    if v == f64::INFINITY {
-        "inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-inf".to_string()
-    } else if v.is_nan() {
-        "nan".to_string()
-    } else {
-        // `{:?}` is the shortest representation that round-trips.
-        format!("{v:?}")
-    }
-}
 
 /// Escape a label value for the Prometheus text exposition format:
 /// backslash, double quote, and newline must be escaped or the series line
@@ -216,16 +203,6 @@ pub fn from_prometheus(text: &str) -> Option<Snapshot> {
         }
     }
     Some(snap)
-}
-
-/// A JSON number, or — JSON has none for them — the quoted name of a
-/// non-finite value.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        fmt_f64(v)
-    } else {
-        format!("\"{}\"", fmt_f64(v))
-    }
 }
 
 /// Render `snap` as a JSON object with `counters`, `gauges`, `histograms`,

@@ -11,8 +11,8 @@
 //! self-contained JSONL flight record, one JSON object per line, suitable
 //! for appending to a file and for offline analysis.
 
-use crate::export::json_f64 as num;
 use crate::json::escape as esc;
+use crate::json::json_f64 as num;
 use crate::provenance::ProvenanceRecord;
 use crate::span::SpanRecord;
 use crate::{Telemetry, TelemetryEvent};

@@ -1,9 +1,10 @@
-//! The crate's one hand-rolled JSON reader and string escape. Every
-//! exporter in this crate writes through [`escape`]; every importer — the
-//! metric snapshots in [`crate::export`], run profiles, decision
-//! explanations in `aequus-core`, the bench snapshots — reads through
-//! [`JsonValue`]. Malformed input (bad escapes, truncated documents,
-//! trailing bytes) parses to `None`, never a panic.
+//! The crate's one hand-rolled JSON reader, string escape and number
+//! writer. This crate's exporters and the services' health report write
+//! strings through [`escape`] and numbers through [`json_f64`]; every
+//! importer — the metric snapshots in [`crate::export`], run profiles,
+//! decision explanations in `aequus-core`, the bench snapshots — reads
+//! through [`JsonValue`]. Malformed input (bad escapes, truncated
+//! documents, trailing bytes) parses to `None`, never a panic.
 
 use std::collections::BTreeMap;
 
@@ -15,6 +16,31 @@ pub(crate) fn parse_f64(s: &str) -> Option<f64> {
         "-inf" => Some(f64::NEG_INFINITY),
         "nan" => Some(f64::NAN),
         _ => s.parse().ok(),
+    }
+}
+
+/// Render a number as the exporters write it — the inverse of
+/// [`parse_f64`].
+pub(crate) fn fmt_f64(v: f64) -> String {
+    if v == f64::INFINITY {
+        "inf".to_string()
+    } else if v == f64::NEG_INFINITY {
+        "-inf".to_string()
+    } else if v.is_nan() {
+        "nan".to_string()
+    } else {
+        // `{:?}` is the shortest representation that round-trips.
+        format!("{v:?}")
+    }
+}
+
+/// A JSON number, or — JSON has none for them — the quoted name of a
+/// non-finite value. The one number writer of every JSON exporter.
+pub fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        fmt_f64(v)
+    } else {
+        format!("\"{}\"", fmt_f64(v))
     }
 }
 

@@ -31,7 +31,7 @@
 //! the wait to the waiter makes the two sides of an imbalance sum to the
 //! same wall clock, so share-of-total comparisons stay meaningful.
 
-use crate::json::escape as json_escape;
+use crate::json::{escape as json_escape, json_f64};
 use crate::Ring;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -269,13 +269,13 @@ impl RunProfile {
                     format!(
                         "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                          \"pid\":1,\"tid\":{},\"args\":{{\"epoch\":{},\
-                         \"limit_s\":{:?},\"events\":{}}}}}",
+                         \"limit_s\":{},\"events\":{}}}}}",
                         json_escape(s.name),
                         s.start_ns / 1_000,
                         s.dur_ns / 1_000,
                         sp.shard,
                         s.epoch,
-                        s.limit_s,
+                        json_f64(s.limit_s),
                         s.events
                     ),
                     &mut first,

@@ -33,6 +33,7 @@
 //!   the observed usage, which is a property of an empty grid, not a
 //!   fairness breach.
 
+use crate::json::json_f64;
 use std::collections::VecDeque;
 
 /// Thresholds and burn-rate windows for the SLO engine. Fields set to `0.0`
@@ -132,10 +133,6 @@ pub struct AlertEvent {
     pub burn_long: f64,
 }
 
-fn num(v: f64) -> String {
-    format!("{v:?}")
-}
-
 impl AlertEvent {
     /// One canonical JSON object (no trailing newline). Deterministic:
     /// shortest round-tripping float rendering, fixed key order.
@@ -143,12 +140,12 @@ impl AlertEvent {
         format!(
             "{{\"t_s\":{},\"rule\":\"{}\",\"transition\":\"{}\",\"value\":{},\
              \"burn_short\":{},\"burn_long\":{}}}",
-            num(self.t_s),
+            json_f64(self.t_s),
             crate::json::escape(&self.rule),
             self.transition,
-            num(self.value),
-            num(self.burn_short),
-            num(self.burn_long),
+            json_f64(self.value),
+            json_f64(self.burn_short),
+            json_f64(self.burn_long),
         )
     }
 }
@@ -522,5 +519,24 @@ mod tests {
             burn_long: 0.0,
         };
         assert!(hostile.to_json().contains("evil\\\"user\\\\one\\n"));
+    }
+
+    /// A non-finite value renders as JSON the crate's reader accepts (the
+    /// quoted name it reads back), never as a bare `NaN` or `inf`.
+    #[test]
+    fn a_non_finite_alert_value_is_still_json() {
+        let ev = AlertEvent {
+            t_s: 60.0,
+            rule: "divergence".to_string(),
+            transition: "firing",
+            value: f64::NAN,
+            burn_short: f64::INFINITY,
+            burn_long: 1.5,
+        };
+        let parsed = crate::json::JsonValue::parse(&ev.to_json()).expect("valid JSON");
+        let field = |key| parsed.get(key).and_then(crate::json::JsonValue::as_f64);
+        assert!(field("value").is_some_and(f64::is_nan));
+        assert_eq!(field("burn_short"), Some(f64::INFINITY));
+        assert_eq!(field("burn_long"), Some(1.5));
     }
 }

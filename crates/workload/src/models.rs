@@ -22,6 +22,14 @@ use crate::users::{UserClass, DAY_S, YEAR_S};
 use aequus_stats::dist::{AnyDist, BirnbaumSaunders, Burr, Gev, Mixture, Weibull};
 use aequus_stats::RangeRescaled;
 
+/// A model built from the literal parameters of Tables II and III. Every
+/// call passes constants the constructors accept (`models::tests` builds
+/// each one), so this is the module's one panic site.
+#[track_caller]
+fn literal<T>(model: Option<T>) -> T {
+    model.expect("Tables II/III's literal parameters build their model")
+}
+
 /// GEV shape parameters of the four U65 arrival phases (Table II).
 pub const U65_PHASE_SHAPES: [f64; 4] = [-0.386, -0.371, -0.457, -0.301];
 
@@ -50,23 +58,21 @@ pub fn u65_phase_model(n: usize) -> Gev {
     assert!(n < 4, "U65 has four phases");
     let (lo, hi) = u65_phase_bounds()[n];
     let center = 0.5 * (lo + hi);
-    Gev::new(
+    literal(Gev::new(
         U65_PHASE_SHAPES[n],
         U65_PHASE_SCALES_DAYS[n] * DAY_S,
         center,
-    )
-    .expect("valid phase parameters")
+    ))
 }
 
 /// Equation (1): the composite U65 arrival PDF — each phase's density scaled
 /// by its usage fraction.
 pub fn u65_composite_arrival() -> Mixture {
-    Mixture::new(
+    literal(Mixture::new(
         (0..4)
             .map(|n| (U65_PHASE_WEIGHTS[n], AnyDist::from(u65_phase_model(n))))
             .collect(),
-    )
-    .expect("non-empty mixture")
+    ))
 }
 
 /// The arrival-time model of a user class over the year (Table II families).
@@ -81,14 +87,12 @@ pub fn arrival_model(user: UserClass) -> AnyDist {
         // 0.45 year and c = 1.2 so arrivals cover the whole year with a mild
         // early lean (≈42% in the first third, ≈25% after day 243) — U30 is
         // available both early (balance windows) and late (Fig. 12's ending).
-        UserClass::U30 => AnyDist::from(Burr::new(1.42e7, 1.2, 0.08).expect("valid")),
+        UserClass::U30 => AnyDist::from(literal(Burr::new(1.42e7, 1.2, 0.08))),
         // U3: bursty arrivals, early burst in the original trace; positive
         // GEV shape = heavy right tail after the burst.
-        UserClass::U3 => AnyDist::from(Gev::new(0.195, 29.1 * DAY_S, 60.0 * DAY_S).expect("valid")),
+        UserClass::U3 => AnyDist::from(literal(Gev::new(0.195, 29.1 * DAY_S, 60.0 * DAY_S))),
         // U_oth: diffuse background arrivals across the year.
-        UserClass::Uoth => {
-            AnyDist::from(Gev::new(0.148, 56.0 * DAY_S, 182.0 * DAY_S).expect("valid"))
-        }
+        UserClass::Uoth => AnyDist::from(literal(Gev::new(0.148, 56.0 * DAY_S, 182.0 * DAY_S))),
     }
 }
 
@@ -99,7 +103,7 @@ pub fn arrival_sampler(user: UserClass) -> RangeRescaled<AnyDist> {
     // The same construction as the paper's printed U65 range
     // [7.451e-3, 9.946e-1]: the u-range is derived from the CDF at the year
     // boundaries so every sample lands inside the calendar year.
-    RangeRescaled::for_x_range(arrival_model(user), 0.0, YEAR_S).expect("year range")
+    literal(RangeRescaled::for_x_range(arrival_model(user), 0.0, YEAR_S))
 }
 
 /// The job-duration model of a user class (Table III, parameters in
@@ -107,23 +111,23 @@ pub fn arrival_sampler(user: UserClass) -> RangeRescaled<AnyDist> {
 pub fn duration_model(user: UserClass) -> AnyDist {
     match user {
         // BS(β = 1.76e4, γ = 3.53): median β ≈ 4.9 h.
-        UserClass::U65 => AnyDist::from(BirnbaumSaunders::new(1.76e4, 3.53).expect("valid")),
+        UserClass::U65 => AnyDist::from(literal(BirnbaumSaunders::new(1.76e4, 3.53))),
         // Weibull(λ = 5.49e4, k = 0.637): "U30 exhibits a larger tail and
         // generally exhibits larger job sizes".
-        UserClass::U30 => AnyDist::from(Weibull::new(5.49e4, 0.637).expect("valid")),
+        UserClass::U30 => AnyDist::from(literal(Weibull::new(5.49e4, 0.637))),
         // Burr(α = 2.07, c = 11.0, k = 0.02): very short, bursty jobs
         // (median ≈ 48 s) — "the job durations of U3 are considerably
         // shorter than those of U65".
-        UserClass::U3 => AnyDist::from(Burr::new(2.07, 11.0, 0.02).expect("valid")),
+        UserClass::U3 => AnyDist::from(literal(Burr::new(2.07, 11.0, 0.02))),
         // BS(β = 3.02e4, γ = 7.91).
-        UserClass::Uoth => AnyDist::from(BirnbaumSaunders::new(3.02e4, 7.91).expect("valid")),
+        UserClass::Uoth => AnyDist::from(literal(BirnbaumSaunders::new(3.02e4, 7.91))),
     }
 }
 
 /// Duration sampler bounded to sane wall-clock times (one second to the
 /// paper's [0, 6e5]-second job-size focus window, Figure 7).
 pub fn duration_sampler(user: UserClass) -> RangeRescaled<AnyDist> {
-    RangeRescaled::for_x_range(duration_model(user), 1.0, 6.0e5).expect("duration range")
+    literal(RangeRescaled::for_x_range(duration_model(user), 1.0, 6.0e5))
 }
 
 #[cfg(test)]
@@ -133,6 +137,18 @@ mod tests {
     use aequus_stats::ContinuousDistribution;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Every class's arrival and duration sampler builds from its literal
+    /// parameters — the one thing [`literal`] assumes.
+    #[test]
+    fn every_classs_samplers_build() {
+        for user in UserClass::ALL {
+            let (lo, hi) = arrival_sampler(user).u_range();
+            assert!(lo < hi, "{user:?} arrivals: ({lo}, {hi})");
+            let (lo, hi) = duration_sampler(user).u_range();
+            assert!(lo < hi, "{user:?} durations: ({lo}, {hi})");
+        }
+    }
 
     #[test]
     fn phase_models_centered_quarterly() {
