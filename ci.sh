@@ -77,7 +77,8 @@ cargo run -q --release -p aequus-bench -- check
 
 # Lines per crate and panic sites, counted one way (count.sh): a panic site
 # in the product crates' non-test code that panic_sites.allow does not list,
-# with its reason, fails here.
+# with its reason, fails here — as does a product `pub fn` no other file's
+# non-test code names that reach.allow does not list.
 ./count.sh
 
 # The experiment binaries became `aequus-bench <experiment>`: no tracked doc
@@ -151,7 +152,10 @@ done
 # tracer is a field of the site, keyed by the site's ids), and the store's
 # file backend with the `Storage` trait and the two error types only it
 # could raise (the store writes one in-memory disk, and none of its calls
-# can fail) — and no tracked source, manifest, doc or script names them again; nor does the RMS
+# can fail), and the scenario's profiling switch with the profiler's own
+# per-link wire map (a telemetry-on run is profiled, and the shard's wire
+# ledger is the one per-link record), and the stats functions nothing
+# reached (Q–Q series, the two-sample KS test and their neighbours) — and no tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
 # `take_outbox`
@@ -169,6 +173,7 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'marked_by_layout_id' -e 'tracer_active' -e 'with_tracer' -e 'traces_active' \
   -e 'trace_ums_refresh' -e 'trace_fcs_refresh' -e 'trace_lib_query' \
   -e 'FileStorage' -e 'StorageError' -e 'StoreError' -e 'dyn Storage' \
+  -e 'with_profiling' -e 'add_wire' -e 'qq_series' -e 'ks_two_sample' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2

@@ -217,15 +217,13 @@ pub(super) fn unit_cost_gate(
 
 /// One epoch span: two clock reads, the `epoch` stage row and a ring push.
 const EPOCH_SPAN_BUDGET_NS: f64 = 250.0;
-/// One wire record: two map probes and three adds.
-const WIRE_RECORD_BUDGET_NS: f64 = 50.0;
 
 /// The profiler's operations in one run of the chaos-calibration grid on
-/// `threads` workers: epoch spans opened and wire records taken, summed
-/// over shards.
+/// `threads` workers: epoch spans opened, summed over shards, and the wire
+/// records the profile reads off the shards' ledgers.
 fn profiler_ops(threads: usize) -> Vec<(&'static str, u64)> {
     let mut sc = health_chaos_scenario(42, 3)
-        .with_profiling()
+        .with_telemetry()
         .with_threads(threads);
     sc.faults = health_chaos_faults();
     let profile = run_chaos_grid(sc).profile.expect("profiled run");
@@ -240,8 +238,9 @@ fn profiler_ops(threads: usize) -> Vec<(&'static str, u64)> {
 }
 
 /// Continuous-profiler cost gate: the operations a profiled run performs —
-/// deterministic, so exact — and what one of each costs. Enforced under
-/// `--check`.
+/// deterministic, so exact — and what an epoch span costs (a wire record
+/// is the shard's wire ledger, two adds per send in every run). Enforced
+/// under `--check`.
 pub(super) fn profiler_overhead(args: &Args, gates: &mut Gates) {
     gates.advisory(!args.check);
     println!("# profiler cost: operation counts of the profiled chaos grid, then ns per operation");
@@ -256,16 +255,6 @@ pub(super) fn profiler_overhead(args: &Args, gates: &mut Gates) {
             for epoch in 0..n as u64 {
                 prof.begin_epoch(epoch, epoch as f64, epoch);
                 prof.end_epoch(black_box(epoch + 3));
-            }
-        },
-    );
-    unit_cost_gate(
-        gates,
-        "profiler-full wire record",
-        WIRE_RECORD_BUDGET_NS,
-        |n| {
-            for i in 0..n {
-                prof.add_wire(black_box(i % 8), 64);
             }
         },
     );

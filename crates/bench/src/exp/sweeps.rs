@@ -13,6 +13,7 @@ use aequus_core::codec::{Crc32, Encoding};
 use aequus_core::{GridUser, JobId, SiteId, UsageRecord, UsageSummary, UserTable};
 use aequus_rms::DispatchOrder;
 use aequus_services::{ParticipationMode, Uss, UssMessage};
+use aequus_telemetry::stage::{EPOCH_PARTS, ROOTS, STAGES};
 use std::collections::BTreeMap;
 
 /// A convergence-time cell: whole seconds, or `never`.
@@ -220,6 +221,10 @@ pub(super) fn recovery_sweep(args: &Args, gates: &mut Gates) {
 const TRACE_OUT: &str = "SCALE_TRACE.json";
 const FOLDED_OUT: &str = "SCALE_PROFILE.folded";
 
+/// The share of the serial run the root stages must time: an untimed gap
+/// larger than the rest is a call the table cannot name.
+const ROOT_COVERAGE: f64 = 0.95;
+
 /// The acceptance target: ≥4× wall-clock speedup on ≥8 cores.
 const SPEEDUP_TARGET: f64 = 4.0;
 const SPEEDUP_CORES: usize = 8;
@@ -231,7 +236,10 @@ const SPEEDUP_CORES: usize = 8;
 /// cores and skipped below that); determinism, the engine's and the
 /// profiler's, is not.
 ///
-/// Every sweep runs fully profiled and leaves two artifacts next to the
+/// Every sweep runs fully profiled. It prints the serial run's wall time
+/// per stage (ns per event and per user: which layer's cost grows with
+/// which axis), gates that the root stages (`stage::ROOTS`) cover at least
+/// [`ROOT_COVERAGE`] of that run, and leaves two artifacts next to the
 /// snapshots: `SCALE_TRACE.json`, the serial run's Chrome trace-event file
 /// (load it in `about://tracing` or <https://ui.perfetto.dev> — one track
 /// per shard, epochs as frames, barrier waits as spans), and
@@ -266,7 +274,42 @@ pub(super) fn scale_sweep(args: &Args, gates: &mut Gates) {
     // trace carries wall time (per-host, per-run), the folded stacks carry
     // only schedule-derived values and must match every other worker count
     // byte for byte.
-    if let Some((_, profile)) = sweep.profiles.first() {
+    if let (Some((_, profile)), Some(serial)) = (sweep.profiles.first(), sweep.points.first()) {
+        println!(
+            "{:<17} {:>10} {:>9} {:>7} {:>10} {:>10}",
+            "stage (* root)", "calls", "wall_s", "share", "ns/event", "ns/user"
+        );
+        let (mut roots_ns, mut parts_ns) = (0, 0);
+        for stage in STAGES {
+            let Some(st) = profile.services.get(stage.name) else {
+                continue;
+            };
+            let root = ROOTS.contains(&stage.name);
+            roots_ns += if root { st.wall_ns } else { 0 };
+            let part = EPOCH_PARTS.contains(&stage.name) || root && stage.name != "sim.epoch";
+            parts_ns += if part { st.wall_ns } else { 0 };
+            let ns = st.wall_ns as f64;
+            println!(
+                "{:<17} {:>10} {:>9.3} {:>6.1}% {:>10.1} {:>10.1}",
+                format!("{}{}", stage.name, if root { " *" } else { "" }),
+                st.calls,
+                ns * 1e-9,
+                100.0 * ns * 1e-9 / serial.run_s,
+                ns / serial.events.max(1) as f64,
+                ns / shape.users.max(1) as f64
+            );
+        }
+        let share = |ns: u64| ns as f64 * 1e-9 / serial.run_s;
+        gates.check(
+            &format!("root stages cover >= {ROOT_COVERAGE} of the serial run's wall"),
+            share(roots_ns) >= ROOT_COVERAGE,
+            &format!(
+                "{:.3} of {:.3} s; {:.3} with sim.epoch read as its parts",
+                share(roots_ns),
+                serial.run_s,
+                share(parts_ns)
+            ),
+        );
         std::fs::write(TRACE_OUT, profile.to_chrome_trace()).expect("write chrome trace");
         std::fs::write(FOLDED_OUT, profile.to_folded()).expect("write folded profile");
         println!("wrote {TRACE_OUT} and {FOLDED_OUT}");

@@ -413,6 +413,9 @@ pub struct ScalePoint {
     pub threads: usize,
     /// Wall-clock seconds for the run.
     pub wall_s: f64,
+    /// Of `wall_s`, the seconds inside `GridSimulation::run` — what the
+    /// root stages (`stage::ROOTS`) time between them.
+    pub run_s: f64,
     /// Events the engine processed.
     pub events: u64,
     /// Events per wall-clock second.
@@ -431,8 +434,7 @@ pub struct ScaleSweep {
     /// `None` when every multi-thread run replayed the serial run exactly
     /// (within 1e-9); otherwise the first discrepancy, described.
     pub mismatch: Option<String>,
-    /// One `(threads, profile)` pair per point when the sweep ran with the
-    /// continuous profiler on, in input order.
+    /// One `(threads, profile)` pair per point, in input order.
     pub profiles: Vec<(usize, RunProfile)>,
 }
 
@@ -528,10 +530,11 @@ fn scale_mismatch(serial: &SimResult, parallel: &SimResult, threads: usize) -> O
 /// single-core host it hovers around (or below) 1×, which is exactly what
 /// the parallelism-aware CI gate expects.
 ///
-/// Every run is fully profiled: the sweep's headline number is the
-/// *speedup ratio*, which the profiler's bounded overhead cancels out of,
-/// and in exchange every point carries a Chrome trace and a folded profile
-/// whose cross-thread-count byte-equality the `--check` gate asserts.
+/// Every run runs telemetry, so it is profiled: the sweep's headline
+/// number is the *speedup ratio*, which the instruments' bounded overhead
+/// cancels out of, and in exchange every point carries a Chrome trace, a
+/// folded profile whose cross-thread-count byte-equality the `--check`
+/// gate asserts, and the wall time of every stage.
 pub fn run_scale_sweep(shape: &Shape, threads: &[usize]) -> ScaleSweep {
     let users = synthetic_users(shape.users);
     let horizon_s = 3600.0;
@@ -547,7 +550,7 @@ pub fn run_scale_sweep(shape: &Shape, threads: &[usize]) -> ScaleSweep {
             .nodes_per_site(shape.nodes_per_site)
             .with_metrics_user_cap(8)
             .with_threads(threads)
-            .with_profiling()
+            .with_telemetry()
     };
     let mut points = Vec::new();
     let mut profiles = Vec::new();
@@ -555,7 +558,10 @@ pub fn run_scale_sweep(shape: &Shape, threads: &[usize]) -> ScaleSweep {
     let mut serial: Option<SimResult> = None;
     for &threads in threads {
         let start = Instant::now();
-        let mut result = GridSimulation::new(scenario(threads)).run(&trace, 1800.0);
+        let sim = GridSimulation::new(scenario(threads));
+        let ran = Instant::now();
+        let mut result = sim.run(&trace, 1800.0);
+        let run_s = ran.elapsed().as_secs_f64();
         let wall_s = start.elapsed().as_secs_f64().max(1e-9);
         if let Some(profile) = result.profile.take() {
             profiles.push((threads, profile));
@@ -564,6 +570,7 @@ pub fn run_scale_sweep(shape: &Shape, threads: &[usize]) -> ScaleSweep {
         points.push(ScalePoint {
             threads,
             wall_s,
+            run_s,
             events: result.events_processed,
             events_per_sec: result.events_processed as f64 / wall_s,
             speedup_x: base_wall / wall_s,

@@ -166,7 +166,8 @@ mod tests {
         assert!(s.contains("# telemetry (6 sites)"));
         assert!(s.contains("aequus_uss_records_ingested_total"));
         assert!(s.contains("aequus_rms_dispatch_s"));
-        assert!(s.contains("aequus_sim_event_s"));
+        assert!(s.contains("aequus_sim_event_s"), "per site, per event");
+        assert!(s.contains("aequus_sim_epoch_s"), "engine, per epoch");
         // The summary embeds the same table.
         assert!(render_summary("t", &r).contains("# telemetry"));
     }

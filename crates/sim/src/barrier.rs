@@ -20,7 +20,7 @@
 use crate::event::Event;
 use crate::metrics::ShardSample;
 use crate::shard::{Outgoing, Shard};
-use aequus_telemetry::Histogram;
+use aequus_telemetry::Telemetry;
 use std::time::Instant;
 
 /// One epoch: advance every shard to `limit_s`, then (optionally) assemble
@@ -165,6 +165,8 @@ fn run_epoch(
 
 /// Drive `shards` through `schedule`, calling `at_barrier(now, fragments)`
 /// — one fragment per site, in site order — at every sampling barrier.
+/// Each epoch round and each barrier's routing are timed into `telemetry`
+/// (`aequus_sim_epoch_s`, `aequus_sim_route_s`).
 /// Returns the shards in site order plus the peak number of cross-shard
 /// deliveries pending at any single barrier (the engine's mailbox
 /// high-water mark, the same at any run count).
@@ -177,7 +179,7 @@ pub fn drive(
     num_threads: usize,
     mut schedule: EpochSchedule,
     end_s: f64,
-    epoch_hist: &Histogram,
+    telemetry: &Telemetry,
     mut at_barrier: impl FnMut(f64, Vec<ShardSample>),
 ) -> (Vec<Shard>, u64) {
     let run_len = shards.len().div_ceil(num_threads.max(1)).max(1);
@@ -185,10 +187,14 @@ pub fn drive(
     // Barrier wait is the join time minus a run's finish time, charged to
     // the *waiting* shards (the busy run shows up as compute).
     let wait_clock = handoffs.len() > 1 && shards.iter().any(|s| s.prof.is_on());
+    let (h_epoch, h_route) = (
+        telemetry.histogram("aequus_sim_epoch_s"),
+        telemetry.histogram("aequus_sim_route_s"),
+    );
     let mut mailbox_hwm: u64 = 0;
     let mut index: u64 = 0;
     while let Some(epoch) = schedule.next() {
-        let timer = epoch_hist.start_timer();
+        let timer = h_epoch.start_timer();
         let step = |run: &mut [Shard], handoff: &mut Handoff| {
             run_epoch(run, handoff, index, epoch, end_s, wait_clock)
         };
@@ -223,6 +229,7 @@ pub fn drive(
         if epoch.sample {
             at_barrier(epoch.limit_s, fragments);
         }
+        let route = h_route.start_timer();
         let pending: usize = handoffs.iter().map(|h| h.staged.len()).sum();
         mailbox_hwm = mailbox_hwm.max(pending as u64);
         // Runs are contiguous and read in order: deliveries go out by source
@@ -231,6 +238,7 @@ pub fn drive(
             let queue = &mut shards[o.dest].queue;
             queue.push(o.arrival_s, Event::UssDeliver(o.msg));
         }
+        route.observe();
         timer.observe();
         index += 1;
     }

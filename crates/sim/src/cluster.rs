@@ -105,17 +105,11 @@ impl SimCluster {
         self.rms.submit(rms_job, &mut self.site, now_s);
     }
 
-    /// Advance the cluster: Aequus services first (so freshly expired caches
-    /// recompute), then the RMS iteration.
-    pub fn step(&mut self, now_s: f64) {
-        self.site.tick(now_s);
-        self.rms.advance(&mut self.site, now_s);
-    }
-
-    /// Advance only the RMS while the Aequus stack is crashed: jobs keep
-    /// running and completing (their usage reports spool in the site's
-    /// pending queue), scheduling continues on the library's degraded
-    /// stale-cache priorities.
+    /// One RMS iteration, without the site's tick: a tick calls it after
+    /// `AequusSite::tick`, or alone while the Aequus stack is crashed —
+    /// jobs keep running and completing (their usage reports spool in the
+    /// site's pending queue), scheduling continues on the library's
+    /// degraded stale-cache priorities.
     pub fn step_rms_only(&mut self, now_s: f64) {
         self.rms.advance(&mut self.site, now_s);
     }
@@ -144,6 +138,12 @@ mod tests {
     use super::*;
     use aequus_core::GridUser;
     use aequus_services::ParticipationMode;
+
+    /// A shard's tick, services first, without the exchange traffic.
+    fn step(c: &mut SimCluster, now_s: f64) {
+        c.site.tick(now_s);
+        c.step_rms_only(now_s);
+    }
 
     fn scenario() -> GridScenario {
         GridScenario::national_testbed(
@@ -177,16 +177,16 @@ mod tests {
             },
             0.0,
         );
-        c.step(0.0);
+        step(&mut c, 0.0);
         assert_eq!(c.rms.running(), 1);
         // Identity was resolved through the IRS.
-        c.step(30.0);
+        step(&mut c, 30.0);
         assert_eq!(c.rms.stats().completed, 1);
         let usage = c.rms.stats().usage_by_user.clone();
         assert!((usage[&GridUser::new("U65")] - 30.0).abs() < 1e-9);
         // After reporting delay + publish interval, a summary goes out.
         for t in [40.0, 80.0, 140.0, 200.0] {
-            c.step(t);
+            step(&mut c, t);
         }
         assert!(c.site.uss.next_seq() > 1, "usage summary published");
     }
@@ -205,8 +205,8 @@ mod tests {
         };
         a.submit(&job, 0.0);
         b.submit(&job, 0.0);
-        a.step(0.0);
-        b.step(0.0);
+        step(&mut a, 0.0);
+        step(&mut b, 0.0);
         let ida = a.rms.stats().submitted;
         let idb = b.rms.stats().submitted;
         assert_eq!((ida, idb), (1, 1));

@@ -25,7 +25,8 @@ use aequus_telemetry::provenance::ProvenanceRecord;
 use aequus_telemetry::slo::StarvationClock;
 use aequus_telemetry::stage::STAGES;
 use aequus_telemetry::{
-    AlertEvent, RunProfile, ShardProfiler, SloEngine, SloRule, Snapshot, SpanRecord, Telemetry,
+    AlertEvent, RunProfile, ShardProfile, ShardProfiler, SloEngine, SloRule, Snapshot, SpanRecord,
+    Telemetry,
 };
 use aequus_workload::Trace;
 use std::collections::BTreeMap;
@@ -74,8 +75,9 @@ pub struct SimResult {
     pub site_store_stats: Vec<Option<StoreStats>>,
     /// The continuous-profiling artifact: per-shard stage accounting,
     /// barrier-wait attribution, queue high-water marks, gossip bytes on
-    /// the wire, and the aggregated service stages. `None` unless the
-    /// scenario enabled profiling ([`GridScenario::with_profiling`]).
+    /// the wire, and every `stage::STAGES` wall histogram summed over the
+    /// sites' and the engine's registries. `None` unless the scenario ran
+    /// telemetry ([`GridScenario::with_telemetry`]).
     /// Export with [`RunProfile::to_chrome_trace`] / [`RunProfile::to_folded`].
     pub profile: Option<RunProfile>,
     /// The finalized gossip health report: per-link staleness/bytes/retry
@@ -207,7 +209,7 @@ impl GridSimulation {
             .into_iter()
             .enumerate()
             .map(|(i, c)| {
-                let prof = ShardProfiler::new(i, scenario.profile, origin);
+                let prof = ShardProfiler::new(i, scenario.telemetry, origin);
                 Shard::new(i, c, Arc::clone(&scenario), Arc::clone(&spec), prof)
             })
             .collect();
@@ -223,6 +225,8 @@ impl GridSimulation {
     /// Run the trace through the grid, continuing `drain_s` seconds past the
     /// last submission so queued work completes.
     pub fn run(mut self, trace: &Trace, drain_s: f64) -> SimResult {
+        let wall = |name: &str| self.telemetry.histogram(name);
+        let preroute = wall("aequus_sim_preroute_s").start_timer();
         let end_s = trace.last_submit() + drain_s;
         let tracked = self.scenario.tracked_users();
         let mut metrics = MetricsLog::new(tracked.iter().cloned().collect());
@@ -257,8 +261,9 @@ impl GridSimulation {
         for shard in &mut self.shards {
             shard.queue.push(0.0, Event::ClusterTick);
         }
+        preroute.observe();
 
-        let h_epoch = self.telemetry.histogram("aequus_sim_event_s");
+        let h_assemble = wall("aequus_sim_assemble_s");
         let c_samples = self.telemetry.counter("aequus_sim_metrics_samples_total");
         let lookahead = if self.scenario.timings.exchange_latency_s > 0.0 {
             self.scenario.timings.exchange_latency_s
@@ -362,6 +367,7 @@ impl GridSimulation {
         let mut diverged_since: Option<f64> = None;
 
         let at_barrier = |now: f64, fragments: Vec<ShardSample>| {
+            let _assemble = h_assemble.start_timer();
             c_samples.inc();
             let sample = Sample::assemble(now, fragments, total_cores);
             if let Some(engine) = slo.as_mut() {
@@ -411,9 +417,10 @@ impl GridSimulation {
             self.scenario.num_threads,
             schedule,
             end_s,
-            &h_epoch,
+            &self.telemetry,
             at_barrier,
         );
+        let finish = wall("aequus_sim_finish_s").start_timer();
 
         // Fold per-shard counters into the engine registry (the serial
         // engine incremented these inline; totals are identical).
@@ -454,51 +461,6 @@ impl GridSimulation {
             .gauge("aequus_sim_mailbox_hwm")
             .set(mailbox_hwm as f64);
         let events_processed = totals.events + metrics.samples().len() as u64;
-
-        let profile = self.scenario.profile.then(|| {
-            let mut rp = RunProfile {
-                shards: shards
-                    .iter()
-                    .map(|s| {
-                        let mut p = s.prof.to_profile();
-                        p.queue_hwm = s.queue.high_water() as u64;
-                        // Deterministic event-count stages from the shard's
-                        // plain counters.
-                        for (name, calls) in [
-                            ("events.arrivals", s.stats.arrivals),
-                            ("events.ticks", s.stats.ticks),
-                            ("events.gossip", s.stats.gossip_deliveries),
-                            ("gossip.dropped", s.stats.dropped),
-                            ("gossip.partitioned", s.stats.partitioned),
-                        ] {
-                            p.stages.entry(name.to_string()).or_default().calls += calls;
-                        }
-                        p
-                    })
-                    .collect(),
-                services: BTreeMap::new(),
-                mailbox_hwm,
-            };
-            for shard in &shards {
-                let Some(snap) = shard.cluster.telemetry.snapshot() else {
-                    continue;
-                };
-                // The stages with a wall histogram: its *count* is
-                // deterministic (how often the stage ran is a function of
-                // the schedule), its *sum* is wall seconds.
-                for stage in STAGES {
-                    let hist = stage.wall.and_then(|metric| snap.histograms.get(metric));
-                    if let Some(h) = hist {
-                        let e = rp.services.entry(stage.name.to_string()).or_default();
-                        e.calls += h.count;
-                        e.wall_ns = e
-                            .wall_ns
-                            .saturating_add((h.sum.max(0.0) * 1e9).min(u64::MAX as f64) as u64);
-                    }
-                }
-            }
-            rp
-        });
 
         // Finalize the health subsystem: render the per-link report, export
         // the labeled series into the engine registry (both exporters pick
@@ -555,7 +517,7 @@ impl GridSimulation {
             .iter_mut()
             .map(|s| s.cluster.rms.utilization(end_s))
             .collect();
-        SimResult {
+        let mut result = SimResult {
             metrics,
             cluster_stats: shards
                 .iter()
@@ -569,7 +531,7 @@ impl GridSimulation {
                 .iter()
                 .filter_map(|s| s.cluster.telemetry.snapshot())
                 .collect(),
-            engine_telemetry: self.telemetry.snapshot(),
+            engine_telemetry: None,
             site_usage_views: shards
                 .iter()
                 .map(|s| s.cluster.site.uss.grid_view())
@@ -584,11 +546,65 @@ impl GridSimulation {
                 .map(|s| s.cluster.site.store_stats())
                 .collect(),
             flight_records,
-            profile,
+            profile: None,
             health_report,
             alerts,
+        };
+        let mut profile = self.scenario.telemetry.then(|| RunProfile {
+            shards: shards.iter().map(shard_profile).collect(),
+            services: BTreeMap::new(),
+            mailbox_hwm,
+        });
+        // Tearing the sites down is part of the run: time it in the finish.
+        drop(shards);
+        finish.observe();
+        // Every `STAGES` wall histogram of the sites' and the engine's
+        // registries, summed: a histogram's *count* is deterministic (how
+        // often the stage ran is a function of the schedule), its *sum* is
+        // wall seconds.
+        result.engine_telemetry = self.telemetry.snapshot();
+        if let Some(rp) = &mut profile {
+            for snap in result.site_telemetry.iter().chain(&result.engine_telemetry) {
+                for stage in STAGES {
+                    let Some(h) = stage.wall.and_then(|metric| snap.histograms.get(metric)) else {
+                        continue;
+                    };
+                    let e = rp.services.entry(stage.name.to_string()).or_default();
+                    e.calls += h.count;
+                    e.wall_ns = e
+                        .wall_ns
+                        .saturating_add((h.sum.max(0.0) * 1e9).min(u64::MAX as f64) as u64);
+                }
+            }
+        }
+        result.profile = profile;
+        result
+    }
+}
+
+/// One shard's profile: its profiler overlaid with its wire ledger, queue
+/// high-water mark and plain event counters.
+fn shard_profile(s: &Shard) -> ShardProfile {
+    let mut p = s.prof.to_profile();
+    p.queue_hwm = s.queue.high_water() as u64;
+    for (dest, &(bytes, msgs)) in s.link_wire.iter().enumerate() {
+        if msgs > 0 {
+            p.link_bytes.insert(dest, bytes);
+            let wire = p.stages.entry("gossip.wire".to_string()).or_default();
+            wire.calls += msgs;
+            wire.bytes += bytes;
         }
     }
+    for (name, calls) in [
+        ("events.arrivals", s.stats.arrivals),
+        ("events.ticks", s.stats.ticks),
+        ("events.gossip", s.stats.gossip_deliveries),
+        ("gossip.dropped", s.stats.dropped),
+        ("gossip.partitioned", s.stats.partitioned),
+    ] {
+        p.stages.entry(name.to_string()).or_default().calls += calls;
+    }
+    p
 }
 
 #[cfg(test)]
@@ -661,7 +677,7 @@ mod tests {
         // profile has none, a threaded one one per shard per epoch.
         let trace = uniform_trace(40, 7.0, 40.0);
         let run = |threads: usize| {
-            let sc = small_scenario().sites(5).with_profiling();
+            let sc = small_scenario().sites(5).with_telemetry();
             GridSimulation::new(sc.with_threads(threads)).run(&trace, 1500.0)
         };
         let serial = run(1);
@@ -748,7 +764,7 @@ mod tests {
         }
         // The engine registry saw the epoch loop.
         let engine = result.engine_telemetry.expect("engine telemetry on");
-        assert!(engine.histograms["aequus_sim_event_s"].count > 0);
+        assert!(engine.histograms["aequus_sim_epoch_s"].count > 0);
         assert!(engine.counters["aequus_sim_cluster_ticks_total"] > 0);
     }
 
@@ -894,8 +910,7 @@ mod tests {
     #[test]
     fn profiled_run_assembles_run_profile() {
         let trace = uniform_trace(40, 10.0, 30.0);
-        let sc = small_scenario().with_profiling();
-        assert!(sc.telemetry, "profiling implies telemetry");
+        let sc = small_scenario().with_telemetry();
         let result = GridSimulation::new(sc).run(&trace, 2000.0);
         let profile = result.profile.expect("profile assembled");
         assert_eq!(profile.shards.len(), 2);

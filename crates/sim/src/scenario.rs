@@ -118,8 +118,9 @@ pub struct GridScenario {
     /// What sites serve while peer data goes stale (outages, crashes).
     pub stale_policy: StalePolicy,
     /// Enable telemetry: per-site metric registries, stage spans, structured
-    /// events, and the end-to-end pipeline-delay tracer. Off by default —
-    /// disabled telemetry compiles to no-op handles on every hot path.
+    /// events, the end-to-end pipeline-delay tracer, and the run profile
+    /// ([`crate::SimResult::profile`]). Off by default — disabled telemetry
+    /// compiles to no-op handles on every hot path.
     pub telemetry: bool,
     /// Causal tracing, layered on telemetry: every usage report roots a
     /// cross-site span tree and every served query that closes one captures
@@ -150,11 +151,6 @@ pub struct GridScenario {
     /// spend the whole run inside metrics sampling; the first `cap` users in
     /// policy order still give the figures their tracked series.
     pub metrics_user_cap: Option<usize>,
-    /// Continuous profiling: per-shard stage accounting, barrier-wait
-    /// attribution, gossip bytes-on-wire, and the Chrome-trace / folded
-    /// export in [`crate::SimResult::profile`]. Requires `telemetry` (the
-    /// service stages are read from the per-site registries).
-    pub profile: bool,
     /// Gossip overlay topology: which sites exchange summaries directly.
     /// Interior nodes of non-mesh overlays relay merged cells onward
     /// (per-hop aggregation), so every site still converges to the full
@@ -209,7 +205,6 @@ impl GridScenario {
             snapshot_transfer_s: 0.0,
             num_threads: 1,
             metrics_user_cap: None,
-            profile: false,
             overlay: OverlayTopology::FullMesh,
             encoding: Encoding::default(),
             health: None,
@@ -330,8 +325,8 @@ impl GridScenario {
         self
     }
 
-    /// Enable per-site telemetry (metric registries, spans, events, and the
-    /// pipeline-delay tracer).
+    /// Enable per-site telemetry (metric registries, spans, events, the
+    /// pipeline-delay tracer and the run profile).
     pub fn with_telemetry(mut self) -> Self {
         self.telemetry = true;
         self
@@ -408,15 +403,6 @@ impl GridScenario {
     pub fn with_request_factor(mut self, factor: f64) -> Self {
         assert!(factor > 0.0, "request factor must be positive");
         self.request_factor = factor;
-        self
-    }
-
-    /// Enable continuous profiling. Implies telemetry — the profiler folds
-    /// the per-site service histograms (`aequus_telemetry::stage`'s wall
-    /// column) into the run profile.
-    pub fn with_profiling(mut self) -> Self {
-        self.telemetry = true;
-        self.profile = true;
         self
     }
 

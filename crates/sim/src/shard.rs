@@ -20,7 +20,7 @@ use aequus_core::policy::PolicyTree;
 use aequus_core::projection::Percental;
 use aequus_core::{GridUser, NodeId, UsageRow, UserId};
 use aequus_services::{LinkSide, UssMessage};
-use aequus_telemetry::ShardProfiler;
+use aequus_telemetry::{Histogram, ShardProfiler};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -120,15 +120,28 @@ pub struct Shard {
     pub crashed: bool,
     /// Event counters.
     pub stats: ShardStats,
-    /// Continuous-profiling accumulator (disabled outside profiled runs).
-    /// Shard-owned like `stats`, so the hot loop records without locks.
+    /// Continuous-profiling accumulator (disabled unless the scenario runs
+    /// telemetry). Shard-owned like `stats`, so the hot loop records
+    /// without locks.
     pub prof: ShardProfiler,
     /// Cumulative per-destination wire counters `(bytes, msgs)`, indexed by
-    /// destination site and kept only when the scenario runs health
-    /// monitoring — they feed the per-link health map, which wants link
-    /// budgets, not the site total in `stats`. A flat vector keeps the
-    /// per-send accounting to two adds.
-    link_wire: Vec<(u64, u64)>,
+    /// destination site: the one per-link wire ledger, read by the health
+    /// map's tx rows and the run profile's `link_bytes` and `gossip.wire`.
+    /// A flat vector keeps the per-send accounting to two adds.
+    pub(crate) link_wire: Vec<(u64, u64)>,
+    /// Wall time of the engine's calls into the site's layers, one
+    /// `stage::STAGES` row each, in the site's registry (disabled handles,
+    /// one branch per call, unless the scenario runs telemetry).
+    h_event: Histogram,
+    h_submit: Histogram,
+    h_tick: Histogram,
+    h_advance: Histogram,
+    h_crash: Histogram,
+    h_recover: Histogram,
+    h_poll: Histogram,
+    h_deliver: Histogram,
+    h_wire_size: Histogram,
+    h_sample: Histogram,
     /// This site's raw usage view over `spec.users`, kept current by
     /// `Uss::sync_view_row` at each sample and shared with that sample's
     /// fragment.
@@ -153,20 +166,26 @@ impl Shard {
         prof: ShardProfiler,
     ) -> Self {
         let faults = FaultRng::for_shard(scenario.seed, index as u64);
-        let link_wire = if scenario.health.is_some() {
-            vec![(0, 0); scenario.clusters.len()]
-        } else {
-            Vec::new()
-        };
+        let wall = |name| cluster.telemetry.histogram(name);
         Self {
             index,
-            cluster,
             queue: EventQueue::new(),
             faults,
             crashed: false,
             stats: ShardStats::default(),
             prof,
-            link_wire,
+            link_wire: vec![(0, 0); scenario.clusters.len()],
+            h_event: wall("aequus_sim_event_s"),
+            h_submit: wall("aequus_rms_submit_s"),
+            h_tick: wall("aequus_site_tick_s"),
+            h_advance: wall("aequus_rms_advance_s"),
+            h_crash: wall("aequus_site_crash_s"),
+            h_recover: wall("aequus_site_recover_s"),
+            h_poll: wall("aequus_uss_poll_s"),
+            h_deliver: wall("aequus_uss_deliver_s"),
+            h_wire_size: wall("aequus_codec_wire_size_s"),
+            h_sample: wall("aequus_sim_sample_s"),
+            cluster,
             usage_row: Arc::default(),
             tracked_leaves: Vec::new(),
             leaves_of_build: 0,
@@ -184,6 +203,7 @@ impl Shard {
             if !due || t > end_s {
                 break;
             }
+            let _event = self.h_event.start_timer();
             let Some((now, event)) = self.queue.pop() else {
                 break;
             };
@@ -191,6 +211,7 @@ impl Shard {
             match event {
                 Event::JobArrival(job) => {
                     self.stats.arrivals += 1;
+                    let _submit = self.h_submit.start_timer();
                     self.cluster.submit(&job, now);
                 }
                 Event::ClusterTick => {
@@ -211,7 +232,9 @@ impl Shard {
                         if msg.is_data() {
                             self.stats.gossip_deliveries += 1;
                         }
+                        let deliver = self.h_deliver.start_timer();
                         let responses = self.cluster.deliver_msg(&msg, now);
+                        deliver.observe();
                         for (dest, response) in responses {
                             self.send(dest.0 as usize, response, now, limit_s, out);
                         }
@@ -221,29 +244,37 @@ impl Shard {
         }
     }
 
-    /// One cluster tick: crash-window edge detection, then either the
-    /// degraded RMS-only step (crashed) or the full step plus exchange
-    /// traffic.
+    /// One cluster tick: crash-window edge detection, the Aequus services
+    /// (so freshly expired caches recompute), the RMS iteration, then the
+    /// exchange traffic. A crashed site's RMS keeps scheduling (degraded,
+    /// stale-cache priorities) and completed jobs spool their usage reports
+    /// for replay, but its services are down.
     fn tick(&mut self, now: f64, limit_s: f64, out: &mut Vec<Outgoing>) {
         let crashed_now = self.scenario.faults.is_crashed(self.index, now);
         if crashed_now != self.crashed {
             if crashed_now {
+                let _crash = self.h_crash.start_timer();
                 self.cluster.site.crash(now);
                 self.stats.crashes += 1;
             } else {
+                let _recover = self.h_recover.start_timer();
                 self.cluster.site.recover(now);
             }
             self.crashed = crashed_now;
         }
+        if !crashed_now {
+            let _tick = self.h_tick.start_timer();
+            self.cluster.site.tick(now);
+        }
+        let advance = self.h_advance.start_timer();
+        self.cluster.step_rms_only(now);
+        advance.observe();
         if crashed_now {
-            // The RMS keeps scheduling (degraded, stale-cache priorities)
-            // and completed jobs spool their usage reports for replay, but
-            // the Aequus services are down.
-            self.cluster.step_rms_only(now);
             return;
         }
-        self.cluster.step(now);
+        let poll = self.h_poll.start_timer();
         let msgs = self.cluster.poll_messages(now);
+        poll.observe();
         if self.scenario.faults.is_partitioned(self.index, now) {
             // Transport cut at the source. The retry state has already
             // advanced, so the lost sends retry after their backoff.
@@ -286,8 +317,9 @@ impl Shard {
         // so these link budgets are too. The size is as the scenario's
         // encoding counts it — under Delta the codec's real encoded length,
         // for data of the publication's one frame, encoded at its first send.
+        let wire_size = self.h_wire_size.start_timer();
         let bytes = msg.wire_size(self.scenario.encoding);
-        self.prof.add_wire(dest, bytes);
+        wire_size.observe();
         self.stats.gossip_bytes += bytes;
         if let Some(slot) = self.link_wire.get_mut(dest) {
             slot.0 += bytes;
@@ -316,6 +348,7 @@ impl Shard {
     /// — nothing scales with users × slots, copies the view or clones a name
     /// per user.
     pub fn sample_fragment(&mut self, now: f64) -> ShardSample {
+        let _sample = self.h_sample.start_timer();
         let site = &mut self.cluster.site;
         let mut users: BTreeMap<String, UserSample> = BTreeMap::new();
         let mut site_priority: BTreeMap<String, f64> = BTreeMap::new();

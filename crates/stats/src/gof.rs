@@ -1,9 +1,6 @@
-//! Additional goodness-of-fit diagnostics beyond Kolmogorov–Smirnov:
-//! the Anderson–Darling statistic (more sensitive in the tails, where the
-//! duration models' heavy tails live) and quantile–quantile series for
-//! visual fit inspection.
-
-use crate::distribution::ContinuousDistribution;
+//! A goodness-of-fit diagnostic beyond Kolmogorov–Smirnov: the
+//! Anderson–Darling statistic, more sensitive in the tails, where the
+//! duration models' heavy tails live.
 
 /// Anderson–Darling statistic `A²` of a sample against a theoretical CDF.
 ///
@@ -31,49 +28,11 @@ pub fn anderson_darling<F: Fn(f64) -> f64>(data: &[f64], cdf: F) -> f64 {
     -nf - sum / nf
 }
 
-/// Anderson–Darling against a distribution object.
-pub fn anderson_darling_dist<D: ContinuousDistribution>(data: &[f64], dist: &D) -> f64 {
-    anderson_darling(data, |x| dist.cdf(x))
-}
-
-/// Quantile–quantile series: `points` pairs of (theoretical quantile,
-/// empirical quantile) at evenly spaced probabilities — a straight line
-/// indicates a good fit.
-pub fn qq_series<D: ContinuousDistribution>(
-    data: &[f64],
-    dist: &D,
-    points: usize,
-) -> Vec<(f64, f64)> {
-    if data.is_empty() || points == 0 {
-        return vec![];
-    }
-    let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len();
-    (1..=points)
-        .map(|i| {
-            let p = i as f64 / (points as f64 + 1.0);
-            let theoretical = dist.icdf(p);
-            let idx = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
-            (theoretical, sorted[idx])
-        })
-        .collect()
-}
-
-/// Maximum relative deviation of a Q–Q series from the identity line, as a
-/// single fit-quality number (0 = perfect).
-pub fn qq_max_relative_deviation(series: &[(f64, f64)]) -> f64 {
-    series
-        .iter()
-        .filter(|(t, _)| t.abs() > 1e-12)
-        .map(|(t, e)| ((e - t) / t).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::{Gev, Normal, Weibull};
+    use crate::distribution::ContinuousDistribution;
     use crate::sample_n;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -83,7 +42,7 @@ mod tests {
         let d = Normal::new(3.0, 2.0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let xs = sample_n(&d, 3000, &mut rng);
-        let a2 = anderson_darling_dist(&xs, &d);
+        let a2 = anderson_darling(&xs, |x| d.cdf(x));
         assert!(a2 < 2.5, "A² = {a2}");
     }
 
@@ -93,8 +52,8 @@ mod tests {
         let wrong = Normal::new(1.0, 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let xs = sample_n(&d, 3000, &mut rng);
-        let right = anderson_darling_dist(&xs, &d);
-        let shifted = anderson_darling_dist(&xs, &wrong);
+        let right = anderson_darling(&xs, |x| d.cdf(x));
+        let shifted = anderson_darling(&xs, |x| wrong.cdf(x));
         assert!(shifted > 10.0 * right.max(0.1), "{shifted} vs {right}");
     }
 
@@ -105,8 +64,8 @@ mod tests {
         let light = Weibull::new(100.0 * (2.0f64.ln()).powf(1.0 / 0.6 - 1.0 / 1.2), 1.2).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let xs = sample_n(&heavy, 2000, &mut rng);
-        let own = anderson_darling_dist(&xs, &heavy);
-        let other = anderson_darling_dist(&xs, &light);
+        let own = anderson_darling(&xs, |x| heavy.cdf(x));
+        let other = anderson_darling(&xs, |x| light.cdf(x));
         assert!(other > own * 5.0, "{other} vs {own}");
     }
 
@@ -115,42 +74,12 @@ mod tests {
         let d = Gev::new(-0.4, 10.0, 0.0).unwrap();
         // Samples at/near the bounded upper support must not blow up.
         let xs = vec![24.9, 25.0, 10.0, -5.0, 0.0];
-        let a2 = anderson_darling_dist(&xs, &d);
+        let a2 = anderson_darling(&xs, |x| d.cdf(x));
         assert!(a2.is_finite());
     }
 
     #[test]
     fn ad_empty_is_zero() {
         assert_eq!(anderson_darling(&[], |x| x), 0.0);
-    }
-
-    #[test]
-    fn qq_straight_line_for_correct_model() {
-        let d = Normal::new(0.0, 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let xs = sample_n(&d, 20_000, &mut rng);
-        let series = qq_series(&xs, &d, 19);
-        for (t, e) in &series {
-            assert!((t - e).abs() < 0.08, "({t}, {e})");
-        }
-    }
-
-    #[test]
-    fn qq_deviation_detects_scale_error() {
-        let d = Normal::new(10.0, 1.0).unwrap();
-        let wrong = Normal::new(10.0, 2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let xs = sample_n(&d, 10_000, &mut rng);
-        let good = qq_max_relative_deviation(&qq_series(&xs, &d, 19));
-        let bad = qq_max_relative_deviation(&qq_series(&xs, &wrong, 19));
-        assert!(bad > 2.0 * good, "{bad} vs {good}");
-    }
-
-    #[test]
-    fn qq_empty_inputs() {
-        let d = Normal::new(0.0, 1.0).unwrap();
-        assert!(qq_series(&[], &d, 10).is_empty());
-        assert!(qq_series(&[1.0], &d, 0).is_empty());
-        assert_eq!(qq_max_relative_deviation(&[]), 0.0);
     }
 }

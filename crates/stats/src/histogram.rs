@@ -30,25 +30,6 @@ impl Histogram {
         }
     }
 
-    /// Build a histogram from data with the given bin count, range spanning
-    /// the data (empty data gets a unit range).
-    pub fn from_data(data: &[f64], bins: usize) -> Self {
-        let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let (lo, hi) = if lo.is_finite() && hi.is_finite() && lo < hi {
-            (lo, hi + (hi - lo) * 1e-9)
-        } else if lo.is_finite() {
-            (lo, lo + 1.0)
-        } else {
-            (0.0, 1.0)
-        };
-        let mut h = Self::new(lo, hi, bins);
-        for &x in data {
-            h.add(x);
-        }
-        h
-    }
-
     /// Record one observation.
     pub fn add(&mut self, x: f64) {
         self.total += 1;
@@ -60,14 +41,6 @@ impl Histogram {
         let idx = ((x - self.lo) / w) as usize;
         let idx = idx.min(self.counts.len() - 1);
         self.counts[idx] += 1;
-    }
-
-    /// Record a weighted observation by adding `w` to the bin count
-    /// (weights are rounded into the u64 counter; use density() for ratios).
-    pub fn add_count(&mut self, x: f64, count: u64) {
-        for _ in 0..count {
-            self.add(x);
-        }
     }
 
     /// Raw bin counts.
@@ -142,18 +115,12 @@ mod tests {
 
     #[test]
     fn density_integrates_to_one() {
-        let data: Vec<f64> = (0..1000).map(|i| i as f64 / 100.0).collect();
-        let h = Histogram::from_data(&data, 20);
+        let mut h = Histogram::new(0.0, 10.0, 20);
+        for i in 0..1000 {
+            h.add(i as f64 / 100.0);
+        }
         let integral: f64 = h.density().iter().sum::<f64>() * h.bin_width();
         assert!((integral - 1.0).abs() < 1e-9, "{integral}");
-    }
-
-    #[test]
-    fn from_data_spans_range() {
-        let data = [3.0, 7.0, 5.0];
-        let h = Histogram::from_data(&data, 2);
-        assert_eq!(h.outliers(), 0);
-        assert_eq!(h.total(), 3);
     }
 
     #[test]

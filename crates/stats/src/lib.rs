@@ -9,7 +9,7 @@
 //!   re-deriving Tables II and III.
 //! * Finite mixtures for the Eq. (1) four-phase composite model of U65.
 //! * BIC model selection ([`select`]), Kolmogorov–Smirnov goodness-of-fit
-//!   ([`ks`]), Anderson–Darling and Q–Q diagnostics ([`gof`]), autocorrelation ([`acf`]), histograms ([`histogram`]),
+//!   ([`ks`]), the Anderson–Darling statistic ([`gof`]), autocorrelation ([`acf`]), histograms ([`histogram`]),
 //!   empirical CDFs ([`ecdf`]), robust summary statistics ([`summary`]),
 //!   and range-rescaled ICDF sampling ([`truncated`]).
 //!

@@ -47,22 +47,6 @@ pub fn gamma(x: f64) -> f64 {
     }
 }
 
-/// Digamma function ψ(x) = d/dx ln Γ(x), for `x > 0`.
-pub fn digamma(x: f64) -> f64 {
-    let mut x = x;
-    let mut result = 0.0;
-    // Recurrence to push x above 6 where the asymptotic series is accurate.
-    while x < 6.0 {
-        result -= 1.0 / x;
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    result + x.ln()
-        - 0.5 * inv
-        - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0))))
-}
-
 /// Error function erf(x), accurate to ~1.2e-7 absolute (sufficient here, the
 /// normal CDF path below uses a higher-accuracy complementary formulation).
 pub fn erf(x: f64) -> f64 {
@@ -552,18 +536,5 @@ mod tests {
                 close(beta_inc(a, b, x), p, 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn digamma_recurrence() {
-        // ψ(x+1) = ψ(x) + 1/x
-        for &x in &[0.5, 1.0, 3.3, 8.0] {
-            close(digamma(x + 1.0), digamma(x) + 1.0 / x, 1e-10);
-        }
-    }
-
-    #[test]
-    fn digamma_one_is_minus_euler_gamma() {
-        close(digamma(1.0), -EULER_GAMMA, 1e-10);
     }
 }

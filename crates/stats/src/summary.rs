@@ -44,20 +44,6 @@ pub fn variance(data: &[f64]) -> Option<f64> {
     Some(data.iter().map(|x| (x - m).powi(2)).sum::<f64>() / data.len() as f64)
 }
 
-/// Standard deviation (population). Returns `None` if fewer than 2 points.
-pub fn std_dev(data: &[f64]) -> Option<f64> {
-    variance(data).map(f64::sqrt)
-}
-
-/// Coefficient of variation σ/μ. Returns `None` if undefined (μ = 0 or n < 2).
-pub fn coeff_of_variation(data: &[f64]) -> Option<f64> {
-    let m = mean(data)?;
-    if m == 0.0 {
-        return None;
-    }
-    Some(std_dev(data)? / m)
-}
-
 /// Round to whole seconds as the paper does for median inter-arrival and
 /// duration values ("the time stamps from the original trace are limited to
 /// second accuracy").
@@ -95,11 +81,9 @@ mod tests {
     }
 
     #[test]
-    fn variance_and_cv() {
+    fn population_variance() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance(&xs).unwrap() - 4.0).abs() < 1e-12);
-        assert!((std_dev(&xs).unwrap() - 2.0).abs() < 1e-12);
-        assert!((coeff_of_variation(&xs).unwrap() - 0.4).abs() < 1e-12);
     }
 
     #[test]

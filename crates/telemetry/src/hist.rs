@@ -159,8 +159,10 @@ impl Histogram {
 
     /// Start a wall-clock span; the guard records the elapsed seconds into
     /// this histogram when dropped. Disabled handles never call
-    /// [`Instant::now`], so the disabled cost is a branch.
+    /// [`Instant::now`], so the disabled cost is a branch (inlined into the
+    /// caller's crate, not a call).
     #[must_use = "dropping the guard immediately records a ~0 s span; bind it with `let _span = …`"]
+    #[inline]
     pub fn start_timer(&self) -> SpanTimer {
         SpanTimer(self.0.as_ref().map(|core| (core.clone(), Instant::now())))
     }
@@ -187,10 +189,12 @@ pub struct SpanTimer(Option<(Arc<HistCore>, Instant)>);
 
 impl SpanTimer {
     /// End the span now (identical to dropping the guard).
+    #[inline]
     pub fn observe(self) {}
 }
 
 impl Drop for SpanTimer {
+    #[inline]
     fn drop(&mut self) {
         if let Some((core, start)) = self.0.take() {
             core.record(start.elapsed().as_secs_f64());

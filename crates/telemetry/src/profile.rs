@@ -85,16 +85,13 @@ pub struct ShardProfiler {
     origin: Instant,
     stages: BTreeMap<&'static str, StageStats>,
     spans: Ring<ProfSpan>,
-    /// Bytes staged toward each destination shard (gossip wire accounting
-    /// per link; deterministic).
-    link_bytes: BTreeMap<usize, u64>,
     /// Open epoch window: `(epoch, limit_s, start, events_before)`.
     open: Option<(u64, f64, Instant, u64)>,
 }
 
 impl ShardProfiler {
     /// A profiler that records nothing (the default for tests and
-    /// profiling-off scenarios).
+    /// telemetry-off scenarios).
     pub fn disabled() -> Self {
         Self::new(0, false, Instant::now())
     }
@@ -109,7 +106,6 @@ impl ShardProfiler {
             origin,
             stages: BTreeMap::new(),
             spans: Ring::new(SPAN_CAP),
-            link_bytes: BTreeMap::new(),
             open: None,
         }
     }
@@ -117,18 +113,6 @@ impl ShardProfiler {
     /// Whether the profiler records anything.
     pub fn is_on(&self) -> bool {
         self.on
-    }
-
-    /// Account `bytes` staged toward destination shard `dest` (the gossip
-    /// bytes-on-wire budget, per link and in aggregate).
-    pub fn add_wire(&mut self, dest: usize, bytes: u64) {
-        if !self.on {
-            return;
-        }
-        let wire = self.stages.entry("gossip.wire").or_default();
-        wire.calls += 1;
-        wire.bytes += bytes;
-        *self.link_bytes.entry(dest).or_insert(0) += bytes;
     }
 
     /// Open this shard's compute window for `epoch`.
@@ -182,8 +166,8 @@ impl ShardProfiler {
     }
 
     /// Snapshot into the owned, serializable per-shard profile. The caller
-    /// (the engine) overlays deterministic event counters and queue
-    /// high-water marks it owns.
+    /// (the engine) overlays the deterministic event counters, wire ledger
+    /// and queue high-water marks it owns.
     pub fn to_profile(&self) -> ShardProfile {
         ShardProfile {
             shard: self.shard,
@@ -194,8 +178,7 @@ impl ShardProfiler {
                 .collect(),
             spans: self.spans.to_vec(),
             spans_dropped: self.spans.dropped(),
-            link_bytes: self.link_bytes.clone(),
-            queue_hwm: 0,
+            ..ShardProfile::default()
         }
     }
 }
@@ -334,13 +317,11 @@ mod tests {
     #[test]
     fn off_mode_records_nothing() {
         let mut p = ShardProfiler::disabled();
-        p.add_wire(1, 100);
         p.begin_epoch(0, 0.0, 0);
         p.end_epoch(5);
         p.record_wait_ns(10, 0, 0.0);
         let prof = p.to_profile();
         assert!(prof.stages.is_empty() && prof.spans.is_empty());
-        assert!(prof.link_bytes.is_empty());
     }
 
     #[test]
@@ -384,12 +365,19 @@ mod tests {
 
     fn sample_run_profile() -> RunProfile {
         let mut p = full_profiler();
-        p.add_wire(1, 128);
         p.begin_epoch(0, 0.0, 0);
         p.end_epoch(2);
         p.record_wait_ns(500, 1, 5.0);
         let mut shard = p.to_profile();
         shard.queue_hwm = 9;
+        shard.stages.insert(
+            "gossip.wire".to_string(),
+            StageStats {
+                calls: 1,
+                wall_ns: 0,
+                bytes: 128,
+            },
+        );
         shard.stages.insert(
             "events.ticks".to_string(),
             StageStats {

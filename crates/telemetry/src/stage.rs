@@ -26,7 +26,9 @@ const fn stage(
 }
 
 /// Every stage, in pipeline order: report → USS → UMS → FCS → `libaequus`,
-/// then the stages off the usage path (dispatch, the durable store).
+/// then the stages off the usage path (dispatch, the durable store), then
+/// the engine's calls into them: [`ROOTS`] tile a run, an epoch round holds
+/// [`EPOCH_PARTS`], and every other engine row runs inside `sim.event`.
 pub const STAGES: &[Stage] = &[
     stage("rms.report", None, None),
     stage(
@@ -57,7 +59,30 @@ pub const STAGES: &[Stage] = &[
     stage("store.append", Some("aequus_store_wal_append_s"), None),
     stage("store.checkpoint", Some("aequus_store_checkpoint_s"), None),
     stage("store.replay", Some("aequus_store_wal_replay_s"), None),
+    stage("sim.preroute", Some("aequus_sim_preroute_s"), None),
+    stage("sim.epoch", Some("aequus_sim_epoch_s"), None),
+    stage("sim.event", Some("aequus_sim_event_s"), None),
+    stage("rms.submit", Some("aequus_rms_submit_s"), None),
+    stage("site.tick", Some("aequus_site_tick_s"), None),
+    stage("rms.advance", Some("aequus_rms_advance_s"), None),
+    stage("site.crash", Some("aequus_site_crash_s"), None),
+    stage("site.recover", Some("aequus_site_recover_s"), None),
+    stage("uss.poll", Some("aequus_uss_poll_s"), None),
+    stage("uss.deliver", Some("aequus_uss_deliver_s"), None),
+    stage("codec.wire_size", Some("aequus_codec_wire_size_s"), None),
+    stage("sim.sample", Some("aequus_sim_sample_s"), None),
+    stage("sim.assemble", Some("aequus_sim_assemble_s"), None),
+    stage("sim.route", Some("aequus_sim_route_s"), None),
+    stage("sim.finish", Some("aequus_sim_finish_s"), None),
 ];
+
+/// The root stages: one after another they time a whole engine run.
+pub const ROOTS: [&str; 3] = ["sim.preroute", "sim.epoch", "sim.finish"];
+
+/// What an epoch round (`sim.epoch`) is made of, beside the epoch loop's
+/// own bookkeeping: each shard's events and sample fragment, the
+/// coordinator's sample assembly and its routing of the staged sends.
+pub const EPOCH_PARTS: [&str; 4] = ["sim.event", "sim.sample", "sim.assemble", "sim.route"];
 
 /// The stage called `name`, if the vocabulary has it.
 pub fn find(name: &str) -> Option<&'static Stage> {

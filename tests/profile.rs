@@ -20,7 +20,8 @@ fn base_seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// The chaos suite's 3-site grid with the full fault plan, profiled.
+/// The chaos suite's 3-site grid with the full fault plan, profiled (a
+/// telemetry-on run is).
 fn scenario(seed: u64) -> GridScenario {
     let mut sc = GridScenario::national_testbed(
         &[
@@ -51,7 +52,7 @@ fn scenario(seed: u64) -> GridScenario {
             to_s: 700.0,
         }],
     };
-    sc.with_profiling()
+    sc.with_telemetry()
 }
 
 fn trace() -> Trace {
@@ -218,15 +219,30 @@ fn every_emitted_stage_label_is_in_the_stage_table() {
         }
     }
     let benchmark_spelled = [
+        "codec.wire_size",
         "fcs.refresh_full",
         "fcs.refresh_incr",
+        "rms.advance",
         "rms.dispatch",
+        "rms.submit",
+        "sim.assemble",
+        "sim.epoch",
+        "sim.event",
+        "sim.finish",
+        "sim.preroute",
+        "sim.route",
+        "sim.sample",
+        "site.crash",
+        "site.recover",
+        "site.tick",
         "store.append",
         "store.checkpoint",
         "store.replay",
         "ums.refresh",
+        "uss.deliver",
         "uss.ingest",
         "uss.merge",
+        "uss.poll",
         "uss.publish",
     ];
     assert_eq!(services.into_iter().collect::<Vec<_>>(), benchmark_spelled);
@@ -314,13 +330,39 @@ fn profiler_gossip_bytes_match_codec_bytes() {
     );
 }
 
+/// The engine's stage timers sit at exactly the calls the shard counts:
+/// over the chaos grid (a crash included), at 1 and 4 workers, each timed
+/// stage ran as often as the counter beside its call says.
+#[test]
+fn engine_stage_calls_equal_the_shard_counters() {
+    for threads in [1, 4] {
+        let result = profiled_run(threads);
+        let profile = profile_of(&result);
+        let engine = result.engine_telemetry.as_ref().expect("telemetry on");
+        let calls = |stage: &str| profile.services[stage].calls;
+        let samples = result.metrics.samples().len() as u64;
+        assert_eq!(calls("sim.event"), result.events_processed - samples);
+        assert_eq!(calls("rms.submit"), result.total_submitted());
+        assert_eq!(
+            calls("site.crash"),
+            engine.counters["aequus_sim_crashes_total"]
+        );
+        assert_eq!(calls("site.crash"), 1, "the plan crashes one site once");
+        for (site, shard) in result.site_telemetry.iter().zip(&profile.shards) {
+            let timed = |metric: &str| site.histograms[metric].count;
+            let counted = |row: &str| shard.stages.get(row).map_or(0, |st| st.calls);
+            assert_eq!(timed("aequus_rms_submit_s"), counted("events.arrivals"));
+            assert_eq!(timed("aequus_codec_wire_size_s"), counted("gossip.wire"));
+            assert!(counted("gossip.wire") > 0, "{threads} workers");
+        }
+    }
+}
+
 #[test]
 fn unprofiled_runs_pay_nothing_visible() {
-    // Profiling off is the default: no profile, and the scenario flag is
-    // genuinely off unless asked for.
+    // A telemetry-off run (the default) has no profile.
     let mut sc = scenario(base_seed());
-    assert!(!GridScenario::national_testbed(&[("U65", 1.0)], base_seed()).profile);
-    sc.profile = false;
+    sc.telemetry = false;
     let result = GridSimulation::new(sc).run(&trace(), 1800.0);
-    assert!(result.profile.is_none());
+    assert!(result.profile.is_none() && result.engine_telemetry.is_none());
 }
