@@ -155,7 +155,10 @@ done
 # can fail), and the scenario's profiling switch with the profiler's own
 # per-link wire map (a telemetry-on run is profiled, and the shard's wire
 # ledger is the one per-link record), and the stats functions nothing
-# reached (Q–Q series, the two-sample KS test and their neighbours) — and no tracked source, manifest, doc or script names them again; nor does the RMS
+# reached (Q–Q series, the two-sample KS test and their neighbours), and the
+# telemetry snapshot's Prometheus and JSON exporters with their parsers and
+# round-trip suite (a snapshot is read where it is taken) — and no tracked
+# source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
 # `take_outbox`
@@ -174,6 +177,7 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'trace_ums_refresh' -e 'trace_fcs_refresh' -e 'trace_lib_query' \
   -e 'FileStorage' -e 'StorageError' -e 'StoreError' -e 'dyn Storage' \
   -e 'with_profiling' -e 'add_wire' -e 'qq_series' -e 'ks_two_sample' \
+  -e 'to_prometheus' -e 'from_prometheus' -e 'proptest_export' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2

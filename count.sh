@@ -11,6 +11,9 @@
 # It also lists every non-test `pub fn` of the product crates that no other
 # file's non-test code names — the product and bench crates, `src/`, the
 # examples, `tests/paper_claims.rs` and the benchmark (`benchmark/src`).
+# A `use` statement names nothing (a re-export is not a caller), and a file
+# that itself defines a `pub fn` of the same name does not reach another
+# file's (a wrapper pair would otherwise reach each other).
 #
 #   ./count.sh    prints the table, the sites and the unreached functions;
 #                 exits 1 when a site is not in panic_sites.allow (one
@@ -35,10 +38,21 @@ non_test() {
   ' "$1"
 }
 
+# The names a file's non-test code uses: comment lines and `use`
+# statements (one or many lines, `pub` or not) dropped.
+named() {
+  non_test "$1" | cut -f2- | grep -v -P '^\s*//' | awk '
+    in_use { if (/;/) in_use = 0; next }
+    /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?use[[:space:]]/ { if (!/;/) in_use = 1; next }
+    { print }
+  '
+}
+
 sites=$(mktemp)
 words=$(mktemp)
+defs=$(mktemp)
 fns=$(mktemp)
-trap 'rm -f "$sites" "$words" "$fns"' EXIT
+trap 'rm -f "$sites" "$words" "$defs" "$fns"' EXIT
 total=0
 printf '%-10s %7s\n' crate lines
 for dir in crates/*; do
@@ -72,22 +86,25 @@ awk -F'\t' '
 ' panic_sites.allow "$sites" || status=1
 
 # Reach: `file<TAB>word` for each identifier a file's non-test code names,
-# and `file<TAB>name` for each `pub fn` a product crate defines. A function
-# is reached when a second file names it (its own file always does).
+# `file<TAB>name` for each `pub fn` a file defines, and those of the product
+# crates. A function is reached when a file that does not define a `pub fn`
+# of its name names it.
 for f in $(find crates/*/src src examples benchmark/src -name '*.rs' | sort) tests/paper_claims.rs; do
-  non_test "$f" | cut -f2- | grep -v -P '^\s*//' | grep -oP '\b\w+\b' | sort -u |
-    sed "s|^|$f\t|" || true
-done >"$words"
-for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' | sort); do
+  named "$f" | grep -oP '\b\w+\b' | sort -u | sed "s|^|$f\t|" || true
   non_test "$f" | cut -f2- | grep -oP '^\s*pub\s+(const\s+)?(unsafe\s+)?fn\s+\K\w+' | sort -u |
-    sed "s|^|$f\t|" || true
-done >"$fns"
+    sed "s|^|$f\t|" >>"$defs" || true
+done >"$words"
+grep -P '^crates/(?!bench/)' "$defs" >"$fns" || true
+unreached=$(awk -F'\t' '
+  FILENAME == ARGV[1] { defines[$0] = 1; next }
+  FILENAME == ARGV[2] { if (!($0 in defines)) reached[$2] = 1; next }
+  !($2 in reached)
+' "$defs" "$words" "$fns")
 echo
-echo "unreached pub fns: $(awk -F'\t' 'NR == FNR { n[$2]++; next } n[$2] < 2' "$words" "$fns" | wc -l)"
+echo "unreached pub fns: $(grep -c . <<<"$unreached" || true)"
 awk -F'\t' '
   FILENAME == ARGV[1] { if ($0 !~ /^#/ && NF >= 3) allowed[$1 FS $2] = 1; next }
-  FILENAME == ARGV[2] { named[$2]++; next }
-  named[$2] >= 2 { next }
+  NF < 2 { next }
   ($1 FS $2) in allowed { printf "  %s  %s\n", $1, $2; delete allowed[$1 FS $2]; next }
   { printf "  %s  %s   <- not in reach.allow\n", $1, $2 > "/dev/stderr"; bad++ }
   END {
@@ -97,5 +114,5 @@ awk -F'\t' '
     }
     if (bad) { printf "%d reach.allow mismatch(es)\n", bad > "/dev/stderr"; exit 1 }
   }
-' reach.allow "$words" "$fns" || status=1
+' reach.allow - <<<"$unreached" || status=1
 exit "$status"

@@ -238,8 +238,9 @@ const SPEEDUP_CORES: usize = 8;
 ///
 /// Every sweep runs fully profiled. It prints the serial run's wall time
 /// per stage (ns per event and per user: which layer's cost grows with
-/// which axis), gates that the root stages (`stage::ROOTS`) cover at least
-/// [`ROOT_COVERAGE`] of that run, and leaves two artifacts next to the
+/// which axis) beside the grid's build before it (`sim.build`), gates that
+/// the root stages (`stage::ROOTS`) cover at least [`ROOT_COVERAGE`] of
+/// that run, and leaves two artifacts next to the
 /// snapshots: `SCALE_TRACE.json`, the serial run's Chrome trace-event file
 /// (load it in `about://tracing` or <https://ui.perfetto.dev> — one track
 /// per shard, epochs as frames, barrier waits as spans), and

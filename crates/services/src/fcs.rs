@@ -158,7 +158,7 @@ impl Fcs {
 
     /// Whether the precomputed values are stale at `now_s` (interval
     /// elapsed, the policy version moved, or a crash pends a rebuild).
-    pub fn is_stale(&self, pds: &Pds, now_s: f64) -> bool {
+    fn is_stale(&self, pds: &Pds, now_s: f64) -> bool {
         if self.force_full || pds.version() != self.last_policy_version {
             return true;
         }

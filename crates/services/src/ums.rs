@@ -115,7 +115,7 @@ impl Ums {
     }
 
     /// Whether the cache is stale at `now_s`.
-    pub fn is_stale(&self, now_s: f64) -> bool {
+    fn is_stale(&self, now_s: f64) -> bool {
         match self.last_refresh_s {
             None => true,
             Some(t) => now_s - t >= self.refresh_interval_s,

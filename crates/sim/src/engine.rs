@@ -150,6 +150,12 @@ impl GridSimulation {
     /// Build the grid from a scenario: one shard per site, each owning its
     /// cluster stack, event queue, and fault stream.
     pub fn new(scenario: GridScenario) -> Self {
+        let telemetry = if scenario.telemetry {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        };
+        let build = telemetry.histogram("aequus_sim_build_s").start_timer();
         let mut clusters: Vec<SimCluster> = scenario
             .clusters
             .iter()
@@ -190,11 +196,6 @@ impl GridSimulation {
             );
             cluster.site.uss.set_forwarding(overlay.forwards(i, n));
         }
-        let telemetry = if scenario.telemetry {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
         let recorder = scenario.flight.map(FlightRecorder::new);
         let site0_telemetry = clusters
             .first()
@@ -213,6 +214,7 @@ impl GridSimulation {
                 Shard::new(i, c, Arc::clone(&scenario), Arc::clone(&spec), prof)
             })
             .collect();
+        build.observe();
         Self {
             scenario,
             shards,
@@ -446,9 +448,8 @@ impl GridSimulation {
         self.telemetry
             .counter("aequus_sim_crashes_total")
             .add(totals.crashes);
-        // Queue-depth high-water marks: visible in both exporters via the
-        // engine registry, so depth blowups at scale surface long before
-        // they become OOMs.
+        // Queue-depth high-water marks: visible in the engine's snapshot,
+        // so depth blowups at scale surface long before they become OOMs.
         let queue_hwm = shards
             .iter()
             .map(|s| s.queue.high_water())
@@ -462,9 +463,9 @@ impl GridSimulation {
             .set(mailbox_hwm as f64);
         let events_processed = totals.events + metrics.samples().len() as u64;
 
-        // Finalize the health subsystem: render the per-link report, export
-        // the labeled series into the engine registry (both exporters pick
-        // them up), and take the full alert log.
+        // Finalize the health subsystem: render the per-link report, write
+        // the labeled series into the engine registry (its snapshot carries
+        // them), and take the full alert log.
         let (health_report, alerts) = match slo {
             Some(engine) => {
                 let report = health_map.finalize();
@@ -924,7 +925,7 @@ mod tests {
         assert!(profile.services["uss.ingest"].calls > 0);
         assert!(profile.services["uss.merge"].calls > 0);
         assert!(profile.mailbox_hwm > 0);
-        // The hwm gauges ride the engine registry into both exporters.
+        // The hwm gauges ride the engine registry into its snapshot.
         let engine = result.engine_telemetry.expect("telemetry on");
         assert!(engine.gauges["aequus_sim_event_queue_hwm"] > 0.0);
         assert!(engine.gauges["aequus_sim_mailbox_hwm"] > 0.0);

@@ -33,5 +33,5 @@ pub mod truncated;
 pub use distribution::{sample_n, ContinuousDistribution, Support};
 pub use ecdf::Ecdf;
 pub use histogram::Histogram;
-pub use select::{fit_all, select_best, FitResult};
+pub use select::{select_best, FitResult};
 pub use truncated::RangeRescaled;

@@ -37,7 +37,7 @@ pub fn bic<D: ContinuousDistribution>(dist: &D, data: &[f64]) -> f64 {
 /// Families whose support or estimators are incompatible with the data (e.g.
 /// log-domain families on data containing zeros) are skipped. Fits with
 /// non-finite likelihood are discarded. Results are sorted by ascending BIC.
-pub fn fit_all(data: &[f64]) -> Vec<FitResult> {
+fn fit_all(data: &[f64]) -> Vec<FitResult> {
     let mut candidates: Vec<AnyDist> = Vec::with_capacity(18);
     macro_rules! try_fit {
         ($ty:ident) => {

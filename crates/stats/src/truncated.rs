@@ -70,11 +70,6 @@ impl<D: ContinuousDistribution> RangeRescaled<D> {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.transform(rng.gen::<f64>())
     }
-
-    /// Draw `n` bounded samples.
-    pub fn sample_n<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]

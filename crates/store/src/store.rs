@@ -1,7 +1,7 @@
 //! The per-site store facade: one [`SiteStore`] owns the [`MemStorage`]
 //! holding both the segmented WAL and the two checkpoint slots, tracks
-//! [`StoreStats`], and mirrors them into the telemetry registry so the
-//! Prometheus/JSON exporters pick them up with every other metric.
+//! [`StoreStats`], and mirrors them into the telemetry registry, so a
+//! site's snapshot carries them with every other metric.
 
 use crate::checkpoint::{load_best, write_next, CheckpointState, CheckpointView};
 use crate::records::WalRecord;

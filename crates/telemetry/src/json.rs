@@ -1,46 +1,28 @@
 //! The crate's one hand-rolled JSON reader, string escape and number
-//! writer. This crate's exporters and the services' health report write
-//! strings through [`escape`] and numbers through [`json_f64`]; every
-//! importer — the metric snapshots in [`crate::export`], run profiles,
-//! decision explanations in `aequus-core`, the bench snapshots — reads
-//! through [`JsonValue`]. Malformed input (bad escapes, truncated
-//! documents, trailing bytes) parses to `None`, never a panic.
+//! writer. Run profiles, alert events, flight records and the services'
+//! health report write strings through [`escape`] and numbers through
+//! [`json_f64`] (decision explanations in `aequus-core` escape their
+//! strings here too); every reader of a JSON document the program writes —
+//! explanations, the benchmark's result files — reads through
+//! [`JsonValue`]. Malformed input (bad escapes, truncated documents,
+//! trailing bytes) parses to `None`, never a panic.
 
 use std::collections::BTreeMap;
 
-/// Parse a number as the exporters write it: `inf` / `-inf` / `nan` for the
-/// non-finite values, the shortest round-tripping decimal otherwise.
-pub(crate) fn parse_f64(s: &str) -> Option<f64> {
-    match s {
-        "inf" | "+inf" => Some(f64::INFINITY),
-        "-inf" => Some(f64::NEG_INFINITY),
-        "nan" => Some(f64::NAN),
-        _ => s.parse().ok(),
-    }
-}
-
-/// Render a number as the exporters write it — the inverse of
-/// [`parse_f64`].
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v == f64::INFINITY {
-        "inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-inf".to_string()
-    } else if v.is_nan() {
-        "nan".to_string()
-    } else {
-        // `{:?}` is the shortest representation that round-trips.
-        format!("{v:?}")
-    }
-}
-
 /// A JSON number, or — JSON has none for them — the quoted name of a
-/// non-finite value. The one number writer of every JSON exporter.
+/// non-finite value (`"inf"`, `"-inf"`, `"nan"`, which
+/// [`JsonValue::as_f64`] reads back). The one number writer of every JSON
+/// document.
 pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
-        fmt_f64(v)
+        // `{:?}` is the shortest representation that round-trips.
+        format!("{v:?}")
+    } else if v.is_nan() {
+        "\"nan\"".to_string()
+    } else if v > 0.0 {
+        "\"inf\"".to_string()
     } else {
-        format!("\"{}\"", fmt_f64(v))
+        "\"-inf\"".to_string()
     }
 }
 
@@ -59,15 +41,14 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// The cursor under [`JsonValue::parse`]; the snapshot importer in
-/// [`crate::export`] drives it directly to keep `u64` counters exact.
-pub(crate) struct JsonReader<'a> {
+/// The cursor under [`JsonValue::parse`].
+struct JsonReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> JsonReader<'a> {
-    pub(crate) fn new(s: &'a str) -> Self {
+    fn new(s: &'a str) -> Self {
         Self {
             bytes: s.as_bytes(),
             pos: 0,
@@ -99,7 +80,7 @@ impl<'a> JsonReader<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    pub(crate) fn string(&mut self) -> Option<String> {
+    fn string(&mut self) -> Option<String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
@@ -144,11 +125,8 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    /// A number, or one of the quoted non-finite markers.
-    pub(crate) fn number(&mut self) -> Option<f64> {
-        if self.peek() == Some(b'"') {
-            return parse_f64(&self.string()?);
-        }
+    /// A number.
+    fn number(&mut self) -> Option<f64> {
         self.skip_ws();
         let start = self.pos;
         while self
@@ -164,22 +142,8 @@ impl<'a> JsonReader<'a> {
             .ok()
     }
 
-    /// An unsigned integer, parsed exactly (the `f64` path would lose
-    /// precision above 2^53 — counters are full-range `u64`).
-    pub(crate) fn integer(&mut self) -> Option<u64> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
-
     /// Visit each element of an array, with elements parsed by `f`.
-    pub(crate) fn array(&mut self, mut f: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+    fn array(&mut self, mut f: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
         self.eat(b'[')?;
         if self.peek() == Some(b']') {
             return self.eat(b']');
@@ -196,10 +160,7 @@ impl<'a> JsonReader<'a> {
 
     /// Visit each `"key": value` pair of an object, with `value` parsed by
     /// `f`.
-    pub(crate) fn object(
-        &mut self,
-        mut f: impl FnMut(&mut Self, String) -> Option<()>,
-    ) -> Option<()> {
+    fn object(&mut self, mut f: impl FnMut(&mut Self, String) -> Option<()>) -> Option<()> {
         self.eat(b'{')?;
         if self.peek() == Some(b'}') {
             return self.eat(b'}');
@@ -217,19 +178,19 @@ impl<'a> JsonReader<'a> {
     }
 }
 
-/// A parsed JSON document — the generic face of the crate's hand-rolled
-/// reader, for artifacts with their own shapes (Chrome traces, run
-/// profiles, explanations, bench snapshots) that the fixed
-/// [`crate::export::from_json`] schema cannot cover. Numbers are `f64`;
-/// exact-`u64` consumers should stay under 2^53 or parse their own fields.
+/// A parsed JSON document — the face of the crate's hand-rolled reader,
+/// for every shape the program writes (Chrome traces, run profiles,
+/// explanations, bench result files). Numbers are `f64`; exact-`u64`
+/// consumers should stay under 2^53 or parse their own fields.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number (or a quoted non-finite marker: `"inf"`, `"-inf"`, `"nan"`
-    /// as written by the crate's own exporters).
+    /// A number. The quoted non-finite markers [`json_f64`] writes
+    /// (`"inf"`, `"-inf"`, `"nan"`) parse as strings; [`JsonValue::as_f64`]
+    /// reads them back as numbers.
     Num(f64),
     /// A string.
     Str(String),
@@ -266,7 +227,9 @@ impl JsonValue {
         match self {
             JsonValue::Num(v) => Some(*v),
             JsonValue::Str(s) => match s.as_str() {
-                "inf" | "+inf" | "-inf" | "nan" => parse_f64(s),
+                "inf" | "+inf" => Some(f64::INFINITY),
+                "-inf" => Some(f64::NEG_INFINITY),
+                "nan" => Some(f64::NAN),
                 _ => None,
             },
             _ => None,
@@ -361,6 +324,44 @@ impl JsonReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A string over the characters the escape must handle: quotes,
+    /// backslashes, newlines, control characters, non-ASCII.
+    fn weird_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0usize..12, 0..12).prop_map(|picks| {
+            let charset = [
+                'a', 'Z', '0', '_', '"', '\\', '\n', '\u{1}', '\u{1f}', 'π', ' ', '}',
+            ];
+            picks.into_iter().map(|i| charset[i]).collect()
+        })
+    }
+
+    /// A finite or infinite `f64` (never NaN, which equals nothing).
+    fn value() -> impl Strategy<Value = f64> {
+        (0usize..8, -1e300..1e300f64).prop_map(|(k, v)| match k {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => 0.0,
+            3 => v * 1e-300, // subnormal territory
+            _ => v,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A hostile string written through [`escape`], as a key and as a
+        /// value, and a number written through [`json_f64`] read back equal.
+        #[test]
+        fn hostile_strings_and_numbers_read_back_equal(s in weird_string(), v in value()) {
+            let doc = format!("{{\"{0}\":[\"{0}\",{1}]}}", escape(&s), json_f64(v));
+            let parsed = JsonValue::parse(&doc).expect("valid JSON");
+            let items = parsed.get(&s).and_then(JsonValue::as_array).expect("the key");
+            prop_assert_eq!(items[0].as_str(), Some(s.as_str()));
+            prop_assert_eq!(items[1].as_f64(), Some(v));
+        }
+    }
 
     #[test]
     fn generic_json_value_parses_arbitrary_documents() {

@@ -5,9 +5,9 @@
 //! sim engine. Its surfaces, each behind one switch:
 //!
 //! * **metrics** — on with the handle ([`Telemetry::enabled`]): a lock-free
-//!   [`Registry`] of named counters, gauges and log-bucketed histograms,
-//!   snapshot-able at any time and exportable as Prometheus text or JSON
-//!   ([`export`]), and the last 256 notable events (cache evictions, forced
+//!   [`Registry`] of named counters, gauges and log-bucketed histograms
+//!   (labeled series keyed by [`export::series_name`]), snapshot-able at
+//!   any time, and the last 256 notable events (cache evictions, forced
 //!   full rebuilds, gossip merges). A site's pipeline-delay tracer records
 //!   into its handle's `aequus_tracer_*` series;
 //! * **tracing** — [`Telemetry::traced`]: every usage report roots a causal
@@ -412,7 +412,5 @@ mod tests {
         assert_eq!(snap.events.len(), EVENT_CAPACITY, "ring capacity respected");
         assert_eq!(snap.events[0].kind, "c.d");
         assert_eq!(snap.events_dropped, 1);
-        let back = export::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap, "events survive the JSON round-trip");
     }
 }

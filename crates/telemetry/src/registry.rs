@@ -118,8 +118,8 @@ impl Registry {
     }
 }
 
-/// A point-in-time capture of a [`Registry`] — what the exporters render
-/// and the sim surfaces per site in its metrics samples.
+/// A point-in-time capture of a [`Registry`] — what the sim surfaces per
+/// site and for the engine at the end of a run, read where it is taken.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -143,16 +143,6 @@ impl Snapshot {
             && self.gauges.is_empty()
             && self.histograms.is_empty()
             && self.events.is_empty()
-    }
-
-    /// Render in the Prometheus text exposition format.
-    pub fn to_prometheus(&self) -> String {
-        crate::export::to_prometheus(self)
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        crate::export::to_json(self)
     }
 }
 

@@ -27,8 +27,9 @@ const fn stage(
 
 /// Every stage, in pipeline order: report → USS → UMS → FCS → `libaequus`,
 /// then the stages off the usage path (dispatch, the durable store), then
-/// the engine's calls into them: [`ROOTS`] tile a run, an epoch round holds
-/// [`EPOCH_PARTS`], and every other engine row runs inside `sim.event`.
+/// the engine's: `sim.build` builds the grid before a run, [`ROOTS`] tile
+/// the run, an epoch round holds [`EPOCH_PARTS`], and every other engine
+/// row runs inside `sim.event`.
 pub const STAGES: &[Stage] = &[
     stage("rms.report", None, None),
     stage(
@@ -59,6 +60,7 @@ pub const STAGES: &[Stage] = &[
     stage("store.append", Some("aequus_store_wal_append_s"), None),
     stage("store.checkpoint", Some("aequus_store_checkpoint_s"), None),
     stage("store.replay", Some("aequus_store_wal_replay_s"), None),
+    stage("sim.build", Some("aequus_sim_build_s"), None),
     stage("sim.preroute", Some("aequus_sim_preroute_s"), None),
     stage("sim.epoch", Some("aequus_sim_epoch_s"), None),
     stage("sim.event", Some("aequus_sim_event_s"), None),

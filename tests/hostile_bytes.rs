@@ -1,6 +1,6 @@
 //! Never-panic byte loops over every decoder and parser that takes bytes
 //! from outside a site: wire frames, WAL frames and records, checkpoint
-//! slots, policy files, SWF traces, and the JSON / Prometheus readers.
+//! slots, policy files, SWF traces, and the JSON reader.
 //!
 //! The byte formats all read through `aequus::core::codec::Reader`, so the
 //! loops below patrol one reader, reached through every format built on it.
@@ -26,13 +26,15 @@ use aequus::core::{
     PolicyTree, ProjectionKind, SiteId, UsageRecord, UsageSummary, UserCells,
 };
 use aequus::services::{
-    AequusSite, ParticipationMode, RetryPolicy, ServiceTimings, StalePolicy, UssMessage,
+    AequusSite, HealthMap, LinkObservation, LinkSide, ParticipationMode, RetryPolicy,
+    ServiceTimings, StalePolicy, UssMessage,
 };
 use aequus::sim::{GridScenario, GridSimulation};
 use aequus::store::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT, KIND_RECORD};
 use aequus::store::{CheckpointState, PeerCursor, WalRecord};
-use aequus::telemetry::export::{from_json, from_prometheus, JsonValue};
-use aequus::telemetry::{Telemetry, TraceCtx};
+use aequus::telemetry::export::JsonValue;
+use aequus::telemetry::profile::ProfSpan;
+use aequus::telemetry::{RunProfile, ShardProfile, StageStats, TraceCtx};
 use aequus::workload::swf::{parse_swf, to_swf};
 use aequus::workload::{Trace, TraceJob};
 use rand::rngs::StdRng;
@@ -148,16 +150,62 @@ fn messages() -> Vec<Vec<u8>> {
     .collect()
 }
 
-fn telemetry_snapshot() -> aequus::telemetry::Snapshot {
-    let t = Telemetry::enabled();
-    t.counter("aequus_uss_rejected_total").add(3);
-    t.gauge("aequus_uss_peer_staleness_s").set(42.5);
-    let h = t.histogram("aequus_fcs_query_s");
-    for v in [1e-7, 3e-7, 2e-6] {
-        h.record(v);
+/// JSON documents the program writes: a health report with a non-finite
+/// field (written as a quoted marker) and a run profile's Chrome trace.
+fn json_documents() -> Vec<Vec<u8>> {
+    let mut map = HealthMap::default();
+    let tx = LinkSide::Tx {
+        staleness_s: 30.0,
+        outbox: 2,
+        bytes: 4096,
+        msgs: 12,
+        retries: 1,
+        snapshots: 0,
+    };
+    let rx = LinkSide::Rx {
+        heard_age_s: 45.5,
+        gaps: 1,
+        resyncs: 1,
+    };
+    for side in [tx, rx] {
+        map.observe(&LinkObservation {
+            from: 0,
+            to: 1,
+            depth: 1,
+            side,
+        });
     }
-    t.event(12.0, "uss.rejected", || "a \"quoted\" detail\n".to_string());
-    t.snapshot().expect("telemetry is on")
+    let mut report = map.finalize();
+    report.staleness_p99_s = f64::INFINITY;
+    let span = |name, epoch, start_ns| ProfSpan {
+        name,
+        epoch,
+        limit_s: 60.0 * epoch as f64,
+        start_ns,
+        dur_ns: 1_500,
+        events: 7,
+    };
+    let stats = StageStats {
+        calls: 3,
+        wall_ns: 9_000,
+        bytes: 256,
+    };
+    let profile = RunProfile {
+        shards: vec![ShardProfile {
+            shard: 1,
+            stages: [("gossip.wire".to_string(), stats)].into(),
+            spans: vec![span("epoch", 1, 0), span("barrier.wait", 1, 1_500)],
+            spans_dropped: 0,
+            link_bytes: [(0, 256)].into(),
+            queue_hwm: 4,
+        }],
+        services: [("uss.ingest".to_string(), stats)].into(),
+        mailbox_hwm: 2,
+    };
+    vec![
+        report.to_json().into_bytes(),
+        profile.to_chrome_trace().into_bytes(),
+    ]
 }
 
 fn explanations() -> Vec<Vec<u8>> {
@@ -313,13 +361,12 @@ fn no_decoder_or_parser_panics_on_mutated_input() {
         .map(|p| encode_frame(KIND_RECORD, p))
         .collect();
     let slot = checkpoint().encode();
-    let snapshot = telemetry_snapshot();
     // Bare cell sections, as the store embeds them: no CRC in front of the
     // section decoder at all.
     let mut section = Vec::new();
     NamedCells::from_cells(&summary().per_user).encode(&mut section);
 
-    let targets: [(&str, Vec<Vec<u8>>, Target); 12] = [
+    let targets: [(&str, Vec<Vec<u8>>, Target); 10] = [
         ("core::decode_summary", summaries, |b| {
             decode_summary(b).is_ok()
         }),
@@ -344,21 +391,9 @@ fn no_decoder_or_parser_panics_on_mutated_input() {
             parse_policy(&text(b)).is_ok()
         }),
         ("parse_swf", swf(), swf_accepted),
-        (
-            "JsonValue::parse",
-            vec![snapshot.to_json().into_bytes()],
-            |b| JsonValue::parse(&text(b)).is_some(),
-        ),
-        (
-            "export::from_json",
-            vec![snapshot.to_json().into_bytes()],
-            |b| from_json(&text(b)).is_some(),
-        ),
-        (
-            "export::from_prometheus",
-            vec![snapshot.to_prometheus().into_bytes()],
-            |b| from_prometheus(&text(b)).is_some(),
-        ),
+        ("JsonValue::parse", json_documents(), |b| {
+            JsonValue::parse(&text(b)).is_some()
+        }),
         ("Explanation::from_json", explanations(), |b| {
             Explanation::from_json(&text(b)).is_some()
         }),

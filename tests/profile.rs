@@ -226,6 +226,7 @@ fn every_emitted_stage_label_is_in_the_stage_table() {
         "rms.dispatch",
         "rms.submit",
         "sim.assemble",
+        "sim.build",
         "sim.epoch",
         "sim.event",
         "sim.finish",
@@ -268,17 +269,11 @@ fn every_emitted_stage_label_is_in_the_stage_table() {
 }
 
 #[test]
-fn queue_gauges_surface_in_both_exporters() {
+fn queue_gauges_agree_with_the_profile() {
     let result = profiled_run(2);
     let engine = result.engine_telemetry.as_ref().expect("telemetry on");
     assert!(engine.gauges["aequus_sim_event_queue_hwm"] > 0.0);
     assert!(engine.gauges["aequus_sim_mailbox_hwm"] > 0.0);
-    let prom = aequus::telemetry::export::to_prometheus(engine);
-    assert!(prom.contains("aequus_sim_event_queue_hwm"));
-    assert!(prom.contains("aequus_sim_mailbox_hwm"));
-    let json = aequus::telemetry::export::to_json(engine);
-    assert!(json.contains("aequus_sim_event_queue_hwm"));
-    assert!(json.contains("aequus_sim_mailbox_hwm"));
     // The profile agrees with the gauges — same underlying high-water marks.
     let profile = profile_of(&result);
     let max_queue = profile.shards.iter().map(|s| s.queue_hwm).max().unwrap();
@@ -292,12 +287,23 @@ fn queue_gauges_surface_in_both_exporters() {
     );
 }
 
+/// Building the grid is timed apart from the run: a telemetry-on run's
+/// engine registry holds one `sim.build` span, and its profile one call.
+#[test]
+fn the_grid_build_is_timed_once() {
+    let result = profiled_run(1);
+    let build = stage::find("sim.build").and_then(|s| s.wall);
+    let engine = result.engine_telemetry.as_ref().expect("telemetry on");
+    assert_eq!(engine.histograms[build.expect("a wall row")].count, 1);
+    assert_eq!(profile_of(&result).services["sim.build"].calls, 1);
+}
+
 /// Modeled-vs-actual wire-bytes drift guard: the profiler's per-link wire
 /// counters and the metrics `gossip_bytes` series are fed by the same
 /// `UssMessage::wire_size`, which in turn must equal the codec's encoded
 /// length (asserted at the unit level in `message.rs`). If either path
-/// ever re-grows its own byte model, the two exporters disagree and this
-/// test fails. Run under both ways of counting; Delta must also actually be
+/// ever re-grows its own byte model, the profile and the metrics disagree
+/// and this test fails. Run under both ways of counting; Delta must also actually be
 /// smaller than the fixed-width yardstick on this workload.
 #[test]
 fn profiler_gossip_bytes_match_codec_bytes() {

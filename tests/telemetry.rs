@@ -1,10 +1,9 @@
 //! End-to-end observability: an instrumented grid run must produce a
 //! registry snapshot covering every service boundary, the pipeline-delay
-//! tracer must respect the configured §IV-A-2 worst case, and both
-//! exporters must round-trip the full snapshot losslessly.
+//! tracer must respect the configured §IV-A-2 worst case, and the snapshot
+//! must carry the site's event ring.
 
 use aequus::sim::{GridScenario, GridSimulation};
-use aequus::telemetry::export;
 use aequus::workload::users::baseline_policy_shares;
 use aequus::workload::{Trace, TraceJob};
 
@@ -31,7 +30,7 @@ fn small_instrumented_scenario() -> GridScenario {
 }
 
 #[test]
-fn instrumented_run_covers_every_stage_and_exporters_round_trip() {
+fn instrumented_run_covers_every_stage_and_carries_the_event_ring() {
     let sc = small_instrumented_scenario();
     let bound = sc.timings.worst_case_pipeline_s();
     let result = GridSimulation::new(sc).run(&sustained_trace(160), 2000.0);
@@ -99,25 +98,11 @@ fn instrumented_run_covers_every_stage_and_exporters_round_trip() {
         e2e.p99
     );
 
-    // The structured-event ring surfaces in the snapshot and JSON carries
-    // it losslessly; Prometheus text has no place for events and omits
-    // them (documented), so its round-trip is checked modulo events.
+    // The structured-event ring surfaces in the snapshot.
     assert!(
         snap.events.iter().any(|e| e.kind == "uss.gossip_merge"),
         "gossip merges recorded in the event ring"
     );
-    let prom = snap.to_prometheus();
-    let prom_back = export::from_prometheus(&prom).expect("prometheus parses");
-    assert!(prom_back.events.is_empty());
-    assert_eq!(prom_back.counters, snap.counters);
-    assert_eq!(prom_back.gauges, snap.gauges);
-    assert_eq!(prom_back.histograms, snap.histograms);
-    let json = snap.to_json();
-    assert_eq!(export::from_json(&json).as_ref(), Some(snap));
-
-    // The rendered forms actually carry the stage metrics by name.
-    assert!(prom.contains("aequus_tracer_end_to_end_s{quantile=\"0.99\"}"));
-    assert!(json.contains("\"aequus_fcs_refresh_full_s\""));
 }
 
 #[test]
