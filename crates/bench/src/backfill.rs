@@ -32,20 +32,17 @@
 use crate::cli::Shape;
 use crate::experiments::{BALANCE_DWELL_S, BALANCE_EPS};
 use crate::sweep::parallel_sweep;
-use aequus_core::fairshare::FairshareConfig;
 use aequus_core::ids::{JobId, SiteId};
-use aequus_core::policy::flat_policy;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, SystemUser, UserId};
 use aequus_rms::{
     Admission, DispatchConfig, DispatchOrder, EndKeys, FactorConfig, FairshareSource, Job,
-    LocalFairshare, MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk,
-    QueuedJob, ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
+    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
+    ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
 };
 use aequus_sim::{GridScenario, GridSimulation, SimResult};
 use aequus_telemetry::slo::StarvationClock;
-use aequus_telemetry::Telemetry;
 use aequus_workload::users::baseline_policy_shares;
 use aequus_workload::{Trace, TraceJob};
 use std::time::Instant;
@@ -485,45 +482,6 @@ type Saturated = (usize, usize, usize);
 const NARROW: Saturated = (8, 3, 8);
 /// `vo_burst`'s 128 running jobs and 64 users, at six widths: 384 lanes.
 const WIDE: Saturated = (64, 6, 128);
-
-/// A 40-core scheduler with `queue` single-core jobs submitted at `now_s`,
-/// alternating between the system users `sa` and `sb` as `src` maps them —
-/// the state the 95%-load tests put the schedulers in.
-pub fn loaded_queue(
-    telemetry: &Telemetry,
-    src: &mut dyn FairshareSource,
-    queue: usize,
-    first_job: u64,
-    now_s: f64,
-) -> SchedulerCore {
-    let mut sched = SchedulerCore::new(
-        SiteId(0),
-        NodePool::new(40, 1),
-        PriorityWeights::fairshare_only(),
-        FactorConfig::default(),
-        ReprioritizePolicy::Interval(30.0),
-    );
-    sched.set_telemetry(telemetry);
-    for i in 0..queue as u64 {
-        let sys = if i % 2 == 0 { "sa" } else { "sb" };
-        let job = Job::new(JobId(first_job + i), SystemUser::new(sys), 1, now_s, 500.0);
-        sched.submit(job, src, now_s);
-    }
-    sched
-}
-
-/// [`loaded_queue`] over a two-user local fairshare source.
-pub fn loaded_scheduler(telemetry: &Telemetry, queue: usize) -> (SchedulerCore, LocalFairshare) {
-    let mut src = LocalFairshare::new(
-        flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap(),
-        FairshareConfig::default(),
-        ProjectionKind::Percental,
-        60.0,
-    );
-    src.map_identity(SystemUser::new("sa"), GridUser::new("a"));
-    src.map_identity(SystemUser::new("sb"), GridUser::new("b"));
-    (loaded_queue(telemetry, &mut src, queue, 0, 0.0), src)
-}
 
 /// A blocked-head queue: the pivot wants more cores than are free, the
 /// rest cycle through mixed widths/runtimes — the worst realistic shape

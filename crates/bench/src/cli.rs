@@ -339,9 +339,9 @@ fn in_process(
 /// wall-clock gates read differently after earlier experiments have churned
 /// the heap of a shared process (a ratio gate's median once moved 1.042 →
 /// 1.049 against a 1.05 budget); each step measures what its stand-alone
-/// run measures. Two ratio gates are left, `telemetry_overhead`'s
-/// `metrics-only` and `tracing-full-capture`; `profiler_overhead` and
-/// `health` gate an operation count times a unit cost.
+/// run measures. No ratio gate is left (every instrument gates an
+/// operation count times a unit cost); isolation stays for the ns/op
+/// minima of those unit costs and the sweeps' wall-clock gates.
 fn isolated(name: &str, argv: &[String], gates: &mut Gates) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate aequus-bench: {e}"))?;
     let child = std::process::Command::new(exe)

@@ -1,154 +1,130 @@
 //! The instrument-cost gates: instrumentation must cost what it says it
-//! costs. Two shapes. The scheduler-advance microbench compares interleaved
-//! minima — the noise-robust statistic for "how fast can this configuration
-//! go" — of an instrumented and a baseline handle. An instrument whose cost
-//! is per operation (the profiler here, the SLO engine and health map in
-//! `health`) is gated as counted work × unit cost instead: the run's
-//! operation counts are schedule-derived, so they are held exactly to
-//! `results/instrument_ops.json` at 1, 2 and 4 workers, and one operation's
-//! cost comes from a tight loop under an absolute ns/op budget — a faster
-//! engine cannot fail either half.
+//! costs. Every instrument is gated as counted work × unit cost: the
+//! operations a run of the chaos-calibration grid performs are
+//! schedule-derived, so they are held exactly to
+//! `results/instrument_ops.json` at 1, 2 and 4 workers, and one
+//! operation's cost comes from a tight loop under an absolute ns/op budget
+//! — a faster engine cannot fail either half. Budgets sit at ≥ 3× the
+//! median a quiet 2-core host reads.
 
-use crate::backfill::{loaded_queue, loaded_scheduler};
 use crate::cli::{Args, Gates};
 use crate::{health_chaos_faults, health_chaos_scenario, run_chaos_grid};
-use aequus_core::fairshare::FairshareConfig;
-use aequus_core::ids::{JobId, SiteId};
 use aequus_core::policy::flat_policy;
-use aequus_core::projection::ProjectionKind;
-use aequus_core::usage::UsageRecord;
-use aequus_core::{GridUser, SystemUser};
-use aequus_rms::SchedulerCore;
-use aequus_services::{AequusSite, ParticipationMode, ServiceTimings};
-use aequus_telemetry::{ShardProfiler, Telemetry};
+use aequus_core::{Explanation, FairshareConfig, FairshareTree, GridUser, ProjectionKind};
+use aequus_sim::{GridScenario, SimResult};
+use aequus_telemetry::{ShardProfiler, Snapshot, Telemetry};
+use aequus_workload::users::baseline_policy_shares;
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Untimed, then timed rounds of [`min_ratio`]. A round is two ~0.2 ms
-/// samples, and this host slows by up to 1.4x for a fraction of a second
-/// at a time: the rounds must outlast such a stretch for both minima to
-/// find their floor. Consecutive `check` runs with `metrics-only` over
-/// budget: 3 of 11 at 60 rounds (0.03 s), 2 of 30 at 240, 1 of 20 at
-/// 2,000 (2 s) — the budget is the same 1.05 throughout.
-const WARMUP: usize = 5;
-const ROUNDS: usize = 2_000;
-
-/// Sample `baseline` and `instrumented` [`ROUNDS`] times each, interleaved
-/// so drift (thermal, host scheduler) hits both equally; returns the
-/// instrumented minimum over the baseline's.
-fn min_ratio(sample: impl Fn(&Telemetry) -> f64, baseline: &Telemetry, on: &Telemetry) -> f64 {
-    let (mut base_ns, mut on_ns) = (f64::INFINITY, f64::INFINITY);
-    for round in 0..WARMUP + ROUNDS {
-        let (b, i) = (sample(baseline), sample(on));
-        if round >= WARMUP {
-            (base_ns, on_ns) = (base_ns.min(b), on_ns.min(i));
-        }
-    }
-    on_ns / base_ns
+/// One run of the chaos-calibration grid under its faults on `threads`
+/// workers, with the surfaces `on` switches on.
+fn chaos_run(threads: usize, on: fn(GridScenario) -> GridScenario) -> SimResult {
+    let mut sc = on(health_chaos_scenario(42, 3)).with_threads(threads);
+    sc.faults = health_chaos_faults();
+    run_chaos_grid(sc)
 }
 
-/// One overhead gate: `ratio` (instrumented over baseline) within `budget`.
-fn budget_gate(gates: &mut Gates, name: &str, ratio: f64, budget: f64) {
-    gates.check(
-        &format!("{name} overhead within {budget:.2}x"),
-        ratio <= budget,
-        &format!("ratio {ratio:.4}"),
-    );
+/// Every site's and the engine's telemetry snapshot of a run.
+fn snapshots(result: &SimResult) -> impl Iterator<Item = &Snapshot> {
+    result.site_telemetry.iter().chain(&result.engine_telemetry)
 }
 
-const QUEUE: usize = 2_000;
-/// Every instrumented mode of the scheduler hot path: ≤ 5% over its
-/// baseline.
-const BUDGET: f64 = 1.05;
-
-/// One sample: a fresh loaded scheduler, timed through a single advance
-/// (prioritization pass + dispatch with backfill). Setup excluded.
-fn sample_ns(telemetry: &Telemetry) -> f64 {
-    let (mut sched, mut src) = loaded_scheduler(telemetry, QUEUE);
-    let start = Instant::now();
-    sched.advance(black_box(&mut src), 1.0);
-    black_box(&sched);
-    start.elapsed().as_nanos() as f64
+/// The telemetry operations of a telemetry-on run and the tracing
+/// operations of a traced one, on `threads` workers: histogram
+/// observations (each a timer's two clock reads and one record, or a bare
+/// record), the sum of every counter, spans recorded and decision
+/// provenance captured. A gauge set is not counted.
+fn telemetry_ops(threads: usize) -> Vec<(&'static str, u64)> {
+    let metrics = chaos_run(threads, GridScenario::with_telemetry);
+    let traced = chaos_run(threads, GridScenario::with_tracing);
+    let traced_total = |name: &str| -> u64 {
+        snapshots(&traced)
+            .filter_map(|s| s.counters.get(name))
+            .sum()
+    };
+    vec![
+        (
+            "telemetry.histogram_observations",
+            snapshots(&metrics)
+                .flat_map(|s| s.histograms.values())
+                .map(|h| h.count)
+                .sum(),
+        ),
+        (
+            "telemetry.counter_total",
+            snapshots(&metrics).flat_map(|s| s.counters.values()).sum(),
+        ),
+        ("tracing.spans", traced_total("aequus_spans_recorded_total")),
+        (
+            "tracing.captures",
+            traced_total("aequus_provenance_captured_total"),
+        ),
+    ]
 }
 
-/// A scheduler whose fairshare source is a full Aequus site with a primed
-/// pipeline (tree computed, and with tracing on a pending serving
-/// trace), so the advance path exercises the span/provenance branches.
-fn loaded_site(telemetry: &Telemetry) -> (SchedulerCore, AequusSite) {
-    let mut site = AequusSite::new(
-        SiteId(0),
-        flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap(),
-        FairshareConfig::default(),
-        ProjectionKind::Percental,
-        ServiceTimings::default(),
-        ParticipationMode::Full,
-        60.0,
-    );
-    site.set_telemetry(telemetry);
-    site.irs
-        .store_mapping(SystemUser::new("sa"), GridUser::new("a"));
-    site.irs
-        .store_mapping(SystemUser::new("sb"), GridUser::new("b"));
-    // Prime: one completed job flows report → ingest → UMS → FCS so the
-    // serving path has a real tree to answer from.
-    site.report_completion(
-        UsageRecord {
-            job: JobId(0),
-            user: GridUser::new("a"),
-            site: SiteId(0),
-            cores: 1,
-            start_s: 0.0,
-            end_s: 100.0,
-        },
-        100.0,
-    );
-    for t in [110.0, 300.0, 500.0, 700.0] {
-        site.tick(t);
-    }
-    (loaded_queue(telemetry, &mut site, QUEUE, 1, 700.0), site)
-}
+/// An enabled timer: an `Arc` clone and drop, two clock reads and one
+/// histogram record (four atomics). Twenty runs' median 113 ns quiet, 151
+/// loud.
+const TIMER_BUDGET_NS: f64 = 340.0;
+/// An enabled counter increment: one relaxed atomic add. Median 10 ns.
+const COUNTER_BUDGET_NS: f64 = 35.0;
+/// A traced child span: the detail rendered, the records lock and a ring
+/// push. Median 65 ns quiet, 118 loud.
+const SPAN_BUDGET_NS: f64 = 250.0;
+/// A provenance capture: the explanation, its JSON, the records lock and a
+/// ring push. Median 1,955 ns quiet, 3,391 loud.
+const CAPTURE_BUDGET_NS: f64 = 6_000.0;
 
-/// One site-backed sample: a tick plus a full advance (re-prioritization
-/// over the whole queue through `AequusSite::fairshare_factor`, then dispatch).
-fn site_sample_ns(telemetry: &Telemetry) -> f64 {
-    let (mut sched, mut site) = loaded_site(telemetry);
-    let start = Instant::now();
-    site.tick(710.0);
-    sched.advance(black_box(&mut site), 710.0);
-    black_box(&sched);
-    start.elapsed().as_nanos() as f64
-}
-
-/// Telemetry overhead smoke check on the RMS dispatch hot path (a full
-/// `SchedulerCore::advance` over a loaded queue): metrics-only against
-/// disabled telemetry, then tracing (every report traced, provenance
-/// recorded) against metrics-only. Enforced under `--check`.
+/// Telemetry and tracing cost gate: the operations a telemetry-on and a
+/// traced run perform — deterministic, so exact — and what one of each
+/// costs: a timer observation, a counter increment, a traced span and a
+/// provenance capture as `AequusSite::trace_query` makes it. Enforced
+/// under `--check`.
 pub(super) fn telemetry_overhead(args: &Args, gates: &mut Gates) {
     gates.advisory(!args.check);
-
-    println!("# telemetry overhead: SchedulerCore::advance, {QUEUE} queued jobs");
-    let enabled = Telemetry::enabled();
-    let ratio = min_ratio(sample_ns, &Telemetry::disabled(), &enabled);
-    budget_gate(gates, "metrics-only", ratio, BUDGET);
-    let snap = enabled.snapshot().expect("enabled telemetry snapshots");
     println!(
-        "instrumented run recorded {} dispatch spans, {} jobs started",
-        snap.histograms
-            .get("aequus_rms_dispatch_s")
-            .map(|h| h.count)
-            .unwrap_or(0),
-        snap.counters
-            .get("aequus_rms_started_total")
-            .copied()
-            .unwrap_or(0),
+        "# telemetry cost: operation counts of the telemetry-on and traced chaos grid, \
+         then ns per operation"
     );
+    let runs: Vec<_> = [1, 2, 4].into_iter().map(telemetry_ops).collect();
+    ops_gate(gates, "telemetry and tracing", &runs);
 
-    // Tracing is compared against the metrics-only telemetry baseline so
-    // the ratio isolates the span + provenance increment (the metrics
-    // increment itself is gated above).
-    println!("# tracing overhead: site-backed advance (span + provenance paths)");
-    let ratio = min_ratio(site_sample_ns, &Telemetry::enabled(), &Telemetry::traced(0));
-    budget_gate(gates, "tracing-full-capture", ratio, BUDGET);
+    let enabled = Telemetry::enabled();
+    let hist = enabled.histogram("aequus_sim_event_s");
+    unit_cost_gate(gates, "timer observation", TIMER_BUDGET_NS, |n| {
+        for _ in 0..n {
+            black_box(&hist).start_timer().observe();
+        }
+    });
+    let counter = enabled.counter("aequus_sim_events_total");
+    unit_cost_gate(gates, "counter increment", COUNTER_BUDGET_NS, |n| {
+        for _ in 0..n {
+            black_box(&counter).inc();
+        }
+    });
+
+    let traced = Telemetry::traced(0);
+    let root = traced.start_trace("rms.report", 0.0, String::new);
+    unit_cost_gate(gates, "traced child span", SPAN_BUDGET_NS, |n| {
+        for i in 0..n {
+            black_box(traced.child_span(root, "lib.query", i as f64, || format!("job {i}")));
+        }
+    });
+    // `Fcs::explain` is `Explanation::capture` on the served tree: here
+    // the chaos grid's policy after one user's usage.
+    let user = GridUser::new("U65");
+    let policy = flat_policy(&baseline_policy_shares()).expect("the baseline shares form a policy");
+    let usage = BTreeMap::from([(user.clone(), 100.0)]);
+    let tree = FairshareTree::compute(&policy, &usage, &FairshareConfig::default(), 0.0);
+    unit_cost_gate(gates, "provenance capture", CAPTURE_BUDGET_NS, |n| {
+        for i in 0..n {
+            let ex = Explanation::capture(&tree, black_box(&user), ProjectionKind::Percental)
+                .expect("the policy holds the user");
+            traced.record_provenance(i as f64, user.as_str(), 1, ex.factor, || ex.to_json());
+        }
+    });
 }
 
 /// The recorded operation counts, in the source tree the binary was built
@@ -222,11 +198,9 @@ const EPOCH_SPAN_BUDGET_NS: f64 = 250.0;
 /// `threads` workers: epoch spans opened, summed over shards, and the wire
 /// records the profile reads off the shards' ledgers.
 fn profiler_ops(threads: usize) -> Vec<(&'static str, u64)> {
-    let mut sc = health_chaos_scenario(42, 3)
-        .with_telemetry()
-        .with_threads(threads);
-    sc.faults = health_chaos_faults();
-    let profile = run_chaos_grid(sc).profile.expect("profiled run");
+    let profile = chaos_run(threads, GridScenario::with_telemetry)
+        .profile
+        .expect("profiled run");
     let calls = |stage: &str| -> u64 {
         let per_shard = profile.shards.iter().filter_map(|s| s.stages.get(stage));
         per_shard.map(|st| st.calls).sum()
@@ -259,4 +233,41 @@ pub(super) fn profiler_overhead(args: &Args, gates: &mut Gates) {
         },
     );
     black_box(prof.to_profile());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Whether `ops_gate` holds for `runs`.
+    fn holds(runs: &[Vec<(&str, u64)>]) -> bool {
+        let mut gates = Gates::default();
+        ops_gate(&mut gates, "test", runs);
+        gates.failures() == 0
+    }
+
+    #[test]
+    fn the_ops_gate_holds_rows_on_file_that_every_worker_count_agrees_on() {
+        let recorded = std::fs::read_to_string(RECORDED_OPS).expect("results/instrument_ops.json");
+        let on_file: Vec<(&str, u64)> = recorded
+            .lines()
+            .filter_map(|l| {
+                let (key, value) = l.trim().trim_end_matches(',').split_once(": ")?;
+                Some((key.trim_matches('"'), value.parse().ok()?))
+            })
+            .collect();
+        assert!(!on_file.is_empty(), "the recorded rows parse");
+        assert!(holds(&[on_file.clone(), on_file.clone(), on_file.clone()]));
+
+        let mut off = on_file.clone();
+        off[0].1 += 1;
+        assert!(
+            !holds(&[on_file.clone(), off.clone(), on_file.clone()]),
+            "one worker count differs"
+        );
+        assert!(
+            !holds(&[off.clone(), off.clone(), off]),
+            "a value not on file"
+        );
+    }
 }

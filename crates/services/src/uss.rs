@@ -1320,11 +1320,6 @@ impl Uss {
         self.ledger.next_seq
     }
 
-    /// Summaries received so far.
-    pub fn summaries_received(&self) -> u64 {
-        self.counts.get(Count::Received, None)
-    }
-
     /// Summaries re-sent after a missing ack.
     pub fn retries(&self) -> u64 {
         self.counts.get(Count::Retries, None)
@@ -1354,11 +1349,6 @@ impl Uss {
     /// duration, or carrying a cell that is not a finite non-negative charge.
     pub fn rejected(&self) -> u64 {
         self.counts.get(Count::Rejected, None)
-    }
-
-    /// Unacked summaries queued for `peer` (test inspection).
-    pub fn outbox_depth(&self, peer: SiteId) -> usize {
-        self.vol.links.get(&peer).map_or(0, |l| l.outbox.len())
     }
 
     /// Whether no link owes anything either way (test inspection).
@@ -1436,6 +1426,11 @@ mod tests {
     use aequus_core::ids::JobId;
     use aequus_core::DecayPolicy;
 
+    /// Unacked summaries `uss` holds for site 1.
+    fn outbox_len(uss: &Uss) -> usize {
+        uss.vol.links.get(&SiteId(1)).map_or(0, |l| l.outbox.len())
+    }
+
     /// What a checkpoint of `uss` restores: its view, through the slot
     /// bytes and back.
     fn checkpointed(uss: &Uss, lsn: u64, taken_s: f64) -> CheckpointState {
@@ -1511,7 +1506,7 @@ mod tests {
         peer.ingest(&rec(1, "b", 0.0, 40.0));
         let s = peer.publish(500.0).unwrap();
         give(&mut uss, &s, 0.0);
-        assert_eq!(uss.summaries_received(), 1);
+        assert_eq!(uss.counts.get(Count::Received, None), 1);
         let usage = uss.decayed_usage(500.0, DecayPolicy::None);
         assert!((usage[&GridUser::new("b")] - 40.0).abs() < 1e-9);
         assert!((usage[&GridUser::new("a")] - 80.0).abs() < 1e-9);
@@ -1643,7 +1638,7 @@ mod tests {
         assert_eq!(first.len(), 1, "initial send");
         // Drop it on the floor. Before the ack timeout nothing is re-sent.
         assert!(a.poll(205.0).is_empty(), "backoff holds");
-        assert_eq!(a.outbox_depth(SiteId(1)), 1, "still owed");
+        assert_eq!(outbox_len(&a), 1, "still owed");
         // After the timeout the retry fires and the data arrives intact.
         let retry = a.poll(211.0);
         assert_eq!(retry.len(), 1, "retried");
@@ -1651,7 +1646,7 @@ mod tests {
         drain(&mut a, &mut b, retry, 211.0);
         assert!((b.remote_usage_of(&GridUser::new("u")) - 80.0).abs() < 1e-9);
         // The ack cleared the outbox; nothing further is sent.
-        assert_eq!(a.outbox_depth(SiteId(1)), 0);
+        assert_eq!(outbox_len(&a), 0);
         assert!(a.poll(500.0).is_empty());
     }
 
@@ -2010,7 +2005,7 @@ mod tests {
             a.publish(now_s).expect("a closed slot");
             a.poll(now_s); // cut off: every flush is lost
         }
-        let unsent = a.outbox_depth(SiteId(1));
+        let unsent = outbox_len(&a);
         assert_eq!(
             unsent, retry.history_cap,
             "the outbox keeps what the history holds"
@@ -2077,7 +2072,7 @@ mod tests {
             310.0,
         );
         assert_eq!(
-            a.outbox_depth(SiteId(1)),
+            outbox_len(&a),
             1,
             "stale ack must not cancel the unacked republication"
         );
@@ -2136,7 +2131,7 @@ mod tests {
             a.ingest(&rec(0, "u", i as f64 * 100.0, i as f64 * 100.0 + 50.0));
             a.publish(100.0 * (i + 2) as f64).unwrap();
         }
-        assert_eq!(a.outbox_depth(SiteId(1)), 2, "bounded outbox");
+        assert_eq!(outbox_len(&a), 2, "bounded outbox");
         let msgs = a.poll(700.0);
         drain(&mut a, &mut b, msgs, 700.0);
         assert!(
@@ -2374,7 +2369,10 @@ mod tests {
         assert_eq!(b.remote_total(), 0.0, "no cell merged");
         assert!(b.grid_view().values().all(|v| v.is_finite()));
         assert!(checkpointed(b, 0, 0.0).peers.is_empty(), "no cursor");
-        assert_eq!((b.summaries_received(), b.duplicates()), (0, 0));
+        assert_eq!(
+            (b.counts.get(Count::Received, None), b.duplicates()),
+            (0, 0)
+        );
     }
 
     #[test]

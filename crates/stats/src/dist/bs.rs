@@ -90,13 +90,6 @@ impl ContinuousDistribution for BirnbaumSaunders {
         let t = self.gamma * std_normal_quantile(p) / 2.0;
         self.beta * (t + (t * t + 1.0).sqrt()).powi(2)
     }
-    fn mean(&self) -> Option<f64> {
-        Some(self.beta * (1.0 + self.gamma * self.gamma / 2.0))
-    }
-    fn variance(&self) -> Option<f64> {
-        let g2 = self.gamma * self.gamma;
-        Some(self.beta * self.beta * g2 * (1.0 + 5.0 * g2 / 4.0))
-    }
 }
 
 #[cfg(test)]

@@ -65,12 +65,6 @@ impl ContinuousDistribution for Exponential {
     fn icdf(&self, p: f64) -> f64 {
         -(-p).ln_1p() / self.lambda
     }
-    fn mean(&self) -> Option<f64> {
-        Some(1.0 / self.lambda)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(1.0 / (self.lambda * self.lambda))
-    }
 }
 
 /// Rayleigh distribution with scale σ. Support x ≥ 0.
@@ -125,12 +119,6 @@ impl ContinuousDistribution for Rayleigh {
     }
     fn icdf(&self, p: f64) -> f64 {
         self.sigma * (-2.0 * (-p).ln_1p()).sqrt()
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.sigma * (std::f64::consts::PI / 2.0).sqrt())
-    }
-    fn variance(&self) -> Option<f64> {
-        Some((2.0 - std::f64::consts::PI / 2.0) * self.sigma * self.sigma)
     }
 }
 
@@ -212,12 +200,6 @@ impl ContinuousDistribution for Gamma {
     fn icdf(&self, p: f64) -> f64 {
         gamma_p_inv(self.shape, p) * self.scale
     }
-    fn mean(&self) -> Option<f64> {
-        Some(self.shape * self.scale)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(self.shape * self.scale * self.scale)
-    }
 }
 
 /// Inverse Gaussian (Wald) distribution with mean μ and shape λ. Support x > 0.
@@ -285,12 +267,6 @@ impl ContinuousDistribution for InverseGaussian {
         let b = (2.0 * l / mu).exp() * std_normal_cdf(-s * (x / mu + 1.0));
         (a + b).clamp(0.0, 1.0)
     }
-    fn mean(&self) -> Option<f64> {
-        Some(self.mu)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(self.mu.powi(3) / self.lambda)
-    }
 }
 
 /// Nakagami distribution with shape m ≥ 0.5 and spread Ω. Support x > 0.
@@ -356,14 +332,6 @@ impl ContinuousDistribution for Nakagami {
     }
     fn icdf(&self, p: f64) -> f64 {
         (gamma_p_inv(self.m, p) * self.omega / self.m).sqrt()
-    }
-    fn mean(&self) -> Option<f64> {
-        let m = self.m;
-        Some((ln_gamma(m + 0.5) - ln_gamma(m)).exp() * (self.omega / m).sqrt())
-    }
-    fn variance(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        Some(self.omega - mean * mean)
     }
 }
 

@@ -129,28 +129,6 @@ impl ContinuousDistribution for Gev {
         }
         self.mu + self.sigma * ((-p.ln()).powf(-self.k) - 1.0) / self.k
     }
-    fn mean(&self) -> Option<f64> {
-        if self.k.abs() < 1e-12 {
-            return Some(self.mu + self.sigma * EULER_GAMMA);
-        }
-        if self.k >= 1.0 {
-            return None; // infinite mean
-        }
-        let g1 = crate::special::gamma(1.0 - self.k);
-        Some(self.mu + self.sigma * (g1 - 1.0) / self.k)
-    }
-    fn variance(&self) -> Option<f64> {
-        if self.k.abs() < 1e-12 {
-            let pi = std::f64::consts::PI;
-            return Some(self.sigma * self.sigma * pi * pi / 6.0);
-        }
-        if self.k >= 0.5 {
-            return None; // infinite variance
-        }
-        let g1 = crate::special::gamma(1.0 - self.k);
-        let g2 = crate::special::gamma(1.0 - 2.0 * self.k);
-        Some(self.sigma * self.sigma * (g2 - g1 * g1) / (self.k * self.k))
-    }
 }
 
 /// Gumbel (type-I extreme value, maximum convention) distribution.
@@ -216,13 +194,6 @@ impl ContinuousDistribution for Gumbel {
     }
     fn icdf(&self, p: f64) -> f64 {
         self.mu - self.beta * (-p.ln()).ln()
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.mu + self.beta * EULER_GAMMA)
-    }
-    fn variance(&self) -> Option<f64> {
-        let pi = std::f64::consts::PI;
-        Some(pi * pi / 6.0 * self.beta * self.beta)
     }
 }
 
@@ -306,14 +277,6 @@ impl ContinuousDistribution for Weibull {
     }
     fn icdf(&self, p: f64) -> f64 {
         self.lambda * (-(-p).ln_1p()).powf(1.0 / self.k)
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.lambda * crate::special::gamma(1.0 + 1.0 / self.k))
-    }
-    fn variance(&self) -> Option<f64> {
-        let g1 = crate::special::gamma(1.0 + 1.0 / self.k);
-        let g2 = crate::special::gamma(1.0 + 2.0 / self.k);
-        Some(self.lambda * self.lambda * (g2 - g1 * g1))
     }
 }
 

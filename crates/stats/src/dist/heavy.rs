@@ -73,15 +73,6 @@ impl ContinuousDistribution for Pareto {
     fn icdf(&self, p: f64) -> f64 {
         self.xm / (1.0 - p).powf(1.0 / self.alpha)
     }
-    fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.xm / (self.alpha - 1.0))
-    }
-    fn variance(&self) -> Option<f64> {
-        (self.alpha > 2.0).then(|| {
-            let a = self.alpha;
-            self.xm * self.xm * a / ((a - 1.0) * (a - 1.0) * (a - 2.0))
-        })
-    }
 }
 
 /// Burr type XII (Singh–Maddala) distribution, Matlab parameterization.
@@ -165,11 +156,6 @@ impl ContinuousDistribution for Burr {
     fn icdf(&self, p: f64) -> f64 {
         self.alpha * ((1.0 - p).powf(-1.0 / self.k) - 1.0).powf(1.0 / self.c)
     }
-    fn mean(&self) -> Option<f64> {
-        // E[X] = α k B(k − 1/c, 1 + 1/c) when ck > 1.
-        (self.c * self.k > 1.0)
-            .then(|| self.alpha * self.k * ln_beta(self.k - 1.0 / self.c, 1.0 + 1.0 / self.c).exp())
-    }
 }
 
 /// Logistic distribution with location μ and scale s.
@@ -233,13 +219,6 @@ impl ContinuousDistribution for Logistic {
     fn icdf(&self, p: f64) -> f64 {
         self.mu + self.s * (p / (1.0 - p)).ln()
     }
-    fn mean(&self) -> Option<f64> {
-        Some(self.mu)
-    }
-    fn variance(&self) -> Option<f64> {
-        let pi = std::f64::consts::PI;
-        Some(self.s * self.s * pi * pi / 3.0)
-    }
 }
 
 /// Log-logistic (Fisk) distribution: exp(Logistic(μ, s)). Support x > 0.
@@ -299,13 +278,6 @@ impl ContinuousDistribution for LogLogistic {
     }
     fn icdf(&self, p: f64) -> f64 {
         (self.mu + self.s * (p / (1.0 - p)).ln()).exp()
-    }
-    fn mean(&self) -> Option<f64> {
-        // Finite when s < 1: E[X] = e^μ · πs / sin(πs).
-        (self.s < 1.0).then(|| {
-            let pis = std::f64::consts::PI * self.s;
-            self.mu.exp() * pis / pis.sin()
-        })
     }
 }
 
@@ -390,12 +362,6 @@ impl ContinuousDistribution for TLocationScale {
         let t = beta_inc_inv(nu / 2.0, 0.5, 2.0 * pp);
         let z = (nu * (1.0 - t) / t).sqrt();
         self.mu + self.sigma * sign * z
-    }
-    fn mean(&self) -> Option<f64> {
-        (self.nu > 1.0).then_some(self.mu)
-    }
-    fn variance(&self) -> Option<f64> {
-        (self.nu > 2.0).then(|| self.sigma * self.sigma * self.nu / (self.nu - 2.0))
     }
 }
 

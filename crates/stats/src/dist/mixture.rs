@@ -206,13 +206,6 @@ impl ContinuousDistribution for Mixture {
     fn icdf(&self, p: f64) -> f64 {
         self.quantile(p, |x| self.cdf(x), |x| self.cdf_pdf(x))
     }
-    fn mean(&self) -> Option<f64> {
-        let mut acc = 0.0;
-        for (w, d) in &self.components {
-            acc += w * d.mean()?;
-        }
-        Some(acc)
-    }
 }
 
 #[cfg(test)]
@@ -260,12 +253,6 @@ mod tests {
             let x = m.icdf(p);
             assert!((m.cdf(x) - p).abs() < 1e-9, "p={p}");
         }
-    }
-
-    #[test]
-    fn mean_is_weighted() {
-        let m = two_normals();
-        assert!((m.mean().unwrap() - (0.3 * -2.0 + 0.7 * 3.0)).abs() < 1e-12);
     }
 
     /// Eq. 1's U65 arrival model: four quarterly GEV phases with Table II's

@@ -119,12 +119,6 @@ impl ContinuousDistribution for AnyDist {
     fn icdf(&self, p: f64) -> f64 {
         dispatch!(self, d => d.icdf(p))
     }
-    fn mean(&self) -> Option<f64> {
-        dispatch!(self, d => d.mean())
-    }
-    fn variance(&self) -> Option<f64> {
-        dispatch!(self, d => d.variance())
-    }
 }
 
 macro_rules! any_from {

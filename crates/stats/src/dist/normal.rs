@@ -57,12 +57,6 @@ impl ContinuousDistribution for Normal {
     fn icdf(&self, p: f64) -> f64 {
         self.mu + self.sigma * std_normal_quantile(p)
     }
-    fn mean(&self) -> Option<f64> {
-        Some(self.mu)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(self.sigma * self.sigma)
-    }
 }
 
 /// Half-normal distribution: |Z|·σ for Z standard normal. Support x ≥ 0.
@@ -117,12 +111,6 @@ impl ContinuousDistribution for HalfNormal {
     }
     fn icdf(&self, p: f64) -> f64 {
         self.sigma * std_normal_quantile(0.5 * (p + 1.0))
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.sigma * (2.0 / std::f64::consts::PI).sqrt())
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(self.sigma * self.sigma * (1.0 - 2.0 / std::f64::consts::PI))
     }
 }
 
@@ -190,13 +178,6 @@ impl ContinuousDistribution for LogNormal {
     }
     fn icdf(&self, p: f64) -> f64 {
         (self.mu + self.sigma * std_normal_quantile(p)).exp()
-    }
-    fn mean(&self) -> Option<f64> {
-        Some((self.mu + 0.5 * self.sigma * self.sigma).exp())
-    }
-    fn variance(&self) -> Option<f64> {
-        let s2 = self.sigma * self.sigma;
-        Some((s2.exp() - 1.0) * (2.0 * self.mu + s2).exp())
     }
 }
 

@@ -64,12 +64,6 @@ impl ContinuousDistribution for Uniform {
     fn icdf(&self, p: f64) -> f64 {
         self.a + p * (self.b - self.a)
     }
-    fn mean(&self) -> Option<f64> {
-        Some(0.5 * (self.a + self.b))
-    }
-    fn variance(&self) -> Option<f64> {
-        Some((self.b - self.a).powi(2) / 12.0)
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +77,6 @@ mod tests {
         assert_eq!(d.pdf(5.0), 0.0);
         assert_eq!(d.cdf(1.0), 0.5);
         assert_eq!(d.icdf(0.5), 1.0);
-        assert_eq!(d.mean(), Some(1.0));
     }
 
     #[test]

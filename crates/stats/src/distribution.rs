@@ -69,16 +69,6 @@ pub trait ContinuousDistribution: Send + Sync + std::fmt::Debug {
         icdf_numeric(self, p)
     }
 
-    /// Theoretical mean if finite and known, else `None`.
-    fn mean(&self) -> Option<f64> {
-        None
-    }
-
-    /// Theoretical variance if finite and known, else `None`.
-    fn variance(&self) -> Option<f64> {
-        None
-    }
-
     /// Draw one sample using inverse-transform sampling.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64
     where

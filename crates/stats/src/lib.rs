@@ -6,11 +6,12 @@
 //!
 //! * 18 continuous distribution families with PDF/CDF/ICDF/sampling and
 //!   per-family fitting ([`dist`]) — the candidate set searched when
-//!   re-deriving Tables II and III.
+//!   re-deriving Tables II and III. A family is read through its quantile
+//!   and its likelihood; none reports its moments.
 //! * Finite mixtures for the Eq. (1) four-phase composite model of U65.
 //! * BIC model selection ([`select`]), Kolmogorov–Smirnov goodness-of-fit
 //!   ([`ks`]), the Anderson–Darling statistic ([`gof`]), autocorrelation ([`acf`]), histograms ([`histogram`]),
-//!   empirical CDFs ([`ecdf`]), robust summary statistics ([`summary`]),
+//!   empirical CDFs ([`ecdf`]), medians and quantiles ([`summary`]),
 //!   and range-rescaled ICDF sampling ([`truncated`]).
 //!
 //! Everything is deterministic given an RNG seed; no global state.

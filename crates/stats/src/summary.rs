@@ -1,6 +1,7 @@
 //! Robust summary statistics. Following Downey & Feitelson (cited in §IV-2),
 //! the paper prefers **medians** over means/CV because medians are resilient
-//! to the arbitrary outlier-removal decisions that plague trace data.
+//! to the arbitrary outlier-removal decisions that plague trace data — so
+//! this module has medians and quantiles, and no mean.
 
 /// Median of a data set (average of the two central order statistics for an
 /// even count). Returns `None` on empty input.
@@ -24,24 +25,6 @@ pub fn quantile(data: &[f64], q: f64) -> Option<f64> {
     } else {
         sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
     })
-}
-
-/// Arithmetic mean. Returns `None` on empty input.
-pub fn mean(data: &[f64]) -> Option<f64> {
-    if data.is_empty() {
-        None
-    } else {
-        Some(data.iter().sum::<f64>() / data.len() as f64)
-    }
-}
-
-/// Population variance (divides by n). Returns `None` if fewer than 2 points.
-pub fn variance(data: &[f64]) -> Option<f64> {
-    if data.len() < 2 {
-        return None;
-    }
-    let m = mean(data)?;
-    Some(data.iter().map(|x| (x - m).powi(2)).sum::<f64>() / data.len() as f64)
 }
 
 /// Round to whole seconds as the paper does for median inter-arrival and
@@ -76,14 +59,6 @@ mod tests {
         let dirty = [1.0, 2.0, 3.0, 4.0, 1e9];
         assert_eq!(median(&clean), Some(3.0));
         assert_eq!(median(&dirty), Some(3.0));
-        // Mean is destroyed by the same outlier — the paper's argument.
-        assert!(mean(&dirty).unwrap() > 1e8);
-    }
-
-    #[test]
-    fn population_variance() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((variance(&xs).unwrap() - 4.0).abs() < 1e-12);
     }
 
     #[test]
