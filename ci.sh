@@ -159,7 +159,9 @@ done
 # telemetry snapshot's Prometheus and JSON exporters with their parsers and
 # round-trip suite (a snapshot is read where it is taken), and the
 # ratio-of-minima microbench with its site-backed sample (every instrument is
-# gated as counted work × unit cost) — and no tracked
+# gated as counted work × unit cost), and the telemetry event ring with its
+# snapshot fields (a fact is recorded once, by a counter or a stage
+# histogram) — and no tracked
 # source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -181,6 +183,7 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'with_profiling' -e 'add_wire' -e 'qq_series' -e 'ks_two_sample' \
   -e 'to_prometheus' -e 'from_prometheus' -e 'proptest_export' \
   -e 'min_ratio' -e 'site_sample_ns' -e 'loaded_site' \
+  -e 'TelemetryEvent' -e 'recent_events' -e 'events_dropped' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2

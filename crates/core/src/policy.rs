@@ -162,8 +162,8 @@ impl PolicyTree {
     }
 
     /// Give this tree (and its later clones, not its earlier ones) its
-    /// layout keyed by a site's `users` ([`PolicyLayout::keyed_by`]), which
-    /// share edits keep.
+    /// layout keyed by a site's `users`, which share edits keep: the
+    /// layout's users named by `users`' ids, those it lacks interned there.
     pub fn key_by(&mut self, users: &mut UserTable) {
         let keyed = Arc::new(self.layout().keyed_by(users));
         self.layout = Arc::new(OnceLock::from(keyed));
@@ -318,7 +318,7 @@ pub struct LayoutNode {
 /// Its users are named by the ids of a [`UserTable`]: a built layout's own,
 /// over the leaves' identities ranked in name order — the base of the sites
 /// built from the policy, so there a layout id *is* a site id — or, once
-/// [`keyed_by`](Self::keyed_by) a site's table, that table's. One identity
+/// keyed by a site's table ([`PolicyTree::key_by`]), that table's. One identity
 /// may sit under several leaves (a user in two projects of a VO).
 #[derive(Debug, PartialEq)]
 pub struct PolicyLayout {
@@ -370,7 +370,7 @@ impl PolicyLayout {
     /// This layout with its users named by `table`'s ids, interning there
     /// those it lacks, in this layout's id order — `O(users·log users)`.
     /// Valid at a holder whose table [`extends`](UserTable::extends) it.
-    pub fn keyed_by(&self, table: &mut UserTable) -> Self {
+    fn keyed_by(&self, table: &mut UserTable) -> Self {
         let named = |&leaf: &NodeId| Some((self.users.name(self[leaf].user?), leaf));
         let leaf_users = self.leaves.iter().filter_map(named).collect();
         Self::keyed(self.nodes.clone(), leaf_users, table)

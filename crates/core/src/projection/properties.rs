@@ -32,7 +32,7 @@ pub struct ProjectionProperties {
 impl ProjectionProperties {
     /// The properties of the raw fairshare-vector representation itself:
     /// everything except combinability (a vector is not a scalar factor).
-    pub fn fairshare_vectors() -> Self {
+    fn fairshare_vectors() -> Self {
         Self {
             infinite_depth: true,
             infinite_precision: true,

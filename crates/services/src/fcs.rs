@@ -42,7 +42,6 @@ use std::sync::Arc;
 /// Pre-registered FCS metric handles (no-ops until wired).
 #[derive(Debug, Clone, Default)]
 struct FcsMetrics {
-    telemetry: Telemetry,
     refreshes: Counter,
     full_refreshes: Counter,
     queries: Counter,
@@ -54,7 +53,6 @@ struct FcsMetrics {
 impl FcsMetrics {
     fn wire(t: &Telemetry) -> Self {
         Self {
-            telemetry: t.clone(),
             refreshes: t.counter("aequus_fcs_refreshes_total"),
             full_refreshes: t.counter("aequus_fcs_full_refreshes_total"),
             queries: t.counter("aequus_fcs_queries_total"),
@@ -146,11 +144,6 @@ impl Fcs {
         self.force_full = true;
     }
 
-    /// The active projection algorithm.
-    pub fn projection_kind(&self) -> ProjectionKind {
-        self.projection_kind
-    }
-
     /// The algorithm configuration.
     pub fn config(&self) -> &FairshareConfig {
         &self.config
@@ -231,17 +224,6 @@ impl Fcs {
             None => {
                 let _span = self.metrics.h_refresh_full.start_timer();
                 self.metrics.full_refreshes.inc();
-                self.metrics.telemetry.event(now_s, "fcs.full_rebuild", || {
-                    if unexplained_version {
-                        "unexplained policy version bump".to_string()
-                    } else if dirty.is_all() {
-                        "dirty set marked all".to_string()
-                    } else if restructured {
-                        "policy structure replaced".to_string()
-                    } else {
-                        "first refresh or restart".to_string()
-                    }
-                });
                 // One id space: a layout whose ids are not the table's (a
                 // replaced or mounted policy) is keyed by it, once.
                 if !users.extends(pds.policy().layout().table()) {

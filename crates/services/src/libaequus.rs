@@ -44,7 +44,6 @@ impl CacheStats {
 /// Pre-registered per-cache telemetry counters (no-ops until wired).
 #[derive(Debug, Clone, Default)]
 struct LibMetrics {
-    telemetry: Telemetry,
     fs_hits: Counter,
     fs_misses: Counter,
     fs_evictions: Counter,
@@ -56,7 +55,6 @@ struct LibMetrics {
 impl LibMetrics {
     fn wire(t: &Telemetry) -> Self {
         Self {
-            telemetry: t.clone(),
             fs_hits: t.counter("aequus_lib_fairshare_hits_total"),
             fs_misses: t.counter("aequus_lib_fairshare_misses_total"),
             fs_evictions: t.counter("aequus_lib_fairshare_evictions_total"),
@@ -201,9 +199,6 @@ impl LibAequus {
         self.metrics.id_evictions.add(id_dropped);
         self.fairshare_cache.clear();
         self.identity_cache.clear();
-        self.metrics.telemetry.event(-1.0, "lib.flush", || {
-            format!("dropped {fs_dropped} fairshare + {id_dropped} identity entries")
-        });
     }
 
     /// Number of live fairshare cache entries.

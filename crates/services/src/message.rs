@@ -69,7 +69,7 @@ impl UssMessage {
         )
     }
 
-    /// Short kind tag for telemetry events and logs.
+    /// Short kind tag, naming a message in logs and golden files.
     pub fn kind(&self) -> &'static str {
         match self {
             UssMessage::Summary { .. } => "summary",

@@ -22,8 +22,7 @@ pub struct Pds {
     /// service: share edits mark their path, structural changes (replace,
     /// mount) mark everything.
     dirty: DirtySet,
-    /// Telemetry: policy edit counter + event ring (no-ops until wired).
-    telemetry: Telemetry,
+    /// Telemetry: the policy edit counter (a no-op until wired).
     c_edits: Counter,
 }
 
@@ -35,16 +34,13 @@ impl Pds {
             replaced_version: 0,
             exports: BTreeMap::new(),
             dirty: DirtySet::new(),
-            telemetry: Telemetry::disabled(),
             c_edits: Counter::default(),
         }
     }
 
     /// Wire this service into a telemetry registry; pass
-    /// [`Telemetry::disabled`] to detach. PDS edits carry no domain clock,
-    /// so their events use the `-1.0` no-clock timestamp.
+    /// [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
-        self.telemetry = t.clone();
         self.c_edits = t.counter("aequus_pds_edits_total");
     }
 
@@ -66,9 +62,6 @@ impl Pds {
         self.policy = policy;
         self.dirty.mark_all();
         self.c_edits.inc();
-        self.telemetry.event(-1.0, "pds.policy_replaced", || {
-            "whole policy replaced".into()
-        });
     }
 
     /// Name the policy's users by the site's ids ([`PolicyTree::key_by`]);
@@ -82,8 +75,6 @@ impl Pds {
         self.policy.set_share(path, share)?;
         self.dirty.mark_path(path.clone());
         self.c_edits.inc();
-        self.telemetry
-            .event(-1.0, "pds.share_edit", || format!("{path:?} -> {share}"));
         Ok(())
     }
 
@@ -112,9 +103,6 @@ impl Pds {
         self.policy.mount(at, &sub)?;
         self.dirty.mark_all(); // mounting changes the tree structure
         self.c_edits.inc();
-        self.telemetry.event(-1.0, "pds.mount", || {
-            format!("mounted export {export_name:?} at {at:?}")
-        });
         Ok(())
     }
 

@@ -299,7 +299,9 @@ impl AequusSite {
     /// usage reports (the RMS-side spool redelivers them) and the libaequus
     /// client caches (the library lives inside the RMS process, which is
     /// modeled as staying up and serving stale values while degraded).
-    pub fn crash(&mut self, now_s: f64) {
+    /// The instant is not read: a crash wipes the same state whenever it
+    /// lands.
+    pub fn crash(&mut self, _now_s: f64) {
         if let Some(store) = &mut self.store {
             // The write in flight at the instant of the crash lands as a
             // torn tail the next open must truncate. With a store attached
@@ -319,9 +321,6 @@ impl AequusSite {
         self.lib.set_degraded(true);
         self.refresh_trace = None;
         self.serving_trace = None;
-        self.telemetry.event(now_s, "site.crash", || {
-            format!("site {} crashed", self.id.0)
-        });
     }
 
     /// Crash recovery. With a durable store attached, the store is re-opened
@@ -332,17 +331,15 @@ impl AequusSite {
     /// Then (store or not) every expected publisher's link owes a catch-up
     /// snapshot, requested until it arrives, and the client library's
     /// degraded mode is lifted.
-    /// Publication resumes on the next tick.
-    pub fn recover(&mut self, now_s: f64) {
+    /// Publication resumes on the next tick. Like [`AequusSite::crash`], it
+    /// does not read the instant.
+    pub fn recover(&mut self, _now_s: f64) {
         if let Some(store) = self.store.take() {
-            self.recover_from_store(store, now_s);
+            self.recover_from_store(store);
         }
         self.uss.request_catchup();
         self.lib.set_degraded(false);
         self.last_publish_s = f64::NEG_INFINITY;
-        self.telemetry.event(now_s, "site.recover", || {
-            format!("site {} recovered", self.id.0)
-        });
     }
 
     /// Re-open the durable store (modeling the recovering process reading
@@ -352,18 +349,16 @@ impl AequusSite {
     /// already counted — and emits no protocol responses: acks were
     /// delivered before the crash, and a gap still open is owed on its
     /// link, pulled by the next poll.
-    fn recover_from_store(&mut self, store: SiteStore, now_s: f64) {
+    fn recover_from_store(&mut self, store: SiteStore) {
         self.store_stats_base = StoreStats::across_restart(self.store_stats_base, store.stats());
         let cfg = store.config();
         let (mut store, recovered) = SiteStore::open(store.into_storage(), cfg);
         store.set_telemetry(&self.telemetry);
         if let Some(ckpt) = &recovered.checkpoint {
-            if let Err(e) = self.uss.install_checkpoint(ckpt) {
-                self.telemetry
-                    .event(now_s, "site.store_error", || format!("checkpoint: {e}"));
+            if self.uss.install_checkpoint(ckpt).is_err() {
+                self.store_stats_base.refused_checkpoints += 1;
             }
         }
-        let replayed = recovered.records.len();
         for (_lsn, rec) in &recovered.records {
             match rec {
                 WalRecord::Usage(u) => {
@@ -375,17 +370,6 @@ impl AequusSite {
                 WalRecord::Publish { seq } => self.uss.replay_publish_seq(*seq),
             }
         }
-        let report = recovered.report;
-        self.telemetry.event(now_s, "site.store_recover", || {
-            format!(
-                "checkpoint {}, {replayed} records replayed, {} torn tail(s) truncated, {} corrupt frame(s) skipped",
-                recovered
-                    .checkpoint
-                    .as_ref()
-                    .map_or("none".to_string(), |c| format!("lsn {}", c.lsn)),
-                report.torn_tails, report.corrupt_frames
-            )
-        });
         self.last_checkpoint_s = f64::NEG_INFINITY;
         self.store = Some(store);
     }
@@ -479,7 +463,7 @@ impl AequusSite {
     /// CRC and write of what the site holds — `O(cells)` — and nothing
     /// before them: the store encodes a borrowed view of the USS maps, no
     /// owned copy is built and dropped.
-    pub fn checkpoint_now(&mut self, now_s: f64) {
+    fn checkpoint_now(&mut self, now_s: f64) {
         let Some(store) = &mut self.store else {
             return;
         };
@@ -499,6 +483,7 @@ mod tests {
     use super::*;
     use aequus_core::ids::JobId;
     use aequus_core::policy::flat_policy;
+    use aequus_store::CheckpointState;
 
     fn site(id: u32, mode: ParticipationMode) -> AequusSite {
         AequusSite::new(
@@ -697,6 +682,39 @@ mod tests {
             s.uss.local_usage_of(&GridUser::new("a")).to_bits(),
             "checkpointed local cells install bitwise exact"
         );
+    }
+
+    /// A recovered checkpoint the USS refuses — here its slot holds a cell
+    /// that is not a charge — is counted in the store stats, and the WAL
+    /// past it still replays. What the refused checkpoint covered is not
+    /// replayed: the records at or below its LSN are skipped.
+    #[test]
+    fn a_refused_checkpoint_is_counted_and_the_wal_past_it_replays() {
+        let mut s = site(0, ParticipationMode::Full);
+        s.enable_store(StoreConfig::default(), 13);
+        s.report_completion(record(0, "a", 0.0, 100.0), 100.0);
+        s.tick(110.0); // ingest a, the first checkpoint
+        s.report_completion(record(0, "b", 100.0, 150.0), 150.0);
+        s.tick(160.0); // ingest b, no checkpoint due
+        let store = s.store.as_mut().expect("store attached");
+        let lsn = store.next_lsn() - 1;
+        let own = s.uss.checkpoint_view(lsn, 170.0).encode();
+        let mut bad = CheckpointState::decode_slot(&own).expect("a fresh slot decodes");
+        bad.local_cells
+            .insert(GridUser::new("a"), vec![(0, f64::NAN)]);
+        store.checkpoint(&bad.view()); // the other slot, the higher LSN
+        s.report_completion(record(0, "b", 150.0, 200.0), 200.0);
+        s.tick(210.0); // ingest b's second job past the bad checkpoint
+        assert_eq!(s.store_stats().unwrap().refused_checkpoints, 0);
+
+        s.crash(220.0);
+        s.recover(230.0);
+        let stats = s.store_stats().unwrap();
+        assert_eq!(stats.refused_checkpoints, 1, "{stats:?}");
+        assert!(stats.frames_replayed >= 1);
+        assert_eq!(s.uss.local_usage_of(&GridUser::new("a")), 0.0);
+        assert_eq!(s.uss.local_usage_of(&GridUser::new("b")), 50.0);
+        assert_eq!(s.uss.records_ingested(), 1, "one record replayed");
     }
 
     /// A store recovery refreshes its UMS as every other crash does — whole,

@@ -34,7 +34,6 @@ use std::collections::BTreeMap;
 /// Pre-registered UMS metric handles (no-ops until wired).
 #[derive(Debug, Clone, Default)]
 struct UmsMetrics {
-    telemetry: Telemetry,
     refreshes: Counter,
     full_rebuilds: Counter,
     h_refresh: Histogram,
@@ -43,7 +42,6 @@ struct UmsMetrics {
 impl UmsMetrics {
     fn wire(t: &Telemetry) -> Self {
         Self {
-            telemetry: t.clone(),
             refreshes: t.counter("aequus_ums_refreshes_total"),
             full_rebuilds: t.counter("aequus_ums_full_rebuilds_total"),
             h_refresh: t.histogram("aequus_ums_refresh_s"),
@@ -179,13 +177,6 @@ impl Ums {
             self.dirty.mark_all();
             self.full_rebuilds += 1;
             self.metrics.full_rebuilds.inc();
-            self.metrics.telemetry.event(now_s, "ums.full_rebuild", || {
-                if decay.separable() {
-                    format!("epoch rebased to {now_s}")
-                } else {
-                    "non-separable decay: whole cache re-decayed".to_string()
-                }
-            });
         }
         // A non-separable decay's epoch weight is its plain weight.
         let reference = epoch.unwrap_or(now_s);

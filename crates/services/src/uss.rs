@@ -851,13 +851,10 @@ impl Uss {
         if s.site == self.cfg.site {
             return Vec::new(); // never double-count our own data
         }
-        if let Err(why) = self.check_summary(s) {
+        if self.check_summary(s).is_err() {
             // Refused whole, before any cell merges: no cursor movement and
             // no ack either, so a well-formed retransmission still counts.
             self.counts.add(Count::Rejected, None, 1);
-            self.metrics.telemetry.event(now_s, "uss.rejected", || {
-                format!("summary seq {} from site {}: {why}", s.seq, s.site.0)
-            });
             return Vec::new();
         }
         let from = self.cfg.site;
@@ -900,16 +897,6 @@ impl Uss {
             _ => {}
         }
         self.counts.add(Count::Received, None, 1);
-        self.metrics.telemetry.event(now_s, "uss.gossip_merge", || {
-            format!(
-                "merged {} from site {} seq {} ({} users, {} relayed origins, {merged_cells} new cells)",
-                if is_snapshot { "snapshot" } else { "summary" },
-                s.site.0,
-                s.seq,
-                s.per_user.len(),
-                s.relayed.len()
-            )
-        });
         responses
     }
 
@@ -1032,13 +1019,6 @@ impl Uss {
             for (user, _) in self.vol.remote.rows() {
                 note_pending(&mut self.vol.dirty, user, 0);
             }
-            self.metrics.telemetry.event(now_s, "uss.stale_policy", || {
-                if suppress {
-                    format!("remote usage suppressed (peer staleness {max_stale:.0}s)")
-                } else {
-                    "remote usage restored".to_string()
-                }
-            });
         }
         max_stale
     }

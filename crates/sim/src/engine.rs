@@ -139,7 +139,7 @@ pub struct GridSimulation {
     /// separate from the per-site registries.
     telemetry: Telemetry,
     /// Handle onto the reference site's registry (shared `Arc`), so the
-    /// flight recorder can dump site-0 spans/events from the barrier hook
+    /// flight recorder can dump site-0 spans from the barrier hook
     /// while `barrier::drive` owns the shards.
     site0_telemetry: Telemetry,
     /// The SLO alert stream's sink, when the scenario configured one.

@@ -172,7 +172,7 @@ pub fn describe<D: ContinuousDistribution>(d: &D) -> String {
 
 /// Format `v` with `sig` significant digits, switching to scientific notation
 /// for very large/small magnitudes (a `%g`-style formatter).
-pub fn fmt_sig(v: f64, sig: usize) -> String {
+fn fmt_sig(v: f64, sig: usize) -> String {
     if v == 0.0 {
         return "0".to_string();
     }

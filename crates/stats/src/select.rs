@@ -26,10 +26,10 @@ pub struct FitResult {
     pub ks: f64,
 }
 
-/// Compute the BIC for a fitted distribution on `data`.
-pub fn bic<D: ContinuousDistribution>(dist: &D, data: &[f64]) -> f64 {
-    let ll = dist.log_likelihood(data);
-    dist.param_count() as f64 * (data.len() as f64).ln() - 2.0 * ll
+/// The BIC of a fit with `params` parameters and log-likelihood `ll` on `n`
+/// observations: `k·ln n − 2·lnL`.
+fn bic(params: usize, n: usize, ll: f64) -> f64 {
+    params as f64 * (n as f64).ln() - 2.0 * ll
 }
 
 /// Fit every candidate family that accepts the data and evaluate each fit.
@@ -72,12 +72,11 @@ fn fit_all(data: &[f64]) -> Vec<FitResult> {
             if !ll.is_finite() {
                 return None;
             }
-            let bic = dist.param_count() as f64 * (data.len() as f64).ln() - 2.0 * ll;
             let ks = ks_statistic(data, |x| dist.cdf(x));
             Some(FitResult {
+                bic: bic(dist.param_count(), data.len(), ll),
                 dist,
                 log_likelihood: ll,
-                bic,
                 ks,
             })
         })
@@ -156,7 +155,7 @@ mod tests {
         let n2 = Normal::fit(&xs).unwrap();
         let ll = n2.log_likelihood(&xs);
         let bic2 = 2.0 * (xs.len() as f64).ln() - 2.0 * ll;
-        assert!((bic(&n2, &xs) - bic2).abs() < 1e-9);
+        assert!((bic(n2.param_count(), xs.len(), ll) - bic2).abs() < 1e-9);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub fn erf(x: f64) -> f64 {
 /// Complementary error function erfc(x) with ~1e-12 relative accuracy, using
 /// the rational Chebyshev-like expansion of W. J. Cody as adapted in
 /// Numerical Recipes (`erfc_cheb`).
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 2.0 / (2.0 + z);
     let ty = 4.0 * t - 2.0;

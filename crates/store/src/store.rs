@@ -47,6 +47,11 @@ pub struct StoreStats {
     pub checkpoint_bytes: u64,
     /// Live WAL bytes across all segments.
     pub wal_bytes: u64,
+    /// Recovered checkpoints the site refused to install (a cell that is
+    /// not a charge, another site's or another binning's state); the WAL
+    /// past it replays all the same. The store decodes, the site judges and
+    /// counts.
+    pub refused_checkpoints: u64,
 }
 
 impl StoreStats {
@@ -63,6 +68,7 @@ impl StoreStats {
             compacted_segments: base.compacted_segments + current.compacted_segments,
             checkpoint_bytes: current.checkpoint_bytes,
             wal_bytes: current.wal_bytes,
+            refused_checkpoints: base.refused_checkpoints + current.refused_checkpoints,
         }
     }
 

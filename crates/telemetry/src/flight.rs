@@ -5,17 +5,16 @@
 //! starvation age, view divergence, convergence lag and per-link staleness
 //! are its rules, thresholded once, in one place. The recorder takes the
 //! engine's alert transitions, drops repeats inside a dedup window, and for
-//! each one that remains snapshots what the telemetry domain retains —
-//! recent events (a stale-policy degradation shows here, as the
-//! `uss.stale_policy` event), the span store, captured explanations — into a
-//! self-contained JSONL flight record, one JSON object per line, suitable
-//! for appending to a file and for offline analysis.
+//! each one that remains snapshots what the telemetry domain retains — the
+//! span store and captured explanations — into a self-contained JSONL
+//! flight record, one JSON object per line, suitable for appending to a
+//! file and for offline analysis.
 
 use crate::json::escape as esc;
 use crate::json::json_f64 as num;
 use crate::provenance::ProvenanceRecord;
 use crate::span::SpanRecord;
-use crate::{Telemetry, TelemetryEvent};
+use crate::Telemetry;
 use std::collections::BTreeMap;
 
 /// The recorder's one setting.
@@ -93,9 +92,9 @@ impl FlightRecorder {
     }
 }
 
-/// Render one anomaly plus everything the telemetry domain retains — recent
-/// events, spans, captured explanations — as a JSONL flight record (one JSON
-/// object per line; the first line is the anomaly itself).
+/// Render one anomaly plus everything the telemetry domain retains — spans
+/// and captured explanations — as a JSONL flight record (one JSON object
+/// per line; the first line is the anomaly itself).
 pub fn dump_jsonl(anomaly: &Anomaly, telemetry: &Telemetry) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -104,9 +103,6 @@ pub fn dump_jsonl(anomaly: &Anomaly, telemetry: &Telemetry) -> String {
         esc(anomaly.kind),
         esc(&anomaly.detail)
     ));
-    for ev in telemetry.recent_events() {
-        out.push_str(&event_line(&ev));
-    }
     for span in telemetry.spans() {
         out.push_str(&span_line(&span));
     }
@@ -114,15 +110,6 @@ pub fn dump_jsonl(anomaly: &Anomaly, telemetry: &Telemetry) -> String {
         out.push_str(&provenance_line(&rec));
     }
     out
-}
-
-fn event_line(ev: &TelemetryEvent) -> String {
-    format!(
-        "{{\"type\":\"event\",\"t_s\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}\n",
-        num(ev.t_s),
-        esc(&ev.kind),
-        esc(&ev.detail)
-    )
 }
 
 fn span_line(s: &SpanRecord) -> String {
@@ -191,7 +178,6 @@ mod tests {
     #[test]
     fn dump_contains_all_sections() {
         let t = Telemetry::traced(0);
-        t.event(1.0, "uss.gossip_merge", || "cells=3".to_string());
         let ctx = t
             .start_trace("rms.report", 0.5, || "job 7".to_string())
             .unwrap();
@@ -206,15 +192,10 @@ mod tests {
         let lines: Vec<&str> = dump.lines().collect();
         assert!(lines[0].contains("\"type\":\"anomaly\""));
         assert!(lines[0].contains("\\\"quoted\\\""));
-        assert!(dump.contains("\"type\":\"event\""));
         assert!(dump.contains("\"type\":\"span\""));
         assert!(dump.contains("\"name\":\"uss.ingest\""));
         assert!(dump.contains("\"type\":\"explanation\""));
         assert!(dump.contains("\"explanation\":{\"k\":1}"));
-        assert_eq!(
-            lines.len(),
-            5,
-            "anomaly + 1 event + 2 spans + 1 explanation"
-        );
+        assert_eq!(lines.len(), 4, "anomaly + 2 spans + 1 explanation");
     }
 }

@@ -7,9 +7,8 @@
 //! * **metrics** — on with the handle ([`Telemetry::enabled`]): a lock-free
 //!   [`Registry`] of named counters, gauges and log-bucketed histograms
 //!   (labeled series keyed by [`export::series_name`]), snapshot-able at
-//!   any time, and the last 256 notable events (cache evictions, forced
-//!   full rebuilds, gossip merges). A site's pipeline-delay tracer records
-//!   into its handle's `aequus_tracer_*` series;
+//!   any time. A site's pipeline-delay tracer records into its handle's
+//!   `aequus_tracer_*` series;
 //! * **tracing** — [`Telemetry::traced`]: every usage report roots a causal
 //!   trace whose [`TraceCtx`] rides the whole
 //!   report→gossip→refresh→query pipeline across sites ([`span`]), and the
@@ -22,7 +21,7 @@
 //!   sim-time windows with multi-window burn-rate alerting and a
 //!   deterministic pending → firing → resolved lifecycle;
 //! * the **flight recorder** ([`flight`]): the SLO engine's alert sink — a
-//!   JSONL dump of recent events, spans, and explanations per alert.
+//!   JSONL dump of recent spans and explanations per alert.
 //!
 //! Everything a surface retains sits in one bounded store, [`Ring`], and
 //! every stage is named once, in [`stage::STAGES`].
@@ -33,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-mod events;
 pub mod export;
 pub mod flight;
 mod hist;
@@ -46,7 +44,6 @@ pub mod slo;
 pub mod span;
 pub mod stage;
 
-pub use events::TelemetryEvent;
 pub use hist::{Histogram, HistogramSnapshot, SpanTimer};
 pub use profile::{RunProfile, ShardProfile, ShardProfiler, StageStats};
 pub use registry::{Counter, Gauge, Registry, Snapshot};
@@ -60,7 +57,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// What a telemetry domain retains of its recent past, behind one lock.
 #[derive(Debug)]
 struct Records {
-    events: Ring<TelemetryEvent>,
     spans: Ring<SpanRecord>,
     provenance: Ring<ProvenanceRecord>,
     /// Spans recorded so far — the sequence half of the next span id.
@@ -117,9 +113,6 @@ impl Inner {
     }
 }
 
-/// Events the ring of an enabled handle retains.
-const EVENT_CAPACITY: usize = 256;
-
 /// The cheap, cloneable telemetry handle. See the crate docs.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
@@ -132,7 +125,7 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// An enabled handle with tracing off: metrics and events.
+    /// An enabled handle with tracing off: metrics only.
     pub fn enabled() -> Self {
         Self::new(None)
     }
@@ -153,7 +146,6 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 registry,
                 records: Mutex::new(Records {
-                    events: Ring::new(EVENT_CAPACITY),
                     spans: Ring::new(span::STORE_CAP),
                     provenance: Ring::new(span::STORE_CAP),
                     span_seq: 0,
@@ -193,37 +185,9 @@ impl Telemetry {
             .map_or_else(Histogram::default, |i| i.registry.histogram(name))
     }
 
-    /// Record a notable event. `detail` is only invoked when enabled, so
-    /// callers pay no formatting cost on disabled handles. `t_s` is the
-    /// domain time, or `-1.0` where the call site has no clock.
-    pub fn event(&self, t_s: f64, kind: &'static str, detail: impl FnOnce() -> String) {
-        if let Some(i) = &self.inner {
-            let event = TelemetryEvent {
-                t_s,
-                kind: kind.to_string(),
-                detail: detail(),
-            };
-            i.records().events.push(event);
-        }
-    }
-
-    /// The retained events, oldest first (empty when disabled).
-    pub fn recent_events(&self) -> Vec<TelemetryEvent> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.records().events.to_vec())
-    }
-
-    /// Snapshot every registered metric plus the retained event ring;
-    /// `None` when disabled.
+    /// Snapshot every registered metric; `None` when disabled.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        self.inner.as_ref().map(|i| {
-            let mut snap = i.registry.snapshot();
-            let records = i.records();
-            snap.events = records.events.to_vec();
-            snap.events_dropped = records.events.dropped();
-            snap
-        })
+        self.inner.as_ref().map(|i| i.registry.snapshot())
     }
 
     // --- Causal spans and decision provenance (tracing) ---
@@ -311,9 +275,7 @@ mod tests {
         t.counter("c").inc();
         t.gauge("g").set(1.0);
         t.histogram("h").record(1.0);
-        t.event(0.0, "x", || unreachable!("detail closure must not run"));
         assert!(!t.is_enabled() && t.snapshot().is_none());
-        assert!(t.recent_events().is_empty());
     }
 
     #[test]
@@ -321,12 +283,9 @@ mod tests {
         let t = Telemetry::enabled();
         t.counter("aequus_test_total").add(3);
         t.histogram("aequus_test_s").record(0.25);
-        t.event(12.0, "test.ev", || "hello".into());
         let snap = t.snapshot().expect("enabled");
         assert_eq!(snap.counters["aequus_test_total"], 3);
         assert_eq!(snap.histograms["aequus_test_s"].count, 1);
-        assert_eq!(t.recent_events().len(), 1);
-        assert_eq!(t.recent_events()[0].kind, "test.ev");
     }
 
     #[test]
@@ -399,18 +358,5 @@ mod tests {
             t.snapshot().unwrap().counters["aequus_provenance_captured_total"],
             2
         );
-    }
-
-    #[test]
-    fn snapshot_carries_the_event_ring() {
-        let t = Telemetry::enabled();
-        t.event(0.0, "a.b", || "one".into());
-        for i in 1..=EVENT_CAPACITY {
-            t.event(i as f64, "c.d", || format!("event {i}"));
-        }
-        let snap = t.snapshot().unwrap();
-        assert_eq!(snap.events.len(), EVENT_CAPACITY, "ring capacity respected");
-        assert_eq!(snap.events[0].kind, "c.d");
-        assert_eq!(snap.events_dropped, 1);
     }
 }

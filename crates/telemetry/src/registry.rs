@@ -6,7 +6,6 @@
 //! Metric names follow the scheme `aequus_<service>_<metric>` (see
 //! DESIGN.md, Observability).
 
-use crate::events::TelemetryEvent;
 use crate::hist::{HistCore, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,8 +111,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            events: Vec::new(),
-            events_dropped: 0,
         }
     }
 }
@@ -128,21 +125,12 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// The retained event ring at snapshot time, oldest first. A bare
-    /// [`Registry::snapshot`] leaves this empty — the ring lives in the
-    /// [`Telemetry`](crate::Telemetry) facade, whose `snapshot()` fills it.
-    pub events: Vec<TelemetryEvent>,
-    /// Events evicted from the ring before the snapshot.
-    pub events_dropped: u64,
 }
 
 impl Snapshot {
-    /// Whether no metric was ever registered and no event retained.
+    /// Whether no metric was ever registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.events.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 }
 

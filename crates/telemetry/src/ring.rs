@@ -1,6 +1,6 @@
 //! The one bounded store of the crate: a drop-oldest ring with a drop
-//! counter. Events, causal spans, decision records and the profiler's
-//! epoch spans all retain "the last `cap`" through it, so a run of any
+//! counter. Causal spans, decision records and the profiler's epoch
+//! spans all retain "the last `cap`" through it, so a run of any
 //! length keeps a fixed footprint and says how much it let go.
 
 use std::collections::VecDeque;

@@ -54,7 +54,7 @@ pub fn u65_phase_bounds() -> [(f64, f64); 4] {
 }
 
 /// The per-phase GEV arrival model of U65: phase `n` (0-based).
-pub fn u65_phase_model(n: usize) -> Gev {
+fn u65_phase_model(n: usize) -> Gev {
     assert!(n < 4, "U65 has four phases");
     let (lo, hi) = u65_phase_bounds()[n];
     let center = 0.5 * (lo + hi);
@@ -108,7 +108,7 @@ pub fn arrival_sampler(user: UserClass) -> RangeRescaled<AnyDist> {
 
 /// The job-duration model of a user class (Table III, parameters in
 /// seconds).
-pub fn duration_model(user: UserClass) -> AnyDist {
+fn duration_model(user: UserClass) -> AnyDist {
     match user {
         // BS(β = 1.76e4, γ = 3.53): median β ≈ 4.9 h.
         UserClass::U65 => AnyDist::from(literal(BirnbaumSaunders::new(1.76e4, 3.53))),

@@ -13,8 +13,8 @@
 //!   KS, ACF).
 //! * [`aequus_store`] — the durable per-site state store (CRC-framed WAL
 //!   + checkpoints with crash-consistent replay).
-//! * [`aequus_telemetry`] — metric registry, stage spans, event ring, and
-//!   the empirical pipeline-delay tracer (see DESIGN.md, Observability).
+//! * [`aequus_telemetry`] — metric registry, stage spans, and the
+//!   empirical pipeline-delay tracer (see DESIGN.md, Observability).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
