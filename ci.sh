@@ -161,7 +161,9 @@ done
 # ratio-of-minima microbench with its site-backed sample (every instrument is
 # gated as counted work × unit cost), and the telemetry event ring with its
 # snapshot fields (a fact is recorded once, by a counter or a stage
-# histogram) — and no tracked
+# histogram), and the engine registry's copies of the shard counts, queue
+# high-water marks and health report with the labeled-series key they used
+# (the profile, `health_report` and `alerts` hold them) — and no tracked
 # source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -184,6 +186,12 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'to_prometheus' -e 'from_prometheus' -e 'proptest_export' \
   -e 'min_ratio' -e 'site_sample_ns' -e 'loaded_site' \
   -e 'TelemetryEvent' -e 'recent_events' -e 'events_dropped' \
+  -e 'series_name' -e 'aequus_sim_job_arrivals_total' -e 'aequus_sim_cluster_ticks_total' \
+  -e 'aequus_sim_gossip_deliveries_total' -e 'aequus_sim_gossip_partitioned_total' \
+  -e 'aequus_sim_gossip_dropped_total' -e 'aequus_sim_crashes_total' \
+  -e 'aequus_sim_metrics_samples_total' -e 'aequus_sim_event_queue_hwm' \
+  -e 'aequus_sim_mailbox_hwm' -e 'aequus_health_link_' -e 'aequus_health_depth_lag_s' \
+  -e 'aequus_slo_alert_transitions_total' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
   echo "a deleted path is named again" >&2

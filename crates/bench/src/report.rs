@@ -69,9 +69,6 @@ pub fn render_telemetry(result: &SimResult) -> String {
     }
     if let Some(engine) = &result.engine_telemetry {
         out.push_str("engine:\n");
-        for (name, v) in &engine.counters {
-            out.push_str(&format!("  {name:<44} {v:>12}\n"));
-        }
         for (name, h) in &engine.histograms {
             out.push_str(&format!(
                 "  {name:<44} {:>10} p99 {:.6}s max {:.6}s\n",

@@ -28,7 +28,7 @@ impl BitwiseVector {
     }
 
     /// How many levels fit in the mantissa before deeper levels are dropped.
-    pub fn max_levels(&self) -> usize {
+    fn max_levels(&self) -> usize {
         (Self::MANTISSA_BITS / self.bits_per_level) as usize
     }
 

@@ -13,9 +13,9 @@
 //! virtual [`nodes::NodePool`] in a [`dispatch::DispatchOrder`] (FIFO,
 //! EASY, Conservative, or SAF backfill) fed by the [`predict`] runtime
 //! estimators. The fairshare factor itself comes through the
-//! [`plugin::FairshareSource`] seam, queried by interned user id — either
-//! the full Aequus stack (global fairshare) or the classic
-//! [`plugin::LocalFairshare`] baseline it replaces.
+//! [`plugin::FairshareSource`] seam, queried by interned user id — the full
+//! Aequus stack, which also runs the classic site-local baseline it
+//! replaces when its site reads no other site's usage.
 //!
 //! A cycle costs what can start, not what is queued: jobs wait in
 //! per-(user, width) FIFO lanes, a sweep asks the source once per user, and
@@ -40,6 +40,6 @@ pub use multifactor::{
     explain_combined, FactorConfig, FactorTerm, PriorityBreakdown, PriorityWeights,
 };
 pub use nodes::NodePool;
-pub use plugin::{FairshareSource, LocalFairshare};
+pub use plugin::FairshareSource;
 pub use predict::{MispredictPolicy, PredictionStats, PredictorKind, RuntimePredictor};
 pub use scheduler::{ReprioritizePolicy, SchedulerCore, SchedulerStats, SLOWDOWN_TAU_S};

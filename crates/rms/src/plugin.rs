@@ -8,17 +8,14 @@
 //! Factors are fetched by interned [`UserId`] — the scheduler interns a
 //! job's grid user once at submit.
 //!
-//! `AequusSite` implements the trait for the full per-site Aequus stack;
-//! [`LocalFairshare`] is the baseline it replaces — the classic site-local
-//! fairshare calculation that only sees local history.
+//! `AequusSite` implements the trait for the full per-site Aequus stack. The
+//! classic site-local fairshare it replaces is that stack in
+//! [`ParticipationMode::Disjunct`](aequus_services::ParticipationMode::Disjunct):
+//! the same algorithm over local history only.
 
-use aequus_core::fairshare::{FairshareConfig, FairshareTree};
-use aequus_core::policy::PolicyTree;
-use aequus_core::projection::{Projection, ProjectionKind};
-use aequus_core::usage::{Prefix, UsageHistogram, UsageRecord};
-use aequus_core::{GridUser, SystemUser, UserId, UserTable};
+use aequus_core::usage::UsageRecord;
+use aequus_core::{GridUser, SystemUser, UserId};
 use aequus_services::AequusSite;
-use std::collections::BTreeMap;
 
 /// What the RMS-side plugins need from a fairshare system.
 pub trait FairshareSource {
@@ -33,15 +30,6 @@ pub trait FairshareSource {
     /// "the normal fairshare priority calculation code". Only called with
     /// ids this source returned from [`intern_user`](Self::intern_user).
     fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64;
-
-    /// Capture the full decision provenance behind
-    /// [`fairshare_factor`](Self::fairshare_factor) for a user: policy path,
-    /// decayed usage, distance terms, fairshare vector, and projection, such
-    /// that replaying the capture reproduces the factor bit-for-bit. Sources
-    /// that cannot explain themselves return `None` (the default).
-    fn explain(&self, _user: &GridUser) -> Option<aequus_core::Explanation> {
-        None
-    }
 
     /// Supply usage information for a completed job (the SLURM job
     /// completion plugin / the Maui completion call site).
@@ -60,10 +48,6 @@ impl FairshareSource for AequusSite {
         AequusSite::fairshare_factor(self, id, now_s)
     }
 
-    fn explain(&self, user: &GridUser) -> Option<aequus_core::Explanation> {
-        self.fcs.explain(user)
-    }
-
     fn report_usage(&mut self, record: UsageRecord, now_s: f64) {
         self.report_completion(record, now_s);
     }
@@ -73,161 +57,131 @@ impl FairshareSource for AequusSite {
     }
 }
 
-/// The pre-Aequus baseline: fairshare computed from local usage only, with
-/// the same algorithm and projection but no cross-site exchange and no
-/// service pipeline (values recomputed on demand).
-pub struct LocalFairshare {
-    policy: PolicyTree,
-    config: FairshareConfig,
-    projection: Box<dyn Projection>,
-    usage: UsageHistogram,
-    identity_map: BTreeMap<SystemUser, GridUser>,
-    /// Who the ids of `usage` and of the RMS's queries are: a table over
-    /// the policy's own user base, so they are the fairshare tree's ids too.
-    users: UserTable,
-}
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use aequus_core::fairshare::FairshareConfig;
+    use aequus_core::ids::{JobId, SiteId};
+    use aequus_core::policy::flat_policy;
+    use aequus_core::projection::ProjectionKind;
+    use aequus_services::{ParticipationMode, ServiceTimings};
 
-impl std::fmt::Debug for LocalFairshare {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalFairshare")
-            .field("users", &self.users.len())
-            .finish()
-    }
-}
+    /// The local-only fairshare baseline: an Aequus site that reads no
+    /// other site's usage (`Disjunct`), with every stage of its pipeline
+    /// at zero delay and ticked after each report, so a report is served
+    /// at once. `sys<user>` maps to each policy user.
+    #[derive(Debug)]
+    pub(crate) struct LocalSite(pub(crate) AequusSite);
 
-impl LocalFairshare {
-    /// Create a local-only fairshare calculator.
-    pub fn new(
-        policy: PolicyTree,
-        config: FairshareConfig,
-        projection: ProjectionKind,
-        usage_slot_s: f64,
-    ) -> Self {
-        let users = UserTable::new(policy.layout().users().clone());
-        Self {
-            usage: UsageHistogram::with_users(usage_slot_s, &users),
-            users,
-            policy,
-            config,
-            projection: projection.build(),
-            identity_map: BTreeMap::new(),
+    impl LocalSite {
+        pub(crate) fn new(shares: &[(&str, f64)]) -> Self {
+            let zero = ServiceTimings {
+                report_delay_s: 0.0,
+                uss_publish_interval_s: 0.0,
+                ums_refresh_interval_s: 0.0,
+                fcs_refresh_interval_s: 0.0,
+                lib_cache_ttl_s: 0.0,
+                lib_identity_ttl_s: 0.0,
+                exchange_latency_s: 0.0,
+            };
+            let mut site = AequusSite::new(
+                SiteId(0),
+                flat_policy(shares).expect("a flat policy"),
+                FairshareConfig::default(),
+                ProjectionKind::Percental,
+                zero,
+                ParticipationMode::Disjunct,
+                60.0,
+            );
+            for (user, _) in shares {
+                let system = SystemUser::new(format!("sys{user}"));
+                site.irs.store_mapping(system, GridUser::new(*user));
+            }
+            site.tick(0.0);
+            Self(site)
         }
     }
 
-    /// Register a system-user → grid-user mapping (local configuration).
-    pub fn map_identity(&mut self, system: SystemUser, grid: GridUser) {
-        self.identity_map.insert(system, grid);
+    impl FairshareSource for LocalSite {
+        fn intern_user(&mut self, user: &GridUser) -> UserId {
+            self.0.intern_user(user)
+        }
+
+        fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
+            self.0.fairshare_factor(id, now_s)
+        }
+
+        fn report_usage(&mut self, record: UsageRecord, now_s: f64) {
+            self.0.report_completion(record, now_s);
+            self.0.tick(now_s);
+        }
+
+        fn resolve_identity(&mut self, system: &SystemUser, now_s: f64) -> Option<GridUser> {
+            self.0.resolve_identity(system, now_s)
+        }
     }
 
-    /// Direct access to the accumulated local usage.
-    pub fn usage(&self) -> &UsageHistogram {
-        &self.usage
-    }
-}
-
-impl FairshareSource for LocalFairshare {
-    fn intern_user(&mut self, user: &GridUser) -> UserId {
-        self.users.intern(user)
+    /// A scripted source for tests of scheduling alone: every user's factor
+    /// is 0.5, whatever the usage; `sysa` and `sysb` map to `a` and `b`;
+    /// every usage report is logged.
+    #[derive(Debug, Default)]
+    pub(crate) struct Scripted {
+        users: Vec<GridUser>,
+        pub(crate) reports: Vec<UsageRecord>,
     }
 
-    fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
-        // One row over the policy's users; what users outside it consumed
-        // competes for no share.
-        let aged = |centre| self.config.decay.weight(now_s - centre);
-        let decayed = |user| self.usage.usage(user, aged, Prefix::default(), 0).0;
-        let policy_users = 0..self.users.base().len() as u32;
-        let usage: Vec<f64> = policy_users.map(|user| decayed(UserId(user))).collect();
-        let tree = FairshareTree::compute_row(&self.policy, &usage, &self.config, now_s);
-        let Some(leaf) = tree.leaf_of(id) else {
-            return 0.5;
-        };
-        // Dictionary has no per-leaf read: rank everyone, index one.
-        let read = self.projection.project_leaf(&tree, leaf);
-        read.unwrap_or_else(|| self.projection.project(&tree)[id.index()])
+    impl FairshareSource for Scripted {
+        fn intern_user(&mut self, user: &GridUser) -> UserId {
+            let known = self.users.iter().position(|u| u == user);
+            let index = known.unwrap_or_else(|| {
+                self.users.push(user.clone());
+                self.users.len() - 1
+            });
+            UserId(index as u32)
+        }
+
+        fn fairshare_factor(&mut self, _id: UserId, _now_s: f64) -> f64 {
+            0.5
+        }
+
+        fn report_usage(&mut self, record: UsageRecord, _now_s: f64) {
+            self.reports.push(record);
+        }
+
+        fn resolve_identity(&mut self, system: &SystemUser, _now_s: f64) -> Option<GridUser> {
+            let name = system.as_str().strip_prefix("sys")?;
+            ["a", "b"].contains(&name).then(|| GridUser::new(name))
+        }
     }
 
-    fn report_usage(&mut self, record: UsageRecord, _now_s: f64) {
-        let user = self.users.intern(&record.user);
-        self.usage.record(user, &record);
-    }
-
-    fn resolve_identity(&mut self, system: &SystemUser, _now_s: f64) -> Option<GridUser> {
-        self.identity_map.get(system).cloned()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use aequus_core::ids::{JobId, SiteId};
-    use aequus_core::policy::flat_policy;
-
-    fn factor(lf: &mut LocalFairshare, user: &str, now_s: f64) -> f64 {
-        let id = lf.intern_user(&GridUser::new(user));
-        lf.fairshare_factor(id, now_s)
-    }
-
-    fn record(user: &str, start: f64, end: f64) -> UsageRecord {
+    pub(crate) fn record(user: &str, start_s: f64, end_s: f64) -> UsageRecord {
         UsageRecord {
             job: JobId(0),
             user: GridUser::new(user),
             site: SiteId(0),
             cores: 1,
-            start_s: start,
-            end_s: end,
+            start_s,
+            end_s,
         }
     }
 
     #[test]
-    fn local_fairshare_reacts_immediately() {
-        let mut lf = LocalFairshare::new(
-            flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap(),
-            FairshareConfig::default(),
-            ProjectionKind::Percental,
-            60.0,
-        );
-        let before = factor(&mut lf, "a", 0.0);
-        lf.report_usage(record("a", 0.0, 500.0), 500.0);
-        let after = factor(&mut lf, "a", 500.0);
-        assert!(after < before, "no pipeline delay locally");
-    }
-
-    #[test]
-    fn local_identity_mapping() {
-        let mut lf = LocalFairshare::new(
-            flat_policy(&[("a", 1.0)]).unwrap(),
-            FairshareConfig::default(),
-            ProjectionKind::Percental,
-            60.0,
-        );
-        lf.map_identity(SystemUser::new("sys1"), GridUser::new("a"));
-        assert_eq!(
-            lf.resolve_identity(&SystemUser::new("sys1"), 0.0),
-            Some(GridUser::new("a"))
-        );
-        assert_eq!(lf.resolve_identity(&SystemUser::new("sys2"), 0.0), None);
-    }
-
-    #[test]
-    fn local_sees_only_local_history() {
-        // Two independent LocalFairshare instances never influence each
-        // other — the problem Aequus solves.
-        let policy = flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap();
-        let mut site1 = LocalFairshare::new(
-            policy.clone(),
-            FairshareConfig::default(),
-            ProjectionKind::Percental,
-            60.0,
-        );
-        let mut site2 = LocalFairshare::new(
-            policy,
-            FairshareConfig::default(),
-            ProjectionKind::Percental,
-            60.0,
-        );
+    fn a_local_site_serves_its_own_reports_at_once_and_no_one_elses() {
+        let shares = [("a", 0.5), ("b", 0.5)];
+        let (mut site1, mut site2) = (LocalSite::new(&shares), LocalSite::new(&shares));
+        let a = site1
+            .resolve_identity(&SystemUser::new("sysa"), 0.0)
+            .expect("mapped");
+        assert_eq!(a, GridUser::new("a"));
+        assert_eq!(site1.resolve_identity(&SystemUser::new("sysz"), 0.0), None);
+        let factor = |site: &mut LocalSite, now_s: f64| {
+            let id = site.intern_user(&a);
+            site.fairshare_factor(id, now_s)
+        };
+        let before = factor(&mut site1, 0.0);
         site1.report_usage(record("a", 0.0, 900.0), 900.0);
-        let f1 = factor(&mut site1, "a", 900.0);
-        let f2 = factor(&mut site2, "a", 900.0);
-        assert!(f1 < f2, "site2 is oblivious to a's usage on site1");
+        // No pipeline delay locally, and no exchange between the sites.
+        assert!(factor(&mut site1, 900.0) < before);
+        assert_eq!(factor(&mut site2, 900.0), before);
     }
 }

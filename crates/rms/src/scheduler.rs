@@ -706,22 +706,13 @@ impl QueueWalk for LaneWalk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plugin::LocalFairshare;
-    use aequus_core::fairshare::FairshareConfig;
-    use aequus_core::policy::flat_policy;
-    use aequus_core::projection::ProjectionKind;
+    use crate::plugin::tests::{record, LocalSite, Scripted};
     use aequus_core::{JobId, SystemUser};
 
-    fn source() -> LocalFairshare {
-        let mut lf = LocalFairshare::new(
-            flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap(),
-            FairshareConfig::default(),
-            ProjectionKind::Percental,
-            60.0,
-        );
-        lf.map_identity(SystemUser::new("sysa"), GridUser::new("a"));
-        lf.map_identity(SystemUser::new("sysb"), GridUser::new("b"));
-        lf
+    /// Tests of fairshare ordering run on the local-only baseline; tests of
+    /// scheduling alone on the scripted source.
+    fn local() -> LocalSite {
+        LocalSite::new(&[("a", 0.5), ("b", 0.5)])
     }
 
     fn core_with(nodes: NodePool, reprio: ReprioritizePolicy) -> SchedulerCore {
@@ -751,7 +742,7 @@ mod tests {
     #[test]
     fn runs_and_completes_jobs() {
         let mut sched = core(2);
-        let mut src = source();
+        let mut src = Scripted::default();
         sched.submit(job(1, "sysa", 1, 0.0, 100.0), &mut src, 0.0);
         sched.advance(&mut src, 0.0);
         assert_eq!(sched.running(), 1);
@@ -760,25 +751,16 @@ mod tests {
         assert_eq!(sched.running(), 0);
         assert_eq!(sched.stats.completed, 1);
         // Usage was reported to the fairshare source.
-        assert!((src.usage().total_recorded() - 100.0).abs() < 1e-9);
+        let reported: f64 = src.reports.iter().map(UsageRecord::charge).sum();
+        assert_eq!(reported, 100.0);
     }
 
     #[test]
     fn priority_order_respected() {
         let mut sched = core(1);
-        let mut src = source();
+        let mut src = local();
         // a over-consumed: b's job must start first despite later submission.
-        src.report_usage(
-            UsageRecord {
-                job: JobId(99),
-                user: GridUser::new("a"),
-                site: SiteId(0),
-                cores: 1,
-                start_s: 0.0,
-                end_s: 1000.0,
-            },
-            1000.0,
-        );
+        src.report_usage(record("a", 0.0, 1000.0), 1000.0);
         sched.submit(job(1, "sysa", 1, 1000.0, 50.0), &mut src, 1000.0);
         sched.submit(job(2, "sysb", 1, 1001.0, 50.0), &mut src, 1001.0);
         sched.advance(&mut src, 1002.0);
@@ -790,7 +772,7 @@ mod tests {
     #[test]
     fn backfill_fills_gaps_without_delaying_head() {
         let mut sched = core(4);
-        let mut src = source();
+        let mut src = local();
         // Occupy 3 cores until t=100.
         sched.submit(job(1, "sysa", 3, 0.0, 100.0), &mut src, 0.0);
         sched.advance(&mut src, 0.0);
@@ -827,7 +809,7 @@ mod tests {
     fn workload_runs_to_completion_under_both_policies() {
         for reprio in BOTH_POLICIES {
             let mut sched = core_with(NodePool::new(4, 1), reprio);
-            let mut src = source();
+            let mut src = Scripted::default();
             for i in 0..10 {
                 sched.submit(job(i, "sysa", 1, i as f64, 50.0), &mut src, i as f64);
             }
@@ -847,7 +829,7 @@ mod tests {
         // cadence does not change what gets submitted, started or finished.
         let run = |reprio| {
             let mut sched = core_with(NodePool::new(2, 1), reprio);
-            let mut src = source();
+            let mut src = Scripted::default();
             for step in 0..50u64 {
                 let t = step as f64 * 20.0;
                 if step < 10 {
@@ -867,22 +849,12 @@ mod tests {
     fn every_cycle_reprioritization_sees_new_usage_immediately() {
         // Zero capacity keeps the job pending.
         let mut sched = core(0);
-        let mut src = source();
+        let mut src = local();
         sched.submit(job(1, "sysa", 1, 0.0, 10.0), &mut src, 0.0);
         sched.advance(&mut src, 0.0);
         let p0 = sched.pending_jobs().next().unwrap().1;
         // Fresh usage for a shows up on the *next* iteration, no interval.
-        src.report_usage(
-            UsageRecord {
-                job: JobId(5),
-                user: GridUser::new("a"),
-                site: SiteId(0),
-                cores: 1,
-                start_s: 0.0,
-                end_s: 400.0,
-            },
-            1.0,
-        );
+        src.report_usage(record("a", 0.0, 400.0), 1.0);
         sched.advance(&mut src, 2.0);
         let p1 = sched.pending_jobs().next().unwrap().1;
         assert!(p1 < p0, "no stage-IV delay: {p1} !< {p0}");
@@ -892,23 +864,13 @@ mod tests {
     fn interval_reprioritization_caches_priorities() {
         // No capacity: jobs stay pending.
         let mut sched = core_with(NodePool::new(1, 0), ReprioritizePolicy::Interval(60.0));
-        let mut src = source();
+        let mut src = local();
         sched.submit(job(1, "sysa", 1, 0.0, 10.0), &mut src, 0.0);
         sched.advance(&mut src, 0.0);
         let p0 = sched.pending_jobs().next().unwrap().1;
         // New usage for a arrives, but within the interval the cached
         // priority persists.
-        src.report_usage(
-            UsageRecord {
-                job: JobId(9),
-                user: GridUser::new("a"),
-                site: SiteId(0),
-                cores: 1,
-                start_s: 0.0,
-                end_s: 500.0,
-            },
-            10.0,
-        );
+        src.report_usage(record("a", 0.0, 500.0), 10.0);
         sched.advance(&mut src, 30.0);
         let p1 = sched.pending_jobs().next().unwrap().1;
         assert_eq!(p0, p1, "stage-IV delay: stale priority inside interval");
@@ -920,7 +882,7 @@ mod tests {
     #[test]
     fn unmapped_user_gets_neutral_priority() {
         let mut sched = core(0);
-        let mut src = source();
+        let mut src = Scripted::default();
         sched.submit(job(1, "unknown-sys", 1, 0.0, 10.0), &mut src, 0.0);
         sched.advance(&mut src, 0.0);
         let (j, p) = sched.pending_jobs().next().unwrap();
@@ -936,7 +898,7 @@ mod tests {
         // heads; once a backfill start takes the spare core, 3 — still at
         // the top — must be turned down, and 4 behind 2 yielded.
         let mut sched = core(0);
-        let mut src = source();
+        let mut src = Scripted::default();
         sched.submit(job(1, "sysa", 8, 0.0, 10.0), &mut src, 0.0);
         for (id, sys, dur) in [(2, "sysa", 500.0), (3, "sysb", 500.0), (4, "sysa", 5.0)] {
             sched.submit(job(id, sys, 1, 1.0, dur), &mut src, 1.0);
@@ -975,7 +937,7 @@ mod tests {
         // asking 30, one 10 — and then the 10, one 20, the other 20 are
         // taken: the last forces a recompute to 30.
         let mut sched = core(0);
-        let mut src = source();
+        let mut src = Scripted::default();
         let least_of = |sched: &SchedulerCore| {
             let (&key, lane) = sched.lanes.iter().next().expect("one lane");
             let least = lane
@@ -1036,7 +998,7 @@ mod tests {
     #[test]
     fn mean_wait_accounting() {
         let mut sched = core(1);
-        let mut src = source();
+        let mut src = Scripted::default();
         sched.submit(job(1, "sysa", 1, 0.0, 100.0), &mut src, 0.0);
         sched.submit(job(2, "sysb", 1, 0.0, 10.0), &mut src, 0.0);
         sched.advance(&mut src, 0.0); // job 1 (or 2) starts, other waits

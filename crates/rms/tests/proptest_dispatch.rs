@@ -9,16 +9,16 @@
 //! blocked, and a walk that applies the plan's admission rule changes no
 //! plan (the width-only walk of the first lane queue is the reference).
 
-use aequus_core::fairshare::FairshareConfig;
+mod common;
+
 use aequus_core::ids::{JobId, SiteId};
-use aequus_core::policy::flat_policy;
-use aequus_core::projection::ProjectionKind;
-use aequus_core::{GridUser, SystemUser};
+use aequus_core::SystemUser;
 use aequus_rms::{
     Admission, DispatchConfig, DispatchOrder, DispatchPlan, EndKeys, FactorConfig, Job,
-    LocalFairshare, MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk,
-    QueuedJob, ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
+    MispredictPolicy, NodePool, PredictorKind, PriorityWeights, QueueWalk, QueuedJob,
+    ReprioritizePolicy, RunningSlice, SchedulerCore, SliceWalk,
 };
+use common::Scripted;
 use proptest::prelude::*;
 
 /// Replica of the EASY shadow walk, kept in the test so a bug in the
@@ -293,13 +293,7 @@ proptest! {
                 mispredict: MispredictPolicy::Extend,
             },
         );
-        let mut src = LocalFairshare::new(
-            flat_policy(&[("a", 1.0)]).unwrap(),
-            FairshareConfig::default(),
-            ProjectionKind::Percental,
-            60.0,
-        );
-        src.map_identity(SystemUser::new("sys-a"), GridUser::new("a"));
+        let mut src = Scripted::default();
         // Same user throughout: every job carries the same priority, so
         // queue order is pure submit order and the wide job stays ahead of
         // every narrow job submitted after it.
@@ -373,13 +367,7 @@ proptest! {
                     ..DispatchConfig::default()
                 },
             );
-            let mut src = LocalFairshare::new(
-                flat_policy(&[("a", 1.0)]).unwrap(),
-                FairshareConfig::default(),
-                ProjectionKind::Percental,
-                60.0,
-            );
-            src.map_identity(SystemUser::new("sys-a"), GridUser::new("a"));
+            let mut src = Scripted::default();
             let mut submits: Vec<(f64, f64, u32)> = jobs.clone();
             submits.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
             let mut idx = 0;

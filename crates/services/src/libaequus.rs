@@ -202,7 +202,7 @@ impl LibAequus {
     }
 
     /// Number of live fairshare cache entries.
-    pub fn fairshare_cache_len(&self) -> usize {
+    fn fairshare_cache_len(&self) -> usize {
         self.fairshare_cache.iter().flatten().count()
     }
 }

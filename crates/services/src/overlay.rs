@@ -73,7 +73,7 @@ impl OverlayTopology {
 
     /// Hop depth of site `i` from the overlay core: 0 for full-mesh members,
     /// the tree root, and hub sites; increasing toward the leaves.
-    pub fn node_depth(&self, i: usize, n: usize) -> usize {
+    fn node_depth(&self, i: usize, n: usize) -> usize {
         match *self {
             OverlayTopology::FullMesh => 0,
             OverlayTopology::Tree { fanout } => {

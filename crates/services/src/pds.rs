@@ -84,7 +84,7 @@ impl Pds {
     }
 
     /// Fetch an exported sub-policy by name (what a remote PDS calls).
-    pub fn fetch_export(&self, name: &str) -> Option<&PolicyTree> {
+    fn fetch_export(&self, name: &str) -> Option<&PolicyTree> {
         self.exports.get(name)
     }
 

@@ -325,9 +325,10 @@ impl AequusSite {
 
     /// Crash recovery. With a durable store attached, the store is re-opened
     /// over the surviving disk first — replaying the WAL (truncating the
-    /// torn tail, skipping corrupt frames), installing the best checkpoint,
-    /// and re-applying every surviving record — so anti-entropy catch-up
-    /// only has to cover the delta since the crash instead of full history.
+    /// torn tail, skipping corrupt frames), installing the newest checkpoint
+    /// the USS accepts, and re-applying every surviving record past it — so
+    /// anti-entropy catch-up only has to cover the delta since the crash
+    /// instead of full history.
     /// Then (store or not) every expected publisher's link owes a catch-up
     /// snapshot, requested until it arrives, and the client library's
     /// degraded mode is lifted.
@@ -343,7 +344,8 @@ impl AequusSite {
     }
 
     /// Re-open the durable store (modeling the recovering process reading
-    /// its disk back) and reinstall checkpoint + WAL state into the USS; the
+    /// its disk back) and reinstall checkpoint + WAL state into the USS —
+    /// the newest checkpoint it accepts, then every record past it; the
     /// UMS, reset by the crash, rebuilds over it on the next tick as it does
     /// without a store. Replay is telemetry-quiet — the original operations were
     /// already counted — and emits no protocol responses: acks were
@@ -354,12 +356,21 @@ impl AequusSite {
         let cfg = store.config();
         let (mut store, recovered) = SiteStore::open(store.into_storage(), cfg);
         store.set_telemetry(&self.telemetry);
-        if let Some(ckpt) = &recovered.checkpoint {
-            if self.uss.install_checkpoint(ckpt).is_err() {
-                self.store_stats_base.refused_checkpoints += 1;
+        // The newest checkpoint the USS accepts; a refused one is counted
+        // and the older slot tried, whose records the WAL still holds.
+        let mut installed_lsn = 0;
+        for ckpt in &recovered.checkpoints {
+            if self.uss.install_checkpoint(ckpt).is_ok() {
+                installed_lsn = ckpt.lsn;
+                break;
             }
+            self.store_stats_base.refused_checkpoints += 1;
         }
-        for (_lsn, rec) in &recovered.records {
+        let past = recovered
+            .records
+            .iter()
+            .filter(|(lsn, _)| *lsn > installed_lsn);
+        for (_lsn, rec) in past {
             match rec {
                 WalRecord::Usage(u) => {
                     self.uss.replay_ingest(u);
@@ -685,9 +696,9 @@ mod tests {
     }
 
     /// A recovered checkpoint the USS refuses — here its slot holds a cell
-    /// that is not a charge — is counted in the store stats, and the WAL
-    /// past it still replays. What the refused checkpoint covered is not
-    /// replayed: the records at or below its LSN are skipped.
+    /// that is not a charge — is counted in the store stats, and recovery
+    /// falls back to the older slot: `a`'s job, which only that slot holds,
+    /// and both of `b`'s jobs, journaled past it, read back.
     #[test]
     fn a_refused_checkpoint_is_counted_and_the_wal_past_it_replays() {
         let mut s = site(0, ParticipationMode::Full);
@@ -712,9 +723,13 @@ mod tests {
         let stats = s.store_stats().unwrap();
         assert_eq!(stats.refused_checkpoints, 1, "{stats:?}");
         assert!(stats.frames_replayed >= 1);
-        assert_eq!(s.uss.local_usage_of(&GridUser::new("a")), 0.0);
-        assert_eq!(s.uss.local_usage_of(&GridUser::new("b")), 50.0);
-        assert_eq!(s.uss.records_ingested(), 1, "one record replayed");
+        assert_eq!(s.uss.local_usage_of(&GridUser::new("a")), 100.0);
+        assert_eq!(s.uss.local_usage_of(&GridUser::new("b")), 100.0);
+        assert_eq!(
+            s.uss.records_ingested(),
+            3,
+            "one checkpointed, two replayed"
+        );
     }
 
     /// A store recovery refreshes its UMS as every other crash does — whole,

@@ -15,11 +15,10 @@ use crate::dispatch::Dispatcher;
 use crate::event::Event;
 use crate::metrics::{MetricsLog, Sample, ShardSample};
 use crate::scenario::GridScenario;
-use crate::shard::{SampleSpec, Shard, ShardStats};
+use crate::shard::{SampleSpec, Shard};
 use aequus_core::{GridUser, SiteId};
 use aequus_rms::SchedulerStats;
 use aequus_services::{HealthMap, HealthReport, LinkSide, StoreStats};
-use aequus_telemetry::export::series_name;
 use aequus_telemetry::flight::{dump_jsonl, FlightRecorder};
 use aequus_telemetry::provenance::ProvenanceRecord;
 use aequus_telemetry::slo::StarvationClock;
@@ -51,8 +50,9 @@ pub struct SimResult {
     /// Final telemetry snapshot of each site's registry, in cluster order.
     /// Empty when the scenario ran without telemetry.
     pub site_telemetry: Vec<Snapshot>,
-    /// Final snapshot of the engine's own registry (epoch spans).
-    /// `None` when the scenario ran without telemetry.
+    /// Final snapshot of the engine's own registry: its `stage::STAGES`
+    /// wall timers, nothing else. `None` when the scenario ran without
+    /// telemetry.
     pub engine_telemetry: Option<Snapshot>,
     /// Each site's final raw per-user view of grid usage (local + merged
     /// remote), in cluster order — what the chaos suite's convergence
@@ -135,8 +135,8 @@ impl SimResult {
 pub struct GridSimulation {
     scenario: Arc<GridScenario>,
     shards: Vec<Shard>,
-    /// The engine's own telemetry domain: epoch spans and event counters,
-    /// separate from the per-site registries.
+    /// The engine's own telemetry domain: its stage timers, separate from
+    /// the per-site registries.
     telemetry: Telemetry,
     /// Handle onto the reference site's registry (shared `Arc`), so the
     /// flight recorder can dump site-0 spans from the barrier hook
@@ -266,7 +266,6 @@ impl GridSimulation {
         preroute.observe();
 
         let h_assemble = wall("aequus_sim_assemble_s");
-        let c_samples = self.telemetry.counter("aequus_sim_metrics_samples_total");
         let lookahead = if self.scenario.timings.exchange_latency_s > 0.0 {
             self.scenario.timings.exchange_latency_s
         } else {
@@ -370,7 +369,6 @@ impl GridSimulation {
 
         let at_barrier = |now: f64, fragments: Vec<ShardSample>| {
             let _assemble = h_assemble.start_timer();
-            c_samples.inc();
             let sample = Sample::assemble(now, fragments, total_cores);
             if let Some(engine) = slo.as_mut() {
                 health_map.observe_all(&sample.link_health);
@@ -424,93 +422,10 @@ impl GridSimulation {
         );
         let finish = wall("aequus_sim_finish_s").start_timer();
 
-        // Fold per-shard counters into the engine registry (the serial
-        // engine incremented these inline; totals are identical).
-        let mut totals = ShardStats::default();
-        for shard in &shards {
-            totals.merge(&shard.stats);
-        }
-        self.telemetry
-            .counter("aequus_sim_job_arrivals_total")
-            .add(totals.arrivals);
-        self.telemetry
-            .counter("aequus_sim_cluster_ticks_total")
-            .add(totals.ticks);
-        self.telemetry
-            .counter("aequus_sim_gossip_deliveries_total")
-            .add(totals.gossip_deliveries);
-        self.telemetry
-            .counter("aequus_sim_gossip_partitioned_total")
-            .add(totals.partitioned);
-        self.telemetry
-            .counter("aequus_sim_gossip_dropped_total")
-            .add(totals.dropped);
-        self.telemetry
-            .counter("aequus_sim_crashes_total")
-            .add(totals.crashes);
-        // Queue-depth high-water marks: visible in the engine's snapshot,
-        // so depth blowups at scale surface long before they become OOMs.
-        let queue_hwm = shards
-            .iter()
-            .map(|s| s.queue.high_water())
-            .max()
-            .unwrap_or(0) as u64;
-        self.telemetry
-            .gauge("aequus_sim_event_queue_hwm")
-            .set(queue_hwm as f64);
-        self.telemetry
-            .gauge("aequus_sim_mailbox_hwm")
-            .set(mailbox_hwm as f64);
-        let events_processed = totals.events + metrics.samples().len() as u64;
-
-        // Finalize the health subsystem: render the per-link report, write
-        // the labeled series into the engine registry (its snapshot carries
-        // them), and take the full alert log.
+        let events_processed =
+            shards.iter().map(|s| s.stats.events).sum::<u64>() + metrics.samples().len() as u64;
         let (health_report, alerts) = match slo {
-            Some(engine) => {
-                let report = health_map.finalize();
-                for link in &report.links {
-                    let from = link.from.to_string();
-                    let to = link.to.to_string();
-                    let depth = link.depth.to_string();
-                    let labels = [
-                        ("depth", depth.as_str()),
-                        ("from", from.as_str()),
-                        ("to", to.as_str()),
-                    ];
-                    self.telemetry
-                        .gauge(&series_name("aequus_health_link_staleness_p99_s", &labels))
-                        .set(link.staleness_p99_s);
-                    self.telemetry
-                        .counter(&series_name("aequus_health_link_bytes_total", &labels))
-                        .add(link.bytes);
-                }
-                for d in &report.depths {
-                    let depth = d.depth.to_string();
-                    self.telemetry
-                        .gauge(&series_name(
-                            "aequus_health_depth_lag_s",
-                            &[("depth", depth.as_str())],
-                        ))
-                        .set(d.convergence_lag_s);
-                }
-                let events = engine.into_events();
-                let mut transitions: BTreeMap<(String, &'static str), u64> = BTreeMap::new();
-                for ev in &events {
-                    *transitions
-                        .entry((ev.rule.clone(), ev.transition))
-                        .or_default() += 1;
-                }
-                for ((rule, to), count) in transitions {
-                    self.telemetry
-                        .counter(&series_name(
-                            "aequus_slo_alert_transitions_total",
-                            &[("rule", &rule), ("to", to)],
-                        ))
-                        .add(count);
-                }
-                (Some(report), events)
-            }
+            Some(engine) => (Some(health_map.finalize()), engine.into_events()),
             None => (None, Vec::new()),
         };
 
@@ -763,10 +678,14 @@ mod tests {
                 assert!(snap.histograms.contains_key(name), "missing {name}");
             }
         }
-        // The engine registry saw the epoch loop.
+        // The engine registry saw the epoch loop; the profile counts ticks.
         let engine = result.engine_telemetry.expect("engine telemetry on");
         assert!(engine.histograms["aequus_sim_epoch_s"].count > 0);
-        assert!(engine.counters["aequus_sim_cluster_ticks_total"] > 0);
+        let profile = result.profile.expect("profile assembled");
+        assert!(profile
+            .shards
+            .iter()
+            .all(|s| s.stages["events.ticks"].calls > 0));
     }
 
     #[test]
@@ -925,10 +844,28 @@ mod tests {
         assert!(profile.services["uss.ingest"].calls > 0);
         assert!(profile.services["uss.merge"].calls > 0);
         assert!(profile.mailbox_hwm > 0);
-        // The hwm gauges ride the engine registry into its snapshot.
+    }
+
+    #[test]
+    fn the_engine_registry_holds_only_its_stage_timers() {
+        // A fact is recorded once: the shard counts and high-water marks
+        // live in the profile, the health report and alerts in the result,
+        // so the engine's own registry keeps only its `STAGES` wall timers
+        // — with health on, and a crash, too.
+        let sc = small_scenario()
+            .with_telemetry()
+            .with_health(aequus_telemetry::SloConfig::default())
+            .crash(1, 400.0, 700.0);
+        let result = GridSimulation::new(sc).run(&uniform_trace(40, 10.0, 30.0), 2000.0);
+        assert!(result.health_report.is_some());
         let engine = result.engine_telemetry.expect("telemetry on");
-        assert!(engine.gauges["aequus_sim_event_queue_hwm"] > 0.0);
-        assert!(engine.gauges["aequus_sim_mailbox_hwm"] > 0.0);
+        assert!(engine.counters.is_empty(), "{:?}", engine.counters);
+        assert!(engine.gauges.is_empty(), "{:?}", engine.gauges);
+        let walls: Vec<&str> = STAGES.iter().filter_map(|s| s.wall).collect();
+        for name in engine.histograms.keys() {
+            assert!(walls.contains(&name.as_str()), "{name} is no stage timer");
+        }
+        assert!(engine.histograms["aequus_sim_assemble_s"].count > 0);
     }
 
     #[test]

@@ -117,8 +117,8 @@ pub struct GridScenario {
     pub retry: RetryPolicy,
     /// What sites serve while peer data goes stale (outages, crashes).
     pub stale_policy: StalePolicy,
-    /// Enable telemetry: per-site metric registries, stage spans, structured
-    /// events, the end-to-end pipeline-delay tracer, and the run profile
+    /// Enable telemetry: per-site metric registries, stage timers, the
+    /// end-to-end pipeline-delay tracer, and the run profile
     /// ([`crate::SimResult::profile`]). Off by default — disabled telemetry
     /// compiles to no-op handles on every hot path.
     pub telemetry: bool,
@@ -325,7 +325,7 @@ impl GridScenario {
         self
     }
 
-    /// Enable per-site telemetry (metric registries, spans, events, the
+    /// Enable per-site telemetry (metric registries, stage timers, the
     /// pipeline-delay tracer and the run profile).
     pub fn with_telemetry(mut self) -> Self {
         self.telemetry = true;

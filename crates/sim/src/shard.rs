@@ -39,9 +39,9 @@ pub struct Outgoing {
     pub msg: UssMessage,
 }
 
-/// Plain per-shard event counters, merged into the engine telemetry at the
-/// end of the run. Kept as raw integers so the hot loop never touches an
-/// atomic and the totals are exactly reproducible.
+/// Plain per-shard event counters, read into the run profile's per-shard
+/// rows at the end of the run. Kept as raw integers so the hot loop never
+/// touches an atomic and the totals are exactly reproducible.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ShardStats {
     /// Events this shard processed.
@@ -61,20 +61,6 @@ pub struct ShardStats {
     pub dropped: u64,
     /// Crash-window entries.
     pub crashes: u64,
-}
-
-impl ShardStats {
-    /// Accumulate another shard's counters.
-    pub fn merge(&mut self, other: &ShardStats) {
-        self.events += other.events;
-        self.arrivals += other.arrivals;
-        self.ticks += other.ticks;
-        self.gossip_deliveries += other.gossip_deliveries;
-        self.gossip_bytes += other.gossip_bytes;
-        self.partitioned += other.partitioned;
-        self.dropped += other.dropped;
-        self.crashes += other.crashes;
-    }
 }
 
 /// What the per-sample readout walks, shared read-only by every shard: the
@@ -334,7 +320,8 @@ impl Shard {
     }
 
     /// Whether this site's remote data is currently suppressed (staleness
-    /// degradation) — feeds the coordinator's flight recorder.
+    /// degradation). The engine does not read it; the benchmark's replay
+    /// calls it at each sample.
     pub fn remote_suppressed(&self) -> bool {
         self.cluster.site.uss.remote_suppressed()
     }

@@ -54,7 +54,7 @@ impl Histogram {
     }
 
     /// Bin width.
-    pub fn bin_width(&self) -> f64 {
+    fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 

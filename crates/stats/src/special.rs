@@ -188,19 +188,6 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
     }
 }
 
-/// Regularized upper incomplete gamma function Q(a, x) = 1 − P(a, x).
-pub fn gamma_q(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "gamma_q requires a > 0");
-    if x <= 0.0 {
-        return 1.0;
-    }
-    if x < a + 1.0 {
-        1.0 - gamma_p_series(a, x)
-    } else {
-        gamma_q_cf(a, x)
-    }
-}
-
 /// Series expansion of P(a, x), convergent for x < a + 1.
 fn gamma_p_series(a: f64, x: f64) -> f64 {
     let ln_ga = ln_gamma(a);
@@ -490,6 +477,19 @@ mod tests {
         }
         fn x_f(x: f64) -> f64 {
             x
+        }
+    }
+
+    /// Regularized upper incomplete gamma function Q(a, x) = 1 − P(a, x).
+    fn gamma_q(a: f64, x: f64) -> f64 {
+        assert!(a > 0.0, "gamma_q requires a > 0");
+        if x <= 0.0 {
+            return 1.0;
+        }
+        if x < a + 1.0 {
+            1.0 - gamma_p_series(a, x)
+        } else {
+            gamma_q_cf(a, x)
         }
     }
 

@@ -7,9 +7,11 @@
 //!
 //! Checkpoints alternate between two slots (`ckpt-a` / `ckpt-b`): a write
 //! always targets the slot *not* holding the latest good snapshot, so a
-//! crash mid-checkpoint — or later bit rot in one slot — can cost at most
-//! one checkpoint interval, never the ability to recover at all. Loading
-//! decodes both slots and picks the valid one with the highest LSN.
+//! crash mid-checkpoint — or later bit rot in one slot, or a snapshot the
+//! site refuses — can cost at most one checkpoint interval, never the
+//! ability to recover at all. Loading decodes both slots; recovery installs
+//! the newest the site accepts, and the WAL keeps every record the older
+//! slot does not cover (see `SiteStore::checkpoint`).
 
 use crate::storage::MemStorage;
 use crate::wal::{decode_frame, encode_frame, FrameOutcome, KIND_CHECKPOINT};
@@ -205,26 +207,13 @@ impl CheckpointState {
     }
 }
 
-/// Load the best available checkpoint: both slots are decoded and the
-/// valid one with the highest LSN wins. Returns the state, the slot index
-/// it came from, and its on-disk size.
-pub fn load_best(storage: &MemStorage) -> Option<(CheckpointState, usize, u64)> {
-    let mut best: Option<(CheckpointState, usize, u64)> = None;
-    for (i, slot) in SLOTS.iter().enumerate() {
-        let Some(bytes) = storage.read(slot) else {
-            continue;
-        };
-        if let Some(state) = CheckpointState::decode_slot(bytes) {
-            let better = best
-                .as_ref()
-                .map(|(b, _, _)| state.lsn > b.lsn)
-                .unwrap_or(true);
-            if better {
-                best = Some((state, i, bytes.len() as u64));
-            }
-        }
-    }
-    best
+/// Decode both slots: each one's state and on-disk size, `None` where the
+/// slot is empty or damaged.
+pub fn load_slots(storage: &MemStorage) -> [Option<(CheckpointState, u64)>; 2] {
+    SLOTS.map(|slot| {
+        let bytes = storage.read(slot)?;
+        Some((CheckpointState::decode_slot(bytes)?, bytes.len() as u64))
+    })
 }
 
 /// Write `state` to the slot *other* than `current_slot` (the one holding
@@ -324,20 +313,20 @@ mod tests {
     }
 
     #[test]
-    fn slots_alternate_and_best_lsn_wins() {
+    fn slots_alternate_and_a_damaged_one_reads_as_empty() {
         let mut storage = MemStorage::new();
+        let lsns = |storage: &MemStorage| load_slots(storage).map(|s| s.map(|(c, _)| c.lsn));
+        assert_eq!(lsns(&storage), [None, None]);
         let (slot0, _) = write_next(&mut storage, &sample(5).view(), None);
         assert_eq!(slot0, 0);
-        let (slot1, _) = write_next(&mut storage, &sample(9).view(), Some(slot0));
+        let (slot1, bytes) = write_next(&mut storage, &sample(9).view(), Some(slot0));
         assert_eq!(slot1, 1);
+        assert_eq!(lsns(&storage), [Some(5), Some(9)]);
+        assert_eq!(load_slots(&storage)[1].as_ref().map(|s| s.1), Some(bytes));
 
-        let (best, slot, _) = load_best(&storage).unwrap();
-        assert_eq!((best.lsn, slot), (9, 1));
-
-        // Corrupting the newest slot falls back to the older one.
+        // A damaged slot decodes to nothing; the other still reads.
         storage.object_mut(SLOTS[1]).unwrap()[3] ^= 0xFF;
-        let (best, slot, _) = load_best(&storage).unwrap();
-        assert_eq!((best.lsn, slot), (5, 0));
+        assert_eq!(lsns(&storage), [Some(5), None]);
     }
 
     #[test]

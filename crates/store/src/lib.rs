@@ -4,9 +4,9 @@
 //! CRC32-framed append-only write-ahead log plus alternating checkpoint
 //! snapshots, with crash-consistent replay — torn tails are truncated,
 //! corrupt frames are skipped and reported, and WAL segments are compacted
-//! once a checkpoint covers them both by LSN *and* by gossip sequence
-//! number (so anti-entropy can always rebuild what the checkpoint hasn't
-//! absorbed).
+//! once both checkpoint slots cover them, by LSN *and* by gossip sequence
+//! number (so anti-entropy can always rebuild what a checkpoint hasn't
+//! absorbed, and the older slot stays a whole fallback).
 //!
 //! The paper's services were long-running daemons whose histograms and
 //! exchange cursors had to survive restarts; this crate supplies that

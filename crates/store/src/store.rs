@@ -3,11 +3,13 @@
 //! [`StoreStats`], and mirrors them into the telemetry registry, so a
 //! site's snapshot carries them with every other metric.
 
-use crate::checkpoint::{load_best, write_next, CheckpointState, CheckpointView};
+use crate::checkpoint::{load_slots, write_next, CheckpointState, CheckpointView};
 use crate::records::WalRecord;
 use crate::storage::MemStorage;
 use crate::wal::{encode_frame, ReplayReport, Wal, HEADER_LEN, KIND_RECORD};
+use aequus_core::ids::SiteId;
 use aequus_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Durable-store tuning knobs.
@@ -48,9 +50,9 @@ pub struct StoreStats {
     /// Live WAL bytes across all segments.
     pub wal_bytes: u64,
     /// Recovered checkpoints the site refused to install (a cell that is
-    /// not a charge, another site's or another binning's state); the WAL
-    /// past it replays all the same. The store decodes, the site judges and
-    /// counts.
+    /// not a charge, another site's or another binning's state); recovery
+    /// falls back to the older slot and replays the WAL past the one it
+    /// installs. The store decodes, the site judges and counts.
     pub refused_checkpoints: u64,
 }
 
@@ -120,13 +122,34 @@ impl StoreMetrics {
 /// What [`SiteStore::open`] recovered from the disk.
 #[derive(Debug)]
 pub struct Recovered {
-    /// Best valid checkpoint, if any slot held one.
-    pub checkpoint: Option<CheckpointState>,
-    /// Surviving WAL records *past* the checkpoint (LSN ascending); records
-    /// the checkpoint already folds in are filtered out.
+    /// The valid checkpoints, newest (highest LSN) first. A site installs
+    /// the first it accepts and replays the records past that one's LSN.
+    pub checkpoints: Vec<CheckpointState>,
+    /// Every surviving WAL record, LSN ascending — those a checkpoint
+    /// covers too: which of them replay depends on the one installed.
     pub records: Vec<(u64, WalRecord)>,
     /// Damage found and repaired during replay.
     pub report: ReplayReport,
+}
+
+/// What one checkpoint slot covers, as WAL compaction reads it: its LSN,
+/// its publish cursor and its per-peer gossip cursors. The default covers
+/// nothing.
+#[derive(Debug, Default)]
+struct Cover {
+    lsn: u64,
+    publish_seq: u64,
+    peer_seqs: BTreeMap<SiteId, u64>,
+}
+
+impl Cover {
+    fn of(state: &CheckpointState) -> Self {
+        Self {
+            lsn: state.lsn,
+            publish_seq: state.next_seq.saturating_sub(1),
+            peer_seqs: state.peer_seq_cursors(),
+        }
+    }
 }
 
 /// The durable per-site store: WAL + alternating checkpoint slots on one
@@ -138,6 +161,8 @@ pub struct SiteStore {
     cfg: StoreConfig,
     /// Slot holding the latest good checkpoint.
     current_slot: Option<usize>,
+    /// What each slot's checkpoint covers (default while a slot holds none).
+    covers: [Cover; 2],
     stats: StoreStats,
     metrics: StoreMetrics,
     /// Wall seconds the WAL replay at open took. Held here (not in the
@@ -154,16 +179,20 @@ impl SiteStore {
         let replay_start = Instant::now();
         let (wal, all_records, report) = Wal::replay(&mut storage, cfg.segment_bytes);
         let replay_wall_s = replay_start.elapsed().as_secs_f64();
-        let loaded = load_best(&storage);
-        let (checkpoint, current_slot, checkpoint_bytes) = match loaded {
-            Some((state, slot, bytes)) => (Some(state), Some(slot), bytes),
-            None => (None, None, 0),
-        };
-        let ckpt_lsn = checkpoint.as_ref().map(|c| c.lsn).unwrap_or(0);
-        let records: Vec<(u64, WalRecord)> = all_records
-            .into_iter()
-            .filter(|(lsn, _)| *lsn > ckpt_lsn)
+        let slots = load_slots(&storage);
+        let covers = slots.each_ref().map(|s| {
+            s.as_ref()
+                .map_or_else(Cover::default, |(state, _)| Cover::of(state))
+        });
+        // Newest first; on equal LSNs the first slot leads.
+        let mut loaded: Vec<(usize, CheckpointState, u64)> = (0..)
+            .zip(slots)
+            .filter_map(|(i, s)| s.map(|(state, bytes)| (i, state, bytes)))
             .collect();
+        loaded.sort_by_key(|(_, state, _)| std::cmp::Reverse(state.lsn));
+        let current_slot = loaded.first().map(|(slot, _, _)| *slot);
+        let checkpoint_bytes = loaded.first().map_or(0, |(_, _, bytes)| *bytes);
+        let checkpoints = loaded.into_iter().map(|(_, state, _)| state).collect();
 
         let mut stats = StoreStats {
             checkpoint_bytes,
@@ -178,13 +207,14 @@ impl SiteStore {
                 wal,
                 cfg,
                 current_slot,
+                covers,
                 stats,
                 metrics: StoreMetrics::default(),
                 replay_wall_s,
             },
             Recovered {
-                checkpoint,
-                records,
+                checkpoints,
+                records: all_records,
                 report,
             },
         )
@@ -229,22 +259,26 @@ impl SiteStore {
         self.wal.next_lsn()
     }
 
-    /// Write `state` to the alternate checkpoint slot, then compact WAL
-    /// segments the checkpoint covers (by LSN and by gossip sequence).
+    /// Write `state` to the alternate checkpoint slot, then compact the WAL
+    /// segments the *other* slot covers too (by LSN and by gossip
+    /// sequence): a site that refuses this checkpoint at its next recovery
+    /// falls back to the other one and still finds every record past it.
     pub fn checkpoint(&mut self, state: &CheckpointView<'_>) {
         let _span = self.metrics.h_checkpoint.start_timer();
         let (slot, bytes) = write_next(&mut self.storage, state, self.current_slot);
         self.current_slot = Some(slot);
+        self.covers[slot] = Cover::of(&state.head);
         self.stats.checkpoints += 1;
         self.stats.checkpoint_bytes = bytes;
         self.metrics.c_checkpoints.inc();
         self.metrics.g_checkpoint_bytes.set(bytes as f64);
 
+        let older = &self.covers[1 - slot];
         let removed = self.wal.compact(
             &mut self.storage,
-            state.head.lsn,
-            state.head.next_seq.saturating_sub(1),
-            &state.head.peer_seq_cursors(),
+            older.lsn,
+            older.publish_seq,
+            &older.peer_seqs,
         );
         self.stats.compacted_segments += removed;
         self.stats.wal_bytes = self.wal.bytes();
@@ -315,7 +349,7 @@ mod tests {
     #[test]
     fn open_append_reopen_replays_everything() {
         let (mut store, rec0) = SiteStore::open(MemStorage::new(), StoreConfig::default());
-        assert!(rec0.checkpoint.is_none() && rec0.records.is_empty());
+        assert!(rec0.checkpoints.is_empty() && rec0.records.is_empty());
         for j in 0..10 {
             store.append(&usage(j));
         }
@@ -325,42 +359,52 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_filters_covered_records_and_compacts() {
+    fn compaction_keeps_every_record_the_older_slot_needs() {
         let cfg = StoreConfig {
             segment_bytes: 128,
             ..StoreConfig::default()
         };
         let (mut store, _) = SiteStore::open(MemStorage::new(), cfg);
+        let cut = |store: &mut SiteStore| {
+            let ckpt = CheckpointState {
+                lsn: store.next_lsn() - 1,
+                site: SiteId(1),
+                slot_s: 60.0,
+                next_seq: 1,
+                ..CheckpointState::default()
+            };
+            store.checkpoint(&ckpt.view());
+        };
         for j in 0..20 {
             store.append(&usage(j));
         }
-        let ckpt = CheckpointState {
-            lsn: store.next_lsn() - 1,
-            site: SiteId(1),
-            slot_s: 60.0,
-            next_seq: 1,
-            ..CheckpointState::default()
-        };
-        store.checkpoint(&ckpt.view());
+        cut(&mut store);
+        assert_eq!(store.stats().compacted_segments, 0, "no older slot yet");
+        for j in 20..40 {
+            store.append(&usage(j));
+        }
+        cut(&mut store);
         let stats = store.stats();
         assert!(stats.compacted_segments > 0, "{stats:?}");
-        assert_eq!(stats.checkpoints, 1);
+        assert_eq!(stats.checkpoints, 2);
         assert!(stats.checkpoint_bytes > 0);
 
-        // Two fresh records after the checkpoint; reopen yields only them.
+        // Two fresh records; reopen yields both checkpoints, newest first,
+        // and every record past the older one.
         store.append(&usage(100));
         store.append(&usage(101));
         let (_, recovered) = reopen(store);
-        assert_eq!(recovered.checkpoint.as_ref().map(|c| c.lsn), Some(20));
-        let jobs: Vec<u64> = recovered
-            .records
-            .iter()
+        let lsns: Vec<u64> = recovered.checkpoints.iter().map(|c| c.lsn).collect();
+        assert_eq!(lsns, [40, 20]);
+        assert!(recovered.records.len() < 42, "what both cover is compacted");
+        let jobs: Vec<u64> = (recovered.records.iter())
+            .filter(|(lsn, _)| *lsn > 20)
             .filter_map(|(_, r)| match r {
                 WalRecord::Usage(u) => Some(u.job.0),
                 _ => None,
             })
             .collect();
-        assert_eq!(jobs, vec![100, 101]);
+        assert_eq!(jobs, (20..40).chain([100, 101]).collect::<Vec<_>>());
     }
 
     #[test]

@@ -400,7 +400,7 @@ proptest! {
             let (reopened, recovered) = SiteStore::open(store.into_storage(), cfg);
             prop_assert_eq!(&recovered.records, &appended);
             prop_assert_eq!(recovered.report.torn_tails, 1);
-            prop_assert!(recovered.checkpoint.is_none());
+            prop_assert!(recovered.checkpoints.is_empty());
             store = reopened;
         }
     }
@@ -473,13 +473,9 @@ fn every_cut_of_the_tail_segment_recovers_the_longest_whole_frame_prefix() {
             .iter()
             .filter(|&&end| end > 0 && end <= cut)
             .count();
-        let expected: Vec<(u64, WalRecord)> = past_checkpoint
-            [..past_checkpoint.len() - (tail_frames - whole)]
-            .iter()
-            .map(|pair| (*pair).clone())
-            .collect();
+        let expected = &appended[..appended.len() - (tail_frames - whole)];
         assert_eq!(recovered.records, expected, "cut at {cut}");
-        assert_eq!(recovered.checkpoint.as_ref().map(|c| c.lsn), Some(ckpt.lsn));
+        assert_eq!(recovered.checkpoints.first().map(|c| c.lsn), Some(ckpt.lsn));
         let mid_frame = !boundaries.contains(&cut);
         assert_eq!(
             recovered.report.torn_tails,

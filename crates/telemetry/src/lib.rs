@@ -5,10 +5,9 @@
 //! sim engine. Its surfaces, each behind one switch:
 //!
 //! * **metrics** — on with the handle ([`Telemetry::enabled`]): a lock-free
-//!   [`Registry`] of named counters, gauges and log-bucketed histograms
-//!   (labeled series keyed by [`export::series_name`]), snapshot-able at
-//!   any time. A site's pipeline-delay tracer records into its handle's
-//!   `aequus_tracer_*` series;
+//!   [`Registry`] of named counters, gauges and log-bucketed histograms,
+//!   snapshot-able at any time. A site's pipeline-delay tracer records
+//!   into its handle's `aequus_tracer_*` series;
 //! * **tracing** — [`Telemetry::traced`]: every usage report roots a causal
 //!   trace whose [`TraceCtx`] rides the whole
 //!   report→gossip→refresh→query pipeline across sites ([`span`]), and the
@@ -70,7 +69,8 @@ struct Inner {
     /// The site whose usage reports root causal traces here and whose
     /// served decisions are captured; `None` while tracing is off.
     traced_site: Option<u32>,
-    /// Pre-registered span-layer stat handles (ride into snapshots).
+    /// Span-layer stat handles, registered (and riding into snapshots)
+    /// only while tracing is on.
     c_traces: Counter,
     c_spans: Counter,
     c_provenance: Counter,
@@ -139,9 +139,15 @@ impl Telemetry {
 
     fn new(traced_site: Option<u32>) -> Self {
         let registry = Registry::new();
-        let c_traces = registry.counter("aequus_spans_traces_total");
-        let c_spans = registry.counter("aequus_spans_recorded_total");
-        let c_provenance = registry.counter("aequus_provenance_captured_total");
+        // Only a traced handle records spans and decisions, so only a
+        // traced handle registers their counters.
+        let counter = |name| match traced_site {
+            Some(_) => registry.counter(name),
+            None => Counter::default(),
+        };
+        let c_traces = counter("aequus_spans_traces_total");
+        let c_spans = counter("aequus_spans_recorded_total");
+        let c_provenance = counter("aequus_provenance_captured_total");
         Self {
             inner: Some(Arc::new(Inner {
                 registry,
@@ -312,7 +318,10 @@ mod tests {
             assert!(off.spans().is_empty() && off.provenance_records().is_empty());
         }
         let metrics_only = Telemetry::enabled().snapshot().unwrap();
-        assert_eq!(metrics_only.counters["aequus_spans_traces_total"], 0);
+        assert!(
+            metrics_only.counters.is_empty(),
+            "no span counters untraced"
+        );
     }
 
     #[test]

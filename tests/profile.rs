@@ -268,23 +268,17 @@ fn every_emitted_stage_label_is_in_the_stage_table() {
     assert_eq!(spans.into_iter().collect::<Vec<_>>(), pipeline);
 }
 
+/// The run's queue high-water marks have one home, the profile: every
+/// shard's event queue and the engine's mailbox held something, and no
+/// gauge in the engine's registry copies them.
 #[test]
-fn queue_gauges_agree_with_the_profile() {
+fn queue_high_water_marks_live_in_the_profile() {
     let result = profiled_run(2);
-    let engine = result.engine_telemetry.as_ref().expect("telemetry on");
-    assert!(engine.gauges["aequus_sim_event_queue_hwm"] > 0.0);
-    assert!(engine.gauges["aequus_sim_mailbox_hwm"] > 0.0);
-    // The profile agrees with the gauges — same underlying high-water marks.
     let profile = profile_of(&result);
-    let max_queue = profile.shards.iter().map(|s| s.queue_hwm).max().unwrap();
-    assert_eq!(
-        engine.gauges["aequus_sim_event_queue_hwm"],
-        max_queue as f64
-    );
-    assert_eq!(
-        engine.gauges["aequus_sim_mailbox_hwm"],
-        profile.mailbox_hwm as f64
-    );
+    assert!(profile.shards.iter().all(|s| s.queue_hwm > 0));
+    assert!(profile.mailbox_hwm > 0);
+    let engine = result.engine_telemetry.as_ref().expect("telemetry on");
+    assert!(engine.gauges.is_empty(), "{:?}", engine.gauges);
 }
 
 /// Building the grid is timed apart from the run: a telemetry-on run's
@@ -344,15 +338,11 @@ fn engine_stage_calls_equal_the_shard_counters() {
     for threads in [1, 4] {
         let result = profiled_run(threads);
         let profile = profile_of(&result);
-        let engine = result.engine_telemetry.as_ref().expect("telemetry on");
         let calls = |stage: &str| profile.services[stage].calls;
         let samples = result.metrics.samples().len() as u64;
         assert_eq!(calls("sim.event"), result.events_processed - samples);
+        assert_eq!(calls("sim.assemble"), samples);
         assert_eq!(calls("rms.submit"), result.total_submitted());
-        assert_eq!(
-            calls("site.crash"),
-            engine.counters["aequus_sim_crashes_total"]
-        );
         assert_eq!(calls("site.crash"), 1, "the plan crashes one site once");
         for (site, shard) in result.site_telemetry.iter().zip(&profile.shards) {
             let timed = |metric: &str| site.histograms[metric].count;

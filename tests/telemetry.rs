@@ -183,9 +183,18 @@ fn reliability_metrics_track_faults_and_stay_silent_when_clean() {
         "drops must open gaps"
     );
     assert!(total("aequus_uss_resyncs_total") > 0, "gaps must resync");
-    // Dropped deliveries and the partition window show up in the engine's
-    // own transport accounting.
-    let engine = faulty.engine_telemetry.as_ref().expect("engine snapshot");
-    assert!(engine.counters["aequus_sim_gossip_dropped_total"] > 0);
-    assert!(engine.counters["aequus_sim_gossip_partitioned_total"] > 0);
+    // Dropped deliveries and the partition window show up in the shards'
+    // transport rows of the run profile.
+    let profile = faulty
+        .profile
+        .as_ref()
+        .expect("telemetry-on runs are profiled");
+    let transport = |row: &str| -> u64 {
+        (profile.shards.iter())
+            .filter_map(|s| s.stages.get(row))
+            .map(|st| st.calls)
+            .sum()
+    };
+    assert!(transport("gossip.dropped") > 0);
+    assert!(transport("gossip.partitioned") > 0);
 }
