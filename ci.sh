@@ -167,6 +167,7 @@ done
 # source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
+# The test bed's IRS resolves by endpoint: its eager `store_mapping` fill stays gone.
 # `take_outbox`
 # is the one shim left of the broadcast path: code names it only where it is
 # defined and where the benchmark calls it.
@@ -193,7 +194,8 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'aequus_sim_mailbox_hwm' -e 'aequus_health_link_' -e 'aequus_health_depth_lag_s' \
   -e 'aequus_slo_alert_transitions_total' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
-  git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim; then
+  git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim ||
+  git grep -n 'store_mapping' -- crates/sim/src; then
   echo "a deleted path is named again" >&2
   exit 1
 fi

@@ -15,7 +15,8 @@ use std::sync::{Arc, OnceLock};
 /// Errors raised by policy construction and mounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyError {
-    /// A node share was non-finite or negative.
+    /// A node share was non-finite or negative, or its children's shares
+    /// sum past `f64::MAX` (each would normalize to 0).
     InvalidShare(String),
     /// Duplicate child name under one parent.
     DuplicateChild(String),
@@ -111,10 +112,11 @@ impl PolicyNode {
     }
 }
 
-/// A complete share policy: a named tree with validation and mounting.
+/// A complete share policy: a named tree with validation and mounting. A
+/// clone shares the nodes until an edit copies them for the edited clone.
 #[derive(Clone)]
 pub struct PolicyTree {
-    root: PolicyNode,
+    root: Arc<PolicyNode>,
     /// Monotonically increasing version, bumped on every mutation; lets
     /// downstream services (UMS/FCS) detect policy changes cheaply.
     version: u64,
@@ -147,7 +149,7 @@ impl PolicyTree {
     pub fn new(root: PolicyNode) -> Result<Self, PolicyError> {
         validate(&root)?;
         Ok(Self {
-            root,
+            root: Arc::new(root),
             version: 1,
             layout: Arc::default(),
         })
@@ -181,7 +183,7 @@ impl PolicyTree {
 
     /// Find a node by path (root = empty path).
     pub fn node_at(&self, path: &EntityPath) -> Option<&PolicyNode> {
-        let mut node = &self.root;
+        let mut node: &PolicyNode = &self.root;
         for comp in path.components() {
             node = node.children.iter().find(|c| &c.name == comp)?;
         }
@@ -192,7 +194,7 @@ impl PolicyTree {
     /// children become the mount node's children; the mount node keeps its
     /// locally assigned share ("local administrations retain control").
     pub fn mount(&mut self, at: &EntityPath, subtree: &PolicyTree) -> Result<(), PolicyError> {
-        let node = node_at_mut(&mut self.root, at)
+        let node = node_at_mut(Arc::make_mut(&mut self.root), at)
             .ok_or_else(|| PolicyError::NoSuchMountPoint(at.to_string()))?;
         if !matches!(node.kind, PolicyNodeKind::MountPoint { .. }) {
             return Err(PolicyError::NoSuchMountPoint(at.to_string()));
@@ -210,7 +212,7 @@ impl PolicyTree {
         if !(share.is_finite() && share >= 0.0) {
             return Err(PolicyError::InvalidShare(path.to_string()));
         }
-        let node = node_at_mut(&mut self.root, path)
+        let node = node_at_mut(Arc::make_mut(&mut self.root), path)
             .ok_or_else(|| PolicyError::NoSuchPath(path.to_string()))?;
         node.share = share;
         self.version += 1;
@@ -237,7 +239,7 @@ impl PolicyTree {
     /// normalized shares along the path (the "total target share" of the
     /// percental projection, §III-C).
     pub fn absolute_share(&self, path: &EntityPath) -> Option<f64> {
-        let mut node = &self.root;
+        let mut node: &PolicyNode = &self.root;
         let mut share = 1.0;
         for comp in path.components() {
             let total: f64 = node.children.iter().map(|c| c.share).sum();
@@ -495,12 +497,16 @@ fn validate(node: &PolicyNode) -> Result<(), PolicyError> {
     if !(node.share.is_finite() && node.share >= 0.0) {
         return Err(PolicyError::InvalidShare(node.name.clone()));
     }
-    let mut seen = std::collections::BTreeSet::new();
+    let (mut seen, mut total) = (std::collections::BTreeSet::new(), 0.0);
     for c in &node.children {
         if !seen.insert(&c.name) {
             return Err(PolicyError::DuplicateChild(c.name.clone()));
         }
         validate(c)?;
+        total += c.share;
+    }
+    if !total.is_finite() {
+        return Err(PolicyError::InvalidShare(node.name.clone()));
     }
     Ok(())
 }
@@ -595,9 +601,15 @@ mod tests {
         ))
         .unwrap();
         let v0 = site.version();
+        let unmounted = site.clone();
         site.mount(&EntityPath::parse("/grid"), &grid_policy)
             .unwrap();
         assert!(site.version() > v0);
+        assert_eq!(site.users().len(), 3);
+        // The clone taken before the mount still sees the empty mount point.
+        let users: Vec<_> = unmounted.users().into_iter().map(|(_, u)| u).collect();
+        assert_eq!(users, [GridUser::new("local")]);
+        assert_eq!(unmounted.version(), v0);
         let voa = site
             .absolute_share(&EntityPath::parse("/grid/vo-a"))
             .unwrap();
@@ -634,15 +646,42 @@ mod tests {
             vec![PolicyNode::user("a", -0.1)],
         ));
         assert!(matches!(r, Err(PolicyError::InvalidShare(_))));
+        // Finite shares whose sum overflows would all normalize to 0.
+        let huge = vec![
+            PolicyNode::user("a", f64::MAX),
+            PolicyNode::user("b", 1e308),
+        ];
+        let r = PolicyTree::new(PolicyNode::group("root", 1.0, huge));
+        assert_eq!(r, Err(PolicyError::InvalidShare("root".into())));
     }
 
     #[test]
     fn set_share_changes_normalization() {
         let mut t = figure3_tree();
+        let other = t.clone();
+        let layout = Arc::clone(other.layout());
         t.set_share(&EntityPath::parse("/LQ"), 0.7).unwrap();
         let n = t.normalized_children(&EntityPath::root());
         assert!((n["LQ"] - 0.5).abs() < 1e-12);
         assert!((n["HP"] - 0.5).abs() < 1e-12);
+        // The edit copied the nodes: the clone it was shared with keeps
+        // its share, version and layout.
+        let lq = other.absolute_share(&EntityPath::parse("/LQ")).unwrap();
+        assert!((lq - 0.3).abs() < 1e-12);
+        assert_eq!(other.version(), 1);
+        assert!(Arc::ptr_eq(other.layout(), &layout));
+        assert!(
+            Arc::ptr_eq(t.layout(), &layout),
+            "a share edit keeps the layout"
+        );
+
+        // A clone taken after `key_by` keeps the keyed layout.
+        let mut table = UserTable::new(Arc::from([GridUser::new("zz")]));
+        t.key_by(&mut table);
+        let keyed = t.clone();
+        assert!(Arc::ptr_eq(keyed.layout(), t.layout()));
+        assert_eq!(keyed.layout().table(), &table);
+        assert!(!Arc::ptr_eq(keyed.layout(), &layout));
     }
 
     #[test]

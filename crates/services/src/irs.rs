@@ -3,7 +3,10 @@
 //! system user account" (§II-A). §III-B gives two ways to obtain the reverse
 //! mapping: an actively populated look-up table, or a site-deployed custom
 //! resolution endpoint queried "using a minimalist JSON based protocol" —
-//! modeled here as a pluggable resolver callback.
+//! modeled here as a pluggable resolver callback. The simulated test bed
+//! runs the second way, as HPC2N does: each site's endpoint answers for its
+//! policy's users, and [`Irs::resolve`] memoizes each answer in the table,
+//! so a site holds only the identities that submitted there.
 
 use aequus_core::{GridUser, SystemUser};
 use aequus_telemetry::{Counter, Histogram, Telemetry};
@@ -15,6 +18,7 @@ use std::collections::BTreeMap;
 pub type ResolverEndpoint = Box<dyn Fn(&SystemUser) -> Option<GridUser> + Send + Sync>;
 
 /// Per-site identity resolution service.
+#[derive(Default)]
 pub struct Irs {
     table: BTreeMap<SystemUser, GridUser>,
     endpoint: Option<ResolverEndpoint>,
@@ -35,24 +39,10 @@ impl std::fmt::Debug for Irs {
     }
 }
 
-impl Default for Irs {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Irs {
     /// Create an empty IRS (no mappings, no endpoint).
     pub fn new() -> Self {
-        Self {
-            table: BTreeMap::new(),
-            endpoint: None,
-            lookups: 0,
-            endpoint_calls: 0,
-            c_lookups: Counter::default(),
-            c_endpoint_calls: Counter::default(),
-            h_resolve: Histogram::default(),
-        }
+        Self::default()
     }
 
     /// Wire this service into a telemetry registry; pass

@@ -4,7 +4,7 @@
 
 use crate::scenario::{ClusterSpec, GridScenario, RmsKind};
 use aequus_core::usage::UsageSummary;
-use aequus_core::{JobId, SiteId, SystemUser};
+use aequus_core::{GridUser, JobId, SiteId, SystemUser};
 use aequus_rms::{FactorConfig, Job, NodePool, ReprioritizePolicy, SchedulerCore};
 use aequus_services::{AequusSite, UssMessage};
 use aequus_telemetry::Telemetry;
@@ -27,33 +27,29 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
-    /// Build a cluster from its spec within a scenario. Identity mappings
-    /// for every policy user are installed in the site's IRS (the unified
-    /// name-resolution service of the test bed).
+    /// Build a cluster from its spec within a scenario. Its IRS maps
+    /// `sys-<user>` back through an endpoint memoized on use (§III-B's second
+    /// way): the site policy's users and, where it overrides, the grid's.
     pub fn new(index: usize, spec: &ClusterSpec, scenario: &GridScenario) -> Self {
-        let policy = spec
-            .policy_override
-            .clone()
-            .unwrap_or_else(|| scenario.policy.clone());
+        let (policy, grid) = match &spec.policy_override {
+            Some(local) => (local.clone(), Some(scenario.policy.layout().clone())),
+            None => (scenario.policy.clone(), None),
+        };
+        let known = [Some(policy.layout().clone()), grid];
         let mut site = AequusSite::new(
             SiteId(index as u32),
-            policy.clone(),
+            policy,
             scenario.fairshare,
             scenario.projection,
             scenario.timings,
             spec.participation,
             scenario.usage_slot_s,
         );
-        // The test bed's unified name-resolution endpoint: system user
-        // "sys-<grid user>" maps back to the grid identity. Register the
-        // site's identities and — where the site overrides the policy —
-        // the grid-wide ones it does not name.
-        let grid = spec.policy_override.as_ref().map(|_| &scenario.policy);
-        let users = [Some(&policy), grid].into_iter().flatten();
-        for user in users.flat_map(|p| p.layout().users().iter()) {
-            let system = SystemUser::new(format!("sys-{}", user.as_str()));
-            site.irs.store_mapping(system, user.clone());
-        }
+        site.irs.set_endpoint(Box::new(move |system: &SystemUser| {
+            let user = GridUser::new(system.as_str().strip_prefix("sys-")?);
+            let known = known.iter().flatten().any(|l| l.user_id(&user).is_some());
+            known.then_some(user)
+        }));
         let nodes = NodePool::new(spec.nodes, spec.cores_per_node);
         let site_id = SiteId(index as u32);
         let telemetry = match (scenario.telemetry, scenario.tracing) {
@@ -136,7 +132,6 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aequus_core::GridUser;
     use aequus_services::ParticipationMode;
 
     /// A shard's tick, services first, without the exchange traffic.
@@ -192,6 +187,29 @@ mod tests {
     }
 
     #[test]
+    fn a_site_resolves_only_the_identities_that_submit_there() {
+        let sc = scenario();
+        let mut c = SimCluster::new(0, &sc.clusters[0], &sc);
+        assert_eq!((c.site.irs.endpoint_calls(), c.site.irs.lookups()), (0, 0));
+        for i in 0..40 {
+            let job = TraceJob {
+                user: ["U65", "U30"][i % 2].to_string(),
+                submit_s: 0.0,
+                duration_s: 10.0,
+                cores: 1,
+            };
+            c.submit(&job, 20.0 * i as f64);
+            step(&mut c, 20.0 * i as f64);
+        }
+        assert!(c.rms.stats().completed > 30);
+        assert_eq!(c.site.irs.endpoint_calls(), 2, "one memo miss per identity");
+        assert!(c.site.irs.lookups() >= 2);
+        for unknown in ["sys-ghost", "ghost", "U65"] {
+            assert_eq!(c.site.irs.resolve(&SystemUser::new(unknown)), None);
+        }
+    }
+
+    #[test]
     fn job_ids_disjoint_between_clusters() {
         let sc = scenario();
         let spec = &sc.clusters[0];
@@ -219,6 +237,39 @@ mod policy_override_tests {
     use crate::scenario::GridScenario;
     use aequus_core::policy::{PolicyNode, PolicyTree};
     use aequus_core::EntityPath;
+
+    #[test]
+    fn an_overriding_site_also_resolves_the_grid_users_it_does_not_name() {
+        let sc = GridScenario::national_testbed(&[("U65", 0.5), ("U30", 0.5)], 1);
+        let local_policy = PolicyTree::new(PolicyNode::group(
+            "root",
+            1.0,
+            vec![
+                PolicyNode::user("local-hpc", 0.8),
+                PolicyNode::user("U65", 0.2),
+            ],
+        ))
+        .unwrap();
+        let mut spec = sc.clusters[0].clone();
+        spec.policy_override = Some(local_policy);
+        let mut overriding = SimCluster::new(0, &spec, &sc);
+        let mut plain = SimCluster::new(1, &sc.clusters[1], &sc);
+        let resolve = |c: &mut SimCluster, name: &str| c.site.irs.resolve(&SystemUser::new(name));
+        for name in ["local-hpc", "U65", "U30"] {
+            let found = resolve(&mut overriding, &format!("sys-{name}"));
+            assert_eq!(
+                found,
+                Some(GridUser::new(name)),
+                "{name} at the overriding site"
+            );
+        }
+        assert_eq!(resolve(&mut plain, "sys-local-hpc"), None);
+        for c in [&mut overriding, &mut plain] {
+            for unknown in ["sys-ghost", "ghost", "U65"] {
+                assert_eq!(resolve(c, unknown), None, "{unknown}");
+            }
+        }
+    }
 
     #[test]
     fn site_policy_override_is_enforced_locally() {

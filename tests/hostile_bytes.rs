@@ -22,8 +22,8 @@ use aequus::core::codec::{
 };
 use aequus::core::flat_policy;
 use aequus::core::{
-    parse_policy, Explanation, FairshareConfig, FairshareTree, GridUser, JobId, PolicyNode,
-    PolicyTree, ProjectionKind, SiteId, UsageRecord, UsageSummary, UserCells,
+    parse_policy, EntityPath, Explanation, FairshareConfig, FairshareTree, GridUser, JobId,
+    PolicyNode, PolicyTree, ProjectionKind, SiteId, UsageRecord, UsageSummary, UserCells,
 };
 use aequus::services::{
     AequusSite, HealthMap, LinkObservation, LinkSide, ParticipationMode, RetryPolicy,
@@ -244,6 +244,10 @@ const POLICY: &str = "# comments and blank lines are ignored\n\
     /grid/atlas       70   user=C=SE/O=CERN/CN=atlas-prod\n\
     /grid/cms         30\n";
 
+/// Two shares whose sum sits just under `f64::MAX`: one flipped digit
+/// carries it past.
+const HUGE_SHARES: &[u8] = b"/a 9e307\n/b 8e307\n";
+
 /// A trace `to_swf` writes, and a line in exponent form whose every number
 /// one flipped digit carries past what its job can hold (1e388, 9e19).
 fn swf() -> Vec<Vec<u8>> {
@@ -274,6 +278,31 @@ fn swf_accepted(bytes: &[u8]) -> bool {
             submit && runs && job.cores >= 1,
             "parse_swf accepted {job:?}"
         );
+    }
+    true
+}
+
+/// The policy parser's oracle: a file it accepts gives every user a finite
+/// absolute share in [0, 1], and every group's normalized children sum to
+/// 1 or are empty.
+fn policy_accepted(bytes: &[u8]) -> bool {
+    let Ok(policy) = parse_policy(&text(bytes)) else {
+        return false;
+    };
+    for (path, _) in policy.users() {
+        let share = policy.absolute_share(&path);
+        let held = share.is_some_and(|s| s.is_finite() && (0.0..=1.0).contains(&s));
+        assert!(held, "parse_policy accepted {path} at {share:?}");
+    }
+    let mut groups = vec![(EntityPath::root(), policy.root())];
+    while let Some((path, node)) = groups.pop() {
+        let shares = policy.normalized_children(&path);
+        let sum: f64 = shares.values().sum();
+        assert!(
+            shares.is_empty() || (sum - 1.0).abs() <= 1e-9,
+            "parse_policy accepted {path}'s children summing to {sum}"
+        );
+        groups.extend(node.children.iter().map(|c| (path.child(&c.name), c)));
     }
     true
 }
@@ -387,9 +416,11 @@ fn no_decoder_or_parser_panics_on_mutated_input() {
         ("CheckpointState::decode_slot", vec![slot], |b| {
             CheckpointState::decode_slot(b).is_some()
         }),
-        ("parse_policy", vec![POLICY.as_bytes().to_vec()], |b| {
-            parse_policy(&text(b)).is_ok()
-        }),
+        (
+            "parse_policy",
+            vec![POLICY.as_bytes().to_vec(), HUGE_SHARES.to_vec()],
+            policy_accepted,
+        ),
         ("parse_swf", swf(), swf_accepted),
         ("JsonValue::parse", json_documents(), |b| {
             JsonValue::parse(&text(b)).is_some()
