@@ -163,7 +163,10 @@ done
 # snapshot fields (a fact is recorded once, by a counter or a stage
 # histogram), and the engine registry's copies of the shard counts, queue
 # high-water marks and health report with the labeled-series key they used
-# (the profile, `health_report` and `alerts` hold them) — and no tracked
+# (the profile, `health_report` and `alerts` hold them), and the telemetry
+# `Counter` and `Gauge` with the three series no service kept a count for
+# and the UMS's several-USS refresh (a count lives in the service that
+# keeps it, and a snapshot reads it there) — and no tracked
 # source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -193,6 +196,9 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'aequus_sim_metrics_samples_total' -e 'aequus_sim_event_queue_hwm' \
   -e 'aequus_sim_mailbox_hwm' -e 'aequus_health_link_' -e 'aequus_health_depth_lag_s' \
   -e 'aequus_slo_alert_transitions_total' \
+  -e 'fn counter(' -e 'fn gauge(' -e 'pub struct Counter' -e 'pub struct Gauge' \
+  -e 'aequus_fcs_queries_total' -e 'aequus_rms_reprio_passes_total' \
+  -e 'aequus_pds_edits_total' -e 'refresh_many' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim ||
   git grep -n 'store_mapping' -- crates/sim/src; then

@@ -117,10 +117,10 @@ pub const EXPERIMENTS: &[Experiment] = &[
 /// after the test suites.
 pub const CHECK_PLAN: &[Step] = &[
     // The telemetry and tracing operation counts on the chaos grid
-    // (histogram observations, counter sum, spans, provenance captures)
-    // must equal results/instrument_ops.json at 1/2/4 workers, and a timer,
-    // a counter increment, a traced span and a provenance capture must each
-    // cost at most its absolute ns budget in a tight loop.
+    // (histogram observations, the sum of the services' counts, spans,
+    // provenance captures) must equal results/instrument_ops.json at 1/2/4
+    // workers, and a timer, a traced span and a provenance capture must
+    // each cost at most its absolute ns budget in a tight loop.
     ("telemetry_overhead", CHECK),
     // The profiler's operation counts on the chaos grid (epoch spans, wire
     // records) must equal results/instrument_ops.json at 1/2/4 workers,
@@ -151,7 +151,7 @@ pub const CHECK_PLAN: &[Step] = &[
     // utilization must not fall below FIFO's, FIFO and EASY must be
     // bit-identical on the single-core baseline, the learned predictors
     // must beat request echo on mean |rel err| with the prediction-accuracy
-    // telemetry counter live, and the scheduler hot path must hold its
+    // telemetry count live, and the scheduler hot path must hold its
     // budget (sub-us next_admitted at 10k-deep queues, plan-scan growth well
     // under O(n^2), a saturated scheduling cycle that costs at most 3x more
     // with 10,000 jobs queued than with 1,000 and at most 5 ns per further

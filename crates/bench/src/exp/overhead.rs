@@ -34,8 +34,10 @@ fn snapshots(result: &SimResult) -> impl Iterator<Item = &Snapshot> {
 /// The telemetry operations of a telemetry-on run and the tracing
 /// operations of a traced one, on `threads` workers: histogram
 /// observations (each a timer's two clock reads and one record, or a bare
-/// record), the sum of every counter, spans recorded and decision
-/// provenance captured. A gauge set is not counted.
+/// record), the sum of every count the sites' snapshots read off their
+/// services (each one plain add where it happened, priced by no gate of
+/// its own), spans recorded and decision provenance captured. A gauge is
+/// not counted.
 fn telemetry_ops(threads: usize) -> Vec<(&'static str, u64)> {
     let metrics = chaos_run(threads, GridScenario::with_telemetry);
     let traced = chaos_run(threads, GridScenario::with_tracing);
@@ -68,8 +70,6 @@ fn telemetry_ops(threads: usize) -> Vec<(&'static str, u64)> {
 /// histogram record (four atomics). Twenty runs' median 113 ns quiet, 151
 /// loud.
 const TIMER_BUDGET_NS: f64 = 340.0;
-/// An enabled counter increment: one relaxed atomic add. Median 10 ns.
-const COUNTER_BUDGET_NS: f64 = 35.0;
 /// A traced child span: the detail rendered, the records lock and a ring
 /// push. Median 65 ns quiet, 118 loud.
 const SPAN_BUDGET_NS: f64 = 250.0;
@@ -79,9 +79,9 @@ const CAPTURE_BUDGET_NS: f64 = 6_000.0;
 
 /// Telemetry and tracing cost gate: the operations a telemetry-on and a
 /// traced run perform — deterministic, so exact — and what one of each
-/// costs: a timer observation, a counter increment, a traced span and a
-/// provenance capture as `AequusSite::trace_query` makes it. Enforced
-/// under `--check`.
+/// instrument costs: a timer observation, a traced span and a provenance
+/// capture as `AequusSite::trace_query` makes it. Enforced under
+/// `--check`.
 pub(super) fn telemetry_overhead(args: &Args, gates: &mut Gates) {
     gates.advisory(!args.check);
     println!(
@@ -96,12 +96,6 @@ pub(super) fn telemetry_overhead(args: &Args, gates: &mut Gates) {
     unit_cost_gate(gates, "timer observation", TIMER_BUDGET_NS, |n| {
         for _ in 0..n {
             black_box(&hist).start_timer().observe();
-        }
-    });
-    let counter = enabled.counter("aequus_sim_events_total");
-    unit_cost_gate(gates, "counter increment", COUNTER_BUDGET_NS, |n| {
-        for _ in 0..n {
-            black_box(&counter).inc();
         }
     });
 

@@ -23,7 +23,7 @@ pub fn render_series(title: &str, series: &[(&str, Vec<(f64, f64)>)], step: usiz
     out
 }
 
-/// Render the per-site telemetry registries as a table: counters summed
+/// Render the per-site telemetry snapshots as a table: counts summed
 /// across sites, histograms with total count and the worst (max-p99) site's
 /// quantiles. Empty string when the run had telemetry disabled.
 pub fn render_telemetry(result: &SimResult) -> String {

@@ -207,10 +207,22 @@ impl PolicyTree {
     }
 
     /// Replace the share of the node at `path` (run-time policy change, as
-    /// exercised by the paper's non-optimal policy test).
+    /// exercised by the paper's non-optimal policy test). A share that is
+    /// not finite and non-negative, or that would make its sibling group
+    /// sum past `f64::MAX` (the test [`PolicyTree::new`] applies), is
+    /// refused before anything is written.
     pub fn set_share(&mut self, path: &EntityPath, share: f64) -> Result<(), PolicyError> {
         if !(share.is_finite() && share >= 0.0) {
             return Err(PolicyError::InvalidShare(path.to_string()));
+        }
+        let overflowing = path.components().split_last().and_then(|(name, up)| {
+            let group = self.node_at(&EntityPath(up.to_vec()))?;
+            let share_of = |c: &PolicyNode| if &c.name == name { share } else { c.share };
+            let total: f64 = group.children.iter().map(share_of).sum();
+            (!total.is_finite()).then_some(group)
+        });
+        if let Some(group) = overflowing {
+            return Err(PolicyError::InvalidShare(group.name.clone()));
         }
         let node = node_at_mut(Arc::make_mut(&mut self.root), path)
             .ok_or_else(|| PolicyError::NoSuchPath(path.to_string()))?;
@@ -653,6 +665,18 @@ mod tests {
         ];
         let r = PolicyTree::new(PolicyNode::group("root", 1.0, huge));
         assert_eq!(r, Err(PolicyError::InvalidShare("root".into())));
+        // An edit is held to the same sum, and a refused one changes
+        // nothing: shares, version and layout stay.
+        let mut t = flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap();
+        t.set_share(&EntityPath::parse("/a"), f64::MAX).unwrap();
+        let (version, layout) = (t.version(), Arc::clone(t.layout()));
+        let r = t.set_share(&EntityPath::parse("/b"), 1e308);
+        assert_eq!(r, Err(PolicyError::InvalidShare("root".into())));
+        assert_eq!(t.version(), version);
+        assert!(Arc::ptr_eq(t.layout(), &layout));
+        let n = t.normalized_children(&EntityPath::root());
+        assert_eq!((n["a"], n["b"]), (1.0, 0.5 / f64::MAX));
+        assert_eq!(t.set_share(&EntityPath::parse("/b"), 1.0), Ok(()));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! runtimes (as in the paper's idle-wait test bed).
 
 use crate::job::Job;
-use aequus_telemetry::{Counter, Histogram, Telemetry};
+use aequus_telemetry::{Histogram, Telemetry};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -81,26 +81,6 @@ pub struct PredictionStats {
     pub abs_rel_err_sum: f64,
 }
 
-/// Pre-registered prediction metric handles (no-ops until wired).
-#[derive(Debug, Clone, Default)]
-struct PredictMetrics {
-    scored: Counter,
-    underestimates: Counter,
-    kills: Counter,
-    h_rel_err: Histogram,
-}
-
-impl PredictMetrics {
-    fn wire(t: &Telemetry) -> Self {
-        Self {
-            scored: t.counter("aequus_rms_predictions_total"),
-            underestimates: t.counter("aequus_rms_underestimates_total"),
-            kills: t.counter("aequus_rms_predict_kills_total"),
-            h_rel_err: t.histogram("aequus_rms_predict_rel_err"),
-        }
-    }
-}
-
 /// Per-class estimator state and its estimate, `None` until a completion.
 #[derive(Debug, Clone, Default)]
 struct ClassHistory {
@@ -128,7 +108,8 @@ pub struct RuntimePredictor {
     histories: Vec<ClassHistory>,
     /// Accuracy accounting.
     pub stats: PredictionStats,
-    metrics: PredictMetrics,
+    /// Relative error per scored prediction (a no-op until wired).
+    h_rel_err: Histogram,
 }
 
 /// A job's walltime request as a prediction may use it: never below
@@ -155,13 +136,13 @@ impl RuntimePredictor {
             ids: BTreeMap::new(),
             histories: Vec::new(),
             stats: PredictionStats::default(),
-            metrics: PredictMetrics::default(),
+            h_rel_err: Histogram::default(),
         }
     }
 
-    /// Wire prediction metrics into a telemetry registry.
+    /// Wire the relative-error histogram into a telemetry registry.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
-        self.metrics = PredictMetrics::wire(t);
+        self.h_rel_err = t.histogram("aequus_rms_predict_rel_err");
     }
 
     /// The id of `job`'s prediction class, made on first sight with an empty
@@ -221,7 +202,6 @@ impl RuntimePredictor {
     pub fn on_start(&mut self, job: &Job) -> (f64, bool) {
         if self.mispredict == MispredictPolicy::KillAtRequest && job.duration_s > job.request_s {
             self.stats.kills += 1;
-            self.metrics.kills.inc();
             (job.request_s, true)
         } else {
             (job.duration_s, false)
@@ -237,11 +217,9 @@ impl RuntimePredictor {
         let rel_err = (predicted_s - actual).abs() / actual;
         self.stats.scored += 1;
         self.stats.abs_rel_err_sum += rel_err;
-        self.metrics.scored.inc();
-        self.metrics.h_rel_err.record(rel_err);
+        self.h_rel_err.record(rel_err);
         if predicted_s < actual {
             self.stats.underestimates += 1;
-            self.metrics.underestimates.inc();
         } else if predicted_s > actual {
             self.stats.overestimates += 1;
         }

@@ -26,7 +26,7 @@ use crate::predict::{
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, UserId};
-use aequus_telemetry::{Counter, Histogram, Telemetry};
+use aequus_telemetry::{Histogram, Snapshot, Telemetry};
 use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -36,14 +36,9 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 /// runtimes dominating the mean).
 pub const SLOWDOWN_TAU_S: f64 = 10.0;
 
-/// Pre-registered scheduler metric handles (no-ops until wired).
+/// Pre-registered scheduler wall timers (no-ops until wired).
 #[derive(Debug, Clone, Default)]
 struct SchedMetrics {
-    submitted: Counter,
-    started: Counter,
-    completed: Counter,
-    backfilled: Counter,
-    reprio_passes: Counter,
     h_reprio: Histogram,
     h_dispatch: Histogram,
 }
@@ -51,11 +46,6 @@ struct SchedMetrics {
 impl SchedMetrics {
     fn wire(t: &Telemetry) -> Self {
         Self {
-            submitted: t.counter("aequus_rms_submitted_total"),
-            started: t.counter("aequus_rms_started_total"),
-            completed: t.counter("aequus_rms_completed_total"),
-            backfilled: t.counter("aequus_rms_backfilled_total"),
-            reprio_passes: t.counter("aequus_rms_reprio_passes_total"),
             h_reprio: t.histogram("aequus_rms_reprioritize_s"),
             h_dispatch: t.histogram("aequus_rms_dispatch_s"),
         }
@@ -312,6 +302,21 @@ impl SchedulerCore {
         &self.stats
     }
 
+    /// Write the job counts and the predictor's scoring counts into `snap`
+    /// (the predictor's own, which a kill moves before the job completes).
+    pub fn counts_into(&self, snap: &mut Snapshot) {
+        let (jobs, predicted) = (&self.stats, &self.predictor.stats);
+        snap.add_counts([
+            ("aequus_rms_submitted_total", jobs.submitted),
+            ("aequus_rms_started_total", jobs.started),
+            ("aequus_rms_completed_total", jobs.completed),
+            ("aequus_rms_backfilled_total", jobs.backfilled),
+            ("aequus_rms_predictions_total", predicted.scored),
+            ("aequus_rms_underestimates_total", predicted.underestimates),
+            ("aequus_rms_predict_kills_total", predicted.kills),
+        ]);
+    }
+
     /// Mean utilization of the node pool over `[0, now_s]`.
     pub fn utilization(&mut self, now_s: f64) -> f64 {
         self.nodes.utilization(now_s)
@@ -340,7 +345,6 @@ impl SchedulerCore {
         // this job's lane is an index load on the source side.
         let user_id = job.grid_user.as_ref().map(|u| source.intern_user(u));
         self.stats.submitted += 1;
-        self.metrics.submitted.inc();
         self.zero_core_pending += usize::from(job.cores == 0);
         // New jobs get a priority immediately so they can dispatch this cycle.
         let prio = self.priority(fairshare_of(user_id, source, now_s), &job, now_s);
@@ -371,7 +375,6 @@ impl SchedulerCore {
         self.complete_due(source, now_s);
         if self.reprio_due(now_s) {
             let _span = self.metrics.h_reprio.start_timer();
-            self.metrics.reprio_passes.inc();
             self.sweep(source, now_s);
         }
         self.dispatch(now_s);
@@ -423,7 +426,6 @@ impl SchedulerCore {
             job.state = JobState::Completed { start_s, end_s };
             self.nodes.release(job.cores);
             self.stats.completed += 1;
-            self.metrics.completed.inc();
             let run_s = end_s - start_s;
             self.stats.slowdown_sum += (job.wait_time(end_s) + run_s) / run_s.max(SLOWDOWN_TAU_S);
             self.predictor.on_complete(&job, done.predicted_s, run_s);
@@ -504,12 +506,10 @@ impl SchedulerCore {
                 job.duration_s = run_for_s;
             }
             self.stats.started += 1;
-            self.metrics.started.inc();
             self.zero_core_pending -= usize::from(job.cores == 0);
             self.stats.total_wait_s += job.wait_time(now_s);
             if backfill {
                 self.stats.backfilled += 1;
-                self.metrics.backfilled.inc();
             }
             self.running.push(Running {
                 job,

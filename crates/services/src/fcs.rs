@@ -35,16 +35,13 @@ use aequus_core::arena::{RecomputeStats, UserId, UserTable};
 use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::projection::{Projection, ProjectionKind};
 use aequus_core::GridUser;
-use aequus_telemetry::{Counter, Histogram, Telemetry};
+use aequus_telemetry::{Histogram, Snapshot, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Pre-registered FCS metric handles (no-ops until wired).
 #[derive(Debug, Clone, Default)]
 struct FcsMetrics {
-    refreshes: Counter,
-    full_refreshes: Counter,
-    queries: Counter,
     h_refresh_full: Histogram,
     h_refresh_incr: Histogram,
     h_query: Histogram,
@@ -53,9 +50,6 @@ struct FcsMetrics {
 impl FcsMetrics {
     fn wire(t: &Telemetry) -> Self {
         Self {
-            refreshes: t.counter("aequus_fcs_refreshes_total"),
-            full_refreshes: t.counter("aequus_fcs_full_refreshes_total"),
-            queries: t.counter("aequus_fcs_queries_total"),
             h_refresh_full: t.histogram("aequus_fcs_refresh_full_s"),
             h_refresh_incr: t.histogram("aequus_fcs_refresh_incremental_s"),
             h_query: t.histogram("aequus_fcs_query_s"),
@@ -223,7 +217,6 @@ impl Fcs {
             }
             None => {
                 let _span = self.metrics.h_refresh_full.start_timer();
-                self.metrics.full_refreshes.inc();
                 // One id space: a layout whose ids are not the table's (a
                 // replaced or mounted policy) is keyed by it, once.
                 if !users.extends(pds.policy().layout().table()) {
@@ -246,7 +239,6 @@ impl Fcs {
         self.last_refresh_s = Some(now_s);
         self.last_policy_version = pds.version();
         self.refreshes += 1;
-        self.metrics.refreshes.inc();
         true
     }
 
@@ -278,14 +270,14 @@ impl Fcs {
     /// on the associated user identity"), what is left is the user's own
     /// path — `O(depth)` flops, or an index load of the stored rank row.
     /// `None` for users absent from the tree. This is the served query:
-    /// counted and timed, reached once per `libaequus` cache miss.
+    /// timed (the timer's count is the query count), reached once per
+    /// `libaequus` cache miss.
     pub fn query(&self, id: UserId) -> Option<f64> {
         let _span = self.metrics.h_query.start_timer();
-        self.metrics.queries.inc();
         self.factor_of(id)
     }
 
-    /// [`query`](Self::query) without the telemetry — for the site's own
+    /// [`query`](Self::query) without the timer — for the site's own
     /// bookkeeping and the metrics sampler, which must not count as served
     /// queries. It reads the user's own path, or — a projection without a
     /// per-leaf read — the stored row.
@@ -338,6 +330,14 @@ impl Fcs {
     /// refreshes where nothing was dirty).
     pub fn incremental_refreshes(&self) -> u64 {
         self.incremental_refreshes
+    }
+
+    /// Write the refresh counts into `snap`.
+    pub fn counts_into(&self, snap: &mut Snapshot) {
+        snap.add_counts([
+            ("aequus_fcs_refreshes_total", self.refreshes),
+            ("aequus_fcs_full_refreshes_total", self.full_refreshes),
+        ]);
     }
 
     /// Total subtree-aggregate recomputations across all refreshes — the

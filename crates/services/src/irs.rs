@@ -9,7 +9,7 @@
 //! so a site holds only the identities that submitted there.
 
 use aequus_core::{GridUser, SystemUser};
-use aequus_telemetry::{Counter, Histogram, Telemetry};
+use aequus_telemetry::{Histogram, Snapshot, Telemetry};
 use std::collections::BTreeMap;
 
 /// The resolver endpoint type: given a system account, return the grid
@@ -24,8 +24,6 @@ pub struct Irs {
     endpoint: Option<ResolverEndpoint>,
     lookups: u64,
     endpoint_calls: u64,
-    c_lookups: Counter,
-    c_endpoint_calls: Counter,
     h_resolve: Histogram,
 }
 
@@ -48,8 +46,6 @@ impl Irs {
     /// Wire this service into a telemetry registry; pass
     /// [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
-        self.c_lookups = t.counter("aequus_irs_lookups_total");
-        self.c_endpoint_calls = t.counter("aequus_irs_endpoint_calls_total");
         self.h_resolve = t.histogram("aequus_irs_resolve_s");
     }
 
@@ -70,13 +66,11 @@ impl Irs {
     pub fn resolve(&mut self, system: &SystemUser) -> Option<GridUser> {
         let _span = self.h_resolve.start_timer();
         self.lookups += 1;
-        self.c_lookups.inc();
         if let Some(g) = self.table.get(system) {
             return Some(g.clone());
         }
         if let Some(ep) = &self.endpoint {
             self.endpoint_calls += 1;
-            self.c_endpoint_calls.inc();
             if let Some(g) = ep(system) {
                 self.table.insert(system.clone(), g.clone());
                 return Some(g);
@@ -93,6 +87,14 @@ impl Irs {
     /// Calls that had to go to the endpoint.
     pub fn endpoint_calls(&self) -> u64 {
         self.endpoint_calls
+    }
+
+    /// Write the lookup and endpoint-call counts into `snap`.
+    pub fn counts_into(&self, snap: &mut Snapshot) {
+        snap.add_counts([
+            ("aequus_irs_lookups_total", self.lookups),
+            ("aequus_irs_endpoint_calls_total", self.endpoint_calls),
+        ]);
     }
 }
 

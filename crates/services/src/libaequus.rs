@@ -9,7 +9,7 @@
 use crate::fcs::Fcs;
 use crate::irs::Irs;
 use aequus_core::{GridUser, SystemUser, UserId};
-use aequus_telemetry::{Counter, Telemetry};
+use aequus_telemetry::Snapshot;
 use std::collections::BTreeMap;
 
 /// Per-cache statistics, for the throughput evaluation. The fairshare-value
@@ -41,30 +41,6 @@ impl CacheStats {
     }
 }
 
-/// Pre-registered per-cache telemetry counters (no-ops until wired).
-#[derive(Debug, Clone, Default)]
-struct LibMetrics {
-    fs_hits: Counter,
-    fs_misses: Counter,
-    fs_evictions: Counter,
-    id_hits: Counter,
-    id_misses: Counter,
-    id_evictions: Counter,
-}
-
-impl LibMetrics {
-    fn wire(t: &Telemetry) -> Self {
-        Self {
-            fs_hits: t.counter("aequus_lib_fairshare_hits_total"),
-            fs_misses: t.counter("aequus_lib_fairshare_misses_total"),
-            fs_evictions: t.counter("aequus_lib_fairshare_evictions_total"),
-            id_hits: t.counter("aequus_lib_identity_hits_total"),
-            id_misses: t.counter("aequus_lib_identity_misses_total"),
-            id_evictions: t.counter("aequus_lib_identity_evictions_total"),
-        }
-    }
-}
-
 /// Client-side library state: TTL caches over the FCS and IRS services.
 #[derive(Debug)]
 pub struct LibAequus {
@@ -84,8 +60,6 @@ pub struct LibAequus {
     pub fairshare_stats: CacheStats,
     /// Identity resolution cache statistics.
     pub identity_stats: CacheStats,
-    /// Telemetry handles (no-ops until wired).
-    metrics: LibMetrics,
 }
 
 impl LibAequus {
@@ -99,14 +73,20 @@ impl LibAequus {
             degraded: false,
             fairshare_stats: CacheStats::default(),
             identity_stats: CacheStats::default(),
-            metrics: LibMetrics::default(),
         }
     }
 
-    /// Wire this library instance into a telemetry registry; pass
-    /// [`Telemetry::disabled`] to detach.
-    pub fn set_telemetry(&mut self, t: &Telemetry) {
-        self.metrics = LibMetrics::wire(t);
+    /// Write both caches' statistics into `snap`.
+    pub fn counts_into(&self, snap: &mut Snapshot) {
+        let (fs, id) = (self.fairshare_stats, self.identity_stats);
+        snap.add_counts([
+            ("aequus_lib_fairshare_hits_total", fs.hits),
+            ("aequus_lib_fairshare_misses_total", fs.misses),
+            ("aequus_lib_fairshare_evictions_total", fs.evictions),
+            ("aequus_lib_identity_hits_total", id.hits),
+            ("aequus_lib_identity_misses_total", id.misses),
+            ("aequus_lib_identity_evictions_total", id.evictions),
+        ]);
     }
 
     /// Enter or leave degraded mode. While degraded, fairshare and identity
@@ -130,12 +110,10 @@ impl LibAequus {
         if let Some(&Some((value, at))) = self.fairshare_cache.get(id.index()) {
             if self.degraded || now_s - at < self.fairshare_ttl_s {
                 self.fairshare_stats.hits += 1;
-                self.metrics.fs_hits.inc();
                 return value;
             }
         }
         self.fairshare_stats.misses += 1;
-        self.metrics.fs_misses.inc();
         let value = fcs.query(id).unwrap_or(0.5);
         if self.fairshare_cache.len() <= id.index() {
             self.fairshare_cache.resize(id.index() + 1, None);
@@ -146,7 +124,6 @@ impl LibAequus {
         {
             // The replaced entry was TTL-stale (a fresh one would have hit).
             self.fairshare_stats.evictions += 1;
-            self.metrics.fs_evictions.inc();
         }
         value
     }
@@ -170,12 +147,10 @@ impl LibAequus {
         if let Some((cached, at)) = self.identity_cache.get(system) {
             if self.degraded || now_s - at < self.identity_ttl_s {
                 self.identity_stats.hits += 1;
-                self.metrics.id_hits.inc();
                 return cached.clone();
             }
         }
         self.identity_stats.misses += 1;
-        self.metrics.id_misses.inc();
         let resolved = irs.resolve(system);
         if self
             .identity_cache
@@ -183,7 +158,6 @@ impl LibAequus {
             .is_some()
         {
             self.identity_stats.evictions += 1;
-            self.metrics.id_evictions.inc();
         }
         resolved
     }
@@ -195,8 +169,6 @@ impl LibAequus {
         let id_dropped = self.identity_cache.len() as u64;
         self.fairshare_stats.evictions += fs_dropped;
         self.identity_stats.evictions += id_dropped;
-        self.metrics.fs_evictions.add(fs_dropped);
-        self.metrics.id_evictions.add(id_dropped);
         self.fairshare_cache.clear();
         self.identity_cache.clear();
     }
@@ -315,17 +287,15 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_reports_both_caches_independently() {
-        use aequus_telemetry::Telemetry;
+    fn a_snapshot_reports_both_caches_independently() {
         let fcs = fcs_fixture();
-        let t = Telemetry::enabled();
         let mut lib = LibAequus::new(10.0, 60.0);
-        lib.set_telemetry(&t);
         lib.get_fairshare(&fcs, id(&fcs, "a"), 0.0);
         lib.get_fairshare(&fcs, id(&fcs, "a"), 1.0);
         let mut irs = Irs::new();
         lib.resolve_identity(&mut irs, &SystemUser::new("x"), 0.0);
-        let snap = t.snapshot().unwrap();
+        let mut snap = Snapshot::default();
+        lib.counts_into(&mut snap);
         assert_eq!(snap.counters["aequus_lib_fairshare_hits_total"], 1);
         assert_eq!(snap.counters["aequus_lib_fairshare_misses_total"], 1);
         assert_eq!(snap.counters["aequus_lib_identity_misses_total"], 1);

@@ -5,7 +5,6 @@
 use aequus_core::arena::{DirtySet, UserTable};
 use aequus_core::ids::EntityPath;
 use aequus_core::policy::{PolicyError, PolicyTree};
-use aequus_telemetry::{Counter, Telemetry};
 use std::collections::BTreeMap;
 
 /// Per-site policy distribution service.
@@ -22,8 +21,6 @@ pub struct Pds {
     /// service: share edits mark their path, structural changes (replace,
     /// mount) mark everything.
     dirty: DirtySet,
-    /// Telemetry: the policy edit counter (a no-op until wired).
-    c_edits: Counter,
 }
 
 impl Pds {
@@ -34,14 +31,7 @@ impl Pds {
             replaced_version: 0,
             exports: BTreeMap::new(),
             dirty: DirtySet::new(),
-            c_edits: Counter::default(),
         }
-    }
-
-    /// Wire this service into a telemetry registry; pass
-    /// [`Telemetry::disabled`] to detach.
-    pub fn set_telemetry(&mut self, t: &Telemetry) {
-        self.c_edits = t.counter("aequus_pds_edits_total");
     }
 
     /// The currently effective policy tree.
@@ -61,7 +51,6 @@ impl Pds {
         self.replaced_version = self.version();
         self.policy = policy;
         self.dirty.mark_all();
-        self.c_edits.inc();
     }
 
     /// Name the policy's users by the site's ids ([`PolicyTree::key_by`]);
@@ -74,7 +63,6 @@ impl Pds {
     pub fn set_share(&mut self, path: &EntityPath, share: f64) -> Result<(), PolicyError> {
         self.policy.set_share(path, share)?;
         self.dirty.mark_path(path.clone());
-        self.c_edits.inc();
         Ok(())
     }
 
@@ -102,7 +90,6 @@ impl Pds {
             .clone();
         self.policy.mount(at, &sub)?;
         self.dirty.mark_all(); // mounting changes the tree structure
-        self.c_edits.inc();
         Ok(())
     }
 
@@ -181,7 +168,14 @@ mod tests {
     fn runtime_share_change_bumps_version() {
         let mut pds = Pds::new(flat_policy(&[("a", 0.5), ("b", 0.5)]).unwrap());
         let v0 = pds.version();
-        pds.set_share(&EntityPath::parse("/a"), 0.9).unwrap();
+        pds.set_share(&EntityPath::parse("/a"), f64::MAX).unwrap();
         assert!(pds.version() > v0);
+        // An edit its sibling group cannot sum is refused: no version, no mark.
+        pds.take_dirty();
+        let v1 = pds.version();
+        let r = pds.set_share(&EntityPath::parse("/b"), 1e308);
+        assert_eq!(r, Err(PolicyError::InvalidShare("root".into())));
+        assert_eq!(pds.version(), v1);
+        assert!(pds.take_dirty().is_empty());
     }
 }

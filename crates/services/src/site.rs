@@ -20,7 +20,7 @@ use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::UsageRecord;
 use aequus_core::{GridUser, SiteId, SystemUser, UserId, UserTable};
 use aequus_store::{MemStorage, SiteStore, StoreConfig, StoreStats, WalRecord};
-use aequus_telemetry::{Telemetry, TraceCtx};
+use aequus_telemetry::{Snapshot, Telemetry, TraceCtx};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -143,18 +143,16 @@ impl AequusSite {
         }
     }
 
-    /// Wire the whole site — every service plus the client library — into
-    /// one telemetry domain, with a fresh pipeline-delay tracer registered
-    /// in it when it is enabled. Pass [`Telemetry::disabled`] to detach.
+    /// Wire the site's timed services into one telemetry domain, with a
+    /// fresh pipeline-delay tracer registered in it when it is enabled.
+    /// Pass [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
         self.telemetry = t.clone();
         self.tracer = t.is_enabled().then(|| PipelineTracer::new(t));
-        self.pds.set_telemetry(t);
         self.uss.set_telemetry(t);
         self.ums.set_telemetry(t);
         self.fcs.set_telemetry(t);
         self.irs.set_telemetry(t);
-        self.lib.set_telemetry(t);
         if let Some(store) = &mut self.store {
             store.set_telemetry(t);
         }
@@ -163,6 +161,26 @@ impl AequusSite {
     /// The site's telemetry handle (disabled unless wired).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// The site's snapshot, `None` while its telemetry is off: the handle's
+    /// histograms and span counts, and every count and gauge its services,
+    /// client library, tracer and store keep — read from them as they
+    /// stand, whenever the handle was wired.
+    pub fn snapshot(&self) -> Option<Snapshot> {
+        let mut snap = self.telemetry.snapshot()?;
+        self.uss.counts_into(&mut snap);
+        self.ums.counts_into(&mut snap);
+        self.fcs.counts_into(&mut snap);
+        self.irs.counts_into(&mut snap);
+        self.lib.counts_into(&mut snap);
+        if let Some(tracer) = &self.tracer {
+            tracer.counts_into(&mut snap);
+        }
+        if let Some(stats) = self.store_stats() {
+            stats.counts_into(&mut snap);
+        }
+        Some(snap)
     }
 
     /// The site identity.
@@ -898,14 +916,13 @@ mod tests {
     #[test]
     fn store_metrics_flow_into_site_telemetry() {
         let mut s = site(0, ParticipationMode::Full);
-        let t = Telemetry::enabled();
-        s.set_telemetry(&t);
+        s.set_telemetry(&Telemetry::enabled());
         s.enable_store(StoreConfig::default(), 3);
         s.report_completion(record(0, "a", 0.0, 100.0), 100.0);
         s.tick(110.0);
         s.crash(200.0);
         s.recover(300.0);
-        let snap = t.snapshot().unwrap();
+        let snap = s.snapshot().unwrap();
         assert!(
             snap.counters
                 .get("aequus_store_frames_appended_total")
@@ -925,8 +942,8 @@ mod tests {
 
     /// The six `aequus_tracer_*` histograms' counts, in pipeline order
     /// (report, publish, UMS, FCS, lib, end to end), and the completed count.
-    fn tracer_counts(t: &Telemetry) -> ([u64; 6], u64) {
-        let snap = t.snapshot().unwrap();
+    fn tracer_counts(s: &AequusSite) -> ([u64; 6], u64) {
+        let snap = s.snapshot().unwrap();
         let stages = ["report_delay", "publish_delay", "ums_delay", "fcs_delay"];
         let names = stages.into_iter().chain(["lib_delay", "end_to_end"]);
         let counts: Vec<u64> = names
@@ -942,8 +959,7 @@ mod tests {
     #[test]
     fn a_trace_reported_before_a_crash_completes_after_recovery() {
         let mut s = site(0, ParticipationMode::Full);
-        let t = Telemetry::enabled();
-        s.set_telemetry(&t);
+        s.set_telemetry(&Telemetry::enabled());
         let a = s.intern_user(&GridUser::new("a"));
         s.report_completion(record(0, "a", 0.0, 100.0), 100.0);
         s.crash(102.0);
@@ -952,8 +968,8 @@ mod tests {
             s.tick(now);
             s.fairshare_factor(a, now);
         }
-        assert_eq!(tracer_counts(&t), ([1; 6], 1));
-        let e2e = t.snapshot().unwrap().histograms["aequus_tracer_end_to_end_s"];
+        assert_eq!(tracer_counts(&s), ([1; 6], 1));
+        let e2e = s.snapshot().unwrap().histograms["aequus_tracer_end_to_end_s"];
         assert_eq!(e2e.max, 10.0, "ingested, refreshed and served at 110");
     }
 
@@ -964,15 +980,41 @@ mod tests {
     #[test]
     fn an_outside_users_trace_stops_before_the_lib_stage() {
         let mut s = site(0, ParticipationMode::Full);
-        let t = Telemetry::enabled();
-        s.set_telemetry(&t);
+        s.set_telemetry(&Telemetry::enabled());
         let c = s.intern_user(&GridUser::new("c"));
         s.report_completion(record(0, "c", 0.0, 100.0), 100.0);
         for now in [105.0, 120.0, 130.0, 140.0] {
             s.tick(now);
             assert_eq!(s.fairshare_factor(c, now), 0.5, "the neutral factor");
         }
-        assert_eq!(tracer_counts(&t), ([1, 1, 1, 1, 0, 0], 0));
+        assert_eq!(tracer_counts(&s), ([1, 1, 1, 1, 0, 0], 0));
+    }
+
+    /// A count lives in the service that keeps it, so a snapshot shows what
+    /// happened before the telemetry was wired.
+    #[test]
+    fn a_snapshot_counts_what_happened_before_telemetry_was_wired() {
+        let mut s = site(0, ParticipationMode::Full);
+        s.report_completion(record(0, "a", 0.0, 100.0), 100.0);
+        for now in [110.0, 120.0] {
+            s.tick(now);
+            s.fairshare(&GridUser::new("a"), now);
+        }
+        assert!(s.snapshot().is_none(), "telemetry off");
+        s.set_telemetry(&Telemetry::enabled());
+        let snap = s.snapshot().unwrap();
+        let kept = [
+            s.uss.records_ingested(),
+            s.ums.refreshes(),
+            s.lib.fairshare_stats.misses,
+        ];
+        assert_eq!(kept, [1, 2, 2]);
+        let read = [
+            "aequus_uss_records_ingested_total",
+            "aequus_ums_refreshes_total",
+            "aequus_lib_fairshare_misses_total",
+        ];
+        assert_eq!(read.map(|name| snap.counters[name]), kept);
     }
 
     #[test]

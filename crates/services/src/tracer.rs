@@ -35,7 +35,7 @@
 
 use aequus_core::UserId;
 use aequus_telemetry::stage::{delay_histogram, TRACED};
-use aequus_telemetry::{Counter, Histogram, Telemetry};
+use aequus_telemetry::{Histogram, Snapshot, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Every Nth reported record is sampled (the first always is).
@@ -83,9 +83,10 @@ pub struct PipelineTracer {
     h_fcs: Histogram,
     h_lib: Histogram,
     h_e2e: Histogram,
-    c_sampled: Counter,
-    c_completed: Counter,
-    c_evicted: Counter,
+    /// Records sampled, completed at the lib stage, and evicted unfinished.
+    sampled: u64,
+    completed: u64,
+    evicted: u64,
 }
 
 impl PipelineTracer {
@@ -106,10 +107,19 @@ impl PipelineTracer {
             h_fcs,
             h_lib,
             h_e2e: telemetry.histogram("aequus_tracer_end_to_end_s"),
-            c_sampled: telemetry.counter("aequus_tracer_sampled_total"),
-            c_completed: telemetry.counter("aequus_tracer_completed_total"),
-            c_evicted: telemetry.counter("aequus_tracer_evicted_total"),
+            sampled: 0,
+            completed: 0,
+            evicted: 0,
         }
+    }
+
+    /// Write the sampled, completed and evicted counts into `snap`.
+    pub fn counts_into(&self, snap: &mut Snapshot) {
+        snap.add_counts([
+            ("aequus_tracer_sampled_total", self.sampled),
+            ("aequus_tracer_completed_total", self.completed),
+            ("aequus_tracer_evicted_total", self.evicted),
+        ]);
     }
 
     /// Whether no record is in flight — every stage but the report is then
@@ -125,7 +135,7 @@ impl PipelineTracer {
         if !(self.seen - 1).is_multiple_of(TRACK_EVERY) {
             return false;
         }
-        self.c_sampled.inc();
+        self.sampled += 1;
         if self.active.len() >= MAX_ACTIVE {
             self.evict_oldest();
         }
@@ -148,7 +158,7 @@ impl PipelineTracer {
         while let Some(job) = self.order.pop_front() {
             if let Some(rec) = self.active.remove(&job) {
                 if rec.lib_s.is_none() {
-                    self.c_evicted.inc();
+                    self.evicted += 1;
                 }
                 return;
             }
@@ -232,7 +242,7 @@ impl PipelineTracer {
                 rec.lib_s = Some(now_s);
                 self.h_lib.record(now_s - fcs);
                 self.h_e2e.record(now_s - rec.reported_s);
-                self.c_completed.inc();
+                self.completed += 1;
                 if rec.finished() {
                     done.push(job);
                 }
@@ -288,7 +298,7 @@ mod tests {
         let e2e = s.histograms["aequus_tracer_end_to_end_s"];
         assert_eq!(e2e.count, 1);
         assert_eq!(e2e.max, 70.0, "end-to-end = lib query − report");
-        assert_eq!(s.counters["aequus_tracer_completed_total"], 1);
+        assert_eq!(t.completed, 1);
     }
 
     #[test]
@@ -316,13 +326,12 @@ mod tests {
 
     #[test]
     fn eviction_bounds_active_set() {
-        let (mut t, tel) = setup();
+        let (mut t, _tel) = setup();
         for i in 0..(MAX_ACTIVE as u64 + 12) * TRACK_EVERY {
             t.on_report(i, i as f64);
         }
         assert_eq!(active_count(&t), MAX_ACTIVE);
-        let evicted = tel.snapshot().unwrap().counters["aequus_tracer_evicted_total"];
-        assert_eq!(evicted, 12);
+        assert_eq!((t.sampled, t.evicted), (MAX_ACTIVE as u64 + 12, 12));
     }
 
     #[test]
@@ -341,17 +350,15 @@ mod tests {
     /// is never completed by one.
     #[test]
     fn a_query_completes_only_its_own_users_records() {
-        let (mut t, tel) = setup();
+        let (mut t, _tel) = setup();
         t.on_report(1, 0.0);
         t.on_ingest(1, ALICE, 0, 10.0);
         t.on_ums_refresh(20.0);
         t.on_fcs_refresh(20.0);
         t.on_lib_query(BOB, 30.0, 30.0);
-        let completed =
-            |tel: &Telemetry| tel.snapshot().unwrap().counters["aequus_tracer_completed_total"];
-        assert_eq!(completed(&tel), 0, "another user's query");
+        assert_eq!(t.completed, 0, "another user's query");
         t.on_lib_query(ALICE, 30.0, 30.0);
-        assert_eq!(completed(&tel), 1);
+        assert_eq!(t.completed, 1);
     }
 
     /// The publish stage looks each in-flight record's user up in the

@@ -28,26 +28,8 @@ use crate::uss::Uss;
 use aequus_core::arena::{DirtySet, UserId};
 use aequus_core::usage::Prefix;
 use aequus_core::DecayPolicy;
-use aequus_telemetry::{Counter, Histogram, Telemetry};
+use aequus_telemetry::{Histogram, Snapshot, Telemetry};
 use std::collections::BTreeMap;
-
-/// Pre-registered UMS metric handles (no-ops until wired).
-#[derive(Debug, Clone, Default)]
-struct UmsMetrics {
-    refreshes: Counter,
-    full_rebuilds: Counter,
-    h_refresh: Histogram,
-}
-
-impl UmsMetrics {
-    fn wire(t: &Telemetry) -> Self {
-        Self {
-            refreshes: t.counter("aequus_ums_refreshes_total"),
-            full_rebuilds: t.counter("aequus_ums_full_rebuilds_total"),
-            h_refresh: t.histogram("aequus_ums_refresh_s"),
-        }
-    }
-}
 
 /// How many exponential half-lives the reference epoch may lag behind `now`
 /// before it is rebased. Epoch weights of fresh usage grow as
@@ -64,8 +46,8 @@ const RESUME_MIN_CELLS: usize = 8;
 pub struct Ums {
     refresh_interval_s: f64,
     decay: DecayPolicy,
-    /// Per-user usage weights, one row over the ids of the (first) USS's
-    /// user table; see [`usage`](Self::usage).
+    /// Per-user usage weights, one row over the ids of the USS's user
+    /// table; see [`usage`](Self::usage).
     cached: Vec<f64>,
     /// Per user, the prefixes their last read left at its mark (cleared with `cached`).
     resume: BTreeMap<UserId, [Prefix; 2]>,
@@ -77,14 +59,8 @@ pub struct Ums {
     last_refresh_s: Option<f64>,
     refreshes: u64,
     full_rebuilds: u64,
-    /// Telemetry handles (no-ops until wired).
-    metrics: UmsMetrics,
-}
-
-/// The id `user` of `from`'s table has in `home`'s, interned there by name:
-/// a site fronting several USSs keeps its rows under the first one's ids.
-fn rehome(home: &mut Uss, from: &Uss, user: UserId) -> UserId {
-    home.users_mut().intern(from.users().name(user))
+    /// Wall seconds per refresh (a no-op until wired).
+    h_refresh: Histogram,
 }
 
 impl Ums {
@@ -102,14 +78,14 @@ impl Ums {
             last_refresh_s: None,
             refreshes: 0,
             full_rebuilds: 0,
-            metrics: UmsMetrics::default(),
+            h_refresh: Histogram::default(),
         }
     }
 
     /// Wire this service into a telemetry registry; pass
     /// [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
-        self.metrics = UmsMetrics::wire(t);
+        self.h_refresh = t.histogram("aequus_ums_refresh_s");
     }
 
     /// Whether the cache is stale at `now_s`.
@@ -124,23 +100,10 @@ impl Ums {
     /// stale, draining the USS's dirty-user set. Returns whether a refresh
     /// happened.
     pub fn refresh(&mut self, uss: &mut Uss, now_s: f64) -> bool {
-        self.refresh_many(&mut [uss], now_s)
-    }
-
-    /// Refresh from several USS instances at once — "the UMS of each site
-    /// gathers usage histograms from **one or more USSs**" (§II-A), e.g.
-    /// a site fronting multiple clusters, each with its own statistics
-    /// service. Per-user usage is summed across sources, under the ids of
-    /// the first one's user table (the others' users are found in it by
-    /// name).
-    pub fn refresh_many(&mut self, usses: &mut [&mut Uss], now_s: f64) -> bool {
-        let Some((home, more)) = usses.split_first_mut() else {
-            return false;
-        };
         if !self.is_stale(now_s) {
             return false;
         }
-        let _span = self.metrics.h_refresh.start_timer();
+        let _span = self.h_refresh.start_timer();
         let decay = self.decay;
         // The epoch an incremental refresh keeps: none before the first
         // rebuild, once the reference has aged out, or when relative slot
@@ -154,52 +117,33 @@ impl Ums {
             }
             (epoch, _) => epoch,
         };
-        // Incremental: only the users the USSs marked dirty get re-summed.
-        let mut marks = home.take_dirty();
-        for uss in more.iter_mut() {
-            for (user, _) in uss.take_dirty() {
-                marks.entry(rehome(home, uss, user)).or_insert(0);
-            }
-        }
+        // Incremental: only the users the USS marked dirty get re-summed.
+        let mut marks = uss.take_dirty();
         if epoch.is_none() {
             // Full rebuild — at a fresh epoch when the decay has one: every
             // weight changes at once, everything is dirty, and every user
-            // any of the USSs knows (nobody else) gets an entry.
-            let known = home.known_users().into_iter();
+            // the USS knows (nobody else) gets an entry.
+            let known = uss.known_users().into_iter();
             marks = known.map(|user| (user, 0)).collect();
-            for uss in more.iter() {
-                let known = uss.known_users().into_iter();
-                marks.extend(known.map(|user| (rehome(home, uss, user), 0)));
-            }
             self.cached.clear();
             self.resume.clear();
             self.epoch_s = decay.separable().then_some(now_s);
             self.dirty.mark_all();
             self.full_rebuilds += 1;
-            self.metrics.full_rebuilds.inc();
         }
         // A non-separable decay's epoch weight is its plain weight.
         let reference = epoch.unwrap_or(now_s);
         let weigh = |centre| decay.epoch_weight(reference - centre);
-        // Several USSs' users read from slot 0 (as a full rebuild's, marked 0).
-        let resumable = more.is_empty();
         for (user, mark) in marks {
             let kept = self.resume.get(&user).copied();
-            let kept = kept.filter(|[at, _]| resumable && at.slot <= mark);
-            let (value, below, passed) = home.usage_of(user, weigh, kept.unwrap_or_default(), mark);
+            let kept = kept.filter(|[at, _]| at.slot <= mark);
+            let (value, below, passed) = uss.usage_of(user, weigh, kept.unwrap_or_default(), mark);
             // A resumed read keeps its entry: an earlier read passed the rest.
-            match resumable && (kept.is_some() || passed >= RESUME_MIN_CELLS) {
+            match kept.is_some() || passed >= RESUME_MIN_CELLS {
                 true => self.resume.insert(user, below),
                 false => self.resume.remove(&user),
             };
             self.resumed_reads += u64::from(kept.is_some());
-            // Summed across the USSs; `0.0` where one never met the name.
-            let name = home.users().name(user);
-            let abroad = more.iter().map(|uss| {
-                let id = uss.users().id_of(name);
-                id.map_or(0.0, |id| uss.usage_of(id, weigh, Default::default(), 0).0)
-            });
-            let value: f64 = std::iter::once(value).chain(abroad).sum();
             if self.cached.len() <= user.index() {
                 self.cached.resize(user.index() + 1, f64::NAN);
             }
@@ -208,7 +152,6 @@ impl Ums {
         }
         self.last_refresh_s = Some(now_s);
         self.refreshes += 1;
-        self.metrics.refreshes.inc();
         true
     }
 
@@ -254,6 +197,14 @@ impl Ums {
     /// epoch rebases, and every refresh under non-separable decay).
     pub fn full_rebuilds(&self) -> u64 {
         self.full_rebuilds
+    }
+
+    /// Write the refresh counts into `snap`.
+    pub fn counts_into(&self, snap: &mut Snapshot) {
+        snap.add_counts([
+            ("aequus_ums_refreshes_total", self.refreshes),
+            ("aequus_ums_full_rebuilds_total", self.full_rebuilds),
+        ]);
     }
 
     /// Number of user reads that resumed from kept prefixes, not slot 0.
@@ -335,38 +286,6 @@ mod tests {
         assert!((weight(&ums, &uss, "a") - 60.0).abs() < 1e-9);
         ums.refresh(&mut uss, 100.0);
         assert!((weight(&ums, &uss, "a") - 70.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multi_uss_aggregation() {
-        // A site with two cluster-level USSs: the UMS sums per-user usage
-        // under the first one's ids — the second met the names in another
-        // order, so its ids for them differ.
-        let rec = |user: &str, cores, end_s| UsageRecord {
-            job: JobId(1),
-            user: GridUser::new(user),
-            site: SiteId(0),
-            cores,
-            start_s: 0.0,
-            end_s,
-        };
-        let mut uss1 = Uss::new(SiteId(0), ParticipationMode::Full, 60.0);
-        let mut uss2 = Uss::new(SiteId(0), ParticipationMode::Full, 60.0);
-        uss1.ingest(&rec("a", 1, 40.0));
-        uss2.ingest(&rec("b", 1, 5.0));
-        uss2.ingest(&rec("a", 2, 10.0));
-        let mut ums = Ums::new(0.0, DecayPolicy::None);
-        assert!(ums.refresh_many(&mut [&mut uss1, &mut uss2], 0.0));
-        assert!((weight(&ums, &uss1, "a") - 60.0).abs() < 1e-9);
-        assert!((weight(&ums, &uss1, "b") - 5.0).abs() < 1e-9);
-        // And incrementally: the second USS's dirty mark finds its user in
-        // the first one's table.
-        ums.take_dirty();
-        uss2.ingest(&rec("b", 1, 7.0));
-        assert!(ums.refresh_many(&mut [&mut uss1, &mut uss2], 1.0));
-        assert!((weight(&ums, &uss1, "b") - 12.0).abs() < 1e-9);
-        let b = uss1.users().id_of(&GridUser::new("b")).unwrap();
-        assert_eq!(ums.take_dirty().users().collect::<Vec<_>>(), [b]);
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //!   every expected publisher's link a snapshot, pulled until it arrives,
 //!   and republishes local history — both idempotent at receivers. What
 //!   survives what is the [`Uss`] struct's grouping, not a list anywhere.
-//! * [`Uss::update_staleness`] tracks how old each peer's data is, exports
-//!   it as the `aequus_uss_peer_staleness_s` gauge, and enforces the
+//! * [`Uss::update_staleness`] tracks how old each peer's data is, keeps
+//!   it for the `aequus_uss_peer_staleness_s` gauge, and enforces the
 //!   configured [`StalePolicy`] (serve-stale vs. local-only weighting).
 
 mod counts;
@@ -50,7 +50,7 @@ use aequus_core::usage::{
 };
 use aequus_core::{DecayPolicy, GridUser};
 use aequus_store::{CheckpointState, CheckpointView, PeerCursor};
-use aequus_telemetry::{Gauge, Histogram, Telemetry, TraceCtx};
+use aequus_telemetry::{Histogram, Snapshot, Telemetry, TraceCtx};
 use counts::{Count, Counts};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -116,12 +116,11 @@ impl std::error::Error for RecoveryError {}
 /// residues are floating-point noise and are neither published nor merged.
 const CELL_EPS: f64 = 1e-12;
 
-/// USS metric handles besides the counts' series (all no-ops until
-/// [`Uss::set_telemetry`] wires an enabled registry).
+/// USS metric handles (all no-ops until [`Uss::set_telemetry`] wires an
+/// enabled registry).
 #[derive(Debug, Clone, Default)]
 struct UssMetrics {
     telemetry: Telemetry,
-    staleness: Gauge,
     h_ingest: Histogram,
     h_publish: Histogram,
     h_receive: Histogram,
@@ -129,7 +128,8 @@ struct UssMetrics {
 
 /// Per-site usage statistics service: its state grouped by lifetime — which
 /// struct a field sits in *is* what a crash, a checkpoint and an install do
-/// to it, no function lists fields — plus its counts and telemetry handles.
+/// to it, no function lists fields — plus its counts, its last peer
+/// staleness and its telemetry handles.
 /// (Floats hash by their bits, for the explorer's fingerprints.)
 ///
 /// | group        | `crash`  | `crash_volatile`     | checkpointed           | on install                 |
@@ -138,12 +138,15 @@ struct UssMetrics {
 /// | `Ledger`     | survives | histogram, count go  | all but the user names | rebuilt (cursor: the max)  |
 /// | [`Volatile`] | replaced | replaced             | cursors, mirrors       | built fresh, those filled  |
 /// | counts       | survive  | survive              | no                     | kept                       |
+/// | staleness    | survives | survives             | no                     | kept                       |
 #[derive(Debug, Clone)]
 pub struct Uss {
     cfg: Config,
     ledger: Ledger,
     vol: Volatile,
     counts: Counts,
+    /// The maximum peer staleness the last [`Uss::update_staleness`] found.
+    staleness_s: f64,
     metrics: UssMetrics,
 }
 
@@ -549,6 +552,7 @@ impl Uss {
             cfg,
             ledger,
             counts: Counts::default(),
+            staleness_s: 0.0,
             metrics: UssMetrics::default(),
         }
     }
@@ -581,10 +585,8 @@ impl Uss {
     /// Wire this service into a telemetry registry; pass
     /// [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
-        self.counts.wire(t);
         self.metrics = UssMetrics {
             telemetry: t.clone(),
-            staleness: t.gauge("aequus_uss_peer_staleness_s"),
             h_ingest: t.histogram("aequus_uss_ingest_s"),
             h_publish: t.histogram("aequus_uss_publish_s"),
             h_receive: t.histogram("aequus_uss_receive_s"),
@@ -997,18 +999,18 @@ impl Uss {
     }
 
     /// Refresh per-peer staleness (seconds since the freshest peer data,
-    /// maxed over expected publishers), export it as the
+    /// maxed over expected publishers), keep it for the
     /// `aequus_uss_peer_staleness_s` gauge, and enforce the stale-data
     /// policy. Returns the maximum staleness. Users affected by a policy
     /// transition are marked dirty so the UMS/FCS pick the change up.
     pub fn update_staleness(&mut self, now_s: f64) -> f64 {
         if !self.cfg.mode.reads_global() || self.cfg.rx_peers.is_empty() {
-            self.metrics.staleness.set(0.0);
+            self.staleness_s = 0.0;
             return 0.0;
         }
         let heard = self.cfg.rx_peers.iter();
         let max_stale = (heard.map(|p| self.heard_age_s(*p, now_s))).fold(0.0, f64::max);
-        self.metrics.staleness.set(max_stale);
+        self.staleness_s = max_stale;
         let suppress = match self.cfg.stale_policy {
             StalePolicy::ServeStale => false,
             StalePolicy::LocalOnly { max_staleness_s } => max_stale > max_staleness_s,
@@ -1329,6 +1331,13 @@ impl Uss {
     /// duration, or carrying a cell that is not a finite non-negative charge.
     pub fn rejected(&self) -> u64 {
         self.counts.get(Count::Rejected, None)
+    }
+
+    /// Write the service's counts and its last peer staleness into `snap`.
+    pub fn counts_into(&self, snap: &mut Snapshot) {
+        self.counts.counts_into(snap);
+        let name = "aequus_uss_peer_staleness_s".to_string();
+        snap.gauges.insert(name, self.staleness_s);
     }
 
     /// Whether no link owes anything either way (test inspection).

@@ -7,7 +7,7 @@ use aequus_core::usage::UsageSummary;
 use aequus_core::{GridUser, JobId, SiteId, SystemUser};
 use aequus_rms::{FactorConfig, Job, NodePool, ReprioritizePolicy, SchedulerCore};
 use aequus_services::{AequusSite, UssMessage};
-use aequus_telemetry::Telemetry;
+use aequus_telemetry::{Snapshot, Telemetry};
 use aequus_workload::TraceJob;
 
 /// A cluster of the simulated grid: RMS + Aequus site.
@@ -108,6 +108,14 @@ impl SimCluster {
     /// degraded stale-cache priorities.
     pub fn step_rms_only(&mut self, now_s: f64) {
         self.rms.advance(&mut self.site, now_s);
+    }
+
+    /// The cluster's snapshot, `None` while its telemetry is off: the
+    /// site's (see [`AequusSite::snapshot`]) and the RMS's counts.
+    pub fn snapshot(&self) -> Option<Snapshot> {
+        let mut snap = self.site.snapshot()?;
+        self.rms.counts_into(&mut snap);
+        Some(snap)
     }
 
     /// Always empty. The broadcast outbox this drained is gone — every

@@ -443,10 +443,7 @@ impl GridSimulation {
             cluster_capacities: self.scenario.capacities(),
             end_s,
             events_processed,
-            site_telemetry: shards
-                .iter()
-                .filter_map(|s| s.cluster.telemetry.snapshot())
-                .collect(),
+            site_telemetry: shards.iter().filter_map(|s| s.cluster.snapshot()).collect(),
             engine_telemetry: None,
             site_usage_views: shards
                 .iter()

@@ -1,14 +1,13 @@
 //! The per-site store facade: one [`SiteStore`] owns the [`MemStorage`]
-//! holding both the segmented WAL and the two checkpoint slots, tracks
-//! [`StoreStats`], and mirrors them into the telemetry registry, so a
-//! site's snapshot carries them with every other metric.
+//! holding both the segmented WAL and the two checkpoint slots and tracks
+//! [`StoreStats`], which a site's snapshot reads with every other count.
 
 use crate::checkpoint::{load_slots, write_next, CheckpointState, CheckpointView};
 use crate::records::WalRecord;
 use crate::storage::MemStorage;
 use crate::wal::{encode_frame, ReplayReport, Wal, HEADER_LEN, KIND_RECORD};
 use aequus_core::ids::SiteId;
-use aequus_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use aequus_telemetry::{Histogram, Snapshot, Telemetry};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -74,6 +73,27 @@ impl StoreStats {
         }
     }
 
+    /// Write the counters and the two byte gauges into `snap`.
+    pub fn counts_into(&self, snap: &mut Snapshot) {
+        snap.add_counts([
+            ("aequus_store_frames_appended_total", self.frames_appended),
+            ("aequus_store_frames_replayed_total", self.frames_replayed),
+            ("aequus_store_torn_tails_total", self.torn_tails),
+            ("aequus_store_corrupt_frames_total", self.corrupt_frames),
+            ("aequus_store_checkpoints_total", self.checkpoints),
+            (
+                "aequus_store_compacted_segments_total",
+                self.compacted_segments,
+            ),
+        ]);
+        let gauges = &mut snap.gauges;
+        gauges.insert(
+            "aequus_store_checkpoint_bytes".into(),
+            self.checkpoint_bytes as f64,
+        );
+        gauges.insert("aequus_store_wal_bytes".into(), self.wal_bytes as f64);
+    }
+
     fn absorb_report(&mut self, r: &ReplayReport) {
         self.frames_replayed += r.frames_replayed;
         self.torn_tails += r.torn_tails;
@@ -81,18 +101,10 @@ impl StoreStats {
     }
 }
 
-/// Pre-registered telemetry handles (disabled handles are free no-ops, so
-/// the struct exists unconditionally).
+/// Pre-registered wall timers (disabled handles are free no-ops, so the
+/// struct exists unconditionally).
 #[derive(Debug, Default)]
 struct StoreMetrics {
-    c_appended: Counter,
-    c_replayed: Counter,
-    c_torn: Counter,
-    c_corrupt: Counter,
-    c_checkpoints: Counter,
-    c_compacted: Counter,
-    g_checkpoint_bytes: Gauge,
-    g_wal_bytes: Gauge,
     /// Wall seconds per WAL append (profiler `wal.append` stage).
     h_append: Histogram,
     /// Wall seconds per WAL replay at open (profiler `wal.replay` stage).
@@ -104,14 +116,6 @@ struct StoreMetrics {
 impl StoreMetrics {
     fn wire(t: &Telemetry) -> Self {
         Self {
-            c_appended: t.counter("aequus_store_frames_appended_total"),
-            c_replayed: t.counter("aequus_store_frames_replayed_total"),
-            c_torn: t.counter("aequus_store_torn_tails_total"),
-            c_corrupt: t.counter("aequus_store_corrupt_frames_total"),
-            c_checkpoints: t.counter("aequus_store_checkpoints_total"),
-            c_compacted: t.counter("aequus_store_compacted_segments_total"),
-            g_checkpoint_bytes: t.gauge("aequus_store_checkpoint_bytes"),
-            g_wal_bytes: t.gauge("aequus_store_wal_bytes"),
             h_append: t.histogram("aequus_store_wal_append_s"),
             h_replay: t.histogram("aequus_store_wal_replay_s"),
             h_checkpoint: t.histogram("aequus_store_checkpoint_s"),
@@ -225,20 +229,11 @@ impl SiteStore {
         self.cfg
     }
 
-    /// Wire the store's counters/gauges into `telemetry`, carrying forward
-    /// totals accumulated before wiring (e.g. replay damage found at open).
+    /// Wire the store's wall timers into `telemetry`; the replay at open is
+    /// recorded now.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        let m = StoreMetrics::wire(telemetry);
-        m.c_appended.add(self.stats.frames_appended);
-        m.c_replayed.add(self.stats.frames_replayed);
-        m.c_torn.add(self.stats.torn_tails);
-        m.c_corrupt.add(self.stats.corrupt_frames);
-        m.c_checkpoints.add(self.stats.checkpoints);
-        m.c_compacted.add(self.stats.compacted_segments);
-        m.g_checkpoint_bytes.set(self.stats.checkpoint_bytes as f64);
-        m.g_wal_bytes.set(self.stats.wal_bytes as f64);
-        m.h_replay.record(self.replay_wall_s);
-        self.metrics = m;
+        self.metrics = StoreMetrics::wire(telemetry);
+        self.metrics.h_replay.record(self.replay_wall_s);
     }
 
     /// Journal one record; returns its LSN.
@@ -248,8 +243,6 @@ impl SiteStore {
         timer.observe();
         self.stats.frames_appended += 1;
         self.stats.wal_bytes = self.wal.bytes();
-        self.metrics.c_appended.inc();
-        self.metrics.g_wal_bytes.set(self.stats.wal_bytes as f64);
         lsn
     }
 
@@ -270,8 +263,6 @@ impl SiteStore {
         self.covers[slot] = Cover::of(&state.head);
         self.stats.checkpoints += 1;
         self.stats.checkpoint_bytes = bytes;
-        self.metrics.c_checkpoints.inc();
-        self.metrics.g_checkpoint_bytes.set(bytes as f64);
 
         let older = &self.covers[1 - slot];
         let removed = self.wal.compact(
@@ -282,8 +273,6 @@ impl SiteStore {
         );
         self.stats.compacted_segments += removed;
         self.stats.wal_bytes = self.wal.bytes();
-        self.metrics.c_compacted.add(removed);
-        self.metrics.g_wal_bytes.set(self.stats.wal_bytes as f64);
     }
 
     /// Simulate the write in flight at the instant of a crash: append a
@@ -309,7 +298,6 @@ impl SiteStore {
         let torn = &full[..HEADER_LEN + junk_payload.len()];
         self.wal.append_torn_tail(&mut self.storage, torn);
         self.stats.wal_bytes = self.wal.bytes();
-        self.metrics.g_wal_bytes.set(self.stats.wal_bytes as f64);
     }
 
     /// Current health counters.
@@ -420,40 +408,16 @@ mod tests {
         assert_eq!(store.stats().torn_tails, 1);
     }
 
+    /// The WAL service timings feed the profiler's wal.* stages: replay
+    /// is recorded exactly once per open, appends and checkpoints per call.
     #[test]
-    fn telemetry_carries_pre_wiring_totals() {
+    fn the_wal_timers_record_each_open_once_and_each_call() {
         let (mut store, _) = SiteStore::open(MemStorage::new(), StoreConfig::default());
-        for j in 0..3 {
-            store.append(&usage(j));
-        }
-        store.simulate_torn_write(1);
+        store.append(&usage(0));
         let (mut store, _) = reopen(store);
-
         let t = Telemetry::enabled();
         store.set_telemetry(&t);
         store.append(&usage(9));
-        let snap = t.snapshot().unwrap();
-        assert_eq!(
-            snap.counters.get("aequus_store_frames_replayed_total"),
-            Some(&3)
-        );
-        assert_eq!(snap.counters.get("aequus_store_torn_tails_total"), Some(&1));
-        assert_eq!(
-            snap.counters.get("aequus_store_frames_appended_total"),
-            Some(&1),
-            "appends before wiring happened in the previous incarnation"
-        );
-        assert!(
-            snap.gauges
-                .get("aequus_store_wal_bytes")
-                .copied()
-                .unwrap_or(0.0)
-                > 0.0
-        );
-        // The WAL service timings feed the profiler's wal.* stages: replay
-        // is recorded exactly once per open, appends per call.
-        assert_eq!(snap.histograms["aequus_store_wal_replay_s"].count, 1);
-        assert_eq!(snap.histograms["aequus_store_wal_append_s"].count, 1);
         let ckpt = CheckpointState {
             lsn: store.next_lsn() - 1,
             site: SiteId(1),
@@ -462,6 +426,10 @@ mod tests {
         };
         store.checkpoint(&ckpt.view());
         let snap = t.snapshot().unwrap();
-        assert_eq!(snap.histograms["aequus_store_checkpoint_s"].count, 1);
+        let count = |name: &str| snap.histograms[name].count;
+        assert_eq!(count("aequus_store_wal_replay_s"), 1);
+        assert_eq!(count("aequus_store_wal_append_s"), 1);
+        assert_eq!(count("aequus_store_checkpoint_s"), 1);
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty());
     }
 }

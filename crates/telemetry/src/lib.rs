@@ -1,13 +1,14 @@
 //! Grid-wide telemetry for the Aequus stack.
 //!
-//! One [`Telemetry`] handle is threaded through every service of a site
-//! (USS, UMS, FCS, IRS, PDS, libaequus, the RMS scheduler) and through the
-//! sim engine. Its surfaces, each behind one switch:
+//! One [`Telemetry`] handle is threaded through a site's timed services
+//! (USS, UMS, FCS, IRS, the store, the RMS scheduler) and through the sim
+//! engine. Its surfaces, each behind one switch:
 //!
-//! * **metrics** — on with the handle ([`Telemetry::enabled`]): a lock-free
-//!   [`Registry`] of named counters, gauges and log-bucketed histograms,
-//!   snapshot-able at any time. A site's pipeline-delay tracer records
-//!   into its handle's `aequus_tracer_*` series;
+//! * **metrics** — on with the handle ([`Telemetry::enabled`]): a
+//!   [`Registry`] of named log-bucketed histograms. A [`Snapshot`] reads
+//!   them, and each service writes the counts it keeps into it; a site's
+//!   pipeline-delay tracer records into its handle's `aequus_tracer_*`
+//!   series;
 //! * **tracing** — [`Telemetry::traced`]: every usage report roots a causal
 //!   trace whose [`TraceCtx`] rides the whole
 //!   report→gossip→refresh→query pipeline across sites ([`span`]), and the
@@ -45,7 +46,7 @@ pub mod stage;
 
 pub use hist::{Histogram, HistogramSnapshot, SpanTimer};
 pub use profile::{RunProfile, ShardProfile, ShardProfiler, StageStats};
-pub use registry::{Counter, Gauge, Registry, Snapshot};
+pub use registry::{Registry, Snapshot};
 pub use ring::Ring;
 pub use slo::{AlertEvent, SloConfig, SloEngine, SloRule};
 pub use span::{SpanRecord, SpanTree, TraceCtx};
@@ -60,6 +61,8 @@ struct Records {
     provenance: Ring<ProvenanceRecord>,
     /// Spans recorded so far — the sequence half of the next span id.
     span_seq: u64,
+    /// Traces started so far: the root spans among them.
+    traces: u64,
 }
 
 #[derive(Debug)]
@@ -69,11 +72,6 @@ struct Inner {
     /// The site whose usage reports root causal traces here and whose
     /// served decisions are captured; `None` while tracing is off.
     traced_site: Option<u32>,
-    /// Span-layer stat handles, registered (and riding into snapshots)
-    /// only while tracing is on.
-    c_traces: Counter,
-    c_spans: Counter,
-    c_provenance: Counter,
 }
 
 impl Inner {
@@ -97,6 +95,7 @@ impl Inner {
     ) -> TraceCtx {
         let mut records = self.records();
         records.span_seq += 1;
+        records.traces += u64::from(parent.is_none());
         let id = span::span_id(site, records.span_seq);
         let trace_id = parent.map_or(id, |p| p.trace_id);
         records.spans.push(SpanRecord {
@@ -108,7 +107,6 @@ impl Inner {
             t_s,
             detail,
         });
-        self.c_spans.inc();
         TraceCtx { trace_id, span: id }
     }
 }
@@ -138,28 +136,16 @@ impl Telemetry {
     }
 
     fn new(traced_site: Option<u32>) -> Self {
-        let registry = Registry::new();
-        // Only a traced handle records spans and decisions, so only a
-        // traced handle registers their counters.
-        let counter = |name| match traced_site {
-            Some(_) => registry.counter(name),
-            None => Counter::default(),
-        };
-        let c_traces = counter("aequus_spans_traces_total");
-        let c_spans = counter("aequus_spans_recorded_total");
-        let c_provenance = counter("aequus_provenance_captured_total");
         Self {
             inner: Some(Arc::new(Inner {
-                registry,
+                registry: Registry::new(),
                 records: Mutex::new(Records {
                     spans: Ring::new(span::STORE_CAP),
                     provenance: Ring::new(span::STORE_CAP),
                     span_seq: 0,
+                    traces: 0,
                 }),
                 traced_site,
-                c_traces,
-                c_spans,
-                c_provenance,
             })),
         }
     }
@@ -169,21 +155,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Get or create the counter `name` (a disabled handle on a disabled
-    /// `Telemetry`).
-    pub fn counter(&self, name: &str) -> Counter {
-        self.inner
-            .as_ref()
-            .map_or_else(Counter::default, |i| i.registry.counter(name))
-    }
-
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.inner
-            .as_ref()
-            .map_or_else(Gauge::default, |i| i.registry.gauge(name))
-    }
-
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         self.inner
@@ -191,9 +162,24 @@ impl Telemetry {
             .map_or_else(Histogram::default, |i| i.registry.histogram(name))
     }
 
-    /// Snapshot every registered metric; `None` when disabled.
+    /// Snapshot every registered histogram and, while tracing is on, the
+    /// span layer's counts; `None` when disabled. The services' counts are
+    /// theirs to write in.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        self.inner.as_ref().map(|i| i.registry.snapshot())
+        let i = self.inner.as_deref()?;
+        let mut snap = i.registry.snapshot();
+        if i.traced_site.is_some() {
+            let records = i.records();
+            snap.add_counts([
+                ("aequus_spans_traces_total", records.traces),
+                ("aequus_spans_recorded_total", records.span_seq),
+                (
+                    "aequus_provenance_captured_total",
+                    records.provenance.pushed(),
+                ),
+            ]);
+        }
+        Some(snap)
     }
 
     // --- Causal spans and decision provenance (tracing) ---
@@ -214,7 +200,6 @@ impl Telemetry {
         detail: impl FnOnce() -> String,
     ) -> Option<TraceCtx> {
         let (i, site) = self.tracing()?;
-        i.c_traces.inc();
         Some(i.record_span(site, None, name, t_s, detail()))
     }
 
@@ -259,7 +244,6 @@ impl Telemetry {
                 json: json(),
             };
             i.records().provenance.push(record);
-            i.c_provenance.inc();
         }
     }
 
@@ -278,8 +262,6 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
-        t.counter("c").inc();
-        t.gauge("g").set(1.0);
         t.histogram("h").record(1.0);
         assert!(!t.is_enabled() && t.snapshot().is_none());
     }
@@ -287,10 +269,8 @@ mod tests {
     #[test]
     fn enabled_handle_records_and_snapshots() {
         let t = Telemetry::enabled();
-        t.counter("aequus_test_total").add(3);
         t.histogram("aequus_test_s").record(0.25);
         let snap = t.snapshot().expect("enabled");
-        assert_eq!(snap.counters["aequus_test_total"], 3);
         assert_eq!(snap.histograms["aequus_test_s"].count, 1);
     }
 
@@ -298,9 +278,9 @@ mod tests {
     fn clones_share_state() {
         let t = Telemetry::enabled();
         let u = t.clone();
-        t.counter("shared").inc();
-        u.counter("shared").inc();
-        assert_eq!(t.snapshot().unwrap().counters["shared"], 2);
+        t.histogram("shared").record(1.0);
+        u.histogram("shared").record(2.0);
+        assert_eq!(t.snapshot().unwrap().histograms["shared"].count, 2);
     }
 
     #[test]

@@ -38,6 +38,11 @@ impl<T> Ring<T> {
         self.dropped
     }
 
+    /// Items pushed so far: those retained plus those evicted.
+    pub fn pushed(&self) -> u64 {
+        self.buf.len() as u64 + self.dropped
+    }
+
     /// The retained items as an owned vector, oldest first.
     pub fn to_vec(&self) -> Vec<T>
     where
@@ -59,7 +64,7 @@ mod tests {
             ring.push(i);
         }
         assert_eq!(ring.to_vec(), [6, 7, 8, 9], "oldest evicted first");
-        assert_eq!(ring.dropped(), 6);
+        assert_eq!((ring.dropped(), ring.pushed()), (6, 10));
     }
 
     #[test]
