@@ -26,8 +26,8 @@
 //! (`next_admitted` sub-µs, plan scan ~O(n log n) at 10k-deep queues, a
 //! saturated scheduling cycle that does not grow with the queue and barely
 //! with lanes and running jobs, a queue behind the shadow that costs its
-//! lanes rather than its jobs, a backfill cycle that costs tens of ns per
-//! lane, a shadow walk that sorts nothing).
+//! lanes rather than its jobs, a backfill cycle that costs a few ns per
+//! lane and prices none, a shadow walk that sorts nothing).
 
 use crate::cli::Shape;
 use crate::experiments::{BALANCE_DWELL_S, BALANCE_EPS};
@@ -443,6 +443,10 @@ pub struct HotPathReport {
     /// every class with history, one core free behind a reserved wide pivot
     /// and nothing admitted, per lane, nanoseconds.
     pub backfill_lane_ns: f64,
+    /// Lane jobs the timed backfill cycles priced (`lanes_priced`), all of
+    /// them together: a steady cycle re-keys no lane and reaches no job
+    /// behind a head, so exactly 0 on any host.
+    pub backfill_lanes_priced: u64,
     /// One EASY plan whose pivot is one core short behind the `WIDE`
     /// shape's 128 believed ends, nothing queued behind it, nanoseconds:
     /// the shadow walk and little else.
@@ -468,7 +472,8 @@ impl HotPathReport {
     /// nanoseconds: the `WIDE` cycle less the `NARROW` one over the items
     /// between them. A full machine returns before it looks at a lane head
     /// or a believed end, which leaves the completion scan's compare per
-    /// running job and the sweep's write per lane.
+    /// running job; a steady sweep reads one factor per user and touches no
+    /// lane.
     pub fn saturated_item_ns(&self) -> f64 {
         let items = |(users, widths, running): Saturated| (users * widths + running) as f64;
         (self.cycle_wide_us - self.cycle_10k_us) * 1_000.0 / (items(WIDE) - items(NARROW))
@@ -560,13 +565,14 @@ fn neutral_scheduler(cores: u32, dispatch: DispatchConfig) -> (SchedulerCore, Ne
 /// A whole steady scheduling cycle — `advance` with a sweep and an EASY
 /// dispatch — in which nothing can start, from `now_s` on: the `holders.0`
 /// running jobs ask for `holders.1` seconds (and never end), `queued` wait
-/// behind them. Each call runs one cycle: whether still nothing started.
+/// behind them. Each call runs one cycle: the lane jobs priced by every
+/// steady cycle so far, or `None` once a job started.
 fn steady_cycle(
     (mut sched, mut src): (SchedulerCore, NeutralSource),
     mut now_s: f64,
     (running, request_s): (usize, f64),
     queued: impl Iterator<Item = Job>,
-) -> impl FnMut() -> bool {
+) -> impl FnMut() -> Option<u64> {
     for i in 0..running {
         let holder = Job::new(JobId(i as u64), SystemUser::new("holder"), 1, now_s, 1e12);
         sched.submit(holder.with_request(request_s), &mut src, now_s);
@@ -577,27 +583,30 @@ fn steady_cycle(
     let pending = sched.pending();
     now_s += 1.0;
     sched.advance(&mut src, now_s); // first sight of the queue: not the steady cycle
+    let priced = sched.stats().lanes_priced;
     move || {
         now_s += 1.0;
         sched.advance(&mut src, now_s);
-        sched.pending() == pending
+        let steady = sched.pending() == pending;
+        steady.then(|| sched.stats().lanes_priced - priced)
     }
 }
 
-/// The minimum of each of `cycles` over `reps` rounds, nanoseconds. A round
-/// times two cycles of each in turn (the second on caches the first
-/// warmed): host drift moves every minimum alike, so ratios and differences
-/// of them hold.
-fn cycles_min_ns<const N: usize>(mut cycles: [impl FnMut() -> bool; N], reps: usize) -> [f64; N] {
+/// The minimum of each of `cycles` over `reps` rounds, nanoseconds, and the
+/// lane jobs each priced over all its rounds. A round times two cycles of
+/// each in turn (the second on caches the first warmed): host drift moves
+/// every minimum alike, so ratios and differences of them hold.
+fn cycles_min_ns<const N: usize>(
+    mut cycles: [impl FnMut() -> Option<u64>; N],
+    reps: usize,
+) -> [(f64, u64); N] {
     let mut best = [f64::INFINITY; N];
     for _ in 0..reps {
         for (cycle, best) in cycles.iter_mut().zip(&mut best) {
             *best = best.min(min_ns(2, &mut *cycle));
         }
     }
-    let started = cycles.iter_mut().any(|cycle| !cycle());
-    assert!(!started, "nothing could start");
-    best
+    std::array::from_fn(|k| (best[k], cycles[k]().expect("nothing could start")))
 }
 
 /// A queued job (ids from 1,000) of one of `users` users.
@@ -608,7 +617,10 @@ fn queued_job(i: usize, users: usize, cores: u32, duration_s: f64) -> Job {
 
 /// A saturated cycle on a machine kept full by the shape's running jobs
 /// (believed never to end), `pending` jobs of its users × widths queued.
-fn saturated_cycle((users, widths, running): Saturated, pending: usize) -> impl FnMut() -> bool {
+fn saturated_cycle(
+    (users, widths, running): Saturated,
+    pending: usize,
+) -> impl FnMut() -> Option<u64> {
     let queued = (0..pending).map(move |i| queued_job(i, users, 1 << ((i / users) % widths), 1e12));
     let sched = neutral_scheduler(running as u32, DispatchConfig::default());
     steady_cycle(sched, 0.0, (running, 1e12), queued)
@@ -622,15 +634,16 @@ fn stepped_over_ns(queued: usize, reps: usize) -> f64 {
     let narrow = (0..queued).map(|i| queued_job(i, 8, 1, 3e12));
     let sched = neutral_scheduler(8, DispatchConfig::default());
     let cycle = steady_cycle(sched, 0.0, (7, 1e12), std::iter::once(pivot).chain(narrow));
-    cycles_min_ns([cycle], reps)[0] / queued as f64
+    cycles_min_ns([cycle], reps)[0].0 / queued as f64
 }
 
 /// One backfill cycle at the `WIDE` shape per lane, nanoseconds: under
 /// `LastKMax { k: 5 }` a 5 s job of every (user, width) class has run, then
 /// 127 of 128 cores are held by jobs past their 1 s requests — the 128-wide
 /// pivot is reserved for "any second now" — and each of the 384 lanes holds
-/// a job its class's 5 s estimate keeps from backfilling.
-fn backfill_lane_ns(reps: usize) -> f64 {
+/// a job its class's 5 s estimate keeps from backfilling. Also the lane
+/// jobs the timed cycles priced.
+fn backfill_lane_ns(reps: usize) -> (f64, u64) {
     let (users, widths, running) = WIDE;
     let (lanes, cores) = (users * widths, running as u32);
     let dispatch = DispatchConfig {
@@ -652,7 +665,8 @@ fn backfill_lane_ns(reps: usize) -> f64 {
     let queued = (lanes..2 * lanes).map(|i| lane_job(i, now_s + 0.5));
     let queued = std::iter::once(pivot).chain(queued);
     let cycle = steady_cycle((sched, src), now_s, (running - 1, 1.0), queued);
-    cycles_min_ns([cycle], reps)[0] / lanes as f64
+    let [(ns, priced)] = cycles_min_ns([cycle], reps);
+    (ns / lanes as f64, priced)
 }
 
 /// One EASY plan whose only job, the pivot, is one core short behind the
@@ -707,7 +721,8 @@ pub fn run_hotpath_bench() -> HotPathReport {
     let saturated = [(NARROW, 1_000), (NARROW, 10_000), (WIDE, 10_000)];
     let saturated = saturated.map(|(shape, pending)| saturated_cycle(shape, pending));
     let [cycle_1k_us, cycle_10k_us, cycle_wide_us] =
-        cycles_min_ns(saturated, 3_000).map(|ns| ns / 1e3);
+        cycles_min_ns(saturated, 3_000).map(|(ns, _)| ns / 1e3);
+    let (backfill_lane_ns, backfill_lanes_priced) = backfill_lane_ns(200);
     HotPathReport {
         next_admitted_ns: min_ns(200, || SliceWalk::new(&q10k).next_admitted(&within)),
         next_admitted_worst_ns: min_ns(50, || SliceWalk::new(&q_worst).next_admitted(&within)),
@@ -719,7 +734,8 @@ pub fn run_hotpath_bench() -> HotPathReport {
         cycle_10k_us,
         cycle_wide_us,
         stepped_over_ns: stepped_over_ns(10_000, 50),
-        backfill_lane_ns: backfill_lane_ns(200),
+        backfill_lane_ns,
+        backfill_lanes_priced,
         shadow_ns: shadow_ns(2_000),
     }
 }
@@ -783,11 +799,11 @@ mod tests {
         let r = synthetic_running(8);
         assert!(r.iter().all(|s| s.end_s > 0.0 && s.cores >= 1));
         assert!(
-            cycles_min_ns([saturated_cycle(NARROW, 50)], 2)[0] > 0.0,
+            cycles_min_ns([saturated_cycle(NARROW, 50)], 2)[0].0 > 0.0,
             "saturated shape holds"
         );
         assert!(stepped_over_ns(50, 2) > 0.0, "nearly full shape holds");
-        assert!(backfill_lane_ns(2) > 0.0, "backfill shape holds");
+        assert!(backfill_lane_ns(2).0 > 0.0, "backfill shape holds");
         assert!(shadow_ns(2) > 0.0, "shadow shape holds");
     }
 }

@@ -507,8 +507,10 @@ const SCAN_GROWTH_CEILING: f64 = 40.0;
 const CYCLE_GROWTH_CEILING: f64 = 3.0;
 /// Hot-path budget: what one further lane or running job adds to a
 /// saturated cycle (64 users × 6 widths behind 128 running jobs against
-/// 8 × 3 behind 8), ns: ~2, a write or a compare; a dispatch that heapifies
-/// the lane heads and sorts the believed ends before it looks read ~66.
+/// 8 × 3 behind 8), ns: 0.7 when a steady sweep reads one factor per user
+/// and touches no lane, 2.2–2.8 when it wrote every lane's factor (six
+/// alternated runs a side, 2-core host); a dispatch that heapifies the lane
+/// heads and sorts the believed ends before it looks read ~66.
 const SATURATED_ITEM_BUDGET_NS: f64 = 5.0;
 /// Hot-path budget: a cycle on a nearly full machine per queued job whose
 /// request overruns the shadow, ns: ~0.1, as its lanes go whole on their
@@ -518,9 +520,11 @@ const SATURATED_ITEM_BUDGET_NS: f64 = 5.0;
 const STEPPED_OVER_BUDGET_NS: f64 = 15.0;
 /// Hot-path budget: a backfill cycle at the `WIDE` shape under `LastKMax`,
 /// one core free behind a reserved pivot and nothing admitted, per lane, ns:
-/// ~48 when the pivot's rule prunes the lane heap once and a lane reads its
-/// class estimate by id; a walk that pops every lane head and looks its
-/// class up by name read ~145.
+/// 3.2–5.6 when the lane order outlives the cycle and the walk passes over
+/// a lane by the width beside it in that order, 34–50 when every dispatch
+/// heapified the lane heads and the pivot's rule pruned the heap (six
+/// alternated runs a side, 2-core host); a walk that pops every lane head
+/// and looks its class up by name read ~145.
 const BACKFILL_LANE_BUDGET_NS: f64 = 80.0;
 /// Hot-path budget: an EASY plan whose pivot is one core short behind the
 /// `WIDE` shape's 128 believed ends, nothing else queued, ns: ~290–420
@@ -683,8 +687,9 @@ pub(super) fn backfill_sweep(args: &Args, gates: &mut Gates) {
         hot.stepped_over_ns
     );
     println!(
-        "backfill cycle, 64 users x 6 widths, last-k-max, 1 core free behind a reserved pivot: {:.1} ns per lane | easy plan, pivot 1 core short behind 128 running: {:.0} ns",
+        "backfill cycle, 64 users x 6 widths, last-k-max, 1 core free behind a reserved pivot: {:.1} ns per lane, {} lane jobs priced over the timed cycles | easy plan, pivot 1 core short behind 128 running: {:.0} ns",
         hot.backfill_lane_ns,
+        hot.backfill_lanes_priced,
         hot.shadow_ns
     );
 
@@ -737,6 +742,11 @@ pub(super) fn backfill_sweep(args: &Args, gates: &mut Gates) {
         &format!("a backfill cycle costs <= {BACKFILL_LANE_BUDGET_NS:.0} ns per lane"),
         hot.backfill_lane_ns <= BACKFILL_LANE_BUDGET_NS,
         &format!("{:.1} ns", hot.backfill_lane_ns),
+    );
+    gates.check(
+        "a steady backfill cycle prices no lane job",
+        hot.backfill_lanes_priced == 0,
+        &format!("{} priced", hot.backfill_lanes_priced),
     );
     gates.check(
         &format!("a pivot one core short behind 128 running jobs is planned in <= {SHADOW_BUDGET_NS:.0} ns"),

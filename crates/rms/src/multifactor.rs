@@ -54,6 +54,9 @@ impl Default for PriorityWeights {
 }
 
 /// Parameters turning raw job attributes into `[0, 1]` factors.
+/// [`crate::SchedulerCore`] refuses at construction those that can make a
+/// factor NaN: a `max_age_s` that is not finite and positive, a zero
+/// `max_cores`, a QoS level outside `[0, 1]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FactorConfig {
     /// Wait time at which the age factor saturates at 1.

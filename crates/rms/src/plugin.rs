@@ -65,6 +65,7 @@ pub(crate) mod tests {
     use aequus_core::policy::flat_policy;
     use aequus_core::projection::ProjectionKind;
     use aequus_services::{ParticipationMode, ServiceTimings};
+    use std::collections::BTreeMap;
 
     /// The local-only fairshare baseline: an Aequus site that reads no
     /// other site's usage (`Disjunct`), with every stage of its pipeline
@@ -121,12 +122,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// A scripted source for tests of scheduling alone: every user's factor
-    /// is 0.5, whatever the usage; `sysa` and `sysb` map to `a` and `b`;
-    /// every usage report is logged.
+    /// A scripted source for tests of scheduling alone: a user's factor is
+    /// what the test set in `factors`, else 0.5, whatever the usage; `sysa`
+    /// and `sysb` map to `a` and `b`; every usage report is logged.
     #[derive(Debug, Default)]
     pub(crate) struct Scripted {
         users: Vec<GridUser>,
+        pub(crate) factors: BTreeMap<UserId, f64>,
         pub(crate) reports: Vec<UsageRecord>,
     }
 
@@ -140,8 +142,8 @@ pub(crate) mod tests {
             UserId(index as u32)
         }
 
-        fn fairshare_factor(&mut self, _id: UserId, _now_s: f64) -> f64 {
-            0.5
+        fn fairshare_factor(&mut self, id: UserId, _now_s: f64) -> f64 {
+            self.factors.get(&id).copied().unwrap_or(0.5)
         }
 
         fn report_usage(&mut self, record: UsageRecord, _now_s: f64) {

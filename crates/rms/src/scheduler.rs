@@ -9,9 +9,12 @@
 //! wait in FIFO *lanes*, one per (user, width): there fairshare, QoS and
 //! size are constant and age falls with submit time, so — weights being
 //! non-negative, IEEE rounding monotone — `(submit_s, id)` order *is*
-//! priority order. A sweep asks the source once per user with pending work;
-//! a dispatch merges the lane heads lazily, pricing only what the plan sees
-//! (nothing at all on a full machine).
+//! priority order. The lanes stay in the order of their heads' ranks from
+//! cycle to cycle: a lane is re-keyed only when its head changes or its
+//! user's factor changes bits (every lane, at every sweep, only under an
+//! age weight). A sweep asks the source once per user with pending work; a
+//! dispatch reads the lane order with a cursor, pricing only the jobs it
+//! reaches behind a head (nothing at all on a full machine).
 
 use crate::dispatch::{
     Admission, DispatchConfig, DispatchOrder, EndKeys, QueueWalk, QueuedJob, RunningSlice,
@@ -25,10 +28,9 @@ use crate::predict::{
 };
 use aequus_core::ids::SiteId;
 use aequus_core::usage::UsageRecord;
-use aequus_core::{GridUser, UserId};
+use aequus_core::{GridUser, JobId, UserId};
 use aequus_telemetry::{Histogram, Snapshot, Telemetry};
 use std::cmp::{Ordering, Reverse};
-use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Bounded-slowdown threshold τ, seconds: jobs shorter than this do not
@@ -91,6 +93,11 @@ pub struct SchedulerStats {
     /// Runtime-prediction accuracy accounting (mirrors the scheduler's
     /// predictor state after every `advance` that completed a job).
     pub prediction: PredictionStats,
+    /// Priorities evaluated for lane jobs: a lane re-keyed under a new head,
+    /// a factor that changed bits or, under an age weight, a new sweep
+    /// instant; and each job a dispatch's walk reaches behind a lane's head.
+    /// A steady cycle prices none.
+    pub lanes_priced: u64,
 }
 
 impl SchedulerStats {
@@ -117,12 +124,60 @@ impl SchedulerStats {
 /// a grid identity) and their width.
 type LaneKey = (Option<UserId>, u32);
 
+/// A pending job's place in the queue: priority descending, then submit
+/// time and id ascending. The greater rank goes first.
+#[derive(Debug, Clone, Copy)]
+struct Rank {
+    prio: f64,
+    submit_s: f64,
+    id: JobId,
+}
+
+impl Rank {
+    fn of(prio: f64, job: &Job) -> Self {
+        Self {
+            prio,
+            submit_s: job.submit_s,
+            id: job.id,
+        }
+    }
+}
+
+impl Ord for Rank {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.prio.total_cmp(&other.prio))
+            .then(other.submit_s.total_cmp(&self.submit_s))
+            .then(other.id.cmp(&self.id))
+    }
+}
+
+impl PartialOrd for Rank {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Rank {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Rank {}
+
 /// One user's pending jobs of one width in `(submit_s, id)` = priority
-/// order, with the factor the last sweep fetched and, under a grid
-/// identity, their one prediction class. Empty lanes are dropped.
-#[derive(Debug, Default)]
+/// order, with the rank of the head and, under a grid identity, their one
+/// prediction class. An emptied lane is vacated: its slot waits in
+/// `SchedulerCore::vacant` for the next new lane.
+#[derive(Debug)]
 struct Lane {
-    fairshare: f64,
+    key: LaneKey,
+    /// The head's rank, priced when the lane was last re-keyed. It stays
+    /// exact until the head changes or the user's factor changes bits: with
+    /// a zero age weight the age term adds ±0 at any instant.
+    rank: Rank,
+    /// Whether the lane waits in `SchedulerCore::stale` to be re-keyed.
+    stale: bool,
     class: Option<ClassId>,
     /// The least [`request_floor`] of the lane's jobs: lowered as a job is
     /// sorted in, recomputed when a job holding it is taken.
@@ -131,22 +186,48 @@ struct Lane {
 }
 
 impl Lane {
-    /// The lane at `key` as its fastest job: its width, and a prediction no
-    /// job in it falls below — a rule that turns this down turns down every
-    /// job in the lane. A mapped lane predicts every job under its one class
+    /// The lane as its fastest job: its width, and a prediction no job in
+    /// it falls below — a rule that turns this down turns down every job in
+    /// the lane. A mapped lane predicts every job under its one class
     /// estimate, and a prediction never falls as the request rises, so its
     /// least request gives it; the unmapped lane mixes accounts of different
     /// classes and has only the floor.
-    fn fastest(&self, key: LaneKey, predictor: &RuntimePredictor) -> QueuedJob {
+    fn fastest(&self, predictor: &RuntimePredictor) -> QueuedJob {
         let estimate = self.class.and_then(|class| predictor.estimate_of(class));
-        let predicted_s = match key.0 {
+        let predicted_s = match self.key.0 {
             Some(_) => RuntimePredictor::predict_within(estimate, self.least_request),
             None => MIN_PREDICTION_S,
         };
         QueuedJob {
-            cores: key.1,
+            cores: self.key.1,
             predicted_s,
         }
+    }
+}
+
+/// How a pending job is priced besides its user's factor.
+#[derive(Debug)]
+struct Pricing {
+    weights: PriorityWeights,
+    factors: FactorConfig,
+}
+
+impl Pricing {
+    /// The multifactor priority of a pending job as evaluated at `eval_s`,
+    /// when its user's fairshare factor was `fairshare`.
+    fn priority(&self, fairshare: f64, job: &Job, eval_s: f64) -> f64 {
+        combined_priority(
+            &self.weights,
+            fairshare,
+            self.factors.age_factor(job, eval_s),
+            self.factors.qos_factor(job),
+            self.factors.size_factor(job),
+        )
+    }
+
+    /// The rank of a pending job, priced as `priority` prices it.
+    fn rank(&self, fairshare: f64, job: &Job, eval_s: f64) -> Rank {
+        Rank::of(self.priority(fairshare, job, eval_s), job)
     }
 }
 
@@ -168,11 +249,12 @@ struct FreshEntry {
     user_id: Option<UserId>,
 }
 
-/// Where a pending job sits; taking jobs out in descending slot order never
-/// moves a job still to be taken.
+/// Where a pending job sits — a lane's slot and a position in it, or a
+/// fresh job; taking jobs out in descending slot order never moves a job
+/// still to be taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Slot {
-    Lane(LaneKey, usize),
+    Lane(usize, usize),
     Fresh(usize),
 }
 
@@ -191,10 +273,24 @@ pub struct SchedulerCore {
     site: SiteId,
     /// The node pool jobs run on.
     pub nodes: NodePool,
-    weights: PriorityWeights,
-    factors: FactorConfig,
+    pricing: Pricing,
     reprio: ReprioritizePolicy,
-    lanes: BTreeMap<LaneKey, Lane>,
+    /// Each user with pending work and the factor the last sweep fetched
+    /// for them (NaN until the first does): the order a sweep asks in.
+    users: BTreeMap<Option<UserId>, f64>,
+    /// Every lane's slot, live or vacant.
+    lanes: Vec<Lane>,
+    /// The live lanes' slots by key.
+    by_key: BTreeMap<LaneKey, usize>,
+    vacant: Vec<usize>,
+    /// The lanes the sweep re-keys, each once: new, a job folded in front
+    /// of the head, or the user's factor moved. Empty between sweeps.
+    stale: Vec<usize>,
+    /// The live lanes by their heads' ranks, first to go first: the queue
+    /// order a dispatch reads.
+    ranked: Vec<Ranked>,
+    /// The walk's buffers, kept so that a dispatch allocates neither.
+    walk: WalkBuffers,
     fresh: Vec<FreshEntry>,
     /// Pending jobs that ask for no cores: all a full machine can start.
     zero_core_pending: usize,
@@ -236,7 +332,8 @@ impl SchedulerCore {
 
     /// Create a scheduler with an explicit dispatch configuration. Panics
     /// on a weight that is not finite and non-negative (see
-    /// [`PriorityWeights`]).
+    /// [`PriorityWeights`]) and on factor parameters that can yield NaN (see
+    /// [`FactorConfig`]).
     pub fn with_dispatch(
         site: SiteId,
         nodes: NodePool,
@@ -254,13 +351,30 @@ impl SchedulerCore {
                 "PriorityWeights::{field} must be finite and >= 0, got {v}"
             );
         }
+        let max_age_s = factors.max_age_s;
+        assert!(
+            max_age_s.is_finite() && max_age_s > 0.0,
+            "FactorConfig::max_age_s must be finite and > 0, got {max_age_s}"
+        );
+        assert!(factors.max_cores > 0, "FactorConfig::max_cores must be > 0");
+        for (user, level) in &factors.qos_levels {
+            assert!(
+                (0.0..=1.0).contains(level),
+                "FactorConfig::qos_levels[{user:?}] must be finite in [0, 1], got {level}"
+            );
+        }
         Self {
             site,
             nodes,
-            weights,
-            factors,
+            pricing: Pricing { weights, factors },
             reprio,
-            lanes: BTreeMap::new(),
+            users: BTreeMap::new(),
+            lanes: Vec::new(),
+            by_key: BTreeMap::new(),
+            vacant: Vec::new(),
+            stale: Vec::new(),
+            ranked: Vec::new(),
+            walk: WalkBuffers::default(),
             fresh: Vec::new(),
             zero_core_pending: 0,
             running: Vec::new(),
@@ -322,18 +436,6 @@ impl SchedulerCore {
         self.nodes.utilization(now_s)
     }
 
-    /// The multifactor priority of a pending job as evaluated at `eval_s`,
-    /// when its user's fairshare factor was `fairshare`.
-    fn priority(&self, fairshare: f64, job: &Job, eval_s: f64) -> f64 {
-        combined_priority(
-            &self.weights,
-            fairshare,
-            self.factors.age_factor(job, eval_s),
-            self.factors.qos_factor(job),
-            self.factors.size_factor(job),
-        )
-    }
-
     /// Accept a job into the queue, resolving its grid identity through the
     /// fairshare source (the identity step of §III-B). O(1) plus the
     /// source's calls.
@@ -347,7 +449,8 @@ impl SchedulerCore {
         self.stats.submitted += 1;
         self.zero_core_pending += usize::from(job.cores == 0);
         // New jobs get a priority immediately so they can dispatch this cycle.
-        let prio = self.priority(fairshare_of(user_id, source, now_s), &job, now_s);
+        let fairshare = fairshare_of(user_id, source, now_s);
+        let prio = self.pricing.priority(fairshare, &job, now_s);
         self.fresh.push(FreshEntry { job, prio, user_id });
     }
 
@@ -362,14 +465,18 @@ impl SchedulerCore {
     /// Advance the scheduler to `now_s`: finish due jobs (reporting their
     /// usage), re-prioritize if due, and dispatch in the configured order.
     ///
-    /// Complexity: O(running + lanes) for the completion scan (a column of
-    /// ends) and the sweep; the dispatch is O(1) on a full machine — it
-    /// returns before anything is built — else O(running + lanes·log lanes +
-    /// jobs started), the shadow walk included, plus a compare per job
-    /// stepped over in a lane whose bound the rule admits (see
-    /// `LaneWalk`). Not O(queue): a full machine costs the same with 10
-    /// jobs queued or 10,000, and a compare or a write per further running
-    /// job or lane (gated in `backfill_sweep --check`).
+    /// Complexity: O(running) for the completion scan (a column of ends)
+    /// and O(users) for the sweep, plus the lanes whose key moved (see
+    /// `sweep`). The dispatch is O(1) on a full machine — it
+    /// returns before anything is built — else O(running + jobs started),
+    /// the shadow walk included, plus what the walk reaches (see
+    /// `LaneWalk`): a lane the rule turns down whole is a compare, a lane
+    /// advanced past its head one O(log advanced) heap step and one priority
+    /// evaluation; taking a lane's head re-keys the lane. Not O(queue): a
+    /// full machine costs the same with 10 jobs queued or 10,000, and a
+    /// compare per further running job or a read per further user (gated in
+    /// `backfill_sweep --check`, as is a steady backfill cycle pricing no
+    /// lane).
     pub fn advance(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
         self.nodes.advance(now_s);
         self.complete_due(source, now_s);
@@ -381,33 +488,94 @@ impl SchedulerCore {
     }
 
     /// Re-prioritize: fold the jobs submitted since the last sweep into
-    /// their lanes, then fetch one fairshare factor per user with pending
-    /// work. O(fresh·log lanes + lanes); no job is re-priced — the walk
-    /// evaluates a priority from its lane's factor when it reaches the job.
+    /// their lanes, fetch one fairshare factor per user with pending work,
+    /// and re-key the lanes whose key moved — a lane whose head changed, or
+    /// whose user's factor changed bits; every lane only under an age
+    /// weight, where the age term moves with the sweep's instant.
+    /// O(fresh·log lanes + users), plus O(lanes) to move each re-keyed lane
+    /// in the lane order, or O(lanes·log lanes) to sort it under an age
+    /// weight.
     fn sweep(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
-        for FreshEntry { job, user_id, .. } in self.fresh.drain(..) {
-            let lane = self.lanes.entry((user_id, job.cores)).or_default();
-            let request = request_floor(&job);
-            if lane.jobs.is_empty() {
-                lane.class = user_id.and_then(|_| self.predictor.intern_class(&job));
-                lane.least_request = request;
-            }
-            lane.least_request = lane.least_request.min(request);
+        let mut fresh = std::mem::take(&mut self.fresh);
+        for FreshEntry { job, user_id, .. } in fresh.drain(..) {
+            let i = self.lane_for((user_id, job.cores), &job);
+            let lane = &mut self.lanes[i];
+            lane.least_request = lane.least_request.min(request_floor(&job));
             // In-order submits append; a late one is sorted in from the back.
             let before = |j: &Job| (j.submit_s, j.id) <= (job.submit_s, job.id);
             let at = lane.jobs.iter().rposition(before).map_or(0, |i| i + 1);
             lane.jobs.insert(at, job);
+            if at == 0 && !std::mem::replace(&mut lane.stale, true) {
+                self.stale.push(i);
+            }
         }
-        // A user's lanes are neighbours in key order: one query serves all.
-        let mut last: Option<(Option<UserId>, f64)> = None;
-        for (&(user_id, _), lane) in &mut self.lanes {
-            lane.fairshare = match last {
-                Some((prev, fairshare)) if prev == user_id => fairshare,
-                _ => fairshare_of(user_id, source, now_s),
-            };
-            last = Some((user_id, lane.fairshare));
+        self.fresh = fresh;
+        let age_moves = self.pricing.weights.age > 0.0;
+        for (&user_id, factor) in &mut self.users {
+            let fairshare = fairshare_of(user_id, source, now_s);
+            if fairshare.to_bits() == factor.to_bits() && !age_moves {
+                continue;
+            }
+            *factor = fairshare;
+            for (_, &i) in self.by_key.range((user_id, 0)..=(user_id, u32::MAX)) {
+                if !std::mem::replace(&mut self.lanes[i].stale, true) {
+                    self.stale.push(i);
+                }
+            }
         }
         self.last_reprio_s = now_s;
+        let mut stale = std::mem::take(&mut self.stale);
+        self.stats.lanes_priced += stale.len() as u64;
+        for i in stale.drain(..) {
+            let lane = &mut self.lanes[i];
+            lane.stale = false;
+            let rank = self
+                .pricing
+                .rank(self.users[&lane.key.0], &lane.jobs[0], now_s);
+            if age_moves {
+                lane.rank = rank;
+            } else {
+                refile(&mut self.ranked, &mut self.lanes, i, Some(rank));
+            }
+        }
+        self.stale = stale;
+        if age_moves {
+            let (lanes, live) = (&self.lanes, self.by_key.iter());
+            self.ranked.clear();
+            self.ranked
+                .extend(live.map(|(&(_, cores), &lane)| Ranked { lane, cores }));
+            (self.ranked).sort_by(|a, b| lanes[b.lane].rank.cmp(&lanes[a.lane].rank));
+        }
+    }
+
+    /// The slot of the live lane at `key`; a new lane takes a vacant slot, or
+    /// a new one, and waits in `stale` to join the lane order.
+    fn lane_for(&mut self, key: LaneKey, job: &Job) -> usize {
+        if let Some(&i) = self.by_key.get(&key) {
+            return i;
+        }
+        self.users.entry(key.0).or_insert(f64::NAN);
+        let lane = Lane {
+            key,
+            rank: Rank::of(f64::NAN, job),
+            stale: true,
+            class: key.0.and_then(|_| self.predictor.intern_class(job)),
+            least_request: f64::INFINITY,
+            jobs: VecDeque::new(),
+        };
+        let i = match self.vacant.pop() {
+            Some(i) => {
+                self.lanes[i] = lane;
+                i
+            }
+            None => {
+                self.lanes.push(lane);
+                self.lanes.len() - 1
+            }
+        };
+        self.by_key.insert(key, i);
+        self.stale.push(i);
+        i
     }
 
     fn complete_due(&mut self, source: &mut dyn FairshareSource, now_s: f64) {
@@ -472,17 +640,24 @@ impl SchedulerCore {
         };
         self.believed.clear();
         self.believed.extend(self.running.iter().map(believed));
-        let mut keys = std::mem::take(&mut self.end_keys);
-        let mut walk = LaneWalk::new(self);
+        let (mut keys, buffers) = (
+            std::mem::take(&mut self.end_keys),
+            std::mem::take(&mut self.walk),
+        );
+        let mut walk = LaneWalk::new(self, buffers);
         let plan = self
             .order
             .plan(now_s, free, &mut walk, &self.believed, &mut keys);
-        let yielded = walk.yielded;
+        let LaneWalk {
+            buffers, priced, ..
+        } = walk;
         self.end_keys = keys;
+        self.stats.lanes_priced += priced;
         // Take the started jobs out back to front, so no slot moves before
         // it is used; then start them in priority (handle) order, not plan
         // order: `running`'s order decides the order same-tick completions
         // are reported to the fairshare source.
+        let yielded = &buffers.yielded;
         let mut starts = plan.starts;
         starts.sort_unstable_by_key(|s| Reverse(yielded[s.handle]));
         let mut started: Vec<(usize, bool, Job)> = starts
@@ -490,6 +665,7 @@ impl SchedulerCore {
             .filter_map(|s| Some((s.handle, s.backfill, self.take(yielded[s.handle])?)))
             .collect();
         debug_assert_eq!(started.len(), starts.len(), "a slot names a pending job");
+        self.walk = buffers;
         started.sort_unstable_by_key(|s| s.0);
         for (_, backfill, mut job) in started {
             assert!(
@@ -520,18 +696,35 @@ impl SchedulerCore {
         }
     }
 
-    /// Remove and return the pending job at `slot`.
+    /// Remove and return the pending job at `slot`. Taking a lane's head
+    /// re-keys the lane under the next one, or vacates it.
     fn take(&mut self, slot: Slot) -> Option<Job> {
         match slot {
             Slot::Fresh(i) => Some(self.fresh.remove(i).job),
-            Slot::Lane(key, pos) => {
-                let lane = self.lanes.get_mut(&key)?;
+            Slot::Lane(i, pos) => {
+                let lane = self.lanes.get_mut(i)?;
                 let job = lane.jobs.remove(pos)?;
+                let user = lane.key.0;
                 if lane.jobs.is_empty() {
-                    self.lanes.remove(&key);
+                    // A vacant slot holds no buffer: a deep lane's would
+                    // outlive it.
+                    lane.jobs = VecDeque::new();
+                    self.by_key.remove(&lane.key);
+                    self.vacant.push(i);
+                    let users_lanes = (user, 0)..=(user, u32::MAX);
+                    if self.by_key.range(users_lanes).next().is_none() {
+                        self.users.remove(&user);
+                    }
                 } else if request_floor(&job) == lane.least_request {
                     let requests = lane.jobs.iter().map(request_floor);
                     lane.least_request = requests.fold(f64::INFINITY, f64::min);
+                }
+                if pos == 0 {
+                    let head = lane.jobs.front();
+                    let eval_s = self.last_reprio_s;
+                    let rank = head.map(|job| self.pricing.rank(self.users[&user], job, eval_s));
+                    self.stats.lanes_priced += u64::from(rank.is_some());
+                    refile(&mut self.ranked, &mut self.lanes, i, rank);
                 }
                 Some(job)
             }
@@ -554,9 +747,10 @@ impl SchedulerCore {
     /// Pending jobs and their priorities — as of the last sweep, or for
     /// fresh jobs their submit — in no particular order (inspection).
     pub fn pending_jobs(&self) -> impl Iterator<Item = (&Job, f64)> {
-        let swept = self.lanes.values().flat_map(move |lane| {
-            let prio = move |job| self.priority(lane.fairshare, job, self.last_reprio_s);
-            lane.jobs.iter().map(move |job| (job, prio(job)))
+        let swept = self.by_key.iter().flat_map(move |(key, &i)| {
+            let fairshare = self.users[&key.0];
+            let prio = move |job| (self.pricing).priority(fairshare, job, self.last_reprio_s);
+            self.lanes[i].jobs.iter().map(move |job| (job, prio(job)))
         });
         swept.chain(self.fresh.iter().map(|e| (&e.job, e.prio)))
     }
@@ -567,139 +761,147 @@ impl SchedulerCore {
     }
 }
 
-/// The head of one source in the dispatch merge — a lane's next unvisited
-/// job (with its lane) or a fresh job — ranked as the queue is: priority
-/// descending, then submit time and id ascending.
-#[derive(Clone, Copy)]
-struct Head<'a> {
-    prio: f64,
-    job: &'a Job,
-    slot: Slot,
-    lane: Option<&'a Lane>,
+/// A live lane in the lane order: its slot, and its width — all the walk
+/// reads of a lane too wide for the free cores.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    lane: usize,
+    cores: u32,
 }
 
-impl Ord for Head<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.prio.total_cmp(&other.prio))
-            .then(other.job.submit_s.total_cmp(&self.job.submit_s))
-            .then(other.job.id.cmp(&self.job.id))
+/// Re-key lane `i` under `rank` in the lane order `ranked` — out of it
+/// under none (the lane emptied). The lane leaves the place its filed rank
+/// gives it (a new lane has none yet), so every other lane must be filed
+/// under its own. O(log lanes) searches and two O(lanes) moves.
+fn refile(ranked: &mut Vec<Ranked>, lanes: &mut [Lane], i: usize, rank: Option<Rank>) {
+    let filed = lanes[i].rank;
+    let from = ranked.partition_point(|r| lanes[r.lane].rank > filed);
+    if let Some(at) = ranked[from..].iter().position(|r| r.lane == i) {
+        ranked.remove(from + at);
+    }
+    if let Some(rank) = rank {
+        lanes[i].rank = rank;
+        let to = ranked.partition_point(|r| lanes[r.lane].rank > rank);
+        let cores = lanes[i].key.1;
+        ranked.insert(to, Ranked { lane: i, cores });
     }
 }
 
-impl PartialOrd for Head<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The walk's buffers, kept between dispatches so that a walk allocates
+/// nothing.
+#[derive(Debug, Default)]
+struct WalkBuffers {
+    /// The lanes the walk advanced past their heads this cycle, each at the
+    /// next job it reached, and the fresh jobs: by rank.
+    heads: BinaryHeap<(Rank, Slot)>,
+    /// Each yielded job's slot, by handle.
+    yielded: Vec<Slot>,
 }
 
-impl PartialEq for Head<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Head<'_> {}
-
-/// The scheduler's [`QueueWalk`]: a heap merge over the lane heads and the
-/// fresh jobs. A job's handle is its rank among the jobs yielded so far (so
-/// handles ascend with priority); `yielded` maps handles back to slots.
+/// The scheduler's [`QueueWalk`]: the lane order read with a cursor, merged
+/// with a small heap. A job's handle is its rank among the jobs yielded so
+/// far (so handles ascend with priority); `yielded` maps handles back to
+/// slots.
 ///
-/// The first rule with a reserved pivot prunes the heap once: a lane goes
-/// at once when the rule would turn down its fastest job ([`Lane::fastest`]
-/// — too wide for the free cores, or too wide for the spare ones and too
-/// slow for the shadow), every other steps to its first job the rule admits
-/// or goes. Behind a yielded job its lane is judged the same way, and the
-/// top is checked again, as a backfill start may have tightened the rule
-/// since. Jobs stepped over are never priced, pushed or given a handle (the
-/// rule only tightens: they could not have started); a mapped lane's class
-/// estimate is read by id.
+/// The cursor passes over every lane the rule turns down whole — its
+/// fastest job ([`Lane::fastest`]: too wide for the free cores, or too wide
+/// for the spare ones and too slow for the shadow) is not admitted — and
+/// offers the next lane's head at its stored rank. The heap holds what the
+/// cursor cannot: the fresh jobs, and each lane the walk reached past its
+/// head, at its first job behind the one visited that the rule admits. Each
+/// offer is checked against the rule again, as a backfill start may have
+/// tightened it since. Jobs passed over are never priced, pushed or given a
+/// handle (the rule only tightens: they could not have started); a mapped
+/// lane's class estimate is read by id.
 ///
-/// Complexity: O(lanes + fresh) to build and to prune; a lane that goes on
-/// its bound costs O(1), a yielded job one O(log lanes) heap step and one
-/// priority evaluation, and a compare per job stepped over is paid only in
-/// a lane whose bound the rule admits (or the unmapped lane).
+/// Complexity: O(fresh) to start; a lane the cursor passes over costs a
+/// read of its width in `ranked` (and of its bound and class estimate when
+/// it fits the free cores), a lane head offered nothing more, and a lane
+/// advanced past its head one priority evaluation and one O(log heap) step
+/// — plus a compare per job stepped over, paid only in a lane whose bound
+/// the rule admits (or the unmapped lane).
 struct LaneWalk<'a> {
     sched: &'a SchedulerCore,
-    heads: BinaryHeap<Head<'a>>,
-    yielded: Vec<Slot>,
-    pruned: bool,
+    /// The first place in `ranked` the walk has not reached.
+    cursor: usize,
+    buffers: WalkBuffers,
+    /// Lane jobs priced behind a head.
+    priced: u64,
 }
 
 impl<'a> LaneWalk<'a> {
-    fn new(sched: &'a SchedulerCore) -> Self {
-        let lane_heads = sched
-            .lanes
-            .iter()
-            .map(|(&key, lane)| Self::head(sched, key, lane, 0));
-        let fresh = sched.fresh.iter().enumerate().map(|(i, e)| Head {
-            prio: e.prio,
-            job: &e.job,
-            slot: Slot::Fresh(i),
-            lane: None,
-        });
+    fn new(sched: &'a SchedulerCore, mut buffers: WalkBuffers) -> Self {
+        buffers.yielded.clear();
+        buffers.heads.clear();
+        let fresh = sched.fresh.iter().enumerate();
+        let fresh = fresh.map(|(i, e)| (Rank::of(e.prio, &e.job), Slot::Fresh(i)));
+        buffers.heads.extend(fresh);
         Self {
             sched,
-            heads: lane_heads.chain(fresh).collect(),
-            yielded: Vec::new(),
-            pruned: false,
+            cursor: 0,
+            buffers,
+            priced: 0,
         }
     }
 
-    /// The merge entry of the job at `pos` of a lane.
-    fn head(sched: &SchedulerCore, key: LaneKey, lane: &'a Lane, pos: usize) -> Head<'a> {
-        let job = &lane.jobs[pos];
-        Head {
-            prio: sched.priority(lane.fairshare, job, sched.last_reprio_s),
-            job,
-            slot: Slot::Lane(key, pos),
-            lane: Some(lane),
-        }
-    }
-
-    /// `head`, or with `skip` 1 the job behind it, or else the first job
-    /// after that in its lane that `rule` admits (a fresh job is a lane of
-    /// one); a lane whose fastest job the rule turns down goes at once.
-    fn admitted(
-        sched: &SchedulerCore,
-        head: Head<'a>,
-        skip: usize,
-        rule: &Admission,
-    ) -> Option<Head<'a>> {
-        let (Slot::Lane(key, pos), Some(lane)) = (head.slot, head.lane) else {
-            return (skip == 0 && rule.admits(&sched.view(None)(head.job))).then_some(head);
-        };
-        if !rule.admits(&lane.fastest(key, &sched.predictor)) {
+    /// The first job of lane `i` from `pos` on that `rule` admits, priced;
+    /// none when the rule turns down the lane's fastest job.
+    fn reach(&mut self, i: usize, pos: usize, rule: &Admission) -> Option<(Rank, Slot)> {
+        let sched = self.sched;
+        let lane = &sched.lanes[i];
+        if !rule.admits(&lane.fastest(&sched.predictor)) {
             return None;
         }
-        let (view, mut behind) = (sched.view(Some(lane)), lane.jobs.range(pos + skip..));
-        let skipped = behind.position(|job| rule.admits(&view(job)))?;
-        Some(Self::head(sched, key, lane, pos + skip + skipped))
+        let view = sched.view(Some(lane));
+        let pos = pos
+            + lane
+                .jobs
+                .range(pos..)
+                .position(|job| rule.admits(&view(job)))?;
+        self.priced += 1;
+        let fairshare = sched.users[&lane.key.0];
+        let rank = (sched.pricing).rank(fairshare, &lane.jobs[pos], sched.last_reprio_s);
+        Some((rank, Slot::Lane(i, pos)))
     }
 }
 
 impl QueueWalk for LaneWalk<'_> {
     fn next_admitted(&mut self, rule: &Admission) -> Option<(usize, QueuedJob)> {
         let sched = self.sched;
-        if !self.pruned && rule.shadow_t < f64::INFINITY {
-            self.pruned = true;
-            let heads = std::mem::take(&mut self.heads).into_vec().into_iter();
-            self.heads = heads
-                .filter_map(|head| Self::admitted(sched, head, 0, rule))
-                .collect();
-        }
-        while let Some(mut top) = self.heads.peek_mut() {
-            let q = sched.view(top.lane)(top.job);
-            let slot = top.slot;
-            match Self::admitted(sched, *top, 1, rule) {
-                Some(next) => *top = next,
-                None => drop(PeekMut::pop(top)),
-            }
+        loop {
+            let unreached = &sched.ranked[self.cursor..];
+            let admissible = |r: &Ranked| {
+                rule.fits(r.cores) && rule.admits(&sched.lanes[r.lane].fastest(&sched.predictor))
+            };
+            self.cursor += unreached
+                .iter()
+                .position(admissible)
+                .unwrap_or(unreached.len());
+            let lane_head = (sched.ranked.get(self.cursor))
+                .map(|r| (sched.lanes[r.lane].rank, Slot::Lane(r.lane, 0)));
+            let next = match lane_head {
+                Some(head) if self.buffers.heads.peek().is_none_or(|top| *top < head) => {
+                    self.cursor += 1;
+                    Some(head)
+                }
+                _ => self.buffers.heads.pop(),
+            };
+            let (_, slot) = next?;
+            let q = match slot {
+                Slot::Lane(i, pos) => {
+                    let lane = &sched.lanes[i];
+                    if let Some(behind) = self.reach(i, pos + 1, rule) {
+                        self.buffers.heads.push(behind);
+                    }
+                    sched.view(Some(lane))(&lane.jobs[pos])
+                }
+                Slot::Fresh(i) => sched.view(None)(&sched.fresh[i].job),
+            };
             if rule.admits(&q) {
-                self.yielded.push(slot);
-                return Some((self.yielded.len() - 1, q));
+                self.buffers.yielded.push(slot);
+                return Some((self.buffers.yielded.len() - 1, q));
             }
         }
-        None
     }
 }
 
@@ -893,19 +1095,18 @@ mod tests {
     #[test]
     fn the_walk_checks_its_top_again_when_the_rule_tightens() {
         // Behind an 8-wide pivot, a's and b's one-core lanes at equal
-        // factors: ids 2, 3 and 5 run 500 s, id 4 runs 5 s. Under the
-        // pivot's rule (a spare core) the walk keeps 2 and 3 at the lane
-        // heads; once a backfill start takes the spare core, 3 — still at
-        // the top — must be turned down, and 4 behind 2 yielded.
+        // factors: ids 2 and 3 (a's) run 500 s, id 4 (b's) 5 s. Under the
+        // pivot's rule (a spare core) the walk yields 2 and reaches 3 behind
+        // it; once a backfill start takes the spare core, 3 — now at the top
+        // of the walk's heap — must be turned down, and 4 yielded.
         let mut sched = core(0);
         let mut src = Scripted::default();
         sched.submit(job(1, "sysa", 8, 0.0, 10.0), &mut src, 0.0);
-        for (id, sys, dur) in [(2, "sysa", 500.0), (3, "sysb", 500.0), (4, "sysa", 5.0)] {
+        for (id, sys, dur) in [(2, "sysa", 500.0), (3, "sysa", 500.0), (4, "sysb", 5.0)] {
             sched.submit(job(id, sys, 1, 1.0, dur), &mut src, 1.0);
         }
-        sched.submit(job(5, "sysb", 1, 1.0, 500.0), &mut src, 1.0);
         sched.advance(&mut src, 2.0);
-        let mut walk = LaneWalk::new(&sched);
+        let mut walk = LaneWalk::new(&sched, WalkBuffers::default());
         let loose = Admission {
             free: 4,
             spare: 1,
@@ -913,7 +1114,7 @@ mod tests {
             shadow_t: 100.0,
         };
         let tight = Admission { spare: 0, ..loose };
-        let rules = [Admission::within(u32::MAX), loose, tight, tight];
+        let rules = [Admission::within(u32::MAX), loose, tight, tight, tight];
         let yielded: Vec<Option<QueuedJob>> = rules
             .iter()
             .map(|rule| {
@@ -923,11 +1124,35 @@ mod tests {
             })
             .collect();
         let id = |slot: &Slot| match *slot {
-            Slot::Lane(key, pos) => sched.lanes[&key].jobs[pos].id.0,
+            Slot::Lane(i, pos) => sched.lanes[i].jobs[pos].id.0,
             Slot::Fresh(i) => sched.fresh[i].job.id.0,
         };
-        assert_eq!(walk.yielded.iter().map(id).collect::<Vec<_>>(), [1, 2, 4]);
-        assert!(yielded[3].is_none());
+        let yielded_ids: Vec<_> = walk.buffers.yielded.iter().map(id).collect();
+        assert_eq!(yielded_ids, [1, 2, 4]);
+        assert!(yielded[3..].iter().all(Option::is_none), "and none after");
+    }
+
+    #[test]
+    fn a_job_sorted_in_front_of_a_head_re_keys_its_lane() {
+        // Equal factors, no core. `b`'s head (submit 5) goes before `a`'s
+        // (submit 10) until a late submit of `a` (submit 1) is sorted in front
+        // of `a`'s head: then `a`'s lane goes first.
+        let mut sched = core(0);
+        let mut src = Scripted::default();
+        sched.submit(job(1, "sysa", 1, 10.0, 5.0), &mut src, 20.0);
+        sched.submit(job(2, "sysb", 1, 5.0, 5.0), &mut src, 20.0);
+        sched.advance(&mut src, 20.0);
+        sched.submit(job(3, "sysa", 1, 1.0, 5.0), &mut src, 21.0);
+        sched.advance(&mut src, 21.0);
+        let mut walk = LaneWalk::new(&sched, WalkBuffers::default());
+        let all = Admission::within(u32::MAX);
+        let yielded = std::iter::from_fn(|| walk.next_admitted(&all)).count();
+        let id = |slot: &Slot| match *slot {
+            Slot::Lane(i, pos) => sched.lanes[i].jobs[pos].id.0,
+            Slot::Fresh(i) => sched.fresh[i].job.id.0,
+        };
+        let ids: Vec<_> = walk.buffers.yielded.iter().map(id).collect();
+        assert_eq!((yielded, ids), (3, vec![3, 2, 1]));
     }
 
     #[test]
@@ -939,14 +1164,15 @@ mod tests {
         let mut sched = core(0);
         let mut src = Scripted::default();
         let least_of = |sched: &SchedulerCore| {
-            let (&key, lane) = sched.lanes.iter().next().expect("one lane");
+            let (_, &i) = sched.by_key.iter().next().expect("one lane");
+            let lane = &sched.lanes[i];
             let least = lane
                 .jobs
                 .iter()
                 .map(request_floor)
                 .fold(f64::INFINITY, f64::min);
             assert_eq!(lane.least_request.to_bits(), least.to_bits(), "{lane:?}");
-            (key, lane.least_request)
+            (i, lane.least_request)
         };
         let asking =
             |id, submit_s, request_s| job(id, "sysa", 1, submit_s, 5.0).with_request(request_s);
@@ -960,39 +1186,106 @@ mod tests {
         sched.advance(&mut src, 30.0);
         assert_eq!(least_of(&sched).1, 10.0);
         for (id, least) in [(5, 20.0), (2, 20.0), (3, 30.0)] {
-            let key = least_of(&sched).0;
-            let pos = sched.lanes[&key]
-                .jobs
-                .iter()
-                .position(|j| j.id == JobId(id));
-            let taken = sched.take(Slot::Lane(key, pos.expect("pending")));
+            let i = least_of(&sched).0;
+            let pos = sched.lanes[i].jobs.iter().position(|j| j.id == JobId(id));
+            let taken = sched.take(Slot::Lane(i, pos.expect("pending")));
             assert_eq!(taken.map(|j| j.id), Some(JobId(id)));
             assert_eq!(least_of(&sched).1, least, "after taking {id}");
         }
     }
 
-    fn core_weighted(weights: PriorityWeights) -> SchedulerCore {
-        let nodes = NodePool::new(1, 1);
-        let reprio = ReprioritizePolicy::EveryCycle;
-        SchedulerCore::new(SiteId(0), nodes, weights, FactorConfig::default(), reprio)
+    /// A scheduler on one core under `weights` and `factors`.
+    fn core_priced(weights: PriorityWeights, factors: FactorConfig) -> SchedulerCore {
+        let (nodes, reprio) = (NodePool::new(1, 1), ReprioritizePolicy::EveryCycle);
+        SchedulerCore::new(SiteId(0), nodes, weights, factors, reprio)
     }
 
     #[test]
     #[should_panic(expected = "PriorityWeights::qos must be finite and >= 0")]
     fn nan_weight_is_refused_at_construction() {
-        core_weighted(PriorityWeights {
+        let weights = PriorityWeights {
             qos: f64::NAN,
             ..PriorityWeights::mixed()
-        });
+        };
+        core_priced(weights, FactorConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "PriorityWeights::age must be finite and >= 0")]
     fn negative_weight_is_refused_at_construction() {
-        core_weighted(PriorityWeights {
+        let weights = PriorityWeights {
             age: -0.1,
             ..PriorityWeights::mixed()
-        });
+        };
+        core_priced(weights, FactorConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "FactorConfig::max_age_s must be finite and > 0")]
+    fn zero_max_age_is_refused_at_construction() {
+        let factors = FactorConfig {
+            max_age_s: 0.0,
+            ..FactorConfig::default()
+        };
+        core_priced(PriorityWeights::default(), factors);
+    }
+
+    #[test]
+    #[should_panic(expected = "FactorConfig::max_age_s must be finite and > 0")]
+    fn infinite_max_age_is_refused_at_construction() {
+        let factors = FactorConfig {
+            max_age_s: f64::INFINITY,
+            ..FactorConfig::default()
+        };
+        core_priced(PriorityWeights::default(), factors);
+    }
+
+    #[test]
+    #[should_panic(expected = "FactorConfig::max_cores must be > 0")]
+    fn zero_max_cores_is_refused_at_construction() {
+        let factors = FactorConfig {
+            max_cores: 0,
+            ..FactorConfig::default()
+        };
+        core_priced(PriorityWeights::default(), factors);
+    }
+
+    #[test]
+    #[should_panic(expected = "FactorConfig::qos_levels[GridUser(\"a\")] must be finite in [0, 1]")]
+    fn nan_qos_level_is_refused_at_construction() {
+        let factors = FactorConfig {
+            qos_levels: [(GridUser::new("a"), f64::NAN)].into(),
+            ..FactorConfig::default()
+        };
+        core_priced(PriorityWeights::default(), factors);
+    }
+
+    #[test]
+    fn a_sweep_reprices_only_the_lanes_whose_key_moved() {
+        // No core: nothing dispatches, so only sweeps price. `a` has a one-
+        // and a two-core lane, `b` a one-core lane; interned in that order.
+        let priced = |weights| {
+            let nodes = NodePool::new(1, 0);
+            let reprio = ReprioritizePolicy::EveryCycle;
+            let mut sched =
+                SchedulerCore::new(SiteId(0), nodes, weights, FactorConfig::default(), reprio);
+            let mut src = Scripted::default();
+            for (id, sys, cores) in [(1, "sysa", 1), (2, "sysa", 2), (3, "sysb", 1)] {
+                sched.submit(job(id, sys, cores, 0.0, 10.0), &mut src, 0.0);
+            }
+            let mut cycle = |src: &mut Scripted, now_s| {
+                let before = sched.stats().lanes_priced;
+                sched.advance(src, now_s);
+                sched.stats().lanes_priced - before
+            };
+            let new = cycle(&mut src, 0.0);
+            let steady = cycle(&mut src, 1.0);
+            src.factors.insert(UserId(0), 0.25);
+            let a_moved = cycle(&mut src, 2.0);
+            [new, steady, a_moved]
+        };
+        assert_eq!(priced(PriorityWeights::fairshare_only()), [3, 0, 2]);
+        assert_eq!(priced(PriorityWeights::mixed()), [3, 3, 3]);
     }
 
     #[test]

@@ -108,6 +108,8 @@ struct FlatQueue {
     /// The prediction each running job started under.
     predictions: BTreeMap<JobId, f64>,
     last_reprio_s: f64,
+    /// Each pending user's factor bits at the last sweep.
+    swept: BTreeMap<UserId, u64>,
     backfilled: u64,
     total_wait_s: f64,
     completed: u64,
@@ -146,6 +148,12 @@ struct Edges {
     /// rule, yet the rule admitted none of its unvisited jobs: the job that
     /// set the bound had been visited before the pivot.
     bound_passed_none_admitted: u32,
+    /// Sweeps in which no pending user's factor moved since the last sweep
+    /// (of the users it swept too; at least one).
+    sweeps_none_moved: u32,
+    /// Sweeps in which some, but not all, pending users' factors moved
+    /// since the last sweep (of the users it swept too).
+    sweeps_some_moved: u32,
 }
 
 /// The reference's walk: the sorted slice, noting the first rule with a
@@ -168,11 +176,19 @@ impl QueueWalk for Recording<'_> {
 }
 
 impl FlatQueue {
-    fn priority(&self, e: &Entry, source: &mut Scripted, now_s: f64) -> f64 {
-        let fairshare = match e.user_id {
+    fn fairshare(e: &Entry, source: &mut Scripted, now_s: f64) -> f64 {
+        match e.user_id {
             Some(id) => source.fairshare_factor(id, now_s),
             None => 0.5,
-        };
+        }
+    }
+
+    fn priority(&self, e: &Entry, source: &mut Scripted, now_s: f64) -> f64 {
+        let fairshare = Self::fairshare(e, source, now_s);
+        self.combine(e, fairshare, now_s)
+    }
+
+    fn combine(&self, e: &Entry, fairshare: f64, now_s: f64) -> f64 {
         combined_priority(
             &self.weights,
             fairshare,
@@ -228,10 +244,23 @@ impl FlatQueue {
             ReprioritizePolicy::Interval(dt) => now_s - self.last_reprio_s >= dt,
         };
         if due {
+            let mut swept = BTreeMap::new();
             for i in 0..self.pending.len() {
-                let prio = self.priority(&self.pending[i], source, now_s);
-                self.pending[i].prio = prio;
+                let fairshare = Self::fairshare(&self.pending[i], source, now_s);
+                if let Some(id) = self.pending[i].user_id {
+                    swept.insert(id, fairshare.to_bits());
+                }
+                self.pending[i].prio = self.combine(&self.pending[i], fairshare, now_s);
             }
+            // Of the users this sweep and the last both swept: whose factor moved.
+            let moved: Vec<bool> = swept
+                .iter()
+                .filter_map(|(id, bits)| Some(self.swept.get(id)? != bits))
+                .collect();
+            let some = moved.contains(&true);
+            self.edges.sweeps_none_moved += (!moved.is_empty() && !some) as u32;
+            self.edges.sweeps_some_moved += (some && moved.contains(&false)) as u32;
+            self.swept = swept;
             self.last_reprio_s = now_s;
         }
         self.pending.sort_by(|a, b| {
@@ -459,6 +488,7 @@ fn run_case(
         running: Vec::new(),
         predictions: BTreeMap::new(),
         last_reprio_s: f64::NEG_INFINITY,
+        swept: BTreeMap::new(),
         backfilled: 0,
         total_wait_s: 0.0,
         completed: 0,
@@ -577,7 +607,9 @@ proptest! {
 /// on, under every order, cadence and overrun policy with `LastKMax`: the
 /// oracle must hold throughout, and the runs named below must have been
 /// where they were sent. User `a` outranks everyone, `b` ranks last, `c` and
-/// the two unmapped accounts tie in between.
+/// the two unmapped accounts tie in between. Only `b`'s factor moves — 0 and
+/// 0.25 in turn, epoch by epoch — so a sweep with `b` and another user
+/// pending moves some factors but not all, and one without `b` none.
 ///
 /// * t = 0: the unmapped accounts each run a one-core job — 10 s and 60 s —
 ///   so their shared lane has two histories.
@@ -623,8 +655,8 @@ fn a_script_through_the_edges() {
         (1, 1, 2, 100.0, 1),
         (3, 1, 2, 50.0, 1),
     ];
-    // Ids are interned in submit order: a, b, c.
-    let table = [vec![4, 0, 2, 2]];
+    // Ids are interned in submit order: a, b, c, d.
+    let table = [vec![4, 0, 2, 2], vec![4, 1, 2, 2]];
     let run = |order, reprio, mispredict| {
         let setup = Setup {
             order,
@@ -651,6 +683,8 @@ fn a_script_through_the_edges() {
     assert!(easy.admitted_then_turned_down >= 1, "{easy:?}");
     assert!(easy.lane_rejected_whole >= 1, "{easy:?}");
     assert!(easy.bound_passed_none_admitted >= 1, "{easy:?}");
+    assert!(easy.sweeps_none_moved >= 1, "{easy:?}");
+    assert!(easy.sweeps_some_moved >= 1, "{easy:?}");
     eprintln!("{easy:?}");
     let fifo = run(DispatchOrder::Fifo, every_cycle, MispredictPolicy::Extend);
     assert!(fifo.full_with_zero_core_pending.1 >= 3, "{fifo:?}");
