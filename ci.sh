@@ -166,7 +166,9 @@ done
 # (the profile, `health_report` and `alerts` hold them), and the telemetry
 # `Counter` and `Gauge` with the three series no service kept a count for
 # and the UMS's several-USS refresh (a count lives in the service that
-# keeps it, and a snapshot reads it there) — and no tracked
+# keeps it, and a snapshot reads it there), and the explanation's JSON
+# codec with the telemetry handle's string-typed decision ring (a site keeps
+# its captures as typed records, and every reader is in the process) — and no tracked
 # source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -199,10 +201,18 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'fn counter(' -e 'fn gauge(' -e 'pub struct Counter' -e 'pub struct Gauge' \
   -e 'aequus_fcs_queries_total' -e 'aequus_rms_reprio_passes_total' \
   -e 'aequus_pds_edits_total' -e 'refresh_many' \
+  -e 'ProvenanceRecord' -e 'record_provenance' -e 'provenance_records' \
+  -e 'decay_json' -e 'Explanation::from_json' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim ||
   git grep -n 'store_mapping' -- crates/sim/src; then
   echo "a deleted path is named again" >&2
+  exit 1
+fi
+# The fairshare core stands alone: its manifest's `[dependencies]` names no
+# other crate of the workspace.
+if sed -n '/^\[dependencies\]/,/^\[/p' crates/core/Cargo.toml | grep -n '^aequus-'; then
+  echo "crates/core/Cargo.toml: aequus-core depends on a workspace crate" >&2
   exit 1
 fi
 # One wire format: every frame is written in the columnar layout, and

@@ -1,7 +1,6 @@
 //! `explain` — why was this priority served.
 
 use crate::cli::{Args, Gates};
-use aequus_core::Explanation;
 use aequus_rms::{explain_combined, PriorityWeights};
 use aequus_telemetry::{SpanRecord, SpanTree};
 
@@ -23,12 +22,15 @@ pub(super) fn explain(args: &Args, gates: &mut Gates) {
             "site {site} out of range ({} sites)",
             result.site_provenance.len()
         )),
-        Some(recs) => recs.iter().rev().find(|r| r.user == user).ok_or_else(|| {
-            let mut seen: Vec<&str> = recs.iter().map(|r| r.user.as_str()).collect();
-            seen.sort_unstable();
-            seen.dedup();
-            format!("captured users: {seen:?}")
-        }),
+        Some(recs) => (recs.iter().rev())
+            .find(|r| r.explanation.user == user)
+            .ok_or_else(|| {
+                let mut seen: Vec<&str> =
+                    recs.iter().map(|r| r.explanation.user.as_str()).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                format!("captured users: {seen:?}")
+            }),
     };
     let rec = match found {
         Ok(rec) => rec,
@@ -56,19 +58,19 @@ pub(super) fn explain(args: &Args, gates: &mut Gates) {
         print!("{}", tree.render());
     }
 
-    let ex = Explanation::from_json(&rec.json).expect("stored provenance parses");
+    let (ex, served) = (&rec.explanation, rec.served);
     println!();
     println!("## fairshare explanation");
     print!("{}", ex.render());
+    let replay = ex.replay();
     println!(
-        "replay: {:?} — bit-for-bit match: {}",
-        ex.replay(),
-        ex.verify()
+        "replay: {replay:?} — bit-for-bit match: {}",
+        ex.verify() && replay.to_bits() == served.to_bits()
     );
 
     // The RMS tail of the decision: the multifactor combination under the
     // test bed's fairshare-only weights.
-    let b = explain_combined(&PriorityWeights::fairshare_only(), ex.factor, 0.0, 0.5, 1.0);
+    let b = explain_combined(&PriorityWeights::fairshare_only(), served, 0.0, 0.5, 1.0);
     println!();
     println!("## RMS multifactor combination");
     print!("{}", b.render());

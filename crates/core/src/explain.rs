@@ -1,22 +1,18 @@
 //! Decision provenance: capture every component that produced one served
 //! priority — the policy path with per-level shares, the distance
-//! decomposition, the fairshare vector, and the projection inputs — in a
-//! form compact enough to ship in a flight-recorder dump and precise enough
-//! that [`Explanation::replay`] reproduces the served factor **bit-for-bit**.
+//! decomposition, the fairshare vector, and the projection inputs — precise
+//! enough that [`Explanation::replay`] reproduces the served factor
+//! **bit-for-bit**.
 //!
 //! The capture references no tree state: every number needed to re-evaluate
-//! the decision is embedded, so an explanation archived at one site can be
-//! replayed at another (or months later) and still match exactly. Floats are
-//! serialized with Rust's shortest-round-trip formatting (`{:?}`), which
-//! `str::parse::<f64>` inverts exactly, so the JSON round-trip is also
-//! bit-exact for finite values.
+//! the decision is embedded, so an explanation kept after its tree is gone
+//! still replays exactly.
 
 use crate::decay::DecayPolicy;
 use crate::fairshare::{FairshareConfig, FairshareTree};
 use crate::ids::{EntityPath, GridUser};
 use crate::projection::{rank_value, BitwiseVector, DictionaryOrdering, Percental, ProjectionKind};
 use crate::vector::{FairshareVector, Resolution};
-use aequus_telemetry::json::{escape, JsonValue};
 
 /// One hierarchy level of a user's policy path, with the captured sibling-
 /// group shares and the distance decomposition at that level.
@@ -102,7 +98,8 @@ pub struct Explanation {
     pub vector: Vec<f64>,
     /// Projection algorithm and its captured inputs.
     pub projection: ProjectionExplanation,
-    /// The factor that was actually served.
+    /// The factor the captured components yield, computed through the
+    /// serving code paths; a serve keeps the factor it handed out beside it.
     pub factor: f64,
 }
 
@@ -245,147 +242,6 @@ impl Explanation {
         }) && self.replay().to_bits() == self.factor.to_bits()
     }
 
-    /// Render as compact single-line JSON. Finite floats round-trip exactly
-    /// through [`from_json`](Self::from_json).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str(&format!(
-            "{{\"user\":\"{}\",\"computed_at_s\":{:?},\"k_weight\":{:?},\"resolution_max\":{:?}",
-            escape(&self.user),
-            self.computed_at_s,
-            self.k_weight,
-            self.resolution_max
-        ));
-        s.push_str(",\"decay\":");
-        s.push_str(&decay_json(&self.decay));
-        s.push_str(&format!(",\"tree_depth\":{}", self.tree_depth));
-        s.push_str(",\"levels\":[");
-        for (i, l) in self.levels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"path\":\"{}\",\"policy_share\":{:?},\"usage_share\":{:?},\"rel\":{:?},\
-                 \"abs\":{:?},\"distance\":{:?},\"element\":{:?}}}",
-                escape(&l.path),
-                l.policy_share,
-                l.usage_share,
-                l.rel,
-                l.abs,
-                l.distance,
-                l.element
-            ));
-        }
-        s.push_str("],\"vector\":[");
-        for (i, e) in self.vector.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{e:?}"));
-        }
-        s.push_str("],\"projection\":");
-        match self.projection {
-            ProjectionExplanation::Percental {
-                target_product,
-                usage_product,
-            } => s.push_str(&format!(
-                "{{\"algorithm\":\"percental\",\"target_product\":{target_product:?},\
-                 \"usage_product\":{usage_product:?}}}"
-            )),
-            ProjectionExplanation::Bitwise {
-                bits_per_level,
-                levels,
-            } => s.push_str(&format!(
-                "{{\"algorithm\":\"bitwise\",\"bits_per_level\":{bits_per_level},\
-                 \"levels\":{levels}}}"
-            )),
-            ProjectionExplanation::Dictionary {
-                rank_start,
-                tie_count,
-                population,
-            } => s.push_str(&format!(
-                "{{\"algorithm\":\"dictionary\",\"rank_start\":{rank_start},\
-                 \"tie_count\":{tie_count},\"population\":{population}}}"
-            )),
-        }
-        s.push_str(&format!(",\"factor\":{:?}}}", self.factor));
-        s
-    }
-
-    /// Parse an explanation previously rendered by [`to_json`](Self::to_json).
-    pub fn from_json(s: &str) -> Option<Self> {
-        let o = JsonValue::parse(s)?;
-        let decay = {
-            let d = o.get("decay")?;
-            match d.get("kind")?.as_str()? {
-                "none" => DecayPolicy::None,
-                "exponential" => DecayPolicy::Exponential {
-                    half_life_s: d.get("half_life_s")?.as_f64()?,
-                },
-                "window" => DecayPolicy::Window {
-                    window_s: d.get("window_s")?.as_f64()?,
-                },
-                "linear" => DecayPolicy::Linear {
-                    span_s: d.get("span_s")?.as_f64()?,
-                },
-                _ => return None,
-            }
-        };
-        let levels = o
-            .get("levels")?
-            .as_array()?
-            .iter()
-            .map(|l| {
-                Some(LevelExplanation {
-                    path: l.get("path")?.as_str()?.to_string(),
-                    policy_share: l.get("policy_share")?.as_f64()?,
-                    usage_share: l.get("usage_share")?.as_f64()?,
-                    rel: l.get("rel")?.as_f64()?,
-                    abs: l.get("abs")?.as_f64()?,
-                    distance: l.get("distance")?.as_f64()?,
-                    element: l.get("element")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let vector = o
-            .get("vector")?
-            .as_array()?
-            .iter()
-            .map(JsonValue::as_f64)
-            .collect::<Option<Vec<_>>>()?;
-        let projection = {
-            let p = o.get("projection")?;
-            match p.get("algorithm")?.as_str()? {
-                "percental" => ProjectionExplanation::Percental {
-                    target_product: p.get("target_product")?.as_f64()?,
-                    usage_product: p.get("usage_product")?.as_f64()?,
-                },
-                "bitwise" => ProjectionExplanation::Bitwise {
-                    bits_per_level: p.get("bits_per_level")?.as_f64()? as u32,
-                    levels: p.get("levels")?.as_f64()? as usize,
-                },
-                "dictionary" => ProjectionExplanation::Dictionary {
-                    rank_start: p.get("rank_start")?.as_f64()? as usize,
-                    tie_count: p.get("tie_count")?.as_f64()? as usize,
-                    population: p.get("population")?.as_f64()? as usize,
-                },
-                _ => return None,
-            }
-        };
-        Some(Explanation {
-            user: o.get("user")?.as_str()?.to_string(),
-            computed_at_s: o.get("computed_at_s")?.as_f64()?,
-            k_weight: o.get("k_weight")?.as_f64()?,
-            resolution_max: o.get("resolution_max")?.as_f64()?,
-            decay,
-            tree_depth: o.get("tree_depth")?.as_f64()? as usize,
-            levels,
-            vector,
-            projection,
-            factor: o.get("factor")?.as_f64()?,
-        })
-    }
-
     /// Render a human-readable multi-line account of the decision — the
     /// output of `aequus-bench explain`.
     pub fn render(&self) -> String {
@@ -461,21 +317,6 @@ impl Explanation {
     }
 }
 
-fn decay_json(d: &DecayPolicy) -> String {
-    match *d {
-        DecayPolicy::None => "{\"kind\":\"none\"}".to_string(),
-        DecayPolicy::Exponential { half_life_s } => {
-            format!("{{\"kind\":\"exponential\",\"half_life_s\":{half_life_s:?}}}")
-        }
-        DecayPolicy::Window { window_s } => {
-            format!("{{\"kind\":\"window\",\"window_s\":{window_s:?}}}")
-        }
-        DecayPolicy::Linear { span_s } => {
-            format!("{{\"kind\":\"linear\",\"span_s\":{span_s:?}}}")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,18 +358,6 @@ mod tests {
             assert_eq!(ex.factor.to_bits(), served.to_bits(), "{kind:?} capture");
             assert_eq!(ex.replay().to_bits(), served.to_bits(), "{kind:?} replay");
             assert!(ex.verify(), "{kind:?} verify");
-        }
-    }
-
-    #[test]
-    fn json_round_trip_is_bit_exact() {
-        let tree = nested_tree();
-        for kind in ProjectionKind::ALL {
-            let ex = Explanation::capture(&tree, &GridUser::new("bob"), kind).unwrap();
-            let parsed = Explanation::from_json(&ex.to_json()).unwrap();
-            assert_eq!(parsed, ex, "{kind:?}");
-            assert_eq!(parsed.replay().to_bits(), ex.factor.to_bits());
-            assert!(parsed.verify());
         }
     }
 
@@ -580,8 +409,6 @@ mod tests {
         for kind in ProjectionKind::ALL {
             let ex = Explanation::capture(&tree, &GridUser::new("a"), kind).unwrap();
             assert!(ex.verify(), "{kind:?}");
-            let parsed = Explanation::from_json(&ex.to_json()).unwrap();
-            assert_eq!(parsed, ex);
         }
     }
 

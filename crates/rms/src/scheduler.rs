@@ -656,26 +656,28 @@ impl SchedulerCore {
         // Take the started jobs out back to front, so no slot moves before
         // it is used; then start them in priority (handle) order, not plan
         // order: `running`'s order decides the order same-tick completions
-        // are reported to the fairshare source.
+        // are reported to the fairshare source. Each keeps the prediction
+        // the walk yielded it under.
         let yielded = &buffers.yielded;
         let mut starts = plan.starts;
-        starts.sort_unstable_by_key(|s| Reverse(yielded[s.handle]));
-        let mut started: Vec<(usize, bool, Job)> = starts
+        starts.sort_unstable_by_key(|s| Reverse(yielded[s.handle].0));
+        let mut started: Vec<(usize, bool, f64, Job)> = starts
             .iter()
-            .filter_map(|s| Some((s.handle, s.backfill, self.take(yielded[s.handle])?)))
+            .filter_map(|s| {
+                let (slot, predicted_s) = yielded[s.handle];
+                Some((s.handle, s.backfill, predicted_s, self.take(slot)?))
+            })
             .collect();
         debug_assert_eq!(started.len(), starts.len(), "a slot names a pending job");
         self.walk = buffers;
         started.sort_unstable_by_key(|s| s.0);
-        for (_, backfill, mut job) in started {
+        for (_, backfill, predicted_s, mut job) in started {
             assert!(
                 self.nodes.allocate(job.cores),
                 "dispatch plan oversubscribed the pool"
             );
             job.state = JobState::Running { start_s: now_s };
-            // Keep the prediction this start was made under; enforce the
-            // walltime limit if the overrun policy kills.
-            let predicted_s = self.predictor.predict(&job);
+            // Enforce the walltime limit if the overrun policy kills.
             let (run_for_s, killed) = self.predictor.on_start(&job);
             if killed {
                 self.stats.killed += 1;
@@ -794,8 +796,9 @@ struct WalkBuffers {
     /// The lanes the walk advanced past their heads this cycle, each at the
     /// next job it reached, and the fresh jobs: by rank.
     heads: BinaryHeap<(Rank, Slot)>,
-    /// Each yielded job's slot, by handle.
-    yielded: Vec<Slot>,
+    /// Each yielded job's slot and the prediction it was offered under, by
+    /// handle.
+    yielded: Vec<(Slot, f64)>,
 }
 
 /// The scheduler's [`QueueWalk`]: the lane order read with a cursor, merged
@@ -898,7 +901,7 @@ impl QueueWalk for LaneWalk<'_> {
                 Slot::Fresh(i) => sched.view(None)(&sched.fresh[i].job),
             };
             if rule.admits(&q) {
-                self.buffers.yielded.push(slot);
+                self.buffers.yielded.push((slot, q.predicted_s));
                 return Some((self.buffers.yielded.len() - 1, q));
             }
         }
@@ -1123,7 +1126,7 @@ mod tests {
                 q
             })
             .collect();
-        let id = |slot: &Slot| match *slot {
+        let id = |&(slot, _): &(Slot, f64)| match slot {
             Slot::Lane(i, pos) => sched.lanes[i].jobs[pos].id.0,
             Slot::Fresh(i) => sched.fresh[i].job.id.0,
         };
@@ -1147,7 +1150,7 @@ mod tests {
         let mut walk = LaneWalk::new(&sched, WalkBuffers::default());
         let all = Admission::within(u32::MAX);
         let yielded = std::iter::from_fn(|| walk.next_admitted(&all)).count();
-        let id = |slot: &Slot| match *slot {
+        let id = |&(slot, _): &(Slot, f64)| match slot {
             Slot::Lane(i, pos) => sched.lanes[i].jobs[pos].id.0,
             Slot::Fresh(i) => sched.fresh[i].job.id.0,
         };

@@ -396,8 +396,10 @@ type Submit = (u8, u32, u8, f64, u8);
 const REQUEST_FACTORS: [f64; 4] = [3.0, 1.0, 1.0, 0.5];
 
 /// Submit-time offsets relative to the cycle: late, on time (often, so equal
-/// submit times meet), and ahead of the clock.
-const SUBMIT_OFFSETS_S: [f64; 6] = [-30.0, -10.0, 0.0, 0.0, 0.0, 5.0];
+/// submit times meet), ahead of the clock, and late by several cycles — so
+/// that a late job is often sorted in front of a lane's head, which must
+/// re-key the lane.
+const SUBMIT_OFFSETS_S: [f64; 8] = [-30.0, -10.0, 0.0, 0.0, 0.0, 5.0, -60.0, -120.0];
 
 fn job_of(serial: u64, &(account, cores, offset, duration_s, request): &Submit, now_s: f64) -> Job {
     let account = match MAPPED.get(account as usize) {
@@ -575,7 +577,7 @@ proptest! {
     #[test]
     fn lane_queue_matches_the_flat_queue_reference(
         script in proptest::collection::vec(
-            proptest::collection::vec((0u8..6, 0u32..9, 0u8..6, 5.0..200.0f64, 0u8..4), 0..4),
+            proptest::collection::vec((0u8..6, 0u32..9, 0u8..8, 5.0..200.0f64, 0u8..4), 0..4),
             30..70,
         ),
         table in proptest::collection::vec(proptest::collection::vec(0u8..5, 4), 3..9),

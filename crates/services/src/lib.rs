@@ -48,7 +48,7 @@ pub use overlay::OverlayTopology;
 pub use participation::ParticipationMode;
 pub use pds::Pds;
 pub use reliability::{JitterRng, RetryPolicy, StalePolicy};
-pub use site::AequusSite;
+pub use site::{AequusSite, Provenance};
 pub use timings::ServiceTimings;
 pub use ums::Ums;
 pub use uss::{RecoveryError, Uss};

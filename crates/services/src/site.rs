@@ -18,11 +18,27 @@ use aequus_core::fairshare::FairshareConfig;
 use aequus_core::policy::PolicyTree;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::UsageRecord;
-use aequus_core::{GridUser, SiteId, SystemUser, UserId, UserTable};
+use aequus_core::{Explanation, GridUser, SiteId, SystemUser, UserId, UserTable};
 use aequus_store::{MemStorage, SiteStore, StoreConfig, StoreStats, WalRecord};
-use aequus_telemetry::{Snapshot, Telemetry, TraceCtx};
+use aequus_telemetry::span::STORE_CAP;
+use aequus_telemetry::{Ring, Snapshot, Telemetry, TraceCtx};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// The provenance of one served decision, captured by a traced site at the
+/// serve that closes a pipeline trace.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Provenance {
+    /// Site time the decision was served at.
+    pub t_s: f64,
+    /// The trace whose pipeline delivered the inputs.
+    pub trace_id: u64,
+    /// The fairshare factor the site handed out.
+    pub served: f64,
+    /// Every component of the decision; [`Explanation::replay`] reproduces
+    /// `served` bit for bit.
+    pub explanation: Explanation,
+}
 
 /// One site's complete Aequus stack.
 #[derive(Debug)]
@@ -55,6 +71,9 @@ pub struct AequusSite {
     serving_trace: Option<TraceCtx>,
     /// Site-wide telemetry domain (disabled by default).
     telemetry: Telemetry,
+    /// The decisions captured while `telemetry` is traced, the last
+    /// `STORE_CAP` of them; `None` otherwise.
+    provenance: Option<Box<Ring<Provenance>>>,
     /// The §IV-A-2 pipeline-delay tracer, recording into `telemetry` while
     /// it is enabled. A crash leaves it be: it times the pipeline from
     /// outside, as the RMS-side spool does.
@@ -104,6 +123,7 @@ impl AequusSite {
             serving_trace: None,
             timings,
             telemetry: Telemetry::disabled(),
+            provenance: None,
             tracer: None,
             store: None,
             store_stats_base: StoreStats::default(),
@@ -144,11 +164,13 @@ impl AequusSite {
     }
 
     /// Wire the site's timed services into one telemetry domain, with a
-    /// fresh pipeline-delay tracer registered in it when it is enabled.
-    /// Pass [`Telemetry::disabled`] to detach.
+    /// fresh pipeline-delay tracer registered in it when it is enabled and
+    /// a fresh decision ring when it is traced. Pass [`Telemetry::disabled`]
+    /// to detach.
     pub fn set_telemetry(&mut self, t: &Telemetry) {
         self.telemetry = t.clone();
         self.tracer = t.is_enabled().then(|| PipelineTracer::new(t));
+        self.provenance = t.is_traced().then(|| Box::new(Ring::new(STORE_CAP)));
         self.uss.set_telemetry(t);
         self.ums.set_telemetry(t);
         self.fcs.set_telemetry(t);
@@ -164,11 +186,14 @@ impl AequusSite {
     }
 
     /// The site's snapshot, `None` while its telemetry is off: the handle's
-    /// histograms and span counts, and every count and gauge its services,
-    /// client library, tracer and store keep — read from them as they
-    /// stand, whenever the handle was wired.
+    /// histograms and span counts, the decisions captured while traced, and
+    /// every count and gauge its services, client library, tracer and store
+    /// keep — read from them as they stand, whenever the handle was wired.
     pub fn snapshot(&self) -> Option<Snapshot> {
         let mut snap = self.telemetry.snapshot()?;
+        if let Some(ring) = &self.provenance {
+            snap.add_counts([("aequus_provenance_captured_total", ring.pushed())]);
+        }
         self.uss.counts_into(&mut snap);
         self.ums.counts_into(&mut snap);
         self.fcs.counts_into(&mut snap);
@@ -227,7 +252,8 @@ impl AequusSite {
     /// Complete a pipeline trace at the serving edge: a `lib.query` leaf
     /// span plus the full decision provenance — recorded only when the
     /// served value is bit-identical to the current FCS factor, so every
-    /// captured explanation replays to the value the RMS actually saw.
+    /// captured explanation replays to the value the RMS actually saw,
+    /// which the record keeps beside it.
     fn trace_query(&mut self, id: UserId, value: f64, now_s: f64) {
         let Some(fresh) = self.fcs.factor_of(id) else {
             return;
@@ -242,11 +268,25 @@ impl AequusSite {
         let leaf = self.telemetry.child_span(ctx, "lib.query", now_s, || {
             format!("served {value:?} for {user}")
         });
-        if let Some(ex) = self.fcs.explain(&user) {
-            let trace_id = leaf.or(ctx).map_or(0, |c| c.trace_id);
-            self.telemetry
-                .record_provenance(now_s, user.as_str(), trace_id, ex.factor, || ex.to_json());
+        let Some(ring) = self.provenance.as_mut() else {
+            return;
+        };
+        if let Some(explanation) = self.fcs.explain(&user) {
+            ring.push(Provenance {
+                t_s: now_s,
+                trace_id: leaf.or(ctx).map_or(0, |c| c.trace_id),
+                served: value,
+                explanation,
+            });
         }
+    }
+
+    /// The decisions captured while traced, oldest first: the last
+    /// `STORE_CAP` of them; none on a site that was never traced.
+    pub fn provenance(&self) -> Vec<Provenance> {
+        self.provenance
+            .as_ref()
+            .map_or_else(Vec::new, |r| r.to_vec())
     }
 
     /// RMS-facing: report a completed job's usage. The record reaches the
@@ -971,6 +1011,37 @@ mod tests {
         assert_eq!(tracer_counts(&s), ([1; 6], 1));
         let e2e = s.snapshot().unwrap().histograms["aequus_tracer_end_to_end_s"];
         assert_eq!(e2e.max, 10.0, "ingested, refreshed and served at 110");
+    }
+
+    /// A traced site keeps the decision that closes a trace beside the
+    /// factor it handed out; a metrics-only site keeps and counts none.
+    #[test]
+    fn a_traced_site_keeps_the_factor_it_served() {
+        for traced in [false, true] {
+            let mut s = site(0, ParticipationMode::Full);
+            s.set_telemetry(&if traced {
+                Telemetry::traced(0)
+            } else {
+                Telemetry::enabled()
+            });
+            let a = s.intern_user(&GridUser::new("a"));
+            s.report_completion(record(0, "a", 0.0, 100.0), 100.0);
+            let mut served = Vec::new();
+            for now in [110.0, 120.0] {
+                s.tick(now);
+                served.push(s.fairshare_factor(a, now).to_bits());
+            }
+            let kept = s.provenance();
+            let snap = s.snapshot().unwrap();
+            let counted = snap.counters.get("aequus_provenance_captured_total");
+            assert_eq!(counted, traced.then_some(&1), "traced: {traced}");
+            assert_eq!(kept.len(), usize::from(traced));
+            for p in &kept {
+                assert_eq!(p.explanation.user, "a");
+                assert!(served.contains(&p.served.to_bits()));
+                assert_eq!(p.explanation.replay().to_bits(), p.served.to_bits());
+            }
+        }
     }
 
     /// A user outside the policy, interned at submit, is charged, published

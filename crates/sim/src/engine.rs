@@ -18,9 +18,8 @@ use crate::scenario::GridScenario;
 use crate::shard::{SampleSpec, Shard};
 use aequus_core::{GridUser, SiteId};
 use aequus_rms::SchedulerStats;
-use aequus_services::{HealthMap, HealthReport, LinkSide, StoreStats};
+use aequus_services::{HealthMap, HealthReport, LinkSide, Provenance, StoreStats};
 use aequus_telemetry::flight::{dump_jsonl, FlightRecorder};
-use aequus_telemetry::provenance::ProvenanceRecord;
 use aequus_telemetry::slo::StarvationClock;
 use aequus_telemetry::stage::STAGES;
 use aequus_telemetry::{
@@ -64,7 +63,7 @@ pub struct SimResult {
     pub site_spans: Vec<Vec<SpanRecord>>,
     /// Each site's captured decision provenance, in cluster order. Empty
     /// per site unless the scenario enabled tracing.
-    pub site_provenance: Vec<Vec<ProvenanceRecord>>,
+    pub site_provenance: Vec<Vec<Provenance>>,
     /// JSONL flight records, one per SLO alert transition that survived the
     /// recorder's dedup window, in emission order. Empty without a
     /// configured flight recorder.
@@ -450,10 +449,7 @@ impl GridSimulation {
                 .map(|s| s.cluster.site.uss.grid_view())
                 .collect(),
             site_spans: shards.iter().map(|s| s.cluster.telemetry.spans()).collect(),
-            site_provenance: shards
-                .iter()
-                .map(|s| s.cluster.telemetry.provenance_records())
-                .collect(),
+            site_provenance: shards.iter().map(|s| s.cluster.site.provenance()).collect(),
             site_store_stats: shards
                 .iter()
                 .map(|s| s.cluster.site.store_stats())
@@ -687,7 +683,6 @@ mod tests {
 
     #[test]
     fn full_tracing_builds_cross_site_causal_trees() {
-        use aequus_core::Explanation;
         use aequus_telemetry::SpanTree;
         let sc = small_scenario().with_tracing();
         let trace = uniform_trace(60, 10.0, 30.0);
@@ -720,18 +715,16 @@ mod tests {
         assert!(cross_site, "no causal tree spans two sites");
         // Every captured explanation replays its served factor bit-for-bit.
         let mut replayed = 0;
-        for recs in &result.site_provenance {
-            for rec in recs {
-                let ex = Explanation::from_json(&rec.json).expect("parseable provenance");
-                assert!(ex.verify(), "tampered/lossy capture for {}", rec.user);
-                assert_eq!(
-                    ex.replay().to_bits(),
-                    rec.factor.to_bits(),
-                    "replay mismatch for {}",
-                    rec.user
-                );
-                replayed += 1;
-            }
+        for rec in result.site_provenance.iter().flatten() {
+            let ex = &rec.explanation;
+            assert!(ex.verify(), "tampered/lossy capture for {}", ex.user);
+            assert_eq!(
+                ex.replay().to_bits(),
+                rec.served.to_bits(),
+                "replay mismatch for {}",
+                ex.user
+            );
+            replayed += 1;
         }
         assert!(replayed > 0, "provenance was captured");
     }

@@ -129,7 +129,7 @@ pub struct GridScenario {
     pub tracing: bool,
     /// Run a flight recorder as the sink of the SLO alert stream: each
     /// alert transition that survives its dedup window dumps the reference
-    /// site's spans + explanations as JSONL into the result. Fed
+    /// site's retained spans as JSONL into the result. Fed
     /// by `health`, which [`GridScenario::with_flight_recorder`] switches on.
     pub flight: Option<aequus_telemetry::flight::AnomalyConfig>,
     /// Attach a durable per-site store (CRC-framed WAL + checkpoints).

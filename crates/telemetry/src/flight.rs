@@ -6,13 +6,11 @@
 //! are its rules, thresholded once, in one place. The recorder takes the
 //! engine's alert transitions, drops repeats inside a dedup window, and for
 //! each one that remains snapshots what the telemetry domain retains — the
-//! span store and captured explanations — into a self-contained JSONL
-//! flight record, one JSON object per line, suitable for appending to a
+//! span store — into a self-contained JSONL flight record, one JSON object per line, suitable for appending to a
 //! file and for offline analysis.
 
 use crate::json::escape as esc;
 use crate::json::json_f64 as num;
-use crate::provenance::ProvenanceRecord;
 use crate::span::SpanRecord;
 use crate::Telemetry;
 use std::collections::BTreeMap;
@@ -92,9 +90,9 @@ impl FlightRecorder {
     }
 }
 
-/// Render one anomaly plus everything the telemetry domain retains — spans
-/// and captured explanations — as a JSONL flight record (one JSON object
-/// per line; the first line is the anomaly itself).
+/// Render one anomaly plus the spans the telemetry domain retains as a
+/// JSONL flight record (one JSON object per line; the first line is the
+/// anomaly itself).
 pub fn dump_jsonl(anomaly: &Anomaly, telemetry: &Telemetry) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -105,9 +103,6 @@ pub fn dump_jsonl(anomaly: &Anomaly, telemetry: &Telemetry) -> String {
     ));
     for span in telemetry.spans() {
         out.push_str(&span_line(&span));
-    }
-    for rec in telemetry.provenance_records() {
-        out.push_str(&provenance_line(&rec));
     }
     out
 }
@@ -123,19 +118,6 @@ fn span_line(s: &SpanRecord) -> String {
         s.site,
         num(s.t_s),
         esc(&s.detail)
-    )
-}
-
-fn provenance_line(r: &ProvenanceRecord) -> String {
-    // `json` is already rendered JSON: embedded verbatim, not escaped.
-    format!(
-        "{{\"type\":\"explanation\",\"t_s\":{},\"user\":\"{}\",\"trace_id\":{},\
-         \"factor\":{},\"explanation\":{}}}\n",
-        num(r.t_s),
-        esc(&r.user),
-        r.trace_id,
-        num(r.factor),
-        r.json
     )
 }
 
@@ -182,7 +164,6 @@ mod tests {
             .start_trace("rms.report", 0.5, || "job 7".to_string())
             .unwrap();
         t.child_span(Some(ctx), "uss.ingest", 1.5, String::new);
-        t.record_provenance(2.0, "alice", ctx.trace_id, 0.75, || "{\"k\":1}".to_string());
         let a = Anomaly {
             t_s: 3.0,
             kind: "divergence",
@@ -194,8 +175,6 @@ mod tests {
         assert!(lines[0].contains("\\\"quoted\\\""));
         assert!(dump.contains("\"type\":\"span\""));
         assert!(dump.contains("\"name\":\"uss.ingest\""));
-        assert!(dump.contains("\"type\":\"explanation\""));
-        assert!(dump.contains("\"explanation\":{\"k\":1}"));
-        assert_eq!(lines.len(), 4, "anomaly + 2 spans + 1 explanation");
+        assert_eq!(lines.len(), 3, "anomaly + 2 spans");
     }
 }

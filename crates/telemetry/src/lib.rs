@@ -11,9 +11,8 @@
 //!   series;
 //! * **tracing** — [`Telemetry::traced`]: every usage report roots a causal
 //!   trace whose [`TraceCtx`] rides the whole
-//!   report→gossip→refresh→query pipeline across sites ([`span`]), and the
-//!   serve that closes a trace captures its decision [`provenance`] — a
-//!   type-erased, replayable explanation of the served priority;
+//!   report→gossip→refresh→query pipeline across sites ([`span`]); the site
+//!   keeps the decision provenance of the serve that closes one;
 //! * **profiling** ([`profile`]): per-shard stage accounting with
 //!   deterministic counters and wall-clock dual clocks, exported as a
 //!   Chrome trace and a folded-stacks profile;
@@ -21,7 +20,7 @@
 //!   sim-time windows with multi-window burn-rate alerting and a
 //!   deterministic pending → firing → resolved lifecycle;
 //! * the **flight recorder** ([`flight`]): the SLO engine's alert sink — a
-//!   JSONL dump of recent spans and explanations per alert.
+//!   JSONL dump of recent spans per alert.
 //!
 //! Everything a surface retains sits in one bounded store, [`Ring`], and
 //! every stage is named once, in [`stage::STAGES`].
@@ -37,7 +36,6 @@ pub mod flight;
 mod hist;
 pub mod json;
 pub mod profile;
-pub mod provenance;
 mod registry;
 mod ring;
 pub mod slo;
@@ -51,14 +49,12 @@ pub use ring::Ring;
 pub use slo::{AlertEvent, SloConfig, SloEngine, SloRule};
 pub use span::{SpanRecord, SpanTree, TraceCtx};
 
-use provenance::ProvenanceRecord;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What a telemetry domain retains of its recent past, behind one lock.
 #[derive(Debug)]
 struct Records {
     spans: Ring<SpanRecord>,
-    provenance: Ring<ProvenanceRecord>,
     /// Spans recorded so far — the sequence half of the next span id.
     span_seq: u64,
     /// Traces started so far: the root spans among them.
@@ -69,8 +65,8 @@ struct Records {
 struct Inner {
     registry: Registry,
     records: Mutex<Records>,
-    /// The site whose usage reports root causal traces here and whose
-    /// served decisions are captured; `None` while tracing is off.
+    /// The site whose usage reports root causal traces here; `None` while
+    /// tracing is off.
     traced_site: Option<u32>,
 }
 
@@ -129,8 +125,7 @@ impl Telemetry {
     }
 
     /// An enabled handle with tracing on for `site`: every usage report
-    /// roots a causal trace and every serve that closes one captures its
-    /// decision provenance. The site is embedded in allocated span ids.
+    /// roots a causal trace. The site is embedded in allocated span ids.
     pub fn traced(site: u32) -> Self {
         Self::new(Some(site))
     }
@@ -141,7 +136,6 @@ impl Telemetry {
                 registry: Registry::new(),
                 records: Mutex::new(Records {
                     spans: Ring::new(span::STORE_CAP),
-                    provenance: Ring::new(span::STORE_CAP),
                     span_seq: 0,
                     traces: 0,
                 }),
@@ -153,6 +147,11 @@ impl Telemetry {
     /// Whether the handle records anything (a disabled one records nothing).
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// Whether tracing is on: the handle records causal spans.
+    pub fn is_traced(&self) -> bool {
+        self.tracing().is_some()
     }
 
     /// Get or create the histogram `name`.
@@ -173,16 +172,12 @@ impl Telemetry {
             snap.add_counts([
                 ("aequus_spans_traces_total", records.traces),
                 ("aequus_spans_recorded_total", records.span_seq),
-                (
-                    "aequus_provenance_captured_total",
-                    records.provenance.pushed(),
-                ),
             ]);
         }
         Some(snap)
     }
 
-    // --- Causal spans and decision provenance (tracing) ---
+    // --- Causal spans (tracing) ---
 
     /// The handle's internals and its site, when tracing is on.
     fn tracing(&self) -> Option<(&Inner, u32)> {
@@ -224,35 +219,6 @@ impl Telemetry {
             .as_ref()
             .map_or_else(Vec::new, |i| i.records().spans.to_vec())
     }
-
-    /// Capture a served decision. `json` (the pre-rendered `Explanation`
-    /// body) is only invoked when tracing is on.
-    pub fn record_provenance(
-        &self,
-        t_s: f64,
-        user: &str,
-        trace_id: u64,
-        factor: f64,
-        json: impl FnOnce() -> String,
-    ) {
-        if let Some((i, _)) = self.tracing() {
-            let record = ProvenanceRecord {
-                t_s,
-                user: user.to_string(),
-                trace_id,
-                factor,
-                json: json(),
-            };
-            i.records().provenance.push(record);
-        }
-    }
-
-    /// The retained decision records, oldest first.
-    pub fn provenance_records(&self) -> Vec<ProvenanceRecord> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.records().provenance.to_vec())
-    }
 }
 
 #[cfg(test)]
@@ -284,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn tracing_off_records_no_span_and_no_decision() {
+    fn tracing_off_records_no_span() {
         let ctx = Some(TraceCtx {
             trace_id: 1,
             span: 1,
@@ -294,8 +260,7 @@ mod tests {
                 .start_trace("rms.report", 0.0, || unreachable!("no detail when off"))
                 .is_none());
             assert!(off.child_span(ctx, "x", 0.0, || unreachable!()).is_none());
-            off.record_provenance(0.0, "u", 0, 0.5, || unreachable!());
-            assert!(off.spans().is_empty() && off.provenance_records().is_empty());
+            assert!(off.spans().is_empty() && !off.is_traced());
         }
         let metrics_only = Telemetry::enabled().snapshot().unwrap();
         assert!(
@@ -330,22 +295,5 @@ mod tests {
         assert_eq!(snap.counters["aequus_spans_traces_total"], 1);
         assert_eq!(snap.counters["aequus_spans_recorded_total"], 3);
         let _ = publish;
-    }
-
-    #[test]
-    fn provenance_capture_round_trip() {
-        let t = Telemetry::traced(0);
-        t.record_provenance(5.0, "alice", 42, 0.625, || "{\"x\":2}".to_string());
-        t.record_provenance(6.0, "bob", 0, 0.5, || "{}".to_string());
-        let recs = t.provenance_records();
-        assert_eq!(recs.len(), 2);
-        let a = &recs[0];
-        assert_eq!(a.factor, 0.625);
-        assert_eq!(a.trace_id, 42);
-        assert_eq!(a.json, "{\"x\":2}");
-        assert_eq!(
-            t.snapshot().unwrap().counters["aequus_provenance_captured_total"],
-            2
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! The one bounded store of the crate: a drop-oldest ring with a drop
-//! counter. Causal spans, decision records and the profiler's epoch
-//! spans all retain "the last `cap`" through it, so a run of any
-//! length keeps a fixed footprint and says how much it let go.
+//! counter. Causal spans, the profiler's epoch spans and a traced site's
+//! decision records all retain "the last `cap`" through it, so a run of
+//! any length keeps a fixed footprint and says how much it let go.
 
 use std::collections::VecDeque;
 

@@ -53,7 +53,7 @@ pub struct SpanRecord {
 }
 
 /// Capacity of a site's span ring and of its decision-record ring.
-pub(crate) const STORE_CAP: usize = 4096;
+pub const STORE_CAP: usize = 4096;
 
 /// Bits of a span id reserved for the per-site sequence; the site tag sits
 /// above, so ids allocated independently on different sites never collide.

@@ -22,8 +22,8 @@ use aequus::core::codec::{
 };
 use aequus::core::flat_policy;
 use aequus::core::{
-    parse_policy, EntityPath, Explanation, FairshareConfig, FairshareTree, GridUser, JobId,
-    PolicyNode, PolicyTree, ProjectionKind, SiteId, UsageRecord, UsageSummary, UserCells,
+    parse_policy, EntityPath, FairshareConfig, GridUser, JobId, ProjectionKind, SiteId,
+    UsageRecord, UsageSummary, UserCells,
 };
 use aequus::services::{
     AequusSite, HealthMap, LinkObservation, LinkSide, ParticipationMode, RetryPolicy,
@@ -39,7 +39,6 @@ use aequus::workload::swf::{parse_swf, to_swf};
 use aequus::workload::{Trace, TraceJob};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -208,36 +207,6 @@ fn json_documents() -> Vec<Vec<u8>> {
     ]
 }
 
-fn explanations() -> Vec<Vec<u8>> {
-    let policy = PolicyTree::new(PolicyNode::group(
-        "root",
-        1.0,
-        vec![
-            PolicyNode::group(
-                "physics",
-                2.0,
-                vec![PolicyNode::user("alice", 3.0), PolicyNode::user("bob", 1.0)],
-            ),
-            PolicyNode::user("carol", 1.0),
-        ],
-    ))
-    .expect("valid policy");
-    let usage: BTreeMap<GridUser, f64> = [("alice", 600.0), ("bob", 100.0), ("carol", 300.0)]
-        .into_iter()
-        .map(|(u, v)| (GridUser::new(u), v))
-        .collect();
-    let tree = FairshareTree::compute(&policy, &usage, &FairshareConfig::default(), 42.0);
-    ProjectionKind::ALL
-        .into_iter()
-        .map(|kind| {
-            Explanation::capture(&tree, &GridUser::new("bob"), kind)
-                .expect("bob is in the tree")
-                .to_json()
-                .into_bytes()
-        })
-        .collect()
-}
-
 const POLICY: &str = "# comments and blank lines are ignored\n\
     /local            60\n\
     /grid             40   mount=national-pds\n\
@@ -395,7 +364,7 @@ fn no_decoder_or_parser_panics_on_mutated_input() {
     let mut section = Vec::new();
     NamedCells::from_cells(&summary().per_user).encode(&mut section);
 
-    let targets: [(&str, Vec<Vec<u8>>, Target); 10] = [
+    let targets: [(&str, Vec<Vec<u8>>, Target); 9] = [
         ("core::decode_summary", summaries, |b| {
             decode_summary(b).is_ok()
         }),
@@ -424,9 +393,6 @@ fn no_decoder_or_parser_panics_on_mutated_input() {
         ("parse_swf", swf(), swf_accepted),
         ("JsonValue::parse", json_documents(), |b| {
             JsonValue::parse(&text(b)).is_some()
-        }),
-        ("Explanation::from_json", explanations(), |b| {
-            Explanation::from_json(&text(b)).is_some()
         }),
     ];
     for (name, valid, target) in targets {
