@@ -168,7 +168,10 @@ done
 # and the UMS's several-USS refresh (a count lives in the service that
 # keeps it, and a snapshot reads it there), and the explanation's JSON
 # codec with the telemetry handle's string-typed decision ring (a site keeps
-# its captures as typed records, and every reader is in the process) — and no tracked
+# its captures as typed records, and every reader is in the process), and the
+# policy's second copy — its lazily built layout, its node-tree root accessor
+# and the fairshare row's per-node share (a policy is its layout plus one share
+# column, and a fairshare tree reads that column) — and no tracked
 # source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
@@ -202,9 +205,11 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'aequus_fcs_queries_total' -e 'aequus_rms_reprio_passes_total' \
   -e 'aequus_pds_edits_total' -e 'refresh_many' \
   -e 'ProvenanceRecord' -e 'record_provenance' -e 'provenance_records' \
-  -e 'decay_json' -e 'Explanation::from_json' \
+  -e 'decay_json' -e 'Explanation::from_json' -e 'PolicyTree::root' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim ||
+  git grep -n -e 'OnceLock' -e 'fn root(' -- crates/core/src/policy.rs ||
+  sed -n '/^struct NodeState/,/^}/p' crates/core/src/fairshare.rs | grep -n -w 'share:' ||
   git grep -n 'store_mapping' -- crates/sim/src; then
   echo "a deleted path is named again" >&2
   exit 1

@@ -6,8 +6,9 @@ use crate::cli::{Args, Gates};
 use crate::{baseline_trace, parallel_sweep, peak_priority, BALANCE_DWELL_S, BALANCE_EPS};
 use aequus_core::policy::{PolicyNode, PolicyTree};
 use aequus_core::projection::ProjectionKind;
-use aequus_core::{DecayPolicy, GridUser};
+use aequus_core::{DecayPolicy, EntityPath, GridUser};
 use aequus_rms::DispatchOrder;
+use aequus_services::Pds;
 use aequus_sim::{GridScenario, GridSimulation, SimResult};
 use aequus_workload::users::baseline_policy_shares;
 use aequus_workload::{Trace, TraceJob};
@@ -325,24 +326,24 @@ pub(super) fn hierarchy_isolation(args: &Args, _gates: &mut Gates) {
 pub(super) fn local_autonomy(args: &Args, _gates: &mut Gates) {
     let jobs = args.num(0).unwrap_or(20_000);
     let mut scenario = GridScenario::national_testbed(&baseline_policy_shares(), 42);
-    // Site 0's local policy: local-hpc 70%, the grid's four users under 30%.
-    let local_policy = PolicyTree::new(PolicyNode::group(
-        "root",
-        1.0,
-        vec![
-            PolicyNode::user("local-hpc", 0.7),
-            PolicyNode::group(
-                "grid",
-                0.3,
-                baseline_policy_shares()
-                    .iter()
-                    .map(|(n, s)| PolicyNode::user(*n, *s))
-                    .collect(),
-            ),
-        ],
-    ))
-    .unwrap();
-    scenario.clusters[0].policy_override = Some(local_policy);
+    // Site 0's local policy (§II-A): local-hpc 70%, and a 30% mount point
+    // the national PDS fills with the grid's own policy.
+    let mut national = Pds::new(scenario.policy.clone());
+    national.export("grid", scenario.policy.clone());
+    let mut site = Pds::new(
+        PolicyTree::new(PolicyNode::group(
+            "root",
+            1.0,
+            vec![
+                PolicyNode::user("local-hpc", 0.7),
+                PolicyNode::mount_point("grid", 0.3, "national"),
+            ],
+        ))
+        .unwrap(),
+    );
+    site.mount_from(&national, "grid", &EntityPath::parse("/grid"))
+        .unwrap();
+    scenario.clusters[0].policy_override = Some(site.policy().clone());
 
     // The grid workload plus a steady local stream aimed at site 0. The
     // submission host spreads grid jobs; local jobs are injected as part of

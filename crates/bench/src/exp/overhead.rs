@@ -77,8 +77,9 @@ const TIMER_BUDGET_NS: f64 = 340.0;
 const SPAN_BUDGET_NS: f64 = 250.0;
 /// A provenance capture: the explanation and a push onto the site's typed
 /// ring. Median 270 ns quiet, 508 loud (1,899 and 2,962 while a capture
-/// also rendered its JSON and took the records lock).
-const CAPTURE_BUDGET_NS: f64 = 6_000.0;
+/// also rendered its JSON and took the records lock); five medians of
+/// 240–289 ns set the budget at 3× the highest.
+const CAPTURE_BUDGET_NS: f64 = 870.0;
 
 /// Telemetry and tracing cost gate: the operations a telemetry-on and a
 /// traced run perform — deterministic, so exact — and what one of each

@@ -14,15 +14,16 @@
 //!
 //! ## Incremental engine
 //!
-//! A tree is the policy's shared [`PolicyLayout`] — topology, names, which
-//! leaf accounts for whom; built once per policy structure — plus one flat
+//! A tree is the policy it was computed from — a clone of its
+//! [`PolicyTree`]: the shared [`PolicyLayout`] (topology, names, which leaf
+//! accounts for whom) and share column, both by `Arc` — plus one flat
 //! [`NodeId`]-indexed row holding only what needs the population: a node's
-//! raw share, its own and subtree usage, and on each parent the two totals
-//! of its sibling group (Σ children's shares, Σ children's subtree usage,
-//! each summed left to right in policy order). A node's normalized shares,
-//! distance and element ([`NodeShare`]) are a pure function of its own
-//! slot, its parent's totals and the config, so they are computed when
-//! read ([`FairshareTree::share_of`]) and never stored: nothing has to be
+//! own and subtree usage, and on each parent the two totals of its sibling
+//! group (Σ children's shares, Σ children's subtree usage, each summed left
+//! to right in policy order). A node's normalized shares, distance and
+//! element ([`NodeShare`]) are a pure function of its share, its own slot,
+//! its parent's totals and the config, so they are computed when read
+//! ([`FairshareTree::share_of`]) and never stored: nothing has to be
 //! re-derived when a sibling moves.
 //!
 //! A full rebuild is one float pass over a `&[f64]` usage row;
@@ -43,7 +44,7 @@
 use crate::arena::{DirtySet, NodeId, RecomputeStats, UserId};
 use crate::decay::DecayPolicy;
 use crate::ids::{EntityPath, GridUser};
-use crate::policy::{PolicyLayout, PolicyNode, PolicyTree};
+use crate::policy::{PolicyLayout, PolicyTree};
 use crate::vector::{FairshareVector, Resolution};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -112,10 +113,8 @@ pub struct NodeShare {
 }
 
 /// One slot of the per-node state row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct NodeState {
-    /// Raw (un-normalized) policy share.
-    share: f64,
     /// Usage attributed directly to this node (non-zero only for users).
     own_usage: f64,
     /// Aggregated usage of this node's subtree.
@@ -126,12 +125,13 @@ struct NodeState {
     usage_total: f64,
 }
 
-/// A computed fairshare tree: the policy's shared layout plus per-node
-/// sums, supporting both full computation and dirty-path incremental
-/// recomputation.
+/// A computed fairshare tree: the policy's shared layout and shares plus
+/// per-node sums, supporting both full computation and dirty-path
+/// incremental recomputation.
 #[derive(Debug, Clone)]
 pub struct FairshareTree {
-    layout: Arc<PolicyLayout>,
+    /// The policy the state row is laid out over and reads shares from.
+    policy: PolicyTree,
     /// State of each layout node, by [`NodeId`].
     nodes: Vec<NodeState>,
     config: FairshareConfig,
@@ -167,65 +167,41 @@ impl FairshareTree {
     /// Compute the fairshare tree from a policy and a usage row indexed by
     /// the [`UserId`]s of the policy's layout (a user it has no entry for
     /// — [`UserId::read`] — has no usage). `O(nodes)` float work: no name,
-    /// path or map is touched (the layout is shared, and built on the first
-    /// call per policy structure).
+    /// path or map is touched (the layout and shares are the policy's,
+    /// shared).
     pub fn compute_row(
         policy: &PolicyTree,
         usage: &[f64],
         config: &FairshareConfig,
         now_s: f64,
     ) -> Self {
-        fn shares(node: &PolicyNode, out: &mut Vec<NodeState>) {
-            out.push(NodeState {
-                share: node.share,
-                own_usage: 0.0,
-                subtree_usage: 0.0,
-                share_total: 0.0,
-                usage_total: 0.0,
-            });
-            for child in &node.children {
-                shares(child, out);
-            }
-        }
-        let layout = Arc::clone(policy.layout());
-        let mut nodes = Vec::with_capacity(layout.node_count());
-        shares(policy.root(), &mut nodes);
+        let (count, depth) = (policy.layout().node_count(), policy.layout().depth());
         let mut tree = Self {
-            on_path: vec![false; nodes.len()],
-            by_level: vec![Vec::new(); layout.depth() + 1],
-            layout,
-            nodes,
+            policy: policy.clone(),
+            nodes: vec![NodeState::default(); count],
             config: *config,
             computed_at_s: now_s,
+            on_path: vec![false; count],
+            by_level: vec![Vec::new(); depth + 1],
         };
         // Bottom-up: ids are depth-first, so children sit after their parent.
-        for id in (0..tree.nodes.len() as u32).rev().map(NodeId) {
-            let own = tree.layout[id].user;
+        for id in (0..count as u32).rev().map(NodeId) {
+            let own = tree.layout()[id].user;
             tree.nodes[id.index()].own_usage = own.and_then(|user| user.read(usage)).unwrap_or(0.0);
             tree.resum(id);
-            tree.retotal(id);
+            tree.nodes[id.index()].share_total = policy.share_total(id);
         }
         tree
     }
 
-    /// Σ `of(child)` over `id`'s children, left to right in policy order —
-    /// the one summation of full and incremental passes.
-    fn sum_children(&self, id: NodeId, of: impl Fn(&NodeState) -> f64) -> f64 {
-        let children = self.layout[id].children.iter();
-        children.map(|c| of(&self.nodes[c.index()])).sum()
-    }
-
-    /// `subtree = own + Σ children`, the sum kept as the group's usage total.
+    /// `subtree = own + Σ children` (left to right in policy order), the
+    /// sum kept as the group's usage total.
     fn resum(&mut self, id: NodeId) {
-        let total = self.sum_children(id, |child| child.subtree_usage);
+        let children = self.policy.layout()[id].children.iter();
+        let total = children.map(|c| self.nodes[c.index()].subtree_usage).sum();
         let node = &mut self.nodes[id.index()];
         node.usage_total = total;
         node.subtree_usage = node.own_usage + total;
-    }
-
-    /// Re-total the raw shares of `id`'s children.
-    fn retotal(&mut self, id: NodeId) {
-        self.nodes[id.index()].share_total = self.sum_children(id, |child| child.share);
     }
 
     /// Incrementally bring the tree up to date for the users whose usage
@@ -235,11 +211,12 @@ impl FairshareTree {
     ///
     /// `usage` is the complete usage row the tree should reflect (only the
     /// dirty users' entries are read; a dirty user re-aggregates *every*
-    /// leaf accounting for it); `policy` is consulted for edited shares.
-    /// `None` when the change cannot be served incrementally — `dirty` says
-    /// "all", `policy` has another structure than the tree was computed for,
-    /// or an edited path names no node: the tree may then be half-updated
-    /// and the caller recomputes it with [`compute_row`](Self::compute_row).
+    /// leaf accounting for it); the tree takes `policy`'s share column and
+    /// re-totals the groups of the edited paths. `None` when the change
+    /// cannot be served incrementally — `dirty` says "all", `policy` has
+    /// another structure than the tree was computed for, or an edited path
+    /// names no node: the tree may then be half-updated and the caller
+    /// recomputes it with [`compute_row`](Self::compute_row).
     ///
     /// **Equivalence invariant:** after `Some(_)`, the tree state is
     /// bit-identical to `FairshareTree::compute_row(policy, usage, config,
@@ -270,17 +247,17 @@ impl FairshareTree {
         dirty: &DirtySet,
         now_s: f64,
     ) -> Option<RecomputeStats> {
-        if dirty.is_all() || !Arc::ptr_eq(&self.layout, policy.layout()) {
+        if dirty.is_all() || !Arc::ptr_eq(self.layout(), policy.layout()) {
             return None;
         }
         self.computed_at_s = now_s;
-        let layout = Arc::clone(&self.layout);
+        self.policy = policy.clone();
+        let layout = Arc::clone(policy.layout());
         for path in dirty.paths() {
             let id = layout.node_at(path)?;
-            self.nodes[id.index()].share = policy.node_at(path)?.share;
             // The root's share participates in no sibling group.
             if let Some(group) = layout[id].parent {
-                self.retotal(group);
+                self.nodes[group.index()].share_total = policy.share_total(group);
             }
         }
         // A dirty leaf is re-summed where it is met (each is met once); its
@@ -323,42 +300,37 @@ impl FairshareTree {
     /// equivalence oracle for the incremental engine.
     pub fn state_equals(&self, other: &FairshareTree) -> bool {
         let bits = |n: &NodeState| {
-            [
-                n.share,
-                n.own_usage,
-                n.subtree_usage,
-                n.share_total,
-                n.usage_total,
-            ]
-            .map(f64::to_bits)
+            [n.own_usage, n.subtree_usage, n.share_total, n.usage_total].map(f64::to_bits)
         };
-        (Arc::ptr_eq(&self.layout, &other.layout) || self.layout == other.layout)
+        let (ours, theirs) = (self.policy.shares().iter(), other.policy.shares().iter());
+        self.layout() == other.layout()
             && self.config == other.config
+            && ours.map(|s| s.to_bits()).eq(theirs.map(|s| s.to_bits()))
             && (self.nodes.iter().map(bits)).eq(other.nodes.iter().map(bits))
     }
 
     /// The policy layout this tree's state row is laid out over.
     pub fn layout(&self) -> &Arc<PolicyLayout> {
-        &self.layout
+        self.policy.layout()
     }
 
     /// Per-node share state at `path` (the root has no sibling group and
     /// reports `None`).
     pub fn node(&self, path: &EntityPath) -> Option<NodeShare> {
-        let id = self.layout.node_at(path)?;
-        self.layout[id].parent.map(|_| self.share_of(id))
+        let id = self.layout().node_at(path)?;
+        self.layout()[id].parent.map(|_| self.share_of(id))
     }
 
     /// The leaf a user's vector and factor are read from: the last one
     /// accounting for it, in policy order.
     pub fn leaf_of(&self, user: UserId) -> Option<NodeId> {
-        self.layout.leaves_of(user).last().copied()
+        self.layout().leaves_of(user).last().copied()
     }
 
     /// Resolve a grid user to its serving leaf ([`leaf_of`](Self::leaf_of))
     /// by name.
     pub fn user_node(&self, user: &GridUser) -> Option<NodeId> {
-        self.leaf_of(self.layout.user_id(user)?)
+        self.leaf_of(self.layout().user_id(user)?)
     }
 
     /// Share state of an arena node within its sibling group: its own share
@@ -367,7 +339,7 @@ impl FairshareTree {
     /// of flops, pure in the state row. The root has no sibling group and
     /// reads neutral.
     pub fn share_of(&self, id: NodeId) -> NodeShare {
-        let Some(parent) = self.layout[id].parent else {
+        let Some(parent) = self.layout()[id].parent else {
             return NodeShare {
                 policy_share: 1.0,
                 usage_share: 1.0,
@@ -377,7 +349,7 @@ impl FairshareTree {
         };
         let (node, group) = (&self.nodes[id.index()], &self.nodes[parent.index()]);
         let p = if group.share_total > 0.0 {
-            node.share / group.share_total
+            self.policy.shares()[id.index()] / group.share_total
         } else {
             0.0
         };
@@ -404,7 +376,7 @@ impl FairshareTree {
     pub fn vector_of_id(&self, id: NodeId) -> FairshareVector {
         let mut elements = Vec::with_capacity(self.depth());
         let mut cur = id;
-        while let Some(parent) = self.layout[cur].parent {
+        while let Some(parent) = self.layout()[cur].parent {
             elements.push(self.share_of(cur).element);
             cur = parent;
         }
@@ -414,7 +386,7 @@ impl FairshareTree {
 
     /// Every user with its serving leaf, in id order.
     pub fn user_leaves(&self) -> impl Iterator<Item = (UserId, NodeId)> + '_ {
-        let users = self.layout.user_ids();
+        let users = self.layout().user_ids();
         users.filter_map(|user| Some((user, self.leaf_of(user)?)))
     }
 
@@ -438,13 +410,13 @@ impl FairshareTree {
     /// A per-user row of this tree (a projection's output) as a report:
     /// every user of the policy the row holds an entry for, by name.
     pub fn by_user(&self, row: &[f64]) -> BTreeMap<GridUser, f64> {
-        let entry = |user: UserId| Some((self.layout.name(user)?.clone(), user.read(row)?));
-        self.layout.user_ids().filter_map(entry).collect()
+        let entry = |user: UserId| Some((self.layout().name(user)?.clone(), user.read(row)?));
+        self.layout().user_ids().filter_map(entry).collect()
     }
 
     /// Maximum hierarchy depth.
     pub fn depth(&self) -> usize {
-        self.layout.depth()
+        self.layout().depth()
     }
 
     /// Total number of arena nodes (policy nodes incl. root).

@@ -6,11 +6,15 @@
 //! say, 30% of the cluster to a grid, and the grid's own PDS supplies how
 //! that 30% subdivides — without the site admin managing grid-internal
 //! shares.
+//!
+//! A policy is built from (and exported as) a recursive [`PolicyNode`] tree,
+//! and stored once, flat: a [`PolicyTree`] is its shared [`PolicyLayout`]
+//! plus one share per node, indexed by [`NodeId`].
 
 use crate::arena::{NodeId, UserId, UserTable};
 use crate::ids::{EntityPath, GridUser};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Errors raised by policy construction and mounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,112 +72,95 @@ pub struct PolicyNode {
 }
 
 impl PolicyNode {
-    /// A group node.
-    pub fn group(name: impl Into<String>, share: f64, children: Vec<PolicyNode>) -> Self {
+    fn new(name: impl Into<String>, share: f64, kind: PolicyNodeKind, children: Vec<Self>) -> Self {
         Self {
             name: name.into(),
             share,
-            kind: PolicyNodeKind::Group,
+            kind,
             children,
         }
+    }
+
+    /// A group node.
+    pub fn group(name: impl Into<String>, share: f64, children: Vec<PolicyNode>) -> Self {
+        Self::new(name, share, PolicyNodeKind::Group, children)
     }
 
     /// A user leaf whose name doubles as its grid identity.
     pub fn user(name: impl Into<String>, share: f64) -> Self {
         let name = name.into();
-        Self {
-            share,
-            kind: PolicyNodeKind::User(GridUser::new(name.clone())),
-            children: Vec::new(),
-            name,
-        }
+        Self::user_with_identity(name.clone(), share, GridUser::new(name))
     }
 
     /// A user leaf with an explicit grid identity.
     pub fn user_with_identity(name: impl Into<String>, share: f64, identity: GridUser) -> Self {
-        Self {
-            name: name.into(),
-            share,
-            kind: PolicyNodeKind::User(identity),
-            children: Vec::new(),
-        }
+        Self::new(name, share, PolicyNodeKind::User(identity), Vec::new())
     }
 
     /// A mount point for a remotely supplied sub-policy.
     pub fn mount_point(name: impl Into<String>, share: f64, source: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
+        let source = source.into();
+        Self::new(
+            name,
             share,
-            kind: PolicyNodeKind::MountPoint {
-                source: source.into(),
-            },
-            children: Vec::new(),
-        }
+            PolicyNodeKind::MountPoint { source },
+            Vec::new(),
+        )
     }
 }
 
-/// A complete share policy: a named tree with validation and mounting. A
-/// clone shares the nodes until an edit copies them for the edited clone.
-#[derive(Clone)]
+/// A complete share policy: its [`PolicyLayout`] and one raw share per
+/// node, by [`NodeId`], both shared by its clones. A share edit copies the
+/// share column (8 bytes a node) for the edited clone; a mount builds a new
+/// layout. A [`PolicyNode`] tree is what a policy is built from and
+/// exported as ([`to_node`](Self::to_node)).
+#[derive(Debug, Clone)]
 pub struct PolicyTree {
-    root: Arc<PolicyNode>,
+    layout: Arc<PolicyLayout>,
+    /// Each node's raw (un-normalized) share, by [`NodeId`].
+    shares: Arc<[f64]>,
     /// Monotonically increasing version, bumped on every mutation; lets
     /// downstream services (UMS/FCS) detect policy changes cheaply.
     version: u64,
-    /// The [`PolicyLayout`] of this tree's *structure*, built on first use
-    /// and shared by every clone (the sites of a grid pay for one between
-    /// them). Share edits keep it; [`mount`](Self::mount) starts afresh.
-    layout: Arc<OnceLock<Arc<PolicyLayout>>>,
 }
 
-/// As derived, without the layout: whether one has been built yet is not
-/// part of a policy's printed form (or of its equality).
-impl std::fmt::Debug for PolicyTree {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyTree")
-            .field("root", &self.root)
-            .field("version", &self.version)
-            .finish()
-    }
-}
-
+/// The same layout and shares: the version counts edits, not the policy.
 impl PartialEq for PolicyTree {
     fn eq(&self, other: &Self) -> bool {
-        self.root == other.root && self.version == other.version
+        self.layout == other.layout && self.shares == other.shares
     }
 }
 
 impl PolicyTree {
     /// Build a policy tree from a root node, validating shares and name
-    /// uniqueness throughout.
+    /// uniqueness throughout, and lay it out (one walk plus the name sort
+    /// that ranks the user base).
     pub fn new(root: PolicyNode) -> Result<Self, PolicyError> {
         validate(&root)?;
+        let (layout, shares) = PolicyLayout::build(root);
         Ok(Self {
-            root: Arc::new(root),
+            layout: Arc::new(layout),
+            shares: shares.into(),
             version: 1,
-            layout: Arc::default(),
         })
     }
 
-    /// The layout of this tree's structure — built once (one walk plus the
-    /// name sort that ranks the user base) for this tree and all its clones
-    /// — or the one [`key_by`](Self::key_by) gave it.
+    /// The layout of this tree's structure, shared with its clones — or the
+    /// one [`key_by`](Self::key_by) gave it.
     pub fn layout(&self) -> &Arc<PolicyLayout> {
-        let build = || Arc::new(PolicyLayout::build(&self.root));
-        self.layout.get_or_init(build)
+        &self.layout
+    }
+
+    /// Each node's raw share, by [`NodeId`]; fairshare trees read it.
+    pub fn shares(&self) -> &Arc<[f64]> {
+        &self.shares
     }
 
     /// Give this tree (and its later clones, not its earlier ones) its
     /// layout keyed by a site's `users`, which share edits keep: the
     /// layout's users named by `users`' ids, those it lacks interned there.
     pub fn key_by(&mut self, users: &mut UserTable) {
-        let keyed = Arc::new(self.layout().keyed_by(users));
-        self.layout = Arc::new(OnceLock::from(keyed));
-    }
-
-    /// The root node.
-    pub fn root(&self) -> &PolicyNode {
-        &self.root
+        self.layout = Arc::new(self.layout.keyed_by(users));
     }
 
     /// Current policy version (bumped on mount/update).
@@ -181,135 +168,157 @@ impl PolicyTree {
         self.version
     }
 
-    /// Find a node by path (root = empty path).
-    pub fn node_at(&self, path: &EntityPath) -> Option<&PolicyNode> {
-        let mut node: &PolicyNode = &self.root;
-        for comp in path.components() {
-            node = node.children.iter().find(|c| &c.name == comp)?;
+    /// The policy as a node tree, the form it is built from (and which
+    /// [`PolicyTree::new`] lays out into an equal tree); every name copied.
+    pub fn to_node(&self) -> PolicyNode {
+        self.node(NodeId(0), None)
+    }
+
+    /// The node tree under `id`, with the root children of `graft`'s tree
+    /// in place of the children of the node it names.
+    fn node(&self, id: NodeId, graft: Option<(NodeId, &PolicyTree)>) -> PolicyNode {
+        let at = &self.layout[id];
+        let children = match graft {
+            Some((to, subtree)) if to == id => subtree.to_node().children,
+            _ => at.children.iter().map(|&c| self.node(c, graft)).collect(),
+        };
+        PolicyNode {
+            name: at.name.clone(),
+            share: self.shares[id.index()],
+            kind: self.layout.kind_of(id),
+            children,
         }
-        Some(node)
     }
 
     /// Mount a sub-policy at the named mount point. The mounted tree's root
     /// children become the mount node's children; the mount node keeps its
     /// locally assigned share ("local administrations retain control").
+    /// The policy is laid out afresh; a refused mount changes nothing.
     pub fn mount(&mut self, at: &EntityPath, subtree: &PolicyTree) -> Result<(), PolicyError> {
-        let node = node_at_mut(Arc::make_mut(&mut self.root), at)
+        let mount =
+            |&id: &NodeId| matches!(self.layout.kind_of(id), PolicyNodeKind::MountPoint { .. });
+        let id = (self.layout.node_at(at).filter(mount))
             .ok_or_else(|| PolicyError::NoSuchMountPoint(at.to_string()))?;
-        if !matches!(node.kind, PolicyNodeKind::MountPoint { .. }) {
-            return Err(PolicyError::NoSuchMountPoint(at.to_string()));
-        }
-        node.children = subtree.root.children.clone();
-        self.layout = Arc::default();
-        validate(&self.root)?;
-        self.version += 1;
+        let version = self.version + 1;
+        *self = Self {
+            version,
+            ..Self::new(self.node(NodeId(0), Some((id, subtree))))?
+        };
         Ok(())
     }
 
     /// Replace the share of the node at `path` (run-time policy change, as
-    /// exercised by the paper's non-optimal policy test). A share that is
-    /// not finite and non-negative, or that would make its sibling group
-    /// sum past `f64::MAX` (the test [`PolicyTree::new`] applies), is
-    /// refused before anything is written.
+    /// exercised by the paper's non-optimal policy test): one slot of the
+    /// share column. A share that is not finite and non-negative, or that
+    /// would make its sibling group sum past `f64::MAX` (the test
+    /// [`PolicyTree::new`] applies), is refused before anything is written.
     pub fn set_share(&mut self, path: &EntityPath, share: f64) -> Result<(), PolicyError> {
         if !(share.is_finite() && share >= 0.0) {
             return Err(PolicyError::InvalidShare(path.to_string()));
         }
-        let overflowing = path.components().split_last().and_then(|(name, up)| {
-            let group = self.node_at(&EntityPath(up.to_vec()))?;
-            let share_of = |c: &PolicyNode| if &c.name == name { share } else { c.share };
-            let total: f64 = group.children.iter().map(share_of).sum();
-            (!total.is_finite()).then_some(group)
-        });
-        if let Some(group) = overflowing {
-            return Err(PolicyError::InvalidShare(group.name.clone()));
+        let id =
+            (self.layout.node_at(path)).ok_or_else(|| PolicyError::NoSuchPath(path.to_string()))?;
+        if let Some(group) = self.layout[id].parent {
+            let shares = &self.shares;
+            let share_of = |&c: &NodeId| if c == id { share } else { shares[c.index()] };
+            let total: f64 = self.layout[group].children.iter().map(share_of).sum();
+            if !total.is_finite() {
+                return Err(PolicyError::InvalidShare(self.layout[group].name.clone()));
+            }
         }
-        let node = node_at_mut(Arc::make_mut(&mut self.root), path)
-            .ok_or_else(|| PolicyError::NoSuchPath(path.to_string()))?;
-        node.share = share;
+        Arc::make_mut(&mut self.shares)[id.index()] = share;
         self.version += 1;
         Ok(())
+    }
+
+    /// Σ the raw shares of `id`'s children, left to right in policy order.
+    pub(crate) fn share_total(&self, id: NodeId) -> f64 {
+        let children = self.layout[id].children.iter();
+        children.map(|c| self.shares[c.index()]).sum()
+    }
+
+    /// `id`'s absolute share from its parent's, `above`, and its group's
+    /// share `total` (0 in a group without a positive one): the formula of
+    /// every share read below, applied root first.
+    fn below(&self, above: f64, id: NodeId, total: f64) -> f64 {
+        if total <= 0.0 {
+            0.0
+        } else {
+            above * (self.shares[id.index()] / total)
+        }
     }
 
     /// Normalized target share of each child of `path` (shares of siblings
     /// sum to 1; returns an empty map for leaves and zero-weight groups).
     pub fn normalized_children(&self, path: &EntityPath) -> BTreeMap<String, f64> {
-        let Some(node) = self.node_at(path) else {
+        let Some(id) = self.layout.node_at(path) else {
             return BTreeMap::new();
         };
-        let total: f64 = node.children.iter().map(|c| c.share).sum();
+        let total = self.share_total(id);
         if total <= 0.0 {
             return BTreeMap::new();
         }
-        node.children
-            .iter()
-            .map(|c| (c.name.clone(), c.share / total))
-            .collect()
+        let children = self.layout[id].children.iter();
+        let normalized = |&c: &NodeId| (self.layout[c].name.clone(), self.below(1.0, c, total));
+        children.map(normalized).collect()
     }
 
     /// The *absolute* target share of the entity at `path`: the product of
     /// normalized shares along the path (the "total target share" of the
     /// percental projection, §III-C).
     pub fn absolute_share(&self, path: &EntityPath) -> Option<f64> {
-        let mut node: &PolicyNode = &self.root;
-        let mut share = 1.0;
-        for comp in path.components() {
-            let total: f64 = node.children.iter().map(|c| c.share).sum();
-            let child = node.children.iter().find(|c| &c.name == comp)?;
-            if total <= 0.0 {
-                return Some(0.0);
+        fn absolute(tree: &PolicyTree, id: NodeId) -> f64 {
+            match tree.layout[id].parent {
+                None => 1.0,
+                Some(up) => tree.below(absolute(tree, up), id, tree.share_total(up)),
             }
-            share *= child.share / total;
-            node = child;
         }
-        Some(share)
+        Some(absolute(self, self.layout.node_at(path)?))
     }
 
     /// Paths of all user leaves with their grid identities, in policy order.
     pub fn users(&self) -> Vec<(EntityPath, GridUser)> {
-        let layout = self.layout();
+        let layout = &self.layout;
         let leaf = |id| {
             let user = layout.users.name(layout[id].user?);
             Some((layout.path_of(id), user.clone()))
         };
-        (0..layout.nodes.len() as u32)
-            .map(NodeId)
-            .filter_map(leaf)
-            .collect()
+        let ids = (0..layout.node_count() as u32).map(NodeId);
+        ids.filter_map(leaf).collect()
     }
 
     /// Every user leaf with its absolute share, in [`users`](Self::users)
-    /// order: one `O(nodes)` walk yielding what
+    /// order: one `O(nodes)` pass yielding what
     /// [`absolute_share`](Self::absolute_share) would per leaf, bit for bit
-    /// (the same `share * (child.share / total)` at every level; a sibling
-    /// group without a positive total zeroes its subtree).
+    /// (ids are depth first, so a node's absolute share is final before its
+    /// children's are formed from it).
     pub fn user_shares(&self) -> Vec<(GridUser, f64)> {
-        fn walk(node: &PolicyNode, share: f64, out: &mut Vec<(GridUser, f64)>) {
-            if let PolicyNodeKind::User(u) = &node.kind {
-                out.push((u.clone(), share));
+        let layout = &self.layout;
+        let mut absolute = vec![1.0; layout.node_count()];
+        let mut out = Vec::new();
+        for id in (0..layout.node_count() as u32).map(NodeId) {
+            let above = absolute[id.index()];
+            if let Some(user) = layout[id].user {
+                out.push((layout.users.name(user).clone(), above));
             }
-            let total: f64 = node.children.iter().map(|c| c.share).sum();
-            for c in &node.children {
-                let below = share * (c.share / total);
-                walk(c, if total <= 0.0 { 0.0 } else { below }, out);
+            let total = self.share_total(id);
+            for &c in &layout[id].children {
+                absolute[c.index()] = self.below(above, c, total);
             }
         }
-        let mut out = Vec::new();
-        walk(&self.root, 1.0, &mut out);
         out
     }
 
     /// The path of the first leaf (in policy order) accounting for `user`.
     pub fn path_of_user(&self, user: &GridUser) -> Option<EntityPath> {
-        let layout = self.layout();
-        let first = layout.leaves_of(layout.user_id(user)?).first()?;
-        Some(layout.path_of(*first))
+        let first = self.layout.leaves_of(self.layout.user_id(user)?).first()?;
+        Some(self.layout.path_of(*first))
     }
 }
 
 /// One node of a [`PolicyLayout`] (`layout[id]`); slots are in depth-first
 /// policy order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutNode {
     /// Node name (unique among siblings).
     pub name: String,
@@ -324,19 +333,23 @@ pub struct LayoutNode {
 }
 
 /// What only a policy's *structure* determines — arena topology, node
-/// names, which leaf accounts for which identity — built once per structure
-/// ([`PolicyTree::layout`]) and shared by every fairshare tree computed from
-/// a clone of that policy. Shares are not in it: a share edit keeps the
-/// layout, a mount or a replaced policy starts a new one.
+/// names, which leaf accounts for which identity, which node is a mount
+/// point — built once per structure (by [`PolicyTree::new`]) and shared by
+/// every clone of that policy and every fairshare tree computed from one.
+/// Shares are not in it: a share edit keeps the layout, a mount or a
+/// replaced policy starts a new one.
 ///
 /// Its users are named by the ids of a [`UserTable`]: a built layout's own,
 /// over the leaves' identities ranked in name order — the base of the sites
 /// built from the policy, so there a layout id *is* a site id — or, once
 /// keyed by a site's table ([`PolicyTree::key_by`]), that table's. One identity
 /// may sit under several leaves (a user in two projects of a VO).
-#[derive(Debug, PartialEq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PolicyLayout {
     nodes: Vec<LayoutNode>,
+    /// The mount points with their sources, in id order: beside the nodes,
+    /// so that a [`LayoutNode`] carries no kind.
+    mounts: Vec<(NodeId, String)>,
     /// Who an id is: the table the leaves' users are named in.
     users: UserTable,
     /// `leaves[starts[u]..starts[u + 1]]`: the leaves of user `u`, in
@@ -347,38 +360,45 @@ pub struct PolicyLayout {
 }
 
 impl PolicyLayout {
-    fn build(root: &PolicyNode) -> Self {
-        fn add<'a>(
-            node: &'a PolicyNode,
-            parent: Option<NodeId>,
-            nodes: &mut Vec<LayoutNode>,
-            leaf_users: &mut Vec<(&'a GridUser, NodeId)>,
-        ) {
+    /// The layout of `root` and its shares, both by [`NodeId`]: one
+    /// depth-first walk, moving the names out of the nodes.
+    fn build(root: PolicyNode) -> (Self, Vec<f64>) {
+        let (mut nodes, mut shares) = (Vec::<LayoutNode>::new(), Vec::new());
+        let (mut mounts, mut leaf_users) = (Vec::new(), Vec::new());
+        let mut stack = vec![(root, None::<NodeId>)];
+        while let Some((node, parent)) = stack.pop() {
             let id = NodeId(nodes.len() as u32);
             if let Some(parent) = parent {
                 nodes[parent.index()].children.push(id);
             }
             nodes.push(LayoutNode {
-                name: node.name.clone(),
+                name: node.name,
                 parent,
                 children: Vec::with_capacity(node.children.len()),
                 level: parent.map_or(0, |p| nodes[p.index()].level + 1),
                 user: None,
             });
-            if let PolicyNodeKind::User(user) = &node.kind {
-                leaf_users.push((user, id));
+            shares.push(node.share);
+            match node.kind {
+                PolicyNodeKind::User(user) => leaf_users.push((user, id)),
+                PolicyNodeKind::MountPoint { source } => mounts.push((id, source)),
+                PolicyNodeKind::Group => {}
             }
-            for child in &node.children {
-                add(child, Some(id), nodes, leaf_users);
-            }
+            // Reversed, so the first child is popped (and numbered) first.
+            stack.extend(
+                node.children
+                    .into_iter()
+                    .rev()
+                    .map(|child| (child, Some(id))),
+            );
         }
-        let (mut nodes, mut leaf_users) = (Vec::new(), Vec::new());
-        add(root, None, &mut nodes, &mut leaf_users);
         // Stable: an identity's leaves stay in policy order.
-        leaf_users.sort_by(|a, b| a.0.cmp(b.0));
-        let mut ranked: Vec<GridUser> = leaf_users.iter().map(|(u, _)| (*u).clone()).collect();
+        leaf_users.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut ranked: Vec<GridUser> = leaf_users.iter().map(|(u, _)| u.clone()).collect();
         ranked.dedup();
-        Self::keyed(nodes, leaf_users, &mut UserTable::new(ranked.into()))
+        let table = &mut UserTable::new(ranked.into());
+        let leaf_users = leaf_users.iter().map(|(u, leaf)| (u, *leaf)).collect();
+        (Self::keyed(nodes, mounts, leaf_users, table), shares)
     }
 
     /// This layout with its users named by `table`'s ids, interning there
@@ -387,13 +407,14 @@ impl PolicyLayout {
     fn keyed_by(&self, table: &mut UserTable) -> Self {
         let named = |&leaf: &NodeId| Some((self.users.name(self[leaf].user?), leaf));
         let leaf_users = self.leaves.iter().filter_map(named).collect();
-        Self::keyed(self.nodes.clone(), leaf_users, table)
+        Self::keyed(self.nodes.clone(), self.mounts.clone(), leaf_users, table)
     }
 
     /// `nodes` with each leaf of `leaf_users` accounting for its identity's
     /// id in `table`.
     fn keyed(
         mut nodes: Vec<LayoutNode>,
+        mounts: Vec<(NodeId, String)>,
         leaf_users: Vec<(&GridUser, NodeId)>,
         table: &mut UserTable,
     ) -> Self {
@@ -414,6 +435,7 @@ impl PolicyLayout {
         Self {
             depth: nodes.iter().map(|n| n.level).max().unwrap_or(0) as usize,
             nodes,
+            mounts,
             users: table.clone(),
             starts,
             leaves,
@@ -488,6 +510,18 @@ impl PolicyLayout {
         names.reverse();
         EntityPath(names)
     }
+
+    /// What the node at `id` is: a user leaf, a mount point or a group.
+    fn kind_of(&self, id: NodeId) -> PolicyNodeKind {
+        let mount = self.mounts.binary_search_by_key(&id, |(at, _)| *at).ok();
+        match (self[id].user, mount) {
+            (Some(user), _) => PolicyNodeKind::User(self.users.name(user).clone()),
+            (None, Some(i)) => PolicyNodeKind::MountPoint {
+                source: self.mounts[i].1.clone(),
+            },
+            (None, None) => PolicyNodeKind::Group,
+        }
+    }
 }
 
 impl std::ops::Index<NodeId> for PolicyLayout {
@@ -495,14 +529,6 @@ impl std::ops::Index<NodeId> for PolicyLayout {
     fn index(&self, id: NodeId) -> &LayoutNode {
         &self.nodes[id.index()]
     }
-}
-
-fn node_at_mut<'a>(root: &'a mut PolicyNode, path: &EntityPath) -> Option<&'a mut PolicyNode> {
-    let mut node = root;
-    for comp in path.components() {
-        node = node.children.iter_mut().find(|c| &c.name == comp)?;
-    }
-    Some(node)
 }
 
 fn validate(node: &PolicyNode) -> Result<(), PolicyError> {
@@ -628,16 +654,27 @@ mod tests {
         assert!((voa - 0.15).abs() < 1e-12);
         // Local share of the mount stays under site control.
         assert!((site.absolute_share(&EntityPath::parse("/local")).unwrap() - 0.7).abs() < 1e-12);
+        // The mount point keeps its source through the splice and the export.
+        let exported = site.to_node();
+        let source = PolicyNodeKind::MountPoint {
+            source: "national-pds".into(),
+        };
+        assert_eq!(exported.children[1].kind, source);
+        assert_eq!(PolicyTree::new(exported), Ok(site));
     }
 
     #[test]
     fn mount_rejects_non_mount_target() {
         let mut t = figure3_tree();
         let sub = flat_policy(&[("x", 1.0)]).unwrap();
+        let layout = Arc::clone(t.layout());
         assert!(matches!(
             t.mount(&EntityPath::parse("/HP"), &sub),
             Err(PolicyError::NoSuchMountPoint(_))
         ));
+        // A refused mount changes nothing.
+        assert_eq!((t.version(), t.users().len()), (1, 3));
+        assert!(Arc::ptr_eq(t.layout(), &layout));
     }
 
     #[test]
@@ -688,8 +725,8 @@ mod tests {
         let n = t.normalized_children(&EntityPath::root());
         assert!((n["LQ"] - 0.5).abs() < 1e-12);
         assert!((n["HP"] - 0.5).abs() < 1e-12);
-        // The edit copied the nodes: the clone it was shared with keeps
-        // its share, version and layout.
+        // The edit copied the share column: the clone it was shared with
+        // keeps its share, version and layout.
         let lq = other.absolute_share(&EntityPath::parse("/LQ")).unwrap();
         assert!((lq - 0.3).abs() < 1e-12);
         assert_eq!(other.version(), 1);

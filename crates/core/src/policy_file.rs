@@ -222,7 +222,7 @@ pub fn to_policy_file(tree: &PolicyTree) -> String {
             walk(child, &child_path, out);
         }
     }
-    walk(tree.root(), &EntityPath::root(), &mut out);
+    walk(&tree.to_node(), &EntityPath::root(), &mut out);
     out
 }
 
@@ -259,8 +259,8 @@ mod tests {
         let text = "/g/a 1\n/g 5\n";
         let t = parse_policy(text).unwrap();
         // /g got its declared share even though /g/a came first.
-        let n = t.node_at(&EntityPath::parse("/g")).unwrap();
-        assert_eq!(n.share, 5.0);
+        let g = t.layout().node_at(&EntityPath::parse("/g")).unwrap();
+        assert_eq!(t.shares()[g.index()], 5.0);
     }
 
     #[test]

@@ -326,6 +326,56 @@ proptest! {
             prop_assert_eq!(back.path_of_user(&user), Some(path));
         }
     }
+
+    /// After share edits — one group edited to zero last — a policy
+    /// exported as a node tree lays out into an equal one and writes the
+    /// same file; the column pass and the per-leaf descent read the same
+    /// bits; and an edit reaches only the clone it was made on.
+    #[test]
+    fn a_policy_survives_its_export_and_its_clones_their_edits(
+        mut tree in random_tree(),
+        edits in proptest::collection::vec((0usize..64, 0u8..4, 0.0..10.0f64), 0..8),
+        zeroed in 0usize..4,
+        clone_edit in (0usize..64, 0.0..10.0f64),
+    ) {
+        use aequus_core::policy_file::to_policy_file;
+        let paths = edit_paths(&tree);
+        for &(at, kind, share) in &edits {
+            let share = if kind == 0 { 0.0 } else { share };
+            tree.set_share(&paths[at % paths.len()], share).unwrap();
+        }
+        let groups = tree.layout()[NodeId(0)].children.len();
+        let group = EntityPath::parse(&format!("/g{}", zeroed % groups));
+        tree.set_share(&group, 0.0).unwrap();
+
+        let back = PolicyTree::new(tree.to_node()).unwrap();
+        prop_assert_eq!(&back, &tree);
+        prop_assert_eq!(to_policy_file(&back), to_policy_file(&tree));
+
+        let leaves = tree.users();
+        let shares = tree.user_shares();
+        prop_assert_eq!(shares.len(), leaves.len());
+        for ((user, share), (path, leaf_user)) in shares.iter().zip(&leaves) {
+            prop_assert_eq!(user, leaf_user);
+            let alone = tree.absolute_share(path).unwrap();
+            prop_assert_eq!(share.to_bits(), alone.to_bits(), "{}: {} vs {}", path, share, alone);
+            if path.components()[0] == group.components()[0] {
+                prop_assert_eq!(share.to_bits(), 0.0f64.to_bits(), "{} under a zero group", path);
+            }
+        }
+
+        let bits = |t: &PolicyTree| t.shares().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let before = bits(&tree);
+        let mut other = tree.clone();
+        let (at, share) = clone_edit;
+        let at = &paths[at % paths.len()];
+        other.set_share(at, share).unwrap();
+        prop_assert_eq!(bits(&tree), before);
+        let id = tree.layout().node_at(at).unwrap();
+        prop_assert_eq!(other.shares()[id.index()].to_bits(), share.to_bits());
+        prop_assert!(std::sync::Arc::ptr_eq(tree.layout(), other.layout()));
+        prop_assert!(!std::sync::Arc::ptr_eq(tree.shares(), other.shares()));
+    }
 }
 
 // ---- read-on-demand moves no bit: the eager derivation stays as the oracle ----
@@ -341,7 +391,7 @@ fn eager_reference(policy: &PolicyTree, usage: &[f64], cfg: &FairshareConfig) ->
     }
     let layout = policy.layout();
     let mut shares = Vec::new();
-    shares_of(policy.root(), &mut shares);
+    shares_of(&policy.to_node(), &mut shares);
     let mut subtree = vec![0.0; shares.len()];
     for i in (0..shares.len()).rev() {
         let node = &layout[NodeId(i as u32)];

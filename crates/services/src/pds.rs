@@ -71,11 +71,6 @@ impl Pds {
         self.exports.insert(name.into(), subtree);
     }
 
-    /// Fetch an exported sub-policy by name (what a remote PDS calls).
-    fn fetch_export(&self, name: &str) -> Option<&PolicyTree> {
-        self.exports.get(name)
-    }
-
     /// Mount a sub-policy fetched from `provider` into the local tree at
     /// `at` (which must be a mount point naming any source).
     pub fn mount_from(
@@ -84,11 +79,9 @@ impl Pds {
         export_name: &str,
         at: &EntityPath,
     ) -> Result<(), PolicyError> {
-        let sub = provider
-            .fetch_export(export_name)
-            .ok_or_else(|| PolicyError::NoSuchMountPoint(export_name.to_string()))?
-            .clone();
-        self.policy.mount(at, &sub)?;
+        let sub = (provider.exports.get(export_name))
+            .ok_or_else(|| PolicyError::NoSuchMountPoint(export_name.to_string()))?;
+        self.policy.mount(at, sub)?;
         self.dirty.mark_all(); // mounting changes the tree structure
         Ok(())
     }

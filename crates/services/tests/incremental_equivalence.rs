@@ -473,7 +473,7 @@ fn percental_by_name(
         }
     }
     let mut factors = BTreeMap::new();
-    walk(policy.root(), 1.0, 1.0, usage, &mut factors);
+    walk(&policy.to_node(), 1.0, 1.0, usage, &mut factors);
     factors
 }
 

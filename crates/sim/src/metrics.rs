@@ -290,11 +290,17 @@ impl MetricsLog {
     /// All maximal time windows during which the maximum policy deviation
     /// stays below `eps`.
     pub fn balance_windows(&self, eps: f64) -> Vec<(f64, f64)> {
+        self.windows(|i| self.deviation_at(i) < eps)
+    }
+
+    /// The maximal runs of samples `balanced` holds for, each from its
+    /// first sample's time to the time of the sample that ends it (or of
+    /// the last sample).
+    fn windows(&self, balanced: impl Fn(usize) -> bool) -> Vec<(f64, f64)> {
         let mut windows = Vec::new();
         let mut start: Option<f64> = None;
         for i in 0..self.samples.len() {
-            let balanced = self.deviation_at(i) < eps;
-            match (balanced, start) {
+            match (balanced(i), start) {
                 (true, None) => start = Some(self.samples[i].t_s),
                 (false, Some(s)) => {
                     windows.push((s, self.samples[i].t_s));
@@ -344,23 +350,7 @@ impl MetricsLog {
     /// Balance windows under the renormalized (idle-users-excluded)
     /// deviation — the §IV-A-5 notion of balance.
     pub fn active_balance_windows(&self, eps: f64) -> Vec<(f64, f64)> {
-        let mut windows = Vec::new();
-        let mut start: Option<f64> = None;
-        for i in 0..self.samples.len() {
-            let balanced = self.renormalized_deviation_at(i, 0.005) < eps;
-            match (balanced, start) {
-                (true, None) => start = Some(self.samples[i].t_s),
-                (false, Some(s)) => {
-                    windows.push((s, self.samples[i].t_s));
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        if let (Some(s), Some(last)) = (start, self.samples.last()) {
-            windows.push((s, last.t_s));
-        }
-        windows
+        self.windows(|i| self.renormalized_deviation_at(i, 0.005) < eps)
     }
 
     /// Maximum policy deviation in the final sample.

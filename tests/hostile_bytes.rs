@@ -263,7 +263,8 @@ fn policy_accepted(bytes: &[u8]) -> bool {
         let held = share.is_some_and(|s| s.is_finite() && (0.0..=1.0).contains(&s));
         assert!(held, "parse_policy accepted {path} at {share:?}");
     }
-    let mut groups = vec![(EntityPath::root(), policy.root())];
+    let root = policy.to_node();
+    let mut groups = vec![(EntityPath::root(), &root)];
     while let Some((path, node)) = groups.pop() {
         let shares = policy.normalized_children(&path);
         let sum: f64 = shares.values().sum();
