@@ -171,8 +171,10 @@ done
 # its captures as typed records, and every reader is in the process), and the
 # policy's second copy — its lazily built layout, its node-tree root accessor
 # and the fairshare row's per-node share (a policy is its layout plus one share
-# column, and a fairshare tree reads that column) — and no tracked
-# source, manifest, doc or script names them again; nor does the RMS
+# column, and a fairshare tree reads that column) — and the layout's
+# per-node struct with its index by node id and its per-node child lists (a
+# layout is columns: a node's parent, level, children and name are read from
+# flat vectors) — and no tracked source, manifest, doc or script names them again; nor does the RMS
 # crate name the predictor's by-job-id map of `inflight` predictions (a
 # running job carries the one it started under), nor the engine a channel.
 # The test bed's IRS resolves by endpoint: its eager `store_mapping` fill stays gone.
@@ -206,9 +208,11 @@ if git grep -n -e 'receive_summary' -e 'journal_broadcast' -e 'observe_user_shar
   -e 'aequus_pds_edits_total' -e 'refresh_many' \
   -e 'ProvenanceRecord' -e 'record_provenance' -e 'provenance_records' \
   -e 'decay_json' -e 'Explanation::from_json' -e 'PolicyTree::root' \
+  -e 'struct LayoutNode' -e 'Index<NodeId> for PolicyLayout' \
   -- '*.rs' '*.toml' '*.md' '*.sh' ':!CHANGES.md' ':!ISSUE.md' ':!ci.sh' ||
   git grep -n 'inflight' -- crates/rms || git grep -n 'mpsc' -- crates/sim ||
-  git grep -n -e 'OnceLock' -e 'fn root(' -- crates/core/src/policy.rs ||
+  git grep -n -e 'OnceLock' -e 'fn root(' -e 'children: Vec<NodeId>' -- crates/core/src/policy.rs ||
+  git grep -n 'LayoutNode' -- crates ||
   sed -n '/^struct NodeState/,/^}/p' crates/core/src/fairshare.rs | grep -n -w 'share:' ||
   git grep -n 'store_mapping' -- crates/sim/src; then
   echo "a deleted path is named again" >&2

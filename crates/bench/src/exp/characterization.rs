@@ -4,7 +4,9 @@
 use crate::cli::{Args, Gates};
 use aequus_core::projection::properties::table1 as property_matrix;
 use aequus_stats::{ContinuousDistribution, Ecdf, Histogram};
-use aequus_workload::characterize::{render_rows, table2_arrival, table3_duration, FitRow};
+use aequus_workload::characterize::{
+    periodicity_scan, render_rows, table2_arrival, table3_duration, FitRow,
+};
 use aequus_workload::models::{arrival_model, u65_composite_arrival, u65_phase_bounds};
 use aequus_workload::users::{UserClass, YEAR_S};
 use aequus_workload::{synthetic_year, Trace};
@@ -86,9 +88,16 @@ pub(super) fn fig4(args: &Args, _gates: &mut Gates) {
     for d in 0..365 {
         println!("{:>5} {:>9} {:>9}", d, total.counts()[d], u65.counts()[d]);
     }
-    // Shape summary: U65 dominance.
+    // Shape summary: U65 dominance, and the §IV-2 periodicity scan of its
+    // daily arrivals.
     let u65_frac = u65.total() as f64 / total.total() as f64;
     eprintln!("U65 fraction of jobs: {:.3} (paper: 0.8103)", u65_frac);
+    match periodicity_scan(&trace, Some("U65"), 86_400.0) {
+        Some((lag, r)) => {
+            eprintln!("U65 periodicity: dominant lag {lag} d, autocorrelation {r:.3}")
+        }
+        None => eprintln!("U65 periodicity: no significant lag"),
+    }
 }
 
 /// Figure 5 reproduction: probability density of U65 job arrival over the

@@ -229,6 +229,12 @@ const ROOT_COVERAGE: f64 = 0.95;
 const SPEEDUP_TARGET: f64 = 4.0;
 const SPEEDUP_CORES: usize = 8;
 
+/// The heap a 100k-user flat policy layout (`u000000`…) owned as one
+/// 72-byte node struct apiece, each with its own name and child list.
+const LAYOUT_BYTES_AS_NODES: usize = 11_461_476;
+/// The ceiling on that layout as columns: 2.5x below the node structs.
+const LAYOUT_BYTES_CEILING: usize = 4_584_590;
+
 /// Engine-scaling sweep: wall-clock time, events/second and speedup of the
 /// sharded engine at 1, 2, 4 and 8 shard workers (1 and 8 under `--check`).
 /// Gated at any shape — wall-clock parallel speedup is a property of the
@@ -257,6 +263,27 @@ pub(super) fn scale_sweep(args: &Args, gates: &mut Gates) {
         shape.jobs,
         cores,
         if args.check { " [smoke]" } else { "" }
+    );
+
+    // The policy layout's own heap (its shared user base not counted), at
+    // this shape and at the 100k-user flat shape the gate holds.
+    let layout_bytes = |users| {
+        let scenario = aequus_sim::GridScenario::equal_share_users(users, 42);
+        scenario.policy.layout().heap_bytes()
+    };
+    let (here, flat) = (layout_bytes(shape.users), layout_bytes(100_000));
+    println!(
+        "policy layout heap: {here} bytes at {} users, {flat} at 100k flat users \
+         ({LAYOUT_BYTES_AS_NODES} as node structs)",
+        shape.users
+    );
+    gates.check(
+        &format!("a 100k-user flat policy layout owns <= {LAYOUT_BYTES_CEILING} heap bytes"),
+        flat <= LAYOUT_BYTES_CEILING,
+        &format!(
+            "{flat} bytes, {:.2}x below {LAYOUT_BYTES_AS_NODES}",
+            LAYOUT_BYTES_AS_NODES as f64 / flat as f64
+        ),
     );
 
     let sweep = run_scale_sweep(&shape, threads);

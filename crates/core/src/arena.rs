@@ -148,6 +148,15 @@ impl UserTable {
         }
     }
 
+    /// The heap bytes this table owns beyond its shared base: the overflow
+    /// identities and their name order.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let names: usize = self.overflow.iter().map(|user| user.0.capacity()).sum();
+        self.overflow.capacity() * std::mem::size_of::<GridUser>()
+            + names
+            + self.by_name.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Every identity with its id, in name order (`BTreeMap<GridUser, _>`
     /// key order), overflow merged in.
     pub fn iter(&self) -> impl Iterator<Item = (UserId, &GridUser)> {

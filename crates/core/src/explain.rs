@@ -117,14 +117,14 @@ impl Explanation {
         // The nodes along the path, leaf first; the root has no level.
         let mut chain = Vec::with_capacity(tree.depth());
         let mut cur = leaf;
-        while let Some(above) = layout[cur].parent {
+        while let Some(above) = layout.parent(cur) {
             chain.push(cur);
             cur = above;
         }
         let mut levels = Vec::with_capacity(chain.len());
         let mut prefix = EntityPath::root();
         for node in chain.into_iter().rev() {
-            prefix = prefix.child(&layout[node].name);
+            prefix = prefix.child(layout.node_name(node));
             let state = tree.share_of(node);
             let (p, u) = (state.policy_share, state.usage_share);
             let rel = if p == u {

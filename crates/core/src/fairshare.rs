@@ -186,7 +186,7 @@ impl FairshareTree {
         };
         // Bottom-up: ids are depth-first, so children sit after their parent.
         for id in (0..count as u32).rev().map(NodeId) {
-            let own = tree.layout()[id].user;
+            let own = tree.layout().user_of(id);
             tree.nodes[id.index()].own_usage = own.and_then(|user| user.read(usage)).unwrap_or(0.0);
             tree.resum(id);
             tree.nodes[id.index()].share_total = policy.share_total(id);
@@ -197,7 +197,7 @@ impl FairshareTree {
     /// `subtree = own + Σ children` (left to right in policy order), the
     /// sum kept as the group's usage total.
     fn resum(&mut self, id: NodeId) {
-        let children = self.policy.layout()[id].children.iter();
+        let children = self.policy.layout().children(id).iter();
         let total = children.map(|c| self.nodes[c.index()].subtree_usage).sum();
         let node = &mut self.nodes[id.index()];
         node.usage_total = total;
@@ -256,7 +256,7 @@ impl FairshareTree {
         for path in dirty.paths() {
             let id = layout.node_at(path)?;
             // The root's share participates in no sibling group.
-            if let Some(group) = layout[id].parent {
+            if let Some(group) = layout.parent(id) {
                 self.nodes[group.index()].share_total = policy.share_total(group);
             }
         }
@@ -271,12 +271,11 @@ impl FairshareTree {
                 self.resum(leaf);
                 nodes_recomputed += 1;
                 // An ancestor already on a path has brought its own.
-                let mut next = layout[leaf].parent;
+                let mut next = layout.parent(leaf);
                 while let Some(id) = next.filter(|id| !self.on_path[id.index()]) {
-                    let at = &layout[id];
                     self.on_path[id.index()] = true;
-                    self.by_level[at.level as usize].push(id);
-                    next = at.parent;
+                    self.by_level[layout.level(id)].push(id);
+                    next = layout.parent(id);
                 }
             }
         }
@@ -318,7 +317,7 @@ impl FairshareTree {
     /// reports `None`).
     pub fn node(&self, path: &EntityPath) -> Option<NodeShare> {
         let id = self.layout().node_at(path)?;
-        self.layout()[id].parent.map(|_| self.share_of(id))
+        self.layout().parent(id).map(|_| self.share_of(id))
     }
 
     /// The leaf a user's vector and factor are read from: the last one
@@ -339,7 +338,7 @@ impl FairshareTree {
     /// of flops, pure in the state row. The root has no sibling group and
     /// reads neutral.
     pub fn share_of(&self, id: NodeId) -> NodeShare {
-        let Some(parent) = self.layout()[id].parent else {
+        let Some(parent) = self.layout().parent(id) else {
             return NodeShare {
                 policy_share: 1.0,
                 usage_share: 1.0,
@@ -376,7 +375,7 @@ impl FairshareTree {
     pub fn vector_of_id(&self, id: NodeId) -> FairshareVector {
         let mut elements = Vec::with_capacity(self.depth());
         let mut cur = id;
-        while let Some(parent) = self.layout()[cur].parent {
+        while let Some(parent) = self.layout().parent(cur) {
             elements.push(self.share_of(cur).element);
             cur = parent;
         }
@@ -815,7 +814,7 @@ mod tests {
         let g1 = t.layout().node_at(&EntityPath::parse("/g1"));
         let mut moved = 0;
         for i in 0..t.node_count() {
-            let parent = t.layout()[NodeId(i as u32)].parent;
+            let parent = t.layout().parent(NodeId(i as u32));
             if before[i] != after[i] {
                 assert!(parent == Some(NodeId(0)) || parent == g1, "node {i}");
                 moved += 1;

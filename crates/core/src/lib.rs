@@ -37,9 +37,7 @@ pub use decay::DecayPolicy;
 pub use explain::{Explanation, LevelExplanation, ProjectionExplanation};
 pub use fairshare::{FairshareConfig, FairshareTree, NodeShare};
 pub use ids::{EntityPath, GridUser, JobId, SiteId, SystemUser};
-pub use policy::{
-    flat_policy, LayoutNode, PolicyError, PolicyLayout, PolicyNode, PolicyNodeKind, PolicyTree,
-};
+pub use policy::{flat_policy, PolicyError, PolicyLayout, PolicyNode, PolicyNodeKind, PolicyTree};
 pub use policy_file::{parse_policy, to_policy_file, PolicyFileError};
 pub use projection::{Projection, ProjectionKind};
 pub use usage::{CellStore, UsageHistogram, UsageRecord, UsageRow, UsageSummary, UserCells};

@@ -8,8 +8,8 @@
 //! shares.
 //!
 //! A policy is built from (and exported as) a recursive [`PolicyNode`] tree,
-//! and stored once, flat: a [`PolicyTree`] is its shared [`PolicyLayout`]
-//! plus one share per node, indexed by [`NodeId`].
+//! and stored once, as columns by [`NodeId`]: a [`PolicyTree`] is its shared
+//! [`PolicyLayout`] (parents, levels, children, names) plus one share a node.
 
 use crate::arena::{NodeId, UserId, UserTable};
 use crate::ids::{EntityPath, GridUser};
@@ -136,8 +136,8 @@ impl PolicyTree {
     /// uniqueness throughout, and lay it out (one walk plus the name sort
     /// that ranks the user base).
     pub fn new(root: PolicyNode) -> Result<Self, PolicyError> {
-        validate(&root)?;
-        let (layout, shares) = PolicyLayout::build(root);
+        let size = validate(&root)?;
+        let (layout, shares) = PolicyLayout::build(root, size);
         Ok(Self {
             layout: Arc::new(layout),
             shares: shares.into(),
@@ -177,13 +177,13 @@ impl PolicyTree {
     /// The node tree under `id`, with the root children of `graft`'s tree
     /// in place of the children of the node it names.
     fn node(&self, id: NodeId, graft: Option<(NodeId, &PolicyTree)>) -> PolicyNode {
-        let at = &self.layout[id];
+        let node = |&c: &NodeId| self.node(c, graft);
         let children = match graft {
             Some((to, subtree)) if to == id => subtree.to_node().children,
-            _ => at.children.iter().map(|&c| self.node(c, graft)).collect(),
+            _ => self.layout.children(id).iter().map(node).collect(),
         };
         PolicyNode {
-            name: at.name.clone(),
+            name: self.layout.node_name(id).to_string(),
             share: self.shares[id.index()],
             kind: self.layout.kind_of(id),
             children,
@@ -218,12 +218,13 @@ impl PolicyTree {
         }
         let id =
             (self.layout.node_at(path)).ok_or_else(|| PolicyError::NoSuchPath(path.to_string()))?;
-        if let Some(group) = self.layout[id].parent {
+        if let Some(group) = self.layout.parent(id) {
             let shares = &self.shares;
             let share_of = |&c: &NodeId| if c == id { share } else { shares[c.index()] };
-            let total: f64 = self.layout[group].children.iter().map(share_of).sum();
+            let total: f64 = self.layout.children(group).iter().map(share_of).sum();
             if !total.is_finite() {
-                return Err(PolicyError::InvalidShare(self.layout[group].name.clone()));
+                let group = self.layout.node_name(group).into();
+                return Err(PolicyError::InvalidShare(group));
             }
         }
         Arc::make_mut(&mut self.shares)[id.index()] = share;
@@ -233,7 +234,7 @@ impl PolicyTree {
 
     /// Σ the raw shares of `id`'s children, left to right in policy order.
     pub(crate) fn share_total(&self, id: NodeId) -> f64 {
-        let children = self.layout[id].children.iter();
+        let children = self.layout.children(id).iter();
         children.map(|c| self.shares[c.index()]).sum()
     }
 
@@ -258,9 +259,8 @@ impl PolicyTree {
         if total <= 0.0 {
             return BTreeMap::new();
         }
-        let children = self.layout[id].children.iter();
-        let normalized = |&c: &NodeId| (self.layout[c].name.clone(), self.below(1.0, c, total));
-        children.map(normalized).collect()
+        let normalized = |&c: &NodeId| (self.layout.node_name(c).into(), self.below(1.0, c, total));
+        self.layout.children(id).iter().map(normalized).collect()
     }
 
     /// The *absolute* target share of the entity at `path`: the product of
@@ -268,7 +268,7 @@ impl PolicyTree {
     /// percental projection, §III-C).
     pub fn absolute_share(&self, path: &EntityPath) -> Option<f64> {
         fn absolute(tree: &PolicyTree, id: NodeId) -> f64 {
-            match tree.layout[id].parent {
+            match tree.layout.parent(id) {
                 None => 1.0,
                 Some(up) => tree.below(absolute(tree, up), id, tree.share_total(up)),
             }
@@ -280,7 +280,7 @@ impl PolicyTree {
     pub fn users(&self) -> Vec<(EntityPath, GridUser)> {
         let layout = &self.layout;
         let leaf = |id| {
-            let user = layout.users.name(layout[id].user?);
+            let user = layout.users.name(layout.user_of(id)?);
             Some((layout.path_of(id), user.clone()))
         };
         let ids = (0..layout.node_count() as u32).map(NodeId);
@@ -298,11 +298,11 @@ impl PolicyTree {
         let mut out = Vec::new();
         for id in (0..layout.node_count() as u32).map(NodeId) {
             let above = absolute[id.index()];
-            if let Some(user) = layout[id].user {
+            if let Some(user) = layout.user_of(id) {
                 out.push((layout.users.name(user).clone(), above));
             }
             let total = self.share_total(id);
-            for &c in &layout[id].children {
+            for &c in layout.children(id) {
                 absolute[c.index()] = self.below(above, c, total);
             }
         }
@@ -316,28 +316,16 @@ impl PolicyTree {
     }
 }
 
-/// One node of a [`PolicyLayout`] (`layout[id]`); slots are in depth-first
-/// policy order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LayoutNode {
-    /// Node name (unique among siblings).
-    pub name: String,
-    /// Parent slot; `None` for the root.
-    pub parent: Option<NodeId>,
-    /// Child slots, in policy order.
-    pub children: Vec<NodeId>,
-    /// Hierarchy level (root = 0).
-    pub level: u32,
-    /// The identity a user leaf accounts for; `None` for interior nodes.
-    pub user: Option<UserId>,
-}
+/// A column entry naming nothing: the root's parent, a non-leaf's user.
+const NONE: u32 = u32::MAX;
 
 /// What only a policy's *structure* determines — arena topology, node
 /// names, which leaf accounts for which identity, which node is a mount
 /// point — built once per structure (by [`PolicyTree::new`]) and shared by
 /// every clone of that policy and every fairshare tree computed from one.
 /// Shares are not in it: a share edit keeps the layout, a mount or a
-/// replaced policy starts a new one.
+/// replaced policy starts a new one. It is columns by [`NodeId`], in
+/// depth-first policy order: a root → leaf walk reads 8 bytes a level.
 ///
 /// Its users are named by the ids of a [`UserTable`]: a built layout's own,
 /// over the leaves' identities ranked in name order — the base of the sites
@@ -346,100 +334,144 @@ pub struct LayoutNode {
 /// may sit under several leaves (a user in two projects of a VO).
 #[derive(Debug, PartialEq, Eq)]
 pub struct PolicyLayout {
-    nodes: Vec<LayoutNode>,
-    /// The mount points with their sources, in id order: beside the nodes,
-    /// so that a [`LayoutNode`] carries no kind.
-    mounts: Vec<(NodeId, String)>,
+    tree: Topology,
+    /// Each node's user id; [`NONE`] for a node that is no user leaf.
+    user: Vec<u32>,
     /// Who an id is: the table the leaves' users are named in.
     users: UserTable,
     /// `leaves[starts[u]..starts[u + 1]]`: the leaves of user `u`, in
     /// policy order (none for an id no leaf accounts for).
     starts: Vec<u32>,
     leaves: Vec<NodeId>,
+}
+
+/// The columns of a [`PolicyLayout`] that do not depend on how its users
+/// are keyed: a layout keyed by another table copies them unchanged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Topology {
+    /// Each node's parent ([`NONE`] for the root) and level (root = 0).
+    parent: Vec<u32>,
+    level: Vec<u32>,
+    /// `child_ids[child_starts[id]..child_starts[id + 1]]`, in policy order.
+    child_starts: Vec<u32>,
+    child_ids: Vec<NodeId>,
+    /// `names[name_starts[id]..name_starts[id + 1]]`: one byte arena, each
+    /// name ending where the next begins.
+    names: String,
+    name_starts: Vec<u32>,
+    /// The mount points with their sources, in id order.
+    mounts: Vec<(NodeId, String)>,
     depth: usize,
 }
 
 impl PolicyLayout {
-    /// The layout of `root` and its shares, both by [`NodeId`]: one
-    /// depth-first walk, moving the names out of the nodes.
-    fn build(root: PolicyNode) -> (Self, Vec<f64>) {
-        let (mut nodes, mut shares) = (Vec::<LayoutNode>::new(), Vec::new());
-        let (mut mounts, mut leaf_users) = (Vec::new(), Vec::new());
-        let mut stack = vec![(root, None::<NodeId>)];
-        while let Some((node, parent)) = stack.pop() {
-            let id = NodeId(nodes.len() as u32);
-            if let Some(parent) = parent {
-                nodes[parent.index()].children.push(id);
+    /// The layout of `root` (sized by [`validate`]: no column grows) and its
+    /// shares, by [`NodeId`]: one depth-first walk, each identity moved once.
+    fn build(root: PolicyNode, (count, bytes): (usize, usize)) -> (Self, Vec<f64>) {
+        let mut tree = Topology {
+            parent: Vec::with_capacity(count),
+            level: Vec::with_capacity(count),
+            child_starts: Vec::with_capacity(count + 1),
+            child_ids: Vec::with_capacity(count - 1),
+            names: String::with_capacity(bytes),
+            name_starts: Vec::with_capacity(count + 1),
+            mounts: Vec::new(),
+            depth: 0,
+        };
+        let (mut shares, mut leaf_users) = (Vec::with_capacity(count), Vec::new());
+        // A node with its parent, its level and the child slot it fills.
+        let mut stack = vec![(root, NONE, 0, None)];
+        while let Some((node, parent, level, slot)) = stack.pop() {
+            let id = NodeId(tree.parent.len() as u32);
+            if let Some(slot) = slot {
+                tree.child_ids[slot] = id;
             }
-            nodes.push(LayoutNode {
-                name: node.name,
-                parent,
-                children: Vec::with_capacity(node.children.len()),
-                level: parent.map_or(0, |p| nodes[p.index()].level + 1),
-                user: None,
-            });
+            tree.depth = tree.depth.max(level as usize);
+            tree.parent.push(parent);
+            tree.level.push(level);
+            tree.name_starts.push(tree.names.len() as u32);
+            tree.names.push_str(&node.name);
+            let first = tree.child_ids.len();
+            tree.child_starts.push(first as u32);
+            tree.child_ids.resize(first + node.children.len(), id);
             shares.push(node.share);
             match node.kind {
                 PolicyNodeKind::User(user) => leaf_users.push((user, id)),
-                PolicyNodeKind::MountPoint { source } => mounts.push((id, source)),
+                PolicyNodeKind::MountPoint { source } => tree.mounts.push((id, source)),
                 PolicyNodeKind::Group => {}
             }
             // Reversed, so the first child is popped (and numbered) first.
-            stack.extend(
-                node.children
-                    .into_iter()
-                    .rev()
-                    .map(|child| (child, Some(id))),
-            );
+            let children = node.children.into_iter().enumerate().rev();
+            stack.extend(children.map(|(i, child)| (child, id.0, level + 1, Some(first + i))));
         }
-        // Stable: an identity's leaves stay in policy order.
+        tree.child_starts.push(tree.child_ids.len() as u32);
+        tree.name_starts.push(tree.names.len() as u32);
+        // Stable: an identity's leaves stay in policy order, and take the
+        // rank of the identity, which moves into the base once.
         leaf_users.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut ranked: Vec<GridUser> = leaf_users.iter().map(|(u, _)| u.clone()).collect();
-        ranked.dedup();
-        let table = &mut UserTable::new(ranked.into());
-        let leaf_users = leaf_users.iter().map(|(u, leaf)| (u, *leaf)).collect();
-        (Self::keyed(nodes, mounts, leaf_users, table), shares)
+        let (mut ranked, mut ids) = (Vec::new(), Vec::with_capacity(leaf_users.len()));
+        for (user, leaf) in leaf_users {
+            if ranked.last() != Some(&user) {
+                ranked.push(user);
+            }
+            ids.push((UserId(ranked.len() as u32 - 1), leaf));
+        }
+        let table = UserTable::new(ranked.into());
+        (Self::keyed(tree, ids, table), shares)
     }
 
     /// This layout with its users named by `table`'s ids, interning there
     /// those it lacks, in this layout's id order — `O(users·log users)`.
     /// Valid at a holder whose table [`extends`](UserTable::extends) it.
     fn keyed_by(&self, table: &mut UserTable) -> Self {
-        let named = |&leaf: &NodeId| Some((self.users.name(self[leaf].user?), leaf));
-        let leaf_users = self.leaves.iter().filter_map(named).collect();
-        Self::keyed(self.nodes.clone(), self.mounts.clone(), leaf_users, table)
+        let name = |leaf: NodeId| self.users.name(UserId(self.user[leaf.index()]));
+        let intern = |&leaf: &NodeId| (table.intern(name(leaf)), leaf);
+        let ids = self.leaves.iter().map(intern).collect();
+        Self::keyed(self.tree.clone(), ids, table.clone())
     }
 
-    /// `nodes` with each leaf of `leaf_users` accounting for its identity's
-    /// id in `table`.
-    fn keyed(
-        mut nodes: Vec<LayoutNode>,
-        mounts: Vec<(NodeId, String)>,
-        leaf_users: Vec<(&GridUser, NodeId)>,
-        table: &mut UserTable,
-    ) -> Self {
-        let ids = leaf_users
-            .into_iter()
-            .map(|(user, leaf)| (table.intern(user), leaf));
-        let mut by_id: Vec<_> = ids.collect();
+    /// `tree` with each leaf of `ids` accounting for its id in `users`.
+    fn keyed(tree: Topology, mut ids: Vec<(UserId, NodeId)>, users: UserTable) -> Self {
         // Stable: an identity's leaves stay in policy order.
-        by_id.sort_by_key(|&(id, _)| id);
-        let (mut starts, mut leaves) = (Vec::new(), Vec::with_capacity(by_id.len()));
-        for (user, leaf) in by_id {
+        ids.sort_by_key(|&(id, _)| id);
+        let mut user = vec![NONE; tree.parent.len()];
+        let mut starts = Vec::with_capacity(users.len() + 1);
+        let mut leaves = Vec::with_capacity(ids.len());
+        for (id, leaf) in ids {
             // An id no leaf accounts for gets an empty run.
-            starts.resize(user.index() + 1, leaves.len() as u32);
-            nodes[leaf.index()].user = Some(user);
+            starts.resize(id.index() + 1, leaves.len() as u32);
+            user[leaf.index()] = id.0;
             leaves.push(leaf);
         }
         starts.push(leaves.len() as u32);
         Self {
-            depth: nodes.iter().map(|n| n.level).max().unwrap_or(0) as usize,
-            nodes,
-            mounts,
-            users: table.clone(),
+            tree,
+            user,
+            users,
             starts,
             leaves,
         }
+    }
+
+    /// The heap bytes the layout owns, counted from its columns'
+    /// capacities: all of it but the shared base of its user table.
+    pub fn heap_bytes(&self) -> usize {
+        let t = &self.tree;
+        let u32s = [
+            &t.parent,
+            &t.level,
+            &t.child_starts,
+            &t.name_starts,
+            &self.user,
+        ];
+        let u32s: usize = u32s.iter().map(|v| v.capacity()).sum::<usize>() + self.starts.capacity();
+        let ids = t.child_ids.capacity() + self.leaves.capacity();
+        let sources: usize = t.mounts.iter().map(|(_, source)| source.capacity()).sum();
+        (u32s + ids) * 4
+            + t.names.capacity()
+            + t.mounts.capacity() * std::mem::size_of::<(NodeId, String)>()
+            + sources
+            + self.users.heap_bytes()
     }
 
     /// The base of [`table`](Self::table); a built layout's is the policy's
@@ -481,12 +513,39 @@ impl PolicyLayout {
 
     /// Total number of nodes (root included).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.tree.parent.len()
     }
 
     /// Maximum leaf depth.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.tree.depth
+    }
+
+    /// The parent of `id`; `None` for the root.
+    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
+        Some(NodeId(self.tree.parent[id.index()])).filter(|p| p.0 < NONE)
+    }
+
+    /// The hierarchy level of `id` (root = 0).
+    pub fn level(&self, id: NodeId) -> usize {
+        self.tree.level[id.index()] as usize
+    }
+
+    /// The children of `id`, in policy order (ascending ids).
+    pub fn children(&self, id: NodeId) -> &[NodeId] {
+        let run = &self.tree.child_starts[id.index()..id.index() + 2];
+        &self.tree.child_ids[run[0] as usize..run[1] as usize]
+    }
+
+    /// The name of the node at `id`, unique among its siblings.
+    pub fn node_name(&self, id: NodeId) -> &str {
+        let run = &self.tree.name_starts[id.index()..id.index() + 2];
+        &self.tree.names[run[0] as usize..run[1] as usize]
+    }
+
+    /// The identity the user leaf at `id` accounts for; `None` for others.
+    pub fn user_of(&self, id: NodeId) -> Option<UserId> {
+        Some(UserId(self.user[id.index()])).filter(|u| u.0 < NONE)
     }
 
     /// Resolve a path to its node — one scan of a sibling group per
@@ -494,17 +553,18 @@ impl PolicyLayout {
     pub fn node_at(&self, path: &EntityPath) -> Option<NodeId> {
         let mut id = NodeId(0);
         for comp in path.components() {
-            id = *self[id].children.iter().find(|c| &self[**c].name == comp)?;
+            let mut children = self.children(id).iter();
+            id = *children.find(|&&c| self.node_name(c) == comp)?;
         }
         Some(id)
     }
 
     /// The path of a node, root first.
     pub fn path_of(&self, id: NodeId) -> EntityPath {
-        let mut names = Vec::with_capacity(self[id].level as usize);
+        let mut names = Vec::with_capacity(self.level(id));
         let mut cur = id;
-        while let Some(parent) = self[cur].parent {
-            names.push(self[cur].name.clone());
+        while let Some(parent) = self.parent(cur) {
+            names.push(self.node_name(cur).to_string());
             cur = parent;
         }
         names.reverse();
@@ -513,40 +573,36 @@ impl PolicyLayout {
 
     /// What the node at `id` is: a user leaf, a mount point or a group.
     fn kind_of(&self, id: NodeId) -> PolicyNodeKind {
-        let mount = self.mounts.binary_search_by_key(&id, |(at, _)| *at).ok();
-        match (self[id].user, mount) {
+        let mounts = &self.tree.mounts;
+        let mount = mounts.binary_search_by_key(&id, |(at, _)| *at).ok();
+        match (self.user_of(id), mount) {
             (Some(user), _) => PolicyNodeKind::User(self.users.name(user).clone()),
             (None, Some(i)) => PolicyNodeKind::MountPoint {
-                source: self.mounts[i].1.clone(),
+                source: mounts[i].1.clone(),
             },
             (None, None) => PolicyNodeKind::Group,
         }
     }
 }
 
-impl std::ops::Index<NodeId> for PolicyLayout {
-    type Output = LayoutNode;
-    fn index(&self, id: NodeId) -> &LayoutNode {
-        &self.nodes[id.index()]
-    }
-}
-
-fn validate(node: &PolicyNode) -> Result<(), PolicyError> {
+/// Check shares and sibling names throughout; count nodes and name bytes.
+fn validate(node: &PolicyNode) -> Result<(usize, usize), PolicyError> {
     if !(node.share.is_finite() && node.share >= 0.0) {
         return Err(PolicyError::InvalidShare(node.name.clone()));
     }
     let (mut seen, mut total) = (std::collections::BTreeSet::new(), 0.0);
+    let mut size = (1, node.name.len());
     for c in &node.children {
         if !seen.insert(&c.name) {
             return Err(PolicyError::DuplicateChild(c.name.clone()));
         }
-        validate(c)?;
-        total += c.share;
+        let (count, bytes) = validate(c)?;
+        (size, total) = ((size.0 + count, size.1 + bytes), total + c.share);
     }
     if !total.is_finite() {
         return Err(PolicyError::InvalidShare(node.name.clone()));
     }
-    Ok(())
+    Ok(size)
 }
 
 /// Convenience: a flat single-level policy over plain users with the given

@@ -20,9 +20,17 @@
 //! may be declared implicitly by their children (they default to groups with
 //! the share given on their own line, or weight 1 if never mentioned).
 //! Un-annotated leaves become users whose grid identity is the leaf name.
+//! A path deeper than [`MAX_DEPTH`] is refused at its line.
 
 use crate::ids::{EntityPath, GridUser};
 use crate::policy::{PolicyError, PolicyNode, PolicyNodeKind, PolicyTree};
+use std::collections::{HashMap, HashSet};
+
+/// The deepest path a policy file may declare. Share hierarchies are a few
+/// levels deep (the paper's are one to three); the walks over a policy
+/// tree — validation, export, dropping it — recurse once per level, and a
+/// 2 MB thread's stack gives out near 20,000 levels.
+pub const MAX_DEPTH: usize = 256;
 
 /// Errors raised when parsing a policy file.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +80,7 @@ struct Declaration {
 
 /// Parse a policy definition file into a [`PolicyTree`].
 pub fn parse_policy(text: &str) -> Result<PolicyTree, PolicyFileError> {
-    let mut decls: Vec<Declaration> = Vec::new();
+    let (mut decls, mut declared) = (Vec::<Declaration>::new(), HashSet::new());
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -94,6 +102,12 @@ pub fn parse_policy(text: &str) -> Result<PolicyTree, PolicyFileError> {
             return Err(PolicyFileError::Malformed {
                 line: line_no,
                 reason: "the root cannot be declared".to_string(),
+            });
+        }
+        if path.depth() > MAX_DEPTH {
+            return Err(PolicyFileError::Malformed {
+                line: line_no,
+                reason: format!("path deeper than {MAX_DEPTH} levels"),
             });
         }
         let share: f64 = parts
@@ -127,7 +141,7 @@ pub fn parse_policy(text: &str) -> Result<PolicyTree, PolicyFileError> {
                 reason: "a node cannot be both a user and a mount point".to_string(),
             });
         }
-        if decls.iter().any(|d| d.path == path) {
+        if !declared.insert(path.clone()) {
             return Err(PolicyFileError::DuplicatePath {
                 line: line_no,
                 path: path.to_string(),
@@ -145,15 +159,26 @@ pub fn parse_policy(text: &str) -> Result<PolicyTree, PolicyFileError> {
     // Assemble the tree: insert in path-depth order so parents exist first.
     decls.sort_by_key(|d| d.path.depth());
     let mut root = PolicyNode::group("root", 1.0, Vec::new());
+    let mut placed = HashMap::new();
     for d in &decls {
-        insert(&mut root, d)?;
+        insert(&mut root, d, &mut placed)?;
     }
     // Leaves without annotations become users named after themselves.
     promote_bare_leaves(&mut root);
     PolicyTree::new(root).map_err(PolicyFileError::Invalid)
 }
 
-fn insert(root: &mut PolicyNode, d: &Declaration) -> Result<(), PolicyFileError> {
+/// Each node inserted so far, by its parent's number (the root's is 0) and
+/// its name: its own number and its place among its siblings.
+type Placed<'a> = HashMap<(usize, &'a str), (usize, usize)>;
+
+/// Insert `d` under `root`, finding its parent by one lookup in `placed`
+/// per level — never by scanning a sibling group.
+fn insert<'a>(
+    root: &mut PolicyNode,
+    d: &'a Declaration,
+    placed: &mut Placed<'a>,
+) -> Result<(), PolicyFileError> {
     let comps = d.path.components();
     let Some((leaf_name, parents)) = comps.split_last() else {
         return Err(PolicyFileError::Malformed {
@@ -161,22 +186,20 @@ fn insert(root: &mut PolicyNode, d: &Declaration) -> Result<(), PolicyFileError>
             reason: "the root cannot be declared".to_string(),
         });
     };
-    let mut node = root;
+    let (mut node, mut number) = (root, 0);
     // Walk/create intermediate groups.
     for comp in parents {
-        let pos = match node.children.iter().position(|c| &c.name == comp) {
-            Some(p) => p,
-            None => {
-                node.children
-                    .push(PolicyNode::group(comp.clone(), 1.0, Vec::new()));
-                node.children.len() - 1
-            }
-        };
-        node = &mut node.children[pos];
+        let fresh = placed.len() + 1;
+        let (at, pos) = *placed.entry((number, comp)).or_insert_with(|| {
+            node.children
+                .push(PolicyNode::group(comp.clone(), 1.0, Vec::new()));
+            (fresh, node.children.len() - 1)
+        });
+        (number, node) = (at, &mut node.children[pos]);
     }
-    if let Some(existing) = node.children.iter_mut().find(|c| &c.name == leaf_name) {
+    if let Some(&(_, pos)) = placed.get(&(number, leaf_name.as_str())) {
         // Declared after being implicitly created as a parent: set its share.
-        existing.share = d.share;
+        node.children[pos].share = d.share;
         return Ok(());
     }
     let new_node = if let Some(user) = &d.user {
@@ -187,6 +210,7 @@ fn insert(root: &mut PolicyNode, d: &Declaration) -> Result<(), PolicyFileError>
         // May become a group if children follow, or a user if it stays bare.
         PolicyNode::group(leaf_name.clone(), d.share, Vec::new())
     };
+    placed.insert((number, leaf_name), (placed.len() + 1, node.children.len()));
     node.children.push(new_node);
     Ok(())
 }
@@ -304,7 +328,7 @@ mod tests {
         };
         let mut root = PolicyNode::group("root", 1.0, Vec::new());
         assert!(matches!(
-            insert(&mut root, &root_decl),
+            insert(&mut root, &root_decl, &mut HashMap::new()),
             Err(PolicyFileError::Malformed { line: 7, .. })
         ));
     }
@@ -315,6 +339,39 @@ mod tests {
             parse_policy("/a 1\n/a 2\n"),
             Err(PolicyFileError::DuplicatePath { line: 2, .. })
         ));
+    }
+
+    #[test]
+    fn a_path_past_the_depth_limit_is_refused_at_its_line() {
+        // 100,000 levels in one 200 KB line: refused before any node is
+        // built, where the recursive walks would overflow the stack.
+        let deep = format!("/x 1\n{} 1\n", "/a".repeat(100_000));
+        let refused = parse_policy(&deep);
+        assert!(
+            matches!(refused, Err(PolicyFileError::Malformed { line: 2, .. })),
+            "{refused:?}"
+        );
+        let deepest = format!("{} 1\n", "/a".repeat(MAX_DEPTH));
+        let t = parse_policy(&deepest).unwrap();
+        assert_eq!(t.layout().depth(), MAX_DEPTH);
+        let deeper = format!("{} 1\n", "/a".repeat(MAX_DEPTH + 1));
+        assert!(matches!(
+            parse_policy(&deeper),
+            Err(PolicyFileError::Malformed { line: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn a_flat_policy_of_100k_users_round_trips() {
+        // Linear in declarations: a duplicate or sibling scan per line
+        // makes this take minutes.
+        let users: Vec<(String, f64)> = (0..100_000)
+            .map(|i| (format!("u{i:06}"), 1.0 + (i % 7) as f64 / 4.0))
+            .collect();
+        let users: Vec<(&str, f64)> = users.iter().map(|(n, s)| (n.as_str(), *s)).collect();
+        let tree = crate::policy::flat_policy(&users).unwrap();
+        let text = to_policy_file(&tree);
+        assert_eq!(parse_policy(&text), Ok(tree));
     }
 
     #[test]

@@ -24,7 +24,7 @@ impl Percental {
     /// first (the recursion unwinds root→leaf, so the products keep the
     /// bits of a top-down walk). `O(depth)`.
     pub fn total_shares(tree: &FairshareTree, id: NodeId) -> (f64, f64) {
-        match tree.layout()[id].parent {
+        match tree.layout().parent(id) {
             None => (1.0, 1.0),
             Some(parent) => {
                 let (target, usage) = Self::total_shares(tree, parent);

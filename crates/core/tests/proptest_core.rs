@@ -2,11 +2,11 @@
 //! normalization, usage conservation, distance bounds, vector ordering, and
 //! projection consistency across randomized trees and usage patterns.
 
-use aequus_core::arena::{DirtySet, NodeId, UserId};
+use aequus_core::arena::{DirtySet, NodeId, UserId, UserTable};
 use aequus_core::decay::DecayPolicy;
 use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::ids::{EntityPath, GridUser, JobId, SiteId};
-use aequus_core::policy::{flat_policy, PolicyNode, PolicyTree};
+use aequus_core::policy::{flat_policy, PolicyLayout, PolicyNode, PolicyTree};
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::{CellStore, Prefix, UsageHistogram, UsageRecord};
 use aequus_core::vector::{FairshareVector, Resolution};
@@ -327,10 +327,11 @@ proptest! {
         }
     }
 
-    /// After share edits — one group edited to zero last — a policy
-    /// exported as a node tree lays out into an equal one and writes the
-    /// same file; the column pass and the per-leaf descent read the same
-    /// bits; and an edit reaches only the clone it was made on.
+    /// A policy's layout columns form one tree, keyed or not. After share
+    /// edits — one group edited to zero last — a policy exported as a node
+    /// tree lays out into an equal one and writes the same file; the column
+    /// pass and the per-leaf descent read the same bits; and an edit
+    /// reaches only the clone it was made on.
     #[test]
     fn a_policy_survives_its_export_and_its_clones_their_edits(
         mut tree in random_tree(),
@@ -339,12 +340,37 @@ proptest! {
         clone_edit in (0usize..64, 0.0..10.0f64),
     ) {
         use aequus_core::policy_file::to_policy_file;
+        // The columns are one tree: a child names its parent and sits a
+        // level below it, siblings ascend, a node's path leads back to it —
+        // and the layout keyed by another table has the same topology.
+        let mut keyed = tree.clone();
+        let base = std::sync::Arc::from([GridUser::new("g0u0"), GridUser::new("zz")]);
+        keyed.key_by(&mut UserTable::new(base));
+        let (layout, other) = (tree.layout(), keyed.layout());
+        prop_assert_eq!((layout.parent(NodeId(0)), layout.level(NodeId(0))), (None, 0));
+        let user = |at: &PolicyLayout, id| at.user_of(id).map(|u| at.table().name(u).clone());
+        for id in (0..layout.node_count() as u32).map(NodeId) {
+            let children = layout.children(id);
+            prop_assert!(children.windows(2).all(|w| w[0] < w[1]), "{:?}", children);
+            for &c in children {
+                prop_assert_eq!(layout.parent(c), Some(id));
+                prop_assert_eq!(layout.level(c), layout.level(id) + 1);
+            }
+            prop_assert_eq!(layout.node_at(&layout.path_of(id)), Some(id));
+            let columns =
+                |at: &PolicyLayout| (at.parent(id), at.level(id), at.node_name(id).to_string());
+            prop_assert_eq!(columns(other), columns(layout));
+            prop_assert_eq!(other.children(id), children);
+            prop_assert_eq!(user(other, id), user(layout, id));
+        }
+        prop_assert_eq!(other.node_count(), layout.node_count());
+
         let paths = edit_paths(&tree);
         for &(at, kind, share) in &edits {
             let share = if kind == 0 { 0.0 } else { share };
             tree.set_share(&paths[at % paths.len()], share).unwrap();
         }
-        let groups = tree.layout()[NodeId(0)].children.len();
+        let groups = tree.layout().children(NodeId(0)).len();
         let group = EntityPath::parse(&format!("/g{}", zeroed % groups));
         tree.set_share(&group, 0.0).unwrap();
 
@@ -394,14 +420,17 @@ fn eager_reference(policy: &PolicyTree, usage: &[f64], cfg: &FairshareConfig) ->
     shares_of(&policy.to_node(), &mut shares);
     let mut subtree = vec![0.0; shares.len()];
     for i in (0..shares.len()).rev() {
-        let node = &layout[NodeId(i as u32)];
-        let own = node.user.and_then(|user| user.read(usage)).unwrap_or(0.0);
-        let children: f64 = node.children.iter().map(|c| subtree[c.index()]).sum();
+        let id = NodeId(i as u32);
+        let own = layout
+            .user_of(id)
+            .and_then(|user| user.read(usage))
+            .unwrap_or(0.0);
+        let children: f64 = layout.children(id).iter().map(|c| subtree[c.index()]).sum();
         subtree[i] = own + children;
     }
     let mut derived = vec![[1.0, 1.0, 0.0, 0.0]; shares.len()];
     for i in 0..shares.len() {
-        let children = &layout[NodeId(i as u32)].children;
+        let children = layout.children(NodeId(i as u32));
         let policy_total: f64 = children.iter().map(|c| shares[c.index()]).sum();
         let usage_total: f64 = children.iter().map(|c| subtree[c.index()]).sum();
         for c in children.iter().map(|c| c.index()) {
